@@ -30,26 +30,32 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 
-__all__ = ["minimum_degree"]
+__all__ = ["minimum_degree", "minimum_degree_graph"]
 
 
 def minimum_degree(a: CSCMatrix) -> np.ndarray:
     """Return a minimum-degree permutation (new-to-old) for the symmetric
     pattern of ``a``."""
-    indptr, indices = a.adjacency()
+    return minimum_degree_graph(*a.adjacency())
+
+
+def minimum_degree_graph(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Minimum-degree permutation of an undirected graph given as
+    adjacency lists ``(indptr, indices)`` without self-loops."""
     n = indptr.size - 1
     if n == 0:
         return np.empty(0, dtype=np.int64)
 
-    adj_v: list[set[int]] = [
-        set(int(u) for u in indices[indptr[v]:indptr[v + 1]]) for v in range(n)
-    ]
+    # plain lists and ints throughout: the loops below index one scalar
+    # at a time, which numpy arrays make several times dearer
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    adj_v: list[set[int]] = [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(n)]
     adj_e: list[set[int]] = [set() for _ in range(n)]
     elem_members: dict[int, set[int]] = {}
-    weight = np.ones(n, dtype=np.int64)       # originals merged into each supervar
+    weight = [1] * n                          # originals merged into each supervar
     merged: list[list[int]] = [[v] for v in range(n)]
-    alive = np.ones(n, dtype=bool)
-    degree = np.array([len(s) for s in adj_v], dtype=np.int64)
+    alive = [True] * n
+    degree = [len(s) for s in adj_v]
 
     heap: list[tuple[int, int]] = [(int(degree[v]), v) for v in range(n)]
     heapq.heapify(heap)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.matrices.csc import CSCMatrix
-from repro.ordering.amd import minimum_degree
-from repro.ordering.rcm import pseudo_peripheral_node
+from repro.ordering.amd import minimum_degree_graph
+from repro.ordering.rcm import bfs_levels, pseudo_peripheral_node
 
 __all__ = ["nested_dissection"]
 
@@ -62,28 +62,12 @@ def _subgraph(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
     return sub_indptr, local_nbrs
 
 
-def _level_structure(indptr, indices, root: int) -> np.ndarray:
-    """BFS levels with vectorized frontier expansion."""
-    n = indptr.size - 1
-    level = np.full(n, -1, dtype=np.int64)
-    level[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        _, nbrs = _gather_neighbors(indptr, indices, frontier)
-        nxt = np.unique(nbrs[level[nbrs] < 0])
-        level[nxt] = d + 1
-        frontier = nxt
-        d += 1
-    return level
-
-
-def _find_separator(indptr, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a *connected* graph into (part_a, part_b, separator)."""
-    n = indptr.size - 1
-    root = pseudo_peripheral_node(indptr, indices, 0)
-    level = _level_structure(indptr, indices, root)
-    depth = int(level.max())
+def _find_separator(
+    level: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a *connected* graph into (part_a, part_b, separator), given
+    the level structure rooted at a pseudo-peripheral vertex."""
+    n = level.size
     if depth < 2:
         # graph too shallow to split: everything becomes separator
         return (
@@ -149,61 +133,35 @@ def _components(indptr, indices) -> list[np.ndarray]:
     return comps
 
 
-def _nd_recurse(indptr, indices, nodes: np.ndarray, out: list[int],
+def _nd_recurse(indptr, indices, nodes: np.ndarray, out: list[np.ndarray],
                 leaf_size: int) -> None:
     """Append the ND ordering of the induced subgraph on ``nodes`` to
     ``out`` (in elimination order: halves first, separator last)."""
     if nodes.size == 0:
         return
-    if nodes.size <= leaf_size:
-        sub_indptr, sub_indices = _subgraph(indptr, indices, nodes)
-        sub = CSCMatrix(
-            (nodes.size, nodes.size),
-            sub_indptr,
-            sub_indices,
-            np.ones(sub_indices.size),
-            check=False,
-        )
-        # base case: minimum degree on the leaf subgraph
-        local_perm = minimum_degree(_with_diagonal(sub))
-        out.extend(int(nodes[i]) for i in local_perm)
-        return
     sub_indptr, sub_indices = _subgraph(indptr, indices, nodes)
-    comps = _components(sub_indptr, sub_indices)
-    if len(comps) > 1:
-        for comp in comps:
+    if nodes.size <= leaf_size:
+        # base case: minimum degree on the leaf subgraph
+        out.append(nodes[minimum_degree_graph(sub_indptr, sub_indices)])
+        return
+    # the BFS that starts the pseudo-peripheral search also says whether
+    # the subgraph is connected
+    level, depth = bfs_levels(sub_indptr, sub_indices, 0)
+    if level.min() < 0:
+        for comp in _components(sub_indptr, sub_indices):
             _nd_recurse(indptr, indices, nodes[comp], out, leaf_size)
         return
-    part_a, part_b, sep = _find_separator(sub_indptr, sub_indices)
+    _, level, depth = pseudo_peripheral_node(
+        sub_indptr, sub_indices, 0, level, depth
+    )
+    part_a, part_b, sep = _find_separator(level, depth)
     if sep.size == nodes.size or part_a.size == 0 or part_b.size == 0:
         # separator heuristic failed to split; fall back to minimum degree
-        sub = CSCMatrix(
-            (nodes.size, nodes.size),
-            sub_indptr,
-            sub_indices,
-            np.ones(sub_indices.size),
-            check=False,
-        )
-        local_perm = minimum_degree(_with_diagonal(sub))
-        out.extend(int(nodes[i]) for i in local_perm)
+        out.append(nodes[minimum_degree_graph(sub_indptr, sub_indices)])
         return
     _nd_recurse(indptr, indices, nodes[part_a], out, leaf_size)
     _nd_recurse(indptr, indices, nodes[part_b], out, leaf_size)
-    out.extend(int(v) for v in nodes[sep])
-
-
-def _with_diagonal(adj_only: CSCMatrix) -> CSCMatrix:
-    """minimum_degree consumes a matrix; give the adjacency a diagonal so
-    `.adjacency()` round-trips cleanly."""
-    n = adj_only.n_rows
-    col_of_entry = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(adj_only.indptr)
-    )
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([adj_only.indices, diag])
-    cols = np.concatenate([col_of_entry, diag])
-    vals = np.ones(rows.size)
-    return CSCMatrix.from_coo(rows, cols, vals, (n, n))
+    out.append(nodes[sep])
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
@@ -212,9 +170,10 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
     minimum degree."""
     indptr, indices = a.adjacency()
     n = indptr.size - 1
-    out: list[int] = []
+    # seeded with an empty slice so an empty graph still concatenates
+    out: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     _nd_recurse(indptr, indices, np.arange(n, dtype=np.int64), out, leaf_size)
-    perm = np.asarray(out, dtype=np.int64)
+    perm = np.concatenate(out)
     if perm.size != n or np.unique(perm).size != n:
         raise AssertionError("nested dissection produced an invalid permutation")
     return perm

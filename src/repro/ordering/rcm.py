@@ -14,29 +14,24 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 
-__all__ = ["reverse_cuthill_mckee", "pseudo_peripheral_node"]
+__all__ = ["reverse_cuthill_mckee", "pseudo_peripheral_node", "bfs_levels"]
 
 
-def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int,
-                component: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def bfs_levels(indptr: np.ndarray, indices: np.ndarray,
+               start: int) -> tuple[np.ndarray, int]:
     """Level structure of the BFS tree rooted at ``start``.
 
-    Returns ``(level, depth)`` where ``level[v] = -1`` for unreachable
-    vertices.  If ``component`` is given, only those vertices are visited.
+    Returns ``(level, depth)`` where ``level[v] = -1`` for vertices
+    ``start`` does not reach.
     """
     n = indptr.size - 1
     level = np.full(n, -1, dtype=np.int64)
-    if component is not None:
-        allowed = np.zeros(n, dtype=bool)
-        allowed[component] = True
-    else:
-        allowed = np.ones(n, dtype=bool)
     level[start] = 0
     frontier = np.array([start], dtype=np.int64)
     depth = 0
     while frontier.size:
         # vectorized frontier expansion: gather all neighbors of the
-        # frontier at once, keep the unvisited allowed ones
+        # frontier at once, keep the unvisited ones
         counts = indptr[frontier + 1] - indptr[frontier]
         total = int(counts.sum())
         if total == 0:
@@ -45,7 +40,7 @@ def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int,
         np.cumsum(counts[:-1], out=run_starts[1:])
         offsets = np.repeat(indptr[frontier] - run_starts, counts)
         nbrs = indices[np.arange(total, dtype=np.int64) + offsets]
-        nxt = np.unique(nbrs[(level[nbrs] < 0) & allowed[nbrs]])
+        nxt = np.unique(nbrs[level[nbrs] < 0])
         if nxt.size == 0:
             break
         level[nxt] = depth + 1
@@ -54,22 +49,28 @@ def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int,
     return level, depth
 
 
-def pseudo_peripheral_node(indptr: np.ndarray, indices: np.ndarray,
-                           start: int, component: np.ndarray | None = None) -> int:
+def pseudo_peripheral_node(
+    indptr: np.ndarray, indices: np.ndarray, start: int,
+    level: np.ndarray, depth: int,
+) -> tuple[int, np.ndarray, int]:
     """George-Liu pseudo-peripheral vertex: repeatedly re-root the BFS at a
     minimum-degree vertex of the deepest level until the eccentricity
-    estimate stops growing."""
+    estimate stops growing.
+
+    ``(level, depth)`` is ``bfs_levels`` from ``start``, which every
+    caller has already run to learn what ``start`` reaches.  Returns the
+    chosen root with its own level structure and depth.
+    """
     degrees = np.diff(indptr)
     node = start
-    level, depth = _bfs_levels(indptr, indices, node, component)
     while True:
         last = np.flatnonzero(level == depth)
         if last.size == 0:
-            return node
+            return node, level, depth
         candidate = last[np.argmin(degrees[last])]
-        new_level, new_depth = _bfs_levels(indptr, indices, int(candidate), component)
+        new_level, new_depth = bfs_levels(indptr, indices, int(candidate))
         if new_depth <= depth:
-            return node
+            return node, level, depth
         node, level, depth = int(candidate), new_level, new_depth
 
 
@@ -86,10 +87,8 @@ def reverse_cuthill_mckee(a: CSCMatrix) -> np.ndarray:
     for seed in range(n):
         if visited[seed]:
             continue
-        # restrict the pseudo-peripheral search to this component
-        comp_level, _ = _bfs_levels(indptr, indices, seed)
-        component = np.flatnonzero(comp_level >= 0)
-        root = pseudo_peripheral_node(indptr, indices, seed, component)
+        level, depth = bfs_levels(indptr, indices, seed)
+        root, _, _ = pseudo_peripheral_node(indptr, indices, seed, level, depth)
         # Cuthill-McKee BFS from root with degree-sorted neighbor visits
         queue = [root]
         visited[root] = True

@@ -4,13 +4,14 @@ Given a permuted SPD matrix, this subpackage computes everything the
 numeric phase needs before touching a floating-point number:
 
 * the (column) elimination tree and its postorder (:mod:`etree`),
-* the per-column nonzero patterns / column counts of the factor
-  (:mod:`colcounts`),
 * the fundamental supernode partition and relaxed amalgamation
   (:mod:`supernodes`),
-* the assembled :class:`SymbolicFactor` — per-supernode row structures,
-  the supernodal tree, and flop/byte counts per factor-update call
-  (:mod:`symbolic`).
+* the assembled :class:`SymbolicFactor` — one factor pattern per
+  supernode, the supernodal tree, and flop/byte counts per factor-update
+  call (:mod:`symbolic`),
+* the per-column nonzero patterns / column counts of the factor, the
+  column-at-a-time definition the tests check the above against
+  (:mod:`colcounts`).
 """
 
 from repro.symbolic.etree import EliminationTree, elimination_tree, postorder

@@ -11,6 +11,10 @@ Since etree parents always carry larger indices than their children, a
 single ascending sweep suffices, and each column's pattern is merged into
 its parent exactly once, so the total work is O(nnz(L)) with the unions
 done by vectorized ``np.unique`` calls.
+
+This is the definition, one column at a time.  ``symbolic_factorize``
+computes one pattern per fundamental supernode instead and does not call
+this module; the test suite holds its result against these functions.
 """
 
 from __future__ import annotations

@@ -15,7 +15,13 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 
-__all__ = ["EliminationTree", "elimination_tree", "postorder"]
+__all__ = [
+    "EliminationTree",
+    "elimination_tree",
+    "liu_parents",
+    "postorder",
+    "postordered",
+]
 
 #: Sentinel parent of a tree root.
 NO_PARENT = -1
@@ -76,28 +82,31 @@ class EliminationTree:
         return size
 
 
-def _parents_from_matrix(a: CSCMatrix) -> np.ndarray:
+def liu_parents(n: int, indptr: list[int], upper: list[int]) -> np.ndarray:
     """Liu's algorithm: process columns left to right; for each nonzero
     A[i, j] with i < j, climb the compressed ancestor chain from i and
-    graft the top onto j."""
-    n = a.n_cols
-    parent = np.full(n, NO_PARENT, dtype=np.int64)
-    ancestor = np.full(n, NO_PARENT, dtype=np.int64)
-    indptr, indices = a.indptr, a.indices
+    graft the top onto j.
+
+    ``upper[indptr[j]:indptr[j + 1]]`` lists the rows ``i < j`` of column
+    ``j`` (strictly-upper entries only, any order) as plain Python lists:
+    the loop touches every entry once, and list indexing is several
+    times cheaper than numpy scalar indexing.
+    """
+    parent = [NO_PARENT] * n
+    ancestor = [NO_PARENT] * n
     for j in range(n):
-        for i in indices[indptr[j]:indptr[j + 1]]:
-            if i >= j:
-                continue
-            # climb from i to the current root of its tree, compressing
-            r = int(i)
-            while ancestor[r] != NO_PARENT and ancestor[r] != j:
-                nxt = int(ancestor[r])
+        for r in upper[indptr[j]:indptr[j + 1]]:
+            # climb from r to the current root of its tree, compressing
+            while True:
+                nxt = ancestor[r]
+                if nxt == j:
+                    break
                 ancestor[r] = j
+                if nxt == NO_PARENT:
+                    parent[r] = j
+                    break
                 r = nxt
-            if ancestor[r] == NO_PARENT:
-                ancestor[r] = j
-                parent[r] = j
-    return parent
+    return np.array(parent, dtype=np.int64)
 
 
 def postorder(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,6 +150,34 @@ def postorder(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return post, first_child, next_sibling
 
 
+def postordered(parent: np.ndarray) -> tuple[EliminationTree, np.ndarray]:
+    """Relabel a forest by its own postorder.
+
+    Returns ``(tree, post)``: node ``post[t]`` of the input is node ``t``
+    of ``tree``.  A postorder relabelling of an elimination tree *is* the
+    elimination tree of the matrix relabelled the same way, and it keeps
+    siblings in their order, so ``tree`` equals what ``elimination_tree``
+    would build from the permuted matrix (with ``tree.post`` the
+    identity) without a second pass over the entries.
+    """
+    post, first_child, next_sibling = postorder(parent)
+    n = parent.size
+    new_label = np.empty(n, dtype=np.int64)
+    new_label[post] = np.arange(n, dtype=np.int64)
+
+    def relabel(links: np.ndarray) -> np.ndarray:
+        moved = links[post]
+        return np.where(moved == NO_PARENT, NO_PARENT, new_label[moved])
+
+    tree = EliminationTree(
+        relabel(parent),
+        np.arange(n, dtype=np.int64),
+        relabel(first_child),
+        relabel(next_sibling),
+    )
+    return tree, post
+
+
 def elimination_tree(a: CSCMatrix) -> EliminationTree:
     """Build the elimination tree of the symmetric pattern of ``a``.
 
@@ -151,6 +188,15 @@ def elimination_tree(a: CSCMatrix) -> EliminationTree:
     if a.n_rows != a.n_cols:
         raise ValueError("elimination tree requires a square matrix")
     full = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
-    parent = _parents_from_matrix(full)
+    col_of_entry = np.repeat(
+        np.arange(full.n_cols, dtype=np.int64), np.diff(full.indptr)
+    )
+    above = full.indices < col_of_entry
+    indptr = np.zeros(full.n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col_of_entry[above], minlength=full.n_cols),
+              out=indptr[1:])
+    parent = liu_parents(
+        full.n_cols, indptr.tolist(), full.indices[above].tolist()
+    )
     post, first_child, next_sibling = postorder(parent)
     return EliminationTree(parent, post, first_child, next_sibling)

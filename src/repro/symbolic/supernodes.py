@@ -11,6 +11,11 @@ extends the supernode of ``j-1`` iff
     (equivalently: j has exactly one etree child among columns of the
     current run's frontier — we use the standard first-child test).
 
+:func:`fundamental_supernodes` is that definition.  The analysis itself
+runs :func:`skeleton_supernodes`, which replaces the count comparison by
+the row-subtree leaf test on A's own entries and so finds the partition
+before any factor pattern exists.
+
 *Relaxed amalgamation* then merges small child supernodes into their
 parents even when patterns differ slightly, trading a bounded number of
 explicit zeros for larger dense blocks.  This matters doubly here: WSMP
@@ -70,6 +75,51 @@ def fundamental_supernodes(parent: np.ndarray, counts: np.ndarray) -> np.ndarray
             starts.append(j)
     starts.append(n)
     return np.asarray(starts, dtype=np.int64)
+
+
+def skeleton_supernodes(
+    parent: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """The fundamental supernode partition from the matrix alone.
+
+    Same partition as :func:`fundamental_supernodes`, without column
+    counts (Liu, Ng & Peyton): column ``j`` extends the supernode of
+    ``j-1`` iff ``parent[j-1] == j``, ``j`` has no other child, and ``j``
+    is not a leaf of any row subtree — i.e. every entry ``(i, j)`` of A
+    below the diagonal already has an entry of row ``i`` among the
+    descendants of ``j``, so column ``j`` of L adds nothing to column
+    ``j-1``'s pattern.
+
+    Parameters
+    ----------
+    parent : int64 array
+        Elimination-tree parents in a postordered labelling.
+    rows, cols : int64 arrays
+        The strictly-lower entries of the matrix, sorted by row and then
+        by column.
+    """
+    n = parent.size
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    n_children = np.bincount(parent[parent != NO_PARENT], minlength=n)
+    # in a postordered tree the descendants of j are first_desc[j]..j
+    first = list(range(n))
+    for j, p in enumerate(parent.tolist()):
+        if p != NO_PARENT and first[j] < first[p]:
+            first[p] = first[j]
+    first_desc = np.array(first, dtype=np.int64)
+    # j is a leaf of row subtree i when the entry before (i, j) in row i
+    # (column -1 if there is none) is no descendant of j
+    prev = np.empty_like(cols)
+    prev[:1] = -1
+    prev[1:] = np.where(rows[1:] == rows[:-1], cols[:-1], -1)
+    row_leaf = np.zeros(n, dtype=bool)
+    row_leaf[cols[first_desc[cols] > prev]] = True
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (
+        (parent[:-1] != np.arange(1, n)) | (n_children[1:] != 1) | row_leaf[1:]
+    )
+    return np.append(np.flatnonzero(starts), n)
 
 
 @dataclass(frozen=True)
@@ -136,18 +186,14 @@ def amalgamation_preset(name: str) -> AmalgamationParams:
     )
 
 
-def _supernode_parent(super_of: np.ndarray, super_ptr: np.ndarray,
-                      parent: np.ndarray) -> np.ndarray:
+def supernode_parents(super_ptr: np.ndarray, parent: np.ndarray) -> np.ndarray:
     """Supernodal tree: parent supernode of ``s`` is the supernode holding
     the etree parent of the last column of ``s``."""
-    n_super = super_ptr.size - 1
-    sparent = np.full(n_super, NO_PARENT, dtype=np.int64)
-    for s in range(n_super):
-        last = super_ptr[s + 1] - 1
-        p = parent[last]
-        if p != NO_PARENT:
-            sparent[s] = super_of[p]
-    return sparent
+    super_of = np.repeat(
+        np.arange(super_ptr.size - 1, dtype=np.int64), np.diff(super_ptr)
+    )
+    p = parent[super_ptr[1:] - 1]
+    return np.where(p == NO_PARENT, NO_PARENT, super_of[p])
 
 
 def _amalgamation_sweep(
@@ -166,10 +212,7 @@ def _amalgamation_sweep(
     """
     n = parent.size
     n_super = super_ptr.size - 1
-    super_of = np.empty(n, dtype=np.int64)
-    for s in range(n_super):
-        super_of[super_ptr[s]:super_ptr[s + 1]] = s
-    sparent = _supernode_parent(super_of, super_ptr, parent)
+    sparent = supernode_parents(super_ptr, parent)
 
     # union-find over supernodes that were merged into their successor
     merged_into = np.arange(n_super, dtype=np.int64)

@@ -3,10 +3,12 @@
 ``symbolic_factorize`` runs the complete analysis pipeline:
 
 1. fill-reducing ordering (delegated to :mod:`repro.ordering`),
-2. elimination tree of the permuted matrix + postordering (the overall
-   permutation is composed so columns of a supernode are consecutive),
-3. per-column factor patterns and counts,
-4. fundamental supernode detection + relaxed amalgamation,
+2. elimination tree of the permuted matrix (one pass of Liu's algorithm),
+   relabelled by its postorder (the overall permutation is composed so
+   columns of a supernode are consecutive),
+3. fundamental supernode detection from A's entries alone,
+4. one factor pattern per fundamental supernode, bottom-up; column counts
+   follow arithmetically and feed relaxed amalgamation,
 5. per-supernode row structure, the supernodal tree, and the (m, k) and
    flop statistics of every factor-update call — the quantities the
    paper's Figures 2/5/6 are drawn from and the features the auto-tuner
@@ -20,13 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.matrices.csc import CSCMatrix
-from repro.ordering import compute_ordering
-from repro.symbolic.colcounts import column_patterns
-from repro.symbolic.etree import NO_PARENT, EliminationTree, elimination_tree
+from repro.ordering import compute_ordering, invert_permutation
+from repro.symbolic.etree import (
+    NO_PARENT,
+    EliminationTree,
+    liu_parents,
+    postordered,
+)
 from repro.symbolic.supernodes import (
     AmalgamationParams,
     amalgamate,
-    fundamental_supernodes,
+    skeleton_supernodes,
+    supernode_parents,
 )
 
 __all__ = ["SymbolicFactor", "symbolic_factorize"]
@@ -150,6 +157,50 @@ class SymbolicFactor:
                 assert rows.size == k, "root supernode must have empty update"
 
 
+def _lower_entries(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort and de-duplicate ``row * n + col`` keys; return ``(rows, cols)``
+    ordered by row, then column."""
+    return np.divmod(np.unique(keys), n)
+
+
+def _supernode_patterns(
+    super_ptr: np.ndarray, sparent: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> list[np.ndarray]:
+    """Below-the-block row pattern of every fundamental supernode.
+
+    All columns of a fundamental supernode ``f..l-1`` share one pattern
+    past ``l``, namely column ``l-1``'s, so one union per supernode
+    replaces one per column:
+
+        pattern(s) = rows >= l of A[:, f:l]  U  rows >= l of pattern(c)
+                     for every child supernode c
+
+    Children carry smaller ids than parents, so an ascending sweep sees
+    every child pattern before it is needed.  ``rows, cols`` are the
+    strictly-lower entries of the postordered matrix.
+    """
+    n_super = super_ptr.size - 1
+    super_of = np.repeat(np.arange(n_super, dtype=np.int64), np.diff(super_ptr))
+    entry_super = super_of[cols]
+    below = rows >= super_ptr[entry_super + 1]
+    entry_super = entry_super[below]
+    a_rows = rows[below][np.argsort(entry_super, kind="stable")]
+    a_ptr = np.zeros(n_super + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_super, minlength=n_super), out=a_ptr[1:])
+
+    bounds = a_ptr.tolist()
+    pieces = [[a_rows[bounds[s]:bounds[s + 1]]] for s in range(n_super)]
+    ends = super_ptr[1:].tolist()
+    patterns: list[np.ndarray] = []
+    for s, p in enumerate(sparent.tolist()):
+        pat = np.unique(np.concatenate(pieces[s]))
+        pieces[s] = []  # release
+        patterns.append(pat)
+        if p != NO_PARENT:
+            pieces[p].append(pat[np.searchsorted(pat, ends[p]):])
+    return patterns
+
+
 def symbolic_factorize(
     a: CSCMatrix,
     *,
@@ -176,64 +227,83 @@ def symbolic_factorize(
     """
     if a.n_rows != a.n_cols:
         raise ValueError("matrix must be square")
+    n = a.n_rows
     params = amalgamation if amalgamation is not None else AmalgamationParams()
 
-    base_perm = perm if perm is not None else compute_ordering(a, ordering)
-    base_perm = np.asarray(base_perm, dtype=np.int64)
-    permuted = a.permute_symmetric(base_perm)
+    if perm is None:
+        base_perm = np.asarray(compute_ordering(a, ordering), dtype=np.int64)
+    else:
+        base_perm = np.asarray(perm, dtype=np.int64)
+        if (
+            base_perm.shape != (n,)
+            or (n and (base_perm.min() < 0 or base_perm.max() >= n))
+            or not np.all(np.bincount(base_perm, minlength=n) == 1)
+        ):
+            raise ValueError("perm is not a permutation of 0..n-1")
+
+    # strictly-lower pattern of P (A + A^T) P^T, one key per entry; taking
+    # (max, min) of every off-diagonal entry makes it symmetric whatever
+    # triangle(s) ``a`` stores
+    position = invert_permutation(base_perm)
+    r = position[a.indices]
+    c = position[np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))]
+    off = r != c
+    rows, cols = _lower_entries(
+        np.maximum(r, c)[off] * n + np.minimum(r, c)[off], n
+    )
+
+    # row i of the strict lower triangle is column i of the strict upper
+    # one: exactly the entries Liu's algorithm reads
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    parent = liu_parents(n, row_ptr.tolist(), cols.tolist())
 
     # postorder the etree and fold the postorder into the permutation so
-    # that supernodes come out as contiguous column ranges
-    tree0 = elimination_tree(permuted)
-    full_perm = base_perm[tree0.post]
-    permuted = a.permute_symmetric(full_perm)
-    tree = elimination_tree(permuted)
+    # that supernodes come out as contiguous column ranges; ancestors keep
+    # following descendants, so lower entries stay lower
+    tree, post = postordered(parent)
+    full_perm = base_perm[post]
+    new_label = invert_permutation(post)
+    rows, cols = _lower_entries(new_label[rows] * n + new_label[cols], n)
 
-    patterns = column_patterns(permuted, tree.parent)
-    counts = np.array([p.size + 1 for p in patterns], dtype=np.int64)
+    fund_ptr = skeleton_supernodes(tree.parent, rows, cols)
+    patterns = _supernode_patterns(
+        fund_ptr, supernode_parents(fund_ptr, tree.parent), rows, cols
+    )
+    # column j of fundamental supernode f..l-1 holds j..l-1 and the pattern
+    pattern_sizes = np.array([p.size for p in patterns], dtype=np.int64)
+    counts = np.repeat(
+        pattern_sizes + fund_ptr[1:], np.diff(fund_ptr)
+    ) - np.arange(n, dtype=np.int64)
 
-    super_ptr = fundamental_supernodes(tree.parent, counts)
-    super_ptr = amalgamate(super_ptr, tree.parent, counts, params)
-    n_super = super_ptr.size - 1
+    super_ptr = amalgamate(fund_ptr, tree.parent, counts, params)
 
-    # per-supernode row structure: own columns then the union of member
-    # column patterns restricted to rows past the supernode
-    rows: list[np.ndarray] = []
-    nnz_factor = 0
-    for s in range(n_super):
-        f, l = int(super_ptr[s]), int(super_ptr[s + 1])
-        own = np.arange(f, l, dtype=np.int64)
-        below_parts = [patterns[j] for j in range(f, l)]
-        below = (
-            np.unique(np.concatenate(below_parts)) if below_parts else
-            np.empty(0, dtype=np.int64)
+    # per-supernode row structure: own columns, then the pattern of the
+    # last column, which contains what every earlier column of the
+    # (possibly amalgamated) supernode has past its end
+    last_fund = np.searchsorted(fund_ptr, super_ptr[1:]) - 1
+    rows_of = [
+        np.concatenate([np.arange(f, l, dtype=np.int64), patterns[t]])
+        for f, l, t in zip(
+            super_ptr[:-1].tolist(), super_ptr[1:].tolist(), last_fund.tolist()
         )
-        below = below[below >= l]
-        front_rows = np.concatenate([own, below])
-        rows.append(front_rows)
-        k = l - f
-        nnz_factor += int(front_rows.size * k - k * (k - 1) // 2)
+    ]
+    widths = np.diff(super_ptr)
+    nnz_factor = int(np.sum(
+        (widths + pattern_sizes[last_fund]) * widths - widths * (widths - 1) // 2
+    ))
 
-    # supernodal tree
-    super_of = np.empty(a.n_rows, dtype=np.int64)
-    for s in range(n_super):
-        super_of[super_ptr[s]:super_ptr[s + 1]] = s
-    sparent = np.full(n_super, NO_PARENT, dtype=np.int64)
-    for s in range(n_super):
-        last = int(super_ptr[s + 1]) - 1
-        p = tree.parent[last]
-        if p != NO_PARENT:
-            sparent[s] = super_of[p]
+    sparent = supernode_parents(super_ptr, tree.parent)
     # supernode ids increase with column number, so ascending id order is
     # already a valid postorder-compatible schedule; keep an explicit
     # postorder for schedulers that want subtree locality
     spost = _postorder_supernodes(sparent)
 
-    sf = SymbolicFactor(
-        n=a.n_rows,
+    return SymbolicFactor(
+        n=n,
         perm=full_perm,
         super_ptr=super_ptr,
-        rows=rows,
+        rows=rows_of,
         sparent=sparent,
         spost=spost,
         etree=tree,
@@ -241,7 +311,6 @@ def symbolic_factorize(
         ordering=ordering if perm is None else "custom",
         amalgamation=params,
     )
-    return sf
 
 
 def _postorder_supernodes(sparent: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Ordering package: permutation validity, fill quality, structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,44 @@ class TestNestedDissection:
         d[3, 4] = d[4, 3] = -0.4
         perm = nested_dissection(csc_from_dense(d), leaf_size=2)
         assert np.array_equal(np.sort(perm), np.arange(6))
+
+    # SHA-256 of the permutation, recorded at the commit before the
+    # connectivity probe, the reused level structure and the graph-level
+    # minimum-degree leaf went in: the ordering must not drift
+    PINNED = {
+        "disconnected":
+            "1842f2c1b136e2fa83e7055a0637cdcfb5c0759573e53cf4477c5d7541e782b5",
+        "leaf_size == n":
+            "6bd08125c9b88d42b6aa7249e388b62ff07b6c8bc4dcdb7dd2156c78f154161f",
+        "leaf_size == n - 1":
+            "33ae2c9365b1627962d6d107cdc6a8fe2eeed3d86b58b545c98ad507c5dd922c",
+        "leaf_size == 1":
+            "a6568cc44f74df3828abe77795980f25b52920a3d4e6ddbb229b645c7505f454",
+    }
+
+    @staticmethod
+    def _two_grids_and_isolated_vertices():
+        """A 12 x 11 grid, a 5 x 5 x 4 grid and two isolated vertices in one
+        matrix, symmetrically shuffled so components interleave."""
+        blocks = [grid_laplacian_2d(12, 11), grid_laplacian_3d(5, 5, 4)]
+        rows, cols, offset = [], [], 0
+        for b in blocks:
+            rows.append(b.indices + offset)
+            cols.append(np.repeat(np.arange(b.n_cols), np.diff(b.indptr)) + offset)
+            offset += b.n_rows
+        isolated = np.arange(offset, offset + 2)
+        rows, cols = np.concatenate(rows + [isolated]), np.concatenate(cols + [isolated])
+        a = CSCMatrix.from_coo(rows, cols, np.ones(rows.size), (offset + 2, offset + 2))
+        return a.permute_symmetric(np.random.default_rng(5).permutation(a.n_rows))
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_ordering_is_pinned(self, case):
+        if case == "disconnected":
+            perm = nested_dissection(self._two_grids_and_isolated_vertices())
+        else:
+            a = grid_laplacian_2d(8, 8)
+            leaf_size = {"leaf_size == n": 64, "leaf_size == n - 1": 63,
+                         "leaf_size == 1": 1}[case]
+            perm = nested_dissection(a, leaf_size=leaf_size)
+        digest = hashlib.sha256(perm.astype(np.int64).tobytes()).hexdigest()
+        assert digest == self.PINNED[case]

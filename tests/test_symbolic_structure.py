@@ -1,13 +1,28 @@
 """Column patterns, supernodes, amalgamation, and the full SymbolicFactor."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.matrices import grid_laplacian_2d, grid_laplacian_3d, random_spd
-from repro.matrices.csc import csc_from_dense
+from repro.matrices import (
+    anisotropic_laplacian_3d,
+    elasticity_3d,
+    grid_laplacian_2d,
+    grid_laplacian_3d,
+    load_test_matrix,
+    random_spd,
+    shell_elasticity,
+)
+from repro.matrices.csc import CSCMatrix, csc_from_dense
+from repro.ordering import ORDERING_METHODS
 from repro.symbolic import (
+    AMALGAMATION_PRESETS,
     AmalgamationParams,
     amalgamate,
+    amalgamation_preset,
     column_counts,
     column_patterns,
     elimination_tree,
@@ -192,3 +207,158 @@ class TestSymbolicFactor:
         assert np_ == pytest.approx(4**3 / 3)
         assert nt == pytest.approx(10 * 16)
         assert ns == pytest.approx(100 * 4)
+
+    @pytest.mark.parametrize(
+        "perm",
+        [[0, 1, 1, 3], [0, -1, 2, 3], [0, 1, 2, 4], [0, 1, 2], [[0, 1], [2, 3]]],
+        ids=["duplicate", "negative", "too-large", "wrong-length", "wrong-rank"],
+    )
+    def test_rejects_perm_that_is_no_permutation(self, perm):
+        a = csc_from_dense(np.eye(4) * 2)
+        with pytest.raises(ValueError, match="perm is not a permutation of 0..n-1"):
+            symbolic_factorize(a, perm=np.array(perm))
+
+
+def structure_digest(sf) -> str:
+    h = hashlib.sha256()
+    for part in (sf.perm, sf.super_ptr, np.concatenate(sf.rows)):
+        h.update(np.ascontiguousarray(part, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedStructure:
+    """The benchmark's matrices keep their ordering and supernodal
+    structure: SHA-256 over ``(perm, super_ptr, concatenated rows)``,
+    recorded at the commit before symbolic analysis went from one union
+    per column to one per supernode.  A drift here is what the ``bench``
+    job would report as an anonymous counter diff."""
+
+    PINNED = {
+        "lmco_s/nd":
+            "bd821d0c692ed111fc2ddfad0fd11b04ee442245a160dba94daf5d26fccbefe1",
+        "grid_laplacian_2d/amd":
+            "af022fd5066e68ce08aead1a4a816c9a56b1fcdac54fbf1fab731d460c836721",
+        "grid_laplacian_3d/amd":
+            "8b0c94addd107d2b8eb70d4c7b93b87cc9934a232a1090dfd572641838847c7c",
+        "elasticity_3d/amd":
+            "eee1a19121e41d64ea89d34ab5815cafcbd360d396ca0ffffab7f2dadd1bb0d1",
+    }
+    BUILD = {
+        "lmco_s/nd": lambda: load_test_matrix("lmco_s"),
+        "grid_laplacian_2d/amd": lambda: grid_laplacian_2d(48, 46),
+        "grid_laplacian_3d/amd": lambda: grid_laplacian_3d(13, 13, 12),
+        "elasticity_3d/amd": lambda: elasticity_3d(8, 7, 7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_structure_is_pinned(self, case):
+        sf = symbolic_factorize(self.BUILD[case](), ordering=case.split("/")[1])
+        assert structure_digest(sf) == self.PINNED[case]
+
+
+def assert_matches_column_oracle(a, sf):
+    """``sf`` against the column-at-a-time definition it no longer runs:
+    the etree of the permuted matrix, ``column_patterns`` and the
+    counts-based ``fundamental_supernodes``."""
+    full = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    n = full.n_rows
+    permuted = full.permute_symmetric(sf.perm)
+    tree = elimination_tree(permuted)
+    assert np.array_equal(tree.post, np.arange(n))
+    for field in ("parent", "post", "first_child", "next_sibling"):
+        assert np.array_equal(getattr(sf.etree, field), getattr(tree, field)), field
+
+    patterns = column_patterns(permuted, tree.parent)
+    for s in range(sf.n_supernodes):
+        f, l = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
+        below = sf.rows[s][l - f:]
+        union = np.unique(np.concatenate(patterns[f:l]))
+        assert np.array_equal(below, union[union >= l]), f"supernode {s}"
+        assert np.array_equal(below, patterns[l - 1]), f"supernode {s}"
+
+    # with amalgamation off the partition is the fundamental one
+    exact = symbolic_factorize(a, perm=sf.perm, amalgamation=AmalgamationParams.off())
+    assert np.array_equal(exact.perm, sf.perm)
+    counts = np.array([p.size + 1 for p in patterns], dtype=np.int64)
+    fundamental = fundamental_supernodes(tree.parent, counts)
+    assert np.array_equal(exact.super_ptr, fundamental)
+    assert np.array_equal(
+        sf.super_ptr, amalgamate(fundamental, tree.parent, counts, sf.amalgamation)
+    )
+    sf.validate()
+
+
+def pattern_matrix(n, edges, *, lower_only=False):
+    """Matrix with a full diagonal and the given off-diagonal pattern,
+    stored in full or as its lower triangle."""
+    i = np.array([max(e) for e in edges], dtype=np.int64)
+    j = np.array([min(e) for e in edges], dtype=np.int64)
+    d = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([d, i] if lower_only else [d, i, j])
+    cols = np.concatenate([d, j] if lower_only else [d, j, i])
+    return CSCMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
+
+
+@st.composite
+def patterns(draw, max_n=20):
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=3 * n
+    ))
+    return n, edges
+
+
+class TestSupernodalAgainstColumnOracle:
+    FAMILIES = {
+        "grid_laplacian_2d": lambda: grid_laplacian_2d(9, 7),
+        "grid_laplacian_3d": lambda: grid_laplacian_3d(5, 4, 4),
+        "elasticity_3d": lambda: elasticity_3d(3, 3, 2),
+        "anisotropic_laplacian_3d": lambda: anisotropic_laplacian_3d(4, 4, 3),
+        "shell_elasticity": lambda: shell_elasticity(5, 4),
+        "random_spd": lambda: random_spd(70, seed=9),
+    }
+
+    @pytest.mark.parametrize("preset", AMALGAMATION_PRESETS)
+    @pytest.mark.parametrize("ordering", ORDERING_METHODS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generator_families(self, family, ordering, preset):
+        a = self.FAMILIES[family]()
+        sf = symbolic_factorize(
+            a, ordering=ordering, amalgamation=amalgamation_preset(preset)
+        )
+        assert_matches_column_oracle(a, sf)
+
+    @given(
+        patterns(),
+        st.sampled_from(ORDERING_METHODS),
+        st.sampled_from(AMALGAMATION_PRESETS),
+        st.booleans(),
+    )
+    # a diagonal matrix: a forest of roots, every column its own supernode
+    @example((5, []), "nd", "default", False)
+    # two components and an isolated vertex
+    @example((7, [(0, 3), (3, 5), (1, 2), (2, 6), (1, 6)]), "nd", "aggressive", False)
+    # lower-triangle storage under an ordering that moves entries across
+    # the diagonal
+    @example((6, [(0, 5), (1, 5), (2, 4), (0, 2)]), "amd", "off", True)
+    def test_drawn_patterns(self, pattern, ordering, preset, lower_only):
+        n, edges = pattern
+        a = pattern_matrix(n, edges, lower_only=lower_only)
+        sf = symbolic_factorize(
+            a, ordering=ordering, amalgamation=amalgamation_preset(preset)
+        )
+        assert_matches_column_oracle(a, sf)
+        if lower_only:
+            full = symbolic_factorize(
+                pattern_matrix(n, edges), ordering=ordering,
+                amalgamation=amalgamation_preset(preset),
+            )
+            assert structure_digest(sf) == structure_digest(full)
+
+    @given(patterns(), st.integers(0, 2**32 - 1))
+    def test_drawn_patterns_under_a_supplied_permutation(self, pattern, seed):
+        n, edges = pattern
+        a = pattern_matrix(n, edges)
+        perm = np.random.default_rng(seed).permutation(n)
+        assert_matches_column_oracle(a, symbolic_factorize(a, perm=perm))
