@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError, potrf
+from repro.multifrontal.frontal import AssemblyPlan, assemble_front_planned
 from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "resolve_batchable_groups",
     "batched_trsm_right_lower",
     "batched_factor_update",
+    "factor_batch_group",
 ]
 
 
@@ -202,3 +204,26 @@ def batched_factor_update(fronts: np.ndarray, k: int,
         l2 = batched_trsm_right_lower(fronts[:, k:, :k], l1)
         fronts[:, k:, :k] = l2
         fronts[:, k:, k:] -= l2 @ l2.transpose(0, 2, 1)
+
+
+def factor_batch_group(
+    plan: AssemblyPlan, a_data: np.ndarray, g: BatchGroup
+) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+    """Assemble the leaf fronts of ``g`` into one stack, factor them with
+    one stacked call sequence, and hand back ``sid -> (panel, update)``
+    (``update`` is ``None`` for a front with no rows below its pivots).
+
+    The one place the stacked numerics run: the serial driver and every
+    scheduled backend call it, so they cannot drift apart.
+    """
+    stack = np.empty((len(g), g.size, g.size), dtype=np.float64)
+    for i, sid in enumerate(g.sids):
+        stack[i] = assemble_front_planned(plan, a_data, g.size, sid, [])
+    batched_factor_update(stack, g.k, g.sids)
+    return {
+        sid: (
+            stack[i, :, :g.k].copy(),
+            stack[i, g.k:, g.k:].copy() if g.m > 0 else None,
+        )
+        for i, sid in enumerate(g.sids)
+    }

@@ -105,18 +105,19 @@ def extend_add(
 
 
 class AssemblyPlan:
-    """Precomputed scatter indices for assembling every front of one
-    (matrix pattern, symbolic factor) pair.
+    """Precomputed gather/scatter indices for assembling every front of
+    one (canonical matrix pattern, symbolic factor) pair.
 
-    The symbolic structure fixes, for each supernode, *where* every
-    original entry of A lands in the front and where each child's update
-    block scatters into its parent — only the values change between
-    factorizations.  The plan computes those index arrays once (one
-    ``searchsorted`` per supernode instead of one per column, all
-    containment checks hoisted out of the numeric loop) and is cached on
-    the :class:`SymbolicFactor` via :func:`get_assembly_plan`, so
+    The symbolic structure fixes, for each supernode, *which* entries of
+    ``a.data`` its front reads, *where* each lands, and where each
+    child's update block scatters into its parent — only the values
+    change between factorizations.  The plan computes those index arrays
+    once (one ``searchsorted`` per supernode instead of one per column,
+    all containment checks hoisted out of the numeric loop) and is cached
+    on the :class:`SymbolicFactor` via :func:`get_assembly_plan`, so
     repeated factorizations (refactorize, the serving layer's symbolic
-    tier, benchmark repeats) skip index construction entirely.
+    tier, benchmark repeats) neither permute the matrix nor build an
+    index: they gather straight from the ``a.data`` they are handed.
 
     Scatter destinations within one front are unique by construction
     (CSC stores each (row, col) once; mirrored entries land strictly in
@@ -124,12 +125,13 @@ class AssemblyPlan:
     per-column loop bit for bit.
     """
 
-    __slots__ = ("src", "dst", "rel_row", "rel_col", "nnz", "_indptr", "_indices")
+    __slots__ = ("src", "dst", "rel_row", "rel_col", "_indptr", "_indices")
 
-    def __init__(self, a_lower: CSCMatrix, sf: SymbolicFactor):
+    def __init__(self, a: CSCMatrix, sf: SymbolicFactor):
+        a_lower, all_cols, origin = _permuted_lower(a, sf.perm)
         indptr, indices = a_lower.indptr, a_lower.indices
         n_super = sf.n_supernodes
-        #: per supernode: gather indices into ``a_lower.data``
+        #: per supernode: gather indices into the canonical ``a.data``
         self.src: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
         #: per supernode: flat scatter indices into ``front.ravel()``
         self.dst: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
@@ -137,22 +139,17 @@ class AssemblyPlan:
         #: stored as the open-grid pair ``np.ix_`` would build
         self.rel_row: list[np.ndarray | None] = [None] * n_super
         self.rel_col: list[np.ndarray | None] = [None] * n_super
-        self.nnz = int(a_lower.nnz)
-        self._indptr = indptr
-        self._indices = indices
+        self._indptr = a.indptr
+        self._indices = a.indices
 
         for s in range(n_super):
             rows = sf.rows[s]
             f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
             size = rows.size
             lo, hi = int(indptr[f_col]), int(indptr[l_col])
-            ridx = indices[lo:hi]
-            cols = np.repeat(
-                np.arange(f_col, l_col, dtype=np.int64),
-                np.diff(indptr[f_col:l_col + 1]),
-            )
+            ridx, cols = indices[lo:hi], all_cols[lo:hi]
             keep = ridx >= cols
-            src = np.arange(lo, hi, dtype=np.int64)[keep]
+            src = origin[lo:hi][keep]
             ridx, cols = ridx[keep], cols[keep]
             pos = np.searchsorted(rows, ridx)
             if pos.size and (np.any(pos >= size) or np.any(rows[pos] != ridx)):
@@ -179,33 +176,66 @@ class AssemblyPlan:
                 self.rel_row[s] = idx.reshape(-1, 1)
                 self.rel_col[s] = idx.reshape(1, -1)
 
-    def matches(self, a_lower: CSCMatrix) -> bool:
-        """True when ``a_lower`` has the pattern this plan was built for."""
-        indptr, indices = a_lower.indptr, a_lower.indices
+    def matches(self, a: CSCMatrix) -> bool:
+        """True when ``a`` has the canonical pattern this plan was built
+        for (``refactorize(values)`` keeps the very arrays, so identity
+        answers first)."""
+        indptr, indices = a.indptr, a.indices
         if indptr is self._indptr and indices is self._indices:
             return True
-        return (
-            int(a_lower.nnz) == self.nnz
-            and np.array_equal(indptr, self._indptr)
-            and np.array_equal(indices, self._indices)
+        return np.array_equal(indptr, self._indptr) and np.array_equal(
+            indices, self._indices
         )
 
 
-def build_assembly_plan(a_lower: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
-    """Compute the scatter plan for ``(a_lower, sf)`` (no caching)."""
-    return AssemblyPlan(a_lower, sf)
+def _permuted_lower(
+    a: CSCMatrix, perm: np.ndarray
+) -> tuple[CSCMatrix, np.ndarray, np.ndarray]:
+    """The lower triangle of ``P A P^T`` and, for each of its entries, its
+    column and the index into ``a.data`` its value comes from.
+
+    The origins are found by sending a copy of ``a`` whose values are
+    their own 1-based positions through the transforms that define the
+    permuted lower triangle, so the map cannot drift from them.  It must
+    come out one-to-one onto entries of ``a`` at the matching
+    coordinates; it does not when ``a`` stores a coordinate twice
+    (``from_coo`` sums the tags), which no valid CSC matrix does.
+    """
+    tags = np.arange(1, a.nnz + 1, dtype=np.float64)
+    tagged = CSCMatrix(a.shape, a.indptr, a.indices, tags, check=False)
+    a_lower = tagged.permute_symmetric(perm).lower_triangle()
+    origin = a_lower.data.astype(np.int64) - 1
+    a_cols = np.repeat(np.arange(a.n_cols, dtype=np.int64), np.diff(a.indptr))
+    cols = np.repeat(np.arange(a.n_cols, dtype=np.int64), np.diff(a_lower.indptr))
+    if origin.size and not (
+        0 <= origin.min()
+        and origin.max() < a.nnz
+        and np.array_equal(a.indices[origin], perm[a_lower.indices])
+        and np.array_equal(a_cols[origin], perm[cols])
+    ):
+        raise ValueError(
+            "matrix stores a (row, col) more than once: its values cannot "
+            "be mapped onto the fronts"
+        )
+    return a_lower, cols, origin
 
 
-def get_assembly_plan(a_lower: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
-    """Cached :class:`AssemblyPlan` for ``(a_lower, sf)``.
+def build_assembly_plan(a: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
+    """Compute the assembly plan for ``(a, sf)`` (no caching)."""
+    return AssemblyPlan(a, sf)
+
+
+def get_assembly_plan(a: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
+    """Cached :class:`AssemblyPlan` for ``(a, sf)``.
 
     The plan is stashed on the symbolic factor; a reuse with a different
-    permuted lower-triangle pattern (checked with an O(nnz) array
-    compare, far cheaper than a rebuild) rebuilds and re-caches.
+    canonical pattern (checked with an O(nnz) array compare when the
+    arrays are not the very same objects, far cheaper than a rebuild)
+    rebuilds and re-caches.
     """
     plan = getattr(sf, "_assembly_plan", None)
-    if plan is None or not plan.matches(a_lower):
-        plan = AssemblyPlan(a_lower, sf)
+    if plan is None or not plan.matches(a):
+        plan = AssemblyPlan(a, sf)
         sf._assembly_plan = plan  # type: ignore[attr-defined]
     return plan
 
@@ -219,6 +249,8 @@ def assemble_front_planned(
 ) -> np.ndarray:
     """Planned equivalent of :func:`assemble_front`.
 
+    ``a_data`` is the ``data`` of the canonical (unpermuted) matrix the
+    plan was built for, or of any matrix with that pattern;
     ``child_updates`` carries ``(child_sid, U)`` pairs; the child's
     position in this front comes from the plan.  Bitwise identical to
     the unplanned path: same unique scatter destinations, same child

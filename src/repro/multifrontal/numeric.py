@@ -24,7 +24,7 @@ from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.batched import (
     BatchGroup,
     BatchParams,
-    batched_factor_update,
+    factor_batch_group,
     resolve_batchable_groups,
 )
 from repro.multifrontal.frontal import (
@@ -75,6 +75,9 @@ class NumericFactor:
     #: covered (both 0 when batching was off or found nothing to group)
     batch_tasks: int = 0
     batched_fronts: int = 0
+    #: the solve phase's sweep table, built by the first solve on this
+    #: factor (:func:`repro.multifrontal.solve.sweep_table`)
+    sweep: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -174,9 +177,6 @@ def factorize_numeric(
         node = SimulatedNode(n_cpus=1, n_gpus=1)
     worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
 
-    a_perm = a.permute_symmetric(sf.perm)
-    a_lower = a_perm.lower_triangle()
-
     n_super = sf.n_supernodes
     panels: list[np.ndarray | None] = [None] * n_super
     updates: dict[int, np.ndarray] = {}
@@ -186,11 +186,12 @@ def factorize_numeric(
     live_update_bytes = 0
     peak_update_bytes = 0
     assembly_seconds = 0.0
-    # index construction (scatter destinations, extend-add positions) is
-    # pattern-only work: precomputed once and cached on sf, so repeated
-    # factorizations of the same structure skip it entirely
-    plan = get_assembly_plan(a_lower, sf)
-    a_data = a_lower.data
+    # permuting the matrix and index construction (gather sources, scatter
+    # destinations, extend-add positions) are pattern-only work: done once
+    # and cached on sf, so repeated factorizations of the same structure
+    # read ``a.data`` where it lies
+    plan = get_assembly_plan(a, sf)
+    a_data = a.data
 
     from repro.gpu.clock import TaskGraph, schedule_graph
 
@@ -205,9 +206,6 @@ def factorize_numeric(
     def run_batch(g: BatchGroup) -> None:
         nonlocal batch_tasks, assembly_seconds
         b = len(g)
-        stack = np.empty((b, g.size, g.size), dtype=np.float64)
-        for i, sid in enumerate(g.sids):
-            stack[i] = assemble_front_planned(plan, a_data, g.size, sid, [])
         # one dispatched task chain for the whole group: assembly of all
         # members, then the P1 kernel sequence at B-scaled durations
         t_asm = b * node.model.host_memory_time(assembly_bytes(g.size, []))
@@ -232,10 +230,7 @@ def factorize_numeric(
         schedule_graph(graph, engines=node.engines)
         assembly_seconds += t_asm
         batch_tasks += 1
-        batched_factor_update(stack, g.k, g.sids)
-        for i, sid in enumerate(g.sids):
-            u = stack[i, g.k:, g.k:].copy() if g.m > 0 else None
-            batch_results[sid] = (stack[i, :, :g.k].copy(), u)
+        batch_results.update(factor_batch_group(plan, a_data, g))
         start = min(t.start for t in graph.tasks)
         batch_span[(g.size, g.k)] = (last, start, last.end, single)
 

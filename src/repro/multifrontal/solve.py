@@ -5,6 +5,11 @@ Given the factored panels (``[L1; L2]`` per supernode), solve
 the reverse sweep.  Within a supernode the k x k unit work is a blocked
 substitution (:func:`trsv_lower`); the cross-supernode coupling is a
 dense panel gemv gathered/scattered through the front's row list.
+
+Both sweeps run off a per-factor *sweep table* (:func:`sweep_table`):
+column range, ``L1``/``L2`` views and below-diagonal row index of every
+supernode, built by the first solve on a factor and kept on it, so a
+solve does no slicing or width arithmetic per supernode.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import numpy as np
 
 from repro.multifrontal.numeric import NumericFactor
 
-__all__ = ["trsv_lower", "trsv_lower_t", "solve_factored"]
+__all__ = ["trsv_lower", "trsv_lower_t", "sweep_table", "solve_factored"]
 
 
 def trsv_lower(l: np.ndarray, b: np.ndarray, *, block: int = 32) -> np.ndarray:
@@ -48,6 +53,34 @@ def trsv_lower_t(l: np.ndarray, b: np.ndarray, *, block: int = 32) -> np.ndarray
     return x
 
 
+def sweep_table(factor: NumericFactor) -> list[tuple]:
+    """``(first, end, L1, L2, below)`` per supernode, ascending: its
+    column range, the pivot block and the block below it as views into
+    the factor's panels, and the global rows of the latter (``L2`` and
+    ``below`` are ``None`` for a supernode with nothing below).
+
+    Built on first use and kept on the factor for its lifetime.  It holds
+    views and integers only: no array data (cache sizes count panel
+    bytes), about half a kilobyte of view objects per supernode, and it
+    follows in-place edits of the panels.
+    """
+    table = factor.sweep
+    if table is None:
+        sf = factor.sf
+        ptr = sf.super_ptr.tolist()
+        table = []
+        for s, panel in enumerate(factor.panels):
+            first, end = ptr[s], ptr[s + 1]
+            k = end - first
+            rows = sf.rows[s]
+            if rows.size > k:
+                table.append((first, end, panel[:k, :], panel[k:, :], rows[k:]))
+            else:
+                table.append((first, end, panel[:k, :], None, None))
+        factor.sweep = table
+    return table
+
+
 def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` using the computed factorization of ``P A P^T``.
 
@@ -57,7 +90,8 @@ def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     motivation for direct methods is precisely "the potential for
     reusing the factorization when solving multiple systems with the
     same coefficient matrix", and the blocked substitutions handle the
-    multi-RHS case with matrix-matrix work.
+    multi-RHS case with matrix-matrix work.  A one-column block is the
+    single right-hand side it holds: same sweeps, same answer.
     """
     sf = factor.sf
     b = np.asarray(b, dtype=np.float64)
@@ -65,28 +99,29 @@ def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"rhs must have shape ({sf.n},) or ({sf.n}, nrhs), got {b.shape}"
         )
+    if b.ndim == 2 and b.shape[1] == 1:
+        return solve_factored(factor, b[:, 0])[:, None]
+    table = sweep_table(factor)
     y = b[sf.perm].copy()          # y = P b
 
-    # forward: L y' = y
-    for s in range(sf.n_supernodes):
-        f = int(sf.super_ptr[s])
-        k = sf.width(s)
-        rows = sf.rows[s]
-        panel = factor.panels[s]
-        l1 = panel[:k, :]
-        y[f:f + k] = trsv_lower(l1, y[f:f + k])
-        if rows.size > k:
-            y[rows[k:]] -= panel[k:, :] @ y[f:f + k]
+    # forward: L y' = y.  A one-column supernode is one division by its
+    # pivot, exactly what the substitution would do to it
+    for first, end, l1, l2, below in table:
+        if end - first == 1:
+            y[first] /= l1[0, 0]
+        else:
+            y[first:end] = trsv_lower(l1, y[first:end])
+        if l2 is not None:
+            y[below] -= l2 @ y[first:end]
 
     # backward: L^T x = y'
-    for s in range(sf.n_supernodes - 1, -1, -1):
-        f = int(sf.super_ptr[s])
-        k = sf.width(s)
-        rows = sf.rows[s]
-        panel = factor.panels[s]
-        if rows.size > k:
-            y[f:f + k] -= panel[k:, :].T @ y[rows[k:]]
-        y[f:f + k] = trsv_lower_t(panel[:k, :], y[f:f + k])
+    for first, end, l1, l2, below in reversed(table):
+        if l2 is not None:
+            y[first:end] -= l2.T @ y[below]
+        if end - first == 1:
+            y[first] /= l1[0, 0]
+        else:
+            y[first:end] = trsv_lower_t(l1, y[first:end])
 
     x = np.empty_like(y)
     x[sf.perm] = y                  # x = P^T y

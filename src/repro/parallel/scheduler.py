@@ -24,7 +24,7 @@ from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.batched import (
     BatchParams,
-    batched_factor_update,
+    factor_batch_group,
     resolve_batchable_groups,
 )
 from repro.multifrontal.frontal import (
@@ -346,13 +346,11 @@ def postorder_numeric_factor(
     simulated execution did.
     """
     fallback = PolicyP1()
-    a_perm = a.permute_symmetric(sf.perm)
-    a_lower = a_perm.lower_triangle()
     kids = sf.schildren()
     panels: list[np.ndarray | None] = [None] * sf.n_supernodes
     updates: dict[int, np.ndarray] = {}
     records: list[FURecord] = []
-    plan = get_assembly_plan(a_lower, sf)
+    plan = get_assembly_plan(a, sf)
     # stacked numerics for batched groups (host P1 leaves): bit-identical
     # per slice to the per-front path, so this never changes the factor.
     # Degraded members run P1 either way, hence they can stay batched.
@@ -361,21 +359,12 @@ def postorder_numeric_factor(
     )
     batch_results: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
 
-    def run_batch(g) -> None:
-        stack = np.empty((len(g), g.size, g.size), dtype=np.float64)
-        for i, sid in enumerate(g.sids):
-            stack[i] = assemble_front_planned(plan, a_lower.data, g.size, sid, [])
-        batched_factor_update(stack, g.k, g.sids)
-        for i, sid in enumerate(g.sids):
-            u = stack[i, g.k:, g.k:].copy() if g.m > 0 else None
-            batch_results[sid] = (stack[i, :, :g.k].copy(), u)
-
     for s in sf.spost:
         s = int(s)
         if s in batch_of:
             g = batch_of[s]
             if s not in batch_results:
-                run_batch(g)
+                batch_results.update(factor_batch_group(plan, a.data, g))
             panel, u = batch_results.pop(s)
             panels[s] = panel
             if u is not None:
@@ -394,7 +383,7 @@ def postorder_numeric_factor(
         m = rows.size - k
         child_updates = [(c, updates.pop(c)) for c in kids[s] if c in updates]
         front = assemble_front_planned(
-            plan, a_lower.data, rows.size, s, child_updates
+            plan, a.data, rows.size, s, child_updates
         )
         if s in degraded_sids:
             base = fallback

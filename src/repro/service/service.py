@@ -18,6 +18,8 @@ Requests that resolve to the same cached factor are aggregated into one
 blocked ``solve_factored`` call (see :mod:`repro.service.batching`):
 after resolving a factor the worker drains every compatible queued
 request, optionally waiting ``batch_window`` seconds for stragglers.
+A ``refine=True`` request is never aggregated and takes no block solve:
+it is one ``iterative_refinement`` call on the resolved factor.
 
 Requests carry optional deadlines — an expired request is completed
 with :class:`TimeoutError`, never silently dropped — and degrade
@@ -501,8 +503,18 @@ class SolverService:
             batch += self._collect_batch(req)
 
         t0 = self._now()
-        plan = BatchPlan.build(batch, req.canonical.n_rows)
-        x = solve_factored(factor, plan.block)
+        if req.refine:
+            # never batched (_collect_batch), and iterative_refinement
+            # opens with the very solve the block path would make: a
+            # refined request is this one call
+            res = iterative_refinement(
+                req.canonical, factor, req.b, tol=req.tol, max_iter=req.max_iter
+            )
+            solved = [(req, res.x)]
+            self.metrics.observe("refine_iterations", res.iterations)
+        else:
+            plan = BatchPlan.build(batch, req.canonical.n_rows)
+            solved = plan.scatter(solve_factored(factor, plan.block))
         t1 = self._now()
         self.metrics.observe("solve", t1 - t0)
         self.metrics.span(f"req{req.request_id}:solve", "solve", engine, t0, t1)
@@ -511,12 +523,7 @@ class SolverService:
             self.metrics.incr("batches")
             self.metrics.incr("batched_requests", len(batch) - 1)
 
-        for r, xr in plan.scatter(x):
-            if r.refine:
-                res = iterative_refinement(
-                    r.canonical, factor, r.b, tol=r.tol, max_iter=r.max_iter
-                )
-                xr = res.x
+        for r, xr in solved:
             # batch members rode the anchor's factor: from the request's
             # point of view that is a full factorization reuse
             r_tier = tier if r is req else "batched"

@@ -331,9 +331,10 @@ def test_real_scenario_bit_stable_across_runs():
 # the planned assembly path (this PR's hot-path optimization)
 # ----------------------------------------------------------------------
 def test_planned_assembly_bitwise_matches_legacy():
-    """Every front assembled by the precomputed-scatter path must be
-    bitwise identical to the per-column legacy path, including the
-    extend-add of real (eliminated) child updates."""
+    """Every front the plan gathers from the canonical ``a.data`` must be
+    bitwise identical to the per-column legacy path over the permuted
+    lower triangle, including the extend-add of real (eliminated) child
+    updates."""
     from repro.matrices import grid_laplacian_3d
     from repro.multifrontal.frontal import (
         assemble_front,
@@ -345,7 +346,7 @@ def test_planned_assembly_bitwise_matches_legacy():
     a = grid_laplacian_3d(6, 5, 4)
     sf = symbolic_factorize(a, ordering="nd")
     a_lower = a.permute_symmetric(sf.perm).lower_triangle()
-    plan = get_assembly_plan(a_lower, sf)
+    plan = get_assembly_plan(a, sf)
     kids = sf.schildren()
 
     updates: dict[int, np.ndarray] = {}
@@ -362,7 +363,7 @@ def test_planned_assembly_bitwise_matches_legacy():
 
         front_legacy = assemble_front(a_lower, sf, s, legacy_children)
         front_planned = assemble_front_planned(
-            plan, a_lower.data, rows.size, s, planned_children
+            plan, a.data, rows.size, s, planned_children
         )
         assert np.array_equal(front_legacy, front_planned), f"supernode {s}"
         checked += 1
@@ -385,46 +386,128 @@ def test_assembly_plan_cached_on_symbolic():
 
     a = grid_laplacian_2d(7, 6)
     sf = symbolic_factorize(a, ordering="nd")
-    a_lower = a.permute_symmetric(sf.perm).lower_triangle()
-    p1 = get_assembly_plan(a_lower, sf)
-    p2 = get_assembly_plan(a_lower, sf)
-    assert p1 is p2
+    p1 = get_assembly_plan(a, sf)
+    assert get_assembly_plan(a, sf) is p1
+    # an equal pattern in other arrays (what a new service request brings)
+    assert get_assembly_plan(a.copy(), sf) is p1
+
+
+def _with_entry_outside_pattern(a, sf):
+    """``a`` plus one symmetric pair that the symbolic structure of ``sf``
+    has no room for: row ``r`` of a first column whose supernode's row set
+    lacks it, mapped back to the original numbering."""
+    from repro.matrices.csc import CSCMatrix
+
+    n = a.n_rows
+    for s in range(sf.n_supernodes):
+        rowset = set(sf.rows[s].tolist())
+        c = int(sf.super_ptr[s])
+        r = next((r for r in range(n - 1, c, -1) if r not in rowset), None)
+        if r is not None:
+            break
+    else:
+        pytest.skip("no supernode with room for an out-of-pattern entry")
+    i, j = int(sf.perm[r]), int(sf.perm[c])
+    cols = np.repeat(np.arange(n), np.diff(a.indptr))
+    return CSCMatrix.from_coo(
+        np.concatenate([a.indices, [i, j]]),
+        np.concatenate([cols, [j, i]]),
+        np.concatenate([a.data, [0.25, 0.25]]),
+        a.shape,
+    )
 
 
 def test_assembly_plan_rejects_out_of_pattern_entries():
     from repro.matrices import grid_laplacian_2d
-    from repro.matrices.csc import CSCMatrix
     from repro.multifrontal.frontal import build_assembly_plan
     from repro.symbolic import symbolic_factorize
 
     a = grid_laplacian_2d(6, 6)
     sf = symbolic_factorize(a, ordering="nd")
-    a_lower = a.permute_symmetric(sf.perm).lower_triangle()
-    build_assembly_plan(a_lower, sf)  # in-pattern: fine
+    build_assembly_plan(a, sf)  # in-pattern: fine
 
-    # move one entry of some early column to a row outside that
-    # supernode's symbolic row set — the plan must refuse at build time
-    # with the same error the per-column path raises
-    indices = a_lower.indices.copy()
-    n = a_lower.n_rows
-    for s in range(sf.n_supernodes):
-        rowset = set(int(r) for r in sf.rows[s])
-        outside = [r for r in range(n - 1, -1, -1) if r not in rowset]
-        if not outside:
-            continue
-        j = int(sf.super_ptr[s])
-        lo, hi = int(a_lower.indptr[j]), int(a_lower.indptr[j + 1])
-        if hi - lo == 0 or outside[0] <= int(indices[hi - 1]):
-            continue
-        indices[hi - 1] = outside[0]  # still sorted: strictly larger
-        break
-    else:
-        pytest.skip("no supernode with room for an out-of-pattern entry")
-    bad_lower = CSCMatrix(
-        a_lower.shape, a_lower.indptr, indices, a_lower.data, check=False
-    )
+    # the plan must refuse at build time with the error the per-column
+    # path raises
     with pytest.raises(ValueError, match="pattern"):
-        build_assembly_plan(bad_lower, sf)
+        build_assembly_plan(_with_entry_outside_pattern(a, sf), sf)
+
+
+def test_assembly_plan_follows_the_canonical_pattern():
+    """Same ``sf``, another canonical pattern: the cached plan does not
+    match and is rebuilt (and re-cached) for the matrix actually handed
+    in; entries the symbolic structure has no room for are still refused,
+    through the cache as through the constructor."""
+    from repro.matrices import grid_laplacian_2d
+    from repro.matrices.csc import CSCMatrix
+    from repro.multifrontal import factorize_numeric
+    from repro.multifrontal.frontal import get_assembly_plan
+    from repro.policies.base import PolicyP1
+    from repro.symbolic import symbolic_factorize
+
+    a = grid_laplacian_2d(6, 6)
+    sf = symbolic_factorize(a, ordering="nd")
+    full_plan = get_assembly_plan(a, sf)
+
+    # a sub-pattern of ``a``: one symmetric off-diagonal pair removed
+    cols = np.repeat(np.arange(a.n_cols), np.diff(a.indptr))
+    i, j = int(a.indices[1]), int(cols[1])
+    assert i != j
+    drop = ((a.indices == i) & (cols == j)) | ((a.indices == j) & (cols == i))
+    sub = CSCMatrix.from_coo(
+        a.indices[~drop], cols[~drop], a.data[~drop], a.shape
+    )
+    assert not full_plan.matches(sub)
+    sub_plan = get_assembly_plan(sub, sf)
+    assert sub_plan is not full_plan and sub_plan.matches(sub)
+    assert get_assembly_plan(sub, sf) is sub_plan
+
+    # the rebuilt plan gathers the right values: the factor of ``sub``
+    # under ``sf`` reproduces ``sub``
+    factor = factorize_numeric(sub, sf, PolicyP1())
+    assert factor.residual_norm(sub) < 1e-12
+
+    with pytest.raises(ValueError, match="pattern"):
+        get_assembly_plan(_with_entry_outside_pattern(a, sf), sf)
+    # a refused matrix leaves the cached plan as it was
+    assert get_assembly_plan(sub, sf) is sub_plan
+
+
+@pytest.mark.parametrize("backend", ["serial", "static", "dynamic", "cluster"])
+def test_warm_factorization_does_not_rebuild_the_matrix(backend, monkeypatch):
+    """Once the plan exists, factorizing again on the same solver -- same
+    values or new ones -- reads ``a.data`` in place: no permuted copy, no
+    lower triangle, no COO sort."""
+    from repro.matrices import grid_laplacian_2d
+    from repro.matrices.csc import CSCMatrix
+    from repro.multifrontal import SparseCholeskySolver
+
+    a = grid_laplacian_2d(9, 8)
+    solver = SparseCholeskySolver(a, ordering="amd", policy="P1", backend=backend)
+    solver.factorize()
+
+    calls = []
+
+    def counted(name):
+        original = vars(CSCMatrix)[name]
+        plain = getattr(original, "__func__", original)  # unwrap classmethod
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return plain(*args, **kwargs)
+
+        return classmethod(wrapper) if plain is not original else wrapper
+
+    for name in ("permute_symmetric", "lower_triangle", "from_coo"):
+        monkeypatch.setattr(CSCMatrix, name, counted(name))
+    a.permute_symmetric(solver.symbolic.perm).lower_triangle()
+    assert sorted(set(calls)) == ["from_coo", "lower_triangle", "permute_symmetric"]
+    del calls[:]
+
+    solver.factorize()
+    solver.refactorize(solver.a.data * 2.0)
+    solver.refactorize(solver.a.data * 0.5)
+    assert calls == []
+    assert solver.factor.residual_norm(solver.a) < 1e-12
 
 
 # ----------------------------------------------------------------------

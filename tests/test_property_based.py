@@ -11,8 +11,9 @@ from repro.dense import potrf, syrk, trsm_right_lower
 from repro.dense.blocked import HostKernels, blocked_cholesky_panels
 from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.matrices import random_spd
-from repro.matrices.csc import CSCMatrix
+from repro.matrices.csc import CSCMatrix, csc_from_dense
 from repro.multifrontal import factorize_numeric, solve_factored
+from repro.multifrontal.solve import trsv_lower, trsv_lower_t
 from repro.ordering import compute_ordering
 from repro.policies import make_policy
 from repro.symbolic import elimination_tree, symbolic_factorize
@@ -116,6 +117,70 @@ class TestStructureProperties:
         b = a.matvec(x_true)
         x = solve_factored(nf, b)
         assert np.abs(x - x_true).max() <= 1e-6 * max(1.0, np.abs(x_true).max())
+
+
+# ---------------------------------------------------------------------------
+# the solve sweeps
+# ---------------------------------------------------------------------------
+def solve_per_supernode(factor, b):
+    """The sweeps as one loop over supernodes that slices the panels as it
+    goes and sends every pivot block, however narrow, through the blocked
+    substitutions: the reference ``solve_factored``'s sweep table and its
+    one-column shortcut must reproduce bit for bit."""
+    sf = factor.sf
+    y = np.asarray(b, dtype=np.float64)[sf.perm].copy()
+    for s in range(sf.n_supernodes):
+        f = int(sf.super_ptr[s])
+        k = sf.width(s)
+        rows = sf.rows[s]
+        panel = factor.panels[s]
+        y[f:f + k] = trsv_lower(panel[:k, :], y[f:f + k])
+        if rows.size > k:
+            y[rows[k:]] -= panel[k:, :] @ y[f:f + k]
+    for s in range(sf.n_supernodes - 1, -1, -1):
+        f = int(sf.super_ptr[s])
+        k = sf.width(s)
+        rows = sf.rows[s]
+        panel = factor.panels[s]
+        if rows.size > k:
+            y[f:f + k] -= panel[k:, :].T @ y[rows[k:]]
+        y[f:f + k] = trsv_lower_t(panel[:k, :], y[f:f + k])
+    x = np.empty_like(y)
+    x[sf.perm] = y
+    return x
+
+
+def assert_sweeps_match_reference(a, ordering):
+    sf = symbolic_factorize(a, ordering=ordering)
+    nf = factorize_numeric(a, sf, make_policy("P1"))
+    rng = np.random.default_rng(a.n_rows)
+    b, block = rng.normal(size=a.n_rows), rng.normal(size=(a.n_rows, 4))
+    for _ in range(2):  # the solve that builds the table, and one reusing it
+        assert np.array_equal(solve_factored(nf, b), solve_per_supernode(nf, b))
+        assert np.array_equal(
+            solve_factored(nf, block), solve_per_supernode(nf, block)
+        )
+    # a one-column block is the right-hand side it holds
+    assert np.array_equal(solve_factored(nf, b[:, None])[:, 0], solve_factored(nf, b))
+    return sf
+
+
+class TestSolveSweeps:
+    @given(spd_matrix(), st.sampled_from(["amd", "nd", "natural"]))
+    def test_sweep_table_matches_per_supernode_loop(self, a, ordering):
+        assert_sweeps_match_reference(a, ordering)
+
+    def test_all_one_column_supernodes(self):
+        n = 9
+        a = csc_from_dense(np.diag(np.arange(2.0, 2.0 + n)))
+        sf = assert_sweeps_match_reference(a, "natural")
+        assert sf.n_supernodes == n
+
+    def test_single_dense_supernode(self):
+        g = np.random.default_rng(1).normal(size=(40, 40))
+        a = csc_from_dense(g @ g.T + 40 * np.eye(40))
+        sf = assert_sweeps_match_reference(a, "natural")
+        assert sf.n_supernodes == 1
 
 
 # ---------------------------------------------------------------------------

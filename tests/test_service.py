@@ -243,6 +243,48 @@ class TestServiceTiers:
         r = b - lap2d_small.matvec(out.x)
         assert np.abs(r).max() / np.abs(b).max() < 1e-10
 
+    def test_one_sweep_pair_per_solve_the_caller_needs(
+        self, lap2d_small, rng, monkeypatch
+    ):
+        """A refined hit is one ``iterative_refinement`` call -- its
+        opening solve plus one per correction, no block solve thrown
+        away first -- and an unrefined hit is one solve; the refined
+        ``x`` is that call's, bit for bit."""
+        import repro.multifrontal.refine as refine_mod
+        import repro.service.service as service_mod
+        from repro.multifrontal import iterative_refinement, solve_factored
+
+        factors = []
+
+        def counted(factor, b):
+            factors.append(factor)
+            return solve_factored(factor, b)
+
+        monkeypatch.setattr(refine_mod, "solve_factored", counted)
+        monkeypatch.setattr(service_mod, "solve_factored", counted)
+        b = rng.normal(size=lap2d_small.n_rows)
+        # P3 runs fp32 kernels, so refinement has corrections to make
+        with SolverService(n_workers=1, policy="P3", ordering="amd") as svc:
+            svc.solve(lap2d_small, b)                    # fill the cache
+            del factors[:]
+            plain = svc.solve(lap2d_small, b)
+            assert plain.tier == "numeric" and len(factors) == 1
+            del factors[:]
+            refined = svc.solve(lap2d_small, b, refine=True)
+            assert refined.tier == "numeric"
+            calls, factor = len(factors), factors[0]
+        monkeypatch.undo()
+
+        ref = iterative_refinement(matrix_key(lap2d_small)[1], factor, b)
+        assert ref.iterations >= 1
+        assert calls == 1 + ref.iterations
+        np.testing.assert_array_equal(refined.x, ref.x)
+        np.testing.assert_array_equal(plain.x, solve_factored(factor, b))
+        # the solve histogram times the call the caller waited for
+        hist = svc.metrics.histogram("refine_iterations")
+        assert hist.count == 1 and hist.total == ref.iterations
+        assert svc.metrics.histogram("solve").count == 3
+
     def test_submit_after_shutdown_raises(self, lap2d_small):
         svc = SolverService(n_workers=1, policy="P1")
         svc.shutdown()
