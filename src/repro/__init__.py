@@ -47,7 +47,6 @@ from repro.policies import (
     Worker,
     make_policy,
 )
-from repro.multifrontal.batched import BatchParams
 from repro.symbolic import AmalgamationParams, SymbolicFactor, symbolic_factorize
 from repro.gpu import SimulatedNode, tesla_t10_model
 
@@ -75,7 +74,6 @@ __all__ = [
     "SymbolicFactor",
     "symbolic_factorize",
     "AmalgamationParams",
-    "BatchParams",
     "SimulatedNode",
     "tesla_t10_model",
     "__version__",

@@ -221,11 +221,8 @@ _register(Scenario(
 
 
 # ----------------------------------------------------------------------
-# relaxed amalgamation + batched small fronts (the granularity unlock)
+# relaxed amalgamation + stacked small fronts (the granularity unlock)
 # ----------------------------------------------------------------------
-#: leaf fronts at or below this many rows are stacked by the scenario
-AMALG_BATCH_CUTOFF = 32
-
 
 def _tree_assembly_bytes(sf) -> float:
     """Vectorized :func:`repro.multifrontal.frontal.assembly_bytes` summed
@@ -249,7 +246,6 @@ def _tree_flops(sf) -> float:
 def _amalgamated_factorize(suite: SuiteCache):
     from repro.gpu import SimulatedNode
     from repro.multifrontal import factorize_numeric
-    from repro.multifrontal.batched import BatchParams
 
     node = SimulatedNode(model=suite.model, n_cpus=1, n_gpus=1)
     return factorize_numeric(
@@ -257,7 +253,6 @@ def _amalgamated_factorize(suite: SuiteCache):
         suite.symbolic(FACTOR_MATRIX, amalgamation="aggressive"),
         suite.policy("P1"),
         node=node,
-        batching=BatchParams(front_cutoff=AMALG_BATCH_CUTOFF),
     )
 
 
@@ -295,7 +290,7 @@ def _amalgamated_run(suite: SuiteCache) -> Measurement:
             sf.n_supernodes < sf_base.n_supernodes
         ),
         "gate.amalgamated_less_assembly": int(asm < asm_base),
-        "gate.batching_fewer_dispatches": int(
+        "gate.stacking_fewer_dispatches": int(
             nf.task_dispatches < sf_base.n_supernodes
             and nf.task_dispatches < sf.n_supernodes
         ),
@@ -311,9 +306,9 @@ _register(Scenario(
     name="factorize-amalgamated",
     description=(
         f"factorize {FACTOR_MATRIX} on the aggressively amalgamated tree "
-        f"with leaf fronts <= {AMALG_BATCH_CUTOFF} rows batched into "
-        "stacked kernels; gates fronts/assembly/dispatch reductions vs "
-        "the default tree (wall: compare to factorize-serial-p1)"
+        "(small same-shape leaf fronts run as stacked kernels, as on "
+        "every tree); gates fronts/assembly/dispatch reductions vs the "
+        "default tree (wall: compare to factorize-serial-p1)"
     ),
     run=_amalgamated_run,
     prepare=lambda suite: _amalgamated_run(suite) and None,

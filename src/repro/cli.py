@@ -134,18 +134,13 @@ def cmd_profile(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from repro.multifrontal import BatchParams, SparseCholeskySolver
+    from repro.multifrontal import SparseCholeskySolver
     from repro.symbolic import amalgamation_preset
 
     a = _load_matrix(args.matrix)
-    batching = (
-        BatchParams(front_cutoff=args.batch_cutoff)
-        if args.batch_cutoff > 0 else None
-    )
     solver = SparseCholeskySolver(
         a, ordering=args.ordering, policy=args.policy,
         amalgamation=amalgamation_preset(args.amalgamation),
-        batching=batching,
     )
     solver.analyze().factorize()
     if args.rhs == "ones":
@@ -852,9 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--amalgamation", default="default",
                    choices=("default", "off", "aggressive"),
                    help="supernode amalgamation preset")
-    s.add_argument("--batch-cutoff", type=int, default=0,
-                   help="stack same-shape leaf fronts up to this size "
-                        "into one batched call (0 disables)")
     s.add_argument("--rhs", default="ones",
                    help="'ones' or a path to a text vector")
     s.add_argument("--tol", type=float, default=1e-12)

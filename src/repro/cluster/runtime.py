@@ -14,8 +14,8 @@ fleet bit-for-bit deterministic.
 
 Numerics are schedule-independent, exactly as for the static and
 dynamic backends: :func:`cluster_factorize` runs the timing simulation
-for the makespan, then computes the panels in canonical postorder via
-:func:`repro.parallel.scheduler.postorder_numeric_factor` — so the
+for the makespan, then runs the one numerics pass via
+:func:`repro.parallel.scheduler.scheduled_numeric_factor` — so the
 factor (and its fingerprint) is bit-identical to ``backend="serial"``
 at every node count.
 """
@@ -34,7 +34,7 @@ from repro.gpu.clock import SimTask
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.numeric import NumericFactor
-from repro.parallel.scheduler import ScheduledTask, postorder_numeric_factor
+from repro.parallel.scheduler import ScheduledTask, scheduled_numeric_factor
 from repro.policies.base import Policy, Worker
 from repro.runtime.engine import TaskPricer
 from repro.runtime.events import EventQueue, ReadyDeque
@@ -363,9 +363,8 @@ def cluster_factorize(
         cpu_engine=numeric_node.cpus[0].engine,
         gpu=numeric_node.gpus[0] if numeric_node.gpus else None,
     )
-    result.factor = postorder_numeric_factor(
-        a, sf, policy, numeric_worker, numeric_node,
-        {t.sid: t for t in result.schedule},
+    result.factor = scheduled_numeric_factor(
+        a, sf, policy, numeric_worker, numeric_node, result.schedule,
         makespan=result.makespan,
     )
     return result

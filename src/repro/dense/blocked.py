@@ -105,10 +105,13 @@ def blocked_cholesky_panels(
         raise ValueError("panel width must be positive")
     for j in range(0, k, w):
         wj = min(w, k - j)
-        # 1. factor the diagonal block
+        # 1. factor the diagonal block; potrf returns a zero upper
+        # triangle and later steps only touch rows >= rest, so zeroing
+        # the blocks to its right leaves L1 strictly lower
         f[j:j + wj, j:j + wj] = provider.potrf(f[j:j + wj, j:j + wj])
         panel_l = f[j:j + wj, j:j + wj]
         rest = j + wj
+        f[j:rest, rest:k] = 0.0
         if rest < s:
             # 2. one trsm spanning the remaining L1 rows and all of L2
             f[rest:, j:j + wj] = provider.trsm(f[rest:, j:j + wj], panel_l)
@@ -129,9 +132,6 @@ def blocked_cholesky_panels(
                 provider.syrk(f[k:, k:], panel[k - rest:])
             else:
                 provider.syrk(f[k:, k:], panel)
-    # zero the strictly upper part of the factored panel for cleanliness
-    iu = np.triu_indices(k, 1)
-    f[: k, : k][iu] = 0.0
 
 
 def blocked_factor_update(

@@ -82,7 +82,8 @@ def potrf(a: np.ndarray, *, counts: KernelCounts | None = None) -> np.ndarray:
 
     Returns a new array L with ``L @ L.T == a`` (lower triangular; the
     strictly-upper part of the result is zero).  Raises
-    :class:`NotPositiveDefiniteError` if ``a`` is not SPD.
+    :class:`NotPositiveDefiniteError` if ``a`` is not SPD, non-finite
+    entries included.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -91,6 +92,10 @@ def potrf(a: np.ndarray, *, counts: KernelCounts | None = None) -> np.ndarray:
         l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
+    # an optimized LAPACK tests ``pivot <= 0``, which NaN passes: without
+    # this a NaN or +Inf entry factors "successfully" into a NaN factor
+    if not np.isfinite(l.diagonal()).all():
+        raise NotPositiveDefiniteError("Matrix has a non-finite pivot")
     if counts is not None:
         counts.add("potrf", potrf_flops(a.shape[0]))
     return l

@@ -9,7 +9,7 @@ refinement (which recovers the accuracy lost to single-precision GPU
 kernels, Section III-B) complete the solver.
 """
 
-from repro.multifrontal.batched import BatchParams, batch_groups
+from repro.multifrontal.batched import batch_groups
 from repro.multifrontal.device_resident import (
     ResidencyStats,
     factorize_resident,
@@ -24,7 +24,6 @@ from repro.multifrontal.refine import RefinementResult, iterative_refinement
 from repro.multifrontal.solver import FactorizationStats, SparseCholeskySolver
 
 __all__ = [
-    "BatchParams",
     "batch_groups",
     "assemble_front",
     "extend_add",

@@ -1,85 +1,69 @@
-"""Batched execution of small same-shape leaf fronts.
+"""Stacked execution of small same-shape leaf fronts.
 
-Profiles show that after the AssemblyPlan removed scatter overhead, the
-remaining hot path of the warm factorize is per-front Python/BLAS
-dispatch across thousands of tiny supernodes.  Leaf supernodes (no
-children, so no extend-add inputs) whose fronts share one ``(rows, k)``
-shape can be stacked into a single 3-D array and factored with *one*
+The elimination tree is a few large fronts plus a long tail of tiny
+ones where per-front Python/BLAS dispatch, not arithmetic, is the bill.
+Leaf supernodes (no children, so no extend-add inputs) whose fronts
+share one ``(rows, k)`` shape are stacked into a single 3-D array,
+assembled by one gather and one scatter, and factored with *one*
 sequence of stacked numpy calls — the same idea A64FX-class sparse
-Cholesky codes use for front batching.
+Cholesky codes use for small fronts.
 
 Bitwise safety: numpy's stacked ``cholesky``/``matmul`` gufuncs run the
-identical LAPACK/BLAS kernel per slice, and the batched triangular solve
+identical LAPACK/BLAS kernel per slice, and the stacked triangular solve
 below replays :func:`repro.dense.kernels.trsm_right_lower` block for
-block with batched matmuls, so every slice of the stacked result is
-bit-identical to the per-front host P1 path.  That is asserted by the
-``batched-vs-unbatched`` pairs of the verification lattice — batching is
-a pure dispatch optimisation, never a numerics change.
+block with stacked matmuls, so every slice of the stacked result is
+bit-identical to ``PolicyP1.apply`` on the individually assembled front.
+Stacking is a pure dispatch optimisation of the numerics pass: the
+virtual clock prices every front on its own and never sees it.
 
-Only groups whose resolved policy is the host ``P1`` path are batched;
-anything routed to the (float32) device stays on the per-front path.
+Only groups the numerics pass resolves to the host ``P1`` path are
+stacked; anything routed to the (float32) device stays per front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError, potrf
-from repro.multifrontal.frontal import AssemblyPlan, assemble_front_planned
 from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
-    "BatchParams",
+    "STACK_CUTOFF",
+    "STACK_CHUNK",
     "BatchGroup",
     "batch_groups",
-    "resolve_batchable_groups",
+    "breakdown_error",
     "batched_trsm_right_lower",
     "batched_factor_update",
     "factor_batch_group",
 ]
 
-
-@dataclass(frozen=True)
-class BatchParams:
-    """Controls batched small-front execution.
-
-    Attributes
-    ----------
-    front_cutoff : int
-        Leaf fronts with at most this many rows are candidates for
-        batching; 0 (the default) disables batching entirely.
-    min_batch : int
-        Minimum number of same-shape fronts to form a batch (a batch of
-        one is just the per-front path with extra bookkeeping).
-    """
-
-    front_cutoff: int = 0
-    min_batch: int = 2
-
-    def __post_init__(self) -> None:
-        if self.front_cutoff < 0:
-            raise ValueError("BatchParams.front_cutoff must be >= 0")
-        if self.min_batch < 2:
-            raise ValueError("BatchParams.min_batch must be >= 2")
-
-    @property
-    def enabled(self) -> bool:
-        return self.front_cutoff > 0
+#: leaf fronts with at most this many rows are stacked (measured on the
+#: benchmark patterns, see docs/architecture.md)
+STACK_CUTOFF = 32
+#: most members one stacked call factors: keeps the live stack near
+#: 1 MB at the cutoff (128 * 32 * 32 doubles)
+STACK_CHUNK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchGroup:
-    """One batch: leaf supernodes sharing a front shape.
+    """One stacked call: leaf supernodes sharing a front shape.
 
-    ``sids`` is ascending, so stacking order — and therefore the batched
-    numerics — is deterministic for a given symbolic factor.
+    ``sids`` is ascending, so stacking order — and therefore the stacked
+    numerics — is deterministic for a given symbolic factor.  ``src`` /
+    ``dst`` are the members' assembly-plan indices concatenated: gather
+    positions in the canonical ``a.data`` and flat scatter positions in
+    the ``(len(sids), size, size)`` stack (set by the assembly plan).
     """
 
     size: int                # front rows (k + m)
     k: int                   # pivot columns
     sids: tuple[int, ...]
+    src: np.ndarray | None = field(default=None, repr=False)
+    dst: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -89,63 +73,44 @@ class BatchGroup:
         return len(self.sids)
 
 
-def batch_groups(sf: SymbolicFactor, params: BatchParams) -> list[BatchGroup]:
-    """Group batchable leaf supernodes of ``sf`` by front shape.
+def batch_groups(sf: SymbolicFactor) -> list[BatchGroup]:
+    """Group the leaf supernodes of ``sf`` with at most ``STACK_CUTOFF``
+    front rows by front shape, at least two and at most ``STACK_CHUNK``
+    to a group.
 
-    Deterministic: members ascend by supernode id within a group and
-    groups are ordered by ``(size, k)``.
+    Deterministic: members ascend by supernode id within a group, groups
+    are ordered by ``(size, k)``, and a shape with more than
+    ``STACK_CHUNK`` members splits into near-equal consecutive runs.
     """
-    if not params.enabled:
-        return []
-    n_super = sf.n_supernodes
-    has_child = np.zeros(n_super, dtype=bool)
-    for s in range(n_super):
-        p = int(sf.sparent[s])
-        if p >= 0:
-            has_child[p] = True
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for s in range(n_super):
-        if has_child[s]:
-            continue
-        size = int(sf.rows[s].size)
-        if size > params.front_cutoff:
-            continue
-        by_shape.setdefault((size, sf.width(s)), []).append(s)
-    return [
-        BatchGroup(size=size, k=k, sids=tuple(sids))
-        for (size, k), sids in sorted(by_shape.items())
-        if len(sids) >= params.min_batch
-    ]
-
-
-def resolve_batchable_groups(
-    sf: SymbolicFactor,
-    policy,
-    params: BatchParams | None,
-    worker,
-) -> tuple[list[BatchGroup], dict[int, BatchGroup]]:
-    """Batch groups whose policy resolves to the host P1 path.
-
-    Groups routed anywhere else (a device policy would change numerics
-    and precision) stay on the per-front path.  Returns the kept groups
-    and a supernode-id -> group map.
-    """
-    if params is None or not params.enabled:
-        return [], {}
+    sparent = np.asarray(sf.sparent)
+    n_kids = np.bincount(sparent[sparent >= 0], minlength=sf.n_supernodes)
+    m, widths = sf.mk_pairs().T
+    sizes = m + widths
+    leaves = np.flatnonzero((n_kids == 0) & (sizes <= STACK_CUTOFF))
+    leaves = leaves[np.lexsort((leaves, widths[leaves], sizes[leaves]))]
+    shape_change = np.flatnonzero(
+        (np.diff(sizes[leaves]) != 0) | (np.diff(widths[leaves]) != 0)
+    )
     groups = []
-    batch_of: dict[int, BatchGroup] = {}
-    for g in batch_groups(sf, params):
-        base = (
-            policy.resolve(g.m, g.k, worker)
-            if hasattr(policy, "resolve")
-            else policy
-        )
-        if base.name != "P1":
+    for run in np.split(leaves, shape_change + 1):
+        if run.size < 2:
             continue
-        groups.append(g)
-        for sid in g.sids:
-            batch_of[sid] = g
-    return groups, batch_of
+        size, k = int(sizes[run[0]]), int(widths[run[0]])
+        for part in np.array_split(run, -(-run.size // STACK_CHUNK)):
+            groups.append(BatchGroup(size, k, tuple(part.tolist())))
+    return groups
+
+
+def breakdown_error(
+    sf: SymbolicFactor, s: int, exc: Exception
+) -> NotPositiveDefiniteError:
+    """The one message a non-SPD pivot block raises, stacked or not."""
+    f_col = int(sf.super_ptr[s])
+    return NotPositiveDefiniteError(
+        f"matrix is not positive definite: Cholesky broke down in "
+        f"supernode {s} (permuted columns {f_col}..{f_col + sf.width(s) - 1}, "
+        f"original column ~{int(sf.perm[f_col])}): {exc}"
+    )
 
 
 def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -173,32 +138,37 @@ def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
     return x
 
 
-def _batched_potrf(blocks: np.ndarray, sids: tuple[int, ...]) -> np.ndarray:
-    """Stacked Cholesky; on breakdown, re-runs slices individually so the
-    error names the offending supernode like the per-front path does."""
+def _batched_potrf(
+    blocks: np.ndarray, sf: SymbolicFactor, sids: tuple[int, ...]
+) -> np.ndarray:
+    """Stacked Cholesky; on breakdown (a non-finite pivot included, as in
+    :func:`repro.dense.kernels.potrf`), re-runs slices individually so
+    the error names the first offending supernode like the per-front
+    path."""
     try:
-        return np.linalg.cholesky(blocks)
+        l = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
+        l = None
+    if l is None or not np.isfinite(l.diagonal(axis1=1, axis2=2)).all():
         for i, s in enumerate(sids):
             try:
                 potrf(blocks[i])
             except NotPositiveDefiniteError as exc:
-                raise NotPositiveDefiniteError(
-                    f"batched pivot block of supernode {s} is not positive "
-                    f"definite: {exc}"
-                ) from exc
-        raise  # pragma: no cover - stacked failure with no failing slice
+                raise breakdown_error(sf, s, exc) from exc
+        raise AssertionError("stacked Cholesky failed with no failing slice")
+    return l
 
 
-def batched_factor_update(fronts: np.ndarray, k: int,
-                          sids: tuple[int, ...]) -> None:
+def batched_factor_update(
+    fronts: np.ndarray, k: int, sf: SymbolicFactor, sids: tuple[int, ...]
+) -> None:
     """In-place stacked host P1 factor-update of ``(B, n, n)`` fronts.
 
     Mirrors ``PolicyP1.apply`` exactly: potrf of the pivot block, panel
     solve, rank-k update of the trailing block — each as one stacked
     call over the batch dimension.
     """
-    l1 = _batched_potrf(fronts[:, :k, :k], sids)
+    l1 = _batched_potrf(fronts[:, :k, :k], sf, sids)
     fronts[:, :k, :k] = l1
     if fronts.shape[1] > k:
         l2 = batched_trsm_right_lower(fronts[:, k:, :k], l1)
@@ -207,23 +177,19 @@ def batched_factor_update(fronts: np.ndarray, k: int,
 
 
 def factor_batch_group(
-    plan: AssemblyPlan, a_data: np.ndarray, g: BatchGroup
-) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-    """Assemble the leaf fronts of ``g`` into one stack, factor them with
-    one stacked call sequence, and hand back ``sid -> (panel, update)``
-    (``update`` is ``None`` for a front with no rows below its pivots).
-
-    The one place the stacked numerics run: the serial driver and every
-    scheduled backend call it, so they cannot drift apart.
+    sf: SymbolicFactor, a_data: np.ndarray, g: BatchGroup
+) -> tuple[np.ndarray, "np.ndarray | list[None]"]:
+    """Assemble the leaf fronts of ``g`` into one stack (one gather from
+    ``a_data``, one scatter), factor them with one stacked call sequence
+    and return the ``(B, size, k)`` panels and ``(B, m, m)`` updates (a
+    ``None`` per member when the fronts have no rows below their
+    pivots); entry ``i`` of both belongs to ``g.sids[i]``.
     """
-    stack = np.empty((len(g), g.size, g.size), dtype=np.float64)
-    for i, sid in enumerate(g.sids):
-        stack[i] = assemble_front_planned(plan, a_data, g.size, sid, [])
-    batched_factor_update(stack, g.k, g.sids)
-    return {
-        sid: (
-            stack[i, :, :g.k].copy(),
-            stack[i, g.k:, g.k:].copy() if g.m > 0 else None,
-        )
-        for i, sid in enumerate(g.sids)
-    }
+    stack = np.zeros((len(g), g.size, g.size), dtype=np.float64)
+    # ``+=`` as the per-front assembly does it (-0.0 lands as +0.0)
+    stack.reshape(-1)[g.dst] += a_data[g.src]
+    batched_factor_update(stack, g.k, sf, g.sids)
+    return (
+        stack[:, :, :g.k].copy(),
+        stack[:, g.k:, g.k:].copy() if g.m > 0 else [None] * len(g),
+    )

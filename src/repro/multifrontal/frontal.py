@@ -19,9 +19,12 @@ run without triangle bookkeeping.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.matrices.csc import CSCMatrix
+from repro.multifrontal.batched import BatchGroup, batch_groups
 from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
@@ -123,9 +126,16 @@ class AssemblyPlan:
     (CSC stores each (row, col) once; mirrored entries land strictly in
     the upper triangle), so a single fancy-indexed add reproduces the
     per-column loop bit for bit.
+
+    ``groups`` holds the stackable leaf groups of the tree
+    (:func:`repro.multifrontal.batched.batch_groups`), each carrying its
+    members' ``src`` / ``dst`` concatenated so a whole group assembles
+    with one gather and one scatter.
     """
 
-    __slots__ = ("src", "dst", "rel_row", "rel_col", "_indptr", "_indices")
+    __slots__ = (
+        "src", "dst", "rel_row", "rel_col", "groups", "_indptr", "_indices",
+    )
 
     def __init__(self, a: CSCMatrix, sf: SymbolicFactor):
         a_lower, all_cols, origin = _permuted_lower(a, sf.perm)
@@ -175,6 +185,19 @@ class AssemblyPlan:
                     )
                 self.rel_row[s] = idx.reshape(-1, 1)
                 self.rel_col[s] = idx.reshape(1, -1)
+
+        #: stackable leaf groups with their concatenated gather/scatter;
+        #: the members' own ``src`` become views into the group's
+        self.groups: list[BatchGroup] = []
+        for g in batch_groups(sf):
+            src = np.concatenate([self.src[s] for s in g.sids])
+            dst = np.concatenate([
+                i * g.size * g.size + self.dst[s] for i, s in enumerate(g.sids)
+            ])
+            ends = np.cumsum([self.src[s].size for s in g.sids]).tolist()
+            for s, lo, hi in zip(g.sids, [0] + ends, ends):
+                self.src[s] = src[lo:hi]
+            self.groups.append(dataclasses.replace(g, src=src, dst=dst))
 
     def matches(self, a: CSCMatrix) -> bool:
         """True when ``a`` has the canonical pattern this plan was built

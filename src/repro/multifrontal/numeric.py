@@ -1,14 +1,17 @@
-"""Numeric multifrontal factorization driver (serial / single worker).
+"""Numeric multifrontal factorization: the pricing pass and the
+numerics pass.
 
-Walks the supernodal tree in postorder; per supernode: assemble the
-front (charging host memory time), resolve the placement policy for its
-(m, k), execute the factor-update (real numerics + simulated task
-scheduling on the node's engines), stash the update matrix for the
-parent, and record the call for the analysis layer.
-
-The simulated makespan of the whole factorization is the node's final
-engine time; per-call records carry the per-component busy times that
-Figures 2/5/6 and Table IV are built from.
+The two are independent.  The *pricing pass* walks the supernodal tree
+in postorder charging the virtual clock: per supernode it resolves the
+placement policy for its (m, k) and schedules the front's assembly and
+factor-update tasks on the node's engines.  The simulated makespan of
+the whole factorization is the node's final engine time; per-call
+records carry the per-component busy times that Figures 2/5/6 and
+Table IV are built from.  The *numerics pass*
+(:func:`postorder_numeric_factor`) does the floating-point work — one
+way, the fastest bit-identical way, under every backend's task-to-worker
+mapping: assemble each front, run its factor-update, hand the update
+matrix to the parent.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError
 from repro.gpu.allocator import DeviceMemoryError
+from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.batched import (
     BatchGroup,
-    BatchParams,
+    breakdown_error,
     factor_batch_group,
-    resolve_batchable_groups,
 )
 from repro.multifrontal.frontal import (
     assemble_front_planned,
@@ -35,7 +38,14 @@ from repro.multifrontal.frontal import (
 from repro.policies.base import Policy, PolicyP1, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
-__all__ = ["FURecord", "NumericFactor", "factorize_numeric", "replay_factorize", "ReplayResult"]
+__all__ = [
+    "FURecord",
+    "NumericFactor",
+    "factorize_numeric",
+    "postorder_numeric_factor",
+    "replay_factorize",
+    "ReplayResult",
+]
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,8 @@ class NumericFactor:
     node: SimulatedNode
     peak_update_bytes: int = 0
     assembly_seconds: float = 0.0
-    #: batched small-front execution: stacked calls issued / fronts they
-    #: covered (both 0 when batching was off or found nothing to group)
+    #: stacked small-front execution: stacked calls the numerics pass
+    #: issued / fronts they covered (both 0 when it found nothing to group)
     batch_tasks: int = 0
     batched_fronts: int = 0
     #: the solve phase's sweep table, built by the first solve on this
@@ -141,6 +151,164 @@ class NumericFactor:
         return worst
 
 
+def _price_postorder(
+    sf: SymbolicFactor,
+    policy: Policy,
+    node: SimulatedNode,
+    worker: Worker,
+    spost: "np.ndarray | None",
+    *,
+    assembly_in_record: bool,
+) -> tuple[list[FURecord], list[Policy], float]:
+    """Charge the serial factorization to ``node``'s virtual clock.
+
+    Walks the tree on ``worker``: per front one :class:`TaskGraph` holding
+    its assembly task and the resolved policy's ``plan``, one
+    ``schedule_graph`` call.  No floating-point work, and no knowledge
+    of how the numerics pass will execute the fronts.
+
+    Returns the per-call records (in schedule order), the policy each
+    supernode resolved to (indexed by supernode id; host ``P1`` where
+    the front did not fit on the device) and the total assembly time.
+    ``assembly_in_record`` says whether a record's ``start`` and
+    ``components`` cover the front's assembly task or only its F-U call.
+    """
+    model = node.model
+    kids = sf.schildren()
+    final_task: dict[int, object] = {}
+    records: list[FURecord] = []
+    bases: list[Policy] = [policy] * sf.n_supernodes
+    assembly_seconds = 0.0
+    resolve = getattr(policy, "resolve", None)
+
+    for s in np.asarray(sf.spost if spost is None else spost).tolist():
+        size = sf.rows[s].size
+        k = sf.width(s)
+        m = size - k
+        child_ids = kids[s]
+
+        t_asm = model.host_memory_time(
+            assembly_bytes(size, [sf.update_size(c) for c in child_ids])
+        )
+        g = TaskGraph()
+        deps = tuple(final_task[c] for c in child_ids if c in final_task)
+        asm_task = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
+        assembly_seconds += t_asm
+
+        base = resolve(m, k, worker) if resolve is not None else policy
+        try:
+            plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
+        except DeviceMemoryError:
+            # the front does not fit on the device ("the memory
+            # limitations of GPU ... requires deployment and coordination
+            # among multiple CPUs and GPUs to handle large matrices",
+            # Section IV-B) — fall back to the host for this call
+            base = PolicyP1()
+            g = TaskGraph()
+            asm_task = g.add(
+                f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble"
+            )
+            plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
+        schedule_graph(g, engines=node.engines)
+        final_task[s] = plan.final
+        bases[s] = base
+
+        tasks = g.tasks if assembly_in_record else g.tasks[1:]
+        components: dict[str, float] = {}
+        for t in tasks:
+            components[t.category] = components.get(t.category, 0.0) + t.duration
+        records.append(
+            FURecord(
+                sid=s, m=m, k=k, policy=base.name,
+                start=min(t.start for t in tasks), end=plan.final.end,
+                components=components,
+                flops=factor_update_flops(m, k),
+            )
+        )
+    return records, bases, assembly_seconds
+
+
+def postorder_numeric_factor(
+    a: CSCMatrix,
+    sf: SymbolicFactor,
+    bases: list[Policy],
+    worker: Worker,
+    node: SimulatedNode,
+    records: list[FURecord],
+    *,
+    makespan: float,
+    spost: "np.ndarray | None" = None,
+    assembly_seconds: float = 0.0,
+) -> NumericFactor:
+    """The numerics pass: every panel of ``P A P^T = L L^T``, computed in
+    postorder against one worker under the per-supernode policies
+    ``bases``.
+
+    This is what makes every backend — serial, static, dynamic and the
+    cluster loop — bit-identical: whatever schedule priced ``records``
+    and ``makespan``, the floating-point work runs here, one way.
+    Same-shape host-P1 leaf fronts run stacked
+    (:mod:`repro.multifrontal.batched`), bit-identical per slice to the
+    per-front path; a group any member of which resolved elsewhere (a
+    device policy computes in float32) stays per front.
+    """
+    kids = sf.schildren()
+    plan = get_assembly_plan(a, sf)
+    a_data = a.data
+    panels: list[np.ndarray | None] = [None] * sf.n_supernodes
+    updates: dict[int, np.ndarray] = {}
+    live_update_bytes = 0
+    peak_update_bytes = 0
+
+    group_of: dict[int, BatchGroup] = {}
+    for g in plan.groups:
+        if all(type(bases[s]) is PolicyP1 for s in g.sids):
+            group_of.update(dict.fromkeys(g.sids, g))
+    #: per-member (panel, update) of the groups factored so far, consumed
+    #: when the member's turn comes
+    stacked: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+    batch_tasks = 0
+
+    for s in np.asarray(sf.spost if spost is None else spost).tolist():
+        g = group_of.get(s)
+        if g is not None:
+            if s not in stacked:
+                stacked.update(zip(g.sids, zip(*factor_batch_group(sf, a_data, g))))
+                batch_tasks += 1
+            panels[s], u = stacked.pop(s)
+        else:
+            size = sf.rows[s].size
+            k = sf.width(s)
+            child_updates = [(c, updates.pop(c)) for c in kids[s] if c in updates]
+            live_update_bytes -= sum(cu.nbytes for _, cu in child_updates)
+            front = assemble_front_planned(plan, a_data, size, s, child_updates)
+            try:
+                bases[s].apply(front, k, worker)
+            except NotPositiveDefiniteError as exc:
+                raise breakdown_error(sf, s, exc) from exc
+            panels[s] = front[:, :k].copy()
+            u = front[k:, k:].copy() if size > k else None
+        if u is not None:
+            updates[s] = u
+            live_update_bytes += u.nbytes
+            peak_update_bytes = max(peak_update_bytes, live_update_bytes)
+
+    if updates:
+        raise AssertionError("unconsumed update matrices: symbolic tree broken")
+
+    return NumericFactor(
+        sf=sf,
+        panels=panels,  # type: ignore[arg-type]
+        records=records,
+        makespan=makespan,
+        node=node,
+        peak_update_bytes=peak_update_bytes,
+        assembly_seconds=assembly_seconds,
+        batch_tasks=batch_tasks,
+        batched_fronts=len(group_of),
+    )
+
+
 def factorize_numeric(
     a: CSCMatrix,
     sf: SymbolicFactor,
@@ -148,10 +316,10 @@ def factorize_numeric(
     *,
     node: SimulatedNode | None = None,
     spost: "np.ndarray | None" = None,
-    batching: BatchParams | None = None,
 ) -> NumericFactor:
     """Factor ``P A P^T = L L^T`` under ``policy`` on a (possibly fresh)
-    simulated node, serially on worker 0.
+    simulated node, serially on worker 0: one pricing pass over the
+    virtual clock, then the numerics pass.
 
     Parameters
     ----------
@@ -168,168 +336,16 @@ def factorize_numeric(
         Alternative supernode schedule (must be a valid postorder, e.g.
         from :func:`repro.symbolic.stack.stack_minimizing_postorder`);
         defaults to ``sf.spost``.
-    batching : BatchParams, optional
-        Batch same-shape leaf fronts at or below ``front_cutoff`` rows
-        into single stacked kernel calls (host P1 groups only; numerics
-        are bit-identical to the per-front path).  Default: off.
     """
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
     worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
-
-    n_super = sf.n_supernodes
-    panels: list[np.ndarray | None] = [None] * n_super
-    updates: dict[int, np.ndarray] = {}
-    final_task: dict[int, object] = {}
-    records: list[FURecord] = []
-    kids = sf.schildren()
-    live_update_bytes = 0
-    peak_update_bytes = 0
-    assembly_seconds = 0.0
-    # permuting the matrix and index construction (gather sources, scatter
-    # destinations, extend-add positions) are pattern-only work: done once
-    # and cached on sf, so repeated factorizations of the same structure
-    # read ``a.data`` where it lies
-    plan = get_assembly_plan(a, sf)
-    a_data = a.data
-
-    from repro.gpu.clock import TaskGraph, schedule_graph
-
-    groups, batch_of = resolve_batchable_groups(sf, policy, batching, worker)
-    batched_fronts = sum(len(g) for g in groups)
-    batch_tasks = 0
-    #: per-member (panel, update) produced by a stacked group execution,
-    #: consumed when the member's turn comes in the postorder walk
-    batch_results: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    batch_span: dict[tuple[int, int], tuple[object, float, float, dict]] = {}
-
-    def run_batch(g: BatchGroup) -> None:
-        nonlocal batch_tasks, assembly_seconds
-        b = len(g)
-        # one dispatched task chain for the whole group: assembly of all
-        # members, then the P1 kernel sequence at B-scaled durations
-        t_asm = b * node.model.host_memory_time(assembly_bytes(g.size, []))
-        graph = TaskGraph()
-        tag = f"batch:{g.size}x{g.k}"
-        asm = graph.add(f"assemble:{tag}", worker.cpu_engine, t_asm, (), "assemble")
-        t_potrf = node.model.kernel_time("cpu", "potrf", k=g.k)
-        last = graph.add(
-            f"potrf:{tag}", worker.cpu_engine, b * t_potrf, (asm,), "potrf"
-        )
-        single = {"potrf": t_potrf}
-        if g.m > 0:
-            t_trsm = node.model.kernel_time("cpu", "trsm", m=g.m, k=g.k)
-            t_syrk = node.model.kernel_time("cpu", "syrk", m=g.m, k=g.k)
-            t1 = graph.add(
-                f"trsm:{tag}", worker.cpu_engine, b * t_trsm, (last,), "trsm"
-            )
-            last = graph.add(
-                f"syrk:{tag}", worker.cpu_engine, b * t_syrk, (t1,), "syrk"
-            )
-            single.update(trsm=t_trsm, syrk=t_syrk)
-        schedule_graph(graph, engines=node.engines)
-        assembly_seconds += t_asm
-        batch_tasks += 1
-        batch_results.update(factor_batch_group(plan, a_data, g))
-        start = min(t.start for t in graph.tasks)
-        batch_span[(g.size, g.k)] = (last, start, last.end, single)
-
-    schedule = sf.spost if spost is None else np.asarray(spost, dtype=np.int64)
-    for s in schedule:
-        s = int(s)
-        if s in batch_of:
-            g = batch_of[s]
-            if s not in batch_results:
-                run_batch(g)
-            panel, u = batch_results.pop(s)
-            final, start, end, single = batch_span[(g.size, g.k)]
-            final_task[s] = final
-            panels[s] = panel
-            if u is not None:
-                updates[s] = u
-                live_update_bytes += u.size * 8
-                peak_update_bytes = max(peak_update_bytes, live_update_bytes)
-            records.append(
-                FURecord(
-                    sid=s, m=g.m, k=g.k, policy="P1",
-                    start=start, end=end, components=dict(single),
-                    flops=factor_update_flops(g.m, g.k),
-                )
-            )
-            continue
-        rows = sf.rows[s]
-        k = sf.width(s)
-        m = rows.size - k
-        child_ids = kids[s]
-        child_updates = [(c, updates.pop(c)) for c in child_ids if c in updates]
-        live_update_bytes -= sum(u.size * 8 for _, u in child_updates)
-
-        front = assemble_front_planned(
-            plan, a_data, rows.size, s, child_updates
-        )
-
-        # charge assembly time on the host engine
-        t_asm = node.model.host_memory_time(
-            assembly_bytes(rows.size, [u.shape[0] for _, u in child_updates])
-        )
-        g = TaskGraph()
-        deps = tuple(final_task[c] for c in child_ids if c in final_task)
-        asm_task = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
-        schedule_graph(g, engines=node.engines)
-        assembly_seconds += t_asm
-
-        base = policy.resolve(m, k, worker) if hasattr(policy, "resolve") else policy
-        try:
-            execution = base.execute(front, k, worker, node, deps=(asm_task,))
-        except DeviceMemoryError:
-            # the front does not fit on the device ("the memory
-            # limitations of GPU ... requires deployment and coordination
-            # among multiple CPUs and GPUs to handle large matrices",
-            # Section IV-B) — fall back to the host for this call
-            base = PolicyP1()
-            execution = base.execute(front, k, worker, node, deps=(asm_task,))
-        except NotPositiveDefiniteError as exc:
-            f_col = int(sf.super_ptr[s])
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: Cholesky broke down in "
-                f"supernode {s} (permuted columns {f_col}..{f_col + k - 1}, "
-                f"original column ~{int(sf.perm[f_col])}): {exc}"
-            ) from exc
-        final_task[s] = execution.plan.final
-
-        panels[s] = front[:, :k].copy()
-        if m > 0:
-            u = front[k:, k:].copy()
-            updates[s] = u
-            live_update_bytes += u.size * 8
-            peak_update_bytes = max(peak_update_bytes, live_update_bytes)
-
-        records.append(
-            FURecord(
-                sid=s,
-                m=m,
-                k=k,
-                policy=base.name,
-                start=execution.start,
-                end=execution.end,
-                components=execution.plan.duration_by_category(),
-                flops=factor_update_flops(m, k),
-            )
-        )
-
-    if updates:
-        raise AssertionError("unconsumed update matrices: symbolic tree broken")
-
-    return NumericFactor(
-        sf=sf,
-        panels=[p for p in panels],  # type: ignore[misc]
-        records=records,
-        makespan=node.now,
-        node=node,
-        peak_update_bytes=peak_update_bytes,
-        assembly_seconds=assembly_seconds,
-        batch_tasks=batch_tasks,
-        batched_fronts=batched_fronts,
+    records, bases, assembly_seconds = _price_postorder(
+        sf, policy, node, worker, spost, assembly_in_record=False
+    )
+    return postorder_numeric_factor(
+        a, sf, bases, worker, node, records,
+        makespan=node.now, spost=spost, assembly_seconds=assembly_seconds,
     )
 
 
@@ -337,9 +353,9 @@ def factorize_numeric(
 class ReplayResult:
     """Timing-only walk of a factorization (no floating-point work).
 
-    Produced by :func:`replay_factorize`: identical scheduling to
-    :func:`factorize_numeric` — same task graphs, same engine contention,
-    same records — at a small fraction of the cost.  The benchmark
+    Produced by :func:`replay_factorize`: the pricing pass of
+    :func:`factorize_numeric` on its own — same task graphs, same engine
+    contention — at a small fraction of the cost.  The benchmark
     harness uses this for policy comparisons; numeric correctness is
     established separately by the test suite and the validation bench.
     """
@@ -364,63 +380,17 @@ def replay_factorize(
     """Walk the supernodal tree charging simulated time under ``policy``
     without performing numerics.
 
-    The task graphs are exactly those :func:`factorize_numeric` builds
-    (same ``Policy.plan`` calls, same assembly charges, same engine
-    timelines), so the resulting makespan and per-call records match a
-    numeric run; only the frontal matrices are never touched.
+    This is the very walk :func:`factorize_numeric` prices with (same
+    ``Policy.plan`` calls, same assembly charges, same engine
+    timelines), so the makespan matches a numeric run; a replay record
+    additionally counts its front's assembly task.
     """
-    from repro.gpu.clock import TaskGraph, schedule_graph
-
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
     worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
-
-    kids = sf.schildren()
-    final_task: dict[int, object] = {}
-    records: list[FURecord] = []
-    assembly_seconds = 0.0
-
-    schedule = sf.spost if spost is None else np.asarray(spost, dtype=np.int64)
-    for s in schedule:
-        s = int(s)
-        rows = sf.rows[s]
-        k = sf.width(s)
-        m = rows.size - k
-        child_ids = kids[s]
-
-        t_asm = node.model.host_memory_time(
-            assembly_bytes(
-                rows.size, [sf.rows[c].size - sf.width(c) for c in child_ids]
-            )
-        )
-        g = TaskGraph()
-        deps = tuple(final_task[c] for c in child_ids if c in final_task)
-        asm_task = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
-        assembly_seconds += t_asm
-
-        base = policy.resolve(m, k, worker) if hasattr(policy, "resolve") else policy
-        try:
-            plan = base.plan(m, k, worker, node.model, g, deps=(asm_task,))
-        except DeviceMemoryError:
-            base = PolicyP1()
-            g = TaskGraph()
-            asm_task = g.add(
-                f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble"
-            )
-            plan = base.plan(m, k, worker, node.model, g, deps=(asm_task,))
-        schedule_graph(g, engines=node.engines)
-        final_task[s] = plan.final
-
-        start = min(t.start for t in g.tasks)
-        records.append(
-            FURecord(
-                sid=s, m=m, k=k, policy=base.name,
-                start=start, end=plan.final.end,
-                components=plan.duration_by_category(),
-                flops=factor_update_flops(m, k),
-            )
-        )
-
+    records, _, assembly_seconds = _price_postorder(
+        sf, policy, node, worker, spost, assembly_in_record=True
+    )
     return ReplayResult(
         sf=sf, records=records, makespan=node.now, node=node,
         assembly_seconds=assembly_seconds,

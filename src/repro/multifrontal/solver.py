@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.batched import BatchParams
 from repro.multifrontal.numeric import NumericFactor, factorize_numeric
 from repro.multifrontal.refine import RefinementResult, iterative_refinement
 from repro.multifrontal.solve import solve_factored
@@ -90,7 +89,6 @@ class SparseCholeskySolver:
         memory_budget: int | None = None,
         faults=None,
         cluster=None,
-        batching: BatchParams | None = None,
     ):
         if a.n_rows != a.n_cols:
             raise ValueError("matrix must be square")
@@ -110,11 +108,6 @@ class SparseCholeskySolver:
             raise ValueError("memory_budget/faults require backend='dynamic'")
         if cluster is not None and backend != "cluster":
             raise ValueError("cluster spec requires backend='cluster'")
-        if batching is not None and backend == "cluster":
-            raise ValueError(
-                "batching is not supported by backend='cluster' (fronts "
-                "are sharded across ranks before grouping could happen)"
-            )
         self.a = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
         self.ordering = ordering
         self.node = node if node is not None else SimulatedNode(n_cpus=1, n_gpus=1)
@@ -124,7 +117,6 @@ class SparseCholeskySolver:
         self.memory_budget = memory_budget
         self.faults = faults
         self.cluster = cluster
-        self.batching = batching
         self._policy = self._build_policy(policy, classifier)
         self.symbolic: SymbolicFactor | None = None
         self.factor: NumericFactor | None = None
@@ -170,7 +162,6 @@ class SparseCholeskySolver:
         memory_budget: int | None = None,
         faults=None,
         cluster=None,
-        batching: BatchParams | None = None,
     ) -> "SparseCholeskySolver":
         """Build a solver around an existing symbolic factorization.
 
@@ -193,7 +184,6 @@ class SparseCholeskySolver:
             memory_budget=memory_budget,
             faults=faults,
             cluster=cluster,
-            batching=batching,
         )
         if symbolic.n != self.a.n_rows:
             raise ValueError(
@@ -242,7 +232,7 @@ class SparseCholeskySolver:
                 spost = stack_minimizing_postorder(self.symbolic)
             self.factor = factorize_numeric(
                 self.a, self.symbolic, self._policy, node=self.node,
-                spost=spost, batching=self.batching,
+                spost=spost,
             )
         elif self.backend == "cluster":
             from repro.cluster.runtime import cluster_factorize
@@ -268,7 +258,6 @@ class SparseCholeskySolver:
                 backend=self.backend,
                 memory_budget=self.memory_budget,
                 faults=self.faults,
-                batching=self.batching,
             )
             self.parallel = result
             self.factor = result.factor

@@ -22,17 +22,12 @@ import numpy as np
 
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.batched import (
-    BatchParams,
-    factor_batch_group,
-    resolve_batchable_groups,
+from repro.multifrontal.frontal import assembly_bytes
+from repro.multifrontal.numeric import (
+    FURecord,
+    NumericFactor,
+    postorder_numeric_factor,
 )
-from repro.multifrontal.frontal import (
-    assemble_front_planned,
-    assembly_bytes,
-    get_assembly_plan,
-)
-from repro.multifrontal.numeric import FURecord, NumericFactor
 from repro.parallel.workers import WorkerPool
 from repro.policies.base import Policy, PolicyP1, Worker, estimate_policy_time
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
@@ -42,7 +37,7 @@ __all__ = [
     "ParallelResult",
     "list_schedule",
     "parallel_factorize",
-    "postorder_numeric_factor",
+    "scheduled_numeric_factor",
 ]
 
 
@@ -73,9 +68,11 @@ class ParallelResult:
     #: populated by ``backend="dynamic"``: the full RuntimeResult
     #: (steal/admission/fault counters, spans, degraded task set)
     runtime: object | None = None
-    #: work dispatches the schedule issued (each batch group counts once);
-    #: ``None`` when the producing backend does not track it
-    task_dispatches: int | None = None
+
+    @property
+    def task_dispatches(self) -> int:
+        """Work dispatches the schedule issued: one per front."""
+        return len(self.schedule)
 
     @property
     def degraded(self) -> bool:
@@ -143,22 +140,15 @@ def list_schedule(
     *,
     gang_threshold: float = 5e7,
     gang_efficiency: float = 0.8,
-    batching: BatchParams | None = None,
 ) -> ParallelResult:
     """Compute the parallel schedule (no numerics).
 
     Returns start/end per supernode and the makespan.  With a single
-    worker this degenerates to the serial postorder sum.  When
-    ``batching`` is given, each group of same-shape host-P1 leaf fronts
-    is placed as *one* task (members share its start/end), cutting the
-    number of dispatched tasks without changing precedence.
+    worker this degenerates to the serial postorder sum.
     """
     n_super = sf.n_supernodes
     p = pool.n_workers
     dur, names = _task_durations(sf, policy, pool)
-    gpu_worker = pool.gpu_worker()
-    probe_worker = gpu_worker if gpu_worker is not None else pool.workers[0]
-    groups, batch_of = resolve_batchable_groups(sf, policy, batching, probe_worker)
 
     # upward rank: seconds from this task to the root, inclusive
     rank = dur.copy()
@@ -182,28 +172,7 @@ def list_schedule(
     worker_busy = [0.0] * p
     schedule: list[ScheduledTask] = []
     done = 0
-    # batch groups first: members are leaves (ready at t=0); the whole
-    # group is one dispatched task on the earliest-free worker
-    for g in groups:
-        dur_g = float(sum(dur[s] for s in g.sids))
-        best_w = min(range(p), key=lambda w: (worker_free[w], w))
-        start = worker_free[best_w]
-        end = start + dur_g
-        worker_free[best_w] = end
-        worker_busy[best_w] += dur_g
-        for sid in g.sids:
-            schedule.append(ScheduledTask(sid, best_w, start, end, "P1", False))
-            finish[sid] = end
-            done += 1
-            parent = int(sf.sparent[sid])
-            if parent >= 0:
-                n_pending[parent] -= 1
-
-    ready = [
-        (-float(rank[s]), s)
-        for s in range(n_super)
-        if n_pending[s] == 0 and s not in batch_of
-    ]
+    ready = [(-float(rank[s]), s) for s in range(n_super) if n_pending[s] == 0]
     heapq.heapify(ready)
     while ready:
         # highest-rank ready task first
@@ -239,11 +208,7 @@ def list_schedule(
         raise AssertionError("scheduler failed to place every supernode")
     makespan = float(finish.max()) if n_super else 0.0
     schedule.sort(key=lambda t: t.start)
-    batched_fronts = sum(len(g) for g in groups)
-    return ParallelResult(
-        makespan, schedule, None, worker_busy,
-        task_dispatches=n_super - batched_fronts + len(groups),
-    )
+    return ParallelResult(makespan, schedule, None, worker_busy)
 
 
 def parallel_factorize(
@@ -257,7 +222,6 @@ def parallel_factorize(
     backend: str = "static",
     memory_budget: int | None = None,
     faults=None,
-    batching: BatchParams | None = None,
 ) -> ParallelResult:
     """Schedule *and* numerically factor.
 
@@ -269,16 +233,12 @@ def parallel_factorize(
 
     The numeric result is schedule-independent (each supernode's F-U is
     computed exactly once, with the dtype implied by its resolved
-    policy), so numerics run in postorder on a canonical worker while
-    times come from the chosen scheduler — both backends therefore
-    produce bit-identical factors.  The one exception is a task the
-    dynamic runtime *degraded* after injected GPU failures: its numerics
-    run on the host P1 path, exactly as its simulated execution did.
-
-    ``batching`` stacks same-shape host-P1 leaf fronts: the static
-    scheduler additionally dispatches each group as one task; the dynamic
-    runtime keeps its per-front schedule (dispatch-time policy selection
-    and stealing operate per task) but still runs the stacked numerics.
+    policy), so the numerics pass runs in postorder on a canonical
+    worker while times come from the chosen scheduler — both backends
+    therefore produce bit-identical factors.  The one exception is a
+    task the dynamic runtime *degraded* after injected GPU failures: its
+    numerics run on the host P1 path, exactly as its simulated execution
+    did.
     """
     runtime = None
     degraded_sids: frozenset = frozenset()
@@ -291,7 +251,6 @@ def parallel_factorize(
         result = list_schedule(
             sf, policy, pool,
             gang_threshold=gang_threshold, gang_efficiency=gang_efficiency,
-            batching=batching,
         )
     elif backend == "dynamic":
         from repro.runtime.engine import dynamic_schedule
@@ -303,100 +262,48 @@ def parallel_factorize(
         result = ParallelResult(
             runtime.makespan, list(runtime.schedule),
             worker_busy=list(runtime.worker_busy), runtime=runtime,
-            # the dynamic runtime dispatches per front (policy selection
-            # and stealing happen at task granularity) even when the
-            # numerics below run stacked
-            task_dispatches=len(runtime.schedule),
         )
     else:
         raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
 
     gpu_worker = pool.gpu_worker()
     numeric_worker = gpu_worker if gpu_worker is not None else pool.workers[0]
-    result.factor = postorder_numeric_factor(
-        a, sf, policy, numeric_worker, pool.node,
-        {t.sid: t for t in result.schedule},
+    result.factor = scheduled_numeric_factor(
+        a, sf, policy, numeric_worker, pool.node, result.schedule,
         makespan=result.makespan, degraded_sids=degraded_sids,
-        batching=batching,
     )
-    if result.task_dispatches is None:
-        result.task_dispatches = result.factor.task_dispatches
     return result
 
 
-def postorder_numeric_factor(
+def scheduled_numeric_factor(
     a: CSCMatrix,
     sf: SymbolicFactor,
     policy: Policy,
     numeric_worker: Worker,
     node: SimulatedNode,
-    by_sid: dict[int, ScheduledTask],
+    schedule: list[ScheduledTask],
     *,
     makespan: float,
     degraded_sids: frozenset = frozenset(),
-    batching: BatchParams | None = None,
 ) -> NumericFactor:
-    """Numeric factorization in canonical postorder against one worker.
-
-    This is what makes every backend — serial, static, dynamic, and the
-    cluster loop — bit-identical: whatever schedule produced the times
-    in ``by_sid``, the panels are computed in ``sf.spost`` order with
-    the policy resolved once per ``(m, k)`` against ``numeric_worker``.
-    Tasks in ``degraded_sids`` run the host P1 path, exactly as their
+    """The numerics pass for an already-timed ``schedule`` (static,
+    dynamic or cluster): records carry the schedule's times, the policy
+    is resolved once per supernode against ``numeric_worker``, and tasks
+    in ``degraded_sids`` run the host P1 path, exactly as their
     simulated execution did.
     """
+    resolve = getattr(policy, "resolve", None)
     fallback = PolicyP1()
-    kids = sf.schildren()
-    panels: list[np.ndarray | None] = [None] * sf.n_supernodes
-    updates: dict[int, np.ndarray] = {}
+    by_sid = {t.sid: t for t in schedule}
+    bases: list[Policy] = [policy] * sf.n_supernodes
     records: list[FURecord] = []
-    plan = get_assembly_plan(a, sf)
-    # stacked numerics for batched groups (host P1 leaves): bit-identical
-    # per slice to the per-front path, so this never changes the factor.
-    # Degraded members run P1 either way, hence they can stay batched.
-    groups, batch_of = resolve_batchable_groups(
-        sf, policy, batching, numeric_worker
-    )
-    batch_results: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-
-    for s in sf.spost:
-        s = int(s)
-        if s in batch_of:
-            g = batch_of[s]
-            if s not in batch_results:
-                batch_results.update(factor_batch_group(plan, a.data, g))
-            panel, u = batch_results.pop(s)
-            panels[s] = panel
-            if u is not None:
-                updates[s] = u
-            t = by_sid[s]
-            records.append(
-                FURecord(
-                    sid=s, m=g.m, k=g.k, policy=t.policy,
-                    start=t.start, end=t.end,
-                    components={}, flops=factor_update_flops(g.m, g.k),
-                )
-            )
-            continue
-        rows = sf.rows[s]
+    for s in sf.spost.tolist():
         k = sf.width(s)
-        m = rows.size - k
-        child_updates = [(c, updates.pop(c)) for c in kids[s] if c in updates]
-        front = assemble_front_planned(
-            plan, a.data, rows.size, s, child_updates
-        )
+        m = sf.update_size(s)
         if s in degraded_sids:
-            base = fallback
-        else:
-            base = (
-                policy.resolve(m, k, numeric_worker)
-                if hasattr(policy, "resolve")
-                else policy
-            )
-        l1, l2, u = base.apply(front, k, numeric_worker)
-        panels[s] = front[:, :k].copy()
-        if m > 0:
-            updates[s] = front[k:, k:].copy()
+            bases[s] = fallback
+        elif resolve is not None:
+            bases[s] = resolve(m, k, numeric_worker)
         t = by_sid[s]
         records.append(
             FURecord(
@@ -404,12 +311,6 @@ def postorder_numeric_factor(
                 components={}, flops=factor_update_flops(m, k),
             )
         )
-    return NumericFactor(
-        sf=sf,
-        panels=[pnl for pnl in panels],  # type: ignore[misc]
-        records=records,
-        makespan=makespan,
-        node=node,
-        batch_tasks=len(groups),
-        batched_fronts=sum(len(g) for g in groups),
+    return postorder_numeric_factor(
+        a, sf, bases, numeric_worker, node, records, makespan=makespan
     )

@@ -140,11 +140,6 @@ class SolverService:
         Fleet shape for ``backend="cluster"`` factorizations.
     ordering, amalgamation :
         Symbolic-analysis settings; part of the symbolic cache key.
-    batching : BatchParams, optional
-        Batched small-front execution forwarded to every factorization
-        (:class:`repro.multifrontal.batched.BatchParams`); bit-identical
-        numerics, so it does not enter the numeric cache key.  Rejected
-        for ``backend="cluster"``.
     cache : FactorizationCache, optional
         Shared cache instance; by default a fresh one bounded by
         ``max_cache_bytes``.
@@ -185,7 +180,6 @@ class SolverService:
         backend: str = "serial",
         ordering: str = "amd",
         amalgamation: AmalgamationParams | None = None,
-        batching=None,
         cache: FactorizationCache | None = None,
         tiering: TierConfig | None = None,
         max_cache_bytes: int = 256 << 20,
@@ -206,8 +200,6 @@ class SolverService:
             )
         if faults is not None and backend != "dynamic":
             raise ValueError("faults require backend='dynamic'")
-        if batching is not None and backend == "cluster":
-            raise ValueError("batching is not supported by backend='cluster'")
         if cluster is not None and backend != "cluster":
             raise ValueError("cluster spec requires backend='cluster'")
         if not 0.0 <= shadow_verify_rate <= 1.0:
@@ -221,7 +213,6 @@ class SolverService:
         self._shadow_lock = threading.Lock()
         self.ordering = ordering
         self.amalgamation = amalgamation
-        self.batching = batching
         if cache is not None and tiering is not None:
             raise ValueError("pass either cache or tiering, not both")
         if cache is not None:
@@ -452,7 +443,6 @@ class SolverService:
         backend = backend if backend is not None else self.backend
         faults = self.faults if backend == "dynamic" else None
         cluster = self.cluster if backend == "cluster" else None
-        batching = self.batching if backend != "cluster" else None
         classifier = None
         if not isinstance(spec, Policy) and str(spec).lower() == "model":
             with self._classifier_lock:
@@ -473,13 +463,12 @@ class SolverService:
                 canonical, symbolic, policy=spec,
                 node=self._node_factory(), classifier=classifier,
                 backend=backend, faults=faults, cluster=cluster,
-                batching=batching,
             )
         return SparseCholeskySolver(
             canonical, ordering=self.ordering, policy=spec,
             node=self._node_factory(), amalgamation=self.amalgamation,
             classifier=classifier, backend=backend, faults=faults,
-            cluster=cluster, batching=batching,
+            cluster=cluster,
         )
 
     def _process(self, req: SolveRequest, worker: int) -> None:

@@ -47,7 +47,6 @@ import numpy as np
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import tesla_t10_model
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.batched import BatchParams
 from repro.multifrontal.solver import SparseCholeskySolver
 from repro.policies.base import PolicyP4, make_policy
 from repro.symbolic.supernodes import AMALGAMATION_PRESETS, amalgamation_preset
@@ -88,7 +87,6 @@ class VerifyConfig:
     panel_width: int | None = None     # P4 blocked panel width override
     nodes: int = 1                     # cluster rank count (cluster only)
     amalgamation: str = "default"      # "default" | "off" | "aggressive"
-    batch_cutoff: int = 0              # stack leaf fronts <= this; 0 = off
 
     def __post_init__(self):
         if self.schedule not in ("post", "liu"):
@@ -107,10 +105,6 @@ class VerifyConfig:
             raise ValueError(
                 f"unknown amalgamation preset {self.amalgamation!r}"
             )
-        if self.batch_cutoff < 0:
-            raise ValueError("batch_cutoff must be >= 0")
-        if self.batch_cutoff > 0 and self.backend == "cluster":
-            raise ValueError("batching is not supported on the cluster backend")
 
     @property
     def label(self) -> str:
@@ -123,8 +117,6 @@ class VerifyConfig:
             parts.append(f"w{self.panel_width}")
         if self.amalgamation != "default":
             parts.append(f"amalg-{self.amalgamation}")
-        if self.batch_cutoff > 0:
-            parts.append(f"batch{self.batch_cutoff}")
         return "/".join(parts)
 
     # ------------------------------------------------------------------
@@ -158,10 +150,6 @@ class VerifyConfig:
             None if self.amalgamation == "default"
             else amalgamation_preset(self.amalgamation)
         )
-        batching = (
-            BatchParams(front_cutoff=self.batch_cutoff)
-            if self.batch_cutoff > 0 else None
-        )
         return SparseCholeskySolver(
             a,
             ordering=self.ordering,
@@ -171,7 +159,6 @@ class VerifyConfig:
             backend=self.backend,
             cluster=cluster,
             amalgamation=amalgamation,
-            batching=batching,
             **kwargs,
         )
 
@@ -329,9 +316,10 @@ def default_pairs(*, gpu_policy: str = "P4") -> list[ConfigPair]:
     condition-scaled bound.
 
     Amalgamation pairs are normwise (a coarser supernode partition
-    reorders the float stream); batching pairs are **bitwise** because
-    stacked small-front execution must not change a single bit of the
-    factors.
+    reorders the float stream).  Stacked small-front execution has no
+    pair of its own: every backend runs the one numerics pass, and its
+    bit-identity to the per-front path is pinned slice by slice in
+    ``tests/test_bench_properties.py``.
     """
     p1 = VerifyConfig(policy="P1")
     gpu = VerifyConfig(policy=gpu_policy)
@@ -404,16 +392,6 @@ def default_pairs(*, gpu_policy: str = "P4") -> list[ConfigPair]:
         ConfigPair(
             "amalgamation default vs off (serial)", p1,
             dataclasses.replace(p1, amalgamation="off"), "normwise",
-        ),
-        ConfigPair(
-            "batched vs unbatched (serial)", p1,
-            dataclasses.replace(p1, batch_cutoff=48), "bitwise",
-        ),
-        ConfigPair(
-            "batched vs unbatched (static)",
-            dataclasses.replace(p1, backend="static"),
-            dataclasses.replace(p1, backend="static", batch_cutoff=48),
-            "bitwise",
         ),
     ]
 

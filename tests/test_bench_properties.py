@@ -22,15 +22,32 @@ than the handful of fixed scenarios:
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import SimulatedNode
-from repro.matrices import random_spd
-from repro.multifrontal import BatchParams, SparseCholeskySolver, factorize_numeric
+from repro.gpu.allocator import DeviceMemoryError
+from repro.gpu.clock import TaskGraph, engine_counters, schedule_graph
+from repro.matrices import elasticity_3d, grid_laplacian_2d, random_spd
+from repro.matrices.csc import csc_from_dense
+from repro.multifrontal import SparseCholeskySolver, batched, factorize_numeric
+from repro.multifrontal.frontal import (
+    assemble_front_planned,
+    assembly_bytes,
+    get_assembly_plan,
+)
+from repro.multifrontal.numeric import FURecord, replay_factorize
+from repro.policies import make_policy
+from repro.policies.base import PolicyP1, Worker
 from repro.symbolic import amalgamation_preset, symbolic_factorize
+from repro.symbolic.stack import stack_minimizing_postorder
+from repro.symbolic.symbolic import factor_update_flops
 from repro.verify.lattice import factor_fingerprint
 
 BACKENDS = ("serial", "static", "dynamic")
@@ -190,58 +207,295 @@ class TestAmalgamationProperties:
         assert len(prints) == 1
 
 
+@contextlib.contextmanager
+def stack_cutoff(rows: int):
+    """Run with the stacking cutoff constant set to ``rows`` (0: no leaf
+    is ever stacked -- the per-front path of every front)."""
+    with mock.patch.object(batched, "STACK_CUTOFF", rows):
+        yield
+
+
+def reference_factorize(a, sym, policy, node, spost=None):
+    """The serial driver as it was before the numerics were separated
+    from the virtual clock, kept here as the oracle: one front at a
+    time, assembly task scheduled, then ``Policy.execute`` (plan,
+    schedule, apply) on the assembled front."""
+    worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
+    plan = get_assembly_plan(a, sym)
+    kids = sym.schildren()
+    updates, final_task, records, panels = {}, {}, [], {}
+    live = peak = 0
+    assembly_seconds = 0.0
+    for s in (sym.spost if spost is None else spost).tolist():
+        k = sym.width(s)
+        size = sym.rows[s].size
+        child_updates = [(c, updates.pop(c)) for c in kids[s] if c in updates]
+        live -= sum(u.nbytes for _, u in child_updates)
+        front = assemble_front_planned(plan, a.data, size, s, child_updates)
+        t_asm = node.model.host_memory_time(
+            assembly_bytes(size, [u.shape[0] for _, u in child_updates])
+        )
+        g = TaskGraph()
+        asm = g.add(
+            f"assemble:{s}", worker.cpu_engine, t_asm,
+            tuple(final_task[c] for c in kids[s]), "assemble",
+        )
+        schedule_graph(g, engines=node.engines)
+        assembly_seconds += t_asm
+        base = policy.resolve(size - k, k, worker) if hasattr(policy, "resolve") else policy
+        try:
+            ex = base.execute(front, k, worker, node, deps=(asm,))
+        except DeviceMemoryError:
+            base = PolicyP1()
+            ex = base.execute(front, k, worker, node, deps=(asm,))
+        final_task[s] = ex.plan.final
+        panels[s] = front[:, :k].copy()
+        if size > k:
+            updates[s] = front[k:, k:].copy()
+            live += updates[s].nbytes
+            peak = max(peak, live)
+        records.append(FURecord(
+            sid=s, m=size - k, k=k, policy=base.name, start=ex.start,
+            end=ex.end, components=ex.plan.duration_by_category(),
+            flops=factor_update_flops(size - k, k),
+        ))
+    return dict(
+        panels=[panels[s] for s in range(sym.n_supernodes)], records=records,
+        makespan=node.now, assembly_seconds=assembly_seconds,
+        peak_update_bytes=peak,
+    )
+
+
+def same_shape_leaves(n_leaves: int, size: int, k: int = 1):
+    """``n_leaves`` decoupled k-column leaf blocks, each tied to one
+    shared dense root block of ``size - k`` columns: under the natural
+    ordering with amalgamation off, ``n_leaves`` same-shape leaf fronts
+    of ``size`` rows."""
+    m = size - k
+    n = n_leaves * k + m
+    dense = np.zeros((n, n))
+    root = slice(n_leaves * k, n)
+    dense[root, root] = 1.0
+    for i in range(n_leaves):
+        cols = slice(i * k, (i + 1) * k)
+        dense[cols, cols] = 1.0
+        dense[root, cols] = dense[cols, root] = 0.5 + 0.001 * i
+    dense[np.diag_indices(n)] = 4.0 * n
+    return csc_from_dense(dense)
+
+
 class TestBatchedExecutionProperties:
     """Stacked small-front execution is a *bitwise* transformation: at
     any cutoff the factors and the deterministic counters match the
-    unbatched run exactly."""
+    unstacked run exactly."""
 
     @settings(max_examples=12, deadline=None)
     @given(spd_problem(), st.integers(0, 64), st.sampled_from(BACKENDS))
     def test_bit_identical_factor_at_any_cutoff(self, a, cutoff, backend):
-        sym = symbolic_factorize(a, ordering="nd")
-        base = _run_backend(a, sym, backend)
-        batched = SparseCholeskySolver.from_symbolic(
-            a, sym, policy="P1", backend=backend,
-            batching=BatchParams(front_cutoff=cutoff),
-        )
-        batched.factorize()
-        assert factor_fingerprint(batched.factor) == factor_fingerprint(
+        with stack_cutoff(0):
+            base = _run_backend(a, symbolic_factorize(a, ordering="nd"), backend)
+        assert base.factor.batch_tasks == 0
+        with stack_cutoff(cutoff):
+            stacked = _run_backend(
+                a, symbolic_factorize(a, ordering="nd"), backend
+            )
+        assert factor_fingerprint(stacked.factor) == factor_fingerprint(
             base.factor
         )
-        # flop counters are pattern-only: bit-stable under batching
-        assert float(batched.stats.total_flops) == float(
+        # the virtual clock never sees the stacking
+        assert stacked.factor.makespan == base.factor.makespan
+        assert stacked.factor.records == base.factor.records
+        assert float(stacked.stats.total_flops) == float(
             base.stats.total_flops
         )
-        assert len(batched.factor.records) == len(base.factor.records)
 
     @settings(max_examples=10, deadline=None)
     @given(spd_problem(), st.integers(1, 64))
     def test_dispatch_accounting_conserved(self, a, cutoff):
         sym = symbolic_factorize(a, ordering="nd")
-        solver = SparseCholeskySolver.from_symbolic(
-            a, sym, policy="P1", backend="serial",
-            batching=BatchParams(front_cutoff=cutoff),
-        )
-        solver.factorize()
-        nf = solver.factor
+        with stack_cutoff(cutoff):
+            nf = _run_backend(a, sym, "serial").factor
         n_super = sym.n_supernodes
         assert nf.task_dispatches == n_super - nf.batched_fronts + nf.batch_tasks
         if nf.batch_tasks:
-            # every batch stacks at least min_batch fronts
+            # every stacked call covers at least two fronts
             assert nf.batched_fronts >= 2 * nf.batch_tasks
             assert nf.task_dispatches < n_super
         else:
             assert nf.batched_fronts == 0
             assert nf.task_dispatches == n_super
         # run-to-run: the counters are bit-stable
-        again = SparseCholeskySolver.from_symbolic(
-            a, sym, policy="P1", backend="serial",
-            batching=BatchParams(front_cutoff=cutoff),
-        )
-        again.factorize()
-        assert (again.factor.batch_tasks, again.factor.batched_fronts) == (
+        again = _run_backend(a, sym, "serial").factor
+        assert (again.batch_tasks, again.batched_fronts) == (
             nf.batch_tasks, nf.batched_fronts
         )
+
+    @staticmethod
+    def _check_slices(a, sym):
+        """Every slice of every group's stacked result equals
+        ``PolicyP1.apply`` on that member's individually assembled front;
+        returns the groups."""
+        plan = get_assembly_plan(a, sym)
+        p1 = PolicyP1()
+        for g in plan.groups:
+            assert 2 <= len(g) <= batched.STACK_CHUNK
+            g_panels, g_updates = batched.factor_batch_group(sym, a.data, g)
+            for i, s in enumerate(g.sids):
+                assert not sym.schildren()[s]
+                assert (sym.rows[s].size, sym.width(s)) == (g.size, g.k)
+                front = assemble_front_planned(plan, a.data, g.size, s, [])
+                p1.apply(front, g.k, None)
+                assert np.array_equal(g_panels[i], front[:, :g.k])
+                if g.m:
+                    assert np.array_equal(g_updates[i], front[g.k:, g.k:])
+                else:
+                    assert g_updates[i] is None
+        return plan.groups
+
+    @settings(max_examples=15, deadline=None)
+    @given(spd_problem(max_n=48), st.sampled_from(("amd", "nd", "natural")),
+           st.integers(2, 64))
+    def test_every_stacked_slice_equals_the_per_front_p1(self, a, ordering, cutoff):
+        with stack_cutoff(cutoff):
+            self._check_slices(a, symbolic_factorize(a, ordering=ordering))
+
+    def test_diagonal_matrix_is_all_stacked_leaves(self):
+        # every supernode a leaf with k = 1, m = 0
+        a = csc_from_dense(np.diag(np.arange(1.0, 41.0)))
+        sym = symbolic_factorize(
+            a, ordering="natural", amalgamation=amalgamation_preset("off")
+        )
+        groups = self._check_slices(a, sym)
+        assert [(g.size, g.k, len(g)) for g in groups] == [(1, 1, 40)]
+        nf = factorize_numeric(a, sym, PolicyP1())
+        assert (nf.batch_tasks, nf.batched_fronts) == (1, 40)
+        assert np.array_equal(
+            np.concatenate([p.ravel() for p in nf.panels]),
+            np.sqrt(np.arange(1.0, 41.0)),
+        )
+
+    def test_chunk_boundary_splits_a_shape_into_near_equal_groups(self):
+        # 129 same-shape k = 1 leaves: one more than a stacked call takes
+        a = same_shape_leaves(batched.STACK_CHUNK + 1, size=4)
+        sym = symbolic_factorize(
+            a, ordering="natural", amalgamation=amalgamation_preset("off")
+        )
+        groups = self._check_slices(a, sym)
+        assert [(g.size, g.k, len(g)) for g in groups] == [(4, 1, 65), (4, 1, 64)]
+        assert groups[0].sids + groups[1].sids == tuple(range(129))
+        with stack_cutoff(0):
+            base = factorize_numeric(
+                a, dataclasses.replace(sym), PolicyP1()
+            )
+        nf = factorize_numeric(a, sym, PolicyP1())
+        assert (nf.batch_tasks, nf.batched_fronts) == (2, 129)
+        assert factor_fingerprint(nf) == factor_fingerprint(base)
+
+    def test_device_leaves_are_never_stacked(self):
+        a = same_shape_leaves(6, size=5, k=2)
+        sym = symbolic_factorize(
+            a, ordering="natural", amalgamation=amalgamation_preset("off")
+        )
+        assert len(get_assembly_plan(a, sym).groups) == 1
+        nf = factorize_numeric(a, sym, make_policy("P4"))
+        assert (nf.batch_tasks, nf.batched_fronts) == (0, 0)
+        assert nf.task_dispatches == sym.n_supernodes
+
+    @pytest.mark.parametrize("nodes", (1, 2, 4))
+    def test_cluster_backend_stacks_and_matches_serial(self, nodes):
+        from repro.cluster.topology import ClusterSpec
+
+        a = grid_laplacian_2d(14, 13)
+        sym = symbolic_factorize(a, ordering="amd")
+        serial = _run_backend(a, sym, "serial").factor
+        solver = SparseCholeskySolver.from_symbolic(
+            a, sym, policy="P1", backend="cluster",
+            cluster=ClusterSpec(n_ranks=nodes, gpus_per_rank=1),
+        )
+        nf = solver.factorize().factor
+        assert nf.batch_tasks > 0
+        assert (nf.batch_tasks, nf.batched_fronts) == (
+            serial.batch_tasks, serial.batched_fronts
+        )
+        assert factor_fingerprint(nf) == factor_fingerprint(serial)
+
+
+class TestVirtualClockInvisibility:
+    """The pricing pass charges every front exactly as the per-front
+    driver did: stacked numerics leave no trace on the virtual clock."""
+
+    MATRICES = {
+        "grid2d": lambda: (grid_laplacian_2d(14, 13), "amd"),
+        "elasticity": lambda: (elasticity_3d(4, 3, 3), "nd"),
+    }
+
+    @pytest.fixture(scope="class")
+    def classifier(self):
+        from repro.autotune import train_default_classifier
+        from repro.gpu import tesla_t10_model
+
+        return train_default_classifier(tesla_t10_model())
+
+    @pytest.mark.parametrize("schedule", ("post", "liu"))
+    @pytest.mark.parametrize("policy", ("P1", "P4", "baseline", "model"))
+    @pytest.mark.parametrize("matrix", sorted(MATRICES))
+    def test_serial_driver_matches_the_per_front_reference(
+        self, matrix, policy, schedule, classifier
+    ):
+        a, ordering = self.MATRICES[matrix]()
+        sym = symbolic_factorize(a, ordering=ordering)
+        solver = SparseCholeskySolver.from_symbolic(
+            a, sym, policy=policy, schedule=schedule, classifier=classifier
+        )
+        nf = solver.factorize().factor
+        if policy != "P4":
+            assert nf.batch_tasks > 0
+        spost = stack_minimizing_postorder(sym) if schedule == "liu" else None
+        ref_node = SimulatedNode(n_cpus=1, n_gpus=1)
+        ref = reference_factorize(a, sym, solver.policy, ref_node, spost)
+
+        assert nf.makespan == ref["makespan"]
+        assert nf.records == ref["records"]
+        assert nf.assembly_seconds == ref["assembly_seconds"]
+        assert nf.peak_update_bytes == ref["peak_update_bytes"]
+        assert engine_counters(solver.node.engines) == engine_counters(
+            ref_node.engines
+        )
+        for g, g_ref in zip(solver.node.gpus, ref_node.gpus):
+            assert g.device_pool.stats == g_ref.device_pool.stats
+            assert g.pinned_pool.stats == g_ref.pinned_pool.stats
+            assert g.cublas.busy_seconds == g_ref.cublas.busy_seconds
+        for got, want in zip(nf.panels, ref["panels"]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("policy", ("P1", "P4", "baseline", "model"))
+    @pytest.mark.parametrize("matrix", sorted(MATRICES))
+    def test_replay_is_the_pricing_pass(self, matrix, policy, classifier):
+        a, ordering = self.MATRICES[matrix]()
+        sym = symbolic_factorize(a, ordering=ordering)
+        solver = SparseCholeskySolver.from_symbolic(
+            a, sym, policy=policy, classifier=classifier
+        )
+        nf = solver.factorize().factor
+        node = SimulatedNode(n_cpus=1, n_gpus=1)
+        rp = replay_factorize(sym, solver.policy, node=node)
+        assert rp.makespan == nf.makespan
+        assert rp.assembly_seconds == nf.assembly_seconds
+        assert engine_counters(node.engines) == engine_counters(
+            solver.node.engines
+        )
+        # a replay record additionally counts its front's assembly task
+        for r, n in zip(rp.records, nf.records, strict=True):
+            assert (r.sid, r.m, r.k, r.policy, r.end, r.flops) == (
+                n.sid, n.m, n.k, n.policy, n.end, n.flops
+            )
+            assert r.start <= n.start
+            extra = dict(r.components)
+            extra["assemble"] -= n.components.get("assemble", 0.0)
+            assert extra["assemble"] > 0.0
+            assert {c: v for c, v in extra.items() if c != "assemble"} == {
+                c: v for c, v in n.components.items() if c != "assemble"
+            }
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,15 @@ class TestKernels:
         with pytest.raises(NotPositiveDefiniteError):
             potrf(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("at", ((0, 0), (3, 3), (3, 1)))
+    def test_potrf_rejects_nonfinite(self, rng, at, bad):
+        # an optimized LAPACK does not trip on these by itself
+        a = spd(4, rng)
+        a[at] = a[at[::-1]] = bad
+        with pytest.raises(NotPositiveDefiniteError):
+            potrf(a)
+
     def test_potrf_rejects_nonsquare(self, rng):
         with pytest.raises(ValueError):
             potrf(rng.normal(size=(3, 4)))
@@ -103,9 +112,12 @@ class TestBlockedPanels:
         assert np.allclose(work[k:, k:], ref_u)
 
     def test_upper_triangle_zeroed(self, rng):
-        work = spd(10, rng)
-        blocked_cholesky_panels(work, 6, 3, HostKernels())
-        assert np.allclose(np.triu(work[:6, :6], 1), 0.0)
+        for s, k, w in [(10, 6, 3), (30, 12, 5), (25, 25, 8), (33, 10, 64)]:
+            work = spd(s, rng)
+            blocked_cholesky_panels(work, k, w, HostKernels())
+            upper = work[:k, :k][np.triu_indices(k, 1)]
+            # +0.0 in every entry, ragged last panel included
+            assert not upper.any() and not np.signbit(upper).any()
 
     def test_full_factor_when_k_equals_s(self, rng):
         f = spd(20, rng)

@@ -16,11 +16,13 @@ The machine-independent oracle for the gather map is
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,7 @@ from repro.matrices import (
     grid_laplacian_3d,
     load_test_matrix,
 )
-from repro.multifrontal import SparseCholeskySolver, factorize_numeric
-from repro.multifrontal.batched import BatchParams
+from repro.multifrontal import SparseCholeskySolver, batched, factorize_numeric
 from repro.policies.base import PolicyP1
 from repro.symbolic import symbolic_factorize
 
@@ -44,15 +45,19 @@ BUILD = {
     "elasticity_3d/amd": lambda: elasticity_3d(8, 7, 7),
 }
 
-#: every P1 execution mode must give the panels of ``serial``
+#: every P1 execution mode must give the panels of ``serial`` (recorded
+#: before any leaf front ran stacked)
 P1_MODES = {
     "serial": dict(backend="serial"),
     "static": dict(backend="static"),
     "dynamic": dict(backend="dynamic"),
     "cluster": dict(backend="cluster"),
-    "batched": dict(backend="serial", batching=BatchParams(front_cutoff=32)),
-    "batched-static": dict(backend="static", batching=BatchParams(front_cutoff=32)),
+    "batched": dict(backend="serial"),
+    "batched-static": dict(backend="static"),
 }
+#: these run with the stacking cutoff lifted: every same-shape leaf
+#: group runs stacked, whatever its front size
+UNCAPPED = ("batched", "batched-static")
 
 PINNED = {
     "canary":
@@ -123,13 +128,20 @@ def compute_digests() -> dict[str, str]:
         a = build()
         sf = symbolic_factorize(a, ordering=case.split("/")[1])
 
-        def solver(**kwargs):
-            return SparseCholeskySolver.from_symbolic(a, sf, **kwargs)
+        def solver(symbolic=sf, **kwargs):
+            return SparseCholeskySolver.from_symbolic(a, symbolic, **kwargs)
 
-        by_mode = {
-            mode: panel_digest(solver(policy="P1", **kwargs).factorize().factor)
-            for mode, kwargs in P1_MODES.items()
-        }
+        by_mode = {}
+        for mode, kwargs in P1_MODES.items():
+            # uncapped on a copy of ``sf``: the stack groups are cached on it
+            cutoff, symbolic = (
+                (a.n_rows, dataclasses.replace(sf)) if mode in UNCAPPED
+                else (batched.STACK_CUTOFF, sf)
+            )
+            with mock.patch.object(batched, "STACK_CUTOFF", cutoff):
+                factor = solver(symbolic, policy="P1", **kwargs).factorize().factor
+            assert factor.batch_tasks > 0
+            by_mode[mode] = panel_digest(factor)
         out[f"{case} P1"] = by_mode.pop("serial")
         out.update({
             f"{case} P1 {mode}": digest for mode, digest in by_mode.items()
