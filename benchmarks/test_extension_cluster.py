@@ -11,7 +11,7 @@ interconnect.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.cluster import ClusterSpec, simulate_cluster
+from repro.cluster import ClusterSpec, cluster_replay
 from repro.policies import make_policy
 
 
@@ -20,12 +20,12 @@ def test_extension_cluster(suite, model, save, benchmark):
     p1 = make_policy("P1")
     hybrid = suite.policy("ideal")
 
-    serial = simulate_cluster(sf, p1, ClusterSpec(1, 0, model=model)).makespan
+    serial = cluster_replay(sf, p1, ClusterSpec(1, 0, model=model)).makespan
     rows = []
     results = {}
     for n_ranks in (1, 2, 4, 8):
-        cpu = simulate_cluster(sf, p1, ClusterSpec(n_ranks, 0, model=model))
-        gpu = simulate_cluster(sf, hybrid, ClusterSpec(n_ranks, 1, model=model))
+        cpu = cluster_replay(sf, p1, ClusterSpec(n_ranks, 0, model=model))
+        gpu = cluster_replay(sf, hybrid, ClusterSpec(n_ranks, 1, model=model))
         results[n_ranks] = (cpu, gpu)
         rows.append(
             [n_ranks,
@@ -62,5 +62,5 @@ def test_extension_cluster(suite, model, save, benchmark):
     assert results[8][0].utilization() < 0.9  # Amdahl visibly bites
 
     benchmark(
-        lambda: simulate_cluster(sf, p1, ClusterSpec(2, 0, model=model)).makespan
+        lambda: cluster_replay(sf, p1, ClusterSpec(2, 0, model=model)).makespan
     )

@@ -10,7 +10,7 @@ Run:  python examples/cluster_scaling.py
 """
 
 from repro.analysis import format_table
-from repro.cluster import ClusterSpec, InterconnectParams, simulate_cluster
+from repro.cluster import ClusterSpec, InterconnectParams, cluster_replay
 from repro.gpu import tesla_t10_model
 from repro.policies import IdealHybrid, make_policy
 from repro.workload import paper_workload
@@ -26,12 +26,12 @@ def main() -> None:
 
     p1 = make_policy("P1")
     hybrid = IdealHybrid(model)
-    serial = simulate_cluster(sf, p1, ClusterSpec(1, 0, model=model)).makespan
+    serial = cluster_replay(sf, p1, ClusterSpec(1, 0, model=model)).makespan
     print(f"serial host: {serial:.1f} simulated seconds\n")
 
     rows = []
     for n_ranks in (1, 2, 4, 8, 16):
-        res = simulate_cluster(
+        res = cluster_replay(
             sf, hybrid, ClusterSpec(n_ranks, 1, model=model)
         )
         rows.append(
@@ -48,7 +48,7 @@ def main() -> None:
     # how much does the network matter?
     print("\nnetwork sensitivity (8 ranks):")
     for label, bw in (("IB-DDR 1.5 GB/s", 1.5e9), ("GigE 0.1 GB/s", 1e8)):
-        res = simulate_cluster(
+        res = cluster_replay(
             sf, hybrid,
             ClusterSpec(8, 1, model=model,
                         interconnect=InterconnectParams(bandwidth=bw)),

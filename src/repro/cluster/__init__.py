@@ -18,23 +18,19 @@ system on top of the same simulation substrate:
   matrix crosses the network (latency + bytes/bandwidth, serialized on
   the sender's NIC), delivered with a send-order seq tiebreak for
   determinism;
-* a **cluster event loop** (:mod:`runtime`) — the fan-both execution:
-  per-node ready deques driven by one merged
+* **fleet execution** (:mod:`runtime`) — fan-both on the one
+  event-driven executor (:mod:`repro.runtime.engine`) with its tasks
+  pinned to their owners: per-node ready deques driven by one merged
   :class:`~repro.runtime.events.EventQueue`; ancestors above the
   separator layer receive asynchronous update contributions at message
-  arrival.  :func:`cluster_factorize` produces factors bit-identical to
+  arrival.  :func:`cluster_replay` prices a whole factorization on a
+  :class:`ClusterSpec` and reports makespan, per-node utilization, and
+  communication volume — the quantities a cluster-scaling study needs;
+  :func:`cluster_factorize` also produces the factor, bit-identical to
   ``backend="serial"`` at any node count;
 * a **sharded serving fleet** (:mod:`fleet`) — pattern-affinity request
   routing across node-local :class:`~repro.service.SolverService`
-  shards with replica failover under injected node faults;
-* the legacy **pricing path** (:mod:`simulate`): one task graph for the
-  whole cluster on the shared engine set — same quantities, no event
-  loop, kept as an independent cross-check.
-
-``simulate_cluster`` prices a whole factorization on a
-:class:`ClusterSpec` and reports makespan, per-rank utilization, and
-communication volume — the quantities a cluster-scaling study needs;
-``cluster_replay``/``cluster_factorize`` run the event-driven fleet.
+  shards with replica failover under injected node faults.
 """
 
 from repro.cluster.fleet import ShardedSolverService, ShardRouter
@@ -46,26 +42,21 @@ from repro.cluster.interconnect import (
 from repro.cluster.mapping import map_subtrees_to_ranks, subtree_flops
 from repro.cluster.runtime import (
     ClusterRunResult,
-    ClusterRuntime,
     cluster_factorize,
     cluster_replay,
 )
-from repro.cluster.simulate import ClusterResult, simulate_cluster
 from repro.cluster.topology import ClusterSpec, InterconnectParams
 
 __all__ = [
     "ClusterSpec",
     "InterconnectParams",
-    "ClusterResult",
     "ClusterRunResult",
-    "ClusterRuntime",
     "Interconnect",
     "Message",
     "ShardRouter",
     "ShardedSolverService",
     "cluster_factorize",
     "cluster_replay",
-    "simulate_cluster",
     "map_subtrees_to_ranks",
     "subtree_flops",
     "update_message_bytes",

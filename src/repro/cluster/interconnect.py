@@ -78,13 +78,15 @@ class Interconnect:
             busy[msg.src] += msg.wire_seconds
         return busy
 
-    def send(
-        self, src: int, dst: int, sid: int, nbytes: int, ready: float
+    def send_update(
+        self, src: int, dst: int, sid: int, m: int, ready: float
     ) -> Message:
-        """Enqueue ``nbytes`` from ``src`` to ``dst``, available at
-        ``ready``; returns the scheduled :class:`Message`."""
+        """Enqueue supernode ``sid``'s ``m x m`` update block from ``src``
+        to ``dst``, available at ``ready``; returns the scheduled
+        :class:`Message`."""
         if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
             raise ValueError("message endpoints outside the cluster")
+        nbytes = update_message_bytes(m)
         start = max(float(ready), self._nic_free[src])
         send_end = start + nbytes / self.params.bandwidth
         arrival = send_end + self.params.latency

@@ -6,10 +6,10 @@ full-crossbar interconnect priced per message as
 ``latency + bytes / bandwidth`` and serialized on the sender's NIC.
 
 :class:`ClusterSpec` is the single description every cluster entry
-point takes — the pricing-only :func:`repro.cluster.simulate.simulate_cluster`,
-the event-driven :class:`repro.cluster.runtime.ClusterRuntime`, and the
-``backend="cluster"`` mode of
-:class:`repro.multifrontal.SparseCholeskySolver`.
+point takes — :func:`repro.cluster.runtime.cluster_replay` and
+:func:`~repro.cluster.runtime.cluster_factorize`, which hand its rank
+workers to the event-driven executor, and the ``backend="cluster"``
+mode of :class:`repro.multifrontal.SparseCholeskySolver`.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.gpu.cublas import panel_kernel_sequence
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.frontal import extend_add
+from repro.multifrontal.frontal import extend_add, scatter_a_entries
 from repro.multifrontal.numeric import FURecord, NumericFactor
 from repro.policies.base import PolicyP1, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
@@ -178,7 +178,7 @@ def factorize_resident(
             # --- assemble on the device ---------------------------------
             if numerics:
                 front32 = np.zeros((size, size), dtype=np.float32)
-                _scatter_a_entries(front32, a_lower, sf, s)
+                scatter_a_entries(front32, a_lower, sf, s)
             a_bytes = (
                 _a_entry_bytes(a_lower, sf, s, word)
                 if a_lower is not None
@@ -258,7 +258,7 @@ def factorize_resident(
             # --- bring device children home, assemble and factor on host
             if numerics:
                 front = np.zeros((size, size), dtype=np.float64)
-                _scatter_a_entries(front, a_lower, sf, s)
+                scatter_a_entries(front, a_lower, sf, s)
             last_deps = list(deps)
             host_asm_bytes = size * size * 8.0
             for crows, cu, loc in child_data:
@@ -317,22 +317,6 @@ def factorize_resident(
         assembly_seconds=assembly_seconds,
     )
     return nf, stats
-
-
-def _scatter_a_entries(front, a_lower: CSCMatrix, sf: SymbolicFactor, s: int) -> None:
-    rows = sf.rows[s]
-    f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
-    for j in range(f_col, l_col):
-        ridx, vals = a_lower.column(j)
-        keep = ridx >= j
-        ridx, vals = ridx[keep], vals[keep]
-        pos = np.searchsorted(rows, ridx)
-        if pos.size and (np.any(pos >= rows.size) or np.any(rows[pos] != ridx)):
-            raise ValueError(f"supernode {s}: entries outside symbolic pattern")
-        jj = j - f_col
-        front[pos, jj] += vals
-        off = ridx != j
-        front[jj, pos[off]] += vals[off]
 
 
 def _a_entry_bytes(a_lower: CSCMatrix, sf: SymbolicFactor, s: int, word: int) -> float:

@@ -34,6 +34,7 @@ __all__ = [
     "build_assembly_plan",
     "extend_add",
     "get_assembly_plan",
+    "scatter_a_entries",
     "assembly_bytes",
 ]
 
@@ -62,18 +63,29 @@ def assemble_front(
     -------
     The assembled (k+m) x (k+m) float64 frontal matrix.
     """
+    size = sf.rows[s].size
+    front = np.zeros((size, size), dtype=np.float64)
+    scatter_a_entries(front, a_lower, sf, s)
+    # fold in the children
+    for crows, cu in child_updates:
+        extend_add(front, sf.rows[s], crows, cu)
+    return front
+
+
+def scatter_a_entries(
+    front: np.ndarray, a_lower: CSCMatrix, sf: SymbolicFactor, s: int
+) -> None:
+    """Scatter-add the original entries of supernode ``s``'s columns into
+    its (zeroed, full symmetric) ``front``, one column at a time."""
     rows = sf.rows[s]
     f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
-    size = rows.size
-    front = np.zeros((size, size), dtype=np.float64)
-    # scatter original entries of the supernode's columns
     for j in range(f_col, l_col):
         ridx, vals = a_lower.column(j)
         keep = ridx >= j
         ridx, vals = ridx[keep], vals[keep]
         pos = np.searchsorted(rows, ridx)
         if pos.size:
-            if np.any(pos >= size) or np.any(rows[pos] != ridx):
+            if np.any(pos >= rows.size) or np.any(rows[pos] != ridx):
                 raise ValueError(
                     f"supernode {s}: matrix entries outside symbolic pattern"
                 )
@@ -81,10 +93,6 @@ def assemble_front(
             front[pos, jj] += vals
             off = ridx != j  # mirror off-diagonal entries only
             front[jj, pos[off]] += vals[off]
-    # fold in the children
-    for crows, cu in child_updates:
-        extend_add(front, rows, crows, cu)
-    return front
 
 
 def extend_add(

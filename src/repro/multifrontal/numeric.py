@@ -228,30 +228,27 @@ def _price_postorder(
     return records, bases, assembly_seconds
 
 
-def postorder_numeric_factor(
+def _numeric_walk(
     a: CSCMatrix,
     sf: SymbolicFactor,
     bases: list[Policy],
     worker: Worker,
-    node: SimulatedNode,
-    records: list[FURecord],
-    *,
-    makespan: float,
-    spost: "np.ndarray | None" = None,
-    assembly_seconds: float = 0.0,
-) -> NumericFactor:
-    """The numerics pass: every panel of ``P A P^T = L L^T``, computed in
-    postorder against one worker under the per-supernode policies
-    ``bases``.
+    order: "np.ndarray",
+) -> tuple[list["np.ndarray | None"], dict[int, np.ndarray], int, int, int]:
+    """The floating-point walk over the supernodes of ``order`` (children
+    before parents): assemble each front, run its factor-update under
+    ``bases[s]``, hand the update matrix to the parent.
 
-    This is what makes every backend — serial, static, dynamic and the
-    cluster loop — bit-identical: whatever schedule priced ``records``
-    and ``makespan``, the floating-point work runs here, one way.
-    Same-shape host-P1 leaf fronts run stacked
-    (:mod:`repro.multifrontal.batched`), bit-identical per slice to the
-    per-front path; a group any member of which resolved elsewhere (a
-    device policy computes in float32) stays per front.
+    Returns the panels (``None`` outside ``order``), the updates nobody
+    in ``order`` consumed (in the order they were produced; none when
+    ``order`` covers the tree), the peak live update bytes, and the
+    stacked calls issued / fronts they covered.  Same-shape host-P1 leaf
+    fronts run stacked (:mod:`repro.multifrontal.batched`), bit-identical
+    per slice to the per-front path; a group any member of which
+    resolved elsewhere (a device policy computes in float32) or lies
+    outside ``order`` stays per front.
     """
+    order = np.asarray(order).tolist()
     kids = sf.schildren()
     plan = get_assembly_plan(a, sf)
     a_data = a.data
@@ -260,16 +257,18 @@ def postorder_numeric_factor(
     live_update_bytes = 0
     peak_update_bytes = 0
 
+    walked = np.zeros(sf.n_supernodes, dtype=bool)
+    walked[order] = True
     group_of: dict[int, BatchGroup] = {}
     for g in plan.groups:
-        if all(type(bases[s]) is PolicyP1 for s in g.sids):
+        if all(type(bases[s]) is PolicyP1 and walked[s] for s in g.sids):
             group_of.update(dict.fromkeys(g.sids, g))
     #: per-member (panel, update) of the groups factored so far, consumed
     #: when the member's turn comes
     stacked: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     batch_tasks = 0
 
-    for s in np.asarray(sf.spost if spost is None else spost).tolist():
+    for s in order:
         g = group_of.get(s)
         if g is not None:
             if s not in stacked:
@@ -292,8 +291,34 @@ def postorder_numeric_factor(
             updates[s] = u
             live_update_bytes += u.nbytes
             peak_update_bytes = max(peak_update_bytes, live_update_bytes)
+    return panels, updates, peak_update_bytes, batch_tasks, len(group_of)
 
-    if updates:
+
+def postorder_numeric_factor(
+    a: CSCMatrix,
+    sf: SymbolicFactor,
+    bases: list[Policy],
+    worker: Worker,
+    node: SimulatedNode,
+    records: list[FURecord],
+    *,
+    makespan: float,
+    spost: "np.ndarray | None" = None,
+    assembly_seconds: float = 0.0,
+) -> NumericFactor:
+    """The numerics pass: every panel of ``P A P^T = L L^T``, computed in
+    postorder against one worker under the per-supernode policies
+    ``bases``.
+
+    This is what makes every backend — serial, static, dynamic and the
+    cluster loop — bit-identical: whatever schedule priced ``records``
+    and ``makespan``, the floating-point work runs here
+    (:func:`_numeric_walk`), one way.
+    """
+    panels, leftover, peak_update_bytes, batch_tasks, batched_fronts = (
+        _numeric_walk(a, sf, bases, worker, sf.spost if spost is None else spost)
+    )
+    if leftover:
         raise AssertionError("unconsumed update matrices: symbolic tree broken")
 
     return NumericFactor(
@@ -305,7 +330,7 @@ def postorder_numeric_factor(
         peak_update_bytes=peak_update_bytes,
         assembly_seconds=assembly_seconds,
         batch_tasks=batch_tasks,
-        batched_fronts=len(group_of),
+        batched_fronts=batched_fronts,
     )
 
 

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.allocator import DeviceMemoryError
-from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.frontal import assemble_front, assembly_bytes, extend_add
-from repro.multifrontal.numeric import FURecord
-from repro.policies.base import Policy, PolicyP1, Worker
-from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
+from repro.multifrontal.frontal import extend_add
+from repro.multifrontal.numeric import FURecord, _numeric_walk, _price_postorder
+from repro.policies.base import Policy, Worker
+from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = ["PartialFactorization", "partial_factorize", "solve_with_schur"]
 
@@ -91,20 +89,16 @@ def partial_factorize(
         node = SimulatedNode(n_cpus=1, n_gpus=1)
     worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
 
-    # snap the boundary to a supernode edge
+    # snap the boundary to a supernode edge: supernodes [0, boundary)
+    # are eliminated
     boundary = int(np.searchsorted(sf.super_ptr, n_eliminate, side="right")) - 1
     n_elim_cols = int(sf.super_ptr[boundary])
-    last_super = boundary  # supernodes [0, boundary) are eliminated
-
-    a_perm = a.permute_symmetric(sf.perm)
-    a_lower = a_perm.lower_triangle()
-    kids = sf.schildren()
-    p1 = PolicyP1()
 
     n = sf.n
     n_keep = n - n_elim_cols
     schur = np.zeros((n_keep, n_keep))
     # seed with the original entries of the kept block
+    a_lower = a.permute_symmetric(sf.perm).lower_triangle()
     for j in range(n_elim_cols, n):
         ridx, vals = a_lower.column(j)
         keep = ridx >= j
@@ -115,70 +109,30 @@ def partial_factorize(
         off = ridx != j
         schur[jj, ii[off]] += vals[off]
 
-    updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    final_task: dict[int, object] = {}
-    records: list[FURecord] = []
-    panels_store: dict[int, np.ndarray] = {}
+    # the serial driver's two passes, stopped at the boundary: price the
+    # eliminated supernodes, then run the numerics walk over them
+    order = sf.spost[sf.spost < boundary]
+    records, bases, _ = _price_postorder(
+        sf, policy, node, worker, order, assembly_in_record=False
+    )
+    panels, leftover, _, _, _ = _numeric_walk(a, sf, bases, worker, order)
 
-    for s in sf.spost:
-        s = int(s)
-        if s >= last_super:
-            continue
-        rows = sf.rows[s]
-        k = sf.width(s)
-        m = rows.size - k
-        child_ids = [c for c in kids[s] if c < last_super]
-        child_updates = [updates.pop(c) for c in child_ids if c in updates]
-        front = assemble_front(a_lower, sf, s, child_updates)
-        t_asm = node.model.host_memory_time(
-            assembly_bytes(rows.size, [cr.size for cr, _ in child_updates])
-        )
-        g = TaskGraph()
-        deps = tuple(final_task[c] for c in child_ids if c in final_task)
-        asm = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
-        schedule_graph(g, engines=node.engines)
-        base = policy.resolve(m, k, worker) if hasattr(policy, "resolve") else policy
-        try:
-            execution = base.execute(front, k, worker, node, deps=(asm,))
-        except DeviceMemoryError:
-            base = PolicyP1()
-            execution = base.execute(front, k, worker, node, deps=(asm,))
-        final_task[s] = execution.plan.final
-        records.append(
-            FURecord(
-                sid=s, m=m, k=k, policy=base.name,
-                start=execution.start, end=execution.end,
-                components=execution.plan.duration_by_category(),
-                flops=factor_update_flops(m, k),
+    # the updates nobody inside consumed reach the kept block: they *are*
+    # the Schur complement contributions (folded in postorder)
+    kept_rows = np.arange(n_elim_cols, n, dtype=np.int64)
+    for s, u in leftover.items():
+        urows = sf.rows[s][sf.width(s):]
+        if urows.min() < n_elim_cols:
+            raise AssertionError(
+                "update of an eliminated supernode reaches back "
+                "into the eliminated block"
             )
-        )
-        panel = front[:, :k].copy()
-        if m > 0:
-            u = front[k:, k:].copy()
-            urows = rows[k:]
-            parent = int(sf.sparent[s])
-            if 0 <= parent < last_super:
-                updates[s] = (urows, u)
-            else:
-                # the update reaches the kept block: fold it into the
-                # Schur complement (all its rows are >= the boundary)
-                if urows.min() < n_elim_cols:
-                    raise AssertionError(
-                        "update of an eliminated supernode reaches back "
-                        "into the eliminated block"
-                    )
-                extend_add(
-                    schur,
-                    np.arange(n_elim_cols, n, dtype=np.int64),
-                    urows,
-                    u,
-                )
-        panels_store[s] = panel  # type: ignore[name-defined]
+        extend_add(schur, kept_rows, urows, u)
 
     return PartialFactorization(
         n_eliminated=n_elim_cols,
         schur=schur,
-        panels=panels_store,  # type: ignore[name-defined]
+        panels={s: panels[s] for s in order.tolist()},
         records=records,
         makespan=node.now,
         perm=sf.perm,

@@ -14,9 +14,11 @@ the default (``parallel_factorize(..., backend="static")``).  The
 event-driven runtime in :mod:`repro.runtime` plugs in behind the same
 entry point as ``backend="dynamic"`` — work stealing, memory-aware
 admission, dispatch-time policy selection, fault injection — and
-produces bit-identical factors.
+produces bit-identical factors.  Both price their tasks through the
+one :class:`TaskPricer` (:mod:`repro.parallel.pricing`).
 """
 
+from repro.parallel.pricing import TaskPricer
 from repro.parallel.scheduler import (
     ParallelResult,
     ScheduledTask,
@@ -32,4 +34,5 @@ __all__ = [
     "ScheduledTask",
     "ParallelResult",
     "parallel_factorize",
+    "TaskPricer",
 ]

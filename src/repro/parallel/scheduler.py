@@ -22,14 +22,14 @@ import numpy as np
 
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.frontal import assembly_bytes
 from repro.multifrontal.numeric import (
     FURecord,
     NumericFactor,
     postorder_numeric_factor,
 )
+from repro.parallel.pricing import TaskPricer
 from repro.parallel.workers import WorkerPool
-from repro.policies.base import Policy, PolicyP1, Worker, estimate_policy_time
+from repro.policies.base import Policy, PolicyP1, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 __all__ = [
@@ -89,50 +89,6 @@ class ParallelResult:
         return float(np.mean(self.worker_busy) / self.makespan)
 
 
-def _task_durations(
-    sf: SymbolicFactor,
-    policy: Policy,
-    pool: WorkerPool,
-) -> tuple[np.ndarray, list[str]]:
-    """Per-supernode durations (assembly + F-U) and resolved policy names.
-
-    Durations are isolated per-call makespans from the performance model;
-    a worker without a GPU falls back to P1 — handled at placement time
-    by pricing both variants.
-    """
-    model = pool.node.model
-    n_super = sf.n_supernodes
-    dur = np.zeros(n_super)
-    names: list[str] = []
-    gpu_worker = pool.gpu_worker()
-    probe_worker = gpu_worker if gpu_worker is not None else pool.workers[0]
-    kids = sf.schildren()
-    dur_cache: dict[tuple[int, int], tuple[float, str]] = {}
-    for s in range(n_super):
-        k = sf.width(s)
-        m = sf.update_size(s)
-        key = (m, k)
-        hit = dur_cache.get(key)
-        if hit is None:
-            base = (
-                policy.resolve(m, k, probe_worker)
-                if hasattr(policy, "resolve")
-                else policy
-            )
-            t_fu = estimate_policy_time(base, m, k, model)
-            hit = (t_fu, base.name)
-            dur_cache[key] = hit
-        t_fu, name = hit
-        t_asm = model.host_memory_time(
-            assembly_bytes(
-                sf.rows[s].size, [sf.rows[c].size - sf.width(c) for c in kids[s]]
-            )
-        )
-        dur[s] = t_fu + t_asm
-        names.append(name)
-    return dur, names
-
-
 def list_schedule(
     sf: SymbolicFactor,
     policy: Policy,
@@ -148,15 +104,11 @@ def list_schedule(
     """
     n_super = sf.n_supernodes
     p = pool.n_workers
-    dur, names = _task_durations(sf, policy, pool)
-
+    pricer = TaskPricer(sf, policy, pool.node.model, pool.workers)
+    asm = pricer.assembly_times()
     # upward rank: seconds from this task to the root, inclusive
-    rank = dur.copy()
-    order = list(sf.spost[::-1])  # parents first
-    for s in order:
-        parent = int(sf.sparent[s])
-        if parent >= 0:
-            rank[s] = dur[s] + rank[parent]
+    rank = pricer.upward_ranks()
+    any_gpu = pricer.gpu_worker is not None
 
     flops = np.array(
         [sum(factor_update_flops(sf.update_size(s), sf.width(s)))
@@ -180,23 +132,28 @@ def list_schedule(
         deps_done = max((finish[c] for c in kids[s]), default=0.0)
         gang = p > 1 and flops[s] >= gang_threshold
         if gang:
+            # the whole pool runs it: priced on the pool's best shape
+            fu, name = pricer.fu_time(s, any_gpu)
             start = max(deps_done, max(worker_free))
             speed = 1.0 + (p - 1) * gang_efficiency
-            end = start + dur[s] / speed
+            end = start + (fu + asm[s]) / speed
             for w in range(p):
                 worker_free[w] = end
                 worker_busy[w] += (end - start)
-            schedule.append(ScheduledTask(s, -1, start, end, names[s], True))
+            schedule.append(ScheduledTask(s, -1, start, end, name, True))
         else:
-            # earliest-start placement
+            # earliest-start placement, priced on the worker it lands on
+            # (a worker that owns no GPU runs a device policy as host P1)
             best_w = min(
                 range(p), key=lambda w: (max(worker_free[w], deps_done), w)
             )
+            fu, name = pricer.fu_time(s, pool.workers[best_w].has_gpu)
+            dur = fu + asm[s]
             start = max(worker_free[best_w], deps_done)
-            end = start + dur[s]
+            end = start + dur
             worker_free[best_w] = end
-            worker_busy[best_w] += dur[s]
-            schedule.append(ScheduledTask(s, best_w, start, end, names[s], False))
+            worker_busy[best_w] += dur
+            schedule.append(ScheduledTask(s, best_w, start, end, name, False))
         finish[s] = end
         done += 1
         parent = int(sf.sparent[s])

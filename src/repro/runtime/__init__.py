@@ -7,9 +7,11 @@ time, not schedule time.
 
 * :mod:`repro.runtime.events` — event heap, virtual clock, and the
   per-worker priority deques;
-* :mod:`repro.runtime.engine` — the discrete-event loop: work stealing
-  (steal-half from the back, priority = upward rank), memory-aware
-  admission (update-stack + device high-water vs. a byte budget), and
+* :mod:`repro.runtime.engine` — the discrete-event loop, the only one
+  in the code base: tasks migrating with work stealing (steal-half from
+  the back, priority = upward rank) or pinned to an owner map with
+  cross-owner updates travelling as messages, memory-aware admission
+  (update-stack + device high-water vs. a byte budget), and
   dispatch-time policy selection;
 * :mod:`repro.runtime.faults` — injectable GPU kernel failures and
   transfer stalls with retry-once-then-degrade-to-P1 semantics.
@@ -17,7 +19,9 @@ time, not schedule time.
 Use it through ``parallel_factorize(..., backend="dynamic")`` or
 :class:`~repro.multifrontal.solver.SparseCholeskySolver`'s
 ``backend="dynamic"``; :func:`dynamic_schedule` is the timing-only
-entry point (the analog of :func:`repro.parallel.list_schedule`).
+entry point (the analog of :func:`repro.parallel.list_schedule`), and
+:func:`repro.cluster.cluster_replay` the one that pins the tasks to a
+fleet.
 """
 
 from repro.runtime.engine import (

@@ -1,20 +1,33 @@
-"""Asynchronous event-driven execution of the supernodal task DAG.
+"""The event-driven executor of the supernodal task DAG.
 
 Where :func:`repro.parallel.list_schedule` binds every task to a worker
-up front, :func:`dynamic_schedule` decides *at run time*:
+up front, this loop decides *at run time*.  It is the one event loop of
+the code base; what differs between its uses is the task-to-worker
+mapping it is handed, not the loop:
 
-* **per-worker ready deques + work stealing** — each worker pops its
-  highest-upward-rank ready task; an idle worker steals half of the
-  busiest deque from the back (low-priority end), so critical-path work
-  stays local and the steal amortizes over several tasks;
+* **migrating tasks** (no ``owner``; :func:`dynamic_schedule`, one node)
+  — per-worker ready deques + work stealing: the frontier is seeded on
+  one worker, a parent becomes ready on the worker that finished its
+  last child, each worker pops its highest-upward-rank ready task, and
+  an idle worker steals half of the busiest deque from the back
+  (low-priority end), so critical-path work stays local and the steal
+  amortizes over several tasks;
+* **pinned tasks** (an ``owner`` vector and an interconnect;
+  :func:`repro.cluster.cluster_replay`, a fleet of nodes) — every task
+  runs on its owner, nothing is stolen, and a tree edge whose child and
+  parent have different owners carries the child's update block across
+  the interconnect as a message: the sender moves on immediately
+  (fan-both, no global barrier) and the parent's dependency is
+  satisfied at message *arrival*, not at the child's completion;
 * **memory-aware admission** — before a front starts, the runtime
   projects the live update-stack (Liu's accounting from
   :mod:`repro.symbolic.stack`) plus the device high-water mark (the
   grow-only :class:`~repro.gpu.allocator.HighWaterMarkPool` of each
   simulated GPU) and refuses to start the front when the projection
   exceeds the budget — the task is deferred, not dropped.  If deferral
-  ever gridlocks the machine (nothing running, nothing admissible), the
-  single best task is force-admitted so completion is guaranteed;
+  ever gridlocks the machine (nothing running, no event pending,
+  nothing admissible), the single best task is force-admitted so
+  completion is guaranteed;
 * **dispatch-time policy selection** — the placement policy (P1..P4 via
   a hybrid selector) is resolved for the worker that actually picks the
   task up, at the moment it starts; a CPU-only worker transparently
@@ -26,7 +39,7 @@ up front, :func:`dynamic_schedule` decides *at run time*:
 
 The engine is a deterministic discrete-event simulation on a virtual
 clock (:mod:`repro.runtime.events`): identical inputs produce identical
-schedules, steal sequences, and fault outcomes.
+schedules, steal sequences, message orders, and fault outcomes.
 """
 
 from __future__ import annotations
@@ -37,10 +50,10 @@ import numpy as np
 
 from repro.gpu.allocator import DeviceMemoryError
 from repro.gpu.clock import SimTask
-from repro.multifrontal.frontal import assembly_bytes
+from repro.parallel.pricing import TaskPricer
 from repro.parallel.scheduler import ScheduledTask
 from repro.parallel.workers import WorkerPool
-from repro.policies.base import Policy, PolicyP1, estimate_policy_time
+from repro.policies.base import Policy, Worker
 from repro.runtime.events import EventQueue, ReadyDeque
 from repro.runtime.faults import FaultInjector
 from repro.symbolic.stack import update_bytes
@@ -50,125 +63,9 @@ __all__ = [
     "RuntimeStats",
     "RuntimeResult",
     "DynamicRuntime",
-    "TaskPricer",
     "dynamic_schedule",
     "schedule_peak_update_bytes",
 ]
-
-
-class TaskPricer:
-    """Dispatch-time task pricing shared by the dynamic runtime and the
-    cluster event loop (:mod:`repro.cluster.runtime`).
-
-    Caches per-``(m, k, has_gpu)`` factor-update durations with the
-    policy resolved against a representative worker, assembly times,
-    P1 fallback times, upward-rank priorities, and the device
-    working-set demand of Section IV-B.  Policies discriminate only on
-    GPU presence, so one GPU exemplar and one CPU-only exemplar price
-    every worker of that shape.
-    """
-
-    def __init__(
-        self,
-        sf: SymbolicFactor,
-        policy: Policy,
-        model,
-        *,
-        gpu_worker=None,
-        cpu_worker=None,
-    ):
-        self.sf = sf
-        self.policy = policy
-        self.model = model
-        self._gpu_worker = gpu_worker
-        self._cpu_worker = cpu_worker
-        self._p1 = PolicyP1()
-        self._kids = sf.schildren()
-        # (m, k, has_gpu) -> (fu seconds, resolved policy name)
-        self._dur_cache: dict[tuple[int, int, bool], tuple[float, str]] = {}
-        # (m, k) -> P1 seconds, for dispatch-time fallbacks
-        self._p1_cache: dict[tuple[int, int], float] = {}
-        self._asm: np.ndarray | None = None
-
-    def representative(self, has_gpu: bool):
-        if has_gpu and self._gpu_worker is not None:
-            return self._gpu_worker
-        if self._cpu_worker is not None:
-            return self._cpu_worker
-        return self._gpu_worker
-
-    def assembly_times(self) -> np.ndarray:
-        """Per-supernode extend-add assembly seconds (host memory time)."""
-        if self._asm is None:
-            sf = self.sf
-            out = np.zeros(sf.n_supernodes)
-            for s in range(sf.n_supernodes):
-                out[s] = self.model.host_memory_time(
-                    assembly_bytes(
-                        sf.rows[s].size,
-                        [sf.rows[c].size - sf.width(c) for c in self._kids[s]],
-                    )
-                )
-            self._asm = out
-        return self._asm
-
-    def fu_time(self, s: int, has_gpu: bool) -> tuple[float, str]:
-        """Dispatch-time policy resolution + isolated F-U seconds."""
-        m = self.sf.update_size(s)
-        k = self.sf.width(s)
-        key = (m, k, has_gpu)
-        hit = self._dur_cache.get(key)
-        if hit is None:
-            worker = self.representative(has_gpu)
-            base = (
-                self.policy.resolve(m, k, worker)
-                if hasattr(self.policy, "resolve")
-                else self.policy
-            )
-            if base.needs_gpu and not has_gpu:
-                base = self._p1
-            hit = (estimate_policy_time(base, m, k, self.model), base.name)
-            self._dur_cache[key] = hit
-        return hit
-
-    def p1_time(self, s: int) -> float:
-        m = self.sf.update_size(s)
-        k = self.sf.width(s)
-        key = (m, k)
-        hit = self._p1_cache.get(key)
-        if hit is None:
-            hit = estimate_policy_time(self._p1, m, k, self.model)
-            self._p1_cache[key] = hit
-        return hit
-
-    def upward_ranks(self, has_gpu: bool) -> np.ndarray:
-        """Task priority: seconds from the task to the root, inclusive —
-        the upward rank the static list scheduler uses, priced on the
-        best (GPU if any) worker shape."""
-        sf = self.sf
-        asm = self.assembly_times()
-        dur = np.array(
-            [self.fu_time(s, has_gpu)[0] + asm[s]
-             for s in range(sf.n_supernodes)]
-        )
-        rank = dur.copy()
-        for s in sf.spost[::-1]:  # parents before children
-            parent = int(sf.sparent[s])
-            if parent >= 0:
-                rank[int(s)] = dur[int(s)] + rank[parent]
-        return rank
-
-    def device_demand(self, name: str, m: int, k: int) -> int:
-        """Device words a policy's working set needs, per the transfer
-        volumes of Section IV-B (Equation 2)."""
-        word = self.model.gpu_word
-        if name == "P2":
-            return (m * k + m * m) * word
-        if name.startswith("P3"):
-            return (k * k + m * k + m * m) * word
-        if name.startswith("P4"):
-            return (m + k) * (m + k) * word
-        return 0
 
 
 @dataclass
@@ -191,20 +88,33 @@ class RuntimeStats:
 
 @dataclass
 class RuntimeResult:
-    """Outcome of one dynamic run: schedule + spans + counters."""
+    """Outcome of one event-driven run: schedule + spans + counters,
+    plus the communication ledger when the tasks were pinned to a fleet
+    (``owner`` is ``None`` and the ledger empty on a migrating run)."""
 
     makespan: float
-    schedule: list[ScheduledTask]
+    schedule: list[ScheduledTask]        # .worker = worker / node index
     worker_busy: list[float]
     stats: RuntimeStats
     spans: list[SimTask] = field(default_factory=list)
     degraded_sids: frozenset = frozenset()
     memory_budget: int | None = None
+    owner: np.ndarray | None = None
+    messages: list = field(default_factory=list)
+    nic_busy: list[float] = field(default_factory=list)
+    comm_bytes: float = 0.0
+    comm_seconds: float = 0.0
+    #: set by :func:`repro.cluster.cluster_factorize`
+    factor: object | None = None
 
     @property
     def degraded(self) -> bool:
         """True when any task fell back to P1 after injected failures."""
         return bool(self.degraded_sids)
+
+    @property
+    def comm_messages(self) -> int:
+        return len(self.messages)
 
     def utilization(self) -> float:
         if not self.worker_busy or self.makespan <= 0:
@@ -231,16 +141,22 @@ class RuntimeResult:
             ("kernel_retries", s.kernel_retries),
             ("degraded_tasks", s.degraded_tasks),
             ("transfer_stalls", s.transfer_stalls),
+            ("comm_messages", self.comm_messages),
         ):
             if value:
                 m.incr(name, value)
         m.gauge("peak_stack_bytes", float(s.peak_stack_bytes))
         m.gauge("device_high_water", float(s.device_high_water))
         m.gauge("peak_admitted_bytes", float(s.peak_admitted_bytes))
+        if self.owner is not None:
+            m.gauge("comm_bytes", float(self.comm_bytes))
+            m.gauge("comm_seconds", float(self.comm_seconds))
         for t in self.schedule:
             m.observe("task", t.elapsed)
         for w, busy in enumerate(self.worker_busy):
             m.gauge(f"worker{w}_busy_seconds", busy)
+        for w, busy in enumerate(self.nic_busy):
+            m.gauge(f"worker{w}_nic_seconds", busy)
         for span in self.spans:
             m.span(span.name, span.category, span.engine, span.start, span.end)
         return m
@@ -266,6 +182,8 @@ class RuntimeResult:
         )
 
     def chrome_trace(self) -> dict:
+        """One merged Chrome trace; a fleet's lanes group node-major
+        (``node0.cpu``, ``node0.gpu``, ``node0.nic``, ``node1.cpu``...)."""
         from repro.gpu.trace import tasks_to_chrome_trace
 
         return tasks_to_chrome_trace(self.spans)
@@ -306,76 +224,69 @@ class _Running:
 
 
 class DynamicRuntime:
-    """One dynamic execution of ``sf``'s task DAG over ``pool``.
+    """One event-driven execution of ``sf``'s task DAG over ``workers``.
+
+    With no ``owner`` tasks migrate (seeded on one worker, stolen by the
+    idle ones); with an ``owner`` vector — one worker index per
+    supernode — and the ``interconnect`` the workers talk through, tasks
+    are pinned and cross-owner updates travel as messages.
 
     Build it, call :meth:`run`, read the :class:`RuntimeResult`.  The
     class exists (rather than a closure) so tests can poke at the
-    intermediate state; :func:`dynamic_schedule` is the public one-shot
-    entry point.
+    intermediate state; :func:`dynamic_schedule` and
+    :func:`repro.cluster.cluster_replay` are the public one-shot entry
+    points.
     """
 
     def __init__(
         self,
         sf: SymbolicFactor,
         policy: Policy,
-        pool: WorkerPool,
+        workers: list[Worker],
+        model,
         *,
+        owner: np.ndarray | None = None,
+        interconnect=None,
         memory_budget: int | None = None,
         faults: FaultInjector | None = None,
         seed_worker: int = 0,
     ):
+        if (owner is None) != (interconnect is None):
+            raise ValueError(
+                "pinned tasks need an interconnect and migrating tasks "
+                "none: pass owner and interconnect together"
+            )
         self.sf = sf
         self.policy = policy
-        self.pool = pool
+        self.workers = workers
+        self.owner = owner
+        self.interconnect = interconnect
         self.memory_budget = memory_budget
         self.faults = faults
-        self.seed_worker = int(seed_worker) % max(1, pool.n_workers)
+        self.seed_worker = int(seed_worker) % max(1, len(workers))
         self.stats = RuntimeStats()
 
         self._kids = sf.schildren()
-        self._model = pool.node.model
-        cpu_rep = None
-        for w in pool.workers:
-            if not w.has_gpu:
-                cpu_rep = w
-                break
-        if cpu_rep is None:
-            cpu_rep = pool.workers[0]
-        self._pricer = TaskPricer(
-            sf, policy, self._model,
-            gpu_worker=pool.gpu_worker(), cpu_worker=cpu_rep,
-        )
+        self._gpu_workers = [w for w in workers if w.has_gpu]
+        self._pricer = TaskPricer(sf, policy, model, workers)
         self._asm = self._pricer.assembly_times()
-        self._rank = self._pricer.upward_ranks(pool.gpu_worker() is not None)
-
-    # ------------------------------------------------------------------
-    # static pre-computation (delegated to the shared TaskPricer)
-    # ------------------------------------------------------------------
-    def _fu_time(self, s: int, has_gpu: bool) -> tuple[float, str]:
-        return self._pricer.fu_time(s, has_gpu)
-
-    def _p1_time(self, s: int) -> float:
-        return self._pricer.p1_time(s)
+        self._rank = self._pricer.upward_ranks()
 
     # ------------------------------------------------------------------
     # memory accounting
     # ------------------------------------------------------------------
-    def _device_demand(self, name: str, m: int, k: int) -> int:
-        return self._pricer.device_demand(name, m, k)
-
     def _device_high_water(self) -> int:
-        caps = [
-            getattr(w.gpu.device_pool, "capacity", 0)
-            for w in self.pool.workers if w.has_gpu
-        ]
-        return max(caps) if caps else 0
+        return max(
+            (getattr(w.gpu.device_pool, "capacity", 0) for w in self._gpu_workers),
+            default=0,
+        )
 
     def _freed_bytes(self, s: int) -> int:
         return sum(update_bytes(self.sf, c) for c in self._kids[s])
 
-    def _projected(self, s: int, demand_hint: int = 0) -> int:
+    def _projected(self, s: int) -> int:
         stack = self._live - self._freed_bytes(s) + update_bytes(self.sf, s)
-        return stack + max(self._device_high_water(), demand_hint)
+        return stack + self._device_high_water()
 
     def _admissible(self, s: int) -> bool:
         if self.memory_budget is None:
@@ -388,7 +299,7 @@ class DynamicRuntime:
     def run(self) -> RuntimeResult:
         sf = self.sf
         n = sf.n_supernodes
-        p = self.pool.n_workers
+        p = len(self.workers)
         self._events = EventQueue()
         self._deques = [ReadyDeque() for _ in range(p)]
         self._running: dict[int, _Running] = {}
@@ -400,12 +311,13 @@ class DynamicRuntime:
         self._degraded: set[int] = set()
         self._done = 0
 
-        # all initially-ready tasks are seeded onto one worker: the others
-        # bootstrap by stealing, exactly like a work-stealing runtime
-        # whose root task spawns the frontier
+        # migrating: all initially-ready tasks are seeded onto one worker
+        # and the others bootstrap by stealing, exactly like a
+        # work-stealing runtime whose root task spawns the frontier;
+        # pinned: each starts on its owner
         for s in range(n):
             if self._n_pending[s] == 0:
-                self._deques[self.seed_worker].push(float(self._rank[s]), s, s)
+                self._push_ready(s, self.seed_worker)
 
         while self._done < n:
             progress = True
@@ -414,16 +326,18 @@ class DynamicRuntime:
                 for w in range(p):
                     if w not in self._running and self._try_dispatch(w):
                         progress = True
-            if not self._running:
+            # messages can be in flight with every worker idle: only
+            # "nothing running and no event pending" is gridlock
+            if not self._running and not self._events:
                 self._force_admit()
-            ev = self._events.pop()
-            self._complete(ev.payload)
+            handler, args = self._events.pop().payload
+            handler(*args)
 
         if any(len(d) for d in self._deques):
             raise AssertionError("runtime finished with tasks still queued")
         makespan = max((t.end for t in self._schedule), default=0.0)
         self._schedule.sort(key=lambda t: (t.start, t.sid))
-        return RuntimeResult(
+        result = RuntimeResult(
             makespan=makespan,
             schedule=self._schedule,
             worker_busy=self._busy,
@@ -431,15 +345,29 @@ class DynamicRuntime:
             spans=self._spans,
             degraded_sids=frozenset(self._degraded),
             memory_budget=self.memory_budget,
+            owner=self.owner,
         )
+        net = self.interconnect
+        if net is not None:
+            result.messages = list(net.messages)
+            result.nic_busy = net.nic_busy()
+            result.comm_bytes = net.comm_bytes
+            result.comm_seconds = net.comm_seconds
+        return result
 
     # -- dispatch ----------------------------------------------------------
+    def _push_ready(self, s: int, w: int) -> None:
+        """Queue ready task ``s``: on its owner when tasks are pinned,
+        else on ``w`` (the worker that made it ready)."""
+        if self.owner is not None:
+            w = int(self.owner[s])
+        self._deques[w].push(float(self._rank[s]), s, s)
+
     def _try_dispatch(self, w: int) -> bool:
         own = self._deques[w]
-        if not own:
-            if not self._steal_into(w):
-                return False
-        for s in own.peek_all():
+        if not own and (self.owner is not None or not self._steal_into(w)):
+            return False
+        for s in own:
             if self._admissible(s):
                 own.remove(s)
                 self._start(w, s)
@@ -450,7 +378,7 @@ class DynamicRuntime:
     def _steal_into(self, w: int) -> bool:
         """Steal half of the busiest other deque (from the back)."""
         victims = [
-            v for v in range(self.pool.n_workers)
+            v for v in range(len(self.workers))
             if v != w and len(self._deques[v]) > 0
         ]
         if not victims:
@@ -466,10 +394,10 @@ class DynamicRuntime:
         return True
 
     def _force_admit(self) -> None:
-        """Nothing running and nothing admissible: the budget cannot be
-        honored by waiting, so admit the ready task with the *smallest*
-        memory projection — the least possible overshoot — counted so
-        the caller can see the budget was infeasible."""
+        """Nothing running, nothing in flight and nothing admissible: the
+        budget cannot be honored by waiting, so admit the ready task with
+        the *smallest* memory projection — the least possible overshoot —
+        counted so the caller can see the budget was infeasible."""
         best_w, best_s = -1, -1
         best_key: tuple[int, float, int] | None = None
         for w, dq in enumerate(self._deques):
@@ -485,14 +413,15 @@ class DynamicRuntime:
 
     def _start(self, w: int, s: int) -> None:
         t0 = self._events.clock.now
-        worker = self.pool.workers[w]
+        worker = self.workers[w]
         m = self.sf.update_size(s)
         k = self.sf.width(s)
-        fu, name = self._fu_time(s, worker.has_gpu)
-        if not worker.has_gpu and self.pool.gpu_worker() is not None:
+        pricer = self._pricer
+        fu, name = pricer.fu_time(s, worker.has_gpu)
+        if not worker.has_gpu and pricer.gpu_worker is not None:
             # dispatch-time selection picked the host path only because
             # this worker owns no GPU; a GPU worker would have offloaded
-            if self._fu_time(s, True)[1] != "P1":
+            if pricer.fu_time(s, True)[1] != "P1":
                 self.stats.cpu_fallbacks += 1
 
         alloc_cost = 0.0
@@ -501,7 +430,7 @@ class DynamicRuntime:
         degraded = False
         device_bytes = 0
         if name != "P1" and worker.has_gpu:
-            demand = self._device_demand(name, m, k)
+            demand = pricer.device_demand(name, m, k)
             try:
                 alloc_cost = worker.gpu.device_pool.request(demand)
                 device_bytes = demand
@@ -509,7 +438,7 @@ class DynamicRuntime:
                 # front larger than the device: run on the host instead,
                 # mirroring the numeric driver's fallback
                 self.stats.device_fallbacks += 1
-                fu, name = self._p1_time(s), "P1"
+                fu, name = pricer.p1_time(s), "P1"
             if name != "P1" and self.faults is not None:
                 stall = self.faults.transfer_stall(s)
                 if stall > 0.0:
@@ -520,7 +449,7 @@ class DynamicRuntime:
                     if self.faults.kernel_fails(s, 1):
                         # second failure: degrade to host-only execution
                         wasted += self.faults.failure_point * fu
-                        fu, name = self._p1_time(s), "P1"
+                        fu, name = pricer.p1_time(s), "P1"
                         degraded = True
                         self.stats.degraded_tasks += 1
 
@@ -529,45 +458,77 @@ class DynamicRuntime:
         # consumed by the assembly, our own update is budgeted up front
         self._live -= self._freed_bytes(s)
         self._live += update_bytes(self.sf, s)
-        self.stats.peak_stack_bytes = max(self.stats.peak_stack_bytes, self._live)
-        self.stats.device_high_water = max(
-            self.stats.device_high_water, self._device_high_water()
-        )
-        self.stats.peak_admitted_bytes = max(
-            self.stats.peak_admitted_bytes,
-            self._live + self._device_high_water(),
+        high_water = self._device_high_water()
+        stats = self.stats
+        stats.peak_stack_bytes = max(stats.peak_stack_bytes, self._live)
+        stats.device_high_water = max(stats.device_high_water, high_water)
+        stats.peak_admitted_bytes = max(
+            stats.peak_admitted_bytes, self._live + high_water
         )
         run = _Running(s, t0, t0 + duration, name, device_bytes, degraded)
         self._running[w] = run
-        self._events.push(run.end, w)
+        self._events.push(run.end, (self._complete, (w,)))
 
     # -- completion --------------------------------------------------------
     def _complete(self, w: int) -> None:
         run = self._running.pop(w)
-        worker = self.pool.workers[w]
+        worker = self.workers[w]
+        s = run.sid
         if run.device_bytes and worker.has_gpu:
             worker.gpu.device_pool.release(run.device_bytes)
         self._schedule.append(
-            ScheduledTask(run.sid, w, run.start, run.end, run.policy, False)
+            ScheduledTask(s, w, run.start, run.end, run.policy, False)
         )
-        span = SimTask(
-            f"s{run.sid}:{run.policy}", worker.cpu_engine,
-            run.end - run.start, (), "fu",
+        self._add_span(
+            f"s{s}:{run.policy}", worker.cpu_engine, run.start, run.end, "fu"
         )
-        span.start = run.start
-        span.end = run.end
-        self._spans.append(span)
+        if run.device_bytes and self.interconnect is not None:
+            # a fleet trace shows each node's device lane next to its host
+            self._add_span(
+                f"s{s}:{run.policy}", self._lane(w, "gpu"),
+                run.start + float(self._asm[s]), run.end, "fu",
+            )
         self._busy[w] += run.end - run.start
         if run.degraded:
-            self._degraded.add(run.sid)
+            self._degraded.add(s)
         self._done += 1
-        parent = int(self.sf.sparent[run.sid])
-        if parent >= 0:
-            self._n_pending[parent] -= 1
-            if self._n_pending[parent] == 0:
-                # locality: the parent becomes ready on the worker that
-                # finished its last child
-                self._deques[w].push(float(self._rank[parent]), parent, parent)
+
+        parent = int(self.sf.sparent[s])
+        if parent < 0:
+            return
+        m = self.sf.update_size(s)
+        # locality: a migrating parent becomes ready on the worker that
+        # finished its last child; a pinned one on its owner
+        dst = w if self.owner is None else int(self.owner[parent])
+        if dst == w or m == 0:
+            # local edge (or nothing to ship): the parent's dependency is
+            # satisfied by completion itself
+            self._satisfy(parent, dst)
+        else:
+            msg = self.interconnect.send_update(w, dst, s, m, ready=run.end)
+            self._events.push(msg.arrival, (self._satisfy, (parent, dst)))
+            self._add_span(
+                f"send:s{s}->n{dst}", self._lane(w, "nic"),
+                msg.send_start, msg.send_end, "comm",
+            )
+
+    def _satisfy(self, parent: int, w: int) -> None:
+        self._n_pending[parent] -= 1
+        if self._n_pending[parent] == 0:
+            self._push_ready(parent, w)
+
+    def _lane(self, w: int, kind: str) -> str:
+        """Trace lane of fleet node ``w``'s GPU or NIC: its host lane's
+        namespace (``node3.cpu`` -> ``node3.gpu``)."""
+        return f"{self.workers[w].cpu_engine.rsplit('.', 1)[0]}.{kind}"
+
+    def _add_span(
+        self, name: str, engine: str, start: float, end: float, category: str
+    ) -> None:
+        span = SimTask(name, engine, end - start, (), category)
+        span.start = start
+        span.end = end
+        self._spans.append(span)
 
 
 def dynamic_schedule(
@@ -579,7 +540,8 @@ def dynamic_schedule(
     faults: FaultInjector | None = None,
     seed_worker: int = 0,
 ) -> RuntimeResult:
-    """Run the dynamic event-driven runtime over ``sf``'s task DAG.
+    """Run the event-driven runtime over ``sf``'s task DAG on one node's
+    worker pool (tasks migrate between its workers).
 
     Parameters
     ----------
@@ -594,6 +556,6 @@ def dynamic_schedule(
         Worker whose deque receives the initial frontier (others steal).
     """
     return DynamicRuntime(
-        sf, policy, pool,
+        sf, policy, pool.workers, pool.node.model,
         memory_budget=memory_budget, faults=faults, seed_worker=seed_worker,
     ).run()

@@ -1,9 +1,10 @@
-"""Event heap, virtual clock, and priority deques for the dynamic runtime.
+"""Event heap, virtual clock, and priority deques for the event-driven
+runtime.
 
 The runtime is a discrete-event simulation: the only moments anything
-can change are task completions, so the core loop is "dispatch every
-idle worker, pop the earliest completion, repeat".  Two small data
-structures carry it:
+can change are task completions and (on a fleet) message arrivals, so
+the core loop is "dispatch every idle worker, pop the earliest event,
+repeat".  Two small data structures carry it:
 
 * :class:`EventQueue` — a heap of ``(time, seq, payload)`` events with a
   monotone virtual clock.  The sequence number makes pops deterministic
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 __all__ = ["Event", "EventQueue", "ReadyDeque", "VirtualClock"]
 
@@ -117,9 +118,14 @@ class ReadyDeque:
         """Highest-priority item (owner side)."""
         return self._items.pop(0)[2]
 
+    def __iter__(self) -> Iterator[Any]:
+        """Payloads in priority order (highest first), lazily and without
+        a copy; stop iterating before mutating the deque."""
+        return (it[2] for it in self._items)
+
     def peek_all(self) -> list[Any]:
-        """Payloads in priority order (highest first), without removal."""
-        return [it[2] for it in self._items]
+        """A snapshot of the payloads in priority order."""
+        return list(self)
 
     def remove(self, payload: Any) -> bool:
         """Drop the first item whose payload equals ``payload``."""

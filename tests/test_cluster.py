@@ -13,7 +13,6 @@ from repro.cluster import (
     cluster_factorize,
     cluster_replay,
     map_subtrees_to_ranks,
-    simulate_cluster,
     subtree_flops,
     update_message_bytes,
 )
@@ -98,11 +97,13 @@ class TestInterconnect:
 
 
 class TestSimulation:
+    """What a cluster-scaling study reads off ``cluster_replay``."""
+
     def test_one_rank_matches_serial_replay(self, sf, model):
         from repro.gpu import SimulatedNode
         from repro.multifrontal.numeric import replay_factorize
 
-        res = simulate_cluster(
+        res = cluster_replay(
             sf, make_policy("P1"), ClusterSpec(1, 0, model=model)
         )
         rp = replay_factorize(
@@ -113,10 +114,10 @@ class TestSimulation:
         assert res.comm_messages == 0
 
     def test_two_ranks_faster_with_comm_accounted(self, wl, model):
-        serial = simulate_cluster(
+        serial = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(1, 0, model=model)
         )
-        dist = simulate_cluster(
+        dist = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
         )
         assert dist.makespan < serial.makespan
@@ -125,9 +126,11 @@ class TestSimulation:
         assert dist.comm_seconds > 0
 
     def test_scaling_monotone(self, wl, model):
+        # hybrid ranks (one GPU each); the CPU-only fleet is
+        # TestClusterRuntime.test_replay_scaling_monotone
         times = [
-            simulate_cluster(
-                wl, make_policy("P1"), ClusterSpec(r, 0, model=model)
+            cluster_replay(
+                wl, BaselineHybrid(), ClusterSpec(r, 1, model=model)
             ).makespan
             for r in (1, 2, 4)
         ]
@@ -135,21 +138,21 @@ class TestSimulation:
         assert times[2] < times[1]
 
     def test_gpus_accelerate_ranks(self, wl, model):
-        cpu_only = simulate_cluster(
+        cpu_only = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
         )
-        hybrid = simulate_cluster(
+        hybrid = cluster_replay(
             wl, BaselineHybrid(), ClusterSpec(2, 1, model=model)
         )
         assert hybrid.makespan < cpu_only.makespan
 
     def test_slow_network_hurts(self, wl, model):
-        fast = simulate_cluster(
+        fast = cluster_replay(
             wl, make_policy("P1"),
             ClusterSpec(4, 0, model=model,
                         interconnect=InterconnectParams(bandwidth=10e9)),
         )
-        slow = simulate_cluster(
+        slow = cluster_replay(
             wl, make_policy("P1"),
             ClusterSpec(4, 0, model=model,
                         interconnect=InterconnectParams(bandwidth=5e7)),
@@ -158,18 +161,18 @@ class TestSimulation:
 
     def test_custom_owner_accepted_and_validated(self, sf, model):
         owner = np.zeros(sf.n_supernodes, dtype=np.int64)
-        res = simulate_cluster(
+        res = cluster_replay(
             sf, make_policy("P1"), ClusterSpec(2, 0, model=model), owner=owner
         )
         assert res.comm_messages == 0
         with pytest.raises(ValueError):
-            simulate_cluster(
+            cluster_replay(
                 sf, make_policy("P1"), ClusterSpec(2, 0, model=model),
                 owner=np.full(sf.n_supernodes, 5),
             )
 
     def test_utilization_bounded(self, wl, model):
-        res = simulate_cluster(
+        res = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(4, 0, model=model)
         )
         assert 0.0 < res.utilization() <= 1.05
@@ -279,6 +282,59 @@ class TestClusterRuntime:
         with pytest.raises(ValueError):
             cluster_replay(
                 sf, make_policy("P1"), spec, owner=np.zeros(3, dtype=np.int64)
+            )
+
+    def test_idle_fleet_waits_for_the_message_in_flight(self, wl, model):
+        # on a slow network the last cross-rank update is still on the
+        # wire when every node has run out of work: nothing running is
+        # not gridlock while an arrival is pending
+        spec = ClusterSpec(
+            3, 0, model=model, interconnect=InterconnectParams(bandwidth=5e7)
+        )
+        res = cluster_replay(wl, make_policy("P1"), spec)
+        assert res.validate(wl) == []
+        assert len(res.schedule) == wl.n_supernodes
+        assert any(
+            not any(
+                t.start < msg.arrival and t.end > msg.send_start
+                for t in res.schedule
+            )
+            for msg in res.messages
+        )
+
+    def test_pinned_run_takes_faults_and_reports_degraded(self, sf, model):
+        from repro.cluster import Interconnect
+        from repro.runtime import DynamicRuntime, FaultInjector
+
+        spec = ClusterSpec(2, 1, model=model)
+        assert not cluster_replay(sf, make_policy("P3"), spec).degraded
+
+        victim = int(np.flatnonzero(sf.sparent == NO_PARENT)[0])
+        workers = [
+            spec.node_worker(r, node)
+            for r, node in enumerate(spec.build_nodes())
+        ]
+        res = DynamicRuntime(
+            sf, make_policy("P3"), workers, model,
+            owner=map_subtrees_to_ranks(sf, 2),
+            interconnect=Interconnect(2, spec.interconnect),
+            faults=FaultInjector(fail_sids=frozenset({victim})),
+        ).run()
+        assert res.degraded
+        assert res.degraded_sids == {victim}
+        assert res.stats.degraded_tasks == 1
+        assert res.comm_messages > 0
+        assert res.validate(sf) == []
+
+    def test_owner_and_interconnect_come_together(self, sf, model):
+        from repro.parallel import make_worker_pool
+        from repro.runtime import DynamicRuntime
+
+        pool = make_worker_pool(2, 0, model=model)
+        with pytest.raises(ValueError, match="together"):
+            DynamicRuntime(
+                sf, make_policy("P1"), pool.workers, model,
+                owner=np.zeros(sf.n_supernodes, dtype=np.int64),
             )
 
     def test_chrome_trace_lanes_node_major(self, wl, model):

@@ -107,6 +107,45 @@ class TestListSchedule:
         assert {t.policy for t in res.schedule} == {"P1"}
 
 
+class TestPricedOnThePlacedWorker:
+    """A task costs what it costs on the worker it lands on: a worker
+    that owns no GPU runs a device policy as host P1 (the static
+    scheduler used to price it at device speed there)."""
+
+    @pytest.fixture(scope="class")
+    def wl(self):
+        from repro.workload import geometric_nd_workload
+
+        return geometric_nd_workload(24, 24, 24, leaf_cells=16)
+
+    def test_no_device_task_on_a_gpu_less_worker(self, wl):
+        from repro.verify.invariants import check_schedule_precedence
+
+        mixed = list_schedule(wl, BaselineHybrid(), make_worker_pool(4, 2))
+        on_cpu_only = [t for t in mixed.schedule if t.worker in (2, 3)]
+        assert on_cpu_only
+        assert {t.policy for t in on_cpu_only} == {"P1"}
+        # the GPU workers still offload, and so do the gang tasks (the
+        # pool-level price: GPU shape if the pool has any)
+        assert any(t.policy != "P1" for t in mixed.schedule if t.worker in (0, 1))
+        assert any(t.gang and t.policy != "P1" for t in mixed.schedule)
+        assert check_schedule_precedence(wl, mixed.schedule) == []
+        # two of the four workers own no GPU: not the makespan of four GPUs
+        full = list_schedule(wl, BaselineHybrid(), make_worker_pool(4, 4))
+        assert mixed.makespan != full.makespan
+
+    def test_fixed_device_policy_on_cpu_pool_is_the_p1_schedule(self, wl):
+        from repro.verify.invariants import check_schedule_precedence
+
+        p4 = list_schedule(wl, make_policy("P4"), make_worker_pool(2, 0))
+        p1 = list_schedule(wl, make_policy("P1"), make_worker_pool(2, 0))
+        assert {t.policy for t in p4.schedule} == {"P1"}
+        placements = TestScheduleDeterminism._placements
+        assert placements(p4) == placements(p1)
+        assert p4.makespan == p1.makespan
+        assert check_schedule_precedence(wl, p4.schedule) == []
+
+
 class TestParallelFactorize:
     def test_numerics_correct_with_hybrid(self, problem):
         a, sf = problem

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterSpec, map_subtrees_to_ranks, simulate_cluster
+from repro.cluster import (
+    ClusterSpec,
+    cluster_replay,
+    map_subtrees_to_ranks,
+    update_message_bytes,
+)
 from repro.gpu import tesla_t10_model
 from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.policies import Worker, estimate_policy_time, make_policy
@@ -86,8 +91,8 @@ class TestClusterProperties:
     def test_more_ranks_never_slower(self, doubling):
         sf = geometric_nd_workload(10, 10, 10, leaf_cells=8)
         pol = make_policy("P1")
-        t1 = simulate_cluster(sf, pol, ClusterSpec(1, 0, model=MODEL)).makespan
-        tn = simulate_cluster(
+        t1 = cluster_replay(sf, pol, ClusterSpec(1, 0, model=MODEL)).makespan
+        tn = cluster_replay(
             sf, pol, ClusterSpec(2**doubling, 0, model=MODEL)
         ).makespan
         # communication can eat gains but never below ~the serial bound
@@ -96,19 +101,20 @@ class TestClusterProperties:
     @given(grid_dims(3, 8))
     def test_comm_conservation(self, dims):
         sf = geometric_nd_workload(*dims, leaf_cells=8)
-        res = simulate_cluster(
+        res = cluster_replay(
             sf, make_policy("P1"), ClusterSpec(3, 0, model=MODEL)
         )
         # bytes and messages agree with the owner map
         owner = res.owner
-        expect_msgs = sum(
-            1
+        shipped = [
+            sf.update_size(s)
             for s in range(sf.n_supernodes)
             if sf.sparent[s] != NO_PARENT
             and owner[sf.sparent[s]] != owner[s]
             and sf.update_size(s) > 0
-        )
-        assert res.comm_messages == expect_msgs
+        ]
+        assert res.comm_messages == len(shipped)
+        assert res.comm_bytes == sum(update_message_bytes(m) for m in shipped)
 
 
 class TestPolicyEstimateProperties:
