@@ -140,11 +140,14 @@ def trsm_right_lower(
 def syrk(
     c: np.ndarray, x: np.ndarray, *, counts: KernelCounts | None = None
 ) -> np.ndarray:
-    """Symmetric rank-k update ``C <- C - X X^T`` (in place, full storage).
+    """Symmetric rank-k update ``C <- C - X X^T`` (in place, over the
+    whole square of ``C``).
 
-    The multifrontal update keeps U as a full symmetric array; only the
-    lower triangle is ever consumed, but storing both halves keeps the
-    extend-add scatter a single vectorized ``ix_`` assignment.
+    The multifrontal update block U is live in its lower triangle only:
+    that is all the planned assembly writes into a front and all that is
+    ever consumed.  The product is still subtracted from the full square
+    (one matrix product, no triangle bookkeeping); what it leaves above
+    the diagonal means something only if ``C`` came in symmetric.
     """
     c = np.asarray(c)
     x = np.asarray(x)

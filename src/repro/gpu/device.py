@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.gpu.allocator import HighWaterMarkPool, PerCallPool
+from repro.gpu.allocator import AllocationStats, HighWaterMarkPool, PerCallPool
 from repro.gpu.clock import EngineTimeline
 from repro.gpu.cublas import CublasContext
 from repro.gpu.perfmodel import PerfModel, tesla_t10_model
@@ -144,12 +144,14 @@ class SimulatedNode:
         return max(t.free_at for t in self.engines.values())
 
     def reset(self) -> None:
-        """Clear all timelines and memory pools (fresh run)."""
+        """Clear all timelines and memory pools (fresh run): nothing is
+        reserved or retained, and every pool counts from zero again, so
+        its statistics read one run and not the node's lifetime."""
         self.engines = {}
         for g in self.gpus:
             g.cublas.busy_seconds = 0.0
             g.cublas.calls.clear()
-            g.device_pool.capacity = 0
-            g.device_pool.in_use = 0
-            g.pinned_pool.capacity = 0 if hasattr(g.pinned_pool, "capacity") else 0
-            g.pinned_pool.in_use = 0 if hasattr(g.pinned_pool, "in_use") else 0
+            for pool in (g.device_pool, g.pinned_pool):
+                pool.release()
+                pool.reset_peak()
+                pool.stats = AllocationStats()

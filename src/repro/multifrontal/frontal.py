@@ -11,10 +11,15 @@ followed by ``m`` below-diagonal rows), the frontal matrix F is the
   row list (both sorted, so one ``searchsorted``) and the child's U is
   added at the intersection.
 
-F is kept numerically symmetric (full storage): the lower triangle is
-the one that is semantically live, but full storage turns every scatter
-into a single vectorized ``np.ix_`` update and lets the dense kernels
-run without triangle bookkeeping.
+A front, and the update block it hands to its parent, is *live in its
+lower triangle only*: ``potrf`` / ``trsm`` / ``syrk`` never read above
+the diagonal, so the planned path (:class:`AssemblyPlan`,
+:func:`assemble_front_planned`) scatters the lower triangle of A and
+extend-adds the lower trapezoid of each child; what sits above the
+diagonal of such a front is unspecified.  The unplanned reference
+functions (:func:`assemble_front`, :func:`scatter_a_entries`,
+:func:`extend_add`) and :mod:`repro.multifrontal.device_resident`, which
+walks the tree with them, still build full symmetric fronts.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.multifrontal.batched import BatchGroup, batch_groups
 from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
+    "RUN_CUT",
     "AssemblyPlan",
     "assemble_front",
     "assemble_front_planned",
@@ -115,6 +121,25 @@ def extend_add(
     front[np.ix_(idx, idx)] += child_update
 
 
+#: a child whose update block has at least this many rows is extend-added
+#: run by run, a smaller one by one open-grid fancy add (see
+#: :class:`AssemblyPlan`).  Chosen from the cost of extend-adding all
+#: children of a size class of ``lmco_s``/nd once, warm buffers, ms:
+#:
+#:     update rows  children  runs/child  gather    runs
+#:     < 20          1 611       4.2        7.6     22.6
+#:     20-39            51       5.8        0.46     1.06
+#:     40-63           117       7.1        2.2      3.4
+#:     64-79            29       7.8        0.96     0.99
+#:     80-159          100       9.5        9.5      5.4
+#:     160-319          48      12.0       15.3      5.3
+#:     >= 320           26      11.8       53.1     18.6
+#:
+#: gather everywhere 89 ms; gather below 64 and runs from there up 40 ms
+#: (203 children, 93 % of the extend-add elements).
+RUN_CUT = 64
+
+
 class AssemblyPlan:
     """Precomputed gather/scatter indices for assembling every front of
     one (canonical matrix pattern, symbolic factor) pair.
@@ -130,10 +155,23 @@ class AssemblyPlan:
     tier, benchmark repeats) neither permute the matrix nor build an
     index: they gather straight from the ``a.data`` they are handed.
 
-    Scatter destinations within one front are unique by construction
-    (CSC stores each (row, col) once; mirrored entries land strictly in
-    the upper triangle), so a single fancy-indexed add reproduces the
-    per-column loop bit for bit.
+    ``src`` / ``dst`` cover the lower triangle of the front only (nothing
+    is mirrored above the diagonal).  Scatter destinations within one
+    front are unique by construction (CSC stores each (row, col) once),
+    so a single fancy-indexed add reproduces the per-column loop bit for
+    bit on that triangle.
+
+    A child's update rows sit in its parent's front at positions ``idx``
+    (ascending).  Below :data:`RUN_CUT` rows the plan keeps ``idx`` as
+    the open-grid pair ``rel_row`` / ``rel_col`` and the extend-add is
+    one fancy add of the whole square; from the cut up it keeps ``runs``,
+    the maximal stretches of consecutive positions, and the extend-add is
+    one ``front[idx[lo:], p:q] += U[lo:, lo:hi]`` per run — every row a
+    contiguous segment, covering the lower trapezoid of U (plus the upper
+    half of each run's own diagonal square, which nobody reads).  Both
+    forms add the same child values to the same lower-triangle entries in
+    the same child order, so which side of the cut a child falls on
+    cannot be seen in the factor.
 
     ``groups`` holds the stackable leaf groups of the tree
     (:func:`repro.multifrontal.batched.batch_groups`), each carrying its
@@ -142,7 +180,8 @@ class AssemblyPlan:
     """
 
     __slots__ = (
-        "src", "dst", "rel_row", "rel_col", "groups", "_indptr", "_indices",
+        "src", "dst", "rel_row", "rel_col", "runs", "groups",
+        "_indptr", "_indices",
     )
 
     def __init__(self, a: CSCMatrix, sf: SymbolicFactor):
@@ -153,10 +192,14 @@ class AssemblyPlan:
         self.src: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
         #: per supernode: flat scatter indices into ``front.ravel()``
         self.dst: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
-        #: per supernode: its update rows located in the *parent* front,
-        #: stored as the open-grid pair ``np.ix_`` would build
+        #: per supernode with fewer than ``RUN_CUT`` update rows: those
+        #: rows located in the *parent* front, stored as the open-grid
+        #: pair ``np.ix_`` would build
         self.rel_row: list[np.ndarray | None] = [None] * n_super
         self.rel_col: list[np.ndarray | None] = [None] * n_super
+        #: per supernode from the cut up: one ``(idx[lo:], lo, hi, p, q)``
+        #: per maximal run ``idx[lo:hi] == arange(p, q)``
+        self.runs: list[list[tuple] | None] = [None] * n_super
         self._indptr = a.indptr
         self._indices = a.indices
 
@@ -174,12 +217,8 @@ class AssemblyPlan:
                 raise ValueError(
                     f"supernode {s}: matrix entries outside symbolic pattern"
                 )
-            jj = cols - f_col
-            off = ridx != cols  # mirror off-diagonal entries only
-            self.src[s] = np.concatenate([src, src[off]])
-            self.dst[s] = np.concatenate(
-                [pos * size + jj, jj[off] * size + pos[off]]
-            )
+            self.src[s] = src
+            self.dst[s] = pos * size + (cols - f_col)
 
             # locate this supernode's update rows in its parent's front
             p = int(sf.sparent[s])
@@ -191,8 +230,15 @@ class AssemblyPlan:
                     raise ValueError(
                         "extend-add: child rows not contained in parent front"
                     )
-                self.rel_row[s] = idx.reshape(-1, 1)
-                self.rel_col[s] = idx.reshape(1, -1)
+                if idx.size < RUN_CUT:
+                    self.rel_row[s] = idx.reshape(-1, 1)
+                    self.rel_col[s] = idx.reshape(1, -1)
+                else:
+                    cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+                    self.runs[s] = [
+                        (idx[lo:], lo, hi, int(idx[lo]), int(idx[lo]) + hi - lo)
+                        for lo, hi in zip([0] + cuts, cuts + [idx.size])
+                    ]
 
         #: stackable leaf groups with their concatenated gather/scatter;
         #: the members' own ``src`` become views into the group's
@@ -277,20 +323,35 @@ def assemble_front_planned(
     size: int,
     s: int,
     child_updates: list[tuple[int, np.ndarray]],
+    workspace: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Planned equivalent of :func:`assemble_front`.
+    """Planned equivalent of :func:`assemble_front`, on the lower triangle.
 
     ``a_data`` is the ``data`` of the canonical (unpermuted) matrix the
     plan was built for, or of any matrix with that pattern;
-    ``child_updates`` carries ``(child_sid, U)`` pairs; the child's
-    position in this front comes from the plan.  Bitwise identical to
-    the unplanned path: same unique scatter destinations, same child
-    fold-in order.
+    ``child_updates`` carries ``(child_sid, U)`` pairs, each U live in
+    its lower triangle; the child's position in this front comes from
+    the plan.  The lower triangle of the result is bitwise identical to
+    the unplanned path's: same unique scatter destinations, same child
+    fold-in order; above the diagonal it is unspecified.
+
+    With ``workspace`` (a flat float64 buffer of at least ``size * size``
+    elements) the front is a zero-filled view of its head and lives until
+    the next call with the same buffer; without, it is a new array.
     """
-    front = np.zeros((size, size), dtype=np.float64)
+    if workspace is None:
+        front = np.zeros((size, size), dtype=np.float64)
+    else:
+        front = workspace[: size * size].reshape(size, size)
+        front.fill(0.0)
     front.ravel()[plan.dst[s]] += a_data[plan.src[s]]
     for c, cu in child_updates:
-        front[plan.rel_row[c], plan.rel_col[c]] += cu
+        runs = plan.runs[c]
+        if runs is None:
+            front[plan.rel_row[c], plan.rel_col[c]] += cu
+        else:
+            for rows, lo, hi, p, q in runs:
+                front[rows, p:q] += cu[lo:, lo:hi]
     return front
 
 

@@ -128,6 +128,8 @@ def partial_factorize(
                 "into the eliminated block"
             )
         extend_add(schur, kept_rows, urows, u)
+    # an update block is live in its lower triangle only: mirror that one
+    schur = np.tril(schur) + np.tril(schur, -1).T
 
     return PartialFactorization(
         n_eliminated=n_elim_cols,

@@ -331,52 +331,62 @@ def test_real_scenario_bit_stable_across_runs():
 # the planned assembly path (this PR's hot-path optimization)
 # ----------------------------------------------------------------------
 def test_planned_assembly_bitwise_matches_legacy():
-    """Every front the plan gathers from the canonical ``a.data`` must be
-    bitwise identical to the per-column legacy path over the permuted
-    lower triangle, including the extend-add of real (eliminated) child
-    updates."""
-    from repro.matrices import grid_laplacian_3d
+    """The lower triangle of every front the plan gathers from the
+    canonical ``a.data`` must be bitwise identical to the per-column
+    legacy path over the permuted lower triangle, including the
+    extend-add of real (eliminated) child updates — on both sides of
+    ``RUN_CUT``, and without reading a child above its diagonal."""
+    from repro.matrices import elasticity_3d, grid_laplacian_3d
     from repro.multifrontal.frontal import (
         assemble_front,
+        assemble_front_planned,
         get_assembly_plan,
     )
-    from repro.multifrontal.frontal import assemble_front_planned
     from repro.symbolic import symbolic_factorize
 
-    a = grid_laplacian_3d(6, 5, 4)
-    sf = symbolic_factorize(a, ordering="nd")
-    a_lower = a.permute_symmetric(sf.perm).lower_triangle()
-    plan = get_assembly_plan(a, sf)
-    kids = sf.schildren()
+    def eliminate(front, k):
+        # plain dense partial Cholesky off the lower triangle
+        l11 = np.linalg.cholesky(front[:k, :k])
+        l21 = np.linalg.solve(l11, front[k:, :k].T).T
+        return front[k:, k:] - l21 @ l21.T
 
-    updates: dict[int, np.ndarray] = {}
-    checked = 0
-    for s in sf.spost:
-        s = int(s)
-        rows = sf.rows[s]
-        k = sf.width(s)
-        child_ids = [c for c in kids[s] if c in updates]
-        legacy_children = [
-            (sf.rows[c][sf.width(c):], updates[c]) for c in child_ids
-        ]
-        planned_children = [(c, updates.pop(c)) for c in child_ids]
+    # (matrix, ordering, children on the run path, most runs of one child)
+    cases = [
+        (grid_laplacian_3d(6, 5, 4), "nd", 0, 0),
+        (elasticity_3d(8, 7, 7), "amd", 11, 8),
+        (grid_laplacian_3d(13, 13, 12), "amd", 16, 11),
+    ]
+    for a, ordering, n_run_children, most_runs in cases:
+        sf = symbolic_factorize(a, ordering=ordering)
+        a_lower = a.permute_symmetric(sf.perm).lower_triangle()
+        plan = get_assembly_plan(a, sf)
+        runs = [r for r in plan.runs if r is not None]
+        assert len(runs) == n_run_children
+        assert max(map(len, runs), default=0) == most_runs
+        kids = sf.schildren()
 
-        front_legacy = assemble_front(a_lower, sf, s, legacy_children)
-        front_planned = assemble_front_planned(
-            plan, a.data, rows.size, s, planned_children
-        )
-        assert np.array_equal(front_legacy, front_planned), f"supernode {s}"
-        checked += 1
-
-        # eliminate (plain dense partial Cholesky) to produce genuine
-        # child updates for the parents
-        f11 = front_planned[:k, :k]
-        l11 = np.linalg.cholesky(f11)
-        if rows.size > k:
-            l21 = np.linalg.solve(l11, front_planned[:k, k:]).T
-            updates[s] = front_planned[k:, k:] - l21 @ l21.T
-    assert checked == sf.n_supernodes
-    assert not updates
+        legacy: dict[int, np.ndarray] = {}    # full symmetric updates
+        planned: dict[int, np.ndarray] = {}   # live in their lower triangle
+        for s in sf.spost.tolist():
+            rows = sf.rows[s]
+            k = sf.width(s)
+            child_ids = [c for c in kids[s] if c in legacy]
+            front_legacy = assemble_front(
+                a_lower, sf, s,
+                [(sf.rows[c][sf.width(c):], legacy.pop(c)) for c in child_ids],
+            )
+            front_planned = assemble_front_planned(
+                plan, a.data, rows.size, s,
+                [(c, planned.pop(c)) for c in child_ids],
+            )
+            assert np.array_equal(
+                np.tril(front_legacy), np.tril(front_planned)
+            ), f"supernode {s}"
+            if rows.size > k:
+                legacy[s] = eliminate(front_legacy, k)
+                planned[s] = eliminate(front_planned, k)
+                planned[s][np.triu_indices(rows.size - k, 1)] = np.nan
+        assert not legacy and not planned
 
 
 def test_assembly_plan_cached_on_symbolic():

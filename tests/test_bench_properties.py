@@ -36,7 +36,13 @@ from repro.gpu.allocator import DeviceMemoryError
 from repro.gpu.clock import TaskGraph, engine_counters, schedule_graph
 from repro.matrices import elasticity_3d, grid_laplacian_2d, random_spd
 from repro.matrices.csc import csc_from_dense
-from repro.multifrontal import SparseCholeskySolver, batched, factorize_numeric
+from repro.multifrontal import (
+    SparseCholeskySolver,
+    batched,
+    factorize_numeric,
+    frontal,
+    numeric,
+)
 from repro.multifrontal.frontal import (
     assemble_front_planned,
     assembly_bytes,
@@ -604,3 +610,56 @@ class TestTierAccounting:
         assert got is not None
         assert got.tobytes() == before == blob
         assert cache.check_conservation() == []
+
+
+class TestLowerTriangleAssembly:
+    """Which side of ``RUN_CUT`` a child falls on cannot be seen in the
+    factor, and the walk's one front workspace never escapes it."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(spd_problem(max_n=48), st.sampled_from(("amd", "nd", "natural")),
+           st.sampled_from(("P1", "P4")))
+    def test_every_child_on_the_run_path_gives_the_same_panels(
+        self, a, ordering, policy
+    ):
+        base = factorize_numeric(
+            a, symbolic_factorize(a, ordering=ordering), make_policy(policy)
+        )
+        with mock.patch.object(frontal, "RUN_CUT", 1):
+            sym = symbolic_factorize(a, ordering=ordering)
+            plan = get_assembly_plan(a, sym)
+            by_runs = factorize_numeric(a, sym, make_policy(policy))
+        has_update = [
+            sym.sparent[s] >= 0 and sym.rows[s].size > sym.width(s)
+            for s in range(sym.n_supernodes)
+        ]
+        assert [r is not None for r in plan.runs] == has_update
+        assert not any(r is not None for r in plan.rel_row)
+        assert all(
+            np.array_equal(p, q) for p, q in zip(base.panels, by_runs.panels)
+        )
+
+    @pytest.mark.parametrize("policy", ("P1", "P4"))
+    def test_the_front_workspace_never_leaks(self, policy):
+        # P4's ``apply`` returns views of the front it was handed
+        a = grid_laplacian_2d(9, 8)
+        sym = symbolic_factorize(a, ordering="nd")
+        node = SimulatedNode()
+        worker = Worker(node.cpus[0].engine, node.gpus[0])
+        workspaces = []
+        assemble = numeric.assemble_front_planned
+
+        def spy(plan, a_data, size, s, child_updates, workspace):
+            workspaces.append(workspace)
+            return assemble(plan, a_data, size, s, child_updates, workspace)
+
+        with mock.patch.object(numeric, "assemble_front_planned", spy):
+            # stop below the root: its children's updates are handed back
+            panels, leftover, *_ = numeric._numeric_walk(
+                a, sym, [make_policy(policy)] * sym.n_supernodes, worker,
+                sym.spost[:-1],
+            )
+        assert workspaces and all(w is workspaces[0] for w in workspaces)
+        assert leftover and panels[int(sym.spost[-1])] is None
+        handed_out = [p for p in panels if p is not None] + list(leftover.values())
+        assert not any(np.shares_memory(x, workspaces[0]) for x in handed_out)

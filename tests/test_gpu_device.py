@@ -215,6 +215,39 @@ class TestSimulatedNode:
         assert node.now == 0.0
         assert node.gpus[0].device_pool.capacity == 0
 
+    @pytest.mark.parametrize("pinned_pooling", [True, False])
+    def test_reset_gives_fresh_pool_statistics(self, pinned_pooling):
+        """The pools of a reused node read one factorization, not the
+        running total, and reset plants no attribute on a pool."""
+        from dataclasses import asdict
+
+        from repro import SparseCholeskySolver
+        from repro.matrices import grid_laplacian_3d
+
+        a = grid_laplacian_3d(8, 8, 8)
+
+        def solver():
+            return SparseCholeskySolver(
+                a, ordering="nd", policy="P4",
+                node=SimulatedNode(pinned_pooling=pinned_pooling),
+            ).factorize()
+
+        def pool_counters(s):
+            return [
+                (asdict(p.stats), p.in_use, getattr(p, "capacity", None))
+                for g in s.node.gpus for p in (g.device_pool, g.pinned_pool)
+            ]
+
+        once, twice = solver(), solver()
+        twice.refactorize(a.data * 2.0)
+        assert pool_counters(twice) == pool_counters(once)
+        assert all(c["n_requests"] > 0 for c, _, _ in pool_counters(once))
+        pool = twice.node.gpus[0].pinned_pool
+        assert hasattr(pool, "capacity") == pinned_pooling
+        twice.node.reset()
+        assert hasattr(pool, "capacity") == pinned_pooling
+        assert asdict(pool.stats) == asdict(type(pool.stats)())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulatedNode(n_cpus=0)

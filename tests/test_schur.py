@@ -130,3 +130,34 @@ class TestSolveWithSchur:
         pf = partial_factorize(a, sf, make_policy("P1"), sf.n // 2)
         with pytest.raises(ValueError):
             solve_with_schur(pf, sf, np.ones(3))
+
+
+class TestLowerTriangleContract:
+    """Update blocks are live in their lower triangle only; the Schur
+    block ``partial_factorize`` returns is mirrored from that triangle.
+    The small cases above only reach children below ``RUN_CUT``."""
+
+    @pytest.mark.parametrize("frac", [0.5, 0.8])
+    def test_schur_block_with_a_run_path_child_inside(self, frac):
+        from repro.matrices import elasticity_3d
+        from repro.multifrontal.frontal import get_assembly_plan
+        from repro.multifrontal.schur import solve_with_schur
+
+        a = elasticity_3d(8, 7, 7)
+        sf = symbolic_factorize(a, ordering="amd")
+        pf = partial_factorize(a, sf, make_policy("P1"), int(frac * sf.n))
+        # a child extend-added run by run into an eliminated parent, whose
+        # own update (garbage above the diagonal) reaches the kept block
+        boundary = int(np.searchsorted(sf.super_ptr, pf.n_eliminated))
+        plan = get_assembly_plan(a, sf)
+        assert any(
+            plan.runs[s] is not None and sf.sparent[s] < boundary
+            for s in range(boundary)
+        )
+        assert pf.schur_order > 0
+        assert np.array_equal(pf.schur, pf.schur.T)
+        ref = dense_schur(a, sf.perm, pf.n_eliminated)
+        assert np.allclose(pf.schur, ref, rtol=1e-10, atol=1e-10)
+        b = np.random.default_rng(11).normal(size=a.n_rows)
+        x = solve_with_schur(pf, sf, b)
+        assert np.abs(a.matvec(x) - b).max() <= 1e-10 * np.abs(b).max()

@@ -13,11 +13,12 @@ from repro.autotune import (
 )
 from repro.gpu import SimulatedNode, tesla_t10_model
 from repro.gpu.spec import GpuSpec, TESLA_T10
-from repro.multifrontal import factorize_numeric, solve_factored
+from repro.multifrontal import factorize_numeric, numeric, solve_factored
 from repro.multifrontal.numeric import replay_factorize
 from repro.policies import make_policy
 from repro.symbolic import symbolic_factorize
 from dataclasses import replace
+from unittest import mock
 
 
 class TestMultiRHS:
@@ -231,3 +232,254 @@ class TestScheduleAndBackend:
             SparseCholeskySolver(lap2d_small, schedule="liu", backend="static")
         with pytest.raises(ValueError, match="dynamic"):
             SparseCholeskySolver(lap2d_small, memory_budget=1 << 20)
+
+
+class TestPricingMemo:
+    """``factorize_numeric`` prices a pure pass once per pattern (one slot
+    on the symbolic factor); every other pass prices as it always did,
+    and a hit cannot be told from a miss."""
+
+    @staticmethod
+    def _slot(solver):
+        return getattr(solver.symbolic, "_priced_pass", None)
+
+    @staticmethod
+    def _count_pricing(run):
+        """(schedule_graph calls, TaskGraphs built) while ``run()`` runs."""
+        with mock.patch.object(
+            numeric, "schedule_graph", wraps=numeric.schedule_graph
+        ) as sched, mock.patch.object(
+            numeric, "TaskGraph", wraps=numeric.TaskGraph
+        ) as graphs:
+            run()
+        return sched.call_count, graphs.call_count
+
+    @staticmethod
+    def _pool_requests(solver):
+        return [
+            p.stats.n_requests for g in solver.node.gpus
+            for p in (g.device_pool, g.pinned_pool)
+        ]
+
+    @staticmethod
+    def _observables(solver):
+        from repro.gpu.clock import engine_counters
+
+        f = solver.factor
+        return (
+            f.records, f.makespan, f.assembly_seconds,
+            engine_counters(solver.node.engines), solver.node.now, solver.stats,
+        )
+
+    def test_p1_refactorize_prices_nothing(self, lap3d_small):
+        a = lap3d_small
+        solver = SparseCholeskySolver(a, ordering="nd", policy="P1").analyze()
+        n = solver.symbolic.n_supernodes
+        assert self._count_pricing(solver.factorize) == (n, n)
+        for scale in (2.0, 3.0):
+            counts = self._count_pricing(
+                lambda: solver.refactorize(a.data * scale)
+            )
+            assert counts == (0, 0)
+
+    @pytest.mark.parametrize("policy", ["P4", "baseline"])
+    def test_device_and_hybrid_policies_price_every_call(
+        self, lap3d_small, policy
+    ):
+        from repro.policies import BaselineHybrid
+
+        a = lap3d_small
+        if policy == "baseline":
+            # thresholds low enough to send these small fronts to the device
+            policy = BaselineHybrid(thresholds=(1e3, 1e4, 1e5))
+        solver = SparseCholeskySolver(a, ordering="nd", policy=policy).analyze()
+        first = self._count_pricing(solver.factorize)
+        assert first[0] == solver.symbolic.n_supernodes
+        requests = self._pool_requests(solver)
+        selections = dict(getattr(solver.policy, "selection_counts", {}))
+        assert sum(requests) > 0
+        for scale in (2.0, 3.0):
+            counts = self._count_pricing(
+                lambda: solver.refactorize(a.data * scale)
+            )
+            assert counts == first
+            # each call went through the allocators and the selector again
+            assert self._pool_requests(solver) == requests
+            assert dict(getattr(solver.policy, "selection_counts", {})) == selections
+        assert self._slot(solver) is None
+
+    def test_only_pure_passes_are_kept(self, lap3d_small):
+        from repro.policies import BaselineHybrid, IdealHybrid
+
+        a = lap3d_small
+        model = tesla_t10_model()
+        filled = {}
+        for name, policy in {
+            "P1": "P1", "P3": "P3", "P4": "P4",
+            # with its default thresholds P_BH resolves every front of
+            # this matrix to P1 and never reaches an allocator: it is
+            # still a selector, and is not kept
+            "PBH": BaselineHybrid(), "PIH": IdealHybrid(model),
+        }.items():
+            solver = SparseCholeskySolver(
+                a, ordering="nd", policy=policy,
+                node=SimulatedNode(model=model),
+            ).factorize()
+            for scale in (2.0, 3.0):
+                solver.refactorize(a.data * scale)
+            filled[name] = self._slot(solver) is not None
+        assert filled == {
+            "P1": True, "P3": False, "P4": False, "PBH": False, "PIH": False,
+        }
+
+    def test_hit_reads_like_a_real_pass(self, lap3d_small):
+        from repro.gpu.clock import EngineTimeline
+
+        a = lap3d_small
+        solver = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
+        factors = [solver.factor]
+        seen = [self._observables(solver)]
+        for scale in (2.0, 3.0, 4.0):
+            solver.refactorize(a.data * scale)
+            factors.append(solver.factor)
+            seen.append(self._observables(solver))
+        engines = solver.node.engines
+        fresh = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
+        assert all(obs == self._observables(fresh) for obs in seen)
+        # nothing mutable is shared between two factors or with the slot
+        slot = self._slot(solver)
+        record_lists = [f.records for f in factors] + [slot.records]
+        assert len({id(r) for r in record_lists}) == len(record_lists)
+        assert all(isinstance(t, EngineTimeline) for t in slot.engines)
+        assert not {id(t) for t in slot.engines} & {
+            id(t) for t in engines.values()
+        }
+        # mutating what a hit handed out does not reach the next hit
+        factors[-1].records.clear()
+        engines["cpu0"].free_at = -1.0
+        solver.refactorize(a.data)
+        assert self._observables(solver) == self._observables(fresh)
+
+    def test_misses(self, lap3d_small):
+        a = lap3d_small
+        sf = symbolic_factorize(a, ordering="nd")
+
+        def records(**kwargs):
+            """Through the shared ``sf``, and through one of its own."""
+            shared = SparseCholeskySolver.from_symbolic(a, sf, **kwargs)
+            own = SparseCholeskySolver.from_symbolic(
+                a, symbolic_factorize(a, ordering="nd"), **kwargs
+            )
+            return (shared.factorize().factor.records,
+                    own.factorize().factor.records)
+
+        base = tesla_t10_model()
+        variants = [
+            dict(schedule="post"), dict(schedule="liu"), dict(schedule="post"),
+            dict(node=SimulatedNode(model=base.with_precision("dp"))),
+            dict(node=SimulatedNode(model=tesla_t10_model(jitter=0.05))),
+            dict(node=SimulatedNode(n_cpus=1, n_gpus=0)),
+            dict(schedule="post"),
+        ]
+        seen = []
+        for kwargs in variants:
+            shared, own = records(**kwargs)
+            assert shared == own, kwargs
+            seen.append(shared)
+        assert seen[0] == seen[2] == seen[6]
+        assert seen[0] != seen[1]            # another order
+        assert seen[0] != seen[4]            # another clock
+
+    def test_policy_with_instance_state_bypasses_the_slot(self, lap3d_small):
+        a = lap3d_small
+        solver = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
+        slot = self._slot(solver)
+        n = solver.symbolic.n_supernodes
+        spied = make_policy("P1")
+        with mock.patch.object(spied, "apply", wraps=spied.apply) as apply:
+            other = SparseCholeskySolver.from_symbolic(
+                a, solver.symbolic, policy=spied
+            )
+            # its type is in the slot, but its type is not all there is to it
+            assert self._count_pricing(other.factorize) == (n, n)
+        assert apply.call_count == n - other.factor.batched_fronts > 0
+        assert self._slot(solver) is slot
+        assert other.factor.records == solver.factor.records
+
+    def test_node_with_timelines_prices_from_its_engine_state(self, lap3d_small):
+        a = lap3d_small
+        sf = symbolic_factorize(a, ordering="nd")
+        node = SimulatedNode()
+        first = factorize_numeric(a, sf, make_policy("P1"), node=node)
+        slot = sf._priced_pass
+        n = sf.n_supernodes
+        tasks = node.engines["cpu0"].n_tasks
+        # no reset: the second pass starts where the first one ended
+        second = None
+
+        def again():
+            nonlocal second
+            second = factorize_numeric(a, sf, make_policy("P1"), node=node)
+
+        assert self._count_pricing(again) == (n, n)
+        assert second.records[0].start >= first.makespan
+        assert second.makespan == pytest.approx(2 * first.makespan)
+        assert node.engines["cpu0"].n_tasks == 2 * tasks
+        assert sf._priced_pass is slot       # and is not what gets kept
+        node.reset()
+        third = factorize_numeric(a, sf, make_policy("P1"), node=node)
+        assert third.records == first.records and third.makespan == first.makespan
+
+    def test_breakdown_leaves_the_slot_valid(self, lap3d_small):
+        from repro.dense.kernels import NotPositiveDefiniteError
+
+        a = lap3d_small
+        solver = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
+        pinned = list(solver.factor.records)
+        slot = self._slot(solver)
+        with pytest.raises(
+            NotPositiveDefiniteError,
+            match=r"^matrix is not positive definite: Cholesky broke down in",
+        ):
+            solver.refactorize(-a.data)
+        assert self._slot(solver) is slot
+        assert self._count_pricing(lambda: solver.refactorize(a.data * 2.0)) == (0, 0)
+        assert solver.factor.records == pinned
+        b = np.ones(a.n_rows)
+        assert np.abs(2.0 * a.matvec(solver.solve(b)) - b).max() < 1e-10
+
+    def test_concurrent_refactorize_through_the_service(self, lap3d_small):
+        """Two workers of one service refactoring one pattern share its
+        symbolic factor, and so the slot."""
+        import sys
+
+        from repro.matrices.csc import CSCMatrix
+        from repro.service import SolverService
+
+        a = lap3d_small
+        b = np.ones(a.n_rows)
+        variants = [
+            CSCMatrix(a.shape, a.indptr, a.indices, a.data * s, check=False)
+            for s in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SolverService(n_workers=2, policy="P1", ordering="nd") as svc:
+                assert svc.solve(a, b).tier == "miss"
+                requests = [svc.submit(v, b) for v in variants]
+                outcomes = [r.result(timeout=120) for r in requests]
+                factors = [
+                    svc.cache.get_numeric(svc.keys_for(v)[1]) for v in variants
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [o.tier for o in outcomes] == ["symbolic"] * len(variants)
+        for v, factor in zip(variants, factors):
+            ref = SparseCholeskySolver(v, ordering="nd", policy="P1").factorize()
+            assert factor.records == ref.factor.records
+            assert factor.makespan == ref.factor.makespan
+            assert all(
+                np.array_equal(p, q)
+                for p, q in zip(factor.panels, ref.factor.panels)
+            )
