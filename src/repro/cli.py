@@ -565,6 +565,7 @@ def _git_changed_files(repo_root, base: str):
 STRICT_TYPED_PATHS = (
     "src/repro/lint",
     "src/repro/api",
+    "src/repro/service/cache.py",
     "src/repro/service/tiers.py",
 )
 

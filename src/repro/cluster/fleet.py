@@ -25,10 +25,9 @@ and modeled interconnect bytes (request/response shipping priced by
 :class:`~repro.cluster.topology.InterconnectParams`).
 
 With a ``tiering`` config the fleet also shares factors across shards:
-every shard's :class:`~repro.service.tiers.TieredFactorCache` chains
-onto one fleet-wide *shared* object tier (an eviction on shard A can be
-promoted by shard B), and on a local numeric miss the router probes
-peer shards' private tiers.  A hit there is fetched over the
+every shard's cache chains onto one fleet-wide *shared* object tier (an
+eviction on shard A can be promoted by shard B), and on a local
+numeric miss the router probes peer shards' private tiers.  A hit there is fetched over the
 interconnect only when the modeled transfer is cheaper than
 refactorizing locally (``interconnect.time(nbytes) <
 produce_seconds``) — the same cost-model discipline the paper applies
@@ -41,10 +40,10 @@ import hashlib
 import threading
 
 from repro.cluster.topology import InterconnectParams
+from repro.service.cache import TierConfig
 from repro.service.keys import matrix_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import SolveOutcome, SolverService
-from repro.service.tiers import TierConfig
 
 __all__ = ["ShardRouter", "ShardedSolverService"]
 
@@ -133,9 +132,9 @@ class ShardedSolverService:
     metrics : ServiceMetrics, optional
         Fleet-level metrics sink (per-node counters, failovers, bytes).
     tiering : TierConfig, optional
-        Build every shard's cache as a :class:`~repro.service.tiers.
-        TieredFactorCache` whose object tier is one *shared*
-        :class:`~repro.service.tiers.StorageTier` spanning the fleet.
+        Build every shard's cache over storage tiers whose object tier
+        is one *shared* :class:`~repro.service.tiers.StorageTier`
+        spanning the fleet.
         ``max_cache_bytes`` is ignored in favour of
         ``tiering.ram_bytes``.
     peer_fetch : {"cost-model", "always", "off"}
@@ -173,7 +172,8 @@ class ShardedSolverService:
             interconnect if interconnect is not None else InterconnectParams()
         )
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.peer_fetch = peer_fetch
+        # peer probing requires tiering: an untiered fleet refactorizes
+        self.peer_fetch = peer_fetch if tiering is not None else "off"
         self.shared_tier = (
             tiering.build_shared_tier() if tiering is not None else None
         )
@@ -261,19 +261,13 @@ class ShardedSolverService:
             return
         shard = self.shards[node]
         cache = shard.cache
-        if not hasattr(cache, "peek_numeric_entry"):
-            return  # plain FactorizationCache fleet: nothing to probe
         _, num_key = shard.keys_for(a, policy=policy)
         if cache.has_numeric(num_key):
             return
         for peer in self.router.healthy_nodes():
             if peer == node:
                 continue
-            peer_cache = self.shards[peer].cache
-            peek = getattr(peer_cache, "peek_numeric_entry", None)
-            if peek is None:
-                continue
-            entry = peek(num_key)
+            entry = self.shards[peer].cache.peek_numeric_entry(num_key)
             if entry is None:
                 continue
             fetch_seconds = self.interconnect.time(entry.nbytes)
@@ -378,15 +372,7 @@ class ShardedSolverService:
         """Occupancy + movement counters of the fleet-wide object tier,
         mirrored into fleet gauges so they ride ``/v1/metrics``."""
         t = self.shared_tier
-        info = {
-            "name": t.name,
-            "resident_bytes": int(t.resident_bytes),
-            "capacity_bytes": int(t.spec.capacity_bytes),
-            "entries": len(t),
-            "read_seconds": t.read_seconds,
-            "write_seconds": t.write_seconds,
-            **t.stats,
-        }
+        info = {"name": t.name, **t.snapshot()}
         for stat, value in sorted(info.items()):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue

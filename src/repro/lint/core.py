@@ -246,6 +246,7 @@ class LintConfig:
         "repro.verify",
         "repro.bench",
         "repro.cluster",
+        "repro.service.cache",
         "repro.service.tiers",
         "repro.multifrontal.batched",
         "repro.symbolic.supernodes",

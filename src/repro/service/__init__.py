@@ -5,11 +5,14 @@ SparseCholeskySolver` — the production face of the paper's motivating
 observation that a factorization can be amortized over many solves:
 
 * :mod:`repro.service.keys` — canonical pattern/values hashes of a matrix;
-* :mod:`repro.service.cache` — two-tier (symbolic / numeric) LRU cache
-  bounded by an estimated-bytes budget;
-* :mod:`repro.service.tiers` — the simulated storage hierarchy behind
-  it: RAM → local disk → shared object tier with policy-driven
-  placement/TTL/transfer and modeled byte movement;
+* :mod:`repro.service.cache` — the one factor cache: symbolic and
+  numeric entries in one LRU under an estimated-bytes budget, over a
+  chain of storage tiers of which RAM is the first (alone, evictions
+  are dropped and oversize entries rejected);
+* :mod:`repro.service.tiers` — what the chain is made of: RAM → local
+  disk → shared object tier, each a byte-budgeted LRU with modeled
+  transfer cost, and the placement/TTL/transfer policies that move
+  entries between them;
 * :mod:`repro.service.batching` — multi-RHS aggregation of requests that
   share a cached factor;
 * :mod:`repro.service.service` — the concurrent :class:`SolverService`
@@ -22,6 +25,8 @@ from repro.service.batching import BatchPlan
 from repro.service.cache import (
     CacheLookup,
     FactorizationCache,
+    TierConfig,
+    TieredFactorCache,
     numeric_nbytes,
     symbolic_nbytes,
 )
@@ -34,13 +39,7 @@ from repro.service.keys import (
 )
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.service import SolveOutcome, SolveRequest, SolverService
-from repro.service.tiers import (
-    ManualClock,
-    StorageTier,
-    TierConfig,
-    TieredFactorCache,
-    TierSpec,
-)
+from repro.service.tiers import ManualClock, StorageTier, TierSpec
 
 __all__ = [
     "ManualClock",

@@ -2,7 +2,8 @@
 
 :class:`SolverService` accepts solve requests (matrix + right-hand side)
 on a thread-safe queue and drives a pool of worker threads, reusing
-factorizations through the two-tier :class:`FactorizationCache`:
+factorizations through the :class:`FactorizationCache`, which answers
+a lookup with one of two kinds of entry:
 
 * **numeric hit** — the exact matrix (pattern *and* values) was factored
   before: go straight to the blocked triangular solves, zero
@@ -47,9 +48,8 @@ from repro.multifrontal.solve import solve_factored
 from repro.multifrontal.solver import SparseCholeskySolver
 from repro.policies.base import Policy
 from repro.service.batching import BatchPlan
-from repro.service.cache import FactorizationCache
+from repro.service.cache import FactorizationCache, TierConfig
 from repro.service.keys import matrix_key
-from repro.service.tiers import TierConfig
 from repro.service.metrics import ServiceMetrics
 from repro.symbolic.supernodes import AmalgamationParams
 
@@ -144,9 +144,9 @@ class SolverService:
         Shared cache instance; by default a fresh one bounded by
         ``max_cache_bytes``.
     tiering : TierConfig, optional
-        Build the cache as a :class:`~repro.service.tiers.
-        TieredFactorCache` (RAM → disk → object store with
-        policy-driven spill/promote) instead of the flat LRU.
+        Shorthand for ``cache=tiering.build()``: storage tiers below
+        RAM (RAM → disk → object store with policy-driven
+        spill/promote) instead of RAM alone.
         Mutually exclusive with ``cache``; ``max_cache_bytes`` is
         ignored in favour of ``tiering.ram_bytes``.
     batch_window : float
@@ -334,12 +334,13 @@ class SolverService:
         self.shutdown()
 
     def health(self) -> dict:
-        """Cheap liveness/pressure snapshot — no locks beyond the queue's.
+        """Cheap liveness/pressure snapshot — no locks beyond the
+        queue's and the cache's own.
 
         This is the serving-layer admission hook: the API front door
         polls it per request to decide whether to keep admitting work,
-        so it must stay O(1) — counters and gauges only, never a
-        factorization or a cache walk.
+        so it must stay O(1) — counters and gauges only (one row per
+        cache tier), never a factorization or a cache walk.
         """
         with self._cond:
             queue_depth = len(self._queue)
@@ -354,19 +355,17 @@ class SolverService:
             "cache_max_bytes": self.cache.max_bytes,
             "cache_utilization": self.cache.stored_bytes / self.cache.max_bytes,
         }
-        tier_stats = getattr(self.cache, "tier_stats", None)
-        if tier_stats is not None:
-            tiers = tier_stats()
-            out["cache_resident_bytes"] = self.cache.total_resident_bytes()
-            out["cache_tiers"] = {
-                name: {
-                    "resident_bytes": st["resident_bytes"],
-                    "capacity_bytes": st["capacity_bytes"],
-                    "entries": st["entries"],
-                }
-                for name, st in tiers.items()
+        tiers = self.cache.tier_stats()
+        out["cache_resident_bytes"] = self.cache.total_resident_bytes()
+        out["cache_tiers"] = {
+            name: {
+                "resident_bytes": st["resident_bytes"],
+                "capacity_bytes": st["capacity_bytes"],
+                "entries": st["entries"],
             }
-            self._export_tier_gauges(tiers)
+            for name, st in tiers.items()
+        }
+        self._export_tier_gauges(tiers)
         return out
 
     def _export_tier_gauges(self, tiers: dict) -> None:
@@ -387,20 +386,17 @@ class SolverService:
 
     def report(self) -> dict:
         """Merged metrics + cache statistics snapshot."""
+        tiers = self.cache.tier_stats()
+        self._export_tier_gauges(tiers)
         out = self.metrics.report()
         out["cache"] = dict(self.cache.stats)
         out["cache"]["stored_bytes"] = self.cache.stored_bytes
         out["cache"]["entries"] = len(self.cache)
         out["cache"]["pattern_hit_rate"] = self.cache.pattern_hit_rate
         out["cache"]["numeric_hit_rate"] = self.cache.numeric_hit_rate
-        tier_stats = getattr(self.cache, "tier_stats", None)
-        if tier_stats is not None:
-            tiers = tier_stats()
-            self._export_tier_gauges(tiers)
-            out["cache"]["tiers"] = tiers
-            out["cache"]["ledger"] = dict(self.cache.ledger)
-            out["cache"]["transfer_seconds"] = self.cache.transfer_seconds
-            out["gauges"] = dict(self.metrics.report()["gauges"])
+        out["cache"]["tiers"] = tiers
+        out["cache"]["ledger"] = dict(self.cache.ledger)
+        out["cache"]["transfer_seconds"] = self.cache.transfer_seconds
         return out
 
     # ------------------------------------------------------------------
@@ -557,13 +553,12 @@ class SolverService:
         alt_backend = "static" if self.backend == "serial" else "serial"
         t0 = self._now()
         try:
-            look = self.cache.lookup(req.sym_key, req.num_key)
+            # the symbolic factor comes from the factor in hand: a cache
+            # lookup here would count every sampled request twice
             solver = self._build_solver(
-                req.canonical, look.symbolic, req.policy_spec,
+                req.canonical, factor.sf, req.policy_spec,
                 backend=alt_backend,
             )
-            if solver.symbolic is None:
-                solver.analyze()
             solver.factorize()
             mismatch = (
                 factor_fingerprint(factor) != factor_fingerprint(solver.factor)

@@ -1,21 +1,25 @@
-"""Tiered factor cache: RAM → local disk → shared object store.
+"""Storage tiers of the factor cache: RAM → local disk → shared object store.
 
 The paper's reuse argument — "the potential for reusing the
 factorization when solving multiple systems with the same coefficient
 matrix" — is only as good as the cache that holds the factors.  At
 fleet scale the hot set does not fit one RAM budget, and every LRU
-eviction of :class:`~repro.service.cache.FactorizationCache` silently
-became a future full refactorization.  This module turns that cliff
-into a slope: a simulated storage hierarchy where evicted factors
-**spill down** (RAM → local disk → shared object tier) instead of
-being dropped, and reads **pull up** through the tiers, every movement
+eviction from RAM silently becomes a future full refactorization.
+This module holds what turns that cliff into a slope: the
+:class:`StorageTier` every level of
+:class:`~repro.service.cache.FactorizationCache` is made of, and the
+policies that move entries between levels.  Evicted factors **spill
+down** (RAM → local disk → shared object tier) instead of being
+dropped, and reads **pull up** through the tiers, every movement
 priced by the same ``latency + bytes / bandwidth`` virtual-cost model
 the cluster interconnect uses (:mod:`repro.cluster.topology`).
 
-Everything below RAM is *simulated* storage: payloads stay in process
-memory, but capacity, bandwidth and latency are modeled per tier, so
-the serving layer experiences — and the benchmarks can pin — the
-byte movement and transfer time a real hierarchy would cost.
+RAM is the first tier: a :class:`StorageTier` named ``ram`` whose
+transfers are free.  Everything below it is *simulated* storage:
+payloads stay in process memory, but capacity, bandwidth and latency
+are modeled per tier, so the serving layer experiences — and the
+benchmarks can pin — the byte movement and transfer time a real
+hierarchy would cost.
 
 Three pluggable policy families, each a named registry (mirroring the
 ``placement_policy`` / ``transfer_policy`` pattern the ROADMAP names):
@@ -34,15 +38,6 @@ Three pluggable policy families, each a named registry (mirroring the
   clock (entries older than ``ttl_seconds`` are lazily expired at
   lookup, never served).
 
-:class:`TieredFactorCache` subclasses
-:class:`~repro.service.cache.FactorizationCache` — the base class *is*
-the RAM tier — so it drops into :class:`~repro.service.SolverService`
-unchanged.  A byte ledger backs the conservation invariant the
-property tests pin: every byte ever inserted is either resident in
-some tier, dropped (with a counted reason), or exported to a shared
-tier (imports count symmetrically), and no tier ever holds more than
-its budget.
-
 The shared object tier is how a fleet shares factors: every shard's
 cache chains onto one :class:`StorageTier` (``shared=True``), so a
 factor spilled by shard A is readable — and promotable — by shard B
@@ -53,17 +48,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, TypeVar
 
-from repro.service.cache import CacheLookup, FactorizationCache
+if TYPE_CHECKING:
+    from repro.service.cache import FactorizationCache
 
 __all__ = [
     "TierSpec",
     "TierEntry",
     "StorageTier",
-    "TierConfig",
-    "TieredFactorCache",
     "ManualClock",
     "PlacementPolicy",
     "TransferPolicy",
@@ -121,7 +115,7 @@ def default_object_spec(capacity_bytes: int = 8 << 30) -> TierSpec:
 
 @dataclass
 class TierEntry:
-    """One resident entry of a below-RAM tier."""
+    """One resident entry of a tier."""
 
     payload: object
     nbytes: int
@@ -130,12 +124,13 @@ class TierEntry:
 
 
 class StorageTier:
-    """One simulated below-RAM tier: LRU entries under a byte budget.
+    """One tier, RAM or simulated storage: LRU entries under a byte budget.
 
     The tier has its own reentrant lock so a *shared* tier can be
-    chained under several :class:`TieredFactorCache` instances (one
-    per fleet shard) — the composite cache always acquires its own
-    lock first, then the tier's, a fixed order with no cycles.
+    chained under several :class:`~repro.service.cache.
+    FactorizationCache` instances (one per fleet shard) — the cache
+    always acquires its own lock first, then the tier's, a fixed order
+    with no cycles.
     """
 
     def __init__(self, spec: TierSpec, *, shared: bool = False) -> None:
@@ -219,8 +214,24 @@ class StorageTier:
         return seconds
 
     def keys(self) -> list[tuple[str, str]]:
+        """Resident keys in LRU order, coldest first."""
         with self._lock:
             return list(self._entries.keys())
+
+    def snapshot(self) -> dict[str, object]:
+        """Occupancy and counters in one dict — what the cache's
+        ``tier_stats()``, the service's gauges and the fleet's
+        shared-tier report are all built from."""
+        with self._lock:
+            return {
+                "resident_bytes": int(self.resident_bytes),
+                "capacity_bytes": int(self.spec.capacity_bytes),
+                "entries": len(self._entries),
+                "shared": self.shared,
+                "read_seconds": self.read_seconds,
+                "write_seconds": self.write_seconds,
+                **self.stats,
+            }
 
     def clear(self) -> list[TierEntry]:
         with self._lock:
@@ -265,7 +276,7 @@ class TransferPolicy:
         full_key: tuple[str, str],
         entry: TierEntry,
         tier: StorageTier,
-        cache: "TieredFactorCache",
+        cache: "FactorizationCache",
     ) -> bool:
         raise NotImplementedError
 
@@ -390,7 +401,7 @@ class PullOnRead(TransferPolicy):
 
     def should_promote(
         self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier, cache: "TieredFactorCache",
+        tier: StorageTier, cache: "FactorizationCache",
     ) -> bool:
         return entry.nbytes <= cache.max_bytes
 
@@ -401,7 +412,7 @@ class ReadThrough(TransferPolicy):
 
     def should_promote(
         self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier, cache: "TieredFactorCache",
+        tier: StorageTier, cache: "FactorizationCache",
     ) -> bool:
         return False
 
@@ -418,7 +429,7 @@ class CheapestTransfer(TransferPolicy):
 
     def should_promote(
         self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier, cache: "TieredFactorCache",
+        tier: StorageTier, cache: "FactorizationCache",
     ) -> bool:
         return entry.nbytes <= cache.max_bytes - cache.stored_bytes
 
@@ -442,509 +453,30 @@ class FixedTtl(TtlPolicy):
         return now - inserted_at >= self.ttl_seconds
 
 
+
+
 # ----------------------------------------------------------------------
 # clock
 # ----------------------------------------------------------------------
 class ManualClock:
-    """Deterministic injectable clock for TTL policies and tests."""
+    """A clock that only moves when told to — the injectable time
+    source of the TTL policies, the API edge's token buckets and the
+    deterministic load generator."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
+        self._lock = threading.Lock()
 
-    def advance(self, seconds: float) -> None:
+    def advance(self, seconds: float) -> float:
+        """Move time forward; returns the new reading."""
         if seconds < 0:
             raise ValueError("time only moves forward")
-        self._now += seconds
+        with self._lock:
+            self._now += float(seconds)
+            return self._now
 
     def now(self) -> float:
-        return self._now
-
-    def __call__(self) -> float:
-        return self._now
-
-
-def _zero_clock() -> float:
-    """Default clock: time never passes, so nothing ever expires."""
-    return 0.0
-
-
-# ----------------------------------------------------------------------
-# configuration bundle
-# ----------------------------------------------------------------------
-@dataclass
-class TierConfig:
-    """Everything needed to build one :class:`TieredFactorCache`.
-
-    ``disk`` / ``object_store`` may be None to omit that tier; the
-    fleet replaces ``object_store`` with one *shared*
-    :class:`StorageTier` chained under every shard.
-    """
-
-    ram_bytes: int = 256 << 20
-    disk: TierSpec | None = field(default_factory=default_disk_spec)
-    object_store: TierSpec | None = field(default_factory=default_object_spec)
-    placement: str | PlacementPolicy = "spill"
-    transfer: str | TransferPolicy = "pull-on-read"
-    ttl: str | TtlPolicy = "no-ttl"
-    ttl_seconds: float | None = None
-    clock: Callable[[], float] | None = None
-
-    def build(
-        self, *, shared: StorageTier | None = None
-    ) -> "TieredFactorCache":
-        lower: list[StorageTier] = []
-        if self.disk is not None:
-            lower.append(StorageTier(self.disk))
-        if shared is not None:
-            lower.append(shared)
-        elif self.object_store is not None:
-            lower.append(StorageTier(self.object_store))
-        ttl = self.ttl
-        if self.ttl_seconds is not None and not isinstance(ttl, TtlPolicy):
-            ttl = make_ttl_policy("fixed-ttl", ttl_seconds=self.ttl_seconds)
-        return TieredFactorCache(
-            max_bytes=self.ram_bytes,
-            lower_tiers=lower,
-            placement=self.placement,
-            transfer=self.transfer,
-            ttl=ttl,
-            clock=self.clock,
-        )
-
-    def build_shared_tier(self) -> StorageTier:
-        """The fleet-wide object tier every shard chains onto."""
-        spec = (
-            self.object_store
-            if self.object_store is not None
-            else default_object_spec()
-        )
-        return StorageTier(spec, shared=True)
-
-
-# ----------------------------------------------------------------------
-# the tiered cache
-# ----------------------------------------------------------------------
-class TieredFactorCache(FactorizationCache):
-    """RAM LRU (the base class) chained over simulated lower tiers.
-
-    Drop-in for :class:`FactorizationCache`: ``lookup`` /
-    ``put_symbolic`` / ``put_numeric`` / ``stats`` keep their
-    semantics, with ``stored_bytes`` / ``max_bytes`` describing the
-    RAM tier (the quantity admission control cares about).  Beyond
-    that:
-
-    * RAM evictions route through the placement policy and spill down
-      instead of dropping;
-    * lookups fall through RAM to each lower tier in order, account
-      the modeled read, and promote per the transfer policy;
-    * every entry carries an injectable-clock timestamp checked
-      against the TTL policy at read time (lazy expiry);
-    * a byte ledger (``bytes_inserted`` / ``bytes_dropped`` /
-      ``bytes_exported`` / ``bytes_imported``) makes conservation an
-      assertable invariant.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_bytes: int = 256 << 20,
-        lower_tiers: list[StorageTier] | None = None,
-        placement: str | PlacementPolicy = "spill",
-        transfer: str | TransferPolicy = "pull-on-read",
-        ttl: str | TtlPolicy = "no-ttl",
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        super().__init__(max_bytes=max_bytes)
-        self._lower = list(lower_tiers) if lower_tiers else []
-        names = ["ram"] + [t.name for t in self._lower]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tier names: {names}")
-        self.placement = make_placement_policy(placement)
-        self.transfer = make_transfer_policy(transfer)
-        self.ttl = make_ttl_policy(ttl)
-        self._clock = clock if clock is not None else _zero_clock
-        #: RAM-entry timestamps (lower tiers stamp their TierEntry)
-        self._ram_inserted_at: dict[tuple[str, str], float] = {}
-        self.ledger: dict[str, int] = {
-            "bytes_inserted": 0,
-            "bytes_dropped": 0,
-            "bytes_exported": 0,
-            "bytes_imported": 0,
-        }
-        self.transfer_seconds = 0.0
-        # per-tier movement counters, RAM included
-        self._ram_stats: dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "expired": 0,
-            "promoted_in": 0,
-            "promoted_in_bytes": 0,
-            "spilled_out": 0,
-            "spilled_out_bytes": 0,
-            "dropped": 0,
-            "dropped_bytes": 0,
-        }
-        self._lower_moves: dict[str, dict[str, int]] = {
-            t.name: {
-                "spilled_in": 0,
-                "spilled_in_bytes": 0,
-                "promoted_out": 0,
-                "promoted_out_bytes": 0,
-                "dropped": 0,
-                "dropped_bytes": 0,
-            }
-            for t in self._lower
-        }
-        # reentrancy guard: promotions re-enter _put and must not be
-        # double-counted as external insertions
-        self._promoting = False
-
-    # -- tier plumbing -----------------------------------------------------
-    @property
-    def tiers(self) -> list[str]:
-        return ["ram"] + [t.name for t in self._lower]
-
-    def tier(self, name: str) -> StorageTier:
-        for t in self._lower:
-            if t.name == name:
-                return t
-        raise KeyError(f"no tier named {name!r} (have {self.tiers})")
-
-    def resident_bytes_by_tier(self) -> dict[str, int]:
         with self._lock:
-            out = {"ram": int(self.stored_bytes)}
-            for t in self._lower:
-                out[t.name] = int(t.resident_bytes)
-            return out
+            return self._now
 
-    def tier_stats(self) -> dict[str, dict[str, object]]:
-        """Per-tier counters for reports / metric exposition."""
-        with self._lock:
-            out: dict[str, dict[str, object]] = {
-                "ram": {
-                    "resident_bytes": int(self.stored_bytes),
-                    "capacity_bytes": int(self.max_bytes),
-                    "entries": len(self._entries),
-                    **self._ram_stats,
-                }
-            }
-            for t in self._lower:
-                out[t.name] = {
-                    "resident_bytes": int(t.resident_bytes),
-                    "capacity_bytes": int(t.spec.capacity_bytes),
-                    "entries": len(t),
-                    "shared": t.shared,
-                    "read_seconds": t.read_seconds,
-                    "write_seconds": t.write_seconds,
-                    **t.stats,
-                    **self._lower_moves[t.name],
-                }
-            return out
-
-    def total_resident_bytes(self) -> int:
-        with self._lock:
-            return self.stored_bytes + sum(
-                t.resident_bytes for t in self._lower
-            )
-
-    def total_entries(self) -> int:
-        with self._lock:
-            return len(self._entries) + sum(len(t) for t in self._lower)
-
-    # -- lookups -----------------------------------------------------------
-    def lookup(self, symbolic_key: str, numeric_key: str) -> CacheLookup:
-        with self._lock:
-            self.stats["lookups"] += 1
-            num = self._get_any((self.NUMERIC, numeric_key))
-            if num is not None:
-                self.stats["numeric_hits"] += 1
-                sym = self._get_any((self.SYMBOLIC, symbolic_key))
-                return CacheLookup(self.NUMERIC, symbolic=sym, numeric=num)
-            sym = self._get_any((self.SYMBOLIC, symbolic_key))
-            if sym is not None:
-                self.stats["symbolic_hits"] += 1
-                return CacheLookup(self.SYMBOLIC, symbolic=sym)
-            self.stats["misses"] += 1
-            return CacheLookup("miss")
-
-    def get_symbolic(self, key: str) -> object | None:
-        with self._lock:
-            return self._get_any((self.SYMBOLIC, key))
-
-    def get_numeric(self, key: str) -> object | None:
-        with self._lock:
-            return self._get_any((self.NUMERIC, key))
-
-    def peek_numeric_entry(self, key: str) -> TierEntry | None:
-        """The numeric entry for ``key`` in any tier — no recency
-        touch, no stats, no promotion.  The fleet's peer-probe hook."""
-        full_key = (self.NUMERIC, key)
-        with self._lock:
-            now = self._clock()
-            ram = self._entries.get(full_key)
-            if ram is not None:
-                inserted = self._ram_inserted_at.get(full_key, now)
-                if not self.ttl.expired(inserted, now):
-                    return TierEntry(
-                        ram[0], ram[1], inserted,
-                        self._produce_seconds(ram[0]),
-                    )
-            for t in self._lower:
-                entry = t.peek(full_key)
-                if entry is not None and not self.ttl.expired(
-                    entry.inserted_at, now
-                ):
-                    return entry
-            return None
-
-    def has_numeric(self, key: str) -> bool:
-        return self.peek_numeric_entry(key) is not None
-
-    def peek_numeric(self, key: str) -> object | None:
-        entry = self.peek_numeric_entry(key)
-        return entry.payload if entry is not None else None
-
-    def _get_any(self, full_key: tuple[str, str]) -> object | None:
-        """Find ``full_key`` in RAM or below; expire, account, promote."""
-        now = self._clock()
-        if full_key in self._entries:
-            if self._expire_ram(full_key, now):
-                pass  # expired: fall through to the lower tiers
-            else:
-                self._ram_stats["hits"] += 1
-                return self._touch(full_key)
-        self._ram_stats["misses"] += 1
-        for i, t in enumerate(self._lower):
-            entry = t.peek(full_key)
-            if entry is None:
-                t.stats["misses"] += 1
-                continue
-            if self.ttl.expired(entry.inserted_at, now):
-                t.remove(full_key)
-                t.stats["expired"] += 1
-                self._ledger_drop(t, entry.nbytes, expiry=True)
-                continue
-            t.stats["hits"] += 1
-            self.transfer_seconds += t.account_read(entry.nbytes)
-            if self.transfer.should_promote(full_key, entry, t, self):
-                self._promote(full_key, entry, t)
-            else:
-                t.touch(full_key)
-            return entry.payload
-        return None
-
-    def _expire_ram(self, full_key: tuple[str, str], now: float) -> bool:
-        inserted = self._ram_inserted_at.get(full_key)
-        if inserted is None or not self.ttl.expired(inserted, now):
-            return False
-        payload, nbytes = self._entries.pop(full_key)
-        self.stored_bytes -= nbytes
-        self._ram_inserted_at.pop(full_key, None)
-        self._ram_stats["expired"] += 1
-        self._ram_stats["dropped"] += 1
-        self._ram_stats["dropped_bytes"] += nbytes
-        self.ledger["bytes_dropped"] += nbytes
-        return True
-
-    def _promote(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        source: StorageTier,
-    ) -> None:
-        """Move ``entry`` up from ``source`` into RAM (pull-on-read)."""
-        source.remove(full_key)
-        moves = self._lower_moves[source.name]
-        moves["promoted_out"] += 1
-        moves["promoted_out_bytes"] += entry.nbytes
-        if source.shared:
-            self.ledger["bytes_imported"] += entry.nbytes
-        self._ram_stats["promoted_in"] += 1
-        self._ram_stats["promoted_in_bytes"] += entry.nbytes
-        self._promoting = True
-        try:
-            super()._put(full_key, entry.payload, entry.nbytes)
-        finally:
-            self._promoting = False
-        self._ram_inserted_at[full_key] = entry.inserted_at
-
-    # -- insertion / spilling ----------------------------------------------
-    @staticmethod
-    def _produce_seconds(payload: object) -> float:
-        """Modeled cost of recomputing ``payload`` (0 when unknown).
-
-        Numeric factors carry their simulated factorization makespan;
-        that is exactly the refactorize side of the spill-vs-drop and
-        peer-fetch-vs-refactorize cost comparisons.
-        """
-        try:
-            return float(getattr(payload, "makespan", 0.0))
-        except (TypeError, ValueError):
-            return 0.0
-
-    def _put(
-        self, full_key: tuple[str, str], payload: object, nbytes: int
-    ) -> bool:
-        nbytes = int(nbytes)
-        with self._lock:
-            # a fresh external insert supersedes any stale lower-tier copy
-            for t in self._lower:
-                stale = t.remove(full_key)
-                if stale is not None:
-                    self._ledger_drop(t, stale.nbytes, expiry=False)
-            old = self._entries.get(full_key)
-            if old is not None:
-                # overwrite: the replaced bytes leave the cache — evict
-                # the old entry here so the oversize branch below (which
-                # never reaches the base-class overwrite) stays honest
-                self._entries.pop(full_key)
-                self.stored_bytes -= old[1]
-                self._ram_inserted_at.pop(full_key, None)
-                self._ram_stats["dropped"] += 1
-                self._ram_stats["dropped_bytes"] += old[1]
-                self.ledger["bytes_dropped"] += old[1]
-            if nbytes > self.max_bytes:
-                # too big for RAM: route straight down the spill path
-                # rather than rejecting outright — "capacity rejection
-                # at each tier" means each tier gets its own say
-                self.stats["rejected_oversize"] += 1
-                entry = TierEntry(
-                    payload, nbytes, self._clock(),
-                    self._produce_seconds(payload),
-                )
-                # the cache takes custody of the bytes either way: they
-                # end up resident below, exported, or counted dropped
-                self.ledger["bytes_inserted"] += nbytes
-                placed = self._spill(full_key, entry, from_index=-1)
-                if placed:
-                    self.stats["insertions"] += 1
-                return placed
-            accepted = super()._put(full_key, payload, nbytes)
-            if accepted:
-                self._ram_inserted_at[full_key] = self._clock()
-                self.ledger["bytes_inserted"] += nbytes
-            return accepted
-
-    def _on_evict(
-        self, full_key: tuple[str, str], payload: object, nbytes: int
-    ) -> None:
-        """RAM LRU eviction → spill down instead of dropping."""
-        inserted_at = self._ram_inserted_at.pop(full_key, self._clock())
-        entry = TierEntry(
-            payload, nbytes, inserted_at, self._produce_seconds(payload)
-        )
-        self._spill(full_key, entry, from_index=-1, from_ram=True)
-
-    def _spill(
-        self, full_key: tuple[str, str], entry: TierEntry, *,
-        from_index: int,
-        from_ram: bool = False, in_books: bool = True,
-    ) -> bool:
-        """Place an evicted entry on the first acceptable tier below
-        ``from_index``; cascade that tier's own evictions further down;
-        drop (counted) when no tier takes it.
-
-        ``in_books`` is False for entries displaced out of a *shared*
-        tier: their bytes were exported by whichever cache spilled
-        them, so this cache's ledger must not count their fate.
-        """
-        for i in range(from_index + 1, len(self._lower)):
-            t = self._lower[i]
-            if not self.placement.should_spill(full_key, entry, t):
-                continue
-            accepted, displaced = t.put(full_key, entry)
-            if not accepted:
-                continue  # oversize for this tier; try the next one down
-            self.transfer_seconds += t.spec.transfer_time(entry.nbytes)
-            moves = self._lower_moves[t.name]
-            moves["spilled_in"] += 1
-            moves["spilled_in_bytes"] += entry.nbytes
-            if from_ram:
-                self._ram_stats["spilled_out"] += 1
-                self._ram_stats["spilled_out_bytes"] += entry.nbytes
-            if t.shared and in_books:
-                self.ledger["bytes_exported"] += entry.nbytes
-            for cold_key, cold in displaced:
-                self._spill(
-                    cold_key, cold, from_index=i, in_books=not t.shared
-                )
-            return True
-        # nowhere to go: the bytes leave the cache
-        if from_ram:
-            self._ram_stats["dropped"] += 1
-            self._ram_stats["dropped_bytes"] += entry.nbytes
-        if in_books:
-            self.ledger["bytes_dropped"] += entry.nbytes
-        return False
-
-    def _ledger_drop(
-        self, tier: StorageTier, nbytes: int, *, expiry: bool
-    ) -> None:
-        moves = self._lower_moves[tier.name]
-        moves["dropped"] += 1
-        moves["dropped_bytes"] += nbytes
-        # bytes expiring or displaced in a *shared* tier were already
-        # exported out of this cache's books when they were spilled
-        if not tier.shared:
-            self.ledger["bytes_dropped"] += nbytes
-
-    # -- ledger ------------------------------------------------------------
-    def check_conservation(self) -> list[str]:
-        """Byte-accounting conservation (the property tests' oracle).
-
-        ``inserted + imported == resident(private tiers) + dropped +
-        exported``; a shared tier keeps its own books (its bytes were
-        exported when they left this cache).  Returns violations
-        (empty = invariant holds).
-        """
-        with self._lock:
-            resident = self.stored_bytes + sum(
-                t.resident_bytes for t in self._lower if not t.shared
-            )
-            lhs = (
-                self.ledger["bytes_inserted"] + self.ledger["bytes_imported"]
-            )
-            rhs = (
-                resident
-                + self.ledger["bytes_dropped"]
-                + self.ledger["bytes_exported"]
-            )
-            violations = []
-            if lhs != rhs:
-                violations.append(
-                    f"byte ledger unbalanced: inserted+imported={lhs} != "
-                    f"resident+dropped+exported={rhs} ({self.ledger})"
-                )
-            if self.stored_bytes > self.max_bytes:
-                violations.append(
-                    f"ram over budget: {self.stored_bytes} > {self.max_bytes}"
-                )
-            for t in self._lower:
-                if t.resident_bytes > t.spec.capacity_bytes:
-                    violations.append(
-                        f"tier {t.name} over budget: {t.resident_bytes} > "
-                        f"{t.spec.capacity_bytes}"
-                    )
-            return violations
-
-    def clear(self) -> None:
-        """Empty RAM and private lower tiers (a shared tier belongs to
-        the fleet, not to one shard, and is left alone)."""
-        with self._lock:
-            self.ledger["bytes_dropped"] += self.stored_bytes
-            super().clear()
-            self._ram_inserted_at.clear()
-            for t in self._lower:
-                if t.shared:
-                    continue
-                for entry in t.clear():
-                    self.ledger["bytes_dropped"] += entry.nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        lower = ", ".join(
-            f"{t.name}={t.resident_bytes}/{t.spec.capacity_bytes}"
-            for t in self._lower
-        )
-        return (
-            f"TieredFactorCache(ram={self.stored_bytes}/{self.max_bytes}"
-            + (f", {lower}" if lower else "")
-            + ")"
-        )
+    __call__ = now

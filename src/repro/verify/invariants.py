@@ -437,8 +437,9 @@ def check_tier_coherence(a: CSCMatrix) -> list[str]:
     """
     from repro.cluster.fleet import ShardedSolverService
     from repro.runtime.faults import FaultInjector
+    from repro.service.cache import TierConfig
     from repro.service.service import SolverService
-    from repro.service.tiers import TierConfig, TierSpec
+    from repro.service.tiers import TierSpec
     from repro.verify.lattice import factor_fingerprint
 
     violations: list[str] = []

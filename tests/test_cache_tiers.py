@@ -9,11 +9,16 @@ and assertable down to the byte.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import InterconnectParams, ShardedSolverService
 from repro.service import (
+    FactorizationCache,
     ManualClock,
     SolverService,
     StorageTier,
@@ -675,6 +680,170 @@ class TestPeerFetchDecision:
                 fleet.shards[target].metrics.counter(
                     "numeric_factorizations"
                 ) == 0
+            )
+
+
+# ----------------------------------------------------------------------
+# one cache class: RAM is tier 0
+# ----------------------------------------------------------------------
+STAT_KEYS = (
+    "lookups", "numeric_hits", "symbolic_hits", "misses",
+    "insertions", "evictions", "rejected_oversize",
+)
+CACHE_OPS = (
+    "put_symbolic", "put_numeric", "lookup", "get_symbolic",
+    "get_numeric", "peek_numeric", "clear",
+)
+
+
+class _LruModel:
+    """The plain LRU under a byte budget, as the flat cache's
+    ``_put`` / ``_touch`` had it before RAM became a storage tier."""
+
+    def __init__(self, budget):
+        self.budget, self.entries, self.stored = budget, OrderedDict(), 0
+        self.stats = dict.fromkeys(STAT_KEYS, 0)
+
+    def get(self, key, *, touch=True):
+        if touch and key in self.entries:
+            self.entries.move_to_end(key)
+        return self.entries.get(key, (None, 0))[0]
+
+    def put(self, key, payload, nbytes):
+        self.stored -= self.entries.pop(key, (None, 0))[1]
+        if nbytes > self.budget:  # rejected, and the old copy is gone
+            self.stats["rejected_oversize"] += 1
+            return False
+        self.entries[key] = (payload, nbytes)
+        self.stored += nbytes
+        self.stats["insertions"] += 1
+        while self.stored > self.budget:
+            self.stored -= self.entries.popitem(last=False)[1][1]
+            self.stats["evictions"] += 1
+        return True
+
+    def lookup(self, sym_key, num_key):
+        num = self.get(("numeric", num_key))
+        sym = self.get(("symbolic", sym_key))
+        kind = "numeric" if num is not None else (
+            "symbolic" if sym is not None else "miss")
+        self.stats["lookups"] += 1
+        self.stats["misses" if kind == "miss" else f"{kind}_hits"] += 1
+        return kind, sym, num
+
+
+class TestRamOnlyIsThePlainLru:
+    """With no tier below RAM — or with one nothing is ever placed on —
+    the cache is the LRU model, operation for operation."""
+
+    @staticmethod
+    def _apply(cache, op, key, other, payload, nbytes):
+        if op in ("put_symbolic", "put_numeric"):
+            return getattr(cache, op)(key, payload, nbytes=nbytes)
+        if op == "lookup":
+            look = cache.lookup(key, other)
+            return look.tier, look.symbolic, look.numeric
+        if op == "clear":
+            return cache.clear()
+        return getattr(cache, op)(key)
+
+    @staticmethod
+    def _apply_model(model, op, key, other, payload, nbytes):
+        if op in ("put_symbolic", "put_numeric"):
+            return model.put((op[4:], key), payload, nbytes)
+        if op == "lookup":
+            return model.lookup(key, other)
+        if op == "clear":
+            model.entries.clear()
+            model.stored = 0
+            return None
+        kind = "numeric" if op.endswith("numeric") else "symbolic"
+        return model.get((kind, key), touch=not op.startswith("peek"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.lists(
+            st.tuples(
+                st.sampled_from(CACHE_OPS),
+                st.sampled_from("abc"),
+                st.sampled_from("abc"),
+                st.integers(0, 10_000),
+            ),
+            min_size=1, max_size=60,
+        ),
+    )
+    def test_every_operation_agrees_with_the_model(self, budget, ops):
+        model = _LruModel(budget)
+        ram_only = FactorizationCache(max_bytes=budget)
+        drop_over_disk = FactorizationCache(
+            max_bytes=budget,
+            lower_tiers=[StorageTier(TierSpec("disk", 4 * budget, 5e8, 5e-3))],
+            placement="drop",
+        )
+        for step, (op, key, other, raw) in enumerate(ops):
+            # sizes 1 … budget + 1: the last one is oversize
+            args = (op, key, other, f"payload{step}", 1 + raw % (budget + 1))
+            want = self._apply_model(model, *args)
+            for cache in (ram_only, drop_over_disk):
+                assert self._apply(cache, *args) == want
+                assert cache.stats == model.stats
+                assert cache.keys() == list(model.entries)
+                assert cache.stored_bytes == model.stored
+                assert len(cache) == len(model.entries)
+                assert cache.check_conservation() == []
+            assert len(drop_over_disk.tier("disk")) == 0
+
+
+class TestOneCacheClass:
+    """What the constructors decide, once, so no caller has to probe."""
+
+    def test_tiered_is_a_second_name_for_the_same_class(self):
+        assert TieredFactorCache is FactorizationCache
+        assert isinstance(TierConfig(ram_bytes=100).build(), FactorizationCache)
+
+    def test_one_manual_clock(self):
+        import repro.api
+        import repro.service
+
+        assert repro.api.ManualClock is repro.service.ManualClock
+        clk = ManualClock(5.0)
+        assert clk.advance(2.5) == 7.5  # the new reading, as the API's did
+
+    def test_ram_only_service_reports_its_one_tier(self, lap2d_small):
+        with SolverService(n_workers=1) as svc:
+            svc.solve(lap2d_small, np.ones(lap2d_small.n_rows))
+            tiers = svc.report()["cache"]["tiers"]
+            health = svc.health()
+            assert set(tiers) == set(health["cache_tiers"]) == {"ram"}
+            assert svc.cache.stored_bytes > 0
+            assert tiers["ram"]["resident_bytes"] == svc.cache.stored_bytes
+            assert (
+                health["cache_tiers"]["ram"]["resident_bytes"]
+                == health["cache_resident_bytes"]
+                == svc.cache.stored_bytes
+            )
+            assert svc.cache.check_conservation() == []
+
+    def test_untiered_fleet_refactorizes_instead_of_probing_peers(
+        self, lap2d_small
+    ):
+        # peer fetch requires tiering: the same set-up as
+        # test_end_to_end_fetch_through_solve, minus the TierConfig
+        b = np.ones(lap2d_small.n_rows)
+        with ShardedSolverService(2) as fleet:
+            target = fleet.primary_for(lap2d_small)
+            other = 1 - target
+            first = fleet.shards[other].solve(lap2d_small, b)
+            _, num_key = fleet.shards[other].keys_for(lap2d_small)
+            assert fleet.shards[other].cache.has_numeric(num_key)
+            out = fleet.solve(lap2d_small, b)
+            assert fleet.metrics.counter("peer_fetches") == 0
+            assert out.tier == "miss"
+            np.testing.assert_array_equal(first.x, out.x)
+            assert (
+                fleet.shards[target].metrics.counter("numeric_factorizations")
+                == 1
             )
 
 

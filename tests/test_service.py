@@ -629,6 +629,24 @@ class TestShadowVerification:
             svc.solve(lap2d_small, b)          # numeric hit on poisoned entry
         assert svc.metrics.counter("shadow_mismatches") >= 1
 
+    def test_shadow_check_makes_no_cache_traffic(self, lap2d_small):
+        # the reference is built on the symbolic factor of the factor in
+        # hand: a sampled request is one lookup in the cache statistics,
+        # exactly like an unsampled one
+        b = np.ones(lap2d_small.n_rows)
+        stats = {}
+        for rate in (0.0, 1.0):
+            with SolverService(n_workers=1, policy="P1", ordering="amd",
+                               shadow_verify_rate=rate) as svc:
+                for _ in range(4):
+                    svc.solve(lap2d_small, b)
+            stats[rate] = dict(svc.cache.stats)
+        assert stats[1.0] == stats[0.0]
+        assert stats[1.0]["lookups"] == 4
+        assert stats[1.0]["numeric_hits"] == 3
+        assert svc.metrics.counter("shadow_checks") == 4
+        assert svc.metrics.counter("shadow_mismatches") == 0
+
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError, match="shadow_verify_rate"):
             SolverService(n_workers=1, shadow_verify_rate=1.5)
