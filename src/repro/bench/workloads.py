@@ -83,24 +83,16 @@ class SuiteCache:
             self._classifier = train_default_classifier(self.model)
         return self._classifier
 
-    def ideal(self):
-        """One shared IdealHybrid so its (m, k) cache persists."""
-        if self._ideal is None:
-            from repro.policies import IdealHybrid
-
-            self._ideal = IdealHybrid(self.model)
-        return self._ideal
-
     def policy(self, policy_name: str):
-        from repro.policies import BaselineHybrid, ModelHybrid, make_policy
+        from repro.policies import make_policy
 
-        if policy_name == "baseline":
-            return BaselineHybrid()
         if policy_name == "ideal":
-            return self.ideal()
-        if policy_name == "model":
-            return ModelHybrid(self.classifier())
-        return make_policy(policy_name)
+            # one shared IdealHybrid so its (m, k) cache persists
+            if self._ideal is None:
+                self._ideal = make_policy("ideal", model=self.model)
+            return self._ideal
+        classifier = self.classifier() if policy_name == "model" else None
+        return make_policy(policy_name, classifier=classifier)
 
     # ---- timing paths -----------------------------------------------------
     def replay(self, matrix_name: str, policy_name: str):

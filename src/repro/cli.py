@@ -315,21 +315,10 @@ def _runtime_suite():
     ]
 
 
-def _runtime_policy(name: str, model):
-    from repro.policies import make_policy
-    from repro.policies.hybrid import BaselineHybrid, IdealHybrid
-
-    low = name.lower()
-    if low == "baseline":
-        return BaselineHybrid()
-    if low == "ideal":
-        return IdealHybrid(model)
-    return make_policy("P4c" if low == "p4c" else name.upper())
-
-
 def cmd_runtime_bench(args) -> int:
     from repro.analysis import format_table
     from repro.parallel import list_schedule, make_worker_pool
+    from repro.policies import make_policy
     from repro.runtime import (
         FaultInjector,
         dynamic_schedule,
@@ -342,7 +331,7 @@ def cmd_runtime_bench(args) -> int:
     for name, a in _runtime_suite():
         sf = symbolic_factorize(a, ordering=args.ordering)
         pool = make_worker_pool(args.cpus, args.gpus)
-        policy = _runtime_policy(args.policy, pool.node.model)
+        policy = make_policy(args.policy, model=pool.node.model)
         static = list_schedule(sf, policy, pool, gang_threshold=np.inf)
         static_peak = schedule_peak_update_bytes(sf, static.schedule)
         budget = (
@@ -404,7 +393,7 @@ def cmd_cluster_bench(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     model = tesla_t10_model()
-    policy = _runtime_policy(args.policy, model)
+    policy = make_policy(args.policy, model=model)
     net = InterconnectParams(latency=args.latency, bandwidth=args.bandwidth)
 
     rows = []

@@ -96,12 +96,8 @@ def cluster_factorize(
     numeric_node = SimulatedNode(
         model=spec.model, n_cpus=1, n_gpus=spec.gpus_per_rank
     )
-    numeric_worker = Worker(
-        cpu_engine=numeric_node.cpus[0].engine,
-        gpu=numeric_node.gpus[0] if numeric_node.gpus else None,
-    )
     result.factor = scheduled_numeric_factor(
-        a, sf, policy, numeric_worker, numeric_node, result.schedule,
-        makespan=result.makespan,
+        a, sf, policy, Worker.canonical(numeric_node), numeric_node,
+        result.schedule, makespan=result.makespan,
     )
     return result

@@ -67,6 +67,12 @@ class HighWaterMarkPool:
     in_use: int = 0
     stats: AllocationStats = field(default_factory=AllocationStats)
 
+    def fits(self, nbytes: int) -> bool:
+        """Whether :meth:`request` would grant ``nbytes`` (what policy
+        resolution asks before it sends a front to the device)."""
+        limit = self.capacity_limit
+        return nbytes <= self.capacity or limit is None or nbytes <= limit
+
     def request(self, nbytes: int) -> float:
         """Reserve ``nbytes``; returns the simulated seconds the request
         costs (0.0 when it fits under the high-water mark)."""
@@ -74,15 +80,14 @@ class HighWaterMarkPool:
             raise ValueError("negative allocation request")
         self.stats.n_requests += 1
         self.stats.bytes_requested += nbytes
-        self.in_use += nbytes
-        if nbytes <= self.capacity:
-            return 0.0
-        if self.capacity_limit is not None and nbytes > self.capacity_limit:
-            self.in_use -= nbytes
+        if not self.fits(nbytes):
             raise DeviceMemoryError(
                 f"request of {nbytes} bytes exceeds device capacity "
                 f"{self.capacity_limit}"
             )
+        self.in_use += nbytes
+        if nbytes <= self.capacity:
+            return 0.0
         cost = float(self.alloc_time(nbytes))
         self.capacity = nbytes
         self.stats.n_growths += 1
@@ -123,12 +128,16 @@ class PerCallPool:
     in_use: int = 0
     stats: AllocationStats = field(default_factory=AllocationStats)
 
+    def fits(self, nbytes: int) -> bool:
+        """Whether :meth:`request` would grant ``nbytes``."""
+        return self.capacity_limit is None or nbytes <= self.capacity_limit
+
     def request(self, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError("negative allocation request")
         self.stats.n_requests += 1
         self.stats.bytes_requested += nbytes
-        if self.capacity_limit is not None and nbytes > self.capacity_limit:
+        if not self.fits(nbytes):
             raise DeviceMemoryError(
                 f"request of {nbytes} bytes exceeds device capacity "
                 f"{self.capacity_limit}"

@@ -126,7 +126,7 @@ def factorize_resident(
         raise ValueError("device-resident factorization needs a GPU")
     model = node.model
     gpu = node.gpus[0]
-    worker = Worker(node.cpus[0].engine, gpu)
+    worker = Worker.canonical(node)
     word = model.gpu_word
     capacity = gpu.spec.memory_bytes
 
@@ -135,7 +135,7 @@ def factorize_resident(
     on_device = np.zeros(n_super, dtype=bool)
     for s in range(n_super):
         m, k = sf.update_size(s), sf.width(s)
-        on_device[s] = bool(chooser(m, k)) and m >= 0
+        on_device[s] = bool(chooser(m, k))
 
     if numerics:
         a_perm = a.permute_symmetric(sf.perm)

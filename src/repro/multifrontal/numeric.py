@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError
-from repro.gpu.allocator import DeviceMemoryError
 from repro.gpu.clock import EngineTimeline, TaskGraph, schedule_graph
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import PerfModel
@@ -174,7 +173,8 @@ def _price_postorder(
 
     Returns the per-call records (in schedule order), the policy each
     supernode resolved to (indexed by supernode id; host ``P1`` where
-    the front did not fit on the device) and the total assembly time.
+    ``worker`` has no device the front fits on) and the total assembly
+    time.
     ``assembly_in_record`` says whether a record's ``start`` and
     ``components`` cover the front's assembly task or only its F-U call.
     """
@@ -184,7 +184,6 @@ def _price_postorder(
     records: list[FURecord] = []
     bases: list[Policy] = [policy] * sf.n_supernodes
     assembly_seconds = 0.0
-    resolve = getattr(policy, "resolve", None)
 
     for s in np.asarray(sf.spost if spost is None else spost).tolist():
         size = sf.rows[s].size
@@ -200,20 +199,8 @@ def _price_postorder(
         asm_task = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
         assembly_seconds += t_asm
 
-        base = resolve(m, k, worker) if resolve is not None else policy
-        try:
-            plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
-        except DeviceMemoryError:
-            # the front does not fit on the device ("the memory
-            # limitations of GPU ... requires deployment and coordination
-            # among multiple CPUs and GPUs to handle large matrices",
-            # Section IV-B) — fall back to the host for this call
-            base = PolicyP1()
-            g = TaskGraph()
-            asm_task = g.add(
-                f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble"
-            )
-            plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
+        base = policy.resolve(m, k, worker)
+        plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
         schedule_graph(g, engines=node.engines)
         final_task[s] = plan.final
         bases[s] = base
@@ -261,22 +248,21 @@ def _price_once(
     per pattern where the pass is a function of the pattern.
 
     The slot is read and written only on a fresh node (no engine timeline
-    yet: records carry absolute times) under a policy that is all in its
-    type (no ``resolve`` — a selector counts what it selects — and no
-    instance state).  A hit also needs the slot's policy type, worker,
-    node model and schedule; it hands out fresh lists and fresh timeline
-    copies, so the node and the records read exactly as after a real
-    pass.  A pass is kept only if, on top of that, no allocator of the
-    node saw a request during it (pool statistics, pool growth and the
-    ``DeviceMemoryError`` fallback all go through one): pure by
-    construction, not by name.  Everything else prices as if this
-    function did not exist.
+    yet: records carry absolute times) under a host policy that is all
+    in its type: no instance state (a selector counts what it selects in
+    one) and no device to ask (a device policy resolves by the worker's
+    pool, which the key does not carry).  A hit also needs the slot's
+    policy type, worker, node model and schedule; it hands out fresh
+    lists and fresh timeline copies, so the node and the records read
+    exactly as after a real pass.  A pass is kept only if, on top of
+    that, no allocator of the node saw a request during it (pool
+    statistics and pool growth go through one): pure by construction,
+    not by name.  Everything else prices as if this function did not
+    exist.
     """
     order = np.asarray(sf.spost if spost is None else spost)
     key = (type(policy), worker.cpu_engine, worker.has_gpu, order.tobytes())
-    eligible = (
-        not node.engines and not hasattr(policy, "resolve") and not vars(policy)
-    )
+    eligible = not node.engines and not policy.needs_gpu and not vars(policy)
     memo: _PricedPass | None = getattr(sf, "_priced_pass", None)
     if eligible and memo and memo.key == key and memo.model == node.model:
         node.engines.update((t.name, replace(t)) for t in memo.engines)
@@ -440,7 +426,7 @@ def factorize_numeric(
     """
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
+    worker = Worker.canonical(node)
     records, bases, assembly_seconds = _price_once(sf, policy, node, worker, spost)
     return postorder_numeric_factor(
         a, sf, bases, worker, node, records,
@@ -486,7 +472,7 @@ def replay_factorize(
     """
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
+    worker = Worker.canonical(node)
     records, _, assembly_seconds = _price_postorder(
         sf, policy, node, worker, spost, assembly_in_record=True
     )

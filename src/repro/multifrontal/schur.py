@@ -87,7 +87,7 @@ def partial_factorize(
         raise ValueError("n_eliminate out of range")
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
+    worker = Worker.canonical(node)
 
     # snap the boundary to a supernode edge: supernodes [0, boundary)
     # are eliminated

@@ -8,8 +8,10 @@ One object drives the whole pipeline the paper describes:
 >>> x = solver.solve(b)
 >>> solver.stats.simulated_seconds     # the quantity the paper reports
 
-Policies may be given by name (``"P1"``..``"P4"``, ``"P4c"``,
-``"baseline"``, ``"ideal"``, ``"model"``) or as a
+Policies may be given by name — any name
+:func:`~repro.policies.base.make_policy` knows, case-insensitive
+(``"P1"``..``"P4"``, ``"P4c"``, ``"basic"``, ``"baseline"``,
+``"ideal"``, ``"model"``) — or as a
 :class:`~repro.policies.base.Policy` instance.  ``policy="model"``
 auto-trains a cost-sensitive classifier on synthetic timing data from
 the node's performance model (the paper's auto-tuning loop) unless a
@@ -28,8 +30,14 @@ Two orthogonal execution knobs:
 * ``backend="cluster"`` factors through the simulated multi-node fleet
   of :mod:`repro.cluster` (shape via ``cluster``, a
   :class:`repro.cluster.ClusterSpec`; defaults to two ranks matching
-  this solver's node shape).  Every backend produces bit-identical
-  factors.
+  this solver's node shape).
+
+Every backend produces bit-identical factors, by one rule: front *s*
+is computed under ``policy.resolve(m, k, canonical worker)`` — the
+policy's choice, or host P1 where the node's first lane has no device
+the front fits on — whatever worker the schedule placed and priced it
+on (fronts the dynamic runtime degraded after injected GPU failures
+excepted: they run the host path, as their simulated execution did).
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from repro.multifrontal.numeric import NumericFactor, factorize_numeric
 from repro.multifrontal.refine import RefinementResult, iterative_refinement
 from repro.multifrontal.solve import solve_factored
 from repro.policies.base import Policy, make_policy
-from repro.policies.hybrid import BaselineHybrid, IdealHybrid, ModelHybrid
 from repro.symbolic.supernodes import AmalgamationParams
 from repro.symbolic.symbolic import SymbolicFactor, symbolic_factorize
 
@@ -128,20 +135,11 @@ class SparseCholeskySolver:
     def _build_policy(self, policy: str | Policy, classifier) -> Policy:
         if isinstance(policy, Policy):
             return policy
-        name = policy.lower()
-        if name in ("p1", "p2", "p3", "p4", "p4c"):
-            return make_policy(policy.upper() if name != "p4c" else "P4c")
-        if name == "baseline":
-            return BaselineHybrid()
-        if name == "ideal":
-            return IdealHybrid(self.node.model)
-        if name == "model":
-            if classifier is None:
-                from repro.autotune import train_default_classifier
+        if policy.lower() == "model" and classifier is None:
+            from repro.autotune import train_default_classifier
 
-                classifier = train_default_classifier(self.node.model)
-            return ModelHybrid(classifier)
-        raise ValueError(f"unknown policy {policy!r}")
+            classifier = train_default_classifier(self.node.model)
+        return make_policy(policy, model=self.node.model, classifier=classifier)
 
     @property
     def policy(self) -> Policy:
@@ -200,23 +198,6 @@ class SparseCholeskySolver:
         )
         return self
 
-    def _worker_pool(self):
-        """Pool over this solver's node: one worker per host CPU, the
-        first ``n_gpus`` of them owning a GPU each (the paper's design
-        point of one host thread per GPU)."""
-        from repro.parallel.workers import WorkerPool
-        from repro.policies.base import Worker
-
-        node = self.node
-        workers = [
-            Worker(
-                node.cpus[i].engine,
-                node.gpus[i] if i < len(node.gpus) else None,
-            )
-            for i in range(len(node.cpus))
-        ]
-        return WorkerPool(node=node, workers=workers)
-
     def factorize(self) -> "SparseCholeskySolver":
         """Run the numeric factorization (analyze first if needed)."""
         if self.symbolic is None:
@@ -252,9 +233,10 @@ class SparseCholeskySolver:
             self.factor = result.factor
         else:
             from repro.parallel.scheduler import parallel_factorize
+            from repro.parallel.workers import WorkerPool
 
             result = parallel_factorize(
-                self.a, self.symbolic, self._policy, self._worker_pool(),
+                self.a, self.symbolic, self._policy, WorkerPool.over(self.node),
                 backend=self.backend,
                 memory_budget=self.memory_budget,
                 faults=self.faults,

@@ -29,7 +29,7 @@ from repro.multifrontal.numeric import (
 )
 from repro.parallel.pricing import TaskPricer
 from repro.parallel.workers import WorkerPool
-from repro.policies.base import Policy, PolicyP1, Worker
+from repro.policies.base import Policy, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 __all__ = [
@@ -108,7 +108,6 @@ def list_schedule(
     asm = pricer.assembly_times()
     # upward rank: seconds from this task to the root, inclusive
     rank = pricer.upward_ranks()
-    any_gpu = pricer.gpu_worker is not None
 
     flops = np.array(
         [sum(factor_update_flops(sf.update_size(s), sf.width(s)))
@@ -133,27 +132,27 @@ def list_schedule(
         gang = p > 1 and flops[s] >= gang_threshold
         if gang:
             # the whole pool runs it: priced on the pool's best shape
-            fu, name = pricer.fu_time(s, any_gpu)
+            fu, base = pricer.fu_time(s, pricer.best_worker)[:2]
             start = max(deps_done, max(worker_free))
             speed = 1.0 + (p - 1) * gang_efficiency
             end = start + (fu + asm[s]) / speed
             for w in range(p):
                 worker_free[w] = end
                 worker_busy[w] += (end - start)
-            schedule.append(ScheduledTask(s, -1, start, end, name, True))
+            schedule.append(ScheduledTask(s, -1, start, end, base.name, True))
         else:
             # earliest-start placement, priced on the worker it lands on
             # (a worker that owns no GPU runs a device policy as host P1)
             best_w = min(
                 range(p), key=lambda w: (max(worker_free[w], deps_done), w)
             )
-            fu, name = pricer.fu_time(s, pool.workers[best_w].has_gpu)
+            fu, base = pricer.fu_time(s, pool.workers[best_w])[:2]
             dur = fu + asm[s]
             start = max(worker_free[best_w], deps_done)
             end = start + dur
             worker_free[best_w] = end
             worker_busy[best_w] += dur
-            schedule.append(ScheduledTask(s, best_w, start, end, name, False))
+            schedule.append(ScheduledTask(s, best_w, start, end, base.name, False))
         finish[s] = end
         done += 1
         parent = int(sf.sparent[s])
@@ -188,14 +187,14 @@ def parallel_factorize(
     ``memory_budget``, dispatch-time policy selection, optional fault
     injection via ``faults``).
 
-    The numeric result is schedule-independent (each supernode's F-U is
-    computed exactly once, with the dtype implied by its resolved
-    policy), so the numerics pass runs in postorder on a canonical
-    worker while times come from the chosen scheduler — both backends
-    therefore produce bit-identical factors.  The one exception is a
-    task the dynamic runtime *degraded* after injected GPU failures: its
-    numerics run on the host P1 path, exactly as its simulated execution
-    did.
+    The numeric result is schedule-independent: times come from the
+    chosen scheduler, while the numerics pass runs in postorder and
+    computes front *s* under ``policy.resolve(m, k, canonical worker)``
+    (``Worker.canonical`` of the pool's node) — the serial driver's
+    rule, so both backends produce factors bit-identical to it whatever
+    worker a task was placed on.  The one exception is a task the
+    dynamic runtime *degraded* after injected GPU failures: its numerics
+    run on the host P1 path, exactly as its simulated execution did.
     """
     runtime = None
     degraded_sids: frozenset = frozenset()
@@ -223,10 +222,8 @@ def parallel_factorize(
     else:
         raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
 
-    gpu_worker = pool.gpu_worker()
-    numeric_worker = gpu_worker if gpu_worker is not None else pool.workers[0]
     result.factor = scheduled_numeric_factor(
-        a, sf, policy, numeric_worker, pool.node, result.schedule,
+        a, sf, policy, Worker.canonical(pool.node), pool.node, result.schedule,
         makespan=result.makespan, degraded_sids=degraded_sids,
     )
     return result
@@ -244,23 +241,22 @@ def scheduled_numeric_factor(
     degraded_sids: frozenset = frozenset(),
 ) -> NumericFactor:
     """The numerics pass for an already-timed ``schedule`` (static,
-    dynamic or cluster): records carry the schedule's times, the policy
-    is resolved once per supernode against ``numeric_worker``, and tasks
-    in ``degraded_sids`` run the host P1 path, exactly as their
+    dynamic or cluster): records carry the schedule's times and policy
+    names (those of the placed worker), supernode *s* is computed under
+    ``policy.resolve(m, k, numeric_worker)`` whatever its placement, and
+    tasks in ``degraded_sids`` run the host fallback, exactly as their
     simulated execution did.
     """
-    resolve = getattr(policy, "resolve", None)
-    fallback = PolicyP1()
     by_sid = {t.sid: t for t in schedule}
     bases: list[Policy] = [policy] * sf.n_supernodes
     records: list[FURecord] = []
     for s in sf.spost.tolist():
         k = sf.width(s)
         m = sf.update_size(s)
-        if s in degraded_sids:
-            bases[s] = fallback
-        elif resolve is not None:
-            bases[s] = resolve(m, k, numeric_worker)
+        bases[s] = (
+            policy.fallback if s in degraded_sids
+            else policy.resolve(m, k, numeric_worker)
+        )
         t = by_sid[s]
         records.append(
             FURecord(

@@ -28,6 +28,13 @@ class WorkerPool:
     node: SimulatedNode
     workers: list[Worker]
 
+    @classmethod
+    def over(cls, node: SimulatedNode) -> "WorkerPool":
+        """One worker per host CPU of ``node``, the first ``n_gpus`` of
+        them owning a GPU each (one host thread per GPU)."""
+        gpus = node.gpus + [None] * (len(node.cpus) - len(node.gpus))
+        return cls(node, [Worker(c.engine, g) for c, g in zip(node.cpus, gpus)])
+
     @property
     def n_workers(self) -> int:
         return len(self.workers)
@@ -57,9 +64,4 @@ def make_worker_pool(
     if n_gpus > n_cpus:
         raise ValueError("each GPU needs its own host thread (n_gpus <= n_cpus)")
     kwargs = {} if model is None else {"model": model}
-    node = SimulatedNode(n_cpus=n_cpus, n_gpus=n_gpus, **kwargs)
-    workers = [
-        Worker(node.cpus[i].engine, node.gpus[i] if i < n_gpus else None)
-        for i in range(n_cpus)
-    ]
-    return WorkerPool(node=node, workers=workers)
+    return WorkerPool.over(SimulatedNode(n_cpus=n_cpus, n_gpus=n_gpus, **kwargs))

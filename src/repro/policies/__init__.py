@@ -9,6 +9,15 @@ policy    placement
 ``P4``    potrf, trsm, syrk all on GPU (Figure-9 blocked panels)
 ========  ========================================================
 
+``Policy.resolve(m, k, worker)`` is what every consumer asks — the
+pricing pass, the task pricer, the event loop, the numerics of every
+backend: the base policy selected for an (m, k) call (the policy
+itself, or a hybrid's choice), or host ``P1`` when ``worker`` owns no
+GPU or the selected working set (``device_words``) does not fit its
+device pool — the only host fallback in the code base.
+:func:`make_policy` is the one name table (``P1``..``P4``, ``P4c``,
+``basic``, ``baseline``, ``ideal``, ``model``).
+
 Hybrids select one of the four per F-U call:
 
 * :class:`BaselineHybrid` — the paper's P_BH, thresholds on total flops

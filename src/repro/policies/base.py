@@ -16,6 +16,11 @@ tasks; the numeric driver in :mod:`repro.multifrontal` threads engine
 timelines through successive calls so copies and kernels of neighboring
 supernodes contend realistically.
 
+Before either, every consumer *resolves*: :meth:`Policy.resolve` is the
+one answer to "which base policy runs this (m, k) on this worker", and
+the only host fallback; ``plan``/``apply``/``execute`` of a device
+policy still refuse a worker that cannot run them.
+
 Transfer-volume accounting follows the paper's Equation 2:
 ``N_D(L1, L2) = k^2 + 2mk`` words for the trsm round trip and
 ``N_D(L2 L2^T) = m^2`` words for the update product, in device (float32)
@@ -25,6 +30,7 @@ words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +68,13 @@ class Worker:
     cpu_engine: str
     gpu: SimulatedGpu | None = None
 
+    @classmethod
+    def canonical(cls, node: SimulatedNode) -> "Worker":
+        """``node``'s first lane (CPU 0 and, if any, GPU 0): the worker
+        the serial driver runs on and every backend's numerics resolve
+        and compute against."""
+        return cls(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
+
     @property
     def has_gpu(self) -> bool:
         return self.gpu is not None
@@ -96,10 +109,44 @@ class FUExecution:
 
 
 class Policy:
-    """Base class; concrete policies implement ``plan`` and ``apply``."""
+    """Base class; concrete policies implement ``plan`` and ``apply``,
+    and a device policy declares its working set (``device_words``).
+    The pricing pass, the task pricer, the event loop and the numerics
+    of every backend all ask :meth:`resolve`, so the clock and the
+    floating-point work cannot disagree about a front."""
 
     name: str = "?"
     needs_gpu: bool = True
+    #: the host policy :meth:`resolve` falls back to (``PolicyP1``, set
+    #: below its definition; a selector's own table may supply another)
+    fallback: "Policy"
+
+    # -- resolution -------------------------------------------------------
+    def select(self, m: int, k: int) -> "Policy":
+        """The base policy this policy wants for an (m, k) call: itself,
+        or a selector's choice."""
+        return self
+
+    def device_words(self, m: int, k: int) -> int:
+        """Device (float32) words the working set of one (m, k) call
+        needs, per the transfer volumes of Section IV-B (Equation 2) —
+        the number ``plan`` reserves from the device pool."""
+        return 0
+
+    def resolve(self, m: int, k: int, worker: Worker) -> "Policy":
+        """The base policy that runs an (m, k) call on ``worker``: what
+        :meth:`select` wants, or the host fallback when ``worker`` owns
+        no GPU or the working set does not fit its device pool ("the
+        memory limitations of GPU ... requires deployment and
+        coordination among multiple CPUs and GPUs to handle large
+        matrices", Section IV-B)."""
+        want = self.select(m, k)
+        gpu = worker.gpu
+        if want.needs_gpu and (gpu is None or not gpu.device_pool.fits(
+            want.device_words(m, k) * gpu.model.gpu_word
+        )):
+            return self.fallback
+        return want
 
     # -- planning ---------------------------------------------------------
     def plan(
@@ -138,9 +185,6 @@ class Policy:
         l1, l2, u = self.apply(front, k, worker)
         start = min(t.start for t in graph.tasks)
         return FUExecution(l1, l2, u, plan, start, plan.final.end)
-
-    def applicable(self, worker: Worker) -> bool:
-        return worker.has_gpu or not self.needs_gpu
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Policy {self.name}>"
@@ -189,6 +233,9 @@ class PolicyP1(Policy):
         return l1, l2, u
 
 
+Policy.fallback = PolicyP1()
+
+
 class PolicyP2(Policy):
     """potrf and trsm on the CPU; syrk offloaded to the GPU.
 
@@ -201,6 +248,9 @@ class PolicyP2(Policy):
     """
 
     name = "P2"
+
+    def device_words(self, m, k):
+        return m * k + m * m
 
     def plan(self, m, k, worker, model, graph, deps=()):
         gpu = worker.gpu
@@ -219,9 +269,8 @@ class PolicyP2(Policy):
         # the working set lives for this one planned call: the pool's
         # high-water mark (capacity) keeps the warm-start pricing while
         # in_use returns to zero even if graph building raises
-        with gpu.working_set(
-            (m * k + m * m) * word, (m * k + m * m) * word
-        ) as alloc:
+        nbytes = self.device_words(m, k) * word
+        with gpu.working_set(nbytes, nbytes) as alloc:
             t_prep = graph.add(
                 "pin/alloc", worker.cpu_engine, alloc, (t_trsm,), "alloc"
             )
@@ -279,14 +328,15 @@ class PolicyP3(Policy):
         if not (overlap and pinned):
             self.name = "P3basic"
 
+    def device_words(self, m, k):
+        return k * k + m * k + m * m
+
     def plan(self, m, k, worker, model, graph, deps=()):
         gpu = worker.gpu
         word = model.gpu_word
         pinned = self.pinned
-        with gpu.working_set(
-            (k * k + m * k + m * m) * word,
-            (k * k + m * k + m * m) * word if pinned else 0,
-        ) as alloc:
+        nbytes = self.device_words(m, k) * word
+        with gpu.working_set(nbytes, nbytes if pinned else 0) as alloc:
             t_prep = graph.add("pin/alloc", worker.cpu_engine, alloc, deps, "alloc")
             t_potrf = graph.add(
                 "potrf", worker.cpu_engine,
@@ -376,11 +426,15 @@ class PolicyP4(Policy):
     def _width(self, k: int) -> int:
         return self.panel_width if self.panel_width else default_panel_width(k)
 
+    def device_words(self, m, k):
+        return (m + k) * (m + k)
+
     def plan(self, m, k, worker, model, graph, deps=()):
         gpu = worker.gpu
         word = model.gpu_word
         s = m + k
-        with gpu.working_set(s * s * word, s * s * word) as alloc:
+        nbytes = self.device_words(m, k) * word
+        with gpu.working_set(nbytes, nbytes) as alloc:
             t_prep = graph.add(
                 "pin/alloc", worker.cpu_engine, alloc, deps, "alloc"
             )
@@ -459,23 +513,35 @@ class PolicyP4(Policy):
 ALL_BASE_POLICIES = ("P1", "P2", "P3", "P4")
 
 
-def make_policy(name: str, **kwargs) -> Policy:
-    """Construct a base policy by name (``P1`` .. ``P4``, ``P4c``)."""
+def make_policy(name: str, *, model=None, classifier=None, **kwargs) -> Policy:
+    """Construct a policy by name — the one name table, case-insensitive.
+    ``ideal`` needs ``model`` (the :class:`PerfModel` it prices with) and
+    ``model`` needs ``classifier`` (a trained
+    :class:`repro.autotune.classifier.PolicyClassifier`); further keyword
+    arguments go to the policy's constructor."""
+    from repro.policies import hybrid  # it imports this module
+
+    key = name.lower()
+    if key == "ideal" and model is None:
+        raise ValueError("policy 'ideal' needs model=, a PerfModel")
+    if key == "model" and classifier is None:
+        raise ValueError(
+            "policy 'model' needs classifier=, a trained PolicyClassifier "
+            "(repro.autotune.train_default_classifier(model) trains one)"
+        )
     table = {
-        "P1": PolicyP1,
-        "P2": PolicyP2,
-        "P3": PolicyP3,
-        "P4": PolicyP4,
-    }
-    if name == "P4c":
-        return PolicyP4(copy_optimized=True, **kwargs)
-    if name == "basic":
+        "p1": PolicyP1, "p2": PolicyP2, "p3": PolicyP3, "p4": PolicyP4,
+        "p4c": partial(PolicyP4, copy_optimized=True),
         # the Section IV basic GPU implementation: trsm+syrk offloaded
         # with synchronous pageable copies
-        return PolicyP3(overlap=False, pinned=False, **kwargs)
-    if name not in table:
+        "basic": partial(PolicyP3, overlap=False, pinned=False),
+        "baseline": hybrid.BaselineHybrid,
+        "ideal": partial(hybrid.IdealHybrid, model),
+        "model": partial(hybrid.ModelHybrid, classifier),
+    }
+    if key not in table:
         raise ValueError(f"unknown policy {name!r}")
-    return table[name](**kwargs)
+    return table[key](**kwargs)
 
 
 def estimate_policy_time(
@@ -490,7 +556,7 @@ def estimate_policy_time(
     False to include first-touch allocation costs.
     """
     node = SimulatedNode(model=model, n_cpus=1, n_gpus=1)
-    worker = Worker("cpu0", node.gpus[0] if node.gpus else None)
+    worker = Worker.canonical(node)
     if warm_pools and worker.gpu is not None:
         s = m + k
         word = model.gpu_word

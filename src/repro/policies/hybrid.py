@@ -1,9 +1,10 @@
 """Hybrid policies: per-call selection among P1..P4 (paper Section VI).
 
-A hybrid is a *selector*: ``resolve(m, k, worker)`` returns the base
-policy to run for a factor-update of those dimensions.  The numeric
-driver resolves before executing, so instrumentation records the base
-policy actually used for every call.
+A hybrid is a *selector*: ``select(m, k)`` is the base policy its
+``choose`` names for a factor-update of those dimensions; the inherited
+:meth:`Policy.resolve` adds the one host fallback.  Every consumer
+resolves before pricing or executing, so instrumentation records the
+base policy actually used for every call.
 
 * :class:`BaselineHybrid` (P_BH) — thresholds on the total operation
   count, using the transition points read off Figures 10/11: P1 below
@@ -24,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gpu.perfmodel import PerfModel
-from repro.policies.base import (
-    Policy,
-    PolicyP1,
-    Worker,
-    estimate_policy_time,
-    make_policy,
-)
+from repro.policies.base import Policy, Worker, estimate_policy_time, make_policy
 from repro.symbolic.symbolic import factor_update_flops
 
 __all__ = ["HybridPolicy", "BaselineHybrid", "IdealHybrid", "ModelHybrid"]
@@ -45,17 +40,19 @@ class HybridPolicy(Policy):
         self.policies = policies or {
             name: make_policy(name) for name in ("P1", "P2", "P3", "P4")
         }
-        self._fallback = self.policies.get("P1", PolicyP1())
+        # a custom table supplies its own host fallback
+        self.fallback = self.policies.get("P1", self.fallback)
         self.selection_counts: dict[str, int] = {}
 
     def choose(self, m: int, k: int) -> str:
         raise NotImplementedError
 
+    def select(self, m: int, k: int) -> Policy:
+        return self.policies[self.choose(m, k)]
+
     def resolve(self, m: int, k: int, worker: Worker) -> Policy:
-        name = self.choose(m, k)
-        pol = self.policies[name]
-        if pol.needs_gpu and not worker.has_gpu:
-            pol = self._fallback
+        """:meth:`Policy.resolve`, counting the name it resolved to."""
+        pol = super().resolve(m, k, worker)
         self.selection_counts[pol.name] = self.selection_counts.get(pol.name, 0) + 1
         return pol
 

@@ -30,8 +30,9 @@ mapping it is handed, not the loop:
   completion is guaranteed;
 * **dispatch-time policy selection** — the placement policy (P1..P4 via
   a hybrid selector) is resolved for the worker that actually picks the
-  task up, at the moment it starts; a CPU-only worker transparently
-  runs P1;
+  task up, at the moment it starts (``Policy.resolve``, the one rule):
+  a CPU-only worker, or a GPU worker whose device the front's working
+  set does not fit, transparently runs P1 — counted, never raised;
 * **fault tolerance** — injected GPU kernel failures are retried once
   on the same policy, then degraded to host-only P1
   (:mod:`repro.runtime.faults`); transfer stalls add latency.  A faulty
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.allocator import DeviceMemoryError
 from repro.gpu.clock import SimTask
 from repro.parallel.pricing import TaskPricer
 from repro.parallel.scheduler import ScheduledTask
@@ -417,29 +417,25 @@ class DynamicRuntime:
         m = self.sf.update_size(s)
         k = self.sf.width(s)
         pricer = self._pricer
-        fu, name = pricer.fu_time(s, worker.has_gpu)
-        if not worker.has_gpu and pricer.gpu_worker is not None:
-            # dispatch-time selection picked the host path only because
-            # this worker owns no GPU; a GPU worker would have offloaded
-            if pricer.fu_time(s, True)[1] != "P1":
+        fu, base, device_bytes, offload = pricer.fu_time(s, worker)
+        if offload and not base.needs_gpu:
+            if worker.has_gpu:
+                # the selected device policy's working set does not fit
+                self.stats.device_fallbacks += 1
+            elif pricer.fu_time(s, pricer.best_worker)[1].needs_gpu:
+                # dispatch-time selection picked the host path only because
+                # this worker owns no GPU; a GPU worker would have offloaded
                 self.stats.cpu_fallbacks += 1
 
         alloc_cost = 0.0
         stall = 0.0
         wasted = 0.0
         degraded = False
-        device_bytes = 0
-        if name != "P1" and worker.has_gpu:
-            demand = pricer.device_demand(name, m, k)
-            try:
-                alloc_cost = worker.gpu.device_pool.request(demand)
-                device_bytes = demand
-            except DeviceMemoryError:
-                # front larger than the device: run on the host instead,
-                # mirroring the numeric driver's fallback
-                self.stats.device_fallbacks += 1
-                fu, name = pricer.p1_time(s), "P1"
-            if name != "P1" and self.faults is not None:
+        if base.needs_gpu:
+            # resolution asked the pool first, so this is never refused
+            # (and is made, 0 bytes or not, for every device call)
+            alloc_cost = worker.gpu.device_pool.request(device_bytes)
+            if self.faults is not None:
                 stall = self.faults.transfer_stall(s)
                 if stall > 0.0:
                     self.stats.transfer_stalls += 1
@@ -449,7 +445,8 @@ class DynamicRuntime:
                     if self.faults.kernel_fails(s, 1):
                         # second failure: degrade to host-only execution
                         wasted += self.faults.failure_point * fu
-                        fu, name = pricer.p1_time(s), "P1"
+                        base = self.policy.fallback
+                        fu = pricer.seconds(base, m, k)
                         degraded = True
                         self.stats.degraded_tasks += 1
 
@@ -465,7 +462,7 @@ class DynamicRuntime:
         stats.peak_admitted_bytes = max(
             stats.peak_admitted_bytes, self._live + high_water
         )
-        run = _Running(s, t0, t0 + duration, name, device_bytes, degraded)
+        run = _Running(s, t0, t0 + duration, base.name, device_bytes, degraded)
         self._running[w] = run
         self._events.push(run.end, (self._complete, (w,)))
 

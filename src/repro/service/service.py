@@ -405,13 +405,13 @@ class SolverService:
     @staticmethod
     def _policy_tag(spec) -> str:
         if isinstance(spec, Policy):
-            return getattr(spec, "name", spec.__class__.__name__)
+            return spec.name
         return str(spec).lower()
 
     @staticmethod
     def _is_cpu_only(spec) -> bool:
         if isinstance(spec, Policy):
-            return not getattr(spec, "needs_gpu", True)
+            return not spec.needs_gpu
         return str(spec).lower() == "p1"
 
     def _worker_loop(self, idx: int) -> None:

@@ -48,7 +48,7 @@ from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import tesla_t10_model
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.solver import SparseCholeskySolver
-from repro.policies.base import PolicyP4, make_policy
+from repro.policies.base import make_policy
 from repro.symbolic.supernodes import AMALGAMATION_PRESETS, amalgamation_preset
 
 __all__ = [
@@ -129,13 +129,9 @@ class VerifyConfig:
         return SimulatedNode(model=model, n_cpus=n_cpus, n_gpus=1)
 
     def make_policy(self):
-        name = self.policy
-        if name.upper().startswith("P4") and self.panel_width is not None:
-            return PolicyP4(
-                copy_optimized=name.lower() == "p4c",
-                panel_width=self.panel_width,
-            )
-        return make_policy(name)
+        if self.policy.upper().startswith("P4") and self.panel_width is not None:
+            return make_policy(self.policy, panel_width=self.panel_width)
+        return make_policy(self.policy)
 
     def build_solver(self, a: CSCMatrix, **kwargs) -> SparseCholeskySolver:
         node = self.make_node()

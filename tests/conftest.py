@@ -31,6 +31,22 @@ else:
     settings.load_profile("repro")
 
 
+def starved_node(memory_bytes: int | None, n_cpus: int = 1):
+    """A node whose one GPU has ``memory_bytes`` of device memory
+    (``None``: the default 4 GiB part; ``0``: no GPU at all)."""
+    from dataclasses import replace
+
+    from repro.gpu.device import SimulatedGpu, SimulatedNode
+    from repro.gpu.spec import TESLA_T10
+
+    node = SimulatedNode(n_cpus=n_cpus, n_gpus=0 if memory_bytes == 0 else 1)
+    if memory_bytes:
+        node.gpus[0] = SimulatedGpu(
+            node.model, 0, spec=replace(TESLA_T10, memory_bytes=memory_bytes)
+        )
+    return node
+
+
 @pytest.fixture(scope="session")
 def model():
     return tesla_t10_model()

@@ -442,22 +442,28 @@ class TestVirtualClockInvisibility:
 
         return train_default_classifier(tesla_t10_model())
 
+    @pytest.mark.parametrize("device", (None, 2048), ids=("4GiB", "2KiB"))
     @pytest.mark.parametrize("schedule", ("post", "liu"))
     @pytest.mark.parametrize("policy", ("P1", "P4", "baseline", "model"))
     @pytest.mark.parametrize("matrix", sorted(MATRICES))
     def test_serial_driver_matches_the_per_front_reference(
-        self, matrix, policy, schedule, classifier
+        self, matrix, policy, schedule, device, classifier
     ):
+        from tests.conftest import starved_node
+
         a, ordering = self.MATRICES[matrix]()
         sym = symbolic_factorize(a, ordering=ordering)
         solver = SparseCholeskySolver.from_symbolic(
-            a, sym, policy=policy, schedule=schedule, classifier=classifier
+            a, sym, policy=policy, schedule=schedule, classifier=classifier,
+            node=starved_node(device),
         )
         nf = solver.factorize().factor
         if policy != "P4":
             assert nf.batch_tasks > 0
+        elif device:  # memory pressure is real: some fronts left the device
+            assert {r.policy for r in nf.records} == {"P1", "P4"}
         spost = stack_minimizing_postorder(sym) if schedule == "liu" else None
-        ref_node = SimulatedNode(n_cpus=1, n_gpus=1)
+        ref_node = starved_node(device)
         ref = reference_factorize(a, sym, solver.policy, ref_node, spost)
 
         assert nf.makespan == ref["makespan"]

@@ -107,6 +107,12 @@ def test_runtime_bench(capsys):
     assert "lap2d-32x32" in out
 
 
+def test_runtime_bench_model_policy_names_what_it_needs():
+    # the one name table knows "model"; what is missing is a classifier
+    with pytest.raises(ValueError, match="classifier"):
+        main(["runtime-bench", "--cpus", "2", "--policy", "model"])
+
+
 def test_runtime_bench_with_faults_and_trace(tmp_path, capsys):
     trace = tmp_path / "rt.json"
     rc = main([

@@ -235,3 +235,77 @@ class TestHybrids:
     def test_make_policy_unknown(self):
         with pytest.raises(ValueError):
             make_policy("P7")
+
+
+class _OneFront:
+    """The least of a symbolic factor a TaskPricer reads: one (m, k) front."""
+
+    n_supernodes = 1
+
+    def __init__(self, m, k):
+        self.m, self.k = m, k
+
+    def update_size(self, s):
+        return self.m
+
+    def width(self, s):
+        return self.k
+
+    def schildren(self):
+        return [[]]
+
+
+class TestResolution:
+    """``Policy.resolve`` is the one host fallback and ``device_words``
+    the one working-set formula: what resolution promised, ``plan``
+    requests and the task pricer reports."""
+
+    def test_the_working_set_formula_has_one_home(self):
+        from repro.parallel import TaskPricer
+        from repro.policies.base import Policy
+
+        rng = np.random.default_rng(20)
+        policies = [make_policy(n) for n in ("P2", "P3", "basic", "P4", "P4c")]
+        limits = [None] + [1 << e for e in range(10, 33, 2)]  # 1 KiB .. 4 GiB
+        fell_back = 0
+        for _ in range(500):
+            pol = policies[rng.integers(len(policies))]
+            m, k = int(rng.integers(0, 401)), int(rng.integers(1, 201))
+            limit = limits[rng.integers(len(limits))]
+            node = SimulatedNode(n_cpus=1, n_gpus=int(rng.random() < 0.9))
+            worker = Worker.canonical(node)
+            declared = pol.device_words(m, k) * node.model.gpu_word
+            if worker.has_gpu:
+                worker.gpu.device_pool.capacity_limit = limit
+            on_host = not worker.has_gpu or (limit is not None and declared > limit)
+            fell_back += on_host
+
+            base = pol.resolve(m, k, worker)
+            assert base is (Policy.fallback if on_host else pol), (pol, m, k, limit)
+            assert base.needs_gpu is not on_host
+            # planning what resolution returned is never refused, and asks
+            # the device pool for exactly the declared working set
+            stats = worker.gpu.device_pool.stats if worker.has_gpu else None
+            before = stats.bytes_requested if stats else 0
+            base.plan(m, k, worker, node.model, TaskGraph())
+            requested = (stats.bytes_requested if stats else 0) - before
+            assert requested == (0 if on_host else declared)
+            # the schedulers' pricer reads the same resolution and bytes
+            pricer = TaskPricer(_OneFront(m, k), pol, node.model, [worker])
+            _, priced, nbytes, offload = pricer.fu_time(0, worker)
+            assert (priced, nbytes, offload) == (base, requested, True)
+        assert 50 < fell_back < 450  # both sides of the rule were drawn
+
+    def test_make_policy_is_the_one_name_table(self, model):
+        from repro.policies.base import PolicyP3
+
+        for name in ("P1", "p2", "P3", "p4", "P4C", "Basic", "BASELINE"):
+            assert make_policy(name).name == make_policy(name.lower()).name
+        basic = make_policy("basic")
+        assert isinstance(basic, PolicyP3) and not (basic.overlap or basic.pinned)
+        assert make_policy("P4c", panel_width=8).panel_width == 8
+        assert isinstance(make_policy("ideal", model=model), IdealHybrid)
+        with pytest.raises(ValueError, match="classifier"):
+            make_policy("model")
+        with pytest.raises(ValueError, match="model="):
+            make_policy("ideal")

@@ -401,6 +401,24 @@ class TestServiceDegradation:
         # the degraded factor is not published under the failing policy's key
         assert svc.cache.stats["numeric_hits"] == 0
 
+    def test_device_policy_on_a_gpu_less_node_is_not_degraded(self, lap2d_small):
+        # every front resolves to host P1: nothing raised, nothing
+        # flagged, and the factor is cached under the policy's own key
+        from repro.gpu.device import SimulatedNode
+
+        b = np.ones(lap2d_small.n_rows)
+        with SolverService(
+            n_workers=1, policy="P4", ordering="amd",
+            node_factory=lambda: SimulatedNode(n_cpus=1, n_gpus=0),
+        ) as svc:
+            first = svc.solve(lap2d_small, b)
+            second = svc.solve(lap2d_small, b)
+        assert (first.degraded, second.degraded) == (False, False)
+        assert (first.tier, second.tier) == ("miss", "numeric")
+        assert svc.metrics.counter("numeric_factorizations") == 1
+        assert svc.metrics.counter("degraded") == 0
+        np.testing.assert_array_equal(first.x, second.x)
+
     def test_cpu_policy_failure_is_fatal(self, lap2d_small):
         # a genuinely broken problem on the CPU-only policy propagates
         from repro.dense.kernels import NotPositiveDefiniteError
@@ -645,6 +663,21 @@ class TestShadowVerification:
         assert stats[1.0]["lookups"] == 4
         assert stats[1.0]["numeric_hits"] == 3
         assert svc.metrics.counter("shadow_checks") == 4
+        assert svc.metrics.counter("shadow_mismatches") == 0
+
+    def test_memory_starved_gpu_is_not_a_mismatch(self):
+        # fronts that do not fit an 8 KiB device run as host P1 on every
+        # backend, so the static reference agrees with the serial factor
+        from repro.matrices import grid_laplacian_3d
+        from tests.conftest import starved_node
+
+        a = grid_laplacian_3d(8, 8, 8)
+        with SolverService(n_workers=1, policy="P4",
+                           node_factory=lambda: starved_node(8192, n_cpus=2),
+                           shadow_verify_rate=1.0) as svc:
+            out = svc.solve(a, np.ones(a.n_rows))
+        assert not out.degraded
+        assert svc.metrics.counter("shadow_checks") == 1
         assert svc.metrics.counter("shadow_mismatches") == 0
 
     def test_invalid_rate_rejected(self):

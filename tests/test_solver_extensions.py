@@ -12,12 +12,10 @@ from repro.autotune import (
     train_cost_sensitive,
 )
 from repro.gpu import SimulatedNode, tesla_t10_model
-from repro.gpu.spec import GpuSpec, TESLA_T10
 from repro.multifrontal import factorize_numeric, numeric, solve_factored
 from repro.multifrontal.numeric import replay_factorize
 from repro.policies import make_policy
 from repro.symbolic import symbolic_factorize
-from dataclasses import replace
 from unittest import mock
 
 
@@ -101,13 +99,9 @@ class TestLogDet:
 
 def tiny_memory_node():
     """A node whose GPU has almost no memory: every offload must fail."""
-    model = tesla_t10_model()
-    node = SimulatedNode(model=model, n_cpus=1, n_gpus=1)
-    small_spec = replace(TESLA_T10, memory_bytes=2048)
-    from repro.gpu.device import SimulatedGpu
+    from tests.conftest import starved_node
 
-    node.gpus[0] = SimulatedGpu(model, 0, spec=small_spec)
-    return node
+    return starved_node(2048)
 
 
 class TestDeviceMemoryFallback:
@@ -223,6 +217,16 @@ class TestScheduleAndBackend:
         assert solver.parallel.runtime.stats.steals >= 1
         assert not solver.parallel.degraded
 
+    def test_every_registered_policy_name_builds(self, lap2d_small):
+        # the solver reads make_policy's table: case-insensitive, and
+        # "basic" (the Section IV implementation) is a name like any other
+        names = {"p1": "P1", "P4C": "P4c", "basic": "P3basic", "Baseline": "PBH",
+                 "ideal": "PIH"}
+        for given, name in names.items():
+            assert SparseCholeskySolver(lap2d_small, policy=given).policy.name == name
+        with pytest.raises(ValueError, match="unknown policy"):
+            SparseCholeskySolver(lap2d_small, policy="P7")
+
     def test_invalid_combinations_rejected(self, lap2d_small):
         with pytest.raises(ValueError, match="schedule"):
             SparseCholeskySolver(lap2d_small, schedule="bogus")
@@ -232,6 +236,92 @@ class TestScheduleAndBackend:
             SparseCholeskySolver(lap2d_small, schedule="liu", backend="static")
         with pytest.raises(ValueError, match="dynamic"):
             SparseCholeskySolver(lap2d_small, memory_budget=1 << 20)
+
+
+class TestEveryBackendEveryNodeOneFactor:
+    """Which base policy runs a front is one decision
+    (``Policy.resolve`` against the node's canonical worker): a backend's
+    mapping changes where a front is priced, never what is computed."""
+
+    LIMITS = {"4GiB": None, "8KiB": 8192, "2KiB": 2048, "no-gpu": 0}
+    #: the test's own copy of the working sets, in device words
+    WORDS = {
+        "P2": lambda m, k: m * k + m * m,
+        "P3": lambda m, k: k * k + m * k + m * m,
+        "P4": lambda m, k: (m + k) ** 2,
+        "P4c": lambda m, k: (m + k) ** 2,
+    }
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        from repro.matrices import grid_laplacian_3d
+
+        a = grid_laplacian_3d(8, 8, 8)
+        return a, symbolic_factorize(a, ordering="nd")
+
+    @classmethod
+    def _falls_back(cls, policy, m, k, limit):
+        """Whether the policy selected for (m, k) cannot run on a device
+        of ``limit`` bytes (0: no device)."""
+        name = policy.choose(m, k) if hasattr(policy, "choose") else policy.name
+        if name == "P1":
+            return False
+        return limit == 0 or (
+            limit is not None and cls.WORDS[name](m, k) * 4 > limit
+        )
+
+    @pytest.mark.parametrize("policy", ["P2", "P3", "P4", "P4c", "baseline"])
+    @pytest.mark.parametrize("node", LIMITS)
+    def test_one_factor_per_node_and_policy(self, problem, node, policy):
+        from repro.verify.lattice import factor_fingerprint
+        from tests.conftest import starved_node
+
+        a, sf = problem
+        limit = self.LIMITS[node]
+        backends = ["serial", "static", "dynamic"]
+        if node in ("4GiB", "no-gpu"):  # a ClusterSpec builds its own GPUs
+            backends.append("cluster")
+        solvers = {
+            b: SparseCholeskySolver.from_symbolic(
+                a, sf, policy=policy, backend=b,
+                node=starved_node(limit, n_cpus=2),
+            ).factorize()
+            for b in backends
+        }
+        prints = {b: factor_fingerprint(s.factor) for b, s in solvers.items()}
+        assert len(set(prints.values())) == 1, prints
+
+        serial = solvers["serial"]
+        pol = serial.policy
+        on_host = {
+            r.sid for r in serial.factor.records
+            if self._falls_back(pol, r.m, r.k, limit)
+        }
+        if node in ("8KiB", "2KiB") and policy != "baseline":
+            assert 0 < len(on_host) < sf.n_supernodes
+        for r in serial.factor.records:
+            if r.sid in on_host:
+                assert r.policy == "P1"
+            elif policy != "baseline":
+                assert r.policy == pol.name
+        if node == "no-gpu":
+            for s in solvers.values():
+                assert s.stats.policy_counts == {"P1": sf.n_supernodes}
+
+        b = np.ones(a.n_rows)
+        x = serial.solve(b)
+        assert np.abs(a.matvec(x) - b).max() <= 1e-10 * np.abs(b).max()
+
+        # "front larger than device memory", counted where it happened: on
+        # the GPU worker (worker 0 of this pool), once per such task
+        runtime = solvers["dynamic"].parallel.runtime
+        assert runtime.stats.device_fallbacks == sum(
+            1 for t in runtime.schedule
+            if t.worker == 0 and limit != 0
+            and self._falls_back(pol, sf.update_size(t.sid), sf.width(t.sid), limit)
+        )
+        if node == "8KiB" and policy != "baseline":
+            assert runtime.stats.device_fallbacks > 0
 
 
 class TestPricingMemo:
