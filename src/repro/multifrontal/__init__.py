@@ -15,7 +15,6 @@ from repro.multifrontal.device_resident import (
     factorize_resident,
     flops_placement,
 )
-from repro.multifrontal.frontal import assemble_front, extend_add
 from repro.multifrontal.numeric import FURecord, NumericFactor, factorize_numeric
 from repro.multifrontal.schur import PartialFactorization, partial_factorize
 from repro.multifrontal.solve_sim import SolveEstimate, simulate_solve
@@ -25,8 +24,6 @@ from repro.multifrontal.solver import FactorizationStats, SparseCholeskySolver
 
 __all__ = [
     "batch_groups",
-    "assemble_front",
-    "extend_add",
     "factorize_resident",
     "ResidencyStats",
     "flops_placement",

@@ -9,48 +9,63 @@ matrix never leaves the device — the extend-add happens *on the GPU*
 (at device-memory bandwidth, ~102 GB/s, not PCIe's ~1.4 GB/s), and only
 the factored panel comes home.
 
-Pipeline:
+That is a statement about transfers, so it lives on the virtual clock.
+Pipeline (the two-pass shape of every other driver):
 
 1. **placement pass** — a chooser (defaults to device-vs-host by total
    flops; any callable ``(m, k) -> bool`` works, e.g. a trained
    classifier thresholded on P4) assigns each supernode to the device
    or the host *before* the walk, because a child's transfer needs
    depend on its parent's placement;
-2. **walk** — per supernode:
+2. **pricing walk** (:func:`_price_resident`) — per supernode, in
+   postorder, with an update matrix reduced to its size and where it
+   lives:
 
    * device-placed: H2D only of the original A entries and of any
      host-resident child updates; device-side extend-add; the blocked
      panel factorization (Figure 9); D2H of the factored panel; the
-     update matrix *stays resident* (and stays float32);
+     update matrix *stays resident*;
    * host-placed: D2H of any device-resident child updates first, then
      the host path (P1);
+   * memory accounting: resident updates live in the device pool; when
+     capacity would be exceeded the largest resident update is spilled
+     (D2H + eviction), so the driver degrades gracefully instead of
+     failing, addressing the Section IV-B memory-limitation caveat;
 
-3. **memory accounting** — resident updates live in the device pool;
-   when capacity would be exceeded the largest resident update is
-   spilled (D2H + eviction), so the driver degrades gracefully instead
-   of failing, addressing the Section IV-B memory-limitation caveat.
+3. **numerics** — the shared pass
+   (:func:`repro.multifrontal.numeric.postorder_numeric_factor`) under
+   the placement: ``PolicyP4`` on device-placed supernodes, the host
+   fallback elsewhere.
 
-Numerics are faithful: device-resident data is float32 end to end, so
-update matrices accumulated across several generations of GPU
-supernodes carry compounded single-precision error — iterative
-refinement still recovers full accuracy, which the tests check.
+Numerics are those of every other driver: fp32 kernels, fp64 host
+assembly.  A device-placed front is assembled on the host in float64 and
+factored in float32 (exactly ``PolicyP4.apply``; an all-device placement
+is bit-identical to ``factorize_numeric(..., PolicyP4())``).  Update
+matrices handed down several generations of GPU supernodes still carry
+compounded single-precision error (``residual_norm`` 8.4e-8 on the 8^3
+grid Laplacian with 11 device supernodes, where summing the updates in
+float32 on the device as well gave 1.49e-7) — iterative refinement
+recovers full accuracy, which the tests check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from repro.dense.blocked import blocked_cholesky_panels, default_panel_width
+from repro.dense.blocked import default_panel_width
 from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.gpu.cublas import panel_kernel_sequence
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.frontal import extend_add, scatter_a_entries
-from repro.multifrontal.numeric import FURecord, NumericFactor
-from repro.policies.base import PolicyP1, Worker
+from repro.multifrontal.frontal import AssemblyPlan, get_assembly_plan
+from repro.multifrontal.numeric import (
+    FURecord,
+    NumericFactor,
+    ReplayResult,
+    postorder_numeric_factor,
+)
+from repro.policies.base import Policy, PolicyP4, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 __all__ = [
@@ -59,25 +74,6 @@ __all__ = [
     "factorize_resident",
     "replay_resident",
 ]
-
-
-class _ShapeOnly:
-    """Stand-in for an update matrix in timing-only replays: carries the
-    size/dtype bookkeeping the residency logic needs, no storage."""
-
-    __slots__ = ("size", "itemsize")
-
-    def __init__(self, m: int, itemsize: int):
-        self.size = m * m
-        self.itemsize = itemsize
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.itemsize
-
-    def astype(self, dtype) -> "_ShapeOnly":
-        m = int(round(self.size ** 0.5))
-        return _ShapeOnly(m, np.dtype(dtype).itemsize)
 
 
 @dataclass
@@ -104,24 +100,23 @@ def flops_placement(threshold: float = 2e6) -> Callable[[int, int], bool]:
     return choose
 
 
-def factorize_resident(
-    a: CSCMatrix,
+def _price_resident(
     sf: SymbolicFactor,
-    *,
-    node: SimulatedNode | None = None,
-    place_on_device: Callable[[int, int], bool] | None = None,
-    numerics: bool = True,
-) -> tuple[NumericFactor, ResidencyStats]:
-    """Factor with device-resident update matrices.
+    node: SimulatedNode,
+    place_on_device: Callable[[int, int], bool] | None,
+    plan: AssemblyPlan | None,
+) -> tuple[list[FURecord], list[Policy], float, ResidencyStats]:
+    """Charge a device-resident factorization to ``node``'s virtual clock.
 
-    Returns the :class:`NumericFactor` (same contract as
-    :func:`factorize_numeric`) plus the residency statistics.  With
-    ``numerics=False`` (or via :func:`replay_resident`) only the timing
-    walk runs — same task graphs, no floating point — enabling
-    paper-scale synthetic workloads where no matrix exists.
+    The placement pass and the postorder pricing walk of the module
+    docstring; no floating-point work.  ``plan`` says how many entries
+    of A each front uploads (without one — a replay, where no matrix
+    exists — a front is charged one entry per row).
+
+    Returns the per-call records (``P4r`` / ``P1``), the policy the
+    numerics pass runs each supernode under, the total assembly time and
+    the residency statistics.
     """
-    if node is None:
-        node = SimulatedNode(n_cpus=1, n_gpus=1)
     if not node.gpus:
         raise ValueError("device-resident factorization needs a GPU")
     model = node.model
@@ -131,23 +126,16 @@ def factorize_resident(
     capacity = gpu.spec.memory_bytes
 
     chooser = place_on_device if place_on_device is not None else flops_placement()
-    n_super = sf.n_supernodes
-    on_device = np.zeros(n_super, dtype=bool)
-    for s in range(n_super):
-        m, k = sf.update_size(s), sf.width(s)
-        on_device[s] = bool(chooser(m, k))
+    host, device = Policy.fallback, PolicyP4()
+    bases = [
+        device if chooser(sf.update_size(s), sf.width(s)) else host
+        for s in range(sf.n_supernodes)
+    ]
 
-    if numerics:
-        a_perm = a.permute_symmetric(sf.perm)
-        a_lower = a_perm.lower_triangle()
-    else:
-        a_lower = a.lower_triangle() if a is not None else None
     kids = sf.schildren()
-    p1 = PolicyP1()
-
-    panels: list[np.ndarray | None] = [None] * n_super
-    # update value + where it lives: ("host", fp64) or ("dev", fp32)
-    updates: dict[int, tuple[np.ndarray, np.ndarray, str]] = {}
+    #: live update matrices: entries (m * m), and whether it is resident
+    #: on the device (``word`` bytes an entry there) or sits on the host
+    updates: dict[int, tuple[int, bool]] = {}
     final_task: dict[int, object] = {}
     records: list[FURecord] = []
     stats = ResidencyStats()
@@ -158,59 +146,40 @@ def factorize_resident(
         return g.add(name, engine, model.transfer_time(nbytes, pinned=True),
                      deps, "copy")
 
-    for s in sf.spost:
-        s = int(s)
-        rows = sf.rows[s]
+    for s in sf.spost.tolist():
+        size = sf.rows[s].size
         k = sf.width(s)
-        m = rows.size - k
-        size = rows.size
-        child_ids = kids[s]
-        deps = tuple(final_task[c] for c in child_ids if c in final_task)
+        m = size - k
+        deps = tuple(final_task[c] for c in kids[s] if c in final_task)
         g = TaskGraph()
 
-        child_data = [updates.pop(c) for c in child_ids if c in updates]
-        for crows, cu, loc in child_data:
-            if loc == "dev":
-                resident_bytes -= cu.nbytes
+        children = [updates.pop(c) for c in kids[s] if c in updates]
+        resident_bytes -= sum(n * word for n, resident in children if resident)
 
-        if on_device[s]:
+        on_device = bases[s] is device
+        if on_device:
             stats.n_device_supernodes += 1
             # --- assemble on the device ---------------------------------
-            if numerics:
-                front32 = np.zeros((size, size), dtype=np.float32)
-                scatter_a_entries(front32, a_lower, sf, s)
-            a_bytes = (
-                _a_entry_bytes(a_lower, sf, s, word)
-                if a_lower is not None
-                else 2.0 * size * word  # structural estimate
-            )
+            n_entries = plan.src[s].size if plan is not None else size
+            a_bytes = 2.0 * n_entries * word  # values + indices
             last = transfer_task(g, "h2d:A", gpu.h2d_engine, a_bytes, deps)
             stats.h2d_bytes += a_bytes
             dev_asm_bytes = 2.0 * size * size * word
-            for crows, cu, loc in child_data:
-                if loc == "host":
-                    nbytes = cu.size * word
-                    last = transfer_task(
-                        g, "h2d:child", gpu.h2d_engine, nbytes, (last,)
-                    )
-                    stats.h2d_bytes += nbytes
-                    if numerics:
-                        extend_add(front32, rows, crows, cu.astype(np.float32))
+            for n, resident in children:
+                if resident:
+                    stats.resident_reuse_bytes += n * word
                 else:
-                    stats.resident_reuse_bytes += cu.nbytes
-                    if numerics:
-                        extend_add(front32, rows, crows, cu)
-                dev_asm_bytes += 2.0 * cu.size * word
+                    last = transfer_task(
+                        g, "h2d:child", gpu.h2d_engine, n * word, (last,)
+                    )
+                    stats.h2d_bytes += n * word
+                dev_asm_bytes += 2.0 * n * word
             # device-side extend-add at device memory bandwidth
             t_asm = dev_asm_bytes / (gpu.spec.device_bandwidth_gbs * 1e9)
             asm = g.add("dev-assemble", gpu.compute_engine, t_asm, (last,), "assemble")
-            assembly_seconds += t_asm
             # --- factor on the device (Figure 9) -------------------------
-            w = default_panel_width(k)
-            if numerics:
-                blocked_cholesky_panels(front32, k, w, gpu.cublas)
             prev = asm
-            for c in panel_kernel_sequence(size, k, w):
+            for c in panel_kernel_sequence(size, k, default_panel_width(k)):
                 prev = g.add(
                     f"gpu:{c.kernel}", gpu.compute_engine,
                     model.kernel_time("gpu", c.kernel, m=c.m, n=c.n, k=c.k),
@@ -222,107 +191,90 @@ def factorize_resident(
             stats.d2h_bytes += panel_bytes
             final = g.add("done", worker.cpu_engine, 0.0, (t_panel,), "other")
 
-            panels[s] = front32[:, :k].astype(np.float64) if numerics else None
             if m > 0:
-                u32 = (
-                    front32[k:, k:].copy() if numerics else _ShapeOnly(m, 4)
-                )
                 # spill if the resident set would overflow device memory
-                while resident_bytes + u32.nbytes > capacity and updates:
+                while resident_bytes + m * m * word > capacity:
                     victim = max(
-                        (c for c in updates if updates[c][2] == "dev"),
-                        key=lambda c: updates[c][1].nbytes,
+                        (c for c, (_, resident) in updates.items() if resident),
+                        key=lambda c: updates[c][0],
                         default=None,
                     )
                     if victim is None:
                         break
-                    vr, vu, _ = updates[victim]
-                    nbytes = vu.size * word
+                    nbytes = updates[victim][0] * word
                     final = transfer_task(
                         g, "d2h:spill", gpu.d2h_engine, nbytes, (final,)
                     )
                     stats.d2h_bytes += nbytes
                     stats.n_spills += 1
-                    updates[victim] = (vr, vu.astype(np.float64), "host")
-                    resident_bytes -= vu.nbytes
-                updates[s] = (rows[k:], u32, "dev")
-                resident_bytes += u32.nbytes
+                    updates[victim] = (updates[victim][0], False)
+                    resident_bytes -= nbytes
+                resident_bytes += m * m * word
                 stats.peak_resident_bytes = max(
                     stats.peak_resident_bytes, resident_bytes
                 )
-            schedule_graph(g, engines=node.engines)
-            final_task[s] = final
-            comp = g.total_by_category()
         else:
             stats.n_host_supernodes += 1
             # --- bring device children home, assemble and factor on host
-            if numerics:
-                front = np.zeros((size, size), dtype=np.float64)
-                scatter_a_entries(front, a_lower, sf, s)
             last_deps = list(deps)
             host_asm_bytes = size * size * 8.0
-            for crows, cu, loc in child_data:
-                if loc == "dev":
-                    nbytes = cu.size * word
-                    t = transfer_task(
-                        g, "d2h:child", gpu.d2h_engine, nbytes, deps
-                    )
-                    stats.d2h_bytes += nbytes
-                    last_deps.append(t)
-                    if numerics:
-                        extend_add(front, rows, crows, cu.astype(np.float64))
-                else:
-                    if numerics:
-                        extend_add(front, rows, crows, cu)
-                host_asm_bytes += 2.0 * cu.size * 8.0
+            for n, resident in children:
+                if resident:
+                    last_deps.append(transfer_task(
+                        g, "d2h:child", gpu.d2h_engine, n * word, deps
+                    ))
+                    stats.d2h_bytes += n * word
+                host_asm_bytes += 2.0 * n * 8.0
             t_asm = model.host_memory_time(host_asm_bytes)
             asm = g.add(
                 "assemble", worker.cpu_engine, t_asm, tuple(last_deps), "assemble"
             )
-            assembly_seconds += t_asm
-            plan = p1.plan(m, k, worker, model, g, deps=(asm,))
-            if numerics:
-                p1.apply(front, k, worker)
-            schedule_graph(g, engines=node.engines)
-            final_task[s] = plan.final
-            panels[s] = front[:, :k].copy() if numerics else None
-            if m > 0:
-                updates[s] = (
-                    rows[k:],
-                    front[k:, k:].copy() if numerics else _ShapeOnly(m, 8),
-                    "host",
-                )
-            comp = g.total_by_category()
+            final = host.plan(m, k, worker, model, g, deps=(asm,)).final
 
+        assembly_seconds += t_asm
+        if m > 0:
+            updates[s] = (m * m, on_device)
+        schedule_graph(g, engines=node.engines)
+        final_task[s] = final
         records.append(
             FURecord(
                 sid=s, m=m, k=k,
-                policy="P4r" if on_device[s] else "P1",
+                policy="P4r" if on_device else host.name,
                 start=min(t.start for t in g.tasks),
                 end=max(t.end for t in g.tasks),
-                components=comp,
+                components=g.total_by_category(),
                 flops=factor_update_flops(m, k),
             )
         )
 
     if updates:
         raise AssertionError("unconsumed update matrices")
-    nf = NumericFactor(
-        sf=sf,
-        panels=[p for p in panels],  # type: ignore[misc]
-        records=records,
-        makespan=node.now,
-        node=node,
-        peak_update_bytes=stats.peak_resident_bytes,
-        assembly_seconds=assembly_seconds,
+    return records, bases, assembly_seconds, stats
+
+
+def factorize_resident(
+    a: CSCMatrix,
+    sf: SymbolicFactor,
+    *,
+    node: SimulatedNode | None = None,
+    place_on_device: Callable[[int, int], bool] | None = None,
+) -> tuple[NumericFactor, ResidencyStats]:
+    """Factor with device-resident update matrices.
+
+    Returns the :class:`NumericFactor` (same contract as
+    :func:`factorize_numeric`) plus the residency statistics: the
+    pricing walk, then the shared numerics pass under its placement.
+    """
+    if node is None:
+        node = SimulatedNode(n_cpus=1, n_gpus=1)
+    records, bases, assembly_seconds, stats = _price_resident(
+        sf, node, place_on_device, get_assembly_plan(a, sf)
     )
-    return nf, stats
-
-
-def _a_entry_bytes(a_lower: CSCMatrix, sf: SymbolicFactor, s: int, word: int) -> float:
-    f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
-    nnz = int(a_lower.indptr[l_col] - a_lower.indptr[f_col])
-    return float(nnz) * word * 2.0  # values + indices
+    factor = postorder_numeric_factor(
+        a, sf, bases, Worker.canonical(node), node, records,
+        makespan=node.now, assembly_seconds=assembly_seconds,
+    )
+    return factor, stats
 
 
 def replay_resident(
@@ -330,16 +282,17 @@ def replay_resident(
     *,
     node: SimulatedNode | None = None,
     place_on_device: Callable[[int, int], bool] | None = None,
-) -> tuple[NumericFactor, ResidencyStats]:
-    """Timing-only device-resident walk (no matrix, no floating point).
-
-    Same scheduling as :func:`factorize_resident`; the returned
-    "factor" carries records and makespan but no panels.
-    """
-    return factorize_resident(
-        None,  # type: ignore[arg-type]
-        sf,
-        node=node,
-        place_on_device=place_on_device,
-        numerics=False,
+) -> tuple[ReplayResult, ResidencyStats]:
+    """Timing-only device-resident walk (no matrix, no floating point):
+    the pricing walk of :func:`factorize_resident` on its own, for
+    paper-scale synthetic workloads where no matrix exists."""
+    if node is None:
+        node = SimulatedNode(n_cpus=1, n_gpus=1)
+    records, _, assembly_seconds, stats = _price_resident(
+        sf, node, place_on_device, None
     )
+    result = ReplayResult(
+        sf=sf, records=records, makespan=node.now, node=node,
+        assembly_seconds=assembly_seconds,
+    )
+    return result, stats

@@ -13,13 +13,10 @@ followed by ``m`` below-diagonal rows), the frontal matrix F is the
 
 A front, and the update block it hands to its parent, is *live in its
 lower triangle only*: ``potrf`` / ``trsm`` / ``syrk`` never read above
-the diagonal, so the planned path (:class:`AssemblyPlan`,
-:func:`assemble_front_planned`) scatters the lower triangle of A and
-extend-adds the lower trapezoid of each child; what sits above the
-diagonal of such a front is unspecified.  The unplanned reference
-functions (:func:`assemble_front`, :func:`scatter_a_entries`,
-:func:`extend_add`) and :mod:`repro.multifrontal.device_resident`, which
-walks the tree with them, still build full symmetric fronts.
+the diagonal, so :class:`AssemblyPlan` and :func:`assemble_front_planned`
+— the one way into a front — scatter the lower triangle of A and
+extend-add the lower trapezoid of each child; what sits above the
+diagonal of such a front is unspecified.
 """
 
 from __future__ import annotations
@@ -30,95 +27,16 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.batched import BatchGroup, batch_groups
+from repro.ordering import invert_permutation
 from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
     "RUN_CUT",
     "AssemblyPlan",
-    "assemble_front",
     "assemble_front_planned",
-    "build_assembly_plan",
-    "extend_add",
     "get_assembly_plan",
-    "scatter_a_entries",
     "assembly_bytes",
 ]
-
-
-def assemble_front(
-    a_lower: CSCMatrix,
-    sf: SymbolicFactor,
-    s: int,
-    child_updates: list[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Build the frontal matrix of supernode ``s``.
-
-    Parameters
-    ----------
-    a_lower : CSCMatrix
-        Lower triangle of the *permuted* matrix (rows >= column).
-    sf : SymbolicFactor
-        The symbolic structure.
-    s : int
-        Supernode id.
-    child_updates : list of (rows, U)
-        Update matrices of the children: global row indices (sorted) and
-        the dense symmetric update block.
-
-    Returns
-    -------
-    The assembled (k+m) x (k+m) float64 frontal matrix.
-    """
-    size = sf.rows[s].size
-    front = np.zeros((size, size), dtype=np.float64)
-    scatter_a_entries(front, a_lower, sf, s)
-    # fold in the children
-    for crows, cu in child_updates:
-        extend_add(front, sf.rows[s], crows, cu)
-    return front
-
-
-def scatter_a_entries(
-    front: np.ndarray, a_lower: CSCMatrix, sf: SymbolicFactor, s: int
-) -> None:
-    """Scatter-add the original entries of supernode ``s``'s columns into
-    its (zeroed, full symmetric) ``front``, one column at a time."""
-    rows = sf.rows[s]
-    f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
-    for j in range(f_col, l_col):
-        ridx, vals = a_lower.column(j)
-        keep = ridx >= j
-        ridx, vals = ridx[keep], vals[keep]
-        pos = np.searchsorted(rows, ridx)
-        if pos.size:
-            if np.any(pos >= rows.size) or np.any(rows[pos] != ridx):
-                raise ValueError(
-                    f"supernode {s}: matrix entries outside symbolic pattern"
-                )
-            jj = j - f_col
-            front[pos, jj] += vals
-            off = ridx != j  # mirror off-diagonal entries only
-            front[jj, pos[off]] += vals[off]
-
-
-def extend_add(
-    front: np.ndarray,
-    parent_rows: np.ndarray,
-    child_rows: np.ndarray,
-    child_update: np.ndarray,
-) -> None:
-    """Scatter-add ``child_update`` into ``front`` (both full symmetric).
-
-    ``child_rows`` must be a subset of ``parent_rows`` — guaranteed by
-    the symbolic analysis (and asserted here, because a violation would
-    silently corrupt the factorization).
-    """
-    if child_rows.size == 0:
-        return
-    idx = np.searchsorted(parent_rows, child_rows)
-    if np.any(idx >= parent_rows.size) or np.any(parent_rows[idx] != child_rows):
-        raise ValueError("extend-add: child rows not contained in parent front")
-    front[np.ix_(idx, idx)] += child_update
 
 
 #: a child whose update block has at least this many rows is extend-added
@@ -158,8 +76,9 @@ class AssemblyPlan:
     ``src`` / ``dst`` cover the lower triangle of the front only (nothing
     is mirrored above the diagonal).  Scatter destinations within one
     front are unique by construction (CSC stores each (row, col) once),
-    so a single fancy-indexed add reproduces the per-column loop bit for
-    bit on that triangle.
+    so a single fancy-indexed add reproduces a per-column scatter loop
+    (the oracle, ``tests/reference_assembly.py``) bit for bit on that
+    triangle.
 
     A child's update rows sit in its parent's front at positions ``idx``
     (ascending).  Below :data:`RUN_CUT` rows the plan keeps ``idx`` as
@@ -185,8 +104,8 @@ class AssemblyPlan:
     )
 
     def __init__(self, a: CSCMatrix, sf: SymbolicFactor):
-        a_lower, all_cols, origin = _permuted_lower(a, sf.perm)
-        indptr, indices = a_lower.indptr, a_lower.indices
+        all_rows, all_cols, origin = _permuted_lower(a, sf.perm)
+        bounds = np.searchsorted(all_cols, sf.super_ptr).tolist()
         n_super = sf.n_supernodes
         #: per supernode: gather indices into the canonical ``a.data``
         self.src: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
@@ -207,18 +126,15 @@ class AssemblyPlan:
             rows = sf.rows[s]
             f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
             size = rows.size
-            lo, hi = int(indptr[f_col]), int(indptr[l_col])
-            ridx, cols = indices[lo:hi], all_cols[lo:hi]
-            keep = ridx >= cols
-            src = origin[lo:hi][keep]
-            ridx, cols = ridx[keep], cols[keep]
+            lo, hi = bounds[s], bounds[s + 1]
+            ridx = all_rows[lo:hi]
             pos = np.searchsorted(rows, ridx)
             if pos.size and (np.any(pos >= size) or np.any(rows[pos] != ridx)):
                 raise ValueError(
                     f"supernode {s}: matrix entries outside symbolic pattern"
                 )
-            self.src[s] = src
-            self.dst[s] = pos * size + (cols - f_col)
+            self.src[s] = origin[lo:hi]
+            self.dst[s] = pos * size + (all_cols[lo:hi] - f_col)
 
             # locate this supernode's update rows in its parent's front
             p = int(sf.sparent[s])
@@ -267,39 +183,40 @@ class AssemblyPlan:
 
 def _permuted_lower(
     a: CSCMatrix, perm: np.ndarray
-) -> tuple[CSCMatrix, np.ndarray, np.ndarray]:
-    """The lower triangle of ``P A P^T`` and, for each of its entries, its
-    column and the index into ``a.data`` its value comes from.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lower triangle of ``P A P^T``, column by column: the row and
+    the column of each entry and the index into ``a.data`` its value
+    comes from.
 
-    The origins are found by sending a copy of ``a`` whose values are
-    their own 1-based positions through the transforms that define the
-    permuted lower triangle, so the map cannot drift from them.  It must
-    come out one-to-one onto entries of ``a`` at the matching
-    coordinates; it does not when ``a`` stores a coordinate twice
-    (``from_coo`` sums the tags), which no valid CSC matrix does.
+    ``a`` may store both triangles, either one, or a mixture: every entry
+    is folded below the diagonal of the permuted matrix — (max, min) of
+    its coordinates, the symmetric pattern the symbolic analysis built
+    the tree from — so no permutation can leave half of a one-triangle
+    store above the diagonal, unread.  One sort of one key per entry:
+    the folded coordinate, column first, then one bit for the side of the
+    diagonal the entry came from, so of a pair stored on both sides the
+    below-diagonal entry sorts first and gives the value.
+
+    A key names one (row, col) of ``P A P^T``; two equal keys are a
+    coordinate ``a`` stores twice, which no valid CSC matrix does.
     """
-    tags = np.arange(1, a.nnz + 1, dtype=np.float64)
-    tagged = CSCMatrix(a.shape, a.indptr, a.indices, tags, check=False)
-    a_lower = tagged.permute_symmetric(perm).lower_triangle()
-    origin = a_lower.data.astype(np.int64) - 1
-    a_cols = np.repeat(np.arange(a.n_cols, dtype=np.int64), np.diff(a.indptr))
-    cols = np.repeat(np.arange(a.n_cols, dtype=np.int64), np.diff(a_lower.indptr))
-    if origin.size and not (
-        0 <= origin.min()
-        and origin.max() < a.nnz
-        and np.array_equal(a.indices[origin], perm[a_lower.indices])
-        and np.array_equal(a_cols[origin], perm[cols])
-    ):
+    n = a.n_cols
+    position = invert_permutation(perm)
+    r = position[a.indices]
+    c = position[np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))]
+    key = (np.minimum(r, c) * n + np.maximum(r, c)) * 2 + (r < c)
+    origin = np.argsort(key, kind="stable")
+    key = key[origin]
+    if np.any(key[1:] == key[:-1]):
         raise ValueError(
             "matrix stores a (row, col) more than once: its values cannot "
             "be mapped onto the fronts"
         )
-    return a_lower, cols, origin
-
-
-def build_assembly_plan(a: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
-    """Compute the assembly plan for ``(a, sf)`` (no caching)."""
-    return AssemblyPlan(a, sf)
+    pair = key >> 1
+    first = np.ones(pair.size, dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    cols, rows = np.divmod(pair[first], n)
+    return rows, cols, origin[first]
 
 
 def get_assembly_plan(a: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
@@ -325,15 +242,16 @@ def assemble_front_planned(
     child_updates: list[tuple[int, np.ndarray]],
     workspace: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Planned equivalent of :func:`assemble_front`, on the lower triangle.
+    """Assemble the front of supernode ``s`` on its lower triangle.
 
     ``a_data`` is the ``data`` of the canonical (unpermuted) matrix the
     plan was built for, or of any matrix with that pattern;
     ``child_updates`` carries ``(child_sid, U)`` pairs, each U live in
     its lower triangle; the child's position in this front comes from
     the plan.  The lower triangle of the result is bitwise identical to
-    the unplanned path's: same unique scatter destinations, same child
-    fold-in order; above the diagonal it is unspecified.
+    the per-column reference's (``tests/reference_assembly.py``): same
+    unique scatter destinations, same child fold-in order; above the
+    diagonal it is unspecified.
 
     With ``workspace`` (a flat float64 buffer of at least ``size * size``
     elements) the front is a zero-filled view of its head and lives until

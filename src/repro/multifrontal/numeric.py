@@ -411,7 +411,11 @@ def factorize_numeric(
     Parameters
     ----------
     a : CSCMatrix
-        The original SPD matrix (full symmetric or lower storage).
+        The original SPD matrix, storing both triangles or either one
+        (as :func:`repro.symbolic.symbolic_factorize` takes it): each
+        entry is read from whichever side of the diagonal it is stored
+        on, whatever the permutation does to it; of a pair stored on
+        both sides the entry below the diagonal of ``P A P^T`` counts.
     sf : SymbolicFactor
         Result of :func:`repro.symbolic.symbolic_factorize` on ``a``.
     policy : Policy

@@ -22,8 +22,9 @@ import numpy as np
 
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.frontal import extend_add
+from repro.multifrontal.frontal import get_assembly_plan
 from repro.multifrontal.numeric import FURecord, _numeric_walk, _price_postorder
+from repro.multifrontal.solve import backward_sweep, forward_sweep, sweep_rows
 from repro.policies.base import Policy, Worker
 from repro.symbolic.symbolic import SymbolicFactor
 
@@ -94,20 +95,18 @@ def partial_factorize(
     boundary = int(np.searchsorted(sf.super_ptr, n_eliminate, side="right")) - 1
     n_elim_cols = int(sf.super_ptr[boundary])
 
-    n = sf.n
-    n_keep = n - n_elim_cols
+    n_keep = sf.n - n_elim_cols
     schur = np.zeros((n_keep, n_keep))
-    # seed with the original entries of the kept block
-    a_lower = a.permute_symmetric(sf.perm).lower_triangle()
-    for j in range(n_elim_cols, n):
-        ridx, vals = a_lower.column(j)
-        keep = ridx >= j
-        ridx, vals = ridx[keep], vals[keep]
-        jj = j - n_elim_cols
-        ii = ridx - n_elim_cols
-        schur[ii, jj] += vals
-        off = ridx != j
-        schur[jj, ii[off]] += vals[off]
+    # seed with the original entries of the kept block (lower triangle):
+    # where the plan puts an entry in its supernode's front says its row
+    # and column
+    plan = get_assembly_plan(a, sf)
+    for s in range(boundary, sf.n_supernodes):
+        rows = sf.rows[s]
+        pos, col = np.divmod(plan.dst[s], rows.size)
+        ii = rows[pos] - n_elim_cols
+        jj = col + (sf.super_ptr[s] - n_elim_cols)
+        schur[ii, jj] += a.data[plan.src[s]]
 
     # the serial driver's two passes, stopped at the boundary: price the
     # eliminated supernodes, then run the numerics walk over them
@@ -118,17 +117,19 @@ def partial_factorize(
     panels, leftover, _, _, _ = _numeric_walk(a, sf, bases, worker, order)
 
     # the updates nobody inside consumed reach the kept block: they *are*
-    # the Schur complement contributions (folded in postorder)
-    kept_rows = np.arange(n_elim_cols, n, dtype=np.int64)
+    # the Schur complement contributions (folded in postorder; the kept
+    # rows are contiguous, so a row's place in the block is an offset)
     for s, u in leftover.items():
-        urows = sf.rows[s][sf.width(s):]
-        if urows.min() < n_elim_cols:
+        idx = sf.rows[s][sf.width(s):] - n_elim_cols
+        if idx.min() < 0:
             raise AssertionError(
                 "update of an eliminated supernode reaches back "
                 "into the eliminated block"
             )
-        extend_add(schur, kept_rows, urows, u)
-    # an update block is live in its lower triangle only: mirror that one
+        schur[np.ix_(idx, idx)] += u
+    # fronts and update blocks are live in their lower triangle only, and
+    # so is the block up to here; the caller gets a dense symmetric
+    # matrix (np.linalg.solve, eigvalsh), so mirror that triangle
     schur = np.tril(schur) + np.tril(schur, -1).T
 
     return PartialFactorization(
@@ -158,36 +159,19 @@ def solve_with_schur(
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (sf.n,):
         raise ValueError(f"rhs must have shape ({sf.n},)")
-    from repro.multifrontal.solve import trsv_lower, trsv_lower_t
-
     ne = pf.n_eliminated
     boundary = int(np.searchsorted(sf.super_ptr, ne, side="right")) - 1
+    table = sweep_rows(sf, [pf.panels[s] for s in range(boundary)])
     y = b[sf.perm].copy()
 
-    # forward sweep over the eliminated supernodes: after this,
-    # y[:ne] = L11^{-1} (P b)_1 and y[ne:] = b_2 - L21 y_1
-    for s in range(boundary):
-        f = int(sf.super_ptr[s])
-        k = sf.width(s)
-        panel = pf.panels[s]
-        rows = sf.rows[s]
-        y[f:f + k] = trsv_lower(panel[:k, :], y[f:f + k])
-        if rows.size > k:
-            y[rows[k:]] -= panel[k:, :] @ y[f:f + k]
-
+    # after the forward half, y[:ne] = L11^{-1} (P b)_1 and
+    # y[ne:] = b_2 - L21 y_1
+    forward_sweep(table, y)
     # dense interface solve: S x_2 = y_2
     if ne < sf.n:
         y[ne:] = np.linalg.solve(pf.schur, y[ne:])
-
-    # backward sweep: x_1 = L11^{-T} (y_1 - L21^T x_2)
-    for s in range(boundary - 1, -1, -1):
-        f = int(sf.super_ptr[s])
-        k = sf.width(s)
-        panel = pf.panels[s]
-        rows = sf.rows[s]
-        if rows.size > k:
-            y[f:f + k] -= panel[k:, :].T @ y[rows[k:]]
-        y[f:f + k] = trsv_lower_t(panel[:k, :], y[f:f + k])
+    # x_1 = L11^{-T} (y_1 - L21^T x_2)
+    backward_sweep(table, y)
 
     x = np.empty_like(y)
     x[sf.perm] = y

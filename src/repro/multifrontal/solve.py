@@ -17,8 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.multifrontal.numeric import NumericFactor
+from repro.symbolic.symbolic import SymbolicFactor
 
-__all__ = ["trsv_lower", "trsv_lower_t", "sweep_table", "solve_factored"]
+__all__ = [
+    "trsv_lower",
+    "trsv_lower_t",
+    "sweep_rows",
+    "sweep_table",
+    "forward_sweep",
+    "backward_sweep",
+    "solve_factored",
+]
 
 
 def trsv_lower(l: np.ndarray, b: np.ndarray, *, block: int = 32) -> np.ndarray:
@@ -53,32 +62,62 @@ def trsv_lower_t(l: np.ndarray, b: np.ndarray, *, block: int = 32) -> np.ndarray
     return x
 
 
+def sweep_rows(sf: SymbolicFactor, panels: list[np.ndarray]) -> list[tuple]:
+    """``(first, end, L1, L2, below)`` for each of the leading
+    ``len(panels)`` supernodes, ascending: its column range, the pivot
+    block and the block below it as views into its panel, and the global
+    rows of the latter (``L2`` and ``below`` are ``None`` for a supernode
+    with nothing below)."""
+    ptr = sf.super_ptr.tolist()
+    table = []
+    for s, panel in enumerate(panels):
+        first, end = ptr[s], ptr[s + 1]
+        k = end - first
+        rows = sf.rows[s]
+        if rows.size > k:
+            table.append((first, end, panel[:k, :], panel[k:, :], rows[k:]))
+        else:
+            table.append((first, end, panel[:k, :], None, None))
+    return table
+
+
 def sweep_table(factor: NumericFactor) -> list[tuple]:
-    """``(first, end, L1, L2, below)`` per supernode, ascending: its
-    column range, the pivot block and the block below it as views into
-    the factor's panels, and the global rows of the latter (``L2`` and
-    ``below`` are ``None`` for a supernode with nothing below).
+    """The :func:`sweep_rows` of every supernode of ``factor``.
 
     Built on first use and kept on the factor for its lifetime.  It holds
     views and integers only: no array data (cache sizes count panel
     bytes), about half a kilobyte of view objects per supernode, and it
     follows in-place edits of the panels.
     """
-    table = factor.sweep
-    if table is None:
-        sf = factor.sf
-        ptr = sf.super_ptr.tolist()
-        table = []
-        for s, panel in enumerate(factor.panels):
-            first, end = ptr[s], ptr[s + 1]
-            k = end - first
-            rows = sf.rows[s]
-            if rows.size > k:
-                table.append((first, end, panel[:k, :], panel[k:, :], rows[k:]))
-            else:
-                table.append((first, end, panel[:k, :], None, None))
-        factor.sweep = table
-    return table
+    if factor.sweep is None:
+        factor.sweep = sweep_rows(factor.sf, factor.panels)
+    return factor.sweep
+
+
+def forward_sweep(table: list[tuple], y: np.ndarray) -> None:
+    """``L y' = y`` in place over the supernodes of ``table``; the rows
+    below them are left holding ``y_2 - L_21 y'_1``.  A one-column
+    supernode is one division by its pivot, exactly what the
+    substitution would do to it."""
+    for first, end, l1, l2, below in table:
+        if end - first == 1:
+            y[first] /= l1[0, 0]
+        else:
+            y[first:end] = trsv_lower(l1, y[first:end])
+        if l2 is not None:
+            y[below] -= l2 @ y[first:end]
+
+
+def backward_sweep(table: list[tuple], y: np.ndarray) -> None:
+    """``L^T x = y'`` in place over the supernodes of ``table``, reading
+    the rows below them as already solved."""
+    for first, end, l1, l2, below in reversed(table):
+        if l2 is not None:
+            y[first:end] -= l2.T @ y[below]
+        if end - first == 1:
+            y[first] /= l1[0, 0]
+        else:
+            y[first:end] = trsv_lower_t(l1, y[first:end])
 
 
 def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
@@ -103,25 +142,8 @@ def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
         return solve_factored(factor, b[:, 0])[:, None]
     table = sweep_table(factor)
     y = b[sf.perm].copy()          # y = P b
-
-    # forward: L y' = y.  A one-column supernode is one division by its
-    # pivot, exactly what the substitution would do to it
-    for first, end, l1, l2, below in table:
-        if end - first == 1:
-            y[first] /= l1[0, 0]
-        else:
-            y[first:end] = trsv_lower(l1, y[first:end])
-        if l2 is not None:
-            y[below] -= l2 @ y[first:end]
-
-    # backward: L^T x = y'
-    for first, end, l1, l2, below in reversed(table):
-        if l2 is not None:
-            y[first:end] -= l2.T @ y[below]
-        if end - first == 1:
-            y[first] /= l1[0, 0]
-        else:
-            y[first:end] = trsv_lower_t(l1, y[first:end])
+    forward_sweep(table, y)        # L y' = y
+    backward_sweep(table, y)       # L^T x = y'
 
     x = np.empty_like(y)
     x[sf.perm] = y                  # x = P^T y

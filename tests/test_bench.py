@@ -338,11 +338,11 @@ def test_planned_assembly_bitwise_matches_legacy():
     ``RUN_CUT``, and without reading a child above its diagonal."""
     from repro.matrices import elasticity_3d, grid_laplacian_3d
     from repro.multifrontal.frontal import (
-        assemble_front,
         assemble_front_planned,
         get_assembly_plan,
     )
     from repro.symbolic import symbolic_factorize
+    from tests.reference_assembly import assemble_front
 
     def eliminate(front, k):
         # plain dense partial Cholesky off the lower triangle
@@ -429,17 +429,17 @@ def _with_entry_outside_pattern(a, sf):
 
 def test_assembly_plan_rejects_out_of_pattern_entries():
     from repro.matrices import grid_laplacian_2d
-    from repro.multifrontal.frontal import build_assembly_plan
+    from repro.multifrontal.frontal import AssemblyPlan
     from repro.symbolic import symbolic_factorize
 
     a = grid_laplacian_2d(6, 6)
     sf = symbolic_factorize(a, ordering="nd")
-    build_assembly_plan(a, sf)  # in-pattern: fine
+    AssemblyPlan(a, sf)  # in-pattern: fine
 
     # the plan must refuse at build time with the error the per-column
     # path raises
     with pytest.raises(ValueError, match="pattern"):
-        build_assembly_plan(_with_entry_outside_pattern(a, sf), sf)
+        AssemblyPlan(_with_entry_outside_pattern(a, sf), sf)
 
 
 def test_assembly_plan_follows_the_canonical_pattern():

@@ -1,13 +1,15 @@
 """Device-resident factorization (the §VI-C copy-optimization mechanism)."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
-from repro.gpu import SimulatedNode, tesla_t10_model
-from repro.gpu.device import SimulatedGpu
-from repro.gpu.spec import TESLA_T10
-from repro.matrices import grid_laplacian_3d
+from repro.dense.kernels import NotPositiveDefiniteError
+from repro.gpu import SimulatedNode
+from repro.matrices import elasticity_3d, grid_laplacian_2d, grid_laplacian_3d
+from repro.matrices.csc import CSCMatrix
 from repro.multifrontal import (
     factorize_numeric,
     factorize_resident,
@@ -15,8 +17,11 @@ from repro.multifrontal import (
     iterative_refinement,
     solve_factored,
 )
+from repro.multifrontal.device_resident import replay_resident
 from repro.policies import make_policy
 from repro.symbolic import symbolic_factorize
+from repro.workload import paper_workload
+from tests.conftest import starved_node
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +31,11 @@ def problem():
 
 
 AGGRESSIVE = flops_placement(1e4)   # small problem: offload almost everything
+
+
+def tiny_device_node():
+    """A node whose GPU holds 8 KiB: resident updates must spill."""
+    return starved_node(8 * 1024)
 
 
 class TestNumerics:
@@ -91,12 +101,8 @@ class TestResidency:
 
     def test_spilling_under_tiny_device_memory(self, problem):
         a, sf = problem
-        model = tesla_t10_model()
-        node = SimulatedNode(model=model)
-        small = replace(TESLA_T10, memory_bytes=8 * 1024)
-        node.gpus[0] = SimulatedGpu(model, 0, spec=small)
         nf, stats = factorize_resident(
-            a, sf, node=node, place_on_device=AGGRESSIVE
+            a, sf, node=tiny_device_node(), place_on_device=AGGRESSIVE
         )
         assert stats.n_spills > 0
         assert stats.peak_resident_bytes <= 8 * 1024 * 4  # bounded-ish
@@ -122,3 +128,101 @@ class TestResidency:
         choose = flops_placement(2e6)
         assert not choose(10, 10)
         assert choose(5000, 1000)
+
+
+def pricing_digest(result, stats) -> str:
+    """Leading 16 hex digits of a SHA-256 over everything the pricing
+    walk produces, bit for bit (floats as ``float.hex``): every record,
+    the makespan, the assembly seconds, every ``ResidencyStats`` field."""
+    def fhex(x) -> str:
+        return float(x).hex()
+
+    parts = [
+        [(r.sid, r.m, r.k, r.policy, fhex(r.start), fhex(r.end),
+          sorted((c, fhex(t)) for c, t in r.components.items()),
+          [fhex(f) for f in r.flops]) for r in result.records],
+        fhex(result.makespan), fhex(result.assembly_seconds),
+        [fhex(v) for v in dataclasses.astuple(stats)],
+    ]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+class TestPricingGoldens:
+    """The clock of the device-resident driver, pinned.  Recorded at
+    commit ``f6cdc78`` — where one private walk priced, assembled and
+    factored — with this very digest, before the walk became a pricing
+    function in front of the shared numerics pass."""
+
+    MATRICES = {
+        "g3d": lambda: (grid_laplacian_3d(8, 8, 8), "nd"),
+        "el3d": lambda: (elasticity_3d(6, 6, 5), "amd"),
+    }
+    #: placement -> (flops threshold, node factory)
+    PLACEMENTS = {
+        "1e4": (1e4, SimulatedNode),
+        "1e5": (1e5, SimulatedNode),
+        "2e6": (2e6, SimulatedNode),
+        "spill": (1e4, tiny_device_node),
+    }
+    GOLDENS = {
+        "g3d/1e4": "b0bf2f3ca6246ba8",
+        "g3d/1e5": "3a9682e026cd4239",
+        "g3d/2e6": "b621fc4190c1b244",
+        "g3d/spill": "fe74dae585b5863a",
+        "el3d/1e4": "5eefe7e34c545d93",
+        "el3d/1e5": "6474437076536894",
+        "el3d/2e6": "c88b3767e64a441d",
+        "el3d/spill": "b21fb1155f6fae4d",
+    }
+
+    @pytest.mark.parametrize("key", sorted(GOLDENS))
+    def test_factorize_resident_clock(self, key):
+        name, placement = key.split("/")
+        a, ordering = self.MATRICES[name]()
+        threshold, make_node = self.PLACEMENTS[placement]
+        nf, stats = factorize_resident(
+            a, symbolic_factorize(a, ordering=ordering),
+            node=make_node(), place_on_device=flops_placement(threshold),
+        )
+        assert (stats.n_spills > 0) == (placement == "spill")
+        assert pricing_digest(nf, stats) == self.GOLDENS[key]
+
+    def test_replay_at_paper_scale(self):
+        result, stats = replay_resident(paper_workload("lmco"))
+        assert result.makespan == 105.97516584893178
+        assert pricing_digest(result, stats) == "bc93de6db014d503"
+
+
+class TestSharedNumerics:
+    """The floating-point work is the shared numerics pass under the
+    placement, so a uniform placement *is* the serial driver."""
+
+    @pytest.mark.parametrize(
+        "on_device, policy", [(True, "P4"), (False, "P1")], ids=["device", "host"]
+    )
+    def test_uniform_placement_is_the_serial_driver(self, problem, on_device, policy):
+        a, sf = problem
+        nf, stats = factorize_resident(
+            a, sf, place_on_device=lambda m, k: on_device
+        )
+        assert (stats.n_host_supernodes == 0) == on_device
+        serial = factorize_numeric(a, sf, make_policy(policy))
+        for got, want in zip(nf.panels, serial.panels, strict=True):
+            assert np.array_equal(got, want)
+        # the host update stack, like every other factor's; the device
+        # residency peak is the statistic's
+        assert nf.peak_update_bytes == serial.peak_update_bytes
+
+    @pytest.mark.parametrize("on_device", [True, False], ids=["device", "host"])
+    def test_breakdown_names_the_supernode(self, on_device):
+        a = grid_laplacian_2d(8, 7)
+        sf = symbolic_factorize(a, ordering="nd")
+        cols = np.repeat(np.arange(a.n_cols), np.diff(a.indptr))
+        data = a.data.copy()
+        data[(a.indices == 20) & (cols == 20)] = -5.0
+        bad = CSCMatrix(a.shape, a.indptr, a.indices, data)
+        with pytest.raises(
+            NotPositiveDefiniteError,
+            match=r"Cholesky broke down in supernode 17 \(permuted columns 35\.\.55, ",
+        ):
+            factorize_resident(bad, sf, place_on_device=lambda m, k: on_device)

@@ -90,12 +90,14 @@ PINNED = {
         "859943a8ce0d3d5f797f59e7338efc03510e1d70608a595ef26ff88511198efa",
     "grid_laplacian_2d/natural":
         "859943a8ce0d3d5f797f59e7338efc03510e1d70608a595ef26ff88511198efa",
-    # amd: the entries the permutation moves above the diagonal are
-    # dropped, at the recording commit as now (SparseCholeskySolver
-    # symmetrises first and never gets here) -- pinned to show the gather
-    # map is the same function of ``a``, not as a correct factor
+    # amd: the permutation moves about half of the lower store above the
+    # diagonal; every entry is read from the side it is stored on, so
+    # this is the digest of the full store, "grid_laplacian_2d/amd P1"
+    # above.  (Up to PR 21 those entries were dropped, without an error,
+    # and this line pinned the wrong factor that came out, 6138fa1b...,
+    # to show the gather map was the same function of ``a``.)
     "grid_laplacian_2d/amd lower-only":
-        "6138fa1b6c7284c5c06bae307cf02126f0e922d544069d9afa61ffddcda0f2f9",
+        "4d6709dc7b9a0c0cfd18f5454eeb9cce0c2fa161a55d1cb20142a79adfcdc8ed",
 }
 
 
