@@ -4,9 +4,18 @@ The paper's introduction motivates direct methods with "multiple
 systems with the same coefficient matrix": the expensive factorization
 amortizes across solves.  The serving layer generalizes that to a
 long-lived process — a pattern-keyed cache plus a concurrent solve
-service — and this bench quantifies the amortization: hit rates,
-factorizations avoided, and end-to-end latency percentiles for a
-stream where patterns and values recur.
+service — and this bench quantifies the amortization: hit rates and
+factorizations avoided for a stream where patterns and values recur.
+
+The saved table holds only what the stream determines.  Five numbers
+depend on how the two worker threads happen to interleave on the box —
+the two latency percentiles, how many requests found a batch to share,
+and (rarely: a second variant of a pattern dequeued while the first is
+still being analysed repeats the analysis) the cold-miss count and the
+hit rate derived from it — so they are printed next to the table,
+never saved: the committed ``extension_serving.txt`` regenerates byte
+for byte and the ``paper-artifacts`` CI job diffs it like every other
+result file.  Their assertions run all the same.
 """
 
 import numpy as np
@@ -45,15 +54,19 @@ def test_extension_serving(save, benchmark):
     hit_rate = (n - misses) / n
     factorizations = svc.metrics.counter("numeric_factorizations")
 
+    reused = n - factorizations
     rows = [
         ["requests", n],
         ["distinct patterns / value variants", "3 / 9"],
+        ["numeric factorizations", factorizations],
+        ["requests that factorized nothing", f"{reused} ({reused / n:.1%})"],
+        ["cache evictions", rep["cache"]["evictions"]],
+    ]
+    thread_timed = [
         ["cold misses (fresh analyses)", misses],
         ["symbolic-tier hit rate", f"{hit_rate:.1%}"],
-        ["numeric factorizations", factorizations],
         ["requests in shared multi-RHS batches",
          svc.metrics.counter("batched_requests")],
-        ["cache evictions", rep["cache"]["evictions"]],
         ["p50 latency (ms)", f"{lat['p50'] * 1e3:.2f}"],
         ["p95 latency (ms)", f"{lat['p95'] * 1e3:.2f}"],
     ]
@@ -67,6 +80,10 @@ def test_extension_serving(save, benchmark):
         "factorization per value variant, everything else rides the cache."
     )
     save("extension_serving", text)
+    print(format_table(
+        ["metric", "value"], thread_timed,
+        title="this run only (thread-timed, not saved)",
+    ))
 
     assert hit_rate >= 0.8
     # one factorization per distinct (pattern, values) pair, no duplicates

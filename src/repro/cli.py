@@ -439,15 +439,7 @@ def cmd_lint(args) -> int:
     """Domain-aware static analysis (see ``repro.lint``)."""
     from pathlib import Path
 
-    from repro.lint import (
-        Baseline,
-        all_rules,
-        discover_files,
-        render,
-        run_lint,
-    )
-    from repro.lint.cache import LintCache
-    from repro.lint.runner import DEFAULT_BASELINE, filter_to_paths
+    from repro.lint import all_rules, render, run_lint
 
     if args.list_rules:
         from repro.analysis import format_table
@@ -471,82 +463,13 @@ def cmd_lint(args) -> int:
             print(f"lint: path does not exist: {p}", file=sys.stderr)
             return 2
 
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else (
-        repo_root / DEFAULT_BASELINE
-    )
-    if not args.no_baseline and not args.write_baseline:
-        if baseline_path.exists():
-            baseline = Baseline.load(baseline_path)
-
-    cache = None
-    if args.cache:
-        cache_dir = Path(args.cache_dir) if args.cache_dir else (
-            repo_root / ".lint-cache"
-        )
-        cache = LintCache(cache_dir)
-
-    result = run_lint(
-        paths, baseline=baseline, src_roots=[repo_root / "src"],
-        cache=cache,
-    )
-    if cache is not None:
-        cache.save()
-
-    if args.write_baseline:
-        files, _ = discover_files(paths, src_roots=[repo_root / "src"])
-        by_path = {str(sf.path): sf for sf in files}
-        Baseline.from_findings(result.findings, by_path).save(baseline_path)
-        print(
-            f"baseline with {len(result.findings)} finding(s) written "
-            f"to {baseline_path}"
-        )
-        return 0
-
-    if args.changed_only:
-        changed = _git_changed_files(repo_root, args.changed_base)
-        if changed is None:
-            print(
-                "lint: --changed-only needs a git checkout; "
-                "reporting everything",
-                file=sys.stderr,
-            )
-        else:
-            result = filter_to_paths(result, changed)
-
+    result = run_lint(paths, src_roots=[repo_root / "src"])
     print(render(result, args.format, rules=all_rules()))
 
+    rc = 0 if result.ok else 1
     if args.self_check:
-        rc = 0 if result.ok else 1
         rc = max(rc, _lint_self_check(repo_root))
-        return rc
-    return 0 if result.ok else 1
-
-
-def _git_changed_files(repo_root, base: str):
-    """Changed + untracked ``.py`` paths per git, or None off-checkout."""
-    import subprocess
-
-    def _run(argv):
-        return subprocess.run(
-            argv, cwd=repo_root, capture_output=True, text=True,
-            check=True,
-        ).stdout
-
-    try:
-        diffed = _run(["git", "diff", "--name-only", base, "--"])
-        untracked = _run(
-            ["git", "ls-files", "--others", "--exclude-standard"]
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    from pathlib import Path
-
-    return {
-        repo_root / line.strip()
-        for line in (diffed + untracked).splitlines()
-        if line.strip().endswith(".py")
-    }
+    return rc
 
 
 #: modules held to ``mypy --strict`` by the self-check and CI; mirrors
@@ -933,28 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="files/directories to lint (default: src/repro)")
     li.add_argument("--format", default="text",
                     choices=("text", "json", "github", "sarif"))
-    li.add_argument("--baseline", default="",
-                    help="baseline file (default: lint-baseline.json at "
-                         "the repo root)")
-    li.add_argument("--no-baseline", action="store_true",
-                    help="strict mode: ignore the baseline entirely")
-    li.add_argument("--write-baseline", action="store_true",
-                    help="accept all current findings into the baseline")
     li.add_argument("--list-rules", action="store_true",
                     help="print the rule table and exit")
-    li.add_argument("--cache", action="store_true",
-                    help="reuse per-file findings for unchanged content "
-                         "from .lint-cache/ (program-wide passes rerun "
-                         "only when any file changed)")
-    li.add_argument("--cache-dir", default="",
-                    help="cache directory (default: .lint-cache at the "
-                         "repo root)")
-    li.add_argument("--changed-only", action="store_true",
-                    help="report findings only for files git considers "
-                         "changed; the analysis still sees the whole tree")
-    li.add_argument("--changed-base", default="HEAD",
-                    help="git ref to diff against for --changed-only "
-                         "(default: HEAD)")
     li.add_argument("--self-check", action="store_true",
                     help="also run ruff and mypy --strict over the "
                          "strict-typed modules when installed")

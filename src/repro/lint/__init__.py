@@ -12,11 +12,9 @@ Run it as ``python -m repro lint [paths...]``; see
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.core import Checker, Finding, LintConfig, Rule, SourceFile
 from repro.lint.output import FORMATS, render
 from repro.lint.runner import (
-    DEFAULT_BASELINE,
     LintResult,
     all_rules,
     discover_files,
@@ -24,9 +22,7 @@ from repro.lint.runner import (
 )
 
 __all__ = [
-    "Baseline",
     "Checker",
-    "DEFAULT_BASELINE",
     "FORMATS",
     "Finding",
     "LintConfig",

@@ -7,35 +7,30 @@ invariant (:func:`repro.verify.invariants.check_allocator_state`) both
 read it.  A reservation that never reaches ``release()`` — on *any*
 control-flow path, including the exception edges — poisons both.
 
-**RPL020** fires when a ``*.request(...)`` / ``*.reserve(...)`` call is
-not owned by one of the sanctioned patterns:
+**RPL020** is the allocator's verdict over the shared acquire-to-release
+walk (:class:`repro.lint.flow.resources.AllocatorVerdict`): a
+``*_pool.request(...)`` / ``*.reserve(...)`` is outstanding until its
+``release()``, protected inside a ``try`` whose ``finally`` (or
+re-raising ``except``) releases the pool, and flagged when something
+raise-capable runs while it is unprotected:
 
-* a ``with pool_owner.working_set(...)`` context manager (release is
-  structural);
-* a matching ``release()`` reached on the straight-line path with the
-  whole window protected — the acquire sits in a ``try`` whose
-  ``finally`` (or re-raising ``except``) releases the pool;
-* immediate hand-off: the function performs no further raise-capable
-  pool operation and no explicit ``raise`` while the reservation is
-  outstanding (cross-function ownership, e.g. acquire in ``_start``,
-  release in ``_complete``, is legal — the checker only polices the
-  in-function window).
+* a second ``request``/``reserve`` (it can raise
+  :class:`DeviceMemoryError` and leak the first);
+* an explicit ``raise``;
+* any call at all, when the function goes on to ``release()`` on the
+  fall-through path (the exception edge skips it) — move the release
+  to a ``finally``.
 
-Concretely flagged shapes:
-
-* a second ``request``/``reserve`` while an earlier reservation is
-  unprotected (the second can raise :class:`DeviceMemoryError` and leak
-  the first);
-* an explicit ``raise`` while a reservation is unprotected;
-* a ``release()`` that exists but sits on the fall-through path with
-  raise-capable calls between acquire and release (exception edge skips
-  it) — move it to a ``finally``.
+The sanctioned patterns stay silent: the ``working_set(...)`` context
+manager (release is structural), a release in ``finally``, and
+immediate hand-off — cross-function ownership (acquire in ``_start``,
+release in ``_complete``) is legal, the walk only polices the
+in-function window.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
 from repro.lint.core import (
     Checker,
@@ -43,253 +38,12 @@ from repro.lint.core import (
     LintConfig,
     Rule,
     SourceFile,
-    dotted_name,
     register,
 )
+from repro.lint.flow.callgraph import in_scope
+from repro.lint.flow.resources import AllocatorVerdict
 
 __all__ = ["AllocatorChecker"]
-
-_ACQUIRE_METHODS = {"request", "reserve"}
-_OWNER_CONTEXT = {"working_set"}
-
-
-def _pool_receiver(call: ast.Call) -> str | None:
-    """Receiver text when the call is a pool acquire, else None."""
-    if not isinstance(call.func, ast.Attribute):
-        return None
-    if call.func.attr not in _ACQUIRE_METHODS:
-        return None
-    recv = dotted_name(call.func.value)
-    if recv is None:
-        return None
-    if call.func.attr == "request":
-        # only pool-like receivers: device_pool / pinned_pool / *pool*
-        if "pool" not in recv.rsplit(".", 1)[-1]:
-            return None
-    return recv
-
-
-def _release_receiver(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Attribute) and call.func.attr == "release":
-        return dotted_name(call.func.value)
-    return None
-
-
-@dataclass
-class _Outstanding:
-    """One live reservation during the linear walk."""
-
-    receiver: str
-    node: ast.Call
-    protected: bool   # a finally/except release guards the window
-    released: bool = False
-    flagged: bool = False
-
-
-def _releases_in(stmts: list[ast.stmt]) -> set[str]:
-    out: set[str] = set()
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                recv = _release_receiver(node)
-                if recv is not None:
-                    out.add(recv)
-    return out
-
-
-def _related(a: str, b: str) -> bool:
-    """Do two receiver texts plausibly denote the same pool object?
-
-    ``self.device_pool`` matches ``self.device_pool``; a bare attribute
-    match (last component) also counts so helper aliases do not defeat
-    the checker.
-    """
-    return a == b or a.rsplit(".", 1)[-1] == b.rsplit(".", 1)[-1]
-
-
-class _FunctionWalker:
-    """Linear, exception-edge-aware walk of one function body."""
-
-    def __init__(self, checker: "AllocatorChecker", sf: SourceFile):
-        self.checker = checker
-        self.sf = sf
-        self.findings: list[Finding] = []
-        self.live: list[_Outstanding] = []
-
-    def run(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self.walk(list(fn.body), protected_pools=frozenset())
-        # no end-of-function report: an un-released reservation with no
-        # risky window is cross-function ownership, which is legal
-
-    # ------------------------------------------------------------------
-    def walk(
-        self, stmts: list[ast.stmt], protected_pools: frozenset[str]
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Try):
-                self._walk_try(stmt, protected_pools)
-                continue
-            if isinstance(stmt, ast.With):
-                self._walk_with(stmt, protected_pools)
-                continue
-            if isinstance(stmt, ast.Raise):
-                self._on_raise(stmt)
-                continue
-            self._scan_calls(stmt, protected_pools)
-            for attr in ("body", "orelse"):
-                block = getattr(stmt, attr, None)
-                if block:
-                    self.walk(block, protected_pools)
-
-    def _walk_with(
-        self, stmt: ast.With, protected_pools: frozenset[str]
-    ) -> None:
-        owned_here = False
-        for item in stmt.items:
-            ctx = item.context_expr
-            if (
-                isinstance(ctx, ast.Call)
-                and isinstance(ctx.func, ast.Attribute)
-                and ctx.func.attr in _OWNER_CONTEXT
-            ):
-                owned_here = True
-            else:
-                self._scan_expr(ctx, protected_pools)
-        self.walk(stmt.body, protected_pools)
-        if owned_here:
-            return
-
-    def _walk_try(
-        self, stmt: ast.Try, protected_pools: frozenset[str]
-    ) -> None:
-        handler_releases: set[str] = set()
-        for handler in stmt.handlers:
-            handler_releases |= _releases_in(handler.body)
-        handler_releases |= _releases_in(stmt.finalbody)
-        inner = protected_pools | frozenset(handler_releases)
-        # a try whose finally/except releases pool P protects every
-        # already-outstanding reservation of P for the try's duration
-        for out in self.live:
-            if not out.released and any(
-                _related(out.receiver, r) for r in handler_releases
-            ):
-                out.protected = True
-        n_before = len(self.live)
-        self.walk(stmt.body, inner)
-        # inside a handler, an acquire made in this try body may never
-        # have happened (the exception could predate it); a raise there
-        # only risks pre-existing reservations, so hide the body's
-        # acquires while walking handlers and restore them for the
-        # fall-through continuation
-        body_new = self.live[n_before:]
-        saved = [out.released for out in body_new]
-        for out in body_new:
-            out.released = True
-        for handler in stmt.handlers:
-            self.walk(handler.body, protected_pools)
-        for out, was_released in zip(body_new, saved):
-            out.released = was_released
-        self.walk(stmt.orelse, protected_pools)
-        self.walk(stmt.finalbody, protected_pools)
-
-    # ------------------------------------------------------------------
-    def _scan_expr(
-        self, expr: ast.expr, protected_pools: frozenset[str]
-    ) -> None:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                self._on_call(node, protected_pools)
-
-    def _scan_calls(
-        self, stmt: ast.stmt, protected_pools: frozenset[str]
-    ) -> None:
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._scan_expr(child, protected_pools)
-
-    def _on_call(
-        self, call: ast.Call, protected_pools: frozenset[str]
-    ) -> None:
-        recv = _release_receiver(call)
-        if recv is not None:
-            for out in self.live:
-                if not out.released and _related(out.receiver, recv):
-                    if not out.protected and self._risky_between(out, call):
-                        self._flag(
-                            out,
-                            f"release of {recv} is only reached on the "
-                            f"fall-through path; an exception between "
-                            f"request and release leaks the reservation",
-                            hint="move the release into a finally block "
-                            "or use the working_set() context manager",
-                        )
-                    out.released = True
-            return
-        recv = _pool_receiver(call)
-        if recv is None:
-            return
-        # this acquire can raise DeviceMemoryError: every unprotected
-        # outstanding reservation would leak
-        for out in self.live:
-            if out.released or out.protected or out.flagged:
-                continue
-            if any(_related(out.receiver, p) for p in protected_pools):
-                continue
-            self._flag(
-                out,
-                f"{call.func.attr}() on {recv} can raise while the "
-                f"reservation on {out.receiver} is still unreleased",
-                hint="reserve both pools through working_set(), or "
-                "release the first pool in an except handler before "
-                "re-raising",
-            )
-        self.live.append(
-            _Outstanding(
-                receiver=recv,
-                node=call,
-                protected=any(
-                    _related(recv, p) for p in protected_pools
-                ),
-            )
-        )
-
-    def _on_raise(self, stmt: ast.Raise) -> None:
-        for out in self.live:
-            if not (out.released or out.protected or out.flagged):
-                self._flag(
-                    out,
-                    f"raise while the reservation on {out.receiver} is "
-                    "still unreleased",
-                )
-
-    def _risky_between(self, out: _Outstanding, release: ast.Call) -> bool:
-        """Any raise-capable call strictly between acquire and release?
-
-        Position comparison is by line; the acquire and the release
-        themselves are excluded.  Attribute reads and arithmetic are
-        treated as safe; calls are the raise carriers.
-        """
-        lo = out.node.lineno
-        hi = release.lineno
-        if hi <= lo:
-            return False
-        for node in ast.walk(self.fn_node):
-            if (
-                isinstance(node, ast.Call)
-                and node is not out.node
-                and node is not release
-                and lo < getattr(node, "lineno", lo) < hi
-            ):
-                return True
-        return False
-
-    def _flag(
-        self, out: _Outstanding, message: str, *, hint: str | None = None
-    ) -> None:
-        out.flagged = True
-        self.findings.append(
-            self.checker.finding("RPL020", self.sf, out.node, message, hint=hint)
-        )
 
 
 @register
@@ -311,15 +65,15 @@ class AllocatorChecker(Checker):
     ) -> list[Finding]:
         findings: list[Finding] = []
         for sf in files:
-            if any(
-                sf.module == m or sf.module.startswith(m + ".")
-                for m in config.allocator_impl_modules
-            ):
+            # the allocator implementation itself has nothing to release
+            if in_scope(sf.module, config.allocator_impl_modules):
                 continue
             for node in ast.walk(sf.tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    walker = _FunctionWalker(self, sf)
-                    walker.fn_node = node
-                    walker.run(node)
-                    findings.extend(walker.findings)
+                    verdict = AllocatorVerdict()
+                    verdict.walk(node.body)
+                    findings.extend(
+                        self.finding("RPL020", sf, call, message, hint=hint)
+                        for call, message, hint in verdict.leaks
+                    )
         return findings

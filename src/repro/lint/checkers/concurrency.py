@@ -1,32 +1,24 @@
 """Concurrency checkers: lock-order graph, blocking and callbacks under locks.
 
-The pass is whole-program and runs in three stages:
+The pass is whole-program.  Locks, resolved calls and what a call may
+transitively do — which locks it acquires, whether it may wake
+external waiters (``Event.set`` / completion callbacks), block, or do
+expensive solver work (the domain list in
+:attr:`LintConfig.expensive_calls`) — come from the one
+:class:`~repro.lint.flow.callgraph.ProgramIndex` every program-scope
+rule shares.  What is private to this module is the **held-lock walk**:
+every function of the modules in :attr:`LintConfig.concurrency_modules`
+is re-walked tracking the stack of held locks through ``with`` blocks
+and ``.acquire()``/``.release()`` pairs, emitting:
 
-1. **lock discovery** — every ``self.x = threading.Lock()`` (or
-   ``RLock``/``Condition``/``Semaphore``) becomes a lock identity
-   ``Class.x``; module-level locks become ``module:x``.  Identity is
-   per *attribute*, not per instance: two instances of one class share
-   a lock ordering, which is exactly the granularity deadlock analysis
-   wants.
-2. **function summaries** — for every function: which locks it may
-   acquire, whether it may wake external waiters (``Event.set`` /
-   completion callbacks), and whether it may do expensive solver work
-   (the domain list in :attr:`LintConfig.expensive_calls`).  Summaries
-   propagate transitively over a resolved call graph (self-methods,
-   same-module and imported functions, and attribute methods whose
-   name is unique across the analyzed program).
-3. **held-lock walk** — re-walk every function tracking the stack of
-   held locks through ``with`` blocks and ``.acquire()``/``.release()``
-   pairs, emitting:
-
-   * **RPL001** — a cycle in the lock-acquisition graph (lock A held
-     while taking B somewhere, B held while taking A elsewhere);
-   * **RPL002** — a blocking or expensive call while a lock is held
-     (``time.sleep``, foreign ``.wait()``, thread ``.join()``, file
-     I/O, or anything in the expensive-call list);
-   * **RPL003** — waking external waiters under a lock: ``Event.set``,
-     functions that transitively complete futures, or calls through
-     ``*_factory``/``*_callback`` values and callable parameters.
+* **RPL001** — a cycle in the lock-acquisition graph (lock A held
+  while taking B somewhere, B held while taking A elsewhere);
+* **RPL002** — a blocking or expensive call while a lock is held
+  (``time.sleep``, foreign ``.wait()``, thread ``.join()``, file
+  I/O, or anything in the expensive-call list);
+* **RPL003** — waking external waiters under a lock: ``Event.set``,
+  functions that transitively complete futures, or calls through
+  ``*_factory``/``*_callback`` values and callable parameters.
 
 ``Condition.wait``/``notify`` on the *held* condition are exempt (that
 is how conditions are used); waiting on anything else while holding a
@@ -36,7 +28,7 @@ lock is the classic lost-wakeup/deadlock shape and is flagged.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from functools import partial
 
 from repro.lint.core import (
     Checker,
@@ -47,274 +39,30 @@ from repro.lint.core import (
     dotted_name,
     register,
 )
+from repro.lint.flow.callgraph import (
+    BLOCKS,
+    EXPENSIVE,
+    WAKES,
+    FunctionInfo,
+    ProgramIndex,
+    calls_in,
+    in_scope,
+    is_blocking_call,
+    stmt_exprs,
+)
+from repro.lint.flow.engine import analyze
 
 __all__ = ["ConcurrencyChecker"]
 
-_LOCK_FACTORIES = {
-    "Lock",
-    "RLock",
-    "Condition",
-    "Semaphore",
-    "BoundedSemaphore",
-}
-_BLOCKING_DOTTED = {
-    "time.sleep",
-    "socket.create_connection",
-    "urllib.request.urlopen",
-}
-_BLOCKING_PREFIXES = ("subprocess.", "requests.", "socket.")
 _BLOCKING_BUILTINS = {"open", "input"}
 _CALLBACK_ATTR_SUFFIXES = ("_factory", "_callback", "_hook", "_fn")
 
-
-def _in_scope(module: str, prefixes: tuple[str, ...]) -> bool:
-    return any(
-        module == p or module.startswith(p + ".") for p in prefixes
-    )
-
-
-@dataclass
-class _FunctionInfo:
-    """One analyzed function and its flat call/lock facts."""
-
-    key: str                       # "module:Class.name" or "module:name"
-    module: str
-    cls: str | None
-    name: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-    params: frozenset[str] = frozenset()
-    calls: set[str] = field(default_factory=set)       # resolved callee keys
-    acquires: set[str] = field(default_factory=set)    # direct lock ids
-    wakes: bool = False
-    expensive: bool = False
-    blocks: bool = False           # contains a known blocking call
-    # transitive closures (filled by the fixpoint)
-    t_acquires: set[str] = field(default_factory=set)
-    t_wakes: bool = False
-    t_expensive: bool = False
-    t_blocks: bool = False
-
-
-@dataclass
-class _Program:
-    """Whole-program index built in stage 1."""
-
-    files: list[SourceFile]
-    config: LintConfig
-    # lock identity -> defining (file, node) for diagnostics
-    locks: dict[str, tuple[SourceFile, ast.AST]] = field(default_factory=dict)
-    functions: dict[str, _FunctionInfo] = field(default_factory=dict)
-    # bare function/class name -> keys (for import + unique-name resolution)
-    by_name: dict[str, list[str]] = field(default_factory=dict)
-    # method name -> keys across all classes
-    methods: dict[str, list[str]] = field(default_factory=dict)
-    # per module: imported name -> source module
-    imports: dict[str, dict[str, str]] = field(default_factory=dict)
-
-
-def _iter_functions(sf: SourceFile):
-    """Yield (class_name | None, function_node) for every def."""
-    for node in sf.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield None, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield node.name, sub
-
-
-def _is_lock_factory(call: ast.expr) -> bool:
-    if not isinstance(call, ast.Call):
-        return False
-    name = dotted_name(call.func)
-    if name is None:
-        return False
-    last = name.rsplit(".", 1)[-1]
-    return last in _LOCK_FACTORIES
-
-
-def _build_program(files: list[SourceFile], config: LintConfig) -> _Program:
-    prog = _Program(files=files, config=config)
-    for sf in files:
-        imports: dict[str, str] = {}
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    imports[alias.asname or alias.name] = node.module
-        prog.imports[sf.module] = imports
-
-        for cls, fn in _iter_functions(sf):
-            key = f"{sf.module}:{cls + '.' if cls else ''}{fn.name}"
-            info = _FunctionInfo(
-                key=key,
-                module=sf.module,
-                cls=cls,
-                name=fn.name,
-                node=fn,
-                params=frozenset(
-                    a.arg for a in fn.args.args + fn.args.kwonlyargs
-                    if a.arg not in ("self", "cls")
-                ),
-            )
-            prog.functions[key] = info
-            prog.by_name.setdefault(fn.name, []).append(key)
-            if cls is not None:
-                prog.methods.setdefault(fn.name, []).append(key)
-
-        # lock discovery: self.x = Lock() in any method; X = Lock() at top
-        for cls, fn in _iter_functions(sf):
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Assign) or not _is_lock_factory(
-                    node.value
-                ):
-                    continue
-                for tgt in node.targets:
-                    if (
-                        isinstance(tgt, ast.Attribute)
-                        and isinstance(tgt.value, ast.Name)
-                        and tgt.value.id == "self"
-                        and cls is not None
-                    ):
-                        prog.locks[f"{cls}.{tgt.attr}"] = (sf, node)
-        for node in sf.tree.body:
-            if isinstance(node, ast.Assign) and _is_lock_factory(node.value):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        prog.locks[f"{sf.module}:{tgt.id}"] = (sf, node)
-    return prog
-
-
-class _LockResolver:
-    """Maps expressions like ``self._cond`` to lock identities."""
-
-    def __init__(self, prog: _Program, sf: SourceFile, cls: str | None):
-        self.prog = prog
-        self.sf = sf
-        self.cls = cls
-
-    def lock_id(self, expr: ast.expr) -> str | None:
-        name = dotted_name(expr)
-        if name is None:
-            return None
-        if name.startswith("self.") and self.cls is not None:
-            candidate = f"{self.cls}.{name[5:]}"
-            if candidate in self.prog.locks:
-                return candidate
-        if "." not in name:
-            candidate = f"{self.sf.module}:{name}"
-            if candidate in self.prog.locks:
-                return candidate
-        # a lock attribute of a collaborator: match by attribute name on
-        # any known class (e.g. ``self.metrics._lock`` -> ServiceMetrics)
-        attr = name.rsplit(".", 1)[-1]
-        matches = [
-            lid for lid in self.prog.locks if lid.split(".")[-1] == attr
-        ]
-        if len(matches) == 1:
-            return matches[0]
-        return None
-
-
-def _resolve_call(
-    prog: _Program, sf: SourceFile, cls: str | None, call: ast.Call
-) -> str | None:
-    """Best-effort mapping of a call site to an analyzed function key."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        name = func.id
-        local = f"{sf.module}:{name}"
-        if local in prog.functions:
-            return local
-        src = prog.imports.get(sf.module, {}).get(name)
-        if src is not None:
-            for suffix in (f"{src}:{name}",):
-                if suffix in prog.functions:
-                    return suffix
-        # class constructor in the analyzed set -> its __init__
-        init = f"{sf.module}:{name}.__init__"
-        if init in prog.functions:
-            return init
-        return None
-    if isinstance(func, ast.Attribute):
-        recv = dotted_name(func.value)
-        method = func.attr
-        if recv == "self" and cls is not None:
-            key = f"{sf.module}:{cls}.{method}"
-            if key in prog.functions:
-                return key
-        # unique method name anywhere in the program
-        candidates = prog.methods.get(method, [])
-        if len(candidates) == 1:
-            return candidates[0]
-    return None
-
-
-def _summarize(prog: _Program) -> None:
-    """Fill direct facts, then close them transitively to a fixpoint."""
-    for info in prog.functions.values():
-        sf = next(f for f in prog.files if f.module == info.module)
-        resolver = _LockResolver(prog, sf, info.cls)
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _resolve_call(prog, sf, info.cls, node)
-            if callee is not None and callee != info.key:
-                info.calls.add(callee)
-            name = dotted_name(node.func)
-            if isinstance(node.func, ast.Attribute):
-                if node.func.attr == "acquire":
-                    lid = resolver.lock_id(node.func.value)
-                    if lid is not None:
-                        info.acquires.add(lid)
-                if node.func.attr == "set" and not node.args:
-                    info.wakes = True
-            if name is not None:
-                last = name.rsplit(".", 1)[-1]
-                if last in prog.config.expensive_calls:
-                    info.expensive = True
-                if name in _BLOCKING_DOTTED or any(
-                    name.startswith(p) for p in _BLOCKING_PREFIXES
-                ):
-                    info.blocks = True
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.With):
-                for item in node.items:
-                    lid = resolver.lock_id(item.context_expr)
-                    if lid is not None:
-                        info.acquires.add(lid)
-
-    # transitive closure over the resolved call graph
-    for info in prog.functions.values():
-        info.t_acquires = set(info.acquires)
-        info.t_wakes = info.wakes
-        info.t_expensive = info.expensive
-        info.t_blocks = info.blocks
-    changed = True
-    while changed:
-        changed = False
-        for info in prog.functions.values():
-            for callee_key in info.calls:
-                callee = prog.functions.get(callee_key)
-                if callee is None:
-                    continue
-                before = (
-                    len(info.t_acquires), info.t_wakes,
-                    info.t_expensive, info.t_blocks,
-                )
-                info.t_acquires |= callee.t_acquires
-                info.t_wakes = info.t_wakes or callee.t_wakes
-                info.t_expensive = info.t_expensive or callee.t_expensive
-                info.t_blocks = info.t_blocks or callee.t_blocks
-                if before != (
-                    len(info.t_acquires), info.t_wakes,
-                    info.t_expensive, info.t_blocks,
-                ):
-                    changed = True
+#: lock graph: edge (held -> taken) with one witness location each
+_Edges = dict[tuple[str, str], tuple[SourceFile, ast.AST]]
 
 
 @register
 class ConcurrencyChecker(Checker):
-    scope = "program"
     rules = (
         Rule(
             "RPL001",
@@ -349,190 +97,102 @@ class ConcurrencyChecker(Checker):
     def check(
         self, files: list[SourceFile], config: LintConfig
     ) -> list[Finding]:
-        scoped = [
-            f for f in files if _in_scope(f.module, config.concurrency_modules)
-        ]
-        if not scoped:
-            return []
-        prog = _build_program(scoped, config)
-        _summarize(prog)
+        index = analyze(files, config).index
         findings: list[Finding] = []
-        # lock graph: edge (held -> taken) with one witness location each
-        edges: dict[tuple[str, str], tuple[SourceFile, ast.AST]] = {}
-        for info in prog.functions.values():
-            sf = next(f for f in prog.files if f.module == info.module)
-            self._walk_function(prog, sf, info, findings, edges)
+        edges: _Edges = {}
+        for info in index.functions.values():
+            if in_scope(info.module, config.concurrency_modules):
+                self._walk_function(index, info, findings, edges)
         findings.extend(self._lock_cycles(edges))
         return findings
 
     # ------------------------------------------------------------------
     def _walk_function(
         self,
-        prog: _Program,
-        sf: SourceFile,
-        info: _FunctionInfo,
+        index: ProgramIndex,
+        info: FunctionInfo,
         findings: list[Finding],
-        edges: dict[tuple[str, str], tuple[SourceFile, ast.AST]],
+        edges: _Edges,
     ) -> None:
-        resolver = _LockResolver(prog, sf, info.cls)
+        sf = index.function_file(info)
+        lock_id = partial(index.lock_id, sf, info.cls)
+
+        def note_acquire(
+            node: ast.AST, lock: str, held: tuple[str, ...]
+        ) -> None:
+            for h in held:
+                if h != lock:
+                    edges.setdefault((h, lock), (sf, node))
 
         def walk(stmts: list[ast.stmt], held: tuple[str, ...]) -> None:
             for stmt in stmts:
                 if isinstance(stmt, ast.With):
                     inner = list(held)
                     for item in stmt.items:
-                        lid = resolver.lock_id(item.context_expr)
+                        lid = lock_id(item.context_expr)
                         if lid is not None:
-                            self._note_acquire(
-                                prog, sf, item.context_expr, lid, held,
-                                findings, edges,
-                            )
+                            note_acquire(item.context_expr, lid, held)
                             inner.append(lid)
                     walk(stmt.body, tuple(inner))
                     continue
                 taken = list(held)
-                for call in self._calls_in(stmt):
-                    lid = self._acquire_target(resolver, call)
-                    if lid is not None:
-                        self._note_acquire(
-                            prog, sf, call, lid, tuple(taken), findings, edges
-                        )
-                        taken.append(lid)
-                        continue
-                    rid = self._release_target(resolver, call)
-                    if rid is not None and rid in taken:
-                        taken.remove(rid)
-                        continue
-                    if held or tuple(taken) != held:
-                        self._check_call_under_locks(
-                            prog, sf, info, call,
-                            tuple(taken) if taken else held,
-                            findings, edges,
-                        )
-                held_now = tuple(taken)
-                for body in self._nested_bodies(stmt):
-                    walk(body, held_now)
-                held = held_now
+                for expr in stmt_exprs(stmt):
+                    for call in calls_in(expr):
+                        func = call.func
+                        if isinstance(func, ast.Attribute) and func.attr in (
+                            "acquire", "release",
+                        ):
+                            lid = lock_id(func.value)
+                            if lid is not None and func.attr == "acquire":
+                                note_acquire(call, lid, tuple(taken))
+                                taken.append(lid)
+                                continue
+                            if lid is not None and lid in taken:
+                                taken.remove(lid)
+                                continue
+                        if taken:
+                            self._check_call_under_locks(
+                                index, info, call, tuple(taken),
+                                findings, edges,
+                            )
+                held = tuple(taken)
+                for attr in ("body", "orelse", "finalbody"):
+                    walk(getattr(stmt, attr, None) or [], held)
+                for handler in getattr(stmt, "handlers", []):
+                    walk(handler.body, held)
 
         walk(list(info.node.body), ())
 
-    @staticmethod
-    def _nested_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
-        bodies: list[list[ast.stmt]] = []
-        for attr in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, attr, None)
-            if block and not isinstance(stmt, ast.With):
-                bodies.append(block)
-        for handler in getattr(stmt, "handlers", []) or []:
-            bodies.append(handler.body)
-        return bodies
-
-    @staticmethod
-    def _calls_in(stmt: ast.stmt) -> list[ast.Call]:
-        """Calls in the statement's own expressions (not nested blocks)."""
-        calls: list[ast.Call] = []
-
-        class V(ast.NodeVisitor):
-            def visit_Call(self, node: ast.Call) -> None:
-                calls.append(node)
-                self.generic_visit(node)
-
-            # do not descend into nested statement blocks or defs
-            def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-                pass
-
-            def visit_AsyncFunctionDef(
-                self, node: ast.AsyncFunctionDef
-            ) -> None:
-                pass
-
-            def visit_Lambda(self, node: ast.Lambda) -> None:
-                pass
-
-        v = V()
-        if isinstance(stmt, (ast.If, ast.While)):
-            v.visit(stmt.test)
-        elif isinstance(stmt, ast.For):
-            v.visit(stmt.iter)
-        elif isinstance(stmt, (ast.Try,)):
-            pass
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    v.visit(child)
-        return calls
-
-    @staticmethod
-    def _acquire_target(
-        resolver: _LockResolver, call: ast.Call
-    ) -> str | None:
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr == "acquire"
-        ):
-            return resolver.lock_id(call.func.value)
-        return None
-
-    @staticmethod
-    def _release_target(
-        resolver: _LockResolver, call: ast.Call
-    ) -> str | None:
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr == "release"
-        ):
-            return resolver.lock_id(call.func.value)
-        return None
-
-    def _note_acquire(
-        self,
-        prog: _Program,
-        sf: SourceFile,
-        node: ast.AST,
-        lock: str,
-        held: tuple[str, ...],
-        findings: list[Finding],
-        edges: dict[tuple[str, str], tuple[SourceFile, ast.AST]],
-    ) -> None:
-        for h in held:
-            if h != lock:
-                edges.setdefault((h, lock), (sf, node))
-
     def _check_call_under_locks(
         self,
-        prog: _Program,
-        sf: SourceFile,
-        info: _FunctionInfo,
+        index: ProgramIndex,
+        info: FunctionInfo,
         call: ast.Call,
         held: tuple[str, ...],
         findings: list[Finding],
-        edges: dict[tuple[str, str], tuple[SourceFile, ast.AST]],
+        edges: _Edges,
     ) -> None:
-        if not held:
-            return
-        resolver = _LockResolver(prog, sf, info.cls)
+        sf = index.function_file(info)
         name = dotted_name(call.func) or ""
         last = name.rsplit(".", 1)[-1]
         held_desc = ", ".join(sorted(set(held)))
 
-        callee_key = _resolve_call(prog, sf, info.cls, call)
-        callee = prog.functions.get(callee_key) if callee_key else None
+        callee_key = index.resolve_call(sf, info.cls, call, info.local_types)
+        callee = index.functions[callee_key] if callee_key else None
         if callee is not None:
-            for lid in sorted(callee.t_acquires):
+            for lid in sorted(callee.acquires):
                 for h in held:
                     if h != lid:
                         edges.setdefault((h, lid), (sf, call))
 
         # -- RPL002: blocking / expensive ---------------------------------
         blocking_reason: str | None = None
-        if name in _BLOCKING_DOTTED or any(
-            name.startswith(p) for p in _BLOCKING_PREFIXES
-        ):
+        if is_blocking_call(name):
             blocking_reason = f"blocking call {name}()"
         elif isinstance(call.func, ast.Name) and name in _BLOCKING_BUILTINS:
             blocking_reason = f"blocking builtin {name}()"
         elif isinstance(call.func, ast.Attribute) and call.func.attr == "wait":
-            target = resolver.lock_id(call.func.value)
+            target = index.lock_id(sf, info.cls, call.func.value)
             if target is None or target not in held:
                 blocking_reason = (
                     f"waiting on {dotted_name(call.func.value) or 'an object'}"
@@ -542,13 +202,13 @@ class ConcurrencyChecker(Checker):
             recv = (dotted_name(call.func.value) or "").lower()
             if any(t in recv for t in ("thread", "worker", "proc")):
                 blocking_reason = f"joining {recv}"
-        elif last in prog.config.expensive_calls:
+        elif last in index.config.expensive_calls:
             blocking_reason = f"expensive solver call {last}()"
-        elif callee is not None and callee.t_expensive:
+        elif callee is not None and EXPENSIVE in callee.facts:
             blocking_reason = (
                 f"{last}() transitively performs expensive solver work"
             )
-        elif callee is not None and callee.t_blocks:
+        elif callee is not None and BLOCKS in callee.facts:
             blocking_reason = f"{last}() transitively blocks"
         if blocking_reason is not None:
             findings.append(
@@ -568,7 +228,7 @@ class ConcurrencyChecker(Checker):
             elif attr.endswith(_CALLBACK_ATTR_SUFFIXES):
                 wake_reason = f"callback {name}() invoked"
             elif attr in ("notify", "notify_all"):
-                target = resolver.lock_id(call.func.value)
+                target = index.lock_id(sf, info.cls, call.func.value)
                 if target is not None and target not in held:
                     wake_reason = f"{name}() notifies a foreign condition"
         elif isinstance(call.func, ast.Name):
@@ -578,7 +238,7 @@ class ConcurrencyChecker(Checker):
                 )
             elif call.func.id.endswith(_CALLBACK_ATTR_SUFFIXES):
                 wake_reason = f"callback {call.func.id}() invoked"
-        if wake_reason is None and callee is not None and callee.t_wakes:
+        if wake_reason is None and callee is not None and WAKES in callee.facts:
             wake_reason = f"{last}() transitively wakes external waiters"
         if wake_reason is not None:
             findings.append(

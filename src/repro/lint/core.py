@@ -6,8 +6,8 @@ immutable identity of one diagnostic (``RPL0xx`` id, severity, fix
 hint), a :class:`Finding` is one concrete diagnostic at one location,
 and a :class:`Checker` turns a *whole program* (every source file at
 once) into findings.  Checkers get the whole file set — not one file at
-a time — because the flagship checker builds a cross-module
-lock-acquisition graph; per-file checkers simply iterate.
+a time — because the program-scope rules read a cross-module call
+graph; per-file checkers simply iterate.
 
 Inline suppressions use the grammar::
 
@@ -103,11 +103,6 @@ class Finding:
     def sort_key(self) -> tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule_id, self.message)
 
-    def fingerprint(self, source_line: str = "") -> tuple[str, str, str]:
-        """Line-number-free identity used by the baseline: a finding
-        survives unrelated edits that merely shift it up or down."""
-        return (self.rule_id, self.path, source_line.strip())
-
 
 @dataclass(frozen=True)
 class Suppression:
@@ -141,14 +136,6 @@ class SourceFile:
     )
     file_suppressions: frozenset[str] | None | bool = False
     suppressions: list[Suppression] = field(default_factory=list)
-
-    @property
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
-
-    def source_line(self, lineno: int) -> str:
-        lines = self.lines
-        return lines[lineno - 1] if 1 <= lineno <= len(lines) else ""
 
     def is_suppressed(self, finding: Finding) -> bool:
         if finding.rule_id == "RPL090":
@@ -305,12 +292,6 @@ class Checker:
 
     #: rules this checker may emit (drives ``--list-rules`` and docs)
     rules: tuple[Rule, ...] = ()
-    #: ``"file"`` — findings for a file depend only on that file's
-    #: content, so the incremental cache may reuse them per content
-    #: hash; ``"program"`` — findings depend on the whole file set
-    #: (call graphs, cross-module taint) and are only reusable when
-    #: *nothing* in the tree changed.
-    scope: str = "file"
 
     def check(
         self, files: list[SourceFile], config: LintConfig

@@ -3,9 +3,7 @@
 Each is a thin view over one shared :func:`repro.lint.flow.engine
 .analyze` run: the analysis computes every family's findings in one
 fixpoint, and each checker selects its own rule ids and stamps them
-with severities and fix hints.  All four are ``scope = "program"``:
-their findings depend on the whole file set, so the incremental cache
-only reuses them when nothing in the tree changed.
+with severities and fix hints.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ __all__ = [
 
 class _FlowChecker(Checker):
     """Shared plumbing: filter the analysis by this checker's rules."""
-
-    scope = "program"
 
     def check(
         self, files: list[SourceFile], config: LintConfig

@@ -4,47 +4,36 @@
 pair and caches the result, because four registered checkers each ask
 for the same analysis over the same tree:
 
-1. build the :class:`~repro.lint.flow.callgraph.ProgramIndex`;
+1. build the :class:`~repro.lint.flow.callgraph.ProgramIndex` (call
+   graph, locks, and the facts closed over the call graph);
 2. iterate :class:`~repro.lint.flow.summaries.Evaluator` over every
    function until no :class:`FlowSummary` changes (taint summaries are
    finite and grow monotonically along call chains, so this
    terminates; a generous iteration cap guards pathological graphs);
-3. close the syntactic ``raise`` facts over the resolved call graph
-   (``t_raises``);
-4. run one final evaluator pass with emission on (determinism + wire
+3. run one final evaluator pass with emission on (determinism + wire
    taint findings), then the guard-inference and resource-path passes.
 
 The result is a flat list of :class:`FlowFinding` records; the
 checker classes in :mod:`repro.lint.flow.checkers` filter it by rule
-family and attach severities/hints.
+family and attach severities/hints.  The lock-order walk
+(:mod:`repro.lint.checkers.concurrency`) reads the same
+:attr:`Analysis.index`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lint.core import LintConfig, SourceFile
-from repro.lint.flow.callgraph import ProgramIndex, build_index
+from repro.lint.flow.callgraph import FlowFinding, ProgramIndex, build_index
 from repro.lint.flow.guards import run_guard_inference
 from repro.lint.flow.resources import run_resource_paths
 from repro.lint.flow.summaries import Evaluator, FlowSummary
-from repro.lint.flow.lattice import Taint  # noqa: F401  (re-export)
 
-__all__ = ["FlowFinding", "Analysis", "analyze"]
+__all__ = ["Analysis", "analyze"]
 
 _MAX_FIXPOINT_PASSES = 20
-
-
-@dataclass(frozen=True)
-class FlowFinding:
-    """One finding, module-addressed (checkers map module -> file)."""
-
-    rule_id: str
-    module: str
-    line: int
-    col: int
-    message: str
 
 
 @dataclass
@@ -52,9 +41,7 @@ class Analysis:
     """The shared result every flow checker filters."""
 
     index: ProgramIndex
-    summaries: dict[str, FlowSummary]
-    t_raises: dict[str, bool]
-    findings: list[FlowFinding] = field(default_factory=list)
+    findings: list[FlowFinding]
 
 
 #: (file-set fingerprint, config repr) -> Analysis; tiny FIFO
@@ -87,18 +74,6 @@ def analyze(files: list[SourceFile], config: LintConfig) -> Analysis:
         if not changed:
             break
 
-    # close raise capability over the call graph
-    t_raises = {k: s.raises for k, s in summaries.items()}
-    changed = True
-    while changed:
-        changed = False
-        for k, s in summaries.items():
-            if t_raises[k]:
-                continue
-            if any(t_raises.get(c, False) for c in s.calls):
-                t_raises[k] = True
-                changed = True
-
     events: set[tuple[str, str, int, int, str]] = set()
 
     def emit(rule_id: str, module: str, node: ast.AST, message: str) -> None:
@@ -116,21 +91,10 @@ def analyze(files: list[SourceFile], config: LintConfig) -> Analysis:
         Evaluator(index, config, info, summaries, emit=emit).run()
 
     findings = [FlowFinding(*event) for event in sorted(events)]
-    findings.extend(
-        FlowFinding(g.rule_id, g.module, g.line, g.col, g.message)
-        for g in run_guard_inference(index, config)
-    )
-    findings.extend(
-        FlowFinding(r.rule_id, r.module, r.line, r.col, r.message)
-        for r in run_resource_paths(index, config, t_raises)
-    )
+    findings.extend(run_guard_inference(index, config))
+    findings.extend(run_resource_paths(index))
 
-    analysis = Analysis(
-        index=index,
-        summaries=summaries,
-        t_raises=t_raises,
-        findings=findings,
-    )
+    analysis = Analysis(index=index, findings=findings)
     if len(_CACHE) >= _CACHE_MAX:
         _CACHE.pop(next(iter(_CACHE)))
     _CACHE[key] = analysis

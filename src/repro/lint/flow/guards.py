@@ -35,21 +35,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.core import LintConfig, SourceFile, dotted_name
-from repro.lint.flow.callgraph import ProgramIndex, iter_functions
+from repro.lint.core import LintConfig, SourceFile
+from repro.lint.flow.callgraph import (
+    FlowFinding,
+    ProgramIndex,
+    calls_in,
+    self_attr,
+    stmt_exprs,
+)
 
-__all__ = ["run_guard_inference", "GuardFinding"]
+__all__ = ["run_guard_inference"]
 
 _EXEMPT_METHODS = {"__init__", "__new__", "__repr__", "__str__", "__del__"}
-
-
-@dataclass(frozen=True)
-class GuardFinding:
-    rule_id: str
-    module: str
-    line: int
-    col: int
-    message: str
 
 
 @dataclass
@@ -64,36 +61,6 @@ class _Access:
     held: frozenset[str]
 
 
-def _canonical_aliases(sf: SourceFile) -> dict[str, str]:
-    """``Cls.cond -> Cls.lock`` for ``self.cond = Condition(self.lock)``."""
-    aliases: dict[str, str] = {}
-    for cls, fn in iter_functions(sf):
-        if cls is None:
-            continue
-        for node in ast.walk(fn):
-            if not (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-            ):
-                continue
-            name = dotted_name(node.value.func)
-            if name is None or name.rsplit(".", 1)[-1] != "Condition":
-                continue
-            if not node.value.args:
-                continue
-            wrapped = dotted_name(node.value.args[0])
-            if wrapped is None or not wrapped.startswith("self."):
-                continue
-            for tgt in node.targets:
-                if (
-                    isinstance(tgt, ast.Attribute)
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id == "self"
-                ):
-                    aliases[f"{cls}.{tgt.attr}"] = f"{cls}.{wrapped[5:]}"
-    return aliases
-
-
 class _ClassWalker:
     """Collects attribute accesses + internal call sites for one class."""
 
@@ -103,24 +70,19 @@ class _ClassWalker:
         sf: SourceFile,
         cls: str,
         class_locks: frozenset[str],
-        aliases: dict[str, str],
     ):
         self.index = index
         self.sf = sf
         self.cls = cls
         self.class_locks = class_locks
-        self.aliases = aliases
         self.accesses: list[_Access] = []
         #: (caller_key, callee_key, held-at-site)
         self.call_sites: list[tuple[str, str, frozenset[str]]] = []
 
-    def _lock_id(self, expr: ast.expr) -> str | None:
-        name = dotted_name(expr)
-        if name is None or not name.startswith("self."):
-            return None
-        candidate = f"{self.cls}.{name[5:]}"
-        candidate = self.aliases.get(candidate, candidate)
-        return candidate if candidate in self.class_locks else None
+    def _own_lock(self, expr: ast.expr) -> str | None:
+        """The lock *expr* denotes, if it is one of this class's own."""
+        lid = self.index.lock_id(self.sf, self.cls, expr)
+        return lid if lid in self.class_locks else None
 
     def walk_method(
         self, method_key: str, fn: ast.FunctionDef | ast.AsyncFunctionDef
@@ -133,7 +95,7 @@ class _ClassWalker:
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 inner = set(held)
                 for item in stmt.items:
-                    lid = self._lock_id(item.context_expr)
+                    lid = self._own_lock(item.context_expr)
                     if lid is not None:
                         inner.add(lid)
                     else:
@@ -151,24 +113,13 @@ class _ClassWalker:
     def _scan_stmt(
         self, stmt: ast.stmt, held: frozenset[str]
     ) -> frozenset[str]:
-        exprs: list[ast.expr] = []
-        if isinstance(stmt, (ast.If, ast.While)):
-            exprs = [stmt.test]
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            exprs = [stmt.iter, stmt.target]
-        elif isinstance(stmt, ast.Try):
-            exprs = []
-        else:
-            exprs = [
-                c for c in ast.iter_child_nodes(stmt)
-                if isinstance(c, ast.expr)
-            ]
+        exprs = stmt_exprs(stmt)
         # manual acquire/release within a statement sequence
         taken = set(held)
         for expr in exprs:
-            for call in self._calls(expr):
+            for call in calls_in(expr):
                 if isinstance(call.func, ast.Attribute):
-                    lid = self._lock_id(call.func.value)
+                    lid = self._own_lock(call.func.value)
                     if lid is not None and call.func.attr == "acquire":
                         taken.add(lid)
                         continue
@@ -183,45 +134,15 @@ class _ClassWalker:
         self._record_exprs(exprs, frozenset(taken))
         return frozenset(taken)
 
-    @staticmethod
-    def _calls(expr: ast.expr) -> list[ast.Call]:
-        calls: list[ast.Call] = []
-
-        class V(ast.NodeVisitor):
-            def visit_Call(self, node: ast.Call) -> None:
-                calls.append(node)
-                self.generic_visit(node)
-
-            def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-                pass
-
-            def visit_AsyncFunctionDef(
-                self, node: ast.AsyncFunctionDef
-            ) -> None:
-                pass
-
-            def visit_Lambda(self, node: ast.Lambda) -> None:
-                pass
-
-        V().visit(expr)
-        return calls
-
     def _record_exprs(
         self, exprs: list[ast.expr], held: frozenset[str]
     ) -> None:
         for expr in exprs:
             for node in ast.walk(expr):
-                if not (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                ):
+                if not isinstance(node, ast.Attribute):
                     continue
-                lock_name = self.aliases.get(
-                    f"{self.cls}.{node.attr}", f"{self.cls}.{node.attr}"
-                )
-                if lock_name in self.class_locks:
-                    continue  # the locks themselves are not shared data
+                if self_attr(node) is None or self._own_lock(node):
+                    continue  # not shared data: not ours, or a lock itself
                 write = isinstance(node.ctx, (ast.Store, ast.Del))
                 self.accesses.append(
                     _Access(
@@ -272,8 +193,8 @@ def _entry_held(
 
 def run_guard_inference(
     index: ProgramIndex, config: LintConfig
-) -> list[GuardFinding]:
-    findings: list[GuardFinding] = []
+) -> list[FlowFinding]:
+    findings: list[FlowFinding] = []
     # group locks by owning class ("Cls.attr" identities only)
     class_locks: dict[str, set[str]] = {}
     for lid in index.locks:
@@ -283,18 +204,17 @@ def run_guard_inference(
         class_locks.setdefault(cls, set()).add(lid)
 
     for sf in index.files:
-        aliases = _canonical_aliases(sf)
         for cls_node in sf.tree.body:
             if not isinstance(cls_node, ast.ClassDef):
                 continue
             cls = cls_node.name
             locks = frozenset(
-                aliases.get(lid, lid)
+                index.lock_aliases.get(lid, lid)
                 for lid in class_locks.get(cls, set())
             )
             if not locks:
                 continue
-            walker = _ClassWalker(index, sf, cls, locks, aliases)
+            walker = _ClassWalker(index, sf, cls, locks)
             method_keys: set[str] = set()
             for sub in cls_node.body:
                 if not isinstance(
@@ -317,8 +237,8 @@ def _judge_class(
     entry: dict[str, frozenset[str] | None],
     locks: frozenset[str],
     config: LintConfig,
-) -> list[GuardFinding]:
-    findings: list[GuardFinding] = []
+) -> list[FlowFinding]:
+    findings: list[FlowFinding] = []
     by_attr: dict[str, list[tuple[_Access, frozenset[str]]]] = {}
     for acc in walker.accesses:
         info = index.functions.get(acc.method_key)
@@ -350,7 +270,7 @@ def _judge_class(
                 continue
             if held & locks:
                 findings.append(
-                    GuardFinding(
+                    FlowFinding(
                         "RPL072", acc.module, acc.line, acc.col,
                         f"{acc.cls}.{acc.attr} is guarded by {guard} at "
                         f"{guarded}/{total} accesses, but this one holds "
@@ -360,7 +280,7 @@ def _judge_class(
                 )
             elif acc.write:
                 findings.append(
-                    GuardFinding(
+                    FlowFinding(
                         "RPL070", acc.module, acc.line, acc.col,
                         f"unguarded write to {acc.cls}.{acc.attr}: "
                         f"{guarded}/{total} of its accesses hold {guard}, "
@@ -369,7 +289,7 @@ def _judge_class(
                 )
             else:
                 findings.append(
-                    GuardFinding(
+                    FlowFinding(
                         "RPL071", acc.module, acc.line, acc.col,
                         f"unguarded read of {acc.cls}.{acc.attr}: "
                         f"{guarded}/{total} of its accesses hold {guard}, "

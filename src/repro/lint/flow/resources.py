@@ -1,316 +1,332 @@
-"""Exception-safety resource paths (RPL060/061).
+"""Acquire-to-release paths: one walker, two verdicts.
 
-The intra-module RPL020 checker asks "is every ``request``/``reserve``
-released on the failure path *of this function*?".  This pass asks the
-interprocedural version: between an acquisition and its release, does
-any call run that can **transitively** raise — through any depth of
-callees — while the acquisition is not protected by a ``try`` whose
-handler or ``finally`` releases it?  Raise capability comes from the
-summary fixpoint (:mod:`repro.lint.flow.engine` closes the syntactic
-``raise`` facts over the call graph), so a validation error three
-calls down still counts.
+A reservation — pool bytes, a tier-ledger slot, a queue admission, a
+manually acquired lock — is *outstanding* from the call that takes it
+to the call that gives it back.  :class:`ReservationWalker` walks one
+function body in statement order, tracks what is outstanding, and asks
+one question at every ``raise`` and every call in between: *can this
+fire while something outstanding is unprotected?*  Protection is
+structural: an outstanding reservation is protected inside a ``try``
+whose handlers or ``finally`` release it, and nowhere else.
 
-Two rules:
+What differs between the rules built on the walk is only **what counts
+as raise-capable** (plus each rule's vocabulary of acquiring and
+releasing methods):
 
-* **RPL060** (error) — a pool/tier reservation or queue admission
-  (``.request()``/``.reserve()``/``.admit()``) held across a
-  raise-capable call without a protected release/rollback.  Only
-  functions that visibly *own* a lifecycle are judged: they either
-  release the resource themselves or acquire more than once (the
+* **RPL020** (:mod:`repro.lint.checkers.allocator`, one file at a
+  time) knows the allocator: an explicit ``raise``, any further pool
+  acquire (``DeviceMemoryError``), and — in a window the function
+  itself closes with a fall-through ``release()`` — any call at all.
+* **RPL060/061** (this module, whole program) know the call graph: an
+  explicit ``raise`` and any call whose resolved callee can
+  **transitively** raise, through any depth of callees, so a
+  validation error three calls down still counts.  RPL060 is a
+  pool/tier reservation or queue admission (``.request()`` /
+  ``.reserve()`` / ``.admit()``) that leaks; RPL061 a manual
+  ``lock.acquire()`` left held forever (the fix is almost always
+  ``with lock:``).  Only functions that visibly *own* a lifecycle are
+  judged: they release in-function or acquire more than once (the
   partial-acquire shape, where a second acquisition's failure leaks
   the first).
-* **RPL061** (error) — a manual ``lock.acquire()`` held across a
-  raise-capable call with the matching ``release()`` not in a
-  ``finally``; an exception leaves the lock held forever.  The fix is
-  almost always ``with lock:``.
 
-A ``with`` block never leaks and is never flagged; neither is an
-acquire whose releases live in the handlers/``finally`` of an
-enclosing ``try``.
+Shared by construction: a ``return`` hands a resource to the caller; a
+``try``'s handlers run when its body raised partway, so they are judged
+against the state *before* the body (an acquire made inside it may never
+have happened); cross-function ownership (acquire in ``_start``, release
+in ``_complete``) is legal — nothing is reported at the end of a
+function, only at a raise-capable point inside the window.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.lint.core import LintConfig, SourceFile, dotted_name
-from repro.lint.flow.callgraph import FunctionInfo, ProgramIndex
+from repro.lint.core import dotted_name
+from repro.lint.flow.callgraph import (
+    RAISES,
+    FlowFinding,
+    FunctionInfo,
+    ProgramIndex,
+    calls_in,
+    stmt_exprs,
+)
 
-__all__ = ["run_resource_paths", "ResourceFinding"]
+__all__ = ["AllocatorVerdict", "ReservationWalker", "run_resource_paths"]
 
 _ACQUIRE_METHODS = {"request", "reserve", "admit"}
-_RELEASE_METHODS = {"release", "rollback", "free", "remove", "cancel"}
-
-
-@dataclass(frozen=True)
-class ResourceFinding:
-    rule_id: str
-    module: str
-    line: int
-    col: int
-    message: str
+_RELEASE_METHODS = frozenset({"release", "rollback", "free", "remove", "cancel"})
+_NESTED_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @dataclass
 class _Outstanding:
+    """One live reservation during the walk."""
+
     kind: str                # "lock" | "resource"
     recv: str                # dotted receiver, e.g. "self.device_pool"
-    method: str              # the acquiring method name
-    line: int
-    protected: bool = False
+    call: ast.Call           # the acquiring call
+    protected: bool          # a handler/finally release guards the window
     flagged: bool = False
-
-
-@dataclass
-class _FnContext:
-    index: ProgramIndex
-    config: LintConfig
-    sf: SourceFile
-    info: FunctionInfo
-    t_raises: dict[str, bool]
-    local_types: dict[str, str]
-    findings: list[ResourceFinding] = field(default_factory=list)
+    #: a call ran while this was unprotected (for verdicts that judge
+    #: the window only once they see who closes it)
+    exposed: bool = False
 
 
 def _related(a: str, b: str) -> bool:
-    """Receiver match: exact dotted path, or same final attribute."""
-    if a == b:
-        return True
-    return a.rsplit(".", 1)[-1] == b.rsplit(".", 1)[-1]
+    """Do two receiver texts plausibly denote the same object?  The
+    exact dotted path, or the same final attribute — so a helper alias
+    (``pool = self.device_pool``) does not defeat the walk."""
+    return a == b or a.rsplit(".", 1)[-1] == b.rsplit(".", 1)[-1]
 
 
-def _calls_in_expr(expr: ast.expr) -> list[ast.Call]:
-    calls: list[ast.Call] = []
-
-    class V(ast.NodeVisitor):
-        def visit_Call(self, node: ast.Call) -> None:
-            calls.append(node)
-            self.generic_visit(node)
-
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            pass
-
-        def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-            pass
-
-        def visit_Lambda(self, node: ast.Lambda) -> None:
-            pass
-
-    V().visit(expr)
-    return calls
+def _method_call(call: ast.Call) -> tuple[str | None, str]:
+    """``(dotted receiver, method name)`` of ``recv.method(...)``."""
+    if isinstance(call.func, ast.Attribute):
+        return dotted_name(call.func.value), call.func.attr
+    return None, ""
 
 
-def _stmt_exprs(stmt: ast.stmt) -> list[ast.expr]:
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
-    if isinstance(stmt, ast.Try):
-        return []
-    return [
-        c for c in ast.iter_child_nodes(stmt) if isinstance(c, ast.expr)
-    ]
+class ReservationWalker:
+    """Linear, exception-edge-aware walk of one function body.
 
+    Subclasses are verdicts; they say what acquires, what releases,
+    what is raise-capable, and how a leak is reported.
+    """
 
-def _release_receivers(stmts: list[ast.stmt]) -> list[str]:
-    out: list[str] = []
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RELEASE_METHODS
-            ):
-                recv = dotted_name(node.func.value)
-                if recv is not None:
-                    out.append(recv)
-    return out
+    #: method names that give a reservation back
+    releases: frozenset[str] = frozenset()
 
-
-class _FunctionWalker:
-    def __init__(self, ctx: _FnContext):
-        self.ctx = ctx
+    def __init__(self) -> None:
         self.out: list[_Outstanding] = []
-        self._try_cleanup: list[str] = []
+        #: receivers released by the handlers of the enclosing ``try``s
+        self._cleanup: list[str] = []
 
-    # -- classification -------------------------------------------------
-    def _is_known_lock(self, recv_expr: ast.expr) -> bool:
-        name = dotted_name(recv_expr)
-        if name is None:
-            return False
-        if name.startswith("self.") and self.ctx.info.cls is not None:
-            return (
-                f"{self.ctx.info.cls}.{name[5:]}" in self.ctx.index.locks
-            )
-        return f"{self.ctx.sf.module}:{name}" in self.ctx.index.locks
+    # -- the verdict ----------------------------------------------------
+    def acquired(self, call: ast.Call, recv: str, method: str) -> str | None:
+        """Kind of reservation ``recv.method(...)`` takes, or None."""
+        raise NotImplementedError
 
-    def _call_raises(self, call: ast.Call) -> str | None:
-        """Name of the raise-capable callee, or None."""
-        key = self.ctx.index.resolve_call(
-            self.ctx.sf, self.ctx.info.cls, call, self.ctx.local_types
-        )
-        if key is not None and self.ctx.t_raises.get(key):
-            return self.ctx.index.functions[key].name
-        return None
+    def raiser(self, node: ast.Raise | ast.Call) -> str | None:
+        """What to call *node* in a message if it is raise-capable,
+        else None."""
+        raise NotImplementedError
+
+    def report(
+        self, held: _Outstanding, trigger: ast.Raise | ast.Call, what: str
+    ) -> None:
+        raise NotImplementedError
+
+    def released(self, held: _Outstanding, call: ast.Call) -> None:
+        """*held* was given back by *call* on the walked path."""
 
     # -- the walk -------------------------------------------------------
     def walk(self, stmts: list[ast.stmt]) -> None:
         for stmt in stmts:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                # a with-managed lock/resource cannot leak
-                self.walk(stmt.body)
+            if isinstance(stmt, _NESTED_DEFS):
                 continue
             if isinstance(stmt, ast.Try):
                 self._walk_try(stmt)
                 continue
             if isinstance(stmt, ast.Raise):
-                self._flag_outstanding("an explicit raise", stmt.lineno)
+                self._judge(stmt)
                 continue
             if isinstance(stmt, ast.Return):
                 # a return hands the resource out: the caller owns it now
                 self.out = [o for o in self.out if o.kind == "lock"]
-            for expr in _stmt_exprs(stmt):
-                for call in _calls_in_expr(expr):
-                    self._handle_call(call)
+            for expr in stmt_exprs(stmt):
+                for call in calls_in(expr):
+                    self._on_call(call)
             for attr in ("body", "orelse"):
-                block = getattr(stmt, attr, None)
-                if block:
-                    self.walk(block)
+                self.walk(getattr(stmt, attr, None) or [])
+
+    def _released_by(self, stmts: list[ast.stmt]) -> list[str]:
+        out: list[str] = []
+        for stmt in stmts:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    recv, method = _method_call(node)
+                    if recv is not None and method in self.releases:
+                        out.append(recv)
+        return out
 
     def _walk_try(self, stmt: ast.Try) -> None:
-        cleanup = _release_receivers(
+        cleanup = self._released_by(
             [s for h in stmt.handlers for s in h.body] + stmt.finalbody
         )
-        toggled: list[_Outstanding] = []
-        for o in self.out:
-            if not o.protected and any(_related(o.recv, r) for r in cleanup):
-                o.protected = True
-                toggled.append(o)
-        saved = self._try_cleanup
-        pre_body = list(self.out)
-        self._try_cleanup = saved + cleanup
+        guarded = [
+            o for o in self.out
+            if not o.protected and any(_related(o.recv, r) for r in cleanup)
+        ]
+        for o in guarded:
+            o.protected = True
+        enclosing, before = self._cleanup, list(self.out)
+        self._cleanup = enclosing + cleanup
         self.walk(stmt.body)
-        self._try_cleanup = saved
-        # handlers run when the body raised partway: acquisitions made
-        # inside the body may not have happened, so handlers are judged
-        # against the pre-body outstanding state
-        post_body = self.out
-        self.out = pre_body
+        self._cleanup = enclosing
+        # the handlers run when the body raised partway: an acquire made
+        # inside the body may never have happened, so they are judged
+        # against the state before it
+        after, self.out = self.out, before
         for handler in stmt.handlers:
             self.walk(handler.body)
-        self.out = post_body
+        self.out = after
         self.walk(stmt.orelse)
         self.walk(stmt.finalbody)
-        for o in toggled:
-            if o in self.out:
-                o.protected = False
+        for o in guarded:
+            o.protected = False
 
-    def _handle_call(self, call: ast.Call) -> None:
-        if not isinstance(call.func, ast.Attribute):
-            raiser = self._call_raises(call)
-            if raiser is not None:
-                self._flag_outstanding(f"{raiser}()", call.lineno)
-            return
-        attr = call.func.attr
-        recv = dotted_name(call.func.value)
-        if attr == "acquire" and self._is_known_lock(call.func.value):
-            self.out.append(
-                _Outstanding(
-                    "lock", recv or "?", attr, call.lineno,
-                    protected=any(
-                        _related(recv or "?", r) for r in self._try_cleanup
-                    ),
-                )
-            )
-            return
-        if attr in _ACQUIRE_METHODS and recv is not None:
-            # the acquiring call itself may raise (e.g. an over-budget
-            # reservation) — that is exactly the partial-acquire leak
-            raiser = self._call_raises(call)
-            if raiser is not None:
-                self._flag_outstanding(f"{raiser}()", call.lineno)
-            self.out.append(
-                _Outstanding(
-                    "resource", recv, attr, call.lineno,
-                    protected=any(
-                        _related(recv, r) for r in self._try_cleanup
-                    ),
-                )
-            )
-            return
-        if attr in _RELEASE_METHODS and recv is not None:
-            for o in list(self.out):
+    def _on_call(self, call: ast.Call) -> None:
+        recv, method = _method_call(call)
+        if recv is not None and method in self.releases:
+            for o in self.out:
                 if _related(o.recv, recv):
                     self.out.remove(o)
+                    self.released(o, call)
                     break
             return
-        raiser = self._call_raises(call)
-        if raiser is not None:
-            self._flag_outstanding(f"{raiser}()", call.lineno)
+        # the acquiring call itself may raise (an over-budget request):
+        # that is exactly the partial-acquire leak
+        self._judge(call)
+        if recv is not None:
+            kind = self.acquired(call, recv, method)
+            if kind is not None:
+                guarded = any(_related(recv, r) for r in self._cleanup)
+                self.out.append(_Outstanding(kind, recv, call, guarded))
 
-    def _flag_outstanding(self, what: str, line: int) -> None:
+    def _judge(self, node: ast.Raise | ast.Call) -> None:
+        what = self.raiser(node)
+        if what is None:
+            return
         for o in self.out:
-            if o.protected or o.flagged:
-                continue
-            o.flagged = True
-            if o.kind == "lock":
-                rule, msg = "RPL061", (
-                    f"{o.recv}.acquire() (line {o.line}) is held across "
-                    f"{what}, which can raise — the lock would never be "
-                    "released; use `with` or release in a finally block"
-                )
-            else:
-                rule, msg = "RPL060", (
-                    f"{o.recv}.{o.method}() (line {o.line}) can leak: "
-                    f"{what} may raise before the release/rollback"
-                )
-            self.ctx.findings.append(
-                ResourceFinding(
-                    rule, self.ctx.info.module, line, 0, msg
-                )
+            if not (o.protected or o.flagged):
+                o.flagged = True
+                self.report(o, node, what)
+
+
+class AllocatorVerdict(ReservationWalker):
+    """RPL020: raise-capable is what the allocator is known to raise."""
+
+    releases = frozenset({"release"})
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: ``(acquiring call, message, hint or None for the rule's own)``
+        self.leaks: list[tuple[ast.Call, str, str | None]] = []
+
+    def acquired(self, call: ast.Call, recv: str, method: str) -> str | None:
+        # ``request`` only on pool-like receivers (device_pool, …)
+        if method == "reserve" or (
+            method == "request" and "pool" in recv.rsplit(".", 1)[-1]
+        ):
+            return "resource"
+        return None
+
+    def raiser(self, node: ast.Raise | ast.Call) -> str | None:
+        if isinstance(node, ast.Raise):
+            return "raise"
+        recv, method = _method_call(node)
+        if recv is not None and self.acquired(node, recv, method):
+            return f"{method}() on {recv} can raise"
+        # any other call may raise as well, but that only leaks if this
+        # function owns the release: judged when the walk reaches it
+        for held in self.out:
+            held.exposed = held.exposed or not held.protected
+        return None
+
+    def report(
+        self, held: _Outstanding, trigger: ast.Raise | ast.Call, what: str
+    ) -> None:
+        self.leaks.append((
+            held.call,
+            f"{what} while the reservation on {held.recv} is still "
+            "unreleased",
+            "reserve both pools through working_set(), or release the "
+            "first pool in an except handler before re-raising"
+            if isinstance(trigger, ast.Call) else None,
+        ))
+
+    def released(self, held: _Outstanding, call: ast.Call) -> None:
+        if held.exposed and not held.protected:
+            self.leaks.append((
+                held.call,
+                f"release of {held.recv} is only reached on the "
+                "fall-through path; an exception between request and "
+                "release leaks the reservation",
+                "move the release into a finally block or use the "
+                "working_set() context manager",
+            ))
+
+
+class _CallGraphVerdict(ReservationWalker):
+    """RPL060/061: raise-capable is what the call graph says raises."""
+
+    releases = _RELEASE_METHODS
+
+    def __init__(self, index: ProgramIndex, info: FunctionInfo):
+        super().__init__()
+        self.index = index
+        self.info = info
+        self.sf = index.function_file(info)
+        self.findings: list[FlowFinding] = []
+
+    def acquired(self, call: ast.Call, recv: str, method: str) -> str | None:
+        if method == "acquire":
+            func = call.func
+            known = isinstance(func, ast.Attribute) and self.index.lock_id(
+                self.sf, self.info.cls, func.value
             )
+            return "lock" if known else None
+        return "resource" if method in _ACQUIRE_METHODS else None
 
-
-def run_resource_paths(
-    index: ProgramIndex,
-    config: LintConfig,
-    t_raises: dict[str, bool],
-) -> list[ResourceFinding]:
-    findings: list[ResourceFinding] = []
-    for info in index.functions.values():
-        sf = index.function_file(info)
-        acquires = 0
-        releases = 0
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in _ACQUIRE_METHODS:
-                    acquires += 1
-                elif node.func.attr in _RELEASE_METHODS:
-                    releases += 1
-        lock_acquire = any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "acquire"
-            for node in ast.walk(info.node)
+    def raiser(self, node: ast.Raise | ast.Call) -> str | None:
+        if isinstance(node, ast.Raise):
+            return "an explicit raise"
+        key = self.index.resolve_call(
+            self.sf, self.info.cls, node, self.info.local_types
         )
+        if key is not None and RAISES in self.index.functions[key].facts:
+            return f"{self.index.functions[key].name}()"
+        return None
+
+    def report(
+        self, held: _Outstanding, trigger: ast.Raise | ast.Call, what: str
+    ) -> None:
+        taken = f"{held.recv}.{_method_call(held.call)[1]}()"
+        if held.kind == "lock":
+            rule, msg = "RPL061", (
+                f"{taken} (line {held.call.lineno}) is held across "
+                f"{what}, which can raise — the lock would never be "
+                "released; use `with` or release in a finally block"
+            )
+        else:
+            rule, msg = "RPL060", (
+                f"{taken} (line {held.call.lineno}) can leak: "
+                f"{what} may raise before the release/rollback"
+            )
+        self.findings.append(
+            FlowFinding(rule, self.info.module, trigger.lineno, 0, msg)
+        )
+
+
+def run_resource_paths(index: ProgramIndex) -> list[FlowFinding]:
+    findings: list[FlowFinding] = []
+    for info in index.functions.values():
+        methods = [
+            node.func.attr
+            for node in ast.walk(info.node)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+        ]
+        acquires = sum(m in _ACQUIRE_METHODS for m in methods)
+        releases = sum(m in _RELEASE_METHODS for m in methods)
         # only judge functions that visibly own a lifecycle: they
         # release in-function, or partially acquire more than once
-        if not lock_acquire and not (
+        if "acquire" not in methods and not (
             acquires and (releases or acquires >= 2)
         ):
             continue
-        ctx = _FnContext(
-            index=index,
-            config=config,
-            sf=sf,
-            info=info,
-            t_raises=t_raises,
-            local_types=index.local_types(sf, info.node),
-        )
-        walker = _FunctionWalker(ctx)
-        walker.walk(list(info.node.body))
-        findings.extend(ctx.findings)
+        verdict = _CallGraphVerdict(index, info)
+        verdict.walk(list(info.node.body))
+        findings.extend(verdict.findings)
     return findings

@@ -7,9 +7,7 @@ For every analyzed function the evaluator computes a
 * ``param_returns`` — parameter indices whose taint flows to the
   return value (identity/relay functions);
 * ``param_sinks`` — parameter index → sinks (with their locations)
-  that a value passed in that position can reach, **transitively**;
-* ``calls`` — resolved callee keys (drives the raise closure);
-* ``raises`` — whether the body contains a ``raise`` of its own.
+  that a value passed in that position can reach, **transitively**.
 
 Summaries compose: a call to a summarized function maps argument
 taints through ``param_returns`` and checks them against
@@ -50,7 +48,7 @@ from repro.lint.flow.lattice import (
     source_kind,
 )
 
-__all__ = ["FlowSummary", "Evaluator", "SinkRef", "direct_raises"]
+__all__ = ["FlowSummary", "Evaluator", "SinkRef"]
 
 #: ``(category, description, module, line)`` of one sink site;
 #: category is ``"det"`` or ``"wire"``
@@ -71,33 +69,6 @@ class FlowSummary:
     returns: frozenset[Taint] = frozenset()
     param_returns: frozenset[int] = frozenset()
     param_sinks: dict[int, frozenset[SinkRef]] = field(default_factory=dict)
-    calls: frozenset[str] = frozenset()
-    raises: bool = False
-
-
-def direct_raises(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """True when the body itself contains ``raise`` (nested defs don't
-    count: defining a raising closure is not raising)."""
-
-    class V(ast.NodeVisitor):
-        found = False
-
-        def visit_Raise(self, node: ast.Raise) -> None:
-            self.found = True
-
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            pass
-
-        def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-            pass
-
-        def visit_Lambda(self, node: ast.Lambda) -> None:
-            pass
-
-    v = V()
-    for stmt in fn.body:
-        v.visit(stmt)
-    return v.found
 
 
 def _is_set_shaped(expr: ast.expr) -> bool:
@@ -149,14 +120,12 @@ class Evaluator:
         self.summaries = summaries
         self.emit = emit
         self.sf = index.function_file(info)
-        self.local_types = index.local_types(self.sf, info.node)
         self.pretty = (
             f"{info.module}.{info.cls + '.' if info.cls else ''}{info.name}"
         )
         self.returns: set[Taint] = set()
         self.param_returns: set[int] = set()
         self.param_sinks: dict[int, set[SinkRef]] = {}
-        self.calls: set[str] = set()
         self._det_scope = in_scope(info.module, config.deterministic_modules)
         self._wire_scope = in_scope(info.module, config.wire_modules)
 
@@ -175,8 +144,6 @@ class Evaluator:
             param_sinks={
                 i: frozenset(s) for i, s in self.param_sinks.items()
             },
-            calls=frozenset(self.calls),
-            raises=direct_raises(self.info.node),
         )
 
     # ------------------------------------------------------------------
@@ -474,10 +441,9 @@ class Evaluator:
 
         # -- summarized callees -----------------------------------------
         callee_key = self.index.resolve_call(
-            self.sf, self.info.cls, call, self.local_types
+            self.sf, self.info.cls, call, self.info.local_types
         )
         if callee_key is not None and callee_key != self.info.key:
-            self.calls.add(callee_key)
             callee = self.index.functions[callee_key]
             summary = self.summaries.get(callee_key)
             if summary is not None:

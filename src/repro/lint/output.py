@@ -54,13 +54,8 @@ def _render_text(result: LintResult) -> str:
         f"{len(result.findings)} finding(s) in "
         f"{result.files_checked} file(s)"
     )
-    extras = []
     if result.suppressed:
-        extras.append(f"{len(result.suppressed)} suppressed inline")
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} accepted by baseline")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({len(result.suppressed)} suppressed inline)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -83,7 +78,6 @@ def _render_json(result: LintResult) -> str:
         "files_checked": result.files_checked,
         "findings": [_finding_dict(f) for f in result.findings],
         "suppressed": [_finding_dict(f) for f in result.suppressed],
-        "baselined": [_finding_dict(f) for f in result.baselined],
         "parse_errors": [
             {"path": p, "error": e} for p, e in result.parse_errors
         ],
@@ -115,9 +109,7 @@ def _sarif_level(severity: str) -> str:
     return "error" if severity == "error" else "warning"
 
 
-def _sarif_result(
-    f: Finding, *, suppressed: bool = False, baselined: bool = False
-) -> dict[str, object]:
+def _sarif_result(f: Finding, *, suppressed: bool = False) -> dict[str, object]:
     out: dict[str, object] = {
         "ruleId": f.rule_id,
         "level": _sarif_level(f.severity),
@@ -139,15 +131,11 @@ def _sarif_result(
             }
         ],
     }
-    if suppressed or baselined:
+    if suppressed:
         out["suppressions"] = [
             {
-                "kind": "inSource" if suppressed else "external",
-                "justification": (
-                    "inline repro-lint suppression"
-                    if suppressed
-                    else "accepted by committed baseline"
-                ),
+                "kind": "inSource",
+                "justification": "inline repro-lint suppression",
             }
         ]
     return out
@@ -158,9 +146,6 @@ def _render_sarif(result: LintResult, rules: list[Rule]) -> str:
     results = [_sarif_result(f) for f in result.findings]
     results += [
         _sarif_result(f, suppressed=True) for f in result.suppressed
-    ]
-    results += [
-        _sarif_result(f, baselined=True) for f in result.baselined
     ]
     for path, err in result.parse_errors:
         results.append(

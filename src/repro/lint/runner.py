@@ -3,9 +3,9 @@
 The runner maps file paths to dotted module names relative to the
 ``src`` root (so scope checks like "is this repro.runtime?" work), runs
 every registered checker over the whole file set at once, then applies
-the two filter layers — inline suppressions and the committed baseline
-— and returns a :class:`LintResult` with full accounting of what was
-filtered (suppressed findings are counted, never silent).
+the inline suppressions — the one exemption mechanism, policed by
+RPL090 — and returns a :class:`LintResult` with full accounting of
+what was filtered (suppressed findings are counted, never silent).
 """
 
 from __future__ import annotations
@@ -13,19 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import LintCache, content_hash, file_key, tree_key
 from repro.lint.checkers import all_checkers
 from repro.lint.core import Checker, Finding, LintConfig, Rule, SourceFile
 
 __all__ = [
     "LintResult",
     "discover_files",
-    "filter_to_paths",
     "run_lint",
 ]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 @dataclass
@@ -34,7 +29,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
 
@@ -93,88 +87,19 @@ def discover_files(
     return files, errors
 
 
-def _raw_findings(
-    files: list[SourceFile],
-    checkers: list[Checker],
-    config: LintConfig,
-    cache: LintCache | None,
-) -> list[Finding]:
-    """All checker output, served from *cache* where content allows.
-
-    File-scope checkers run only over cache-miss files; program-scope
-    checkers run only when any file in the tree changed.  Cached
-    findings are raw — filtering happens in :func:`run_lint` as usual.
-    """
-    if cache is None:
-        raw: list[Finding] = []
-        for checker in checkers:
-            raw.extend(checker.check(files, config))
-        return raw
-
-    file_checkers = [c for c in checkers if c.scope == "file"]
-    prog_checkers = [c for c in checkers if c.scope != "file"]
-    file_rules = tuple(
-        r.rule_id for c in file_checkers for r in c.rules
-    )
-    prog_rules = tuple(
-        r.rule_id for c in prog_checkers for r in c.rules
-    )
-
-    raw = []
-    keys: dict[str, str] = {}
-    misses: list[SourceFile] = []
-    for sf in files:
-        key = file_key(str(sf.path), sf.text, file_rules, config)
-        keys[str(sf.path)] = key
-        cached = cache.get_file(key)
-        if cached is None:
-            misses.append(sf)
-        else:
-            raw.extend(cached)
-    if misses:
-        fresh: list[Finding] = []
-        for checker in file_checkers:
-            fresh.extend(checker.check(misses, config))
-        grouped: dict[str, list[Finding]] = {
-            str(sf.path): [] for sf in misses
-        }
-        for f in fresh:
-            grouped.setdefault(f.path, []).append(f)
-        for sf in misses:
-            cache.put_file(
-                keys[str(sf.path)], grouped[str(sf.path)]
-            )
-        raw.extend(fresh)
-
-    entries = [(str(sf.path), content_hash(sf.text)) for sf in files]
-    tkey = tree_key(entries, prog_rules, config)
-    cached_prog = cache.get_program(tkey)
-    if cached_prog is None:
-        prog: list[Finding] = []
-        for checker in prog_checkers:
-            prog.extend(checker.check(files, config))
-        cache.put_program(tkey, prog)
-        raw.extend(prog)
-    else:
-        raw.extend(cached_prog)
-    return raw
-
-
 def run_lint(
     paths: list[Path],
     *,
     config: LintConfig | None = None,
     checkers: list[Checker] | None = None,
-    baseline: Baseline | None = None,
     src_roots: list[Path] | None = None,
-    cache: LintCache | None = None,
 ) -> LintResult:
     config = config or LintConfig()
     checkers = checkers if checkers is not None else all_checkers()
     files, parse_errors = discover_files(paths, src_roots=src_roots)
     by_path = {str(sf.path): sf for sf in files}
 
-    raw = _raw_findings(files, checkers, config, cache)
+    raw = [f for checker in checkers for f in checker.check(files, config)]
     raw.sort(key=Finding.sort_key)
 
     result = LintResult(
@@ -184,39 +109,9 @@ def run_lint(
         sf = by_path.get(finding.path)
         if sf is not None and sf.is_suppressed(finding):
             result.suppressed.append(finding)
-        elif baseline is not None and baseline.contains(finding, by_path):
-            result.baselined.append(finding)
         else:
             result.findings.append(finding)
     return result
-
-
-def filter_to_paths(
-    result: LintResult, keep: set[Path]
-) -> LintResult:
-    """Restrict reported findings to files in *keep* (``--changed-only``).
-
-    The analysis itself always sees the whole tree — interprocedural
-    findings need every caller — only the *reporting* narrows, so a
-    taint introduced by an unchanged caller into a changed callee still
-    surfaces on the changed file.
-    """
-    resolved = {p.resolve() for p in keep}
-
-    def _kept(f: Finding) -> bool:
-        return Path(f.path).resolve() in resolved
-
-    return LintResult(
-        findings=[f for f in result.findings if _kept(f)],
-        suppressed=[f for f in result.suppressed if _kept(f)],
-        baselined=[f for f in result.baselined if _kept(f)],
-        files_checked=result.files_checked,
-        parse_errors=[
-            (p, e)
-            for p, e in result.parse_errors
-            if Path(p).resolve() in resolved
-        ],
-    )
 
 
 def all_rules(checkers: list[Checker] | None = None) -> list[Rule]:

@@ -11,15 +11,16 @@ Every policy separates *planning* from *numerics*:
   in float32 through the simulated CUBLAS context (so GPU-touched results
   really carry single-precision error, as the paper's did).
 
-``execute`` runs both and returns the factored blocks plus the scheduled
-tasks; the numeric driver in :mod:`repro.multifrontal` threads engine
-timelines through successive calls so copies and kernels of neighboring
-supernodes contend realistically.
+Nothing here runs both: the drivers in :mod:`repro.multifrontal` price a
+whole factorization first (``plan`` per front, engine timelines threaded
+through successive calls so copies and kernels of neighboring supernodes
+contend realistically) and ``postorder_numeric_factor`` is the one
+caller of ``apply``.
 
 Before either, every consumer *resolves*: :meth:`Policy.resolve` is the
 one answer to "which base policy runs this (m, k) on this worker", and
-the only host fallback; ``plan``/``apply``/``execute`` of a device
-policy still refuse a worker that cannot run them.
+the only host fallback; ``plan``/``apply`` of a device policy still
+assume a worker that can run them.
 
 Transfer-volume accounting follows the paper's Equation 2:
 ``N_D(L1, L2) = k^2 + 2mk`` words for the trsm round trip and
@@ -44,7 +45,6 @@ from repro.gpu.perfmodel import PerfModel
 __all__ = [
     "Worker",
     "FUPlan",
-    "FUExecution",
     "Policy",
     "PolicyP1",
     "PolicyP2",
@@ -90,22 +90,6 @@ class FUPlan:
 
     def duration_by_category(self) -> dict[str, float]:
         return self.graph.total_by_category()
-
-
-@dataclass
-class FUExecution:
-    """Result of executing one F-U call under a policy."""
-
-    l1: np.ndarray
-    l2: np.ndarray
-    u: np.ndarray
-    plan: FUPlan
-    start: float
-    end: float
-
-    @property
-    def elapsed(self) -> float:
-        return self.end - self.start
 
 
 class Policy:
@@ -166,25 +150,6 @@ class Policy:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Factor ``front`` in place; returns views/arrays (L1, L2, U)."""
         raise NotImplementedError
-
-    # -- combined ---------------------------------------------------------
-    def execute(
-        self,
-        front: np.ndarray,
-        k: int,
-        worker: Worker,
-        node: SimulatedNode,
-        deps: tuple = (),
-    ) -> FUExecution:
-        if self.needs_gpu and not worker.has_gpu:
-            raise ValueError(f"policy {self.name} requires a GPU worker")
-        m = front.shape[0] - k
-        graph = TaskGraph()
-        plan = self.plan(m, k, worker, node.model, graph, deps)
-        result = schedule_graph(graph, engines=node.engines)
-        l1, l2, u = self.apply(front, k, worker)
-        start = min(t.start for t in graph.tasks)
-        return FUExecution(l1, l2, u, plan, start, plan.final.end)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Policy {self.name}>"

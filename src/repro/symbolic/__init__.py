@@ -8,20 +8,18 @@ numeric phase needs before touching a floating-point number:
   (:mod:`supernodes`),
 * the assembled :class:`SymbolicFactor` — one factor pattern per
   supernode, the supernodal tree, and flop/byte counts per factor-update
-  call (:mod:`symbolic`),
-* the per-column nonzero patterns / column counts of the factor, the
-  column-at-a-time definition the tests check the above against
-  (:mod:`colcounts`).
+  call (:mod:`symbolic`).
+
+The column-at-a-time definition the tests check all of this against
+lives with them, in ``tests/reference_symbolic.py``.
 """
 
 from repro.symbolic.etree import EliminationTree, elimination_tree, postorder
-from repro.symbolic.colcounts import column_counts, column_patterns
 from repro.symbolic.supernodes import (
     AMALGAMATION_PRESETS,
     AmalgamationParams,
     amalgamate,
     amalgamation_preset,
-    fundamental_supernodes,
 )
 from repro.symbolic.symbolic import SymbolicFactor, symbolic_factorize
 
@@ -29,9 +27,6 @@ __all__ = [
     "EliminationTree",
     "elimination_tree",
     "postorder",
-    "column_counts",
-    "column_patterns",
-    "fundamental_supernodes",
     "amalgamate",
     "AmalgamationParams",
     "AMALGAMATION_PRESETS",

@@ -11,10 +11,11 @@ extends the supernode of ``j-1`` iff
     (equivalently: j has exactly one etree child among columns of the
     current run's frontier — we use the standard first-child test).
 
-:func:`fundamental_supernodes` is that definition.  The analysis itself
-runs :func:`skeleton_supernodes`, which replaces the count comparison by
-the row-subtree leaf test on A's own entries and so finds the partition
-before any factor pattern exists.
+The analysis runs :func:`skeleton_supernodes`, which replaces the count
+comparison by the row-subtree leaf test on A's own entries and so finds
+the partition before any factor pattern exists; the count-based
+definition itself lives beside the tests that hold the result against
+it (``tests/reference_symbolic.py``).
 
 *Relaxed amalgamation* then merges small child supernodes into their
 parents even when patterns differ slightly, trading a bounded number of
@@ -33,7 +34,6 @@ import numpy as np
 from repro.symbolic.etree import NO_PARENT
 
 __all__ = [
-    "fundamental_supernodes",
     "AmalgamationParams",
     "AMALGAMATION_PRESETS",
     "amalgamation_preset",
@@ -41,54 +41,17 @@ __all__ = [
 ]
 
 
-def fundamental_supernodes(parent: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Partition columns into fundamental supernodes.
-
-    Parameters
-    ----------
-    parent : int64 array
-        Elimination-tree parents (postordered labeling, parents > children).
-    counts : int64 array
-        Column counts of L including the diagonal.
-
-    Returns
-    -------
-    ``super_ptr`` : int64 array of length ``n_super + 1`` — supernode ``s``
-    spans columns ``super_ptr[s] : super_ptr[s+1]``.
-    """
-    n = parent.size
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    n_children = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        p = parent[j]
-        if p != NO_PARENT:
-            n_children[p] += 1
-    starts = [0]
-    for j in range(1, n):
-        extends = (
-            parent[j - 1] == j
-            and counts[j - 1] == counts[j] + 1
-            and n_children[j] == 1
-        )
-        if not extends:
-            starts.append(j)
-    starts.append(n)
-    return np.asarray(starts, dtype=np.int64)
-
-
 def skeleton_supernodes(
     parent: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """The fundamental supernode partition from the matrix alone.
 
-    Same partition as :func:`fundamental_supernodes`, without column
-    counts (Liu, Ng & Peyton): column ``j`` extends the supernode of
-    ``j-1`` iff ``parent[j-1] == j``, ``j`` has no other child, and ``j``
-    is not a leaf of any row subtree — i.e. every entry ``(i, j)`` of A
-    below the diagonal already has an entry of row ``i`` among the
-    descendants of ``j``, so column ``j`` of L adds nothing to column
-    ``j-1``'s pattern.
+    The Liu/Ng/Peyton partition without column counts: column ``j``
+    extends the supernode of ``j-1`` iff ``parent[j-1] == j``, ``j`` has
+    no other child, and ``j`` is not a leaf of any row subtree — i.e.
+    every entry ``(i, j)`` of A below the diagonal already has an entry
+    of row ``i`` among the descendants of ``j``, so column ``j`` of L
+    adds nothing to column ``j-1``'s pattern.
 
     Parameters
     ----------

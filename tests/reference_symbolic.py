@@ -1,4 +1,11 @@
-"""Per-column factor patterns and column counts.
+"""The column-at-a-time symbolic factorization: the oracle.
+
+Nothing under ``src/`` works per column any more —
+:func:`repro.symbolic.symbolic_factorize` computes one pattern per
+fundamental supernode and finds the partition from the matrix alone
+(:func:`repro.symbolic.supernodes.skeleton_supernodes`).  These three
+functions are the definition that result is held against in
+``tests/test_symbolic_structure.py``.
 
 ``column_patterns`` performs a structural (symbolic) Cholesky: the
 below-diagonal pattern of column ``j`` of L is the union of A's
@@ -12,9 +19,10 @@ single ascending sweep suffices, and each column's pattern is merged into
 its parent exactly once, so the total work is O(nnz(L)) with the unions
 done by vectorized ``np.unique`` calls.
 
-This is the definition, one column at a time.  ``symbolic_factorize``
-computes one pattern per fundamental supernode instead and does not call
-this module; the test suite holds its result against these functions.
+``fundamental_supernodes`` is the Liu/Ng/Peyton criterion on etree
+parents and column counts: column ``j`` extends the supernode of ``j-1``
+iff ``parent(j-1) == j``, ``cnt(j-1) == cnt(j) + 1`` and ``j`` has no
+other child.
 """
 
 from __future__ import annotations
@@ -23,8 +31,6 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 from repro.symbolic.etree import NO_PARENT
-
-__all__ = ["column_patterns", "column_counts"]
 
 
 def column_patterns(a: CSCMatrix, parent: np.ndarray) -> list[np.ndarray]:
@@ -74,3 +80,39 @@ def column_counts(a: CSCMatrix, parent: np.ndarray) -> np.ndarray:
     """Column counts of L, diagonal included: ``cnt[j] = |rowpat(j)| + 1``."""
     patterns = column_patterns(a, parent)
     return np.array([p.size + 1 for p in patterns], dtype=np.int64)
+
+
+def fundamental_supernodes(parent: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Partition columns into fundamental supernodes.
+
+    Parameters
+    ----------
+    parent : int64 array
+        Elimination-tree parents (postordered labeling, parents > children).
+    counts : int64 array
+        Column counts of L including the diagonal.
+
+    Returns
+    -------
+    ``super_ptr`` : int64 array of length ``n_super + 1`` — supernode ``s``
+    spans columns ``super_ptr[s] : super_ptr[s+1]``.
+    """
+    n = parent.size
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    n_children = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        p = parent[j]
+        if p != NO_PARENT:
+            n_children[p] += 1
+    starts = [0]
+    for j in range(1, n):
+        extends = (
+            parent[j - 1] == j
+            and counts[j - 1] == counts[j] + 1
+            and n_children[j] == 1
+        )
+        if not extends:
+            starts.append(j)
+    starts.append(n)
+    return np.asarray(starts, dtype=np.int64)

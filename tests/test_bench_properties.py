@@ -55,6 +55,7 @@ from repro.symbolic import amalgamation_preset, symbolic_factorize
 from repro.symbolic.stack import stack_minimizing_postorder
 from repro.symbolic.symbolic import factor_update_flops
 from repro.verify.lattice import factor_fingerprint
+from tests.policy_execution import execute
 
 BACKENDS = ("serial", "static", "dynamic")
 
@@ -224,7 +225,7 @@ def stack_cutoff(rows: int):
 def reference_factorize(a, sym, policy, node, spost=None):
     """The serial driver as it was before the numerics were separated
     from the virtual clock, kept here as the oracle: one front at a
-    time, assembly task scheduled, then ``Policy.execute`` (plan,
+    time, assembly task scheduled, then ``policy_execution.execute`` (plan,
     schedule, apply) on the assembled front."""
     worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
     plan = get_assembly_plan(a, sym)
@@ -250,10 +251,10 @@ def reference_factorize(a, sym, policy, node, spost=None):
         assembly_seconds += t_asm
         base = policy.resolve(size - k, k, worker) if hasattr(policy, "resolve") else policy
         try:
-            ex = base.execute(front, k, worker, node, deps=(asm,))
+            ex = execute(base, front, k, worker, node, deps=(asm,))
         except DeviceMemoryError:
             base = PolicyP1()
-            ex = base.execute(front, k, worker, node, deps=(asm,))
+            ex = execute(base, front, k, worker, node, deps=(asm,))
         final_task[s] = ex.plan.final
         panels[s] = front[:, :k].copy()
         if size > k:

@@ -2,8 +2,7 @@
 
 Each rule gets a positive fixture (the smell, must fire) and a negative
 fixture (the sanctioned idiom, must stay silent); the framework tests
-cover inline suppressions, the baseline round-trip, and the output
-formats.  Fixtures are written to a temp tree and the checkers are
+cover inline suppressions and the output formats.  Fixtures are written to a temp tree and the checkers are
 pointed at them through :class:`LintConfig` scope overrides.
 """
 
@@ -16,14 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     LintConfig,
     all_rules,
     discover_files,
     render,
     run_lint,
 )
-from repro.lint.core import Rule, SourceFile
+from repro.lint.core import Rule
 
 
 # ----------------------------------------------------------------------
@@ -35,7 +33,6 @@ def lint_source(
     *,
     module: str = "fixmod",
     config: LintConfig | None = None,
-    baseline: Baseline | None = None,
 ):
     """Lint one fixture module with every checker; returns LintResult."""
     path = tmp_path / f"{module.replace('.', '_')}.py"
@@ -57,12 +54,9 @@ def lint_source(
     from repro.lint.runner import LintResult
 
     result = LintResult(files_checked=1)
-    by_path = {str(files[0].path): files[0]}
     for f in raw:
         if files[0].is_suppressed(f):
             result.suppressed.append(f)
-        elif baseline is not None and baseline.contains(f, by_path):
-            result.baselined.append(f)
         else:
             result.findings.append(f)
     return result
@@ -191,6 +185,84 @@ class TestLockOrder:
                             pass
         """, config=CONC)
         assert "RPL001" in rule_ids(res)
+
+    # "cache, then tier" (the order repro.service.cache states): the
+    # holder reaches the tier through a typed collaborator, and
+    # ``remove`` is defined on two classes, so only the receiver's type
+    # says whose lock the call takes
+    CACHE = """
+        import threading
+        from fixtier import Tier
+
+        class Cache:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.tier = Tier(self)
+
+            def drop(self, key):
+                with self._lock:
+                    self.tier.remove(key)
+
+            def evicted(self, key):
+                with self._lock:
+                    pass
+    """
+    TIER = """
+        import threading
+
+        class Tier:
+            def __init__(self, cache):
+                self._tlock = threading.Lock()
+                self.cache = cache
+
+            def remove(self, key):
+                with self._tlock:
+                    pass
+
+            def spill(self, key):
+                {spill}
+
+        class Index:
+            def remove(self, key):
+                pass
+    """
+    CALLS_BACK_UNDER_LOCK = """with self._tlock:
+                    self.cache.evicted(key)"""
+    CALLS_BACK_AFTER_RELEASE = """with self._tlock:
+                    pass
+                self.cache.evicted(key)"""
+    TWO_CLASSES = LintConfig(concurrency_modules=("fixcache", "fixtier"))
+
+    @pytest.mark.parametrize("order", [("fixcache", "fixtier"),
+                                       ("fixtier", "fixcache")])
+    def test_cross_class_cycle_through_typed_collaborator(
+        self, tmp_path, order
+    ):
+        sources = {
+            "fixcache": self.CACHE,
+            "fixtier": self.TIER.format(spill=self.CALLS_BACK_UNDER_LOCK),
+        }
+        res = lint_sources(
+            tmp_path, {m: sources[m] for m in order},
+            config=self.TWO_CLASSES,
+        )
+        cycles = [f for f in res.findings if f.rule_id == "RPL001"]
+        assert len(cycles) == 1, rule_ids(res)
+        assert "Cache._lock" in cycles[0].message
+        assert "Tier._tlock" in cycles[0].message
+
+    @pytest.mark.parametrize("order", [("fixcache", "fixtier"),
+                                       ("fixtier", "fixcache")])
+    def test_cross_class_negative_consistent_order(self, tmp_path, order):
+        sources = {
+            "fixcache": self.CACHE,
+            "fixtier": self.TIER.format(spill=self.CALLS_BACK_AFTER_RELEASE),
+        }
+        res = lint_sources(
+            tmp_path, {m: sources[m] for m in order},
+            config=self.TWO_CLASSES,
+        )
+        assert "RPL001" not in rule_ids(res)
 
 
 # ----------------------------------------------------------------------
@@ -625,7 +697,7 @@ class TestMetricsHygiene:
 
 
 # ----------------------------------------------------------------------
-# framework: suppressions, baseline, output formats
+# framework: suppressions, output formats
 # ----------------------------------------------------------------------
 # ----------------------------------------------------------------------
 # RPL050-053 determinism taint (interprocedural)
@@ -1416,48 +1488,6 @@ class TestSuppressions:
         assert [f.rule_id for f in res.suppressed] == ["RPL010"]
 
 
-class TestBaseline:
-    SRC = """
-        import time
-
-        def stamp():
-            return time.perf_counter()
-    """
-
-    def test_round_trip(self, tmp_path):
-        res = lint_source(tmp_path, self.SRC, config=DET)
-        assert len(res.findings) == 1
-        path = tmp_path / "fixmod.py"
-        sf = SourceFile.parse(path, "fixmod", path.read_text())
-        by_path = {str(path): sf}
-        bl = Baseline.from_findings(res.findings, by_path)
-        bl_path = tmp_path / "baseline.json"
-        bl.save(bl_path)
-        loaded = Baseline.load(bl_path)
-        assert loaded.entries == bl.entries
-
-        res2 = lint_source(tmp_path, self.SRC, config=DET, baseline=loaded)
-        assert res2.findings == []
-        assert [f.rule_id for f in res2.baselined] == ["RPL010"]
-
-    def test_baseline_survives_line_shift(self, tmp_path):
-        res = lint_source(tmp_path, self.SRC, config=DET)
-        path = tmp_path / "fixmod.py"
-        sf = SourceFile.parse(path, "fixmod", path.read_text())
-        bl = Baseline.from_findings(res.findings, {str(path): sf})
-
-        shifted = "\n\n\n" + textwrap.dedent(self.SRC)
-        res2 = lint_source(tmp_path, shifted, config=DET, baseline=bl)
-        assert res2.findings == []
-        assert len(res2.baselined) == 1
-
-    def test_unknown_version_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(p)
-
-
 class TestOutputFormats:
     def _result(self, tmp_path):
         return lint_source(tmp_path, """
@@ -1551,110 +1581,57 @@ class TestSarifFormat:
         assert "sarif" in FORMATS
 
 
-class TestIncrementalCache:
-    # impure key function: one deterministic file-scope finding (RPL030)
-    SRC = "def cache_key(a):\n    import os\n    return os.getenv('X')\n"
+class TestProgramIndex:
+    """The one whole-program index types collaborators independently
+    of the order files were discovered in."""
 
-    def _cache(self, tmp_path):
-        from repro.lint.cache import LintCache
+    OWNER = """
+        from fixhelper import Validator
 
-        return LintCache(tmp_path / ".lint-cache")
+        class Owner:
+            def __init__(self, pool):
+                self.pool = pool
+                self.validator = Validator()
 
-    def test_warm_run_hits_and_matches_cold(self, tmp_path):
-        p = tmp_path / "mod.py"
-        p.write_text(self.SRC)
-        cold = self._cache(tmp_path)
-        r1 = run_lint([p], cache=cold)
-        assert cold.hits == 0
-        cold.save()
+            def grab(self, n):
+                handle = self.pool.reserve(n)
+                self.validator.check(n)
+                self.pool.release(handle)
+                return handle
+    """
+    HELPER = """
+        class Validator:
+            def check(self, n):
+                if n < 0:
+                    raise ValueError("negative")
 
-        warm = self._cache(tmp_path)
-        r2 = run_lint([p], cache=warm)
-        assert warm.misses == 0
-        assert warm.hits >= 2  # one file entry + the program tree entry
-        assert rule_ids(r1) == rule_ids(r2) == ["RPL030"]
+        class Other:
+            def check(self, n):
+                return n
+    """
 
-    def test_edit_invalidates(self, tmp_path):
-        p = tmp_path / "mod.py"
-        p.write_text(self.SRC)
-        cold = self._cache(tmp_path)
-        run_lint([p], cache=cold)
-        cold.save()
+    def _lint(self, tmp_path, order):
+        from repro.lint.flow.callgraph import build_index
 
-        p.write_text("def cache_key(a):\n    return ('k', a)\n")
-        warm = self._cache(tmp_path)
-        r2 = run_lint([p], cache=warm)
-        assert warm.misses > 0
-        assert rule_ids(r2) == []
-
-    def test_suppressions_reapplied_on_cache_hit(self, tmp_path):
-        # the cache stores *raw* findings; editing only the suppression
-        # comment must change the outcome (the file key covers text)
-        p = tmp_path / "mod.py"
-        p.write_text(self.SRC)
-        cold = self._cache(tmp_path)
-        r1 = run_lint([p], cache=cold)
-        assert rule_ids(r1) == ["RPL030"]
-        cold.save()
-
-        p.write_text(
-            "def cache_key(a):\n    import os\n"
-            "    return os.getenv('X')"
-            "  # repro-lint: disable=RPL030 -- fixture\n"
+        sources = {"fixowner": self.OWNER, "fixhelper": self.HELPER}
+        res = lint_sources(tmp_path, {m: sources[m] for m in order})
+        paths = [tmp_path / f"{m}.py" for m in order]
+        files, _ = discover_files(paths)
+        index = build_index(files, LintConfig())
+        findings = sorted(
+            (f.rule_id, Path(f.path).name, f.line) for f in res.findings
         )
-        warm = self._cache(tmp_path)
-        r2 = run_lint([p], cache=warm)
-        assert rule_ids(r2) == []
-        assert [f.rule_id for f in r2.suppressed] == ["RPL030"]
+        return index.attr_types, findings
 
-    def test_save_writes_gitignore_and_prunes(self, tmp_path):
-        a = tmp_path / "a.py"
-        b = tmp_path / "b.py"
-        a.write_text(self.SRC)
-        b.write_text("def helper(x):\n    return x\n")
-        cache = self._cache(tmp_path)
-        run_lint([a, b], cache=cache)
-        cache.save()
-        root = tmp_path / ".lint-cache"
-        assert (root / ".gitignore").read_text() == "*\n"
-        assert len(json.loads((root / "files.json").read_text())) == 2
-
-        # next run over a smaller tree prunes the stale entry on save
-        cache2 = self._cache(tmp_path)
-        run_lint([a], cache=cache2)
-        cache2.save()
-        assert len(json.loads((root / "files.json").read_text())) == 1
-
-    def test_config_fingerprint_is_canonical(self):
-        from repro.lint.cache import _config_fingerprint
-
-        assert _config_fingerprint(LintConfig()) == _config_fingerprint(
-            LintConfig()
-        )
-        assert _config_fingerprint(LintConfig()) != _config_fingerprint(
-            DET
-        )
-
-
-class TestFilterToPaths:
-    def test_reporting_narrows_but_accounting_survives(self, tmp_path):
-        from repro.lint.runner import filter_to_paths
-
-        a = tmp_path / "a.py"
-        b = tmp_path / "b.py"
-        a.write_text(
-            "def cache_key(x):\n    import os\n    return os.getenv('X')\n"
-        )
-        b.write_text(
-            "def data_key(x):\n    import os\n    return os.getenv('Y')\n"
-        )
-        result = run_lint([a, b])
-        assert len(result.findings) == 2
-
-        narrowed = filter_to_paths(result, {a})
-        assert [Path(f.path).name for f in narrowed.findings] == ["a.py"]
-        # the analysis still covered the whole tree
-        assert narrowed.files_checked == 2
+    def test_typing_does_not_depend_on_file_order(self, tmp_path):
+        # the class is defined in the *later* file in the first order
+        types_a, found_a = self._lint(tmp_path, ("fixowner", "fixhelper"))
+        types_b, found_b = self._lint(tmp_path, ("fixhelper", "fixowner"))
+        assert types_a == types_b == {("Owner", "validator"): "Validator"}
+        assert found_a == found_b
+        # ``check`` is defined twice: only the typed receiver says the
+        # call under the reservation is the one that raises
+        assert "RPL060" in [rule for rule, _, _ in found_a]
 
 
 class TestFramework:
@@ -1692,18 +1669,13 @@ class TestFramework:
 
 
 class TestSelfHosted:
-    """The repo lints itself clean with the committed baseline."""
+    """The repo lints itself clean; inline suppressions are the only
+    exemptions and every one of them says why."""
 
     def test_src_repro_is_clean(self):
         repo = Path(__file__).resolve().parents[1]
-        baseline_path = repo / "lint-baseline.json"
-        baseline = (
-            Baseline.load(baseline_path) if baseline_path.exists() else None
-        )
         result = run_lint(
-            [repo / "src" / "repro"],
-            baseline=baseline,
-            src_roots=[repo / "src"],
+            [repo / "src" / "repro"], src_roots=[repo / "src"]
         )
         assert result.parse_errors == []
         assert result.findings == [], "\n".join(

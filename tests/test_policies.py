@@ -14,6 +14,7 @@ from repro.policies import (
     make_policy,
 )
 from repro.policies.base import PolicyP1, PolicyP4
+from tests.policy_execution import execute
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ class TestNumerics:
         f = front(40, rng)
         ref_l1, ref_l2, ref_u = reference_blocks(f, 12)
         pol = make_policy(name)
-        res = pol.execute(f.copy(), 12, worker, node)
+        res = execute(pol, f.copy(), 12, worker, node)
         assert np.allclose(np.tril(res.l1), ref_l1, atol=atol)
         assert np.allclose(res.l2, ref_l2, atol=atol)
         assert np.allclose(res.u, ref_u, atol=atol)
@@ -51,14 +52,14 @@ class TestNumerics:
     def test_p1_is_exact_float64(self, node, worker, rng):
         f = front(30, rng)
         ref = reference_blocks(f, 10)
-        res = make_policy("P1").execute(f.copy(), 10, worker, node)
+        res = execute(make_policy("P1"), f.copy(), 10, worker, node)
         assert np.allclose(res.l2, ref[1], atol=1e-12)
 
     def test_gpu_policies_show_fp32_error(self, node, worker, rng):
         # the paper's single-precision offload must actually lose precision
         f = front(60, rng)
         ref = reference_blocks(f, 20)
-        res = make_policy("P3").execute(f.copy(), 20, worker, node)
+        res = execute(make_policy("P3"), f.copy(), 20, worker, node)
         err = np.abs(res.l2 - ref[1]).max()
         assert 1e-12 < err < 1e-1
 
@@ -66,7 +67,7 @@ class TestNumerics:
         # the root special case the paper highlights (Section IV-D)
         f = front(25, rng)
         for name in ("P1", "P2", "P3", "P4"):
-            res = make_policy(name).execute(f.copy(), 25, worker, node)
+            res = execute(make_policy(name), f.copy(), 25, worker, node)
             assert res.u.size == 0
             assert np.allclose(
                 res.l1 @ res.l1.T, f, atol=1e-2 if name != "P1" else 1e-9
@@ -75,12 +76,12 @@ class TestNumerics:
     def test_gpu_policy_requires_gpu_worker(self, node, rng):
         cpu_only = Worker("cpu0", None)
         with pytest.raises(ValueError):
-            make_policy("P3").execute(front(10, rng), 5, cpu_only, node)
+            execute(make_policy("P3"), front(10, rng), 5, cpu_only, node)
 
     def test_p1_runs_without_gpu(self, rng):
         node = SimulatedNode(n_cpus=1, n_gpus=0)
         w = Worker("cpu0", None)
-        res = make_policy("P1").execute(front(10, rng), 5, w, node)
+        res = execute(make_policy("P1"), front(10, rng), 5, w, node)
         assert res.elapsed > 0
 
 

@@ -23,13 +23,15 @@ from repro.symbolic import (
     AmalgamationParams,
     amalgamate,
     amalgamation_preset,
-    column_counts,
-    column_patterns,
     elimination_tree,
-    fundamental_supernodes,
     symbolic_factorize,
 )
 from repro.symbolic.symbolic import factor_update_flops
+from tests.reference_symbolic import (
+    column_counts,
+    column_patterns,
+    fundamental_supernodes,
+)
 
 
 def true_pattern(a, perm=None):
