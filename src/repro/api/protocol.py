@@ -287,6 +287,10 @@ def parse_solve_payload(obj: dict) -> SolvePayload:
             "invalid_request",
             f"rhs must have {a.n_rows} rows, got shape {b.shape}",
         )
+    if not np.isfinite(b).all():
+        # json.loads reads NaN and Infinity; the sweeps would hand back
+        # an all-NaN x under status 200
+        raise ApiError("invalid_request", "rhs holds a non-finite value")
     refine = obj.get("refine", False)
     if not isinstance(refine, bool):
         raise ApiError("invalid_request", "refine must be a boolean")

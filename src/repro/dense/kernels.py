@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "SUBSTITUTION_BLOCK",
     "potrf",
     "trsm_right_lower",
     "syrk",
@@ -35,6 +36,13 @@ __all__ = [
     "KernelCounts",
     "NotPositiveDefiniteError",
 ]
+
+
+#: columns one step of a blocked substitution solves entry by entry:
+#: :func:`trsm_right_lower`, its stacked replay
+#: (:func:`repro.multifrontal.batched.batched_trsm_right_lower`) and the
+#: solve phase's ``trsv_lower`` / ``trsv_lower_t`` all block by it
+SUBSTITUTION_BLOCK = 32
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -121,7 +129,7 @@ def trsm_right_lower(
     x = b.astype(b.dtype, copy=True)
     # X L^T = B  =>  column block j of X depends on previous blocks:
     # X[:, j] = (B[:, j] - X[:, :j] @ L[j, :j].T) / L[j, j]
-    nb = 32
+    nb = SUBSTITUTION_BLOCK
     for j0 in range(0, k, nb):
         j1 = min(j0 + nb, k)
         if j0:

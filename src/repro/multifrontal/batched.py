@@ -26,7 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dense.kernels import NotPositiveDefiniteError, potrf
+from repro.dense.kernels import (
+    SUBSTITUTION_BLOCK,
+    NotPositiveDefiniteError,
+    potrf,
+)
 from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
@@ -81,7 +85,19 @@ def batch_groups(sf: SymbolicFactor) -> list[BatchGroup]:
     Deterministic: members ascend by supernode id within a group, groups
     are ordered by ``(size, k)``, and a shape with more than
     ``STACK_CHUNK`` members splits into near-equal consecutive runs.
+
+    Computed once per symbolic factor and kept on it: the assembly plan,
+    the numerics pass and the solve plan all index one list, so a leaf is
+    stacked in the factorization exactly when it is stacked in the
+    solve.
     """
+    groups = getattr(sf, "_batch_groups", None)
+    if groups is None:
+        groups = sf._batch_groups = _batch_groups(sf)  # type: ignore[attr-defined]
+    return groups
+
+
+def _batch_groups(sf: SymbolicFactor) -> list[BatchGroup]:
     sparent = np.asarray(sf.sparent)
     n_kids = np.bincount(sparent[sparent >= 0], minlength=sf.n_supernodes)
     m, widths = sf.mk_pairs().T
@@ -123,7 +139,7 @@ def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
     """
     k = l.shape[-1]
     x = x.copy()
-    nb = 32
+    nb = SUBSTITUTION_BLOCK
     for j0 in range(0, k, nb):
         j1 = min(j0 + nb, k)
         if j0:

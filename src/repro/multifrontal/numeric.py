@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from repro.multifrontal.frontal import (
 )
 from repro.policies.base import Policy, PolicyP1, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
+
+if TYPE_CHECKING:
+    from repro.multifrontal.solve import SweepTable
 
 __all__ = [
     "FURecord",
@@ -80,6 +84,10 @@ class NumericFactor:
 
     sf: SymbolicFactor
     panels: list[np.ndarray]        # per-supernode (rows x k) [L1; L2]
+    #: the ``(B, rows, k)`` array the panels of each stacked leaf group
+    #: are the slices of, by the group's first member
+    #: (:func:`repro.multifrontal.batched.batch_groups`)
+    stacks: dict[int, np.ndarray]
     records: list[FURecord]
     makespan: float                 # simulated seconds, end-to-end
     node: SimulatedNode
@@ -91,7 +99,7 @@ class NumericFactor:
     batched_fronts: int = 0
     #: the solve phase's sweep table, built by the first solve on this
     #: factor (:func:`repro.multifrontal.solve.sweep_table`)
-    sweep: list | None = field(default=None, repr=False, compare=False)
+    sweep: SweepTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -286,7 +294,10 @@ def _numeric_walk(
     bases: list[Policy],
     worker: Worker,
     order: "np.ndarray",
-) -> tuple[list["np.ndarray | None"], dict[int, np.ndarray], int, int, int]:
+) -> tuple[
+    list["np.ndarray | None"], dict[int, np.ndarray], dict[int, np.ndarray],
+    int, int, int,
+]:
     """The floating-point walk over the supernodes of ``order`` (children
     before parents): assemble each front, run its factor-update under
     ``bases[s]``, hand the update matrix to the parent.  Fronts and
@@ -296,14 +307,20 @@ def _numeric_walk(
     panel and the update are copied out of it, so nothing returned
     aliases the workspace.
 
-    Returns the panels (``None`` outside ``order``), the updates nobody
-    in ``order`` consumed (in the order they were produced; none when
-    ``order`` covers the tree), the peak live update bytes, and the
-    stacked calls issued / fronts they covered.  Same-shape host-P1 leaf
-    fronts run stacked (:mod:`repro.multifrontal.batched`), bit-identical
-    per slice to the per-front path; a group any member of which
-    resolved elsewhere (a device policy computes in float32) or lies
-    outside ``order`` stays per front.
+    Returns the panels (``None`` outside ``order``), the panel stacks,
+    the updates nobody in ``order`` consumed (in the order they were
+    produced; none when ``order`` covers the tree), the peak live update
+    bytes, and the stacked calls issued / fronts they covered.
+
+    The panels of a leaf group lying wholly inside ``order`` are the
+    slices of one ``(B, size, k)`` stack, whatever computed them (the
+    solve phase sweeps a group as one stack,
+    :class:`repro.multifrontal.solve.SolvePlan`); the stacks are returned
+    keyed by the group's first member.  Same-shape host-P1 leaf fronts
+    also *run* stacked (:mod:`repro.multifrontal.batched`), bit-identical
+    per slice to the per-front path; a group any member of which resolved
+    elsewhere (a device policy computes in float32) is computed front by
+    front and written into its stack.
     """
     order = np.asarray(order).tolist()
     kids = sf.schildren()
@@ -316,25 +333,35 @@ def _numeric_walk(
 
     walked = np.zeros(sf.n_supernodes, dtype=bool)
     walked[order] = True
-    group_of: dict[int, BatchGroup] = {}
+    stacks: dict[int, np.ndarray] = {}
+    #: group and position in it of every member of a group inside ``order``
+    slot_of: dict[int, tuple[BatchGroup, int]] = {}
+    #: the members of those of them that run stacked
+    on_host: set[int] = set()
     for g in plan.groups:
-        if all(type(bases[s]) is PolicyP1 and walked[s] for s in g.sids):
-            group_of.update(dict.fromkeys(g.sids, g))
-    #: per-member (panel, update) of the groups factored so far, consumed
-    #: when the member's turn comes
-    stacked: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        if walked[list(g.sids)].all():
+            slot_of.update((s, (g, i)) for i, s in enumerate(g.sids))
+            if all(type(bases[s]) is PolicyP1 for s in g.sids):
+                on_host.update(g.sids)
+            else:
+                stacks[g.sids[0]] = np.empty((len(g), g.size, g.k))
+    #: per-member update of the groups factored so far, consumed when the
+    #: member's turn comes
+    pending: dict[int, "np.ndarray | None"] = {}
     batch_tasks = 0
     workspace = np.empty(
-        max((sf.rows[s].size for s in order if s not in group_of), default=0) ** 2
+        max((sf.rows[s].size for s in order if s not in on_host), default=0) ** 2
     )
 
     for s in order:
-        g = group_of.get(s)
-        if g is not None:
-            if s not in stacked:
-                stacked.update(zip(g.sids, zip(*factor_batch_group(sf, a_data, g))))
+        g, i = slot_of.get(s, (None, 0))
+        if s in on_host:
+            head = g.sids[0]
+            if head not in stacks:
+                stacks[head], group_updates = factor_batch_group(sf, a_data, g)
+                pending.update(zip(g.sids, group_updates))
                 batch_tasks += 1
-            panels[s], u = stacked.pop(s)
+            panels[s], u = stacks[head][i], pending.pop(s)
         else:
             size = sf.rows[s].size
             k = sf.width(s)
@@ -347,13 +374,17 @@ def _numeric_walk(
                 bases[s].apply(front, k, worker)
             except NotPositiveDefiniteError as exc:
                 raise breakdown_error(sf, s, exc) from exc
-            panels[s] = front[:, :k].copy()
+            if g is None:
+                panels[s] = front[:, :k].copy()
+            else:
+                panels[s] = stacks[g.sids[0]][i]
+                panels[s][...] = front[:, :k]
             u = front[k:, k:].copy() if size > k else None
         if u is not None:
             updates[s] = u
             live_update_bytes += u.nbytes
             peak_update_bytes = max(peak_update_bytes, live_update_bytes)
-    return panels, updates, peak_update_bytes, batch_tasks, len(group_of)
+    return panels, stacks, updates, peak_update_bytes, batch_tasks, len(on_host)
 
 
 def postorder_numeric_factor(
@@ -377,7 +408,7 @@ def postorder_numeric_factor(
     and ``makespan``, the floating-point work runs here
     (:func:`_numeric_walk`), one way.
     """
-    panels, leftover, peak_update_bytes, batch_tasks, batched_fronts = (
+    panels, stacks, leftover, peak_update_bytes, batch_tasks, batched_fronts = (
         _numeric_walk(a, sf, bases, worker, sf.spost if spost is None else spost)
     )
     if leftover:
@@ -386,6 +417,7 @@ def postorder_numeric_factor(
     return NumericFactor(
         sf=sf,
         panels=panels,  # type: ignore[arg-type]
+        stacks=stacks,
         records=records,
         makespan=makespan,
         node=node,

@@ -16,7 +16,7 @@ simulated timing) as the full driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,13 @@ from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.frontal import get_assembly_plan
 from repro.multifrontal.numeric import FURecord, _numeric_walk, _price_postorder
-from repro.multifrontal.solve import backward_sweep, forward_sweep, sweep_rows
+from repro.multifrontal.solve import (
+    SolvePlan,
+    SweepTable,
+    backward_sweep,
+    check_rhs,
+    forward_sweep,
+)
 from repro.policies.base import Policy, Worker
 from repro.symbolic.symbolic import SymbolicFactor
 
@@ -47,6 +53,10 @@ class PartialFactorization:
         Factor panels of the eliminated supernodes (supernode id ->
         (rows x k) array), enough to resume or to solve with the
         interior block.
+    stacks : dict
+        The ``(B, rows, k)`` arrays the panels of the stacked leaf groups
+        inside the eliminated block are slices of (as on a
+        :class:`~repro.multifrontal.numeric.NumericFactor`).
     records : list of FURecord
         Per-call instrumentation of the eliminated part.
     makespan : float
@@ -58,9 +68,13 @@ class PartialFactorization:
     n_eliminated: int
     schur: np.ndarray
     panels: dict[int, np.ndarray]
+    stacks: dict[int, np.ndarray]
     records: list[FURecord]
     makespan: float
     perm: np.ndarray
+    #: the solve phase's sweep table over the eliminated supernodes,
+    #: built by the first :func:`solve_with_schur`
+    sweep: SweepTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def schur_order(self) -> int:
@@ -114,7 +128,7 @@ def partial_factorize(
     records, bases, _ = _price_postorder(
         sf, policy, node, worker, order, assembly_in_record=False
     )
-    panels, leftover, _, _, _ = _numeric_walk(a, sf, bases, worker, order)
+    panels, stacks, leftover, _, _, _ = _numeric_walk(a, sf, bases, worker, order)
 
     # the updates nobody inside consumed reach the kept block: they *are*
     # the Schur complement contributions (folded in postorder; the kept
@@ -136,6 +150,7 @@ def partial_factorize(
         n_eliminated=n_elim_cols,
         schur=schur,
         panels={s: panels[s] for s in order.tolist()},
+        stacks=stacks,
         records=records,
         makespan=node.now,
         perm=sf.perm,
@@ -154,24 +169,25 @@ def solve_with_schur(
 
     Equivalent to a full solve (tested against it); useful when the same
     interface system couples to something external (another subdomain, a
-    dense boundary-element block).
+    dense boundary-element block).  ``b`` is one right-hand side ``(n,)``
+    or a block ``(n, nrhs)``, as :func:`~repro.multifrontal.solve.solve_factored`
+    takes it.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (sf.n,):
-        raise ValueError(f"rhs must have shape ({sf.n},)")
+    b = check_rhs(b, sf.n)
     ne = pf.n_eliminated
-    boundary = int(np.searchsorted(sf.super_ptr, ne, side="right")) - 1
-    table = sweep_rows(sf, [pf.panels[s] for s in range(boundary)])
+    if pf.sweep is None:
+        boundary = int(np.searchsorted(sf.super_ptr, ne, side="right")) - 1
+        pf.sweep = SolvePlan(sf, boundary).bind(pf.panels, pf.stacks)
     y = b[sf.perm].copy()
 
     # after the forward half, y[:ne] = L11^{-1} (P b)_1 and
     # y[ne:] = b_2 - L21 y_1
-    forward_sweep(table, y)
+    forward_sweep(pf.sweep, y)
     # dense interface solve: S x_2 = y_2
     if ne < sf.n:
         y[ne:] = np.linalg.solve(pf.schur, y[ne:])
     # x_1 = L11^{-T} (y_1 - L21^T x_2)
-    backward_sweep(table, y)
+    backward_sweep(pf.sweep, y)
 
     x = np.empty_like(y)
     x[sf.perm] = y

@@ -44,7 +44,7 @@ import numpy as np
 from repro.dense.kernels import NotPositiveDefiniteError
 from repro.gpu.device import SimulatedNode
 from repro.multifrontal.refine import iterative_refinement
-from repro.multifrontal.solve import solve_factored
+from repro.multifrontal.solve import check_rhs, solve_factored
 from repro.multifrontal.solver import SparseCholeskySolver
 from repro.policies.base import Policy
 from repro.service.batching import BatchPlan
@@ -270,12 +270,7 @@ class SolverService:
         """
         now = time.perf_counter()
         key, canonical = matrix_key(a)
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != canonical.n_rows or b.ndim not in (1, 2):
-            raise ValueError(
-                f"rhs must have shape ({canonical.n_rows},) or "
-                f"({canonical.n_rows}, nrhs), got {b.shape}"
-            )
+        b = check_rhs(b, canonical.n_rows)
         spec = policy if policy is not None else self.policy
         sym_key, num_key = self._derive_keys(key, spec)
         with self._cond:

@@ -351,6 +351,21 @@ class TestApp:
             assert err["code"] == "invalid_request"
             assert "Traceback" not in err["message"]
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rhs_is_an_invalid_request(self, service, bad):
+        # json.loads reads all three; answering would be status 200 with
+        # an all-NaN x in a body that is not JSON
+        rhs = json.dumps(RHS_SMALL).replace("1.0", bad, 1)
+        body = '{"matrix": %s, "rhs": %s}' % (json.dumps(DOC_SMALL), rhs)
+        with make_app(service) as app:
+            r = InProcessClient(app).post(
+                "/v1/solve", api_key="ka", body=body.encode()
+            )
+        assert r.status == 400
+        err = r.json()["error"]
+        assert err["code"] == "invalid_request"
+        assert "non-finite" in err["message"]
+
     def test_rate_limited_envelope_carries_retry_after(self, service):
         with make_app(service, rate=10.0, burst=2) as app:
             c = InProcessClient(app)

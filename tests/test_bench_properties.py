@@ -662,11 +662,12 @@ class TestLowerTriangleAssembly:
 
         with mock.patch.object(numeric, "assemble_front_planned", spy):
             # stop below the root: its children's updates are handed back
-            panels, leftover, *_ = numeric._numeric_walk(
+            panels, stacks, leftover, *_ = numeric._numeric_walk(
                 a, sym, [make_policy(policy)] * sym.n_supernodes, worker,
                 sym.spost[:-1],
             )
         assert workspaces and all(w is workspaces[0] for w in workspaces)
         assert leftover and panels[int(sym.spost[-1])] is None
         handed_out = [p for p in panels if p is not None] + list(leftover.values())
+        handed_out += stacks.values()
         assert not any(np.shares_memory(x, workspaces[0]) for x in handed_out)

@@ -229,6 +229,15 @@ class TestTriangularSolves:
         with pytest.raises(ValueError):
             solve_factored(nf, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_rejects_non_finite_rhs(self, lap2d_small, bad):
+        sf = symbolic_factorize(lap2d_small, ordering="amd")
+        nf = factorize_numeric(lap2d_small, sf, make_policy("P1"))
+        b = np.ones((nf.n, 2))
+        b[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_factored(nf, b)
+
 
 class TestRefinement:
     def test_recovers_double_precision_after_fp32_factor(self, lap2d_small):

@@ -150,11 +150,9 @@ def solve_per_supernode(factor, b):
     return x
 
 
-def assert_sweeps_match_reference(a, ordering):
-    sf = symbolic_factorize(a, ordering=ordering)
-    nf = factorize_numeric(a, sf, make_policy("P1"))
-    rng = np.random.default_rng(a.n_rows)
-    b, block = rng.normal(size=a.n_rows), rng.normal(size=(a.n_rows, 4))
+def assert_factor_sweeps_match_reference(nf):
+    rng = np.random.default_rng(nf.n)
+    b, block = rng.normal(size=nf.n), rng.normal(size=(nf.n, 4))
     for _ in range(2):  # the solve that builds the table, and one reusing it
         assert np.array_equal(solve_factored(nf, b), solve_per_supernode(nf, b))
         assert np.array_equal(
@@ -162,6 +160,11 @@ def assert_sweeps_match_reference(a, ordering):
         )
     # a one-column block is the right-hand side it holds
     assert np.array_equal(solve_factored(nf, b[:, None])[:, 0], solve_factored(nf, b))
+
+
+def assert_sweeps_match_reference(a, ordering):
+    sf = symbolic_factorize(a, ordering=ordering)
+    assert_factor_sweeps_match_reference(factorize_numeric(a, sf, make_policy("P1")))
     return sf
 
 

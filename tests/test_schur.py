@@ -104,13 +104,40 @@ class TestSolveWithSchur:
 
         a = grid_laplacian_3d(5, 5, 5)
         sf = symbolic_factorize(a, ordering="nd")
-        pf = partial_factorize(a, sf, make_policy("P1"), sf.n // 2)
         nf = factorize_numeric(a, sf, make_policy("P1"))
         rng = np.random.default_rng(3)
         b = rng.normal(size=a.n_rows)
-        x_dd = solve_with_schur(pf, sf, b)
-        x_full = solve_factored(nf, b)
-        assert np.abs(x_dd - x_full).max() < 1e-9
+        block = rng.normal(size=(a.n_rows, 4))
+        # at half, no leaf group lies wholly inside the eliminated block
+        # (its leaves are swept one by one); at 0.8 all four do, and some
+        # of their products land past the last eliminated interior
+        # supernode
+        for frac, stacked in ((0.5, False), (0.8, True)):
+            pf = partial_factorize(a, sf, make_policy("P1"), int(frac * sf.n))
+            assert bool(pf.stacks) == stacked
+            x_dd = solve_with_schur(pf, sf, b)
+            x_full = solve_factored(nf, b)
+            assert np.abs(x_dd - x_full).max() < 1e-9
+            # a block of right-hand sides, as solve_factored takes one
+            x_dd = solve_with_schur(pf, sf, block)
+            assert x_dd.shape == block.shape
+            assert np.abs(x_dd - solve_factored(nf, block)).max() < 1e-9
+            # and again off the sweep table the first call left on ``pf``
+            assert np.array_equal(solve_with_schur(pf, sf, block), x_dd)
+
+    def test_full_elimination_is_the_full_solve_bit_for_bit(self):
+        # every supernode in the prefix: the same sweeps over the same
+        # panels, and an empty interface system
+        from repro.multifrontal import factorize_numeric, solve_factored
+        from repro.multifrontal.schur import solve_with_schur
+
+        a = grid_laplacian_3d(5, 5, 5)
+        sf = symbolic_factorize(a, ordering="nd")
+        pf = partial_factorize(a, sf, make_policy("P1"), sf.n)
+        nf = factorize_numeric(a, sf, make_policy("P1"))
+        rng = np.random.default_rng(4)
+        for b in (rng.normal(size=a.n_rows), rng.normal(size=(a.n_rows, 4))):
+            assert np.array_equal(solve_with_schur(pf, sf, b), solve_factored(nf, b))
 
     def test_zero_elimination_degenerates_to_dense_solve(self):
         from repro.multifrontal.schur import solve_with_schur

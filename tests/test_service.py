@@ -236,6 +236,14 @@ class TestServiceTiers:
 
         np.testing.assert_array_equal(out.x, solve_factored(ref.factor, b))
 
+    def test_non_finite_rhs_is_refused_at_submit(self, lap2d_small):
+        b = np.ones(lap2d_small.n_rows)
+        b[0] = np.nan
+        with SolverService(n_workers=1, policy="P1") as svc:
+            with pytest.raises(ValueError, match="non-finite"):
+                svc.submit(lap2d_small, b)
+            assert svc.metrics.counter("submitted") == 0
+
     def test_refined_request(self, lap2d_small):
         b = np.ones(lap2d_small.n_rows)
         with SolverService(n_workers=1, policy="P3") as svc:
