@@ -18,6 +18,7 @@ from repro.api.jobs import Job, JobState, JobStore
 from repro.api.loadgen import LoadReport, run_load
 from repro.api.middleware import (
     ApiKeyAuth,
+    ManualClock,
     RateLimiter,
     RequestIds,
     TokenBucket,
@@ -34,7 +35,6 @@ from repro.api.protocol import (
     json_response,
 )
 from repro.api.transport import InProcessClient, serve_http
-from repro.service.tiers import ManualClock
 
 __all__ = [
     "API_VERSION",

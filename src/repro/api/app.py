@@ -88,7 +88,7 @@ class ApiApp:
     clock :
         Time source for rate limiting and edge deadlines
         (default ``time.monotonic``; tests inject
-        :class:`~repro.service.tiers.ManualClock`).
+        :class:`~repro.api.middleware.ManualClock`).
     dispatcher : ``"thread"`` or ``"manual"``
         Background dispatch threads, or explicit :meth:`pump` driving.
     metrics :

@@ -7,7 +7,7 @@ stream a developer replays locally.
 
 Everything is deterministic by construction: the app runs with
 ``dispatcher="manual"`` (no dispatch threads), a
-:class:`~repro.service.tiers.ManualClock` is the only time source for
+:class:`~repro.api.middleware.ManualClock` is the only time source for
 rate limiting and deadlines, requests are issued sequentially through
 the in-process ASGI transport, and request/job ids are sequential.  The
 same parameters therefore produce bit-identical outcome counts and
@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.app import ApiApp
+from repro.api.middleware import ManualClock
 from repro.api.protocol import Response, encode_matrix
 from repro.api.transport import InProcessClient
-from repro.service.tiers import ManualClock
 
 __all__ = ["LoadReport", "run_load"]
 

@@ -11,8 +11,7 @@ front of every authenticated endpoint:
   on first sight, with optional per-client overrides), refilled from an
   injectable clock.  The clock is the only source of time, so tests and
   the deterministic benchmark drive it manually
-  (:class:`~repro.service.tiers.ManualClock`) and the admitted-count
-  bound
+  (:class:`ManualClock`) and the admitted-count bound
   ``admitted(t0, t1) <= burst + rate * (t1 - t0)`` is exact.
 * :class:`RequestIds` — accepts a client-supplied ``x-request-id`` or
   mints a sequential ``rid-NNNNNNNN``.  Sequential (not random) on
@@ -29,10 +28,35 @@ from typing import Callable
 
 __all__ = [
     "ApiKeyAuth",
+    "ManualClock",
     "RateLimiter",
     "RequestIds",
     "TokenBucket",
 ]
+
+
+class ManualClock:
+    """A clock that only moves when told to — the injectable time
+    source of the API edge's token buckets and deadlines and of the
+    deterministic load generator."""
+
+    def __init__(self, start: float = 0.0) -> None:
+        self._now = float(start)
+        self._lock = threading.Lock()
+
+    def advance(self, seconds: float) -> float:
+        """Move time forward; returns the new reading."""
+        if seconds < 0:
+            raise ValueError("time only moves forward")
+        with self._lock:
+            self._now += float(seconds)
+            return self._now
+
+    def now(self) -> float:
+        with self._lock:
+            return self._now
+
+    __call__ = now
 
 
 class ApiKeyAuth:

@@ -606,7 +606,7 @@ def _tiering_run(suite: SuiteCache) -> Measurement:
             svc.solve(a, rhs[id(a)])
         return svc.report()
 
-    # baseline: the legacy drop-on-evict RAM-only cache
+    # baseline: the RAM-only cache, where an eviction is a drop
     with SolverService(
         n_workers=1, policy="P1", ordering="amd", max_cache_bytes=ram_budget
     ) as svc:
@@ -622,7 +622,7 @@ def _tiering_run(suite: SuiteCache) -> Measurement:
         object_store=TierSpec("object", 64 << 20, 2.5e8, 5e-2),
     )
     with SolverService(
-        n_workers=1, policy="P1", ordering="amd", tiering=tiering
+        n_workers=1, policy="P1", ordering="amd", cache=tiering.build()
     ) as svc:
         tier = stream(svc)
 

@@ -373,10 +373,7 @@ class ShardedSolverService:
         mirrored into fleet gauges so they ride ``/v1/metrics``."""
         t = self.shared_tier
         info = {"name": t.name, **t.snapshot()}
-        for stat, value in sorted(info.items()):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self.metrics.gauge(f"tier.shared.{stat}", value)
+        self.metrics.gauge_tiers({"shared": info})
         return info
 
     def report(self) -> dict:

@@ -69,7 +69,7 @@ class DeterminismFlowChecker(_FlowChecker):
             "A wall-clock reading flows (possibly through several "
             "calls) into deterministic state: a bench counter, cache "
             "key, queue ordering, ledger, or /v1 response.",
-            hint="inject a clock (the ManualClock pattern) or derive "
+            hint="inject a clock (the repro.api.ManualClock pattern) or derive "
             "the value from simulated/virtual time",
         ),
         Rule(

@@ -264,14 +264,22 @@ class CSCMatrix:
         )
 
     def symmetrize_from_lower(self) -> "CSCMatrix":
-        """Given a lower-triangular store, return the full symmetric matrix."""
+        """The full symmetric matrix of a store that holds each
+        off-diagonal pair on the lower side, the upper side or both.
+
+        An entry is mirrored only when its mirror is not stored; of a
+        pair stored on both sides each side keeps its own value.
+        """
         col_of_entry = np.repeat(
             np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr)
         )
-        off = self.indices != col_of_entry
-        rows = np.concatenate([self.indices, col_of_entry[off]])
-        cols = np.concatenate([col_of_entry, self.indices[off]])
-        vals = np.concatenate([self.data, self.data[off]])
+        # (col, row) flattened; duplicate-free, as the columns are
+        stored = col_of_entry * self.n_rows + self.indices
+        mirror = self.indices * self.n_rows + col_of_entry
+        lone = ~np.isin(mirror, stored, assume_unique=True)
+        rows = np.concatenate([self.indices, col_of_entry[lone]])
+        cols = np.concatenate([col_of_entry, self.indices[lone]])
+        vals = np.concatenate([self.data, self.data[lone]])
         return CSCMatrix.from_coo(rows, cols, vals, self.shape)
 
     def permute_symmetric(self, perm: np.ndarray) -> "CSCMatrix":

@@ -11,8 +11,7 @@ observation that a factorization can be amortized over many solves:
   are dropped and oversize entries rejected);
 * :mod:`repro.service.tiers` — what the chain is made of: RAM → local
   disk → shared object tier, each a byte-budgeted LRU with modeled
-  transfer cost, and the placement/TTL/transfer policies that move
-  entries between them;
+  transfer cost;
 * :mod:`repro.service.batching` — multi-RHS aggregation of requests that
   share a cached factor;
 * :mod:`repro.service.service` — the concurrent :class:`SolverService`
@@ -26,7 +25,6 @@ from repro.service.cache import (
     CacheLookup,
     FactorizationCache,
     TierConfig,
-    TieredFactorCache,
     numeric_nbytes,
     symbolic_nbytes,
 )
@@ -39,13 +37,11 @@ from repro.service.keys import (
 )
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.service import SolveOutcome, SolveRequest, SolverService
-from repro.service.tiers import ManualClock, StorageTier, TierSpec
+from repro.service.tiers import StorageTier, TierSpec
 
 __all__ = [
-    "ManualClock",
     "StorageTier",
     "TierConfig",
-    "TieredFactorCache",
     "TierSpec",
     "BatchPlan",
     "CacheLookup",

@@ -25,10 +25,12 @@ varies:
 * **none** (the default) — an entry evicted from RAM is dropped and an
   entry larger than the whole budget is rejected rather than
   inserted-then-evicted: the plain RAM-only LRU;
-* **disk and/or object store** (:meth:`TierConfig.build`) — evictions
-  spill down per the placement policy, an oversize entry goes straight
+* **disk and/or object store** (:meth:`TierConfig.build`) — an evicted
+  entry spills to the first tier below that accepts it (cascading that
+  tier's own evictions further down), an oversize entry goes straight
   to the first tier that takes it, and reads fall through RAM, account
-  the modeled transfer and promote per the transfer policy.
+  the modeled transfer and pull the entry back up into RAM when it
+  fits RAM at all.  Nothing expires.
 
 Sizes are estimated from the stored arrays (factor panels, supernode
 row lists).  A byte ledger backs the conservation invariant the
@@ -43,27 +45,20 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.service.tiers import (
-    PlacementPolicy,
     StorageTier,
     TierEntry,
     TierSpec,
-    TransferPolicy,
-    TtlPolicy,
     default_disk_spec,
     default_object_spec,
-    make_placement_policy,
-    make_transfer_policy,
-    make_ttl_policy,
 )
 
 __all__ = [
     "CacheLookup",
     "FactorizationCache",
     "TierConfig",
-    "TieredFactorCache",
     "symbolic_nbytes",
     "numeric_nbytes",
 ]
@@ -96,11 +91,6 @@ class CacheLookup:
     numeric: object | None = None
 
 
-def _zero_clock() -> float:
-    """Default clock: time never passes, so nothing ever expires."""
-    return 0.0
-
-
 # what a tier's movement table counts (each with a ``_bytes`` twin):
 # RAM is where entries are promoted to and spilled from, the tiers
 # below it where they are spilled to and promoted from; both drop
@@ -118,12 +108,10 @@ class FactorizationCache:
     ``lower_tiers`` this is a plain LRU under a byte budget.  With
     them:
 
-    * RAM evictions route through the placement policy and spill down
+    * a RAM eviction spills to the first tier below that accepts it
       instead of dropping;
     * lookups fall through RAM to each lower tier in order, account
-      the modeled read, and promote per the transfer policy;
-    * every entry carries an injectable-clock timestamp checked
-      against the TTL policy at read time (lazy expiry);
+      the modeled read, and promote the hit when it fits RAM at all;
     * a byte ledger (``bytes_inserted`` / ``bytes_dropped`` /
       ``bytes_exported`` / ``bytes_imported``) makes conservation an
       assertable invariant.
@@ -137,10 +125,6 @@ class FactorizationCache:
         *,
         max_bytes: int = 256 << 20,
         lower_tiers: list[StorageTier] | None = None,
-        placement: str | PlacementPolicy = "spill",
-        transfer: str | TransferPolicy = "pull-on-read",
-        ttl: str | TtlPolicy = "no-ttl",
-        clock: Callable[[], float] | None = None,
     ) -> None:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
@@ -152,10 +136,6 @@ class FactorizationCache:
         self._tiers = [self._ram, *(lower_tiers or ())]
         if len(set(self.tiers)) != len(self._tiers):
             raise ValueError(f"duplicate tier names: {self.tiers}")
-        self.placement = make_placement_policy(placement)
-        self.transfer = make_transfer_policy(transfer)
-        self.ttl = make_ttl_policy(ttl)
-        self._clock = clock if clock is not None else _zero_clock
         self.stats: dict[str, int] = {
             "lookups": 0,
             "numeric_hits": 0,
@@ -250,12 +230,9 @@ class FactorizationCache:
         touch, no stats, no promotion.  The fleet's peer-probe hook."""
         full_key = (self.NUMERIC, key)
         with self._lock:
-            now = self._clock()
             for t in self._tiers:
                 entry = t.peek(full_key)
-                if entry is not None and not self.ttl.expired(
-                    entry.inserted_at, now
-                ):
+                if entry is not None:
                     return entry
             return None
 
@@ -264,34 +241,22 @@ class FactorizationCache:
 
     def peek_numeric(self, key: str) -> object | None:
         """The numeric payload for ``key`` without touching recency or
-        stats (every tier is searched, expired entries never served)."""
+        stats (every tier is searched)."""
         entry = self.peek_numeric_entry(key)
         return entry.payload if entry is not None else None
 
     def _get(self, full_key: tuple[str, str]) -> object | None:
-        """The one read path: walk the tiers top-down; expire, count
-        the hit or miss, account the read below RAM, promote or touch."""
-        now = self._clock()
-        ram = self._ram
+        """The one read path: walk the tiers top-down; count the hit or
+        miss, account the read below RAM, promote or touch."""
         for t in self._tiers:
             entry = t.peek(full_key)
             if entry is None:
                 t.stats["misses"] += 1
                 continue
-            if self.ttl.expired(entry.inserted_at, now):
-                # lazy expiry: fall through to the tiers below
-                t.remove(full_key)
-                t.stats["expired"] += 1
-                if t is ram:
-                    # RAM's misses are every read RAM did not serve; a
-                    # lower tier's are the absent keys only
-                    t.stats["misses"] += 1
-                self._drop(t, entry.nbytes)
-                continue
             t.stats["hits"] += 1
-            if t is not ram:
+            if t is not self._ram:
                 self.transfer_seconds += t.account_read(entry.nbytes)
-                if self.transfer.should_promote(full_key, entry, t, self):
+                if entry.nbytes <= self.max_bytes:
                     self._promote(full_key, entry, t)
                     return entry.payload
             t.touch(full_key)
@@ -302,8 +267,7 @@ class FactorizationCache:
         self, full_key: tuple[str, str], entry: TierEntry,
         source: StorageTier,
     ) -> None:
-        """Move ``entry`` up from ``source`` into RAM (pull-on-read),
-        keeping the timestamp it was first inserted with."""
+        """Move ``entry`` up from ``source`` into RAM."""
         source.remove(full_key)
         self._count(source, "promoted_out", entry.nbytes)
         if source.shared:
@@ -333,8 +297,8 @@ class FactorizationCache:
         """Modeled cost of recomputing ``payload`` (0 when unknown).
 
         Numeric factors carry their simulated factorization makespan;
-        that is exactly the refactorize side of the spill-vs-drop and
-        peer-fetch-vs-refactorize cost comparisons.
+        that is exactly the refactorize side of the fleet's
+        peer-fetch-vs-refactorize cost comparison.
         """
         try:
             return float(getattr(payload, "makespan", 0.0))
@@ -353,8 +317,7 @@ class FactorizationCache:
                 if stale is not None:
                     self._drop(t, stale.nbytes)
             entry = TierEntry(
-                payload, int(nbytes), self._clock(),
-                self._produce_seconds(payload),
+                payload, int(nbytes), self._produce_seconds(payload)
             )
             # the cache takes custody of the bytes either way: they end
             # up resident in some tier, exported, or counted dropped
@@ -391,9 +354,9 @@ class FactorizationCache:
         self, full_key: tuple[str, str], entry: TierEntry, *,
         below: int, in_books: bool = True,
     ) -> bool:
-        """Place an evicted entry on the first acceptable tier below
-        index ``below``; cascade that tier's own evictions further
-        down; drop (counted) when no tier takes it.
+        """Place an evicted entry on the first tier below index
+        ``below`` that accepts it; cascade that tier's own evictions
+        further down; drop (counted) when no tier takes it.
 
         ``in_books`` is False for entries displaced out of a *shared*
         tier: their bytes were exported by whichever cache spilled
@@ -401,8 +364,6 @@ class FactorizationCache:
         """
         for i in range(below + 1, len(self._tiers)):
             t = self._tiers[i]
-            if not self.placement.should_spill(full_key, entry, t):
-                continue
             accepted, displaced = t.put(full_key, entry)
             if not accepted:
                 continue  # oversize for this tier; try the next one down
@@ -424,10 +385,10 @@ class FactorizationCache:
         moves[f"{move}_bytes"] += nbytes
 
     def _drop(self, tier: StorageTier, nbytes: int) -> None:
-        """An entry expired or superseded in place on ``tier``."""
+        """An entry superseded in place on ``tier``."""
         self._count(tier, "dropped", nbytes)
-        # bytes expiring or displaced in a *shared* tier were already
-        # exported out of this cache's books when they were spilled
+        # bytes displaced in a *shared* tier were already exported out
+        # of this cache's books when they were spilled
         if not tier.shared:
             self.ledger["bytes_dropped"] += nbytes
 
@@ -507,10 +468,6 @@ class FactorizationCache:
         return f"FactorizationCache({tiers})"
 
 
-#: the cache over a storage hierarchy is the same class: RAM is tier 0
-TieredFactorCache = FactorizationCache
-
-
 # ----------------------------------------------------------------------
 # configuration bundle
 # ----------------------------------------------------------------------
@@ -527,11 +484,6 @@ class TierConfig:
     ram_bytes: int = 256 << 20
     disk: TierSpec | None = field(default_factory=default_disk_spec)
     object_store: TierSpec | None = field(default_factory=default_object_spec)
-    placement: str | PlacementPolicy = "spill"
-    transfer: str | TransferPolicy = "pull-on-read"
-    ttl: str | TtlPolicy = "no-ttl"
-    ttl_seconds: float | None = None
-    clock: Callable[[], float] | None = None
 
     def build(
         self, *, shared: StorageTier | None = None
@@ -543,17 +495,7 @@ class TierConfig:
             lower.append(shared)
         elif self.object_store is not None:
             lower.append(StorageTier(self.object_store))
-        ttl = self.ttl
-        if self.ttl_seconds is not None and not isinstance(ttl, TtlPolicy):
-            ttl = make_ttl_policy("fixed-ttl", ttl_seconds=self.ttl_seconds)
-        return FactorizationCache(
-            max_bytes=self.ram_bytes,
-            lower_tiers=lower,
-            placement=self.placement,
-            transfer=self.transfer,
-            ttl=ttl,
-            clock=self.clock,
-        )
+        return FactorizationCache(max_bytes=self.ram_bytes, lower_tiers=lower)
 
     def build_shared_tier(self) -> StorageTier:
         """The fleet-wide object tier every shard chains onto."""

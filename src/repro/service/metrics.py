@@ -111,6 +111,20 @@ class ServiceMetrics:
             peak = name + "_max"
             self._gauges[peak] = max(self._gauges.get(peak, value), value)
 
+    def gauge_tiers(self, tiers: dict[str, dict]) -> None:
+        """Mirror storage-tier snapshots (``label -> stats``) into
+        ``tier.<label>.<stat>`` gauges so they ride the ``/v1/metrics``
+        exposition.  Labels come from the fixed ``ram/disk/object/
+        shared`` set, so cardinality is bounded; the ``tier.`` prefix
+        keeps the names enumerable."""
+        for label, stats in sorted(tiers.items()):
+            for stat, value in sorted(stats.items()):
+                if isinstance(value, bool) or not isinstance(
+                    value, (int, float)
+                ):
+                    continue
+                self.gauge(f"tier.{label}.{stat}", value)
+
     # -- histograms --------------------------------------------------------
     def observe(self, stage: str, seconds: float) -> None:
         with self._lock:

@@ -12,8 +12,8 @@ a lookup with one of two kinds of entry:
   ordering/amalgamation settings: skip ordering + symbolic analysis and
   re-run only the numeric factorization
   (:meth:`SparseCholeskySolver.from_symbolic`);
-* **miss** — full ``analyze().factorize()`` pipeline; both tiers are
-  populated for the requests that follow.
+* **miss** — full ``analyze().factorize()`` pipeline; both kinds of
+  entry are populated for the requests that follow.
 
 Requests that resolve to the same cached factor are aggregated into one
 blocked ``solve_factored`` call (see :mod:`repro.service.batching`):
@@ -48,7 +48,7 @@ from repro.multifrontal.solve import check_rhs, solve_factored
 from repro.multifrontal.solver import SparseCholeskySolver
 from repro.policies.base import Policy
 from repro.service.batching import BatchPlan
-from repro.service.cache import FactorizationCache, TierConfig
+from repro.service.cache import FactorizationCache
 from repro.service.keys import matrix_key
 from repro.service.metrics import ServiceMetrics
 from repro.symbolic.supernodes import AmalgamationParams
@@ -141,14 +141,9 @@ class SolverService:
     ordering, amalgamation :
         Symbolic-analysis settings; part of the symbolic cache key.
     cache : FactorizationCache, optional
-        Shared cache instance; by default a fresh one bounded by
-        ``max_cache_bytes``.
-    tiering : TierConfig, optional
-        Shorthand for ``cache=tiering.build()``: storage tiers below
-        RAM (RAM → disk → object store with policy-driven
-        spill/promote) instead of RAM alone.
-        Mutually exclusive with ``cache``; ``max_cache_bytes`` is
-        ignored in favour of ``tiering.ram_bytes``.
+        The cache to serve from — shared with another service, or built
+        over storage tiers below RAM (``TierConfig(...).build()``); by
+        default a fresh RAM-only one bounded by ``max_cache_bytes``.
     batch_window : float
         Extra seconds a worker waits for more same-factor requests to
         arrive before solving (already-queued matches are always taken).
@@ -181,7 +176,6 @@ class SolverService:
         ordering: str = "amd",
         amalgamation: AmalgamationParams | None = None,
         cache: FactorizationCache | None = None,
-        tiering: TierConfig | None = None,
         max_cache_bytes: int = 256 << 20,
         batch_window: float = 0.0,
         max_batch: int = 32,
@@ -213,14 +207,10 @@ class SolverService:
         self._shadow_lock = threading.Lock()
         self.ordering = ordering
         self.amalgamation = amalgamation
-        if cache is not None and tiering is not None:
-            raise ValueError("pass either cache or tiering, not both")
-        if cache is not None:
-            self.cache = cache
-        elif tiering is not None:
-            self.cache = tiering.build()
-        else:
-            self.cache = FactorizationCache(max_bytes=max_cache_bytes)
+        self.cache = (
+            cache if cache is not None
+            else FactorizationCache(max_bytes=max_cache_bytes)
+        )
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
@@ -350,7 +340,7 @@ class SolverService:
             "cache_max_bytes": self.cache.max_bytes,
             "cache_utilization": self.cache.stored_bytes / self.cache.max_bytes,
         }
-        tiers = self.cache.tier_stats()
+        tiers = self._tier_stats()
         out["cache_resident_bytes"] = self.cache.total_resident_bytes()
         out["cache_tiers"] = {
             name: {
@@ -360,29 +350,21 @@ class SolverService:
             }
             for name, st in tiers.items()
         }
-        self._export_tier_gauges(tiers)
         return out
 
-    def _export_tier_gauges(self, tiers: dict) -> None:
-        """Mirror per-tier cache counters into :class:`ServiceMetrics`
-        gauges so they ride the ``/v1/metrics`` exposition.  Tier names
-        come from the fixed ``ram/disk/object`` set, so cardinality is
-        bounded; the ``tier.`` prefix keeps the names enumerable."""
-        for name, st in sorted(tiers.items()):
-            for stat, value in sorted(st.items()):
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                self.metrics.gauge(f"tier.{name}.{stat}", value)
+    def _tier_stats(self) -> dict:
+        """The cache's per-tier counters, mirrored into gauges on the
+        way out."""
+        tiers = self.cache.tier_stats()
+        self.metrics.gauge_tiers(tiers)
         self.metrics.gauge(
             "tier.transfer_seconds", self.cache.transfer_seconds
         )
+        return tiers
 
     def report(self) -> dict:
         """Merged metrics + cache statistics snapshot."""
-        tiers = self.cache.tier_stats()
-        self._export_tier_gauges(tiers)
+        tiers = self._tier_stats()
         out = self.metrics.report()
         out["cache"] = dict(self.cache.stats)
         out["cache"]["stored_bytes"] = self.cache.stored_bytes

@@ -7,12 +7,13 @@ fleet scale the hot set does not fit one RAM budget, and every LRU
 eviction from RAM silently becomes a future full refactorization.
 This module holds what turns that cliff into a slope: the
 :class:`StorageTier` every level of
-:class:`~repro.service.cache.FactorizationCache` is made of, and the
-policies that move entries between levels.  Evicted factors **spill
-down** (RAM → local disk → shared object tier) instead of being
-dropped, and reads **pull up** through the tiers, every movement
-priced by the same ``latency + bytes / bandwidth`` virtual-cost model
-the cluster interconnect uses (:mod:`repro.cluster.topology`).
+:class:`~repro.service.cache.FactorizationCache` is made of.  The cache
+moves entries between levels by two fixed rules — an evicted entry
+**spills down** to the first tier below that accepts it, a lower-tier
+hit is **pulled up** into RAM when it fits RAM at all — and nothing
+expires.  Every movement is priced by the same ``latency + bytes /
+bandwidth`` virtual-cost model the cluster interconnect uses
+(:mod:`repro.cluster.topology`).
 
 RAM is the first tier: a :class:`StorageTier` named ``ram`` whose
 transfers are free.  Everything below it is *simulated* storage:
@@ -20,23 +21,6 @@ payloads stay in process memory, but capacity, bandwidth and latency
 are modeled per tier, so the serving layer experiences — and the
 benchmarks can pin — the byte movement and transfer time a real
 hierarchy would cost.
-
-Three pluggable policy families, each a named registry (mirroring the
-``placement_policy`` / ``transfer_policy`` pattern the ROADMAP names):
-
-* **placement** — what happens to an entry evicted from a tier:
-  ``spill`` (always move it one tier down), ``drop`` (the legacy
-  drop-on-evict behaviour; the bench baseline), ``spill-threshold``
-  (spill only when the modeled write cost is repaid by the modeled
-  cost of recomputing the factor — the P1–P4-style cost-model
-  discipline applied to storage);
-* **transfer** — what happens on a lower-tier hit: ``pull-on-read``
-  (promote to RAM), ``read-through`` (serve in place, refresh
-  recency), ``cheapest-transfer`` (promote only when RAM has free
-  headroom, so the promotion never triggers an eviction cascade);
-* **ttl** — ``no-ttl`` or ``fixed-ttl`` expiry off an injectable
-  clock (entries older than ``ttl_seconds`` are lazily expired at
-  lookup, never served).
 
 The shared object tier is how a fleet shares factors: every shard's
 cache chains onto one :class:`StorageTier` (``shared=True``), so a
@@ -49,33 +33,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
-
-if TYPE_CHECKING:
-    from repro.service.cache import FactorizationCache
 
 __all__ = [
     "TierSpec",
     "TierEntry",
     "StorageTier",
-    "ManualClock",
-    "PlacementPolicy",
-    "TransferPolicy",
-    "TtlPolicy",
-    "PLACEMENT_POLICIES",
-    "TRANSFER_POLICIES",
-    "TTL_POLICIES",
-    "make_placement_policy",
-    "make_transfer_policy",
-    "make_ttl_policy",
     "default_disk_spec",
     "default_object_spec",
 ]
 
 
-# ----------------------------------------------------------------------
-# tier model
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TierSpec:
     """Shape of one storage tier: capacity plus a transfer-cost model.
@@ -119,7 +86,6 @@ class TierEntry:
 
     payload: object
     nbytes: int
-    inserted_at: float             # injectable-clock timestamp
     produce_seconds: float = 0.0   # modeled cost of recomputing the payload
 
 
@@ -146,7 +112,6 @@ class StorageTier:
             "misses": 0,
             "insertions": 0,
             "evictions": 0,
-            "expired": 0,
             "rejected_oversize": 0,
             "read_bytes": 0,
             "write_bytes": 0,
@@ -249,234 +214,3 @@ class StorageTier:
             f"StorageTier({self.name!r}, entries={len(self)}, "
             f"bytes={self.resident_bytes}/{self.spec.capacity_bytes})"
         )
-
-
-# ----------------------------------------------------------------------
-# policy registries
-# ----------------------------------------------------------------------
-class PlacementPolicy:
-    """Decides whether an evicted entry may land on a candidate tier."""
-
-    name = "placement"
-
-    def should_spill(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier,
-    ) -> bool:
-        raise NotImplementedError
-
-
-class TransferPolicy:
-    """Decides whether a lower-tier hit is promoted back to RAM."""
-
-    name = "transfer"
-
-    def should_promote(
-        self,
-        full_key: tuple[str, str],
-        entry: TierEntry,
-        tier: StorageTier,
-        cache: "FactorizationCache",
-    ) -> bool:
-        raise NotImplementedError
-
-
-class TtlPolicy:
-    """Decides whether an entry has aged out."""
-
-    name = "ttl"
-
-    def expired(self, inserted_at: float, now: float) -> bool:
-        raise NotImplementedError
-
-
-PLACEMENT_POLICIES: dict[str, Callable[..., PlacementPolicy]] = {}
-TRANSFER_POLICIES: dict[str, Callable[..., TransferPolicy]] = {}
-TTL_POLICIES: dict[str, Callable[..., TtlPolicy]] = {}
-
-_P = TypeVar("_P")
-
-
-def _register(
-    registry: dict[str, Callable[..., _P]], name: str
-) -> Callable[[type[_P]], type[_P]]:
-    def deco(factory: type[_P]) -> type[_P]:
-        if name in registry:
-            raise ValueError(f"duplicate policy {name!r}")
-        registry[name] = factory
-        factory.name = name  # type: ignore[attr-defined]
-        return factory
-
-    return deco
-
-
-def _resolve(
-    registry: dict[str, Callable[..., _P]],
-    spec: "str | _P",
-    base: "type[_P]",
-    kind: str,
-    **kwargs: object,
-) -> _P:
-    if isinstance(spec, base):
-        return spec
-    factory = registry.get(str(spec))
-    if factory is None:
-        raise KeyError(
-            f"unknown {kind} policy {spec!r}; "
-            f"known: {', '.join(sorted(registry))}"
-        )
-    return factory(**kwargs)
-
-
-def make_placement_policy(
-    spec: str | PlacementPolicy, **kwargs: object
-) -> PlacementPolicy:
-    return _resolve(PLACEMENT_POLICIES, spec, PlacementPolicy, "placement",
-                    **kwargs)
-
-
-def make_transfer_policy(
-    spec: str | TransferPolicy, **kwargs: object
-) -> TransferPolicy:
-    return _resolve(TRANSFER_POLICIES, spec, TransferPolicy, "transfer",
-                    **kwargs)
-
-
-def make_ttl_policy(spec: str | TtlPolicy, **kwargs: object) -> TtlPolicy:
-    return _resolve(TTL_POLICIES, spec, TtlPolicy, "ttl", **kwargs)
-
-
-@_register(PLACEMENT_POLICIES, "spill")
-class SpillPlacement(PlacementPolicy):
-    """Always spill an evicted entry to the next tier that fits it."""
-
-    def should_spill(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier,
-    ) -> bool:
-        return True
-
-
-@_register(PLACEMENT_POLICIES, "drop")
-class DropPlacement(PlacementPolicy):
-    """Legacy drop-on-evict: nothing ever spills (the bench baseline)."""
-
-    def should_spill(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier,
-    ) -> bool:
-        return False
-
-
-@_register(PLACEMENT_POLICIES, "spill-threshold")
-class ThresholdPlacement(PlacementPolicy):
-    """Spill only when the write cost is repaid by the recompute cost.
-
-    The storage analog of the paper's P1–P4 selection: the modeled
-    write time to the candidate tier must not exceed
-    ``spill_factor x`` the modeled cost of reproducing the entry
-    (``produce_seconds``, the factorization's simulated makespan).  An
-    entry whose recompute cost is unknown (0 — e.g. a symbolic factor)
-    is always spilled: dropping it can only lose.
-    """
-
-    def __init__(self, *, spill_factor: float = 1.0) -> None:
-        if spill_factor <= 0:
-            raise ValueError("spill_factor must be positive")
-        self.spill_factor = float(spill_factor)
-
-    def should_spill(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier,
-    ) -> bool:
-        if entry.produce_seconds <= 0.0:
-            return True
-        write_time = tier.spec.transfer_time(entry.nbytes)
-        return write_time <= self.spill_factor * entry.produce_seconds
-
-
-@_register(TRANSFER_POLICIES, "pull-on-read")
-class PullOnRead(TransferPolicy):
-    """Every lower-tier hit is promoted to RAM (if it fits at all)."""
-
-    def should_promote(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier, cache: "FactorizationCache",
-    ) -> bool:
-        return entry.nbytes <= cache.max_bytes
-
-
-@_register(TRANSFER_POLICIES, "read-through")
-class ReadThrough(TransferPolicy):
-    """Serve lower-tier hits in place; only recency is refreshed."""
-
-    def should_promote(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier, cache: "FactorizationCache",
-    ) -> bool:
-        return False
-
-
-@_register(TRANSFER_POLICIES, "cheapest-transfer")
-class CheapestTransfer(TransferPolicy):
-    """Promote only into free RAM headroom.
-
-    A promotion that forces RAM evictions pays the read *plus* a
-    cascade of spill writes; the cheapest overall movement is to
-    promote only when the entry fits the currently free budget, and
-    serve in place otherwise.
-    """
-
-    def should_promote(
-        self, full_key: tuple[str, str], entry: TierEntry,
-        tier: StorageTier, cache: "FactorizationCache",
-    ) -> bool:
-        return entry.nbytes <= cache.max_bytes - cache.stored_bytes
-
-
-@_register(TTL_POLICIES, "no-ttl")
-class NoTtl(TtlPolicy):
-    def expired(self, inserted_at: float, now: float) -> bool:
-        return False
-
-
-@_register(TTL_POLICIES, "fixed-ttl")
-class FixedTtl(TtlPolicy):
-    """Entries older than ``ttl_seconds`` (injectable clock) are dead."""
-
-    def __init__(self, *, ttl_seconds: float = 3600.0) -> None:
-        if ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive")
-        self.ttl_seconds = float(ttl_seconds)
-
-    def expired(self, inserted_at: float, now: float) -> bool:
-        return now - inserted_at >= self.ttl_seconds
-
-
-
-
-# ----------------------------------------------------------------------
-# clock
-# ----------------------------------------------------------------------
-class ManualClock:
-    """A clock that only moves when told to — the injectable time
-    source of the TTL policies, the API edge's token buckets and the
-    deterministic load generator."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-        self._lock = threading.Lock()
-
-    def advance(self, seconds: float) -> float:
-        """Move time forward; returns the new reading."""
-        if seconds < 0:
-            raise ValueError("time only moves forward")
-        with self._lock:
-            self._now += float(seconds)
-            return self._now
-
-    def now(self) -> float:
-        with self._lock:
-            return self._now
-
-    __call__ = now

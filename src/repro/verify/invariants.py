@@ -462,7 +462,9 @@ def check_tier_coherence(a: CSCMatrix) -> list[str]:
         reference = factor_fingerprint(ref_svc.cache.peek_numeric(num_key))
 
     # 1. spill → promote round trip preserves the factor bytes
-    with SolverService(n_workers=1, policy="P1", tiering=_tiering()) as svc:
+    with SolverService(
+        n_workers=1, policy="P1", cache=_tiering().build()
+    ) as svc:
         svc.solve(a, b)
         filler_bytes = svc.cache.max_bytes // 2 + 1
         for i in range(2):  # evict everything resident in RAM
@@ -506,7 +508,9 @@ def check_tier_coherence(a: CSCMatrix) -> list[str]:
                 )
 
     # 3a. a timed-out request leaves every tier empty
-    with SolverService(n_workers=1, policy="P1", tiering=_tiering()) as svc:
+    with SolverService(
+        n_workers=1, policy="P1", cache=_tiering().build()
+    ) as svc:
         req = svc.submit(a, b, timeout=-1.0)
         try:
             req.result(timeout=60)
@@ -523,7 +527,8 @@ def check_tier_coherence(a: CSCMatrix) -> list[str]:
     # 3b. a degraded run publishes no numeric factor to any tier
     with SolverService(
         n_workers=1, policy="P4", ordering="amd", backend="dynamic",
-        faults=FaultInjector(kernel_failure_rate=1.0), tiering=_tiering(),
+        faults=FaultInjector(kernel_failure_rate=1.0),
+        cache=_tiering().build(),
     ) as svc:
         outcome = svc.solve(a, b)
         if not outcome.degraded:

@@ -73,6 +73,31 @@ def rand_spd_small():
 
 
 @pytest.fixture(scope="session")
+def spd_stores():
+    """One SPD matrix (``grid_laplacian_2d(9, 8) + 10 I``) in every
+    store of its symmetric pattern: ``full``, ``lower``, ``upper`` and
+    ``mixed`` — each off-diagonal pair on both sides, except that a pair
+    with ``(i + j) % 2 == 0`` has lost its upper copy."""
+    from repro.matrices.csc import CSCMatrix
+
+    a = grid_laplacian_2d(9, 8)
+    cols = np.repeat(np.arange(a.n_cols), np.diff(a.indptr))
+    full = CSCMatrix(
+        a.shape, a.indptr, a.indices, a.data + 10.0 * (a.indices == cols)
+    )
+    keep = (a.indices >= cols) | ((a.indices + cols) % 2 == 1)
+    mixed = CSCMatrix.from_coo(
+        full.indices[keep], cols[keep], full.data[keep], full.shape
+    )
+    lower = full.lower_triangle()
+    assert lower.nnz < mixed.nnz < full.nnz
+    return {
+        "full": full, "lower": lower, "upper": lower.transpose(),
+        "mixed": mixed,
+    }
+
+
+@pytest.fixture(scope="session")
 def sf_lap3d(lap3d_small):
     return symbolic_factorize(lap3d_small, ordering="nd")
 

@@ -138,6 +138,13 @@ class TestMiddleware:
         with pytest.raises(ValueError):
             ApiKeyAuth({})
 
+    def test_manual_clock(self):
+        clk = ManualClock(5.0)
+        clk.advance(2.5)
+        assert clk.now() == clk() == 7.5
+        with pytest.raises(ValueError):
+            clk.advance(-1.0)
+
     def test_token_bucket_burst_then_refill(self):
         clock = ManualClock()
         bucket = TokenBucket(rate=2.0, burst=3, clock=clock)
@@ -328,6 +335,24 @@ class TestApp:
             assert np.linalg.norm(residual) < 1e-8
             assert doc["tier"] in ("miss", "symbolic", "numeric", "batched")
             assert r.headers["x-request-id"] == doc["request_id"]
+
+    @pytest.mark.parametrize("storage", ["lower", "upper", "mixed"])
+    def test_solve_answers_every_store_with_the_full_stores_x(
+        self, spd_stores, storage
+    ):
+        # a fresh service per store: the second answer is no cache hit
+        rhs = np.random.default_rng(5).normal(size=72).tolist()
+        answers = []
+        for name in ("full", storage):
+            with SolverService(n_workers=1) as svc, make_app(svc) as app:
+                r = InProcessClient(app).post(
+                    "/v1/solve", api_key="ka",
+                    json={"matrix": encode_matrix(spd_stores[name]),
+                          "rhs": rhs},
+                )
+                assert r.status == 200
+                answers.append(r.json()["x"])
+        assert answers[0] == answers[1]
 
     def test_unauthorized_and_unknown_paths_are_envelopes(self, service):
         with make_app(service) as app:

@@ -525,7 +525,7 @@ class _Blob:
 @st.composite
 def tier_workload(draw):
     """A random tier stack plus a random put/get trace over few keys."""
-    from repro.service import StorageTier, TieredFactorCache, TierSpec
+    from repro.service import FactorizationCache, StorageTier, TierSpec
 
     ram = draw(st.integers(100, 900))
     n_lower = draw(st.integers(0, 2))
@@ -540,18 +540,7 @@ def tier_workload(draw):
         )
         for i in range(n_lower)
     ]
-    cache = TieredFactorCache(
-        max_bytes=ram,
-        lower_tiers=lower,
-        placement=draw(
-            st.sampled_from(("spill", "drop", "spill-threshold"))
-        ),
-        transfer=draw(
-            st.sampled_from(
-                ("pull-on-read", "read-through", "cheapest-transfer")
-            )
-        ),
-    )
+    cache = FactorizationCache(max_bytes=ram, lower_tiers=lower)
     ops = draw(
         st.lists(
             st.tuples(
@@ -590,23 +579,18 @@ class TestTierAccounting:
         assert cache.total_resident_bytes() == 0
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.binary(min_size=1, max_size=256),
-        st.integers(2, 5),
-        st.sampled_from(("pull-on-read", "cheapest-transfer")),
-    )
+    @given(st.binary(min_size=1, max_size=256), st.integers(2, 5))
     def test_payload_bit_identical_after_spill_and_promotion(
-        self, blob, n_fillers, transfer
+        self, blob, n_fillers
     ):
         # (b) a factor readable before a spill comes back bit-identical
         # after the round trip through a lower tier
-        from repro.service import StorageTier, TieredFactorCache, TierSpec
+        from repro.service import FactorizationCache, StorageTier, TierSpec
 
         arr = np.frombuffer(blob, dtype=np.uint8).copy()
-        cache = TieredFactorCache(
+        cache = FactorizationCache(
             max_bytes=400,
             lower_tiers=[StorageTier(TierSpec("disk", 10_000, 1e6, 0.0))],
-            transfer=transfer,
         )
         assert cache.put_numeric("target", arr, nbytes=200)
         before = cache.peek_numeric("target").tobytes()

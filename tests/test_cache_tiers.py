@@ -1,14 +1,15 @@
-"""Tiered factor cache: policies, spill/promote movement, TTL expiry,
-per-tier capacity rejection, fleet shared-tier sharing and the
-peer-fetch-vs-refactorize decision boundary.
+"""Tiered factor cache: spill/promote movement, per-tier capacity
+rejection, fleet shared-tier sharing and the peer-fetch-vs-refactorize
+decision boundary.
 
-Everything runs on the injectable :class:`ManualClock` and synthetic
-payloads with explicit byte sizes, so every movement is deterministic
-and assertable down to the byte.
+Everything runs on synthetic payloads with explicit byte sizes, so
+every movement is deterministic and assertable down to the byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from collections import OrderedDict
 
 import numpy as np
@@ -19,31 +20,15 @@ from hypothesis import strategies as st
 from repro.cluster import InterconnectParams, ShardedSolverService
 from repro.service import (
     FactorizationCache,
-    ManualClock,
     SolverService,
     StorageTier,
     TierConfig,
-    TieredFactorCache,
     TierSpec,
 )
 from repro.service.tiers import (
-    PLACEMENT_POLICIES,
-    TRANSFER_POLICIES,
-    TTL_POLICIES,
-    CheapestTransfer,
-    DropPlacement,
-    FixedTtl,
-    NoTtl,
-    PullOnRead,
-    ReadThrough,
-    SpillPlacement,
-    ThresholdPlacement,
     TierEntry,
     default_disk_spec,
     default_object_spec,
-    make_placement_policy,
-    make_transfer_policy,
-    make_ttl_policy,
 )
 
 
@@ -60,10 +45,6 @@ def make_cache(
     ram=1000,
     disk=4000,
     obj=8000,
-    placement="spill",
-    transfer="pull-on-read",
-    ttl="no-ttl",
-    clock=None,
     disk_spec=None,
     object_spec=None,
 ):
@@ -76,10 +57,7 @@ def make_cache(
         lower.append(
             StorageTier(object_spec or TierSpec("object", obj, 2.5e8, 5e-2))
         )
-    return TieredFactorCache(
-        max_bytes=ram, lower_tiers=lower, placement=placement,
-        transfer=transfer, ttl=ttl, clock=clock,
-    )
+    return FactorizationCache(max_bytes=ram, lower_tiers=lower)
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +87,7 @@ class TestStorageTier:
         t = StorageTier(TierSpec("d", 1000, 1e6, 0.0))
         for i in range(3):
             ok, evicted = t.put(
-                ("numeric", f"k{i}"), TierEntry(f"p{i}", 400, 0.0)
+                ("numeric", f"k{i}"), TierEntry(f"p{i}", 400)
             )
             assert ok
         # third insert displaced k0 (coldest)
@@ -119,14 +97,14 @@ class TestStorageTier:
 
     def test_oversize_entry_rejected_not_inserted(self):
         t = StorageTier(TierSpec("d", 100, 1e6, 0.0))
-        ok, evicted = t.put(("numeric", "big"), TierEntry("p", 101, 0.0))
+        ok, evicted = t.put(("numeric", "big"), TierEntry("p", 101))
         assert not ok and evicted == []
         assert len(t) == 0
         assert t.stats["rejected_oversize"] == 1
 
     def test_read_write_accounting(self):
         t = StorageTier(TierSpec("d", 1000, 1e6, 0.5))
-        t.put(("numeric", "k"), TierEntry("p", 100, 0.0))
+        t.put(("numeric", "k"), TierEntry("p", 100))
         assert t.write_seconds == pytest.approx(0.5 + 100 / 1e6)
         seconds = t.account_read(100)
         assert seconds == pytest.approx(0.5 + 100 / 1e6)
@@ -136,129 +114,14 @@ class TestStorageTier:
 
     def test_remove_and_clear(self):
         t = StorageTier(TierSpec("d", 1000, 1e6, 0.0))
-        t.put(("numeric", "k"), TierEntry("p", 100, 0.0))
+        t.put(("numeric", "k"), TierEntry("p", 100))
         entry = t.remove(("numeric", "k"))
         assert entry.payload == "p" and t.resident_bytes == 0
         assert t.remove(("numeric", "k")) is None
-        t.put(("numeric", "k2"), TierEntry("q", 50, 0.0))
+        t.put(("numeric", "k2"), TierEntry("q", 50))
         dropped = t.clear()
         assert [e.payload for e in dropped] == ["q"]
         assert t.resident_bytes == 0
-
-
-# ----------------------------------------------------------------------
-# policy registries
-# ----------------------------------------------------------------------
-class TestPolicyRegistry:
-    def test_registries_contain_the_documented_policies(self):
-        assert set(PLACEMENT_POLICIES) == {"spill", "drop", "spill-threshold"}
-        assert set(TRANSFER_POLICIES) == {
-            "pull-on-read", "read-through", "cheapest-transfer",
-        }
-        assert set(TTL_POLICIES) == {"no-ttl", "fixed-ttl"}
-
-    def test_resolve_by_name_and_passthrough(self):
-        assert isinstance(make_placement_policy("drop"), DropPlacement)
-        assert isinstance(make_transfer_policy("read-through"), ReadThrough)
-        assert isinstance(make_ttl_policy("no-ttl"), NoTtl)
-        inst = SpillPlacement()
-        assert make_placement_policy(inst) is inst
-
-    def test_unknown_name_raises_with_known_set(self):
-        with pytest.raises(KeyError, match="spill-threshold"):
-            make_placement_policy("nope")
-        with pytest.raises(KeyError, match="pull-on-read"):
-            make_transfer_policy("nope")
-        with pytest.raises(KeyError, match="fixed-ttl"):
-            make_ttl_policy("nope")
-
-    def test_factory_kwargs_forwarded(self):
-        pol = make_placement_policy("spill-threshold", spill_factor=2.5)
-        assert pol.spill_factor == 2.5
-        ttl = make_ttl_policy("fixed-ttl", ttl_seconds=7.0)
-        assert ttl.ttl_seconds == 7.0
-
-
-class TestPlacementPolicies:
-    def _tier(self, bandwidth=1e6, latency=0.0):
-        return StorageTier(TierSpec("d", 10_000, bandwidth, latency))
-
-    def test_spill_and_drop(self):
-        entry = TierEntry("p", 100, 0.0, produce_seconds=1.0)
-        assert SpillPlacement().should_spill("k", entry, self._tier())
-        assert not DropPlacement().should_spill("k", entry, self._tier())
-
-    def test_threshold_boundary(self):
-        # write time = 0.001 s for 1000 B at 1e6 B/s
-        tier = self._tier(bandwidth=1e6, latency=0.0)
-        pol = ThresholdPlacement(spill_factor=1.0)
-        cheap_to_remake = TierEntry("p", 1000, 0.0, produce_seconds=0.0005)
-        dear_to_remake = TierEntry("p", 1000, 0.0, produce_seconds=0.01)
-        at_boundary = TierEntry("p", 1000, 0.0, produce_seconds=0.001)
-        assert not pol.should_spill("k", cheap_to_remake, tier)
-        assert pol.should_spill("k", dear_to_remake, tier)
-        assert pol.should_spill("k", at_boundary, tier)  # <= is inclusive
-
-    def test_threshold_unknown_cost_always_spills(self):
-        pol = ThresholdPlacement()
-        entry = TierEntry("p", 1000, 0.0, produce_seconds=0.0)
-        assert pol.should_spill("k", entry, self._tier())
-
-    def test_threshold_validates_factor(self):
-        with pytest.raises(ValueError):
-            ThresholdPlacement(spill_factor=0.0)
-
-
-class TestTransferPolicies:
-    def _ctx(self, ram=1000, stored=800):
-        cache = make_cache(ram=ram, disk=4000, obj=None)
-        cache.put_numeric("filler", "f", nbytes=stored)
-        tier = cache.tier("disk")
-        return cache, tier
-
-    def test_pull_on_read_promotes_when_it_fits_ram_at_all(self):
-        cache, tier = self._ctx()
-        small = TierEntry("p", 900, 0.0)
-        giant = TierEntry("p", 1001, 0.0)
-        assert PullOnRead().should_promote("k", small, tier, cache)
-        assert not PullOnRead().should_promote("k", giant, tier, cache)
-
-    def test_read_through_never_promotes(self):
-        cache, tier = self._ctx()
-        assert not ReadThrough().should_promote(
-            "k", TierEntry("p", 1, 0.0), tier, cache
-        )
-
-    def test_cheapest_transfer_needs_free_headroom(self):
-        cache, tier = self._ctx(ram=1000, stored=800)
-        fits_free = TierEntry("p", 200, 0.0)
-        would_evict = TierEntry("p", 201, 0.0)
-        assert CheapestTransfer().should_promote("k", fits_free, tier, cache)
-        assert not CheapestTransfer().should_promote(
-            "k", would_evict, tier, cache
-        )
-
-
-class TestTtlPolicies:
-    def test_no_ttl_never_expires(self):
-        assert not NoTtl().expired(0.0, 1e12)
-
-    def test_fixed_ttl_boundary_inclusive(self):
-        ttl = FixedTtl(ttl_seconds=10.0)
-        assert not ttl.expired(0.0, 9.999)
-        assert ttl.expired(0.0, 10.0)
-        assert ttl.expired(0.0, 11.0)
-
-    def test_fixed_ttl_validates(self):
-        with pytest.raises(ValueError):
-            FixedTtl(ttl_seconds=0.0)
-
-    def test_manual_clock(self):
-        clk = ManualClock(5.0)
-        clk.advance(2.5)
-        assert clk.now() == clk() == 7.5
-        with pytest.raises(ValueError):
-            clk.advance(-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -306,15 +169,6 @@ class TestSpillAndPromote:
         assert cache.get_numeric("k0") is not None
         assert cache.check_conservation() == []
 
-    def test_drop_policy_keeps_legacy_behaviour(self):
-        cache = make_cache(ram=1000, placement="drop")
-        for i in range(3):
-            cache.put_numeric(f"k{i}", FakeFactor(f"f{i}"), nbytes=400)
-        assert cache.tier("disk").resident_bytes == 0
-        assert cache.get_numeric("k0") is None
-        assert cache.ledger["bytes_dropped"] == 400
-        assert cache.check_conservation() == []
-
     def test_capacity_rejection_at_each_tier(self):
         # entry too big for RAM and disk but not the object tier lands
         # on the object tier; one too big for every tier is dropped
@@ -326,15 +180,6 @@ class TestSpillAndPromote:
         assert cache.tier("disk").stats["rejected_oversize"] == 1
         assert not cache.put_numeric("huge", FakeFactor("h"), nbytes=500)
         assert cache.get_numeric("huge") is None
-        assert cache.check_conservation() == []
-
-    def test_read_through_serves_in_place(self):
-        cache = make_cache(ram=1000, transfer="read-through")
-        for i in range(3):
-            cache.put_numeric(f"k{i}", FakeFactor(f"f{i}"), nbytes=400)
-        assert cache.get_numeric("k0").tag == "f0"
-        assert ("numeric", "k0") in cache.tier("disk").keys()  # not moved
-        assert cache.tier("disk").stats["hits"] == 1
         assert cache.check_conservation() == []
 
     def test_lower_tier_read_accrues_transfer_time(self):
@@ -376,7 +221,7 @@ class TestSpillAndPromote:
 
     def test_duplicate_tier_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            TieredFactorCache(
+            FactorizationCache(
                 max_bytes=100,
                 lower_tiers=[
                     StorageTier(TierSpec("disk", 10, 1e6, 0.0)),
@@ -385,60 +230,10 @@ class TestSpillAndPromote:
             )
 
 
-class TestTtlExpiry:
-    def test_ram_entry_expires_lazily_off_the_injected_clock(self):
-        clk = ManualClock()
-        cache = make_cache(ram=1000, ttl=FixedTtl(ttl_seconds=10.0), clock=clk)
-        cache.put_numeric("k", FakeFactor("f"), nbytes=100)
-        clk.advance(9.0)
-        assert cache.get_numeric("k") is not None
-        clk.advance(1.0)
-        assert cache.get_numeric("k") is None
-        assert cache.tier_stats()["ram"]["expired"] == 1
-        assert cache.check_conservation() == []
-
-    def test_lower_tier_entry_expires_and_is_never_served(self):
-        clk = ManualClock()
-        cache = make_cache(ram=400, ttl=FixedTtl(ttl_seconds=10.0), clock=clk)
-        cache.put_numeric("old", FakeFactor("old"), nbytes=400)
-        cache.put_numeric("new", FakeFactor("new"), nbytes=400)  # old → disk
-        clk.advance(20.0)
-        assert cache.get_numeric("old") is None
-        assert cache.tier("disk").stats["expired"] == 1
-        assert cache.peek_numeric("old") is None  # peek honours TTL too
-        assert cache.check_conservation() == []
-
-    def test_promotion_preserves_the_original_timestamp(self):
-        clk = ManualClock()
-        cache = make_cache(ram=400, ttl=FixedTtl(ttl_seconds=10.0), clock=clk)
-        cache.put_numeric("a", FakeFactor("a"), nbytes=400)
-        clk.advance(5.0)
-        cache.put_numeric("b", FakeFactor("b"), nbytes=400)  # a → disk
-        assert cache.get_numeric("a") is not None  # promoted back at t=5
-        clk.advance(5.0)  # a is now 10 s old even though promoted at 5 s
-        assert cache.get_numeric("a") is None
-
-    def test_tier_config_ttl_seconds_shorthand(self):
-        clk = ManualClock()
-        cache = TierConfig(
-            ram_bytes=1000, ttl_seconds=5.0, clock=clk
-        ).build()
-        cache.put_numeric("k", FakeFactor("f"), nbytes=10)
-        clk.advance(5.0)
-        assert cache.get_numeric("k") is None
-
-
 # ----------------------------------------------------------------------
 # service integration
 # ----------------------------------------------------------------------
 class TestServiceTiering:
-    def test_tiering_and_cache_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            SolverService(
-                cache=TieredFactorCache(max_bytes=100),
-                tiering=TierConfig(ram_bytes=100),
-            )
-
     def test_solve_spill_then_numeric_hit_from_disk(self, lap2d_small):
         b = np.ones(lap2d_small.n_rows)
         cfg = TierConfig(
@@ -446,7 +241,9 @@ class TestServiceTiering:
             disk=TierSpec("disk", 10_000_000, 5e8, 5e-3),
             object_store=None,
         )
-        with SolverService(n_workers=1, policy="P1", tiering=cfg) as svc:
+        with SolverService(
+            n_workers=1, policy="P1", cache=cfg.build()
+        ) as svc:
             first = svc.solve(lap2d_small, b)
             assert first.tier == "miss"
             _, num_key = svc.keys_for(lap2d_small)
@@ -467,7 +264,7 @@ class TestServiceTiering:
 
     def test_health_and_report_surface_tiers(self, lap2d_small):
         cfg = TierConfig(ram_bytes=1 << 20)
-        with SolverService(n_workers=1, tiering=cfg) as svc:
+        with SolverService(n_workers=1, cache=cfg.build()) as svc:
             svc.solve(lap2d_small, np.ones(lap2d_small.n_rows))
             h = svc.health()
             assert set(h["cache_tiers"]) == {"ram", "disk", "object"}
@@ -485,7 +282,9 @@ class TestServiceTiering:
 
     def test_timed_out_request_populates_no_tier(self, lap2d_small):
         cfg = TierConfig(ram_bytes=1 << 20)
-        with SolverService(n_workers=1, policy="P1", tiering=cfg) as svc:
+        with SolverService(
+            n_workers=1, policy="P1", cache=cfg.build()
+        ) as svc:
             req = svc.submit(
                 lap2d_small, np.ones(lap2d_small.n_rows), timeout=-1.0
             )
@@ -500,7 +299,8 @@ class TestServiceTiering:
         cfg = TierConfig(ram_bytes=1 << 20)
         with SolverService(
             n_workers=1, policy="P4", ordering="amd", backend="dynamic",
-            faults=FaultInjector(kernel_failure_rate=1.0), tiering=cfg,
+            faults=FaultInjector(kernel_failure_rate=1.0),
+            cache=cfg.build(),
         ) as svc:
             out = svc.solve(lap2d_small, np.ones(lap2d_small.n_rows))
             assert out.degraded
@@ -697,30 +497,60 @@ CACHE_OPS = (
 
 
 class _LruModel:
-    """The plain LRU under a byte budget, as the flat cache's
-    ``_put`` / ``_touch`` had it before RAM became a storage tier."""
+    """A chain of LRUs under byte budgets, RAM first — alone it is the
+    plain LRU the flat cache's ``_put`` / ``_touch`` had before RAM
+    became a storage tier.  An evictee goes to the first tier below that
+    takes it (cascading), a lower-tier hit moves up when it fits RAM at
+    all, an entry too big for RAM goes straight down, and what finds no
+    tier is dropped."""
 
-    def __init__(self, budget):
-        self.budget, self.entries, self.stored = budget, OrderedDict(), 0
+    def __init__(self, *budgets):
+        self.budgets = budgets
+        self.tiers = [OrderedDict() for _ in budgets]
         self.stats = dict.fromkeys(STAT_KEYS, 0)
 
+    def stored(self, i):
+        return sum(nbytes for _, nbytes in self.tiers[i].values())
+
+    def _place(self, key, item, top):
+        """Put ``item`` on the first tier from ``top`` down that can
+        hold it; True when one did."""
+        for i in range(top, len(self.tiers)):
+            if item[1] > self.budgets[i]:
+                continue
+            evicted = []
+            while self.stored(i) + item[1] > self.budgets[i]:
+                evicted.append(self.tiers[i].popitem(last=False))
+            self.tiers[i][key] = item
+            if i == 0:  # the cache counts what moves into and out of RAM
+                self.stats["insertions"] += 1
+                self.stats["evictions"] += len(evicted)
+            for cold_key, cold in evicted:
+                self._place(cold_key, cold, i + 1)
+            return True
+        return False
+
     def get(self, key, *, touch=True):
-        if touch and key in self.entries:
-            self.entries.move_to_end(key)
-        return self.entries.get(key, (None, 0))[0]
+        for i, tier in enumerate(self.tiers):
+            if key not in tier:
+                continue
+            if touch and i > 0 and tier[key][1] <= self.budgets[0]:
+                self._place(key, tier.pop(key), 0)
+                return self.tiers[0][key][0]
+            if touch:
+                tier.move_to_end(key)
+            return tier[key][0]
+        return None
 
     def put(self, key, payload, nbytes):
-        self.stored -= self.entries.pop(key, (None, 0))[1]
-        if nbytes > self.budget:  # rejected, and the old copy is gone
-            self.stats["rejected_oversize"] += 1
-            return False
-        self.entries[key] = (payload, nbytes)
-        self.stored += nbytes
-        self.stats["insertions"] += 1
-        while self.stored > self.budget:
-            self.stored -= self.entries.popitem(last=False)[1][1]
-            self.stats["evictions"] += 1
-        return True
+        for tier in self.tiers:  # the old copy is gone whatever follows
+            tier.pop(key, None)
+        if nbytes <= self.budgets[0]:
+            return self._place(key, (payload, nbytes), 0)
+        self.stats["rejected_oversize"] += 1
+        placed = self._place(key, (payload, nbytes), 1)
+        self.stats["insertions"] += placed
+        return placed
 
     def lookup(self, sym_key, num_key):
         num = self.get(("numeric", num_key))
@@ -731,83 +561,110 @@ class _LruModel:
         self.stats["misses" if kind == "miss" else f"{kind}_hits"] += 1
         return kind, sym, num
 
-
-class TestRamOnlyIsThePlainLru:
-    """With no tier below RAM — or with one nothing is ever placed on —
-    the cache is the LRU model, operation for operation."""
-
-    @staticmethod
-    def _apply(cache, op, key, other, payload, nbytes):
+    def apply(self, op, key, other, payload, nbytes):
         if op in ("put_symbolic", "put_numeric"):
-            return getattr(cache, op)(key, payload, nbytes=nbytes)
+            return self.put((op[4:], key), payload, nbytes)
         if op == "lookup":
-            look = cache.lookup(key, other)
-            return look.tier, look.symbolic, look.numeric
+            return self.lookup(key, other)
         if op == "clear":
-            return cache.clear()
-        return getattr(cache, op)(key)
-
-    @staticmethod
-    def _apply_model(model, op, key, other, payload, nbytes):
-        if op in ("put_symbolic", "put_numeric"):
-            return model.put((op[4:], key), payload, nbytes)
-        if op == "lookup":
-            return model.lookup(key, other)
-        if op == "clear":
-            model.entries.clear()
-            model.stored = 0
+            for tier in self.tiers:
+                tier.clear()
             return None
         kind = "numeric" if op.endswith("numeric") else "symbolic"
-        return model.get((kind, key), touch=not op.startswith("peek"))
+        return self.get((kind, key), touch=not op.startswith("peek"))
+
+
+def _apply(cache, op, key, other, payload, nbytes):
+    if op in ("put_symbolic", "put_numeric"):
+        return getattr(cache, op)(key, payload, nbytes=nbytes)
+    if op == "lookup":
+        look = cache.lookup(key, other)
+        return look.tier, look.symbolic, look.numeric
+    if op == "clear":
+        return cache.clear()
+    return getattr(cache, op)(key)
+
+
+def _check_trace(budgets, ops):
+    """Every operation of ``ops`` against the model: return value,
+    stats, each tier's keys in LRU order and resident bytes."""
+    model = _LruModel(*budgets)
+    cache = FactorizationCache(
+        max_bytes=budgets[0],
+        lower_tiers=[
+            StorageTier(TierSpec(f"t{i}", cap, 5e8, 5e-3))
+            for i, cap in enumerate(budgets[1:], 1)
+        ],
+    )
+    for step, (op, key, other, raw) in enumerate(ops):
+        # sizes 1 … largest budget + 1: the last fits no tier
+        args = (op, key, other, f"payload{step}", 1 + raw % (max(budgets) + 1))
+        assert _apply(cache, *args) == model.apply(*args)
+        assert cache.stats == model.stats
+        for i, name in enumerate(cache.tiers):
+            assert cache.tier(name).keys() == list(model.tiers[i])
+            assert cache.tier(name).resident_bytes == model.stored(i)
+        assert cache.keys() == list(model.tiers[0])
+        assert cache.stored_bytes == model.stored(0)
+        assert len(cache) == len(model.tiers[0])
+        assert cache.check_conservation() == []
+
+
+def _trace(min_size):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(CACHE_OPS),
+            st.sampled_from("abc"),
+            st.sampled_from("abc"),
+            st.integers(0, 10_000),
+        ),
+        min_size=min_size, max_size=60,
+    )
+
+
+class TestRamOnlyIsThePlainLru:
+    """With no tier below RAM the cache is the LRU model, operation for
+    operation."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 60),
-        st.lists(
-            st.tuples(
-                st.sampled_from(CACHE_OPS),
-                st.sampled_from("abc"),
-                st.sampled_from("abc"),
-                st.integers(0, 10_000),
-            ),
-            min_size=1, max_size=60,
-        ),
-    )
+    @given(st.integers(1, 60), _trace(1))
     def test_every_operation_agrees_with_the_model(self, budget, ops):
-        model = _LruModel(budget)
-        ram_only = FactorizationCache(max_bytes=budget)
-        drop_over_disk = FactorizationCache(
-            max_bytes=budget,
-            lower_tiers=[StorageTier(TierSpec("disk", 4 * budget, 5e8, 5e-3))],
-            placement="drop",
-        )
-        for step, (op, key, other, raw) in enumerate(ops):
-            # sizes 1 … budget + 1: the last one is oversize
-            args = (op, key, other, f"payload{step}", 1 + raw % (budget + 1))
-            want = self._apply_model(model, *args)
-            for cache in (ram_only, drop_over_disk):
-                assert self._apply(cache, *args) == want
-                assert cache.stats == model.stats
-                assert cache.keys() == list(model.entries)
-                assert cache.stored_bytes == model.stored
-                assert len(cache) == len(model.entries)
-                assert cache.check_conservation() == []
-            assert len(drop_over_disk.tier("disk")) == 0
+        _check_trace((budget,), ops)
+
+
+class TestTieredIsTheLruChain:
+    """Over one or two lower tiers — smaller or larger than RAM — it is
+    the chain of LRUs, operation for operation.  Budgets are a few
+    bytes and traces long, so entries of every fits / just-too-big
+    size get evicted, cascaded and read back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=3), _trace(30))
+    def test_every_operation_agrees_with_the_model(self, budgets, ops):
+        _check_trace(tuple(budgets), ops)
 
 
 class TestOneCacheClass:
     """What the constructors decide, once, so no caller has to probe."""
 
-    def test_tiered_is_a_second_name_for_the_same_class(self):
-        assert TieredFactorCache is FactorizationCache
+    def test_the_settable_values_are_these_five(self):
+        assert list(
+            inspect.signature(FactorizationCache.__init__).parameters
+        ) == ["self", "max_bytes", "lower_tiers"]
+        assert [f.name for f in dataclasses.fields(TierConfig)] == [
+            "ram_bytes", "disk", "object_store",
+        ]
         assert isinstance(TierConfig(ram_bytes=100).build(), FactorizationCache)
 
     def test_one_manual_clock(self):
         import repro.api
+        import repro.api.middleware
         import repro.service
 
-        assert repro.api.ManualClock is repro.service.ManualClock
-        clk = ManualClock(5.0)
+        # the clock lives beside its users: nothing under the service reads one
+        assert repro.api.ManualClock is repro.api.middleware.ManualClock
+        assert not hasattr(repro.service, "ManualClock")
+        clk = repro.api.ManualClock(5.0)
         assert clk.advance(2.5) == 7.5  # the new reading, as the API's did
 
     def test_ram_only_service_reports_its_one_tier(self, lap2d_small):

@@ -183,11 +183,23 @@ class TestTriangleStorage:
         assert np.array_equal(half.schur, full.schur)
         assert np.abs(a.matvec(solve_with_schur(half, sf, b)) - b).max() < 1e-12
 
-        # the solver symmetrises a one-triangle store first (it does not
-        # take a mixed one) and always solved it
-        if storage != "mixed":
-            x = SparseCholeskySolver(stored, ordering=ordering).solve(b)
-            assert np.abs(a.matvec(x) - b).max() < 1e-12
+        # the solver symmetrises the store first
+        x = SparseCholeskySolver(stored, ordering=ordering).solve(b)
+        assert np.abs(a.matvec(x) - b).max() < 1e-12
+
+    @pytest.mark.parametrize("storage", ["lower", "upper", "mixed"])
+    def test_solver_answers_every_store_with_the_full_stores_x(
+        self, spd_stores, storage
+    ):
+        # a pair stored on both sides was mirrored onto itself and came
+        # out doubled: max|x - x_full| 1.67 on the mixed store, no error
+        full, stored = spd_stores["full"], spd_stores[storage]
+        b = np.random.default_rng(5).normal(size=full.n_rows)
+        want = SparseCholeskySolver(full).solve(b)
+        assert np.array_equal(SparseCholeskySolver(stored).solve(b), want)
+        swapped = SparseCholeskySolver(full).analyze().update_values(stored)
+        assert np.array_equal(swapped.a.data, full.data)
+        assert np.array_equal(swapped.solve(b), want)
 
     def test_coordinate_stored_twice_is_refused(self):
         from repro.multifrontal.frontal import AssemblyPlan

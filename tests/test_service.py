@@ -72,6 +72,20 @@ class TestKeys:
         assert key_full == key_lower
         assert canonical.is_structurally_symmetric()
 
+    @pytest.mark.parametrize("storage", ["lower", "upper", "mixed"])
+    def test_every_store_of_a_matrix_is_the_same_request(
+        self, spd_stores, storage
+    ):
+        # same keys, and the same x from a service that never saw the
+        # full store (so it is no cache hit on the right answer)
+        full, stored = spd_stores["full"], spd_stores[storage]
+        assert matrix_key(stored)[0] == matrix_key(full)[0]
+        b = np.random.default_rng(5).normal(size=full.n_rows)
+        with SolverService(n_workers=1) as svc:
+            want = svc.solve(full, b).x
+        with SolverService(n_workers=1) as svc:
+            assert np.array_equal(svc.solve(stored, b).x, want)
+
     def test_different_patterns_differ(self):
         assert pattern_key(grid_laplacian_2d(6, 6)) != pattern_key(
             grid_laplacian_2d(6, 7)
