@@ -1,9 +1,9 @@
 """Deterministic phased load generation for the API front door.
 
-One driver, three consumers: the ``api-throughput`` benchmark scenario,
-the ``repro api-bench`` CLI and the end-to-end acceptance test all call
-:func:`run_load`, so the request stream that gates CI is exactly the
-stream a developer replays locally.
+One driver, two consumers: the ``api-throughput`` benchmark scenario
+and the end-to-end acceptance test both call :func:`run_load`, so the
+request stream that gates CI is exactly the stream a developer replays
+locally with ``python -m repro bench --scenarios api-throughput``.
 
 Everything is deterministic by construction: the app runs with
 ``dispatcher="manual"`` (no dispatch threads), a

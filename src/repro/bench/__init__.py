@@ -2,15 +2,14 @@
 
 ``python -m repro bench`` runs a registry of scenarios (numeric- and
 paper-scale factorization, backend triples, policy replays, the solver
-service, solve + refinement), records two metric classes — bit-stable
-deterministic counters from the simulation (virtual-clock seconds,
-flops, bytes, allocator high-water marks, cache hits) and noise-aware
-wall-clock stats (median + MAD over repeats) — and writes
-schema-versioned ``BENCH_<scenario>.json`` files.  ``--check
+service, solve + refinement), records bit-stable deterministic counters
+from the simulation (virtual-clock seconds, flops, bytes, allocator
+high-water marks, cache hits) plus BLAS-dependent numeric values, and
+writes schema-versioned ``BENCH_<scenario>.json`` files.  ``--check
 --baseline DIR`` turns the same run into a regression gate: exact
-equality on deterministic counters, MAD-scaled tolerance on wall
-medians.  ``--profile`` attaches cProfile and embeds the top hot spots
-per scenario.
+equality on deterministic counters.  ``--profile`` attaches cProfile
+and embeds the top hot spots per scenario.  The wall clock belongs to
+the benchmark under ``bench/``.
 """
 
 from repro.bench.compare import ComparisonReport, ScenarioVerdict, compare_results
@@ -18,7 +17,6 @@ from repro.bench.profiling import profile_call
 from repro.bench.results import (
     SCHEMA_VERSION,
     BenchResult,
-    WallStats,
     load_results_dir,
     result_filename,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "Scenario",
     "ScenarioVerdict",
     "SuiteCache",
-    "WallStats",
     "all_scenarios",
     "compare_results",
     "get_scenarios",

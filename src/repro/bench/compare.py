@@ -1,17 +1,10 @@
 """Baseline comparison: the decision procedure of the perf gate.
 
-Two verdict classes, matching the two metric classes:
-
-* **deterministic counters** — compared for exact equality (values are
-  bit-stable by construction).  Any difference — changed value, added
-  or removed counter — is a hard failure: either a real regression or
-  an intentional change that must be accompanied by a refreshed,
-  committed baseline.
-* **wall clock** — the new median fails only when it exceeds the
-  baseline median by more than ``max(mad_factor * baseline MAD,
-  rel_floor * baseline median)``.  The MAD term adapts to measured
-  noise; the relative floor keeps near-zero-MAD baselines (quiet
-  machines, few repeats) from turning into hair-trigger gates.
+Deterministic counters are compared for exact equality (values are
+bit-stable by construction).  Any difference — changed value, added or
+removed counter — is a hard failure: either a real regression or an
+intentional change that must be accompanied by a refreshed, committed
+baseline.
 
 The machine-local ``numeric`` section (fingerprints, residuals) is
 compared only on request: it is bit-stable on one machine but may
@@ -27,24 +20,17 @@ from repro.bench.results import BenchResult
 
 __all__ = ["ComparisonReport", "ScenarioVerdict", "compare_results"]
 
-DEFAULT_MAD_FACTOR = 5.0
-DEFAULT_REL_FLOOR = 0.25
-
 
 @dataclass
 class ScenarioVerdict:
     scenario: str
     counter_diffs: list[str] = field(default_factory=list)
-    wall_regression: str = ""
-    wall_note: str = ""
     missing_baseline: bool = False
     missing_result: bool = False
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.counter_diffs or self.wall_regression or self.missing_result
-        )
+        return not (self.counter_diffs or self.missing_result)
 
 
 @dataclass
@@ -70,12 +56,9 @@ class ComparisonReport:
                 )
                 continue
             status = "ok" if v.ok else "FAIL"
-            note = f" [{v.wall_note}]" if v.wall_note else ""
-            lines.append(f"{status:<5} {v.scenario}{note}")
+            lines.append(f"{status:<5} {v.scenario}")
             for d in v.counter_diffs:
                 lines.append(f"      counter regression: {d}")
-            if v.wall_regression:
-                lines.append(f"      wall-clock regression: {v.wall_regression}")
         lines.append(
             "comparison: "
             + ("all gates passed" if self.ok else "REGRESSIONS DETECTED")
@@ -99,10 +82,7 @@ def compare_results(
     new: dict[str, BenchResult],
     baseline: dict[str, BenchResult],
     *,
-    check_wall: bool = True,
     check_numeric: bool = False,
-    mad_factor: float = DEFAULT_MAD_FACTOR,
-    rel_floor: float = DEFAULT_REL_FLOOR,
 ) -> ComparisonReport:
     """Compare a fresh run against committed baselines."""
     verdicts: list[ScenarioVerdict] = []
@@ -120,23 +100,5 @@ def compare_results(
         )
         if check_numeric:
             v.counter_diffs += _diff_exact("numeric", b.numeric, n.numeric)
-        if check_wall and b.wall is not None and n.wall is not None:
-            tol = max(
-                mad_factor * b.wall.mad_seconds,
-                rel_floor * b.wall.median_seconds,
-            )
-            delta = n.wall.median_seconds - b.wall.median_seconds
-            if delta > tol:
-                v.wall_regression = (
-                    f"median {n.wall.median_seconds:.4f}s vs baseline "
-                    f"{b.wall.median_seconds:.4f}s (+{delta:.4f}s exceeds "
-                    f"tolerance {tol:.4f}s = max({mad_factor:g} x MAD "
-                    f"{b.wall.mad_seconds:.4f}s, {rel_floor:g} x median))"
-                )
-            else:
-                v.wall_note = (
-                    f"wall {n.wall.median_seconds * 1e3:.1f}ms vs "
-                    f"{b.wall.median_seconds * 1e3:.1f}ms baseline"
-                )
         verdicts.append(v)
     return ComparisonReport(verdicts)

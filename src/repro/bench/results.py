@@ -11,8 +11,9 @@ the harness distinguishes:
 * ``numeric`` — bit-stable on one machine but BLAS-dependent across
   machines (factor fingerprints, residuals).  Compared only when the
   caller opts in (same-machine workflows, the two-run stability test).
-* ``wall`` — noisy wall-clock samples summarized as median + MAD;
-  compared with a MAD-scaled tolerance, never for exact equality.
+
+Wall-clock time is not recorded here: the benchmark under ``bench/``
+(``BENCHMARK.json``) owns that clock.
 
 The JSON files are written with sorted keys and a fixed layout so a
 re-run with unchanged code produces byte-identical ``deterministic``
@@ -29,7 +30,6 @@ from pathlib import Path
 __all__ = [
     "SCHEMA_VERSION",
     "BenchResult",
-    "WallStats",
     "load_results_dir",
     "result_filename",
 ]
@@ -44,47 +44,6 @@ def result_filename(scenario: str) -> str:
     return f"{_FILE_PREFIX}{scenario}.json"
 
 
-@dataclass(frozen=True)
-class WallStats:
-    """Noise-aware summary of the wall-clock samples of one scenario."""
-
-    samples: tuple[float, ...]
-    median_seconds: float
-    mad_seconds: float
-
-    @classmethod
-    def from_samples(cls, samples: list[float]) -> "WallStats":
-        if not samples:
-            raise ValueError("need at least one wall-clock sample")
-        xs = sorted(samples)
-        median = _median(xs)
-        mad = _median(sorted(abs(x - median) for x in xs))
-        return cls(tuple(samples), median, mad)
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": list(self.samples),
-            "median_seconds": self.median_seconds,
-            "mad_seconds": self.mad_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WallStats":
-        return cls(
-            tuple(float(x) for x in d["samples"]),
-            float(d["median_seconds"]),
-            float(d["mad_seconds"]),
-        )
-
-
-def _median(xs: list[float]) -> float:
-    n = len(xs)
-    mid = n // 2
-    if n % 2:
-        return float(xs[mid])
-    return 0.5 * (xs[mid - 1] + xs[mid])
-
-
 @dataclass
 class BenchResult:
     """Everything one scenario run produces."""
@@ -94,7 +53,6 @@ class BenchResult:
     repeats: int
     deterministic: dict[str, object]
     numeric: dict[str, object] = field(default_factory=dict)
-    wall: WallStats | None = None
     profile: list[dict] | None = None
     tags: tuple[str, ...] = ()
     schema_version: int = SCHEMA_VERSION
@@ -110,8 +68,6 @@ class BenchResult:
             "deterministic": dict(self.deterministic),
             "numeric": dict(self.numeric),
         }
-        if self.wall is not None:
-            d["wall"] = self.wall.to_dict()
         if self.profile is not None:
             d["profile"] = self.profile
         return d
@@ -133,7 +89,6 @@ class BenchResult:
             repeats=int(d["repeats"]),
             deterministic=dict(d["deterministic"]),
             numeric=dict(d.get("numeric", {})),
-            wall=WallStats.from_dict(d["wall"]) if "wall" in d else None,
             profile=d.get("profile"),
             tags=tuple(d.get("tags", ())),
             schema_version=version,

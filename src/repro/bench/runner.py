@@ -1,20 +1,18 @@
-"""Run scenarios N times; enforce counter determinism; summarize noise.
+"""Run scenarios N times and enforce counter determinism.
 
-The runner is the only place in :mod:`repro.bench` allowed to read the
-wall clock, and only to feed the noise-aware ``wall`` tier (median +
-MAD over repeats).  Deterministic and numeric counters are checked for
-bit-identity *across the repeats of this very run*: a scenario whose
-counters wobble is a bug in the scenario (or the engine), and the
-runner fails loudly instead of committing an unstable baseline.
+Deterministic and numeric counters are checked for bit-identity
+*across the repeats of this very run*: a scenario whose counters wobble
+is a bug in the scenario (or the engine), and the runner fails loudly
+instead of committing an unstable baseline.  Nothing here reads the
+wall clock.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.bench.profiling import profile_call
-from repro.bench.results import BenchResult, WallStats
+from repro.bench.results import BenchResult
 from repro.bench.scenarios import Scenario, get_scenarios
 from repro.bench.workloads import SuiteCache, shared_suite
 
@@ -30,12 +28,6 @@ class RunOptions:
     repeats: int = 3
     profile: bool = False
     profile_top: int = 15
-
-
-def _wall_clock() -> float:
-    """The harness's single sanctioned wall-clock read: it feeds only the
-    noise-aware tier, never a deterministic counter."""
-    return time.perf_counter()  # repro-lint: disable=RPL010 -- wall tier is median+MAD by design; deterministic counters never read this
 
 
 def _diff_counters(kind: str, ref: dict, new: dict, repeat: int) -> list[str]:
@@ -61,11 +53,8 @@ def run_scenario(
     scn.prepare(suite)
 
     ref = None
-    samples: list[float] = []
     for repeat in range(1, options.repeats + 1):
-        t0 = _wall_clock()
         meas = scn.run(suite)
-        samples.append(_wall_clock() - t0)
         if ref is None:
             ref = meas
         else:
@@ -89,7 +78,6 @@ def run_scenario(
         repeats=options.repeats,
         deterministic=ref.deterministic,
         numeric=ref.numeric,
-        wall=WallStats.from_samples(samples),
         profile=profile,
         tags=scn.tags,
     )

@@ -3,15 +3,14 @@
 A scenario is one reproducible measurement: a ``prepare`` step that
 warms the shared :class:`~repro.bench.workloads.SuiteCache` (symbolic
 analysis, paper workloads, the trained classifier, the assembly plan)
-and a ``run`` step whose wall-clock time is sampled and whose outputs
-are reduced to the two counter classes of
-:mod:`repro.bench.results`.
+and a ``run`` step whose outputs are reduced to the two counter classes
+of :mod:`repro.bench.results`.
 
 Scenario ``run`` functions must be deterministic: the runner executes
 them N times and *errors* if any deterministic counter differs between
-repeats.  Nothing in this module may read the wall clock — timing is
-the runner's job (and the lint gate pins that: ``repro.bench`` is in
-the RPL010/RPL011 deterministic scope).
+repeats.  Nothing in this package may read the wall clock (the lint
+gate pins that: ``repro.bench`` is in the RPL010/RPL011 deterministic
+scope).
 
 Covered surface (the ISSUE-5 matrix): numeric-scale factorization
 (serial P1/P4 and the serial/static/dynamic backend triple),

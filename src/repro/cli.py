@@ -8,15 +8,12 @@ Usage (also via ``python -m repro``)::
     python -m repro solve a.mtx --policy model
     python -m repro policies --m 2000 --k 800  # per-policy call costs
     python -m repro train --samples 400 --out clf.json
-    python -m repro serve-bench --requests 60  # solver-service benchmark
-    python -m repro runtime-bench --cpus 4     # static vs dynamic runtime
-    python -m repro cluster-bench --nodes 1,2,4  # fan-both cluster scaling
     python -m repro verify --pairs default     # differential verification
     python -m repro verify --fuzz --budget-seconds 120
     python -m repro lint                       # domain static analysis
     python -m repro lint --list-rules
+    python -m repro bench --check --baseline . # virtual-clock regression gate
     python -m repro api-serve --port 8080      # HTTP front door (repro.api)
-    python -m repro api-bench --clients 1000   # deterministic API load drive
 
 Every subcommand prints plain text and returns a process exit code, so
 the tool scripts cleanly.
@@ -213,228 +210,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _serve_bench_stream(n_patterns: int, n_requests: int):
-    """Synthetic repeated-pattern request stream for ``serve-bench``.
-
-    ``n_patterns`` distinct sparsity patterns cycle round-robin; each
-    pattern alternates between a small set of value variants (the same
-    SPD matrix scaled by a constant), so a long stream exercises all
-    three cache outcomes: misses (first sighting), symbolic hits (known
-    pattern, new values) and numeric hits (exact repeats).
-    """
-    from repro.matrices import grid_laplacian_2d
-    from repro.matrices.csc import CSCMatrix
-
-    patterns = [grid_laplacian_2d(8 + 2 * p, 9 + p) for p in range(n_patterns)]
-    variants: list[dict[int, CSCMatrix]] = [{} for _ in patterns]
-    stream = []
-    for i in range(n_requests):
-        p = i % n_patterns
-        v = (i // n_patterns) % 3          # 3 value variants per pattern
-        if v not in variants[p]:
-            base = patterns[p]
-            variants[p][v] = CSCMatrix(
-                base.shape, base.indptr, base.indices,
-                base.data * (1.0 + 0.5 * v), check=False,
-            )
-        stream.append(variants[p][v])
-    return stream
-
-
-def cmd_serve_bench(args) -> int:
-    import time
-
-    from repro.analysis import format_table
-    from repro.service import SolverService
-
-    if args.requests < 1 or args.patterns < 1:
-        print("serve-bench: need at least one pattern and one request")
-        return 2
-    stream = _serve_bench_stream(args.patterns, args.requests)
-    with SolverService(
-        n_workers=args.workers,
-        policy=args.policy,
-        ordering=args.ordering,
-        batch_window=args.batch_window,
-        max_cache_bytes=args.cache_mb << 20,
-    ) as svc:
-        t0 = time.perf_counter()
-        requests = [svc.submit(a, np.ones(a.n_rows)) for a in stream]
-        outcomes = [r.result(timeout=300.0) for r in requests]
-        wall = time.perf_counter() - t0
-        if args.trace:
-            svc.metrics.write_chrome_trace(args.trace)
-        rep = svc.report()
-
-    cache = rep["cache"]
-    total = rep["latency"]["total"]
-    tiers = {"miss": 0, "symbolic": 0, "numeric": 0, "batched": 0}
-    for o in outcomes:
-        tiers[o.tier] += 1
-    n = len(outcomes)
-    # request-level symbolic-tier hit rate: requests served without a
-    # fresh symbolic analysis (cache hits + requests batched onto an
-    # in-flight factor)
-    sym_rate = (n - tiers["miss"]) / n if n else 0.0
-    batched = sum(1 for o in outcomes if o.batch_size > 1)
-    rows = [
-        ["requests", n],
-        ["workers", args.workers],
-        ["throughput (req/s)", f"{n / wall:.1f}"],
-        ["p50 latency (ms)", f"{total['p50'] * 1e3:.2f}"],
-        ["p95 latency (ms)", f"{total['p95'] * 1e3:.2f}"],
-        ["mean latency (ms)", f"{total['mean'] * 1e3:.2f}"],
-        ["cold misses (fresh analyses)", tiers["miss"]],
-        ["symbolic-tier hit rate", f"{100 * sym_rate:.1f}%"],
-        ["numeric-tier reuse", tiers["numeric"] + tiers["batched"]],
-        ["cache symbolic/numeric hits",
-         f"{cache['symbolic_hits']}/{cache['numeric_hits']}"],
-        ["numeric factorizations", rep["counters"].get("numeric_factorizations", 0)],
-        ["requests in shared batches", batched],
-        ["cache evictions", cache["evictions"]],
-        ["cache bytes", cache["stored_bytes"]],
-        ["degraded (CPU fallback)", rep["counters"].get("degraded", 0)],
-        ["timeouts", rep["counters"].get("timeouts", 0)],
-    ]
-    print(format_table(
-        ["quantity", "value"], rows,
-        title=f"serve-bench: {args.patterns} patterns x {args.requests} requests",
-    ))
-    if args.trace:
-        print(f"chrome trace written to {args.trace}")
-    return 0
-
-
-def _runtime_suite():
-    from repro.matrices import elasticity_3d, grid_laplacian_2d, grid_laplacian_3d
-
-    return [
-        ("lap2d-32x32", grid_laplacian_2d(32, 32)),
-        ("lap3d-8x8x8", grid_laplacian_3d(8, 8, 8)),
-        ("elasticity-5x5x5", elasticity_3d(5, 5, 5)),
-    ]
-
-
-def cmd_runtime_bench(args) -> int:
-    from repro.analysis import format_table
-    from repro.parallel import list_schedule, make_worker_pool
-    from repro.policies import make_policy
-    from repro.runtime import (
-        FaultInjector,
-        dynamic_schedule,
-        schedule_peak_update_bytes,
-    )
-    from repro.symbolic import symbolic_factorize
-
-    rows = []
-    last_dyn = None
-    for name, a in _runtime_suite():
-        sf = symbolic_factorize(a, ordering=args.ordering)
-        pool = make_worker_pool(args.cpus, args.gpus)
-        policy = make_policy(args.policy, model=pool.node.model)
-        static = list_schedule(sf, policy, pool, gang_threshold=np.inf)
-        static_peak = schedule_peak_update_bytes(sf, static.schedule)
-        budget = (
-            int(static_peak * args.budget_frac) if args.budget_frac > 0 else None
-        )
-        faults = None
-        if args.fail_rate > 0 or args.stall_rate > 0:
-            faults = FaultInjector(
-                kernel_failure_rate=args.fail_rate,
-                transfer_stall_rate=args.stall_rate,
-                seed=args.seed,
-            )
-        dyn = dynamic_schedule(
-            sf, policy, make_worker_pool(args.cpus, args.gpus),
-            memory_budget=budget, faults=faults,
-        )
-        last_dyn = dyn
-        s = dyn.stats
-        rows.append([
-            name,
-            f"{static.makespan * 1e3:.3f}",
-            f"{dyn.makespan * 1e3:.3f}",
-            f"{dyn.makespan / static.makespan:.3f}",
-            s.steals,
-            s.stolen_tasks,
-            s.admission_deferrals,
-            ("-" if budget is None else
-             f"{s.peak_admitted_bytes}/{budget}"
-             + ("!" if s.peak_admitted_bytes > budget else "")),
-            s.degraded_tasks,
-        ])
-    print(format_table(
-        ["matrix", "static ms", "dynamic ms", "dyn/static", "steals",
-         "stolen", "deferrals", "peak/budget", "degraded"],
-        rows,
-        title=(
-            f"runtime-bench: {args.cpus} CPUs, {args.gpus} GPUs, "
-            f"policy {args.policy}"
-        ),
-    ))
-    if args.trace and last_dyn is not None:
-        import json
-
-        with open(args.trace, "w") as fh:
-            json.dump(last_dyn.chrome_trace(), fh)
-        print(f"chrome trace of the last run written to {args.trace}")
-    return 0
-
-
-def cmd_cluster_bench(args) -> int:
-    from repro.analysis import format_table
-    from repro.cluster import ClusterSpec, InterconnectParams, cluster_replay
-    from repro.gpu.perfmodel import tesla_t10_model
-    from repro.workload import paper_workload
-
-    try:
-        sf = paper_workload(args.workload)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    model = tesla_t10_model()
-    policy = make_policy(args.policy, model=model)
-    net = InterconnectParams(latency=args.latency, bandwidth=args.bandwidth)
-
-    rows = []
-    base = None
-    last = None
-    for n in args.nodes:
-        spec = ClusterSpec(
-            n_ranks=n, gpus_per_rank=args.gpus, model=model, interconnect=net,
-        )
-        res = cluster_replay(sf, policy, spec)
-        last = res
-        if base is None:
-            base = res.makespan
-        rows.append([
-            n,
-            f"{res.makespan:.4f}",
-            f"{base / res.makespan:.2f}" if res.makespan > 0 else "-",
-            f"{100 * res.utilization():.1f}%",
-            res.comm_messages,
-            f"{res.comm_bytes / 1e6:.1f}",
-            f"{res.comm_seconds:.4f}",
-        ])
-    print(format_table(
-        ["nodes", "makespan s", "speedup", "util", "msgs", "comm MB",
-         "comm s"],
-        rows,
-        title=(
-            f"cluster-bench: {args.workload}, policy {args.policy}, "
-            f"{args.gpus} GPU/node, "
-            f"{net.bandwidth / 1e9:.1f} GB/s + {net.latency * 1e6:.0f} us"
-        ),
-    ))
-    if args.trace and last is not None:
-        import json
-
-        with open(args.trace, "w") as fh:
-            json.dump(last.chrome_trace(), fh)
-        print(f"chrome trace of the last run written to {args.trace}")
-    return 0
-
-
 def cmd_lint(args) -> int:
     """Domain-aware static analysis (see ``repro.lint``)."""
     from pathlib import Path
@@ -530,6 +305,12 @@ def cmd_bench(args) -> int:
         ))
         return 0
 
+    if args.scenarios == []:
+        print("bench: --scenarios names no scenario", file=sys.stderr)
+        return 2
+    if args.repeats < 1:
+        print("bench: --repeats must be at least 1", file=sys.stderr)
+        return 2
     if args.check and not args.baseline:
         print("bench: --check requires --baseline DIR", file=sys.stderr)
         return 2
@@ -544,7 +325,7 @@ def cmd_bench(args) -> int:
             print(f"bench: no BENCH_*.json under {bdir}", file=sys.stderr)
             return 2
 
-    names = args.scenarios or None
+    names = args.scenarios
     options = RunOptions(
         repeats=args.repeats, profile=args.profile, profile_top=args.profile_top
     )
@@ -557,18 +338,9 @@ def cmd_bench(args) -> int:
         print(f"bench: DETERMINISM FAILURE\n{exc}", file=sys.stderr)
         return 1
 
-    rows = []
-    for r in results:
-        rows.append([
-            r.scenario,
-            r.repeats,
-            f"{r.wall.median_seconds * 1e3:.1f}",
-            f"{r.wall.mad_seconds * 1e3:.2f}",
-            len(r.deterministic),
-        ])
+    rows = [[r.scenario, r.repeats, len(r.deterministic)] for r in results]
     print(format_table(
-        ["scenario", "repeats", "wall median (ms)", "MAD (ms)", "counters"],
-        rows, title="bench results",
+        ["scenario", "repeats", "counters"], rows, title="bench results",
     ))
 
     # write BENCH_<scenario>.json; during --check nothing is written
@@ -590,10 +362,7 @@ def cmd_bench(args) -> int:
         report = compare_results(
             {r.scenario: r for r in results},
             baseline,
-            check_wall=not args.skip_wall,
             check_numeric=args.check_numeric,
-            mad_factor=args.mad_factor,
-            rel_floor=args.rel_floor,
         )
         print(report.format())
         return 0 if report.ok else 1
@@ -645,53 +414,6 @@ def cmd_api_serve(args) -> int:
         app.close()
         service.shutdown()
     return 0
-
-
-def cmd_api_bench(args) -> int:
-    """Deterministic phased load drive through the API front door."""
-    import json
-    import time
-
-    from repro.analysis import format_table
-    from repro.api.loadgen import run_load
-
-    t0 = time.perf_counter()
-    report = run_load(
-        n_clients=args.clients,
-        n_nodes=args.nodes,
-        n_steady=args.steady,
-        edge_capacity=args.edge_capacity,
-        overload_jobs=args.overload_jobs,
-        n_deadline=args.deadline,
-    )
-    wall = time.perf_counter() - t0
-    if args.json:
-        print(json.dumps(report.counters(), indent=2, sort_keys=True))
-    else:
-        rows = []
-        for phase, outcomes in report.phases.items():
-            for outcome, count in sorted(outcomes.items()):
-                rows.append([phase, outcome, count])
-        rows.append(["-", "requests", report.requests])
-        rows.append(["-", "invalid envelopes", report.invalid_envelopes])
-        rows.append(["-", "throughput (req/s)",
-                     f"{report.requests / wall:.1f}"])
-        print(format_table(
-            ["phase", "outcome", "count"], rows,
-            title=(
-                f"api-bench: {args.clients} clients over "
-                f"{args.nodes}-node fleet ({wall:.2f}s)"
-            ),
-        ))
-    ok = (
-        report.invalid_envelopes == 0
-        and report.total("internal") == 0
-        and report.phases.get("steady", {}).get("shed", 0) == 0
-        and report.phases.get("overload", {}).get("shed", 0) > 0
-    )
-    if not ok:
-        print("api-bench: FAILED an outcome invariant", file=sys.stderr)
-    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -787,66 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default="")
 
-    sb = sub.add_parser(
-        "serve-bench",
-        help="replay a synthetic request stream through the solver service",
-    )
-    sb.add_argument("--patterns", type=int, default=3,
-                    help="distinct sparsity patterns in the stream")
-    sb.add_argument("--requests", type=int, default=60)
-    sb.add_argument("--workers", type=int, default=2)
-    sb.add_argument("--policy", default="P1")
-    sb.add_argument("--ordering", default="amd",
-                    choices=("natural", "amd", "rcm", "nd"))
-    sb.add_argument("--batch-window", type=float, default=0.0,
-                    help="seconds a worker waits for same-factor stragglers")
-    sb.add_argument("--cache-mb", type=int, default=256,
-                    help="factorization-cache budget in MiB")
-    sb.add_argument("--trace", default="",
-                    help="write per-request Chrome-trace slices to this path")
-
-    rb = sub.add_parser(
-        "runtime-bench",
-        help="static list scheduler vs the dynamic event-driven runtime",
-    )
-    rb.add_argument("--cpus", type=int, default=4)
-    rb.add_argument("--gpus", type=int, default=0)
-    rb.add_argument("--policy", default="P1",
-                    help="P1..P4, P4c, baseline, ideal")
-    rb.add_argument("--ordering", default="nd",
-                    choices=("natural", "amd", "rcm", "nd"))
-    rb.add_argument("--budget-frac", type=float, default=0.0,
-                    help="memory budget as a fraction of the static "
-                         "schedule's peak (0 disables admission control)")
-    rb.add_argument("--fail-rate", type=float, default=0.0,
-                    help="injected GPU kernel failure probability")
-    rb.add_argument("--stall-rate", type=float, default=0.0,
-                    help="injected transfer stall probability")
-    rb.add_argument("--seed", type=int, default=0)
-    rb.add_argument("--trace", default="",
-                    help="write the last dynamic run's Chrome trace here")
-
-    cb = sub.add_parser(
-        "cluster-bench",
-        help="fan-both cluster replay scaling over a node-count sweep",
-    )
-    cb.add_argument("--workload", default="audikw_1",
-                    help="paper workload name (see repro.workload)")
-    cb.add_argument("--nodes", default=[1, 2, 4],
-                    type=lambda s: [int(t) for t in s.split(",") if t],
-                    help="comma-separated node counts to sweep")
-    cb.add_argument("--policy", default="P4",
-                    help="P1..P4, P4c, baseline, ideal")
-    cb.add_argument("--gpus", type=int, default=1, choices=(0, 1),
-                    help="GPUs per node (the paper's one-thread-per-GPU "
-                         "design point)")
-    cb.add_argument("--latency", type=float, default=5e-6,
-                    help="interconnect latency in seconds")
-    cb.add_argument("--bandwidth", type=float, default=1.5e9,
-                    help="interconnect bandwidth in bytes/second")
-    cb.add_argument("--trace", default="",
-                    help="write the last run's merged Chrome trace here")
-
     li = sub.add_parser(
         "lint",
         help="domain-aware static analysis (lock order, determinism, "
@@ -889,23 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--memory-threshold", type=float, default=0.95,
                     help="cache-pressure level that sheds new work")
 
-    ab = sub.add_parser(
-        "api-bench",
-        help="deterministic phased load through the API front door "
-             "(steady / overload / deadline / ratelimit)",
-    )
-    ab.add_argument("--clients", type=int, default=1000)
-    ab.add_argument("--nodes", type=int, default=4)
-    ab.add_argument("--steady", type=int, default=None,
-                    help="steady-phase requests (default: one per client)")
-    ab.add_argument("--edge-capacity", type=int, default=32)
-    ab.add_argument("--overload-jobs", type=int, default=None,
-                    help="factorize burst size (default: 2x capacity)")
-    ab.add_argument("--deadline", type=int, default=8,
-                    help="requests sent with an already-expired deadline")
-    ab.add_argument("--json", action="store_true",
-                    help="print the flat counter dict instead of a table")
-
     v = sub.add_parser(
         "verify",
         help="differential verification: config lattice, invariants, fuzzing",
@@ -943,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                     type=lambda s: [t for t in s.split(",") if t],
                     help="comma-separated scenario names (default: all)")
     be.add_argument("--repeats", type=int, default=3,
-                    help="timed repeats per scenario (counters must be "
+                    help="runs per scenario (counters must be "
                          "bit-identical across all of them)")
     be.add_argument("--profile", action="store_true",
                     help="attach cProfile and embed top hot spots per "
@@ -958,17 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "on regression")
     be.add_argument("--baseline", default="",
                     help="directory holding committed BENCH_*.json")
-    be.add_argument("--skip-wall", action="store_true",
-                    help="gate on deterministic counters only (for "
-                         "cross-machine CI)")
     be.add_argument("--check-numeric", action="store_true",
                     help="also gate the machine-local numeric section "
                          "(fingerprints, residuals)")
-    be.add_argument("--mad-factor", type=float, default=5.0,
-                    help="wall tolerance: this many baseline MADs")
-    be.add_argument("--rel-floor", type=float, default=0.25,
-                    help="wall tolerance floor as a fraction of the "
-                         "baseline median")
     return p
 
 
@@ -980,14 +617,10 @@ _COMMANDS = {
     "solve": cmd_solve,
     "policies": cmd_policies,
     "train": cmd_train,
-    "serve-bench": cmd_serve_bench,
-    "runtime-bench": cmd_runtime_bench,
-    "cluster-bench": cmd_cluster_bench,
     "lint": cmd_lint,
     "verify": cmd_verify,
     "bench": cmd_bench,
     "api-serve": cmd_api_serve,
-    "api-bench": cmd_api_bench,
 }
 
 

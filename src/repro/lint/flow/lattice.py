@@ -1,9 +1,9 @@
 """Taint lattice for the flow checkers: kinds, sources, sanitizers.
 
 A taint is a ``(kind, origin)`` pair — the origin is a human-readable
-witness ("time.time() in repro.bench.runner._wall_clock") carried along
-so findings can name the source even when it lives modules away from
-the sink.  Parameter taints ``("param", "<i>")`` stand for "whatever
+witness ("time.perf_counter() in repro.verify.fuzz.run_fuzz") carried
+along so findings can name the source even when it lives modules away
+from the sink.  Parameter taints ``("param", "<i>")`` stand for "whatever
 the caller passes as argument *i*" and are what make function
 summaries composable.
 

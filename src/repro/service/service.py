@@ -17,8 +17,8 @@ a lookup with one of two kinds of entry:
 
 Requests that resolve to the same cached factor are aggregated into one
 blocked ``solve_factored`` call (see :mod:`repro.service.batching`):
-after resolving a factor the worker drains every compatible queued
-request, optionally waiting ``batch_window`` seconds for stragglers.
+after resolving a factor the worker drains every compatible request
+already queued, in one pass.
 A ``refine=True`` request is never aggregated and takes no block solve:
 it is one ``iterative_refinement`` call on the resolved factor.
 
@@ -144,9 +144,6 @@ class SolverService:
         The cache to serve from — shared with another service, or built
         over storage tiers below RAM (``TierConfig(...).build()``); by
         default a fresh RAM-only one bounded by ``max_cache_bytes``.
-    batch_window : float
-        Extra seconds a worker waits for more same-factor requests to
-        arrive before solving (already-queued matches are always taken).
     max_batch : int
         Upper bound on requests aggregated into one solve call.
     node_factory : callable, optional
@@ -177,7 +174,6 @@ class SolverService:
         amalgamation: AmalgamationParams | None = None,
         cache: FactorizationCache | None = None,
         max_cache_bytes: int = 256 << 20,
-        batch_window: float = 0.0,
         max_batch: int = 32,
         metrics: ServiceMetrics | None = None,
         node_factory=None,
@@ -212,7 +208,6 @@ class SolverService:
             else FactorizationCache(max_bytes=max_cache_bytes)
         )
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
         self._node_factory = node_factory or (
             lambda: SimulatedNode(n_cpus=1, n_gpus=1)
@@ -646,40 +641,30 @@ class SolverService:
 
     # -- batching ----------------------------------------------------------
     def _collect_batch(self, anchor: SolveRequest) -> list[SolveRequest]:
-        """Drain queued requests solvable with ``anchor``'s factor."""
+        """Drain queued requests solvable with ``anchor``'s factor: one
+        pass over the queue under its lock, nothing waited for."""
         got: list[SolveRequest] = []
-        deadline_wait = self.batch_window
-        while True:
-            expired: list[SolveRequest] = []
-            done = True
-            with self._cond:
+        expired: list[SolveRequest] = []
+        with self._cond:
+            if self._queue:
                 keep: deque[SolveRequest] = deque()
                 while self._queue and len(got) < self.max_batch - 1:
                     cand = self._queue.popleft()
-                    if cand.num_key == anchor.num_key and not cand.refine:
-                        if (
-                            cand.deadline is not None
-                            and time.perf_counter() > cand.deadline
-                        ):
-                            # expiry fires a client-visible Event; do it
-                            # after the condition is released so a woken
-                            # waiter can never re-enter the service while
-                            # a worker still holds the queue lock
-                            expired.append(cand)
-                            continue
-                        self.metrics.observe(
-                            "queue_wait", time.perf_counter() - cand.submitted
-                        )
-                        got.append(cand)
-                    else:
+                    if cand.num_key != anchor.num_key or cand.refine:
                         keep.append(cand)
+                        continue
+                    now = time.perf_counter()
+                    if cand.deadline is not None and now > cand.deadline:
+                        # expiry fires a client-visible Event; do it after
+                        # the condition is released so a woken waiter can
+                        # never re-enter the service while a worker still
+                        # holds the queue lock
+                        expired.append(cand)
+                        continue
+                    self.metrics.observe("queue_wait", now - cand.submitted)
+                    got.append(cand)
                 keep.extend(self._queue)
                 self._queue = keep
-                if deadline_wait > 0 and len(got) < self.max_batch - 1:
-                    self._cond.wait(deadline_wait)
-                    deadline_wait = 0.0
-                    done = False
-            for cand in expired:
-                self._expire(cand)
-            if done:
-                return got
+        for cand in expired:
+            self._expire(cand)
+        return got

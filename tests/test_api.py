@@ -627,18 +627,6 @@ class TestEndToEnd:
                   overload_jobs=20, overload_clients=4, n_deadline=3)
         assert run_load(**kw).counters() == run_load(**kw).counters()
 
-    def test_api_bench_cli(self, capsys):
-        from repro.cli import main
-
-        rc = main([
-            "api-bench", "--clients", "30", "--steady", "40",
-            "--edge-capacity", "6", "--overload-jobs", "14", "--json",
-        ])
-        assert rc == 0
-        counters = json.loads(capsys.readouterr().out)
-        assert counters["invalid_envelopes"] == 0
-        assert counters["phase.overload.shed"] > 0
-
 
 # ----------------------------------------------------------------------
 # lint scope: repro.api is inside the concurrency fence

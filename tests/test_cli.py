@@ -98,30 +98,3 @@ def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 
-
-def test_runtime_bench(capsys):
-    assert main(["runtime-bench", "--cpus", "2", "--budget-frac", "0.9"]) == 0
-    out = capsys.readouterr().out
-    assert "runtime-bench" in out
-    assert "dyn/static" in out
-    assert "lap2d-32x32" in out
-
-
-def test_runtime_bench_model_policy_names_what_it_needs():
-    # the one name table knows "model"; what is missing is a classifier
-    with pytest.raises(ValueError, match="classifier"):
-        main(["runtime-bench", "--cpus", "2", "--policy", "model"])
-
-
-def test_runtime_bench_with_faults_and_trace(tmp_path, capsys):
-    trace = tmp_path / "rt.json"
-    rc = main([
-        "runtime-bench", "--cpus", "2", "--gpus", "1", "--policy", "P3",
-        "--fail-rate", "0.05", "--stall-rate", "0.1",
-        "--trace", str(trace),
-    ])
-    assert rc == 0
-    import json
-
-    doc = json.loads(trace.read_text())
-    assert any(e.get("ph") == "X" for e in doc["traceEvents"])

@@ -382,6 +382,60 @@ class TestServiceDeadlines:
         assert svc.metrics.counter("timeouts") == 1
         assert req.done()
 
+    def test_expired_request_fails_in_the_drain_pass(self):
+        # the lone worker is held inside the blocker's factorization while
+        # the queue fills: an anchor of key K, an already-expired K request
+        # and a request of another key
+        from repro.gpu.device import SimulatedNode
+
+        gate = threading.Event()
+        built = []
+
+        def node_factory():
+            built.append(None)
+            if len(built) == 1:
+                assert gate.wait(60)
+            return SimulatedNode(n_cpus=1, n_gpus=1)
+
+        blocker = grid_laplacian_2d(8, 8)
+        k = grid_laplacian_2d(6, 6)
+        other = grid_laplacian_2d(5, 5)
+        log = []
+        with SolverService(
+            n_workers=1, policy="P1", node_factory=node_factory
+        ) as svc:
+            process, expire = svc._process, svc._expire
+
+            def logged_process(req, worker):
+                log.append(("process", req.request_id))
+                process(req, worker)
+
+            def logged_expire(req):
+                log.append(("expire", req.request_id, svc._cond._is_owned()))
+                expire(req)
+
+            svc._process, svc._expire = logged_process, logged_expire
+            first = svc.submit(blocker, np.ones(blocker.n_rows))
+            anchor = svc.submit(k, np.ones(k.n_rows))
+            late = svc.submit(k, np.ones(k.n_rows), timeout=-1.0)
+            last = svc.submit(other, np.ones(other.n_rows))
+            gate.set()
+            outs = [r.result(timeout=120) for r in (first, anchor, last)]
+            with pytest.raises(TimeoutError):
+                late.result(timeout=120)
+        # the anchor's drain pass expires the K request outside the queue
+        # lock, never batches it, and leaves the other key queued for the
+        # next pop
+        assert log == [
+            ("process", first.request_id),
+            ("process", anchor.request_id),
+            ("expire", late.request_id, False),
+            ("process", last.request_id),
+        ]
+        assert svc.metrics.counter("timeouts") == 1
+        assert [o.batch_size for o in outs] == [1, 1, 1]
+        assert svc.metrics.counter("batched_requests") == 0
+
     def test_result_wait_timeout(self, lap2d_small):
         b = np.ones(lap2d_small.n_rows)
         svc = SolverService(n_workers=1, policy="P1")
