@@ -134,6 +134,13 @@ class CublasContext:
         self._charge(KernelCall("syrk", m=x.shape[0], k=x.shape[1]))
         return x @ x.T
 
+    def charge(self, calls: list[KernelCall]) -> None:
+        """Charge ``calls`` in order, exactly as running them would,
+        without running them: a stacked leaf group is computed in one go
+        and each member charges its own kernels at its own turn."""
+        for call in calls:
+            self._charge(call)
+
     # -- pure pricing ----------------------------------------------------
     def price(self, calls: list[KernelCall]) -> float:
         """Total simulated seconds of a kernel call list (no numerics,

@@ -146,12 +146,14 @@ class SimulatedNode:
     def reset(self) -> None:
         """Clear all timelines and memory pools (fresh run): nothing is
         reserved or retained, and every pool counts from zero again, so
-        its statistics read one run and not the node's lifetime."""
+        its statistics read one run and not the node's lifetime.  The
+        statistics are a new object: whoever holds the last run's still
+        reads the last run."""
         self.engines = {}
         for g in self.gpus:
             g.cublas.busy_seconds = 0.0
             g.cublas.calls.clear()
             for pool in (g.device_pool, g.pinned_pool):
                 pool.release()
-                pool.reset_peak()
                 pool.stats = AllocationStats()
+                pool.reset_peak()

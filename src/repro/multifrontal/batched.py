@@ -16,8 +16,13 @@ bit-identical to ``PolicyP1.apply`` on the individually assembled front.
 Stacking is a pure dispatch optimisation of the numerics pass: the
 virtual clock prices every front on its own and never sees it.
 
-Only groups the numerics pass resolves to the host ``P1`` path are
-stacked; anything routed to the (float32) device stays per front.
+Two kinds of group are stacked: every member resolved to the host
+``P1`` (float64), or every member resolved to one ``PolicyP4`` whose
+Figure-9 panel covers the whole pivot block.  One panel is exactly
+potrf, trsm, syrk, so the same stacked sequence in the device dtype
+(float32 under the paper's ``sp`` model) — cast in once, cast out once
+— is bit-identical per slice to ``PolicyP4.apply``.  Any other group
+runs front by front.
 """
 
 from __future__ import annotations
@@ -178,11 +183,13 @@ def _batched_potrf(
 def batched_factor_update(
     fronts: np.ndarray, k: int, sf: SymbolicFactor, sids: tuple[int, ...]
 ) -> None:
-    """In-place stacked host P1 factor-update of ``(B, n, n)`` fronts.
+    """In-place stacked factor-update of ``(B, n, n)`` fronts, in their
+    own dtype.
 
-    Mirrors ``PolicyP1.apply`` exactly: potrf of the pivot block, panel
-    solve, rank-k update of the trailing block — each as one stacked
-    call over the batch dimension.
+    Mirrors ``PolicyP1.apply`` exactly (and a one-panel
+    ``PolicyP4.apply``, whose kernels are the same three): potrf of the
+    pivot block, panel solve, rank-k update of the trailing block — each
+    as one stacked call over the batch dimension.
     """
     l1 = _batched_potrf(fronts[:, :k, :k], sf, sids)
     fronts[:, :k, :k] = l1
@@ -193,19 +200,21 @@ def batched_factor_update(
 
 
 def factor_batch_group(
-    sf: SymbolicFactor, a_data: np.ndarray, g: BatchGroup
+    sf: SymbolicFactor, a_data: np.ndarray, g: BatchGroup, dtype=np.float64
 ) -> tuple[np.ndarray, "np.ndarray | list[None]"]:
     """Assemble the leaf fronts of ``g`` into one stack (one gather from
     ``a_data``, one scatter), factor them with one stacked call sequence
-    and return the ``(B, size, k)`` panels and ``(B, m, m)`` updates (a
+    in ``dtype`` (the stack is cast to it once and back once) and return
+    the float64 ``(B, size, k)`` panels and ``(B, m, m)`` updates (a
     ``None`` per member when the fronts have no rows below their
     pivots); entry ``i`` of both belongs to ``g.sids[i]``.
     """
     stack = np.zeros((len(g), g.size, g.size), dtype=np.float64)
     # ``+=`` as the per-front assembly does it (-0.0 lands as +0.0)
     stack.reshape(-1)[g.dst] += a_data[g.src]
+    stack = stack.astype(dtype, copy=False)
     batched_factor_update(stack, g.k, sf, g.sids)
     return (
-        stack[:, :, :g.k].copy(),
-        stack[:, g.k:, g.k:].copy() if g.m > 0 else [None] * len(g),
+        stack[:, :, :g.k].astype(np.float64),
+        stack[:, g.k:, g.k:].astype(np.float64) if g.m > 0 else [None] * len(g),
     )

@@ -8,9 +8,10 @@ factor-update tasks on the node's engines.  The simulated makespan of
 the whole factorization is the node's final engine time; per-call
 records carry the per-component busy times that Figures 2/5/6 and
 Table IV are built from.  It is a function of the pattern, the policy
-and the node model, so the serial driver keeps the outcome of a pure
-pass on the symbolic factor and a warm ``refactorize`` does not pay for
-it again (:func:`_price_once`).  The *numerics pass*
+and the node model, so every pricer — this serial walk and the
+schedulers of :mod:`repro.parallel` — keeps the outcome of a pure pass
+on the symbolic factor and a warm ``refactorize`` does not pay for it
+again (:func:`price_once_per_pattern`).  The *numerics pass*
 (:func:`postorder_numeric_factor`) does the floating-point work — one
 way, the fastest bit-identical way, under every backend's task-to-worker
 mapping: assemble each front, run its factor-update, hand the update
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError
+from repro.gpu.allocator import AllocationStats
 from repro.gpu.clock import EngineTimeline, TaskGraph, schedule_graph
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import PerfModel
@@ -40,7 +42,7 @@ from repro.multifrontal.frontal import (
     assembly_bytes,
     get_assembly_plan,
 )
-from repro.policies.base import Policy, PolicyP1, Worker
+from repro.policies.base import Policy, PolicyP1, PolicyP4, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 if TYPE_CHECKING:
@@ -51,9 +53,12 @@ __all__ = [
     "NumericFactor",
     "factorize_numeric",
     "postorder_numeric_factor",
+    "price_once_per_pattern",
     "replay_factorize",
     "ReplayResult",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -228,21 +233,117 @@ def _price_postorder(
     return records, bases, assembly_seconds
 
 
+#: instance state a policy may carry and still be told apart by its key
+_SCALARS = (bool, int, float, str, type(None))
+
+
 @dataclass(frozen=True)
 class _PricedPass:
-    """What one *pure* serial pricing pass left behind, kept in one slot
-    on the :class:`SymbolicFactor` (``_priced_pass``, beside
-    ``_assembly_plan``) so that a warm ``refactorize`` does not price
-    again what only the pattern decides.  Immutable: a hit copies out of
-    it, a refill replaces it (last writer wins between threads sharing
-    the symbolic factor)."""
+    """What one *pure* pricing pass left behind, kept in one slot on the
+    :class:`SymbolicFactor` (``_priced_pass``, beside ``_assembly_plan``)
+    so that a warm ``refactorize`` does not price again what only the
+    pattern decides — whichever pass priced it: the serial walk
+    (:func:`_price_once`) or a scheduler
+    (:func:`repro.parallel.scheduler.parallel_factorize`).  Immutable,
+    and nothing in it is handed out: a hit copies out of it, a refill
+    replaces it (last writer wins between threads sharing the symbolic
+    factor)."""
 
-    key: tuple            # policy type, cpu engine, has a GPU, schedule bytes
-    model: PerfModel      # a copy, compared by value
-    records: tuple[FURecord, ...]
-    bases: tuple[Policy, ...]
-    assembly_seconds: float
+    key: tuple                      # :func:`_pass_key`
+    models: tuple[PerfModel, ...]   # the node's and its GPUs', copies
+    outcome: object                 # what the pass returned
     engines: tuple[EngineTimeline, ...]
+    #: end state of every GPU pool of the node: capacity (``None`` for a
+    #: per-call pool, which keeps none), ``in_use``, statistics
+    pools: tuple[tuple["int | None", int, AllocationStats], ...]
+
+
+def _gpu_pools(node: SimulatedNode) -> list:
+    return [p for g in node.gpus for p in (g.device_pool, g.pinned_pool)]
+
+
+def _pass_key(
+    policy: Policy, node: SimulatedNode, workers: list[Worker], how
+) -> "tuple | None":
+    """The key a pricing pass is kept under, or ``None`` where the one
+    rule says the pass is not a function of any key.
+
+    The rule: the caller can name everything the pass depends on (``how``;
+    ``None`` for faults or a memory budget), the node is fresh (no engine
+    timeline — records carry absolute times — and every GPU pool empty,
+    with zero statistics: resolution and admission read the pools), and
+    the policy's instance state is plain scalars (a selector counts what
+    it selects, a wrapped method is not a value).  The key then holds
+    ``how``, the policy's type and state, each worker's CPU engine and
+    GPU, and each GPU's id and pool kinds and limits; the perf models go
+    beside it, compared by value.
+    """
+    state = vars(policy)
+    if (
+        how is None
+        or node.engines
+        or not all(isinstance(v, _SCALARS) for v in state.values())
+        or any(
+            p.in_use or getattr(p, "capacity", 0) or p.stats != AllocationStats()
+            for p in _gpu_pools(node)
+        )
+    ):
+        return None
+    index = {id(g): i for i, g in enumerate(node.gpus)}
+    if any(w.gpu is not None and id(w.gpu) not in index for w in workers):
+        return None
+    return (
+        how, type(policy), tuple(sorted(state.items())),
+        tuple((w.cpu_engine, None if w.gpu is None else index[id(w.gpu)])
+              for w in workers),
+        tuple((g.gpu_id, type(p), p.capacity_limit)
+              for g in node.gpus for p in (g.device_pool, g.pinned_pool)),
+    )
+
+
+def price_once_per_pattern(
+    sf: SymbolicFactor,
+    policy: Policy,
+    node: SimulatedNode,
+    workers: list[Worker],
+    how,
+    price: Callable[[], _T],
+    fresh: Callable[[_T], _T],
+) -> _T:
+    """``price()`` — a pricing pass of ``policy`` over ``workers`` of
+    ``node``, driven as ``how`` says — paid once per pattern where the
+    pass is a function of the pattern (:func:`_pass_key`).
+
+    A hit needs the slot's key and perf models; it puts back the engine
+    timelines and every GPU pool's capacity, ``in_use`` and statistics
+    the pass left, and returns ``fresh(kept outcome)`` (``fresh`` copies
+    whatever a caller could mutate), so the node and the outcome read
+    exactly as after a real pass.  A pure miss keeps ``fresh(outcome)``
+    and the node's end state.  Everything else prices as if this
+    function did not exist.
+    """
+    key = _pass_key(policy, node, workers, how)
+    models = (node.model, *(g.model for g in node.gpus))
+    memo: _PricedPass | None = getattr(sf, "_priced_pass", None)
+    if key is not None and memo and memo.key == key and memo.models == models:
+        node.engines.update((t.name, replace(t)) for t in memo.engines)
+        for pool, (capacity, in_use, stats) in zip(_gpu_pools(node), memo.pools):
+            if capacity is not None:
+                pool.capacity = capacity
+            pool.in_use = in_use
+            pool.stats = replace(stats)
+        return fresh(memo.outcome)  # type: ignore[arg-type]
+    outcome = price()
+    if key is not None:
+        sf._priced_pass = _PricedPass(  # type: ignore[attr-defined]
+            key, copy.deepcopy(models), fresh(outcome),
+            tuple(replace(t) for t in node.engines.values()),
+            tuple(
+                (getattr(p, "capacity", None), p.in_use, replace(p.stats))
+                for p in _gpu_pools(node)
+            ),
+        )
+    return outcome
 
 
 def _price_once(
@@ -253,39 +354,19 @@ def _price_once(
     spost: "np.ndarray | None",
 ) -> tuple[list[FURecord], list[Policy], float]:
     """:func:`_price_postorder` for :func:`factorize_numeric`, paid once
-    per pattern where the pass is a function of the pattern.
-
-    The slot is read and written only on a fresh node (no engine timeline
-    yet: records carry absolute times) under a host policy that is all
-    in its type: no instance state (a selector counts what it selects in
-    one) and no device to ask (a device policy resolves by the worker's
-    pool, which the key does not carry).  A hit also needs the slot's
-    policy type, worker, node model and schedule; it hands out fresh
-    lists and fresh timeline copies, so the node and the records read
-    exactly as after a real pass.  A pass is kept only if, on top of
-    that, no allocator of the node saw a request during it (pool
-    statistics and pool growth go through one): pure by construction,
-    not by name.  Everything else prices as if this function did not
-    exist.
+    per pattern where the pass is a function of the pattern
+    (:func:`price_once_per_pattern`: fresh node, plain-scalar policy —
+    P1 to P4, not a selector).  The key adds the schedule walked; a hit
+    hands out fresh record and policy lists.
     """
     order = np.asarray(sf.spost if spost is None else spost)
-    key = (type(policy), worker.cpu_engine, worker.has_gpu, order.tobytes())
-    eligible = not node.engines and not policy.needs_gpu and not vars(policy)
-    memo: _PricedPass | None = getattr(sf, "_priced_pass", None)
-    if eligible and memo and memo.key == key and memo.model == node.model:
-        node.engines.update((t.name, replace(t)) for t in memo.engines)
-        return list(memo.records), list(memo.bases), memo.assembly_seconds
-    pools = [p for g in node.gpus for p in (g.device_pool, g.pinned_pool)]
-    requests = sum(p.stats.n_requests for p in pools)
-    records, bases, assembly_seconds = _price_postorder(
-        sf, policy, node, worker, spost, assembly_in_record=False
+    return price_once_per_pattern(
+        sf, policy, node, [worker], ("serial", order.tobytes()),
+        lambda: _price_postorder(
+            sf, policy, node, worker, spost, assembly_in_record=False
+        ),
+        lambda out: (list(out[0]), list(out[1]), out[2]),
     )
-    if eligible and requests == sum(p.stats.n_requests for p in pools):
-        sf._priced_pass = _PricedPass(  # type: ignore[attr-defined]
-            key, copy.deepcopy(node.model), tuple(records), tuple(bases),
-            assembly_seconds, tuple(replace(t) for t in node.engines.values()),
-        )
-    return records, bases, assembly_seconds
 
 
 def _numeric_walk(
@@ -316,11 +397,17 @@ def _numeric_walk(
     slices of one ``(B, size, k)`` stack, whatever computed them (the
     solve phase sweeps a group as one stack,
     :class:`repro.multifrontal.solve.SolvePlan`); the stacks are returned
-    keyed by the group's first member.  Same-shape host-P1 leaf fronts
-    also *run* stacked (:mod:`repro.multifrontal.batched`), bit-identical
-    per slice to the per-front path; a group any member of which resolved
-    elsewhere (a device policy computes in float32) is computed front by
-    front and written into its stack.
+    keyed by the group's first member.  A group also *runs* stacked
+    (:mod:`repro.multifrontal.batched`), bit-identical per slice to the
+    per-front path, when every member resolved to the host P1 (float64)
+    or every member resolved to the same ``PolicyP4`` and its panel
+    covers the group's ``k`` (the device dtype; each member charges the
+    CUBLAS context at its own turn with exactly the kernels
+    ``PolicyP4.apply`` would have run).  If the stacked device
+    ``cholesky`` breaks down on any slice, the group goes front by front
+    through ``PolicyP4.apply``, which promotes a failed float32 pivot
+    block to float64 or raises the one breakdown message.  Any other
+    group is computed front by front and written into its stack.
     """
     order = np.asarray(order).tolist()
     kids = sf.schildren()
@@ -336,32 +423,44 @@ def _numeric_walk(
     stacks: dict[int, np.ndarray] = {}
     #: group and position in it of every member of a group inside ``order``
     slot_of: dict[int, tuple[BatchGroup, int]] = {}
-    #: the members of those of them that run stacked
-    on_host: set[int] = set()
+    #: the groups that run stacked, by first member: the dtype they run in
+    stacked: dict[int, type] = {}
     for g in plan.groups:
         if walked[list(g.sids)].all():
             slot_of.update((s, (g, i)) for i, s in enumerate(g.sids))
+            first = bases[g.sids[0]]
             if all(type(bases[s]) is PolicyP1 for s in g.sids):
-                on_host.update(g.sids)
-            else:
-                stacks[g.sids[0]] = np.empty((len(g), g.size, g.k))
+                stacked[g.sids[0]] = np.float64
+            elif (type(first) is PolicyP4 and first.one_panel(g.k)
+                  and all(bases[s] is first for s in g.sids)):
+                stacked[g.sids[0]] = worker.gpu.cublas.dtype
     #: per-member update of the groups factored so far, consumed when the
     #: member's turn comes
     pending: dict[int, "np.ndarray | None"] = {}
-    batch_tasks = 0
-    workspace = np.empty(
-        max((sf.rows[s].size for s in order if s not in on_host), default=0) ** 2
-    )
+    batch_tasks = batched_fronts = 0
+    workspace = np.empty(max((sf.rows[s].size for s in order), default=0) ** 2)
 
     for s in order:
         g, i = slot_of.get(s, (None, 0))
-        if s in on_host:
-            head = g.sids[0]
-            if head not in stacks:
-                stacks[head], group_updates = factor_batch_group(sf, a_data, g)
+        head = g.sids[0] if g is not None else -1
+        if head in stacked and head not in stacks:
+            try:
+                stacks[head], group_updates = factor_batch_group(
+                    sf, a_data, g, stacked[head]
+                )
                 pending.update(zip(g.sids, group_updates))
                 batch_tasks += 1
+                batched_fronts += len(g)
+            except NotPositiveDefiniteError:
+                del stacked[head]
+                if not bases[s].needs_gpu:
+                    raise
+        if g is not None and head not in stacks:
+            stacks[head] = np.empty((len(g), g.size, g.k))
+        if head in stacked:
             panels[s], u = stacks[head][i], pending.pop(s)
+            if bases[s].needs_gpu:
+                worker.gpu.cublas.charge(bases[s].kernel_calls(g.m, g.k))
         else:
             size = sf.rows[s].size
             k = sf.width(s)
@@ -377,14 +476,14 @@ def _numeric_walk(
             if g is None:
                 panels[s] = front[:, :k].copy()
             else:
-                panels[s] = stacks[g.sids[0]][i]
+                panels[s] = stacks[head][i]
                 panels[s][...] = front[:, :k]
             u = front[k:, k:].copy() if size > k else None
         if u is not None:
             updates[s] = u
             live_update_bytes += u.nbytes
             peak_update_bytes = max(peak_update_bytes, live_update_bytes)
-    return panels, stacks, updates, peak_update_bytes, batch_tasks, len(on_host)
+    return panels, stacks, updates, peak_update_bytes, batch_tasks, batched_fronts
 
 
 def postorder_numeric_factor(

@@ -16,7 +16,7 @@ elimination tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.multifrontal.numeric import (
     FURecord,
     NumericFactor,
     postorder_numeric_factor,
+    price_once_per_pattern,
 )
 from repro.parallel.pricing import TaskPricer
 from repro.parallel.workers import WorkerPool
@@ -195,38 +196,71 @@ def parallel_factorize(
     worker a task was placed on.  The one exception is a task the
     dynamic runtime *degraded* after injected GPU failures: its numerics
     run on the host P1 path, exactly as its simulated execution did.
+
+    The scheduling pass is a function of the pattern on a fresh node
+    without faults or a budget, so it is paid once per pattern
+    (:func:`repro.multifrontal.numeric.price_once_per_pattern`): a warm
+    call gets the schedule, the runtime counters, the worker busy times
+    and the end state of every GPU pool back without running it.
     """
-    runtime = None
-    degraded_sids: frozenset = frozenset()
     if backend == "static":
         if memory_budget is not None or faults is not None:
             raise ValueError(
                 "memory_budget/faults require backend='dynamic' "
                 "(the static scheduler binds tasks up front)"
             )
-        result = list_schedule(
-            sf, policy, pool,
-            gang_threshold=gang_threshold, gang_efficiency=gang_efficiency,
-        )
+        how: tuple | None = ("static", gang_threshold, gang_efficiency)
+
+        def price() -> ParallelResult:
+            return list_schedule(
+                sf, policy, pool,
+                gang_threshold=gang_threshold, gang_efficiency=gang_efficiency,
+            )
     elif backend == "dynamic":
         from repro.runtime.engine import dynamic_schedule
 
-        runtime = dynamic_schedule(
-            sf, policy, pool, memory_budget=memory_budget, faults=faults,
-        )
-        degraded_sids = runtime.degraded_sids
-        result = ParallelResult(
-            runtime.makespan, list(runtime.schedule),
-            worker_busy=list(runtime.worker_busy), runtime=runtime,
-        )
+        how = ("dynamic",) if memory_budget is None and faults is None else None
+
+        def price() -> ParallelResult:
+            runtime = dynamic_schedule(
+                sf, policy, pool, memory_budget=memory_budget, faults=faults,
+            )
+            return ParallelResult(
+                runtime.makespan, list(runtime.schedule),
+                worker_busy=list(runtime.worker_busy), runtime=runtime,
+            )
     else:
         raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
 
+    result = price_once_per_pattern(
+        sf, policy, pool.node, pool.workers, how, price, _fresh_copy
+    )
     result.factor = scheduled_numeric_factor(
         a, sf, policy, Worker.canonical(pool.node), pool.node, result.schedule,
-        makespan=result.makespan, degraded_sids=degraded_sids,
+        makespan=result.makespan,
+        degraded_sids=getattr(result.runtime, "degraded_sids", frozenset()),
     )
     return result
+
+
+def _fresh_copy(result: ParallelResult) -> ParallelResult:
+    """A copy of a factor-less ``result`` sharing nothing a caller could
+    mutate with it (schedule entries are frozen and shared)."""
+    runtime = result.runtime
+    if runtime is not None:
+        runtime = replace(
+            runtime,
+            schedule=list(runtime.schedule),
+            worker_busy=list(runtime.worker_busy),
+            stats=replace(runtime.stats),
+            spans=[replace(t) for t in runtime.spans],
+            messages=list(runtime.messages),
+            nic_busy=list(runtime.nic_busy),
+        )
+    return ParallelResult(
+        result.makespan, list(result.schedule), None,
+        list(result.worker_busy), runtime,
+    )
 
 
 def scheduled_numeric_factor(

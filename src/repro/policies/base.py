@@ -38,7 +38,7 @@ import numpy as np
 from repro.dense import kernels as hk
 from repro.dense.blocked import blocked_cholesky_panels, default_panel_width
 from repro.gpu.clock import EngineTimeline, SimTask, TaskGraph, schedule_graph
-from repro.gpu.cublas import panel_kernel_sequence
+from repro.gpu.cublas import KernelCall, panel_kernel_sequence
 from repro.gpu.device import SimulatedGpu, SimulatedNode
 from repro.gpu.perfmodel import PerfModel
 
@@ -391,6 +391,17 @@ class PolicyP4(Policy):
     def _width(self, k: int) -> int:
         return self.panel_width if self.panel_width else default_panel_width(k)
 
+    def one_panel(self, k: int) -> bool:
+        """Whether Figure 9 factors a k-column pivot block in one panel:
+        potrf, trsm, syrk, the kernels of a stacked leaf group
+        (:mod:`repro.multifrontal.batched`)."""
+        return self._width(k) >= k
+
+    def kernel_calls(self, m: int, k: int) -> list[KernelCall]:
+        """The device kernels of one (m, k) call, in order: what ``plan``
+        prices and ``apply`` charges."""
+        return panel_kernel_sequence(m + k, k, self._width(k))
+
     def device_words(self, m, k):
         return (m + k) * (m + k)
 
@@ -416,10 +427,9 @@ class PolicyP4(Policy):
                 model.transfer_time(up_words * word, pinned=True), (t_prep,), "copy",
             )
             # one task per device kernel of the blocked loop
-            calls = panel_kernel_sequence(s, k, self._width(k))
             prev: SimTask = t_h2d
             kernel_tasks: list[SimTask] = []
-            for c in calls:
+            for c in self.kernel_calls(m, k):
                 t = graph.add(
                     f"gpu:{c.kernel}", gpu.compute_engine,
                     model.kernel_time("gpu", c.kernel, m=c.m, n=c.n, k=c.k),

@@ -50,7 +50,8 @@ from repro.multifrontal.frontal import (
 )
 from repro.multifrontal.numeric import FURecord, replay_factorize
 from repro.policies import make_policy
-from repro.policies.base import PolicyP1, Worker
+from repro.gpu.perfmodel import tesla_t10_model
+from repro.policies.base import PolicyP1, PolicyP4, Worker
 from repro.symbolic import amalgamation_preset, symbolic_factorize
 from repro.symbolic.stack import stack_minimizing_postorder
 from repro.symbolic.symbolic import factor_update_flops
@@ -398,15 +399,123 @@ class TestBatchedExecutionProperties:
         assert (nf.batch_tasks, nf.batched_fronts) == (2, 129)
         assert factor_fingerprint(nf) == factor_fingerprint(base)
 
-    def test_device_leaves_are_never_stacked(self):
-        a = same_shape_leaves(6, size=5, k=2)
+    @staticmethod
+    def _check_device_slices(a, sym, precision):
+        """Every slice of every group's stacked result in the device dtype
+        equals ``PolicyP4.apply`` on that member's individually assembled
+        front (fp32 kernels under ``sp``, fp64 under ``dp``)."""
+        node = SimulatedNode(model=tesla_t10_model().with_precision(precision))
+        worker = Worker.canonical(node)
+        dtype = worker.gpu.cublas.dtype
+        plan = get_assembly_plan(a, sym)
+        p4 = PolicyP4()
+        for g in plan.groups:
+            assert p4.one_panel(g.k)
+            g_panels, g_updates = batched.factor_batch_group(sym, a.data, g, dtype)
+            for i, s in enumerate(g.sids):
+                front = assemble_front_planned(plan, a.data, g.size, s, [])
+                p4.apply(front, g.k, worker)
+                assert np.array_equal(g_panels[i], front[:, :g.k])
+                if g.m:
+                    assert np.array_equal(g_updates[i], front[g.k:, g.k:])
+        return plan.groups
+
+    @settings(max_examples=15, deadline=None)
+    @given(spd_problem(max_n=48), st.sampled_from(("amd", "nd", "natural")),
+           st.sampled_from(("sp", "dp")))
+    def test_every_device_slice_equals_the_per_front_p4(self, a, ordering, precision):
+        self._check_device_slices(
+            a, symbolic_factorize(a, ordering=ordering), precision
+        )
+
+    @staticmethod
+    def _leaves(dense_edit=None):
+        """Six same-shape two-column leaves (one group), optionally with
+        one entry of the matrix changed first."""
+        dense = same_shape_leaves(6, size=5, k=2).to_dense()
+        if dense_edit is not None:
+            dense_edit(dense)
+        a = csc_from_dense(dense)
         sym = symbolic_factorize(
             a, ordering="natural", amalgamation=amalgamation_preset("off")
         )
         assert len(get_assembly_plan(a, sym).groups) == 1
-        nf = factorize_numeric(a, sym, make_policy("P4"))
+        return a, sym
+
+    @staticmethod
+    def _device_run(a, sym, policy, *, stacking=True):
+        """``factorize_numeric`` under ``policy`` on a fresh symbolic
+        factor; per front when ``stacking`` is off."""
+        with stack_cutoff(batched.STACK_CUTOFF if stacking else 0):
+            node = SimulatedNode()
+            nf = factorize_numeric(a, dataclasses.replace(sym), policy, node=node)
+        return nf, node.gpus[0].cublas
+
+    def test_device_leaves_run_stacked(self):
+        a, sym = self._leaves()
+        for precision in ("sp", "dp"):
+            self._check_device_slices(a, sym, precision)
+        nf, ctx = self._device_run(a, sym, make_policy("P4"))
+        assert (nf.batch_tasks, nf.batched_fronts) == (1, 6)
+        assert nf.task_dispatches == sym.n_supernodes - 5
+        ref, ref_ctx = self._device_run(a, sym, make_policy("P4"), stacking=False)
+        assert ref.batch_tasks == 0
+        assert factor_fingerprint(nf) == factor_fingerprint(ref)
+        # each member charged its own kernels at its own turn
+        assert ctx.calls == ref_ctx.calls
+        assert ctx.busy_seconds == ref_ctx.busy_seconds
+
+    def test_narrow_panel_stays_per_front(self):
+        a, sym = self._leaves()
+        policy = PolicyP4(panel_width=1)      # w = 1 < k = 2: two panels
+        assert not policy.one_panel(2)
+        nf, ctx = self._device_run(a, sym, policy)
         assert (nf.batch_tasks, nf.batched_fronts) == (0, 0)
-        assert nf.task_dispatches == sym.n_supernodes
+        ref, ref_ctx = self._device_run(a, sym, policy, stacking=False)
+        assert factor_fingerprint(nf) == factor_fingerprint(ref)
+        assert ctx.calls == ref_ctx.calls
+
+    def test_fp32_breakdown_reruns_the_group_per_front(self):
+        # leaf 0's pivot block "breaks down" in float32 only; the per-front
+        # path promotes it to float64 (CublasContext.potrf), which the
+        # stacked path has no way to do for one slice
+        mark = 1000.0
+        a, sym = self._leaves(lambda d: d.__setitem__((0, 0), mark))
+        real, broke = np.linalg.cholesky, []
+
+        def flaky(x):
+            if x.dtype == np.float32 and (x[..., 0, 0] == mark).any():
+                broke.append(x.shape)
+                raise np.linalg.LinAlgError("spurious float32 breakdown")
+            return real(x)
+
+        with mock.patch.object(np.linalg, "cholesky", flaky):
+            nf, ctx = self._device_run(a, sym, make_policy("P4"))
+            ref, ref_ctx = self._device_run(
+                a, sym, make_policy("P4"), stacking=False
+            )
+        # the stack and its slice 0 (finding the failing member), then
+        # leaf 0 per front in each run
+        assert broke == [(6, 2, 2), (2, 2), (2, 2), (2, 2)]
+        assert (nf.batch_tasks, nf.batched_fronts) == (0, 0)
+        assert factor_fingerprint(nf) == factor_fingerprint(ref)
+        assert ctx.calls == ref_ctx.calls
+        assert ctx.busy_seconds == ref_ctx.busy_seconds
+
+    def test_non_spd_leaf_names_its_supernode(self):
+        from repro.dense.kernels import NotPositiveDefiniteError
+
+        a, sym = self._leaves(lambda d: d.__setitem__((2, 2), -1.0))
+        messages = []
+        for stacking in (True, False):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                self._device_run(a, sym, make_policy("P4"), stacking=stacking)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(
+            "matrix is not positive definite: Cholesky broke down in "
+            "supernode 1 (permuted columns 2..3,"
+        )
 
     @pytest.mark.parametrize("nodes", (1, 2, 4))
     def test_cluster_backend_stacks_and_matches_serial(self, nodes):

@@ -248,6 +248,27 @@ class TestSimulatedNode:
         assert hasattr(pool, "capacity") == pinned_pooling
         assert asdict(pool.stats) == asdict(type(pool.stats)())
 
+    @pytest.mark.parametrize("pinned_pooling", [True, False])
+    def test_reset_leaves_the_last_runs_statistics_alone(self, pinned_pooling):
+        """Whoever holds a run's pool statistics still reads that run
+        after the node is reset for the next one."""
+        from dataclasses import asdict
+
+        from repro import SparseCholeskySolver
+        from repro.matrices import grid_laplacian_3d
+
+        solver = SparseCholeskySolver(
+            grid_laplacian_3d(6, 6, 6), ordering="nd", policy="P4",
+            node=SimulatedNode(pinned_pooling=pinned_pooling),
+        ).factorize()
+        held = [
+            p.stats for g in solver.node.gpus for p in (g.device_pool, g.pinned_pool)
+        ]
+        run1 = [asdict(s) for s in held]
+        assert all(s["high_water"] > 0 for s in run1)
+        solver.node.reset()
+        assert [asdict(s) for s in held] == run1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulatedNode(n_cpus=0)

@@ -43,14 +43,15 @@ def test_no_stacked_leaf_is_wider_than_a_substitution_block():
 class TestEveryKindOfFactor:
     @settings(max_examples=15, deadline=None)
     @given(spd_matrix(max_n=60))
-    def test_device_factor_with_leaves_computed_per_front(self, a):
-        # fp32-rounded panels; no group runs stacked in the factorization,
-        # every group is swept stacked in the solve
+    def test_device_factor_with_leaves_run_stacked(self, a):
+        # fp32-rounded panels; every group runs stacked in the
+        # factorization (one Figure-9 panel covers a leaf's pivot block)
+        # and is swept stacked in the solve
         solver = SparseCholeskySolver(
             a, ordering="nd", policy="P4", backend="dynamic",
             node=SimulatedNode(n_cpus=2, n_gpus=2),
         ).factorize()
-        assert solver.factor.batch_tasks == 0
+        assert solver.factor.batch_tasks == len(batched.batch_groups(solver.symbolic))
         assert_factor_sweeps_match_reference(solver.factor)
 
     @settings(max_examples=15, deadline=None)

@@ -14,8 +14,10 @@ from repro.autotune import (
 from repro.gpu import SimulatedNode, tesla_t10_model
 from repro.multifrontal import factorize_numeric, numeric, solve_factored
 from repro.multifrontal.numeric import replay_factorize
-from repro.policies import make_policy
+from repro.policies import BaselineHybrid, make_policy
+from repro.runtime import FaultInjector
 from repro.symbolic import symbolic_factorize
+from repro.verify.lattice import factor_fingerprint
 from unittest import mock
 
 
@@ -326,8 +328,9 @@ class TestEveryBackendEveryNodeOneFactor:
 
 class TestPricingMemo:
     """``factorize_numeric`` prices a pure pass once per pattern (one slot
-    on the symbolic factor); every other pass prices as it always did,
-    and a hit cannot be told from a miss."""
+    on the symbolic factor) — under P1 to P4, not under a selector; every
+    other pass prices as it always did, and a hit cannot be told from a
+    miss."""
 
     @staticmethod
     def _slot(solver):
@@ -356,9 +359,14 @@ class TestPricingMemo:
         from repro.gpu.clock import engine_counters
 
         f = solver.factor
+        pools = [
+            (p.stats, getattr(p, "capacity", None), p.in_use)
+            for g in solver.node.gpus for p in (g.device_pool, g.pinned_pool)
+        ]
         return (
             f.records, f.makespan, f.assembly_seconds,
             engine_counters(solver.node.engines), solver.node.now, solver.stats,
+            pools, [g.cublas.busy_seconds for g in solver.node.gpus],
         )
 
     def test_p1_refactorize_prices_nothing(self, lap3d_small):
@@ -372,21 +380,30 @@ class TestPricingMemo:
             )
             assert counts == (0, 0)
 
-    @pytest.mark.parametrize("policy", ["P4", "baseline"])
-    def test_device_and_hybrid_policies_price_every_call(
-        self, lap3d_small, policy
-    ):
-        from repro.policies import BaselineHybrid
-
+    def test_device_refactorize_prices_nothing(self, lap3d_small):
         a = lap3d_small
-        if policy == "baseline":
-            # thresholds low enough to send these small fronts to the device
-            policy = BaselineHybrid(thresholds=(1e3, 1e4, 1e5))
+        solver = SparseCholeskySolver(a, ordering="nd", policy="P4").analyze()
+        n = solver.symbolic.n_supernodes
+        assert self._count_pricing(solver.factorize) == (n, n)
+        requests = self._pool_requests(solver)
+        assert sum(requests) > 0
+        for scale in (2.0, 3.0):
+            counts = self._count_pricing(
+                lambda: solver.refactorize(a.data * scale)
+            )
+            assert counts == (0, 0)
+            # the pools read as after the pass that went through them
+            assert self._pool_requests(solver) == requests
+
+    def test_hybrid_policy_prices_every_call(self, lap3d_small):
+        a = lap3d_small
+        # thresholds low enough to send these small fronts to the device
+        policy = BaselineHybrid(thresholds=(1e3, 1e4, 1e5))
         solver = SparseCholeskySolver(a, ordering="nd", policy=policy).analyze()
         first = self._count_pricing(solver.factorize)
         assert first[0] == solver.symbolic.n_supernodes
         requests = self._pool_requests(solver)
-        selections = dict(getattr(solver.policy, "selection_counts", {}))
+        selections = dict(solver.policy.selection_counts)
         assert sum(requests) > 0
         for scale in (2.0, 3.0):
             counts = self._count_pricing(
@@ -395,7 +412,7 @@ class TestPricingMemo:
             assert counts == first
             # each call went through the allocators and the selector again
             assert self._pool_requests(solver) == requests
-            assert dict(getattr(solver.policy, "selection_counts", {})) == selections
+            assert dict(solver.policy.selection_counts) == selections
         assert self._slot(solver) is None
 
     def test_only_pure_passes_are_kept(self, lap3d_small):
@@ -419,14 +436,17 @@ class TestPricingMemo:
                 solver.refactorize(a.data * scale)
             filled[name] = self._slot(solver) is not None
         assert filled == {
-            "P1": True, "P3": False, "P4": False, "PBH": False, "PIH": False,
+            "P1": True, "P3": True, "P4": True, "PBH": False, "PIH": False,
         }
 
     def test_hit_reads_like_a_real_pass(self, lap3d_small):
+        for policy in ("P1", "P4"):
+            self._check_hit_reads_like_a_real_pass(lap3d_small, policy)
+
+    def _check_hit_reads_like_a_real_pass(self, a, policy):
         from repro.gpu.clock import EngineTimeline
 
-        a = lap3d_small
-        solver = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
+        solver = SparseCholeskySolver(a, ordering="nd", policy=policy).factorize()
         factors = [solver.factor]
         seen = [self._observables(solver)]
         for scale in (2.0, 3.0, 4.0):
@@ -434,11 +454,11 @@ class TestPricingMemo:
             factors.append(solver.factor)
             seen.append(self._observables(solver))
         engines = solver.node.engines
-        fresh = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
+        fresh = SparseCholeskySolver(a, ordering="nd", policy=policy).factorize()
         assert all(obs == self._observables(fresh) for obs in seen)
         # nothing mutable is shared between two factors or with the slot
         slot = self._slot(solver)
-        record_lists = [f.records for f in factors] + [slot.records]
+        record_lists = [f.records for f in factors] + [slot.outcome[0]]
         assert len({id(r) for r in record_lists}) == len(record_lists)
         assert all(isinstance(t, EngineTimeline) for t in slot.engines)
         assert not {id(t) for t in slot.engines} & {
@@ -447,6 +467,8 @@ class TestPricingMemo:
         # mutating what a hit handed out does not reach the next hit
         factors[-1].records.clear()
         engines["cpu0"].free_at = -1.0
+        for g in solver.node.gpus:
+            g.device_pool.stats.n_requests = -1
         solver.refactorize(a.data)
         assert self._observables(solver) == self._observables(fresh)
 
@@ -573,3 +595,172 @@ class TestPricingMemo:
                 np.array_equal(p, q)
                 for p, q in zip(factor.panels, ref.factor.panels)
             )
+
+
+def _small_device_node():
+    """2 CPUs + 2 GPUs of 8 KiB device memory each: the larger fronts of
+    ``lap3d_small`` leave the device."""
+    from dataclasses import replace
+
+    from repro.gpu.device import SimulatedGpu
+    from repro.gpu.spec import TESLA_T10
+
+    node = SimulatedNode(n_cpus=2, n_gpus=2)
+    spec = replace(TESLA_T10, memory_bytes=8 << 10)
+    node.gpus = [SimulatedGpu(node.model, i, spec=spec) for i in range(2)]
+    return node
+
+
+class TestScheduledPricingMemo:
+    """``parallel_factorize`` keeps a pure scheduling pass (static or
+    dynamic) in the slot the serial walk uses, under the same rule: a
+    warm refactorize runs no scheduler, a hit cannot be told from a miss,
+    and every pass the key cannot describe runs as it always did."""
+
+    @staticmethod
+    def _solver(a, sf, **kwargs):
+        kwargs = {
+            "policy": "P4", "backend": "dynamic",
+            "node": SimulatedNode(n_cpus=2, n_gpus=2), **kwargs,
+        }
+        return SparseCholeskySolver.from_symbolic(a, sf, **kwargs)
+
+    @staticmethod
+    def _runs(run):
+        """(scheduling passes, result) of ``run()``: event-loop runs plus
+        static list-schedule calls."""
+        from repro.parallel import scheduler
+        from repro.runtime.engine import DynamicRuntime
+
+        with mock.patch.object(
+            DynamicRuntime, "run", autospec=True, side_effect=DynamicRuntime.run
+        ) as loop, mock.patch.object(
+            scheduler, "list_schedule", wraps=scheduler.list_schedule
+        ) as static:
+            out = run()
+        return loop.call_count + static.call_count, out
+
+    @staticmethod
+    def _observables(solver):
+        par, f = solver.parallel, solver.factor
+        rt = par.runtime
+        return (
+            f.records, f.makespan, par.makespan, par.schedule, par.worker_busy,
+            None if rt is None else (
+                rt.makespan, rt.schedule, rt.worker_busy, rt.stats,
+                rt.degraded_sids, rt.messages, rt.nic_busy,
+                [(t.name, t.engine, t.start, t.end, t.category) for t in rt.spans],
+            ),
+            [
+                (p.stats, getattr(p, "capacity", None), p.in_use)
+                for g in solver.node.gpus for p in (g.device_pool, g.pinned_pool)
+            ],
+            [g.cublas.busy_seconds for g in solver.node.gpus],
+            solver.stats,
+        )
+
+    @pytest.mark.parametrize("backend", ["static", "dynamic"])
+    def test_warm_refactorize_schedules_nothing(self, lap3d_small, backend):
+        a = lap3d_small
+        sf = symbolic_factorize(a, ordering="nd")
+        solver = self._solver(a, sf, backend=backend)
+        assert self._runs(solver.factorize)[0] == 1
+        for scale in (2.0, 3.0):
+            assert self._runs(lambda: solver.refactorize(a.data * scale))[0] == 0
+        # a new solver on a fresh node of the same shape hits too
+        assert self._runs(self._solver(a, sf, backend=backend).factorize)[0] == 0
+
+    @pytest.mark.parametrize("policy", ["P1", "P4"])
+    @pytest.mark.parametrize("backend", ["static", "dynamic"])
+    def test_hit_reads_like_a_miss(self, lap3d_small, backend, policy):
+        a = lap3d_small
+        sf = symbolic_factorize(a, ordering="nd")
+        solver = self._solver(a, sf, backend=backend, policy=policy).factorize()
+        seen = [self._observables(solver)]
+        for scale in (2.0, 3.0):
+            solver.refactorize(a.data * scale)
+            seen.append(self._observables(solver))
+        fresh = self._solver(
+            a, symbolic_factorize(a, ordering="nd"), backend=backend, policy=policy
+        ).factorize()
+        assert all(obs == self._observables(fresh) for obs in seen)
+        if backend == "dynamic" and policy == "P4":
+            assert sum(g.device_pool.capacity for g in fresh.node.gpus) > 0
+        # mutating what a hit handed out does not reach the next hit
+        par = solver.parallel
+        par.schedule.clear()
+        par.worker_busy.clear()
+        if par.runtime is not None:
+            par.runtime.schedule.clear()
+            par.runtime.worker_busy[0] = -1.0
+            par.runtime.stats.steals = -1
+            par.runtime.spans[0].end = -1.0
+            par.runtime.messages.append(None)
+        for g in solver.node.gpus:
+            g.device_pool.stats.n_requests = -1
+        assert self._runs(lambda: solver.refactorize(a.data))[0] == 0
+        assert self._observables(solver) == self._observables(fresh)
+        assert factor_fingerprint(solver.factor) == factor_fingerprint(fresh.factor)
+
+    VARIANTS = {
+        "faults": lambda: dict(
+            faults=FaultInjector(transfer_stall_rate=0.3, seed=1)
+        ),
+        "memory budget": lambda: dict(memory_budget=1),
+        "jittered model": lambda: dict(
+            node=SimulatedNode(
+                n_cpus=2, n_gpus=2, model=tesla_t10_model(jitter=0.05)
+            )
+        ),
+        "counting selector": lambda: dict(
+            policy=BaselineHybrid(thresholds=(1e3, 1e4, 1e5))
+        ),
+        "per-call pools": lambda: dict(
+            node=SimulatedNode(n_cpus=2, n_gpus=2, pinned_pooling=False)
+        ),
+        "smaller device": lambda: dict(node=_small_device_node()),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_what_the_key_cannot_describe_runs(self, lap3d_small, variant):
+        a = lap3d_small
+        sf = symbolic_factorize(a, ordering="nd")
+        plain = self._solver(a, sf).factorize()
+        assert sf._priced_pass is not None
+        runs, shared = self._runs(
+            lambda: self._solver(a, sf, **self.VARIANTS[variant]()).factorize()
+        )
+        assert runs == 1
+        own = self._solver(
+            a, symbolic_factorize(a, ordering="nd"), **self.VARIANTS[variant]()
+        ).factorize()
+        assert self._observables(shared) == self._observables(own)
+        # each variant prices something the plain pass does not
+        assert self._observables(shared) != self._observables(plain)
+
+    def test_a_node_whose_pools_are_not_fresh_runs(self, lap3d_small):
+        from repro.parallel import WorkerPool, parallel_factorize
+
+        a = lap3d_small
+        policy = make_policy("P4")
+
+        def twice(sf):
+            """Two passes on one node, no reset between them: the second
+            starts from the pools the first left grown."""
+            pool = WorkerPool.over(SimulatedNode(n_cpus=2, n_gpus=2))
+            return [
+                self._runs(
+                    lambda: parallel_factorize(a, sf, policy, pool, backend="dynamic")
+                )
+                for _ in range(2)
+            ], [g.device_pool.stats for g in pool.node.gpus]
+
+        sf = symbolic_factorize(a, ordering="nd")
+        self._solver(a, sf).factorize()           # fills the slot
+        slot = sf._priced_pass
+        ((hit, _), (runs, second)), pools = twice(sf)
+        assert (hit, runs) == (0, 1) and sf._priced_pass is slot
+        (_, (_, own)), own_pools = twice(symbolic_factorize(a, ordering="nd"))
+        assert second.schedule == own.schedule
+        assert second.runtime.stats == own.runtime.stats
+        assert pools == own_pools
