@@ -9,7 +9,7 @@ distribution that the hybrid policies exploit.  We provide:
   approximate external degrees).
 * :func:`reverse_cuthill_mckee` — bandwidth-reducing BFS ordering (used as
   a contrast baseline; it produces long thin supernodes).
-* :func:`nested_dissection` — recursive BFS-separator dissection, the
+* :func:`nested_dissection` — BFS-separator dissection, the
   ordering that produces the large root fronts central to the paper's
   analysis of 3-D problems.
 * :func:`natural_ordering` — identity.

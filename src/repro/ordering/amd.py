@@ -57,7 +57,7 @@ def minimum_degree_graph(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     alive = [True] * n
     degree = [len(s) for s in adj_v]
 
-    heap: list[tuple[int, int]] = [(int(degree[v]), v) for v in range(n)]
+    heap: list[tuple[int, int]] = [(degree[v], v) for v in range(n)]
     heapq.heapify(heap)
 
     order: list[int] = []
@@ -78,7 +78,7 @@ def minimum_degree_graph(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
         # ---- eliminate p (and everything merged into it)
         order.extend(merged[p])
-        n_eliminated += int(weight[p])
+        n_eliminated += weight[p]
         alive[p] = False
         absorbed = adj_e[p]
         for e in absorbed:
@@ -96,10 +96,10 @@ def minimum_degree_graph(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
             for e in adj_e[v]:
                 if e not in extern_w and e != p and e in elem_members:
                     extern_w[e] = sum(
-                        int(weight[u]) for u in elem_members[e] if alive[u] and u not in lp
+                        weight[u] for u in elem_members[e] if alive[u] and u not in lp
                     )
 
-        w_lp = int(sum(weight[v] for v in lp))
+        w_lp = sum(weight[v] for v in lp)
 
         # ---- update each variable in L_p
         for v in lp:
@@ -111,11 +111,11 @@ def minimum_degree_graph(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
             ev = {e for e in adj_e[v] if e in elem_members and e != p}
             ev.add(p)                          # the new element is named p
             adj_e[v] = ev
-            d = sum(int(weight[u]) for u in av)
-            d += w_lp - int(weight[v])
+            d = sum(weight[u] for u in av)
+            d += w_lp - weight[v]
             d += sum(extern_w.get(e, 0) for e in ev if e != p)
             degree[v] = max(1, d) if (av or len(ev) > 1 or w_lp > weight[v]) else 0
-            heapq.heappush(heap, (int(degree[v]), v))
+            heapq.heappush(heap, (degree[v], v))
 
         # ---- supervariable detection: merge indistinguishable members of L_p
         signature: dict[tuple, int] = {}
@@ -135,17 +135,18 @@ def minimum_degree_graph(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
                 merged[keeper].extend(merged[v])
                 merged[v] = []
                 alive[v] = False
+                # every element still listing v is one of v's own
+                for e in adj_e[v]:
+                    elem_members[e].discard(v)
                 adj_v[v] = set()
                 adj_e[v] = set()
-                for members in elem_members.values():
-                    members.discard(v)
                 for u in list(adj_v[keeper]):
                     adj_v[u].discard(v)
                 # external degree of the keeper shrinks by the merged weight
-                degree[keeper] = max(0, int(degree[keeper]) - int(weight[v] - 0))
-                heapq.heappush(heap, (int(degree[keeper]), keeper))
+                degree[keeper] = max(0, degree[keeper] - weight[v])
+                heapq.heappush(heap, (degree[keeper], keeper))
 
     perm = np.asarray(order, dtype=np.int64)
-    if perm.size != n or np.unique(perm).size != n:
+    if perm.size != n or not np.all(np.bincount(perm, minlength=n) == 1):
         raise AssertionError("minimum degree produced an invalid permutation")
     return perm

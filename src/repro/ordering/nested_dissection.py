@@ -1,7 +1,8 @@
-"""Recursive nested dissection via BFS level-set separators.
+"""Nested dissection via BFS level-set separators, one dissection level
+at a time.
 
 Nested dissection orders a graph by finding a small vertex separator,
-recursing on the two halves, and numbering the separator last.  For the
+ordering the two halves, and numbering the separator last.  For the
 3-D grid problems in the test suite this produces the elimination trees
 the paper's analysis depends on: a few very large supernodes near the
 root (the separators, side ~ n^(2/3) vertices for 3-D) carrying most of
@@ -13,6 +14,19 @@ removal best balances the halves weighted by separator size, and take
 that whole level as the separator.  Small subgraphs fall back to the
 minimum-degree ordering, mirroring production ND codes (METIS switches to
 MMD at the bottom of the recursion).
+
+The parts of one dissection level are vertex-disjoint, so they are
+dissected together: one gather builds their induced subgraphs as one
+block-diagonal graph, and each BFS round (the connectivity probe, a
+pseudo-peripheral round) is one multi-source sweep with a source per
+part.  A split part hands the component its probe reached to the next
+level and its rest with it, where the next probe reaches the rest's
+first component; only a level where no part searches for a root labels
+every component of its split parts in rounds of its own.  Each part
+still decides alone — its depth, its separator, its children — and
+records them in a task tree; flattening that tree depth-first gives the
+order the one-subgraph-at-a-time recursion produced: halves before
+their separator, components in ascending order of their smallest vertex.
 """
 
 from __future__ import annotations
@@ -21,45 +35,66 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 from repro.ordering.amd import minimum_degree_graph
-from repro.ordering.rcm import bfs_levels, pseudo_peripheral_node
+from repro.ordering.rcm import bfs_levels, pseudo_peripheral_levels
 
 __all__ = ["nested_dissection"]
 
 
-def _gather_neighbors(indptr: np.ndarray, indices: np.ndarray,
-                      nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gather of the concatenated adjacency lists of ``nodes``.
+def _induced_union(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray,
+                   node_task: np.ndarray, owner: np.ndarray,
+                   local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The induced subgraphs of a level's parts as one graph on
+    ``0..nodes.size-1``, vertex ``i`` being ``nodes[i]``.
 
-    Returns ``(src, nbrs)`` where ``src[i]`` is the position of the source
-    node within ``nodes`` for neighbor ``nbrs[i]``; entries stay grouped by
-    source node in order.
+    ``node_task[i]`` is the task of the part holding ``nodes[i]``; an edge
+    is kept when both ends belong to the same task.  ``owner`` and
+    ``local`` are scratch vectors over the whole graph, reused by every
+    level: task ids are never reused, so what an earlier level left in
+    ``owner`` never matches.  Each row keeps its neighbours in adjacency
+    order.
     """
+    owner[nodes] = node_task
+    local[nodes] = np.arange(nodes.size, dtype=np.int64)
     counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # positions: for each node, a run indptr[v] .. indptr[v+1]-1
-    run_starts = np.zeros(nodes.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=run_starts[1:])
-    offsets = np.repeat(indptr[nodes] - run_starts, counts)
-    pos = np.arange(total, dtype=np.int64) + offsets
-    src = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
-    return src, indices[pos]
+    # row i's neighbours are positions runs[i] .. runs[i+1]-1 of the
+    # gathered list; each temporary is as long as the whole level's
+    # adjacency, so few are alive at once
+    runs = np.zeros(nodes.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=runs[1:])
+    nbrs = indices[np.repeat(indptr[nodes] - runs[:-1], counts)
+                   + np.arange(runs[-1], dtype=np.int64)]
+    keep = owner[nbrs] == np.repeat(node_task, counts)
+    nbrs = local[nbrs[keep]]
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[runs], nbrs
 
 
-def _subgraph(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
-    """Induced subgraph on ``nodes`` with relabeled vertices 0..len-1."""
-    n_sub = nodes.size
-    local = -np.ones(indptr.size - 1, dtype=np.int64)
-    local[nodes] = np.arange(n_sub, dtype=np.int64)
-    src, nbrs = _gather_neighbors(indptr, indices, nodes)
-    local_nbrs = local[nbrs]
-    keep = local_nbrs >= 0
-    src = src[keep]
-    local_nbrs = local_nbrs[keep]
-    sub_indptr = np.zeros(n_sub + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n_sub), out=sub_indptr[1:])
-    return sub_indptr, local_nbrs
+def _component_rounds(indptr: np.ndarray, indices: np.ndarray,
+                      starts: np.ndarray, split: np.ndarray,
+                      level: np.ndarray) -> np.ndarray:
+    """The round that labelled each vertex of a ``split`` part.
+
+    ``level`` is the connectivity probe (round 0) and is extended in
+    place.  Each further round is one sweep seeded at the smallest
+    unlabelled vertex of every split part with one left, so a part's
+    components in round order ascend by their smallest vertex.
+    """
+    rounds = np.where(level >= 0, 0, -1)
+    todo = np.flatnonzero(level < 0)
+    todo = todo[split[np.searchsorted(starts, todo, side="right") - 1]]
+    r = 0
+    while todo.size:
+        r += 1
+        # the first unlabelled vertex at or after each split part's start;
+        # a part with none left points at the next part's, or past the end
+        first = np.searchsorted(todo, starts[split])
+        first = first[(np.diff(first, prepend=-1) > 0) & (first < todo.size)]
+        bfs_levels(indptr, indices, todo[first], level)
+        reached = level[todo] >= 0
+        rounds[todo[reached]] = r
+        todo = todo[~reached]
+    return rounds
 
 
 def _find_separator(
@@ -114,54 +149,84 @@ def _find_separator(
     return part_a, part_b, separator
 
 
-def _components(indptr, indices) -> list[np.ndarray]:
-    """Connected components via vectorized BFS sweeps."""
-    n = indptr.size - 1
-    label = np.full(n, -1, dtype=np.int64)
-    comps = []
-    for seed in range(n):
-        if label[seed] >= 0:
-            continue
-        cid = len(comps)
-        label[seed] = cid
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            _, nbrs = _gather_neighbors(indptr, indices, frontier)
-            frontier = np.unique(nbrs[label[nbrs] < 0])
-            label[frontier] = cid
-        comps.append(np.flatnonzero(label == cid))
-    return comps
+def _dissect_level(indptr: np.ndarray, indices: np.ndarray,
+                   parts: list[tuple[int, np.ndarray, bool]], tasks: list[list],
+                   owner: np.ndarray, local: np.ndarray,
+                   leaf_size: int) -> list[tuple[int, np.ndarray, bool]]:
+    """Dissect every part of one level, recording each part's children
+    and separator under its task; return the next level's parts.
 
-
-def _nd_recurse(indptr, indices, nodes: np.ndarray, out: list[np.ndarray],
-                leaf_size: int) -> None:
-    """Append the ND ordering of the induced subgraph on ``nodes`` to
-    ``out`` (in elimination order: halves first, separator last)."""
-    if nodes.size == 0:
-        return
-    sub_indptr, sub_indices = _subgraph(indptr, indices, nodes)
-    if nodes.size <= leaf_size:
-        # base case: minimum degree on the leaf subgraph
-        out.append(nodes[minimum_degree_graph(sub_indptr, sub_indices)])
-        return
-    # the BFS that starts the pseudo-peripheral search also says whether
-    # the subgraph is connected
-    level, depth = bfs_levels(sub_indptr, sub_indices, 0)
-    if level.min() < 0:
-        for comp in _components(sub_indptr, sub_indices):
-            _nd_recurse(indptr, indices, nodes[comp], out, leaf_size)
-        return
-    _, level, depth = pseudo_peripheral_node(
-        sub_indptr, sub_indices, 0, level, depth
+    ``parts`` is ``[(task, nodes, rest)]`` with each ``nodes`` ascending
+    and non-empty, the parts vertex-disjoint.  ``rest`` marks what is
+    left of a split part once its first components are queued: its
+    components are split off before the leaf rule applies to any of them.
+    """
+    sizes = np.array([nodes.size for _, nodes, _ in parts], dtype=np.int64)
+    starts = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    nodes = np.concatenate([nodes for _, nodes, _ in parts])
+    task_ids = np.array([t for t, _, _ in parts], dtype=np.int64)
+    rest = np.array([r for _, _, r in parts], dtype=bool)
+    sub_indptr, sub_indices = _induced_union(
+        indptr, indices, nodes, np.repeat(task_ids, sizes), owner, local
     )
-    part_a, part_b, sep = _find_separator(level, depth)
-    if sep.size == nodes.size or part_a.size == 0 or part_b.size == 0:
-        # separator heuristic failed to split; fall back to minimum degree
-        out.append(nodes[minimum_degree_graph(sub_indptr, sub_indices)])
-        return
-    _nd_recurse(indptr, indices, nodes[part_a], out, leaf_size)
-    _nd_recurse(indptr, indices, nodes[part_b], out, leaf_size)
-    out.append(nodes[sep])
+
+    leaf = (sizes <= leaf_size) & ~rest
+    level = np.full(nodes.size, -1, dtype=np.int64)
+    if not leaf.all():
+        # the connectivity probe: one sweep from every part's first vertex
+        level = bfs_levels(sub_indptr, sub_indices, starts[~leaf])
+    split = ~leaf & (np.minimum.reduceat(level, starts) < 0)
+    # a connected rest is its split part's last component
+    leaf |= ~split & (sizes <= leaf_size)
+    searching = ~leaf & ~split
+    if split.any() and not searching.any():
+        # no part searches for a root, so no other round would run:
+        # label every component now
+        rounds = _component_rounds(sub_indptr, sub_indices, starts, split, level)
+    else:
+        # the probe found each split part's first component; the rest
+        # waits for the next level's probe instead of a round of its own
+        rounds = np.where(level >= 0, 0, -1)
+    # the probe doubles as the first BFS of the pseudo-peripheral search
+    level, depth = pseudo_peripheral_levels(
+        sub_indptr, sub_indices, starts, searching, level
+    )
+
+    next_parts: list[tuple[int, np.ndarray, bool]] = []
+
+    def child(t: int, child_nodes: np.ndarray, is_rest: bool = False) -> None:
+        tasks[t].append(len(tasks))
+        next_parts.append((len(tasks), child_nodes, is_rest))
+        tasks.append([])
+
+    bounds = np.append(starts, nodes.size).tolist()
+    for i, t in enumerate(task_ids.tolist()):
+        s, e = bounds[i], bounds[i + 1]
+        part_nodes = nodes[s:e]
+        if split[i]:
+            r = rounds[s:e]
+            done = r >= 0
+            by_round = np.argsort(r[done], kind="stable")
+            cuts = np.cumsum(np.bincount(r[done]))[:-1]
+            for comp in np.split(part_nodes[done][by_round], cuts):
+                child(t, comp)
+            if not done.all():
+                child(t, part_nodes[~done], True)
+            continue
+        if searching[i]:
+            part_a, part_b, sep = _find_separator(level[s:e], int(depth[i]))
+            if sep.size < e - s and part_a.size and part_b.size:
+                child(t, part_nodes[part_a])
+                child(t, part_nodes[part_b])
+                tasks[t].append(part_nodes[sep])
+                continue
+        # a leaf, or a part the separator heuristic failed to split:
+        # minimum degree on its slice of the level's graph
+        lo, hi = sub_indptr[s], sub_indptr[e]
+        order = minimum_degree_graph(sub_indptr[s:e + 1] - lo, sub_indices[lo:hi] - s)
+        tasks[t].append(part_nodes[order])
+    return next_parts
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
@@ -170,10 +235,24 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
     minimum degree."""
     indptr, indices = a.adjacency()
     n = indptr.size - 1
+    # tasks[t]: what part t contributes to the order, in elimination
+    # order -- the task ids of its child parts, then vertex arrays
+    tasks: list[list] = [[]]
+    parts = [(0, np.arange(n, dtype=np.int64), False)] if n else []
+    owner = np.full(n, -1, dtype=np.int64)
+    local = np.empty(n, dtype=np.int64)
+    while parts:
+        parts = _dissect_level(indptr, indices, parts, tasks, owner, local, leaf_size)
     # seeded with an empty slice so an empty graph still concatenates
     out: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    _nd_recurse(indptr, indices, np.arange(n, dtype=np.int64), out, leaf_size)
+    stack: list = [0]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            out.append(item)
+        else:
+            stack.extend(reversed(tasks[item]))
     perm = np.concatenate(out)
-    if perm.size != n or np.unique(perm).size != n:
+    if perm.size != n or not np.all(np.bincount(perm, minlength=n) == 1):
         raise AssertionError("nested dissection produced an invalid permutation")
     return perm

@@ -14,20 +14,26 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 
-__all__ = ["reverse_cuthill_mckee", "pseudo_peripheral_node", "bfs_levels"]
+__all__ = ["reverse_cuthill_mckee", "pseudo_peripheral_levels", "bfs_levels"]
 
 
-def bfs_levels(indptr: np.ndarray, indices: np.ndarray,
-               start: int) -> tuple[np.ndarray, int]:
-    """Level structure of the BFS tree rooted at ``start``.
+def bfs_levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
+               level: np.ndarray | None = None) -> np.ndarray:
+    """Multi-source BFS level structure.
 
-    Returns ``(level, depth)`` where ``level[v] = -1`` for vertices
-    ``start`` does not reach.
+    Each vertex of ``sources`` gets level 0 and each vertex they reach its
+    distance from the nearest one; ``level[v] = -1`` where none reaches.
+    Given one source per part of a graph whose parts share no edge, one
+    sweep is the BFS of every part from its own source.  A ``level``
+    passed in is extended in place: the vertices it already labels are
+    neither entered nor relabelled.
     """
     n = indptr.size - 1
-    level = np.full(n, -1, dtype=np.int64)
-    level[start] = 0
-    frontier = np.array([start], dtype=np.int64)
+    if level is None:
+        level = np.full(n, -1, dtype=np.int64)
+    claim = np.empty(n, dtype=np.int64)
+    frontier = np.asarray(sources, dtype=np.int64)
+    level[frontier] = 0
     depth = 0
     while frontier.size:
         # vectorized frontier expansion: gather all neighbors of the
@@ -40,38 +46,52 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray,
         np.cumsum(counts[:-1], out=run_starts[1:])
         offsets = np.repeat(indptr[frontier] - run_starts, counts)
         nbrs = indices[np.arange(total, dtype=np.int64) + offsets]
-        nxt = np.unique(nbrs[level[nbrs] < 0])
-        if nxt.size == 0:
-            break
-        level[nxt] = depth + 1
-        frontier = nxt
+        nbrs = nbrs[level[nbrs] < 0]
+        # deduplicate without a sort: of a vertex's repeated slots, the
+        # write that lands in ``claim`` keeps exactly one
+        slot = np.arange(nbrs.size, dtype=np.int64)
+        claim[nbrs] = slot
+        frontier = nbrs[claim[nbrs] == slot]
         depth += 1
-    return level, depth
+        level[frontier] = depth
+    return level
 
 
-def pseudo_peripheral_node(
-    indptr: np.ndarray, indices: np.ndarray, start: int,
-    level: np.ndarray, depth: int,
-) -> tuple[int, np.ndarray, int]:
-    """George-Liu pseudo-peripheral vertex: repeatedly re-root the BFS at a
-    minimum-degree vertex of the deepest level until the eccentricity
-    estimate stops growing.
+def pseudo_peripheral_levels(
+    indptr: np.ndarray, indices: np.ndarray, starts: np.ndarray,
+    searched: np.ndarray, level: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """George-Liu pseudo-peripheral search in every part of a graph at
+    once: repeatedly re-root a part's BFS at a minimum-degree vertex of
+    its deepest level (the lowest-numbered one on a tie) until its
+    eccentricity estimate stops growing.
 
-    ``(level, depth)`` is ``bfs_levels`` from ``start``, which every
-    caller has already run to learn what ``start`` reaches.  Returns the
-    chosen root with its own level structure and depth.
+    Part ``i`` is the vertex range ``starts[i]`` up to the next start (the
+    last runs to the end), and no edge leaves a part.  ``level`` is a
+    ``bfs_levels`` sweep from one vertex of each ``searched`` part, which
+    every caller has already run to learn what that vertex reaches.  Each
+    round re-roots every part still growing in one sweep.  Returns the
+    level structure from each searched part's final root (its one vertex
+    at level 0) and the depth of each part, -1 where not searched.
     """
     degrees = np.diff(indptr)
-    node = start
-    while True:
-        last = np.flatnonzero(level == depth)
-        if last.size == 0:
-            return node, level, depth
-        candidate = last[np.argmin(degrees[last])]
-        new_level, new_depth = bfs_levels(indptr, indices, int(candidate))
-        if new_depth <= depth:
-            return node, level, depth
-        node, level, depth = int(candidate), new_level, new_depth
+    part = np.repeat(np.arange(starts.size), np.diff(starts, append=degrees.size))
+    depth = np.where(searched, np.maximum.reduceat(level, starts), -1)
+    growing = searched.copy()
+    while growing.any():
+        last = np.flatnonzero((level == depth[part]) & growing[part])
+        # ``last`` ascends and parts are vertex ranges, so each part's
+        # deepest level is one run of it
+        new_run = np.diff(part[last], prepend=-1) != 0
+        fewest = np.minimum.reduceat(degrees[last], np.flatnonzero(new_run))
+        tied = last[degrees[last] == fewest[np.cumsum(new_run) - 1]]
+        pick = tied[np.diff(part[tied], prepend=-1) != 0]
+        new_level = bfs_levels(indptr, indices, pick)
+        new_depth = np.maximum.reduceat(new_level, starts)
+        growing &= new_depth > depth
+        level = np.where(growing[part], new_level, level)
+        depth = np.where(growing, new_depth, depth)
+    return level, depth
 
 
 def reverse_cuthill_mckee(a: CSCMatrix) -> np.ndarray:
@@ -87,8 +107,12 @@ def reverse_cuthill_mckee(a: CSCMatrix) -> np.ndarray:
     for seed in range(n):
         if visited[seed]:
             continue
-        level, depth = bfs_levels(indptr, indices, seed)
-        root, _, _ = pseudo_peripheral_node(indptr, indices, seed, level, depth)
+        # one part, the whole graph: what ``seed`` does not reach stays -1
+        level, _ = pseudo_peripheral_levels(
+            indptr, indices, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
+            bfs_levels(indptr, indices, np.array([seed])),
+        )
+        root = int(np.flatnonzero(level == 0)[0])
         # Cuthill-McKee BFS from root with degree-sorted neighbor visits
         queue = [root]
         visited[root] = True
