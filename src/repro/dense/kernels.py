@@ -38,10 +38,10 @@ __all__ = [
 ]
 
 
-#: columns one step of a blocked substitution solves entry by entry:
-#: :func:`trsm_right_lower`, its stacked replay
-#: (:func:`repro.multifrontal.batched.batched_trsm_right_lower`) and the
-#: solve phase's ``trsv_lower`` / ``trsv_lower_t`` all block by it
+#: width of a diagonal block: :func:`trsm_right_lower` and its stacked
+#: replay (:func:`repro.multifrontal.batched.batched_trsm_right_lower`)
+#: solve each block entry by entry; the solve phase's sweeps apply each
+#: one as a product with its inverse (:mod:`repro.multifrontal.solve`)
 SUBSTITUTION_BLOCK = 32
 
 

@@ -102,8 +102,8 @@ class NumericFactor:
     #: issued / fronts they covered (both 0 when it found nothing to group)
     batch_tasks: int = 0
     batched_fronts: int = 0
-    #: the solve phase's sweep table, built by the first solve on this
-    #: factor (:func:`repro.multifrontal.solve.sweep_table`)
+    #: the solve phase's sweep table (:func:`repro.multifrontal.solve.sweep_table`),
+    #: built by the first solve; whoever edits a panel in place resets it
     sweep: SweepTable | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.numeric import NumericFactor
-from repro.multifrontal.solve import solve_factored
+from repro.multifrontal.solve import check_rhs, solve_factored
 
 __all__ = ["RefinementResult", "iterative_refinement"]
 
@@ -63,14 +63,14 @@ def iterative_refinement(
     factor : NumericFactor
         Possibly mixed-precision factorization of ``P A P^T``.
     b : array
-        Right-hand side.
+        Right-hand side, held to :func:`~repro.multifrontal.solve.check_rhs`.
     tol : float
         Target on the scaled residual ``||b - A x||_inf / (||b||_inf +
         ||x||_inf)``.
     max_iter : int
         Refinement-step budget (the paper needed "one or two steps").
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = check_rhs(b, factor.n)
     x = solve_factored(factor, b)
     r, rnorm = _scaled_residual(a, x, b)
     norms = [rnorm]

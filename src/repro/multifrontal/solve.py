@@ -2,23 +2,24 @@
 
 Given the factored panels (``[L1; L2]`` per supernode), solve
 ``L y = b`` by a forward sweep in supernode order and ``L^T x = y`` by
-the reverse sweep.  Within a supernode the k x k unit work is a blocked
-substitution (:func:`trsv_lower`); the cross-supernode coupling is a
-dense panel gemv gathered/scattered through the front's row list.
+the reverse sweep.  Within a supernode, each ``SUBSTITUTION_BLOCK``-column
+diagonal block is one product with its inverse, computed once per factor
+(:meth:`SolvePlan.bind`); the cross-supernode coupling is a dense panel
+gemv gathered/scattered through the front's row list.
 
 Most supernodes are small childless leaves that share a handful of front
 shapes (:func:`repro.multifrontal.batched.batch_groups`), and a Python
 step each is what they cost.  So the sweeps run off a *solve plan*
 (:class:`SolvePlan`, one per pattern, kept on the symbolic factor) and a
-*sweep table* (:func:`sweep_table`, views of one factor's panels): every
-group of leaves is one stacked substitution and one stacked panel
+*sweep table* (:func:`sweep_table`, one per factor): every group of
+leaves is one stacked product with its inverses and one stacked panel
 product, the remaining *interior* supernodes are walked one by one, and
 ``x`` comes out bit for bit as from the plain loop over all supernodes
 (``tests/test_property_based.py::solve_per_supernode``):
 
 * a leaf has no children, so nobody updates its own block of ``y``
   before the forward sweep reaches it, and in the backward sweep it
-  writes nothing anybody else reads: its substitutions can run first
+  writes nothing anybody else reads: its diagonal products can run first
   (forward) or last (backward), stacked, slice for slice the same
   arithmetic;
 * its forward product ``L2 y_k`` can be formed early too, but *applying*
@@ -32,6 +33,7 @@ product, the remaining *interior* supernodes are walked one by one, and
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -44,8 +46,6 @@ if TYPE_CHECKING:
     from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
-    "trsv_lower",
-    "trsv_lower_t",
     "SolvePlan",
     "SweepTable",
     "get_solve_plan",
@@ -55,61 +55,6 @@ __all__ = [
     "check_rhs",
     "solve_factored",
 ]
-
-
-def trsv_lower(
-    l: np.ndarray, b: np.ndarray, *, block: int = SUBSTITUTION_BLOCK
-) -> np.ndarray:
-    """Solve ``L y = b`` with L dense lower triangular (blocked forward
-    substitution; O(k^2) with matrix-vector inner steps)."""
-    k = l.shape[0]
-    y = b.astype(np.float64, copy=True)
-    for j0 in range(0, k, block):
-        j1 = min(j0 + block, k)
-        if j0:
-            y[j0:j1] -= l[j0:j1, :j0] @ y[:j0]
-        for j in range(j0, j1):
-            if j > j0:
-                y[j] -= l[j, j0:j] @ y[j0:j]
-            y[j] /= l[j, j]
-    return y
-
-
-def trsv_lower_t(
-    l: np.ndarray, b: np.ndarray, *, block: int = SUBSTITUTION_BLOCK
-) -> np.ndarray:
-    """Solve ``L^T x = b`` (blocked backward substitution)."""
-    k = l.shape[0]
-    x = b.astype(np.float64, copy=True)
-    blocks = list(range(0, k, block))
-    for j0 in reversed(blocks):
-        j1 = min(j0 + block, k)
-        if j1 < k:
-            x[j0:j1] -= l[j1:, j0:j1].T @ x[j1:]
-        for j in range(j1 - 1, j0 - 1, -1):
-            if j + 1 < j1:
-                x[j] -= l[j + 1:j1, j] @ x[j + 1:j1]
-            x[j] /= l[j, j]
-    return x
-
-
-def _stacked_trsv_lower(l: np.ndarray, y: np.ndarray) -> None:
-    """:func:`trsv_lower` on every slice of ``l`` ``(B, k, k)`` and ``y``
-    ``(B, k, nrhs)`` at once, in place: the same dot / gemv per slice,
-    issued as one stacked ``matmul`` per column."""
-    for j in range(l.shape[1]):
-        if j:
-            y[:, j] -= (l[:, j:j + 1, :j] @ y[:, :j])[:, 0]
-        y[:, j] /= l[:, j, j, None]
-
-
-def _stacked_trsv_lower_t(l: np.ndarray, x: np.ndarray) -> None:
-    """:func:`trsv_lower_t` on every slice at once, in place."""
-    k = l.shape[1]
-    for j in range(k - 1, -1, -1):
-        if j + 1 < k:
-            x[:, j] -= (l[:, j + 1:, j][:, None, :] @ x[:, j + 1:])[:, 0]
-        x[:, j] /= l[:, j, j, None]
 
 
 class SolvePlan:
@@ -123,13 +68,20 @@ class SolvePlan:
     for fronts with nothing below their pivots), and ``spans[i]`` the
     rows its ``B * m`` forward products take in one buffer of
     ``n_products`` rows.  ``interior`` lists every other supernode of
-    the prefix, ascending, as ``(sid, first, end, below)``.  ``runs`` has
-    one slot per interior supernode plus one: slot ``j`` holds the
-    ``(rows, positions)`` of the products of the stacked leaves numbered
-    between interior supernodes ``j - 1`` and ``j`` — destination row in
-    ``y`` and row in the product buffer, leaf after leaf — or ``None``
-    where there are none; the last slot is for leaves past the last
-    interior supernode (their rows lie outside the prefix).
+    the prefix, ascending, as ``(sid, first, end, below, full_at,
+    tail_at)``.  ``runs`` has one slot per interior supernode plus one:
+    slot ``j`` holds the ``(rows, positions)`` of the products of the
+    stacked leaves numbered between interior supernodes ``j - 1`` and
+    ``j`` — destination row in ``y`` and row in the product buffer, leaf
+    after leaf — or ``None`` where there are none; the last slot is for
+    leaves past the last interior supernode (their rows lie outside the
+    prefix).
+
+    ``regions`` lays out the per-factor buffer of diagonal-block
+    inverses, ``(size, at, count)`` per block size, ascending.  Group
+    ``i``'s leaves start at float ``group_at[i]``; an interior supernode
+    of ``k`` columns has ``k // SUBSTITUTION_BLOCK`` full blocks at
+    ``full_at`` and a tail of ``k % SUBSTITUTION_BLOCK`` columns at ``tail_at``.
 
     ``n_stacked`` counts the stacked leaves, ``n_steps`` the Python-level
     steps one sweep takes outside the per-group calls: interior
@@ -138,7 +90,7 @@ class SolvePlan:
 
     __slots__ = (
         "groups", "own", "below", "spans", "n_products", "interior", "runs",
-        "n_stacked", "n_steps",
+        "regions", "group_at", "n_stacked", "n_steps",
     )
 
     def __init__(self, sf: SymbolicFactor, n_super: int | None = None):
@@ -165,12 +117,28 @@ class SolvePlan:
 
         interior = np.flatnonzero(is_interior)
         ptr = sf.super_ptr.tolist()
-        self.interior: list[tuple] = []
-        for s in interior.tolist():
-            first, last = ptr[s], ptr[s + 1]
-            rows = sf.rows[s]
-            k = last - first
-            self.interior.append((s, first, last, rows[k:] if rows.size > k else None))
+        # the buffer of inverses: (size, blocks) claims of each group's
+        # leaves, of each interior supernode's full blocks and of its tail,
+        # stably sorted by size, so the blocks of one size sit together
+        nb, n_groups = SUBSTITUTION_BLOCK, len(self.groups)
+        widths = np.diff(sf.super_ptr)[interior]
+        size = np.concatenate(([g.k for g in self.groups], np.full(widths.size, nb), widths % nb))
+        count = np.concatenate(([len(g) for g in self.groups], widths // nb, widths % nb > 0))
+        size, count = size.astype(np.int64), count.astype(np.int64)
+        order = np.argsort(size, kind="stable")
+        floats = (count * size * size)[order]
+        at = np.empty_like(floats)
+        at[order] = np.cumsum(floats) - floats
+        self.regions: list[tuple[int, int, int]] = [
+            (z, int(at[size == z].min()), int(count[size == z].sum()))
+            for z in np.unique(size[count > 0]).tolist()
+        ]
+        self.group_at = at[:n_groups].tolist()
+        self.interior: list[tuple] = [
+            (s, ptr[s], ptr[s] + k, sf.rows[s][k:] if sf.rows[s].size > k else None, f, t)
+            for s, k, f, t in zip(interior.tolist(), widths.tolist(), at[n_groups:].tolist(),
+                                  at[n_groups + widths.size:].tolist())
+        ]
 
         # product rows sorted by leaf (stable: a leaf's rows stay in row
         # order), cut where an interior supernode comes between two leaves
@@ -191,34 +159,56 @@ class SolvePlan:
         self.n_steps = interior.size + sum(r is not None for r in self.runs)
 
     def bind(self, panels, stacks: dict[int, np.ndarray]) -> SweepTable:
-        """The values half for one factor: ``L1`` / ``L2`` of every group
-        as views of its ``(B, size, k)`` stack (``stacks`` maps a group's
-        first member to it) and of every interior supernode as views of
-        its panel (``panels`` is indexed by supernode id)."""
+        """The values half for one factor: views of the group stacks
+        (``stacks`` maps a group's first member to its ``(B, size, k)``
+        array) and of the interior panels (``panels`` is indexed by
+        supernode id), and every diagonal block gathered into one buffer
+        and inverted in place, one batched ``np.linalg.inv`` per size."""
+        nb = SUBSTITUTION_BLOCK
+        inverses = np.empty(sum(size * size * n for size, _, n in self.regions))
+
+        def region(at: int, blocks: int, size: int) -> np.ndarray:
+            return inverses[at:at + blocks * size * size].reshape(blocks, size, size)
+
         blocks = []
-        for g in self.groups:
-            stack = stacks[g.sids[0]]
-            blocks.append((stack[:, :g.k], stack[:, g.k:] if g.m else None))
+        for g, at in zip(self.groups, self.group_at):
+            stack, w = stacks[g.sids[0]], region(at, len(g), g.k)
+            w[...] = stack[:, :g.k]
+            blocks.append((w, stack[:, g.k:] if g.m else None))
         steps = []
-        for s, first, end, below in self.interior:
-            panel = panels[s]
+        for s, first, end, below, full_at, tail_at in self.interior:
             k = end - first
-            steps.append((
-                first, end, panel[:k], None if below is None else panel[k:], below,
-            ))
-        return SweepTable(self, blocks, steps)
+            l1, l2 = panels[s][:k], None if below is None else panels[s][k:]
+            w = (region(full_at, k // nb, nb), region(tail_at, int(k % nb > 0), k % nb))
+            for j, wj in enumerate(chain(*w)):
+                wj[...] = l1[j * nb:(j + 1) * nb, j * nb:(j + 1) * nb]
+            # one block wide: nothing left of the diagonal block
+            steps.append((first, end, None, l2, below, wj) if k <= nb else
+                         (first, end, l1, l2, below, w))
+
+        for size, at, n in self.regions:
+            # inv(D^-1 L_jj) D^-1, D = diag(L_jj): blind to a symmetric
+            # diagonal scaling of A, as substitution is and inv(L_jj) is not
+            w = region(at, n, size)
+            d = w.diagonal(0, 1, 2).copy()
+            np.divide(np.linalg.inv(np.tril(w) / d[:, :, None]), d[:, None, :], out=w)
+        return SweepTable(self, blocks, steps, inverses)
 
 
 class SweepTable(NamedTuple):
-    """A :class:`SolvePlan` bound to the panels of one factor.  Views
-    and integers only — no array data of its own — and it follows
-    in-place edits of the panels it was bound to."""
+    """A :class:`SolvePlan` bound to one factor: views of its panels, and
+    the inverses of their diagonal blocks in a buffer of its own — which
+    does not follow in-place edits of a panel: whoever edits one resets
+    ``factor.sweep`` to ``None``."""
 
     plan: SolvePlan
-    #: per group of the plan: ``(L1 (B, k, k), L2 (B, m, k) or None)``
+    #: per group of the plan: ``(W (B, k, k), L2 (B, m, k) or None)``
     blocks: list[tuple[np.ndarray, np.ndarray | None]]
-    #: per interior supernode: ``(first, end, L1, L2, below)``
+    #: per interior supernode: ``(first, end, L1, L2, below, W)``, with
+    #: ``L1`` None and ``W`` ``(k, k)`` if it is one block, else ``(full, tail)``
     steps: list[tuple]
+    #: every inverse, laid out by ``plan.regions``
+    inverses: np.ndarray
 
 
 def get_solve_plan(sf: SymbolicFactor) -> SolvePlan:
@@ -243,31 +233,32 @@ def forward_sweep(table: SweepTable, y: np.ndarray) -> None:
     """``L y' = y`` in place over the supernodes of ``table``; the rows
     below them are left holding ``y_2 - L_21 y'_1``.
 
-    The stacked leaves go first — substitution and panel product, one
+    The stacked leaves go first — diagonal and panel product, one
     stacked call each per group — then the interior supernodes in order,
     each preceded by the products of the leaves numbered just before it.
-    A one-column supernode is one division by its pivot, exactly what the
-    substitution would do to it.
     """
-    plan, blocks, steps = table
+    plan, blocks, steps, _ = table
     cols = y if y.ndim == 2 else y[:, None]
     products = np.empty((plan.n_products, cols.shape[1]))
-    for (l1, l2), own, (lo, hi) in zip(blocks, plan.own, plan.spans):
-        yk = cols[own]
-        _stacked_trsv_lower(l1, yk)
+    for (w, l2), own, (lo, hi) in zip(blocks, plan.own, plan.spans):
+        yk = w @ cols[own]
         cols[own] = yk
         if l2 is not None:
             np.matmul(l2, yk, out=products[lo:hi].reshape(l2.shape[:2] + (-1,)))
     if y.ndim == 1:
         products = products[:, 0]
     runs = plan.runs
-    for (first, end, l1, l2, below), run in zip(steps, runs):
+    for (first, end, l1, l2, below, w), run in zip(steps, runs):
         if run is not None:
             np.subtract.at(y, run[0], products[run[1]])
-        if end - first == 1:
-            y[first] /= l1[0, 0]
-        else:
-            y[first:end] = trsv_lower(l1, y[first:end])
+        if l1 is None:
+            y[first:end] = w @ y[first:end]
+        else:  # block by block (an empty product left of the first)
+            yj = y[first:end]
+            for j0, wj in zip(range(0, end - first, SUBSTITUTION_BLOCK), chain(*w)):
+                j1 = j0 + len(wj)
+                yj[j0:j1] -= l1[j0:j1, :j0] @ yj[:j0]
+                yj[j0:j1] = wj @ yj[j0:j1]
         if l2 is not None:
             y[below] -= l2 @ y[first:end]
     if runs[-1] is not None:
@@ -278,29 +269,37 @@ def backward_sweep(table: SweepTable, y: np.ndarray) -> None:
     """``L^T x = y'`` in place over the supernodes of ``table``, reading
     the rows below them as already solved: the interior supernodes in
     reverse, then every group of leaves as one stacked gather and
-    substitution (a leaf reads finished ancestor rows only)."""
-    plan, blocks, steps = table
-    for first, end, l1, l2, below in reversed(steps):
+    product (a leaf reads finished ancestor rows only)."""
+    plan, blocks, steps, _ = table
+    for first, end, l1, l2, below, w in reversed(steps):
         if l2 is not None:
             y[first:end] -= l2.T @ y[below]
-        if end - first == 1:
-            y[first] /= l1[0, 0]
-        else:
-            y[first:end] = trsv_lower_t(l1, y[first:end])
+        if l1 is None:
+            y[first:end] = w.T @ y[first:end]
+        else:  # last block first (an empty product below the last)
+            yj = y[first:end]
+            pairs = zip(range(0, end - first, SUBSTITUTION_BLOCK), chain(*w))
+            for j0, wj in reversed(list(pairs)):
+                j1 = j0 + len(wj)
+                yj[j0:j1] -= l1[j1:, j0:j1].T @ yj[j1:]
+                yj[j0:j1] = wj.T @ yj[j0:j1]
     cols = y if y.ndim == 2 else y[:, None]
-    for (l1, l2), own, below in zip(blocks, plan.own, plan.below):
+    for (w, l2), own, below in zip(blocks, plan.own, plan.below):
         yk = cols[own]
         if l2 is not None:
             yk -= l2.transpose(0, 2, 1) @ cols[below]
-        _stacked_trsv_lower_t(l1, yk)
-        cols[own] = yk
+        cols[own] = w.transpose(0, 2, 1) @ yk
 
 
 def check_rhs(b: np.ndarray, n: int) -> np.ndarray:
     """``b`` as the float64 ``(n,)`` or ``(n, nrhs)`` right-hand side the
-    sweeps take; ``ValueError`` on any other shape or a non-finite
-    entry (a NaN would come back as an all-NaN ``x``, silently)."""
-    b = np.asarray(b, dtype=np.float64)
+    sweeps take; ``ValueError`` on a dtype that is not real, checked before
+    the cast (a complex ``b`` would be solved for its real part), on any other
+    shape or on a non-finite entry (a NaN would come back as an all-NaN ``x``)."""
+    b = np.asarray(b)
+    if b.dtype.kind not in "biuf":
+        raise ValueError(f"rhs must be real (bool, integer or float), got {b.dtype}")
+    b = b.astype(np.float64, copy=False)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs must have shape ({n},) or ({n}, nrhs), got {b.shape}")
     if not np.isfinite(b).all():
@@ -316,7 +315,7 @@ def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     shape ``(n,)`` or a block of shape ``(n, nrhs)`` — the paper's
     motivation for direct methods is precisely "the potential for
     reusing the factorization when solving multiple systems with the
-    same coefficient matrix", and the blocked substitutions handle the
+    same coefficient matrix", and the blocked sweeps handle the
     multi-RHS case with matrix-matrix work.  A one-column block is the
     single right-hand side it holds: same sweeps, same answer.
     """

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.multifrontal.solve import check_rhs
+
 __all__ = ["BatchPlan"]
 
 
@@ -36,11 +38,7 @@ class BatchPlan:
         cols: list[tuple[int, int, bool]] = []
         at = 0
         for req in requests:
-            b = np.asarray(req.b, dtype=np.float64)
-            if b.shape[0] != n or b.ndim not in (1, 2):
-                raise ValueError(
-                    f"rhs must have shape ({n},) or ({n}, nrhs), got {b.shape}"
-                )
+            b = check_rhs(req.b, n)
             was_1d = b.ndim == 1
             b2 = b[:, None] if was_1d else b
             pieces.append(b2)

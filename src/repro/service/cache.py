@@ -78,7 +78,8 @@ def symbolic_nbytes(sf: Any) -> int:
 
 
 def numeric_nbytes(factor: Any) -> int:
-    """Estimated resident bytes of a :class:`NumericFactor` (panels + symbolic)."""
+    """Estimated resident bytes of a :class:`NumericFactor` (panels + symbolic;
+    not yet the block inverses a solve keeps in ``factor.sweep``)."""
     return int(sum(p.nbytes for p in factor.panels)) + symbolic_nbytes(factor.sf)
 
 

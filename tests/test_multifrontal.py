@@ -1,5 +1,7 @@
 """Multifrontal numeric phase: assembly, factorization, solve, refinement."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,11 @@ from repro.multifrontal import (
     solve_factored,
 )
 from repro.multifrontal.frontal import assembly_bytes
-from repro.multifrontal.solve import trsv_lower, trsv_lower_t
 from repro.gpu import SimulatedNode
 from repro.policies import make_policy
 from repro.symbolic import symbolic_factorize
 from tests.reference_assembly import assemble_front, extend_add
+from tests.reference_solve import trsv_lower, trsv_lower_t
 
 
 class TestExtendAdd:
@@ -249,6 +251,30 @@ class TestTriangularSolves:
         b[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             solve_factored(nf, b)
+
+    @pytest.mark.parametrize("call", ["solve", "solve_unrefined", "solve_refined"])
+    def test_complex_rhs_is_refused_not_half_solved(self, call):
+        # cast to float64, a complex b used to come back as the solution
+        # for its real part, with a ComplexWarning as the only sign
+        solver = SparseCholeskySolver(grid_laplacian_2d(5, 5))
+        solve = {
+            "solve": solver.solve,
+            "solve_unrefined": lambda b: solver.solve(b, refine=False),
+            "solve_refined": solver.solve_refined,
+        }[call]
+        b = np.ones(25) + 1j * np.ones(25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                solve(b)
+
+    def test_integer_and_bool_rhs_are_solved_as_floats(self, lap2d_small):
+        nf = factorize_numeric(
+            lap2d_small, symbolic_factorize(lap2d_small, ordering="amd"), make_policy("P1")
+        )
+        want = solve_factored(nf, np.ones(nf.n))
+        for b in (np.ones(nf.n, dtype=np.int32), np.ones(nf.n, dtype=bool)):
+            assert np.array_equal(solve_factored(nf, b), want)
 
 
 class TestRefinement:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from repro.autotune import FeatureMap, FeatureScaler, softmax
 from repro.dense import potrf, syrk, trsm_right_lower
 from repro.dense.blocked import HostKernels, blocked_cholesky_panels
+from repro.dense.kernels import SUBSTITUTION_BLOCK
 from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.matrices import random_spd
 from repro.matrices.csc import CSCMatrix, csc_from_dense
 from repro.multifrontal import factorize_numeric, solve_factored
-from repro.multifrontal.solve import trsv_lower, trsv_lower_t
 from repro.ordering import compute_ordering
 from repro.policies import make_policy
 from repro.symbolic import elimination_tree, symbolic_factorize
@@ -122,29 +122,38 @@ class TestStructureProperties:
 # ---------------------------------------------------------------------------
 # the solve sweeps
 # ---------------------------------------------------------------------------
+def block_inverse(l_jj):
+    """``inv(D^-1 L_jj) D^-1`` with ``D = diag(L_jj)``, from this one block."""
+    d = np.diagonal(l_jj).copy()
+    return np.linalg.inv(np.tril(l_jj) / d[:, None]) / d
+
+
 def solve_per_supernode(factor, b):
     """The sweeps as one loop over supernodes that slices the panels as it
-    goes and sends every pivot block, however narrow, through the blocked
-    substitutions: the reference ``solve_factored``'s sweep table and its
-    one-column shortcut must reproduce bit for bit."""
-    sf = factor.sf
+    goes and applies every ``SUBSTITUTION_BLOCK`` diagonal block of every
+    pivot block, however narrow, through the inverse computed from that
+    block alone: ``solve_factored``'s stacked groups, per-factor buffer
+    and one-block shortcut must reproduce it bit for bit."""
+    sf, nb = factor.sf, SUBSTITUTION_BLOCK
     y = np.asarray(b, dtype=np.float64)[sf.perm].copy()
     for s in range(sf.n_supernodes):
-        f = int(sf.super_ptr[s])
-        k = sf.width(s)
-        rows = sf.rows[s]
-        panel = factor.panels[s]
-        y[f:f + k] = trsv_lower(panel[:k, :], y[f:f + k])
+        f, k, rows, panel = int(sf.super_ptr[s]), sf.width(s), sf.rows[s], factor.panels[s]
+        for j0 in range(0, k, nb):
+            j1 = min(j0 + nb, k)
+            if j0:
+                y[f + j0:f + j1] -= panel[j0:j1, :j0] @ y[f:f + j0]
+            y[f + j0:f + j1] = block_inverse(panel[j0:j1, j0:j1]) @ y[f + j0:f + j1]
         if rows.size > k:
             y[rows[k:]] -= panel[k:, :] @ y[f:f + k]
     for s in range(sf.n_supernodes - 1, -1, -1):
-        f = int(sf.super_ptr[s])
-        k = sf.width(s)
-        rows = sf.rows[s]
-        panel = factor.panels[s]
+        f, k, rows, panel = int(sf.super_ptr[s]), sf.width(s), sf.rows[s], factor.panels[s]
         if rows.size > k:
             y[f:f + k] -= panel[k:, :].T @ y[rows[k:]]
-        y[f:f + k] = trsv_lower_t(panel[:k, :], y[f:f + k])
+        for j0 in reversed(range(0, k, nb)):
+            j1 = min(j0 + nb, k)
+            if j1 < k:
+                y[f + j0:f + j1] -= panel[j1:k, j0:j1].T @ y[f + j1:f + k]
+            y[f + j0:f + j1] = block_inverse(panel[j0:j1, j0:j1]).T @ y[f + j0:f + j1]
     x = np.empty_like(y)
     x[sf.perm] = y
     return x

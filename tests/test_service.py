@@ -258,6 +258,14 @@ class TestServiceTiers:
                 svc.submit(lap2d_small, b)
             assert svc.metrics.counter("submitted") == 0
 
+    def test_complex_rhs_is_refused_at_submit(self, lap2d_small):
+        # it used to be cast to its real part and answered for that alone
+        b = np.ones(lap2d_small.n_rows) * (1 + 1j)
+        with SolverService(n_workers=1, policy="P1") as svc:
+            with pytest.raises(ValueError, match="must be real"):
+                svc.submit(lap2d_small, b, refine=True)
+            assert svc.metrics.counter("submitted") == 0
+
     def test_refined_request(self, lap2d_small):
         b = np.ones(lap2d_small.n_rows)
         with SolverService(n_workers=1, policy="P3") as svc:

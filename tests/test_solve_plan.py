@@ -1,30 +1,37 @@
-"""The solve plan: stacked leaf sweeps reproduce the plain loop over all
-supernodes (``test_property_based.solve_per_supernode``) bit for bit, on
-every kind of factor and every path that solves."""
+"""The solve plan: stacked leaf sweeps and per-factor block inverses
+reproduce the plain loop over all supernodes
+(``test_property_based.solve_per_supernode``) bit for bit, on every kind
+of factor and every path that solves; and the inverses answer as
+accurately as the substitutions they replaced
+(``tests/reference_solve.py``)."""
 
 import copy
 import inspect
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.multifrontal.solve as solve_module
 from repro.dense.kernels import SUBSTITUTION_BLOCK
 from repro.gpu import SimulatedNode
-from repro.matrices import grid_laplacian_2d, load_test_matrix
-from repro.matrices.csc import csc_from_dense
+from repro.matrices import grid_laplacian_2d, grid_laplacian_3d, load_test_matrix
+from repro.matrices.csc import CSCMatrix, csc_from_dense
 from repro.multifrontal import (
     SparseCholeskySolver,
     batched,
     factorize_numeric,
     solve_factored,
 )
-from repro.multifrontal.solve import get_solve_plan, trsv_lower, trsv_lower_t
+from repro.multifrontal.solve import get_solve_plan
 from repro.policies import make_policy
 from repro.symbolic import amalgamation_preset, symbolic_factorize
+from repro.verify.lattice import normwise_backward_error
+from tests.reference_solve import solve_by_substitution, trsv_lower, trsv_lower_t
 from tests.test_property_based import (
     assert_factor_sweeps_match_reference,
     solve_per_supernode,
@@ -33,26 +40,80 @@ from tests.test_property_based import (
 
 
 def test_no_stacked_leaf_is_wider_than_a_substitution_block():
-    # the stacked substitutions replay the single-block case of
-    # trsv_lower / trsv_lower_t
+    # a stacked leaf's pivot block is one diagonal block, applied through
+    # one inverse, as the plain loop (and the substitution reference)
+    # takes it
     assert batched.STACK_CUTOFF <= SUBSTITUTION_BLOCK
     for trsv in (trsv_lower, trsv_lower_t):
         assert inspect.signature(trsv).parameters["block"].default == SUBSTITUTION_BLOCK
+
+
+def interior_blocks(plan) -> int:
+    return sum(-(-(end - first) // SUBSTITUTION_BLOCK) for _, first, end, *_ in plan.interior)
+
+
+def device_factor(a):
+    # fp32-rounded panels, every leaf group stacked
+    return SparseCholeskySolver(
+        a, ordering="nd", policy="P4", backend="dynamic",
+        node=SimulatedNode(n_cpus=2, n_gpus=2),
+    ).factorize().factor
+
+
+def scaled(a: CSCMatrix, decades: float, seed: int) -> CSCMatrix:
+    """``D A D`` with ``D`` log-uniform over ``10^±decades``."""
+    d = 10.0 ** np.random.default_rng(seed).uniform(-decades, decades, size=a.n_rows)
+    cols = np.repeat(np.arange(a.n_cols), np.diff(a.indptr))
+    return CSCMatrix(a.shape, a.indptr, a.indices, a.data * d[a.indices] * d[cols])
+
+
+def componentwise_backward_error(a: CSCMatrix, x, b) -> float:
+    """``max_i |b - A x|_i / (|A| |x| + |b|)_i`` (Oettli–Prager)."""
+    abs_a = CSCMatrix(a.shape, a.indptr, a.indices, np.abs(a.data), check=False)
+    return float((np.abs(b - a.matvec(x)) / (abs_a.matvec(np.abs(x)) + np.abs(b))).max())
+
+
+class TestAccuracy:
+    """The inverses change the rounding of ``x``, not its quality."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(spd_matrix(max_n=60), st.sampled_from(["host", "device"]))
+    def test_backward_error_within_the_substitutions(self, a, kind):
+        if kind == "host":
+            nf = factorize_numeric(a, symbolic_factorize(a, ordering="nd"), make_policy("P1"))
+        else:
+            nf = device_factor(a)
+        n = a.n_rows
+        rng = np.random.default_rng(n)
+        unit_roundoff = np.finfo(np.float64).eps / 2
+        for b in (rng.normal(size=n), rng.normal(size=(n, 4))):
+            x, ref = solve_factored(nf, b), solve_by_substitution(nf, b)
+            for xj, rj, bj in zip(*(v.reshape(n, -1).T for v in (x, ref, b))):
+                eta = normwise_backward_error(a, xj, bj)
+                assert eta <= max(8 * normwise_backward_error(a, rj, bj), n * unit_roundoff)
+
+    def test_diagonally_scaled_matrix(self):
+        """``D A D`` over twelve decades: substitution is invariant under
+        the scaling, and so is the unit-diagonal form of the inverse
+        (3.8e-16 here); a plain ``inv(L_jj)`` is not (1.9e-9)."""
+        a = scaled(grid_laplacian_3d(12, 12, 12), 6, seed=3)
+        nf = factorize_numeric(a, symbolic_factorize(a, ordering="nd"), make_policy("P1"))
+        b = np.random.default_rng(1).normal(size=a.n_rows)
+        widths = [end - first for _, first, end, *_ in get_solve_plan(nf.sf).interior]
+        assert max(widths) > SUBSTITUTION_BLOCK  # full and tail blocks both
+        for x in (solve_factored(nf, b), solve_by_substitution(nf, b)):
+            assert componentwise_backward_error(a, x, b) <= 1e-14
 
 
 class TestEveryKindOfFactor:
     @settings(max_examples=15, deadline=None)
     @given(spd_matrix(max_n=60))
     def test_device_factor_with_leaves_run_stacked(self, a):
-        # fp32-rounded panels; every group runs stacked in the
-        # factorization (one Figure-9 panel covers a leaf's pivot block)
-        # and is swept stacked in the solve
-        solver = SparseCholeskySolver(
-            a, ordering="nd", policy="P4", backend="dynamic",
-            node=SimulatedNode(n_cpus=2, n_gpus=2),
-        ).factorize()
-        assert solver.factor.batch_tasks == len(batched.batch_groups(solver.symbolic))
-        assert_factor_sweeps_match_reference(solver.factor)
+        # every group runs stacked in the factorization (one Figure-9
+        # panel covers a leaf's pivot block) and is swept stacked
+        nf = device_factor(a)
+        assert nf.batch_tasks == len(batched.batch_groups(nf.sf))
+        assert_factor_sweeps_match_reference(nf)
 
     @settings(max_examples=15, deadline=None)
     @given(spd_matrix(max_n=60), st.sampled_from(["off", "aggressive"]))
@@ -159,16 +220,64 @@ def test_two_threads_take_the_first_solve_at_once(lap3d_small):
         sys.setswitchinterval(interval)
 
 
-def test_lmco_s_sweep_counts():
-    """The counts-gate CI runs by name: what the plan stacks on the
-    benchmark matrix, and how many Python-level steps a sweep is left
-    with (1 983 before the plan)."""
+def line_hits(fn) -> Counter:
+    """How many times each line of :mod:`repro.multifrontal.solve` ran
+    during ``fn()``."""
+    hits: Counter = Counter()
+    path = solve_module.__file__
+
+    def count(frame, event, arg):
+        if event == "line":
+            hits[frame.f_lineno] += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == path else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return hits
+
+
+@pytest.fixture(scope="module")
+def lmco_s_factor():
     a = load_test_matrix("lmco_s")
-    sf = symbolic_factorize(a, ordering="nd")
-    plan = get_solve_plan(sf)
+    return factorize_numeric(a, symbolic_factorize(a, ordering="nd"), make_policy("P1"))
+
+
+def test_lmco_s_sweep_counts(lmco_s_factor):
+    """The counts-gate CI runs by name: what the plan stacks on the
+    benchmark matrix, how many Python-level steps a sweep is left with
+    (1 983 before the plan), and how many diagonal blocks of the interior
+    supernodes it applies as inverses (each sweep took 9 837 per-column
+    substitution steps over the same blocks)."""
+    nf = lmco_s_factor
+    sf, plan = nf.sf, get_solve_plan(nf.sf)
     assert sf.n_supernodes == 1983
     assert plan.n_stacked == 1620 == sum(len(g) for g in plan.groups)
     assert plan.n_steps <= 700
-    nf = factorize_numeric(a, sf, make_policy("P1"))
-    b = np.random.default_rng(7).normal(size=a.n_rows)
+    assert interior_blocks(plan) == 504
+    assert len(plan.regions) == 26
+    b = np.random.default_rng(7).normal(size=sf.n)
+    solve_factored(nf, b)  # binds the table
+    # no per-column loop is left: no line of the module runs more often
+    # than once per interior supernode and block (867 against 9 837)
+    hits = line_hits(lambda: solve_factored(nf, b))
+    assert max(hits.values()) <= len(plan.interior) + interior_blocks(plan)
     assert np.array_equal(solve_factored(nf, b), solve_per_supernode(nf, b))
+
+
+def test_lmco_s_inverses_are_a_tenth_of_the_panels(lmco_s_factor):
+    """The per-factor buffer of diagonal-block inverses: 2.1 MB against
+    29.3 MB of panels, and every inverse the sweeps apply is a view of
+    it."""
+    nf = lmco_s_factor
+    solve_factored(nf, np.ones(nf.n))
+    table = nf.sweep
+    assert table.inverses.nbytes <= 0.1 * sum(p.nbytes for p in nf.panels)
+    for w, _ in table.blocks:
+        assert w.base is table.inverses
+    for *_, w in table.steps:
+        for region in w if isinstance(w, tuple) else (w,):
+            assert region.base is table.inverses
