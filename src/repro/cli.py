@@ -8,7 +8,7 @@ Usage (also via ``python -m repro``)::
     python -m repro solve a.mtx --policy model
     python -m repro policies --m 2000 --k 800  # per-policy call costs
     python -m repro train --samples 400 --out clf.json
-    python -m repro verify --pairs default     # differential verification
+    python -m repro verify                     # differential verification
     python -m repro verify --fuzz --budget-seconds 120
     python -m repro lint                       # domain static analysis
     python -m repro lint --list-rules
@@ -444,7 +444,6 @@ def cmd_verify(args) -> int:
         return 0 if report.ok else 1
 
     result = verify_suite(
-        args.pairs,
         scale=args.scale,
         invariants=not args.no_invariants,
         corpus_dir=args.corpus or None,
@@ -555,9 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="differential verification: config lattice, invariants, fuzzing",
     )
-    v.add_argument("--pairs", default="default",
-                   choices=("default", "all", "bitwise", "normwise"),
-                   help="which configuration pairs to check")
     v.add_argument("--scale", default="small", choices=("small", "full"),
                    help="generator-suite size")
     v.add_argument("--no-invariants", action="store_true",

@@ -116,10 +116,8 @@ class ShardedSolverService:
     ----------
     n_nodes : int
         Fleet size (one shard, one cache, per node).
-    policy, backend, ordering, cluster :
-        Forwarded to every shard (``cluster`` being the
-        :class:`~repro.cluster.topology.ClusterSpec` for
-        ``backend="cluster"`` shards).
+    policy, backend, ordering :
+        Forwarded to every shard (:class:`~repro.service.SolverService`).
     n_workers_per_node, max_cache_bytes :
         Per-shard worker threads and cache budget.
     node_faults : FaultInjector, optional
@@ -157,7 +155,6 @@ class ShardedSolverService:
         node_faults=None,
         interconnect: InterconnectParams | None = None,
         metrics: ServiceMetrics | None = None,
-        cluster=None,
         tiering: TierConfig | None = None,
         peer_fetch: str = "cost-model",
     ):
@@ -184,7 +181,6 @@ class ShardedSolverService:
                 backend=backend,
                 ordering=ordering,
                 max_cache_bytes=max_cache_bytes,
-                cluster=cluster,
                 cache=(
                     tiering.build(shared=self.shared_tier)
                     if tiering is not None

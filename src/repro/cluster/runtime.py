@@ -12,12 +12,15 @@ message *arrival*.  What this module adds on top of the loop is the
 fleet itself: the supernode-to-rank map, the rank workers and the
 interconnect they talk through.
 
-Numerics are schedule-independent, exactly as for the static and
-dynamic backends: :func:`cluster_factorize` runs the timing simulation
-for the makespan, then runs the one numerics pass via
-:func:`repro.parallel.scheduler.scheduled_numeric_factor` — so the
-factor (and its fingerprint) is bit-identical to ``backend="serial"``
-at every node count.
+A fleet run only prices: it decides where and when each front runs,
+never what is computed.  :func:`cluster_factorize` runs the timing
+simulation for the makespan, then the one numerics pass
+(:func:`repro.parallel.scheduler.scheduled_numeric_factor`) on one node
+of the fleet's shape, so the factor (and its fingerprint) is
+bit-identical to the serial walk's on that node at every rank count.
+``SparseCholeskySolver(backend="cluster")`` prices through
+:func:`cluster_replay` and runs the same numerics pass on the solver's
+own node.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ import numpy as np
 from repro.cluster.interconnect import Interconnect
 from repro.cluster.mapping import map_subtrees_to_ranks
 from repro.cluster.topology import ClusterSpec
-from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.parallel.scheduler import scheduled_numeric_factor
-from repro.policies.base import Policy, Worker
+from repro.policies.base import Policy
 from repro.runtime.engine import DynamicRuntime, RuntimeResult
 from repro.symbolic.symbolic import SymbolicFactor
 
@@ -88,16 +90,13 @@ def cluster_factorize(
     """Cluster-schedule *and* numerically factor.
 
     Times come from the fleet event loop; panels are computed in
-    canonical postorder against one representative worker of the fleet's
-    node shape, so the factor is bit-identical to ``backend="serial"``
-    regardless of ``spec.n_ranks``.
+    canonical postorder on one node of the fleet's shape
+    (:meth:`ClusterSpec.build_nodes`), so the factor is bit-identical to
+    the serial walk's on that node regardless of ``spec.n_ranks``.
     """
     result = cluster_replay(sf, policy, spec, owner=owner)
-    numeric_node = SimulatedNode(
-        model=spec.model, n_cpus=1, n_gpus=spec.gpus_per_rank
-    )
     result.factor = scheduled_numeric_factor(
-        a, sf, policy, Worker.canonical(numeric_node), numeric_node,
-        result.schedule, makespan=result.makespan,
+        a, sf, policy, spec.build_nodes()[0], result.schedule,
+        makespan=result.makespan,
     )
     return result

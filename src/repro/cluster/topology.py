@@ -5,11 +5,13 @@ most one GPU (the paper's one-thread-per-GPU design point), joined by a
 full-crossbar interconnect priced per message as
 ``latency + bytes / bandwidth`` and serialized on the sender's NIC.
 
-:class:`ClusterSpec` is the single description every cluster entry
-point takes — :func:`repro.cluster.runtime.cluster_replay` and
-:func:`~repro.cluster.runtime.cluster_factorize`, which hand its rank
-workers to the event-driven executor, and the ``backend="cluster"``
-mode of :class:`repro.multifrontal.SparseCholeskySolver`.
+:class:`ClusterSpec` is the single description both cluster entry
+points take — :func:`repro.cluster.runtime.cluster_replay` and
+:func:`~repro.cluster.runtime.cluster_factorize` — which hand its rank
+workers to the event-driven executor.  The ``backend="cluster"`` mode of
+:class:`repro.multifrontal.SparseCholeskySolver` prices on a two-rank
+spec of the solver node's shape and computes the factor on the solver's
+own node.
 """
 
 from __future__ import annotations

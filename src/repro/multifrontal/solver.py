@@ -17,27 +17,30 @@ auto-trains a cost-sensitive classifier on synthetic timing data from
 the node's performance model (the paper's auto-tuning loop) unless a
 trained classifier is supplied.
 
-Two orthogonal execution knobs:
+``backend`` says how the factorization is *priced* on the virtual
+clock, never what it computes:
 
-* ``schedule="liu"`` (serial backend only) runs the elimination in
-  Liu's stack-minimizing child order instead of the default postorder —
-  same factor, lower peak update-stack memory;
-* ``backend="static"``/``"dynamic"`` factor through the parallel
-  schedulers (:mod:`repro.parallel` / :mod:`repro.runtime`) over a
-  worker pool built from this solver's node; ``backend="dynamic"``
-  additionally accepts ``memory_budget`` (admission control) and
-  ``faults`` (a :class:`repro.runtime.FaultInjector`);
-* ``backend="cluster"`` factors through the simulated multi-node fleet
-  of :mod:`repro.cluster` (shape via ``cluster``, a
-  :class:`repro.cluster.ClusterSpec`; defaults to two ranks matching
-  this solver's node shape).
+* ``"serial"`` (default) walks the tree in postorder on the node's
+  first lane;
+* ``"static"`` / ``"dynamic"`` schedule it over a worker pool built
+  from this solver's node (:func:`repro.parallel.parallel_schedule`:
+  the critical-path list scheduler, or the event-driven runtime of
+  :mod:`repro.runtime`, which also takes ``faults``, a
+  :class:`repro.runtime.FaultInjector`);
+* ``"cluster"`` replays it on a two-rank fleet of this node's shape
+  (:func:`repro.cluster.cluster_replay`).
 
-Every backend produces bit-identical factors, by one rule: front *s*
-is computed under ``policy.resolve(m, k, canonical worker)`` — the
-policy's choice, or host P1 where the node's first lane has no device
-the front fits on — whatever worker the schedule placed and priced it
-on (fronts the dynamic runtime degraded after injected GPU failures
-excepted: they run the host path, as their simulated execution did).
+The one rule: whatever the backend, front *s* is then computed on this
+solver's node under ``policy.resolve(m, k, Worker.canonical(node))`` —
+the policy's choice, or host P1 where the node's first lane has no
+device the front fits on — whatever worker the schedule placed and
+priced it on; the one exception is a front the dynamic runtime degraded
+after injected GPU failures, which runs ``policy.fallback``, as its
+simulated execution did.  So every backend produces the same factor
+bit for bit.  Liu's stack-minimizing order, a memory budget and any
+fleet shape are library calls: ``factorize_numeric(spost=...)``,
+``parallel_factorize(..., memory_budget=...)`` and
+``cluster_factorize(..., ClusterSpec(...))``.
 """
 
 from __future__ import annotations
@@ -91,44 +94,30 @@ class SparseCholeskySolver:
         node: SimulatedNode | None = None,
         amalgamation: AmalgamationParams | None = None,
         classifier=None,
-        schedule: str = "post",
         backend: str = "serial",
-        memory_budget: int | None = None,
         faults=None,
-        cluster=None,
     ):
         if a.n_rows != a.n_cols:
             raise ValueError("matrix must be square")
-        if schedule not in ("post", "liu"):
-            raise ValueError(f"unknown schedule {schedule!r} (post | liu)")
         if backend not in ("serial", "static", "dynamic", "cluster"):
             raise ValueError(
                 f"unknown backend {backend!r} "
                 "(serial | static | dynamic | cluster)"
             )
-        if schedule == "liu" and backend != "serial":
-            raise ValueError(
-                "schedule='liu' orders the serial elimination; parallel "
-                "backends choose their own execution order"
-            )
-        if (memory_budget is not None or faults is not None) and backend != "dynamic":
-            raise ValueError("memory_budget/faults require backend='dynamic'")
-        if cluster is not None and backend != "cluster":
-            raise ValueError("cluster spec requires backend='cluster'")
+        if faults is not None and backend != "dynamic":
+            raise ValueError("faults requires backend='dynamic'")
         self.a = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
         self.ordering = ordering
         self.node = node if node is not None else SimulatedNode(n_cpus=1, n_gpus=1)
         self.amalgamation = amalgamation
-        self.schedule = schedule
         self.backend = backend
-        self.memory_budget = memory_budget
         self.faults = faults
-        self.cluster = cluster
         self._policy = self._build_policy(policy, classifier)
         self.symbolic: SymbolicFactor | None = None
         self.factor: NumericFactor | None = None
-        #: populated by the parallel backends: the full ParallelResult
-        #: (schedule, worker busy times, dynamic runtime counters)
+        #: populated by the scheduled backends: the pricing pass's result
+        #: (a ParallelResult — schedule, worker busy times, dynamic runtime
+        #: counters — or, for the cluster, the fleet's RuntimeResult)
         self.parallel = None
 
     # ------------------------------------------------------------------
@@ -155,11 +144,8 @@ class SparseCholeskySolver:
         policy: str | Policy = "P1",
         node: SimulatedNode | None = None,
         classifier=None,
-        schedule: str = "post",
         backend: str = "serial",
-        memory_budget: int | None = None,
         faults=None,
-        cluster=None,
     ) -> "SparseCholeskySolver":
         """Build a solver around an existing symbolic factorization.
 
@@ -177,11 +163,8 @@ class SparseCholeskySolver:
             node=node,
             amalgamation=symbolic.amalgamation,
             classifier=classifier,
-            schedule=schedule,
             backend=backend,
-            memory_budget=memory_budget,
             faults=faults,
-            cluster=cluster,
         )
         if symbolic.n != self.a.n_rows:
             raise ValueError(
@@ -199,51 +182,48 @@ class SparseCholeskySolver:
         return self
 
     def factorize(self) -> "SparseCholeskySolver":
-        """Run the numeric factorization (analyze first if needed)."""
+        """Run the numeric factorization (analyze first if needed): price
+        it with the backend, then compute it on this solver's node."""
         if self.symbolic is None:
             self.analyze()
         self.node.reset()
         if hasattr(self._policy, "selection_counts"):
             self._policy.selection_counts.clear()
         if self.backend == "serial":
-            spost = None
-            if self.schedule == "liu":
-                from repro.symbolic.stack import stack_minimizing_postorder
-
-                spost = stack_minimizing_postorder(self.symbolic)
             self.factor = factorize_numeric(
-                self.a, self.symbolic, self._policy, node=self.node,
-                spost=spost,
+                self.a, self.symbolic, self._policy, node=self.node
             )
-        elif self.backend == "cluster":
-            from repro.cluster.runtime import cluster_factorize
+            return self
+        from repro.parallel.scheduler import scheduled_numeric_factor
+
+        priced = self._schedule()
+        self.factor = priced.factor = scheduled_numeric_factor(
+            self.a, self.symbolic, self._policy, self.node, priced.schedule,
+            makespan=priced.makespan, degraded_sids=priced.degraded_sids,
+        )
+        self.parallel = priced
+        return self
+
+    def _schedule(self):
+        """The pricing pass of a scheduled backend (no numerics)."""
+        if self.backend == "cluster":
+            from repro.cluster.runtime import cluster_replay
             from repro.cluster.topology import ClusterSpec
 
-            spec = self.cluster
-            if spec is None:
-                spec = ClusterSpec(
-                    n_ranks=2,
-                    gpus_per_rank=1 if self.node.gpus else 0,
+            return cluster_replay(
+                self.symbolic, self._policy,
+                ClusterSpec(
+                    n_ranks=2, gpus_per_rank=1 if self.node.gpus else 0,
                     model=self.node.model,
-                )
-            result = cluster_factorize(
-                self.a, self.symbolic, self._policy, spec
+                ),
             )
-            self.parallel = result
-            self.factor = result.factor
-        else:
-            from repro.parallel.scheduler import parallel_factorize
-            from repro.parallel.workers import WorkerPool
+        from repro.parallel.scheduler import parallel_schedule
+        from repro.parallel.workers import WorkerPool
 
-            result = parallel_factorize(
-                self.a, self.symbolic, self._policy, WorkerPool.over(self.node),
-                backend=self.backend,
-                memory_budget=self.memory_budget,
-                faults=self.faults,
-            )
-            self.parallel = result
-            self.factor = result.factor
-        return self
+        return parallel_schedule(
+            self.symbolic, self._policy, WorkerPool.over(self.node),
+            backend=self.backend, faults=self.faults,
+        )
 
     def solve(
         self,

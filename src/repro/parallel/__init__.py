@@ -14,7 +14,9 @@ the default (``parallel_factorize(..., backend="static")``).  The
 event-driven runtime in :mod:`repro.runtime` plugs in behind the same
 entry point as ``backend="dynamic"`` — work stealing, memory-aware
 admission, dispatch-time policy selection, fault injection — and
-produces bit-identical factors.  Both price their tasks through the
+produces bit-identical factors: a scheduler only prices
+(:func:`parallel_schedule`), and the numerics pass runs on the pool's
+node whatever the placement.  Both price their tasks through the
 one :class:`TaskPricer` (:mod:`repro.parallel.pricing`).
 """
 
@@ -24,6 +26,7 @@ from repro.parallel.scheduler import (
     ScheduledTask,
     list_schedule,
     parallel_factorize,
+    parallel_schedule,
 )
 from repro.parallel.workers import WorkerPool, make_worker_pool
 
@@ -34,5 +37,6 @@ __all__ = [
     "ScheduledTask",
     "ParallelResult",
     "parallel_factorize",
+    "parallel_schedule",
     "TaskPricer",
 ]

@@ -38,6 +38,7 @@ __all__ = [
     "ParallelResult",
     "list_schedule",
     "parallel_factorize",
+    "parallel_schedule",
     "scheduled_numeric_factor",
 ]
 
@@ -76,10 +77,15 @@ class ParallelResult:
         return len(self.schedule)
 
     @property
+    def degraded_sids(self) -> frozenset:
+        """The tasks the dynamic runtime degraded to P1 after injected
+        GPU failures (always empty for the static backend)."""
+        return getattr(self.runtime, "degraded_sids", frozenset())
+
+    @property
     def degraded(self) -> bool:
-        """True when the dynamic runtime degraded any task to P1 after
-        injected GPU failures (always False for the static backend)."""
-        return bool(self.runtime is not None and self.runtime.degraded)
+        """True when any task was degraded (:attr:`degraded_sids`)."""
+        return bool(self.degraded_sids)
 
     def speedup_vs(self, serial_seconds: float) -> float:
         return serial_seconds / self.makespan if self.makespan > 0 else float("inf")
@@ -168,8 +174,7 @@ def list_schedule(
     return ParallelResult(makespan, schedule, None, worker_busy)
 
 
-def parallel_factorize(
-    a: CSCMatrix,
+def parallel_schedule(
     sf: SymbolicFactor,
     policy: Policy,
     pool: WorkerPool,
@@ -180,7 +185,8 @@ def parallel_factorize(
     memory_budget: int | None = None,
     faults=None,
 ) -> ParallelResult:
-    """Schedule *and* numerically factor.
+    """The pricing pass of :func:`parallel_factorize`: a factor-less
+    :class:`ParallelResult` from the ``backend`` scheduler.
 
     ``backend="static"`` (default) uses the paper-faithful critical-path
     list scheduler; ``backend="dynamic"`` uses the event-driven runtime
@@ -188,17 +194,8 @@ def parallel_factorize(
     ``memory_budget``, dispatch-time policy selection, optional fault
     injection via ``faults``).
 
-    The numeric result is schedule-independent: times come from the
-    chosen scheduler, while the numerics pass runs in postorder and
-    computes front *s* under ``policy.resolve(m, k, canonical worker)``
-    (``Worker.canonical`` of the pool's node) — the serial driver's
-    rule, so both backends produce factors bit-identical to it whatever
-    worker a task was placed on.  The one exception is a task the
-    dynamic runtime *degraded* after injected GPU failures: its numerics
-    run on the host P1 path, exactly as its simulated execution did.
-
-    The scheduling pass is a function of the pattern on a fresh node
-    without faults or a budget, so it is paid once per pattern
+    The pass is a function of the pattern on a fresh node without
+    faults or a budget, so it is paid once per pattern
     (:func:`repro.multifrontal.numeric.price_once_per_pattern`): a warm
     call gets the schedule, the runtime counters, the worker busy times
     and the end state of every GPU pool back without running it.
@@ -232,13 +229,27 @@ def parallel_factorize(
     else:
         raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
 
-    result = price_once_per_pattern(
+    return price_once_per_pattern(
         sf, policy, pool.node, pool.workers, how, price, _fresh_copy
     )
+
+
+def parallel_factorize(
+    a: CSCMatrix,
+    sf: SymbolicFactor,
+    policy: Policy,
+    pool: WorkerPool,
+    **how,
+) -> ParallelResult:
+    """Schedule *and* numerically factor: :func:`parallel_schedule`
+    (``how`` is its keywords), then the numerics pass on the pool's node
+    (:func:`scheduled_numeric_factor`), so the factor is bit-identical to
+    the serial walk's whatever worker a task was placed on.
+    """
+    result = parallel_schedule(sf, policy, pool, **how)
     result.factor = scheduled_numeric_factor(
-        a, sf, policy, Worker.canonical(pool.node), pool.node, result.schedule,
-        makespan=result.makespan,
-        degraded_sids=getattr(result.runtime, "degraded_sids", frozenset()),
+        a, sf, policy, pool.node, result.schedule,
+        makespan=result.makespan, degraded_sids=result.degraded_sids,
     )
     return result
 
@@ -267,7 +278,6 @@ def scheduled_numeric_factor(
     a: CSCMatrix,
     sf: SymbolicFactor,
     policy: Policy,
-    numeric_worker: Worker,
     node: SimulatedNode,
     schedule: list[ScheduledTask],
     *,
@@ -275,12 +285,14 @@ def scheduled_numeric_factor(
     degraded_sids: frozenset = frozenset(),
 ) -> NumericFactor:
     """The numerics pass for an already-timed ``schedule`` (static,
-    dynamic or cluster): records carry the schedule's times and policy
-    names (those of the placed worker), supernode *s* is computed under
-    ``policy.resolve(m, k, numeric_worker)`` whatever its placement, and
-    tasks in ``degraded_sids`` run the host fallback, exactly as their
-    simulated execution did.
+    dynamic or cluster), on ``node``: supernode *s* is computed under
+    ``policy.resolve(m, k, Worker.canonical(node))`` whatever worker the
+    schedule placed it on — the serial walk's rule — and tasks in
+    ``degraded_sids`` run the host fallback, exactly as their simulated
+    execution did.  Records carry the schedule's times and policy names
+    (those of the placed worker).
     """
+    worker = Worker.canonical(node)
     by_sid = {t.sid: t for t in schedule}
     bases: list[Policy] = [policy] * sf.n_supernodes
     records: list[FURecord] = []
@@ -289,7 +301,7 @@ def scheduled_numeric_factor(
         m = sf.update_size(s)
         bases[s] = (
             policy.fallback if s in degraded_sids
-            else policy.resolve(m, k, numeric_worker)
+            else policy.resolve(m, k, worker)
         )
         t = by_sid[s]
         records.append(
@@ -299,5 +311,5 @@ def scheduled_numeric_factor(
             )
         )
     return postorder_numeric_factor(
-        a, sf, bases, numeric_worker, node, records, makespan=makespan
+        a, sf, bases, worker, node, records, makespan=makespan
     )

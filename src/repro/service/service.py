@@ -130,14 +130,14 @@ class SolverService:
         Default placement policy for factorizations (per-request override
         via :meth:`submit`).
     backend : str
-        How factorizations execute: ``"serial"`` (default), ``"static"``
-        list scheduler, the ``"dynamic"`` event-driven runtime of
-        :mod:`repro.runtime`, or the ``"cluster"`` fleet loop of
-        :mod:`repro.cluster` (shape via ``cluster``).  All backends
-        produce bit-identical factors, so cached factors are shared
-        across backends.
-    cluster : ClusterSpec, optional
-        Fleet shape for ``backend="cluster"`` factorizations.
+        How factorizations are priced: ``"serial"`` (default), the
+        ``"static"`` list scheduler, the ``"dynamic"`` event-driven
+        runtime of :mod:`repro.runtime`, or the ``"cluster"`` fleet loop
+        of :mod:`repro.cluster` (see
+        :class:`~repro.multifrontal.solver.SparseCholeskySolver`).  Every
+        backend computes the factor on the node ``node_factory`` builds,
+        under the same per-front policies, so the factors are
+        bit-identical and cached factors are shared across backends.
     ordering, amalgamation :
         Symbolic-analysis settings; part of the symbolic cache key.
     cache : FactorizationCache, optional
@@ -179,7 +179,6 @@ class SolverService:
         node_factory=None,
         faults=None,
         shadow_verify_rate: float = 0.0,
-        cluster=None,
     ):
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -190,13 +189,10 @@ class SolverService:
             )
         if faults is not None and backend != "dynamic":
             raise ValueError("faults require backend='dynamic'")
-        if cluster is not None and backend != "cluster":
-            raise ValueError("cluster spec requires backend='cluster'")
         if not 0.0 <= shadow_verify_rate <= 1.0:
             raise ValueError("shadow_verify_rate must be in [0, 1]")
         self.policy = policy
         self.backend = backend
-        self.cluster = cluster
         self.faults = faults
         self.shadow_verify_rate = float(shadow_verify_rate)
         self._shadow_acc = 0.0
@@ -410,7 +406,6 @@ class SolverService:
     ) -> SparseCholeskySolver:
         backend = backend if backend is not None else self.backend
         faults = self.faults if backend == "dynamic" else None
-        cluster = self.cluster if backend == "cluster" else None
         classifier = None
         if not isinstance(spec, Policy) and str(spec).lower() == "model":
             with self._classifier_lock:
@@ -430,13 +425,12 @@ class SolverService:
             return SparseCholeskySolver.from_symbolic(
                 canonical, symbolic, policy=spec,
                 node=self._node_factory(), classifier=classifier,
-                backend=backend, faults=faults, cluster=cluster,
+                backend=backend, faults=faults,
             )
         return SparseCholeskySolver(
             canonical, ordering=self.ordering, policy=spec,
             node=self._node_factory(), amalgamation=self.amalgamation,
             classifier=classifier, backend=backend, faults=faults,
-            cluster=cluster,
         )
 
     def _process(self, req: SolveRequest, worker: int) -> None:
@@ -514,10 +508,10 @@ class SolverService:
     def _shadow_verify(self, req: SolveRequest, factor, engine: str) -> None:
         """Re-factor under an alternate backend; fingerprints must agree.
 
-        Serial, static and dynamic backends promise bit-identical
-        factors (see :mod:`repro.verify.lattice`), so a mismatch means
-        the factor the service is about to serve — possibly from cache —
-        differs from a freshly computed reference.  Mismatches are
+        Every backend computes the same factor on the same node (see
+        :class:`~repro.multifrontal.solver.SparseCholeskySolver`), so a
+        mismatch means the factor the service is about to serve —
+        possibly from cache — differs from a freshly computed reference.  Mismatches are
         counted, never raised: shadow verification is advisory.
         """
         from repro.verify.lattice import factor_fingerprint

@@ -1,8 +1,9 @@
 """Differential verification: config lattice, invariants, fuzzing.
 
-See ``docs/architecture.md`` ("Verification") for the promise matrix —
-which configuration pairs are bitwise-identical and which are only
-bounded by a Higham-style normwise backward error.
+See ``docs/architecture.md`` ("Verification") for the promise matrix:
+the configuration pairs bounded by a Higham-style normwise backward
+error, and where the one-factor-per-node structure of the execution
+backends is tested instead.
 """
 
 from repro.verify.harness import (
@@ -32,7 +33,6 @@ from repro.verify.lattice import (
     default_pairs,
     factor_fingerprint,
     normwise_backward_error,
-    pairs_by_name,
     verify_matrix,
     verify_pair,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "default_pairs",
     "factor_fingerprint",
     "normwise_backward_error",
-    "pairs_by_name",
     "verify_matrix",
     "verify_pair",
     "ShrinkResult",

@@ -1,7 +1,7 @@
 """Suite runner: the generator suite through the lattice + invariants.
 
 This is the engine behind ``python -m repro verify``: run every matrix
-of the standard generator suite through the selected configuration
+of the standard generator suite through the default configuration
 pairs, run the invariant checkers, replay the persisted regression
 corpus, and render one table.  Exit-code semantics live in the CLI; the
 harness only gathers results.
@@ -22,7 +22,7 @@ from repro.matrices.generators import (
     random_spd,
 )
 from repro.verify.invariants import InvariantReport, run_invariants
-from repro.verify.lattice import PairReport, pairs_by_name, verify_matrix
+from repro.verify.lattice import PairReport, default_pairs, verify_matrix
 
 __all__ = ["SuiteResult", "generator_suite", "verify_suite", "format_suite"]
 
@@ -89,7 +89,6 @@ class SuiteResult:
 
 
 def verify_suite(
-    pairs: str = "default",
     *,
     scale: str = "small",
     invariants: bool = True,
@@ -99,7 +98,7 @@ def verify_suite(
     """Run the full verification: lattice pairs + invariants + corpus."""
     from repro.verify.fuzz import load_corpus, replay_corpus
 
-    pair_list = pairs_by_name(pairs)
+    pair_list = default_pairs()
     result = SuiteResult()
     rng = np.random.default_rng(rhs_seed)
     for name, a in generator_suite(scale):
@@ -123,12 +122,12 @@ def format_suite(result: SuiteResult) -> str:
             status = "ok" if r.ok else "FAIL"
             if r.details.get("skipped"):
                 status = "skip"
-            rows.append([matrix, r.pair.name, r.pair.promise, status])
+            rows.append([matrix, r.pair.name, status])
     for matrix, reports in result.invariant_reports.items():
         for r in reports:
-            rows.append([matrix, r.name, "invariant", "ok" if r.ok else "FAIL"])
+            rows.append([matrix, r.name, "ok" if r.ok else "FAIL"])
     text = format_table(
-        ["matrix", "check", "kind", "status"], rows,
+        ["matrix", "check", "status"], rows,
         title="differential verification",
     )
     text += (

@@ -1,24 +1,24 @@
 """The configuration lattice and the differential oracle over it.
 
-The design promises that many execution knobs change *performance but
-not the answer*: the serial, static-list-scheduled and dynamic
-event-driven backends compute every factor-update exactly once with the
-same kernels, and Liu's stack-minimizing order is just a different
-valid postorder of the same tree.  Other knobs change the floating
-point stream on purpose — GPU policies compute in float32, panel width
-reorders the blocked update, orderings permute the whole problem — and
-there the promise is Higham-style normwise accuracy after iterative
-refinement, not identity.
+Which backend prices a factorization and in which valid postorder the
+serial walk runs change *performance but not the answer* by
+construction: every backend computes every front on the solver's node
+under one resolved policy (``tests/test_solver_extensions.py``'s
+``TestEveryBackendEveryNodeOneFactor`` pins that structure).  The knobs
+left on this lattice change the floating point stream on purpose — GPU
+policies compute in float32, panel width reorders the blocked update,
+orderings permute the whole problem, amalgamation coarsens the
+partition — and there the promise is Higham-style normwise accuracy
+after iterative refinement, not identity.
 
-This module makes both promises executable:
+This module makes that promise executable:
 
-* :class:`VerifyConfig` — one point of the lattice (policy x schedule x
-  backend x precision x ordering x panel width), buildable into a
+* :class:`VerifyConfig` — one point of the lattice (policy x precision
+  x ordering x panel width x amalgamation), buildable into a
   :class:`~repro.multifrontal.solver.SparseCholeskySolver`;
 * :func:`factor_fingerprint` — a content hash of the factor (permutation
   plus every supernode panel, bit-for-bit);
-* :class:`ConfigPair` — two configurations plus the *promise* that binds
-  them (``"bitwise"`` or ``"normwise"``);
+* :class:`ConfigPair` — two configurations bound by the normwise promise;
 * :func:`verify_pair` / :func:`verify_matrix` — run the same matrix
   through both sides of each pair and check the promise, reporting
   rich diagnostics on violation.
@@ -80,27 +80,14 @@ class VerifyConfig:
     """One point of the configuration lattice."""
 
     policy: str = "P1"
-    schedule: str = "post"             # "post" | "liu" (serial only)
-    backend: str = "serial"            # "serial" | "static" | "dynamic" | "cluster"
     precision: str = "sp"              # GPU compute precision: "sp" | "dp"
     ordering: str = "amd"
     panel_width: int | None = None     # P4 blocked panel width override
-    nodes: int = 1                     # cluster rank count (cluster only)
     amalgamation: str = "default"      # "default" | "off" | "aggressive"
 
     def __post_init__(self):
-        if self.schedule not in ("post", "liu"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.backend not in ("serial", "static", "dynamic", "cluster"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.precision not in ("sp", "dp"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.schedule == "liu" and self.backend != "serial":
-            raise ValueError("schedule='liu' requires the serial backend")
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
-        if self.nodes > 1 and self.backend != "cluster":
-            raise ValueError("nodes > 1 requires backend='cluster'")
         if self.amalgamation not in AMALGAMATION_PRESETS:
             raise ValueError(
                 f"unknown amalgamation preset {self.amalgamation!r}"
@@ -108,11 +95,7 @@ class VerifyConfig:
 
     @property
     def label(self) -> str:
-        backend = self.backend
-        if backend == "cluster":
-            backend = f"cluster{self.nodes}"
-        parts = [self.policy, self.schedule, backend, self.precision,
-                 self.ordering]
+        parts = [self.policy, self.precision, self.ordering]
         if self.panel_width is not None:
             parts.append(f"w{self.panel_width}")
         if self.amalgamation != "default":
@@ -125,23 +108,14 @@ class VerifyConfig:
         model = tesla_t10_model()
         if self.precision != model.precision:
             model = dataclasses.replace(model, precision=self.precision)
-        n_cpus = 1 if self.backend in ("serial", "cluster") else 2
-        return SimulatedNode(model=model, n_cpus=n_cpus, n_gpus=1)
+        return SimulatedNode(model=model, n_cpus=1, n_gpus=1)
 
     def make_policy(self):
         if self.policy.upper().startswith("P4") and self.panel_width is not None:
             return make_policy(self.policy, panel_width=self.panel_width)
         return make_policy(self.policy)
 
-    def build_solver(self, a: CSCMatrix, **kwargs) -> SparseCholeskySolver:
-        node = self.make_node()
-        cluster = None
-        if self.backend == "cluster":
-            from repro.cluster.topology import ClusterSpec
-
-            cluster = ClusterSpec(
-                n_ranks=self.nodes, gpus_per_rank=1, model=node.model
-            )
+    def build_solver(self, a: CSCMatrix) -> SparseCholeskySolver:
         amalgamation = (
             None if self.amalgamation == "default"
             else amalgamation_preset(self.amalgamation)
@@ -150,12 +124,8 @@ class VerifyConfig:
             a,
             ordering=self.ordering,
             policy=self.make_policy(),
-            node=node,
-            schedule=self.schedule,
-            backend=self.backend,
-            cluster=cluster,
+            node=self.make_node(),
             amalgamation=amalgamation,
-            **kwargs,
         )
 
 
@@ -269,18 +239,13 @@ def run_config(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ConfigPair:
-    """Two lattice points plus the promise that binds them."""
+    """Two lattice points bound by the normwise promise."""
 
     name: str
     left: VerifyConfig
     right: VerifyConfig
-    promise: str                       # "bitwise" | "normwise"
-    backward_tol: float | None = None  # normwise: per-side eta ceiling
-    forward_safety: float = 100.0      # normwise: slack on the cond bound
-
-    def __post_init__(self):
-        if self.promise not in ("bitwise", "normwise"):
-            raise ValueError(f"unknown promise {self.promise!r}")
+    backward_tol: float | None = None  # per-side eta ceiling
+    forward_safety: float = 100.0      # slack on the cond bound
 
 
 @dataclass
@@ -294,7 +259,7 @@ class PairReport:
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "FAIL"
-        msg = f"[{status}] {self.pair.name} ({self.pair.promise})"
+        msg = f"[{status}] {self.pair.name}"
         for v in self.violations:
             msg += f"\n    {v}"
         return msg
@@ -303,103 +268,42 @@ class PairReport:
 def default_pairs(*, gpu_policy: str = "P4") -> list[ConfigPair]:
     """The promised pairs every PR must keep honouring.
 
-    Bitwise: the four backends (including the cluster backend at any
-    rank count) and the two serial schedules are pure reorderings of
-    identical factor-update calls.  Normwise: fp32 GPU
-    compute, panel width, GPU precision and fill-reducing ordering all
-    change the float stream, but refinement must restore double-precision
-    backward error and the two solutions must agree to a
-    condition-scaled bound.
+    fp32 GPU compute, panel width, GPU precision, fill-reducing ordering
+    and supernode amalgamation all change the float stream, but
+    refinement must restore double-precision backward error and the two
+    solutions must agree to a condition-scaled bound.
 
-    Amalgamation pairs are normwise (a coarser supernode partition
-    reorders the float stream).  Stacked small-front execution has no
-    pair of its own: every backend runs the one numerics pass, and its
-    bit-identity to the per-front path is pinned slice by slice in
+    Execution paths have no pair: every backend and every valid
+    postorder hand the one numerics pass the same resolved policies
+    (pinned structurally in ``tests/test_solver_extensions.py``), and
+    stacked small-front execution is pinned slice by slice in
     ``tests/test_bench_properties.py``.
     """
     p1 = VerifyConfig(policy="P1")
     gpu = VerifyConfig(policy=gpu_policy)
     return [
-        ConfigPair(
-            "serial/post vs serial/liu", p1,
-            dataclasses.replace(p1, schedule="liu"), "bitwise",
-        ),
-        ConfigPair(
-            "serial vs static", p1,
-            dataclasses.replace(p1, backend="static"), "bitwise",
-        ),
-        ConfigPair(
-            "serial vs dynamic", p1,
-            dataclasses.replace(p1, backend="dynamic"), "bitwise",
-        ),
-        ConfigPair(
-            f"static vs dynamic ({gpu_policy})",
-            dataclasses.replace(gpu, backend="static"),
-            dataclasses.replace(gpu, backend="dynamic"), "bitwise",
-        ),
-        ConfigPair(
-            "serial vs cluster (1 node)", p1,
-            dataclasses.replace(p1, backend="cluster", nodes=1), "bitwise",
-        ),
-        ConfigPair(
-            "serial vs cluster (2 nodes)", p1,
-            dataclasses.replace(p1, backend="cluster", nodes=2), "bitwise",
-        ),
-        ConfigPair(
-            "serial vs cluster (4 nodes)", p1,
-            dataclasses.replace(p1, backend="cluster", nodes=4), "bitwise",
-        ),
-        ConfigPair(
-            f"fp64 (P1) vs fp32+refine ({gpu_policy})", p1, gpu, "normwise",
-        ),
-        ConfigPair(
-            "fp64 (P1) vs fp32+refine (P2)", p1,
-            VerifyConfig(policy="P2"), "normwise",
-        ),
+        ConfigPair(f"fp64 (P1) vs fp32+refine ({gpu_policy})", p1, gpu),
+        ConfigPair("fp64 (P1) vs fp32+refine (P2)", p1, VerifyConfig(policy="P2")),
         ConfigPair(
             "P4 panel width 64 vs 256",
             dataclasses.replace(gpu, panel_width=64),
-            dataclasses.replace(gpu, panel_width=256), "normwise",
+            dataclasses.replace(gpu, panel_width=256),
         ),
         ConfigPair(
-            "P4 sp vs dp", gpu,
-            dataclasses.replace(gpu, precision="dp"), "normwise",
+            "P4 sp vs dp", gpu, dataclasses.replace(gpu, precision="dp"),
         ),
         ConfigPair(
-            "ordering amd vs nd", p1,
-            dataclasses.replace(p1, ordering="nd"), "normwise",
+            "ordering amd vs nd", p1, dataclasses.replace(p1, ordering="nd"),
         ),
         ConfigPair(
-            "amalgamation default vs aggressive (serial)", p1,
-            dataclasses.replace(p1, amalgamation="aggressive"), "normwise",
+            "amalgamation default vs aggressive", p1,
+            dataclasses.replace(p1, amalgamation="aggressive"),
         ),
         ConfigPair(
-            "amalgamation default vs aggressive (static)",
-            dataclasses.replace(p1, backend="static"),
-            dataclasses.replace(p1, backend="static",
-                                amalgamation="aggressive"), "normwise",
-        ),
-        ConfigPair(
-            "amalgamation default vs aggressive (dynamic)",
-            dataclasses.replace(p1, backend="dynamic"),
-            dataclasses.replace(p1, backend="dynamic",
-                                amalgamation="aggressive"), "normwise",
-        ),
-        ConfigPair(
-            "amalgamation default vs off (serial)", p1,
-            dataclasses.replace(p1, amalgamation="off"), "normwise",
+            "amalgamation default vs off", p1,
+            dataclasses.replace(p1, amalgamation="off"),
         ),
     ]
-
-
-def pairs_by_name(name: str, **kwargs) -> list[ConfigPair]:
-    """Select a pair set: ``default`` (all), ``bitwise`` or ``normwise``."""
-    pairs = default_pairs(**kwargs)
-    if name in ("default", "all"):
-        return pairs
-    if name in ("bitwise", "normwise"):
-        return [p for p in pairs if p.promise == name]
-    raise ValueError(f"unknown pair set {name!r} (default | bitwise | normwise)")
 
 
 def _default_backward_tol(n: int) -> float:
@@ -427,70 +331,48 @@ def verify_pair(
         "right_eta": right.backward_error,
     }
 
-    if pair.promise == "bitwise":
-        details["left_fingerprint"] = left.fingerprint
-        details["right_fingerprint"] = right.fingerprint
-        if not np.array_equal(left.factor.sf.perm, right.factor.sf.perm):
-            violations.append(
-                "permutation differs between "
-                f"{pair.left.label} and {pair.right.label}"
-            )
-        elif left.fingerprint != right.fingerprint:
-            sid = _first_differing_panel(left.factor, right.factor)
-            violations.append(
-                f"factor bytes differ (first differing supernode: {sid}) "
-                f"between {pair.left.label} and {pair.right.label}"
-            )
-    else:
-        tol = (
-            pair.backward_tol
-            if pair.backward_tol is not None
-            else _default_backward_tol(a.n_rows)
+    tol = (
+        pair.backward_tol
+        if pair.backward_tol is not None
+        else _default_backward_tol(a.n_rows)
+    )
+    details["backward_tol"] = tol
+    cond = condest_1(left.solver.a, left.factor)
+    details["cond_estimate"] = cond
+    uses_fp32 = any(
+        c.precision == "sp" and c.policy.upper() != "P1"
+        for c in (pair.left, pair.right)
+    )
+    if uses_fp32 and cond > FP32_COND_LIMIT:
+        # outside the promise's precondition: refinement against an
+        # fp32 factor contracts at ~ cond(A) * u32, which is >= 1 here
+        details["skipped"] = (
+            f"cond(A) ~ {cond:.2e} beyond the fp32-refinement "
+            f"guarantee ({FP32_COND_LIMIT:.2e})"
         )
-        details["backward_tol"] = tol
-        cond = condest_1(left.solver.a, left.factor)
-        details["cond_estimate"] = cond
-        uses_fp32 = any(
-            c.precision == "sp" and c.policy.upper() != "P1"
-            for c in (pair.left, pair.right)
-        )
-        if uses_fp32 and cond > FP32_COND_LIMIT:
-            # outside the promise's precondition: refinement against an
-            # fp32 factor contracts at ~ cond(A) * u32, which is >= 1 here
-            details["skipped"] = (
-                f"cond(A) ~ {cond:.2e} beyond the fp32-refinement "
-                f"guarantee ({FP32_COND_LIMIT:.2e})"
-            )
-            return PairReport(pair=pair, ok=True, details=details)
-        for side, run in (("left", left), ("right", right)):
-            if run.backward_error > tol:
-                violations.append(
-                    f"{side} ({run.config.label}) backward error "
-                    f"{run.backward_error:.3e} exceeds {tol:.3e}"
-                )
-        # forward agreement, scaled by the (estimated) conditioning
-        bound = pair.forward_safety * cond * (
-            max(left.backward_error, _U64) + max(right.backward_error, _U64)
-        )
-        x_scale = float(np.abs(right.x).max(initial=0.0)) or 1.0
-        diff = float(np.abs(left.x - right.x).max(initial=0.0)) / x_scale
-        details["forward_diff"] = diff
-        details["forward_bound"] = bound
-        if diff > bound:
+        return PairReport(pair=pair, ok=True, details=details)
+    for side, run in (("left", left), ("right", right)):
+        if run.backward_error > tol:
             violations.append(
-                f"solutions disagree: rel diff {diff:.3e} exceeds "
-                f"cond-scaled bound {bound:.3e} (cond ~ {cond:.3e})"
+                f"{side} ({run.config.label}) backward error "
+                f"{run.backward_error:.3e} exceeds {tol:.3e}"
             )
+    # forward agreement, scaled by the (estimated) conditioning
+    bound = pair.forward_safety * cond * (
+        max(left.backward_error, _U64) + max(right.backward_error, _U64)
+    )
+    x_scale = float(np.abs(right.x).max(initial=0.0)) or 1.0
+    diff = float(np.abs(left.x - right.x).max(initial=0.0)) / x_scale
+    details["forward_diff"] = diff
+    details["forward_bound"] = bound
+    if diff > bound:
+        violations.append(
+            f"solutions disagree: rel diff {diff:.3e} exceeds "
+            f"cond-scaled bound {bound:.3e} (cond ~ {cond:.3e})"
+        )
 
     return PairReport(pair=pair, ok=not violations, violations=violations,
                       details=details)
-
-
-def _first_differing_panel(f1, f2) -> int:
-    for s, (p1, p2) in enumerate(zip(f1.panels, f2.panels)):
-        if p1.shape != p2.shape or not np.array_equal(p1, p2):
-            return s
-    return -1
 
 
 def verify_matrix(

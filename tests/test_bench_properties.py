@@ -118,15 +118,14 @@ class TestClusterNodeCountInvariance:
         # sharding the tree across a fleet changes the timing schedule
         # but never the panel bytes: any node count fingerprints equal
         # to the serial walk
-        from repro.cluster import ClusterSpec
+        from repro.cluster import ClusterSpec, cluster_factorize
 
         sym = symbolic_factorize(a, ordering="nd")
         serial = _run_backend(a, sym, "serial")
-        clustered = SparseCholeskySolver.from_symbolic(
-            a, sym, policy="P1", backend="cluster",
-            cluster=ClusterSpec(n_ranks=n_nodes, gpus_per_rank=1),
+        clustered = cluster_factorize(
+            a, sym, make_policy("P1"),
+            ClusterSpec(n_ranks=n_nodes, gpus_per_rank=1),
         )
-        clustered.factorize()
         assert factor_fingerprint(clustered.factor) == factor_fingerprint(
             serial.factor
         )
@@ -519,16 +518,15 @@ class TestBatchedExecutionProperties:
 
     @pytest.mark.parametrize("nodes", (1, 2, 4))
     def test_cluster_backend_stacks_and_matches_serial(self, nodes):
-        from repro.cluster.topology import ClusterSpec
+        from repro.cluster import ClusterSpec, cluster_factorize
 
         a = grid_laplacian_2d(14, 13)
         sym = symbolic_factorize(a, ordering="amd")
         serial = _run_backend(a, sym, "serial").factor
-        solver = SparseCholeskySolver.from_symbolic(
-            a, sym, policy="P1", backend="cluster",
-            cluster=ClusterSpec(n_ranks=nodes, gpus_per_rank=1),
-        )
-        nf = solver.factorize().factor
+        nf = cluster_factorize(
+            a, sym, make_policy("P1"),
+            ClusterSpec(n_ranks=nodes, gpus_per_rank=1),
+        ).factor
         assert nf.batch_tasks > 0
         assert (nf.batch_tasks, nf.batched_fronts) == (
             serial.batch_tasks, serial.batched_fronts
@@ -563,27 +561,27 @@ class TestVirtualClockInvisibility:
 
         a, ordering = self.MATRICES[matrix]()
         sym = symbolic_factorize(a, ordering=ordering)
-        solver = SparseCholeskySolver.from_symbolic(
-            a, sym, policy=policy, schedule=schedule, classifier=classifier,
-            node=starved_node(device),
-        )
-        nf = solver.factorize().factor
+        pol = SparseCholeskySolver.from_symbolic(
+            a, sym, policy=policy, classifier=classifier
+        ).policy
+        spost = stack_minimizing_postorder(sym) if schedule == "liu" else None
+        node = starved_node(device)
+        nf = factorize_numeric(a, sym, pol, node=node, spost=spost)
         if policy != "P4":
             assert nf.batch_tasks > 0
         elif device:  # memory pressure is real: some fronts left the device
             assert {r.policy for r in nf.records} == {"P1", "P4"}
-        spost = stack_minimizing_postorder(sym) if schedule == "liu" else None
         ref_node = starved_node(device)
-        ref = reference_factorize(a, sym, solver.policy, ref_node, spost)
+        ref = reference_factorize(a, sym, pol, ref_node, spost)
 
         assert nf.makespan == ref["makespan"]
         assert nf.records == ref["records"]
         assert nf.assembly_seconds == ref["assembly_seconds"]
         assert nf.peak_update_bytes == ref["peak_update_bytes"]
-        assert engine_counters(solver.node.engines) == engine_counters(
+        assert engine_counters(node.engines) == engine_counters(
             ref_node.engines
         )
-        for g, g_ref in zip(solver.node.gpus, ref_node.gpus):
+        for g, g_ref in zip(node.gpus, ref_node.gpus):
             assert g.device_pool.stats == g_ref.device_pool.stats
             assert g.pinned_pool.stats == g_ref.pinned_pool.stats
             assert g.cublas.busy_seconds == g_ref.cublas.busy_seconds

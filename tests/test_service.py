@@ -764,6 +764,21 @@ class TestShadowVerification:
         assert svc.metrics.counter("shadow_checks") == 1
         assert svc.metrics.counter("shadow_mismatches") == 0
 
+    def test_cluster_backend_on_a_starved_gpu_is_not_a_mismatch(self):
+        # the cluster backend computes on the service's node like every
+        # other backend, so the serial reference agrees with its factor
+        from repro.matrices import grid_laplacian_3d
+        from tests.conftest import starved_node
+
+        a = grid_laplacian_3d(8, 8, 8)
+        with SolverService(n_workers=1, policy="P4", backend="cluster",
+                           node_factory=lambda: starved_node(8192),
+                           shadow_verify_rate=1.0) as svc:
+            out = svc.solve(a, np.ones(a.n_rows))
+        assert not out.degraded
+        assert svc.metrics.counter("shadow_checks") == 1
+        assert svc.metrics.counter("shadow_mismatches") == 0
+
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError, match="shadow_verify_rate"):
             SolverService(n_workers=1, shadow_verify_rate=1.5)

@@ -166,7 +166,7 @@ class TestClassifierPersistence:
 
 
 class TestScheduleAndBackend:
-    """The solver's execution knobs: schedule="liu", backend=..."""
+    """The solver's backends, and Liu's order through ``factorize_numeric``."""
 
     def test_liu_schedule_same_factor_lower_peak(self):
         from repro.matrices import grid_laplacian_3d
@@ -177,24 +177,29 @@ class TestScheduleAndBackend:
 
         for a in (grid_laplacian_2d(14, 11), grid_laplacian_3d(6, 5, 4),
                   random_spd(140, seed=4)):
-            post = SparseCholeskySolver(a, ordering="nd").factorize()
-            liu = SparseCholeskySolver(a, ordering="nd",
-                                       schedule="liu").factorize()
-            sf = post.symbolic
+            sf = symbolic_factorize(a, ordering="nd")
             liu_order = stack_minimizing_postorder(sf)
+            post = factorize_numeric(a, sf, make_policy("P1"))
+            liu = factorize_numeric(a, sf, make_policy("P1"), spost=liu_order)
             assert estimate_peak_update_bytes(sf, liu_order) <= \
                 estimate_peak_update_bytes(sf)
             # realized peaks agree with the estimates' ordering ...
-            assert liu.factor.peak_update_bytes <= post.factor.peak_update_bytes
+            assert liu.peak_update_bytes <= post.peak_update_bytes
             # ... and the factor itself is schedule-independent
-            for pp, pl in zip(post.factor.panels, liu.factor.panels):
+            for pp, pl in zip(post.panels, liu.panels):
                 assert np.array_equal(pp, pl)
 
     def test_liu_solver_solves(self, lap2d_small):
-        solver = SparseCholeskySolver(lap2d_small, ordering="amd",
-                                      schedule="liu")
+        from repro.multifrontal import iterative_refinement
+        from repro.symbolic.stack import stack_minimizing_postorder
+
+        sf = symbolic_factorize(lap2d_small, ordering="amd")
+        nf = factorize_numeric(
+            lap2d_small, sf, make_policy("P1"),
+            spost=stack_minimizing_postorder(sf),
+        )
         b = np.ones(lap2d_small.n_rows)
-        x = solver.solve(b)
+        x = iterative_refinement(lap2d_small, nf, b).x
         assert np.abs(lap2d_small.matvec(x) - b).max() < 1e-10
 
     def test_backends_produce_identical_solutions(self, lap2d_small):
@@ -209,6 +214,19 @@ class TestScheduleAndBackend:
             xs[backend] = solver.solve(b, refine=False)
         assert np.array_equal(xs["serial"], xs["static"])
         assert np.array_equal(xs["static"], xs["dynamic"])
+
+    @pytest.mark.parametrize("backend", ["serial", "static", "dynamic", "cluster"])
+    def test_every_backend_factors_on_the_solver_node(self, lap2d_small, backend):
+        # the backend prices; the numerics run, and charge the device
+        # kernels they issue, on the node the solver was given
+        node = SimulatedNode(n_cpus=2, n_gpus=1)
+        solver = SparseCholeskySolver(
+            lap2d_small, ordering="nd", policy="P4", node=node, backend=backend,
+        ).factorize()
+        assert solver.factor.node is node
+        assert node.gpus[0].cublas.busy_seconds > 0
+        if backend != "serial":
+            assert solver.parallel.factor is solver.factor
 
     def test_dynamic_backend_exposes_runtime(self, lap2d_small):
         node = SimulatedNode(n_cpus=4, n_gpus=0)
@@ -230,20 +248,21 @@ class TestScheduleAndBackend:
             SparseCholeskySolver(lap2d_small, policy="P7")
 
     def test_invalid_combinations_rejected(self, lap2d_small):
-        with pytest.raises(ValueError, match="schedule"):
-            SparseCholeskySolver(lap2d_small, schedule="bogus")
         with pytest.raises(ValueError, match="backend"):
             SparseCholeskySolver(lap2d_small, backend="bogus")
-        with pytest.raises(ValueError, match="serial"):
-            SparseCholeskySolver(lap2d_small, schedule="liu", backend="static")
         with pytest.raises(ValueError, match="dynamic"):
-            SparseCholeskySolver(lap2d_small, memory_budget=1 << 20)
+            SparseCholeskySolver(
+                lap2d_small, backend="static",
+                faults=FaultInjector(kernel_failure_rate=1.0),
+            )
 
 
 class TestEveryBackendEveryNodeOneFactor:
     """Which base policy runs a front is one decision
-    (``Policy.resolve`` against the node's canonical worker): a backend's
-    mapping changes where a front is priced, never what is computed."""
+    (``Policy.resolve`` against the solver node's canonical worker): a
+    backend's mapping changes where a front is priced, never what is
+    computed — every backend hands the one numerics walk the same
+    resolved policies and a canonical worker of the solver's own node."""
 
     LIMITS = {"4GiB": None, "8KiB": 8192, "2KiB": 2048, "no-gpu": 0}
     #: the test's own copy of the working sets, in device words
@@ -272,6 +291,29 @@ class TestEveryBackendEveryNodeOneFactor:
             limit is not None and cls.WORDS[name](m, k) * 4 > limit
         )
 
+    @staticmethod
+    def _resolved(policy):
+        """What a resolved policy is: its type, name and instance state."""
+        return type(policy), policy.name, vars(policy)
+
+    @staticmethod
+    def _factorize(solver):
+        """``solver.factorize()``, and the one walk it hands the resolved
+        policies and the worker to."""
+        walks = []
+        walk = numeric._numeric_walk
+
+        def spy(a, sf, bases, worker, order):
+            walks.append((list(bases), worker))
+            return walk(a, sf, bases, worker, order)
+
+        with mock.patch.object(numeric, "_numeric_walk", spy):
+            solver.factorize()
+        (bases, worker), = walks
+        assert worker.cpu_engine == solver.node.cpus[0].engine
+        assert worker.gpu is (solver.node.gpus[0] if solver.node.gpus else None)
+        return bases, worker
+
     @pytest.mark.parametrize("policy", ["P2", "P3", "P4", "P4c", "baseline"])
     @pytest.mark.parametrize("node", LIMITS)
     def test_one_factor_per_node_and_policy(self, problem, node, policy):
@@ -280,18 +322,40 @@ class TestEveryBackendEveryNodeOneFactor:
 
         a, sf = problem
         limit = self.LIMITS[node]
-        backends = ["serial", "static", "dynamic"]
-        if node in ("4GiB", "no-gpu"):  # a ClusterSpec builds its own GPUs
-            backends.append("cluster")
-        solvers = {
-            b: SparseCholeskySolver.from_symbolic(
-                a, sf, policy=policy, backend=b,
-                node=starved_node(limit, n_cpus=2),
-            ).factorize()
-            for b in backends
-        }
+
+        def solver(backend, **kwargs):
+            return SparseCholeskySolver.from_symbolic(
+                a, sf, policy=policy, backend=backend,
+                node=starved_node(limit, n_cpus=2), **kwargs,
+            )
+
+        solvers, walks = {}, {}
+        for b in ("serial", "static", "dynamic", "cluster"):
+            solvers[b] = solver(b)
+            walks[b] = self._factorize(solvers[b])
+        serial_bases, serial_worker = walks["serial"]
+        for b, (bases, worker) in walks.items():
+            assert [self._resolved(p) for p in bases] == [
+                self._resolved(p) for p in serial_bases
+            ], b
+            assert (worker.gpu and worker.gpu.spec) == (
+                serial_worker.gpu and serial_worker.gpu.spec
+            ), b
         prints = {b: factor_fingerprint(s.factor) for b, s in solvers.items()}
         assert len(set(prints.values())) == 1, prints
+
+        # total kernel failure: the degraded fronts, and only they, run
+        # the policy's host fallback
+        faulted = solver("dynamic", faults=FaultInjector(kernel_failure_rate=1.0))
+        bases, _ = self._factorize(faulted)
+        degraded = faulted.parallel.runtime.degraded_sids
+        fallback = self._resolved(faulted.policy.fallback)
+        assert [self._resolved(p) for p in bases] == [
+            fallback if s in degraded else self._resolved(p)
+            for s, p in enumerate(serial_bases)
+        ]
+        if limit is None and policy != "baseline":
+            assert degraded
 
         serial = solvers["serial"]
         pol = serial.policy
@@ -473,25 +537,29 @@ class TestPricingMemo:
         assert self._observables(solver) == self._observables(fresh)
 
     def test_misses(self, lap3d_small):
+        from repro.symbolic.stack import stack_minimizing_postorder
+
         a = lap3d_small
         sf = symbolic_factorize(a, ordering="nd")
 
-        def records(**kwargs):
+        def records(liu=False, node=SimulatedNode):
             """Through the shared ``sf``, and through one of its own."""
-            shared = SparseCholeskySolver.from_symbolic(a, sf, **kwargs)
-            own = SparseCholeskySolver.from_symbolic(
-                a, symbolic_factorize(a, ordering="nd"), **kwargs
-            )
-            return (shared.factorize().factor.records,
-                    own.factorize().factor.records)
+
+            def run(sf):
+                spost = stack_minimizing_postorder(sf) if liu else None
+                return factorize_numeric(
+                    a, sf, make_policy("P1"), node=node(), spost=spost
+                ).records
+
+            return run(sf), run(symbolic_factorize(a, ordering="nd"))
 
         base = tesla_t10_model()
         variants = [
-            dict(schedule="post"), dict(schedule="liu"), dict(schedule="post"),
-            dict(node=SimulatedNode(model=base.with_precision("dp"))),
-            dict(node=SimulatedNode(model=tesla_t10_model(jitter=0.05))),
-            dict(node=SimulatedNode(n_cpus=1, n_gpus=0)),
-            dict(schedule="post"),
+            dict(), dict(liu=True), dict(),
+            dict(node=lambda: SimulatedNode(model=base.with_precision("dp"))),
+            dict(node=lambda: SimulatedNode(model=tesla_t10_model(jitter=0.05))),
+            dict(node=lambda: SimulatedNode(n_cpus=1, n_gpus=0)),
+            dict(),
         ]
         seen = []
         for kwargs in variants:
@@ -706,7 +774,6 @@ class TestScheduledPricingMemo:
         "faults": lambda: dict(
             faults=FaultInjector(transfer_stall_rate=0.3, seed=1)
         ),
-        "memory budget": lambda: dict(memory_budget=1),
         "jittered model": lambda: dict(
             node=SimulatedNode(
                 n_cpus=2, n_gpus=2, model=tesla_t10_model(jitter=0.05)
@@ -737,6 +804,33 @@ class TestScheduledPricingMemo:
         assert self._observables(shared) == self._observables(own)
         # each variant prices something the plain pass does not
         assert self._observables(shared) != self._observables(plain)
+
+    def test_a_memory_budget_runs(self, lap3d_small):
+        from repro.parallel import WorkerPool, parallel_factorize
+
+        a = lap3d_small
+        policy = make_policy("P4")
+
+        def run(sf, **how):
+            pool = WorkerPool.over(SimulatedNode(n_cpus=2, n_gpus=2))
+            runs, res = self._runs(
+                lambda: parallel_factorize(
+                    a, sf, policy, pool, backend="dynamic", **how
+                )
+            )
+            return runs, (
+                res.makespan, res.schedule, res.worker_busy, res.runtime.stats,
+                res.factor.records,
+                [g.device_pool.stats for g in pool.node.gpus],
+            )
+
+        sf = symbolic_factorize(a, ordering="nd")
+        _, plain = run(sf)                        # fills the slot
+        slot = sf._priced_pass
+        runs, shared = run(sf, memory_budget=1)
+        assert runs == 1 and sf._priced_pass is slot
+        assert run(symbolic_factorize(a, ordering="nd"), memory_budget=1)[1] == shared
+        assert shared != plain
 
     def test_a_node_whose_pools_are_not_fresh_runs(self, lap3d_small):
         from repro.parallel import WorkerPool, parallel_factorize

@@ -21,7 +21,6 @@ from repro.verify import (
     generate_case,
     load_case,
     normwise_backward_error,
-    pairs_by_name,
     principal_submatrix,
     run_fuzz,
     run_invariants,
@@ -36,17 +35,8 @@ from repro.verify import (
 # configuration lattice
 # ----------------------------------------------------------------------
 class TestLattice:
-    def test_bitwise_pairs_agree_on_grid(self, lap2d_small):
-        for pair in pairs_by_name("bitwise"):
-            report = verify_pair(lap2d_small, pair)
-            assert report.ok, f"{pair.name}: {report.violations}"
-            assert (
-                report.details["left_fingerprint"]
-                == report.details["right_fingerprint"]
-            )
-
     def test_normwise_pairs_bounded_on_grid(self, lap2d_small):
-        for pair in pairs_by_name("normwise"):
+        for pair in default_pairs():
             report = verify_pair(lap2d_small, pair)
             assert report.ok, f"{pair.name}: {report.violations}"
 
@@ -63,7 +53,7 @@ class TestLattice:
         assert prints[0] != prints[1]
 
     def test_fingerprint_is_deterministic(self, lap2d_small):
-        config = VerifyConfig(policy="P4", backend="static")
+        config = VerifyConfig(policy="P4")
         prints = []
         for _ in range(2):
             solver = config.build_solver(lap2d_small)
@@ -73,24 +63,10 @@ class TestLattice:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            VerifyConfig(backend="bogus")
-        with pytest.raises(ValueError):
             VerifyConfig(precision="quad")
         with pytest.raises(ValueError):
-            VerifyConfig(schedule="liu", backend="static")
-        with pytest.raises(ValueError):
-            VerifyConfig(nodes=0)
-        with pytest.raises(ValueError):
-            VerifyConfig(nodes=2)            # needs backend="cluster"
-        assert VerifyConfig(backend="cluster", nodes=4).label.count("cluster4")
-
-    def test_default_pairs_cover_cluster_node_counts(self):
-        cluster = [
-            p for p in pairs_by_name("bitwise")
-            if p.right.backend == "cluster"
-        ]
-        assert sorted(p.right.nodes for p in cluster) == [1, 2, 4]
-        assert all(p.left.backend == "serial" for p in cluster)
+            VerifyConfig(amalgamation="bogus")
+        assert VerifyConfig(policy="P4", panel_width=64).label == "P4/sp/amd/w64"
 
     def test_backward_error_perfect_solution_is_tiny(self, lap2d_small):
         solver = VerifyConfig().build_solver(lap2d_small)
@@ -106,12 +82,13 @@ class TestLattice:
         x = 1e6 * (-1.0) ** np.arange(lap2d_small.n_rows)
         assert normwise_backward_error(lap2d_small, x, b) > 1e-2
 
-    def test_pairs_by_name(self):
-        assert {p.promise for p in pairs_by_name("bitwise")} == {"bitwise"}
-        assert {p.promise for p in pairs_by_name("normwise")} == {"normwise"}
-        assert len(pairs_by_name("all")) >= len(pairs_by_name("default"))
-        with pytest.raises(ValueError):
-            pairs_by_name("nope")
+    def test_default_pairs_change_the_float_stream(self):
+        # an execution path is not a lattice axis: each pair differs in a
+        # knob that changes the arithmetic, and no two pairs are the same
+        pairs = default_pairs()
+        assert len({p.name for p in pairs}) == len(pairs) == 7
+        assert len({(p.left, p.right) for p in pairs}) == len(pairs)
+        assert all(p.left != p.right for p in pairs)
 
 
 # ----------------------------------------------------------------------
@@ -137,9 +114,14 @@ class TestInvariants:
         assert violations == ["schedule is not a permutation of the supernodes"]
 
     def test_schedule_precedence_on_real_schedules(self, lap2d_small):
-        for backend in ("static", "dynamic"):
-            config = VerifyConfig(policy="P1", backend=backend)
-            solver = config.build_solver(lap2d_small)
+        from repro.gpu import SimulatedNode
+        from repro.multifrontal import SparseCholeskySolver
+
+        for backend in ("static", "dynamic", "cluster"):
+            solver = SparseCholeskySolver(
+                lap2d_small, ordering="amd", backend=backend,
+                node=SimulatedNode(n_cpus=2, n_gpus=1),
+            )
             solver.analyze().factorize()
             assert check_schedule_precedence(
                 solver.symbolic, solver.parallel.schedule
@@ -395,9 +377,7 @@ class TestVerifyCli:
     def test_verify_suite_via_cli(self, capsys):
         from repro.cli import main
 
-        rc = main([
-            "verify", "--pairs", "bitwise", "--no-invariants",
-        ])
+        rc = main(["verify", "--no-invariants"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "differential verification" in out
