@@ -33,9 +33,9 @@ def test_validation_numeric(suite, save, benchmark):
         ["GPU policy calls", sum(r.policy != "P1" for r in nf.records),
          f"of {len(nf.records)}"],
         ["||PAP^T - LL^T|| (probe)", f"{resid:.2e}", "fp32-limited"],
-        ["initial scaled residual", f"{res.initial_residual:.2e}", ""],
+        ["initial backward error", f"{res.initial_residual:.2e}", ""],
         ["refinement iterations", res.iterations, "paper: 1-2 steps"],
-        ["final scaled residual", f"{res.final_residual:.2e}", "< 1e-11"],
+        ["final backward error", f"{res.final_residual:.2e}", "< 1e-11"],
         ["forward error after refinement", f"{err_after:.2e}", ""],
         ["numeric makespan (s)", f"{nf.makespan:.4f}", ""],
         ["replay makespan (s)", f"{rp.makespan:.4f}", "must match"],

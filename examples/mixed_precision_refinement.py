@@ -7,8 +7,8 @@ accuracy could be readily regained by one or two steps of iterative
 refinement using double precision sparse matrix-vector multiplication."
 
 This example factors one matrix three ways — pure fp64 host (P1), fp32
-GPU offload (P3), and the dp-GPU extension — and prints the residual
-trace of refinement for each, plus the speed/accuracy trade the paper
+GPU offload (P3), and the dp-GPU extension — and prints the backward-
+error trace of refinement for each, plus the speed/accuracy trade the paper
 describes.
 
 Run:  python examples/mixed_precision_refinement.py
@@ -54,13 +54,13 @@ def main() -> None:
         )
         traces[label] = res.residual_norms
     print(format_table(
-        ["configuration", "initial resid", "iters", "final resid",
+        ["configuration", "initial eta", "iters", "final eta",
          "fwd error", "sim ms"],
         rows,
         title="Mixed precision + iterative refinement",
         float_fmt="{:.2f}",
     ))
-    print("\nrefinement traces (scaled residual per step):")
+    print("\nrefinement traces (normwise backward error per step):")
     for label, trace in traces.items():
         print(f"  {label}: " + " -> ".join(f"{r:.1e}" for r in trace))
     print(

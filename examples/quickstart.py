@@ -44,7 +44,7 @@ def main() -> None:
     err = np.abs(result.x - x_true).max() / np.abs(x_true).max()
     print(
         f"solve: {result.iterations} refinement step(s), "
-        f"residual {result.final_residual:.2e}, forward error {err:.2e}"
+        f"backward error {result.final_residual:.2e}, forward error {err:.2e}"
     )
 
 

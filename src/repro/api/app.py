@@ -53,6 +53,7 @@ from repro.api.protocol import (
     public_message,
 )
 from repro.dense.kernels import NotPositiveDefiniteError
+from repro.multifrontal.refine import UncertifiedSolutionError
 
 __all__ = ["ApiApp"]
 
@@ -351,7 +352,7 @@ class ApiApp:
             client=client, request_id=rid, waiter=waiter, deadline=deadline,
             work=lambda timeout: self.service.solve(
                 payload.a, payload.b, policy=payload.policy,
-                refine=payload.refine, tol=payload.tol, timeout=timeout,
+                tol=payload.tol, timeout=timeout,
             ),
         )
         self._admit_or_raise(entry)
@@ -506,6 +507,10 @@ class ApiApp:
                 "numerical_error",
                 f"matrix is not positive definite: {public_message(exc)}",
             ))
+        except UncertifiedSolutionError as exc:
+            self._finish(entry, error=(
+                "numerical_error", f"no certified answer: {public_message(exc)}",
+            ))
         except (ValueError, KeyError) as exc:
             self._finish(entry, error=("invalid_request", public_message(exc)))
         except RuntimeError as exc:
@@ -560,6 +565,8 @@ class ApiApp:
                 "tier": outcome.tier,
                 "degraded": outcome.degraded,
                 "batch_size": outcome.batch_size,
+                "backward_error": outcome.backward_error,
+                "refine_iterations": outcome.refine_iterations,
             }, request_id=entry.request_id)
         waiter.event.set()
 

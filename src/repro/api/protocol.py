@@ -79,6 +79,7 @@ _PUBLIC_EXCEPTION_TYPES = frozenset({
     "TimeoutError",
     "RuntimeError",
     "NotPositiveDefiniteError",
+    "UncertifiedSolutionError",
 })
 
 
@@ -233,12 +234,12 @@ def decode_matrix(obj: object) -> CSCMatrix:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SolvePayload:
-    """Parsed body of ``POST /v1/solve``."""
+    """Parsed body of ``POST /v1/solve`` (``refine``, a boolean, is
+    accepted and has no effect: every answer is refined)."""
 
     a: CSCMatrix
     b: np.ndarray
     policy: str | None
-    refine: bool
     tol: float
     deadline_ms: float | None
 
@@ -252,16 +253,17 @@ class FactorizePayload:
     deadline_ms: float | None
 
 
-def _parse_deadline(obj: dict) -> float | None:
-    deadline = obj.get("deadline_ms")
-    if deadline is None:
+def _non_negative(obj: dict, name: str, default: float | None) -> float | None:
+    """``obj[name]`` as a finite non-negative float (``json.loads`` reads NaN)."""
+    value = obj.get(name, default)
+    if value is None:
         return None
-    if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) \
-            or deadline < 0:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not 0 <= value < float("inf"):
         raise ApiError(
-            "invalid_request", "deadline_ms must be a non-negative number"
+            "invalid_request", f"{name} must be a finite non-negative number"
         )
-    return float(deadline)
+    return float(value)
 
 
 def _parse_policy(obj: dict) -> str | None:
@@ -291,15 +293,12 @@ def parse_solve_payload(obj: dict) -> SolvePayload:
         # json.loads reads NaN and Infinity; the sweeps would hand back
         # an all-NaN x under status 200
         raise ApiError("invalid_request", "rhs holds a non-finite value")
-    refine = obj.get("refine", False)
-    if not isinstance(refine, bool):
+    if not isinstance(obj.get("refine", False), bool):
         raise ApiError("invalid_request", "refine must be a boolean")
-    tol = obj.get("tol", 1e-12)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol < 0:
-        raise ApiError("invalid_request", "tol must be a non-negative number")
     return SolvePayload(
-        a=a, b=b, policy=_parse_policy(obj), refine=refine,
-        tol=float(tol), deadline_ms=_parse_deadline(obj),
+        a=a, b=b, policy=_parse_policy(obj),
+        tol=_non_negative(obj, "tol", 1e-12),
+        deadline_ms=_non_negative(obj, "deadline_ms", None),
     )
 
 
@@ -307,5 +306,5 @@ def parse_factorize_payload(obj: dict) -> FactorizePayload:
     return FactorizePayload(
         a=decode_matrix(obj.get("matrix")),
         policy=_parse_policy(obj),
-        deadline_ms=_parse_deadline(obj),
+        deadline_ms=_non_negative(obj, "deadline_ms", None),
     )

@@ -154,7 +154,7 @@ def cmd_solve(args) -> int:
     print(f"policy usage: {stats.policy_counts}")
     print(
         f"solve: {res.iterations} refinement step(s), "
-        f"final residual {res.final_residual:.3e}"
+        f"backward error {res.final_residual:.3e}"
     )
     if args.out:
         np.savetxt(args.out, res.x)

@@ -13,13 +13,15 @@ observation that a factorization can be amortized over many solves:
   disk → shared object tier, each a byte-budgeted LRU with modeled
   transfer cost;
 * :mod:`repro.service.batching` — multi-RHS aggregation of requests that
-  share a cached factor;
+  share a cached factor into one block refinement;
 * :mod:`repro.service.service` — the concurrent :class:`SolverService`
-  front-end (request queue, worker pool, deadlines, CPU fallback);
+  front-end (request queue, worker pool, deadlines, answers certified by
+  their backward error, one host-fallback path);
 * :mod:`repro.service.metrics` — latency histograms, counters and
   Chrome-trace spans for every request.
 """
 
+from repro.multifrontal.refine import UncertifiedSolutionError
 from repro.service.batching import BatchPlan
 from repro.service.cache import (
     CacheLookup,
@@ -58,4 +60,5 @@ __all__ = [
     "SolveOutcome",
     "SolveRequest",
     "SolverService",
+    "UncertifiedSolutionError",
 ]

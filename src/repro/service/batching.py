@@ -3,11 +3,12 @@
 The triangular sweeps in :func:`repro.multifrontal.solve.solve_factored`
 already handle a block of right-hand sides with matrix-matrix work —
 the whole point of the paper's "multiple systems with the same
-coefficient matrix" motivation.  :class:`BatchPlan` is the bookkeeping
-around that: stack the (1-D or multi-column) right-hand sides of
-several requests into one ``(n, nrhs)`` block, run a single blocked
-solve, and scatter the solution columns back to their requests with
-their original shapes.
+coefficient matrix" motivation — and
+:func:`repro.multifrontal.refine.iterative_refinement` refines such a
+block as one.  :class:`BatchPlan` is the bookkeeping around that: stack
+the (1-D or multi-column) right-hand sides of several requests into one
+``(n, nrhs)`` block, run a single block refinement, and scatter the
+solution columns back to their requests with their original shapes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ class BatchPlan:
     @property
     def nrhs(self) -> int:
         return int(self.block.shape[1])
+
+    @property
+    def columns(self) -> list[slice]:
+        """The block columns of each request, in request order."""
+        return [slice(lo, hi) for lo, hi, _ in self._cols]
 
     def scatter(self, x: np.ndarray):
         """Yield (request, solution) pairs, restoring each rhs's shape."""

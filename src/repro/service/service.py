@@ -6,8 +6,8 @@ factorizations through the :class:`FactorizationCache`, which answers
 a lookup with one of two kinds of entry:
 
 * **numeric hit** — the exact matrix (pattern *and* values) was factored
-  before: go straight to the blocked triangular solves, zero
-  factorization work;
+  before: go straight to the triangular solves, zero factorization
+  work;
 * **symbolic hit** — the pattern was analyzed before with the same
   ordering/amalgamation settings: skip ordering + symbolic analysis and
   re-run only the numeric factorization
@@ -15,18 +15,18 @@ a lookup with one of two kinds of entry:
 * **miss** — full ``analyze().factorize()`` pipeline; both kinds of
   entry are populated for the requests that follow.
 
-Requests that resolve to the same cached factor are aggregated into one
-blocked ``solve_factored`` call (see :mod:`repro.service.batching`):
-after resolving a factor the worker drains every compatible request
-already queued, in one pass.
-A ``refine=True`` request is never aggregated and takes no block solve:
-it is one ``iterative_refinement`` call on the resolved factor.
+Every answer leaves through one path: the queued requests for the same
+factor, ``tol`` and ``max_iter`` (:mod:`repro.service.batching`) take
+one block ``iterative_refinement`` call, whose backward error per column
+is the certificate the answer carries.
 
 Requests carry optional deadlines — an expired request is completed
 with :class:`TimeoutError`, never silently dropped — and degrade
-gracefully: if the configured (simulated-GPU) policy raises during
-factorization, the request is retried on the CPU-only ``P1`` policy and
-flagged ``degraded`` in its result.
+through one path: when the GPU factorization raises or its runtime
+degraded tasks, or when an answer from any factor, cached or fresh,
+misses the bound, it is re-solved on a fresh host-fallback factor,
+published nowhere, and flagged ``degraded``; over the bound again, it
+fails with :class:`~repro.multifrontal.refine.UncertifiedSolutionError`.
 
 Every stage is timed into :class:`ServiceMetrics` (latency histograms,
 cache and batch counters, queue-depth gauge, Chrome-trace spans).
@@ -43,8 +43,10 @@ import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError
 from repro.gpu.device import SimulatedNode
-from repro.multifrontal.refine import iterative_refinement
-from repro.multifrontal.solve import check_rhs, solve_factored
+from repro.multifrontal.refine import (
+    UncertifiedSolutionError, backward_error_bound, iterative_refinement,
+)
+from repro.multifrontal.solve import check_rhs
 from repro.multifrontal.solver import SparseCholeskySolver
 from repro.policies.base import Policy
 from repro.service.batching import BatchPlan
@@ -63,8 +65,10 @@ class SolveOutcome:
     x: np.ndarray
     request_id: int
     tier: str                      # "numeric" | "symbolic" | "miss" | "batched"
-    degraded: bool = False         # True when the GPU policy fell back to P1
+    degraded: bool = False         # x is from a fresh host-fallback factor
     batch_size: int = 1            # how many requests shared the solve call
+    backward_error: float = 0.0    # normwise, the largest over x's columns
+    refine_iterations: int = 0     # correction steps x took
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -72,21 +76,19 @@ class SolveRequest:
     """Future-like handle returned by :meth:`SolverService.submit`."""
 
     __slots__ = (
-        "request_id", "a", "canonical", "b", "sym_key", "num_key",
-        "policy_spec", "refine", "tol", "max_iter", "deadline", "submitted",
+        "request_id", "canonical", "b", "sym_key", "num_key",
+        "policy_spec", "tol", "max_iter", "deadline", "submitted",
         "_event", "_outcome", "_error",
     )
 
-    def __init__(self, request_id: int, a, canonical, b, *, sym_key, num_key,
-                 policy_spec, refine, tol, max_iter, deadline, submitted):
+    def __init__(self, request_id: int, canonical, b, *, sym_key, num_key,
+                 policy_spec, tol, max_iter, deadline, submitted):
         self.request_id = request_id
-        self.a = a
         self.canonical = canonical
         self.b = b
         self.sym_key = sym_key
         self.num_key = num_key
         self.policy_spec = policy_spec
-        self.refine = refine
         self.tol = tol
         self.max_iter = max_iter
         self.deadline = deadline
@@ -152,16 +154,13 @@ class SolverService:
     faults : FaultInjector, optional
         Injected GPU faults forwarded to every factorization; requires
         ``backend="dynamic"`` (the only backend that can degrade and
-        retry mid-run).  A fault-degraded factor is produced by the P1
-        fallback path, so it is *not* published under the requested
-        policy's numeric cache key.
-    shadow_verify_rate : float
-        Fraction of requests (0..1) whose resolved factor is re-derived
-        under an alternate backend and fingerprint-compared — the
-        serving-layer hook into :mod:`repro.verify`.  Sampling is a
-        deterministic accumulator, so a rate of 0.25 checks exactly
-        every 4th processed request.  Outcomes land in the
-        ``shadow_checks`` / ``shadow_mismatches`` counters.
+        retry mid-run).  A request whose factorization degraded is
+        answered from a fresh host-fallback factor, which is *not*
+        published under the requested policy's numeric cache key.
+
+    Every answer carries its normwise backward error, within
+    ``max(tol, n * u64)``: a poisoned cache entry shows up there, on
+    the request that reads it.
     """
 
     def __init__(
@@ -178,7 +177,6 @@ class SolverService:
         metrics: ServiceMetrics | None = None,
         node_factory=None,
         faults=None,
-        shadow_verify_rate: float = 0.0,
     ):
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -189,14 +187,9 @@ class SolverService:
             )
         if faults is not None and backend != "dynamic":
             raise ValueError("faults require backend='dynamic'")
-        if not 0.0 <= shadow_verify_rate <= 1.0:
-            raise ValueError("shadow_verify_rate must be in [0, 1]")
         self.policy = policy
         self.backend = backend
         self.faults = faults
-        self.shadow_verify_rate = float(shadow_verify_rate)
-        self._shadow_acc = 0.0
-        self._shadow_lock = threading.Lock()
         self.ordering = ordering
         self.amalgamation = amalgamation
         self.cache = (
@@ -248,7 +241,12 @@ class SolverService:
 
         ``timeout`` is a deadline in seconds from submission: a request
         still queued past it completes with :class:`TimeoutError`.
+        ``tol`` sets the backward-error bound, ``max(tol, n * u64)``,
+        and ``max_iter`` the refinement steps spent reaching it; every
+        request is refined, so ``refine`` has no effect.
         """
+        if not (np.isfinite(tol) and tol >= 0 and max_iter >= 0):
+            raise ValueError(f"need a finite tol >= 0 and max_iter >= 0, got {tol!r}, {max_iter!r}")
         now = time.perf_counter()
         key, canonical = matrix_key(a)
         b = check_rhs(b, canonical.n_rows)
@@ -261,11 +259,11 @@ class SolverService:
                 raise RuntimeError("service is shut down")
             self._next_id += 1
             req = SolveRequest(
-                self._next_id, a, canonical, b,
+                self._next_id, canonical, b,
                 sym_key=sym_key,
                 num_key=num_key,
                 policy_spec=spec,
-                refine=refine, tol=tol, max_iter=max_iter,
+                tol=float(tol), max_iter=int(max_iter),
                 deadline=None if timeout is None else now + timeout,
                 submitted=now,
             )
@@ -376,12 +374,6 @@ class SolverService:
             return spec.name
         return str(spec).lower()
 
-    @staticmethod
-    def _is_cpu_only(spec) -> bool:
-        if isinstance(spec, Policy):
-            return not spec.needs_gpu
-        return str(spec).lower() == "p1"
-
     def _worker_loop(self, idx: int) -> None:
         while True:
             with self._cond:
@@ -401,11 +393,8 @@ class SolverService:
     def _now(self) -> float:
         return time.perf_counter() - self._t0
 
-    def _build_solver(
-        self, canonical, symbolic, spec, *, backend=None
-    ) -> SparseCholeskySolver:
-        backend = backend if backend is not None else self.backend
-        faults = self.faults if backend == "dynamic" else None
+    def _build_solver(self, canonical, symbolic, spec) -> SparseCholeskySolver:
+        faults = self.faults if self.backend == "dynamic" else None
         classifier = None
         if not isinstance(spec, Policy) and str(spec).lower() == "model":
             with self._classifier_lock:
@@ -425,12 +414,12 @@ class SolverService:
             return SparseCholeskySolver.from_symbolic(
                 canonical, symbolic, policy=spec,
                 node=self._node_factory(), classifier=classifier,
-                backend=backend, faults=faults,
+                backend=self.backend, faults=faults,
             )
         return SparseCholeskySolver(
             canonical, ordering=self.ordering, policy=spec,
             node=self._node_factory(), amalgamation=self.amalgamation,
-            classifier=classifier, backend=backend, faults=faults,
+            classifier=classifier, backend=self.backend, faults=faults,
         )
 
     def _process(self, req: SolveRequest, worker: int) -> None:
@@ -446,26 +435,29 @@ class SolverService:
 
         factor, tier, degraded = self._resolve_factor(req, engine)
 
-        if not degraded and self._shadow_sample():
-            self._shadow_verify(req, factor, engine)
-
         batch = [req]
-        if not req.refine and self.max_batch > 1:
+        if self.max_batch > 1:
             batch += self._collect_batch(req)
+        try:
+            self._answer(req, batch, factor, tier, degraded, engine)
+        except BaseException as exc:
+            self.metrics.incr("failed", len(batch) - 1)
+            for r in batch[1:]:  # the worker loop fails the anchor
+                r._fail(exc)
+            raise
 
+    def _answer(self, req, batch, factor, tier, degraded, engine) -> None:
+        """Stack the right-hand sides, one block refinement, scatter; over
+        the bound, the block once more on a fresh fallback factor."""
+        plan = BatchPlan.build(batch, req.canonical.n_rows)
         t0 = self._now()
-        if req.refine:
-            # never batched (_collect_batch), and iterative_refinement
-            # opens with the very solve the block path would make: a
-            # refined request is this one call
+        while True:
             res = iterative_refinement(
-                req.canonical, factor, req.b, tol=req.tol, max_iter=req.max_iter
+                req.canonical, factor, plan.block, tol=req.tol, max_iter=req.max_iter
             )
-            solved = [(req, res.x)]
-            self.metrics.observe("refine_iterations", res.iterations)
-        else:
-            plan = BatchPlan.build(batch, req.canonical.n_rows)
-            solved = plan.scatter(solve_factored(factor, plan.block))
+            if degraded or res.converged.all():
+                break
+            factor, degraded = self._fallback_factor(req, factor.sf), True
         t1 = self._now()
         self.metrics.observe("solve", t1 - t0)
         self.metrics.span(f"req{req.request_id}:solve", "solve", engine, t0, t1)
@@ -474,7 +466,15 @@ class SolverService:
             self.metrics.incr("batches")
             self.metrics.incr("batched_requests", len(batch) - 1)
 
-        for r, xr in solved:
+        for (r, xr), cols in zip(plan.scatter(res.x), plan.columns):
+            eta = float(res.final_residual[cols].max())
+            steps = int(res.iterations[cols].max())
+            self.metrics.observe("refine_iterations", steps)
+            if not res.converged[cols].all():
+                self.metrics.incr("failed")
+                bound = backward_error_bound(req.canonical.n_rows, req.tol)
+                r._fail(UncertifiedSolutionError(f"backward error {eta:.3e} exceeds {bound:.3e}"))
+                continue
             # batch members rode the anchor's factor: from the request's
             # point of view that is a full factorization reuse
             r_tier = tier if r is req else "batched"
@@ -489,57 +489,22 @@ class SolverService:
                     tier=r_tier,
                     degraded=degraded,
                     batch_size=len(batch),
+                    backward_error=eta,
+                    refine_iterations=steps,
                     timings={"total": done - r.submitted},
                 )
             )
 
-    # -- shadow verification ----------------------------------------------
-    def _shadow_sample(self) -> bool:
-        """Deterministic rate sampler (error-diffusion accumulator)."""
-        if self.shadow_verify_rate <= 0.0:
-            return False
-        with self._shadow_lock:
-            self._shadow_acc += self.shadow_verify_rate
-            if self._shadow_acc >= 1.0:
-                self._shadow_acc -= 1.0
-                return True
-        return False
-
-    def _shadow_verify(self, req: SolveRequest, factor, engine: str) -> None:
-        """Re-factor under an alternate backend; fingerprints must agree.
-
-        Every backend computes the same factor on the same node (see
-        :class:`~repro.multifrontal.solver.SparseCholeskySolver`), so a
-        mismatch means the factor the service is about to serve —
-        possibly from cache — differs from a freshly computed reference.  Mismatches are
-        counted, never raised: shadow verification is advisory.
-        """
-        from repro.verify.lattice import factor_fingerprint
-
-        alt_backend = "static" if self.backend == "serial" else "serial"
-        t0 = self._now()
-        try:
-            # the symbolic factor comes from the factor in hand: a cache
-            # lookup here would count every sampled request twice
-            solver = self._build_solver(
-                req.canonical, factor.sf, req.policy_spec,
-                backend=alt_backend,
-            )
-            solver.factorize()
-            mismatch = (
-                factor_fingerprint(factor) != factor_fingerprint(solver.factor)
-            )
-        except Exception:
-            # a reference that cannot even be computed is itself a signal
-            mismatch = True
-        t1 = self._now()
-        self.metrics.incr("shadow_checks")
-        self.metrics.observe("shadow_verify", t1 - t0)
-        self.metrics.span(
-            f"req{req.request_id}:shadow", "shadow_verify", engine, t0, t1
-        )
-        if mismatch:
-            self.metrics.incr("shadow_mismatches")
+    def _fallback_factor(self, req: SolveRequest, symbolic):
+        """The one degradation path: a fresh factor of ``req``'s matrix
+        under its policy's host fallback, published nowhere."""
+        self.metrics.incr("degraded")
+        spec = req.policy_spec
+        return SparseCholeskySolver.from_symbolic(
+            req.canonical, symbolic,
+            policy=spec.fallback if isinstance(spec, Policy) else Policy.fallback,
+            node=self._node_factory(),
+        ).factorize().factor
 
     def _expire(self, req: SolveRequest) -> None:
         self.metrics.incr("timeouts")
@@ -594,33 +559,17 @@ class SolverService:
             )
             self.cache.put_symbolic(req.sym_key, solver.symbolic)
 
-        degraded = False
         t0 = self._now()
+        degraded = True
         try:
             solver.factorize()
+            # the dynamic runtime degrades tasks *without raising*
+            degraded = solver.parallel is not None and solver.parallel.degraded
         except NotPositiveDefiniteError:
             raise
         except Exception:
-            # graceful degradation: anything the (simulated) GPU path
-            # raises is retried on the CPU-only policy — the request is
-            # flagged, not dropped
-            if self._is_cpu_only(req.policy_spec):
-                raise
-            degraded = True
-            self.metrics.incr("degraded")
-            solver = SparseCholeskySolver.from_symbolic(
-                req.canonical, solver.symbolic, policy="P1",
-                node=self._node_factory(),
-            )
-            solver.factorize()
-        else:
-            # the dynamic runtime degrades individual tasks to P1 after
-            # repeated injected GPU failures *without raising* — those
-            # factors are partially P1-produced and must not be published
-            # under the non-degraded policy key either
-            if solver.parallel is not None and solver.parallel.degraded:
-                degraded = True
-                self.metrics.incr("degraded")
+            pass  # anything else the GPU path raises: flagged, not dropped
+        factor = self._fallback_factor(req, solver.symbolic) if degraded else solver.factor
         t1 = self._now()
         self.metrics.incr("numeric_factorizations")
         self.metrics.observe("factorize", t1 - t0)
@@ -628,15 +577,14 @@ class SolverService:
             f"req{req.request_id}:factorize", "factorize", engine, t0, t1
         )
         if not degraded:
-            # a degraded factor is P1-produced under a different policy
-            # key; do not publish it under the requested policy's key
-            self.cache.put_numeric(req.num_key, solver.factor)
-        return solver.factor, look.tier, degraded
+            self.cache.put_numeric(req.num_key, factor)
+        return factor, look.tier, degraded
 
     # -- batching ----------------------------------------------------------
     def _collect_batch(self, anchor: SolveRequest) -> list[SolveRequest]:
-        """Drain queued requests solvable with ``anchor``'s factor: one
-        pass over the queue under its lock, nothing waited for."""
+        """Drain queued requests solvable with ``anchor``'s factor and
+        held to its certificate (same ``tol`` and ``max_iter``): one pass
+        over the queue under its lock, nothing waited for."""
         got: list[SolveRequest] = []
         expired: list[SolveRequest] = []
         with self._cond:
@@ -644,7 +592,9 @@ class SolverService:
                 keep: deque[SolveRequest] = deque()
                 while self._queue and len(got) < self.max_batch - 1:
                     cand = self._queue.popleft()
-                    if cand.num_key != anchor.num_key or cand.refine:
+                    if (cand.num_key, cand.tol, cand.max_iter) != (
+                        anchor.num_key, anchor.tol, anchor.max_iter
+                    ):
                         keep.append(cand)
                         continue
                     now = time.perf_counter()

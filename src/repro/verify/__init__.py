@@ -6,6 +6,7 @@ error, and where the one-factor-per-node structure of the execution
 backends is tested instead.
 """
 
+from repro.multifrontal.refine import normwise_backward_error
 from repro.verify.harness import (
     SuiteResult,
     format_suite,
@@ -32,7 +33,6 @@ from repro.verify.lattice import (
     VerifyConfig,
     default_pairs,
     factor_fingerprint,
-    normwise_backward_error,
     verify_matrix,
     verify_pair,
 )

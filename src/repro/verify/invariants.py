@@ -342,7 +342,6 @@ def check_degraded_still_solves(
     from repro.gpu.device import SimulatedNode
     from repro.multifrontal.solver import SparseCholeskySolver
     from repro.runtime.faults import FaultInjector
-    from repro.verify.lattice import normwise_backward_error
 
     violations: list[str] = []
     solver = SparseCholeskySolver(
@@ -367,8 +366,7 @@ def check_degraded_still_solves(
                 "total kernel-failure injection produced no degraded tasks"
             )
     b = np.ones(a.n_rows)
-    res = solver.solve_refined(b, max_iter=10)
-    eta = normwise_backward_error(solver.a, res.x, b)
+    eta = solver.solve_refined(b, max_iter=10).final_residual
     if eta > tol:
         violations.append(
             f"degraded run failed to solve: backward error {eta:.3e} "
@@ -383,7 +381,7 @@ def check_fleet_failover(a: CSCMatrix, *, tol: float = 1e-9) -> list[str]:
     from repro.cluster.fleet import ShardedSolverService
     from repro.runtime.faults import FaultInjector
     from repro.service.keys import canonicalize
-    from repro.verify.lattice import normwise_backward_error
+    from repro.multifrontal.refine import normwise_backward_error
 
     violations: list[str] = []
     # a probe fleet (no faults) tells us which node owns this pattern

@@ -47,6 +47,7 @@ import numpy as np
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import tesla_t10_model
 from repro.matrices.csc import CSCMatrix
+from repro.multifrontal.refine import inf_norm
 from repro.multifrontal.solver import SparseCholeskySolver
 from repro.policies.base import make_policy
 from repro.symbolic.supernodes import AMALGAMATION_PRESETS, amalgamation_preset
@@ -58,7 +59,6 @@ __all__ = [
     "PairReport",
     "factor_fingerprint",
     "condest_1",
-    "normwise_backward_error",
     "default_pairs",
     "run_config",
     "verify_pair",
@@ -141,25 +141,6 @@ def factor_fingerprint(factor) -> str:
     return h.hexdigest()
 
 
-def normwise_backward_error(a: CSCMatrix, x: np.ndarray, b: np.ndarray) -> float:
-    """Higham's normwise backward error ``eta(x)`` in the inf-norm."""
-    r = b - a.matvec(x)
-    a_norm = _inf_norm_matrix(a)
-    denom = a_norm * float(np.abs(x).max(initial=0.0)) + float(
-        np.abs(b).max(initial=0.0)
-    )
-    if denom == 0.0:
-        return float(np.abs(r).max(initial=0.0))
-    return float(np.abs(r).max(initial=0.0) / denom)
-
-
-def _inf_norm_matrix(a: CSCMatrix) -> float:
-    """``||A||_inf`` (max row abs sum; equals the 1-norm for symmetric A)."""
-    sums = np.zeros(a.n_rows)
-    np.add.at(sums, a.indices, np.abs(a.data))
-    return float(sums.max(initial=0.0))
-
-
 def condest_1(a: CSCMatrix, factor) -> float:
     """Hager/Higham 1-norm condition estimate ``||A||_1 ||A^-1||_1``.
 
@@ -188,7 +169,7 @@ def condest_1(a: CSCMatrix, factor) -> float:
         est = est_new
         x = np.zeros(n)
         x[j] = 1.0
-    return _inf_norm_matrix(a) * max(est, 1.0)
+    return inf_norm(a) * max(est, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +210,7 @@ def run_config(
         solver=solver,
         fingerprint=factor_fingerprint(solver.factor),
         x=res.x,
-        backward_error=normwise_backward_error(solver.a, res.x, np.asarray(b, dtype=np.float64)),
+        backward_error=res.final_residual,
         refinement_iterations=res.iterations,
     )
 

@@ -391,6 +391,74 @@ class TestApp:
         assert err["code"] == "invalid_request"
         assert "non-finite" in err["message"]
 
+    @pytest.mark.parametrize("field", ["tol", "deadline_ms"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1"])
+    def test_non_finite_tol_or_deadline_is_an_invalid_request(
+        self, service, field, bad
+    ):
+        # an infinite tol would certify any x; json.loads reads all three
+        body = '{"matrix": %s, "rhs": %s, "%s": %s}' % (
+            json.dumps(DOC_SMALL), json.dumps(RHS_SMALL), field, bad
+        )
+        with make_app(service) as app:
+            r = InProcessClient(app).post(
+                "/v1/solve", api_key="ka", body=body.encode()
+            )
+        assert r.status == 400
+        err = r.json()["error"]
+        assert err["code"] == "invalid_request"
+        assert field in err["message"]
+
+    def test_answer_carries_its_certificate(self, service):
+        with make_app(service) as app:
+            r = InProcessClient(app).post(
+                "/v1/solve", api_key="ka",
+                json={"matrix": DOC_SMALL, "rhs": RHS_SMALL, "refine": True},
+            )
+        doc = r.json()
+        assert r.status == 200
+        assert 0.0 <= doc["backward_error"] <= 1e-12
+        assert doc["refine_iterations"] == 0 and doc["degraded"] is False
+
+    @pytest.mark.parametrize("shift", [1e-9, 1e-7])
+    def test_ill_conditioned_fp32_answer_is_flagged_degraded(self, shift):
+        from repro.matrices import random_spd
+
+        a = random_spd(60, avg_degree=4, seed=3, shift=shift)
+        with SolverService(n_workers=1, policy="P4") as svc, make_app(svc) as app:
+            r = InProcessClient(app).post(
+                "/v1/solve", api_key="ka",
+                json={"matrix": encode_matrix(a), "rhs": [1.0] * a.n_rows,
+                      "refine": True},
+            )
+        doc = r.json()
+        assert r.status == 200
+        assert doc["degraded"] is True
+        assert doc["backward_error"] <= 1e-12
+
+    def test_over_the_bound_after_the_fallback_is_a_numerical_error(
+        self, monkeypatch
+    ):
+        import repro.service.service as service_mod
+        from repro.multifrontal import iterative_refinement
+
+        def over_bound(*args, **kwargs):
+            res = iterative_refinement(*args, **kwargs)
+            res.residual_norms[-1] = res.residual_norms[-1] + 1.0
+            res.converged[:] = False
+            return res
+
+        monkeypatch.setattr(service_mod, "iterative_refinement", over_bound)
+        with SolverService(n_workers=1) as svc, make_app(svc) as app:
+            r = InProcessClient(app).post(
+                "/v1/solve", api_key="ka",
+                json={"matrix": DOC_SMALL, "rhs": RHS_SMALL},
+            )
+        assert r.status == 422
+        err = r.json()["error"]
+        assert err["code"] == "numerical_error"
+        assert "backward error" in err["message"]
+
     def test_rate_limited_envelope_carries_retry_after(self, service):
         with make_app(service, rate=10.0, burst=2) as app:
             c = InProcessClient(app)

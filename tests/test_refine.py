@@ -1,10 +1,11 @@
 """Targeted tests for :mod:`repro.multifrontal.refine`.
 
 Covers the paths the end-to-end suites only graze: the non-convergence
-(budget exhausted / stagnation) branch, the zero-RHS edge case, and the
+(budget exhausted / stagnation) branch, the zero-RHS edge case, the
 central mixed-precision claim — an fp32-produced factor refined against
 the fp64 matrix reaches double-precision solve accuracy on the whole
-generator suite.
+generator suite — the certificate that says when it does not, and the
+block form the service answers through.
 """
 
 import numpy as np
@@ -16,8 +17,12 @@ from repro.matrices import (
     grid_laplacian_3d,
     random_spd,
 )
-from repro.multifrontal import SparseCholeskySolver
-from repro.multifrontal.refine import iterative_refinement
+from repro.multifrontal import SparseCholeskySolver, solve_factored
+from repro.multifrontal.refine import (
+    backward_error_bound,
+    iterative_refinement,
+    normwise_backward_error,
+)
 
 
 def _factored(a, **kwargs):
@@ -26,10 +31,19 @@ def _factored(a, **kwargs):
     return solver
 
 
+def _probe(shift):
+    """cond(A) ~ 7e9 at shift 1e-9 and ~ 7e7 at 1e-7: fp32 refinement
+    contracts at ~ cond(A) * u32, which is >= 1 and ~ 1e-1 there."""
+    return random_spd(60, avg_degree=4, seed=3, shift=shift)
+
+
 class TestNonConvergence:
-    def test_unreachable_tolerance_reports_not_converged(self, lap2d_small):
-        solver = _factored(lap2d_small)
-        b = np.ones(lap2d_small.n_rows)
+    def test_unreachable_tolerance_reports_not_converged(self):
+        # an fp32 factor of a cond ~ 7e9 matrix: no step count reaches
+        # the fp64 bound
+        a = _probe(1e-9)
+        solver = _factored(a, policy="P4")
+        b = np.ones(a.n_rows)
         res = iterative_refinement(
             solver.a, solver.factor, b, tol=0.0, max_iter=3
         )
@@ -37,8 +51,9 @@ class TestNonConvergence:
         # stagnation may stop the loop before the budget, never after it
         assert 1 <= res.iterations <= 3
         assert len(res.residual_norms) == res.iterations + 1
-        # the non-converged x is still the best iterate, not garbage
-        assert res.final_residual < 1e-12
+        # the non-converged x is still the last iterate, not garbage
+        assert res.final_residual <= res.initial_residual < 1e-6
+        assert res.final_residual > backward_error_bound(a.n_rows, 0.0)
 
     def test_zero_budget_returns_direct_solve(self, lap2d_small):
         solver = _factored(lap2d_small)
@@ -47,8 +62,11 @@ class TestNonConvergence:
             solver.a, solver.factor, b, tol=0.0, max_iter=0
         )
         assert res.iterations == 0
-        assert not res.converged
         assert res.residual_norms == [res.initial_residual]
+        np.testing.assert_array_equal(res.x, solve_factored(solver.factor, b))
+        # tol=0 still certifies at n * u64: an fp64 solve is within it
+        assert res.converged
+        assert res.initial_residual <= backward_error_bound(lap2d_small.n_rows, 0.0)
 
     def test_stagnation_guard_stops_early(self, lap2d_small):
         # a double-precision factor converges in one step; with tol=0 the
@@ -110,3 +128,82 @@ class TestMixedPrecisionRefinement:
         # the first (unrefined) residual reflects fp32 kernels: far worse
         # than fp64 roundoff, far better than nonsense
         assert 1e-14 < res.initial_residual < 1e-3
+
+
+class TestCertificate:
+    """``converged`` means ``eta <= max(tol, n * u64)`` and nothing else."""
+
+    @pytest.mark.parametrize("shift", [1e-9, 1e-7])
+    def test_fp32_factor_of_an_ill_conditioned_matrix_is_over_the_bound(
+        self, shift
+    ):
+        a = _probe(shift)
+        b = np.ones(a.n_rows)
+        res = _factored(a, policy="P4").solve_refined(b)
+        bound = backward_error_bound(a.n_rows, 1e-12)
+        assert not res.converged
+        assert res.final_residual > bound
+        # the reported number is the backward error of the x returned
+        assert res.final_residual == normwise_backward_error(a, res.x, b)
+        # the fp64 host factor of the same matrix is certified unrefined
+        host = _factored(a, policy="P1").solve_refined(b)
+        assert host.converged and host.iterations == 0
+
+    def test_bound_is_floored_at_n_unit_roundoffs(self):
+        assert backward_error_bound(100, 1e-12) == 1e-12
+        assert backward_error_bound(100, 0.0) == 100 * np.finfo(np.float64).eps
+
+    def test_backward_error_of_a_block_is_its_worst_column(self, lap2d_small):
+        rng = np.random.default_rng(2)
+        b = rng.standard_normal((lap2d_small.n_rows, 3))
+        x = solve_factored(_factored(lap2d_small).factor, b)
+        x[:, 1] *= 1.0 + 1e-6
+        etas = [normwise_backward_error(lap2d_small, x[:, j], b[:, j]) for j in range(3)]
+        assert normwise_backward_error(lap2d_small, x, b) == max(etas)
+        assert etas[1] > 1e-8 > etas[0]
+
+
+class TestBlockRefinement:
+    def test_block_columns_match_their_one_column_refinements(self):
+        # an fp32 factor, so every nonzero column takes corrections; the
+        # zero column is within its bound at step 0 and leaves the sweep
+        a = grid_laplacian_2d(12, 12)
+        solver = _factored(a, policy="P4")
+        rng = np.random.default_rng(9)
+        b = np.column_stack([rng.standard_normal(a.n_rows), np.zeros(a.n_rows)])
+        res = iterative_refinement(solver.a, solver.factor, b)
+        assert res.x.shape == b.shape
+        assert res.iterations.tolist()[1] == 0 and res.iterations[0] >= 1
+        assert res.converged.all()
+        assert len(res.residual_norms) == res.iterations.max() + 1
+        for j in range(2):
+            one = iterative_refinement(solver.a, solver.factor, b[:, j])
+            assert one.iterations == res.iterations[j]
+            np.testing.assert_allclose(res.x[:, j], one.x, rtol=1e-12, atol=1e-14)
+            assert res.final_residual[j] <= backward_error_bound(a.n_rows, 1e-12)
+
+    def test_a_one_column_block_is_the_1d_refinement_bit_for_bit(self):
+        a = grid_laplacian_2d(12, 12)
+        solver = _factored(a, policy="P4")
+        b = np.random.default_rng(4).standard_normal(a.n_rows)
+        block = iterative_refinement(solver.a, solver.factor, b[:, None])
+        one = iterative_refinement(solver.a, solver.factor, b)
+        np.testing.assert_array_equal(block.x[:, 0], one.x)
+        assert block.iterations.tolist() == [one.iterations]
+        assert [float(e[0]) for e in block.residual_norms] == one.residual_norms
+
+    def test_a_converged_column_stops_sweeping(self, monkeypatch):
+        import repro.multifrontal.refine as refine_mod
+
+        a = grid_laplacian_2d(12, 12)
+        solver = _factored(a, policy="P4")
+        widths = []
+
+        def counted(factor, rhs):
+            widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return solve_factored(factor, rhs)
+
+        monkeypatch.setattr(refine_mod, "solve_factored", counted)
+        b = np.column_stack([np.ones(a.n_rows), np.zeros(a.n_rows)])
+        res = iterative_refinement(solver.a, solver.factor, b)
+        assert widths == [2] + [1] * int(res.iterations[0])

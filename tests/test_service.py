@@ -276,44 +276,66 @@ class TestServiceTiers:
     def test_one_sweep_pair_per_solve_the_caller_needs(
         self, lap2d_small, rng, monkeypatch
     ):
-        """A refined hit is one ``iterative_refinement`` call -- its
-        opening solve plus one per correction, no block solve thrown
-        away first -- and an unrefined hit is one solve; the refined
-        ``x`` is that call's, bit for bit."""
+        """Every hit is one ``iterative_refinement`` call -- its opening
+        solve plus one per correction, no sweep thrown away -- whether
+        or not the caller asked for ``refine``, and ``x`` is that call's,
+        bit for bit."""
         import repro.multifrontal.refine as refine_mod
         import repro.service.service as service_mod
         from repro.multifrontal import iterative_refinement, solve_factored
 
-        factors = []
+        factors, calls = [], []
 
-        def counted(factor, b):
+        def counted_solve(factor, b):
             factors.append(factor)
             return solve_factored(factor, b)
 
-        monkeypatch.setattr(refine_mod, "solve_factored", counted)
-        monkeypatch.setattr(service_mod, "solve_factored", counted)
+        def counted_refinement(*args, **kwargs):
+            calls.append(args[2].shape)
+            return iterative_refinement(*args, **kwargs)
+
+        monkeypatch.setattr(refine_mod, "solve_factored", counted_solve)
+        monkeypatch.setattr(service_mod, "iterative_refinement", counted_refinement)
         b = rng.normal(size=lap2d_small.n_rows)
         # P3 runs fp32 kernels, so refinement has corrections to make
         with SolverService(n_workers=1, policy="P3", ordering="amd") as svc:
             svc.solve(lap2d_small, b)                    # fill the cache
-            del factors[:]
+            del factors[:], calls[:]
             plain = svc.solve(lap2d_small, b)
-            assert plain.tier == "numeric" and len(factors) == 1
+            assert plain.tier == "numeric"
+            plain_sweeps, factor = len(factors), factors[0]
             del factors[:]
             refined = svc.solve(lap2d_small, b, refine=True)
             assert refined.tier == "numeric"
-            calls, factor = len(factors), factors[0]
+            refined_sweeps = len(factors)
         monkeypatch.undo()
 
+        assert calls == [(lap2d_small.n_rows, 1)] * 2
         ref = iterative_refinement(matrix_key(lap2d_small)[1], factor, b)
         assert ref.iterations >= 1
-        assert calls == 1 + ref.iterations
-        np.testing.assert_array_equal(refined.x, ref.x)
-        np.testing.assert_array_equal(plain.x, solve_factored(factor, b))
-        # the solve histogram times the call the caller waited for
+        assert plain_sweeps == refined_sweeps == 1 + ref.iterations
+        for out in (plain, refined):
+            np.testing.assert_array_equal(out.x, ref.x)
+            assert out.refine_iterations == ref.iterations
+            assert out.backward_error == ref.final_residual <= 1e-12
+        # the histograms count the calls and requests the caller waited for
         hist = svc.metrics.histogram("refine_iterations")
-        assert hist.count == 1 and hist.total == ref.iterations
+        assert hist.count == 3 and hist.total >= 2 * ref.iterations
         assert svc.metrics.histogram("solve").count == 3
+
+    @pytest.mark.parametrize("bad", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-12},
+        {"max_iter": -1},
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "max_iter-negative"])
+    def test_non_finite_or_negative_knobs_are_refused_at_submit(
+        self, lap2d_small, bad
+    ):
+        # tol sets the acceptance bound: an infinite one would certify
+        # anything
+        with SolverService(n_workers=1, policy="P1") as svc:
+            with pytest.raises(ValueError, match="finite tol >= 0 and max_iter >= 0"):
+                svc.submit(lap2d_small, np.ones(lap2d_small.n_rows), **bad)
+            assert svc.metrics.counter("submitted") == 0
 
     def test_submit_after_shutdown_raises(self, lap2d_small):
         svc = SolverService(n_workers=1, policy="P1")
@@ -564,6 +586,57 @@ class TestServiceBatching:
         # one factorization for the blocker, one for the shared pattern
         assert svc.metrics.counter("numeric_factorizations") == 2
 
+    def test_refined_requests_share_one_block_call(self, monkeypatch):
+        # two same-factor requests queue behind a blocker: one block
+        # refinement answers both, and the zero right-hand side, within
+        # its bound on the opening solve, leaves the sweep at once
+        import repro.multifrontal.refine as refine_mod
+        import repro.service.service as service_mod
+        from repro.multifrontal import iterative_refinement, solve_factored
+
+        blocker = grid_laplacian_2d(6, 6)
+        shared = grid_laplacian_2d(9, 9)
+        nb = shared.n_rows
+        calls, widths = [], []
+
+        def counted_refinement(*args, **kwargs):
+            calls.append(args[2].shape)
+            return iterative_refinement(*args, **kwargs)
+
+        def counted_solve(factor, b):
+            if b.shape[0] == nb:
+                widths.append(1 if b.ndim == 1 else b.shape[1])
+            return solve_factored(factor, b)
+
+        monkeypatch.setattr(service_mod, "iterative_refinement", counted_refinement)
+        monkeypatch.setattr(refine_mod, "solve_factored", counted_solve)
+        from repro.gpu.device import SimulatedNode
+
+        gate, built = threading.Event(), []
+
+        def node_factory():
+            built.append(None)
+            if len(built) == 1:                  # the blocker's node
+                assert gate.wait(60)
+            return SimulatedNode(n_cpus=1, n_gpus=1)
+
+        # P4 computes in fp32, so the nonzero column takes corrections
+        with SolverService(n_workers=1, policy="P4", node_factory=node_factory) as svc:
+            first = svc.submit(blocker, np.ones(blocker.n_rows))
+            moving = svc.submit(shared, np.ones(nb), refine=True)
+            still = svc.submit(shared, np.zeros(nb), refine=True)
+            gate.set()
+            first.result(timeout=120)
+            outs = [r.result(timeout=120) for r in (moving, still)]
+        monkeypatch.undo()
+
+        assert calls.count((nb, 2)) == 1 and (nb, 1) not in calls
+        assert [o.batch_size for o in outs] == [2, 2]
+        assert outs[0].refine_iterations >= 1 and outs[1].refine_iterations == 0
+        assert widths == [2] + [1] * outs[0].refine_iterations
+        assert all(o.backward_error <= 1e-12 for o in outs)
+        np.testing.assert_array_equal(outs[1].x, np.zeros(nb))
+
 
 class TestMetrics:
     def test_histogram_percentiles(self):
@@ -690,98 +763,176 @@ class TestDynamicFaultDegradation:
             )
 
 
-class TestShadowVerification:
-    def test_sampled_rate_counts_checks(self, lap2d_small):
-        b = np.ones(lap2d_small.n_rows)
-        with SolverService(n_workers=1, policy="P1", ordering="amd",
-                           shadow_verify_rate=0.5) as svc:
-            for _ in range(4):
-                svc.solve(lap2d_small, b)
-        # deterministic accumulator: exactly every 2nd request is checked
-        assert svc.metrics.counter("shadow_checks") == 2
-        assert svc.metrics.counter("shadow_mismatches") == 0
+def _probe(shift):
+    """cond(A) ~ 7e9 at shift 1e-9 and ~ 7e7 at 1e-7: refinement against
+    an fp32 factor stalls above the fp64 bound on both."""
+    from repro.matrices import random_spd
 
-    def test_full_rate_checks_every_request(self, lap2d_small):
-        b = np.ones(lap2d_small.n_rows)
-        with SolverService(n_workers=1, policy="P1", ordering="amd",
-                           shadow_verify_rate=1.0) as svc:
-            for _ in range(3):
-                svc.solve(lap2d_small, b)
-        assert svc.metrics.counter("shadow_checks") == 3
-        assert svc.metrics.counter("shadow_mismatches") == 0
+    return random_spd(60, avg_degree=4, seed=3, shift=shift)
 
-    def test_zero_rate_never_checks(self, lap2d_small):
+
+class TestCertifiedAnswers:
+    """Every answer leaves with its normwise backward error within
+    ``max(tol, n * u64)``, degraded to a fresh host-fallback factor when
+    the factor in hand cannot reach it, or as the typed error."""
+
+    def test_every_answer_is_certified(self, lap2d_small):
+        from repro.multifrontal.refine import normwise_backward_error
+
         b = np.ones(lap2d_small.n_rows)
         with SolverService(n_workers=1, policy="P1", ordering="amd") as svc:
-            svc.solve(lap2d_small, b)
-        assert svc.metrics.counter("shadow_checks") == 0
+            outs = [svc.solve(lap2d_small, b) for _ in range(3)]
+        for out in outs:
+            # an fp64 factor meets the bound on its opening solve
+            assert out.refine_iterations == 0 and not out.degraded
+            assert out.backward_error == normwise_backward_error(
+                lap2d_small, out.x, b
+            ) <= 1e-12
+        assert svc.metrics.histogram("refine_iterations").count == 3
 
-    def test_corrupted_cached_factor_is_detected(self, lap2d_small):
-        # poison the numeric cache entry, then let the shadow check compare
-        # the served (cached) factor against a fresh reference
+    def test_certificate_makes_no_cache_traffic(self, lap2d_small):
+        # the certificate reads the factor in hand: a request is one
+        # lookup in the cache statistics
         b = np.ones(lap2d_small.n_rows)
-        with SolverService(n_workers=1, policy="P1", ordering="amd",
-                           shadow_verify_rate=1.0) as svc:
-            svc.solve(lap2d_small, b)          # populate the cache
-            key = matrix_key(lap2d_small)[0]
-            num_key = f"{key.values}|ord=amd|pol=p1"
-            entry = svc.cache.lookup("zzz-no-such-pattern", num_key)
-            assert entry.tier == FactorizationCache.NUMERIC
-            entry.numeric.panels[0][0, 0] *= 1.0 + 1e-3
-            svc.solve(lap2d_small, b)          # numeric hit on poisoned entry
-        assert svc.metrics.counter("shadow_mismatches") >= 1
+        with SolverService(n_workers=1, policy="P1", ordering="amd") as svc:
+            for _ in range(4):
+                svc.solve(lap2d_small, b)
+        assert svc.cache.stats["lookups"] == 4
+        assert svc.cache.stats["numeric_hits"] == 3
+        assert svc.metrics.counter("degraded") == 0
 
-    def test_shadow_check_makes_no_cache_traffic(self, lap2d_small):
-        # the reference is built on the symbolic factor of the factor in
-        # hand: a sampled request is one lookup in the cache statistics,
-        # exactly like an unsampled one
+    def _cached_factor(self, svc, a):
+        key = matrix_key(a)[0]
+        entry = svc.cache.lookup("zzz-no-such-pattern", f"{key.values}|ord=amd|pol=p1")
+        assert entry.tier == FactorizationCache.NUMERIC
+        return entry.numeric
+
+    def test_perturbed_cached_panel_is_refined_within_bound(self, lap2d_small):
         b = np.ones(lap2d_small.n_rows)
-        stats = {}
-        for rate in (0.0, 1.0):
-            with SolverService(n_workers=1, policy="P1", ordering="amd",
-                               shadow_verify_rate=rate) as svc:
-                for _ in range(4):
-                    svc.solve(lap2d_small, b)
-            stats[rate] = dict(svc.cache.stats)
-        assert stats[1.0] == stats[0.0]
-        assert stats[1.0]["lookups"] == 4
-        assert stats[1.0]["numeric_hits"] == 3
-        assert svc.metrics.counter("shadow_checks") == 4
-        assert svc.metrics.counter("shadow_mismatches") == 0
+        with SolverService(n_workers=1, policy="P1", ordering="amd") as svc:
+            clean = svc.solve(lap2d_small, b)
+            factor = self._cached_factor(svc, lap2d_small)
+            factor.panels[0][0, 0] *= 1.0 + 1e-3
+            factor.sweep = None
+            out = svc.solve(lap2d_small, b)      # numeric hit on the edited entry
+        assert out.tier == "numeric" and not out.degraded
+        assert out.refine_iterations >= 1
+        assert out.backward_error <= 1e-12
+        np.testing.assert_allclose(out.x, clean.x, rtol=1e-10)
 
-    def test_memory_starved_gpu_is_not_a_mismatch(self):
+    def test_destroyed_cached_entry_is_answered_from_a_fresh_fallback(
+        self, lap2d_small
+    ):
+        b = np.ones(lap2d_small.n_rows)
+        with SolverService(n_workers=1, policy="P1", ordering="amd") as svc:
+            clean = svc.solve(lap2d_small, b)
+            factor = self._cached_factor(svc, lap2d_small)
+            for panel in factor.panels:
+                panel *= 3.0
+            factor.sweep = None
+            before = svc.metrics.counter("numeric_factorizations")
+            out = svc.solve(lap2d_small, b)
+            assert self._cached_factor(svc, lap2d_small) is factor
+        assert out.tier == "numeric" and out.degraded
+        assert out.backward_error <= 1e-12
+        np.testing.assert_array_equal(out.x, clean.x)
+        assert svc.metrics.counter("degraded") == 1
+        assert svc.metrics.counter("numeric_factorizations") == before
+
+    @pytest.mark.parametrize("shift", [1e-9, 1e-7])
+    def test_ill_conditioned_fp32_answer_degrades_to_the_host_factor(
+        self, shift
+    ):
+        a = _probe(shift)
+        b = np.ones(a.n_rows)
+        x_true = np.linalg.solve(a.to_dense(), b)
+        with SolverService(n_workers=1, policy="P4") as svc:
+            out = svc.solve(a, b, refine=True)
+            again = svc.solve(a, b)
+        assert out.degraded and again.degraded
+        assert out.backward_error <= 1e-12
+        err = np.abs(out.x - x_true).max() / np.abs(x_true).max()
+        assert err <= 1e-7
+        # the fallback factor is published nowhere; the P4 one stays
+        assert again.tier == "numeric"
+
+    def test_over_the_bound_after_the_fallback_is_the_typed_error(
+        self, lap2d_small, monkeypatch
+    ):
+        import repro.service.service as service_mod
+        from repro.multifrontal import iterative_refinement
+        from repro.multifrontal.refine import UncertifiedSolutionError
+
+        def over_bound(*args, **kwargs):
+            res = iterative_refinement(*args, **kwargs)
+            res.residual_norms[-1] = res.residual_norms[-1] + 1.0
+            res.converged[:] = False
+            return res
+
+        monkeypatch.setattr(service_mod, "iterative_refinement", over_bound)
+        with SolverService(n_workers=1, policy="P1") as svc:
+            with pytest.raises(UncertifiedSolutionError, match="exceeds"):
+                svc.solve(lap2d_small, np.ones(lap2d_small.n_rows))
+        assert svc.metrics.counter("degraded") == 1
+        assert svc.metrics.counter("failed") == 1
+        assert svc.metrics.counter("completed") == 0
+
+    def test_near_singular_fuzz_cases_end_certified_or_typed(self):
+        from repro.multifrontal.refine import (
+            UncertifiedSolutionError,
+            backward_error_bound,
+            normwise_backward_error,
+        )
+        from repro.verify.fuzz import near_singular
+
+        rng = np.random.default_rng(20261016)
+        ends = []
+        with SolverService(n_workers=1, policy="P4") as svc:
+            for _ in range(20):
+                a = near_singular(rng)
+                b = rng.standard_normal(a.n_rows)
+                try:
+                    out = svc.solve(a, b)
+                except UncertifiedSolutionError:
+                    ends.append("typed")
+                    continue
+                bound = backward_error_bound(a.n_rows, 1e-12)
+                assert out.backward_error <= bound
+                assert normwise_backward_error(a, out.x, b) <= bound
+                ends.append("ok-degraded" if out.degraded else "ok")
+        assert len(ends) == 20 and set(ends) <= {"ok", "ok-degraded", "typed"}
+
+    def test_memory_starved_gpu_answers_as_the_serial_service(self):
         # fronts that do not fit an 8 KiB device run as host P1 on every
-        # backend, so the static reference agrees with the serial factor
+        # backend: the static service answers with the serial one's bits
         from repro.matrices import grid_laplacian_3d
         from tests.conftest import starved_node
 
         a = grid_laplacian_3d(8, 8, 8)
-        with SolverService(n_workers=1, policy="P4",
-                           node_factory=lambda: starved_node(8192, n_cpus=2),
-                           shadow_verify_rate=1.0) as svc:
-            out = svc.solve(a, np.ones(a.n_rows))
-        assert not out.degraded
-        assert svc.metrics.counter("shadow_checks") == 1
-        assert svc.metrics.counter("shadow_mismatches") == 0
+        xs = {}
+        for backend in ("serial", "static"):
+            with SolverService(n_workers=1, policy="P4", backend=backend,
+                               node_factory=lambda: starved_node(8192, n_cpus=2)) as svc:
+                out = svc.solve(a, np.ones(a.n_rows))
+            assert not out.degraded and out.backward_error <= 1e-12
+            xs[backend] = out.x
+        np.testing.assert_array_equal(xs["static"], xs["serial"])
 
-    def test_cluster_backend_on_a_starved_gpu_is_not_a_mismatch(self):
+    def test_cluster_backend_on_a_starved_gpu_answers_as_the_serial_service(self):
         # the cluster backend computes on the service's node like every
-        # other backend, so the serial reference agrees with its factor
+        # other backend
         from repro.matrices import grid_laplacian_3d
         from tests.conftest import starved_node
 
         a = grid_laplacian_3d(8, 8, 8)
-        with SolverService(n_workers=1, policy="P4", backend="cluster",
-                           node_factory=lambda: starved_node(8192),
-                           shadow_verify_rate=1.0) as svc:
-            out = svc.solve(a, np.ones(a.n_rows))
-        assert not out.degraded
-        assert svc.metrics.counter("shadow_checks") == 1
-        assert svc.metrics.counter("shadow_mismatches") == 0
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError, match="shadow_verify_rate"):
-            SolverService(n_workers=1, shadow_verify_rate=1.5)
+        xs = {}
+        for backend in ("serial", "cluster"):
+            with SolverService(n_workers=1, policy="P4", backend=backend,
+                               node_factory=lambda: starved_node(8192)) as svc:
+                out = svc.solve(a, np.ones(a.n_rows))
+            assert not out.degraded and out.backward_error <= 1e-12
+            xs[backend] = out.x
+        np.testing.assert_array_equal(xs["cluster"], xs["serial"])
 
 
 # ----------------------------------------------------------------------

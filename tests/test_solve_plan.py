@@ -30,7 +30,7 @@ from repro.multifrontal import (
 from repro.multifrontal.solve import get_solve_plan
 from repro.policies import make_policy
 from repro.symbolic import amalgamation_preset, symbolic_factorize
-from repro.verify.lattice import normwise_backward_error
+from repro.multifrontal.refine import normwise_backward_error
 from tests.reference_solve import solve_by_substitution, trsv_lower, trsv_lower_t
 from tests.test_property_based import (
     assert_factor_sweeps_match_reference,
