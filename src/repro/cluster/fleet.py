@@ -116,7 +116,7 @@ class ShardedSolverService:
     ----------
     n_nodes : int
         Fleet size (one shard, one cache, per node).
-    policy, backend, ordering :
+    policy, ordering :
         Forwarded to every shard (:class:`~repro.service.SolverService`).
     n_workers_per_node, max_cache_bytes :
         Per-shard worker threads and cache budget.
@@ -148,7 +148,6 @@ class ShardedSolverService:
         n_nodes: int = 2,
         *,
         policy="P1",
-        backend: str = "serial",
         ordering: str = "amd",
         n_workers_per_node: int = 1,
         max_cache_bytes: int = 64 << 20,
@@ -178,7 +177,6 @@ class ShardedSolverService:
             SolverService(
                 n_workers=n_workers_per_node,
                 policy=policy,
-                backend=backend,
                 ordering=ordering,
                 max_cache_bytes=max_cache_bytes,
                 cache=(

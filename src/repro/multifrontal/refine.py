@@ -8,9 +8,11 @@ is the preconditioner, the residual is computed against the original
 float64 matrix, and a couple of corrections restore double-precision
 solve accuracy.  Every iterate is measured by Higham's normwise
 backward error ``||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)``
-and certified within ``max(tol, n * u64)``; against an fp32 factor the
+and certified within ``max(tol, n * u64)``.  Against an fp32 factor the
 corrections contract at about ``cond(A) * u32`` a step (Carson &
-Higham, SIAM J. Sci. Comput. 40, 2018), so past that no step certifies.
+Higham, SIAM J. Sci. Comput. 40, 2018); once that nears 1, ``x`` can
+blow up and a small ``eta`` proves nothing, so such an answer is also held to
+``nu * u32 < 1/2`` with the witness ``nu = ||A|| ||x|| / ||b|| <= cond(A)``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
 
 #: unit roundoff of the float64 arithmetic the certificate is stated in
 _U64 = float(np.finfo(np.float64).eps)
+#: unit roundoff of the device float32 kernels, 2**-24
+_U32 = float(np.finfo(np.float32).eps) / 2
 
 
 @dataclass
@@ -41,7 +45,7 @@ class RefinementResult:
     x: np.ndarray
     iterations: int | np.ndarray
     residual_norms: list            # backward errors, initial first
-    converged: bool | np.ndarray    # within backward_error_bound
+    converged: bool | np.ndarray    # within backward_error_bound, witness held
 
     @property
     def initial_residual(self):
@@ -107,9 +111,11 @@ def iterative_refinement(
         Right-hand side(s), ``(n,)`` or ``(n, r)``, held to
         :func:`~repro.multifrontal.solve.check_rhs`.
     tol : float
-        A column is corrected while its backward error exceeds ``tol``
-        and the last step at least halved it (one block solve a step),
-        and certified (``converged``) within :func:`backward_error_bound`.
+        The target: a column is corrected while its backward error
+        exceeds ``tol`` and the last step at least halved it (one block
+        solve a step), and certified (``converged``) within
+        :func:`backward_error_bound` and, if any front of ``factor`` is
+        not P1 (fp32 kernels), ``nu * u32 < 1/2`` whatever ``tol`` is.
     max_iter : int
         Refinement-step budget (the paper needed "one or two steps").
     """
@@ -134,6 +140,12 @@ def iterative_refinement(
         eta[cols] = step
         norms.append(eta.copy())
     converged = eta <= backward_error_bound(factor.n, tol)
+    # the witness nu, 0 on a zero column: read off the answer, no solve
+    b_norm = np.abs(bb).max(axis=0, initial=0.0)
+    ax_norm = a_norm * np.abs(xx).max(axis=0, initial=0.0)
+    wild = np.divide(ax_norm, b_norm, out=np.zeros_like(eta), where=b_norm > 0.0) * _U32 >= 0.5
+    if wild.any() and any(rec.policy != "P1" for rec in factor.records):
+        converged &= ~wild
     if one:
         return RefinementResult(x, int(iterations[0]), [float(e[0]) for e in norms],
                                 bool(converged[0]))

@@ -22,11 +22,11 @@ is the certificate the answer carries.
 
 Requests carry optional deadlines — an expired request is completed
 with :class:`TimeoutError`, never silently dropped — and degrade
-through one path: when the GPU factorization raises or its runtime
-degraded tasks, or when an answer from any factor, cached or fresh,
-misses the bound, it is re-solved on a fresh host-fallback factor,
-published nowhere, and flagged ``degraded``; over the bound again, it
-fails with :class:`~repro.multifrontal.refine.UncertifiedSolutionError`.
+through one path: when the factorization raises, or when an answer
+from any factor, cached or fresh, is not certified, it is re-solved on
+a fresh host-fallback factor, published nowhere, and flagged
+``degraded``; uncertified again, it fails with
+:class:`~repro.multifrontal.refine.UncertifiedSolutionError`.
 
 Every stage is timed into :class:`ServiceMetrics` (latency histograms,
 cache and batch counters, queue-depth gauge, Chrome-trace spans).
@@ -131,15 +131,6 @@ class SolverService:
     policy : str or Policy
         Default placement policy for factorizations (per-request override
         via :meth:`submit`).
-    backend : str
-        How factorizations are priced: ``"serial"`` (default), the
-        ``"static"`` list scheduler, the ``"dynamic"`` event-driven
-        runtime of :mod:`repro.runtime`, or the ``"cluster"`` fleet loop
-        of :mod:`repro.cluster` (see
-        :class:`~repro.multifrontal.solver.SparseCholeskySolver`).  Every
-        backend computes the factor on the node ``node_factory`` builds,
-        under the same per-front policies, so the factors are
-        bit-identical and cached factors are shared across backends.
     ordering, amalgamation :
         Symbolic-analysis settings; part of the symbolic cache key.
     cache : FactorizationCache, optional
@@ -149,14 +140,8 @@ class SolverService:
     max_batch : int
         Upper bound on requests aggregated into one solve call.
     node_factory : callable, optional
-        Builds the :class:`SimulatedNode` used by each factorization
-        (one per factorization, so workers never share engine state).
-    faults : FaultInjector, optional
-        Injected GPU faults forwarded to every factorization; requires
-        ``backend="dynamic"`` (the only backend that can degrade and
-        retry mid-run).  A request whose factorization degraded is
-        answered from a fresh host-fallback factor, which is *not*
-        published under the requested policy's numeric cache key.
+        Builds the :class:`SimulatedNode` each factorization runs on,
+        serially (one per factorization: workers share no engine state).
 
     Every answer carries its normwise backward error, within
     ``max(tol, n * u64)``: a poisoned cache entry shows up there, on
@@ -168,7 +153,6 @@ class SolverService:
         *,
         n_workers: int = 2,
         policy: str | Policy = "P1",
-        backend: str = "serial",
         ordering: str = "amd",
         amalgamation: AmalgamationParams | None = None,
         cache: FactorizationCache | None = None,
@@ -176,20 +160,10 @@ class SolverService:
         max_batch: int = 32,
         metrics: ServiceMetrics | None = None,
         node_factory=None,
-        faults=None,
     ):
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        if backend not in ("serial", "static", "dynamic", "cluster"):
-            raise ValueError(
-                f"unknown backend {backend!r} "
-                "(serial | static | dynamic | cluster)"
-            )
-        if faults is not None and backend != "dynamic":
-            raise ValueError("faults require backend='dynamic'")
         self.policy = policy
-        self.backend = backend
-        self.faults = faults
         self.ordering = ordering
         self.amalgamation = amalgamation
         self.cache = (
@@ -241,8 +215,10 @@ class SolverService:
 
         ``timeout`` is a deadline in seconds from submission: a request
         still queued past it completes with :class:`TimeoutError`.
-        ``tol`` sets the backward-error bound, ``max(tol, n * u64)``,
-        and ``max_iter`` the refinement steps spent reaching it; every
+        ``tol`` is the target refinement aims for, within
+        ``max(tol, n * u64)``; the conditioning witness of
+        :func:`~repro.multifrontal.refine.iterative_refinement` holds
+        whatever ``tol`` is.  ``max_iter`` bounds the steps; every
         request is refined, so ``refine`` has no effect.
         """
         if not (np.isfinite(tol) and tol >= 0 and max_iter >= 0):
@@ -394,7 +370,6 @@ class SolverService:
         return time.perf_counter() - self._t0
 
     def _build_solver(self, canonical, symbolic, spec) -> SparseCholeskySolver:
-        faults = self.faults if self.backend == "dynamic" else None
         classifier = None
         if not isinstance(spec, Policy) and str(spec).lower() == "model":
             with self._classifier_lock:
@@ -414,12 +389,11 @@ class SolverService:
             return SparseCholeskySolver.from_symbolic(
                 canonical, symbolic, policy=spec,
                 node=self._node_factory(), classifier=classifier,
-                backend=self.backend, faults=faults,
             )
         return SparseCholeskySolver(
             canonical, ordering=self.ordering, policy=spec,
             node=self._node_factory(), amalgamation=self.amalgamation,
-            classifier=classifier, backend=self.backend, faults=faults,
+            classifier=classifier,
         )
 
     def _process(self, req: SolveRequest, worker: int) -> None:
@@ -447,8 +421,8 @@ class SolverService:
             raise
 
     def _answer(self, req, batch, factor, tier, degraded, engine) -> None:
-        """Stack the right-hand sides, one block refinement, scatter; over
-        the bound, the block once more on a fresh fallback factor."""
+        """Stack the right-hand sides, one block refinement, scatter;
+        uncertified, the block once more on a fresh fallback factor."""
         plan = BatchPlan.build(batch, req.canonical.n_rows)
         t0 = self._now()
         while True:
@@ -560,16 +534,12 @@ class SolverService:
             self.cache.put_symbolic(req.sym_key, solver.symbolic)
 
         t0 = self._now()
-        degraded = True
         try:
-            solver.factorize()
-            # the dynamic runtime degrades tasks *without raising*
-            degraded = solver.parallel is not None and solver.parallel.degraded
+            factor, degraded = solver.factorize().factor, False
         except NotPositiveDefiniteError:
             raise
-        except Exception:
-            pass  # anything else the GPU path raises: flagged, not dropped
-        factor = self._fallback_factor(req, solver.symbolic) if degraded else solver.factor
+        except Exception:  # anything else the GPU path raises: flagged, not dropped
+            factor, degraded = self._fallback_factor(req, solver.symbolic), True
         t1 = self._now()
         self.metrics.incr("numeric_factorizations")
         self.metrics.observe("factorize", t1 - t0)

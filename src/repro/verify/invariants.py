@@ -55,10 +55,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.matrices.csc import CSCMatrix
+from repro.policies.base import Policy
 from repro.symbolic.etree import NO_PARENT
 from repro.symbolic.symbolic import SymbolicFactor
 
 __all__ = [
+    "ExplodingPolicy",
     "InvariantReport",
     "check_symbolic_structure",
     "check_update_conservation",
@@ -88,6 +90,16 @@ class InvariantReport:
         for v in self.violations:
             msg += f"\n    {v}"
         return msg
+
+
+class ExplodingPolicy(Policy):
+    """A device policy that fails at plan time: the one way the service
+    tests and :func:`check_tier_coherence` reach the host fallback."""
+
+    name = "boom"
+
+    def plan(self, m, k, worker, model, graph, deps=()):
+        raise RuntimeError("injected device failure")
 
 
 def _report(name: str, violations: list[str]) -> InvariantReport:
@@ -430,11 +442,10 @@ def check_tier_coherence(a: CSCMatrix) -> list[str]:
     * **peer-fetch identity** — a factor pulled over the fleet
       interconnect from a peer shard fingerprints identically too;
     * **failure isolation** — a timed-out request leaves every tier
-      empty, and a degraded (fault-injected) run never publishes a
-      numeric factor to *any* tier, not just RAM.
+      empty, and a degraded run (an :class:`ExplodingPolicy` request)
+      never publishes a numeric factor to *any* tier, not just RAM.
     """
     from repro.cluster.fleet import ShardedSolverService
-    from repro.runtime.faults import FaultInjector
     from repro.service.cache import TierConfig
     from repro.service.service import SolverService
     from repro.service.tiers import TierSpec
@@ -524,13 +535,11 @@ def check_tier_coherence(a: CSCMatrix) -> list[str]:
 
     # 3b. a degraded run publishes no numeric factor to any tier
     with SolverService(
-        n_workers=1, policy="P4", ordering="amd", backend="dynamic",
-        faults=FaultInjector(kernel_failure_rate=1.0),
-        cache=_tiering().build(),
+        n_workers=1, policy=ExplodingPolicy(), cache=_tiering().build()
     ) as svc:
         outcome = svc.solve(a, b)
         if not outcome.degraded:
-            violations.append("fault-injected run was not flagged degraded")
+            violations.append("failed device run was not flagged degraded")
         numeric_keys = [k for k in svc.cache.keys() if k[0] == "numeric"]
         for name in svc.cache.tiers[1:]:
             numeric_keys += [

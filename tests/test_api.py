@@ -436,6 +436,25 @@ class TestApp:
         assert doc["degraded"] is True
         assert doc["backward_error"] <= 1e-12
 
+    @pytest.mark.parametrize("n, shift", [(60, 1e-13), (2000, 1e-11)])
+    def test_fp32_answer_past_the_conditioning_witness_is_flagged_degraded(
+        self, n, shift
+    ):
+        # the fp32 answer's backward error alone passes here; its
+        # conditioning witness does not, so the host factor answers
+        from repro.matrices import random_spd
+
+        a = random_spd(n, avg_degree=4, seed=3, shift=shift)
+        with SolverService(n_workers=1, policy="P4") as svc, make_app(svc) as app:
+            r = InProcessClient(app).post(
+                "/v1/solve", api_key="ka",
+                json={"matrix": encode_matrix(a), "rhs": [1.0] * n},
+            )
+        doc = r.json()
+        assert r.status == 200
+        assert doc["degraded"] is True
+        assert doc["backward_error"] <= 1e-12
+
     def test_over_the_bound_after_the_fallback_is_a_numerical_error(
         self, monkeypatch
     ):

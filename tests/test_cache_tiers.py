@@ -294,13 +294,11 @@ class TestServiceTiering:
             assert svc.cache.check_conservation() == []
 
     def test_degraded_request_populates_no_numeric_tier(self, lap2d_small):
-        from repro.runtime import FaultInjector
+        from repro.verify.invariants import ExplodingPolicy
 
         cfg = TierConfig(ram_bytes=1 << 20)
         with SolverService(
-            n_workers=1, policy="P4", ordering="amd", backend="dynamic",
-            faults=FaultInjector(kernel_failure_rate=1.0),
-            cache=cfg.build(),
+            n_workers=1, policy=ExplodingPolicy(), cache=cfg.build()
         ) as svc:
             out = svc.solve(lap2d_small, np.ones(lap2d_small.n_rows))
             assert out.degraded

@@ -20,6 +20,7 @@ from repro.matrices import (
 from repro.multifrontal import SparseCholeskySolver, solve_factored
 from repro.multifrontal.refine import (
     backward_error_bound,
+    inf_norm,
     iterative_refinement,
     normwise_backward_error,
 )
@@ -131,7 +132,8 @@ class TestMixedPrecisionRefinement:
 
 
 class TestCertificate:
-    """``converged`` means ``eta <= max(tol, n * u64)`` and nothing else."""
+    """``converged`` means ``eta <= max(tol, n * u64)`` and, on a factor
+    that ran fp32 kernels, a conditioning witness ``nu * u32 < 1/2``."""
 
     @pytest.mark.parametrize("shift", [1e-9, 1e-7])
     def test_fp32_factor_of_an_ill_conditioned_matrix_is_over_the_bound(
@@ -148,6 +150,26 @@ class TestCertificate:
         # the fp64 host factor of the same matrix is certified unrefined
         host = _factored(a, policy="P1").solve_refined(b)
         assert host.converged and host.iterations == 0
+
+    def test_fp32_answer_past_the_conditioning_witness_is_not_converged(self):
+        # cond(A) * u32 ~ 4e6: the fp32 factor's x is wrong in every digit
+        # yet its backward error is within the bound
+        a = _probe(1e-13)
+        b = np.ones(a.n_rows)
+        res = _factored(a, policy="P4").solve_refined(b)
+        assert res.final_residual <= backward_error_bound(a.n_rows, 1e-12)
+        assert not res.converged
+        nu = inf_norm(a) * np.abs(res.x).max() / np.abs(b).max()
+        assert nu * np.finfo(np.float32).eps / 2 >= 0.5
+        # the witness is read only on a factor coarser than fp64: the
+        # host factor's answer, with the same nu, is certified; so is a
+        # zero column (nu = 0) of an fp32 block
+        host = _factored(a, policy="P1").solve_refined(b)
+        assert host.converged
+        block = _factored(a, policy="P4").solve_refined(
+            np.column_stack([b, np.zeros(a.n_rows)])
+        )
+        assert block.converged.tolist() == [False, True]
 
     def test_bound_is_floored_at_n_unit_roundoffs(self):
         assert backward_error_bound(100, 1e-12) == 1e-12

@@ -11,7 +11,6 @@ import pytest
 from repro.matrices import grid_laplacian_2d
 from repro.matrices.csc import CSCMatrix, COOMatrix
 from repro.multifrontal import SparseCholeskySolver
-from repro.policies.base import Policy
 from repro.service import (
     BatchPlan,
     FactorizationCache,
@@ -24,6 +23,7 @@ from repro.service import (
 )
 from repro.service.cache import symbolic_nbytes
 from repro.symbolic import symbolic_factorize
+from repro.verify.invariants import ExplodingPolicy
 
 
 def scaled(a: CSCMatrix, c: float) -> CSCMatrix:
@@ -478,19 +478,6 @@ class TestServiceDeadlines:
             svc.shutdown()
 
 
-class _ExplodingPolicy(Policy):
-    """Simulated-GPU policy that always fails at plan time."""
-
-    name = "boom"
-    needs_gpu = True
-
-    def plan(self, m, k, worker, model, graph, deps=()):
-        raise RuntimeError("injected device failure")
-
-    def apply(self, front, k, worker):  # pragma: no cover - never reached
-        raise AssertionError
-
-
 class TestServiceDegradation:
     def test_gpu_failure_falls_back_to_p1(self, lap2d_small):
         b = np.ones(lap2d_small.n_rows)
@@ -498,7 +485,7 @@ class TestServiceDegradation:
             b, refine=False
         )
         with SolverService(
-            n_workers=1, policy=_ExplodingPolicy(), ordering="amd"
+            n_workers=1, policy=ExplodingPolicy(), ordering="amd"
         ) as svc:
             out = svc.solve(lap2d_small, b)
         assert out.degraded
@@ -506,6 +493,30 @@ class TestServiceDegradation:
         assert svc.metrics.counter("degraded") == 1
         # the degraded factor is not published under the failing policy's key
         assert svc.cache.stats["numeric_hits"] == 0
+
+    def test_degraded_factor_not_cached_under_clean_key(self, lap2d_small):
+        # the fallback factor is never published under the failing
+        # policy's key: the second identical request factors again
+        b = np.ones(lap2d_small.n_rows)
+        with SolverService(n_workers=1, policy=ExplodingPolicy()) as svc:
+            first = svc.solve(lap2d_small, b)
+            second = svc.solve(lap2d_small, b)
+        assert first.degraded and second.degraded
+        assert svc.cache.stats["numeric_hits"] == 0
+        assert svc.metrics.counter("numeric_factorizations") == 2
+
+    def test_execution_knobs_are_not_service_options(self):
+        # the service factors on its own node, serially: it has no
+        # backend to pick and no scheduler to inject faults into
+        from repro.cluster.fleet import ShardedSolverService
+        from repro.runtime import FaultInjector
+
+        with pytest.raises(TypeError, match="backend"):
+            SolverService(n_workers=1, backend="dynamic")
+        with pytest.raises(TypeError, match="faults"):
+            SolverService(n_workers=1, faults=FaultInjector(kernel_failure_rate=1.0))
+        with pytest.raises(TypeError, match="backend"):
+            ShardedSolverService(2, backend="dynamic")
 
     def test_device_policy_on_a_gpu_less_node_is_not_degraded(self, lap2d_small):
         # every front resolves to host P1: nothing raised, nothing
@@ -687,82 +698,6 @@ class TestMetrics:
         assert rep["cache"]["entries"] == 2    # one symbolic + one numeric
 
 
-class TestBackendSelection:
-    def test_dynamic_backend_solves_correctly(self, lap2d_small):
-        b = np.ones(lap2d_small.n_rows)
-        with SolverService(n_workers=2, policy="P1",
-                           backend="dynamic") as svc:
-            out = svc.solve(lap2d_small, b)
-        assert np.abs(lap2d_small.matvec(out.x) - b).max() < 1e-10
-
-    def test_backends_share_cached_factors(self, lap2d_small):
-        # factors are bit-identical across backends, so a cache populated
-        # by one backend serves the others
-        b = np.ones(lap2d_small.n_rows)
-        with SolverService(n_workers=1, policy="P1", backend="static") as svc:
-            first = svc.solve(lap2d_small, b)
-            second = svc.solve(lap2d_small, b)
-        assert first.tier == "miss"
-        assert second.tier in ("numeric", "batched")
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            SolverService(n_workers=1, backend="bogus")
-
-
-class TestDynamicFaultDegradation:
-    """Regression: a fault-degraded dynamic factorization completes without
-    raising, but its factor is partially P1-produced — it must be flagged
-    degraded and must NOT be cached under the non-degraded policy key."""
-
-    def _service(self, **kwargs):
-        from repro.runtime import FaultInjector
-
-        return SolverService(
-            n_workers=1, policy="P4", ordering="amd", backend="dynamic",
-            faults=FaultInjector(kernel_failure_rate=1.0), **kwargs,
-        )
-
-    def test_degraded_dynamic_run_is_flagged(self, lap2d_small):
-        b = np.ones(lap2d_small.n_rows)
-        with self._service() as svc:
-            out = svc.solve(lap2d_small, b)
-        assert out.degraded
-        assert svc.metrics.counter("degraded") == 1
-        # still a correct solve, just on the CPU path
-        assert np.abs(lap2d_small.matvec(out.x) - b).max() < 1e-8
-
-    def test_degraded_factor_not_cached_under_clean_key(self, lap2d_small):
-        b = np.ones(lap2d_small.n_rows)
-        with self._service() as svc:
-            first = svc.solve(lap2d_small, b)
-            second = svc.solve(lap2d_small, b)
-        assert first.degraded and second.degraded
-        # the second identical request must NOT have hit the numeric tier:
-        # the degraded factor was never published under the P4 key
-        assert second.tier != "numeric"
-        assert svc.cache.stats["numeric_hits"] == 0
-        assert svc.metrics.counter("numeric_factorizations") == 2
-
-    def test_clean_dynamic_run_still_caches(self, lap2d_small):
-        b = np.ones(lap2d_small.n_rows)
-        with SolverService(n_workers=1, policy="P4", ordering="amd",
-                           backend="dynamic") as svc:
-            first = svc.solve(lap2d_small, b)
-            second = svc.solve(lap2d_small, b)
-        assert not first.degraded
-        assert second.tier in ("numeric", "batched")
-
-    def test_faults_require_dynamic_backend(self):
-        from repro.runtime import FaultInjector
-
-        with pytest.raises(ValueError, match="dynamic"):
-            SolverService(
-                n_workers=1, backend="serial",
-                faults=FaultInjector(kernel_failure_rate=0.5),
-            )
-
-
 def _probe(shift):
     """cond(A) ~ 7e9 at shift 1e-9 and ~ 7e7 at 1e-7: refinement against
     an fp32 factor stalls above the fp64 bound on both."""
@@ -902,37 +837,78 @@ class TestCertifiedAnswers:
                 ends.append("ok-degraded" if out.degraded else "ok")
         assert len(ends) == 20 and set(ends) <= {"ok", "ok-degraded", "typed"}
 
-    def test_memory_starved_gpu_answers_as_the_serial_service(self):
-        # fronts that do not fit an 8 KiB device run as host P1 on every
-        # backend: the static service answers with the serial one's bits
-        from repro.matrices import grid_laplacian_3d
-        from tests.conftest import starved_node
+    @pytest.mark.parametrize("n, shift", [(60, 1e-13), (2000, 1e-11)])
+    def test_fp32_answer_past_the_conditioning_witness_is_the_host_factors(
+        self, n, shift
+    ):
+        # cond(A) * u32 >> 1: the fp32 factor's x is wrong in every digit
+        # and drags ||A|| ||x|| up with it, so its backward error alone
+        # passes; nu * u32 >= 1/2 sends it to the host fallback
+        from repro.matrices import random_spd
 
-        a = grid_laplacian_3d(8, 8, 8)
-        xs = {}
-        for backend in ("serial", "static"):
-            with SolverService(n_workers=1, policy="P4", backend=backend,
-                               node_factory=lambda: starved_node(8192, n_cpus=2)) as svc:
-                out = svc.solve(a, np.ones(a.n_rows))
-            assert not out.degraded and out.backward_error <= 1e-12
-            xs[backend] = out.x
-        np.testing.assert_array_equal(xs["static"], xs["serial"])
+        a = random_spd(n, avg_degree=4, seed=3, shift=shift)
+        b = np.ones(n)
+        x_true = np.linalg.solve(a.to_dense(), b)
+        errors = {}
+        for policy in ("P4", "P1"):
+            with SolverService(n_workers=1, policy=policy) as svc:
+                out = svc.solve(a, b)
+            assert out.degraded is (policy == "P4")
+            assert out.backward_error <= 1e-12
+            errors[policy] = np.abs(out.x - x_true).max() / np.abs(x_true).max()
+        assert errors["P4"] <= 10 * errors["P1"]
 
-    def test_cluster_backend_on_a_starved_gpu_answers_as_the_serial_service(self):
-        # the cluster backend computes on the service's node like every
-        # other backend
-        from repro.matrices import grid_laplacian_3d
-        from tests.conftest import starved_node
+    def test_near_singular_p4_answers_are_as_accurate_as_the_p1_service(self):
+        # shift log-uniform over [1e-13, 1e-5] and n log-uniform up to
+        # 2 000 reach past cond(A) * u32 = 1, where an fp32 factor's x
+        # can be wrong in every digit while its backward error passes.
+        # A degraded answer comes from the host factor the P1 service
+        # uses, so it is as accurate as the P1 service's up to C = 10.
+        # An answer that kept the witness stops refining once its
+        # backward error stops halving, at the fp64 forward-error floor
+        # cond(A) * u64; below that floor two answers differ only in how
+        # their rounding errors happen to fall, so it is held to C times
+        # the larger of the P1 error and that floor (past the witness the
+        # fp32 x is off by ~1, far above cond(A) * u64 ~ 1e-3)
+        from repro.dense.kernels import NotPositiveDefiniteError
+        from repro.matrices import random_spd
+        from repro.multifrontal.refine import UncertifiedSolutionError
 
-        a = grid_laplacian_3d(8, 8, 8)
-        xs = {}
-        for backend in ("serial", "cluster"):
-            with SolverService(n_workers=1, policy="P4", backend=backend,
-                               node_factory=lambda: starved_node(8192)) as svc:
-                out = svc.solve(a, np.ones(a.n_rows))
-            assert not out.degraded and out.backward_error <= 1e-12
-            xs[backend] = out.x
-        np.testing.assert_array_equal(xs["cluster"], xs["serial"])
+        C = 10.0
+        u64 = float(np.finfo(np.float64).eps)
+        rng = np.random.default_rng(20261017)
+        ends = []
+        with SolverService(n_workers=1, policy="P4") as p4, \
+                SolverService(n_workers=1, policy="P1") as p1:
+            for _ in range(20):
+                n = int(round(10.0 ** rng.uniform(np.log10(20), np.log10(2000))))
+                shift = float(10.0 ** rng.uniform(-13, -5))
+                a = random_spd(n, avg_degree=4, seed=int(rng.integers(0, 2**31)), shift=shift)
+                b = rng.standard_normal(n)
+                dense = a.to_dense()
+                x_true = np.linalg.solve(dense, b)
+                try:
+                    out = p4.solve(a, b, tol=0.0, max_iter=30)
+                except UncertifiedSolutionError:
+                    ends.append("typed")
+                    continue
+                except NotPositiveDefiniteError:
+                    # the fp32 factorization broke down on an SPD matrix
+                    # the host factors: typed, never an answer
+                    ends.append("breakdown")
+                    continue
+                ref = p1.solve(a, b, tol=0.0, max_iter=30)
+                err, ref_err = (
+                    np.abs(x - x_true).max() / np.abs(x_true).max() for x in (out.x, ref.x)
+                )
+                if out.degraded:
+                    assert err <= C * ref_err, (n, shift, err, ref_err)
+                else:
+                    floor = np.linalg.cond(dense, np.inf) * u64
+                    assert err <= C * max(ref_err, floor), (n, shift, err, ref_err, floor)
+                ends.append("ok-degraded" if out.degraded else "ok")
+        # both sides of the witness are exercised
+        assert {"ok", "ok-degraded"} <= set(ends)
 
 
 # ----------------------------------------------------------------------
