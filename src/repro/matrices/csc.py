@@ -301,11 +301,23 @@ class CSCMatrix:
         )
 
     def is_structurally_symmetric(self) -> bool:
-        t = self.transpose()
-        return (
-            np.array_equal(self.indptr, t.indptr)
-            and np.array_equal(self.indices, t.indices)
-        )
+        """True when ``(i, j)`` is stored exactly when ``(j, i)`` is.
+
+        The stored keys ``col * n + row`` of a valid square store are
+        strictly ascending, so the pattern is symmetric iff they equal
+        the sorted mirrored keys ``row * n + col`` — one sort, no
+        transpose.  A store whose keys are not strictly ascending
+        (unsorted or repeated rows, ``check=False``) is not symmetric:
+        its transpose would come out sorted and summed.
+        """
+        n = self.n_rows
+        if n != self.n_cols:
+            return False
+        col = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        stored = col * n + self.indices
+        if np.any(stored[1:] <= stored[:-1]):
+            return False
+        return bool(np.array_equal(stored, np.sort(self.indices * n + col)))
 
     def allclose(self, other: "CSCMatrix", *, rtol=1e-10, atol=1e-12) -> bool:
         if self.shape != other.shape:

@@ -26,7 +26,11 @@ through one path: when the factorization raises, or when an answer
 from any factor, cached or fresh, is not certified, it is re-solved on
 a fresh host-fallback factor, published nowhere, and flagged
 ``degraded``; uncertified again, it fails with
-:class:`~repro.multifrontal.refine.UncertifiedSolutionError`.
+:class:`~repro.multifrontal.refine.UncertifiedSolutionError`.  A
+:class:`~repro.dense.kernels.NotPositiveDefiniteError` degrades the
+same way unless the host policy raised it: from fp32 fronts it can
+mean only that cond(A) * u32 reaches 1, and an indefinite matrix
+raises it again from the fallback.
 
 Every stage is timed into :class:`ServiceMetrics` (latency histograms,
 cache and batch counters, queue-depth gauge, Chrome-trace spans).
@@ -48,7 +52,7 @@ from repro.multifrontal.refine import (
 )
 from repro.multifrontal.solve import check_rhs
 from repro.multifrontal.solver import SparseCholeskySolver
-from repro.policies.base import Policy
+from repro.policies.base import Policy, PolicyP1
 from repro.service.batching import BatchPlan
 from repro.service.cache import FactorizationCache
 from repro.service.keys import matrix_key
@@ -536,9 +540,15 @@ class SolverService:
         t0 = self._now()
         try:
             factor, degraded = solver.factorize().factor, False
-        except NotPositiveDefiniteError:
-            raise
-        except Exception:  # anything else the GPU path raises: flagged, not dropped
+        except Exception as exc:
+            # a breakdown under the host policy: the matrix is not SPD.
+            # Anything else the GPU path raises, an fp32 breakdown among
+            # them, is flagged, not dropped (an indefinite matrix raises
+            # again from the fallback)
+            if isinstance(exc, NotPositiveDefiniteError) and isinstance(
+                solver.policy, PolicyP1
+            ):
+                raise
             factor, degraded = self._fallback_factor(req, solver.symbolic), True
         t1 = self._now()
         self.metrics.incr("numeric_factorizations")

@@ -157,10 +157,23 @@ class SymbolicFactor:
                 assert rows.size == k, "root supernode must have empty update"
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` as one plain sort and an adjacent compare.
+
+    numpy 2.x answers ``np.unique`` on integers from a hash table and
+    sorts afterwards; on the 279 174 lower-pattern keys of ``lmco_s``
+    that is ~15x dearer than this, for the same array.
+    """
+    keys = np.sort(keys)
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
 def _lower_entries(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sort and de-duplicate ``row * n + col`` keys; return ``(rows, cols)``
     ordered by row, then column."""
-    return np.divmod(np.unique(keys), n)
+    return np.divmod(_sorted_unique(keys), n)
 
 
 def _supernode_patterns(
@@ -175,29 +188,71 @@ def _supernode_patterns(
         pattern(s) = rows >= l of A[:, f:l]  U  rows >= l of pattern(c)
                      for every child supernode c
 
-    Children carry smaller ids than parents, so an ascending sweep sees
-    every child pattern before it is needed.  ``rows, cols`` are the
-    strictly-lower entries of the postordered matrix.
+    The unions run one tree level at a time, leaves first (a supernode's
+    level is one more than its highest child's), so every child pattern
+    exists before it is needed.  The supernodes of one level are
+    independent: their unions are one sort of ``s * n + row`` keys, and
+    what each passes up is a suffix of its pattern.  A level of one
+    supernode — every level of a path-like tree — is its own union.
+    ``rows, cols`` are the strictly-lower entries of the postordered
+    matrix.
     """
     n_super = super_ptr.size - 1
+    n = int(super_ptr[-1])
+    ends = super_ptr[1:]
     super_of = np.repeat(np.arange(n_super, dtype=np.int64), np.diff(super_ptr))
     entry_super = super_of[cols]
-    below = rows >= super_ptr[entry_super + 1]
+    below = rows >= ends[entry_super]
     entry_super = entry_super[below]
-    a_rows = rows[below][np.argsort(entry_super, kind="stable")]
+    # grouped by supernode in any order within: every union sorts
+    a_rows = rows[below][np.argsort(entry_super)]
     a_ptr = np.zeros(n_super + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry_super, minlength=n_super), out=a_ptr[1:])
 
     bounds = a_ptr.tolist()
     pieces = [[a_rows[bounds[s]:bounds[s + 1]]] for s in range(n_super)]
-    ends = super_ptr[1:].tolist()
-    patterns: list[np.ndarray] = []
-    for s, p in enumerate(sparent.tolist()):
-        pat = np.unique(np.concatenate(pieces[s]))
-        pieces[s] = []  # release
-        patterns.append(pat)
-        if p != NO_PARENT:
-            pieces[p].append(pat[np.searchsorted(pat, ends[p]):])
+    parents = sparent.tolist()
+    # children carry smaller ids than parents: one ascending pass levels
+    # the tree
+    height = [0] * n_super
+    levels: list[list[int]] = [[]]
+    for s, p in enumerate(parents):
+        h = height[s]
+        if h == len(levels):
+            levels.append([])
+        levels[h].append(s)
+        if p != NO_PARENT and height[p] <= h:
+            height[p] = h + 1
+
+    ends_list = ends.tolist()
+    patterns: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
+    for level in levels:
+        if len(level) == 1:
+            s = level[0]
+            pat = _sorted_unique(np.concatenate(pieces[s]))
+            pieces[s] = []  # release
+            patterns[s] = pat
+            p = parents[s]
+            if p != NO_PARENT:
+                pieces[p].append(pat[np.searchsorted(pat, ends_list[p]):])
+            continue
+        own = np.array(level, dtype=np.int64)
+        owner = np.repeat(own, [sum(x.size for x in pieces[s]) for s in level])
+        keys = _sorted_unique(
+            owner * n + np.concatenate([x for s in level for x in pieces[s]])
+        )
+        key_owner = keys // n
+        pat_rows = keys - key_owner * n
+        lo = np.searchsorted(key_owner, own).tolist()
+        hi = lo[1:] + [keys.size]
+        # each pattern passes up its rows past its parent's last column
+        up = own * n + np.where(sparent[own] == NO_PARENT, n, ends[sparent[own]])
+        for s, a, b, u in zip(level, lo, hi, np.searchsorted(keys, up).tolist()):
+            pieces[s] = []
+            patterns[s] = pat_rows[a:b]
+            p = parents[s]
+            if p != NO_PARENT:
+                pieces[p].append(pat_rows[u:b])
     return patterns
 
 
@@ -264,7 +319,8 @@ def symbolic_factorize(
     tree, post = postordered(parent)
     full_perm = base_perm[post]
     new_label = invert_permutation(post)
-    rows, cols = _lower_entries(new_label[rows] * n + new_label[cols], n)
+    # a bijection keeps the keys distinct: a sort, nothing to de-duplicate
+    rows, cols = np.divmod(np.sort(new_label[rows] * n + new_label[cols]), n)
 
     fund_ptr = skeleton_supernodes(tree.parent, rows, cols)
     patterns = _supernode_patterns(

@@ -9,14 +9,78 @@ against, bit for bit on the lower triangle
 their own right in ``tests/test_multifrontal.py``.  They read the
 permuted lower triangle of the matrix column by column and mirror every
 entry, so they are slow and obviously right.
+
+:func:`reference_plan` is the plan's own index arrays built one
+supernode at a time, two searches per front — the oracle for the
+whole-plan position search (``tests/test_multifrontal.py``,
+``TestPlanAgainstPerSupernodeBuild``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.matrices.csc import CSCMatrix
+from repro.multifrontal.batched import batch_groups
+from repro.multifrontal.frontal import RUN_CUT, _permuted_lower
 from repro.symbolic.symbolic import SymbolicFactor
+
+
+def reference_plan(a: CSCMatrix, sf: SymbolicFactor) -> SimpleNamespace:
+    """The ``src`` / ``dst`` / ``rel_row`` / ``rel_col`` / ``runs`` /
+    ``groups`` of ``AssemblyPlan(a, sf)``, located per supernode: each
+    front's entries searched in its own rows, each child's update rows
+    in its parent's, with the same containment errors."""
+    all_rows, all_cols, origin = _permuted_lower(a, sf.perm)
+    bounds = np.searchsorted(all_cols, sf.super_ptr).tolist()
+    n_super = sf.n_supernodes
+    plan = SimpleNamespace(
+        src=[None] * n_super, dst=[None] * n_super, rel_row=[None] * n_super,
+        rel_col=[None] * n_super, runs=[None] * n_super, groups=[],
+    )
+    for s in range(n_super):
+        rows = sf.rows[s]
+        f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
+        size = rows.size
+        lo, hi = bounds[s], bounds[s + 1]
+        ridx = all_rows[lo:hi]
+        pos = np.searchsorted(rows, ridx)
+        if pos.size and (np.any(pos >= size) or np.any(rows[pos] != ridx)):
+            raise ValueError(
+                f"supernode {s}: matrix entries outside symbolic pattern"
+            )
+        plan.src[s] = origin[lo:hi]
+        plan.dst[s] = pos * size + (all_cols[lo:hi] - f_col)
+
+        p = int(sf.sparent[s])
+        if p >= 0 and rows.size > l_col - f_col:
+            crows = rows[l_col - f_col:]
+            prows = sf.rows[p]
+            idx = np.searchsorted(prows, crows)
+            if np.any(idx >= prows.size) or np.any(prows[idx] != crows):
+                raise ValueError(
+                    "extend-add: child rows not contained in parent front"
+                )
+            if idx.size < RUN_CUT:
+                plan.rel_row[s] = idx.reshape(-1, 1)
+                plan.rel_col[s] = idx.reshape(1, -1)
+            else:
+                cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+                plan.runs[s] = [
+                    (idx[lo:], lo, hi, int(idx[lo]), int(idx[lo]) + hi - lo)
+                    for lo, hi in zip([0] + cuts, cuts + [idx.size])
+                ]
+
+    for g in batch_groups(sf):
+        src = np.concatenate([plan.src[s] for s in g.sids])
+        dst = np.concatenate([
+            i * g.size * g.size + plan.dst[s] for i, s in enumerate(g.sids)
+        ])
+        plan.groups.append(dataclasses.replace(g, src=src, dst=dst))
+    return plan
 
 
 def assemble_front(

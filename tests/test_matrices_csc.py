@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.matrices import COOMatrix, CSCMatrix, csc_from_dense
 
@@ -170,3 +172,79 @@ class TestTransforms:
         assert a.allclose(b)
         b.data[0] += 1.0
         assert not a.allclose(b)
+
+
+def transpose_is_symmetric(m: CSCMatrix) -> bool:
+    """The definition ``is_structurally_symmetric`` is held to: the
+    store equals its own explicit transpose, index for index."""
+    t = m.transpose()
+    return bool(
+        np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
+    )
+
+
+def _raw_store(shape, columns):
+    """A ``check=False`` store holding each column's rows as given:
+    unsorted and repeated rows stay as they are."""
+    indptr = np.zeros(shape[1] + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in columns], out=indptr[1:])
+    indices = np.array([r for c in columns for r in c], dtype=np.int64)
+    return CSCMatrix(shape, indptr, indices, np.ones(indices.size), check=False)
+
+
+@st.composite
+def stores(draw):
+    """Full, lower-only, upper-only and mixed symmetric stores, stores of
+    an arbitrary pattern (non-square among them) and raw stores with
+    unsorted or repeated rows; 0x0 and 1x1 included."""
+    kind = draw(st.sampled_from(
+        ["full", "lower", "upper", "mixed", "pattern", "raw"]
+    ))
+    n = draw(st.integers(0, 7))
+    n_cols = draw(st.integers(0, 7)) if kind in ("pattern", "raw") else n
+    if kind == "raw":
+        rows = st.lists(st.integers(0, n - 1), max_size=5) if n else st.just([])
+        columns = draw(st.lists(rows, min_size=n_cols, max_size=n_cols))
+        return _raw_store((n, n_cols), columns)
+    if kind == "pattern":
+        cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n_cols - 1, 0)))
+        pairs = draw(st.lists(cells, max_size=20)) if n and n_cols else []
+    else:
+        cell = st.integers(0, max(n - 1, 0))
+        pairs = draw(st.lists(st.tuples(cell, cell), max_size=20)) if n else []
+        lo = [(max(i, j), min(i, j)) for i, j in pairs]
+        side = draw(st.lists(st.sampled_from(["lower", "upper", "both"]),
+                             min_size=len(lo), max_size=len(lo)))
+        if kind != "mixed":
+            side = [kind if kind != "full" else "both"] * len(lo)
+        pairs = [(i, j) for (i, j), s in zip(lo, side) if s != "upper"]
+        pairs += [(j, i) for (i, j), s in zip(lo, side) if s != "lower"]
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+    return CSCMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n_cols))
+
+
+class TestStructuralSymmetry:
+    """``is_structurally_symmetric`` sorts the mirrored keys once; its
+    answer is the transpose comparison's on every kind of store."""
+
+    @given(stores())
+    # empty, 1x1 with and without its diagonal, non-square
+    @example(_raw_store((0, 0), []))
+    @example(_raw_store((1, 1), [[]]))
+    @example(_raw_store((1, 1), [[0]]))
+    @example(_raw_store((2, 3), [[0], [1], []]))
+    @example(_raw_store((3, 2), [[0, 1], [0]]))
+    # a symmetric pattern whose rows are unsorted or repeated
+    @example(_raw_store((2, 2), [[1, 0], [0, 1]]))
+    @example(_raw_store((2, 2), [[0, 0], [1]]))
+    @example(_raw_store((2, 2), [[0, 1], [0, 0, 1]]))
+    def test_agrees_with_the_transpose(self, m):
+        assert m.is_structurally_symmetric() is transpose_is_symmetric(m)
+
+    def test_each_kind_of_store(self):
+        full = csc_from_dense(dense_ref())
+        assert full.is_structurally_symmetric()
+        for one_side in (full.lower_triangle(), csc_from_dense(np.triu(dense_ref()))):
+            assert not one_side.is_structurally_symmetric()
+            assert one_side.symmetrize_from_lower().is_structurally_symmetric()

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.matrices import grid_laplacian_2d, grid_laplacian_3d, random_spd
+from repro.matrices import (
+    elasticity_3d,
+    grid_laplacian_2d,
+    grid_laplacian_3d,
+    load_test_matrix,
+    random_spd,
+)
 from repro.matrices.csc import CSCMatrix, csc_from_dense
 from repro.multifrontal import (
     SparseCholeskySolver,
@@ -13,11 +19,15 @@ from repro.multifrontal import (
     iterative_refinement,
     solve_factored,
 )
-from repro.multifrontal.frontal import assembly_bytes
+from repro.multifrontal.frontal import AssemblyPlan, assembly_bytes
 from repro.gpu import SimulatedNode
 from repro.policies import make_policy
-from repro.symbolic import symbolic_factorize
-from tests.reference_assembly import assemble_front, extend_add
+from repro.symbolic import (
+    AMALGAMATION_PRESETS,
+    amalgamation_preset,
+    symbolic_factorize,
+)
+from tests.reference_assembly import assemble_front, extend_add, reference_plan
 from tests.reference_solve import trsv_lower, trsv_lower_t
 
 
@@ -219,6 +229,99 @@ class TestTriangleStorage:
         )
         with pytest.raises(ValueError, match="more than once"):
             AssemblyPlan(twice, sf)
+
+
+class TestPlanAgainstPerSupernodeBuild:
+    """``AssemblyPlan`` places every entry and every child row with one
+    position search over all fronts; ``reference_plan`` searches front by
+    front.  Every index array and every group's gather/scatter agree, and
+    the build refuses what the per-supernode one refuses, with its
+    messages."""
+
+    @staticmethod
+    def assert_same_plan(plan, ref):
+        for name in ("src", "dst", "rel_row", "rel_col"):
+            for s, (got, want) in enumerate(
+                zip(getattr(plan, name), getattr(ref, name), strict=True)
+            ):
+                assert (got is None) == (want is None), (name, s)
+                if got is not None:
+                    assert got.dtype == want.dtype, (name, s)
+                    assert np.array_equal(got, want), (name, s)
+        for s, (got, want) in enumerate(zip(plan.runs, ref.runs, strict=True)):
+            assert (got is None) == (want is None), ("runs", s)
+            for (rows, *bounds), (ref_rows, *ref_bounds) in zip(
+                got or [], want or [], strict=True
+            ):
+                assert np.array_equal(rows, ref_rows) and bounds == ref_bounds
+        for g, h in zip(plan.groups, ref.groups, strict=True):
+            assert (g.size, g.k, g.sids) == (h.size, h.k, h.sids)
+            assert np.array_equal(g.src, h.src) and np.array_equal(g.dst, h.dst)
+
+    # the four matrices whose structure TestPinnedStructure pins
+    PINNED = {
+        "lmco_s/nd": lambda: load_test_matrix("lmco_s"),
+        "grid_laplacian_2d/amd": lambda: grid_laplacian_2d(48, 46),
+        "grid_laplacian_3d/amd": lambda: grid_laplacian_3d(13, 13, 12),
+        "elasticity_3d/amd": lambda: elasticity_3d(8, 7, 7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_structures(self, case):
+        a = self.PINNED[case]()
+        sf = symbolic_factorize(a, ordering=case.split("/")[1])
+        self.assert_same_plan(AssemblyPlan(a, sf), reference_plan(a, sf))
+
+    @pytest.mark.parametrize("storage", ["lower", "mixed"])
+    def test_one_triangle_and_mixed_stores(self, storage):
+        stored = TestTriangleStorage.stores(grid_laplacian_2d(9, 8))[storage]
+        sf = symbolic_factorize(stored, ordering="nd")
+        self.assert_same_plan(AssemblyPlan(stored, sf), reference_plan(stored, sf))
+
+    @pytest.mark.parametrize("preset", AMALGAMATION_PRESETS)
+    def test_amalgamation_presets(self, preset):
+        a = elasticity_3d(5, 5, 4)
+        sf = symbolic_factorize(
+            a, ordering="nd", amalgamation=amalgamation_preset(preset)
+        )
+        self.assert_same_plan(AssemblyPlan(a, sf), reference_plan(a, sf))
+
+    def test_entry_outside_the_pattern_is_refused(self):
+        from tests.test_bench import _with_entry_outside_pattern
+
+        a = grid_laplacian_2d(6, 6)
+        sf = symbolic_factorize(a, ordering="nd")
+        tampered = _with_entry_outside_pattern(a, sf)
+        messages = []
+        for build in (AssemblyPlan, reference_plan):
+            with pytest.raises(ValueError) as err:
+                build(tampered, sf)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith(": matrix entries outside symbolic pattern")
+
+    def test_child_rows_missing_from_the_parent_are_refused(self):
+        import dataclasses
+
+        a = grid_laplacian_2d(6, 6)
+        sf = symbolic_factorize(a, ordering="nd")
+        # one row more in a child's update than its parent's front holds
+        # (a larger front of its own never strands an entry of A)
+        s = next(s for s in range(sf.n_supernodes) if sf.sparent[s] >= 0)
+        parent_rows = set(sf.rows[int(sf.sparent[s])].tolist())
+        extra = next(
+            r for r in range(int(sf.super_ptr[s + 1]), sf.n)
+            if r not in parent_rows and r not in set(sf.rows[s].tolist())
+        )
+        rows = list(sf.rows)
+        rows[s] = np.sort(np.append(rows[s], extra))
+        tampered = dataclasses.replace(sf, rows=rows)
+        for build in (AssemblyPlan, reference_plan):
+            with pytest.raises(
+                ValueError,
+                match="extend-add: child rows not contained in parent front",
+            ):
+                build(a, tampered)
 
 
 class TestTriangularSolves:

@@ -258,6 +258,38 @@ class TestPinnedStructure:
         assert structure_digest(sf) == self.PINNED[case]
 
 
+def test_lmco_s_cold_analysis_counts(monkeypatch):
+    """The counts-gate CI runs by name: lmco_s/nd keeps its pinned
+    structure, its analysis de-duplicates every pattern with a plain sort
+    (3 249 ``np.unique`` calls before: two over the whole lower pattern,
+    one per fundamental supernode), and its assembly plan places every
+    entry and every child row with whole-plan searches (3 966 calls
+    before: one per supernode for its entries, one per child for its
+    update rows, one for the column bounds)."""
+    from repro.multifrontal.frontal import AssemblyPlan
+
+    calls = {"unique": 0, "searchsorted": 0}
+
+    def counting(name):
+        real = getattr(np, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    a = load_test_matrix("lmco_s")
+    monkeypatch.setattr(np, "unique", counting("unique"))
+    sf = symbolic_factorize(a, ordering="nd")
+    assert structure_digest(sf) == TestPinnedStructure.PINNED["lmco_s/nd"]
+    monkeypatch.setattr(np, "searchsorted", counting("searchsorted"))
+    AssemblyPlan(a, sf)
+    assert calls["unique"] == 0
+    # the column bounds, the entries, the child rows
+    assert calls["searchsorted"] <= 3
+
+
 def assert_matches_column_oracle(a, sf):
     """``sf`` against the column-at-a-time definition it no longer runs:
     the etree of the permuted matrix, ``column_patterns`` and the
