@@ -15,8 +15,9 @@ interconnect they talk through.
 A fleet run only prices: it decides where and when each front runs,
 never what is computed.  :func:`cluster_factorize` runs the timing
 simulation for the makespan, then the one numerics pass
-(:func:`repro.parallel.scheduler.scheduled_numeric_factor`) on one node
-of the fleet's shape, so the factor (and its fingerprint) is
+(:func:`repro.multifrontal.numeric.postorder_numeric_factor`, under
+:func:`repro.parallel.scheduler.scheduled_fronts`) on one node of the
+fleet's shape, so the factor (and its fingerprint) is
 bit-identical to the serial walk's on that node at every rank count.
 ``SparseCholeskySolver(backend="cluster")`` prices through
 :func:`cluster_replay` and runs the same numerics pass on the solver's
@@ -31,7 +32,8 @@ from repro.cluster.interconnect import Interconnect
 from repro.cluster.mapping import map_subtrees_to_ranks
 from repro.cluster.topology import ClusterSpec
 from repro.matrices.csc import CSCMatrix
-from repro.parallel.scheduler import scheduled_numeric_factor
+from repro.multifrontal.numeric import postorder_numeric_factor
+from repro.parallel.scheduler import scheduled_fronts
 from repro.policies.base import Policy
 from repro.runtime.engine import DynamicRuntime, RuntimeResult
 from repro.symbolic.symbolic import SymbolicFactor
@@ -95,8 +97,9 @@ def cluster_factorize(
     the serial walk's on that node regardless of ``spec.n_ranks``.
     """
     result = cluster_replay(sf, policy, spec, owner=owner)
-    result.factor = scheduled_numeric_factor(
-        a, sf, policy, spec.build_nodes()[0], result.schedule,
+    node = spec.build_nodes()[0]
+    result.factor = postorder_numeric_factor(
+        a, sf, scheduled_fronts(sf, policy, node, result.schedule), node,
         makespan=result.makespan,
     )
     return result

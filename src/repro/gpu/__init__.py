@@ -16,7 +16,7 @@ Components
 ``spec``       hardware description records (Table I).
 ``perfmodel``  the calibrated kernel/transfer timing model.
 ``allocator``  high-water-mark device & pinned-host memory pools (V-A2).
-``cublas``     simulated CUBLAS context: fp32 kernels + time charging.
+``cublas``     simulated CUBLAS context: fp32 kernels + kernel pricing.
 ``device``     ties the above into a `SimulatedGpu` / `HostCpu` pair.
 """
 

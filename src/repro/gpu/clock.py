@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "SimTask",
+    "Span",
     "TaskGraph",
     "EngineTimeline",
     "engine_counters",
@@ -60,6 +61,25 @@ class SimTask:
     @property
     def scheduled(self) -> bool:
         return self.end >= 0.0
+
+
+@dataclass(frozen=True)
+class Span:
+    """A finished piece of simulated work on an engine, as a run hands it
+    out: the fields of a scheduled :class:`SimTask`, frozen, so a copy of
+    the list that holds it shares nothing a caller can change."""
+
+    name: str
+    engine: str
+    start: float
+    end: float
+    category: str = "other"
+    #: a span is always scheduled (what the trace exporter checks)
+    scheduled = True
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
 
 
 @dataclass

@@ -8,8 +8,12 @@ reproduces both halves of that deal:
 * **numerics** — kernels execute with NumPy in ``float32`` (or ``float64``
   when the model is switched to the dp parameter set), so the factor
   really loses precision the way the paper's did;
-* **timing** — every kernel reports its simulated duration from the
-  calibrated :class:`~repro.gpu.perfmodel.PerfModel`.
+* **timing** — :meth:`CublasContext.price` prices a kernel list with the
+  calibrated :class:`~repro.gpu.perfmodel.PerfModel`.  A kernel call
+  keeps no time: :attr:`CublasContext.busy_seconds` is owned by the
+  numerics pass (:func:`repro.multifrontal.numeric.device_kernels`),
+  which adds the seconds of the kernels its fronts ran once, after the
+  walk, from a list kept per pattern beside the priced pass.
 
 It also implements the :class:`~repro.dense.blocked.KernelProvider`
 protocol, so the Figure-9 blocked panel algorithm runs unmodified on the
@@ -60,33 +64,21 @@ def panel_kernel_sequence(s: int, k: int, w: int) -> list[KernelCall]:
 
 
 class CublasContext:
-    """Device kernel provider: fp32 numerics + simulated durations.
+    """Device kernel provider: fp32 numerics, priced apart.
 
-    Use :meth:`last_call_seconds` (or the running :attr:`busy_seconds`)
-    after each kernel for time attribution, or price call lists directly
-    with :meth:`price`.
+    The kernels compute and keep no time; :meth:`price` prices a call
+    list, and :attr:`busy_seconds` is the device-kernel seconds the
+    numerics pass ran on this device since the node's last reset.
     """
 
     def __init__(self, model: PerfModel):
         self.model = model
         self.busy_seconds = 0.0
-        self.last_call_seconds = 0.0
-        self.calls: list[KernelCall] = []
 
     @property
     def dtype(self):
         """Device compute dtype: float32 under 'sp' (the paper's mode)."""
         return np.float32 if self.model.precision == "sp" else np.float64
-
-    # -- internal ------------------------------------------------------
-    def _charge(self, call: KernelCall) -> float:
-        t = self.model.kernel_time(
-            "gpu", call.kernel, m=call.m, n=call.n, k=call.k
-        )
-        self.busy_seconds += t
-        self.last_call_seconds = t
-        self.calls.append(call)
-        return t
 
     def _as_device(self, a: np.ndarray) -> np.ndarray:
         if a.dtype != self.dtype:
@@ -96,10 +88,9 @@ class CublasContext:
             )
         return a
 
-    # -- KernelProvider protocol (numerics + charging) ------------------
+    # -- KernelProvider protocol (numerics) ------------------------------
     def potrf(self, a: np.ndarray) -> np.ndarray:
         a = self._as_device(a)
-        self._charge(KernelCall("potrf", k=a.shape[0]))
         # fp32 Cholesky may hit spurious non-positive pivots for
         # ill-conditioned blocks; promote internally like the real
         # mixed-precision kernels do for the tiny w x w panel
@@ -109,43 +100,28 @@ class CublasContext:
             return hk.potrf(a.astype(np.float64)).astype(self.dtype)
 
     def trsm(self, b: np.ndarray, l: np.ndarray) -> np.ndarray:
-        b = self._as_device(b)
-        l = self._as_device(l)
-        self._charge(KernelCall("trsm", m=b.shape[0], k=l.shape[0]))
-        return hk.trsm_right_lower(b, l)
+        return hk.trsm_right_lower(self._as_device(b), self._as_device(l))
 
     def syrk(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-        c = self._as_device(c)
-        x = self._as_device(x)
-        self._charge(KernelCall("syrk", m=x.shape[0], k=x.shape[1]))
-        return hk.syrk(c, x)
+        return hk.syrk(self._as_device(c), self._as_device(x))
 
     def gemm(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = self._as_device(c)
-        self._charge(
-            KernelCall("gemm", m=a.shape[0], n=b.shape[1], k=a.shape[1])
+        return hk.gemm(
+            self._as_device(c), self._as_device(a), self._as_device(b)
         )
-        return hk.gemm(c, self._as_device(a), self._as_device(b))
 
     def syrk_outer(self, x: np.ndarray) -> np.ndarray:
         """``W = X X^T`` — the form policy P2 ships back to the host,
         which then applies ``U -= W`` locally (Section IV-B)."""
         x = self._as_device(x)
-        self._charge(KernelCall("syrk", m=x.shape[0], k=x.shape[1]))
         return x @ x.T
-
-    def charge(self, calls: list[KernelCall]) -> None:
-        """Charge ``calls`` in order, exactly as running them would,
-        without running them: a stacked leaf group is computed in one go
-        and each member charges its own kernels at its own turn."""
-        for call in calls:
-            self._charge(call)
 
     # -- pure pricing ----------------------------------------------------
     def price(self, calls: list[KernelCall]) -> float:
-        """Total simulated seconds of a kernel call list (no numerics,
-        no charging — used by the schedule estimators)."""
-        return sum(
-            self.model.kernel_time("gpu", c.kernel, m=c.m, n=c.n, k=c.k)
-            for c in calls
-        )
+        """Total simulated seconds of a kernel call list, added in order
+        from zero (no numerics): what :attr:`busy_seconds` gains from a
+        fresh node when the numerics pass runs ``calls``."""
+        total = 0.0
+        for c in calls:
+            total += self.model.kernel_time("gpu", c.kernel, m=c.m, n=c.n, k=c.k)
+        return total

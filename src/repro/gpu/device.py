@@ -152,7 +152,6 @@ class SimulatedNode:
         self.engines = {}
         for g in self.gpus:
             g.cublas.busy_seconds = 0.0
-            g.cublas.calls.clear()
             for pool in (g.device_pool, g.pinned_pool):
                 pool.release()
                 pool.stats = AllocationStats()

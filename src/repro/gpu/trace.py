@@ -2,8 +2,9 @@
 
 Any scheduled task set (from a factorization's node, a
 :class:`~repro.gpu.clock.ScheduleResult`, or a list of
-:class:`~repro.gpu.clock.SimTask`) can be dumped in the Chrome Trace
-Event Format and inspected in ``chrome://tracing`` / Perfetto — engines
+:class:`~repro.gpu.clock.SimTask` or :class:`~repro.gpu.clock.Span`) can
+be dumped in the Chrome Trace Event Format and inspected in
+``chrome://tracing`` / Perfetto — engines
 become rows, tasks become slices colored by category, and overlap
 (copy under compute, CPU under GPU) is visible at a glance.  Invaluable
 when debugging why a policy's critical path is what it is.
@@ -15,7 +16,7 @@ import json
 import re
 from typing import Iterable
 
-from repro.gpu.clock import SimTask
+from repro.gpu.clock import SimTask, Span
 
 __all__ = ["tasks_to_chrome_trace", "write_chrome_trace"]
 
@@ -67,7 +68,7 @@ def _engine_sort_key(engine: str) -> tuple[int, int, str]:
 
 
 def tasks_to_chrome_trace(
-    tasks: Iterable[SimTask], *, time_unit: float = 1e6
+    tasks: Iterable[SimTask | Span], *, time_unit: float = 1e6
 ) -> dict:
     """Convert scheduled tasks to a Chrome Trace Event Format dict.
 
@@ -119,7 +120,7 @@ def tasks_to_chrome_trace(
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path, tasks: Iterable[SimTask], **kwargs) -> None:
+def write_chrome_trace(path, tasks: Iterable[SimTask | Span], **kwargs) -> None:
     """Write a ``chrome://tracing``-loadable JSON file."""
     with open(path, "w") as fh:
         json.dump(tasks_to_chrome_trace(tasks, **kwargs), fh)

@@ -208,6 +208,11 @@ def factor_batch_group(
     the float64 ``(B, size, k)`` panels and ``(B, m, m)`` updates (a
     ``None`` per member when the fronts have no rows below their
     pivots); entry ``i`` of both belongs to ``g.sids[i]``.
+
+    No kernel provider is involved and no time is kept: the device
+    seconds of the members' kernels are in the numerics pass's one list
+    (:func:`repro.multifrontal.numeric.device_kernels`), each at its
+    member's turn, as if the member had run on its own.
     """
     stack = np.zeros((len(g), g.size, g.size), dtype=np.float64)
     # ``+=`` as the per-front assembly does it (-0.0 lands as +0.0)

@@ -62,6 +62,7 @@ from repro.multifrontal.frontal import AssemblyPlan, get_assembly_plan
 from repro.multifrontal.numeric import (
     FURecord,
     NumericFactor,
+    PricedFronts,
     ReplayResult,
     postorder_numeric_factor,
 )
@@ -270,9 +271,9 @@ def factorize_resident(
     records, bases, assembly_seconds, stats = _price_resident(
         sf, node, place_on_device, get_assembly_plan(a, sf)
     )
+    fronts = PricedFronts.of(sf, records, bases, Worker.canonical(node), sf.spost)
     factor = postorder_numeric_factor(
-        a, sf, bases, Worker.canonical(node), node, records,
-        makespan=node.now, assembly_seconds=assembly_seconds,
+        a, sf, fronts, node, makespan=node.now, assembly_seconds=assembly_seconds,
     )
     return factor, stats
 

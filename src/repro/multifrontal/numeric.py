@@ -15,20 +15,24 @@ again (:func:`price_once_per_pattern`).  The *numerics pass*
 (:func:`postorder_numeric_factor`) does the floating-point work — one
 way, the fastest bit-identical way, under every backend's task-to-worker
 mapping: assemble each front, run its factor-update, hand the update
-matrix to the parent.
+matrix to the parent.  Its device kernels run uncharged; what the pass
+owes the device clock (``cublas.busy_seconds``) is one list of kernel
+seconds, also fixed by the pattern, kept with the priced pass
+(:class:`PricedFronts`) and added after the walk.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, TypeVar
+from dataclasses import astuple, dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError
 from repro.gpu.allocator import AllocationStats
 from repro.gpu.clock import EngineTimeline, TaskGraph, schedule_graph
+from repro.gpu.cublas import KernelCall
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import PerfModel
 from repro.matrices.csc import CSCMatrix
@@ -51,6 +55,8 @@ if TYPE_CHECKING:
 __all__ = [
     "FURecord",
     "NumericFactor",
+    "PricedFronts",
+    "device_kernels",
     "factorize_numeric",
     "postorder_numeric_factor",
     "price_once_per_pattern",
@@ -81,6 +87,61 @@ class FURecord:
     @property
     def total_flops(self) -> float:
         return float(sum(self.flops))
+
+
+def device_kernels(
+    sf: SymbolicFactor, bases: Sequence[Policy], order
+) -> list[KernelCall]:
+    """Every device kernel the numerics pass runs over the supernodes of
+    ``order`` under ``bases``, in the walk's order: each front's
+    ``kernel_calls`` at its own turn, a member of a stacked leaf group
+    included (its slice is bit-identical to the front run on its own)."""
+    calls: list[KernelCall] = []
+    for s in np.asarray(order).tolist():
+        base = bases[s]
+        if base.needs_gpu:
+            k = sf.width(s)
+            calls += base.kernel_calls(sf.rows[s].size - k, k)
+    return calls
+
+
+def _kernel_seconds(
+    sf: SymbolicFactor, bases: Sequence[Policy], worker: Worker, order
+) -> tuple[float, ...]:
+    """The simulated seconds of :func:`device_kernels` on ``worker``'s
+    GPU, one per kernel, in order."""
+    if worker.gpu is None:
+        return ()
+    time = worker.gpu.cublas.model.kernel_time
+    return tuple(
+        time("gpu", c.kernel, m=c.m, n=c.n, k=c.k)
+        for c in device_kernels(sf, bases, order)
+    )
+
+
+@dataclass(frozen=True)
+class PricedFronts:
+    """What a pricing pass hands the numerics pass: one record per front
+    in the pass's order, the base policy each supernode is computed
+    under (indexed by supernode id) and the seconds of every device
+    kernel those policies run on the canonical worker's GPU, in the
+    walk's order (:func:`device_kernels`) — the only time the numerics
+    pass keeps.  All three are fixed by the pass, so a memoised pass
+    keeps them and a warm factorization neither rebuilds a record nor
+    resolves a policy nor prices a kernel."""
+
+    records: tuple[FURecord, ...]
+    bases: tuple[Policy, ...]
+    kernel_seconds: tuple[float, ...]
+
+    @classmethod
+    def of(
+        cls, sf: SymbolicFactor, records, bases, worker: Worker, order
+    ) -> "PricedFronts":
+        return cls(
+            tuple(records), tuple(bases),
+            _kernel_seconds(sf, bases, worker, order),
+        )
 
 
 @dataclass
@@ -244,18 +305,20 @@ class _PricedPass:
     so that a warm ``refactorize`` does not price again what only the
     pattern decides — whichever pass priced it: the serial walk
     (:func:`_price_once`) or a scheduler
-    (:func:`repro.parallel.scheduler.parallel_factorize`).  Immutable,
-    and nothing in it is handed out: a hit copies out of it, a refill
-    replaces it (last writer wins between threads sharing the symbolic
-    factor)."""
+    (:func:`repro.parallel.scheduler.parallel_factorize`).  Immutable:
+    the node's end state is kept as plain values and the outcome as
+    ``fresh`` left it, whose frozen parts a hit hands out as they are;
+    a refill replaces the slot (last writer wins between threads sharing
+    the symbolic factor)."""
 
     key: tuple                      # :func:`_pass_key`
     models: tuple[PerfModel, ...]   # the node's and its GPUs', copies
     outcome: object                 # what the pass returned
-    engines: tuple[EngineTimeline, ...]
+    #: every engine timeline's fields, in the node's order
+    engines: tuple[tuple, ...]
     #: end state of every GPU pool of the node: capacity (``None`` for a
-    #: per-call pool, which keeps none), ``in_use``, statistics
-    pools: tuple[tuple["int | None", int, AllocationStats], ...]
+    #: per-call pool, which keeps none), ``in_use``, statistics' fields
+    pools: tuple[tuple["int | None", int, tuple], ...]
 
 
 def _gpu_pools(node: SimulatedNode) -> list:
@@ -314,32 +377,32 @@ def price_once_per_pattern(
     ``node``, driven as ``how`` says — paid once per pattern where the
     pass is a function of the pattern (:func:`_pass_key`).
 
-    A hit needs the slot's key and perf models; it puts back the engine
+    A hit needs the slot's key and perf models; it builds the engine
     timelines and every GPU pool's capacity, ``in_use`` and statistics
     the pass left, and returns ``fresh(kept outcome)`` (``fresh`` copies
-    whatever a caller could mutate), so the node and the outcome read
-    exactly as after a real pass.  A pure miss keeps ``fresh(outcome)``
-    and the node's end state.  Everything else prices as if this
-    function did not exist.
+    the containers a caller could mutate; what they hold is frozen), so
+    the node and the outcome read exactly as after a real pass.  A pure
+    miss keeps ``fresh(outcome)`` and the node's end state.  Everything
+    else prices as if this function did not exist.
     """
     key = _pass_key(policy, node, workers, how)
     models = (node.model, *(g.model for g in node.gpus))
     memo: _PricedPass | None = getattr(sf, "_priced_pass", None)
     if key is not None and memo and memo.key == key and memo.models == models:
-        node.engines.update((t.name, replace(t)) for t in memo.engines)
+        node.engines.update((row[0], EngineTimeline(*row)) for row in memo.engines)
         for pool, (capacity, in_use, stats) in zip(_gpu_pools(node), memo.pools):
             if capacity is not None:
                 pool.capacity = capacity
             pool.in_use = in_use
-            pool.stats = replace(stats)
+            pool.stats = AllocationStats(*stats)
         return fresh(memo.outcome)  # type: ignore[arg-type]
     outcome = price()
     if key is not None:
         sf._priced_pass = _PricedPass(  # type: ignore[attr-defined]
             key, copy.deepcopy(models), fresh(outcome),
-            tuple(replace(t) for t in node.engines.values()),
+            tuple(astuple(t) for t in node.engines.values()),
             tuple(
-                (getattr(p, "capacity", None), p.in_use, replace(p.stats))
+                (getattr(p, "capacity", None), p.in_use, astuple(p.stats))
                 for p in _gpu_pools(node)
             ),
         )
@@ -352,36 +415,47 @@ def _price_once(
     node: SimulatedNode,
     worker: Worker,
     spost: "np.ndarray | None",
-) -> tuple[list[FURecord], list[Policy], float]:
-    """:func:`_price_postorder` for :func:`factorize_numeric`, paid once
-    per pattern where the pass is a function of the pattern
+) -> tuple[PricedFronts, float]:
+    """:func:`_price_postorder` for :func:`factorize_numeric`, with the
+    device-kernel seconds of its resolved policies, paid once per
+    pattern where the pass is a function of the pattern
     (:func:`price_once_per_pattern`: fresh node, plain-scalar policy —
-    P1 to P4, not a selector).  The key adds the schedule walked; a hit
-    hands out fresh record and policy lists.
+    P1 to P4, not a selector).  The key adds the schedule walked; the
+    outcome is frozen, so a hit hands it out as it is.
     """
     order = np.asarray(sf.spost if spost is None else spost)
-    return price_once_per_pattern(
-        sf, policy, node, [worker], ("serial", order.tobytes()),
-        lambda: _price_postorder(
+
+    def price() -> tuple[PricedFronts, float]:
+        records, bases, assembly_seconds = _price_postorder(
             sf, policy, node, worker, spost, assembly_in_record=False
-        ),
-        lambda out: (list(out[0]), list(out[1]), out[2]),
+        )
+        return PricedFronts.of(sf, records, bases, worker, order), assembly_seconds
+
+    return price_once_per_pattern(
+        sf, policy, node, [worker], ("serial", order.tobytes()), price,
+        lambda out: out,
     )
 
 
 def _numeric_walk(
     a: CSCMatrix,
     sf: SymbolicFactor,
-    bases: list[Policy],
+    bases: Sequence[Policy],
     worker: Worker,
     order: "np.ndarray",
+    kernel_seconds: Sequence[float],
 ) -> tuple[
     list["np.ndarray | None"], dict[int, np.ndarray], dict[int, np.ndarray],
     int, int, int,
 ]:
     """The floating-point walk over the supernodes of ``order`` (children
     before parents): assemble each front, run its factor-update under
-    ``bases[s]``, hand the update matrix to the parent.  Fronts and
+    ``bases[s]``, hand the update matrix to the parent.  Its device
+    kernels keep no time: after the walk, ``kernel_seconds`` (the seconds
+    of :func:`device_kernels` over ``order`` on ``worker``'s GPU, kept
+    per pattern with the priced pass) are added onto that GPU's
+    ``cublas.busy_seconds`` one by one, the float adds of one charge
+    per kernel in the walk's order.  Fronts and
     update matrices are live in their lower triangle only
     (:mod:`repro.multifrontal.frontal`); every unstacked front is a
     zero-filled view of one workspace sized for the largest, and the
@@ -401,8 +475,8 @@ def _numeric_walk(
     (:mod:`repro.multifrontal.batched`), bit-identical per slice to the
     per-front path, when every member resolved to the host P1 (float64)
     or every member resolved to the same ``PolicyP4`` and its panel
-    covers the group's ``k`` (the device dtype; each member charges the
-    CUBLAS context at its own turn with exactly the kernels
+    covers the group's ``k`` (the device dtype; :func:`device_kernels`
+    lists each member's kernels at its own turn, exactly those
     ``PolicyP4.apply`` would have run).  If the stacked device
     ``cholesky`` breaks down on any slice, the group goes front by front
     through ``PolicyP4.apply``, which promotes a failed float32 pivot
@@ -459,8 +533,6 @@ def _numeric_walk(
             stacks[head] = np.empty((len(g), g.size, g.k))
         if head in stacked:
             panels[s], u = stacks[head][i], pending.pop(s)
-            if bases[s].needs_gpu:
-                worker.gpu.cublas.charge(bases[s].kernel_calls(g.m, g.k))
         else:
             size = sf.rows[s].size
             k = sf.width(s)
@@ -483,32 +555,40 @@ def _numeric_walk(
             updates[s] = u
             live_update_bytes += u.nbytes
             peak_update_bytes = max(peak_update_bytes, live_update_bytes)
+    if kernel_seconds:
+        busy = worker.gpu.cublas.busy_seconds
+        for t in kernel_seconds:
+            busy += t
+        worker.gpu.cublas.busy_seconds = busy
     return panels, stacks, updates, peak_update_bytes, batch_tasks, batched_fronts
 
 
 def postorder_numeric_factor(
     a: CSCMatrix,
     sf: SymbolicFactor,
-    bases: list[Policy],
-    worker: Worker,
+    fronts: PricedFronts,
     node: SimulatedNode,
-    records: list[FURecord],
     *,
     makespan: float,
     spost: "np.ndarray | None" = None,
     assembly_seconds: float = 0.0,
 ) -> NumericFactor:
     """The numerics pass: every panel of ``P A P^T = L L^T``, computed in
-    postorder against one worker under the per-supernode policies
-    ``bases``.
+    postorder against ``node``'s canonical worker under the
+    per-supernode policies ``fronts.bases``, its device kernels' seconds
+    (``fronts.kernel_seconds``) added to that worker's GPU after the
+    walk.
 
     This is what makes every backend — serial, static, dynamic and the
-    cluster loop — bit-identical: whatever schedule priced ``records``
+    cluster loop — bit-identical: whatever schedule priced ``fronts``
     and ``makespan``, the floating-point work runs here
     (:func:`_numeric_walk`), one way.
     """
     panels, stacks, leftover, peak_update_bytes, batch_tasks, batched_fronts = (
-        _numeric_walk(a, sf, bases, worker, sf.spost if spost is None else spost)
+        _numeric_walk(
+            a, sf, fronts.bases, Worker.canonical(node),
+            sf.spost if spost is None else spost, fronts.kernel_seconds,
+        )
     )
     if leftover:
         raise AssertionError("unconsumed update matrices: symbolic tree broken")
@@ -517,7 +597,7 @@ def postorder_numeric_factor(
         sf=sf,
         panels=panels,  # type: ignore[arg-type]
         stacks=stacks,
-        records=records,
+        records=list(fronts.records),
         makespan=makespan,
         node=node,
         peak_update_bytes=peak_update_bytes,
@@ -561,10 +641,11 @@ def factorize_numeric(
     """
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    worker = Worker.canonical(node)
-    records, bases, assembly_seconds = _price_once(sf, policy, node, worker, spost)
+    fronts, assembly_seconds = _price_once(
+        sf, policy, node, Worker.canonical(node), spost
+    )
     return postorder_numeric_factor(
-        a, sf, bases, worker, node, records,
+        a, sf, fronts, node,
         makespan=node.now, spost=spost, assembly_seconds=assembly_seconds,
     )
 

@@ -23,7 +23,12 @@ import numpy as np
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.frontal import get_assembly_plan
-from repro.multifrontal.numeric import FURecord, _numeric_walk, _price_postorder
+from repro.multifrontal.numeric import (
+    FURecord,
+    _kernel_seconds,
+    _numeric_walk,
+    _price_postorder,
+)
 from repro.multifrontal.solve import (
     SolvePlan,
     SweepTable,
@@ -128,7 +133,9 @@ def partial_factorize(
     records, bases, _ = _price_postorder(
         sf, policy, node, worker, order, assembly_in_record=False
     )
-    panels, stacks, leftover, _, _, _ = _numeric_walk(a, sf, bases, worker, order)
+    panels, stacks, leftover, _, _, _ = _numeric_walk(
+        a, sf, bases, worker, order, _kernel_seconds(sf, bases, worker, order)
+    )
 
     # the updates nobody inside consumed reach the kept block: they *are*
     # the Schur complement contributions (folded in postorder; the kept

@@ -51,7 +51,11 @@ import numpy as np
 
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.numeric import NumericFactor, factorize_numeric
+from repro.multifrontal.numeric import (
+    NumericFactor,
+    factorize_numeric,
+    postorder_numeric_factor,
+)
 from repro.multifrontal.refine import RefinementResult, iterative_refinement
 from repro.multifrontal.solve import solve_factored
 from repro.policies.base import Policy, make_policy
@@ -194,36 +198,40 @@ class SparseCholeskySolver:
                 self.a, self.symbolic, self._policy, node=self.node
             )
             return self
-        from repro.parallel.scheduler import scheduled_numeric_factor
-
-        priced = self._schedule()
-        self.factor = priced.factor = scheduled_numeric_factor(
-            self.a, self.symbolic, self._policy, self.node, priced.schedule,
-            makespan=priced.makespan, degraded_sids=priced.degraded_sids,
+        priced, fronts = self._schedule()
+        self.factor = priced.factor = postorder_numeric_factor(
+            self.a, self.symbolic, fronts, self.node, makespan=priced.makespan
         )
         self.parallel = priced
         return self
 
     def _schedule(self):
-        """The pricing pass of a scheduled backend (no numerics)."""
+        """The pricing pass of a scheduled backend (no numerics), and
+        what the numerics pass on this solver's node takes from it."""
+        from repro.parallel.scheduler import parallel_schedule, scheduled_fronts
+
         if self.backend == "cluster":
             from repro.cluster.runtime import cluster_replay
             from repro.cluster.topology import ClusterSpec
 
-            return cluster_replay(
+            priced = cluster_replay(
                 self.symbolic, self._policy,
                 ClusterSpec(
                     n_ranks=2, gpus_per_rank=1 if self.node.gpus else 0,
                     model=self.node.model,
                 ),
             )
-        from repro.parallel.scheduler import parallel_schedule
+            return priced, scheduled_fronts(
+                self.symbolic, self._policy, self.node, priced.schedule,
+                priced.degraded_sids,
+            )
         from repro.parallel.workers import WorkerPool
 
-        return parallel_schedule(
+        priced = parallel_schedule(
             self.symbolic, self._policy, WorkerPool.over(self.node),
             backend=self.backend, faults=self.faults,
         )
+        return priced, priced.fronts
 
     def solve(
         self,

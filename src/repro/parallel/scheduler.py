@@ -16,7 +16,8 @@ elimination tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.numeric import (
     FURecord,
     NumericFactor,
+    PricedFronts,
     postorder_numeric_factor,
     price_once_per_pattern,
 )
@@ -39,7 +41,7 @@ __all__ = [
     "list_schedule",
     "parallel_factorize",
     "parallel_schedule",
-    "scheduled_numeric_factor",
+    "scheduled_fronts",
 ]
 
 
@@ -70,6 +72,9 @@ class ParallelResult:
     #: populated by ``backend="dynamic"``: the full RuntimeResult
     #: (steal/admission/fault counters, spans, degraded task set)
     runtime: object | None = None
+    #: populated by :func:`parallel_schedule`: what the numerics pass on
+    #: the pool's node takes from this schedule (:func:`scheduled_fronts`)
+    fronts: PricedFronts | None = field(default=None, repr=False)
 
     @property
     def task_dispatches(self) -> int:
@@ -194,11 +199,14 @@ def parallel_schedule(
     ``memory_budget``, dispatch-time policy selection, optional fault
     injection via ``faults``).
 
-    The pass is a function of the pattern on a fresh node without
-    faults or a budget, so it is paid once per pattern
+    The pass, and what the numerics pass takes from it (``fronts``:
+    records, resolved policies, device-kernel seconds), is a function of
+    the pattern on a fresh node without faults or a budget, so it is
+    paid once per pattern
     (:func:`repro.multifrontal.numeric.price_once_per_pattern`): a warm
-    call gets the schedule, the runtime counters, the worker busy times
-    and the end state of every GPU pool back without running it.
+    call gets the schedule, the runtime counters, the worker busy times,
+    ``fronts`` and the end state of every GPU pool back without running
+    it.
     """
     if backend == "static":
         if memory_budget is not None or faults is not None:
@@ -229,8 +237,15 @@ def parallel_schedule(
     else:
         raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
 
+    def price_fronts() -> ParallelResult:
+        result = price()
+        result.fronts = scheduled_fronts(
+            sf, policy, pool.node, result.schedule, result.degraded_sids
+        )
+        return result
+
     return price_once_per_pattern(
-        sf, policy, pool.node, pool.workers, how, price, _fresh_copy
+        sf, policy, pool.node, pool.workers, how, price_fronts, _fresh_copy
     )
 
 
@@ -243,54 +258,50 @@ def parallel_factorize(
 ) -> ParallelResult:
     """Schedule *and* numerically factor: :func:`parallel_schedule`
     (``how`` is its keywords), then the numerics pass on the pool's node
-    (:func:`scheduled_numeric_factor`), so the factor is bit-identical to
-    the serial walk's whatever worker a task was placed on.
+    under its ``fronts`` (:func:`scheduled_fronts`), so the factor is
+    bit-identical to the serial walk's whatever worker a task was placed
+    on.
     """
     result = parallel_schedule(sf, policy, pool, **how)
-    result.factor = scheduled_numeric_factor(
-        a, sf, policy, pool.node, result.schedule,
-        makespan=result.makespan, degraded_sids=result.degraded_sids,
+    result.factor = postorder_numeric_factor(
+        a, sf, result.fronts, pool.node, makespan=result.makespan
     )
     return result
 
 
 def _fresh_copy(result: ParallelResult) -> ParallelResult:
     """A copy of a factor-less ``result`` sharing nothing a caller could
-    mutate with it (schedule entries are frozen and shared)."""
+    mutate with it: its containers are copied, what they hold (schedule
+    entries, spans, ``fronts``) is frozen and shared."""
     runtime = result.runtime
     if runtime is not None:
-        runtime = replace(
-            runtime,
-            schedule=list(runtime.schedule),
-            worker_busy=list(runtime.worker_busy),
-            stats=replace(runtime.stats),
-            spans=[replace(t) for t in runtime.spans],
-            messages=list(runtime.messages),
-            nic_busy=list(runtime.nic_busy),
-        )
+        runtime = copy.copy(runtime)
+        runtime.schedule = list(runtime.schedule)
+        runtime.worker_busy = list(runtime.worker_busy)
+        runtime.stats = copy.copy(runtime.stats)
+        runtime.spans = list(runtime.spans)
+        runtime.messages = list(runtime.messages)
+        runtime.nic_busy = list(runtime.nic_busy)
     return ParallelResult(
         result.makespan, list(result.schedule), None,
-        list(result.worker_busy), runtime,
+        list(result.worker_busy), runtime, result.fronts,
     )
 
 
-def scheduled_numeric_factor(
-    a: CSCMatrix,
+def scheduled_fronts(
     sf: SymbolicFactor,
     policy: Policy,
     node: SimulatedNode,
     schedule: list[ScheduledTask],
-    *,
-    makespan: float,
     degraded_sids: frozenset = frozenset(),
-) -> NumericFactor:
-    """The numerics pass for an already-timed ``schedule`` (static,
-    dynamic or cluster), on ``node``: supernode *s* is computed under
-    ``policy.resolve(m, k, Worker.canonical(node))`` whatever worker the
-    schedule placed it on — the serial walk's rule — and tasks in
-    ``degraded_sids`` run the host fallback, exactly as their simulated
-    execution did.  Records carry the schedule's times and policy names
-    (those of the placed worker).
+) -> PricedFronts:
+    """What the numerics pass on ``node`` takes from an already-timed
+    ``schedule`` (static, dynamic or cluster): supernode *s* is computed
+    under ``policy.resolve(m, k, Worker.canonical(node))`` whatever
+    worker the schedule placed it on — the serial walk's rule — and
+    tasks in ``degraded_sids`` run the host fallback, exactly as their
+    simulated execution did.  Records carry the schedule's times and
+    policy names (those of the placed worker).
     """
     worker = Worker.canonical(node)
     by_sid = {t.sid: t for t in schedule}
@@ -310,6 +321,4 @@ def scheduled_numeric_factor(
                 components={}, flops=factor_update_flops(m, k),
             )
         )
-    return postorder_numeric_factor(
-        a, sf, bases, worker, node, records, makespan=makespan
-    )
+    return PricedFronts.of(sf, records, bases, worker, sf.spost)

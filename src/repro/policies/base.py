@@ -15,7 +15,9 @@ Nothing here runs both: the drivers in :mod:`repro.multifrontal` price a
 whole factorization first (``plan`` per front, engine timelines threaded
 through successive calls so copies and kernels of neighboring supernodes
 contend realistically) and ``postorder_numeric_factor`` is the one
-caller of ``apply``.
+caller of ``apply``.  :meth:`Policy.kernel_calls` is the one list of the
+device kernels of a call: ``plan`` prices it, ``apply`` runs it, and
+the numerics pass adds its seconds to the device's busy time.
 
 Before either, every consumer *resolves*: :meth:`Policy.resolve` is the
 one answer to "which base policy runs this (m, k) on this worker", and
@@ -93,8 +95,9 @@ class FUPlan:
 
 
 class Policy:
-    """Base class; concrete policies implement ``plan`` and ``apply``,
-    and a device policy declares its working set (``device_words``).
+    """Base class; concrete policies implement ``kernel_calls``, ``plan``
+    and ``apply``, and a device policy declares its working set
+    (``device_words``).
     The pricing pass, the task pricer, the event loop and the numerics
     of every backend all ask :meth:`resolve`, so the clock and the
     floating-point work cannot disagree about a front."""
@@ -133,6 +136,11 @@ class Policy:
         return want
 
     # -- planning ---------------------------------------------------------
+    def kernel_calls(self, m: int, k: int) -> list[KernelCall]:
+        """The device kernels of one (m, k) call, in order: what ``plan``
+        prices and ``apply`` runs on the device."""
+        raise NotImplementedError
+
     def plan(
         self,
         m: int,
@@ -160,11 +168,18 @@ def _host_apply_time(model: PerfModel, m: int) -> float:
     return model.host_memory_time(3.0 * m * m * model.CPU_WORD)
 
 
+def _gpu_time(model: PerfModel, call: KernelCall) -> float:
+    return model.kernel_time("gpu", call.kernel, m=call.m, n=call.n, k=call.k)
+
+
 class PolicyP1(Policy):
     """Everything on the host CPU in double precision."""
 
     name = "P1"
     needs_gpu = False
+
+    def kernel_calls(self, m, k):
+        return []
 
     def plan(self, m, k, worker, model, graph, deps=()):
         t_potrf = graph.add(
@@ -217,6 +232,9 @@ class PolicyP2(Policy):
     def device_words(self, m, k):
         return m * k + m * m
 
+    def kernel_calls(self, m, k):
+        return [KernelCall("syrk", m=m, k=k)] if m > 0 else []
+
     def plan(self, m, k, worker, model, graph, deps=()):
         gpu = worker.gpu
         word = model.gpu_word
@@ -235,6 +253,7 @@ class PolicyP2(Policy):
         # high-water mark (capacity) keeps the warm-start pricing while
         # in_use returns to zero even if graph building raises
         nbytes = self.device_words(m, k) * word
+        (syrk,) = self.kernel_calls(m, k)
         with gpu.working_set(nbytes, nbytes) as alloc:
             t_prep = graph.add(
                 "pin/alloc", worker.cpu_engine, alloc, (t_trsm,), "alloc"
@@ -244,8 +263,7 @@ class PolicyP2(Policy):
                 model.transfer_time(m * k * word, pinned=True), (t_prep,), "copy",
             )
             t_syrk = graph.add(
-                "syrk", gpu.compute_engine,
-                model.kernel_time("gpu", "syrk", m=m, k=k), (t_h2d,), "syrk",
+                "syrk", gpu.compute_engine, _gpu_time(model, syrk), (t_h2d,), "syrk",
             )
             t_d2h = graph.add(
                 "d2h:W", gpu.d2h_engine,
@@ -296,6 +314,11 @@ class PolicyP3(Policy):
     def device_words(self, m, k):
         return k * k + m * k + m * m
 
+    def kernel_calls(self, m, k):
+        if m == 0:
+            return []
+        return [KernelCall("trsm", m=m, k=k), KernelCall("syrk", m=m, k=k)]
+
     def plan(self, m, k, worker, model, graph, deps=()):
         gpu = worker.gpu
         word = model.gpu_word
@@ -310,6 +333,7 @@ class PolicyP3(Policy):
             roles = {"potrf": t_potrf}
             if m == 0:
                 return FUPlan(graph, t_potrf, roles)
+            trsm, syrk = self.kernel_calls(m, k)
             # unsolved panel upload; overlaps the host potrf when enabled,
             # otherwise waits for it (the basic implementation's synchronous
             # cudaMemcpy after the host step)
@@ -323,8 +347,7 @@ class PolicyP3(Policy):
                 model.transfer_time(k * k * word, pinned=pinned), (t_potrf,), "copy",
             )
             t_trsm = graph.add(
-                "trsm", gpu.compute_engine,
-                model.kernel_time("gpu", "trsm", m=m, k=k),
+                "trsm", gpu.compute_engine, _gpu_time(model, trsm),
                 (t_h2d_l2, t_h2d_l1), "trsm",
             )
             # solved panel comes home while the syrk runs (overlap) or before
@@ -334,8 +357,7 @@ class PolicyP3(Policy):
                 model.transfer_time(m * k * word, pinned=pinned), (t_trsm,), "copy",
             )
             t_syrk = graph.add(
-                "syrk", gpu.compute_engine,
-                model.kernel_time("gpu", "syrk", m=m, k=k),
+                "syrk", gpu.compute_engine, _gpu_time(model, syrk),
                 (t_trsm,) if self.overlap else (t_trsm, t_d2h_l2), "syrk",
             )
             t_d2h_w = graph.add(
@@ -397,9 +419,7 @@ class PolicyP4(Policy):
         (:mod:`repro.multifrontal.batched`)."""
         return self._width(k) >= k
 
-    def kernel_calls(self, m: int, k: int) -> list[KernelCall]:
-        """The device kernels of one (m, k) call, in order: what ``plan``
-        prices and ``apply`` charges."""
+    def kernel_calls(self, m, k):
         return panel_kernel_sequence(m + k, k, self._width(k))
 
     def device_words(self, m, k):
@@ -431,8 +451,7 @@ class PolicyP4(Policy):
             kernel_tasks: list[SimTask] = []
             for c in self.kernel_calls(m, k):
                 t = graph.add(
-                    f"gpu:{c.kernel}", gpu.compute_engine,
-                    model.kernel_time("gpu", c.kernel, m=c.m, n=c.n, k=c.k),
+                    f"gpu:{c.kernel}", gpu.compute_engine, _gpu_time(model, c),
                     (prev,), c.kernel,
                 )
                 kernel_tasks.append(t)
@@ -481,7 +500,7 @@ class PolicyP4(Policy):
         ctx = worker.gpu.cublas
         f_dev = front.astype(ctx.dtype)               # H2D of the whole front
         blocked_cholesky_panels(f_dev, k, self._width(k), ctx)
-        front[...] = f_dev.astype(np.float64)         # D2H
+        np.copyto(front, f_dev)                       # D2H: widens exactly
         return front[:k, :k], front[k:, :k], front[k:, k:]
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.clock import SimTask
+from repro.gpu.clock import Span
 from repro.parallel.pricing import TaskPricer
 from repro.parallel.scheduler import ScheduledTask
 from repro.parallel.workers import WorkerPool
@@ -96,7 +96,7 @@ class RuntimeResult:
     schedule: list[ScheduledTask]        # .worker = worker / node index
     worker_busy: list[float]
     stats: RuntimeStats
-    spans: list[SimTask] = field(default_factory=list)
+    spans: list[Span] = field(default_factory=list)
     degraded_sids: frozenset = frozenset()
     memory_budget: int | None = None
     owner: np.ndarray | None = None
@@ -306,7 +306,7 @@ class DynamicRuntime:
         self._n_pending = np.array([len(self._kids[s]) for s in range(n)])
         self._live = 0
         self._schedule: list[ScheduledTask] = []
-        self._spans: list[SimTask] = []
+        self._spans: list[Span] = []
         self._busy = [0.0] * p
         self._degraded: set[int] = set()
         self._done = 0
@@ -522,10 +522,7 @@ class DynamicRuntime:
     def _add_span(
         self, name: str, engine: str, start: float, end: float, category: str
     ) -> None:
-        span = SimTask(name, engine, end - start, (), category)
-        span.start = start
-        span.end = end
-        self._spans.append(span)
+        self._spans.append(Span(name, engine, start, end, category))
 
 
 def dynamic_schedule(

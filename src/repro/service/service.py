@@ -24,9 +24,13 @@ Requests carry optional deadlines — an expired request is completed
 with :class:`TimeoutError`, never silently dropped — and degrade
 through one path: when the factorization raises, or when an answer
 from any factor, cached or fresh, is not certified, it is re-solved on
-a fresh host-fallback factor, published nowhere, and flagged
-``degraded``; uncertified again, it fails with
-:class:`~repro.multifrontal.refine.UncertifiedSolutionError`.  A
+the host-fallback factor and flagged ``degraded``; uncertified again, it
+fails with :class:`~repro.multifrontal.refine.UncertifiedSolutionError`.
+The fallback factor is never published under the key of the factor
+that failed: beside a factor the request's policy computed it is kept
+under the key a ``policy="P1"`` request of the matrix uses, so a
+repeated ill-conditioned request factors nothing; after a raise it is
+published nowhere, and the next request tries its policy again.  A
 :class:`~repro.dense.kernels.NotPositiveDefiniteError` degrades the
 same way unless the host policy raised it: from fp32 fronts it can
 mean only that cond(A) * u32 reaches 1, and an indefinite matrix
@@ -80,18 +84,19 @@ class SolveRequest:
     """Future-like handle returned by :meth:`SolverService.submit`."""
 
     __slots__ = (
-        "request_id", "canonical", "b", "sym_key", "num_key",
+        "request_id", "canonical", "b", "sym_key", "num_key", "host_key",
         "policy_spec", "tol", "max_iter", "deadline", "submitted",
         "_event", "_outcome", "_error",
     )
 
     def __init__(self, request_id: int, canonical, b, *, sym_key, num_key,
-                 policy_spec, tol, max_iter, deadline, submitted):
+                 host_key, policy_spec, tol, max_iter, deadline, submitted):
         self.request_id = request_id
         self.canonical = canonical
         self.b = b
         self.sym_key = sym_key
         self.num_key = num_key
+        self.host_key = host_key
         self.policy_spec = policy_spec
         self.tol = tol
         self.max_iter = max_iter
@@ -232,6 +237,9 @@ class SolverService:
         b = check_rhs(b, canonical.n_rows)
         spec = policy if policy is not None else self.policy
         sym_key, num_key = self._derive_keys(key, spec)
+        host_key = self._derive_keys(key, "P1")[1]
+        if host_key == num_key or type(self._fallback_policy(spec)) is not PolicyP1:
+            host_key = None
         with self._cond:
             # checked under the lock: a shutdown seen here is definitive,
             # not a stale read racing _shutdown's write
@@ -242,6 +250,7 @@ class SolverService:
                 self._next_id, canonical, b,
                 sym_key=sym_key,
                 num_key=num_key,
+                host_key=host_key,
                 policy_spec=spec,
                 tol=float(tol), max_iter=int(max_iter),
                 deadline=None if timeout is None else now + timeout,
@@ -435,7 +444,8 @@ class SolverService:
             )
             if degraded or res.converged.all():
                 break
-            factor, degraded = self._fallback_factor(req, factor.sf), True
+            factor = self._fallback_factor(req, factor.sf, keep=True)
+            degraded = True
         t1 = self._now()
         self.metrics.observe("solve", t1 - t0)
         self.metrics.span(f"req{req.request_id}:solve", "solve", engine, t0, t1)
@@ -473,16 +483,30 @@ class SolverService:
                 )
             )
 
-    def _fallback_factor(self, req: SolveRequest, symbolic):
-        """The one degradation path: a fresh factor of ``req``'s matrix
-        under its policy's host fallback, published nowhere."""
+    @staticmethod
+    def _fallback_policy(spec) -> Policy:
+        return spec.fallback if isinstance(spec, Policy) else Policy.fallback
+
+    def _fallback_factor(self, req: SolveRequest, symbolic, *, keep: bool):
+        """The one degradation path: ``req``'s matrix under its policy's
+        host fallback.  The factor is read from, and when ``keep`` put
+        under, ``req.host_key`` — the key a ``policy="P1"`` request of the
+        matrix uses, never the key of the factor that failed (``None``
+        where the two coincide, or the fallback is not the plain host
+        policy: then it is always fresh and published nowhere).  The
+        ``degraded`` counter counts the fallback factorizations."""
+        key = req.host_key
+        factor = None if key is None else self.cache.get_numeric(key)
+        if factor is not None:
+            return factor
         self.metrics.incr("degraded")
-        spec = req.policy_spec
-        return SparseCholeskySolver.from_symbolic(
-            req.canonical, symbolic,
-            policy=spec.fallback if isinstance(spec, Policy) else Policy.fallback,
+        factor = SparseCholeskySolver.from_symbolic(
+            req.canonical, symbolic, policy=self._fallback_policy(req.policy_spec),
             node=self._node_factory(),
         ).factorize().factor
+        if keep and key is not None:
+            self.cache.put_numeric(key, factor)
+        return factor
 
     def _expire(self, req: SolveRequest) -> None:
         self.metrics.incr("timeouts")
@@ -549,7 +573,10 @@ class SolverService:
                 solver.policy, PolicyP1
             ):
                 raise
-            factor, degraded = self._fallback_factor(req, solver.symbolic), True
+            # nothing is published for a policy that raised: the next
+            # request tries it again
+            factor = self._fallback_factor(req, solver.symbolic, keep=False)
+            degraded = True
         t1 = self._now()
         self.metrics.incr("numeric_factorizations")
         self.metrics.observe("factorize", t1 - t0)

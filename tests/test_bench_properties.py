@@ -48,7 +48,7 @@ from repro.multifrontal.frontal import (
     assembly_bytes,
     get_assembly_plan,
 )
-from repro.multifrontal.numeric import FURecord, replay_factorize
+from repro.multifrontal.numeric import FURecord, device_kernels, replay_factorize
 from repro.policies import make_policy
 from repro.gpu.perfmodel import tesla_t10_model
 from repro.policies.base import PolicyP1, PolicyP4, Worker
@@ -57,6 +57,7 @@ from repro.symbolic.stack import stack_minimizing_postorder
 from repro.symbolic.symbolic import factor_update_flops
 from repro.verify.lattice import factor_fingerprint
 from tests.policy_execution import execute
+from tests.recording_cublas import RecordingCublas, charge_recorded
 
 BACKENDS = ("serial", "static", "dynamic")
 
@@ -226,7 +227,9 @@ def reference_factorize(a, sym, policy, node, spost=None):
     """The serial driver as it was before the numerics were separated
     from the virtual clock, kept here as the oracle: one front at a
     time, assembly task scheduled, then ``policy_execution.execute`` (plan,
-    schedule, apply) on the assembled front."""
+    schedule, apply) on the assembled front, and every device kernel it
+    ran charged to the GPU in the order it ran."""
+    recorder = RecordingCublas.on(node) if node.gpus else None
     worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
     plan = get_assembly_plan(a, sym)
     kids = sym.schildren()
@@ -266,6 +269,8 @@ def reference_factorize(a, sym, policy, node, spost=None):
             end=ex.end, components=ex.plan.duration_by_category(),
             flops=factor_update_flops(size - k, k),
         ))
+    if recorder is not None:
+        charge_recorded(recorder)
     return dict(
         panels=[panels[s] for s in range(sym.n_supernodes)], records=records,
         makespan=node.now, assembly_seconds=assembly_seconds,
@@ -444,25 +449,42 @@ class TestBatchedExecutionProperties:
     @staticmethod
     def _device_run(a, sym, policy, *, stacking=True):
         """``factorize_numeric`` under ``policy`` on a fresh symbolic
-        factor; per front when ``stacking`` is off."""
+        factor, recording the device kernels it computes; per front when
+        ``stacking`` is off."""
         with stack_cutoff(batched.STACK_CUTOFF if stacking else 0):
             node = SimulatedNode()
+            ctx = RecordingCublas.on(node)
             nf = factorize_numeric(a, dataclasses.replace(sym), policy, node=node)
-        return nf, node.gpus[0].cublas
+        return nf, ctx
+
+    @staticmethod
+    def _fold(sym, policy, order=None):
+        """The kernels the numerics pass prices: every front resolved to
+        ``policy`` (the default device fits them all)."""
+        return device_kernels(
+            sym, [policy] * sym.n_supernodes, sym.spost if order is None else order
+        )
 
     def test_device_leaves_run_stacked(self):
         a, sym = self._leaves()
         for precision in ("sp", "dp"):
             self._check_device_slices(a, sym, precision)
-        nf, ctx = self._device_run(a, sym, make_policy("P4"))
+        policy = make_policy("P4")
+        nf, ctx = self._device_run(a, sym, policy)
         assert (nf.batch_tasks, nf.batched_fronts) == (1, 6)
         assert nf.task_dispatches == sym.n_supernodes - 5
-        ref, ref_ctx = self._device_run(a, sym, make_policy("P4"), stacking=False)
+        ref, ref_ctx = self._device_run(a, sym, policy, stacking=False)
         assert ref.batch_tasks == 0
         assert factor_fingerprint(nf) == factor_fingerprint(ref)
-        # each member charged its own kernels at its own turn
-        assert ctx.calls == ref_ctx.calls
-        assert ctx.busy_seconds == ref_ctx.busy_seconds
+        # the fold names every kernel the per-front run computes; the
+        # stacked run computes the others, its group in one stacked call
+        fold = self._fold(sym, policy)
+        assert ref_ctx.calls == fold
+        (group,) = get_assembly_plan(a, sym).groups
+        assert ctx.calls == self._fold(
+            sym, policy, [s for s in sym.spost if s not in group.sids]
+        )
+        assert ctx.busy_seconds == ref_ctx.busy_seconds == ctx.price(fold)
 
     def test_narrow_panel_stays_per_front(self):
         a, sym = self._leaves()
@@ -472,7 +494,9 @@ class TestBatchedExecutionProperties:
         assert (nf.batch_tasks, nf.batched_fronts) == (0, 0)
         ref, ref_ctx = self._device_run(a, sym, policy, stacking=False)
         assert factor_fingerprint(nf) == factor_fingerprint(ref)
-        assert ctx.calls == ref_ctx.calls
+        fold = self._fold(sym, policy)
+        assert ctx.calls == ref_ctx.calls == fold
+        assert ctx.busy_seconds == ref_ctx.busy_seconds == ctx.price(fold)
 
     def test_fp32_breakdown_reruns_the_group_per_front(self):
         # leaf 0's pivot block "breaks down" in float32 only; the per-front
@@ -488,18 +512,19 @@ class TestBatchedExecutionProperties:
                 raise np.linalg.LinAlgError("spurious float32 breakdown")
             return real(x)
 
+        policy = make_policy("P4")
         with mock.patch.object(np.linalg, "cholesky", flaky):
-            nf, ctx = self._device_run(a, sym, make_policy("P4"))
-            ref, ref_ctx = self._device_run(
-                a, sym, make_policy("P4"), stacking=False
-            )
+            nf, ctx = self._device_run(a, sym, policy)
+            ref, ref_ctx = self._device_run(a, sym, policy, stacking=False)
         # the stack and its slice 0 (finding the failing member), then
         # leaf 0 per front in each run
         assert broke == [(6, 2, 2), (2, 2), (2, 2), (2, 2)]
         assert (nf.batch_tasks, nf.batched_fronts) == (0, 0)
         assert factor_fingerprint(nf) == factor_fingerprint(ref)
-        assert ctx.calls == ref_ctx.calls
-        assert ctx.busy_seconds == ref_ctx.busy_seconds
+        # the rerun computes every member per front: the fold's kernels
+        fold = self._fold(sym, policy)
+        assert ctx.calls == ref_ctx.calls == fold
+        assert ctx.busy_seconds == ref_ctx.busy_seconds == ctx.price(fold)
 
     def test_non_spd_leaf_names_its_supernode(self):
         from repro.dense.kernels import NotPositiveDefiniteError
@@ -587,6 +612,48 @@ class TestVirtualClockInvisibility:
             assert g.cublas.busy_seconds == g_ref.cublas.busy_seconds
         for got, want in zip(nf.panels, ref["panels"]):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("device", (None, 2048), ids=("4GiB", "2KiB"))
+    @pytest.mark.parametrize("backend", ("serial", "dynamic"))
+    @pytest.mark.parametrize("policy", ("P2", "P3", "P4", "baseline", "model"))
+    def test_the_fold_prices_exactly_the_kernels_run(
+        self, policy, backend, device, classifier
+    ):
+        # the device kernels keep no time: the numerics pass adds the
+        # seconds of device_kernels over the fronts it computes, and that
+        # list names exactly what a per-front run computes on the device
+        from tests.conftest import starved_node
+
+        a = grid_laplacian_2d(14, 13)
+        sym = symbolic_factorize(a, ordering="amd")
+        runs = []
+        for stacking in (True, False):
+            with stack_cutoff(batched.STACK_CUTOFF if stacking else 0):
+                node = starved_node(device, n_cpus=2)
+                ctx = RecordingCublas.on(node)
+                solver = SparseCholeskySolver.from_symbolic(
+                    a, dataclasses.replace(sym), policy=policy,
+                    classifier=classifier, node=node, backend=backend,
+                ).factorize()
+            worker = Worker.canonical(node)
+            fold = device_kernels(sym, [
+                solver.policy.resolve(sym.update_size(s), sym.width(s), worker)
+                for s in range(sym.n_supernodes)
+            ], sym.spost)
+            runs.append((solver.factor, ctx, fold))
+        (stacked, ctx, fold), (per_front, ref_ctx, ref_fold) = runs
+        assert fold == ref_fold and ref_ctx.calls == fold
+        assert per_front.batch_tasks == 0
+        assert ctx.busy_seconds == ref_ctx.busy_seconds == ctx.price(fold)
+        assert factor_fingerprint(stacked) == factor_fingerprint(per_front)
+        if policy in ("P2", "P3", "P4"):
+            assert fold
+        if policy == "P4" and not device:
+            # stacked device leaves: computed in one call, priced apiece
+            assert stacked.batch_tasks > 0 and len(ctx.calls) < len(fold)
+        elif policy == "P4":  # memory pressure: some fronts left the device
+            everything = [make_policy("P4")] * sym.n_supernodes
+            assert len(fold) < len(device_kernels(sym, everything, sym.spost))
 
     @pytest.mark.parametrize("policy", ("P1", "P4", "baseline", "model"))
     @pytest.mark.parametrize("matrix", sorted(MATRICES))
@@ -755,7 +822,7 @@ class TestLowerTriangleAssembly:
             # stop below the root: its children's updates are handed back
             panels, stacks, leftover, *_ = numeric._numeric_walk(
                 a, sym, [make_policy(policy)] * sym.n_supernodes, worker,
-                sym.spost[:-1],
+                sym.spost[:-1], (),
             )
         assert workspaces and all(w is workspaces[0] for w in workspaces)
         assert leftover and panels[int(sym.spost[-1])] is None

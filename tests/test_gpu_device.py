@@ -7,6 +7,7 @@ from repro.dense.blocked import HostKernels, blocked_cholesky_panels
 from repro.gpu import CublasContext, HighWaterMarkPool, SimulatedNode, tesla_t10_model
 from repro.gpu.allocator import DeviceMemoryError, PerCallPool
 from repro.gpu.cublas import panel_kernel_sequence
+from tests.recording_cublas import RecordingCublas
 
 
 class TestPools:
@@ -114,14 +115,36 @@ class TestCublasContext:
         ctx.syrk(c, x)
         assert np.allclose(c, np.eye(6) - x @ x.T, atol=1e-3)
 
-    def test_time_charged_per_call(self, ctx, rng):
+    def test_a_kernel_keeps_no_time(self, ctx, rng):
         a = rng.normal(size=(8, 8)).astype(np.float32)
         spd = (a @ a.T + 20 * np.eye(8)).astype(np.float32)
-        before = ctx.busy_seconds
-        ctx.potrf(spd)
-        assert ctx.busy_seconds > before
-        assert ctx.last_call_seconds > 0
-        assert ctx.calls[-1].kernel == "potrf"
+        l = ctx.potrf(spd)
+        x = ctx.trsm(rng.normal(size=(5, 8)).astype(np.float32), l)
+        ctx.syrk(np.eye(5, dtype=np.float32), x)
+        ctx.gemm(np.zeros((5, 5), dtype=np.float32), x, x.T)
+        ctx.syrk_outer(x)
+        assert ctx.busy_seconds == 0.0
+
+    @pytest.mark.parametrize("policy", ("P2", "P3", "P4"))
+    def test_factorization_busy_time_is_the_price_of_its_fold(
+        self, policy, sf_lap3d, lap3d_small
+    ):
+        # the numerics pass owns the device clock: it adds the seconds of
+        # exactly the kernels device_kernels lists, in that order
+        from repro.multifrontal.numeric import device_kernels, factorize_numeric
+        from repro.policies import Worker, make_policy
+
+        pol = make_policy(policy)
+        node = SimulatedNode()
+        factorize_numeric(lap3d_small, sf_lap3d, pol, node=node)
+        worker = Worker.canonical(node)
+        bases = [
+            pol.resolve(sf_lap3d.update_size(s), sf_lap3d.width(s), worker)
+            for s in range(sf_lap3d.n_supernodes)
+        ]
+        fold = device_kernels(sf_lap3d, bases, sf_lap3d.spost)
+        ctx = node.gpus[0].cublas
+        assert fold and ctx.busy_seconds == ctx.price(fold)
 
     def test_syrk_outer_returns_product(self, ctx, rng):
         x = rng.normal(size=(5, 3)).astype(np.float32)
@@ -141,10 +164,9 @@ class TestCublasContext:
         s, k, w = 50, 30, 8
         b = rng.normal(size=(s, s + 3))
         f = (b @ b.T + s * np.eye(s)).astype(np.float32)
-        blocked_cholesky_panels(f, k, w, ctx)
-        got = [(c.kernel, c.m, c.n, c.k) for c in ctx.calls]
-        want = [(c.kernel, c.m, c.n, c.k) for c in panel_kernel_sequence(s, k, w)]
-        assert got == want
+        recorder = RecordingCublas(ctx.model)
+        blocked_cholesky_panels(f, k, w, recorder)
+        assert recorder.calls == panel_kernel_sequence(s, k, w)
 
 
 class TestPanelSequence:

@@ -1,5 +1,7 @@
 """The dynamic event-driven runtime: events, stealing, admission, faults."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,70 @@ class TestRuntimeObservability:
         events = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert len(events) == sf.n_supernodes
         assert len(res.spans) == sf.n_supernodes
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_lmco_s_warm_p4_refactorize_counts():
+    """The counts-gate CI runs by name: a warm P4 refactorization of
+    lmco_s/nd through the event-driven runtime on 2 CPUs + 2 GPUs keeps
+    no books.  Its pricing pass, its records, resolved policies and
+    device-kernel seconds are all kept per pattern, so it prices no
+    kernel (6 192 ``kernel_time`` calls before), builds no ``FURecord``
+    (1 983) and copies no dataclass (1 989 ``dataclasses.replace``
+    calls); its fp32 kernels run uncharged, and the device time it adds
+    after the walk is the serial P4 baseline's GPU compute time to the
+    bit."""
+    import collections
+    import dataclasses
+    import json
+    import pathlib
+    import sys
+    from unittest import mock
+
+    from repro import SparseCholeskySolver
+    from repro.gpu import SimulatedNode
+    from repro.gpu.perfmodel import PerfModel
+    from repro.matrices.testsuite import load_test_matrix
+    from repro.multifrontal.numeric import FURecord
+
+    baseline = pathlib.Path(__file__).resolve().parents[1] / "BENCH_factorize-serial-p4.json"
+    gpu0 = json.loads(baseline.read_text())["deterministic"][
+        "engine.gpu0.compute.busy_seconds"
+    ]
+    a = load_test_matrix("lmco_s")
+    solver = SparseCholeskySolver(
+        a, ordering="nd", policy="P4", backend="dynamic",
+        node=SimulatedNode(n_cpus=2, n_gpus=2),
+    ).factorize()
+    counts: collections.Counter = collections.Counter()
+    replace = _counting(counts, "replace", dataclasses.replace)
+    patches = [
+        mock.patch.object(
+            PerfModel, "kernel_time",
+            _counting(counts, "kernel_time", PerfModel.kernel_time),
+        ),
+        mock.patch.object(
+            FURecord, "__init__", _counting(counts, "FURecord", FURecord.__init__)
+        ),
+        mock.patch.object(dataclasses, "replace", replace),
+    ] + [
+        mock.patch.object(module, "replace", replace)
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro")
+        and getattr(module, "replace", None) is dataclasses.replace
+    ]
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        solver.refactorize(a.data * 2.0)
+    assert solver.parallel.runtime is not None
+    assert solver.stats.policy_counts == {"P4": solver.symbolic.n_supernodes}
+    assert counts == {}
+    assert sum(g.cublas.busy_seconds for g in solver.node.gpus) == gpu0

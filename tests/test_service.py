@@ -788,7 +788,7 @@ class TestCertifiedAnswers:
         assert out.backward_error <= 1e-12
         err = np.abs(out.x - x_true).max() / np.abs(x_true).max()
         assert err <= 1e-7
-        # the fallback factor is published nowhere; the P4 one stays
+        # the P4 factor stays under its own key, the host one beside it
         assert again.tier == "numeric"
 
     def test_over_the_bound_after_the_fallback_is_the_typed_error(
@@ -857,6 +857,36 @@ class TestCertifiedAnswers:
             assert out.backward_error <= 1e-12
             errors[policy] = np.abs(out.x - x_true).max() / np.abs(x_true).max()
         assert errors["P4"] <= 10 * errors["P1"]
+
+    def test_repeated_fp32_answer_past_the_witness_factors_nothing(self):
+        # the host fallback of an uncertified fp32 answer is kept under
+        # its own policy's key: the second identical request hits the P4
+        # factor, degrades again, and reads the same host factor
+        from repro.matrices import random_spd
+
+        a = random_spd(60, avg_degree=4, seed=3, shift=1e-13)
+        b = np.ones(a.n_rows)
+        with SolverService(n_workers=1, policy="P4") as svc:
+            def counts():
+                return [svc.metrics.counter(c) for c in ("numeric_factorizations", "degraded")]
+
+            first = svc.solve(a, b)
+            assert counts() == [1, 1]
+            second = svc.solve(a, b)
+            assert counts() == [1, 1]
+            host = svc.solve(a, b, policy="P1")
+            p4_key = svc.keys_for(a)[1]
+            p1_key = svc.keys_for(a, policy="P1")[1]
+            # nothing under the P4 key that P4 did not compute
+            p4_names = {r.policy for r in svc.cache.peek_numeric(p4_key).records}
+            p1_names = {r.policy for r in svc.cache.peek_numeric(p1_key).records}
+        assert (first.degraded, second.degraded) == (True, True)
+        assert (first.tier, second.tier) == ("miss", "numeric")
+        np.testing.assert_array_equal(second.x, first.x)
+        assert host.tier == "numeric" and not host.degraded
+        np.testing.assert_array_equal(host.x, first.x)
+        assert svc.metrics.counter("numeric_factorizations") == 1
+        assert (p4_names, p1_names) == ({"P4"}, {"P1"})
 
     @pytest.mark.parametrize("seed, shift", [(0, 1e-9), (5, 1e-10)])
     def test_fp32_breakdown_on_an_spd_matrix_answers_from_the_host_factor(

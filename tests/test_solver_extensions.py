@@ -1,6 +1,8 @@
 """Extended solver capabilities: multi-RHS, value updates, logdet,
 device-memory fallback, classifier persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -303,9 +305,9 @@ class TestEveryBackendEveryNodeOneFactor:
         walks = []
         walk = numeric._numeric_walk
 
-        def spy(a, sf, bases, worker, order):
+        def spy(a, sf, bases, worker, order, kernel_seconds):
             walks.append((list(bases), worker))
-            return walk(a, sf, bases, worker, order)
+            return walk(a, sf, bases, worker, order, kernel_seconds)
 
         with mock.patch.object(numeric, "_numeric_walk", spy):
             solver.factorize()
@@ -508,8 +510,6 @@ class TestPricingMemo:
             self._check_hit_reads_like_a_real_pass(lap3d_small, policy)
 
     def _check_hit_reads_like_a_real_pass(self, a, policy):
-        from repro.gpu.clock import EngineTimeline
-
         solver = SparseCholeskySolver(a, ordering="nd", policy=policy).factorize()
         factors = [solver.factor]
         seen = [self._observables(solver)]
@@ -520,14 +520,13 @@ class TestPricingMemo:
         engines = solver.node.engines
         fresh = SparseCholeskySolver(a, ordering="nd", policy=policy).factorize()
         assert all(obs == self._observables(fresh) for obs in seen)
-        # nothing mutable is shared between two factors or with the slot
+        # nothing mutable is shared between two factors or with the slot:
+        # the slot keeps the records frozen and the engines as values
         slot = self._slot(solver)
-        record_lists = [f.records for f in factors] + [slot.outcome[0]]
+        record_lists = [f.records for f in factors]
         assert len({id(r) for r in record_lists}) == len(record_lists)
-        assert all(isinstance(t, EngineTimeline) for t in slot.engines)
-        assert not {id(t) for t in slot.engines} & {
-            id(t) for t in engines.values()
-        }
+        assert type(slot.outcome[0].records) is tuple
+        assert all(type(row) is tuple for row in slot.engines)
         # mutating what a hit handed out does not reach the next hit
         factors[-1].records.clear()
         engines["cpu0"].free_at = -1.0
@@ -762,7 +761,9 @@ class TestScheduledPricingMemo:
             par.runtime.schedule.clear()
             par.runtime.worker_busy[0] = -1.0
             par.runtime.stats.steals = -1
-            par.runtime.spans[0].end = -1.0
+            par.runtime.spans.pop()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                par.runtime.spans[0].end = -1.0    # a span is frozen
             par.runtime.messages.append(None)
         for g in solver.node.gpus:
             g.device_pool.stats.n_requests = -1
