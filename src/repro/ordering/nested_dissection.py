@@ -27,9 +27,16 @@ still decides alone — its depth, its separator, its children — and
 records them in a task tree; flattening that tree depth-first gives the
 order the one-subgraph-at-a-time recursion produced: halves before
 their separator, components in ascending order of their smallest vertex.
+
+Minimum degree runs once per distinct leaf graph of a call: leaves are
+keyed by a 16-byte BLAKE2b digest of their local ``(indptr, indices)``,
+and congruent leaves — common on structured meshes — reuse the order.
+The memo lives for one ``nested_dissection`` call only.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -151,8 +158,9 @@ def _find_separator(
 
 def _dissect_level(indptr: np.ndarray, indices: np.ndarray,
                    parts: list[tuple[int, np.ndarray, bool]], tasks: list[list],
-                   owner: np.ndarray, local: np.ndarray,
-                   leaf_size: int) -> list[tuple[int, np.ndarray, bool]]:
+                   owner: np.ndarray, local: np.ndarray, leaf_size: int,
+                   leaf_orders: dict[bytes, np.ndarray]
+                   ) -> list[tuple[int, np.ndarray, bool]]:
     """Dissect every part of one level, recording each part's children
     and separator under its task; return the next level's parts.
 
@@ -160,6 +168,9 @@ def _dissect_level(indptr: np.ndarray, indices: np.ndarray,
     and non-empty, the parts vertex-disjoint.  ``rest`` marks what is
     left of a split part once its first components are queued: its
     components are split off before the leaf rule applies to any of them.
+    ``leaf_orders`` maps the digest of a minimum-degree leaf's local
+    ``(indptr, indices)`` to its order, so congruent leaves are ordered
+    once.
     """
     sizes = np.array([nodes.size for _, nodes, _ in parts], dtype=np.int64)
     starts = np.zeros(sizes.size, dtype=np.int64)
@@ -222,9 +233,16 @@ def _dissect_level(indptr: np.ndarray, indices: np.ndarray,
                 tasks[t].append(part_nodes[sep])
                 continue
         # a leaf, or a part the separator heuristic failed to split:
-        # minimum degree on its slice of the level's graph
+        # minimum degree on its slice of the level's graph, once per
+        # distinct slice
         lo, hi = sub_indptr[s], sub_indptr[e]
-        order = minimum_degree_graph(sub_indptr[s:e + 1] - lo, sub_indices[lo:hi] - s)
+        leaf_indptr, leaf_indices = sub_indptr[s:e + 1] - lo, sub_indices[lo:hi] - s
+        h = hashlib.blake2b(leaf_indptr.tobytes(), digest_size=16)
+        h.update(leaf_indices.tobytes())
+        key = h.digest()
+        order = leaf_orders.get(key)
+        if order is None:
+            order = leaf_orders[key] = minimum_degree_graph(leaf_indptr, leaf_indices)
         tasks[t].append(part_nodes[order])
     return next_parts
 
@@ -241,8 +259,11 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
     parts = [(0, np.arange(n, dtype=np.int64), False)] if n else []
     owner = np.full(n, -1, dtype=np.int64)
     local = np.empty(n, dtype=np.int64)
+    # lives for this call only, so every call orders its own leaves
+    leaf_orders: dict[bytes, np.ndarray] = {}
     while parts:
-        parts = _dissect_level(indptr, indices, parts, tasks, owner, local, leaf_size)
+        parts = _dissect_level(indptr, indices, parts, tasks, owner, local,
+                               leaf_size, leaf_orders)
     # seeded with an empty slice so an empty graph still concatenates
     out: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     stack: list = [0]

@@ -115,39 +115,37 @@ def postorder(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(post, first_child, next_sibling)``.  Sibling lists are built
     in decreasing column order so the DFS visits children in increasing
     order, giving the canonical postorder used by supernode detection.
+    The walk runs on Python lists, converted to arrays once at the end.
     """
     n = parent.size
-    first_child = np.full(n, NO_PARENT, dtype=np.int64)
-    next_sibling = np.full(n, NO_PARENT, dtype=np.int64)
+    par = parent.tolist()
+    first_child = [NO_PARENT] * n
+    next_sibling = [NO_PARENT] * n
     for j in range(n - 1, -1, -1):
-        p = parent[j]
+        p = par[j]
         if p != NO_PARENT:
             next_sibling[j] = first_child[p]
             first_child[p] = j
-    post = np.empty(n, dtype=np.int64)
-    t = 0
+    # iterative DFS: ``head[v]`` is the next child of v to descend into,
+    # and a node is emitted once it has none left
+    head = first_child.copy()
+    post: list[int] = []
     for root in range(n):
-        if parent[root] != NO_PARENT:
+        if par[root] != NO_PARENT:
             continue
-        # iterative DFS emitting nodes on the way back up
-        stack = [(root, False)]
+        stack = [root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                post[t] = node
-                t += 1
-                continue
-            stack.append((node, True))
-            c = int(first_child[node])
-            kids = []
-            while c != NO_PARENT:
-                kids.append(c)
-                c = int(next_sibling[c])
-            for c in reversed(kids):
-                stack.append((c, False))
-    if t != n:
+            node = stack[-1]
+            c = head[node]
+            if c == NO_PARENT:
+                post.append(stack.pop())
+            else:
+                head[node] = next_sibling[c]
+                stack.append(c)
+    if len(post) != n:
         raise ValueError("parent array does not describe a forest")
-    return post, first_child, next_sibling
+    return (np.array(post, dtype=np.int64), np.array(first_child, dtype=np.int64),
+            np.array(next_sibling, dtype=np.int64))
 
 
 def postordered(parent: np.ndarray) -> tuple[EliminationTree, np.ndarray]:

@@ -27,6 +27,7 @@ from repro.symbolic.etree import (
     NO_PARENT,
     EliminationTree,
     liu_parents,
+    postorder,
     postordered,
 )
 from repro.symbolic.supernodes import (
@@ -98,17 +99,13 @@ class SymbolicFactor:
 
     def mk_pairs(self) -> np.ndarray:
         """(n_super, 2) array of the (m, k) dimensions of every F-U call."""
-        out = np.empty((self.n_supernodes, 2), dtype=np.int64)
-        for s in range(self.n_supernodes):
-            k = self.width(s)
-            out[s, 0] = self.rows[s].size - k
-            out[s, 1] = k
-        return out
+        k = np.diff(self.super_ptr)
+        size = np.array([r.size for r in self.rows], dtype=np.int64)
+        return np.column_stack((size - k, k))
 
     def schildren(self) -> list[list[int]]:
         kids: list[list[int]] = [[] for _ in range(self.n_supernodes)]
-        for s in range(self.n_supernodes):
-            p = self.sparent[s]
+        for s, p in enumerate(self.sparent.tolist()):
             if p != NO_PARENT:
                 kids[p].append(s)
         return kids
@@ -353,7 +350,7 @@ def symbolic_factorize(
     # supernode ids increase with column number, so ascending id order is
     # already a valid postorder-compatible schedule; keep an explicit
     # postorder for schedulers that want subtree locality
-    spost = _postorder_supernodes(sparent)
+    spost = postorder(sparent)[0]
 
     return SymbolicFactor(
         n=n,
@@ -368,30 +365,3 @@ def symbolic_factorize(
         amalgamation=params,
     )
 
-
-def _postorder_supernodes(sparent: np.ndarray) -> np.ndarray:
-    n_super = sparent.size
-    kids: list[list[int]] = [[] for _ in range(n_super)]
-    roots = []
-    for s in range(n_super):
-        p = sparent[s]
-        if p == NO_PARENT:
-            roots.append(s)
-        else:
-            kids[p].append(s)
-    post = np.empty(n_super, dtype=np.int64)
-    t = 0
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                post[t] = node
-                t += 1
-            else:
-                stack.append((node, True))
-                for c in reversed(kids[node]):
-                    stack.append((c, False))
-    if t != n_super:
-        raise AssertionError("supernodal tree is not a forest")
-    return post

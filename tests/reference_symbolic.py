@@ -23,6 +23,12 @@ done by vectorized ``np.unique`` calls.
 parents and column counts: column ``j`` extends the supernode of ``j-1``
 iff ``parent(j-1) == j``, ``cnt(j-1) == cnt(j) + 1`` and ``j`` has no
 other child.
+
+``reference_postorder`` is the forest postorder as it read the parent
+array one numpy scalar at a time, before
+:func:`repro.symbolic.etree.postorder` moved to Python lists; the
+supernodal tree helpers in ``tests/test_symbolic_etree.py`` are held
+against it too.
 """
 
 from __future__ import annotations
@@ -116,3 +122,41 @@ def fundamental_supernodes(parent: np.ndarray, counts: np.ndarray) -> np.ndarray
             starts.append(j)
     starts.append(n)
     return np.asarray(starts, dtype=np.int64)
+
+
+def reference_postorder(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(post, first_child, next_sibling)`` of a forest: children in
+    increasing order, roots in increasing order; ``ValueError`` when the
+    parent array has a cycle."""
+    n = parent.size
+    first_child = np.full(n, NO_PARENT, dtype=np.int64)
+    next_sibling = np.full(n, NO_PARENT, dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        p = parent[j]
+        if p != NO_PARENT:
+            next_sibling[j] = first_child[p]
+            first_child[p] = j
+    post = np.empty(n, dtype=np.int64)
+    t = 0
+    for root in range(n):
+        if parent[root] != NO_PARENT:
+            continue
+        # iterative DFS emitting nodes on the way back up
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                post[t] = node
+                t += 1
+                continue
+            stack.append((node, True))
+            c = int(first_child[node])
+            kids = []
+            while c != NO_PARENT:
+                kids.append(c)
+                c = int(next_sibling[c])
+            for c in reversed(kids):
+                stack.append((c, False))
+    if t != n:
+        raise ValueError("parent array does not describe a forest")
+    return post, first_child, next_sibling

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.matrices import (
+    elasticity_3d,
     grid_laplacian_2d,
     grid_laplacian_3d,
     load_test_matrix,
@@ -24,7 +25,13 @@ from repro.ordering import (
     nested_dissection,
     reverse_cuthill_mckee,
 )
-from tests.reference_ordering import recursive_nested_dissection
+from repro.ordering.amd import minimum_degree_graph
+from repro.verify import load_corpus
+from repro.verify.harness import DEFAULT_CORPUS
+from tests.reference_ordering import (
+    recursive_nested_dissection,
+    reference_minimum_degree,
+)
 from tests.test_symbolic_structure import pattern_matrix, patterns
 
 
@@ -113,6 +120,89 @@ class TestMinimumDegree:
     def test_empty_matrix(self):
         a = CSCMatrix.from_coo([], [], [], (0, 0))
         assert minimum_degree(a).size == 0
+
+
+@st.composite
+def merge_graphs(draw, max_blocks=6):
+    """``(n, edges)``: disjoint blocks -- isolated vertices, cliques,
+    stars, complete bipartite graphs and sparse random pieces -- under a
+    drawn relabelling.  The empty graph, one vertex and disconnected
+    graphs come up, and so do indistinguishable variables, which is
+    what drives the supervariable merges and the mass eliminations."""
+    n, edges = 0, []
+    kinds = ("isolated", "clique", "star", "bipartite", "random")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_blocks)):
+        if kind == "isolated":
+            size = draw(st.integers(1, 3))
+        elif kind == "clique":
+            size = draw(st.integers(2, 8))
+            edges += [(n + i, n + j) for i in range(size) for j in range(i)]
+        elif kind == "star":
+            size = draw(st.integers(2, 10))
+            edges += [(n, n + i) for i in range(1, size)]
+        elif kind == "bipartite":
+            left, right = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+            size = left + right
+            edges += [(n + i, n + left + j) for i in range(left) for j in range(right)]
+        else:
+            size = draw(st.integers(2, 12))
+            vertex = st.integers(0, size - 1)
+            pairs = draw(st.lists(st.tuples(vertex, vertex).filter(
+                lambda e: e[0] != e[1]), max_size=3 * size))
+            edges += [(n + i, n + j) for i, j in pairs]
+        n += size
+    label = draw(st.permutations(range(n)))
+    return n, [(label[i], label[j]) for i, j in edges]
+
+
+class TestMinimumDegreeKernel:
+    """``minimum_degree_graph`` keeps each live element's weight and
+    subtracts, where the reference re-summed members at every pivot; the
+    degrees, the supervariables and so the orders must stay the same."""
+
+    @staticmethod
+    def assert_matches_reference(indptr, indices):
+        assert np.array_equal(minimum_degree_graph(indptr, indices),
+                              reference_minimum_degree(indptr, indices))
+
+    @given(merge_graphs())
+    @example((0, []))
+    @example((1, []))
+    @example((5, []))
+    def test_drawn_graphs_match_the_reference(self, graph):
+        self.assert_matches_reference(*pattern_matrix(*graph).adjacency())
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_laplacian_2d(48, 46),
+        lambda: grid_laplacian_3d(13, 13, 12),
+        lambda: elasticity_3d(8, 7, 7),
+    ], ids=["g2d", "g3d", "el"])
+    def test_service_matrices_match_the_reference(self, build):
+        # the first shape of each kind of pattern the API benchmark
+        # orders with amd
+        self.assert_matches_reference(*build().adjacency())
+
+    def test_corpus_matches_the_reference(self):
+        cases = load_corpus(DEFAULT_CORPUS)
+        assert cases
+        for _, a, _ in cases:
+            self.assert_matches_reference(*a.adjacency())
+
+    def test_every_lmco_s_leaf_matches_the_reference(self, monkeypatch):
+        # the one-part-at-a-time oracle orders every leaf on its own;
+        # nested dissection orders each distinct leaf graph once
+        ref = importlib.import_module("tests.reference_ordering")
+        leaves = []
+
+        def spy(indptr, indices):
+            leaves.append((indptr.tobytes(), indices.tobytes()))
+            self.assert_matches_reference(indptr, indices)
+            return reference_minimum_degree(indptr, indices)
+
+        monkeypatch.setattr(ref, "reference_minimum_degree", spy)
+        a = load_test_matrix("lmco_s")
+        assert np.array_equal(recursive_nested_dissection(a), nested_dissection(a))
+        assert len(leaves) == 382 and len(set(leaves)) == 126
 
 
 class TestRCM:
@@ -263,12 +353,36 @@ class TestNestedDissection:
     @example((7, []), 1)
     # two components larger than the leaf size and an isolated vertex
     @example((7, [(0, 3), (3, 5), (1, 2), (2, 6), (1, 6)]), 2)
+    # two leaves with one local indptr and different edges: the leaf
+    # memo must key on both arrays
+    @example((8, [(0, 1), (1, 2), (2, 3), (4, 6), (6, 5), (5, 7)]), 4)
     def test_drawn_patterns_match_the_recursive_oracle(self, pattern, leaf_size):
         n, edges = pattern
         a = pattern_matrix(n, edges)
         k = n if leaf_size is None else leaf_size
         assert np.array_equal(nested_dissection(a, leaf_size=k),
                               recursive_nested_dissection(a, k))
+
+
+def test_leaf_memo_lives_for_one_call(monkeypatch):
+    """Congruent leaves share one minimum-degree run inside a call, and
+    a second call on the same matrix orders its leaves again: a cold
+    ordering stays cold."""
+    nd = importlib.import_module("repro.ordering.nested_dissection")
+    leaves = []
+
+    def spy(indptr, indices):
+        leaves.append((indptr.tobytes(), indices.tobytes()))
+        return minimum_degree_graph(indptr, indices)
+
+    monkeypatch.setattr(nd, "minimum_degree_graph", spy)
+    a = grid_laplacian_3d(16, 16, 16)
+    first = nested_dissection(a, leaf_size=8)
+    per_call = len(leaves)
+    assert len(set(leaves)) == per_call
+    assert np.array_equal(nested_dissection(a, leaf_size=8), first)
+    assert len(leaves) == 2 * per_call
+    assert np.array_equal(first, recursive_nested_dissection(a, 8))
 
 
 def test_lmco_s_nd_bfs_counts(monkeypatch):

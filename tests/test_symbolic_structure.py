@@ -1,6 +1,7 @@
 """Column patterns, supernodes, amalgamation, and the full SymbolicFactor."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -260,18 +261,22 @@ class TestPinnedStructure:
 
 def test_lmco_s_cold_analysis_counts(monkeypatch):
     """The counts-gate CI runs by name: lmco_s/nd keeps its pinned
-    structure, its analysis de-duplicates every pattern with a plain sort
-    (3 249 ``np.unique`` calls before: two over the whole lower pattern,
-    one per fundamental supernode), and its assembly plan places every
-    entry and every child row with whole-plan searches (3 966 calls
-    before: one per supernode for its entries, one per child for its
-    update rows, one for the column bounds)."""
+    structure (its permutation among it), its nested dissection runs
+    minimum degree once per distinct leaf graph (126 calls, where each
+    of the 382 leaves had one), its analysis de-duplicates every pattern
+    with a plain sort (3 249 ``np.unique`` calls before: two over the
+    whole lower pattern, one per fundamental supernode), and its
+    assembly plan places every entry and every child row with
+    whole-plan searches (3 966 calls before: one per supernode for its
+    entries, one per child for its update rows, one for the column
+    bounds)."""
     from repro.multifrontal.frontal import AssemblyPlan
 
-    calls = {"unique": 0, "searchsorted": 0}
+    nd = importlib.import_module("repro.ordering.nested_dissection")
+    calls = {"unique": 0, "searchsorted": 0, "minimum_degree_graph": 0}
 
-    def counting(name):
-        real = getattr(np, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -280,10 +285,13 @@ def test_lmco_s_cold_analysis_counts(monkeypatch):
         return counted
 
     a = load_test_matrix("lmco_s")
-    monkeypatch.setattr(np, "unique", counting("unique"))
+    monkeypatch.setattr(np, "unique", counting(np, "unique"))
+    monkeypatch.setattr(nd, "minimum_degree_graph",
+                        counting(nd, "minimum_degree_graph"))
     sf = symbolic_factorize(a, ordering="nd")
     assert structure_digest(sf) == TestPinnedStructure.PINNED["lmco_s/nd"]
-    monkeypatch.setattr(np, "searchsorted", counting("searchsorted"))
+    assert calls["minimum_degree_graph"] == 126
+    monkeypatch.setattr(np, "searchsorted", counting(np, "searchsorted"))
     AssemblyPlan(a, sf)
     assert calls["unique"] == 0
     # the column bounds, the entries, the child rows
