@@ -5,7 +5,8 @@ operation decomposes into (paper Fig. 1):
 
 * ``potrf`` — dense Cholesky of the k x k pivot block L1,
 * ``trsm_right_lower`` — triangular solve ``X = B L^-T`` applied to the
-  m x k panel L2,
+  m x k panel L2, each 32-column diagonal block of L applied through its
+  inverse (:func:`block_inverse`), as GPU BLAS libraries run a trsm,
 * ``syrk`` — symmetric rank-k update ``C -= X X^T`` forming the m x m
   update matrix U,
 * ``gemm`` — general update used inside the blocked panel algorithm.
@@ -14,7 +15,8 @@ Each kernel returns its result and the numerics run in whatever dtype the
 inputs carry: the host path uses float64, the simulated-GPU path calls
 the same routines through :mod:`repro.gpu.cublas` in float32.  Flop
 helpers follow the paper's asymptotic counts (Section IV-B):
-``N_P = k^3/3``, ``N_T = m k^2``, ``N_S = m^2 k``.
+``N_P = k^3/3``, ``N_T = m k^2``, ``N_S = m^2 k`` — a trsm counts
+``N_T`` whatever way it is computed; the block inverses are not counted.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "SUBSTITUTION_BLOCK",
+    "block_inverse",
     "potrf",
     "trsm_right_lower",
     "syrk",
@@ -38,10 +41,10 @@ __all__ = [
 ]
 
 
-#: width of a diagonal block: :func:`trsm_right_lower` and its stacked
+#: width of a diagonal block: :func:`trsm_right_lower`, its stacked
 #: replay (:func:`repro.multifrontal.batched.batched_trsm_right_lower`)
-#: solve each block entry by entry; the solve phase's sweeps apply each
-#: one as a product with its inverse (:mod:`repro.multifrontal.solve`)
+#: and the solve phase's sweeps (:mod:`repro.multifrontal.solve`) apply
+#: each one as a product with its :func:`block_inverse`
 SUBSTITUTION_BLOCK = 32
 
 
@@ -109,15 +112,41 @@ def potrf(a: np.ndarray, *, counts: KernelCounts | None = None) -> np.ndarray:
     return l
 
 
+#: the lower triangle of a diagonal block
+_LOWER = np.tri(SUBSTITUTION_BLOCK, dtype=bool)
+
+
+def block_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``inv(L)`` of a lower-triangular block of at most
+    ``SUBSTITUTION_BLOCK`` columns, or of every block of a ``(..., b, b)``
+    stack in one batched LAPACK call, formed as ``inv(D^-1 L) D^-1`` with
+    ``D = diag(L)``.
+
+    LAPACK inverts the unit-diagonal ``D^-1 L``, so the result is blind
+    to a diagonal scaling of L's rows (the factor of ``D A D`` is
+    ``D L``), as substitution is and a plain ``inv(L)`` is not.  Reads
+    the lower triangle only.
+    """
+    b = l.shape[-1]
+    d = l.diagonal(0, -2, -1).copy()
+    unit = np.divide(
+        l, d[..., :, None], out=np.zeros(l.shape, l.dtype), where=_LOWER[:b, :b]
+    )
+    return np.divide(np.linalg.inv(unit), d[..., None, :], out=out)
+
+
 def trsm_right_lower(
     b: np.ndarray, l: np.ndarray, *, counts: KernelCounts | None = None
 ) -> np.ndarray:
     """Solve ``X L^T = B`` for X, with L lower triangular (the panel solve
     ``L2 <- L2 L1^-T`` of the F-U operation).
 
-    Implemented as a blocked forward substitution over columns of X so the
-    work stays in matrix-matrix operations (no explicit inverse, matching
-    the numerical behaviour of a BLAS trsm).
+    The inverted-diagonal-block trsm GPU BLAS libraries run: L is cut
+    into ``SUBSTITUTION_BLOCK``-column diagonal blocks, and column block
+    j of X is ``(B_j - X_{<j} L_{j,<j}^T) W_j^T`` with ``W_j`` the
+    :func:`block_inverse` of ``L_jj`` — one product per block, no step
+    per column.  The inverses of all full blocks come from one batched
+    call.  Only the lower triangle of L is read.
     """
     b = np.asarray(b)
     l = np.asarray(l)
@@ -126,20 +155,26 @@ def trsm_right_lower(
         raise ValueError("L must be square")
     if b.shape[1] != k:
         raise ValueError(f"shape mismatch: B {b.shape} vs L {l.shape}")
-    x = b.astype(b.dtype, copy=True)
-    # X L^T = B  =>  column block j of X depends on previous blocks:
-    # X[:, j] = (B[:, j] - X[:, :j] @ L[j, :j].T) / L[j, j]
     nb = SUBSTITUTION_BLOCK
-    for j0 in range(0, k, nb):
-        j1 = min(j0 + nb, k)
-        if j0:
-            x[:, j0:j1] -= x[:, :j0] @ l[j0:j1, :j0].T
-        # solve the small diagonal block by substitution
-        ljj = l[j0:j1, j0:j1]
-        for jj in range(j1 - j0):
-            if jj:
-                x[:, j0 + jj] -= x[:, j0:j0 + jj] @ ljj[jj, :jj]
-            x[:, j0 + jj] /= ljj[jj, jj]
+    if k <= nb:
+        x = b @ block_inverse(l).T
+    else:
+        # the full diagonal blocks as one (full, nb, nb) view: steps of
+        # nb rows and nb columns in l's own strides (a pivot block of the
+        # Figure-9 loop is a strided view of its front)
+        full = k // nb
+        s0, s1 = l.strides
+        w = list(block_inverse(np.lib.stride_tricks.as_strided(
+            l, (full, nb, nb), (nb * (s0 + s1), s0, s1), writeable=False
+        )))
+        if k % nb:
+            w.append(block_inverse(l[full * nb:, full * nb:]))
+        x = b.astype(b.dtype, copy=True)
+        for j0, wj in zip(range(0, k, nb), w):
+            j1 = j0 + wj.shape[0]
+            if j0:
+                x[:, j0:j1] -= x[:, :j0] @ l[j0:j1, :j0].T
+            x[:, j0:j1] = x[:, j0:j1] @ wj.T
     if counts is not None:
         counts.add("trsm", trsm_flops(b.shape[0], k))
     return x

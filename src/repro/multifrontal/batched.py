@@ -8,11 +8,12 @@ assembled by one gather and one scatter, and factored with *one*
 sequence of stacked numpy calls — the same idea A64FX-class sparse
 Cholesky codes use for small fronts.
 
-Bitwise safety: numpy's stacked ``cholesky``/``matmul`` gufuncs run the
-identical LAPACK/BLAS kernel per slice, and the stacked triangular solve
-below replays :func:`repro.dense.kernels.trsm_right_lower` block for
-block with stacked matmuls, so every slice of the stacked result is
-bit-identical to ``PolicyP1.apply`` on the individually assembled front.
+Bitwise safety: numpy's stacked ``cholesky``/``inv``/``matmul`` gufuncs
+run the identical LAPACK/BLAS kernel per slice, and the stacked
+triangular solve below replays :func:`repro.dense.kernels.trsm_right_lower`
+block for block with batched inverses and stacked matmuls, so every
+slice of the stacked result is bit-identical to ``PolicyP1.apply`` on
+the individually assembled front.
 Stacking is a pure dispatch optimisation of the numerics pass: the
 virtual clock prices every front on its own and never sees it.
 
@@ -34,6 +35,7 @@ import numpy as np
 from repro.dense.kernels import (
     SUBSTITUTION_BLOCK,
     NotPositiveDefiniteError,
+    block_inverse,
     potrf,
 )
 from repro.symbolic.symbolic import SymbolicFactor
@@ -138,9 +140,11 @@ def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Stacked ``X L^T = B`` solve: per-slice replay of
     :func:`repro.dense.kernels.trsm_right_lower`.
 
-    ``x`` is ``(B, m, k)``, ``l`` is ``(B, k, k)`` lower triangular.  The
-    blocked forward substitution is reproduced step for step with batched
-    matmuls so each slice is bit-identical to the 2-D kernel.
+    ``x`` is ``(B, m, k)``, ``l`` is ``(B, k, k)`` lower triangular.  Each
+    diagonal block is inverted across the stack by one batched
+    :func:`repro.dense.kernels.block_inverse` and applied by one stacked
+    product, after the same stacked off-block update, so each slice is
+    bit-identical to the 2-D kernel.
     """
     k = l.shape[-1]
     x = x.copy()
@@ -149,13 +153,8 @@ def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
         j1 = min(j0 + nb, k)
         if j0:
             x[:, :, j0:j1] -= x[:, :, :j0] @ l[:, j0:j1, :j0].transpose(0, 2, 1)
-        ljj = l[:, j0:j1, j0:j1]
-        for jj in range(j1 - j0):
-            if jj:
-                x[:, :, j0 + jj] -= (
-                    x[:, :, j0:j0 + jj] @ ljj[:, jj, :jj, None]
-                )[:, :, 0]
-            x[:, :, j0 + jj] /= ljj[:, jj, jj, None]
+        w = block_inverse(l[:, j0:j1, j0:j1])
+        x[:, :, j0:j1] = x[:, :, j0:j1] @ w.transpose(0, 2, 1)
     return x
 
 

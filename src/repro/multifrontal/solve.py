@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.dense.kernels import SUBSTITUTION_BLOCK
+from repro.dense.kernels import SUBSTITUTION_BLOCK, block_inverse
 from repro.multifrontal.batched import BatchGroup, batch_groups
 
 if TYPE_CHECKING:
@@ -187,11 +187,8 @@ class SolvePlan:
                          (first, end, l1, l2, below, w))
 
         for size, at, n in self.regions:
-            # inv(D^-1 L_jj) D^-1, D = diag(L_jj): blind to a symmetric
-            # diagonal scaling of A, as substitution is and inv(L_jj) is not
             w = region(at, n, size)
-            d = w.diagonal(0, 1, 2).copy()
-            np.divide(np.linalg.inv(np.tril(w) / d[:, :, None]), d[:, None, :], out=w)
+            block_inverse(w, out=w)
         return SweepTable(self, blocks, steps, inverses)
 
 

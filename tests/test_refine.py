@@ -135,7 +135,7 @@ class TestCertificate:
     """``converged`` means ``eta <= max(tol, n * u64)`` and, on a factor
     that ran fp32 kernels, a conditioning witness ``nu * u32 < 1/2``."""
 
-    @pytest.mark.parametrize("shift", [1e-9, 1e-7])
+    @pytest.mark.parametrize("shift", [1e-9])
     def test_fp32_factor_of_an_ill_conditioned_matrix_is_over_the_bound(
         self, shift
     ):
@@ -151,10 +151,26 @@ class TestCertificate:
         host = _factored(a, policy="P1").solve_refined(b)
         assert host.converged and host.iterations == 0
 
+    @pytest.mark.parametrize("shift", [1e-7, 1e-13])
+    def test_fp32_answer_of_an_ill_conditioned_matrix_is_not_converged(self, shift):
+        # cond(A) * u32 ~ 4 at shift 1e-7 and ~ 4e6 at 1e-13: whether
+        # refinement ends within the bound (1e-7) or just over it (1e-13)
+        # rests on the fp32 factor's rounding; the answer is refused
+        # either way, and reports the backward error of the x it returns
+        a = _probe(shift)
+        b = np.ones(a.n_rows)
+        res = _factored(a, policy="P4").solve_refined(b)
+        assert not res.converged
+        assert res.final_residual == normwise_backward_error(a, res.x, b)
+        host = _factored(a, policy="P1").solve_refined(b)
+        assert host.converged and host.iterations == 0
+
     def test_fp32_answer_past_the_conditioning_witness_is_not_converged(self):
-        # cond(A) * u32 ~ 4e6: the fp32 factor's x is wrong in every digit
-        # yet its backward error is within the bound
-        a = _probe(1e-13)
+        # n 2 000, shift 1e-11 (cond(A) ~ 8e11, the probe the service and
+        # the API tests also answer degraded): the fp32 factor's x is wrong
+        # in every digit (forward error ~ 4e5) yet its backward error is
+        # within the bound; only the witness refuses it
+        a = random_spd(2000, avg_degree=4, seed=3, shift=1e-11)
         b = np.ones(a.n_rows)
         res = _factored(a, policy="P4").solve_refined(b)
         assert res.final_residual <= backward_error_bound(a.n_rows, 1e-12)
@@ -162,8 +178,8 @@ class TestCertificate:
         nu = inf_norm(a) * np.abs(res.x).max() / np.abs(b).max()
         assert nu * np.finfo(np.float32).eps / 2 >= 0.5
         # the witness is read only on a factor coarser than fp64: the
-        # host factor's answer, with the same nu, is certified; so is a
-        # zero column (nu = 0) of an fp32 block
+        # host factor's answer is certified; so is a zero column (nu = 0)
+        # of an fp32 block
         host = _factored(a, policy="P1").solve_refined(b)
         assert host.converged
         block = _factored(a, policy="P4").solve_refined(

@@ -220,15 +220,15 @@ def test_two_threads_take_the_first_solve_at_once(lap3d_small):
         sys.setswitchinterval(interval)
 
 
-def line_hits(fn) -> Counter:
-    """How many times each line of :mod:`repro.multifrontal.solve` ran
-    during ``fn()``."""
+def line_hits(fn, module=solve_module) -> Counter:
+    """How many times each ``(function, line)`` of ``module`` (by default
+    :mod:`repro.multifrontal.solve`) ran during ``fn()``."""
     hits: Counter = Counter()
-    path = solve_module.__file__
+    path = module.__file__
 
     def count(frame, event, arg):
         if event == "line":
-            hits[frame.f_lineno] += 1
+            hits[frame.f_code.co_name, frame.f_lineno] += 1
         return count
 
     previous = sys.gettrace()
