@@ -14,7 +14,14 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.matrices import grid_laplacian_2d, grid_laplacian_3d
-from repro.parallel import list_schedule, make_worker_pool, parallel_factorize
+from repro.multifrontal.numeric import postorder_numeric_factor
+from repro.parallel import (
+    Dynamic,
+    Static,
+    list_schedule,
+    make_worker_pool,
+    parallel_schedule,
+)
 from repro.policies import make_policy
 from repro.runtime import (
     FaultInjector,
@@ -48,17 +55,20 @@ def test_extension_runtime(save, benchmark):
     assert capped.stats.admission_deferrals > 0
     assert len(capped.schedule) == sf.n_supernodes
 
-    # --- bit-identical factors through parallel_factorize ------------------
+    # --- bit-identical factors: each executor prices, one numerics pass ----
     a3 = grid_laplacian_3d(6, 6, 6)
     sf3 = symbolic_factorize(a3, ordering="nd")
+
+    def factorize(policy, executor):
+        pool = make_worker_pool(2, 2)
+        priced = parallel_schedule(sf3, policy, pool, executor)
+        return priced, postorder_numeric_factor(a3, sf3, priced, pool.node)
+
     pol = make_policy("P2")
-    rs = parallel_factorize(a3, sf3, pol, make_worker_pool(2, 2),
-                            backend="static")
-    rd = parallel_factorize(a3, sf3, pol, make_worker_pool(2, 2),
-                            backend="dynamic")
+    _, fs = factorize(pol, Static())
+    _, fd = factorize(pol, Dynamic())
     identical = all(
-        np.array_equal(ps, pd)
-        for ps, pd in zip(rs.factor.panels, rd.factor.panels)
+        np.array_equal(ps, pd) for ps, pd in zip(fs.panels, fd.panels)
     )
     assert identical
 
@@ -66,11 +76,10 @@ def test_extension_runtime(save, benchmark):
     mk = [(s, sf3.update_size(s) * sf3.width(s)) for s in range(sf3.n_supernodes)]
     fail_sids = frozenset(s for s, _ in sorted(mk, key=lambda t: -t[1])[:3])
     faults = FaultInjector(fail_sids=fail_sids, seed=3)
-    rf = parallel_factorize(a3, sf3, make_policy("P3"), make_worker_pool(2, 2),
-                            backend="dynamic", faults=faults)
-    assert rf.degraded
+    rf, ff = factorize(make_policy("P3"), Dynamic(faults=faults))
+    assert rf.runtime.degraded
     assert rf.runtime.degraded_sids == fail_sids
-    assert rf.factor is not None  # completed despite the failures
+    assert ff is not None  # completed despite the failures
 
     s = dyn.stats
     c = capped.stats

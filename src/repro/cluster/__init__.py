@@ -26,7 +26,9 @@ system on top of the same simulation substrate:
   arrival.  :func:`cluster_replay` prices a whole factorization on a
   :class:`ClusterSpec` and reports makespan, per-node utilization, and
   communication volume — the quantities a cluster-scaling study needs;
-  :func:`cluster_factorize` also produces the factor, bit-identical to
+  the :class:`repro.parallel.Cluster` executor of
+  :func:`repro.parallel.parallel_schedule` prices the same run for the
+  one numerics pass, whose factor is bit-identical to
   ``backend="serial"`` at any node count;
 * a **sharded serving fleet** (:mod:`fleet`) — pattern-affinity request
   routing across node-local :class:`~repro.service.SolverService`
@@ -42,7 +44,6 @@ from repro.cluster.interconnect import (
 from repro.cluster.mapping import map_subtrees_to_ranks, subtree_flops
 from repro.cluster.runtime import (
     ClusterRunResult,
-    cluster_factorize,
     cluster_replay,
 )
 from repro.cluster.topology import ClusterSpec, InterconnectParams
@@ -55,7 +56,6 @@ __all__ = [
     "Message",
     "ShardRouter",
     "ShardedSolverService",
-    "cluster_factorize",
     "cluster_replay",
     "map_subtrees_to_ranks",
     "subtree_flops",

@@ -13,15 +13,14 @@ fleet itself: the supernode-to-rank map, the rank workers and the
 interconnect they talk through.
 
 A fleet run only prices: it decides where and when each front runs,
-never what is computed.  :func:`cluster_factorize` runs the timing
-simulation for the makespan, then the one numerics pass
-(:func:`repro.multifrontal.numeric.postorder_numeric_factor`, under
-:func:`repro.parallel.scheduler.scheduled_fronts`) on one node of the
-fleet's shape, so the factor (and its fingerprint) is
-bit-identical to the serial walk's on that node at every rank count.
-``SparseCholeskySolver(backend="cluster")`` prices through
-:func:`cluster_replay` and runs the same numerics pass on the solver's
-own node.
+never what is computed.  ``parallel_schedule(sf, policy, pool,
+Cluster(spec))`` (:class:`repro.parallel.Cluster`) hands the fleet's
+schedule to the one numerics pass
+(:func:`repro.multifrontal.numeric.postorder_numeric_factor`) on the
+pool's node, so the factor (and its fingerprint) is bit-identical to the
+serial walk's on that node at every rank count.
+``SparseCholeskySolver(backend="cluster")`` does exactly that on a
+two-rank fleet of the solver node's shape.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ import numpy as np
 from repro.cluster.interconnect import Interconnect
 from repro.cluster.mapping import map_subtrees_to_ranks
 from repro.cluster.topology import ClusterSpec
-from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.numeric import postorder_numeric_factor
-from repro.parallel.scheduler import scheduled_fronts
+from repro.gpu.device import SimulatedNode
 from repro.policies.base import Policy
 from repro.runtime.engine import DynamicRuntime, RuntimeResult
 from repro.symbolic.symbolic import SymbolicFactor
@@ -41,7 +38,7 @@ from repro.symbolic.symbolic import SymbolicFactor
 __all__ = [
     "ClusterRunResult",
     "cluster_replay",
-    "cluster_factorize",
+    "run_fleet",
     "validate_owner",
 ]
 
@@ -71,35 +68,21 @@ def cluster_replay(
     owner: np.ndarray | None = None,
 ) -> RuntimeResult:
     """Timing-only cluster run (works on synthetic workloads too)."""
+    return run_fleet(sf, policy, spec, spec.build_nodes(), owner)
+
+
+def run_fleet(
+    sf: SymbolicFactor,
+    policy: Policy,
+    spec: ClusterSpec,
+    nodes: list[SimulatedNode],
+    owner=None,
+) -> RuntimeResult:
+    """The event loop with ``sf``'s tasks pinned to ``spec``'s ranks,
+    one of ``nodes`` each (:meth:`ClusterSpec.build_nodes`)."""
     owner = validate_owner(sf, spec, owner)
-    workers = [
-        spec.node_worker(r, node) for r, node in enumerate(spec.build_nodes())
-    ]
+    workers = [spec.node_worker(r, node) for r, node in enumerate(nodes)]
     return DynamicRuntime(
         sf, policy, workers, spec.model, owner=owner,
         interconnect=Interconnect(spec.n_ranks, spec.interconnect),
     ).run()
-
-
-def cluster_factorize(
-    a: CSCMatrix,
-    sf: SymbolicFactor,
-    policy: Policy,
-    spec: ClusterSpec,
-    *,
-    owner: np.ndarray | None = None,
-) -> RuntimeResult:
-    """Cluster-schedule *and* numerically factor.
-
-    Times come from the fleet event loop; panels are computed in
-    canonical postorder on one node of the fleet's shape
-    (:meth:`ClusterSpec.build_nodes`), so the factor is bit-identical to
-    the serial walk's on that node regardless of ``spec.n_ranks``.
-    """
-    result = cluster_replay(sf, policy, spec, owner=owner)
-    node = spec.build_nodes()[0]
-    result.factor = postorder_numeric_factor(
-        a, sf, scheduled_fronts(sf, policy, node, result.schedule), node,
-        makespan=result.makespan,
-    )
-    return result

@@ -6,19 +6,21 @@ full-crossbar interconnect priced per message as
 ``latency + bytes / bandwidth`` and serialized on the sender's NIC.
 
 :class:`ClusterSpec` is the single description both cluster entry
-points take — :func:`repro.cluster.runtime.cluster_replay` and
-:func:`~repro.cluster.runtime.cluster_factorize` — which hand its rank
-workers to the event-driven executor.  The ``backend="cluster"`` mode of
+points take — :func:`repro.cluster.runtime.cluster_replay` and the
+:class:`repro.parallel.Cluster` executor — which hand its rank workers
+to the event-driven executor.  The ``backend="cluster"`` mode of
 :class:`repro.multifrontal.SparseCholeskySolver` prices on a two-rank
-spec of the solver node's shape and computes the factor on the solver's
-own node.
+spec of the solver node's shape, each rank's GPU like the node's first
+(:meth:`ClusterSpec.build_nodes`), and computes the factor on the
+solver's own node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.gpu.device import SimulatedNode
+from repro.gpu.allocator import HighWaterMarkPool
+from repro.gpu.device import SimulatedGpu, SimulatedNode
 from repro.gpu.perfmodel import PerfModel, tesla_t10_model
 from repro.policies.base import Worker
 
@@ -51,15 +53,29 @@ class ClusterSpec:
         if self.gpus_per_rank not in (0, 1):
             raise ValueError("a rank drives at most one GPU (paper design point)")
 
-    def build_nodes(self) -> list[SimulatedNode]:
+    def build_nodes(
+        self, like: SimulatedGpu | None = None
+    ) -> list[SimulatedNode]:
         """One :class:`SimulatedNode` per rank — each owns its own
-        engines, allocators, and (by extension) virtual timeline."""
-        return [
+        engines, allocators, and (by extension) virtual timeline.  A
+        rank's GPU is a default Tesla T10, or one of ``like``'s spec and
+        pool kinds."""
+        pooling = like is None or isinstance(like.device_pool, HighWaterMarkPool)
+        nodes = [
             SimulatedNode(
-                model=self.model, n_cpus=1, n_gpus=self.gpus_per_rank
+                model=self.model, n_cpus=1, n_gpus=self.gpus_per_rank,
+                pinned_pooling=pooling,
             )
             for _ in range(self.n_ranks)
         ]
+        if like is not None:
+            for node in nodes:
+                node.gpus = [
+                    SimulatedGpu(self.model, g.gpu_id, like.spec,
+                                 pinned_pooling=pooling)
+                    for g in node.gpus
+                ]
+        return nodes
 
     def node_worker(self, rank: int, node: SimulatedNode) -> Worker:
         """Rank ``rank``'s worker lane, with a fleet-namespaced engine

@@ -261,6 +261,8 @@ class LintConfig:
             "iterative_refinement",
             "factorize_numeric",
             "replay_factorize",
+            "parallel_schedule",
+            "postorder_numeric_factor",
         }
     )
 

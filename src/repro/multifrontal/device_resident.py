@@ -34,7 +34,8 @@ Pipeline (the two-pass shape of every other driver):
 
 3. **numerics** — the shared pass
    (:func:`repro.multifrontal.numeric.postorder_numeric_factor`) under
-   the placement: ``PolicyP4`` on device-placed supernodes, the host
+   the walk's :class:`~repro.multifrontal.numeric.PricedPass`, i.e. the
+   placement: ``PolicyP4`` on device-placed supernodes, the host
    fallback elsewhere.
 
 Numerics are those of every other driver: fp32 kernels, fp64 host
@@ -62,7 +63,7 @@ from repro.multifrontal.frontal import AssemblyPlan, get_assembly_plan
 from repro.multifrontal.numeric import (
     FURecord,
     NumericFactor,
-    PricedFronts,
+    PricedPass,
     ReplayResult,
     postorder_numeric_factor,
 )
@@ -271,11 +272,11 @@ def factorize_resident(
     records, bases, assembly_seconds, stats = _price_resident(
         sf, node, place_on_device, get_assembly_plan(a, sf)
     )
-    fronts = PricedFronts.of(sf, records, bases, Worker.canonical(node), sf.spost)
-    factor = postorder_numeric_factor(
-        a, sf, fronts, node, makespan=node.now, assembly_seconds=assembly_seconds,
+    priced = PricedPass.of(
+        sf, records, bases, Worker.canonical(node), sf.spost, node.now,
+        assembly_seconds,
     )
-    return factor, stats
+    return postorder_numeric_factor(a, sf, priced, node), stats
 
 
 def replay_resident(

@@ -17,15 +17,16 @@ way, the fastest bit-identical way, under every backend's task-to-worker
 mapping: assemble each front, run its factor-update, hand the update
 matrix to the parent.  Its device kernels run uncharged; what the pass
 owes the device clock (``cublas.busy_seconds``) is one list of kernel
-seconds, also fixed by the pattern, kept with the priced pass
-(:class:`PricedFronts`) and added after the walk.
+seconds, also fixed by the pattern, kept with the priced pass and added
+after the walk.  Every pricer hands the numerics pass one frozen
+:class:`PricedPass`, and nothing else.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import astuple, dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -51,20 +52,20 @@ from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 if TYPE_CHECKING:
     from repro.multifrontal.solve import SweepTable
+    from repro.runtime.engine import RuntimeResult
 
 __all__ = [
     "FURecord",
     "NumericFactor",
-    "PricedFronts",
+    "PricedPass",
     "device_kernels",
     "factorize_numeric",
     "postorder_numeric_factor",
     "price_once_per_pattern",
+    "price_serial",
     "replay_factorize",
     "ReplayResult",
 ]
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -120,28 +121,52 @@ def _kernel_seconds(
 
 
 @dataclass(frozen=True)
-class PricedFronts:
-    """What a pricing pass hands the numerics pass: one record per front
-    in the pass's order, the base policy each supernode is computed
-    under (indexed by supernode id) and the seconds of every device
-    kernel those policies run on the canonical worker's GPU, in the
-    walk's order (:func:`device_kernels`) — the only time the numerics
-    pass keeps.  All three are fixed by the pass, so a memoised pass
-    keeps them and a warm factorization neither rebuilds a record nor
-    resolves a policy nor prices a kernel."""
+class PricedPass:
+    """What a pricing pass hands the numerics pass, and all it hands it:
+    one record per front in the pass's order, the base policy each
+    supernode is computed under (indexed by supernode id), the seconds
+    of every device kernel those policies run on the canonical worker's
+    GPU, in the walk's order (:func:`device_kernels`) — the only time the
+    numerics pass keeps — the simulated makespan and assembly seconds,
+    the supernode order the numerics pass walks, and the scheduler's
+    :class:`~repro.runtime.RuntimeResult` (``None`` for a serial walk).
+
+    Every pricer returns one: the serial walk (:func:`price_serial`),
+    the scheduled executors (:func:`repro.parallel.parallel_schedule`)
+    and the device-resident walk.  Frozen all the way down, so a pass
+    kept per pattern (:func:`price_once_per_pattern`) is handed out as it
+    is: a warm factorization neither rebuilds a record nor resolves a
+    policy nor prices a kernel.
+    """
 
     records: tuple[FURecord, ...]
     bases: tuple[Policy, ...]
     kernel_seconds: tuple[float, ...]
+    makespan: float
+    assembly_seconds: float
+    order: tuple[int, ...]
+    runtime: "RuntimeResult | None" = None
 
     @classmethod
     def of(
-        cls, sf: SymbolicFactor, records, bases, worker: Worker, order
-    ) -> "PricedFronts":
+        cls, sf: SymbolicFactor, records, bases, worker: Worker, order,
+        makespan: float, assembly_seconds: float = 0.0, runtime=None,
+    ) -> "PricedPass":
+        order = tuple(np.asarray(order).tolist())
         return cls(
             tuple(records), tuple(bases),
             _kernel_seconds(sf, bases, worker, order),
+            makespan, assembly_seconds, order, runtime,
         )
+
+    @property
+    def task_dispatches(self) -> int:
+        """Work dispatches the scheduler issued (a scheduled pass)."""
+        return self.runtime.task_dispatches
+
+    def utilization(self) -> float:
+        """Mean worker busy share of the schedule (a scheduled pass)."""
+        return self.runtime.utilization()
 
 
 @dataclass
@@ -299,21 +324,21 @@ _SCALARS = (bool, int, float, str, type(None))
 
 
 @dataclass(frozen=True)
-class _PricedPass:
+class _KeptPass:
     """What one *pure* pricing pass left behind, kept in one slot on the
     :class:`SymbolicFactor` (``_priced_pass``, beside ``_assembly_plan``)
     so that a warm ``refactorize`` does not price again what only the
     pattern decides — whichever pass priced it: the serial walk
-    (:func:`_price_once`) or a scheduler
-    (:func:`repro.parallel.scheduler.parallel_factorize`).  Immutable:
-    the node's end state is kept as plain values and the outcome as
-    ``fresh`` left it, whose frozen parts a hit hands out as they are;
-    a refill replaces the slot (last writer wins between threads sharing
-    the symbolic factor)."""
+    (:func:`price_serial`) or a scheduler
+    (:func:`repro.parallel.parallel_schedule`).  Immutable: the node's
+    end state is kept as plain values and the outcome is a frozen
+    :class:`PricedPass`, which a hit hands out as it is; a refill
+    replaces the slot (last writer wins between threads sharing the
+    symbolic factor)."""
 
     key: tuple                      # :func:`_pass_key`
     models: tuple[PerfModel, ...]   # the node's and its GPUs', copies
-    outcome: object                 # what the pass returned
+    outcome: PricedPass             # what the pass returned
     #: every engine timeline's fields, in the node's order
     engines: tuple[tuple, ...]
     #: end state of every GPU pool of the node: capacity (``None`` for a
@@ -370,24 +395,22 @@ def price_once_per_pattern(
     node: SimulatedNode,
     workers: list[Worker],
     how,
-    price: Callable[[], _T],
-    fresh: Callable[[_T], _T],
-) -> _T:
+    price: Callable[[], PricedPass],
+) -> PricedPass:
     """``price()`` — a pricing pass of ``policy`` over ``workers`` of
     ``node``, driven as ``how`` says — paid once per pattern where the
     pass is a function of the pattern (:func:`_pass_key`).
 
     A hit needs the slot's key and perf models; it builds the engine
     timelines and every GPU pool's capacity, ``in_use`` and statistics
-    the pass left, and returns ``fresh(kept outcome)`` (``fresh`` copies
-    the containers a caller could mutate; what they hold is frozen), so
-    the node and the outcome read exactly as after a real pass.  A pure
-    miss keeps ``fresh(outcome)`` and the node's end state.  Everything
-    else prices as if this function did not exist.
+    the pass left, and returns the kept pass (frozen, so it is handed
+    out as it is): the node and the pass read exactly as after a real
+    pass.  A pure miss keeps the pass and the node's end state.
+    Everything else prices as if this function did not exist.
     """
     key = _pass_key(policy, node, workers, how)
     models = (node.model, *(g.model for g in node.gpus))
-    memo: _PricedPass | None = getattr(sf, "_priced_pass", None)
+    memo: _KeptPass | None = getattr(sf, "_priced_pass", None)
     if key is not None and memo and memo.key == key and memo.models == models:
         node.engines.update((row[0], EngineTimeline(*row)) for row in memo.engines)
         for pool, (capacity, in_use, stats) in zip(_gpu_pools(node), memo.pools):
@@ -395,11 +418,11 @@ def price_once_per_pattern(
                 pool.capacity = capacity
             pool.in_use = in_use
             pool.stats = AllocationStats(*stats)
-        return fresh(memo.outcome)  # type: ignore[arg-type]
+        return memo.outcome
     outcome = price()
     if key is not None:
-        sf._priced_pass = _PricedPass(  # type: ignore[attr-defined]
-            key, copy.deepcopy(models), fresh(outcome),
+        sf._priced_pass = _KeptPass(  # type: ignore[attr-defined]
+            key, copy.deepcopy(models), outcome,
             tuple(astuple(t) for t in node.engines.values()),
             tuple(
                 (getattr(p, "capacity", None), p.in_use, astuple(p.stats))
@@ -409,31 +432,32 @@ def price_once_per_pattern(
     return outcome
 
 
-def _price_once(
+def price_serial(
     sf: SymbolicFactor,
     policy: Policy,
     node: SimulatedNode,
-    worker: Worker,
-    spost: "np.ndarray | None",
-) -> tuple[PricedFronts, float]:
-    """:func:`_price_postorder` for :func:`factorize_numeric`, with the
+    spost: "np.ndarray | None" = None,
+) -> PricedPass:
+    """The serial pricing pass: :func:`_price_postorder` on ``node``'s
+    canonical worker over ``spost`` (default ``sf.spost``), with the
     device-kernel seconds of its resolved policies, paid once per
     pattern where the pass is a function of the pattern
     (:func:`price_once_per_pattern`: fresh node, plain-scalar policy —
-    P1 to P4, not a selector).  The key adds the schedule walked; the
-    outcome is frozen, so a hit hands it out as it is.
+    P1 to P4, not a selector).  The key adds the order walked.
     """
+    worker = Worker.canonical(node)
     order = np.asarray(sf.spost if spost is None else spost)
 
-    def price() -> tuple[PricedFronts, float]:
+    def price() -> PricedPass:
         records, bases, assembly_seconds = _price_postorder(
-            sf, policy, node, worker, spost, assembly_in_record=False
+            sf, policy, node, worker, order, assembly_in_record=False
         )
-        return PricedFronts.of(sf, records, bases, worker, order), assembly_seconds
+        return PricedPass.of(
+            sf, records, bases, worker, order, node.now, assembly_seconds
+        )
 
     return price_once_per_pattern(
-        sf, policy, node, [worker], ("serial", order.tobytes()), price,
-        lambda out: out,
+        sf, policy, node, [worker], ("serial", order.tobytes()), price
     )
 
 
@@ -564,30 +588,23 @@ def _numeric_walk(
 
 
 def postorder_numeric_factor(
-    a: CSCMatrix,
-    sf: SymbolicFactor,
-    fronts: PricedFronts,
-    node: SimulatedNode,
-    *,
-    makespan: float,
-    spost: "np.ndarray | None" = None,
-    assembly_seconds: float = 0.0,
+    a: CSCMatrix, sf: SymbolicFactor, priced: PricedPass, node: SimulatedNode
 ) -> NumericFactor:
-    """The numerics pass: every panel of ``P A P^T = L L^T``, computed in
-    postorder against ``node``'s canonical worker under the
-    per-supernode policies ``fronts.bases``, its device kernels' seconds
-    (``fronts.kernel_seconds``) added to that worker's GPU after the
+    """The numerics pass: every panel of ``P A P^T = L L^T``, computed
+    over ``priced.order`` against ``node``'s canonical worker under the
+    per-supernode policies ``priced.bases``, its device kernels' seconds
+    (``priced.kernel_seconds``) added to that worker's GPU after the
     walk.
 
-    This is what makes every backend — serial, static, dynamic and the
-    cluster loop — bit-identical: whatever schedule priced ``fronts``
-    and ``makespan``, the floating-point work runs here
+    This is what makes every backend — serial, static, dynamic, the
+    cluster loop and the device-resident walk — bit-identical: whatever
+    pass priced ``priced``, the floating-point work runs here
     (:func:`_numeric_walk`), one way.
     """
     panels, stacks, leftover, peak_update_bytes, batch_tasks, batched_fronts = (
         _numeric_walk(
-            a, sf, fronts.bases, Worker.canonical(node),
-            sf.spost if spost is None else spost, fronts.kernel_seconds,
+            a, sf, priced.bases, Worker.canonical(node), priced.order,
+            priced.kernel_seconds,
         )
     )
     if leftover:
@@ -597,11 +614,11 @@ def postorder_numeric_factor(
         sf=sf,
         panels=panels,  # type: ignore[arg-type]
         stacks=stacks,
-        records=list(fronts.records),
-        makespan=makespan,
+        records=list(priced.records),
+        makespan=priced.makespan,
         node=node,
         peak_update_bytes=peak_update_bytes,
-        assembly_seconds=assembly_seconds,
+        assembly_seconds=priced.assembly_seconds,
         batch_tasks=batch_tasks,
         batched_fronts=batched_fronts,
     )
@@ -617,7 +634,7 @@ def factorize_numeric(
 ) -> NumericFactor:
     """Factor ``P A P^T = L L^T`` under ``policy`` on a (possibly fresh)
     simulated node, serially on worker 0: one pricing pass over the
-    virtual clock, then the numerics pass.
+    virtual clock (:func:`price_serial`), then the numerics pass.
 
     Parameters
     ----------
@@ -641,12 +658,8 @@ def factorize_numeric(
     """
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    fronts, assembly_seconds = _price_once(
-        sf, policy, node, Worker.canonical(node), spost
-    )
     return postorder_numeric_factor(
-        a, sf, fronts, node,
-        makespan=node.now, spost=spost, assembly_seconds=assembly_seconds,
+        a, sf, price_serial(sf, policy, node, spost), node
     )
 
 

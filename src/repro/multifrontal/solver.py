@@ -18,29 +18,33 @@ the node's performance model (the paper's auto-tuning loop) unless a
 trained classifier is supplied.
 
 ``backend`` says how the factorization is *priced* on the virtual
-clock, never what it computes:
+clock, never what it computes.  Each name is one pricing pass, whose
+:class:`~repro.multifrontal.numeric.PricedPass` the one numerics pass
+(:func:`~repro.multifrontal.numeric.postorder_numeric_factor`) then
+takes:
 
 * ``"serial"`` (default) walks the tree in postorder on the node's
-  first lane;
-* ``"static"`` / ``"dynamic"`` schedule it over a worker pool built
-  from this solver's node (:func:`repro.parallel.parallel_schedule`:
-  the critical-path list scheduler, or the event-driven runtime of
-  :mod:`repro.runtime`, which also takes ``faults``, a
-  :class:`repro.runtime.FaultInjector`);
-* ``"cluster"`` replays it on a two-rank fleet of this node's shape
-  (:func:`repro.cluster.cluster_replay`).
+  first lane (:func:`~repro.multifrontal.numeric.price_serial`);
+* ``"static"`` / ``"dynamic"`` / ``"cluster"`` run
+  :func:`repro.parallel.parallel_schedule` over a worker pool built
+  from this solver's node with the default :class:`~repro.parallel.Static`,
+  :class:`~repro.parallel.Dynamic` or :class:`~repro.parallel.Cluster`
+  executor — the critical-path list scheduler, the event-driven
+  runtime of :mod:`repro.runtime`, or a two-rank fleet of this node's
+  shape.  ``solver.parallel`` is then that pass.
 
 The one rule: whatever the backend, front *s* is then computed on this
 solver's node under ``policy.resolve(m, k, Worker.canonical(node))`` —
 the policy's choice, or host P1 where the node's first lane has no
 device the front fits on — whatever worker the schedule placed and
-priced it on; the one exception is a front the dynamic runtime degraded
-after injected GPU failures, which runs ``policy.fallback``, as its
-simulated execution did.  So every backend produces the same factor
-bit for bit.  Liu's stack-minimizing order, a memory budget and any
-fleet shape are library calls: ``factorize_numeric(spost=...)``,
-``parallel_factorize(..., memory_budget=...)`` and
-``cluster_factorize(..., ClusterSpec(...))``.
+priced it on.  So every backend produces the same factor bit for bit.
+Liu's stack-minimizing order, a memory budget, injected faults and any
+fleet shape are library calls: ``factorize_numeric(spost=...)``, and
+``parallel_schedule(..., Dynamic(memory_budget=..., faults=...))`` or
+``parallel_schedule(..., Cluster(ClusterSpec(...)))`` followed by
+``postorder_numeric_factor``; a front the dynamic runtime degraded after
+injected GPU failures runs ``policy.fallback``, as its simulated
+execution did.
 """
 
 from __future__ import annotations
@@ -53,16 +57,30 @@ from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.numeric import (
     NumericFactor,
-    factorize_numeric,
+    PricedPass,
     postorder_numeric_factor,
+    price_serial,
 )
 from repro.multifrontal.refine import RefinementResult, iterative_refinement
 from repro.multifrontal.solve import solve_factored
+from repro.parallel.scheduler import (
+    Cluster,
+    Dynamic,
+    Executor,
+    Static,
+    parallel_schedule,
+)
+from repro.parallel.workers import WorkerPool
 from repro.policies.base import Policy, make_policy
 from repro.symbolic.supernodes import AmalgamationParams
 from repro.symbolic.symbolic import SymbolicFactor, symbolic_factorize
 
 __all__ = ["SparseCholeskySolver", "FactorizationStats"]
+
+#: the executor each backend name prices with (``None``: the serial walk)
+_EXECUTORS: dict[str, Executor | None] = {
+    "serial": None, "static": Static(), "dynamic": Dynamic(), "cluster": Cluster(),
+}
 
 
 @dataclass(frozen=True)
@@ -99,30 +117,24 @@ class SparseCholeskySolver:
         amalgamation: AmalgamationParams | None = None,
         classifier=None,
         backend: str = "serial",
-        faults=None,
     ):
         if a.n_rows != a.n_cols:
             raise ValueError("matrix must be square")
-        if backend not in ("serial", "static", "dynamic", "cluster"):
+        if backend not in _EXECUTORS:
             raise ValueError(
-                f"unknown backend {backend!r} "
-                "(serial | static | dynamic | cluster)"
+                f"unknown backend {backend!r} ({' | '.join(_EXECUTORS)})"
             )
-        if faults is not None and backend != "dynamic":
-            raise ValueError("faults requires backend='dynamic'")
         self.a = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
         self.ordering = ordering
         self.node = node if node is not None else SimulatedNode(n_cpus=1, n_gpus=1)
         self.amalgamation = amalgamation
         self.backend = backend
-        self.faults = faults
         self._policy = self._build_policy(policy, classifier)
         self.symbolic: SymbolicFactor | None = None
         self.factor: NumericFactor | None = None
-        #: populated by the scheduled backends: the pricing pass's result
-        #: (a ParallelResult — schedule, worker busy times, dynamic runtime
-        #: counters — or, for the cluster, the fleet's RuntimeResult)
-        self.parallel = None
+        #: populated by the scheduled backends: the pricing pass, whose
+        #: ``runtime`` holds the schedule, worker busy times and counters
+        self.parallel: PricedPass | None = None
 
     # ------------------------------------------------------------------
     def _build_policy(self, policy: str | Policy, classifier) -> Policy:
@@ -149,7 +161,6 @@ class SparseCholeskySolver:
         node: SimulatedNode | None = None,
         classifier=None,
         backend: str = "serial",
-        faults=None,
     ) -> "SparseCholeskySolver":
         """Build a solver around an existing symbolic factorization.
 
@@ -168,7 +179,6 @@ class SparseCholeskySolver:
             amalgamation=symbolic.amalgamation,
             classifier=classifier,
             backend=backend,
-            faults=faults,
         )
         if symbolic.n != self.a.n_rows:
             raise ValueError(
@@ -193,45 +203,18 @@ class SparseCholeskySolver:
         self.node.reset()
         if hasattr(self._policy, "selection_counts"):
             self._policy.selection_counts.clear()
-        if self.backend == "serial":
-            self.factor = factorize_numeric(
-                self.a, self.symbolic, self._policy, node=self.node
+        executor = _EXECUTORS[self.backend]
+        priced = (
+            price_serial(self.symbolic, self._policy, self.node)
+            if executor is None else parallel_schedule(
+                self.symbolic, self._policy, WorkerPool.over(self.node), executor
             )
-            return self
-        priced, fronts = self._schedule()
-        self.factor = priced.factor = postorder_numeric_factor(
-            self.a, self.symbolic, fronts, self.node, makespan=priced.makespan
         )
-        self.parallel = priced
+        self.factor = postorder_numeric_factor(
+            self.a, self.symbolic, priced, self.node
+        )
+        self.parallel = None if executor is None else priced
         return self
-
-    def _schedule(self):
-        """The pricing pass of a scheduled backend (no numerics), and
-        what the numerics pass on this solver's node takes from it."""
-        from repro.parallel.scheduler import parallel_schedule, scheduled_fronts
-
-        if self.backend == "cluster":
-            from repro.cluster.runtime import cluster_replay
-            from repro.cluster.topology import ClusterSpec
-
-            priced = cluster_replay(
-                self.symbolic, self._policy,
-                ClusterSpec(
-                    n_ranks=2, gpus_per_rank=1 if self.node.gpus else 0,
-                    model=self.node.model,
-                ),
-            )
-            return priced, scheduled_fronts(
-                self.symbolic, self._policy, self.node, priced.schedule,
-                priced.degraded_sids,
-            )
-        from repro.parallel.workers import WorkerPool
-
-        priced = parallel_schedule(
-            self.symbolic, self._policy, WorkerPool.over(self.node),
-            backend=self.backend, faults=self.faults,
-        )
-        return priced, priced.fronts
 
     def solve(
         self,

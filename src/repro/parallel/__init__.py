@@ -9,23 +9,33 @@ fronts near the root can be gang-scheduled across all workers (the
 multifrontal analog of switching to parallel BLAS at the top of the
 tree).
 
-The static list scheduler is the paper-faithful reproduction path and
-the default (``parallel_factorize(..., backend="static")``).  The
-event-driven runtime in :mod:`repro.runtime` plugs in behind the same
-entry point as ``backend="dynamic"`` — work stealing, memory-aware
-admission, dispatch-time policy selection, fault injection — and
-produces bit-identical factors: a scheduler only prices
-(:func:`parallel_schedule`), and the numerics pass runs on the pool's
-node whatever the placement.  Both price their tasks through the
-one :class:`TaskPricer` (:mod:`repro.parallel.pricing`).
+How a scheduled pass runs is one frozen executor value:
+:class:`Static` (the paper-faithful critical-path list scheduler),
+:class:`Dynamic` (the event-driven runtime of :mod:`repro.runtime` —
+work stealing, memory-aware admission, dispatch-time policy selection,
+fault injection) or :class:`Cluster` (the same loop with its tasks
+pinned to a fleet, :mod:`repro.cluster`).  :func:`parallel_schedule`
+is the one scheduled pricer: it runs the executor and hands back the
+:class:`~repro.multifrontal.numeric.PricedPass` the one numerics pass
+takes (:func:`~repro.multifrontal.numeric.postorder_numeric_factor` on
+the pool's node), so every executor produces the serial walk's factor
+bit for bit::
+
+    priced = parallel_schedule(sf, policy, pool, Dynamic(memory_budget=b))
+    factor = postorder_numeric_factor(a, sf, priced, pool.node)
+
+Every scheduler prices its tasks through the one :class:`TaskPricer`
+(:mod:`repro.parallel.pricing`).
 """
 
 from repro.parallel.pricing import TaskPricer
 from repro.parallel.scheduler import (
-    ParallelResult,
+    Cluster,
+    Dynamic,
+    Executor,
     ScheduledTask,
+    Static,
     list_schedule,
-    parallel_factorize,
     parallel_schedule,
 )
 from repro.parallel.workers import WorkerPool, make_worker_pool
@@ -35,8 +45,10 @@ __all__ = [
     "make_worker_pool",
     "list_schedule",
     "ScheduledTask",
-    "ParallelResult",
-    "parallel_factorize",
+    "Static",
+    "Dynamic",
+    "Cluster",
+    "Executor",
     "parallel_schedule",
     "TaskPricer",
 ]

@@ -16,18 +16,16 @@ elimination tree.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.gpu.device import SimulatedNode
-from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.numeric import (
     FURecord,
-    NumericFactor,
-    PricedFronts,
-    postorder_numeric_factor,
+    PricedPass,
     price_once_per_pattern,
 )
 from repro.parallel.pricing import TaskPricer
@@ -35,11 +33,18 @@ from repro.parallel.workers import WorkerPool
 from repro.policies.base import Policy, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
+if TYPE_CHECKING:
+    from repro.cluster.topology import ClusterSpec
+    from repro.runtime.engine import RuntimeResult
+    from repro.runtime.faults import FaultInjector
+
 __all__ = [
+    "Cluster",
+    "Dynamic",
+    "Executor",
     "ScheduledTask",
-    "ParallelResult",
+    "Static",
     "list_schedule",
-    "parallel_factorize",
     "parallel_schedule",
     "scheduled_fronts",
 ]
@@ -61,46 +66,6 @@ class ScheduledTask:
         return self.end - self.start
 
 
-@dataclass
-class ParallelResult:
-    """Outcome of a parallel (or serial) scheduled factorization."""
-
-    makespan: float
-    schedule: list[ScheduledTask]
-    factor: NumericFactor | None = None
-    worker_busy: list[float] = field(default_factory=list)
-    #: populated by ``backend="dynamic"``: the full RuntimeResult
-    #: (steal/admission/fault counters, spans, degraded task set)
-    runtime: object | None = None
-    #: populated by :func:`parallel_schedule`: what the numerics pass on
-    #: the pool's node takes from this schedule (:func:`scheduled_fronts`)
-    fronts: PricedFronts | None = field(default=None, repr=False)
-
-    @property
-    def task_dispatches(self) -> int:
-        """Work dispatches the schedule issued: one per front."""
-        return len(self.schedule)
-
-    @property
-    def degraded_sids(self) -> frozenset:
-        """The tasks the dynamic runtime degraded to P1 after injected
-        GPU failures (always empty for the static backend)."""
-        return getattr(self.runtime, "degraded_sids", frozenset())
-
-    @property
-    def degraded(self) -> bool:
-        """True when any task was degraded (:attr:`degraded_sids`)."""
-        return bool(self.degraded_sids)
-
-    def speedup_vs(self, serial_seconds: float) -> float:
-        return serial_seconds / self.makespan if self.makespan > 0 else float("inf")
-
-    def utilization(self) -> float:
-        if not self.worker_busy or self.makespan <= 0:
-            return 0.0
-        return float(np.mean(self.worker_busy) / self.makespan)
-
-
 def list_schedule(
     sf: SymbolicFactor,
     policy: Policy,
@@ -108,12 +73,16 @@ def list_schedule(
     *,
     gang_threshold: float = 5e7,
     gang_efficiency: float = 0.8,
-) -> ParallelResult:
+) -> "RuntimeResult":
     """Compute the parallel schedule (no numerics).
 
-    Returns start/end per supernode and the makespan.  With a single
-    worker this degenerates to the serial postorder sum.
+    Returns start/end per supernode and the makespan, as a
+    :class:`~repro.runtime.RuntimeResult` with zero counters and no
+    spans.  With a single worker this degenerates to the serial
+    postorder sum.
     """
+    from repro.runtime.engine import RuntimeResult, RuntimeStats
+
     n_super = sf.n_supernodes
     p = pool.n_workers
     pricer = TaskPricer(sf, policy, pool.node.model, pool.workers)
@@ -128,8 +97,6 @@ def list_schedule(
     kids = sf.schildren()
     n_pending = np.array([len(kids[s]) for s in range(n_super)])
     # max-heap on upward rank (negated for heapq)
-    import heapq
-
     finish = np.zeros(n_super)
     worker_free = [0.0] * p
     worker_busy = [0.0] * p
@@ -176,115 +143,109 @@ def list_schedule(
         raise AssertionError("scheduler failed to place every supernode")
     makespan = float(finish.max()) if n_super else 0.0
     schedule.sort(key=lambda t: t.start)
-    return ParallelResult(makespan, schedule, None, worker_busy)
+    return RuntimeResult(
+        makespan, tuple(schedule), tuple(worker_busy), RuntimeStats()
+    )
+
+
+@dataclass(frozen=True)
+class Static:
+    """The paper-faithful critical-path list scheduler
+    (:func:`list_schedule`): tasks bound to workers up front, tasks of
+    at least ``gang_threshold`` flops gang-scheduled on every worker."""
+
+    gang_threshold: float = 5e7
+    gang_efficiency: float = 0.8
+
+    def run(self, sf: SymbolicFactor, policy: Policy, pool: WorkerPool):
+        return list_schedule(
+            sf, policy, pool, gang_threshold=self.gang_threshold,
+            gang_efficiency=self.gang_efficiency,
+        )
+
+
+@dataclass(frozen=True)
+class Dynamic:
+    """The event-driven runtime of :mod:`repro.runtime` on the pool's
+    workers (:func:`repro.runtime.dynamic_schedule`): work stealing,
+    memory-aware admission under ``memory_budget`` (bytes; ``None``: no
+    admission control), dispatch-time policy selection and injected
+    GPU ``faults`` (a :class:`repro.runtime.FaultInjector`)."""
+
+    memory_budget: int | None = None
+    faults: "FaultInjector | None" = None
+
+    def run(self, sf: SymbolicFactor, policy: Policy, pool: WorkerPool):
+        from repro.runtime.engine import dynamic_schedule
+
+        return dynamic_schedule(
+            sf, policy, pool,
+            memory_budget=self.memory_budget, faults=self.faults,
+        )
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """The same event loop with its tasks pinned to the ranks of a
+    fleet (:mod:`repro.cluster`): ``owner`` maps every supernode to a
+    rank (default: :func:`repro.cluster.map_subtrees_to_ranks`).  With
+    no ``spec`` the fleet is two ranks of the pool node's shape: its
+    perf model and, when it has a GPU, one GPU per rank like its first
+    (same spec, same pool kinds)."""
+
+    spec: "ClusterSpec | None" = None
+    owner: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.owner is not None:
+            object.__setattr__(
+                self, "owner", tuple(np.asarray(self.owner).tolist())
+            )
+
+    def run(self, sf: SymbolicFactor, policy: Policy, pool: WorkerPool):
+        from repro.cluster.runtime import run_fleet
+        from repro.cluster.topology import ClusterSpec
+
+        spec, gpu = self.spec, None
+        if spec is None:
+            node = pool.node
+            gpu = node.gpus[0] if node.gpus else None
+            spec = ClusterSpec(
+                n_ranks=2, gpus_per_rank=int(gpu is not None), model=node.model
+            )
+        return run_fleet(sf, policy, spec, spec.build_nodes(gpu), self.owner)
+
+
+#: how a scheduled pricing pass runs
+Executor = Union[Static, Dynamic, Cluster]
 
 
 def parallel_schedule(
     sf: SymbolicFactor,
     policy: Policy,
     pool: WorkerPool,
-    *,
-    gang_threshold: float = 5e7,
-    gang_efficiency: float = 0.8,
-    backend: str = "static",
-    memory_budget: int | None = None,
-    faults=None,
-) -> ParallelResult:
-    """The pricing pass of :func:`parallel_factorize`: a factor-less
-    :class:`ParallelResult` from the ``backend`` scheduler.
+    executor: Executor,
+) -> PricedPass:
+    """The scheduled pricing pass: run ``executor`` over ``pool`` (no
+    numerics), then take what the numerics pass on the pool's node
+    needs from its schedule (:func:`scheduled_fronts`).
 
-    ``backend="static"`` (default) uses the paper-faithful critical-path
-    list scheduler; ``backend="dynamic"`` uses the event-driven runtime
-    of :mod:`repro.runtime` (work stealing, memory-aware admission via
-    ``memory_budget``, dispatch-time policy selection, optional fault
-    injection via ``faults``).
-
-    The pass, and what the numerics pass takes from it (``fronts``:
-    records, resolved policies, device-kernel seconds), is a function of
-    the pattern on a fresh node without faults or a budget, so it is
-    paid once per pattern
-    (:func:`repro.multifrontal.numeric.price_once_per_pattern`): a warm
-    call gets the schedule, the runtime counters, the worker busy times,
-    ``fronts`` and the end state of every GPU pool back without running
-    it.
+    The pass is a function of the pattern on a fresh node without
+    faults or a memory budget, so it is paid once per pattern
+    (:func:`repro.multifrontal.numeric.price_once_per_pattern`, keyed by
+    the executor value): a warm call gets the pass — schedule, runtime
+    counters, records, resolved policies, kernel seconds — and the end
+    state of every GPU pool back without running the executor.
     """
-    if backend == "static":
-        if memory_budget is not None or faults is not None:
-            raise ValueError(
-                "memory_budget/faults require backend='dynamic' "
-                "(the static scheduler binds tasks up front)"
-            )
-        how: tuple | None = ("static", gang_threshold, gang_efficiency)
+    pure = not isinstance(executor, Dynamic) or executor == Dynamic()
 
-        def price() -> ParallelResult:
-            return list_schedule(
-                sf, policy, pool,
-                gang_threshold=gang_threshold, gang_efficiency=gang_efficiency,
-            )
-    elif backend == "dynamic":
-        from repro.runtime.engine import dynamic_schedule
-
-        how = ("dynamic",) if memory_budget is None and faults is None else None
-
-        def price() -> ParallelResult:
-            runtime = dynamic_schedule(
-                sf, policy, pool, memory_budget=memory_budget, faults=faults,
-            )
-            return ParallelResult(
-                runtime.makespan, list(runtime.schedule),
-                worker_busy=list(runtime.worker_busy), runtime=runtime,
-            )
-    else:
-        raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
-
-    def price_fronts() -> ParallelResult:
-        result = price()
-        result.fronts = scheduled_fronts(
-            sf, policy, pool.node, result.schedule, result.degraded_sids
+    def price() -> PricedPass:
+        return scheduled_fronts(
+            sf, policy, pool.node, executor.run(sf, policy, pool)
         )
-        return result
 
     return price_once_per_pattern(
-        sf, policy, pool.node, pool.workers, how, price_fronts, _fresh_copy
-    )
-
-
-def parallel_factorize(
-    a: CSCMatrix,
-    sf: SymbolicFactor,
-    policy: Policy,
-    pool: WorkerPool,
-    **how,
-) -> ParallelResult:
-    """Schedule *and* numerically factor: :func:`parallel_schedule`
-    (``how`` is its keywords), then the numerics pass on the pool's node
-    under its ``fronts`` (:func:`scheduled_fronts`), so the factor is
-    bit-identical to the serial walk's whatever worker a task was placed
-    on.
-    """
-    result = parallel_schedule(sf, policy, pool, **how)
-    result.factor = postorder_numeric_factor(
-        a, sf, result.fronts, pool.node, makespan=result.makespan
-    )
-    return result
-
-
-def _fresh_copy(result: ParallelResult) -> ParallelResult:
-    """A copy of a factor-less ``result`` sharing nothing a caller could
-    mutate with it: its containers are copied, what they hold (schedule
-    entries, spans, ``fronts``) is frozen and shared."""
-    runtime = result.runtime
-    if runtime is not None:
-        runtime = copy.copy(runtime)
-        runtime.schedule = list(runtime.schedule)
-        runtime.worker_busy = list(runtime.worker_busy)
-        runtime.stats = copy.copy(runtime.stats)
-        runtime.spans = list(runtime.spans)
-        runtime.messages = list(runtime.messages)
-        runtime.nic_busy = list(runtime.nic_busy)
-    return ParallelResult(
-        result.makespan, list(result.schedule), None,
-        list(result.worker_busy), runtime, result.fronts,
+        sf, policy, pool.node, pool.workers, executor if pure else None, price
     )
 
 
@@ -292,26 +253,25 @@ def scheduled_fronts(
     sf: SymbolicFactor,
     policy: Policy,
     node: SimulatedNode,
-    schedule: list[ScheduledTask],
-    degraded_sids: frozenset = frozenset(),
-) -> PricedFronts:
+    runtime: "RuntimeResult",
+) -> PricedPass:
     """What the numerics pass on ``node`` takes from an already-timed
-    ``schedule`` (static, dynamic or cluster): supernode *s* is computed
+    ``runtime`` (static, dynamic or cluster): supernode *s* is computed
     under ``policy.resolve(m, k, Worker.canonical(node))`` whatever
     worker the schedule placed it on — the serial walk's rule — and
-    tasks in ``degraded_sids`` run the host fallback, exactly as their
-    simulated execution did.  Records carry the schedule's times and
-    policy names (those of the placed worker).
+    tasks in ``runtime.degraded_sids`` run the host fallback, exactly as
+    their simulated execution did.  Records carry the schedule's times
+    and policy names (those of the placed worker).
     """
     worker = Worker.canonical(node)
-    by_sid = {t.sid: t for t in schedule}
+    by_sid = {t.sid: t for t in runtime.schedule}
     bases: list[Policy] = [policy] * sf.n_supernodes
     records: list[FURecord] = []
     for s in sf.spost.tolist():
         k = sf.width(s)
         m = sf.update_size(s)
         bases[s] = (
-            policy.fallback if s in degraded_sids
+            policy.fallback if s in runtime.degraded_sids
             else policy.resolve(m, k, worker)
         )
         t = by_sid[s]
@@ -321,4 +281,6 @@ def scheduled_fronts(
                 components={}, flops=factor_update_flops(m, k),
             )
         )
-    return PricedFronts.of(sf, records, bases, worker, sf.spost)
+    return PricedPass.of(
+        sf, records, bases, worker, sf.spost, runtime.makespan, runtime=runtime
+    )

@@ -16,12 +16,15 @@ time, not schedule time.
 * :mod:`repro.runtime.faults` — injectable GPU kernel failures and
   transfer stalls with retry-once-then-degrade-to-P1 semantics.
 
-Use it through ``parallel_factorize(..., backend="dynamic")`` or
+Use it through ``parallel_schedule(..., Dynamic(...))`` (the
+:class:`repro.parallel.Dynamic` executor, which also takes the memory
+budget and the faults) followed by the one numerics pass, or through
 :class:`~repro.multifrontal.solver.SparseCholeskySolver`'s
 ``backend="dynamic"``; :func:`dynamic_schedule` is the timing-only
 entry point (the analog of :func:`repro.parallel.list_schedule`), and
 :func:`repro.cluster.cluster_replay` the one that pins the tasks to a
-fleet.
+fleet.  Every schedule, static ones included, comes back as one frozen
+:class:`RuntimeResult`.
 """
 
 from repro.runtime.engine import (

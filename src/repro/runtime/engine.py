@@ -45,7 +45,8 @@ schedules, steal sequences, message orders, and fault outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +69,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuntimeStats:
-    """Counters the event loop accumulates; exported via ``metrics()``."""
+    """Counters the event loop accumulated; exported via ``metrics()``."""
 
     steals: int = 0                 # steal transactions (thief-side)
     stolen_tasks: int = 0           # tasks that changed owner
@@ -86,26 +87,35 @@ class RuntimeStats:
     peak_admitted_bytes: int = 0    # max of (stack + device) the admission saw
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuntimeResult:
-    """Outcome of one event-driven run: schedule + spans + counters,
-    plus the communication ledger when the tasks were pinned to a fleet
-    (``owner`` is ``None`` and the ledger empty on a migrating run)."""
+    """Outcome of one scheduling run: schedule + spans + counters, plus
+    the communication ledger when the tasks were pinned to a fleet
+    (``owner`` is ``None`` and the ledger empty on a migrating run).
+    The static list scheduler returns one too, with zero counters and
+    no spans.  Frozen all the way down (tuples, a read-only ``owner``),
+    so a pass kept per pattern hands it out as it is."""
 
     makespan: float
-    schedule: list[ScheduledTask]        # .worker = worker / node index
-    worker_busy: list[float]
+    schedule: tuple[ScheduledTask, ...]  # .worker = worker / node index
+    worker_busy: tuple[float, ...]
     stats: RuntimeStats
-    spans: list[Span] = field(default_factory=list)
+    spans: tuple[Span, ...] = ()
     degraded_sids: frozenset = frozenset()
     memory_budget: int | None = None
     owner: np.ndarray | None = None
-    messages: list = field(default_factory=list)
-    nic_busy: list[float] = field(default_factory=list)
+    messages: tuple = ()
+    nic_busy: tuple[float, ...] = ()
     comm_bytes: float = 0.0
     comm_seconds: float = 0.0
-    #: set by :func:`repro.cluster.cluster_factorize`
-    factor: object | None = None
+
+    @property
+    def task_dispatches(self) -> int:
+        """Work dispatches the schedule issued: one per front."""
+        return len(self.schedule)
+
+    def speedup_vs(self, serial_seconds: float) -> float:
+        return serial_seconds / self.makespan if self.makespan > 0 else float("inf")
 
     @property
     def degraded(self) -> bool:
@@ -264,7 +274,8 @@ class DynamicRuntime:
         self.memory_budget = memory_budget
         self.faults = faults
         self.seed_worker = int(seed_worker) % max(1, len(workers))
-        self.stats = RuntimeStats()
+        #: the run's :class:`RuntimeStats`, by field name
+        self._counts: Counter[str] = Counter()
 
         self._kids = sf.schildren()
         self._gpu_workers = [w for w in workers if w.has_gpu]
@@ -337,23 +348,26 @@ class DynamicRuntime:
             raise AssertionError("runtime finished with tasks still queued")
         makespan = max((t.end for t in self._schedule), default=0.0)
         self._schedule.sort(key=lambda t: (t.start, t.sid))
-        result = RuntimeResult(
+        owner = None
+        if self.owner is not None:
+            owner = np.array(self.owner)
+            owner.flags.writeable = False
+        net = self.interconnect
+        ledger = {} if net is None else dict(
+            messages=tuple(net.messages), nic_busy=tuple(net.nic_busy()),
+            comm_bytes=net.comm_bytes, comm_seconds=net.comm_seconds,
+        )
+        return RuntimeResult(
             makespan=makespan,
-            schedule=self._schedule,
-            worker_busy=self._busy,
-            stats=self.stats,
-            spans=self._spans,
+            schedule=tuple(self._schedule),
+            worker_busy=tuple(self._busy),
+            stats=RuntimeStats(**self._counts),
+            spans=tuple(self._spans),
             degraded_sids=frozenset(self._degraded),
             memory_budget=self.memory_budget,
-            owner=self.owner,
+            owner=owner,
+            **ledger,
         )
-        net = self.interconnect
-        if net is not None:
-            result.messages = list(net.messages)
-            result.nic_busy = net.nic_busy()
-            result.comm_bytes = net.comm_bytes
-            result.comm_seconds = net.comm_seconds
-        return result
 
     # -- dispatch ----------------------------------------------------------
     def _push_ready(self, s: int, w: int) -> None:
@@ -372,7 +386,7 @@ class DynamicRuntime:
                 own.remove(s)
                 self._start(w, s)
                 return True
-            self.stats.admission_deferrals += 1
+            self._counts["admission_deferrals"] += 1
         return False
 
     def _steal_into(self, w: int) -> bool:
@@ -389,8 +403,8 @@ class DynamicRuntime:
         )
         for s in loot:
             self._deques[w].push(float(self._rank[s]), s, s)
-        self.stats.steals += 1
-        self.stats.stolen_tasks += len(loot)
+        self._counts["steals"] += 1
+        self._counts["stolen_tasks"] += len(loot)
         return True
 
     def _force_admit(self) -> None:
@@ -408,7 +422,7 @@ class DynamicRuntime:
         if best_s < 0:
             raise AssertionError("runtime gridlock with no ready tasks")
         self._deques[best_w].remove(best_s)
-        self.stats.forced_admissions += 1
+        self._counts["forced_admissions"] += 1
         self._start(best_w, best_s)
 
     def _start(self, w: int, s: int) -> None:
@@ -421,11 +435,11 @@ class DynamicRuntime:
         if offload and not base.needs_gpu:
             if worker.has_gpu:
                 # the selected device policy's working set does not fit
-                self.stats.device_fallbacks += 1
+                self._counts["device_fallbacks"] += 1
             elif pricer.fu_time(s, pricer.best_worker)[1].needs_gpu:
                 # dispatch-time selection picked the host path only because
                 # this worker owns no GPU; a GPU worker would have offloaded
-                self.stats.cpu_fallbacks += 1
+                self._counts["cpu_fallbacks"] += 1
 
         alloc_cost = 0.0
         stall = 0.0
@@ -438,17 +452,17 @@ class DynamicRuntime:
             if self.faults is not None:
                 stall = self.faults.transfer_stall(s)
                 if stall > 0.0:
-                    self.stats.transfer_stalls += 1
+                    self._counts["transfer_stalls"] += 1
                 if self.faults.kernel_fails(s, 0):
                     wasted += self.faults.failure_point * fu
-                    self.stats.kernel_retries += 1
+                    self._counts["kernel_retries"] += 1
                     if self.faults.kernel_fails(s, 1):
                         # second failure: degrade to host-only execution
                         wasted += self.faults.failure_point * fu
                         base = self.policy.fallback
                         fu = pricer.seconds(base, m, k)
                         degraded = True
-                        self.stats.degraded_tasks += 1
+                        self._counts["degraded_tasks"] += 1
 
         duration = float(self._asm[s]) + fu + alloc_cost + stall + wasted
         # Liu accounting, charged conservatively at dispatch: children are
@@ -456,12 +470,13 @@ class DynamicRuntime:
         self._live -= self._freed_bytes(s)
         self._live += update_bytes(self.sf, s)
         high_water = self._device_high_water()
-        stats = self.stats
-        stats.peak_stack_bytes = max(stats.peak_stack_bytes, self._live)
-        stats.device_high_water = max(stats.device_high_water, high_water)
-        stats.peak_admitted_bytes = max(
-            stats.peak_admitted_bytes, self._live + high_water
-        )
+        counts = self._counts
+        for name, value in (
+            ("peak_stack_bytes", self._live),
+            ("device_high_water", high_water),
+            ("peak_admitted_bytes", self._live + high_water),
+        ):
+            counts[name] = max(counts[name], value)
         run = _Running(s, t0, t0 + duration, base.name, device_bytes, degraded)
         self._running[w] = run
         self._events.push(run.end, (self._complete, (w,)))

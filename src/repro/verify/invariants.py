@@ -352,33 +352,33 @@ def check_degraded_still_solves(
 ) -> list[str]:
     """Total injected GPU failure must degrade — not break — the solve."""
     from repro.gpu.device import SimulatedNode
-    from repro.multifrontal.solver import SparseCholeskySolver
+    from repro.multifrontal.numeric import postorder_numeric_factor
+    from repro.multifrontal.refine import iterative_refinement
+    from repro.parallel import Dynamic, WorkerPool, parallel_schedule
+    from repro.policies.base import make_policy
     from repro.runtime.faults import FaultInjector
+    from repro.symbolic import symbolic_factorize
 
     violations: list[str] = []
-    solver = SparseCholeskySolver(
-        a, ordering="amd", policy="P4", backend="dynamic",
-        node=SimulatedNode(n_cpus=2, n_gpus=1),
-        faults=FaultInjector(kernel_failure_rate=1.0),
+    a = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    sf = symbolic_factorize(a, ordering="amd")
+    node = SimulatedNode(n_cpus=2, n_gpus=1)
+    priced = parallel_schedule(
+        sf, make_policy("P4"), WorkerPool.over(node),
+        Dynamic(faults=FaultInjector(kernel_failure_rate=1.0)),
     )
-    solver.analyze().factorize()
-    runtime = getattr(solver.parallel, "runtime", None)
-    had_gpu_work = any(
-        solver.symbolic.update_size(s) > 0
-        for s in range(solver.symbolic.n_supernodes)
-    )
-    if had_gpu_work and runtime is not None and not runtime.degraded_sids:
+    factor = postorder_numeric_factor(a, sf, priced, node)
+    runtime = priced.runtime
+    had_gpu_work = any(sf.update_size(s) > 0 for s in range(sf.n_supernodes))
+    if had_gpu_work and not runtime.degraded_sids:
         # the policy may legitimately place every call on the CPU for
         # tiny fronts; only flag when device work was actually planned
-        planned_device = any(
-            t.policy != "P1" for t in solver.parallel.schedule
-        )
-        if planned_device:
+        if any(t.policy != "P1" for t in runtime.schedule):
             violations.append(
                 "total kernel-failure injection produced no degraded tasks"
             )
     b = np.ones(a.n_rows)
-    eta = solver.solve_refined(b, max_iter=10).final_residual
+    eta = iterative_refinement(a, factor, b, max_iter=10).final_residual
     if eta > tol:
         violations.append(
             f"degraded run failed to solve: backward error {eta:.3e} "

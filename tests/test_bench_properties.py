@@ -78,6 +78,17 @@ def _run_backend(a, sym, backend, policy="P1"):
     return solver
 
 
+def _fleet_factor(a, sym, policy, spec):
+    """A fleet's pricing pass, then the one numerics pass on one node of
+    the fleet's shape."""
+    from repro.multifrontal.numeric import postorder_numeric_factor
+    from repro.parallel import Cluster, WorkerPool, parallel_schedule
+
+    node = spec.build_nodes()[0]
+    priced = parallel_schedule(sym, policy, WorkerPool.over(node), Cluster(spec))
+    return postorder_numeric_factor(a, sym, priced, node)
+
+
 class TestCrossBackendInvariance:
     @settings(max_examples=20, deadline=None)
     @given(spd_problem())
@@ -119,15 +130,15 @@ class TestClusterNodeCountInvariance:
         # sharding the tree across a fleet changes the timing schedule
         # but never the panel bytes: any node count fingerprints equal
         # to the serial walk
-        from repro.cluster import ClusterSpec, cluster_factorize
+        from repro.cluster import ClusterSpec
 
         sym = symbolic_factorize(a, ordering="nd")
         serial = _run_backend(a, sym, "serial")
-        clustered = cluster_factorize(
+        clustered = _fleet_factor(
             a, sym, make_policy("P1"),
             ClusterSpec(n_ranks=n_nodes, gpus_per_rank=1),
         )
-        assert factor_fingerprint(clustered.factor) == factor_fingerprint(
+        assert factor_fingerprint(clustered) == factor_fingerprint(
             serial.factor
         )
 
@@ -543,15 +554,15 @@ class TestBatchedExecutionProperties:
 
     @pytest.mark.parametrize("nodes", (1, 2, 4))
     def test_cluster_backend_stacks_and_matches_serial(self, nodes):
-        from repro.cluster import ClusterSpec, cluster_factorize
+        from repro.cluster import ClusterSpec
 
         a = grid_laplacian_2d(14, 13)
         sym = symbolic_factorize(a, ordering="amd")
         serial = _run_backend(a, sym, "serial").factor
-        nf = cluster_factorize(
+        nf = _fleet_factor(
             a, sym, make_policy("P1"),
             ClusterSpec(n_ranks=nodes, gpus_per_rank=1),
-        ).factor
+        )
         assert nf.batch_tasks > 0
         assert (nf.batch_tasks, nf.batched_fronts) == (
             serial.batch_tasks, serial.batched_fronts

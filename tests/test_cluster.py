@@ -10,13 +10,14 @@ from repro.cluster import (
     InterconnectParams,
     ShardedSolverService,
     ShardRouter,
-    cluster_factorize,
     cluster_replay,
     map_subtrees_to_ranks,
     subtree_flops,
     update_message_bytes,
 )
 from repro.matrices import grid_laplacian_2d, grid_laplacian_3d
+from repro.multifrontal.numeric import postorder_numeric_factor
+from repro.parallel import Cluster, WorkerPool, parallel_schedule
 from repro.policies import BaselineHybrid, make_policy
 from repro.symbolic import symbolic_factorize
 from repro.symbolic.etree import NO_PARENT
@@ -26,6 +27,14 @@ from repro.workload import geometric_nd_workload
 @pytest.fixture(scope="module")
 def sf():
     return symbolic_factorize(grid_laplacian_3d(8, 8, 8), ordering="nd")
+
+
+def fleet_factorize(a, sf, policy, spec):
+    """A fleet's pricing pass, then the one numerics pass on one node of
+    the fleet's shape: (the fleet's run, the factor)."""
+    node = spec.build_nodes()[0]
+    priced = parallel_schedule(sf, policy, WorkerPool.over(node), Cluster(spec))
+    return priced.runtime, postorder_numeric_factor(a, sf, priced, node)
 
 
 @pytest.fixture(scope="module")
@@ -198,20 +207,20 @@ class TestClusterRuntime:
     ):
         from repro.verify.lattice import factor_fingerprint
 
-        res = cluster_factorize(
+        _, factor = fleet_factorize(
             lap3d_small, sf_lap3d, make_policy("P1"),
             ClusterSpec(n_nodes, 1, model=model),
         )
-        assert factor_fingerprint(res.factor) == serial_fp
+        assert factor_fingerprint(factor) == serial_fp
 
     def test_two_runs_bit_stable(self, lap3d_small, sf_lap3d, model):
         from repro.verify.lattice import factor_fingerprint
 
         spec = ClusterSpec(3, 1, model=model)
-        runs = [
-            cluster_factorize(lap3d_small, sf_lap3d, make_policy("P4"), spec)
+        runs, factors = zip(*(
+            fleet_factorize(lap3d_small, sf_lap3d, make_policy("P4"), spec)
             for _ in range(2)
-        ]
+        ))
         assert runs[0].makespan == runs[1].makespan
         assert runs[0].comm_bytes == runs[1].comm_bytes
         assert runs[0].comm_messages == runs[1].comm_messages
@@ -219,8 +228,8 @@ class TestClusterRuntime:
         assert [t.sid for t in runs[0].schedule] == [
             t.sid for t in runs[1].schedule
         ]
-        assert factor_fingerprint(runs[0].factor) == factor_fingerprint(
-            runs[1].factor
+        assert factor_fingerprint(factors[0]) == factor_fingerprint(
+            factors[1]
         )
 
     def test_replay_scaling_monotone(self, wl, model):
@@ -270,7 +279,7 @@ class TestClusterRuntime:
         )
         assert res.comm_messages == 0
         assert res.comm_bytes == 0
-        assert res.messages == []
+        assert res.messages == ()
 
     def test_owner_validated(self, sf, model):
         spec = ClusterSpec(2, 0, model=model)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.matrices import grid_laplacian_2d, grid_laplacian_3d
 from repro.multifrontal import solve_factored
-from repro.parallel import list_schedule, make_worker_pool, parallel_factorize
+from repro.multifrontal.numeric import postorder_numeric_factor
+from repro.parallel import Static, list_schedule, make_worker_pool, parallel_schedule
 from repro.policies import BaselineHybrid, make_policy
 from repro.symbolic import symbolic_factorize
 
@@ -150,17 +151,19 @@ class TestParallelFactorize:
     def test_numerics_correct_with_hybrid(self, problem):
         a, sf = problem
         pool = make_worker_pool(2, 2)
-        res = parallel_factorize(a, sf, BaselineHybrid(), pool)
+        priced = parallel_schedule(sf, BaselineHybrid(), pool, Static())
+        factor = postorder_numeric_factor(a, sf, priced, pool.node)
         b = np.ones(a.n_rows)
-        x = solve_factored(res.factor, b)
+        x = solve_factored(factor, b)
         assert np.abs(a.matvec(x) - b).max() < 1e-4  # fp32-touched factor
 
     def test_numerics_exact_cpu_only(self, problem):
         a, sf = problem
         pool = make_worker_pool(4, 0)
-        res = parallel_factorize(a, sf, make_policy("P1"), pool)
+        priced = parallel_schedule(sf, make_policy("P1"), pool, Static())
+        factor = postorder_numeric_factor(a, sf, priced, pool.node)
         b = np.ones(a.n_rows)
-        x = solve_factored(res.factor, b)
+        x = solve_factored(factor, b)
         assert np.abs(a.matvec(x) - b).max() < 1e-10
 
     def test_2gpu_beats_1gpu(self):

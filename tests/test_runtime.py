@@ -7,7 +7,14 @@ import pytest
 
 from repro.matrices import grid_laplacian_2d, grid_laplacian_3d
 from repro.multifrontal import solve_factored
-from repro.parallel import list_schedule, make_worker_pool, parallel_factorize
+from repro.multifrontal.numeric import postorder_numeric_factor
+from repro.parallel import (
+    Dynamic,
+    Static,
+    list_schedule,
+    make_worker_pool,
+    parallel_schedule,
+)
 from repro.policies import make_policy
 from repro.runtime import (
     EventQueue,
@@ -217,47 +224,49 @@ class TestFaults:
         assert not res.degraded  # P1 never touches the device
 
 
+def _factorize(a, sf, policy, pool, executor):
+    """The scheduled pricing pass, then the one numerics pass on the
+    pool's node."""
+    priced = parallel_schedule(sf, policy, pool, executor)
+    return priced, postorder_numeric_factor(a, sf, priced, pool.node)
+
+
 class TestParallelFactorizeDynamic:
     def test_bitwise_identical_to_static(self, problem):
         a, sf = problem
         pol = make_policy("P2")
-        rs = parallel_factorize(a, sf, pol, make_worker_pool(2, 2),
-                                backend="static")
-        rd = parallel_factorize(a, sf, pol, make_worker_pool(2, 2),
-                                backend="dynamic")
-        for ps, pd in zip(rs.factor.panels, rd.factor.panels):
+        _, fs = _factorize(a, sf, pol, make_worker_pool(2, 2), Static())
+        _, fd = _factorize(a, sf, pol, make_worker_pool(2, 2), Dynamic())
+        for ps, pd in zip(fs.panels, fd.panels):
             assert np.array_equal(ps, pd)
 
     def test_degraded_factor_still_solves(self, problem):
         a, sf = problem
         fail = TestFaults()._fail_sids(sf)
-        res = parallel_factorize(
+        priced, factor = _factorize(
             a, sf, make_policy("P3"), make_worker_pool(2, 2),
-            backend="dynamic", faults=FaultInjector(fail_sids=fail, seed=2),
+            Dynamic(faults=FaultInjector(fail_sids=fail, seed=2)),
         )
-        assert res.degraded
+        assert priced.runtime.degraded
         b = np.ones(a.n_rows)
-        x = solve_factored(res.factor, b)
+        x = solve_factored(factor, b)
         # raw solve carries the GPU policies' single-precision error ...
         assert np.abs(a.matvec(x) - b).max() < 1e-4
         # ... and refinement recovers double precision as usual
         from repro.multifrontal.refine import iterative_refinement
 
-        ref = iterative_refinement(a, res.factor, b)
+        ref = iterative_refinement(a, factor, b)
         assert ref.converged
         assert ref.final_residual < 1e-12
 
-    def test_static_rejects_dynamic_only_kwargs(self, problem):
-        a, sf = problem
-        with pytest.raises(ValueError, match="dynamic"):
-            parallel_factorize(a, sf, make_policy("P1"),
-                               make_worker_pool(2, 0), memory_budget=10**9)
-
     def test_unknown_backend_rejected(self, problem):
-        a, sf = problem
+        # a backend is named only on the solver; the library takes an
+        # executor value
+        from repro import SparseCholeskySolver
+
+        a, _ = problem
         with pytest.raises(ValueError, match="backend"):
-            parallel_factorize(a, sf, make_policy("P1"),
-                               make_worker_pool(2, 0), backend="bogus")
+            SparseCholeskySolver(a, backend="bogus")
 
 
 class TestRuntimeObservability:
@@ -345,3 +354,37 @@ def test_lmco_s_warm_p4_refactorize_counts():
     assert solver.stats.policy_counts == {"P4": solver.symbolic.n_supernodes}
     assert counts == {}
     assert sum(g.cublas.busy_seconds for g in solver.node.gpus) == gpu0
+
+
+@pytest.mark.parametrize("backend", ["static", "dynamic", "cluster"])
+def test_lmco_s_warm_scheduled_pricing_counts(backend):
+    """The scheduled-pricing gate CI runs by name: one warm P4
+    refactorization of lmco_s/nd on 2 CPUs + 2 GPUs runs no scheduler
+    under any scheduled backend — no ``list_schedule`` call and no
+    ``DynamicRuntime.run`` — because every executor's pure pass is kept
+    per pattern, keyed by the executor value (the cluster loop ran once
+    per refactorize before)."""
+    import collections
+    from unittest import mock
+
+    from repro import SparseCholeskySolver
+    from repro.gpu import SimulatedNode
+    from repro.matrices.testsuite import load_test_matrix
+    from repro.parallel import scheduler
+    from repro.runtime.engine import DynamicRuntime
+
+    a = load_test_matrix("lmco_s")
+    solver = SparseCholeskySolver(
+        a, ordering="nd", policy="P4", backend=backend,
+        node=SimulatedNode(n_cpus=2, n_gpus=2),
+    ).factorize()
+    counts: collections.Counter = collections.Counter()
+    with mock.patch.object(
+        scheduler, "list_schedule",
+        _counting(counts, "list_schedule", scheduler.list_schedule),
+    ), mock.patch.object(
+        DynamicRuntime, "run", _counting(counts, "run", DynamicRuntime.run)
+    ):
+        solver.refactorize(a.data * 2.0)
+    assert counts == {}
+    assert solver.parallel.task_dispatches == solver.symbolic.n_supernodes

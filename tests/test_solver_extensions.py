@@ -15,7 +15,8 @@ from repro.autotune import (
 )
 from repro.gpu import SimulatedNode, tesla_t10_model
 from repro.multifrontal import factorize_numeric, numeric, solve_factored
-from repro.multifrontal.numeric import replay_factorize
+from repro.multifrontal.numeric import postorder_numeric_factor, replay_factorize
+from repro.parallel import Cluster, Dynamic, WorkerPool, parallel_schedule
 from repro.policies import BaselineHybrid, make_policy
 from repro.runtime import FaultInjector
 from repro.symbolic import symbolic_factorize
@@ -228,7 +229,7 @@ class TestScheduleAndBackend:
         assert solver.factor.node is node
         assert node.gpus[0].cublas.busy_seconds > 0
         if backend != "serial":
-            assert solver.parallel.factor is solver.factor
+            assert solver.factor.records == list(solver.parallel.records)
 
     def test_dynamic_backend_exposes_runtime(self, lap2d_small):
         node = SimulatedNode(n_cpus=4, n_gpus=0)
@@ -237,7 +238,7 @@ class TestScheduleAndBackend:
         solver.factorize()
         assert solver.parallel is not None
         assert solver.parallel.runtime.stats.steals >= 1
-        assert not solver.parallel.degraded
+        assert not solver.parallel.runtime.degraded
 
     def test_every_registered_policy_name_builds(self, lap2d_small):
         # the solver reads make_policy's table: case-insensitive, and
@@ -252,11 +253,6 @@ class TestScheduleAndBackend:
     def test_invalid_combinations_rejected(self, lap2d_small):
         with pytest.raises(ValueError, match="backend"):
             SparseCholeskySolver(lap2d_small, backend="bogus")
-        with pytest.raises(ValueError, match="dynamic"):
-            SparseCholeskySolver(
-                lap2d_small, backend="static",
-                faults=FaultInjector(kernel_failure_rate=1.0),
-            )
 
 
 class TestEveryBackendEveryNodeOneFactor:
@@ -299,9 +295,9 @@ class TestEveryBackendEveryNodeOneFactor:
         return type(policy), policy.name, vars(policy)
 
     @staticmethod
-    def _factorize(solver):
-        """``solver.factorize()``, and the one walk it hands the resolved
-        policies and the worker to."""
+    def _factorize(solver, run=None):
+        """``solver.factorize()`` (or ``run()`` on the solver's node), and
+        the one walk it hands the resolved policies and the worker to."""
         walks = []
         walk = numeric._numeric_walk
 
@@ -310,7 +306,7 @@ class TestEveryBackendEveryNodeOneFactor:
             return walk(a, sf, bases, worker, order, kernel_seconds)
 
         with mock.patch.object(numeric, "_numeric_walk", spy):
-            solver.factorize()
+            (run or solver.factorize)()
         (bases, worker), = walks
         assert worker.cpu_engine == solver.node.cpus[0].engine
         assert worker.gpu is (solver.node.gpus[0] if solver.node.gpus else None)
@@ -346,11 +342,19 @@ class TestEveryBackendEveryNodeOneFactor:
         prints = {b: factor_fingerprint(s.factor) for b, s in solvers.items()}
         assert len(set(prints.values())) == 1, prints
 
-        # total kernel failure: the degraded fronts, and only they, run
-        # the policy's host fallback
-        faulted = solver("dynamic", faults=FaultInjector(kernel_failure_rate=1.0))
-        bases, _ = self._factorize(faulted)
-        degraded = faulted.parallel.runtime.degraded_sids
+        # total kernel failure (the library form: the solver takes no
+        # faults): the degraded fronts, and only they, run the policy's
+        # host fallback
+        faulted = solver("dynamic")
+        pool = WorkerPool.over(faulted.node)
+        priced = parallel_schedule(
+            sf, faulted.policy, pool,
+            Dynamic(faults=FaultInjector(kernel_failure_rate=1.0)),
+        )
+        bases, _ = self._factorize(
+            faulted, lambda: postorder_numeric_factor(a, sf, priced, pool.node)
+        )
+        degraded = priced.runtime.degraded_sids
         fallback = self._resolved(faulted.policy.fallback)
         assert [self._resolved(p) for p in bases] == [
             fallback if s in degraded else self._resolved(p)
@@ -525,7 +529,7 @@ class TestPricingMemo:
         slot = self._slot(solver)
         record_lists = [f.records for f in factors]
         assert len({id(r) for r in record_lists}) == len(record_lists)
-        assert type(slot.outcome[0].records) is tuple
+        assert type(slot.outcome.records) is tuple
         assert all(type(row) is tuple for row in slot.engines)
         # mutating what a hit handed out does not reach the next hit
         factors[-1].records.clear()
@@ -679,10 +683,11 @@ def _small_device_node():
 
 
 class TestScheduledPricingMemo:
-    """``parallel_factorize`` keeps a pure scheduling pass (static or
-    dynamic) in the slot the serial walk uses, under the same rule: a
-    warm refactorize runs no scheduler, a hit cannot be told from a miss,
-    and every pass the key cannot describe runs as it always did."""
+    """``parallel_schedule`` keeps a pure scheduling pass (static,
+    dynamic or cluster) in the slot the serial walk uses, keyed by the
+    executor value, under the same rule: a warm refactorize runs no
+    scheduler, a hit cannot be told from a miss, and every pass the key
+    cannot describe runs as it always did."""
 
     @staticmethod
     def _solver(a, sf, **kwargs):
@@ -691,6 +696,20 @@ class TestScheduledPricingMemo:
             "node": SimulatedNode(n_cpus=2, n_gpus=2), **kwargs,
         }
         return SparseCholeskySolver.from_symbolic(a, sf, **kwargs)
+
+    @staticmethod
+    def _library(a, sf, policy="P4", node=None, executor=Dynamic()):
+        """The solver's two calls with any executor: the factor, the pass
+        and the node, read like a solver."""
+        from types import SimpleNamespace
+
+        node = node or SimulatedNode(n_cpus=2, n_gpus=2)
+        policy = make_policy(policy) if isinstance(policy, str) else policy
+        priced = parallel_schedule(sf, policy, WorkerPool.over(node), executor)
+        return SimpleNamespace(
+            factor=postorder_numeric_factor(a, sf, priced, node),
+            parallel=priced, node=node, stats=None,
+        )
 
     @staticmethod
     def _runs(run):
@@ -712,10 +731,13 @@ class TestScheduledPricingMemo:
         par, f = solver.parallel, solver.factor
         rt = par.runtime
         return (
-            f.records, f.makespan, par.makespan, par.schedule, par.worker_busy,
-            None if rt is None else (
+            f.records, f.makespan, par.makespan, par.records,
+            [(type(p), vars(p)) for p in par.bases], par.kernel_seconds,
+            par.order,
+            (
                 rt.makespan, rt.schedule, rt.worker_busy, rt.stats,
                 rt.degraded_sids, rt.messages, rt.nic_busy,
+                None if rt.owner is None else rt.owner.tolist(),
                 [(t.name, t.engine, t.start, t.end, t.category) for t in rt.spans],
             ),
             [
@@ -726,7 +748,7 @@ class TestScheduledPricingMemo:
             solver.stats,
         )
 
-    @pytest.mark.parametrize("backend", ["static", "dynamic"])
+    @pytest.mark.parametrize("backend", ["static", "dynamic", "cluster"])
     def test_warm_refactorize_schedules_nothing(self, lap3d_small, backend):
         a = lap3d_small
         sf = symbolic_factorize(a, ordering="nd")
@@ -738,7 +760,7 @@ class TestScheduledPricingMemo:
         assert self._runs(self._solver(a, sf, backend=backend).factorize)[0] == 0
 
     @pytest.mark.parametrize("policy", ["P1", "P4"])
-    @pytest.mark.parametrize("backend", ["static", "dynamic"])
+    @pytest.mark.parametrize("backend", ["static", "dynamic", "cluster"])
     def test_hit_reads_like_a_miss(self, lap3d_small, backend, policy):
         a = lap3d_small
         sf = symbolic_factorize(a, ordering="nd")
@@ -753,18 +775,28 @@ class TestScheduledPricingMemo:
         assert all(obs == self._observables(fresh) for obs in seen)
         if backend == "dynamic" and policy == "P4":
             assert sum(g.device_pool.capacity for g in fresh.node.gpus) > 0
-        # mutating what a hit handed out does not reach the next hit
+        # a hit hands out nothing mutable: the pass, its runtime and their
+        # counters are frozen, their containers tuples (the owner map a
+        # read-only array), what they hold frozen too
         par = solver.parallel
-        par.schedule.clear()
-        par.worker_busy.clear()
-        if par.runtime is not None:
-            par.runtime.schedule.clear()
-            par.runtime.worker_busy[0] = -1.0
-            par.runtime.stats.steals = -1
-            par.runtime.spans.pop()
+        rt = par.runtime
+        for obj, name in [
+            (par, "makespan"), (rt, "schedule"), (rt.stats, "steals"),
+            (rt.schedule[0], "end"), (par.records[0], "end"),
+        ] + [(span, "end") for span in rt.spans[:1]]:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                par.runtime.spans[0].end = -1.0    # a span is frozen
-            par.runtime.messages.append(None)
+                setattr(obj, name, -1.0)
+        for seq in (
+            par.records, par.bases, par.kernel_seconds, par.order,
+            rt.schedule, rt.worker_busy, rt.spans, rt.messages, rt.nic_busy,
+        ):
+            assert type(seq) is tuple
+        if rt.owner is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                rt.owner[0] = -1
+        assert sf._priced_pass.outcome is par
+        # mutating what a hit handed out does not reach the next hit
+        solver.factor.records.clear()
         for g in solver.node.gpus:
             g.device_pool.stats.n_requests = -1
         assert self._runs(lambda: solver.refactorize(a.data))[0] == 0
@@ -773,7 +805,7 @@ class TestScheduledPricingMemo:
 
     VARIANTS = {
         "faults": lambda: dict(
-            faults=FaultInjector(transfer_stall_rate=0.3, seed=1)
+            executor=Dynamic(faults=FaultInjector(transfer_stall_rate=0.3, seed=1))
         ),
         "jittered model": lambda: dict(
             node=SimulatedNode(
@@ -793,62 +825,69 @@ class TestScheduledPricingMemo:
     def test_what_the_key_cannot_describe_runs(self, lap3d_small, variant):
         a = lap3d_small
         sf = symbolic_factorize(a, ordering="nd")
-        plain = self._solver(a, sf).factorize()
+        plain = self._library(a, sf)
         assert sf._priced_pass is not None
         runs, shared = self._runs(
-            lambda: self._solver(a, sf, **self.VARIANTS[variant]()).factorize()
+            lambda: self._library(a, sf, **self.VARIANTS[variant]())
         )
         assert runs == 1
-        own = self._solver(
+        own = self._library(
             a, symbolic_factorize(a, ordering="nd"), **self.VARIANTS[variant]()
-        ).factorize()
+        )
         assert self._observables(shared) == self._observables(own)
         # each variant prices something the plain pass does not
         assert self._observables(shared) != self._observables(plain)
 
     def test_a_memory_budget_runs(self, lap3d_small):
-        from repro.parallel import WorkerPool, parallel_factorize
-
         a = lap3d_small
-        policy = make_policy("P4")
 
-        def run(sf, **how):
-            pool = WorkerPool.over(SimulatedNode(n_cpus=2, n_gpus=2))
-            runs, res = self._runs(
-                lambda: parallel_factorize(
-                    a, sf, policy, pool, backend="dynamic", **how
-                )
-            )
-            return runs, (
-                res.makespan, res.schedule, res.worker_busy, res.runtime.stats,
-                res.factor.records,
-                [g.device_pool.stats for g in pool.node.gpus],
-            )
+        def run(sf, executor=Dynamic()):
+            runs, res = self._runs(lambda: self._library(a, sf, executor=executor))
+            return runs, self._observables(res)
 
         sf = symbolic_factorize(a, ordering="nd")
         _, plain = run(sf)                        # fills the slot
         slot = sf._priced_pass
-        runs, shared = run(sf, memory_budget=1)
+        runs, shared = run(sf, Dynamic(memory_budget=1))
         assert runs == 1 and sf._priced_pass is slot
-        assert run(symbolic_factorize(a, ordering="nd"), memory_budget=1)[1] == shared
+        own = run(symbolic_factorize(a, ordering="nd"), Dynamic(memory_budget=1))
+        assert own[1] == shared
         assert shared != plain
 
-    def test_a_node_whose_pools_are_not_fresh_runs(self, lap3d_small):
-        from repro.parallel import WorkerPool, parallel_factorize
+    def test_a_fleet_of_another_size_prices_its_own_pass(self, lap3d_small):
+        from repro.cluster import ClusterSpec
 
+        a = lap3d_small
+
+        def run(sf, n_ranks):
+            return self._runs(lambda: self._library(
+                a, sf, executor=Cluster(ClusterSpec(n_ranks=n_ranks))
+            ))
+
+        sf = symbolic_factorize(a, ordering="nd")
+        assert run(sf, 2)[0] == 1                 # fills the slot
+        assert run(sf, 2)[0] == 0
+        runs, three = run(sf, 3)
+        assert runs == 1
+        own = run(symbolic_factorize(a, ordering="nd"), 3)[1]
+        assert self._observables(three) == self._observables(own)
+        assert len(set(three.parallel.runtime.owner.tolist())) == 3
+        assert run(sf, 3)[0] == 0                 # and is now the kept pass
+
+    def test_a_node_whose_pools_are_not_fresh_runs(self, lap3d_small):
         a = lap3d_small
         policy = make_policy("P4")
 
         def twice(sf):
             """Two passes on one node, no reset between them: the second
             starts from the pools the first left grown."""
-            pool = WorkerPool.over(SimulatedNode(n_cpus=2, n_gpus=2))
+            node = SimulatedNode(n_cpus=2, n_gpus=2)
             return [
                 self._runs(
-                    lambda: parallel_factorize(a, sf, policy, pool, backend="dynamic")
+                    lambda: self._library(a, sf, policy=policy, node=node)
                 )
                 for _ in range(2)
-            ], [g.device_pool.stats for g in pool.node.gpus]
+            ], [g.device_pool.stats for g in node.gpus]
 
         sf = symbolic_factorize(a, ordering="nd")
         self._solver(a, sf).factorize()           # fills the slot
@@ -856,6 +895,44 @@ class TestScheduledPricingMemo:
         ((hit, _), (runs, second)), pools = twice(sf)
         assert (hit, runs) == (0, 1) and sf._priced_pass is slot
         (_, (_, own)), own_pools = twice(symbolic_factorize(a, ordering="nd"))
-        assert second.schedule == own.schedule
-        assert second.runtime.stats == own.runtime.stats
+        assert second.parallel.runtime.schedule == own.parallel.runtime.schedule
+        assert second.parallel.runtime.stats == own.parallel.runtime.stats
         assert pools == own_pools
+
+
+class TestClusterFleetOfTheSolverNode:
+    """The default fleet of ``backend="cluster"`` is two ranks of the
+    solver node's shape: each rank's GPU is like the node's first (its
+    spec and pool kinds), so it prices on the devices the numerics pass
+    computes on."""
+
+    def test_every_backend_counts_the_same_policies(self):
+        from repro.matrices import grid_laplacian_3d
+
+        a = grid_laplacian_3d(8, 8, 8)
+        sf = symbolic_factorize(a, ordering="nd")
+        counts = {
+            backend: SparseCholeskySolver.from_symbolic(
+                a, sf, policy="P4", backend=backend, node=_small_device_node(),
+            ).factorize().stats.policy_counts
+            for backend in ("serial", "static", "dynamic", "cluster")
+        }
+        assert counts["serial"]["P1"] > 0         # some fronts leave the device
+        assert all(c == counts["serial"] for c in counts.values()), counts
+
+    def test_default_fleet_copies_the_node_gpu(self):
+        from repro.cluster import ClusterSpec
+
+        node = _small_device_node()
+        fleet = ClusterSpec(n_ranks=2).build_nodes(node.gpus[0])
+        assert [g.spec for n in fleet for g in n.gpus] == [node.gpus[0].spec] * 2
+        assert all(
+            type(g.device_pool) is type(node.gpus[0].device_pool)
+            for n in fleet for g in n.gpus
+        )
+        per_call = SimulatedNode(n_gpus=1, pinned_pooling=False)
+        fleet = ClusterSpec(n_ranks=2).build_nodes(per_call.gpus[0])
+        assert all(
+            type(g.pinned_pool) is type(per_call.gpus[0].pinned_pool)
+            for n in fleet for g in n.gpus
+        )

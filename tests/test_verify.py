@@ -124,7 +124,7 @@ class TestInvariants:
             )
             solver.analyze().factorize()
             assert check_schedule_precedence(
-                solver.symbolic, solver.parallel.schedule
+                solver.symbolic, solver.parallel.runtime.schedule
             ) == []
 
     def test_schedule_precedence_detects_violation(self, sf_lap3d):
