@@ -10,8 +10,10 @@ held against the per-column substitution it replaced
   the frame of the unit-diagonal system) and on the 362 panel solves a
   factorization of ``lmco_s``/nd runs front by front;
 * the factor it makes keeps its backward error ``||P A P^T - L L^T|| /
-  ||A||`` within 2x the factor computed with the reference patched in,
-  on ``lmco_s`` and on the three ``api-mixed`` matrices.
+  ||A||`` within 2x the factor computed with the references patched in
+  (substitution, and the rank-k update over the whole square,
+  :func:`tests.reference_kernels.syrk`), on ``lmco_s`` and on the three
+  ``api-mixed`` matrices.
 
 Below a residual of one machine epsilon of the input's dtype the 4x
 comparison is not made: there both solves are as accurate as the format
@@ -173,9 +175,12 @@ def factor_backward_error(a, factor) -> float:
 
 @contextlib.contextmanager
 def reference_kernels_patched():
-    """Substitution in every panel solve: front by front and stacked."""
+    """Substitution in every panel solve, front by front and stacked, and
+    the whole-square product in every rank-k update."""
     with mock.patch.object(
         kernels, "trsm_right_lower", reference_kernels.trsm_right_lower
+    ), mock.patch.object(
+        kernels, "syrk", reference_kernels.syrk
     ), mock.patch.object(
         batched, "batched_trsm_right_lower", reference_kernels.batched_trsm_right_lower
     ):
