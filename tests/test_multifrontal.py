@@ -231,6 +231,47 @@ class TestTriangleStorage:
             AssemblyPlan(twice, sf)
 
 
+class TestLowerTriangleContract:
+    """Fronts are live in their lower triangle only: nothing the numerics
+    pass computes may read above the diagonal of an assembled front.  So
+    NaN written over the strict upper triangle of every front
+    :func:`repro.multifrontal.frontal.assemble_front_planned` returns
+    leaves every panel bit and ``x`` as they are, and raises no
+    floating-point warning (the device path casts whole fronts)."""
+
+    @staticmethod
+    def factor_and_solve(policy: str):
+        a = grid_laplacian_3d(13, 13, 12)
+        kwargs = dict(policy=policy)
+        if policy == "P4":
+            kwargs.update(backend="dynamic", node=SimulatedNode(n_cpus=2, n_gpus=2))
+        solver = SparseCholeskySolver(a, ordering="amd", **kwargs).factorize()
+        x = solver.solve(np.random.default_rng(3).normal(size=a.n_rows))
+        return solver.factor.panels, x
+
+    @pytest.mark.parametrize("policy", ["P1", "P4"])
+    def test_poisoned_upper_triangle_is_never_read(self, policy, monkeypatch):
+        from repro.multifrontal import frontal, numeric
+
+        want_panels, want_x = self.factor_and_solve(policy)
+        poisoned = []
+
+        def assemble(*args, **kwargs):
+            front = frontal.assemble_front_planned(*args, **kwargs)
+            front[np.triu_indices(front.shape[0], 1)] = np.nan
+            poisoned.append(front.shape[0])
+            return front
+
+        monkeypatch.setattr(numeric, "assemble_front_planned", assemble)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            panels, x = self.factor_and_solve(policy)
+        assert max(poisoned) > 1
+        for got, want in zip(panels, want_panels, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(x, want_x)
+
+
 class TestPlanAgainstPerSupernodeBuild:
     """``AssemblyPlan`` places every entry and every child row with one
     position search over all fronts; ``reference_plan`` searches front by
