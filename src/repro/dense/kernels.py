@@ -8,7 +8,8 @@ operation decomposes into (paper Fig. 1):
   m x k panel L2, each 32-column diagonal block of L applied through its
   inverse (:func:`block_inverse`), as GPU BLAS libraries run a trsm,
 * ``syrk`` — symmetric rank-k update ``C -= X X^T`` forming the m x m
-  update matrix U,
+  update matrix U, on its lower triangle only from
+  ``_SYRK_CUT`` rows up (see :func:`syrk`),
 * ``gemm`` — general update used inside the blocked panel algorithm.
 
 Each kernel returns its result and the numerics run in whatever dtype the
@@ -136,7 +137,11 @@ def block_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def trsm_right_lower(
-    b: np.ndarray, l: np.ndarray, *, counts: KernelCounts | None = None
+    b: np.ndarray,
+    l: np.ndarray,
+    *,
+    counts: KernelCounts | None = None,
+    inverses: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve ``X L^T = B`` for X, with L lower triangular (the panel solve
     ``L2 <- L2 L1^-T`` of the F-U operation).
@@ -147,6 +152,12 @@ def trsm_right_lower(
     :func:`block_inverse` of ``L_jj`` — one product per block, no step
     per column.  The inverses of all full blocks come from one batched
     call.  Only the lower triangle of L is read.
+
+    ``inverses`` is where the ``W_j`` go, if they are wanted after the
+    solve: a ``(k // SUBSTITUTION_BLOCK, b, b)`` array for the full
+    blocks and a ``(1, t, t)`` one for a tail of ``t`` columns (``(0, 0,
+    0)`` without), the layout of the solve phase's buffer
+    (:class:`repro.multifrontal.solve.SolvePlan`).
     """
     b = np.asarray(b)
     l = np.asarray(l)
@@ -156,19 +167,24 @@ def trsm_right_lower(
     if b.shape[1] != k:
         raise ValueError(f"shape mismatch: B {b.shape} vs L {l.shape}")
     nb = SUBSTITUTION_BLOCK
-    if k <= nb:
-        x = b @ block_inverse(l).T
-    else:
+    full, tail = divmod(k, nb)
+    out_full, out_tail = (None, None) if inverses is None else inverses
+    w: list[np.ndarray] = []
+    if full:
         # the full diagonal blocks as one (full, nb, nb) view: steps of
         # nb rows and nb columns in l's own strides (a pivot block of the
         # Figure-9 loop is a strided view of its front)
-        full = k // nb
         s0, s1 = l.strides
-        w = list(block_inverse(np.lib.stride_tricks.as_strided(
+        w += list(block_inverse(np.lib.stride_tricks.as_strided(
             l, (full, nb, nb), (nb * (s0 + s1), s0, s1), writeable=False
-        )))
-        if k % nb:
-            w.append(block_inverse(l[full * nb:, full * nb:]))
+        ), out=out_full))
+    if tail:
+        w.append(block_inverse(
+            l[full * nb:, full * nb:], out=None if out_tail is None else out_tail[0]
+        ))
+    if k <= nb:
+        x = b @ w[0].T
+    else:
         x = b.astype(b.dtype, copy=True)
         for j0, wj in zip(range(0, k, nb), w):
             j1 = j0 + wj.shape[0]
@@ -180,23 +196,52 @@ def trsm_right_lower(
     return x
 
 
+#: an update of at least this many rows is subtracted in row blocks of
+#: its lower triangle, a smaller one as one product over the square.
+#: Chosen from the cost of every update of a size class of one
+#: ``lmco_s``/nd factorization (random values, warm buffers, one BLAS
+#: thread, median of 21 runs, ms), by the block height of the row blocks:
+#:
+#:     rows      updates  square   64     128    192    256
+#:     65-128       106    4.29   5.12   4.43   4.34   4.25
+#:     129-192       43    4.06   4.63   5.71   3.95   3.92
+#:     193-256       24    4.63   5.12   5.06   6.21   4.77
+#:     257-384       13    6.85   6.48   6.17   6.08   7.88
+#:     385-512        7    7.69   6.99   7.62   8.08   7.78
+#:     > 512         10   41.94  38.48  35.01  34.88  38.79
+#:
+#: below 256 rows the blocks save nothing; above, 128-row blocks take
+#: 48.8 ms where the square takes 56.5 (-14 %)
+_SYRK_CUT = 256
+#: rows per block of the lower-triangle update (the table above)
+_SYRK_ROWS = 128
+
+
 def syrk(
     c: np.ndarray, x: np.ndarray, *, counts: KernelCounts | None = None
 ) -> np.ndarray:
-    """Symmetric rank-k update ``C <- C - X X^T`` (in place, over the
-    whole square of ``C``).
+    """Symmetric rank-k update ``C <- C - X X^T`` (in place), on the
+    lower triangle of ``C``.
 
     The multifrontal update block U is live in its lower triangle only:
     that is all the planned assembly writes into a front and all that is
-    ever consumed.  The product is still subtracted from the full square
-    (one matrix product, no triangle bookkeeping); what it leaves above
-    the diagonal means something only if ``C`` came in symmetric.
+    ever consumed.  From ``_SYRK_CUT`` rows up the product is subtracted
+    in ``_SYRK_ROWS``-row blocks, ``C[i0:i1, :i1] -= X[i0:i1] X[:i1]^T``:
+    no m x m temporary, and nothing above the diagonal blocks is
+    touched.  A smaller update is one product over the whole square.
+    Either way what sits above the diagonal afterwards means nothing.
     """
     c = np.asarray(c)
     x = np.asarray(x)
-    if c.shape != (x.shape[0], x.shape[0]):
+    m = x.shape[0]
+    if c.shape != (m, m):
         raise ValueError(f"shape mismatch: C {c.shape} vs X {x.shape}")
-    c -= x @ x.T
+    if m < _SYRK_CUT:
+        c -= x @ x.T
+    else:
+        for i0 in range(0, m, _SYRK_ROWS):
+            i1 = min(i0 + _SYRK_ROWS, m)
+            c[i0:i1, :i1] -= x[i0:i1] @ x[:i1].T
     if counts is not None:
         counts.add("syrk", syrk_flops(x.shape[0], x.shape[1]))
     return c

@@ -136,7 +136,9 @@ def breakdown_error(
     )
 
 
-def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
+def batched_trsm_right_lower(
+    x: np.ndarray, l: np.ndarray, inverses: np.ndarray | None = None
+) -> np.ndarray:
     """Stacked ``X L^T = B`` solve: per-slice replay of
     :func:`repro.dense.kernels.trsm_right_lower`.
 
@@ -144,7 +146,9 @@ def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
     diagonal block is inverted across the stack by one batched
     :func:`repro.dense.kernels.block_inverse` and applied by one stacked
     product, after the same stacked off-block update, so each slice is
-    bit-identical to the 2-D kernel.
+    bit-identical to the 2-D kernel.  A ``(B, k, k)`` ``inverses``
+    receives the inverses of pivot blocks that are one diagonal block
+    (``k <= SUBSTITUTION_BLOCK``: every stacked leaf).
     """
     k = l.shape[-1]
     x = x.copy()
@@ -153,7 +157,7 @@ def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:
         j1 = min(j0 + nb, k)
         if j0:
             x[:, :, j0:j1] -= x[:, :, :j0] @ l[:, j0:j1, :j0].transpose(0, 2, 1)
-        w = block_inverse(l[:, j0:j1, j0:j1])
+        w = block_inverse(l[:, j0:j1, j0:j1], out=inverses)
         x[:, :, j0:j1] = x[:, :, j0:j1] @ w.transpose(0, 2, 1)
     return x
 
@@ -180,7 +184,11 @@ def _batched_potrf(
 
 
 def batched_factor_update(
-    fronts: np.ndarray, k: int, sf: SymbolicFactor, sids: tuple[int, ...]
+    fronts: np.ndarray,
+    k: int,
+    sf: SymbolicFactor,
+    sids: tuple[int, ...],
+    inverses: np.ndarray | None = None,
 ) -> None:
     """In-place stacked factor-update of ``(B, n, n)`` fronts, in their
     own dtype.
@@ -188,25 +196,31 @@ def batched_factor_update(
     Mirrors ``PolicyP1.apply`` exactly (and a one-panel
     ``PolicyP4.apply``, whose kernels are the same three): potrf of the
     pivot block, panel solve, rank-k update of the trailing block — each
-    as one stacked call over the batch dimension.
+    as one stacked call over the batch dimension.  ``inverses`` goes to
+    the panel solve (:func:`batched_trsm_right_lower`).
     """
     l1 = _batched_potrf(fronts[:, :k, :k], sf, sids)
     fronts[:, :k, :k] = l1
     if fronts.shape[1] > k:
-        l2 = batched_trsm_right_lower(fronts[:, k:, :k], l1)
+        l2 = batched_trsm_right_lower(fronts[:, k:, :k], l1, inverses)
         fronts[:, k:, :k] = l2
         fronts[:, k:, k:] -= l2 @ l2.transpose(0, 2, 1)
 
 
 def factor_batch_group(
-    sf: SymbolicFactor, a_data: np.ndarray, g: BatchGroup, dtype=np.float64
+    sf: SymbolicFactor,
+    a_data: np.ndarray,
+    g: BatchGroup,
+    dtype=np.float64,
+    inverses: np.ndarray | None = None,
 ) -> tuple[np.ndarray, "np.ndarray | list[None]"]:
     """Assemble the leaf fronts of ``g`` into one stack (one gather from
     ``a_data``, one scatter), factor them with one stacked call sequence
     in ``dtype`` (the stack is cast to it once and back once) and return
     the float64 ``(B, size, k)`` panels and ``(B, m, m)`` updates (a
     ``None`` per member when the fronts have no rows below their
-    pivots); entry ``i`` of both belongs to ``g.sids[i]``.
+    pivots); entry ``i`` of both belongs to ``g.sids[i]``.  ``inverses``
+    receives the pivot blocks' inverses (:func:`batched_trsm_right_lower`).
 
     No kernel provider is involved and no time is kept: the device
     seconds of the members' kernels are in the numerics pass's one list
@@ -217,7 +231,7 @@ def factor_batch_group(
     # ``+=`` as the per-front assembly does it (-0.0 lands as +0.0)
     stack.reshape(-1)[g.dst] += a_data[g.src]
     stack = stack.astype(dtype, copy=False)
-    batched_factor_update(stack, g.k, sf, g.sids)
+    batched_factor_update(stack, g.k, sf, g.sids, inverses)
     return (
         stack[:, :, :g.k].astype(np.float64),
         stack[:, g.k:, g.k:].astype(np.float64) if g.m > 0 else [None] * len(g),

@@ -16,7 +16,9 @@ lower triangle only*: ``potrf`` / ``trsm`` / ``syrk`` never read above
 the diagonal, so :class:`AssemblyPlan` and :func:`assemble_front_planned`
 — the one way into a front — scatter the lower triangle of A and
 extend-add the lower trapezoid of each child; what sits above the
-diagonal of such a front is unspecified.
+diagonal of such a front is unspecified: a large front is zero-filled
+below its diagonal only, and the rank-k update of a large front writes
+its lower triangle only (:func:`repro.dense.kernels.syrk`).
 """
 
 from __future__ import annotations
@@ -56,6 +58,28 @@ __all__ = [
 #: gather everywhere 89 ms; gather below 64 and runs from there up 40 ms
 #: (203 children, 93 % of the extend-add elements).
 RUN_CUT = 64
+
+
+#: a front of at least this many rows is zero-filled on its lower
+#: triangle only, in row blocks (:func:`assemble_front_planned`), a
+#: smaller one whole.  Chosen from the cost of zero-filling every front
+#: of a size class of ``lmco_s``/nd once in one buffer, median of 21
+#: runs, ms, by the height of the row blocks:
+#:
+#:     front rows  fronts  whole   32     64    128    256
+#:     <= 64        1 743   1.62  3.19   3.10   2.90   2.93
+#:     65-128         114   0.50  0.69   0.59   0.53   0.54
+#:     129-256         84   1.13  1.05   0.93   0.96   1.04
+#:     257-512         25   1.17  0.97   0.82   0.84   0.98
+#:     > 512           17   5.52  3.21   3.03   3.22   3.38
+#:
+#: Inside a warm refactorize the smaller classes gain less: over 100
+#: alternating pairs, the assembly of one refactorize took 79.9 ms with
+#: whole fills and 78.8 ms with these two values (63 of 100 won), and
+#: 91.3 against 89.6 ms (57 of 100) from 128 rows in 64-row blocks.
+_FILL_CUT = 256
+#: rows per block of the lower-triangle zero-fill (the tables above)
+_FILL_ROWS = 128
 
 
 class AssemblyPlan:
@@ -296,23 +320,47 @@ def assemble_front_planned(
     diagonal it is unspecified.
 
     With ``workspace`` (a flat float64 buffer of at least ``size * size``
-    elements) the front is a zero-filled view of its head and lives until
-    the next call with the same buffer; without, it is a new array.
+    elements) the front is a view of its head and lives until the next
+    call with the same buffer; without, it is a new zero array.  Of a
+    view only the lower triangle is zero-filled from ``_FILL_CUT`` rows
+    up (in ``_FILL_ROWS``-row blocks, so the upper half of each diagonal
+    block too): above it the view keeps whatever the buffer held, which
+    for a buffer made by ``np.zeros`` is only what earlier fronts left.
     """
     if workspace is None:
         front = np.zeros((size, size), dtype=np.float64)
     else:
         front = workspace[: size * size].reshape(size, size)
-        front.fill(0.0)
-    front.ravel()[plan.dst[s]] += a_data[plan.src[s]]
-    for c, cu in child_updates:
-        runs = plan.runs[c]
-        if runs is None:
-            front[plan.rel_row[c], plan.rel_col[c]] += cu
+        if size < _FILL_CUT:
+            front.fill(0.0)
         else:
-            for rows, lo, hi, p, q in runs:
-                front[rows, p:q] += cu[lo:, lo:hi]
+            for i0 in range(0, size, _FILL_ROWS):
+                front[i0:i0 + _FILL_ROWS, :i0 + _FILL_ROWS] = 0.0
+    # the first child's update is placed by assignment, before A: onto
+    # zeros ``c + a`` is ``a + c`` bit for bit (Liu's in-place assembly
+    # of one child, SIAM Review 34(1), 1992)
+    for c, cu in child_updates[:1]:
+        _extend_add(plan, front, c, cu, onto_zeros=True)
+    front.ravel()[plan.dst[s]] += a_data[plan.src[s]]
+    for c, cu in child_updates[1:]:
+        _extend_add(plan, front, c, cu)
     return front
+
+
+def _extend_add(
+    plan: AssemblyPlan, front: np.ndarray, c: int, cu: np.ndarray,
+    onto_zeros: bool = False,
+) -> None:
+    """Add child ``c``'s update ``cu`` at its place in its parent's
+    ``front`` — or, where that place holds zeros, assign it."""
+    runs = plan.runs[c]
+    if runs is None:
+        at = plan.rel_row[c], plan.rel_col[c]
+        front[at] = cu if onto_zeros else front[at] + cu
+    else:
+        for rows, lo, hi, p, q in runs:
+            part = cu[lo:, lo:hi]
+            front[rows, p:q] = part if onto_zeros else front[rows, p:q] + part
 
 
 def assembly_bytes(

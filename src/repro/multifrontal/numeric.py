@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.dense.kernels import NotPositiveDefiniteError
+from repro.dense.kernels import SUBSTITUTION_BLOCK, NotPositiveDefiniteError
 from repro.gpu.allocator import AllocationStats
 from repro.gpu.clock import EngineTimeline, TaskGraph, schedule_graph
 from repro.gpu.cublas import KernelCall
@@ -47,11 +47,11 @@ from repro.multifrontal.frontal import (
     assembly_bytes,
     get_assembly_plan,
 )
+from repro.multifrontal.solve import SweepTable, get_solve_plan
 from repro.policies.base import Policy, PolicyP1, PolicyP4, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 if TYPE_CHECKING:
-    from repro.multifrontal.solve import SweepTable
     from repro.runtime.engine import RuntimeResult
 
 __all__ = [
@@ -189,7 +189,8 @@ class NumericFactor:
     batch_tasks: int = 0
     batched_fronts: int = 0
     #: the solve phase's sweep table (:func:`repro.multifrontal.solve.sweep_table`),
-    #: built by the first solve; whoever edits a panel in place resets it
+    #: bound by the numerics pass; whoever edits a panel in place resets it
+    #: to ``None``, and the next solve binds it again from the panels
     sweep: SweepTable | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -468,9 +469,10 @@ def _numeric_walk(
     worker: Worker,
     order: "np.ndarray",
     kernel_seconds: Sequence[float],
+    slots: "dict[int, np.ndarray | tuple] | None" = None,
 ) -> tuple[
     list["np.ndarray | None"], dict[int, np.ndarray], dict[int, np.ndarray],
-    int, int, int,
+    int, int, int, set[int],
 ]:
     """The floating-point walk over the supernodes of ``order`` (children
     before parents): assemble each front, run its factor-update under
@@ -481,15 +483,24 @@ def _numeric_walk(
     ``cublas.busy_seconds`` one by one, the float adds of one charge
     per kernel in the walk's order.  Fronts and
     update matrices are live in their lower triangle only
-    (:mod:`repro.multifrontal.frontal`); every unstacked front is a
-    zero-filled view of one workspace sized for the largest, and the
-    panel and the update are copied out of it, so nothing returned
-    aliases the workspace.
+    (:mod:`repro.multifrontal.frontal`); every unstacked front is a view
+    of one ``np.zeros`` workspace sized for the largest, zero-filled on
+    its lower triangle by the assembly, and the panel and the update are
+    copied out of it, so nothing returned aliases the workspace.
+
+    ``slots`` are the views of the solve phase's buffer of diagonal-block
+    inverses (:meth:`repro.multifrontal.solve.SolvePlan.slots`): every
+    float64 panel solve whose supernode has one — a front run by
+    ``PolicyP1`` with rows below its pivots, a host-stacked leaf group
+    whose pivot blocks are one diagonal block — leaves its inverses
+    there, so the solve phase does not compute them again.
 
     Returns the panels (``None`` outside ``order``), the panel stacks,
     the updates nobody in ``order`` consumed (in the order they were
     produced; none when ``order`` covers the tree), the peak live update
-    bytes, and the stacked calls issued / fronts they covered.
+    bytes, the stacked calls issued / fronts they covered, and the
+    supernodes (a group by its first member) whose inverses are in
+    ``slots``.
 
     The panels of a leaf group lying wholly inside ``order`` are the
     slices of one ``(B, size, k)`` stack, whatever computed them (the
@@ -536,19 +547,26 @@ def _numeric_walk(
     #: member's turn comes
     pending: dict[int, "np.ndarray | None"] = {}
     batch_tasks = batched_fronts = 0
-    workspace = np.empty(max((sf.rows[s].size for s in order), default=0) ** 2)
+    workspace = np.zeros(max((sf.rows[s].size for s in order), default=0) ** 2)
+    slots = {} if slots is None else slots
+    inverted: set[int] = set()
 
     for s in order:
         g, i = slot_of.get(s, (None, 0))
         head = g.sids[0] if g is not None else -1
         if head in stacked and head not in stacks:
+            out = slots.get(head) if (
+                stacked[head] is np.float64 and g.m and g.k <= SUBSTITUTION_BLOCK
+            ) else None
             try:
                 stacks[head], group_updates = factor_batch_group(
-                    sf, a_data, g, stacked[head]
+                    sf, a_data, g, stacked[head], out
                 )
                 pending.update(zip(g.sids, group_updates))
                 batch_tasks += 1
                 batched_fronts += len(g)
+                if out is not None:
+                    inverted.add(head)
             except NotPositiveDefiniteError:
                 del stacked[head]
                 if not bases[s].needs_gpu:
@@ -565,8 +583,15 @@ def _numeric_walk(
             front = assemble_front_planned(
                 plan, a_data, size, s, child_updates, workspace
             )
+            out = slots.get(s) if (
+                g is None and size > k and type(bases[s]) is PolicyP1
+            ) else None
             try:
-                bases[s].apply(front, k, worker)
+                if out is None:
+                    bases[s].apply(front, k, worker)
+                else:
+                    bases[s].apply(front, k, worker, inverses=out)
+                    inverted.add(s)
             except NotPositiveDefiniteError as exc:
                 raise breakdown_error(sf, s, exc) from exc
             if g is None:
@@ -584,7 +609,10 @@ def _numeric_walk(
         for t in kernel_seconds:
             busy += t
         worker.gpu.cublas.busy_seconds = busy
-    return panels, stacks, updates, peak_update_bytes, batch_tasks, batched_fronts
+    return (
+        panels, stacks, updates, peak_update_bytes, batch_tasks, batched_fronts,
+        inverted,
+    )
 
 
 def postorder_numeric_factor(
@@ -599,13 +627,16 @@ def postorder_numeric_factor(
     This is what makes every backend — serial, static, dynamic, the
     cluster loop and the device-resident walk — bit-identical: whatever
     pass priced ``priced``, the floating-point work runs here
-    (:func:`_numeric_walk`), one way.
+    (:func:`_numeric_walk`), one way.  It ends by binding the factor's
+    sweep table (:meth:`repro.multifrontal.solve.SolvePlan.bind`) from
+    the buffer of inverses the walk's panel solves filled.
     """
-    panels, stacks, leftover, peak_update_bytes, batch_tasks, batched_fronts = (
-        _numeric_walk(
-            a, sf, priced.bases, Worker.canonical(node), priced.order,
-            priced.kernel_seconds,
-        )
+    solve_plan = get_solve_plan(sf)
+    inverses = solve_plan.new_inverses()
+    (panels, stacks, leftover, peak_update_bytes, batch_tasks, batched_fronts,
+     inverted) = _numeric_walk(
+        a, sf, priced.bases, Worker.canonical(node), priced.order,
+        priced.kernel_seconds, solve_plan.slots(inverses),
     )
     if leftover:
         raise AssertionError("unconsumed update matrices: symbolic tree broken")
@@ -621,6 +652,7 @@ def postorder_numeric_factor(
         assembly_seconds=priced.assembly_seconds,
         batch_tasks=batch_tasks,
         batched_fronts=batched_fronts,
+        sweep=solve_plan.bind(panels, stacks, inverses, inverted),
     )
 
 

@@ -133,7 +133,7 @@ def partial_factorize(
     records, bases, _ = _price_postorder(
         sf, policy, node, worker, order, assembly_in_record=False
     )
-    panels, stacks, leftover, _, _, _ = _numeric_walk(
+    panels, stacks, leftover, *_ = _numeric_walk(
         a, sf, bases, worker, order, _kernel_seconds(sf, bases, worker, order)
     )
 

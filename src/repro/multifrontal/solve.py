@@ -3,8 +3,10 @@
 Given the factored panels (``[L1; L2]`` per supernode), solve
 ``L y = b`` by a forward sweep in supernode order and ``L^T x = y`` by
 the reverse sweep.  Within a supernode, each ``SUBSTITUTION_BLOCK``-column
-diagonal block is one product with its inverse, computed once per factor
-(:meth:`SolvePlan.bind`); the cross-supernode coupling is a dense panel
+diagonal block is one product with its inverse, computed once per factor:
+by the panel solve of the numerics walk where it ran in float64, which
+leaves it in the factor's buffer (:meth:`SolvePlan.slots`), else by
+:meth:`SolvePlan.bind`; the cross-supernode coupling is a dense panel
 gemv gathered/scattered through the front's row list.
 
 Most supernodes are small childless leaves that share a handful of front
@@ -158,38 +160,85 @@ class SolvePlan:
         self.n_stacked = n_super - interior.size
         self.n_steps = interior.size + sum(r is not None for r in self.runs)
 
-    def bind(self, panels, stacks: dict[int, np.ndarray]) -> SweepTable:
+    def new_inverses(self) -> np.ndarray:
+        """An empty buffer laid out by ``regions``."""
+        return np.empty(sum(size * size * n for size, _, n in self.regions))
+
+    def slots(self, inverses: np.ndarray) -> dict[int, "np.ndarray | tuple"]:
+        """The views of a buffer laid out by ``regions`` that hold each
+        supernode's diagonal-block inverses: per group, by its first
+        member, a ``(B, k, k)`` array; per interior supernode the pair
+        ``(full, tail)`` of a ``(k // SUBSTITUTION_BLOCK, b, b)`` and a
+        ``(k % SUBSTITUTION_BLOCK > 0, t, t)`` array — what the panel
+        solves take to leave their inverses there
+        (:func:`repro.dense.kernels.trsm_right_lower`)."""
+        nb = SUBSTITUTION_BLOCK
+        slots: dict[int, np.ndarray | tuple] = {
+            g.sids[0]: _region(inverses, at, len(g), g.k)
+            for g, at in zip(self.groups, self.group_at)
+        }
+        for s, first, end, _, full_at, tail_at in self.interior:
+            k = end - first
+            slots[s] = (_region(inverses, full_at, k // nb, nb),
+                        _region(inverses, tail_at, int(k % nb > 0), k % nb))
+        return slots
+
+    def bind(
+        self, panels, stacks: dict[int, np.ndarray],
+        inverses: np.ndarray | None = None, inverted=frozenset(),
+    ) -> SweepTable:
         """The values half for one factor: views of the group stacks
         (``stacks`` maps a group's first member to its ``(B, size, k)``
         array) and of the interior panels (``panels`` is indexed by
-        supernode id), and every diagonal block gathered into one buffer
-        and inverted in place, one batched ``np.linalg.inv`` per size."""
-        nb = SUBSTITUTION_BLOCK
-        inverses = np.empty(sum(size * size * n for size, _, n in self.regions))
+        supernode id), and the inverse of every diagonal block in one
+        buffer laid out by ``regions``.
 
-        def region(at: int, blocks: int, size: int) -> np.ndarray:
-            return inverses[at:at + blocks * size * size].reshape(blocks, size, size)
+        The numerics pass hands over the buffer (``inverses``) its panel
+        solves wrote the inverses of the supernodes in ``inverted`` into
+        (a group by its first member).  Every other diagonal block is
+        gathered into its place and inverted here: one batched
+        ``np.linalg.inv`` per size when no block of that size came
+        inverted, else one per supernode."""
+        nb = SUBSTITUTION_BLOCK
+        if inverses is None:
+            inverses = self.new_inverses()
+        slots = self.slots(inverses)
+        todo: dict[int, list[np.ndarray]] = {}
 
         blocks = []
-        for g, at in zip(self.groups, self.group_at):
-            stack, w = stacks[g.sids[0]], region(at, len(g), g.k)
-            w[...] = stack[:, :g.k]
+        for g in self.groups:
+            stack, w = stacks[g.sids[0]], slots[g.sids[0]]
+            if g.sids[0] not in inverted:
+                w[...] = stack[:, :g.k]
+                todo.setdefault(g.k, []).append(w)
             blocks.append((w, stack[:, g.k:] if g.m else None))
         steps = []
-        for s, first, end, below, full_at, tail_at in self.interior:
+        for s, first, end, below, _, _ in self.interior:
             k = end - first
             l1, l2 = panels[s][:k], None if below is None else panels[s][k:]
-            w = (region(full_at, k // nb, nb), region(tail_at, int(k % nb > 0), k % nb))
-            for j, wj in enumerate(chain(*w)):
-                wj[...] = l1[j * nb:(j + 1) * nb, j * nb:(j + 1) * nb]
+            w = slots[s]
+            if s not in inverted:
+                for j, wj in enumerate(chain(*w)):
+                    wj[...] = l1[j * nb:(j + 1) * nb, j * nb:(j + 1) * nb]
+                for region in w:
+                    if len(region):
+                        todo.setdefault(region.shape[-1], []).append(region)
             # one block wide: nothing left of the diagonal block
-            steps.append((first, end, None, l2, below, wj) if k <= nb else
-                         (first, end, l1, l2, below, w))
+            steps.append((first, end, None, l2, below, next(chain(*w))) if k <= nb
+                         else (first, end, l1, l2, below, w))
 
         for size, at, n in self.regions:
-            w = region(at, n, size)
-            block_inverse(w, out=w)
+            views = todo.get(size, [])
+            if sum(map(len, views)) == n:
+                views = [_region(inverses, at, n, size)]
+            for w in views:
+                block_inverse(w, out=w)
         return SweepTable(self, blocks, steps, inverses)
+
+
+def _region(inverses: np.ndarray, at: int, blocks: int, size: int) -> np.ndarray:
+    """``blocks`` inverses of ``size`` columns from float ``at`` on."""
+    return inverses[at:at + blocks * size * size].reshape(blocks, size, size)
 
 
 class SweepTable(NamedTuple):

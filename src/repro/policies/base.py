@@ -201,14 +201,17 @@ class PolicyP1(Policy):
             last = t_syrk
         return FUPlan(graph, last, roles)
 
-    def apply(self, front, k, worker):
+    def apply(self, front, k, worker, inverses=None):
+        """As :meth:`Policy.apply`; ``inverses`` receives the inverses of
+        the pivot block's diagonal blocks the panel solve computes
+        (:func:`repro.dense.kernels.trsm_right_lower`)."""
         m = front.shape[0] - k
         l1 = hk.potrf(front[:k, :k])
         front[:k, :k] = l1
         l2 = front[k:, :k]
         u = front[k:, k:]
         if m > 0:
-            l2[...] = hk.trsm_right_lower(l2, l1)
+            l2[...] = hk.trsm_right_lower(l2, l1, inverses=inverses)
             hk.syrk(u, l2)
         return l1, l2, u
 

@@ -10,6 +10,7 @@ import inspect
 import sys
 import threading
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -281,3 +282,54 @@ def test_lmco_s_inverses_are_a_tenth_of_the_panels(lmco_s_factor):
     for *_, w in table.steps:
         for region in w if isinstance(w, tuple) else (w,):
             assert region.base is table.inverses
+
+
+@pytest.mark.parametrize("case,policy,total,in_bind", [
+    ("lmco_s/nd", "P1", 2124, 18),
+    ("grid_laplacian_2d/amd", "P1", 1032, 3),
+    # fp32 panel solves: their inverses are not the fp64 ones the sweeps
+    # apply, so the solve phase inverts every block again
+    ("lmco_s/nd", "P4", 4246, 2124),
+])
+def test_invert_once_counts(case, policy, total, in_bind):
+    """The counts-gate CI runs by name: over one warm refactorize + solve,
+    the matrices handed to ``np.linalg.inv`` (a stack counts each of its
+    blocks).  The host panel solves leave their diagonal-block inverses
+    in the factor's buffer, so ``SolvePlan.bind`` inverts only what no
+    fp64 panel solve produced — roots with nothing below their pivots,
+    and fp32 fronts.  Before, bind inverted every block again: 4 230 on
+    ``lmco_s``/nd P1 and 2 061 on the grid, and it still does on P4.  The
+    inverses come out as a bind from the panels computes them, so ``x``
+    is the same, bit for bit."""
+    name, ordering = case.split("/")
+    a = load_test_matrix(name) if name == "lmco_s" else grid_laplacian_2d(48, 46)
+    kwargs = dict(policy=policy)
+    if policy == "P4":
+        kwargs.update(backend="dynamic", node=SimulatedNode(n_cpus=2, n_gpus=2))
+    solver = SparseCholeskySolver(a, ordering=ordering, **kwargs).factorize()
+    b = np.random.default_rng(7).normal(size=a.n_rows)
+    solver.solve(b)
+
+    counts = Counter()
+    inv, bind = np.linalg.inv, solve_module.SolvePlan.bind
+    where = ["walk"]
+
+    def counting_inv(m):
+        counts[where[0]] += int(np.prod(m.shape[:-2]))
+        return inv(m)
+
+    def counting_bind(*args, **kwargs):
+        where[0] = "bind"
+        try:
+            return bind(*args, **kwargs)
+        finally:
+            where[0] = "walk"
+
+    with mock.patch.object(np.linalg, "inv", counting_inv), \
+            mock.patch.object(solve_module.SolvePlan, "bind", counting_bind):
+        solver.refactorize(a.data)
+        x = solver.solve(b)
+    assert sum(counts.values()) == total
+    assert counts["bind"] == in_bind
+    solver.factor.sweep = None  # bind again, every block from the panels
+    assert np.array_equal(solver.solve(b), x)

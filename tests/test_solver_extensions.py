@@ -301,9 +301,9 @@ class TestEveryBackendEveryNodeOneFactor:
         walks = []
         walk = numeric._numeric_walk
 
-        def spy(a, sf, bases, worker, order, kernel_seconds):
+        def spy(a, sf, bases, worker, *rest):
             walks.append((list(bases), worker))
-            return walk(a, sf, bases, worker, order, kernel_seconds)
+            return walk(a, sf, bases, worker, *rest)
 
         with mock.patch.object(numeric, "_numeric_walk", spy):
             (run or solver.factorize)()
