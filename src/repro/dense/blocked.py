@@ -83,7 +83,9 @@ def blocked_cholesky_panels(
     panels of width ``w``, updating the trailing U block, in place.
 
     After the call, ``f[:k, :k]`` holds L1 (lower), ``f[k:, :k]`` holds
-    L2, and ``f[k:, k:]`` has been updated by ``- L2 @ L2.T``.  Follows
+    L2, and ``f[k:, k:]`` has been updated by ``- L2 @ L2.T`` on its
+    lower triangle.  Only the lower triangle of ``f`` is read, and
+    ``f[:k, k:]`` is left as it was.  Follows
     Figure 9: per panel j of width w,
 
     1. potrf on the w x w diagonal block,
@@ -121,13 +123,12 @@ def blocked_cholesky_panels(
                 provider.syrk(
                     f[rest:k, rest:k], panel[: k - rest]
                 )
-                # 4. gemm: L2 rows against the new panel
+                # 4. gemm: L2 rows against the new panel (the block above
+                # U, its mirror, is never read: F is live in its lower
+                # triangle only)
                 provider.gemm(
                     f[k:, rest:k], panel[k - rest:], panel[: k - rest].T
                 )
-                # keep F numerically symmetric for downstream full-storage
-                # consumers (only the lower triangle is semantically live)
-                f[rest:k, k:] = f[k:, rest:k].T
                 # 5. syrk: partial update of U
                 provider.syrk(f[k:, k:], panel[k - rest:])
             else:

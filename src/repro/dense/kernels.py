@@ -255,13 +255,18 @@ def gemm(
     alpha: float = -1.0,
     counts: KernelCounts | None = None,
 ) -> np.ndarray:
-    """General update ``C <- C + alpha * A @ B`` (in place)."""
+    """General update ``C <- C + alpha * A @ B`` (in place).  The
+    default ``alpha = -1`` subtracts the product, with no scaled
+    temporary: ``-1 * p`` is exact and ``c + (-p)`` is ``c - p``."""
     c = np.asarray(c)
     if c.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]:
         raise ValueError(
             f"shape mismatch: C {c.shape}, A {a.shape}, B {b.shape}"
         )
-    c += alpha * (a @ b)
+    if alpha == -1.0:
+        c -= a @ b
+    else:
+        c += alpha * (a @ b)
     if counts is not None:
         counts.add("gemm", gemm_flops(a.shape[0], b.shape[1], a.shape[1]))
     return c

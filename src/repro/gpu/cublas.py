@@ -95,7 +95,7 @@ class CublasContext:
         # ill-conditioned blocks; promote internally like the real
         # mixed-precision kernels do for the tiny w x w panel
         try:
-            return hk.potrf(a).astype(self.dtype)
+            return hk.potrf(a).astype(self.dtype, copy=False)
         except hk.NotPositiveDefiniteError:
             return hk.potrf(a.astype(np.float64)).astype(self.dtype)
 

@@ -21,8 +21,10 @@ Two kinds of group are stacked: every member resolved to the host
 ``P1`` (float64), or every member resolved to one ``PolicyP4`` whose
 Figure-9 panel covers the whole pivot block.  One panel is exactly
 potrf, trsm, syrk, so the same stacked sequence in the device dtype
-(float32 under the paper's ``sp`` model) — cast in once, cast out once
-— is bit-identical per slice to ``PolicyP4.apply``.  Any other group
+(float32 under the paper's ``sp`` model) — cast in once, the panels
+widened out once, the updates left in the device dtype as
+``PolicyP4.apply`` leaves them — is bit-identical per slice to
+``PolicyP4.apply``.  Any other group
 runs front by front.
 """
 
@@ -216,10 +218,12 @@ def factor_batch_group(
 ) -> tuple[np.ndarray, "np.ndarray | list[None]"]:
     """Assemble the leaf fronts of ``g`` into one stack (one gather from
     ``a_data``, one scatter), factor them with one stacked call sequence
-    in ``dtype`` (the stack is cast to it once and back once) and return
-    the float64 ``(B, size, k)`` panels and ``(B, m, m)`` updates (a
-    ``None`` per member when the fronts have no rows below their
-    pivots); entry ``i`` of both belongs to ``g.sids[i]``.  ``inverses``
+    in ``dtype`` (the stack is cast to it once) and return the float64
+    ``(B, size, k)`` panels (widened, exactly, from ``dtype``) and the
+    ``(B, m, m)`` updates in ``dtype``, which the parent's extend-add
+    widens inside its add (a ``None`` per member when the fronts have no
+    rows below their pivots); entry ``i`` of both belongs to
+    ``g.sids[i]``.  ``inverses``
     receives the pivot blocks' inverses (:func:`batched_trsm_right_lower`).
 
     No kernel provider is involved and no time is kept: the device
@@ -234,5 +238,5 @@ def factor_batch_group(
     batched_factor_update(stack, g.k, sf, g.sids, inverses)
     return (
         stack[:, :, :g.k].astype(np.float64),
-        stack[:, g.k:, g.k:].astype(np.float64) if g.m > 0 else [None] * len(g),
+        stack[:, g.k:, g.k:].copy() if g.m > 0 else [None] * len(g),
     )

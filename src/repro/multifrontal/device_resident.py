@@ -40,7 +40,8 @@ Pipeline (the two-pass shape of every other driver):
 
 Numerics are those of every other driver: fp32 kernels, fp64 host
 assembly.  A device-placed front is assembled on the host in float64 and
-factored in float32 (exactly ``PolicyP4.apply``; an all-device placement
+factored in float32, its update handed to the parent in float32 and
+widened inside the parent's add (exactly ``PolicyP4.apply``; an all-device placement
 is bit-identical to ``factorize_numeric(..., PolicyP4())``).  Update
 matrices handed down several generations of GPU supernodes still carry
 compounded single-precision error (``residual_norm`` 8.4e-8 on the 8^3

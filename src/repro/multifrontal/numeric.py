@@ -485,8 +485,13 @@ def _numeric_walk(
     update matrices are live in their lower triangle only
     (:mod:`repro.multifrontal.frontal`); every unstacked front is a view
     of one ``np.zeros`` workspace sized for the largest, zero-filled on
-    its lower triangle by the assembly, and the panel and the update are
-    copied out of it, so nothing returned aliases the workspace.
+    its lower triangle by the assembly.  ``apply`` returns the factored
+    panel and the update where it computed them — in the host front for
+    P1-P3, in the device copy for ``PolicyP4``, which writes nothing
+    back — and the walk copies both out, the same way for every policy:
+    the panel widened to float64 (exact from float32), the update in the
+    dtype it was computed in, which the parent's extend-add widens
+    inside its add.  Nothing returned aliases the workspace.
 
     ``slots`` are the views of the solve phase's buffer of diagonal-block
     inverses (:meth:`repro.multifrontal.solve.SolvePlan.slots`): every
@@ -588,18 +593,18 @@ def _numeric_walk(
             ) else None
             try:
                 if out is None:
-                    bases[s].apply(front, k, worker)
+                    panel, u = bases[s].apply(front, k, worker)
                 else:
-                    bases[s].apply(front, k, worker, inverses=out)
+                    panel, u = bases[s].apply(front, k, worker, inverses=out)
                     inverted.add(s)
             except NotPositiveDefiniteError as exc:
                 raise breakdown_error(sf, s, exc) from exc
             if g is None:
-                panels[s] = front[:, :k].copy()
+                panels[s] = panel.astype(np.float64)
             else:
                 panels[s] = stacks[head][i]
-                panels[s][...] = front[:, :k]
-            u = front[k:, k:].copy() if size > k else None
+                panels[s][...] = panel
+            u = u.copy() if size > k else None
         if u is not None:
             updates[s] = u
             live_update_bytes += u.nbytes
@@ -633,10 +638,11 @@ def postorder_numeric_factor(
     """
     solve_plan = get_solve_plan(sf)
     inverses = solve_plan.new_inverses()
+    slots = solve_plan.slots(inverses)
     (panels, stacks, leftover, peak_update_bytes, batch_tasks, batched_fronts,
      inverted) = _numeric_walk(
         a, sf, priced.bases, Worker.canonical(node), priced.order,
-        priced.kernel_seconds, solve_plan.slots(inverses),
+        priced.kernel_seconds, slots,
     )
     if leftover:
         raise AssertionError("unconsumed update matrices: symbolic tree broken")
@@ -652,7 +658,7 @@ def postorder_numeric_factor(
         assembly_seconds=priced.assembly_seconds,
         batch_tasks=batch_tasks,
         batched_fronts=batched_fronts,
-        sweep=solve_plan.bind(panels, stacks, inverses, inverted),
+        sweep=solve_plan.bind(panels, stacks, inverses, inverted, slots),
     )
 
 

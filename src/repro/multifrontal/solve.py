@@ -185,7 +185,7 @@ class SolvePlan:
 
     def bind(
         self, panels, stacks: dict[int, np.ndarray],
-        inverses: np.ndarray | None = None, inverted=frozenset(),
+        inverses: np.ndarray | None = None, inverted=frozenset(), slots=None,
     ) -> SweepTable:
         """The values half for one factor: views of the group stacks
         (``stacks`` maps a group's first member to its ``(B, size, k)``
@@ -195,14 +195,16 @@ class SolvePlan:
 
         The numerics pass hands over the buffer (``inverses``) its panel
         solves wrote the inverses of the supernodes in ``inverted`` into
-        (a group by its first member).  Every other diagonal block is
+        (a group by its first member), and the :meth:`slots` of that
+        buffer it handed its panel solves.  Every other diagonal block is
         gathered into its place and inverted here: one batched
         ``np.linalg.inv`` per size when no block of that size came
         inverted, else one per supernode."""
         nb = SUBSTITUTION_BLOCK
         if inverses is None:
             inverses = self.new_inverses()
-        slots = self.slots(inverses)
+        if slots is None:
+            slots = self.slots(inverses)
         todo: dict[int, list[np.ndarray]] = {}
 
         blocks = []

@@ -9,7 +9,9 @@ Every policy separates *planning* from *numerics*:
 * :meth:`Policy.apply` performs the actual numerics on the frontal
   matrix in the matching order: host kernels in float64, device kernels
   in float32 through the simulated CUBLAS context (so GPU-touched results
-  really carry single-precision error, as the paper's did).
+  really carry single-precision error, as the paper's did), and returns
+  the factored panel and the update block where they were computed —
+  P1-P3 in the host front, P4 in its device copy.
 
 Nothing here runs both: the drivers in :mod:`repro.multifrontal` price a
 whole factorization first (``plan`` per front, engine timelines threaded
@@ -155,8 +157,11 @@ class Policy:
     # -- numerics ---------------------------------------------------------
     def apply(
         self, front: np.ndarray, k: int, worker: Worker
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Factor ``front`` in place; returns views/arrays (L1, L2, U)."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Factor the assembled ``front``; returns views ``(panel, U)`` of
+        the factored ``[L1; L2]`` columns and the update block, in the
+        dtype they were computed in.  The caller copies both out before
+        the next front: they may be views of ``front``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -213,7 +218,7 @@ class PolicyP1(Policy):
         if m > 0:
             l2[...] = hk.trsm_right_lower(l2, l1, inverses=inverses)
             hk.syrk(u, l2)
-        return l1, l2, u
+        return front[:, :k], u
 
 
 Policy.fallback = PolicyP1()
@@ -291,7 +296,7 @@ class PolicyP2(Policy):
             x_dev = l2.astype(ctx.dtype)              # H2D
             w = ctx.syrk_outer(x_dev)                 # device compute
             u -= w.astype(np.float64)                 # D2H + host apply
-        return l1, l2, u
+        return front[:, :k], u
 
 
 class PolicyP3(Policy):
@@ -391,13 +396,19 @@ class PolicyP3(Policy):
             l2[...] = x_dev.astype(np.float64)        # D2H
             w = ctx.syrk_outer(x_dev)                 # device syrk
             u -= w.astype(np.float64)                 # D2H + host apply
-        return l1, l2, u
+        return front[:, :k], u
 
 
 class PolicyP4(Policy):
     """Everything on the GPU: upload the whole frontal matrix, run the
     Figure-9 blocked panel factorization on the device, download the
     factored panel and the update matrix.
+
+    ``apply`` writes nothing back into the host front: the panel and U it
+    returns are views of the device front, in the device dtype, and the
+    numerics pass widens the panel straight into the factor and hands U
+    to the parent's extend-add as it is (a float32 value widens to
+    float64 exactly, so every sum downstream keeps its bits).
 
     ``copy_optimized=True`` models the Section VI-C variant discovered
     for the multi-GPU runs: triangle-only transfer volumes and the U
@@ -503,8 +514,7 @@ class PolicyP4(Policy):
         ctx = worker.gpu.cublas
         f_dev = front.astype(ctx.dtype)               # H2D of the whole front
         blocked_cholesky_panels(f_dev, k, self._width(k), ctx)
-        np.copyto(front, f_dev)                       # D2H: widens exactly
-        return front[:k, :k], front[k:, :k], front[k:, k:]
+        return f_dev[:, :k], f_dev[k:, k:]            # D2H by the caller
 
 
 ALL_BASE_POLICIES = ("P1", "P2", "P3", "P4")

@@ -22,6 +22,7 @@ from repro.policies.base import FUPlan, Policy, Worker
 class FUExecution:
     """Result of executing one F-U call under a policy."""
 
+    #: views of what ``apply`` returned, in the dtype it computed them in
     l1: np.ndarray
     l2: np.ndarray
     u: np.ndarray
@@ -48,6 +49,6 @@ def execute(
     graph = TaskGraph()
     plan = policy.plan(m, k, worker, node.model, graph, deps)
     schedule_graph(graph, engines=node.engines)
-    l1, l2, u = policy.apply(front, k, worker)
+    panel, u = policy.apply(front, k, worker)
     start = min(t.start for t in graph.tasks)
-    return FUExecution(l1, l2, u, plan, start, plan.final.end)
+    return FUExecution(panel[:k], panel[k:], u, plan, start, plan.final.end)

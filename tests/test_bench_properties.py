@@ -270,9 +270,9 @@ def reference_factorize(a, sym, policy, node, spost=None):
             base = PolicyP1()
             ex = execute(base, front, k, worker, node, deps=(asm,))
         final_task[s] = ex.plan.final
-        panels[s] = front[:, :k].copy()
+        panels[s] = np.vstack((ex.l1, ex.l2)).astype(np.float64)
         if size > k:
-            updates[s] = front[k:, k:].copy()
+            updates[s] = ex.u.copy()
             live += updates[s].nbytes
             peak = max(peak, live)
         records.append(FURecord(
@@ -367,10 +367,10 @@ class TestBatchedExecutionProperties:
                 assert not sym.schildren()[s]
                 assert (sym.rows[s].size, sym.width(s)) == (g.size, g.k)
                 front = assemble_front_planned(plan, a.data, g.size, s, [])
-                p1.apply(front, g.k, None)
-                assert np.array_equal(g_panels[i], front[:, :g.k])
+                panel, u = p1.apply(front, g.k, None)
+                assert np.array_equal(g_panels[i], panel)
                 if g.m:
-                    assert np.array_equal(g_updates[i], front[g.k:, g.k:])
+                    assert np.array_equal(g_updates[i], u)
                 else:
                     assert g_updates[i] is None
         return plan.groups
@@ -429,10 +429,12 @@ class TestBatchedExecutionProperties:
             g_panels, g_updates = batched.factor_batch_group(sym, a.data, g, dtype)
             for i, s in enumerate(g.sids):
                 front = assemble_front_planned(plan, a.data, g.size, s, [])
-                p4.apply(front, g.k, worker)
-                assert np.array_equal(g_panels[i], front[:, :g.k])
+                panel, u = p4.apply(front, g.k, worker)
+                assert np.array_equal(g_panels[i], panel)
                 if g.m:
-                    assert np.array_equal(g_updates[i], front[g.k:, g.k:])
+                    # the update stays in the device dtype, slice and front
+                    assert g_updates[i].dtype == u.dtype == dtype
+                    assert np.array_equal(g_updates[i], u)
         return plan.groups
 
     @settings(max_examples=15, deadline=None)
@@ -817,7 +819,8 @@ class TestLowerTriangleAssembly:
 
     @pytest.mark.parametrize("policy", ("P1", "P4"))
     def test_the_front_workspace_never_leaks(self, policy):
-        # P4's ``apply`` returns views of the front it was handed
+        # ``apply`` returns views of the front it computed in: the
+        # workspace (P1) or the device copy of it (P4)
         a = grid_laplacian_2d(9, 8)
         sym = symbolic_factorize(a, ordering="nd")
         node = SimulatedNode()

@@ -333,3 +333,27 @@ def test_invert_once_counts(case, policy, total, in_bind):
     assert counts["bind"] == in_bind
     solver.factor.sweep = None  # bind again, every block from the panels
     assert np.array_equal(solver.solve(b), x)
+
+
+@pytest.mark.parametrize("policy", ["P1", "P4"])
+def test_one_slots_build_per_factorize(policy):
+    """``SolvePlan.slots`` (the per-supernode views of the buffer of
+    inverses) is built once per factorization: the numerics pass hands
+    the walk's views to ``bind`` (it built them twice before, 0.41 ms a
+    call on this grid), and a solve of the bound factor builds none."""
+    a = grid_laplacian_2d(48, 46)
+    solver = SparseCholeskySolver(a, ordering="amd", policy=policy).factorize()
+    b = np.random.default_rng(7).normal(size=a.n_rows)
+    x = solver.solve(b)
+    calls = Counter()
+    slots = solve_module.SolvePlan.slots
+
+    def counting_slots(*args, **kwargs):
+        calls["slots"] += 1
+        return slots(*args, **kwargs)
+
+    with mock.patch.object(solve_module.SolvePlan, "slots", counting_slots):
+        solver.refactorize(a.data)
+        assert calls["slots"] == 1
+        assert np.array_equal(solver.solve(b), x)
+        assert calls["slots"] == 1
