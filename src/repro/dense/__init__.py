@@ -16,7 +16,7 @@ from repro.dense.kernels import (
     trsm_flops,
     trsm_right_lower,
 )
-from repro.dense.blocked import blocked_cholesky_panels, blocked_factor_update
+from repro.dense.blocked import blocked_cholesky_panels
 
 __all__ = [
     "potrf",
@@ -28,5 +28,4 @@ __all__ = [
     "syrk_flops",
     "KernelCounts",
     "blocked_cholesky_panels",
-    "blocked_factor_update",
 ]

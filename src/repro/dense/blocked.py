@@ -9,11 +9,12 @@ updating U.  This module implements the algorithm generically over a
 *kernel provider*, so the same code runs
 
 * on the host in float64 (used by tests as the reference), and
-* on the simulated GPU in float32 with per-kernel time charging
-  (:class:`repro.gpu.cublas.CublasContext` provides the kernels).
+* on the simulated GPU in float32 (:class:`repro.gpu.cublas.CublasContext`
+  provides the kernels; :func:`repro.gpu.cublas.panel_kernel_sequence`
+  is the call sequence the performance model prices P4 with),
 
-``blocked_factor_update`` yields the exact kernel call sequence, which is
-also what the performance model uses to price P4.
+on one front or on a ``(..., s, s)`` stack of same-shape fronts, every
+slice computed as it would be on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "KernelProvider",
     "HostKernels",
     "blocked_cholesky_panels",
-    "blocked_factor_update",
     "default_panel_width",
 ]
 
@@ -79,8 +79,9 @@ def default_panel_width(k: int) -> int:
 def blocked_cholesky_panels(
     f: np.ndarray, k: int, w: int, provider: KernelProvider
 ) -> None:
-    """Factor the leading k columns of the (s x s) frontal matrix ``f`` in
-    panels of width ``w``, updating the trailing U block, in place.
+    """Factor the leading k columns of the (s x s) frontal matrix ``f``, or
+    of every front of an ``(..., s, s)`` stack, in panels of width ``w``,
+    updating the trailing U block, in place.
 
     After the call, ``f[:k, :k]`` holds L1 (lower), ``f[k:, :k]`` holds
     L2, and ``f[k:, k:]`` has been updated by ``- L2 @ L2.T`` on its
@@ -98,8 +99,8 @@ def blocked_cholesky_panels(
     (Steps 3-5 are the split of the trailing update into the L1, L2 and U
     regions exactly as the paper draws them.)
     """
-    s = f.shape[0]
-    if f.shape != (s, s):
+    s = f.shape[-1]
+    if f.ndim < 2 or f.shape[-2] != s:
         raise ValueError("frontal matrix must be square")
     if not 0 < k <= s:
         raise ValueError("invalid pivot-block size")
@@ -110,37 +111,27 @@ def blocked_cholesky_panels(
         # 1. factor the diagonal block; potrf returns a zero upper
         # triangle and later steps only touch rows >= rest, so zeroing
         # the blocks to its right leaves L1 strictly lower
-        f[j:j + wj, j:j + wj] = provider.potrf(f[j:j + wj, j:j + wj])
-        panel_l = f[j:j + wj, j:j + wj]
+        f[..., j:j + wj, j:j + wj] = provider.potrf(f[..., j:j + wj, j:j + wj])
+        panel_l = f[..., j:j + wj, j:j + wj]
         rest = j + wj
-        f[j:rest, rest:k] = 0.0
+        f[..., j:rest, rest:k] = 0.0
         if rest < s:
             # 2. one trsm spanning the remaining L1 rows and all of L2
-            f[rest:, j:j + wj] = provider.trsm(f[rest:, j:j + wj], panel_l)
-            panel = f[rest:, j:j + wj]
+            f[..., rest:, j:j + wj] = provider.trsm(f[..., rest:, j:j + wj], panel_l)
+            panel = f[..., rest:, j:j + wj]
             if rest < k:
                 # 3. syrk: trailing L1 block
                 provider.syrk(
-                    f[rest:k, rest:k], panel[: k - rest]
+                    f[..., rest:k, rest:k], panel[..., : k - rest, :]
                 )
                 # 4. gemm: L2 rows against the new panel (the block above
                 # U, its mirror, is never read: F is live in its lower
                 # triangle only)
                 provider.gemm(
-                    f[k:, rest:k], panel[k - rest:], panel[: k - rest].T
+                    f[..., k:, rest:k], panel[..., k - rest:, :],
+                    panel[..., : k - rest, :].mT,
                 )
                 # 5. syrk: partial update of U
-                provider.syrk(f[k:, k:], panel[k - rest:])
+                provider.syrk(f[..., k:, k:], panel[..., k - rest:, :])
             else:
-                provider.syrk(f[k:, k:], panel)
-
-
-def blocked_factor_update(
-    f: np.ndarray, k: int, provider: KernelProvider, *, w: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the Figure-9 algorithm on a frontal matrix and return views
-    ``(L1, L2, U)`` of its factored blocks."""
-    if w is None:
-        w = default_panel_width(k)
-    blocked_cholesky_panels(f, k, w, provider)
-    return f[:k, :k], f[k:, :k], f[k:, k:]
+                provider.syrk(f[..., k:, k:], panel)

@@ -14,9 +14,13 @@ operation decomposes into (paper Fig. 1):
 
 Each kernel returns its result and the numerics run in whatever dtype the
 inputs carry: the host path uses float64, the simulated-GPU path calls
-the same routines through :mod:`repro.gpu.cublas` in float32.  Flop
-helpers follow the paper's asymptotic counts (Section IV-B):
-``N_P = k^3/3``, ``N_T = m k^2``, ``N_S = m^2 k`` — a trsm counts
+the same routines through :mod:`repro.gpu.cublas` in float32.  Each also
+takes a stack of blocks, ``(..., n, n)``, and computes every slice as it
+computes one block: numpy's stacked ``cholesky``, ``inv`` and ``matmul``
+run the same LAPACK/BLAS call per slice, so a stacked call is bit for bit
+its slices' calls (a stack of small fronts pays one dispatch, not one per
+front).  Flop helpers follow the paper's asymptotic counts (Section
+IV-B): ``N_P = k^3/3``, ``N_T = m k^2``, ``N_S = m^2 k`` — a trsm counts
 ``N_T`` whatever way it is computed; the block inverses are not counted.
 """
 
@@ -42,15 +46,20 @@ __all__ = [
 ]
 
 
-#: width of a diagonal block: :func:`trsm_right_lower`, its stacked
-#: replay (:func:`repro.multifrontal.batched.batched_trsm_right_lower`)
-#: and the solve phase's sweeps (:mod:`repro.multifrontal.solve`) apply
-#: each one as a product with its :func:`block_inverse`
+#: width of a diagonal block: :func:`trsm_right_lower` (on one front or
+#: a stack) and the solve phase's sweeps (:mod:`repro.multifrontal.solve`)
+#: apply each one as a product with its :func:`block_inverse`
 SUBSTITUTION_BLOCK = 32
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Raised when a pivot block is not positive definite."""
+    """Raised when a pivot block is not positive definite.  ``failed``
+    holds the flat indices of the slices of a stack that are not (``(0,)``
+    for one block); the message is the first failing slice's own."""
+
+    def __init__(self, message: str, failed: tuple[int, ...] = (0,)):
+        super().__init__(message)
+        self.failed = failed
 
 
 def potrf_flops(k: int) -> float:
@@ -81,36 +90,62 @@ class KernelCounts:
     calls: dict[str, int] = field(default_factory=dict)
     flops: dict[str, float] = field(default_factory=dict)
 
-    def add(self, kernel: str, flops: float) -> None:
-        self.calls[kernel] = self.calls.get(kernel, 0) + 1
-        self.flops[kernel] = self.flops.get(kernel, 0.0) + flops
+    def add(self, kernel: str, flops: float, slices: int = 1) -> None:
+        """Count a call of ``flops``; a stacked call counts as one call
+        per slice, each with the slice's flops, added one by one."""
+        for _ in range(slices):
+            self.calls[kernel] = self.calls.get(kernel, 0) + 1
+            self.flops[kernel] = self.flops.get(kernel, 0.0) + flops
 
     def total_flops(self) -> float:
         return float(sum(self.flops.values()))
 
 
+def _slices(a: np.ndarray) -> int:
+    """How many blocks a ``(..., rows, cols)`` stack holds."""
+    return int(np.prod(a.shape[:-2]))
+
+
 def potrf(a: np.ndarray, *, counts: KernelCounts | None = None) -> np.ndarray:
-    """Cholesky factor (lower) of a symmetric positive definite block.
+    """Cholesky factor (lower) of a symmetric positive definite block, or
+    of every block of a ``(..., k, k)`` stack.
 
     Returns a new array L with ``L @ L.T == a`` (lower triangular; the
     strictly-upper part of the result is zero).  Raises
     :class:`NotPositiveDefiniteError` if ``a`` is not SPD, non-finite
-    entries included.
+    entries included; on a stack its ``failed`` names every slice that is
+    not, each factored on its own to find out.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"potrf expects a square block, got {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"potrf expects a square block or a stack of them, got {a.shape}")
     try:
         l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    # an optimized LAPACK tests ``pivot <= 0``, which NaN passes: without
-    # this a NaN or +Inf entry factors "successfully" into a NaN factor
-    if not np.isfinite(l.diagonal()).all():
-        raise NotPositiveDefiniteError("Matrix has a non-finite pivot")
+        why = str(exc)
+    else:
+        # an optimized LAPACK tests ``pivot <= 0``, which NaN passes: without
+        # this a NaN or +Inf entry factors "successfully" into a NaN factor
+        finite = np.isfinite(l.diagonal(0, -2, -1)).all()
+        why = None if finite else "Matrix has a non-finite pivot"
+    if why is not None:
+        raise NotPositiveDefiniteError(why) if a.ndim == 2 else _stack_breakdown(a)
     if counts is not None:
-        counts.add("potrf", potrf_flops(a.shape[0]))
+        counts.add("potrf", potrf_flops(a.shape[-1]), _slices(a))
     return l
+
+
+def _stack_breakdown(a: np.ndarray) -> NotPositiveDefiniteError:
+    """The error of a stack whose Cholesky failed: every slice factored
+    on its own, the failing ones named."""
+    failed, why = [], ""
+    for i, block in enumerate(a.reshape(-1, *a.shape[-2:])):
+        try:
+            potrf(block)
+        except NotPositiveDefiniteError as exc:
+            failed.append(i)
+            why = why or str(exc)
+    return NotPositiveDefiniteError(why, tuple(failed))
 
 
 #: the lower triangle of a diagonal block
@@ -144,7 +179,8 @@ def trsm_right_lower(
     inverses: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve ``X L^T = B`` for X, with L lower triangular (the panel solve
-    ``L2 <- L2 L1^-T`` of the F-U operation).
+    ``L2 <- L2 L1^-T`` of the F-U operation), or every slice of a
+    ``(..., m, k)`` / ``(..., k, k)`` stack.
 
     The inverted-diagonal-block trsm GPU BLAS libraries run: L is cut
     into ``SUBSTITUTION_BLOCK``-column diagonal blocks, and column block
@@ -154,45 +190,48 @@ def trsm_right_lower(
     call.  Only the lower triangle of L is read.
 
     ``inverses`` is where the ``W_j`` go, if they are wanted after the
-    solve: a ``(k // SUBSTITUTION_BLOCK, b, b)`` array for the full
-    blocks and a ``(1, t, t)`` one for a tail of ``t`` columns (``(0, 0,
-    0)`` without), the layout of the solve phase's buffer
+    solve: a ``(..., k // SUBSTITUTION_BLOCK, b, b)`` array for the full
+    blocks and a ``(..., 1, t, t)`` one for a tail of ``t`` columns
+    (``(..., 0, 0, 0)`` without), the layout of the solve phase's buffer
     (:class:`repro.multifrontal.solve.SolvePlan`).
     """
     b = np.asarray(b)
     l = np.asarray(l)
-    k = l.shape[0]
-    if l.shape != (k, k):
+    k = l.shape[-1]
+    if l.shape[-2] != k:
         raise ValueError("L must be square")
-    if b.shape[1] != k:
+    if b.shape[-1] != k:
         raise ValueError(f"shape mismatch: B {b.shape} vs L {l.shape}")
     nb = SUBSTITUTION_BLOCK
     full, tail = divmod(k, nb)
     out_full, out_tail = (None, None) if inverses is None else inverses
     w: list[np.ndarray] = []
     if full:
-        # the full diagonal blocks as one (full, nb, nb) view: steps of
-        # nb rows and nb columns in l's own strides (a pivot block of the
-        # Figure-9 loop is a strided view of its front)
-        s0, s1 = l.strides
-        w += list(block_inverse(np.lib.stride_tricks.as_strided(
-            l, (full, nb, nb), (nb * (s0 + s1), s0, s1), writeable=False
-        ), out=out_full))
+        # the full diagonal blocks as one (..., full, nb, nb) view: steps
+        # of nb rows and nb columns in l's own strides (a pivot block of
+        # the Figure-9 loop is a strided view of its front)
+        *lead, s0, s1 = l.strides
+        inv = block_inverse(np.lib.stride_tricks.as_strided(
+            l, (*l.shape[:-2], full, nb, nb), (*lead, nb * (s0 + s1), s0, s1),
+            writeable=False,
+        ), out=out_full)
+        w += [inv[..., j, :, :] for j in range(full)]
     if tail:
         w.append(block_inverse(
-            l[full * nb:, full * nb:], out=None if out_tail is None else out_tail[0]
+            l[..., full * nb:, full * nb:],
+            out=None if out_tail is None else out_tail[..., 0, :, :],
         ))
     if k <= nb:
-        x = b @ w[0].T
+        x = b @ w[0].mT
     else:
         x = b.astype(b.dtype, copy=True)
         for j0, wj in zip(range(0, k, nb), w):
-            j1 = j0 + wj.shape[0]
+            j1 = j0 + wj.shape[-1]
             if j0:
-                x[:, j0:j1] -= x[:, :j0] @ l[j0:j1, :j0].T
-            x[:, j0:j1] = x[:, j0:j1] @ wj.T
+                x[..., j0:j1] -= x[..., :j0] @ l[..., j0:j1, :j0].mT
+            x[..., j0:j1] = x[..., j0:j1] @ wj.mT
     if counts is not None:
-        counts.add("trsm", trsm_flops(b.shape[0], k))
+        counts.add("trsm", trsm_flops(b.shape[-2], k), _slices(b))
     return x
 
 
@@ -221,7 +260,7 @@ def syrk(
     c: np.ndarray, x: np.ndarray, *, counts: KernelCounts | None = None
 ) -> np.ndarray:
     """Symmetric rank-k update ``C <- C - X X^T`` (in place), on the
-    lower triangle of ``C``.
+    lower triangle of ``C``, or of every slice of a ``(..., m, m)`` stack.
 
     The multifrontal update block U is live in its lower triangle only:
     that is all the planned assembly writes into a front and all that is
@@ -233,17 +272,17 @@ def syrk(
     """
     c = np.asarray(c)
     x = np.asarray(x)
-    m = x.shape[0]
-    if c.shape != (m, m):
+    m = x.shape[-2]
+    if c.shape[-2:] != (m, m):
         raise ValueError(f"shape mismatch: C {c.shape} vs X {x.shape}")
     if m < _SYRK_CUT:
-        c -= x @ x.T
+        c -= x @ x.mT
     else:
         for i0 in range(0, m, _SYRK_ROWS):
             i1 = min(i0 + _SYRK_ROWS, m)
-            c[i0:i1, :i1] -= x[i0:i1] @ x[:i1].T
+            c[..., i0:i1, :i1] -= x[..., i0:i1, :] @ x[..., :i1, :].mT
     if counts is not None:
-        counts.add("syrk", syrk_flops(x.shape[0], x.shape[1]))
+        counts.add("syrk", syrk_flops(m, x.shape[-1]), _slices(x))
     return c
 
 
@@ -252,21 +291,18 @@ def gemm(
     a: np.ndarray,
     b: np.ndarray,
     *,
-    alpha: float = -1.0,
     counts: KernelCounts | None = None,
 ) -> np.ndarray:
-    """General update ``C <- C + alpha * A @ B`` (in place).  The
-    default ``alpha = -1`` subtracts the product, with no scaled
-    temporary: ``-1 * p`` is exact and ``c + (-p)`` is ``c - p``."""
+    """General update ``C <- C - A @ B`` (in place), on one block or
+    every slice of a stack."""
     c = np.asarray(c)
-    if c.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]:
+    if c.shape[-2:] != (a.shape[-2], b.shape[-1]) or a.shape[-1] != b.shape[-2]:
         raise ValueError(
             f"shape mismatch: C {c.shape}, A {a.shape}, B {b.shape}"
         )
-    if alpha == -1.0:
-        c -= a @ b
-    else:
-        c += alpha * (a @ b)
+    c -= a @ b
     if counts is not None:
-        counts.add("gemm", gemm_flops(a.shape[0], b.shape[1], a.shape[1]))
+        counts.add(
+            "gemm", gemm_flops(a.shape[-2], b.shape[-1], a.shape[-1]), _slices(c)
+        )
     return c

@@ -17,9 +17,10 @@ reproduces both halves of that deal:
 
 It also implements the :class:`~repro.dense.blocked.KernelProvider`
 protocol, so the Figure-9 blocked panel algorithm runs unmodified on the
-"device".  ``panel_kernel_sequence`` is the single source of truth for
-the kernel call sequence of that algorithm — the numeric path is verified
-against it in the tests, and the timing path prices it directly.
+"device", on one front or on a stack of same-shape fronts.
+``panel_kernel_sequence`` is the single source of truth for the kernel
+call sequence of that algorithm — the numeric path is verified against
+it in the tests, and the timing path prices it directly.
 """
 
 from __future__ import annotations
@@ -90,14 +91,31 @@ class CublasContext:
 
     # -- KernelProvider protocol (numerics) ------------------------------
     def potrf(self, a: np.ndarray) -> np.ndarray:
+        """Device Cholesky of a block or of every block of a stack.
+
+        fp32 Cholesky may hit spurious non-positive pivots for
+        ill-conditioned blocks; such a block is promoted to float64 like
+        the real mixed-precision kernels do for the tiny w x w panel.  On
+        a stack exactly the slices whose own Cholesky failed are
+        promoted, so each slice comes out as it would on its own, and a
+        slice that fails in float64 too is the one the error names."""
         a = self._as_device(a)
-        # fp32 Cholesky may hit spurious non-positive pivots for
-        # ill-conditioned blocks; promote internally like the real
-        # mixed-precision kernels do for the tiny w x w panel
         try:
             return hk.potrf(a).astype(self.dtype, copy=False)
-        except hk.NotPositiveDefiniteError:
-            return hk.potrf(a.astype(np.float64)).astype(self.dtype)
+        except hk.NotPositiveDefiniteError as exc:
+            failed = exc.failed
+        blocks = a.reshape(-1, *a.shape[-2:])
+        promote = np.zeros(len(blocks), dtype=bool)
+        promote[list(failed)] = True
+        l = np.empty_like(blocks)
+        l[~promote] = hk.potrf(blocks[~promote])
+        try:
+            l[promote] = hk.potrf(blocks[promote].astype(np.float64))
+        except hk.NotPositiveDefiniteError as exc:
+            raise hk.NotPositiveDefiniteError(
+                str(exc), tuple(failed[i] for i in exc.failed)
+            ) from exc
+        return l.reshape(a.shape)
 
     def trsm(self, b: np.ndarray, l: np.ndarray) -> np.ndarray:
         return hk.trsm_right_lower(self._as_device(b), self._as_device(l))
@@ -114,7 +132,7 @@ class CublasContext:
         """``W = X X^T`` — the form policy P2 ships back to the host,
         which then applies ``U -= W`` locally (Section IV-B)."""
         x = self._as_device(x)
-        return x @ x.T
+        return x @ x.mT
 
     # -- pure pricing ----------------------------------------------------
     def price(self, calls: list[KernelCall]) -> float:

@@ -37,18 +37,14 @@ from repro.gpu.cublas import KernelCall
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import PerfModel
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.batched import (
-    BatchGroup,
-    breakdown_error,
-    factor_batch_group,
-)
+from repro.multifrontal.batched import BatchGroup, assemble_group, breakdown_error
 from repro.multifrontal.frontal import (
     assemble_front_planned,
     assembly_bytes,
     get_assembly_plan,
 )
 from repro.multifrontal.solve import SweepTable, get_solve_plan
-from repro.policies.base import Policy, PolicyP1, PolicyP4, Worker
+from repro.policies.base import Policy, PolicyP1, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 if TYPE_CHECKING:
@@ -95,8 +91,10 @@ def device_kernels(
 ) -> list[KernelCall]:
     """Every device kernel the numerics pass runs over the supernodes of
     ``order`` under ``bases``, in the walk's order: each front's
-    ``kernel_calls`` at its own turn, a member of a stacked leaf group
-    included (its slice is bit-identical to the front run on its own)."""
+    ``kernel_calls`` at its own turn.  A stacked leaf group runs each of
+    these kernels once for all its members, but its slices are
+    bit-identical to the members run on their own, so the device is
+    charged as if they had been: each member's kernels at its turn."""
     calls: list[KernelCall] = []
     for s in np.asarray(order).tolist():
         base = bases[s]
@@ -495,10 +493,10 @@ def _numeric_walk(
 
     ``slots`` are the views of the solve phase's buffer of diagonal-block
     inverses (:meth:`repro.multifrontal.solve.SolvePlan.slots`): every
-    float64 panel solve whose supernode has one — a front run by
-    ``PolicyP1`` with rows below its pivots, a host-stacked leaf group
-    whose pivot blocks are one diagonal block — leaves its inverses
-    there, so the solve phase does not compute them again.
+    float64 panel solve whose supernode has one — a front or a stacked
+    leaf group run by ``PolicyP1`` with rows below its pivots, a group's
+    pivot blocks being one diagonal block — leaves its inverses there, so
+    the solve phase does not compute them again.
 
     Returns the panels (``None`` outside ``order``), the panel stacks,
     the updates nobody in ``order`` consumed (in the order they were
@@ -511,17 +509,14 @@ def _numeric_walk(
     slices of one ``(B, size, k)`` stack, whatever computed them (the
     solve phase sweeps a group as one stack,
     :class:`repro.multifrontal.solve.SolvePlan`); the stacks are returned
-    keyed by the group's first member.  A group also *runs* stacked
-    (:mod:`repro.multifrontal.batched`), bit-identical per slice to the
-    per-front path, when every member resolved to the host P1 (float64)
-    or every member resolved to the same ``PolicyP4`` and its panel
-    covers the group's ``k`` (the device dtype; :func:`device_kernels`
-    lists each member's kernels at its own turn, exactly those
-    ``PolicyP4.apply`` would have run).  If the stacked device
-    ``cholesky`` breaks down on any slice, the group goes front by front
-    through ``PolicyP4.apply``, which promotes a failed float32 pivot
-    block to float64 or raises the one breakdown message.  Any other
-    group is computed front by front and written into its stack.
+    keyed by the group's first member.  When one base policy computes
+    every member, the group *runs* stacked: assembled into one ``(B,
+    size, size)`` stack (:func:`repro.multifrontal.batched.assemble_group`)
+    and factored by one ``apply`` of that policy, each slice bit-identical
+    to the member's own ``apply`` (:func:`device_kernels` lists each
+    member's kernels at its own turn); a breakdown names the failing
+    slice's supernode.  Any other group is computed front by front and
+    written into its stack.
     """
     order = np.asarray(order).tolist()
     kids = sf.schildren()
@@ -537,17 +532,13 @@ def _numeric_walk(
     stacks: dict[int, np.ndarray] = {}
     #: group and position in it of every member of a group inside ``order``
     slot_of: dict[int, tuple[BatchGroup, int]] = {}
-    #: the groups that run stacked, by first member: the dtype they run in
-    stacked: dict[int, type] = {}
+    #: the groups that run stacked, by first member
+    stacked: set[int] = set()
     for g in plan.groups:
         if walked[list(g.sids)].all():
             slot_of.update((s, (g, i)) for i, s in enumerate(g.sids))
-            first = bases[g.sids[0]]
-            if all(type(bases[s]) is PolicyP1 for s in g.sids):
-                stacked[g.sids[0]] = np.float64
-            elif (type(first) is PolicyP4 and first.one_panel(g.k)
-                  and all(bases[s] is first for s in g.sids)):
-                stacked[g.sids[0]] = worker.gpu.cublas.dtype
+            if all(bases[s] is bases[g.sids[0]] for s in g.sids):
+                stacked.add(g.sids[0])
     #: per-member update of the groups factored so far, consumed when the
     #: member's turn comes
     pending: dict[int, "np.ndarray | None"] = {}
@@ -560,22 +551,27 @@ def _numeric_walk(
         g, i = slot_of.get(s, (None, 0))
         head = g.sids[0] if g is not None else -1
         if head in stacked and head not in stacks:
+            base = bases[head]
             out = slots.get(head) if (
-                stacked[head] is np.float64 and g.m and g.k <= SUBSTITUTION_BLOCK
+                type(base) is PolicyP1 and g.m and g.k <= SUBSTITUTION_BLOCK
             ) else None
+            stack = assemble_group(a_data, g)
             try:
-                stacks[head], group_updates = factor_batch_group(
-                    sf, a_data, g, stacked[head], out
-                )
-                pending.update(zip(g.sids, group_updates))
-                batch_tasks += 1
-                batched_fronts += len(g)
-                if out is not None:
+                if out is None:
+                    panel, u = base.apply(stack, g.k, worker)
+                else:
+                    # the group's (B, k, k) inverses are each one diagonal
+                    # block: a full one (k = 32) or a tail
+                    panel, u = base.apply(
+                        stack, g.k, worker, inverses=(out[:, None],) * 2
+                    )
                     inverted.add(head)
-            except NotPositiveDefiniteError:
-                del stacked[head]
-                if not bases[s].needs_gpu:
-                    raise
+            except NotPositiveDefiniteError as exc:
+                raise breakdown_error(sf, g.sids[exc.failed[0]], exc) from exc
+            stacks[head] = panel.astype(np.float64)
+            pending.update(zip(g.sids, u.copy() if g.m else [None] * len(g)))
+            batch_tasks += 1
+            batched_fronts += len(g)
         if g is not None and head not in stacks:
             stacks[head] = np.empty((len(g), g.size, g.k))
         if head in stacked:

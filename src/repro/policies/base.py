@@ -7,11 +7,13 @@ Every policy separates *planning* from *numerics*:
   timed artifact, and is also what the policy-time estimator and the
   auto-tuner's training-data generator price (no floating point work).
 * :meth:`Policy.apply` performs the actual numerics on the frontal
-  matrix in the matching order: host kernels in float64, device kernels
-  in float32 through the simulated CUBLAS context (so GPU-touched results
-  really carry single-precision error, as the paper's did), and returns
-  the factored panel and the update block where they were computed —
-  P1-P3 in the host front, P4 in its device copy.
+  matrix — or on a stack of same-shape fronts, every slice as it would
+  be on its own — in the matching order: host kernels in float64, device
+  kernels in float32 through the simulated CUBLAS context (so
+  GPU-touched results really carry single-precision error, as the
+  paper's did), and returns the factored panel and the update block
+  where they were computed — P1-P3 in the host front, P4 in its device
+  copy.
 
 Nothing here runs both: the drivers in :mod:`repro.multifrontal` price a
 whole factorization first (``plan`` per front, engine timelines threaded
@@ -158,10 +160,17 @@ class Policy:
     def apply(
         self, front: np.ndarray, k: int, worker: Worker
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Factor the assembled ``front``; returns views ``(panel, U)`` of
-        the factored ``[L1; L2]`` columns and the update block, in the
-        dtype they were computed in.  The caller copies both out before
-        the next front: they may be views of ``front``."""
+        """Factor the assembled ``front``, or every front of a ``(B, size,
+        size)`` stack (a stacked leaf group,
+        :mod:`repro.multifrontal.batched`) with the same kernels, each
+        taking the whole stack in one call; returns views ``(panel, U)``
+        of the factored ``[L1; L2]`` columns and the update block, in the
+        dtype they were computed in.  Slice ``i`` of a stack's result is
+        bit for bit the result of ``apply`` on front ``i`` alone, and a
+        breakdown names the failing slice
+        (:attr:`repro.dense.kernels.NotPositiveDefiniteError.failed`).
+        The caller copies both out before the next front: they may be
+        views of ``front``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -210,15 +219,14 @@ class PolicyP1(Policy):
         """As :meth:`Policy.apply`; ``inverses`` receives the inverses of
         the pivot block's diagonal blocks the panel solve computes
         (:func:`repro.dense.kernels.trsm_right_lower`)."""
-        m = front.shape[0] - k
-        l1 = hk.potrf(front[:k, :k])
-        front[:k, :k] = l1
-        l2 = front[k:, :k]
-        u = front[k:, k:]
-        if m > 0:
+        l1 = hk.potrf(front[..., :k, :k])
+        front[..., :k, :k] = l1
+        l2 = front[..., k:, :k]
+        u = front[..., k:, k:]
+        if front.shape[-1] > k:
             l2[...] = hk.trsm_right_lower(l2, l1, inverses=inverses)
             hk.syrk(u, l2)
-        return front[:, :k], u
+        return front[..., :k], u
 
 
 Policy.fallback = PolicyP1()
@@ -285,18 +293,17 @@ class PolicyP2(Policy):
         return FUPlan(graph, t_apply, roles)
 
     def apply(self, front, k, worker):
-        m = front.shape[0] - k
-        l1 = hk.potrf(front[:k, :k])
-        front[:k, :k] = l1
-        l2 = front[k:, :k]
-        u = front[k:, k:]
-        if m > 0:
+        l1 = hk.potrf(front[..., :k, :k])
+        front[..., :k, :k] = l1
+        l2 = front[..., k:, :k]
+        u = front[..., k:, k:]
+        if front.shape[-1] > k:
             l2[...] = hk.trsm_right_lower(l2, l1)
             ctx = worker.gpu.cublas
             x_dev = l2.astype(ctx.dtype)              # H2D
             w = ctx.syrk_outer(x_dev)                 # device compute
             u -= w.astype(np.float64)                 # D2H + host apply
-        return front[:, :k], u
+        return front[..., :k], u
 
 
 class PolicyP3(Policy):
@@ -383,12 +390,11 @@ class PolicyP3(Policy):
         return FUPlan(graph, t_apply, roles)
 
     def apply(self, front, k, worker):
-        m = front.shape[0] - k
-        l1 = hk.potrf(front[:k, :k])
-        front[:k, :k] = l1
-        l2 = front[k:, :k]
-        u = front[k:, k:]
-        if m > 0:
+        l1 = hk.potrf(front[..., :k, :k])
+        front[..., :k, :k] = l1
+        l2 = front[..., k:, :k]
+        u = front[..., k:, k:]
+        if front.shape[-1] > k:
             ctx = worker.gpu.cublas
             l1_dev = l1.astype(ctx.dtype)             # H2D
             l2_dev = l2.astype(ctx.dtype)             # H2D
@@ -396,7 +402,7 @@ class PolicyP3(Policy):
             l2[...] = x_dev.astype(np.float64)        # D2H
             w = ctx.syrk_outer(x_dev)                 # device syrk
             u -= w.astype(np.float64)                 # D2H + host apply
-        return front[:, :k], u
+        return front[..., :k], u
 
 
 class PolicyP4(Policy):
@@ -426,12 +432,6 @@ class PolicyP4(Policy):
 
     def _width(self, k: int) -> int:
         return self.panel_width if self.panel_width else default_panel_width(k)
-
-    def one_panel(self, k: int) -> bool:
-        """Whether Figure 9 factors a k-column pivot block in one panel:
-        potrf, trsm, syrk, the kernels of a stacked leaf group
-        (:mod:`repro.multifrontal.batched`)."""
-        return self._width(k) >= k
 
     def kernel_calls(self, m, k):
         return panel_kernel_sequence(m + k, k, self._width(k))
@@ -514,7 +514,7 @@ class PolicyP4(Policy):
         ctx = worker.gpu.cublas
         f_dev = front.astype(ctx.dtype)               # H2D of the whole front
         blocked_cholesky_panels(f_dev, k, self._width(k), ctx)
-        return f_dev[:, :k], f_dev[k:, k:]            # D2H by the caller
+        return f_dev[..., :k], f_dev[..., k:, k:]     # D2H by the caller
 
 
 ALL_BASE_POLICIES = ("P1", "P2", "P3", "P4")

@@ -61,7 +61,7 @@ class HybridPolicy(Policy):
         return self.resolve(m, k, worker).plan(m, k, worker, model, graph, deps)
 
     def apply(self, front, k, worker):
-        m = front.shape[0] - k
+        m = front.shape[-1] - k
         return self.resolve(m, k, worker).apply(front, k, worker)
 
 

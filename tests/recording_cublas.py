@@ -19,7 +19,9 @@ from repro.gpu.device import SimulatedNode
 
 class RecordingCublas(CublasContext):
     """A :class:`CublasContext` that appends each kernel it runs to
-    :attr:`calls`, with the dimensions ``panel_kernel_sequence`` uses."""
+    :attr:`calls`, with the dimensions ``panel_kernel_sequence`` uses.  A
+    call on a stack of fronts is recorded once, with the dimensions of
+    one slice."""
 
     def __init__(self, model):
         super().__init__(model)
@@ -34,25 +36,25 @@ class RecordingCublas(CublasContext):
         return gpu.cublas
 
     def potrf(self, a: np.ndarray) -> np.ndarray:
-        self.calls.append(KernelCall("potrf", k=a.shape[0]))
+        self.calls.append(KernelCall("potrf", k=a.shape[-1]))
         return super().potrf(a)
 
     def trsm(self, b: np.ndarray, l: np.ndarray) -> np.ndarray:
-        self.calls.append(KernelCall("trsm", m=b.shape[0], k=l.shape[0]))
+        self.calls.append(KernelCall("trsm", m=b.shape[-2], k=l.shape[-1]))
         return super().trsm(b, l)
 
     def syrk(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-        self.calls.append(KernelCall("syrk", m=x.shape[0], k=x.shape[1]))
+        self.calls.append(KernelCall("syrk", m=x.shape[-2], k=x.shape[-1]))
         return super().syrk(c, x)
 
     def gemm(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.calls.append(
-            KernelCall("gemm", m=a.shape[0], n=b.shape[1], k=a.shape[1])
+            KernelCall("gemm", m=a.shape[-2], n=b.shape[-1], k=a.shape[-1])
         )
         return super().gemm(c, a, b)
 
     def syrk_outer(self, x: np.ndarray) -> np.ndarray:
-        self.calls.append(KernelCall("syrk", m=x.shape[0], k=x.shape[1]))
+        self.calls.append(KernelCall("syrk", m=x.shape[-2], k=x.shape[-1]))
         return super().syrk_outer(x)
 
 

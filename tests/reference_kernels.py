@@ -35,7 +35,7 @@ def trsm_right_lower(
     inverses: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve ``X L^T = B`` for X, with L lower triangular (the panel solve
-    ``L2 <- L2 L1^-T`` of the F-U operation).
+    ``L2 <- L2 L1^-T`` of the F-U operation), or every slice of a stack.
 
     Implemented as a blocked forward substitution over columns of X so the
     work stays in matrix-matrix operations (no explicit inverse, matching
@@ -45,6 +45,14 @@ def trsm_right_lower(
     """
     b = np.asarray(b)
     l = np.asarray(l)
+    if b.ndim > 2:  # a stack: slice by slice
+        x = np.empty_like(b)
+        for i in np.ndindex(b.shape[:-2]):
+            x[i] = trsm_right_lower(
+                b[i], l[i], counts=counts,
+                inverses=None if inverses is None else (inverses[0][i], inverses[1][i]),
+            )
+        return x
     k = l.shape[0]
     if l.shape != (k, k):
         raise ValueError("L must be square")
@@ -72,22 +80,11 @@ def trsm_right_lower(
     return x
 
 
-def batched_trsm_right_lower(
-    x: np.ndarray, l: np.ndarray, inverses: np.ndarray | None = None
-) -> np.ndarray:
-    """:func:`trsm_right_lower` slice by slice over a ``(B, m, k)`` stack
-    (the stand-in for the stacked replay when a factor is computed with
-    substitution)."""
-    if inverses is not None:
-        block_inverse(l, out=inverses)
-    return np.stack([trsm_right_lower(xi, li) for xi, li in zip(x, l)])
-
-
 def syrk(
     c: np.ndarray, x: np.ndarray, *, counts: KernelCounts | None = None
 ) -> np.ndarray:
     """Symmetric rank-k update ``C <- C - X X^T`` (in place, over the
-    whole square of ``C``).
+    whole square of ``C``, or of every slice of a stack).
 
     The multifrontal update block U is live in its lower triangle only:
     that is all the planned assembly writes into a front and all that is
@@ -97,9 +94,9 @@ def syrk(
     """
     c = np.asarray(c)
     x = np.asarray(x)
-    if c.shape != (x.shape[0], x.shape[0]):
+    if c.shape[-2:] != (x.shape[-2], x.shape[-2]):
         raise ValueError(f"shape mismatch: C {c.shape} vs X {x.shape}")
-    c -= x @ x.T
+    c -= x @ x.mT
     if counts is not None:
-        counts.add("syrk", syrk_flops(x.shape[0], x.shape[1]))
+        counts.add("syrk", syrk_flops(x.shape[-2], x.shape[-1]), int(np.prod(x.shape[:-2])))
     return c

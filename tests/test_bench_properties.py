@@ -354,25 +354,31 @@ class TestBatchedExecutionProperties:
         )
 
     @staticmethod
-    def _check_slices(a, sym):
-        """Every slice of every group's stacked result equals
-        ``PolicyP1.apply`` on that member's individually assembled front;
-        returns the groups."""
+    def _check_slices(a, sym, policy=None, precision="sp"):
+        """Every slice of every group's stack, assembled in one go and
+        factored by one ``apply`` of ``policy`` (default ``PolicyP1``),
+        equals ``apply`` on that member's individually assembled front,
+        in value and dtype (a device policy computes in float32 under
+        ``sp``, float64 under ``dp``); returns the groups."""
+        node = SimulatedNode(model=tesla_t10_model().with_precision(precision))
+        worker = Worker.canonical(node)
+        policy = PolicyP1() if policy is None else policy
         plan = get_assembly_plan(a, sym)
-        p1 = PolicyP1()
         for g in plan.groups:
             assert 2 <= len(g) <= batched.STACK_CHUNK
-            g_panels, g_updates = batched.factor_batch_group(sym, a.data, g)
+            stack = batched.assemble_group(a.data, g)
+            assembled = stack.copy()
+            g_panels, g_updates = policy.apply(stack, g.k, worker)
             for i, s in enumerate(g.sids):
                 assert not sym.schildren()[s]
                 assert (sym.rows[s].size, sym.width(s)) == (g.size, g.k)
                 front = assemble_front_planned(plan, a.data, g.size, s, [])
-                panel, u = p1.apply(front, g.k, None)
+                assert np.array_equal(assembled[i], front)
+                panel, u = policy.apply(front, g.k, worker)
+                assert g_panels[i].dtype == panel.dtype
                 assert np.array_equal(g_panels[i], panel)
-                if g.m:
-                    assert np.array_equal(g_updates[i], u)
-                else:
-                    assert g_updates[i] is None
+                assert g_updates[i].dtype == u.dtype
+                assert np.array_equal(g_updates[i], u)
         return plan.groups
 
     @settings(max_examples=15, deadline=None)
@@ -414,35 +420,28 @@ class TestBatchedExecutionProperties:
         assert (nf.batch_tasks, nf.batched_fronts) == (2, 129)
         assert factor_fingerprint(nf) == factor_fingerprint(base)
 
-    @staticmethod
-    def _check_device_slices(a, sym, precision):
-        """Every slice of every group's stacked result in the device dtype
-        equals ``PolicyP4.apply`` on that member's individually assembled
-        front (fp32 kernels under ``sp``, fp64 under ``dp``)."""
-        node = SimulatedNode(model=tesla_t10_model().with_precision(precision))
-        worker = Worker.canonical(node)
-        dtype = worker.gpu.cublas.dtype
-        plan = get_assembly_plan(a, sym)
-        p4 = PolicyP4()
-        for g in plan.groups:
-            assert p4.one_panel(g.k)
-            g_panels, g_updates = batched.factor_batch_group(sym, a.data, g, dtype)
-            for i, s in enumerate(g.sids):
-                front = assemble_front_planned(plan, a.data, g.size, s, [])
-                panel, u = p4.apply(front, g.k, worker)
-                assert np.array_equal(g_panels[i], panel)
-                if g.m:
-                    # the update stays in the device dtype, slice and front
-                    assert g_updates[i].dtype == u.dtype == dtype
-                    assert np.array_equal(g_updates[i], u)
-        return plan.groups
+    @settings(max_examples=15, deadline=None)
+    @given(spd_problem(max_n=48), st.sampled_from(("amd", "nd", "natural")),
+           st.sampled_from(("P2", "P3")), st.sampled_from(("sp", "dp")))
+    def test_every_stacked_slice_equals_the_per_front_p2_p3(
+        self, a, ordering, policy, precision
+    ):
+        self._check_slices(
+            a, symbolic_factorize(a, ordering=ordering), make_policy(policy),
+            precision,
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(spd_problem(max_n=48), st.sampled_from(("amd", "nd", "natural")),
-           st.sampled_from(("sp", "dp")))
-    def test_every_device_slice_equals_the_per_front_p4(self, a, ordering, precision):
-        self._check_device_slices(
-            a, symbolic_factorize(a, ordering=ordering), precision
+           st.sampled_from(("sp", "dp")), st.sampled_from((None, 1)))
+    def test_every_device_slice_equals_the_per_front_p4(
+        self, a, ordering, precision, width
+    ):
+        # the update stays in the device dtype, slice and front; a panel
+        # width of 1 runs the Figure-9 loop over several panels
+        self._check_slices(
+            a, symbolic_factorize(a, ordering=ordering),
+            PolicyP4(panel_width=width), precision,
         )
 
     @staticmethod
@@ -478,10 +477,22 @@ class TestBatchedExecutionProperties:
             sym, [policy] * sym.n_supernodes, sym.spost if order is None else order
         )
 
+    @classmethod
+    def _stacked_fold(cls, a, sym, policy):
+        """The kernels a stacked run of :meth:`_leaves` computes: the fold
+        with its one group's kernels once, at the turn of the member the
+        walk reaches first (one stacked call each, with the dims of one
+        slice)."""
+        (group,) = get_assembly_plan(a, sym).groups
+        first = next(s for s in sym.spost.tolist() if s in group.sids)
+        return cls._fold(sym, policy, [
+            s for s in sym.spost.tolist() if s == first or s not in group.sids
+        ])
+
     def test_device_leaves_run_stacked(self):
         a, sym = self._leaves()
         for precision in ("sp", "dp"):
-            self._check_device_slices(a, sym, precision)
+            self._check_slices(a, sym, PolicyP4(), precision)
         policy = make_policy("P4")
         nf, ctx = self._device_run(a, sym, policy)
         assert (nf.batch_tasks, nf.batched_fronts) == (1, 6)
@@ -490,31 +501,29 @@ class TestBatchedExecutionProperties:
         assert ref.batch_tasks == 0
         assert factor_fingerprint(nf) == factor_fingerprint(ref)
         # the fold names every kernel the per-front run computes; the
-        # stacked run computes the others, its group in one stacked call
+        # stacked run computes its group's in one stacked call each
         fold = self._fold(sym, policy)
         assert ref_ctx.calls == fold
-        (group,) = get_assembly_plan(a, sym).groups
-        assert ctx.calls == self._fold(
-            sym, policy, [s for s in sym.spost if s not in group.sids]
-        )
+        assert ctx.calls == self._stacked_fold(a, sym, policy)
         assert ctx.busy_seconds == ref_ctx.busy_seconds == ctx.price(fold)
 
-    def test_narrow_panel_stays_per_front(self):
+    def test_narrow_panel_stacks_too(self):
         a, sym = self._leaves()
         policy = PolicyP4(panel_width=1)      # w = 1 < k = 2: two panels
-        assert not policy.one_panel(2)
+        self._check_slices(a, sym, policy)
         nf, ctx = self._device_run(a, sym, policy)
-        assert (nf.batch_tasks, nf.batched_fronts) == (0, 0)
+        assert (nf.batch_tasks, nf.batched_fronts) == (1, 6)
         ref, ref_ctx = self._device_run(a, sym, policy, stacking=False)
         assert factor_fingerprint(nf) == factor_fingerprint(ref)
         fold = self._fold(sym, policy)
-        assert ctx.calls == ref_ctx.calls == fold
+        assert ref_ctx.calls == fold
+        assert ctx.calls == self._stacked_fold(a, sym, policy)
         assert ctx.busy_seconds == ref_ctx.busy_seconds == ctx.price(fold)
 
-    def test_fp32_breakdown_reruns_the_group_per_front(self):
+    def test_fp32_breakdown_promotes_one_slice(self):
         # leaf 0's pivot block "breaks down" in float32 only; the per-front
-        # path promotes it to float64 (CublasContext.potrf), which the
-        # stacked path has no way to do for one slice
+        # path promotes it to float64 (CublasContext.potrf), and the
+        # stacked path promotes that one slice the same way
         mark = 1000.0
         a, sym = self._leaves(lambda d: d.__setitem__((0, 0), mark))
         real, broke = np.linalg.cholesky, []
@@ -530,13 +539,13 @@ class TestBatchedExecutionProperties:
             nf, ctx = self._device_run(a, sym, policy)
             ref, ref_ctx = self._device_run(a, sym, policy, stacking=False)
         # the stack and its slice 0 (finding the failing member), then
-        # leaf 0 per front in each run
-        assert broke == [(6, 2, 2), (2, 2), (2, 2), (2, 2)]
-        assert (nf.batch_tasks, nf.batched_fronts) == (0, 0)
+        # leaf 0 in the per-front run; the group stays stacked
+        assert broke == [(6, 2, 2), (2, 2), (2, 2)]
+        assert (nf.batch_tasks, nf.batched_fronts) == (1, 6)
         assert factor_fingerprint(nf) == factor_fingerprint(ref)
-        # the rerun computes every member per front: the fold's kernels
         fold = self._fold(sym, policy)
-        assert ctx.calls == ref_ctx.calls == fold
+        assert ref_ctx.calls == fold
+        assert ctx.calls == self._stacked_fold(a, sym, policy)
         assert ctx.busy_seconds == ref_ctx.busy_seconds == ctx.price(fold)
 
     def test_non_spd_leaf_names_its_supernode(self):

@@ -6,8 +6,6 @@ import pytest
 from repro.dense import (
     KernelCounts,
     blocked_cholesky_panels,
-    blocked_factor_update,
-    gemm,
     potrf,
     potrf_flops,
     syrk,
@@ -75,13 +73,6 @@ class TestKernels:
         assert out is c
         assert np.allclose(c, np.eye(6) - x @ x.T)
 
-    def test_gemm_alpha(self, rng):
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(3, 5))
-        c = np.zeros((4, 5))
-        gemm(c, a, b, alpha=2.0)
-        assert np.allclose(c, 2 * a @ b)
-
     def test_flop_formulas(self):
         assert potrf_flops(6) == pytest.approx(72.0)
         assert trsm_flops(10, 3) == pytest.approx(90.0)
@@ -97,6 +88,67 @@ class TestKernels:
         assert counts.total_flops() == pytest.approx(
             potrf_flops(5) + trsm_flops(7, 5) + syrk_flops(7, 5)
         )
+
+
+class TestStackedKernels:
+    """A kernel given a ``(B, n, n)`` stack computes every slice as it
+    computes that block alone, and counts as B calls of one slice."""
+
+    B = 5
+
+    def stack(self, rng, k, m, dtype=np.float64):
+        fronts = np.stack([spd(k + m, rng) for _ in range(self.B)]).astype(dtype)
+        return fronts
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize("m,k", [(3, 1), (20, 7), (9, 32), (40, 33), (70, 70)])
+    def test_every_slice_is_the_2d_kernel(self, rng, m, k, dtype):
+        fronts = self.stack(rng, k, m, dtype)
+        l1 = potrf(fronts[:, :k, :k])
+        x = trsm_right_lower(fronts[:, k:, :k], l1)
+        c = fronts[:, k:, k:].copy()
+        syrk(c, x)
+        for i in range(self.B):
+            f = fronts[i]
+            assert np.array_equal(l1[i], potrf(f[:k, :k]))
+            xi = trsm_right_lower(f[k:, :k], l1[i])
+            assert np.array_equal(x[i], xi)
+            assert np.array_equal(c[i], syrk(f[k:, k:].copy(), xi))
+
+    def test_stacked_counts_are_per_slice(self, rng):
+        k, m = 6, 9
+        fronts = self.stack(rng, k, m)
+        stacked, flat = KernelCounts(), KernelCounts()
+        l1 = potrf(fronts[:, :k, :k], counts=stacked)
+        x = trsm_right_lower(fronts[:, k:, :k], l1, counts=stacked)
+        syrk(fronts[:, k:, k:].copy(), x, counts=stacked)
+        for f in fronts:
+            li = potrf(f[:k, :k], counts=flat)
+            xi = trsm_right_lower(f[k:, :k], li, counts=flat)
+            syrk(f[k:, k:].copy(), xi, counts=flat)
+        assert stacked.calls == flat.calls == {"potrf": 5, "trsm": 5, "syrk": 5}
+        assert stacked.flops == flat.flops
+
+    @pytest.mark.parametrize("bad", (-1.0, np.nan))
+    def test_a_failing_slice_is_named(self, rng, bad):
+        fronts = self.stack(rng, 4, 0)
+        fronts[1, 2, 2] = fronts[3, 0, 0] = bad
+        with pytest.raises(NotPositiveDefiniteError) as stacked:
+            potrf(fronts)
+        with pytest.raises(NotPositiveDefiniteError) as alone:
+            potrf(fronts[1])
+        assert stacked.value.failed == (1, 3)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("s,k,w", [(30, 12, 4), (25, 25, 8), (33, 10, 64)])
+    def test_blocked_panels_on_a_stack(self, rng, s, k, w):
+        fronts = self.stack(rng, s, 0)
+        work = fronts.copy()
+        blocked_cholesky_panels(work, k, w, HostKernels())
+        for i in range(self.B):
+            one = fronts[i].copy()
+            blocked_cholesky_panels(one, k, w, HostKernels())
+            assert np.array_equal(work[i], one)
 
 
 class TestBlockedPanels:
@@ -125,13 +177,6 @@ class TestBlockedPanels:
         work = f.copy()
         blocked_cholesky_panels(work, 20, 6, HostKernels())
         assert np.allclose(np.tril(work), ref)
-
-    def test_blocked_factor_update_views(self, rng):
-        f = spd(15, rng)
-        l1, l2, u = blocked_factor_update(f.copy(), 5, HostKernels())
-        assert l1.shape == (5, 5)
-        assert l2.shape == (10, 5)
-        assert u.shape == (10, 10)
 
     def test_invalid_args(self, rng):
         f = spd(8, rng)

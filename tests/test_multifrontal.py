@@ -1,5 +1,6 @@
 """Multifrontal numeric phase: assembly, factorization, solve, refinement."""
 
+import sys
 import warnings
 from collections import Counter
 
@@ -602,9 +603,11 @@ def test_lmco_s_device_round_trip_counts(monkeypatch):
     """The counts-gate CI runs by name: one warm refactorize of lmco_s/nd
     under P4 on the event-driven runtime (2 CPUs + 2 GPUs).  No device
     front is written back into the host workspace (363 whole-front
-    write-backs before, one per unstacked front), and the updates live on
-    the stack in float32: ``peak_update_bytes`` 13 424 328 -> 6 712 164,
-    exactly half (every front of it runs on the device)."""
+    write-backs before, one per unstacked front; the 18 stacked leaf
+    groups, each one ``apply`` on a ``(B, size, size)`` stack, write none
+    back either), and the updates live on the stack in float32:
+    ``peak_update_bytes`` 13 424 328 -> 6 712 164, exactly half (every
+    front of it runs on the device)."""
     from repro.policies.base import PolicyP4
 
     a = load_test_matrix("lmco_s")
@@ -618,11 +621,61 @@ def test_lmco_s_device_round_trip_counts(monkeypatch):
     def counting_apply(self, front, k, worker):
         before = front.tobytes()
         out = apply(self, front, k, worker)
-        calls["apply"] += 1
-        calls["written back"] += front.tobytes() != before
+        row = "" if front.ndim == 2 else "stacked "
+        calls[row + "apply"] += 1
+        calls[row + "written back"] += front.tobytes() != before
         return out
 
     monkeypatch.setattr(PolicyP4, "apply", counting_apply)
     solver.refactorize(a.data)
-    assert calls == Counter({"apply": 363, "written back": 0})
+    assert calls == Counter({
+        "apply": 363, "written back": 0,
+        "stacked apply": 18, "stacked written back": 0,
+    })
     assert solver.factor.peak_update_bytes == 6_712_164
+
+
+@pytest.mark.parametrize("case,policy,fronts,stacks,stacked", [
+    ("lmco_s/nd", "P1", 363, 18, 1620),
+    # the event-driven runtime on 2 CPUs + 2 GPUs: fp32 kernels
+    ("lmco_s/nd", "P4", 363, 18, 1620),
+    ("grid_laplacian_2d/amd", "P1", 254, 8, 775),
+])
+def test_one_fu_path_counts(monkeypatch, case, policy, fronts, stacks, stacked):
+    """The counts-gate CI runs by name: over one warm refactorize, every
+    factor-update runs through ``Policy.apply`` — a front on its own, or
+    a stacked leaf group as one ``(B, size, size)`` stack — and every
+    Cholesky through ``dense.kernels.potrf``.  Before, the stacked groups
+    ran a copy of the kernels of their own: ``apply`` ran once per
+    unstacked front only (363 + 0 on lmco_s/nd)."""
+    from repro.dense import kernels
+    from repro.policies import base
+
+    name, ordering = case.split("/")
+    a = load_test_matrix(name) if name == "lmco_s" else grid_laplacian_2d(48, 46)
+    kwargs = dict(policy=policy)
+    if policy == "P4":
+        kwargs.update(backend="dynamic", node=SimulatedNode(n_cpus=2, n_gpus=2))
+    solver = SparseCholeskySolver(a, ordering=ordering, **kwargs).factorize()
+
+    calls = Counter()
+    for cls in (base.PolicyP1, base.PolicyP2, base.PolicyP3, base.PolicyP4):
+        def counting_apply(self, front, k, worker, *args, _apply=cls.apply, **kw):
+            calls["front" if front.ndim == 2 else "stack"] += 1
+            return _apply(self, front, k, worker, *args, **kw)
+
+        monkeypatch.setattr(cls, "apply", counting_apply)
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(x):
+        caller = sys._getframe(1).f_code
+        calls["cholesky" if caller is kernels.potrf.__code__ else "stray cholesky"] += 1
+        return cholesky(x)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    solver.refactorize(a.data)
+    assert (calls["front"], calls["stack"]) == (fronts, stacks)
+    assert calls["cholesky"] > 0 and calls["stray cholesky"] == 0
+    factor = solver.factor
+    assert (factor.batch_tasks, factor.batched_fronts) == (stacks, stacked)
+    assert factor.sf.n_supernodes == fronts + stacked

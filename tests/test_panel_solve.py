@@ -1,6 +1,6 @@
 """The panel solve against substitution.
 
-:func:`repro.dense.kernels.trsm_right_lower` (and its stacked replay) is
+:func:`repro.dense.kernels.trsm_right_lower` (on one front or a stack) is
 held against the per-column substitution it replaced
 (:mod:`tests.reference_kernels`) on the same input:
 
@@ -37,7 +37,7 @@ from repro.matrices import (
     grid_laplacian_3d,
     load_test_matrix,
 )
-from repro.multifrontal import SparseCholeskySolver, batched
+from repro.multifrontal import SparseCholeskySolver
 from repro.symbolic import symbolic_factorize
 from tests import reference_kernels
 from tests.test_solve_plan import line_hits
@@ -122,7 +122,7 @@ class TestResidual:
         for m, k in SHAPES:
             l = np.stack([cholesky_factor(k, rng, k) for _ in range(3)]).astype(dtype)
             b = rng.normal(size=(3, m, k)).astype(dtype)
-            got = batched.batched_trsm_right_lower(b, l)
+            got = kernels.trsm_right_lower(b, l)
             for i in range(3):
                 np.testing.assert_array_equal(got[i], kernels.trsm_right_lower(b[i], l[i]))
 
@@ -142,8 +142,9 @@ def lmco_s_solver(policy: str) -> SparseCholeskySolver:
 
 @contextlib.contextmanager
 def recorded_panel_solves():
-    """Yields the list of every ``(B, L)`` handed to the front-by-front
-    panel solve inside the block (the stacked leaves do not call it)."""
+    """Yields the list of every ``(B, L)`` handed to the panel solve
+    inside the block: a front's 2-D blocks, a stacked leaf group's
+    ``(B, m, k)`` and ``(B, k, k)`` stacks."""
     calls, real = [], kernels.trsm_right_lower
 
     def spy(b, l, **kwargs):
@@ -156,9 +157,10 @@ def recorded_panel_solves():
 
 @pytest.fixture(scope="module")
 def lmco_s_panel_solves():
+    """The front-by-front panel solves of a factorization of lmco_s/nd."""
     with recorded_panel_solves() as calls:
         lmco_s_solver("P1").factorize()
-    return calls
+    return [(b, l) for b, l in calls if b.ndim == 2]
 
 
 def factor_backward_error(a, factor) -> float:
@@ -181,8 +183,6 @@ def reference_kernels_patched():
         kernels, "trsm_right_lower", reference_kernels.trsm_right_lower
     ), mock.patch.object(
         kernels, "syrk", reference_kernels.syrk
-    ), mock.patch.object(
-        batched, "batched_trsm_right_lower", reference_kernels.batched_trsm_right_lower
     ):
         yield
 
@@ -213,6 +213,12 @@ def test_factor_backward_error_within_the_substitution_factor(case):
     assert got <= 2 * ref, (got, ref)
 
 
+#: the stacked leaf groups' panel solves on lmco_s/nd: calls (one per
+#: group with rows below its pivots) and diagonal blocks (one per call:
+#: every stacked pivot block is one block wide)
+STACKED_SOLVES = {"P1": (18, 18), "P4": (18, 18)}
+
+
 @pytest.mark.parametrize("policy,calls,blocks,column_steps", [
     ("P1", 362, 486, 9261),
     # the event-driven runtime on 2 CPUs + 2 GPUs: fp32 Figure-9 panels
@@ -222,19 +228,36 @@ def test_lmco_s_panel_solve_counts(policy, calls, blocks, column_steps):
     """The counts-gate CI runs by name: over one warm refactorize of
     ``lmco_s``/nd no line of the panel solve runs more often than once
     per 32-column diagonal block (and its loop header once more per
-    call), where substitution took one step per column."""
+    call), where substitution took one step per column.  The front-by-front
+    solves are counted on the 2-D calls; a stacked leaf group is one call
+    whatever its size, and no line of the dense kernels runs once per
+    stacked leaf."""
     solver = lmco_s_solver(policy).factorize()
     values = solver.a.data
     with recorded_panel_solves() as solves:
         solver.refactorize(values)
-    assert len(solves) == calls
-    assert sum(-(-l.shape[0] // kernels.SUBSTITUTION_BLOCK) for _, l in solves) == blocks
+
+    def row(ndim):
+        ls = [l for b, l in solves if b.ndim == ndim]
+        return len(ls), sum(-(-l.shape[-1] // kernels.SUBSTITUTION_BLOCK) for l in ls)
+
+    assert row(2) == (calls, blocks)
+    assert row(3) == STACKED_SOLVES[policy]
+    assert len(solves) == calls + STACKED_SOLVES[policy][0]
 
     hits = line_hits(lambda: solver.refactorize(values), kernels)
-    assert max(n for (fn, _), n in hits.items() if fn == "trsm_right_lower") <= blocks + calls
-    # the substitution it replaced: one division per column
+    bound = blocks + calls + sum(STACKED_SOLVES[policy])
+    assert max(n for (fn, _), n in hits.items() if fn == "trsm_right_lower") <= bound
+    assert max(hits.values()) < 1620              # one per stacked leaf
+    # the substitution it replaced, on the front-by-front solves: one
+    # division per column
     source, first = inspect.getsourcelines(reference_kernels.trsm_right_lower)
     step = first + next(i for i, line in enumerate(source) if "/= ljj[jj, jj]" in line)
-    with mock.patch.object(kernels, "trsm_right_lower", reference_kernels.trsm_right_lower):
+    real = kernels.trsm_right_lower
+
+    def substitution(b, l, **kwargs):
+        return (reference_kernels.trsm_right_lower if b.ndim == 2 else real)(b, l, **kwargs)
+
+    with mock.patch.object(kernels, "trsm_right_lower", substitution):
         hits = line_hits(lambda: solver.refactorize(values), reference_kernels)
     assert hits["trsm_right_lower", step] == column_steps

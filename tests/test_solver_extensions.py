@@ -585,7 +585,9 @@ class TestPricingMemo:
             )
             # its type is in the slot, but its type is not all there is to it
             assert self._count_pricing(other.factorize) == (n, n)
-        assert apply.call_count == n - other.factor.batched_fronts > 0
+        # one call per unstacked front and one per stacked leaf group
+        assert apply.call_count == other.factor.task_dispatches > 0
+        assert other.factor.batch_tasks > 0
         assert self._slot(solver) is slot
         assert other.factor.records == solver.factor.records
 
