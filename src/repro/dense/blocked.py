@@ -43,7 +43,9 @@ class KernelProvider(Protocol):
 
     def potrf(self, a: np.ndarray) -> np.ndarray: ...
 
-    def trsm(self, b: np.ndarray, l: np.ndarray) -> np.ndarray: ...
+    def trsm(
+        self, b: np.ndarray, l: np.ndarray, inverses=None
+    ) -> np.ndarray: ...
 
     def syrk(self, c: np.ndarray, x: np.ndarray) -> np.ndarray: ...
 
@@ -59,8 +61,8 @@ class HostKernels:
     def potrf(self, a):
         return hk.potrf(a, counts=self.counts)
 
-    def trsm(self, b, l):
-        return hk.trsm_right_lower(b, l, counts=self.counts)
+    def trsm(self, b, l, inverses=None):
+        return hk.trsm_right_lower(b, l, counts=self.counts, inverses=inverses)
 
     def syrk(self, c, x):
         return hk.syrk(c, x, counts=self.counts)
@@ -77,7 +79,7 @@ def default_panel_width(k: int) -> int:
 
 
 def blocked_cholesky_panels(
-    f: np.ndarray, k: int, w: int, provider: KernelProvider
+    f: np.ndarray, k: int, w: int, provider: KernelProvider, inverses=None
 ) -> None:
     """Factor the leading k columns of the (s x s) frontal matrix ``f``, or
     of every front of an ``(..., s, s)`` stack, in panels of width ``w``,
@@ -98,6 +100,13 @@ def blocked_cholesky_panels(
 
     (Steps 3-5 are the split of the trailing update into the L1, L2 and U
     regions exactly as the paper draws them.)
+
+    ``inverses`` is where the panel solves leave the inverses of L1's
+    ``SUBSTITUTION_BLOCK``-column diagonal blocks, in the layout
+    :func:`repro.dense.kernels.trsm_right_lower` takes for the whole
+    pivot block.  It needs every panel to be whole blocks wide but the
+    last (``w`` a multiple of the block) and a trsm after every panel
+    (``k < s``).
     """
     s = f.shape[-1]
     if f.ndim < 2 or f.shape[-2] != s:
@@ -106,6 +115,9 @@ def blocked_cholesky_panels(
         raise ValueError("invalid pivot-block size")
     if w <= 0:
         raise ValueError("panel width must be positive")
+    nb = hk.SUBSTITUTION_BLOCK
+    if inverses is not None and (w % nb or k == s):
+        raise ValueError("inverses need whole-block panels and rows below the pivots")
     for j in range(0, k, w):
         wj = min(w, k - j)
         # 1. factor the diagonal block; potrf returns a zero upper
@@ -117,7 +129,12 @@ def blocked_cholesky_panels(
         f[..., j:rest, rest:k] = 0.0
         if rest < s:
             # 2. one trsm spanning the remaining L1 rows and all of L2
-            f[..., rest:, j:j + wj] = provider.trsm(f[..., rest:, j:j + wj], panel_l)
+            out = None if inverses is None else (
+                inverses[0][..., j // nb:rest // nb, :, :], inverses[1]
+            )
+            f[..., rest:, j:j + wj] = provider.trsm(
+                f[..., rest:, j:j + wj], panel_l, inverses=out
+            )
             panel = f[..., rest:, j:j + wj]
             if rest < k:
                 # 3. syrk: trailing L1 block

@@ -7,7 +7,15 @@ reproduces both halves of that deal:
 
 * **numerics** — kernels execute with NumPy in ``float32`` (or ``float64``
   when the model is switched to the dp parameter set), so the factor
-  really loses precision the way the paper's did;
+  really loses precision the way the paper's did.  Not every kernel is
+  fp32 arithmetic, though: the matmul-based ones are (the trsm's block
+  products, ``syrk`` and ``gemm``), but numpy's ``linalg`` computes
+  ``potrf`` and the trsm's diagonal-block inverses in float64 and rounds
+  the result to float32.  The factor therefore carries one rounding of
+  an fp64 Cholesky on its diagonal blocks, more accurate than true fp32
+  kernels would make it, and the solve phase, which applies a float32
+  factor in float32 (:mod:`repro.multifrontal.solve`), is where a
+  solve first meets u32 rounding in its own products;
 * **timing** — :meth:`CublasContext.price` prices a kernel list with the
   calibrated :class:`~repro.gpu.perfmodel.PerfModel`.  A kernel call
   keeps no time: :attr:`CublasContext.busy_seconds` is owned by the
@@ -117,8 +125,13 @@ class CublasContext:
             ) from exc
         return l.reshape(a.shape)
 
-    def trsm(self, b: np.ndarray, l: np.ndarray) -> np.ndarray:
-        return hk.trsm_right_lower(self._as_device(b), self._as_device(l))
+    def trsm(self, b: np.ndarray, l: np.ndarray, inverses=None) -> np.ndarray:
+        """The device panel solve; ``inverses`` receives the inverses of
+        ``l``'s diagonal blocks in the device dtype
+        (:func:`repro.dense.kernels.trsm_right_lower`)."""
+        return hk.trsm_right_lower(
+            self._as_device(b), self._as_device(l), inverses=inverses
+        )
 
     def syrk(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         return hk.syrk(self._as_device(c), self._as_device(x))

@@ -44,7 +44,7 @@ from repro.multifrontal.frontal import (
     get_assembly_plan,
 )
 from repro.multifrontal.solve import SweepTable, get_solve_plan
-from repro.policies.base import Policy, PolicyP1, Worker
+from repro.policies.base import Policy, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
 
 if TYPE_CHECKING:
@@ -172,7 +172,9 @@ class NumericFactor:
     """The computed factor plus everything the analysis layer wants."""
 
     sf: SymbolicFactor
-    panels: list[np.ndarray]        # per-supernode (rows x k) [L1; L2]
+    #: per-supernode (rows x k) [L1; L2], in the dtype it was computed
+    #: in: float32 where a device front computed it, else float64
+    panels: list[np.ndarray]
     #: the ``(B, rows, k)`` array the panels of each stacked leaf group
     #: are the slices of, by the group's first member
     #: (:func:`repro.multifrontal.batched.batch_groups`)
@@ -230,7 +232,7 @@ class NumericFactor:
         total = 0.0
         for s in range(self.sf.n_supernodes):
             k = self.sf.width(s)
-            d = np.diagonal(self.panels[s][:k, :k])
+            d = np.diagonal(self.panels[s][:k, :k]).astype(np.float64)
             if np.any(d <= 0):
                 raise ValueError("factor has non-positive pivots")
             total += float(np.log(d).sum())
@@ -467,10 +469,10 @@ def _numeric_walk(
     worker: Worker,
     order: "np.ndarray",
     kernel_seconds: Sequence[float],
-    slots: "dict[int, np.ndarray | tuple] | None" = None,
+    inverses: "np.ndarray | None" = None,
 ) -> tuple[
     list["np.ndarray | None"], dict[int, np.ndarray], dict[int, np.ndarray],
-    int, int, int, set[int],
+    int, int, int, set[int], dict,
 ]:
     """The floating-point walk over the supernodes of ``order`` (children
     before parents): assemble each front, run its factor-update under
@@ -483,27 +485,35 @@ def _numeric_walk(
     update matrices are live in their lower triangle only
     (:mod:`repro.multifrontal.frontal`); every unstacked front is a view
     of one ``np.zeros`` workspace sized for the largest, zero-filled on
-    its lower triangle by the assembly.  ``apply`` returns the factored
-    panel and the update where it computed them — in the host front for
-    P1-P3, in the device copy for ``PolicyP4``, which writes nothing
-    back — and the walk copies both out, the same way for every policy:
-    the panel widened to float64 (exact from float32), the update in the
-    dtype it was computed in, which the parent's extend-add widens
-    inside its add.  Nothing returned aliases the workspace.
+    its lower triangle by the assembly.  A policy with
+    :attr:`~repro.policies.base.Policy.device_front` (``PolicyP4``)
+    copies each of its fronts (and stacks) into one *device* workspace,
+    in the device dtype, sized for the largest it computes.  ``apply``
+    returns the factored panel and the update where it computed them —
+    in the host front for P1-P3, in the device copy for ``PolicyP4``,
+    which writes nothing back — and the walk copies both out, the same
+    way for every policy: the panel in the dtype it was computed in where
+    a device front computed it (float32 under the sp model), else in
+    float64, the
+    update in the dtype it was computed in, which the parent's
+    extend-add widens inside its add.  Nothing returned aliases either
+    workspace.
 
-    ``slots`` are the views of the solve phase's buffer of diagonal-block
-    inverses (:meth:`repro.multifrontal.solve.SolvePlan.slots`): every
-    float64 panel solve whose supernode has one — a front or a stacked
-    leaf group run by ``PolicyP1`` with rows below its pivots, a group's
-    pivot blocks being one diagonal block — leaves its inverses there, so
-    the solve phase does not compute them again.
+    ``inverses`` is the solve phase's buffer of diagonal-block inverses
+    (:class:`repro.multifrontal.solve.SolvePlan`): the walk takes its
+    :meth:`~repro.multifrontal.solve.SolvePlan.slots`, float32 where the
+    panel is, and every panel solve that inverts all of its supernode's
+    diagonal blocks leaves them there, so the solve phase does not
+    compute them again — a front, or a stacked leaf group whose pivot
+    blocks are each one diagonal block, whose policy's
+    :meth:`~repro.policies.base.Policy.inverts_blocks` says so.
 
     Returns the panels (``None`` outside ``order``), the panel stacks,
     the updates nobody in ``order`` consumed (in the order they were
     produced; none when ``order`` covers the tree), the peak live update
-    bytes, the stacked calls issued / fronts they covered, and the
+    bytes, the stacked calls issued / fronts they covered, the
     supernodes (a group by its first member) whose inverses are in
-    ``slots``.
+    ``inverses``, and the slots (empty without ``inverses``).
 
     The panels of a leaf group lying wholly inside ``order`` are the
     slices of one ``(B, size, k)`` stack, whatever computed them (the
@@ -539,36 +549,55 @@ def _numeric_walk(
             slot_of.update((s, (g, i)) for i, s in enumerate(g.sids))
             if all(bases[s] is bases[g.sids[0]] for s in g.sids):
                 stacked.add(g.sids[0])
+    #: the ``apply`` calls of a device-front policy — every front it
+    #: computes on its own, every group it runs stacked, by first member
+    #: — and the device words of each
+    on_device: dict[int, int] = {}
+    for s in order:
+        if bases[s].device_front:
+            g = slot_of.get(s, (None,))[0]
+            if s in stacked or g is None or g.sids[0] not in stacked:
+                on_device[s] = sf.rows[s].size ** 2 * (len(g) if s in stacked else 1)
+    device = worker.gpu.cublas.dtype if on_device else np.float64
+    #: the supernodes whose panels stay float32 (a group computed front by
+    #: front is written into one float64 stack)
+    single = {
+        s for s in on_device if s in stacked or s not in slot_of
+    } if device == np.float32 else set()
     #: per-member update of the groups factored so far, consumed when the
     #: member's turn comes
     pending: dict[int, "np.ndarray | None"] = {}
     batch_tasks = batched_fronts = 0
     workspace = np.zeros(max((sf.rows[s].size for s in order), default=0) ** 2)
-    slots = {} if slots is None else slots
+    device_workspace = np.empty(max(on_device.values(), default=0), device)
+    slots = {} if inverses is None else get_solve_plan(sf).slots(inverses, single)
     inverted: set[int] = set()
+
+    def run(s: int, front: np.ndarray, k: int, out) -> tuple:
+        """``apply`` of ``bases[s]`` on ``front`` (a stack for a group run
+        by its first member ``s``), leaving the inverses in ``out``."""
+        base = bases[s]
+        kwargs = {"workspace": device_workspace} if s in on_device else {}
+        if out is not None and base.inverts_blocks(front.shape[-1] - k, k):
+            kwargs["inverses"] = out
+            inverted.add(s)
+        return base.apply(front, k, worker, **kwargs)
 
     for s in order:
         g, i = slot_of.get(s, (None, 0))
         head = g.sids[0] if g is not None else -1
         if head in stacked and head not in stacks:
-            base = bases[head]
-            out = slots.get(head) if (
-                type(base) is PolicyP1 and g.m and g.k <= SUBSTITUTION_BLOCK
-            ) else None
+            out = slots.get(head) if g.k <= SUBSTITUTION_BLOCK else None
             stack = assemble_group(a_data, g)
             try:
-                if out is None:
-                    panel, u = base.apply(stack, g.k, worker)
-                else:
-                    # the group's (B, k, k) inverses are each one diagonal
-                    # block: a full one (k = 32) or a tail
-                    panel, u = base.apply(
-                        stack, g.k, worker, inverses=(out[:, None],) * 2
-                    )
-                    inverted.add(head)
+                # the group's (B, k, k) inverses are each one diagonal
+                # block: a full one (k = 32) or a tail
+                panel, u = run(
+                    head, stack, g.k, None if out is None else (out[:, None],) * 2
+                )
             except NotPositiveDefiniteError as exc:
                 raise breakdown_error(sf, g.sids[exc.failed[0]], exc) from exc
-            stacks[head] = panel.astype(np.float64)
+            stacks[head] = panel.astype(np.float32 if head in single else np.float64)
             pending.update(zip(g.sids, u.copy() if g.m else [None] * len(g)))
             batch_tasks += 1
             batched_fronts += len(g)
@@ -584,19 +613,12 @@ def _numeric_walk(
             front = assemble_front_planned(
                 plan, a_data, size, s, child_updates, workspace
             )
-            out = slots.get(s) if (
-                g is None and size > k and type(bases[s]) is PolicyP1
-            ) else None
             try:
-                if out is None:
-                    panel, u = bases[s].apply(front, k, worker)
-                else:
-                    panel, u = bases[s].apply(front, k, worker, inverses=out)
-                    inverted.add(s)
+                panel, u = run(s, front, k, slots.get(s) if g is None else None)
             except NotPositiveDefiniteError as exc:
                 raise breakdown_error(sf, s, exc) from exc
             if g is None:
-                panels[s] = panel.astype(np.float64)
+                panels[s] = panel.astype(np.float32 if s in single else np.float64)
             else:
                 panels[s] = stacks[head][i]
                 panels[s][...] = panel
@@ -612,7 +634,7 @@ def _numeric_walk(
         worker.gpu.cublas.busy_seconds = busy
     return (
         panels, stacks, updates, peak_update_bytes, batch_tasks, batched_fronts,
-        inverted,
+        inverted, slots,
     )
 
 
@@ -634,11 +656,10 @@ def postorder_numeric_factor(
     """
     solve_plan = get_solve_plan(sf)
     inverses = solve_plan.new_inverses()
-    slots = solve_plan.slots(inverses)
     (panels, stacks, leftover, peak_update_bytes, batch_tasks, batched_fronts,
-     inverted) = _numeric_walk(
+     inverted, slots) = _numeric_walk(
         a, sf, priced.bases, Worker.canonical(node), priced.order,
-        priced.kernel_seconds, slots,
+        priced.kernel_seconds, inverses,
     )
     if leftover:
         raise AssertionError("unconsumed update matrices: symbolic tree broken")

@@ -8,9 +8,13 @@ is the preconditioner, the residual is computed against the original
 float64 matrix, and a couple of corrections restore double-precision
 solve accuracy.  Every iterate is measured by Higham's normwise
 backward error ``||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)``
-and certified within ``max(tol, n * u64)``.  Against an fp32 factor the
-corrections contract at about ``cond(A) * u32`` a step (Carson &
-Higham, SIAM J. Sci. Comput. 40, 2018); once that nears 1, ``x`` can
+and certified within ``max(tol, n * u64)``.  A float32 factor (the
+device fronts of P4) is applied in float32 — the sweeps round the slice
+of ``y`` each panel multiplies to float32 and widen the product — while
+the residual and the update of ``x`` stay float64: LU-IR with the
+correction solve at the factor's own precision (u_s = u_f, Carson &
+Higham, SIAM J. Sci. Comput. 40, 2018).  Against an fp32 factor the
+corrections contract at about ``cond(A) * u32`` a step; once that nears 1, ``x`` can
 blow up and a small ``eta`` proves nothing, so such an answer is also held to
 ``nu * u32 < 1/2`` with the witness ``nu = ||A|| ||x|| / ||b|| <= cond(A)``.
 """
@@ -113,7 +117,8 @@ def iterative_refinement(
     tol : float
         The target: a column is corrected while its backward error
         exceeds ``tol`` and the last step at least halved it (one block
-        solve a step), and certified (``converged``) within
+        solve a step; a step that raised it is counted but not kept, so
+        ``x`` is the best iterate), and certified (``converged``) within
         :func:`backward_error_bound` and, if any front of ``factor`` is
         not P1 (fp32 kernels), ``nu * u32 < 1/2`` whatever ``tol`` is.
     max_iter : int
@@ -132,12 +137,16 @@ def iterative_refinement(
         cols = np.flatnonzero(live)
         if not cols.size:
             break
-        xx[:, cols] += solve_factored(factor, r[:, cols])
-        r[:, cols], step = _residual(a, a_norm, xx[:, cols], bb[:, cols])
+        trial = xx[:, cols] + solve_factored(factor, r[:, cols])
+        r_trial, step = _residual(a, a_norm, trial, bb[:, cols])
         iterations[cols] += 1
+        # a step that raised eta is refused: every step kept so far at
+        # least halved it, so x stays the best iterate
+        kept = ~(step > eta[cols])
+        xx[:, cols[kept]], r[:, cols[kept]] = trial[:, kept], r_trial[:, kept]
         # stagnation guard: stop a column once refinement no longer helps
         live[cols] = (step > tol) & (step <= 0.5 * eta[cols])
-        eta[cols] = step
+        eta[cols] = np.where(kept, step, eta[cols])
         norms.append(eta.copy())
     converged = eta <= backward_error_bound(factor.n, tol)
     # the witness nu, 0 on a zero column: read off the answer, no solve

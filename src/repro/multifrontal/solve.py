@@ -4,10 +4,19 @@ Given the factored panels (``[L1; L2]`` per supernode), solve
 ``L y = b`` by a forward sweep in supernode order and ``L^T x = y`` by
 the reverse sweep.  Within a supernode, each ``SUBSTITUTION_BLOCK``-column
 diagonal block is one product with its inverse, computed once per factor:
-by the panel solve of the numerics walk where it ran in float64, which
-leaves it in the factor's buffer (:meth:`SolvePlan.slots`), else by
-:meth:`SolvePlan.bind`; the cross-supernode coupling is a dense panel
+by the panel solve of the numerics walk where it inverted every block,
+which leaves them in the factor's buffer (:meth:`SolvePlan.slots`), else
+by :meth:`SolvePlan.bind`; the cross-supernode coupling is a dense panel
 gemv gathered/scattered through the front's row list.
+
+Each supernode, or stacked group, is applied in its panel's dtype: a
+float32 panel (a device front, :class:`repro.policies.base.PolicyP4`)
+has float32 inverses, the slice of ``y`` it multiplies is rounded to
+float32 on the way in, and the float32 product widens as it is
+subtracted from or written into ``y``, which stays float64 — the
+fp32-factor half of Carson & Higham's LU-IR
+(:mod:`repro.multifrontal.refine`).  A factor with no float32 panel
+sweeps in float64 throughout.
 
 Most supernodes are small childless leaves that share a handful of front
 shapes (:func:`repro.multifrontal.batched.batch_groups`), and a Python
@@ -83,7 +92,9 @@ class SolvePlan:
     inverses, ``(size, at, count)`` per block size, ascending.  Group
     ``i``'s leaves start at float ``group_at[i]``; an interior supernode
     of ``k`` columns has ``k // SUBSTITUTION_BLOCK`` full blocks at
-    ``full_at`` and a tail of ``k % SUBSTITUTION_BLOCK`` columns at ``tail_at``.
+    ``full_at`` and a tail of ``k % SUBSTITUTION_BLOCK`` columns at
+    ``tail_at``.  The buffer is float64; the inverses of a float32 panel
+    are float32, each block in the first half of its float64 place.
 
     ``n_stacked`` counts the stacked leaves, ``n_steps`` the Python-level
     steps one sweep takes outside the per-group calls: interior
@@ -164,23 +175,27 @@ class SolvePlan:
         """An empty buffer laid out by ``regions``."""
         return np.empty(sum(size * size * n for size, _, n in self.regions))
 
-    def slots(self, inverses: np.ndarray) -> dict[int, "np.ndarray | tuple"]:
+    def slots(
+        self, inverses: np.ndarray, single=frozenset()
+    ) -> dict[int, "np.ndarray | tuple"]:
         """The views of a buffer laid out by ``regions`` that hold each
         supernode's diagonal-block inverses: per group, by its first
         member, a ``(B, k, k)`` array; per interior supernode the pair
         ``(full, tail)`` of a ``(k // SUBSTITUTION_BLOCK, b, b)`` and a
         ``(k % SUBSTITUTION_BLOCK > 0, t, t)`` array — what the panel
         solves take to leave their inverses there
-        (:func:`repro.dense.kernels.trsm_right_lower`)."""
+        (:func:`repro.dense.kernels.trsm_right_lower`).  The views of the
+        supernodes in ``single`` (a group by its first member), those
+        with float32 panels, are float32."""
         nb = SUBSTITUTION_BLOCK
         slots: dict[int, np.ndarray | tuple] = {
-            g.sids[0]: _region(inverses, at, len(g), g.k)
+            g.sids[0]: _region(inverses, at, len(g), g.k, g.sids[0] in single)
             for g, at in zip(self.groups, self.group_at)
         }
         for s, first, end, _, full_at, tail_at in self.interior:
-            k = end - first
-            slots[s] = (_region(inverses, full_at, k // nb, nb),
-                        _region(inverses, tail_at, int(k % nb > 0), k % nb))
+            k, f32 = end - first, s in single
+            slots[s] = (_region(inverses, full_at, k // nb, nb, f32),
+                        _region(inverses, tail_at, int(k % nb > 0), k % nb, f32))
         return slots
 
     def bind(
@@ -190,29 +205,34 @@ class SolvePlan:
         """The values half for one factor: views of the group stacks
         (``stacks`` maps a group's first member to its ``(B, size, k)``
         array) and of the interior panels (``panels`` is indexed by
-        supernode id), and the inverse of every diagonal block in one
-        buffer laid out by ``regions``.
+        supernode id), and the inverse of every diagonal block, in its
+        panel's dtype, in one buffer laid out by ``regions``.
 
         The numerics pass hands over the buffer (``inverses``) its panel
         solves wrote the inverses of the supernodes in ``inverted`` into
         (a group by its first member), and the :meth:`slots` of that
         buffer it handed its panel solves.  Every other diagonal block is
         gathered into its place and inverted here: one batched
-        ``np.linalg.inv`` per size when no block of that size came
-        inverted, else one per supernode."""
+        ``np.linalg.inv`` per size and dtype when no block of that size
+        came inverted or in the other dtype, else one per supernode."""
         nb = SUBSTITUTION_BLOCK
         if inverses is None:
             inverses = self.new_inverses()
         if slots is None:
-            slots = self.slots(inverses)
-        todo: dict[int, list[np.ndarray]] = {}
+            slots = self.slots(inverses, {
+                s for s, panel in chain(
+                    ((g.sids[0], stacks[g.sids[0]]) for g in self.groups),
+                    ((s, panels[s]) for s, *_ in self.interior),
+                ) if panel.dtype == np.float32
+            })
+        todo: dict[tuple[int, np.dtype], list[np.ndarray]] = {}
 
         blocks = []
         for g in self.groups:
             stack, w = stacks[g.sids[0]], slots[g.sids[0]]
             if g.sids[0] not in inverted:
                 w[...] = stack[:, :g.k]
-                todo.setdefault(g.k, []).append(w)
+                todo.setdefault((g.k, w.dtype), []).append(w)
             blocks.append((w, stack[:, g.k:] if g.m else None))
         steps = []
         for s, first, end, below, _, _ in self.interior:
@@ -224,30 +244,37 @@ class SolvePlan:
                     wj[...] = l1[j * nb:(j + 1) * nb, j * nb:(j + 1) * nb]
                 for region in w:
                     if len(region):
-                        todo.setdefault(region.shape[-1], []).append(region)
+                        todo.setdefault((region.shape[-1], region.dtype), []).append(region)
             # one block wide: nothing left of the diagonal block
             steps.append((first, end, None, l2, below, next(chain(*w))) if k <= nb
                          else (first, end, l1, l2, below, w))
 
-        for size, at, n in self.regions:
-            views = todo.get(size, [])
+        regions = {size: (at, n) for size, at, n in self.regions}
+        for (size, dtype), views in todo.items():
+            at, n = regions[size]
             if sum(map(len, views)) == n:
-                views = [_region(inverses, at, n, size)]
+                views = [_region(inverses, at, n, size, dtype == np.float32)]
             for w in views:
                 block_inverse(w, out=w)
         return SweepTable(self, blocks, steps, inverses)
 
 
-def _region(inverses: np.ndarray, at: int, blocks: int, size: int) -> np.ndarray:
-    """``blocks`` inverses of ``size`` columns from float ``at`` on."""
-    return inverses[at:at + blocks * size * size].reshape(blocks, size, size)
+def _region(
+    inverses: np.ndarray, at: int, blocks: int, size: int, single: bool = False
+) -> np.ndarray:
+    """``blocks`` inverses of ``size`` columns from float ``at`` on; with
+    ``single``, float32 ones, each in the first half of its place."""
+    region = inverses[at:at + blocks * size * size]
+    if single:
+        region = region.reshape(blocks, size * size).view(np.float32)[:, :size * size]
+    return region.reshape(blocks, size, size)
 
 
 class SweepTable(NamedTuple):
     """A :class:`SolvePlan` bound to one factor: views of its panels, and
-    the inverses of their diagonal blocks in a buffer of its own — which
-    does not follow in-place edits of a panel: whoever edits one resets
-    ``factor.sweep`` to ``None``."""
+    the inverses of their diagonal blocks, in each panel's dtype, in a
+    buffer of its own — which does not follow in-place edits of a panel:
+    whoever edits one resets ``factor.sweep`` to ``None``."""
 
     plan: SolvePlan
     #: per group of the plan: ``(W (B, k, k), L2 (B, m, k) or None)``
@@ -289,7 +316,7 @@ def forward_sweep(table: SweepTable, y: np.ndarray) -> None:
     cols = y if y.ndim == 2 else y[:, None]
     products = np.empty((plan.n_products, cols.shape[1]))
     for (w, l2), own, (lo, hi) in zip(blocks, plan.own, plan.spans):
-        yk = w @ cols[own]
+        yk = w @ cols[own].astype(w.dtype, copy=False)
         cols[own] = yk
         if l2 is not None:
             np.matmul(l2, yk, out=products[lo:hi].reshape(l2.shape[:2] + (-1,)))
@@ -299,16 +326,17 @@ def forward_sweep(table: SweepTable, y: np.ndarray) -> None:
     for (first, end, l1, l2, below, w), run in zip(steps, runs):
         if run is not None:
             np.subtract.at(y, run[0], products[run[1]])
+        dt = (w if l1 is None else w[0]).dtype       # the panel's
         if l1 is None:
-            y[first:end] = w @ y[first:end]
+            y[first:end] = w @ y[first:end].astype(dt, copy=False)
         else:  # block by block (an empty product left of the first)
             yj = y[first:end]
             for j0, wj in zip(range(0, end - first, SUBSTITUTION_BLOCK), chain(*w)):
                 j1 = j0 + len(wj)
-                yj[j0:j1] -= l1[j0:j1, :j0] @ yj[:j0]
-                yj[j0:j1] = wj @ yj[j0:j1]
+                yj[j0:j1] -= l1[j0:j1, :j0] @ yj[:j0].astype(dt, copy=False)
+                yj[j0:j1] = wj @ yj[j0:j1].astype(dt, copy=False)
         if l2 is not None:
-            y[below] -= l2 @ y[first:end]
+            y[below] -= l2 @ y[first:end].astype(dt, copy=False)
     if runs[-1] is not None:
         np.subtract.at(y, runs[-1][0], products[runs[-1][1]])
 
@@ -320,23 +348,24 @@ def backward_sweep(table: SweepTable, y: np.ndarray) -> None:
     product (a leaf reads finished ancestor rows only)."""
     plan, blocks, steps, _ = table
     for first, end, l1, l2, below, w in reversed(steps):
+        dt = (w if l1 is None else w[0]).dtype       # the panel's
         if l2 is not None:
-            y[first:end] -= l2.T @ y[below]
+            y[first:end] -= l2.T @ y[below].astype(dt, copy=False)
         if l1 is None:
-            y[first:end] = w.T @ y[first:end]
+            y[first:end] = w.T @ y[first:end].astype(dt, copy=False)
         else:  # last block first (an empty product below the last)
             yj = y[first:end]
             pairs = zip(range(0, end - first, SUBSTITUTION_BLOCK), chain(*w))
             for j0, wj in reversed(list(pairs)):
                 j1 = j0 + len(wj)
-                yj[j0:j1] -= l1[j1:, j0:j1].T @ yj[j1:]
-                yj[j0:j1] = wj.T @ yj[j0:j1]
+                yj[j0:j1] -= l1[j1:, j0:j1].T @ yj[j1:].astype(dt, copy=False)
+                yj[j0:j1] = wj.T @ yj[j0:j1].astype(dt, copy=False)
     cols = y if y.ndim == 2 else y[:, None]
     for (w, l2), own, below in zip(blocks, plan.own, plan.below):
         yk = cols[own]
         if l2 is not None:
-            yk -= l2.transpose(0, 2, 1) @ cols[below]
-        cols[own] = w.transpose(0, 2, 1) @ yk
+            yk -= l2.transpose(0, 2, 1) @ cols[below].astype(w.dtype, copy=False)
+        cols[own] = w.transpose(0, 2, 1) @ yk.astype(w.dtype, copy=False)
 
 
 def check_rhs(b: np.ndarray, n: int) -> np.ndarray:

@@ -60,6 +60,9 @@ class ScheduledTask:
     end: float
     policy: str
     gang: bool = False
+    #: bytes per word of the update it hands its parent
+    #: (:meth:`repro.policies.base.Policy.update_word` of the policy it ran)
+    update_word: int = 8
 
     @property
     def elapsed(self) -> float:
@@ -85,7 +88,8 @@ def list_schedule(
 
     n_super = sf.n_supernodes
     p = pool.n_workers
-    pricer = TaskPricer(sf, policy, pool.node.model, pool.workers)
+    model = pool.node.model
+    pricer = TaskPricer(sf, policy, model, pool.workers)
     asm = pricer.assembly_times()
     # upward rank: seconds from this task to the root, inclusive
     rank = pricer.upward_ranks()
@@ -118,7 +122,9 @@ def list_schedule(
             for w in range(p):
                 worker_free[w] = end
                 worker_busy[w] += (end - start)
-            schedule.append(ScheduledTask(s, -1, start, end, base.name, True))
+            schedule.append(ScheduledTask(
+                s, -1, start, end, base.name, True, base.update_word(model)
+            ))
         else:
             # earliest-start placement, priced on the worker it lands on
             # (a worker that owns no GPU runs a device policy as host P1)
@@ -131,7 +137,9 @@ def list_schedule(
             end = start + dur
             worker_free[best_w] = end
             worker_busy[best_w] += dur
-            schedule.append(ScheduledTask(s, best_w, start, end, base.name, False))
+            schedule.append(ScheduledTask(
+                s, best_w, start, end, base.name, False, base.update_word(model)
+            ))
         finish[s] = end
         done += 1
         parent = int(sf.sparent[s])

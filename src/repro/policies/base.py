@@ -108,6 +108,11 @@ class Policy:
 
     name: str = "?"
     needs_gpu: bool = True
+    #: whether :meth:`apply` factors a device copy of the front and
+    #: returns the panel and U in the device dtype (``PolicyP4``): the
+    #: factor keeps that panel, and the update stays in the device word
+    #: until the parent's extend-add widens it
+    device_front: bool = False
     #: the host policy :meth:`resolve` falls back to (``PolicyP1``, set
     #: below its definition; a selector's own table may supply another)
     fallback: "Policy"
@@ -138,6 +143,17 @@ class Policy:
         )):
             return self.fallback
         return want
+
+    def update_word(self, model: PerfModel) -> int:
+        """Bytes per word of the update an :meth:`apply` of this policy
+        hands its parent under ``model``."""
+        return model.gpu_word if self.device_front else model.CPU_WORD
+
+    def inverts_blocks(self, m: int, k: int) -> bool:
+        """Whether the panel solves of an (m, k) call invert every
+        ``SUBSTITUTION_BLOCK``-column diagonal block of its pivot block,
+        so :meth:`apply` can leave them in an ``inverses=`` output."""
+        return False
 
     # -- planning ---------------------------------------------------------
     def kernel_calls(self, m: int, k: int) -> list[KernelCall]:
@@ -214,6 +230,10 @@ class PolicyP1(Policy):
             roles.update(trsm=t_trsm, syrk=t_syrk)
             last = t_syrk
         return FUPlan(graph, last, roles)
+
+    def inverts_blocks(self, m, k):
+        # the one panel solve, on every block of L1, needs rows below
+        return m > 0
 
     def apply(self, front, k, worker, inverses=None):
         """As :meth:`Policy.apply`; ``inverses`` receives the inverses of
@@ -412,9 +432,11 @@ class PolicyP4(Policy):
 
     ``apply`` writes nothing back into the host front: the panel and U it
     returns are views of the device front, in the device dtype, and the
-    numerics pass widens the panel straight into the factor and hands U
-    to the parent's extend-add as it is (a float32 value widens to
-    float64 exactly, so every sum downstream keeps its bits).
+    numerics pass copies the panel into the factor as it is — a float32
+    factor keeps float32 panels, which the solve phase applies in
+    float32 — and hands U to the parent's extend-add as it is (a float32
+    value widens to float64 exactly, so every sum downstream keeps its
+    bits).
 
     ``copy_optimized=True`` models the Section VI-C variant discovered
     for the multi-GPU runs: triangle-only transfer volumes and the U
@@ -423,6 +445,7 @@ class PolicyP4(Policy):
     """
 
     name = "P4"
+    device_front = True
 
     def __init__(self, *, copy_optimized: bool = False, panel_width: int | None = None):
         self.copy_optimized = copy_optimized
@@ -510,10 +533,24 @@ class PolicyP4(Policy):
             roles["d2h_u"] = t_d2h_u
         return FUPlan(graph, t_done, roles)
 
-    def apply(self, front, k, worker):
+    def inverts_blocks(self, m, k):
+        # a trsm follows every panel, and every panel but the last is
+        # whole blocks wide
+        return m > 0 and self._width(k) % hk.SUBSTITUTION_BLOCK == 0
+
+    def apply(self, front, k, worker, inverses=None, workspace=None):
+        """As :meth:`Policy.apply`.  ``workspace`` is a flat device-dtype
+        buffer the device front is copied into (a new one by default),
+        and ``inverses`` receives the inverses of the pivot block's
+        diagonal blocks the device panel solves compute, where
+        :meth:`inverts_blocks` says they invert them all
+        (:func:`repro.dense.blocked.blocked_cholesky_panels`)."""
         ctx = worker.gpu.cublas
-        f_dev = front.astype(ctx.dtype)               # H2D of the whole front
-        blocked_cholesky_panels(f_dev, k, self._width(k), ctx)
+        if workspace is None:
+            workspace = np.empty(front.size, ctx.dtype)
+        f_dev = workspace[:front.size].reshape(front.shape)
+        np.copyto(f_dev, front)                       # H2D of the whole front
+        blocked_cholesky_panels(f_dev, k, self._width(k), ctx, inverses)
         return f_dev[..., :k], f_dev[..., k:, k:]     # D2H by the caller
 
 

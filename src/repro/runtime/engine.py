@@ -24,7 +24,13 @@ mapping it is handed, not the loop:
   :mod:`repro.symbolic.stack`) plus the device high-water mark (the
   grow-only :class:`~repro.gpu.allocator.HighWaterMarkPool` of each
   simulated GPU) and refuses to start the front when the projection
-  exceeds the budget — the task is deferred, not dropped.  If deferral
+  exceeds the budget — the task is deferred, not dropped.  A started
+  front's update is charged at the word of the policy it resolved to (a
+  device front's stays in the device word,
+  :meth:`~repro.policies.base.Policy.update_word`) and
+  freed by what it was charged; a front not yet started is projected at
+  the host word, which no policy exceeds, so admission never reserves
+  too little.  If deferral
   ever gridlocks the machine (nothing running, no event pending,
   nothing admissible), the single best task is force-admitted so
   completion is guaranteed;
@@ -207,18 +213,21 @@ def schedule_peak_update_bytes(
     Uses the runtime's (conservative) dispatch-time accounting: a task's
     children are freed when it *starts* (assembly consumes them) and its
     own update is charged from its start, so concurrent tasks' future
-    outputs count as live.  On a serial schedule this coincides with
+    outputs count as live.  A task is charged at the word of the policy
+    it ran (``t.update_word``).  On a serial host schedule this coincides with
     :func:`repro.symbolic.stack.estimate_peak_update_bytes`; on a
     parallel one it prices what the machine must actually hold.
     """
     kids = sf.schildren()
     order = sorted(schedule, key=lambda t: (t.start, t.end, t.sid))
+    charged: dict[int, int] = {}
     live = 0
     peak = 0
     for t in order:
         for c in kids[t.sid]:
-            live -= update_bytes(sf, c)
-        live += update_bytes(sf, t.sid)
+            live -= charged.pop(c)
+        charged[t.sid] = sf.update_size(t.sid) ** 2 * t.update_word
+        live += charged[t.sid]
         peak = max(peak, live)
     return peak
 
@@ -229,6 +238,7 @@ class _Running:
     start: float
     end: float
     policy: str
+    update_word: int
     device_bytes: int
     degraded: bool
 
@@ -279,6 +289,7 @@ class DynamicRuntime:
 
         self._kids = sf.schildren()
         self._gpu_workers = [w for w in workers if w.has_gpu]
+        self._model = model
         self._pricer = TaskPricer(sf, policy, model, workers)
         self._asm = self._pricer.assembly_times()
         self._rank = self._pricer.upward_ranks()
@@ -293,7 +304,8 @@ class DynamicRuntime:
         )
 
     def _freed_bytes(self, s: int) -> int:
-        return sum(update_bytes(self.sf, c) for c in self._kids[s])
+        """What the children of ready task ``s`` were charged."""
+        return sum(self._charged[c] for c in self._kids[s])
 
     def _projected(self, s: int) -> int:
         stack = self._live - self._freed_bytes(s) + update_bytes(self.sf, s)
@@ -316,6 +328,8 @@ class DynamicRuntime:
         self._running: dict[int, _Running] = {}
         self._n_pending = np.array([len(self._kids[s]) for s in range(n)])
         self._live = 0
+        #: update bytes each started task was charged, by supernode
+        self._charged: dict[int, int] = {}
         self._schedule: list[ScheduledTask] = []
         self._spans: list[Span] = []
         self._busy = [0.0] * p
@@ -466,9 +480,12 @@ class DynamicRuntime:
 
         duration = float(self._asm[s]) + fu + alloc_cost + stall + wasted
         # Liu accounting, charged conservatively at dispatch: children are
-        # consumed by the assembly, our own update is budgeted up front
+        # consumed by the assembly, our own update is budgeted up front,
+        # in the word of the policy it runs
         self._live -= self._freed_bytes(s)
-        self._live += update_bytes(self.sf, s)
+        word = base.update_word(self._model)
+        self._charged[s] = m * m * word
+        self._live += self._charged[s]
         high_water = self._device_high_water()
         counts = self._counts
         for name, value in (
@@ -477,7 +494,9 @@ class DynamicRuntime:
             ("peak_admitted_bytes", self._live + high_water),
         ):
             counts[name] = max(counts[name], value)
-        run = _Running(s, t0, t0 + duration, base.name, device_bytes, degraded)
+        run = _Running(
+            s, t0, t0 + duration, base.name, word, device_bytes, degraded
+        )
         self._running[w] = run
         self._events.push(run.end, (self._complete, (w,)))
 
@@ -489,7 +508,9 @@ class DynamicRuntime:
         if run.device_bytes and worker.has_gpu:
             worker.gpu.device_pool.release(run.device_bytes)
         self._schedule.append(
-            ScheduledTask(s, w, run.start, run.end, run.policy, False)
+            ScheduledTask(
+                s, w, run.start, run.end, run.policy, False, run.update_word
+            )
         )
         self._add_span(
             f"s{s}:{run.policy}", worker.cpu_engine, run.start, run.end, "fu"

@@ -39,9 +39,9 @@ class RecordingCublas(CublasContext):
         self.calls.append(KernelCall("potrf", k=a.shape[-1]))
         return super().potrf(a)
 
-    def trsm(self, b: np.ndarray, l: np.ndarray) -> np.ndarray:
+    def trsm(self, b: np.ndarray, l: np.ndarray, inverses=None) -> np.ndarray:
         self.calls.append(KernelCall("trsm", m=b.shape[-2], k=l.shape[-1]))
-        return super().trsm(b, l)
+        return super().trsm(b, l, inverses=inverses)
 
     def syrk(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         self.calls.append(KernelCall("syrk", m=x.shape[-2], k=x.shape[-1]))

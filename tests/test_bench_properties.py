@@ -841,14 +841,26 @@ class TestLowerTriangleAssembly:
             workspaces.append(workspace)
             return assemble(plan, a_data, size, s, child_updates, workspace)
 
-        with mock.patch.object(numeric, "assemble_front_planned", spy):
+        devices = []
+        p4_apply = PolicyP4.apply
+
+        def device_spy(self, front, k, worker, **kwargs):
+            devices.append(kwargs["workspace"])
+            return p4_apply(self, front, k, worker, **kwargs)
+
+        with mock.patch.object(numeric, "assemble_front_planned", spy), \
+                mock.patch.object(PolicyP4, "apply", device_spy):
             # stop below the root: its children's updates are handed back
             panels, stacks, leftover, *_ = numeric._numeric_walk(
                 a, sym, [make_policy(policy)] * sym.n_supernodes, worker,
                 sym.spost[:-1], (),
             )
         assert workspaces and all(w is workspaces[0] for w in workspaces)
+        # P4's device fronts and stacks share one device workspace too
+        assert bool(devices) == (policy == "P4")
+        assert all(w is devices[0] for w in devices)
         assert leftover and panels[int(sym.spost[-1])] is None
         handed_out = [p for p in panels if p is not None] + list(leftover.values())
         handed_out += stacks.values()
-        assert not any(np.shares_memory(x, workspaces[0]) for x in handed_out)
+        for buffer in workspaces[:1] + devices[:1]:
+            assert not any(np.shares_memory(x, buffer) for x in handed_out)

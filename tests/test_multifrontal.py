@@ -1,5 +1,6 @@
 """Multifrontal numeric phase: assembly, factorization, solve, refinement."""
 
+import dataclasses
 import sys
 import warnings
 from collections import Counter
@@ -299,9 +300,9 @@ class TestDeviceFrontRoundTrip:
         written, dtypes = [], Counter()
         apply, assemble = PolicyP4.apply, numeric.assemble_front_planned
 
-        def spy_apply(self, front, k, worker):
+        def spy_apply(self, front, k, worker, **kwargs):
             before = front.tobytes()
-            out = apply(self, front, k, worker)
+            out = apply(self, front, k, worker, **kwargs)
             if front.tobytes() != before:
                 written.append(front.shape[0])
             return out
@@ -321,7 +322,27 @@ class TestDeviceFrontRoundTrip:
         )
         assert solver.factor.batched_fronts < solver.symbolic.n_supernodes
         assert written == []
-        assert {p.dtype for p in solver.factor.panels} == {np.dtype(np.float64)}
+        # the panels stay in the device dtype, the stacked ones too
+        assert {p.dtype for p in solver.factor.panels} == {np.dtype(np.float32)}
+        assert {p.dtype for p in solver.factor.stacks.values()} == {np.dtype(np.float32)}
+
+    def test_byproducts_read_the_float32_panels_widened(self):
+        # log det and L are what they were when the walk widened every
+        # panel to float64: a twin holding the widened panels reads the
+        # same bits
+        solver = SparseCholeskySolver(
+            grid_laplacian_3d(9, 8, 7), ordering="nd", policy="P4"
+        ).factorize()
+        factor = solver.factor
+        twin = dataclasses.replace(
+            factor, panels=[p.astype(np.float64) for p in factor.panels], sweep=None
+        )
+        assert factor.log_determinant() == twin.log_determinant()
+        l, l64 = factor.l_matrix(), twin.l_matrix()
+        assert l.data.dtype == np.float64
+        for got, want in ((l.data, l64.data), (l.indices, l64.indices),
+                          (l.indptr, l64.indptr)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("precision,dtype", [("sp", "float32"), ("dp", "float64")])
     def test_device_updates_leave_the_walk_in_the_device_dtype(
@@ -618,9 +639,9 @@ def test_lmco_s_device_round_trip_counts(monkeypatch):
     calls = Counter()
     apply = PolicyP4.apply
 
-    def counting_apply(self, front, k, worker):
+    def counting_apply(self, front, k, worker, **kwargs):
         before = front.tobytes()
-        out = apply(self, front, k, worker)
+        out = apply(self, front, k, worker, **kwargs)
         row = "" if front.ndim == 2 else "stacked "
         calls[row + "apply"] += 1
         calls[row + "written back"] += front.tobytes() != before
@@ -633,6 +654,56 @@ def test_lmco_s_device_round_trip_counts(monkeypatch):
         "stacked apply": 18, "stacked written back": 0,
     })
     assert solver.factor.peak_update_bytes == 6_712_164
+
+
+def test_lmco_s_fp32_factor_counts(monkeypatch):
+    """The counts-gate CI runs by name: one warm refactorize + solve of
+    lmco_s/nd under P4 on the event-driven runtime (2 CPUs + 2 GPUs).
+    Every device-resolved panel, the stacked ones too, stays float32, and
+    the walk casts none of the float32 panels ``PolicyP4.apply`` returns
+    to float64 (363 + 18 such casts before, one per front or stack, 29.3
+    MB of float64 panels); the factor holds exactly half the panel
+    bytes of its float64 twin.  Refinement of the float32 factor applied
+    in float32 still takes one step, to a backward error within 1e-12."""
+    from repro.policies.base import PolicyP4
+    from repro.service.cache import numeric_nbytes, symbolic_nbytes
+
+    a = load_test_matrix("lmco_s")
+    solver = SparseCholeskySolver(
+        a, ordering="nd", policy="P4", backend="dynamic",
+        node=SimulatedNode(n_cpus=2, n_gpus=2),
+    ).factorize()
+    casts = Counter()
+
+    class Watched(np.ndarray):
+        """A returned panel that counts the casts made of it."""
+
+        def astype(self, dtype, *args, **kwargs):
+            casts[f"{self.dtype.name} -> {np.dtype(dtype).name}"] += 1
+            return np.asarray(self).astype(dtype, *args, **kwargs)
+
+    apply = PolicyP4.apply
+
+    def watched_apply(self, front, k, worker, **kwargs):
+        panel, u = apply(self, front, k, worker, **kwargs)
+        return panel.view(Watched), u
+
+    monkeypatch.setattr(PolicyP4, "apply", watched_apply)
+    solver.refactorize(a.data)
+    monkeypatch.undo()
+    assert casts == Counter({"float32 -> float32": 363 + 18})
+    factor = solver.factor
+    on_device = {s for s, p in enumerate(solver.parallel.bases) if p.name == "P4"}
+    assert len(on_device) == factor.sf.n_supernodes == 1983
+    assert {factor.panels[s].dtype for s in on_device} == {np.dtype(np.float32)}
+    assert {p.dtype for p in factor.stacks.values()} == {np.dtype(np.float32)}
+    panel_bytes = numeric_nbytes(factor) - symbolic_nbytes(factor.sf)
+    assert 2 * panel_bytes == sum(p.astype(np.float64).nbytes for p in factor.panels)
+
+    b = np.random.default_rng(7).normal(size=a.n_rows)
+    res = solver.solve_refined(b)
+    assert res.iterations == 1 and res.converged
+    assert res.final_residual <= 1e-12
 
 
 @pytest.mark.parametrize("case,policy,fronts,stacks,stacked", [

@@ -132,28 +132,32 @@ def solve_per_supernode(factor, b):
     """The sweeps as one loop over supernodes that slices the panels as it
     goes and applies every ``SUBSTITUTION_BLOCK`` diagonal block of every
     pivot block, however narrow, through the inverse computed from that
-    block alone: ``solve_factored``'s stacked groups, per-factor buffer
-    and one-block shortcut must reproduce it bit for bit."""
+    block alone, each panel in its own dtype (the slice of ``y`` rounded
+    to it, the product widened as it is subtracted or written):
+    ``solve_factored``'s stacked groups, per-factor buffer and one-block
+    shortcut must reproduce it bit for bit."""
     sf, nb = factor.sf, SUBSTITUTION_BLOCK
     y = np.asarray(b, dtype=np.float64)[sf.perm].copy()
     for s in range(sf.n_supernodes):
         f, k, rows, panel = int(sf.super_ptr[s]), sf.width(s), sf.rows[s], factor.panels[s]
+        lo = panel.dtype
         for j0 in range(0, k, nb):
             j1 = min(j0 + nb, k)
             if j0:
-                y[f + j0:f + j1] -= panel[j0:j1, :j0] @ y[f:f + j0]
-            y[f + j0:f + j1] = block_inverse(panel[j0:j1, j0:j1]) @ y[f + j0:f + j1]
+                y[f + j0:f + j1] -= panel[j0:j1, :j0] @ y[f:f + j0].astype(lo)
+            y[f + j0:f + j1] = block_inverse(panel[j0:j1, j0:j1]) @ y[f + j0:f + j1].astype(lo)
         if rows.size > k:
-            y[rows[k:]] -= panel[k:, :] @ y[f:f + k]
+            y[rows[k:]] -= panel[k:, :] @ y[f:f + k].astype(lo)
     for s in range(sf.n_supernodes - 1, -1, -1):
         f, k, rows, panel = int(sf.super_ptr[s]), sf.width(s), sf.rows[s], factor.panels[s]
+        lo = panel.dtype
         if rows.size > k:
-            y[f:f + k] -= panel[k:, :].T @ y[rows[k:]]
+            y[f:f + k] -= panel[k:, :].T @ y[rows[k:]].astype(lo)
         for j0 in reversed(range(0, k, nb)):
             j1 = min(j0 + nb, k)
             if j1 < k:
-                y[f + j0:f + j1] -= panel[j1:k, j0:j1].T @ y[f + j1:f + k]
-            y[f + j0:f + j1] = block_inverse(panel[j0:j1, j0:j1]).T @ y[f + j0:f + j1]
+                y[f + j0:f + j1] -= panel[j1:k, j0:j1].T @ y[f + j1:f + k].astype(lo)
+            y[f + j0:f + j1] = block_inverse(panel[j0:j1, j0:j1]).T @ y[f + j0:f + j1].astype(lo)
     x = np.empty_like(y)
     x[sf.perm] = y
     return x

@@ -217,7 +217,14 @@ class TestBlockRefinement:
         for j in range(2):
             one = iterative_refinement(solver.a, solver.factor, b[:, j])
             assert one.iterations == res.iterations[j]
-            np.testing.assert_allclose(res.x[:, j], one.x, rtol=1e-12, atol=1e-14)
+            # the float32 factor is applied in float32, where a block's
+            # products round otherwise than one column's: both answers
+            # are held to the certificate, not to each other's bits
+            assert one.converged
+            for x in (res.x[:, j], one.x):
+                assert normwise_backward_error(a, x, b[:, j]) <= backward_error_bound(
+                    a.n_rows, 1e-12
+                )
             assert res.final_residual[j] <= backward_error_bound(a.n_rows, 1e-12)
 
     def test_a_one_column_block_is_the_1d_refinement_bit_for_bit(self):

@@ -5,6 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.gpu.perfmodel import tesla_t10_model
 from repro.matrices import grid_laplacian_2d, grid_laplacian_3d
 from repro.multifrontal import solve_factored
 from repro.multifrontal.numeric import postorder_numeric_factor
@@ -171,6 +172,37 @@ class TestMemoryAdmission:
         res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(1, 0))
         assert schedule_peak_update_bytes(sf, res.schedule) == \
             res.stats.peak_stack_bytes
+
+    @pytest.mark.parametrize("precision,ratio", [("sp", 2), ("dp", 1)])
+    def test_device_updates_are_charged_at_the_device_word(
+        self, problem, precision, ratio
+    ):
+        # a P4 update stays in the device word until its parent's
+        # extend-add: on one GPU worker every front runs P4, and the stack
+        # holds half the host-word bytes under sp, all of them under dp; a
+        # budget projects a ready front at the host word
+        _, sf = problem
+        model = tesla_t10_model().with_precision(precision)
+        res = dynamic_schedule(
+            sf, make_policy("P4"), make_worker_pool(1, 1, model=model)
+        )
+        assert {t.policy for t in res.schedule} == {"P4"}
+        assert {t.update_word for t in res.schedule} == {model.gpu_word}
+        assert ratio * res.stats.peak_stack_bytes == estimate_peak_update_bytes(
+            sf, [t.sid for t in res.schedule]
+        )
+        assert schedule_peak_update_bytes(sf, res.schedule) == \
+            res.stats.peak_stack_bytes
+        static = list_schedule(
+            sf, make_policy("P4"), make_worker_pool(1, 1, model=model)
+        )
+        assert {t.update_word for t in static.schedule} == {model.gpu_word}
+        budget = res.stats.peak_admitted_bytes
+        capped = dynamic_schedule(
+            sf, make_policy("P4"), make_worker_pool(1, 1, model=model),
+            memory_budget=budget,
+        )
+        assert capped.stats.peak_admitted_bytes <= budget
 
 
 class TestFaults:

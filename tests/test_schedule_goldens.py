@@ -21,6 +21,12 @@ admission budget; injected faults; gang scheduling on and off.
 ``REPRICED`` lists the only digests that differ from the parent: static
 schedules on GPU-less or mixed pools under a device-capable policy,
 which the parent priced at device speed on workers that own no GPU.
+``REWORDED`` lists the digests that moved when the runtime began to
+charge a device front's update at the device word: every dynamic P4 run
+on a pool with a GPU.  Without a budget only the two memory counters of
+its ``RuntimeStats`` moved (``UNMOVED_SCHEDULES`` pins the rest, computed
+before the change); under a budget the admission, and so the schedule,
+moved too.
 """
 
 from __future__ import annotations
@@ -85,6 +91,57 @@ REPRICED.update({
     "static/grid3d/P4/c4g2/nogang": "8842b0cecb4a4828",
 })
 
+#: the 24 digests that moved with the change that charged each started front's
+#: update at the word of the policy it resolved to (key -> digest after):
+#: a P4 update is kept in the device's float32, half the host word
+REWORDED: dict[str, str] = {
+    "dynamic/geo24/P4/c1g1/budget": "4fc6e1cf3f3158c9",
+    "dynamic/geo24/P4/c1g1/faults": "256dd862f8ce1ce6",
+    "dynamic/geo24/P4/c1g1/plain": "4fc6e1cf3f3158c9",
+    "dynamic/geo24/P4/c2g2/budget": "4e7849dfbb8fe7d9",
+    "dynamic/geo24/P4/c2g2/faults": "b8d7311b416b1f77",
+    "dynamic/geo24/P4/c2g2/plain": "4e7849dfbb8fe7d9",
+    "dynamic/geo24/P4/c4g2/budget": "ceda22fbb96fee5c",
+    "dynamic/geo24/P4/c4g2/faults": "9e29ce0986586916",
+    "dynamic/geo24/P4/c4g2/plain": "b0f63cec6ddab743",
+    "dynamic/geo24/P4/c4g4/budget": "88a7230bced0920f",
+    "dynamic/geo24/P4/c4g4/faults": "1a5311ed662727a0",
+    "dynamic/geo24/P4/c4g4/plain": "88a7230bced0920f",
+    "dynamic/grid3d/P4/c1g1/budget": "419838ba352f3dc4",
+    "dynamic/grid3d/P4/c1g1/faults": "b5d69c2e5ff65307",
+    "dynamic/grid3d/P4/c1g1/plain": "da7b705e47b124e4",
+    "dynamic/grid3d/P4/c2g2/budget": "4eaf20f8d269610e",
+    "dynamic/grid3d/P4/c2g2/faults": "e454269657ff9250",
+    "dynamic/grid3d/P4/c2g2/plain": "72c3a5a2e6366e19",
+    "dynamic/grid3d/P4/c4g2/budget": "b7d9e12a48092d1e",
+    "dynamic/grid3d/P4/c4g2/faults": "f1f0179a99c531a9",
+    "dynamic/grid3d/P4/c4g2/plain": "e1bfcd157a5ccb73",
+    "dynamic/grid3d/P4/c4g4/budget": "6d55dcaf6aaac717",
+    "dynamic/grid3d/P4/c4g4/faults": "d7237ef47f7bc8a3",
+    "dynamic/grid3d/P4/c4g4/plain": "4c7f33f547fc5787",
+}
+#: the unbudgeted ``REWORDED`` runs, digested without ``peak_stack_bytes``
+#: and ``peak_admitted_bytes`` (:func:`digest_dynamic_schedule`), as
+#: computed before that change: their schedules did not move
+UNMOVED_SCHEDULES: dict[str, str] = {
+    "dynamic/geo24/P4/c1g1/faults": "f26a2749b23d15d7",
+    "dynamic/geo24/P4/c1g1/plain": "79ff9664c4a9bb3b",
+    "dynamic/geo24/P4/c2g2/faults": "c97c6ee3a58bfadb",
+    "dynamic/geo24/P4/c2g2/plain": "a4603d98c28dec9b",
+    "dynamic/geo24/P4/c4g2/faults": "35de99bc42c21963",
+    "dynamic/geo24/P4/c4g2/plain": "4e234b614ae697e9",
+    "dynamic/geo24/P4/c4g4/faults": "725f8caf1d63ce78",
+    "dynamic/geo24/P4/c4g4/plain": "164beade76a4a9b5",
+    "dynamic/grid3d/P4/c1g1/faults": "6df957386c75e3a3",
+    "dynamic/grid3d/P4/c1g1/plain": "4d2c501f1afe891c",
+    "dynamic/grid3d/P4/c2g2/faults": "7b1e3ddab604f6e2",
+    "dynamic/grid3d/P4/c2g2/plain": "2fd686ec98f55e5d",
+    "dynamic/grid3d/P4/c4g2/faults": "e455f9a653d3c2b1",
+    "dynamic/grid3d/P4/c4g2/plain": "5e50cbb869e5b733",
+    "dynamic/grid3d/P4/c4g4/faults": "2256dcf0c3c3a4b6",
+    "dynamic/grid3d/P4/c4g4/plain": "7132c60642292f05",
+}
+
 
 def _hex(x) -> str:
     return float(x).hex()
@@ -117,6 +174,15 @@ def digest_dynamic(res) -> str:
         _spans(res),
         dataclasses.astuple(res.stats),
         sorted(res.degraded_sids),
+    ])
+
+
+def digest_dynamic_schedule(res) -> str:
+    """:func:`digest_dynamic` without the update-stack memory counters."""
+    stats = dataclasses.asdict(res.stats)
+    del stats["peak_stack_bytes"], stats["peak_admitted_bytes"]
+    return _seal(_common(res) + [
+        _spans(res), sorted(stats.items()), sorted(res.degraded_sids),
     ])
 
 
@@ -190,7 +256,7 @@ def test_every_axis_is_covered(computed):
 
 @pytest.mark.parametrize("key", sorted(GOLDENS))
 def test_schedule_digest(computed, key):
-    assert computed[key] == REPRICED.get(key, GOLDENS[key])
+    assert computed[key] == REPRICED.get(key, REWORDED.get(key, GOLDENS[key]))
 
 
 def test_repriced_are_static_device_policies_on_gpu_poor_pools():
@@ -203,6 +269,31 @@ def test_repriced_are_static_device_policies_on_gpu_poor_pools():
         cpus, gpus = int(pool[1]), int(pool[3])
         assert kind == "static" and policy != "P1" and gpus < cpus, key
         assert after != GOLDENS[key], key
+
+
+
+def test_reworded_are_dynamic_device_runs():
+    """The digests the device-word charge moved are exactly the dynamic
+    P4 runs on a pool with a GPU, and every unbudgeted one of them has a
+    schedule pinned from before."""
+    assert len(REWORDED) == 24 and not set(REWORDED) & set(REPRICED)
+    for key, after in REWORDED.items():
+        kind, _, policy, pool, mode = key.split("/")
+        assert kind == "dynamic" and policy == "P4" and int(pool[3]) > 0, key
+        assert after != GOLDENS[key], key
+        assert (mode == "budget") == (key not in UNMOVED_SCHEDULES), key
+    assert len(UNMOVED_SCHEDULES) == 16
+
+
+@pytest.mark.parametrize("key", sorted(UNMOVED_SCHEDULES))
+def test_unbudgeted_schedules_did_not_move(key):
+    _, wname, pname, pool, mode = key.split("/")
+    res = dynamic_schedule(
+        WORKLOADS[wname](), POLICIES[pname](),
+        make_worker_pool(int(pool[1]), int(pool[3]), model=tesla_t10_model()),
+        **DYNAMIC_MODES[mode](wname),
+    )
+    assert digest_dynamic_schedule(res) == UNMOVED_SCHEDULES[key]
 
 
 if __name__ == "__main__":

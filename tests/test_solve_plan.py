@@ -287,18 +287,23 @@ def test_lmco_s_inverses_are_a_tenth_of_the_panels(lmco_s_factor):
 @pytest.mark.parametrize("case,policy,total,in_bind", [
     ("lmco_s/nd", "P1", 2124, 18),
     ("grid_laplacian_2d/amd", "P1", 1032, 3),
-    # fp32 panel solves: their inverses are not the fp64 ones the sweeps
-    # apply, so the solve phase inverts every block again
-    ("lmco_s/nd", "P4", 4246, 2124),
+    # the device panel solves leave their float32 inverses, which the
+    # sweeps apply to the float32 panels; bind inverts the root's (m = 0)
+    # after the first panels' trsm inverted 16 of its 18 blocks (4 246 /
+    # 2 124 before, when the panels were widened and bind inverted every
+    # block again)
+    ("lmco_s/nd", "P4", 2140, 18),
 ])
 def test_invert_once_counts(case, policy, total, in_bind):
     """The counts-gate CI runs by name: over one warm refactorize + solve,
     the matrices handed to ``np.linalg.inv`` (a stack counts each of its
     blocks).  The host panel solves leave their diagonal-block inverses
-    in the factor's buffer, so ``SolvePlan.bind`` inverts only what no
-    fp64 panel solve produced — roots with nothing below their pivots,
-    and fp32 fronts.  Before, bind inverted every block again: 4 230 on
-    ``lmco_s``/nd P1 and 2 061 on the grid, and it still does on P4.  The
+    in the factor's buffer, and so do the device panel solves of P4 in
+    float32, so ``SolvePlan.bind`` inverts only what no panel solve
+    produced — roots with nothing below their pivots, and device fronts
+    whose panel width is not a multiple of the block.  Before, bind
+    inverted every block again: 4 230 on ``lmco_s``/nd P1, 2 061 on the
+    grid and 4 246 on P4.  The
     inverses come out as a bind from the panels computes them, so ``x``
     is the same, bit for bit."""
     name, ordering = case.split("/")

@@ -16,6 +16,7 @@ from repro.autotune import (
 from repro.gpu import SimulatedNode, tesla_t10_model
 from repro.multifrontal import factorize_numeric, numeric, solve_factored
 from repro.multifrontal.numeric import postorder_numeric_factor, replay_factorize
+from repro.multifrontal.refine import backward_error_bound
 from repro.parallel import Cluster, Dynamic, WorkerPool, parallel_schedule
 from repro.policies import BaselineHybrid, make_policy
 from repro.runtime import FaultInjector
@@ -381,8 +382,15 @@ class TestEveryBackendEveryNodeOneFactor:
                 assert s.stats.policy_counts == {"P1": sf.n_supernodes}
 
         b = np.ones(a.n_rows)
-        x = serial.solve(b)
-        assert np.abs(a.matvec(x) - b).max() <= 1e-10 * np.abs(b).max()
+        if any(p.dtype == np.float32 for p in serial.factor.panels):
+            # a float32 factor is applied in float32: its answer is held
+            # to the library's certificate
+            res = serial.solve_refined(b)
+            assert res.converged
+            assert res.final_residual <= backward_error_bound(a.n_rows, 1e-12)
+        else:
+            x = serial.solve(b)
+            assert np.abs(a.matvec(x) - b).max() <= 1e-10 * np.abs(b).max()
 
         # "front larger than device memory", counted where it happened: on
         # the GPU worker (worker 0 of this pool), once per such task
