@@ -105,8 +105,9 @@ def blocked_cholesky_panels(
     ``SUBSTITUTION_BLOCK``-column diagonal blocks, in the layout
     :func:`repro.dense.kernels.trsm_right_lower` takes for the whole
     pivot block.  It needs every panel to be whole blocks wide but the
-    last (``w`` a multiple of the block) and a trsm after every panel
-    (``k < s``).
+    last (``w`` a multiple of the block).  A panel with no rows below it
+    — the last of a front with ``k == s`` — runs no trsm and leaves its
+    blocks' places as they were.
     """
     s = f.shape[-1]
     if f.ndim < 2 or f.shape[-2] != s:
@@ -116,8 +117,8 @@ def blocked_cholesky_panels(
     if w <= 0:
         raise ValueError("panel width must be positive")
     nb = hk.SUBSTITUTION_BLOCK
-    if inverses is not None and (w % nb or k == s):
-        raise ValueError("inverses need whole-block panels and rows below the pivots")
+    if inverses is not None and w % nb:
+        raise ValueError("inverses need whole-block panels")
     for j in range(0, k, w):
         wj = min(w, k - j)
         # 1. factor the diagonal block; potrf returns a zero upper

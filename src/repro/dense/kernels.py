@@ -177,6 +177,7 @@ def trsm_right_lower(
     *,
     counts: KernelCounts | None = None,
     inverses: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve ``X L^T = B`` for X, with L lower triangular (the panel solve
     ``L2 <- L2 L1^-T`` of the F-U operation), or every slice of a
@@ -194,6 +195,9 @@ def trsm_right_lower(
     blocks and a ``(..., 1, t, t)`` one for a tail of ``t`` columns
     (``(..., 0, 0, 0)`` without), the layout of the solve phase's buffer
     (:class:`repro.multifrontal.solve.SolvePlan`).
+
+    ``out`` (B's shape, not overlapping B or L) receives X, bit for bit
+    the X a new array would hold; without it X is a new array.
     """
     b = np.asarray(b)
     l = np.asarray(l)
@@ -222,9 +226,13 @@ def trsm_right_lower(
             out=None if out_tail is None else out_tail[..., 0, :, :],
         ))
     if k <= nb:
-        x = b @ w[0].mT
+        x = np.matmul(b, w[0].mT, out=out)
     else:
-        x = b.astype(b.dtype, copy=True)
+        if out is None:
+            x = b.astype(b.dtype, copy=True)
+        else:
+            x = out
+            x[...] = b
         for j0, wj in zip(range(0, k, nb), w):
             j1 = j0 + wj.shape[-1]
             if j0:
@@ -257,10 +265,18 @@ _SYRK_ROWS = 128
 
 
 def syrk(
-    c: np.ndarray, x: np.ndarray, *, counts: KernelCounts | None = None
+    c: np.ndarray,
+    x: np.ndarray,
+    *,
+    counts: KernelCounts | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Symmetric rank-k update ``C <- C - X X^T`` (in place), on the
     lower triangle of ``C``, or of every slice of a ``(..., m, m)`` stack.
+    With ``out`` (C's shape, not overlapping C or X) C is left as it is
+    and ``C - X X^T`` is written into ``out`` instead, bit for bit what
+    C would hold; the strictly-upper blocks the row blocks do not touch
+    are zero-filled there, so every element of ``out`` is set.
 
     The multifrontal update block U is live in its lower triangle only:
     that is all the planned assembly writes into a front and all that is
@@ -275,15 +291,23 @@ def syrk(
     m = x.shape[-2]
     if c.shape[-2:] != (m, m):
         raise ValueError(f"shape mismatch: C {c.shape} vs X {x.shape}")
+    if out is None:
+        out = c
     if m < _SYRK_CUT:
-        c -= x @ x.mT
+        # into ``out`` itself where it is not C: no m x m temporary
+        np.subtract(c, x @ x.mT if out is c else np.matmul(x, x.mT, out=out), out=out)
     else:
         for i0 in range(0, m, _SYRK_ROWS):
             i1 = min(i0 + _SYRK_ROWS, m)
-            c[..., i0:i1, :i1] -= x[..., i0:i1, :] @ x[..., :i1, :].mT
+            np.subtract(
+                c[..., i0:i1, :i1], x[..., i0:i1, :] @ x[..., :i1, :].mT,
+                out=out[..., i0:i1, :i1],
+            )
+            if out is not c:
+                out[..., i0:i1, i1:] = 0.0
     if counts is not None:
         counts.add("syrk", syrk_flops(m, x.shape[-1]), _slices(x))
-    return c
+    return out
 
 
 def gemm(

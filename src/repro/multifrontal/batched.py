@@ -129,6 +129,6 @@ def assemble_group(a_data: np.ndarray, g: BatchGroup) -> np.ndarray:
     assembled from the canonical ``a_data`` by one gather and one scatter
     (slice ``i`` is ``g.sids[i]``'s front)."""
     stack = np.zeros((len(g), g.size, g.size))
-    # ``+=`` as the per-front assembly does it (-0.0 lands as +0.0)
-    stack.reshape(-1)[g.dst] += a_data[g.src]
+    # added, as the per-front assembly adds A (-0.0 lands as +0.0)
+    np.add.at(stack.reshape(-1), g.dst, a_data[g.src])
     return stack

@@ -11,6 +11,14 @@ followed by ``m`` below-diagonal rows), the frontal matrix F is the
   row list (both sorted, so one ``searchsorted``) and the child's U is
   added at the intersection.
 
+The assembly folds, in this order, the first child's update (assigned
+onto the zero-filled front), A's entries and the other children's
+updates.  A and every child below :data:`RUN_CUT` rows are *scatter
+items*: each maximal stretch of consecutive scatter items past the first
+child is one *segment*, one ``np.add.at`` over a flat index the plan
+precomputes; a larger child is added run by run.  Every element gets
+the same adds in the same order whatever form carries them.
+
 A front, and the update block it hands to its parent, is *live in its
 lower triangle only*: ``potrf`` / ``trsm`` / ``syrk`` never read above
 the diagonal, so :class:`AssemblyPlan` and :func:`assemble_front_planned`
@@ -42,22 +50,35 @@ __all__ = [
 
 
 #: a child whose update block has at least this many rows is extend-added
-#: run by run, a smaller one by one open-grid fancy add (see
+#: run by run, a smaller one as part of a scatter segment (see
 #: :class:`AssemblyPlan`).  Chosen from the cost of extend-adding all
-#: children of a size class of ``lmco_s``/nd once, warm buffers, ms:
+#: children of a size class of ``lmco_s``/nd once, warm buffers, one BLAS
+#: thread, median of 21 rounds, ms: one ``np.add.at`` of the child's whole
+#: square over its int32 flat index (the plan keeps that index, ``MB``),
+#: run by run, and run by run with each stretch of runs narrower than
+#: ``_NARROW_RUN`` as one open grid:
 #:
-#:     update rows  children  runs/child  gather    runs
-#:     < 20          1 611       4.2        7.6     22.6
-#:     20-39            51       5.8        0.46     1.06
-#:     40-63           117       7.1        2.2      3.4
-#:     64-79            29       7.8        0.96     0.99
-#:     80-159          100       9.5        9.5      5.4
-#:     160-319          48      12.0       15.3      5.3
-#:     >= 320           26      11.8       53.1     18.6
+#:     update rows  children  runs/child    MB   scatter   runs  runs, <8 merged
+#:     < 20          1 611       4.2       1.89    9.31    53.33     21.80
+#:     20-39            51       5.8       0.22    0.45     2.56      1.40
+#:     40-63           117       7.1       1.19    1.68     7.09      4.97
+#:     64-79            29       7.8       0.59    0.68     2.09      1.70
+#:     80-159          100       9.5       5.22    6.09    11.64     10.46
+#:     160-319          48      12.0       8.60   10.38    12.59     11.83
+#:     >= 320           26      11.8      28.11   33.32    24.23     23.52
 #:
-#: gather everywhere 89 ms; gather below 64 and runs from there up 40 ms
-#: (203 children, 93 % of the extend-add elements).
+#: the scatter wins up to 320 rows, but its index grows as m^2: from 64
+#: rows up it would hold 14.4 MB more for about 7 ms, so the larger
+#: children keep their runs (203 of them, 93 % of the extend-add
+#: elements) and the plan's index stays near the run form's size.
 RUN_CUT = 64
+#: a column run of a child from ``RUN_CUT`` up narrower than this is
+#: added with its neighbouring narrow runs as one open grid (:func:`_runs`).
+#: Every extend-add of those children of one warm ``lmco_s``/nd walk,
+#: replayed, median of 25 interleaved rounds, ms, by the cut (1: runs
+#: only): 1 -> 52.2, 4 -> 51.8, 8 -> 49.7, 16 -> 50.5, 32 -> 58.3,
+#: 64 -> 70.0
+_NARROW_RUN = 8
 
 
 #: a front of at least this many rows is zero-filled on its lower
@@ -102,21 +123,29 @@ class AssemblyPlan:
     ``src`` / ``dst`` cover the lower triangle of the front only (nothing
     is mirrored above the diagonal).  Scatter destinations within one
     front are unique by construction (CSC stores each (row, col) once),
-    so a single fancy-indexed add reproduces a per-column scatter loop
-    (the oracle, ``tests/reference_assembly.py``) bit for bit on that
+    so one add over them reproduces a per-column scatter loop (the
+    oracle, ``tests/reference_assembly.py``) bit for bit on that
     triangle.
 
     A child's update rows sit in its parent's front at positions ``idx``
-    (ascending).  Below :data:`RUN_CUT` rows the plan keeps ``idx`` as
-    the open-grid pair ``rel_row`` / ``rel_col`` and the extend-add is
-    one fancy add of the whole square; from the cut up it keeps ``runs``,
-    the maximal stretches of consecutive positions, and the extend-add is
-    one ``front[idx[lo:], p:q] += U[lo:, lo:hi]`` per run — every row a
-    contiguous segment, covering the lower trapezoid of U (plus the upper
-    half of each run's own diagonal square, which nobody reads).  Both
-    forms add the same child values to the same lower-triangle entries in
-    the same child order, so which side of the cut a child falls on
-    cannot be seen in the factor.
+    (ascending).  Each front's fold — its first child, A, its other
+    children, ascending — is cut into ``fold`` steps: a *segment*
+    ``(idx, lo, hi)``, a maximal stretch of A (in the first segment
+    only) and children ``lo:hi`` below :data:`RUN_CUT` rows, added by one
+    ``np.add.at`` over the flat index ``idx`` (A's ``dst``, then each
+    child's whole update square, row by row; int32 where ``n**2`` fits),
+    or the position of a child from the cut up, added by its ``runs``:
+    one ``front[idx[lo:], p:q] += U[lo:, lo:hi]`` per maximal run of
+    consecutive positions — every row a contiguous segment, covering the
+    lower trapezoid of U (plus the upper half of each run's own diagonal
+    square, which nobody reads) — and one open-grid add per stretch of
+    runs narrower than ``_NARROW_RUN`` (whose extra rows land above the
+    diagonal).  The first child is assigned, not added: whole at its
+    ``place`` below the cut, run by run from it.  ``np.add.at`` adds
+    element after element, so every form adds the same child values to
+    the same lower-triangle entries in the same order, and no cut can be
+    seen in the factor.  ``dst``, ``place`` and the segments' indices
+    are views of one array, built with whole-plan array operations.
 
     ``groups`` holds the stackable leaf groups of the tree
     (:func:`repro.multifrontal.batched.batch_groups`), each carrying its
@@ -125,7 +154,7 @@ class AssemblyPlan:
     """
 
     __slots__ = (
-        "src", "dst", "rel_row", "rel_col", "runs", "groups",
+        "src", "dst", "place", "runs", "fold", "n_kids", "groups",
         "_indptr", "_indices",
     )
 
@@ -133,18 +162,25 @@ class AssemblyPlan:
         all_rows, all_cols, origin = _permuted_lower(a, sf.perm)
         n_super = sf.n_supernodes
         n = sf.n
+        #: the dtype of flat positions inside one front (or one leaf
+        #: group's stack)
+        index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
         #: per supernode: gather indices into the canonical ``a.data``
         self.src: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
         #: per supernode: flat scatter indices into ``front.ravel()``
         self.dst: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
-        #: per supernode with fewer than ``RUN_CUT`` update rows: those
-        #: rows located in the *parent* front, stored as the open-grid
-        #: pair ``np.ix_`` would build
-        self.rel_row: list[np.ndarray | None] = [None] * n_super
-        self.rel_col: list[np.ndarray | None] = [None] * n_super
-        #: per supernode from the cut up: one ``(idx[lo:], lo, hi, p, q)``
-        #: per maximal run ``idx[lo:hi] == arange(p, q)``
+        #: per first child below ``RUN_CUT`` rows: the flat positions of
+        #: its whole update square in its parent's front, row by row
+        self.place: list[np.ndarray | None] = [None] * n_super
+        #: per child from the cut up: one ``(rows, lo, hi, cols)`` per wide
+        #: run or stretch of narrow runs (``front[rows, cols]`` is where
+        #: ``U[lo:, lo:hi]`` lands)
         self.runs: list[list[tuple] | None] = [None] * n_super
+        #: per supernode: what follows its first child, in fold order —
+        #: a scatter segment ``(idx, lo, hi)``: A (the first segment only)
+        #: and children ``lo:hi``, one flat ``idx`` — or the position of
+        #: a child added run by run
+        self.fold: list[list] = [None] * n_super  # type: ignore[list-item]
         self._indptr = a.indptr
         self._indices = a.indices
 
@@ -173,15 +209,16 @@ class AssemblyPlan:
         dst = (at - front_ptr[entry_super]) * sizes[entry_super] + (
             all_cols - first_col[entry_super]
         )
-        bounds = np.searchsorted(all_cols, sf.super_ptr).tolist()
+        bounds = np.searchsorted(all_cols, sf.super_ptr)
 
         # the parent-front position of every update row of every child
         widths = np.diff(sf.super_ptr)
+        sparent = np.asarray(sf.sparent, dtype=np.int64)
         update = (np.arange(front_rows.size, dtype=np.int64)
                   - front_ptr[front_of]) >= widths[front_of]
-        update &= sf.sparent[front_of] >= 0
+        update &= sparent[front_of] >= 0
         child = front_of[update]
-        parent = sf.sparent[child]
+        parent = sparent[child]
         child_key = parent * n + front_rows[update]
         at, found = _locate(front_key, child_key)
         if not found.all():
@@ -189,29 +226,94 @@ class AssemblyPlan:
         idx_all = at - front_ptr[parent]
         child_ptr = np.zeros(n_super + 1, dtype=np.int64)
         np.cumsum(np.bincount(child, minlength=n_super), out=child_ptr[1:])
-        cbounds = child_ptr.tolist()
 
-        # each supernode keeps arrays of its own, as the per-supernode
-        # build made: views pinning the plan-wide ``dst`` and ``idx_all``
-        # hold the same bytes, yet raised the peak RSS of a warm lmco_s
-        # refactorize loop by ~4 MB
-        for s in range(n_super):
-            lo, hi = bounds[s], bounds[s + 1]
-            self.src[s] = origin[lo:hi]
-            self.dst[s] = dst[lo:hi].copy()
-            c0, c1 = cbounds[s], cbounds[s + 1]
-            if c1 == c0:
-                continue
-            idx = idx_all[c0:c1].copy()
-            if idx.size < RUN_CUT:
-                self.rel_row[s] = idx.reshape(-1, 1)
-                self.rel_col[s] = idx.reshape(1, -1)
-            else:
-                cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
-                self.runs[s] = [
-                    (idx[lo:], lo, hi, int(idx[lo]), int(idx[lo]) + hi - lo)
-                    for lo, hi in zip([0] + cuts, cuts + [idx.size])
-                ]
+        # the fold of every front as items — its first child, A, its other
+        # children, ascending — each a stretch of one flat index array:
+        # A's entries, a small child's whole update square, nothing for a
+        # child added run by run
+        ids = np.arange(n_super, dtype=np.int64)
+        kid = ids[sparent >= 0]
+        owner = sparent[kid]
+        first = np.full(n_super, n_super, dtype=np.int64)
+        np.minimum.at(first, owner, kid)
+        n_kids = np.bincount(owner, minlength=n_super)
+        #: per supernode: how many children its fold expects
+        self.n_kids: list[int] = n_kids.tolist()
+        m = np.diff(child_ptr)
+        # rank in the fold: first child 0, A 1, any other child 2 + its id
+        rank = np.concatenate((np.where(first[owner] == kid, 0, 2 + kid), np.ones_like(ids)))
+        owners = np.concatenate((owner, ids))
+        order = np.lexsort((rank, owners))
+        owners, rank = owners[order], rank[order]
+        item = np.concatenate((kid, ids))[order]    # the child, or A's front
+        is_a = rank == 1
+        small = ~is_a & (m[item] < RUN_CUT)
+        big = ~is_a & ~small
+        per_front = np.diff(bounds)
+        length = np.where(is_a, per_front[item], np.where(small, m[item] ** 2, 0))
+        item_at = np.cumsum(length) - length
+        # laid end to end in fold order: A's entries, in their column
+        # order, and each small child's whole update square, row by row —
+        # the outer sum of its rows' and columns' positions, all children
+        # with m update rows at once, in the index dtype (a position is
+        # below n**2)
+        flat = np.empty(int(length.sum()), dtype=index)
+        flat[np.repeat(item_at[is_a] - bounds[:-1], per_front)
+             + np.arange(dst.size)] = dst
+        for mc in np.flatnonzero(np.bincount(m[item[small]])).tolist():
+            its = np.flatnonzero(small & (m[item] == mc))
+            c = item[its]
+            idx = idx_all[child_ptr[c, None] + np.arange(mc)].astype(index)
+            square = (idx * sizes[sparent[c], None].astype(index))[:, :, None] + idx[:, None, :]
+            for at, sq in zip(item_at[its].tolist(), square.reshape(c.size, -1)):
+                flat[at:at + sq.size] = sq
+
+        # a child's position among its parent's children
+        pos = np.arange(order.size) - np.repeat(
+            np.cumsum(n_kids + 1) - n_kids - 1, n_kids + 1
+        ) - (rank > 1)
+        # scatter segments: maximal stretches of A and small children past
+        # the first, each starting at A or after a child added run by run
+        in_seg = is_a | (small & (rank > 1))
+        start = is_a | (in_seg & np.concatenate(([False], big[:-1])))
+        seg = np.cumsum(start) - 1
+        seg_end = np.zeros(int(start.sum()), dtype=np.int64)
+        np.maximum.at(seg_end, seg[in_seg], (item_at + length)[in_seg])
+        seg_kids = np.bincount(seg[in_seg & ~is_a], minlength=seg_end.size)
+        seg_lo = np.where(is_a, 1, pos)[start]
+        segments = [
+            (flat[at:end], lo, hi) for at, end, lo, hi in zip(
+                item_at[start].tolist(), seg_end.tolist(), seg_lo.tolist(),
+                (seg_lo + seg_kids).tolist(),
+            )
+        ]
+
+        # ``dst``, ``place`` and the segments are views of ``flat``, which
+        # holds nothing else; ``src`` and the runs' positions are copies, so
+        # neither ``origin`` nor ``idx_all`` stays pinned by a view (views
+        # of those raised the peak RSS of a warm lmco_s loop by ~4 MB)
+        for s, lo, hi, at in zip(ids.tolist(), bounds[:-1].tolist(),
+                                 bounds[1:].tolist(), item_at[is_a].tolist()):
+            self.src[s] = origin[lo:hi].copy()
+            self.dst[s] = flat[at:at + hi - lo]
+            self.fold[s] = []
+        lead = small & (rank == 0)
+        for c, lo, hi in zip(item[lead].tolist(), item_at[lead].tolist(),
+                             (item_at + length)[lead].tolist()):
+            self.place[c] = flat[lo:hi]
+        self.n_kids = n_kids.tolist()
+        steps = start | (big & (rank > 1))
+        for s, st, sg, p in zip(
+            owners[steps].tolist(), start[steps].tolist(), seg[steps].tolist(),
+            pos[steps].tolist(),
+        ):
+            self.fold[s].append(segments[sg] if st else p)
+
+        # the children added run by run: each maximal run of consecutive
+        # positions ``idx[lo:hi] == arange(p, q)``, a wide one as a slice,
+        # a stretch of consecutive narrow ones as one open grid
+        for c in item[big].tolist():
+            self.runs[c] = _runs(idx_all[child_ptr[c]:child_ptr[c + 1]].copy())
 
         #: stackable leaf groups with their concatenated gather/scatter;
         #: the members' own ``src`` become views into the group's
@@ -285,6 +387,30 @@ def _locate(keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return at, keys[np.minimum(at, keys.size - 1)] == probe
 
 
+def _runs(idx: np.ndarray) -> list[tuple]:
+    """The extend-add of a child whose update rows sit at the ascending
+    positions ``idx`` of its parent's front, as ``(rows, lo, hi, cols)``
+    steps: ``front[rows, cols]`` is where ``U[lo:, lo:hi]`` lands.  A run
+    of ``_NARROW_RUN`` consecutive positions or more is one step with a
+    slice of columns; each stretch of consecutive narrower runs is one
+    open-grid step over the stretch's rows."""
+    cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+    steps: list[tuple] = []
+    narrow = None      # where the current stretch of narrow runs began
+    for lo, hi in zip([0] + cuts, cuts + [idx.size]):
+        if hi - lo < _NARROW_RUN:
+            narrow = lo if narrow is None else narrow
+            continue
+        if narrow is not None:
+            steps.append((idx[narrow:, None], narrow, lo, idx[narrow:lo]))
+            narrow = None
+        p = int(idx[lo])
+        steps.append((idx[lo:], lo, hi, slice(p, p + hi - lo)))
+    if narrow is not None:
+        steps.append((idx[narrow:, None], narrow, idx.size, idx[narrow:]))
+    return steps
+
+
 def get_assembly_plan(a: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
     """Cached :class:`AssemblyPlan` for ``(a, sf)``.
 
@@ -314,9 +440,12 @@ def assemble_front_planned(
     plan was built for, or of any matrix with that pattern;
     ``child_updates`` carries ``(child_sid, U)`` pairs, each U live in
     its lower triangle, in float64 or, from a device front, float32; the
-    child's position in this front comes from the plan.  The lower triangle of the result is bitwise identical to
-    the per-column reference's (``tests/reference_assembly.py``): same
-    unique scatter destinations, same child fold-in order; above the
+    child's position in this front comes from the plan, which also fixes
+    their order: they must be this front's children, ascending (a
+    different count is refused).  The lower triangle of the result is
+    bitwise identical to the item-by-item fold of
+    ``tests/reference_assembly.py`` (and equal to its per-column
+    assembly): same scatter destinations, same fold order; above the
     diagonal it is unspecified.
 
     With ``workspace`` (a flat float64 buffer of at least ``size * size``
@@ -336,15 +465,36 @@ def assemble_front_planned(
         else:
             for i0 in range(0, size, _FILL_ROWS):
                 front[i0:i0 + _FILL_ROWS, :i0 + _FILL_ROWS] = 0.0
+    if len(child_updates) != plan.n_kids[s]:
+        raise ValueError(
+            f"supernode {s}: the plan folds {plan.n_kids[s]} child updates, "
+            f"got {len(child_updates)}"
+        )
     # the first child's update is placed by assignment, before A: onto
     # zeros ``c + a`` is ``a + c`` bit for bit (Liu's in-place assembly
-    # of one child, SIAM Review 34(1), 1992)
+    # of one child, SIAM Review 34(1), 1992), where adding it onto the
+    # zeros would turn a -0.0 of it into +0.0
     for c, cu in child_updates[:1]:
         _extend_add(plan, front, c, cu, onto_zeros=True)
-    front.ravel()[plan.dst[s]] += a_data[plan.src[s]]
-    for c, cu in child_updates[1:]:
-        _extend_add(plan, front, c, cu)
+    parts = [a_data[plan.src[s]]]
+    for step in plan.fold[s]:
+        if type(step) is int:
+            _extend_add(plan, front, *child_updates[step])
+            continue
+        idx, lo, hi = step
+        parts += [cu.ravel() for _, cu in child_updates[lo:hi]]
+        _scatter(front, idx, parts)
+        parts = []
     return front
+
+
+def _scatter(front: np.ndarray, idx: np.ndarray, parts: list[np.ndarray]) -> None:
+    """One scatter segment: add the values of ``parts`` (A's entries, then
+    whole child updates, row by row), laid end to end, at the flat
+    positions ``idx`` of ``front``, one element after the other — a
+    position two parts share gets their adds in the parts' order."""
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts, dtype=np.float64)
+    np.add.at(front.reshape(-1), idx, values)
 
 
 def _extend_add(
@@ -352,19 +502,19 @@ def _extend_add(
     onto_zeros: bool = False,
 ) -> None:
     """Add child ``c``'s update ``cu`` at its place in its parent's
-    ``front`` — or, where that place holds zeros, assign it.  A device
-    front's ``cu`` is float32: it widens inside the add, exactly, so
-    ``c + u`` has the bits of ``c + float64(u)``."""
+    ``front`` run by run — or, where that place holds zeros (the first
+    child), assign it.  A device front's ``cu`` is float32: it widens
+    inside the add, exactly, so ``c + u`` has the bits of
+    ``c + float64(u)``."""
     runs = plan.runs[c]
     if runs is None:
-        at = plan.rel_row[c], plan.rel_col[c]
-        front[at] = cu if onto_zeros else front[at] + cu
+        front.reshape(-1)[plan.place[c]] = cu.ravel()
+    elif onto_zeros:
+        for rows, lo, hi, cols in runs:
+            front[rows, cols] = cu[lo:, lo:hi]
     else:
-        for rows, lo, hi, p, q in runs:
-            if onto_zeros:
-                front[rows, p:q] = cu[lo:, lo:hi]
-            else:
-                front[rows, p:q] += cu[lo:, lo:hi]
+        for rows, lo, hi, cols in runs:
+            front[rows, cols] += cu[lo:, lo:hi]
 
 
 def assembly_bytes(

@@ -472,7 +472,7 @@ def _numeric_walk(
     inverses: "np.ndarray | None" = None,
 ) -> tuple[
     list["np.ndarray | None"], dict[int, np.ndarray], dict[int, np.ndarray],
-    int, int, int, set[int], dict,
+    int, int, int, dict[int, int], dict,
 ]:
     """The floating-point walk over the supernodes of ``order`` (children
     before parents): assemble each front, run its factor-update under
@@ -489,14 +489,11 @@ def _numeric_walk(
     :attr:`~repro.policies.base.Policy.device_front` (``PolicyP4``)
     copies each of its fronts (and stacks) into one *device* workspace,
     in the device dtype, sized for the largest it computes.  ``apply``
-    returns the factored panel and the update where it computed them —
-    in the host front for P1-P3, in the device copy for ``PolicyP4``,
-    which writes nothing back — and the walk copies both out, the same
-    way for every policy: the panel in the dtype it was computed in where
-    a device front computed it (float32 under the sp model), else in
-    float64, the
-    update in the dtype it was computed in, which the parent's
-    extend-add widens inside its add.  Nothing returned aliases either
+    returns a panel and an update it owns, in the dtype it computed them
+    in — float32 from a device front under the sp model — and the walk
+    keeps both as they are: no copy, no cast.  The panel goes into the
+    factor, the update to the parent's extend-add, which widens a
+    float32 one inside its add.  Nothing returned aliases either
     workspace.
 
     ``inverses`` is the solve phase's buffer of diagonal-block inverses
@@ -504,16 +501,18 @@ def _numeric_walk(
     :meth:`~repro.multifrontal.solve.SolvePlan.slots`, float32 where the
     panel is, and every panel solve that inverts all of its supernode's
     diagonal blocks leaves them there, so the solve phase does not
-    compute them again — a front, or a stacked leaf group whose pivot
-    blocks are each one diagonal block, whose policy's
-    :meth:`~repro.policies.base.Policy.inverts_blocks` says so.
+    compute them again — the leading blocks
+    :meth:`~repro.policies.base.Policy.inverted_blocks` counts, of a
+    front or of a stacked leaf group whose pivot blocks are each one
+    diagonal block.
 
     Returns the panels (``None`` outside ``order``), the panel stacks,
     the updates nobody in ``order`` consumed (in the order they were
     produced; none when ``order`` covers the tree), the peak live update
-    bytes, the stacked calls issued / fronts they covered, the
-    supernodes (a group by its first member) whose inverses are in
-    ``inverses``, and the slots (empty without ``inverses``).
+    bytes, the stacked calls issued / fronts they covered, how many
+    leading blocks' inverses of which supernode (a group by its first
+    member) are in ``inverses``, and the slots (empty without
+    ``inverses``).
 
     The panels of a leaf group lying wholly inside ``order`` are the
     slices of one ``(B, size, k)`` stack, whatever computed them (the
@@ -571,16 +570,17 @@ def _numeric_walk(
     workspace = np.zeros(max((sf.rows[s].size for s in order), default=0) ** 2)
     device_workspace = np.empty(max(on_device.values(), default=0), device)
     slots = {} if inverses is None else get_solve_plan(sf).slots(inverses, single)
-    inverted: set[int] = set()
+    inverted: dict[int, int] = {}
 
     def run(s: int, front: np.ndarray, k: int, out) -> tuple:
         """``apply`` of ``bases[s]`` on ``front`` (a stack for a group run
         by its first member ``s``), leaving the inverses in ``out``."""
         base = bases[s]
         kwargs = {"workspace": device_workspace} if s in on_device else {}
-        if out is not None and base.inverts_blocks(front.shape[-1] - k, k):
+        done = base.inverted_blocks(front.shape[-1] - k, k) if out is not None else 0
+        if done:
             kwargs["inverses"] = out
-            inverted.add(s)
+            inverted[s] = done
         return base.apply(front, k, worker, **kwargs)
 
     for s in order:
@@ -597,8 +597,8 @@ def _numeric_walk(
                 )
             except NotPositiveDefiniteError as exc:
                 raise breakdown_error(sf, g.sids[exc.failed[0]], exc) from exc
-            stacks[head] = panel.astype(np.float32 if head in single else np.float64)
-            pending.update(zip(g.sids, u.copy() if g.m else [None] * len(g)))
+            stacks[head] = panel
+            pending.update(zip(g.sids, u if g.m else [None] * len(g)))
             batch_tasks += 1
             batched_fronts += len(g)
         if g is not None and head not in stacks:
@@ -618,11 +618,11 @@ def _numeric_walk(
             except NotPositiveDefiniteError as exc:
                 raise breakdown_error(sf, s, exc) from exc
             if g is None:
-                panels[s] = panel.astype(np.float32 if s in single else np.float64)
+                panels[s] = panel
             else:
                 panels[s] = stacks[head][i]
                 panels[s][...] = panel
-            u = u.copy() if size > k else None
+            u = u if size > k else None
         if u is not None:
             updates[s] = u
             live_update_bytes += u.nbytes

@@ -200,7 +200,7 @@ class SolvePlan:
 
     def bind(
         self, panels, stacks: dict[int, np.ndarray],
-        inverses: np.ndarray | None = None, inverted=frozenset(), slots=None,
+        inverses: np.ndarray | None = None, inverted=None, slots=None,
     ) -> SweepTable:
         """The values half for one factor: views of the group stacks
         (``stacks`` maps a group's first member to its ``(B, size, k)``
@@ -209,13 +209,15 @@ class SolvePlan:
         panel's dtype, in one buffer laid out by ``regions``.
 
         The numerics pass hands over the buffer (``inverses``) its panel
-        solves wrote the inverses of the supernodes in ``inverted`` into
-        (a group by its first member), and the :meth:`slots` of that
-        buffer it handed its panel solves.  Every other diagonal block is
-        gathered into its place and inverted here: one batched
+        solves wrote inverses into, ``inverted`` — how many leading
+        diagonal blocks of which supernode they inverted (a group by its
+        first member: all of its one block each) — and the :meth:`slots`
+        of that buffer it handed its panel solves.  Every other diagonal
+        block is gathered into its place and inverted here: one batched
         ``np.linalg.inv`` per size and dtype when no block of that size
         came inverted or in the other dtype, else one per supernode."""
         nb = SUBSTITUTION_BLOCK
+        inverted = {} if inverted is None else inverted
         if inverses is None:
             inverses = self.new_inverses()
         if slots is None:
@@ -239,12 +241,13 @@ class SolvePlan:
             k = end - first
             l1, l2 = panels[s][:k], None if below is None else panels[s][k:]
             w = slots[s]
-            if s not in inverted:
-                for j, wj in enumerate(chain(*w)):
-                    wj[...] = l1[j * nb:(j + 1) * nb, j * nb:(j + 1) * nb]
-                for region in w:
-                    if len(region):
-                        todo.setdefault((region.shape[-1], region.dtype), []).append(region)
+            # the blocks from ``done`` on: the full ones, then the tail
+            done = inverted.get(s, 0)
+            for j, wj in enumerate(list(chain(*w))[done:], done):
+                wj[...] = l1[j * nb:(j + 1) * nb, j * nb:(j + 1) * nb]
+            for region in (w[0][done:], w[1][max(done - len(w[0]), 0):]):
+                if len(region):
+                    todo.setdefault((region.shape[-1], region.dtype), []).append(region)
             # one block wide: nothing left of the diagonal block
             steps.append((first, end, None, l2, below, next(chain(*w))) if k <= nb
                          else (first, end, l1, l2, below, w))

@@ -12,8 +12,8 @@ Every policy separates *planning* from *numerics*:
   kernels in float32 through the simulated CUBLAS context (so
   GPU-touched results really carry single-precision error, as the
   paper's did), and returns the factored panel and the update block
-  where they were computed — P1-P3 in the host front, P4 in its device
-  copy.
+  as new arrays it owns: the host kernels write into them directly, P4
+  copies them off its device front.
 
 Nothing here runs both: the drivers in :mod:`repro.multifrontal` price a
 whole factorization first (``plan`` per front, engine timelines threaded
@@ -149,11 +149,12 @@ class Policy:
         hands its parent under ``model``."""
         return model.gpu_word if self.device_front else model.CPU_WORD
 
-    def inverts_blocks(self, m: int, k: int) -> bool:
-        """Whether the panel solves of an (m, k) call invert every
-        ``SUBSTITUTION_BLOCK``-column diagonal block of its pivot block,
-        so :meth:`apply` can leave them in an ``inverses=`` output."""
-        return False
+    def inverted_blocks(self, m: int, k: int) -> int:
+        """How many of the ``SUBSTITUTION_BLOCK``-column diagonal blocks
+        of an (m, k) call's pivot block, counted from the first (the full
+        ones, then a tail), its panel solves invert, so that :meth:`apply`
+        can leave them in an ``inverses=`` output."""
+        return 0
 
     # -- planning ---------------------------------------------------------
     def kernel_calls(self, m: int, k: int) -> list[KernelCall]:
@@ -179,18 +180,43 @@ class Policy:
         """Factor the assembled ``front``, or every front of a ``(B, size,
         size)`` stack (a stacked leaf group,
         :mod:`repro.multifrontal.batched`) with the same kernels, each
-        taking the whole stack in one call; returns views ``(panel, U)``
-        of the factored ``[L1; L2]`` columns and the update block, in the
-        dtype they were computed in.  Slice ``i`` of a stack's result is
-        bit for bit the result of ``apply`` on front ``i`` alone, and a
-        breakdown names the failing slice
-        (:attr:`repro.dense.kernels.NotPositiveDefiniteError.failed`).
-        The caller copies both out before the next front: they may be
-        views of ``front``."""
+        taking the whole stack in one call; returns ``(panel, U)``, the
+        factored ``[L1; L2]`` columns and the update block ``F22 - L2
+        L2^T``, in the dtype they were computed in.  Both are new
+        C-contiguous arrays the caller owns — they share no memory with
+        ``front`` or any workspace, and ``apply`` writes every element
+        of both (U is live in its lower triangle; above it U holds what
+        the kernels left there, never uninitialized memory) — so the
+        caller keeps them as they are.  ``front`` is only read.
+        Slice ``i`` of a stack's result is bit for bit the result of
+        ``apply`` on front ``i`` alone, and a breakdown names the failing
+        slice (:attr:`repro.dense.kernels.NotPositiveDefiniteError.failed`)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Policy {self.name}>"
+
+
+def _host_panel(
+    front: np.ndarray, k: int, *, solve: bool = True, inverses=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The host half of a factor-update on ``front`` (or on every slice of
+    a stack): a new C-contiguous ``(..., size, k)`` panel holding potrf's
+    L1 and, with ``solve``, the panel solve of L2 written straight below
+    it (``inverses`` as :func:`repro.dense.kernels.trsm_right_lower`
+    takes them), and a new, unset ``(..., m, m)`` update for the caller
+    to write ``F22 - L2 L2^T`` into.  Neither shares memory with
+    ``front``."""
+    size = front.shape[-1]
+    lead = front.shape[:-2]
+    panel = np.empty((*lead, size, k), front.dtype)
+    panel[..., :k, :] = hk.potrf(front[..., :k, :k])
+    if solve and size > k:
+        hk.trsm_right_lower(
+            front[..., k:, :k], panel[..., :k, :], inverses=inverses,
+            out=panel[..., k:, :],
+        )
+    return panel, np.empty((*lead, size - k, size - k), front.dtype)
 
 
 def _host_apply_time(model: PerfModel, m: int) -> float:
@@ -231,22 +257,18 @@ class PolicyP1(Policy):
             last = t_syrk
         return FUPlan(graph, last, roles)
 
-    def inverts_blocks(self, m, k):
+    def inverted_blocks(self, m, k):
         # the one panel solve, on every block of L1, needs rows below
-        return m > 0
+        return -(-k // hk.SUBSTITUTION_BLOCK) if m > 0 else 0
 
     def apply(self, front, k, worker, inverses=None):
         """As :meth:`Policy.apply`; ``inverses`` receives the inverses of
         the pivot block's diagonal blocks the panel solve computes
         (:func:`repro.dense.kernels.trsm_right_lower`)."""
-        l1 = hk.potrf(front[..., :k, :k])
-        front[..., :k, :k] = l1
-        l2 = front[..., k:, :k]
-        u = front[..., k:, k:]
-        if front.shape[-1] > k:
-            l2[...] = hk.trsm_right_lower(l2, l1, inverses=inverses)
-            hk.syrk(u, l2)
-        return front[..., :k], u
+        panel, u = _host_panel(front, k, inverses=inverses)
+        if u.size:
+            hk.syrk(front[..., k:, k:], panel[..., k:, :], out=u)
+        return panel, u
 
 
 Policy.fallback = PolicyP1()
@@ -313,17 +335,13 @@ class PolicyP2(Policy):
         return FUPlan(graph, t_apply, roles)
 
     def apply(self, front, k, worker):
-        l1 = hk.potrf(front[..., :k, :k])
-        front[..., :k, :k] = l1
-        l2 = front[..., k:, :k]
-        u = front[..., k:, k:]
-        if front.shape[-1] > k:
-            l2[...] = hk.trsm_right_lower(l2, l1)
+        panel, u = _host_panel(front, k)
+        if u.size:
             ctx = worker.gpu.cublas
-            x_dev = l2.astype(ctx.dtype)              # H2D
+            x_dev = panel[..., k:, :].astype(ctx.dtype)  # H2D
             w = ctx.syrk_outer(x_dev)                 # device compute
-            u -= w.astype(np.float64)                 # D2H + host apply
-        return front[..., :k], u
+            np.subtract(front[..., k:, k:], w, out=u)  # D2H + host apply
+        return panel, u
 
 
 class PolicyP3(Policy):
@@ -410,19 +428,16 @@ class PolicyP3(Policy):
         return FUPlan(graph, t_apply, roles)
 
     def apply(self, front, k, worker):
-        l1 = hk.potrf(front[..., :k, :k])
-        front[..., :k, :k] = l1
-        l2 = front[..., k:, :k]
-        u = front[..., k:, k:]
-        if front.shape[-1] > k:
+        panel, u = _host_panel(front, k, solve=False)
+        if u.size:
             ctx = worker.gpu.cublas
-            l1_dev = l1.astype(ctx.dtype)             # H2D
-            l2_dev = l2.astype(ctx.dtype)             # H2D
+            l1_dev = panel[..., :k, :].astype(ctx.dtype)  # H2D
+            l2_dev = front[..., k:, :k].astype(ctx.dtype)  # H2D
             x_dev = ctx.trsm(l2_dev, l1_dev)          # device trsm
-            l2[...] = x_dev.astype(np.float64)        # D2H
+            panel[..., k:, :] = x_dev                 # D2H
             w = ctx.syrk_outer(x_dev)                 # device syrk
-            u -= w.astype(np.float64)                 # D2H + host apply
-        return front[..., :k], u
+            np.subtract(front[..., k:, k:], w, out=u)  # D2H + host apply
+        return panel, u
 
 
 class PolicyP4(Policy):
@@ -430,9 +445,9 @@ class PolicyP4(Policy):
     Figure-9 blocked panel factorization on the device, download the
     factored panel and the update matrix.
 
-    ``apply`` writes nothing back into the host front: the panel and U it
-    returns are views of the device front, in the device dtype, and the
-    numerics pass copies the panel into the factor as it is — a float32
+    ``apply`` writes nothing back into the host front: it copies the
+    panel and U off the device front (the D2H), in the device dtype, and
+    the numerics pass keeps the panel in the factor as it is — a float32
     factor keeps float32 panels, which the solve phase applies in
     float32 — and hands U to the parent's extend-add as it is (a float32
     value widens to float64 exactly, so every sum downstream keeps its
@@ -533,17 +548,21 @@ class PolicyP4(Policy):
             roles["d2h_u"] = t_d2h_u
         return FUPlan(graph, t_done, roles)
 
-    def inverts_blocks(self, m, k):
-        # a trsm follows every panel, and every panel but the last is
-        # whole blocks wide
-        return m > 0 and self._width(k) % hk.SUBSTITUTION_BLOCK == 0
+    def inverted_blocks(self, m, k):
+        # every panel but the last is whole blocks wide, and a trsm
+        # follows every panel with rows below it: with m = 0 (a root) the
+        # last panel runs none
+        nb, w = hk.SUBSTITUTION_BLOCK, self._width(k)
+        if w % nb:
+            return 0
+        return -(-k // nb) if m > 0 else (k - 1) // w * w // nb
 
     def apply(self, front, k, worker, inverses=None, workspace=None):
         """As :meth:`Policy.apply`.  ``workspace`` is a flat device-dtype
         buffer the device front is copied into (a new one by default),
         and ``inverses`` receives the inverses of the pivot block's
         diagonal blocks the device panel solves compute, where
-        :meth:`inverts_blocks` says they invert them all
+        :meth:`inverted_blocks` counts them
         (:func:`repro.dense.blocked.blocked_cholesky_panels`)."""
         ctx = worker.gpu.cublas
         if workspace is None:
@@ -551,7 +570,7 @@ class PolicyP4(Policy):
         f_dev = workspace[:front.size].reshape(front.shape)
         np.copyto(f_dev, front)                       # H2D of the whole front
         blocked_cholesky_panels(f_dev, k, self._width(k), ctx, inverses)
-        return f_dev[..., :k], f_dev[..., k:, k:]     # D2H by the caller
+        return f_dev[..., :k].copy(), f_dev[..., k:, k:].copy()  # D2H
 
 
 ALL_BASE_POLICIES = ("P1", "P2", "P3", "P4")

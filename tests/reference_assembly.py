@@ -3,12 +3,15 @@
 Nothing under ``src/`` builds a front this way any more —
 :class:`repro.multifrontal.frontal.AssemblyPlan` and
 ``assemble_front_planned`` are the one way into a front, on its lower
-triangle only.  These three functions are what that path is checked
+triangle only.  These functions are what that path is checked
 against, bit for bit on the lower triangle
 (``test_planned_assembly_bitwise_matches_legacy``), and are tested in
 their own right in ``tests/test_multifrontal.py``.  They read the
 permuted lower triangle of the matrix column by column and mirror every
 entry, so they are slow and obviously right.
+:func:`assemble_front_in_order` builds a front item by item in the
+fold's order, the exact bits the planned scatter segments, narrow-run
+grids and runs must reproduce (``TestAssemblyOracle``).
 
 :func:`reference_plan` is the plan's own index arrays built one
 supernode at a time, two searches per front — the oracle for the
@@ -25,21 +28,25 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.batched import batch_groups
-from repro.multifrontal.frontal import RUN_CUT, _permuted_lower
+from repro.multifrontal.frontal import _NARROW_RUN, RUN_CUT, _permuted_lower
 from repro.symbolic.symbolic import SymbolicFactor
 
 
 def reference_plan(a: CSCMatrix, sf: SymbolicFactor) -> SimpleNamespace:
-    """The ``src`` / ``dst`` / ``rel_row`` / ``rel_col`` / ``runs`` /
-    ``groups`` of ``AssemblyPlan(a, sf)``, located per supernode: each
-    front's entries searched in its own rows, each child's update rows
-    in its parent's, with the same containment errors."""
+    """The ``src`` / ``dst`` / ``place`` / ``runs`` / ``fold`` /
+    ``n_kids`` / ``groups`` of ``AssemblyPlan(a, sf)``, built one
+    supernode at a time: each front's entries searched in its own rows,
+    each child's update rows in its parent's, with the same containment
+    errors, and each front's fold cut into segments by a loop over its
+    children."""
     all_rows, all_cols, origin = _permuted_lower(a, sf.perm)
     bounds = np.searchsorted(all_cols, sf.super_ptr).tolist()
     n_super = sf.n_supernodes
+    index = np.int32 if sf.n * sf.n <= np.iinfo(np.int32).max else np.int64
     plan = SimpleNamespace(
-        src=[None] * n_super, dst=[None] * n_super, rel_row=[None] * n_super,
-        rel_col=[None] * n_super, runs=[None] * n_super, groups=[],
+        src=[None] * n_super, dst=[None] * n_super, place=[None] * n_super,
+        runs=[None] * n_super, fold=[[] for _ in range(n_super)],
+        n_kids=[len(kids) for kids in sf.schildren()], groups=[],
     )
     for s in range(n_super):
         rows = sf.rows[s]
@@ -53,26 +60,48 @@ def reference_plan(a: CSCMatrix, sf: SymbolicFactor) -> SimpleNamespace:
                 f"supernode {s}: matrix entries outside symbolic pattern"
             )
         plan.src[s] = origin[lo:hi]
-        plan.dst[s] = pos * size + (all_cols[lo:hi] - f_col)
+        plan.dst[s] = (pos * size + (all_cols[lo:hi] - f_col)).astype(index)
 
+    # where each child's update rows sit in its parent's front
+    idx_of = {}
+    for s in range(n_super):
         p = int(sf.sparent[s])
-        if p >= 0 and rows.size > l_col - f_col:
-            crows = rows[l_col - f_col:]
+        k = sf.width(s)
+        if p >= 0 and sf.rows[s].size > k:
+            crows = sf.rows[s][k:]
             prows = sf.rows[p]
             idx = np.searchsorted(prows, crows)
             if np.any(idx >= prows.size) or np.any(prows[idx] != crows):
                 raise ValueError(
                     "extend-add: child rows not contained in parent front"
                 )
-            if idx.size < RUN_CUT:
-                plan.rel_row[s] = idx.reshape(-1, 1)
-                plan.rel_col[s] = idx.reshape(1, -1)
-            else:
-                cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
-                plan.runs[s] = [
-                    (idx[lo:], lo, hi, int(idx[lo]), int(idx[lo]) + hi - lo)
-                    for lo, hi in zip([0] + cuts, cuts + [idx.size])
-                ]
+            idx_of[s] = idx
+
+    def square(c, p):
+        idx = idx_of[c]
+        return (idx[:, None] * sf.rows[p].size + idx[None, :]).ravel().astype(index)
+
+    for p, kids in enumerate(sf.schildren()):
+        for i, c in enumerate(kids):
+            if idx_of[c].size >= RUN_CUT:
+                plan.runs[c] = reference_runs(idx_of[c])
+            elif i == 0:
+                plan.place[c] = square(c, p)
+        # A and the small children after the first, cut where a child
+        # is added run by run
+        parts, lo = [plan.dst[p]], 1
+        for i, c in enumerate(kids[1:], 1):
+            if plan.runs[c] is None:
+                if parts is None:
+                    parts, lo = [], i
+                parts.append(square(c, p))
+                continue
+            if parts is not None:
+                plan.fold[p].append((np.concatenate(parts), lo, i))
+                parts = None
+            plan.fold[p].append(i)
+        if parts is not None:
+            plan.fold[p].append((np.concatenate(parts), lo, len(kids) or 1))
 
     for g in batch_groups(sf):
         src = np.concatenate([plan.src[s] for s in g.sids])
@@ -81,6 +110,29 @@ def reference_plan(a: CSCMatrix, sf: SymbolicFactor) -> SimpleNamespace:
         ])
         plan.groups.append(dataclasses.replace(g, src=src, dst=dst))
     return plan
+
+
+def reference_runs(idx: np.ndarray) -> list[tuple]:
+    """The ``(rows, lo, hi, cols)`` steps of a child added run by run,
+    one column at a time: a column joins the step before it when it
+    continues that step's run, or when both are narrow runs."""
+    runs = []
+    for j in range(idx.size):
+        if j and idx[j] == idx[j - 1] + 1:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1])
+    steps = []
+    for lo, hi in runs:
+        narrow = hi - lo < _NARROW_RUN
+        if narrow and steps and isinstance(steps[-1][3], np.ndarray):
+            start = steps[-1][1]
+            steps[-1] = (idx[start:, None], start, hi, idx[start:hi])
+        elif narrow:
+            steps.append((idx[lo:, None], lo, hi, idx[lo:hi]))
+        else:
+            steps.append((idx[lo:], lo, hi, slice(int(idx[lo]), int(idx[lo]) + hi - lo)))
+    return steps
 
 
 def assemble_front(
@@ -113,6 +165,41 @@ def assemble_front(
     # fold in the children
     for crows, cu in child_updates:
         extend_add(front, sf.rows[s], crows, cu)
+    return front
+
+
+def assemble_front_in_order(
+    a_lower: CSCMatrix,
+    sf: SymbolicFactor,
+    s: int,
+    child_updates: list[tuple[int, np.ndarray]],
+) -> np.ndarray:
+    """The front of supernode ``s`` as its fold defines it, one item at a
+    time, each child's place found by its own search: zeros, the first
+    child's whole update assigned at its place, A's lower-triangle
+    entries added column by column, then every other child's whole update
+    added by one open-grid add, in order.  ``child_updates`` carries
+    ``(child_sid, U)`` pairs (U float64 or float32, live in its lower
+    triangle).  Its lower triangle is the bits — zero signs included —
+    every element of a planned front must have: the same adds in the
+    same order (a first child's -0.0 stays -0.0 where nothing else
+    lands)."""
+    rows = sf.rows[s]
+    front = np.zeros((rows.size, rows.size))
+
+    def place(c):
+        idx = np.searchsorted(rows, sf.rows[c][sf.width(c):])
+        return np.ix_(idx, idx)
+
+    for c, cu in child_updates[:1]:
+        front[place(c)] = cu
+    f_col, l_col = int(sf.super_ptr[s]), int(sf.super_ptr[s + 1])
+    for j in range(f_col, l_col):
+        ridx, vals = a_lower.column(j)
+        keep = ridx >= j
+        front[np.searchsorted(rows, ridx[keep]), j - f_col] += vals[keep]
+    for c, cu in child_updates[1:]:
+        front[place(c)] += cu
     return front
 
 

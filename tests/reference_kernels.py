@@ -33,6 +33,7 @@ def trsm_right_lower(
     *,
     counts: KernelCounts | None = None,
     inverses: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve ``X L^T = B`` for X, with L lower triangular (the panel solve
     ``L2 <- L2 L1^-T`` of the F-U operation), or every slice of a stack.
@@ -41,8 +42,12 @@ def trsm_right_lower(
     work stays in matrix-matrix operations (no explicit inverse, matching
     the numerical behaviour of a BLAS trsm).  The solve uses no inverse;
     ``inverses`` is filled as the kernel's contract says, for the solve
-    phase (:func:`repro.dense.kernels.trsm_right_lower`).
+    phase (:func:`repro.dense.kernels.trsm_right_lower`), and so is
+    ``out``.
     """
+    if out is not None:
+        out[...] = trsm_right_lower(b, l, counts=counts, inverses=inverses)
+        return out
     b = np.asarray(b)
     l = np.asarray(l)
     if b.ndim > 2:  # a stack: slice by slice
@@ -81,7 +86,11 @@ def trsm_right_lower(
 
 
 def syrk(
-    c: np.ndarray, x: np.ndarray, *, counts: KernelCounts | None = None
+    c: np.ndarray,
+    x: np.ndarray,
+    *,
+    counts: KernelCounts | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Symmetric rank-k update ``C <- C - X X^T`` (in place, over the
     whole square of ``C``, or of every slice of a stack).
@@ -90,8 +99,12 @@ def syrk(
     that is all the planned assembly writes into a front and all that is
     ever consumed.  The product is still subtracted from the full square
     (one matrix product, no triangle bookkeeping); what it leaves above
-    the diagonal means something only if ``C`` came in symmetric.
+    the diagonal means something only if ``C`` came in symmetric.  With
+    ``out``, C is left as it is and the result goes there.
     """
+    if out is not None:
+        out[...] = c
+        return syrk(out, x, counts=counts)
     c = np.asarray(c)
     x = np.asarray(x)
     if c.shape[-2:] != (x.shape[-2], x.shape[-2]):

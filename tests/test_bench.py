@@ -334,7 +334,8 @@ def test_planned_assembly_bitwise_matches_legacy():
     canonical ``a.data`` must be bitwise identical to the per-column
     legacy path over the permuted lower triangle, including the
     extend-add of real (eliminated) child updates — on both sides of
-    ``RUN_CUT``, and without reading a child above its diagonal."""
+    ``RUN_CUT``, wide runs and stretches of narrow ones, and without
+    reading a child above its diagonal."""
     from repro.matrices import elasticity_3d, grid_laplacian_3d
     from repro.multifrontal.frontal import (
         assemble_front_planned,
@@ -349,19 +350,22 @@ def test_planned_assembly_bitwise_matches_legacy():
         l21 = np.linalg.solve(l11, front[k:, :k].T).T
         return front[k:, k:] - l21 @ l21.T
 
-    # (matrix, ordering, children on the run path, most runs of one child)
+    # (matrix, ordering, children on the run path, most steps of one
+    # child, stretches of narrow runs among the steps): 8 and 11 runs of
+    # one child were one step each before the narrow runs were merged
     cases = [
-        (grid_laplacian_3d(6, 5, 4), "nd", 0, 0),
-        (elasticity_3d(8, 7, 7), "amd", 11, 8),
-        (grid_laplacian_3d(13, 13, 12), "amd", 16, 11),
+        (grid_laplacian_3d(6, 5, 4), "nd", 0, 0, 0),
+        (elasticity_3d(8, 7, 7), "amd", 11, 7, 13),
+        (grid_laplacian_3d(13, 13, 12), "amd", 16, 9, 21),
     ]
-    for a, ordering, n_run_children, most_runs in cases:
+    for a, ordering, n_run_children, most_steps, stretches in cases:
         sf = symbolic_factorize(a, ordering=ordering)
         a_lower = a.permute_symmetric(sf.perm).lower_triangle()
         plan = get_assembly_plan(a, sf)
         runs = [r for r in plan.runs if r is not None]
         assert len(runs) == n_run_children
-        assert max(map(len, runs), default=0) == most_runs
+        assert max(map(len, runs), default=0) == most_steps
+        assert sum(not isinstance(st[3], slice) for r in runs for st in r) == stretches
         kids = sf.schildren()
 
         legacy: dict[int, np.ndarray] = {}    # full symmetric updates

@@ -821,7 +821,9 @@ class TestLowerTriangleAssembly:
             for s in range(sym.n_supernodes)
         ]
         assert [r is not None for r in plan.runs] == has_update
-        assert not any(r is not None for r in plan.rel_row)
+        # no child is placed or scattered whole: A's segment holds no child
+        assert not any(p is not None for p in plan.place)
+        assert all(type(st) is int or st[1] == st[2] for f in plan.fold for st in f)
         assert all(
             np.array_equal(p, q) for p, q in zip(base.panels, by_runs.panels)
         )

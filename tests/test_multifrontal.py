@@ -391,23 +391,26 @@ class TestPlanAgainstPerSupernodeBuild:
 
     @staticmethod
     def assert_same_plan(plan, ref):
-        for name in ("src", "dst", "rel_row", "rel_col"):
+        def same(got, want, where):
+            assert type(got) is type(want), where
+            if isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), where
+            elif isinstance(got, (tuple, list)):
+                assert len(got) == len(want), where
+                for x, y in zip(got, want):
+                    same(x, y, where)
+            else:
+                assert got == want, where
+
+        for name in ("src", "dst", "place", "runs", "fold"):
             for s, (got, want) in enumerate(
                 zip(getattr(plan, name), getattr(ref, name), strict=True)
             ):
-                assert (got is None) == (want is None), (name, s)
-                if got is not None:
-                    assert got.dtype == want.dtype, (name, s)
-                    assert np.array_equal(got, want), (name, s)
-        for s, (got, want) in enumerate(zip(plan.runs, ref.runs, strict=True)):
-            assert (got is None) == (want is None), ("runs", s)
-            for (rows, *bounds), (ref_rows, *ref_bounds) in zip(
-                got or [], want or [], strict=True
-            ):
-                assert np.array_equal(rows, ref_rows) and bounds == ref_bounds
+                same(got, want, (name, s))
+        assert plan.n_kids == ref.n_kids
         for g, h in zip(plan.groups, ref.groups, strict=True):
             assert (g.size, g.k, g.sids) == (h.size, h.k, h.sids)
-            assert np.array_equal(g.src, h.src) and np.array_equal(g.dst, h.dst)
+            same((g.src, g.dst), (h.src, h.dst), ("group", g.sids[0]))
 
     # the four matrices whose structure TestPinnedStructure pins
     PINNED = {
@@ -473,6 +476,192 @@ class TestPlanAgainstPerSupernodeBuild:
                 match="extend-add: child rows not contained in parent front",
             ):
                 build(a, tampered)
+
+
+def _symmetric(u: np.ndarray) -> np.ndarray:
+    """The full symmetric float64 matrix whose lower triangle is ``u``'s."""
+    low = np.tril(u.astype(np.float64))
+    return low + np.tril(low, -1).T
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+class TestAssemblyOracle:
+    """The planned assembly — A and the small children past the first as
+    one scatter segment each stretch, a small first child placed whole, a
+    large child run by run with its narrow runs as open grids — held
+    against ``tests/reference_assembly.py`` on every front and stack a
+    real walk assembles: on the lower triangle, bit for bit (zero signs
+    included) against the item-by-item fold
+    (:func:`~tests.reference_assembly.assemble_front_in_order`), and equal
+    to the per-column symmetric assembly
+    (:func:`~tests.reference_assembly.assemble_front`)."""
+
+    CASES = {
+        "lmco_s/nd": lambda: load_test_matrix("lmco_s"),
+        # the three generators of the api-mixed workload
+        "grid_laplacian_2d/amd": lambda: grid_laplacian_2d(48, 46),
+        "grid_laplacian_3d/amd": lambda: grid_laplacian_3d(13, 13, 12),
+        "elasticity_3d/amd": lambda: elasticity_3d(8, 7, 7),
+    }
+
+    @staticmethod
+    def checked(monkeypatch, a, sf, walk) -> Counter:
+        """Run ``walk()`` with every front and stack it assembles checked;
+        returns how many fronts, stacks and child updates (by dtype) were."""
+        from repro.multifrontal import numeric
+        from tests.reference_assembly import assemble_front_in_order
+
+        a_lower = a.permute_symmetric(sf.perm).lower_triangle()
+        seen = Counter()
+        assemble, group = numeric.assemble_front_planned, numeric.assemble_group
+
+        def check(s, front, child_updates):
+            lower = np.tril_indices(front.shape[0])
+            want = assemble_front_in_order(a_lower, sf, s, child_updates)
+            assert np.array_equal(_bits(front[lower]), _bits(want[lower])), s
+            full = assemble_front(a_lower, sf, s, [
+                (sf.rows[c][sf.width(c):], _symmetric(cu)) for c, cu in child_updates
+            ])
+            assert np.array_equal(front[lower], full[lower]), s
+
+        def spy(plan, a_data, size, s, child_updates, *args, **kwargs):
+            front = assemble(plan, a_data, size, s, child_updates, *args, **kwargs)
+            check(s, front, child_updates)
+            seen["fronts"] += 1
+            seen.update(u.dtype.name for _, u in child_updates)
+            return front
+
+        def group_spy(a_data, g):
+            stack = group(a_data, g)
+            for s, front in zip(g.sids, stack):
+                check(s, front, [])
+            seen["stacks"] += 1
+            return stack
+
+        monkeypatch.setattr(numeric, "assemble_front_planned", spy)
+        monkeypatch.setattr(numeric, "assemble_group", group_spy)
+        walk()
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_front_of_a_p1_walk(self, monkeypatch, case):
+        from repro.multifrontal.batched import batch_groups
+
+        a = self.CASES[case]()
+        sf = symbolic_factorize(a, ordering=case.split("/")[1])
+        seen = self.checked(
+            monkeypatch, a, sf, lambda: factorize_numeric(a, sf, make_policy("P1"))
+        )
+        assert seen["fronts"] + sum(map(len, batch_groups(sf))) == sf.n_supernodes
+        assert seen["float64"] == sf.n_supernodes - sum(sf.sparent < 0)
+
+    def test_float32_children(self, monkeypatch):
+        # a P4 walk hands its parents float32 updates
+        a = grid_laplacian_3d(13, 13, 12)
+        sf = symbolic_factorize(a, ordering="amd")
+        seen = self.checked(
+            monkeypatch, a, sf, lambda: factorize_numeric(a, sf, make_policy("P4"))
+        )
+        assert seen["float32"] > 100 and seen["stacks"] > 0
+
+    def test_schur_prefix_walk(self, monkeypatch):
+        from repro.multifrontal.schur import partial_factorize
+
+        a = grid_laplacian_2d(48, 46)
+        sf = symbolic_factorize(a, ordering="amd")
+        cut = int(sf.super_ptr[sf.n_supernodes - 12])
+        seen = self.checked(
+            monkeypatch, a, sf,
+            lambda: partial_factorize(a, sf, make_policy("P1"), cut),
+        )
+        assert 0 < seen["fronts"] < sf.n_supernodes
+
+    def test_child_updates_the_fold_does_not_expect_are_refused(self):
+        from repro.multifrontal.frontal import assemble_front_planned, get_assembly_plan
+
+        a = grid_laplacian_2d(20, 18)
+        sf = symbolic_factorize(a, ordering="amd")
+        plan = get_assembly_plan(a, sf)
+        kids = sf.schildren()
+        s = next(s for s in range(sf.n_supernodes) if len(kids[s]) >= 2)
+        updates = [(c, np.zeros((sf.update_size(c),) * 2)) for c in kids[s][1:]]
+        with pytest.raises(ValueError, match=f"folds {len(kids[s])} child updates, got"):
+            assemble_front_planned(plan, a.data, sf.rows[s].size, s, updates)
+
+    @pytest.mark.parametrize("placed", ["whole", "run by run"])
+    def test_a_first_childs_negative_zero_stays(self, placed):
+        # the first child is assigned onto the zero-filled front: where
+        # nothing else lands its -0.0 stays -0.0, which adding it onto the
+        # zeros would turn into +0.0
+        from repro.multifrontal.frontal import assemble_front_planned, get_assembly_plan
+        from tests.reference_assembly import assemble_front_in_order
+
+        a = load_test_matrix("lmco_s")
+        sf = symbolic_factorize(a, ordering="nd")
+        plan = get_assembly_plan(a, sf)
+        kids = sf.schildren()
+        s = next(
+            s for s in range(sf.n_supernodes) if len(kids[s]) >= 2
+            and (plan.runs[kids[s][0]] is None) == (placed == "whole")
+        )
+        updates = [(c, np.full((sf.update_size(c),) * 2, -0.0)) for c in kids[s]]
+        size = sf.rows[s].size
+        front = assemble_front_planned(
+            plan, a.data, size, s, updates, np.full(size * size, np.nan)
+        )
+        want = assemble_front_in_order(
+            a.permute_symmetric(sf.perm).lower_triangle(), sf, s, updates
+        )
+        lower = np.tril_indices(size)
+        assert np.array_equal(_bits(front[lower]), _bits(want[lower]))
+        assert np.signbit(front[lower]).any()
+
+
+class TestApplyOwnsItsOutputs:
+    """``Policy.apply`` hands back a panel and an update it owns: the walk
+    keeps both as they are, with no copy-out.  For every base policy, on
+    a lone front and on a ``(B, size, size)`` stack, with and without rows
+    below the pivots: neither shares memory with the front (nor, under
+    P4, with the device workspace), both are C-contiguous, and every
+    element of both is set — with ``np.empty`` NaN-filled, the strictly
+    upper part of the update is still finite, the blocked ``syrk`` of
+    m >= 256 included."""
+
+    @pytest.mark.parametrize("policy", ["P1", "P2", "P3", "P4"])
+    @pytest.mark.parametrize("k,m,batch", [
+        (40, 0, ()), (40, 50, ()), (40, 300, ()), (20, 0, (3,)), (20, 12, (3,)),
+    ])
+    def test_outputs_are_owned(self, monkeypatch, policy, k, m, batch):
+        from repro.policies.base import Worker
+
+        rng = np.random.default_rng(k + m)
+        size = k + m
+        x = rng.normal(size=(*batch, size, size))
+        front = np.tril(x @ x.mT + size * np.eye(size))
+        worker = Worker.canonical(SimulatedNode())
+        empty = np.empty
+        monkeypatch.setattr(
+            np, "empty",
+            lambda shape, dtype=float, *args, **kw: np.full(shape, np.nan, dtype),
+        )
+        kwargs = {}
+        if policy == "P4":
+            kwargs["workspace"] = np.empty(front.size, worker.gpu.cublas.dtype)
+        before = front.copy()
+        panel, u = make_policy(policy).apply(front, k, worker, **kwargs)
+        monkeypatch.setattr(np, "empty", empty)
+        assert np.array_equal(front, before)
+        assert panel.shape == (*batch, size, k) and u.shape == (*batch, m, m)
+        for out in (panel, u):
+            assert out.flags.c_contiguous
+            for buffer in (front, *kwargs.values()):
+                assert not np.shares_memory(out, buffer)
+        assert np.isfinite(panel).all()
+        assert np.isfinite(np.triu(u, 1)).all() and np.isfinite(u).all()
 
 
 class TestTriangularSolves:
@@ -661,9 +850,10 @@ def test_lmco_s_fp32_factor_counts(monkeypatch):
     lmco_s/nd under P4 on the event-driven runtime (2 CPUs + 2 GPUs).
     Every device-resolved panel, the stacked ones too, stays float32, and
     the walk casts none of the float32 panels ``PolicyP4.apply`` returns
-    to float64 (363 + 18 such casts before, one per front or stack, 29.3
-    MB of float64 panels); the factor holds exactly half the panel
-    bytes of its float64 twin.  Refinement of the float32 factor applied
+    (363 + 18 float32 -> float64 casts before, one per front or stack,
+    29.3 MB of float64 panels; then 363 + 18 float32 -> float32 copies,
+    before ``apply`` made its own device-to-host copies); the factor
+    holds exactly half the panel bytes of its float64 twin.  Refinement of the float32 factor applied
     in float32 still takes one step, to a backward error within 1e-12."""
     from repro.policies.base import PolicyP4
     from repro.service.cache import numeric_nbytes, symbolic_nbytes
@@ -691,7 +881,7 @@ def test_lmco_s_fp32_factor_counts(monkeypatch):
     monkeypatch.setattr(PolicyP4, "apply", watched_apply)
     solver.refactorize(a.data)
     monkeypatch.undo()
-    assert casts == Counter({"float32 -> float32": 363 + 18})
+    assert casts == Counter()
     factor = solver.factor
     on_device = {s for s, p in enumerate(solver.parallel.bases) if p.name == "P4"}
     assert len(on_device) == factor.sf.n_supernodes == 1983
@@ -750,3 +940,43 @@ def test_one_fu_path_counts(monkeypatch, case, policy, fronts, stacks, stacked):
     factor = solver.factor
     assert (factor.batch_tasks, factor.batched_fronts) == (stacks, stacked)
     assert factor.sf.n_supernodes == fronts + stacked
+
+
+def test_lmco_s_front_ownership_counts(monkeypatch):
+    """The counts-gate CI runs by name: one warm refactorize of lmco_s/nd
+    under P1 (serial).  ``Policy.apply`` hands the walk a panel and an
+    update it owns, so ``_numeric_walk`` makes no ``copy`` and no
+    ``astype`` call (381 ``astype`` of panels and stacks and 380 ``copy``
+    of updates before).  The assembly folds each front's children in
+    fewer calls: 507 extend-adds (the first child of each front, and each
+    child of ``RUN_CUT`` rows or more) and 429 scatter segments (A and
+    the small children between two of those, one ``np.add.at`` each),
+    936 in all, where there were 1 982 extend-adds, one per child, and
+    363 scatters of A; the 18 stacked leaf groups keep one scatter each."""
+    from repro.multifrontal import frontal, numeric
+
+    a = load_test_matrix("lmco_s")
+    solver = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
+    calls = Counter()
+    for name in ("_extend_add", "_scatter", "assemble_group"):
+        module = numeric if name == "assemble_group" else frontal
+
+        def counting(*args, _f=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    walk = {numeric.__file__: ("_numeric_walk", "run")}
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "c_call" and code.co_name in walk.get(code.co_filename, ()):
+            if getattr(arg, "__name__", "") in ("copy", "astype"):
+                calls[arg.__name__] += 1
+
+    sys.setprofile(profile)
+    try:
+        solver.refactorize(a.data)
+    finally:
+        sys.setprofile(None)
+    assert calls == Counter({"_extend_add": 507, "_scatter": 429, "assemble_group": 18})

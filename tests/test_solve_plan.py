@@ -288,11 +288,12 @@ def test_lmco_s_inverses_are_a_tenth_of_the_panels(lmco_s_factor):
     ("lmco_s/nd", "P1", 2124, 18),
     ("grid_laplacian_2d/amd", "P1", 1032, 3),
     # the device panel solves leave their float32 inverses, which the
-    # sweeps apply to the float32 panels; bind inverts the root's (m = 0)
-    # after the first panels' trsm inverted 16 of its 18 blocks (4 246 /
-    # 2 124 before, when the panels were widened and bind inverted every
-    # block again)
-    ("lmco_s/nd", "P4", 2140, 18),
+    # sweeps apply to the float32 panels; the root (m = 0) keeps the 16
+    # blocks its first panels' trsm inverted, and bind inverts only its
+    # last panel's 2 (2 140 / 18 before, when the root threw those 16
+    # away; 4 246 / 2 124 before that, when the panels were widened and
+    # bind inverted every block again)
+    ("lmco_s/nd", "P4", 2124, 2),
 ])
 def test_invert_once_counts(case, policy, total, in_bind):
     """The counts-gate CI runs by name: over one warm refactorize + solve,
@@ -300,7 +301,8 @@ def test_invert_once_counts(case, policy, total, in_bind):
     blocks).  The host panel solves leave their diagonal-block inverses
     in the factor's buffer, and so do the device panel solves of P4 in
     float32, so ``SolvePlan.bind`` inverts only what no panel solve
-    produced — roots with nothing below their pivots, and device fronts
+    produced — the blocks of a host root with nothing below its pivots,
+    the last panel's blocks of such a device root, and device fronts
     whose panel width is not a multiple of the block.  Before, bind
     inverted every block again: 4 230 on ``lmco_s``/nd P1, 2 061 on the
     grid and 4 246 on P4.  The

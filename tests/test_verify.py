@@ -213,9 +213,10 @@ def broken_syrk(monkeypatch):
     """Inject a biased ``syrk`` — every trailing update is slightly wrong."""
     orig = hk.syrk
 
-    def bad_syrk(c, x, *, counts=None):
-        orig(c, x, counts=counts)
+    def bad_syrk(c, x, *, counts=None, out=None):
+        c = orig(c, x, counts=counts, out=out)
         c += 1e-3 * max(abs(float(c.max())), 1.0)
+        return c
 
     monkeypatch.setattr(hk, "syrk", bad_syrk)
     return bad_syrk
