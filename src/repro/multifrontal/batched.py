@@ -1,24 +1,22 @@
-"""Grouping of small same-shape leaf fronts into stacks.
+"""Groups of fronts: the unit the numerics pass computes and the solve
+phase sweeps.  Every front is a member of one group, ``B`` same-shape
+fronts stacked into one ``(B, size, size)`` array and run through one
+``Policy.apply``, whose dense kernels take the whole stack in one call.
 
-The elimination tree is a few large fronts plus a long tail of tiny
-ones where per-front Python/BLAS dispatch, not arithmetic, is the bill.
-Leaf supernodes (no children, so no extend-add inputs) whose fronts
-share one ``(rows, k)`` shape are grouped (:func:`batch_groups`), and
-the numerics pass assembles each group into one ``(B, size, size)``
-stack by one gather and one scatter (:func:`assemble_group`) and runs
-it through the same ``Policy.apply`` and the same dense kernels as a
-single front — the idea A64FX-class sparse Cholesky codes use for small
-fronts: one call per kernel for the whole stack, not a second
-implementation.
+The elimination tree is a few large fronts plus a long tail of tiny ones
+where per-front Python/BLAS dispatch, not arithmetic, is the bill, so
+leaf supernodes (no children, so no extend-add inputs) whose fronts
+share one ``(rows, k)`` shape are grouped (:func:`batch_groups`) — the
+idea A64FX-class sparse Cholesky codes use for small fronts: one call per
+kernel for the whole stack, not a second implementation.  Every other
+front is a group of one, a ``(1, size, size)`` view (:func:`front_groups`).
 
-Nothing here computes: the kernels of :mod:`repro.dense.kernels` take a
-stack and compute every slice as they compute one front (numpy's stacked
-``cholesky``/``inv``/``matmul`` run the same LAPACK/BLAS call per
-slice), so each slice of a stacked group is bit-identical to its
-member's own ``apply``.  A group runs stacked when one base policy
-computes every member (:func:`repro.multifrontal.numeric._numeric_walk`).
-Stacking is a pure dispatch optimisation of the numerics pass: the
-virtual clock prices every front on its own and never sees it.
+Nothing here computes: the kernels take a stack and compute every slice
+as they compute one front (numpy's stacked ``cholesky``/``inv``/``matmul``
+run the same LAPACK/BLAS call per slice), so each slice of a group is
+bit-identical to its member's own ``apply``.  Grouping is a pure dispatch
+optimisation of the numerics pass and the sweeps: the virtual clock
+prices every front on its own and never sees it.
 """
 
 from __future__ import annotations
@@ -34,9 +32,9 @@ __all__ = [
     "STACK_CUTOFF",
     "STACK_CHUNK",
     "BatchGroup",
-    "assemble_group",
     "batch_groups",
     "breakdown_error",
+    "front_groups",
 ]
 
 #: leaf fronts with at most this many rows are stacked (measured on the
@@ -49,13 +47,14 @@ STACK_CHUNK = 128
 
 @dataclass(frozen=True, eq=False)
 class BatchGroup:
-    """One stacked call: leaf supernodes sharing a front shape.
+    """Supernodes sharing a front shape, computed as one stack.
 
     ``sids`` is ascending, so stacking order — and therefore the stacked
     numerics — is deterministic for a given symbolic factor.  ``src`` /
-    ``dst`` are the members' assembly-plan indices concatenated: gather
-    positions in the canonical ``a.data`` and flat scatter positions in
-    the ``(len(sids), size, size)`` stack (set by the assembly plan).
+    ``dst`` are a stacked leaf group's assembly-plan indices concatenated:
+    gather positions in the canonical ``a.data`` and flat scatter
+    positions in the ``(len(sids), size, size)`` stack (set by the
+    assembly plan; ``None`` on a group of one).
     """
 
     size: int                # front rows (k + m)
@@ -124,11 +123,23 @@ def breakdown_error(
     )
 
 
-def assemble_group(a_data: np.ndarray, g: BatchGroup) -> np.ndarray:
-    """The float64 ``(len(g), size, size)`` stack of the fronts of ``g``,
-    assembled from the canonical ``a_data`` by one gather and one scatter
-    (slice ``i`` is ``g.sids[i]``'s front)."""
-    stack = np.zeros((len(g), g.size, g.size))
-    # added, as the per-front assembly adds A (-0.0 lands as +0.0)
-    np.add.at(stack.reshape(-1), g.dst, a_data[g.src])
-    return stack
+def front_groups(
+    sf: SymbolicFactor, groups: list[BatchGroup], inside: np.ndarray
+) -> list[BatchGroup]:
+    """Every supernode where the mask ``inside`` holds, in one group: each
+    of ``groups`` lying wholly inside, a group of one for every other,
+    ordered by first member.  A group's members have no descendant at or
+    after its first member (leaves have none), so each group comes after
+    every descendant of its members and before every ancestor."""
+    grouped = np.zeros(sf.n_supernodes, dtype=bool)
+    kept = []
+    for g in groups:
+        if inside[list(g.sids)].all():
+            kept.append(g)
+            grouped[list(g.sids)] = True
+    ptr = sf.super_ptr.tolist()
+    kept += [
+        BatchGroup(sf.rows[s].size, ptr[s + 1] - ptr[s], (s,))
+        for s in np.flatnonzero(inside & ~grouped).tolist()
+    ]
+    return sorted(kept, key=lambda g: g.sids[0])

@@ -44,6 +44,7 @@ __all__ = [
     "RUN_CUT",
     "AssemblyPlan",
     "assemble_front_planned",
+    "assemble_group",
     "get_assembly_plan",
     "assembly_bytes",
 ]
@@ -147,10 +148,11 @@ class AssemblyPlan:
     seen in the factor.  ``dst``, ``place`` and the segments' indices
     are views of one array, built with whole-plan array operations.
 
-    ``groups`` holds the stackable leaf groups of the tree
+    ``groups`` holds the stacked leaf groups of the tree
     (:func:`repro.multifrontal.batched.batch_groups`), each carrying its
     members' ``src`` / ``dst`` concatenated so a whole group assembles
-    with one gather and one scatter.
+    with one gather and one scatter (:func:`assemble_group`); every other
+    front is a group of one.
     """
 
     __slots__ = (
@@ -424,6 +426,26 @@ def get_assembly_plan(a: CSCMatrix, sf: SymbolicFactor) -> AssemblyPlan:
         plan = AssemblyPlan(a, sf)
         sf._assembly_plan = plan  # type: ignore[attr-defined]
     return plan
+
+
+def assemble_group(
+    plan: AssemblyPlan, a_data: np.ndarray, g: BatchGroup,
+    child_updates: list[tuple[int, np.ndarray]], workspace: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``(len(g), size, size)`` stack of the fronts of group ``g``
+    (slice ``i`` is ``g.sids[i]``'s), the one way the numerics pass
+    assembles: a group of one is its front (:func:`assemble_front_planned`),
+    a stacked leaf group (no children) one gather and one scatter of A onto
+    zeros.  With ``workspace`` the stack is a view of its head."""
+    if len(g) == 1:
+        return assemble_front_planned(
+            plan, a_data, g.size, g.sids[0], child_updates, workspace
+        )[None]
+    n = len(g) * g.size * g.size
+    stack = np.empty(n) if workspace is None else workspace[:n]
+    stack.fill(0.0)
+    np.add.at(stack, g.dst, a_data[g.src])
+    return stack.reshape(len(g), g.size, g.size)
 
 
 def assemble_front_planned(

@@ -30,19 +30,15 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.dense.kernels import SUBSTITUTION_BLOCK, NotPositiveDefiniteError
+from repro.dense.kernels import NotPositiveDefiniteError
 from repro.gpu.allocator import AllocationStats
 from repro.gpu.clock import EngineTimeline, TaskGraph, schedule_graph
 from repro.gpu.cublas import KernelCall
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import PerfModel
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.batched import BatchGroup, assemble_group, breakdown_error
-from repro.multifrontal.frontal import (
-    assemble_front_planned,
-    assembly_bytes,
-    get_assembly_plan,
-)
+from repro.multifrontal.batched import breakdown_error, front_groups
+from repro.multifrontal.frontal import assemble_group, assembly_bytes, get_assembly_plan
 from repro.multifrontal.solve import SweepTable, get_solve_plan
 from repro.policies.base import Policy, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
@@ -175,17 +171,18 @@ class NumericFactor:
     #: per-supernode (rows x k) [L1; L2], in the dtype it was computed
     #: in: float32 where a device front computed it, else float64
     panels: list[np.ndarray]
-    #: the ``(B, rows, k)`` array the panels of each stacked leaf group
-    #: are the slices of, by the group's first member
-    #: (:func:`repro.multifrontal.batched.batch_groups`)
+    #: the ``(B, rows, k)`` array the panels of each group are the slices
+    #: of, by the group's first member (a group of one too,
+    #: :func:`repro.multifrontal.batched.front_groups`)
     stacks: dict[int, np.ndarray]
     records: list[FURecord]
     makespan: float                 # simulated seconds, end-to-end
     node: SimulatedNode
     peak_update_bytes: int = 0
     assembly_seconds: float = 0.0
-    #: stacked small-front execution: stacked calls the numerics pass
-    #: issued / fronts they covered (both 0 when it found nothing to group)
+    #: stacked small-front execution: ``apply`` calls on more than one
+    #: front the numerics pass issued / fronts they covered (both 0 when
+    #: it found nothing to group)
     batch_tasks: int = 0
     batched_fronts: int = 0
     #: the solve phase's sweep table (:func:`repro.multifrontal.solve.sweep_table`),
@@ -199,8 +196,8 @@ class NumericFactor:
 
     @property
     def task_dispatches(self) -> int:
-        """Number of per-front work dispatches the factorization issued:
-        every unbatched supernode is one dispatch, every batch group one."""
+        """Number of work dispatches (``apply`` calls) the factorization
+        issued: every front computed alone is one, every stacked call one."""
         return self.sf.n_supernodes - self.batched_fronts + self.batch_tasks
 
     def simulated_time(self) -> float:
@@ -475,166 +472,126 @@ def _numeric_walk(
     int, int, int, dict[int, int], dict,
 ]:
     """The floating-point walk over the supernodes of ``order`` (children
-    before parents): assemble each front, run its factor-update under
-    ``bases[s]``, hand the update matrix to the parent.  Its device
-    kernels keep no time: after the walk, ``kernel_seconds`` (the seconds
-    of :func:`device_kernels` over ``order`` on ``worker``'s GPU, kept
-    per pattern with the priced pass) are added onto that GPU's
-    ``cublas.busy_seconds`` one by one, the float adds of one charge
-    per kernel in the walk's order.  Fronts and
-    update matrices are live in their lower triangle only
-    (:mod:`repro.multifrontal.frontal`); every unstacked front is a view
-    of one ``np.zeros`` workspace sized for the largest, zero-filled on
-    its lower triangle by the assembly.  A policy with
+    before parents), one group at a time
+    (:func:`repro.multifrontal.batched.front_groups`: the stacked leaf
+    groups lying wholly inside ``order``, a group of one for every other
+    front).  At the turn of the member it reaches first, the walk
+    assembles the group into one ``(B, size, size)`` stack
+    (:func:`repro.multifrontal.frontal.assemble_group`), runs one
+    ``apply`` on it per base policy among its members (``bases[s]``; more
+    than one only where a fallback mixed them) and keeps the ``(B, size,
+    k)`` panel stack: each member's panel is a slice of it, bit-identical
+    to the member's own ``apply``, and each member's update goes to its
+    parent's extend-add.  A breakdown names the failing slice's supernode.
+
+    Fronts and update matrices are live in their lower triangle only
+    (:mod:`repro.multifrontal.frontal`); every stack is a view of one
+    ``np.zeros`` workspace sized for the largest.  A policy with
     :attr:`~repro.policies.base.Policy.device_front` (``PolicyP4``)
-    copies each of its fronts (and stacks) into one *device* workspace,
-    in the device dtype, sized for the largest it computes.  ``apply``
-    returns a panel and an update it owns, in the dtype it computed them
-    in — float32 from a device front under the sp model — and the walk
-    keeps both as they are: no copy, no cast.  The panel goes into the
-    factor, the update to the parent's extend-add, which widens a
-    float32 one inside its add.  Nothing returned aliases either
-    workspace.
+    copies each of its stacks into one *device* workspace, in the device
+    dtype, sized for the largest it computes.  ``apply`` returns a panel
+    and an update it owns, in the dtype it computed them in — float32
+    from a device front under the sp model — and the walk keeps both as
+    they are: no copy, no cast, but for a mixed group, whose panels are
+    widened into one float64 stack.  Nothing returned aliases either
+    workspace.  Its device kernels keep no time: after the walk,
+    ``kernel_seconds`` (the seconds of :func:`device_kernels` over
+    ``order`` on ``worker``'s GPU, kept per pattern with the priced pass)
+    are added onto that GPU's ``cublas.busy_seconds`` one by one.
 
     ``inverses`` is the solve phase's buffer of diagonal-block inverses
     (:class:`repro.multifrontal.solve.SolvePlan`): the walk takes its
     :meth:`~repro.multifrontal.solve.SolvePlan.slots`, float32 where the
-    panel is, and every panel solve that inverts all of its supernode's
-    diagonal blocks leaves them there, so the solve phase does not
-    compute them again — the leading blocks
-    :meth:`~repro.policies.base.Policy.inverted_blocks` counts, of a
-    front or of a stacked leaf group whose pivot blocks are each one
-    diagonal block.
+    stack is, and the panel solves of an unmixed group leave there the
+    leading blocks :meth:`~repro.policies.base.Policy.inverted_blocks`
+    counts, so the solve phase does not compute them again.
 
-    Returns the panels (``None`` outside ``order``), the panel stacks,
-    the updates nobody in ``order`` consumed (in the order they were
-    produced; none when ``order`` covers the tree), the peak live update
-    bytes, the stacked calls issued / fronts they covered, how many
-    leading blocks' inverses of which supernode (a group by its first
-    member) are in ``inverses``, and the slots (empty without
+    Returns the panels (``None`` outside ``order``), the panel stacks by
+    each group's first member, the updates nobody in ``order`` consumed
+    (in the order of their turns; none when ``order`` covers the tree),
+    the peak live update bytes (an update is live from its supernode's
+    turn to its parent's), the ``apply`` calls on more than one front /
+    fronts they covered, how many leading blocks' inverses of which group
+    (by first member) are in ``inverses``, and the slots (empty without
     ``inverses``).
-
-    The panels of a leaf group lying wholly inside ``order`` are the
-    slices of one ``(B, size, k)`` stack, whatever computed them (the
-    solve phase sweeps a group as one stack,
-    :class:`repro.multifrontal.solve.SolvePlan`); the stacks are returned
-    keyed by the group's first member.  When one base policy computes
-    every member, the group *runs* stacked: assembled into one ``(B,
-    size, size)`` stack (:func:`repro.multifrontal.batched.assemble_group`)
-    and factored by one ``apply`` of that policy, each slice bit-identical
-    to the member's own ``apply`` (:func:`device_kernels` lists each
-    member's kernels at its own turn); a breakdown names the failing
-    slice's supernode.  Any other group is computed front by front and
-    written into its stack.
     """
-    order = np.asarray(order).tolist()
+    order = np.asarray(order)
     kids = sf.schildren()
     plan = get_assembly_plan(a, sf)
-    a_data = a.data
-    panels: list[np.ndarray | None] = [None] * sf.n_supernodes
-    updates: dict[int, np.ndarray] = {}
-    live_update_bytes = 0
-    peak_update_bytes = 0
-
+    turn = dict(zip(order.tolist(), range(order.size)))
     walked = np.zeros(sf.n_supernodes, dtype=bool)
     walked[order] = True
-    stacks: dict[int, np.ndarray] = {}
-    #: group and position in it of every member of a group inside ``order``
-    slot_of: dict[int, tuple[BatchGroup, int]] = {}
-    #: the groups that run stacked, by first member
-    stacked: set[int] = set()
-    for g in plan.groups:
-        if walked[list(g.sids)].all():
-            slot_of.update((s, (g, i)) for i, s in enumerate(g.sids))
-            if all(bases[s] is bases[g.sids[0]] for s in g.sids):
-                stacked.add(g.sids[0])
-    #: the ``apply`` calls of a device-front policy — every front it
-    #: computes on its own, every group it runs stacked, by first member
-    #: — and the device words of each
-    on_device: dict[int, int] = {}
-    for s in order:
-        if bases[s].device_front:
-            g = slot_of.get(s, (None,))[0]
-            if s in stacked or g is None or g.sids[0] not in stacked:
-                on_device[s] = sf.rows[s].size ** 2 * (len(g) if s in stacked else 1)
-    device = worker.gpu.cublas.dtype if on_device else np.float64
-    #: the supernodes whose panels stay float32 (a group computed front by
-    #: front is written into one float64 stack)
+    groups = sorted(front_groups(sf, plan.groups, walked), key=lambda g: min(map(turn.get, g.sids)))
+    #: per group, its members' positions by base policy: one ``apply`` each
+    calls: list[dict[Policy, list[int]]] = [{} for _ in groups]
+    for g, by_base in zip(groups, calls):
+        for i, s in enumerate(g.sids):
+            by_base.setdefault(bases[s], []).append(i)
+    device_words = [
+        g.size ** 2 * len(idx) for g, by_base in zip(groups, calls)
+        for base, idx in by_base.items() if base.device_front
+    ]
+    device = worker.gpu.cublas.dtype if device_words else np.float64
+    #: the groups whose panel stacks stay float32
     single = {
-        s for s in on_device if s in stacked or s not in slot_of
+        g.sids[0] for g, by_base in zip(groups, calls)
+        if len(by_base) == 1 and next(iter(by_base)).device_front
     } if device == np.float32 else set()
-    #: per-member update of the groups factored so far, consumed when the
-    #: member's turn comes
-    pending: dict[int, "np.ndarray | None"] = {}
-    batch_tasks = batched_fronts = 0
-    workspace = np.zeros(max((sf.rows[s].size for s in order), default=0) ** 2)
-    device_workspace = np.empty(max(on_device.values(), default=0), device)
+    workspace = np.zeros(max((len(g) * g.size ** 2 for g in groups), default=0))
+    device_workspace = np.empty(max(device_words, default=0), device)
     slots = {} if inverses is None else get_solve_plan(sf).slots(inverses, single)
+    panels: list[np.ndarray | None] = [None] * sf.n_supernodes
+    stacks: dict[int, np.ndarray] = {}
+    updates: dict[int, np.ndarray] = {}
+    update_bytes = np.zeros(sf.n_supernodes, dtype=np.int64)
     inverted: dict[int, int] = {}
+    batch_tasks = batched_fronts = 0
 
-    def run(s: int, front: np.ndarray, k: int, out) -> tuple:
-        """``apply`` of ``bases[s]`` on ``front`` (a stack for a group run
-        by its first member ``s``), leaving the inverses in ``out``."""
-        base = bases[s]
-        kwargs = {"workspace": device_workspace} if s in on_device else {}
-        done = base.inverted_blocks(front.shape[-1] - k, k) if out is not None else 0
-        if done:
-            kwargs["inverses"] = out
-            inverted[s] = done
-        return base.apply(front, k, worker, **kwargs)
-
-    for s in order:
-        g, i = slot_of.get(s, (None, 0))
-        head = g.sids[0] if g is not None else -1
-        if head in stacked and head not in stacks:
-            out = slots.get(head) if g.k <= SUBSTITUTION_BLOCK else None
-            stack = assemble_group(a_data, g)
+    for g, by_base in zip(groups, calls):
+        head = g.sids[0]
+        child_updates = [(c, updates.pop(c)) for s in g.sids for c in kids[s] if c in updates]
+        stack = assemble_group(plan, a.data, g, child_updates, workspace)
+        # a mixed group leaves no inverses: its stack is widened to float64
+        out = slots.get(head) if len(by_base) == 1 else None
+        panel = None if len(by_base) == 1 else np.empty((len(g), g.size, g.k))
+        for base, idx in by_base.items():
+            kwargs = {"workspace": device_workspace} if base.device_front else {}
+            if out is not None and base.inverted_blocks(g.m, g.k):
+                kwargs["inverses"] = out
+                inverted[head] = base.inverted_blocks(g.m, g.k)
             try:
-                # the group's (B, k, k) inverses are each one diagonal
-                # block: a full one (k = 32) or a tail
-                panel, u = run(
-                    head, stack, g.k, None if out is None else (out[:, None],) * 2
+                part, u = base.apply(
+                    stack if panel is None else stack[idx], g.k, worker, **kwargs
                 )
             except NotPositiveDefiniteError as exc:
-                raise breakdown_error(sf, g.sids[exc.failed[0]], exc) from exc
-            stacks[head] = panel
-            pending.update(zip(g.sids, u if g.m else [None] * len(g)))
-            batch_tasks += 1
-            batched_fronts += len(g)
-        if g is not None and head not in stacks:
-            stacks[head] = np.empty((len(g), g.size, g.k))
-        if head in stacked:
-            panels[s], u = stacks[head][i], pending.pop(s)
-        else:
-            size = sf.rows[s].size
-            k = sf.width(s)
-            child_updates = [(c, updates.pop(c)) for c in kids[s] if c in updates]
-            live_update_bytes -= sum(cu.nbytes for _, cu in child_updates)
-            front = assemble_front_planned(
-                plan, a_data, size, s, child_updates, workspace
-            )
-            try:
-                panel, u = run(s, front, k, slots.get(s) if g is None else None)
-            except NotPositiveDefiniteError as exc:
-                raise breakdown_error(sf, s, exc) from exc
-            if g is None:
-                panels[s] = panel
+                raise breakdown_error(sf, g.sids[idx[exc.failed[0]]], exc) from exc
+            if panel is None:
+                panel = part
             else:
-                panels[s] = stacks[head][i]
-                panels[s][...] = panel
-            u = u if size > k else None
-        if u is not None:
-            updates[s] = u
-            live_update_bytes += u.nbytes
-            peak_update_bytes = max(peak_update_bytes, live_update_bytes)
+                panel[idx] = part
+            for i, ui in zip(idx, u if g.m else ()):
+                updates[g.sids[i]] = ui
+                update_bytes[g.sids[i]] = ui.nbytes
+            if len(idx) > 1:
+                batch_tasks += 1
+                batched_fronts += len(idx)
+        stacks[head] = panel
+        for s, p in zip(g.sids, panel):
+            panels[s] = p
     if kernel_seconds:
         busy = worker.gpu.cublas.busy_seconds
         for t in kernel_seconds:
             busy += t
         worker.gpu.cublas.busy_seconds = busy
+    # the live update bytes after each turn: its update in, its children's out
+    parent = sf.sparent[order]
+    consumed = np.zeros(sf.n_supernodes, dtype=np.int64)
+    np.add.at(consumed, parent[parent >= 0], update_bytes[order][parent >= 0])
+    live = np.cumsum(update_bytes[order] - consumed[order])
+    leftover = {s: updates[s] for s in order.tolist() if s in updates}
     return (
-        panels, stacks, updates, peak_update_bytes, batch_tasks, batched_fronts,
-        inverted, slots,
+        panels, stacks, leftover, int(live.max(initial=0)), batch_tasks,
+        batched_fronts, inverted, slots,
     )
 
 
@@ -675,7 +632,7 @@ def postorder_numeric_factor(
         assembly_seconds=priced.assembly_seconds,
         batch_tasks=batch_tasks,
         batched_fronts=batched_fronts,
-        sweep=solve_plan.bind(panels, stacks, inverses, inverted, slots),
+        sweep=solve_plan.bind(stacks, inverses, inverted, slots),
     )
 
 

@@ -59,8 +59,8 @@ class PartialFactorization:
         (rows x k) array), enough to resume or to solve with the
         interior block.
     stacks : dict
-        The ``(B, rows, k)`` arrays the panels of the stacked leaf groups
-        inside the eliminated block are slices of (as on a
+        The ``(B, rows, k)`` arrays the panels of the groups of the
+        eliminated block are slices of, by first member (as on a
         :class:`~repro.multifrontal.numeric.NumericFactor`).
     records : list of FURecord
         Per-call instrumentation of the eliminated part.
@@ -184,7 +184,7 @@ def solve_with_schur(
     ne = pf.n_eliminated
     if pf.sweep is None:
         boundary = int(np.searchsorted(sf.super_ptr, ne, side="right")) - 1
-        pf.sweep = SolvePlan(sf, boundary).bind(pf.panels, pf.stacks)
+        pf.sweep = SolvePlan(sf, boundary).bind(pf.stacks)
     y = b[sf.perm].copy()
 
     # after the forward half, y[:ne] = L11^{-1} (P b)_1 and

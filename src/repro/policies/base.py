@@ -178,9 +178,10 @@ class Policy:
         self, front: np.ndarray, k: int, worker: Worker
     ) -> tuple[np.ndarray, np.ndarray]:
         """Factor the assembled ``front``, or every front of a ``(B, size,
-        size)`` stack (a stacked leaf group,
-        :mod:`repro.multifrontal.batched`) with the same kernels, each
-        taking the whole stack in one call; returns ``(panel, U)``, the
+        size)`` stack (a group, :mod:`repro.multifrontal.batched`: the
+        numerics pass hands every front over as one, ``B = 1`` for a
+        front alone) with the same kernels, each taking the whole stack
+        in one call; returns ``(panel, U)``, the
         factored ``[L1; L2]`` columns and the update block ``F22 - L2
         L2^T``, in the dtype they were computed in.  Both are new
         C-contiguous arrays the caller owns — they share no memory with

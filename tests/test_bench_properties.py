@@ -45,6 +45,7 @@ from repro.multifrontal import (
 )
 from repro.multifrontal.frontal import (
     assemble_front_planned,
+    assemble_group,
     assembly_bytes,
     get_assembly_plan,
 )
@@ -366,7 +367,7 @@ class TestBatchedExecutionProperties:
         plan = get_assembly_plan(a, sym)
         for g in plan.groups:
             assert 2 <= len(g) <= batched.STACK_CHUNK
-            stack = batched.assemble_group(a.data, g)
+            stack = assemble_group(plan, a.data, g, [])
             assembled = stack.copy()
             g_panels, g_updates = policy.apply(stack, g.k, worker)
             for i, s in enumerate(g.sids):
@@ -539,8 +540,9 @@ class TestBatchedExecutionProperties:
             nf, ctx = self._device_run(a, sym, policy)
             ref, ref_ctx = self._device_run(a, sym, policy, stacking=False)
         # the stack and its slice 0 (finding the failing member), then
-        # leaf 0 in the per-front run; the group stays stacked
-        assert broke == [(6, 2, 2), (2, 2), (2, 2)]
+        # leaf 0 in the per-front run, a group of one and its one slice;
+        # the group stays stacked
+        assert broke == [(6, 2, 2), (2, 2), (1, 2, 2), (2, 2)]
         assert (nf.batch_tasks, nf.batched_fronts) == (1, 6)
         assert factor_fingerprint(nf) == factor_fingerprint(ref)
         fold = self._fold(sym, policy)
@@ -837,11 +839,11 @@ class TestLowerTriangleAssembly:
         node = SimulatedNode()
         worker = Worker(node.cpus[0].engine, node.gpus[0])
         workspaces = []
-        assemble = numeric.assemble_front_planned
+        assemble = numeric.assemble_group
 
-        def spy(plan, a_data, size, s, child_updates, workspace):
+        def spy(plan, a_data, g, child_updates, workspace):
             workspaces.append(workspace)
-            return assemble(plan, a_data, size, s, child_updates, workspace)
+            return assemble(plan, a_data, g, child_updates, workspace)
 
         devices = []
         p4_apply = PolicyP4.apply
@@ -850,7 +852,7 @@ class TestLowerTriangleAssembly:
             devices.append(kwargs["workspace"])
             return p4_apply(self, front, k, worker, **kwargs)
 
-        with mock.patch.object(numeric, "assemble_front_planned", spy), \
+        with mock.patch.object(numeric, "assemble_group", spy), \
                 mock.patch.object(PolicyP4, "apply", device_spy):
             # stop below the root: its children's updates are handed back
             panels, stacks, leftover, *_ = numeric._numeric_walk(

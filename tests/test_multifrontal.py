@@ -237,8 +237,8 @@ class TestTriangleStorage:
 class TestLowerTriangleContract:
     """Fronts are live in their lower triangle only: nothing the numerics
     pass computes may read above the diagonal of an assembled front.  So
-    NaN written over the strict upper triangle of every front
-    :func:`repro.multifrontal.frontal.assemble_front_planned` returns
+    NaN written over the strict upper triangle of every slice of every
+    stack :func:`repro.multifrontal.frontal.assemble_group` returns
     leaves every panel bit and ``x`` as they are, and raises no
     floating-point warning (the device path casts whole fronts)."""
 
@@ -260,13 +260,13 @@ class TestLowerTriangleContract:
         want_panels, want_x, _ = self.factor_and_solve(policy)
         poisoned = []
 
-        def assemble(plan, a_data, size, s, *args, **kwargs):
-            front = frontal.assemble_front_planned(plan, a_data, size, s, *args, **kwargs)
-            front[np.triu_indices(front.shape[0], 1)] = np.nan
-            poisoned.append(s)
-            return front
+        def assemble(plan, a_data, g, *args, **kwargs):
+            stack = frontal.assemble_group(plan, a_data, g, *args, **kwargs)
+            stack[(slice(None), *np.triu_indices(g.size, 1))] = np.nan
+            poisoned.extend(g.sids)
+            return stack
 
-        monkeypatch.setattr(numeric, "assemble_front_planned", assemble)
+        monkeypatch.setattr(numeric, "assemble_group", assemble)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             panels, x, sf = self.factor_and_solve(policy)
@@ -298,7 +298,7 @@ class TestDeviceFrontRoundTrip:
         from repro.policies.base import PolicyP4
 
         written, dtypes = [], Counter()
-        apply, assemble = PolicyP4.apply, numeric.assemble_front_planned
+        apply, assemble = PolicyP4.apply, numeric.assemble_group
 
         def spy_apply(self, front, k, worker, **kwargs):
             before = front.tobytes()
@@ -307,12 +307,12 @@ class TestDeviceFrontRoundTrip:
                 written.append(front.shape[0])
             return out
 
-        def spy_assemble(plan, a_data, size, s, child_updates, *args):
+        def spy_assemble(plan, a_data, g, child_updates, *args):
             dtypes.update(u.dtype.name for _, u in child_updates)
-            return assemble(plan, a_data, size, s, child_updates, *args)
+            return assemble(plan, a_data, g, child_updates, *args)
 
         monkeypatch.setattr(PolicyP4, "apply", spy_apply)
-        monkeypatch.setattr(numeric, "assemble_front_planned", spy_assemble)
+        monkeypatch.setattr(numeric, "assemble_group", spy_assemble)
         solver = SparseCholeskySolver(matrix, ordering=ordering, **kwargs).factorize()
         return solver, written, dtypes
 
@@ -516,7 +516,7 @@ class TestAssemblyOracle:
 
         a_lower = a.permute_symmetric(sf.perm).lower_triangle()
         seen = Counter()
-        assemble, group = numeric.assemble_front_planned, numeric.assemble_group
+        group = numeric.assemble_group
 
         def check(s, front, child_updates):
             lower = np.tril_indices(front.shape[0])
@@ -527,21 +527,14 @@ class TestAssemblyOracle:
             ])
             assert np.array_equal(front[lower], full[lower]), s
 
-        def spy(plan, a_data, size, s, child_updates, *args, **kwargs):
-            front = assemble(plan, a_data, size, s, child_updates, *args, **kwargs)
-            check(s, front, child_updates)
-            seen["fronts"] += 1
-            seen.update(u.dtype.name for _, u in child_updates)
-            return front
-
-        def group_spy(a_data, g):
-            stack = group(a_data, g)
+        def group_spy(plan, a_data, g, child_updates, *args, **kwargs):
+            stack = group(plan, a_data, g, child_updates, *args, **kwargs)
             for s, front in zip(g.sids, stack):
-                check(s, front, [])
-            seen["stacks"] += 1
+                check(s, front, child_updates)
+            seen["fronts" if len(g) == 1 else "stacks"] += 1
+            seen.update(u.dtype.name for _, u in child_updates)
             return stack
 
-        monkeypatch.setattr(numeric, "assemble_front_planned", spy)
         monkeypatch.setattr(numeric, "assemble_group", group_spy)
         walk()
         monkeypatch.undo()
@@ -813,9 +806,10 @@ def test_lmco_s_device_round_trip_counts(monkeypatch):
     """The counts-gate CI runs by name: one warm refactorize of lmco_s/nd
     under P4 on the event-driven runtime (2 CPUs + 2 GPUs).  No device
     front is written back into the host workspace (363 whole-front
-    write-backs before, one per unstacked front; the 18 stacked leaf
-    groups, each one ``apply`` on a ``(B, size, size)`` stack, write none
-    back either), and the updates live on the stack in float32:
+    write-backs before, one per front computed alone, now each a group
+    of one; the 18 stacked leaf groups, each one ``apply`` on a ``(B,
+    size, size)`` stack, write none back either), and the updates live on
+    the stack in float32:
     ``peak_update_bytes`` 13 424 328 -> 6 712 164, exactly half (every
     front of it runs on the device)."""
     from repro.policies.base import PolicyP4
@@ -831,7 +825,7 @@ def test_lmco_s_device_round_trip_counts(monkeypatch):
     def counting_apply(self, front, k, worker, **kwargs):
         before = front.tobytes()
         out = apply(self, front, k, worker, **kwargs)
-        row = "" if front.ndim == 2 else "stacked "
+        row = "" if len(front) == 1 else "stacked "
         calls[row + "apply"] += 1
         calls[row + "written back"] += front.tobytes() != before
         return out
@@ -904,11 +898,13 @@ def test_lmco_s_fp32_factor_counts(monkeypatch):
 ])
 def test_one_fu_path_counts(monkeypatch, case, policy, fronts, stacks, stacked):
     """The counts-gate CI runs by name: over one warm refactorize, every
-    factor-update runs through ``Policy.apply`` — a front on its own, or
-    a stacked leaf group as one ``(B, size, size)`` stack — and every
-    Cholesky through ``dense.kernels.potrf``.  Before, the stacked groups
-    ran a copy of the kernels of their own: ``apply`` ran once per
-    unstacked front only (363 + 0 on lmco_s/nd)."""
+    factor-update runs through ``Policy.apply`` on a ``(B, size, size)``
+    stack — a group of one (B = 1) or a stacked leaf group — and every
+    Cholesky through ``dense.kernels.potrf``: 381 calls on lmco_s/nd, 18
+    of them with B > 1.  Before, a front computed alone was a 2-D call
+    (363 of them, beside the same 18 stacks), and before that the
+    stacked groups ran a copy of the kernels of their own: ``apply`` ran
+    once per unstacked front only (363 + 0 on lmco_s/nd)."""
     from repro.dense import kernels
     from repro.policies import base
 
@@ -922,7 +918,9 @@ def test_one_fu_path_counts(monkeypatch, case, policy, fronts, stacks, stacked):
     calls = Counter()
     for cls in (base.PolicyP1, base.PolicyP2, base.PolicyP3, base.PolicyP4):
         def counting_apply(self, front, k, worker, *args, _apply=cls.apply, **kw):
-            calls["front" if front.ndim == 2 else "stack"] += 1
+            calls["apply"] += 1
+            calls["B > 1"] += front.ndim == 3 and len(front) > 1
+            calls["not a stack"] += front.ndim != 3
             return _apply(self, front, k, worker, *args, **kw)
 
         monkeypatch.setattr(cls, "apply", counting_apply)
@@ -935,7 +933,8 @@ def test_one_fu_path_counts(monkeypatch, case, policy, fronts, stacks, stacked):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     solver.refactorize(a.data)
-    assert (calls["front"], calls["stack"]) == (fronts, stacks)
+    assert (calls["apply"], calls["B > 1"]) == (fronts + stacks, stacks)
+    assert calls["not a stack"] == 0
     assert calls["cholesky"] > 0 and calls["stray cholesky"] == 0
     factor = solver.factor
     assert (factor.batch_tasks, factor.batched_fronts) == (stacks, stacked)
@@ -952,7 +951,10 @@ def test_lmco_s_front_ownership_counts(monkeypatch):
     child of ``RUN_CUT`` rows or more) and 429 scatter segments (A and
     the small children between two of those, one ``np.add.at`` each),
     936 in all, where there were 1 982 extend-adds, one per child, and
-    363 scatters of A; the 18 stacked leaf groups keep one scatter each."""
+    363 scatters of A.  Every front is assembled as a member of a group,
+    one ``assemble_group`` call per group: 381, the 18 stacked leaf groups
+    by one scatter each (before, those 18 were the only calls of
+    ``assemble_group``, a second entry point beside the per-front one)."""
     from repro.multifrontal import frontal, numeric
 
     a = load_test_matrix("lmco_s")
@@ -966,11 +968,11 @@ def test_lmco_s_front_ownership_counts(monkeypatch):
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    walk = {numeric.__file__: ("_numeric_walk", "run")}
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if event == "c_call" and code.co_name in walk.get(code.co_filename, ()):
+        if event == "c_call" and code.co_filename == numeric.__file__ \
+                and code.co_name == "_numeric_walk":
             if getattr(arg, "__name__", "") in ("copy", "astype"):
                 calls[arg.__name__] += 1
 
@@ -979,4 +981,5 @@ def test_lmco_s_front_ownership_counts(monkeypatch):
         solver.refactorize(a.data)
     finally:
         sys.setprofile(None)
-    assert calls == Counter({"_extend_add": 507, "_scatter": 429, "assemble_group": 18})
+    assert calls == Counter({"_extend_add": 507, "_scatter": 429, "assemble_group": 381})
+

@@ -143,8 +143,9 @@ def lmco_s_solver(policy: str) -> SparseCholeskySolver:
 @contextlib.contextmanager
 def recorded_panel_solves():
     """Yields the list of every ``(B, L)`` handed to the panel solve
-    inside the block: a front's 2-D blocks, a stacked leaf group's
-    ``(B, m, k)`` and ``(B, k, k)`` stacks."""
+    inside the block: a group's ``(G, m, k)`` and ``(G, k, k)`` stacks,
+    ``G = 1`` for a front computed alone (a group of one), and the 2-D
+    blocks of a device front's Figure-9 panels."""
     calls, real = [], kernels.trsm_right_lower
 
     def spy(b, l, **kwargs):
@@ -157,10 +158,11 @@ def recorded_panel_solves():
 
 @pytest.fixture(scope="module")
 def lmco_s_panel_solves():
-    """The front-by-front panel solves of a factorization of lmco_s/nd."""
+    """The front-by-front panel solves of a factorization of lmco_s/nd
+    (the one slice of each group of one)."""
     with recorded_panel_solves() as calls:
         lmco_s_solver("P1").factorize()
-    return [(b, l) for b, l in calls if b.ndim == 2]
+    return [(b[0], l[0]) for b, l in calls if len(b) == 1]
 
 
 def factor_backward_error(a, factor) -> float:
@@ -229,20 +231,21 @@ def test_lmco_s_panel_solve_counts(policy, calls, blocks, column_steps):
     ``lmco_s``/nd no line of the panel solve runs more often than once
     per 32-column diagonal block (and its loop header once more per
     call), where substitution took one step per column.  The front-by-front
-    solves are counted on the 2-D calls; a stacked leaf group is one call
-    whatever its size, and no line of the dense kernels runs once per
-    stacked leaf."""
+    solves are counted on the calls of one slice (a group of one, or one
+    panel of a device front); a stacked leaf group is one call whatever
+    its size, and no line of the dense kernels runs once per stacked
+    leaf."""
     solver = lmco_s_solver(policy).factorize()
     values = solver.a.data
     with recorded_panel_solves() as solves:
         solver.refactorize(values)
 
-    def row(ndim):
-        ls = [l for b, l in solves if b.ndim == ndim]
+    def row(stacked):
+        ls = [l for b, l in solves if (b.ndim == 3 and len(b) > 1) == stacked]
         return len(ls), sum(-(-l.shape[-1] // kernels.SUBSTITUTION_BLOCK) for l in ls)
 
-    assert row(2) == (calls, blocks)
-    assert row(3) == STACKED_SOLVES[policy]
+    assert row(False) == (calls, blocks)
+    assert row(True) == STACKED_SOLVES[policy]
     assert len(solves) == calls + STACKED_SOLVES[policy][0]
 
     hits = line_hits(lambda: solver.refactorize(values), kernels)
@@ -256,7 +259,8 @@ def test_lmco_s_panel_solve_counts(policy, calls, blocks, column_steps):
     real = kernels.trsm_right_lower
 
     def substitution(b, l, **kwargs):
-        return (reference_kernels.trsm_right_lower if b.ndim == 2 else real)(b, l, **kwargs)
+        one = b.ndim == 2 or len(b) == 1
+        return (reference_kernels.trsm_right_lower if one else real)(b, l, **kwargs)
 
     with mock.patch.object(kernels, "trsm_right_lower", substitution):
         hits = line_hits(lambda: solver.refactorize(values), reference_kernels)

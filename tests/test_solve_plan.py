@@ -49,8 +49,19 @@ def test_no_stacked_leaf_is_wider_than_a_substitution_block():
         assert inspect.signature(trsv).parameters["block"].default == SUBSTITUTION_BLOCK
 
 
-def interior_blocks(plan) -> int:
-    return sum(-(-(end - first) // SUBSTITUTION_BLOCK) for _, first, end, *_ in plan.interior)
+def n_blocks(plan) -> int:
+    """Diagonal blocks a sweep steps through: one per block of each group
+    (a group's members take each block in one stacked product)."""
+    return sum(-(-g.own.shape[1] // SUBSTITUTION_BLOCK) for g in plan.groups)
+
+
+def product_sources(plan) -> np.ndarray:
+    """The supernode each row of the product buffer comes from."""
+    source = np.empty(plan.n_products, dtype=np.int64)
+    for g in plan.groups:
+        if g.below is not None:
+            source[g.span] = np.repeat(g.sids, g.below.shape[1])
+    return source
 
 
 def device_factor(a):
@@ -100,7 +111,7 @@ class TestAccuracy:
         a = scaled(grid_laplacian_3d(12, 12, 12), 6, seed=3)
         nf = factorize_numeric(a, symbolic_factorize(a, ordering="nd"), make_policy("P1"))
         b = np.random.default_rng(1).normal(size=a.n_rows)
-        widths = [end - first for _, first, end, *_ in get_solve_plan(nf.sf).interior]
+        widths = [g.own.shape[1] for g in get_solve_plan(nf.sf).groups]
         assert max(widths) > SUBSTITUTION_BLOCK  # full and tail blocks both
         for x in (solve_factored(nf, b), solve_by_substitution(nf, b)):
             assert componentwise_backward_error(a, x, b) <= 1e-14
@@ -130,8 +141,8 @@ class TestEveryKindOfFactor:
         a = grid_laplacian_2d(12, 11)
         sf = symbolic_factorize(a, ordering="natural")
         plan = get_solve_plan(sf)
-        assert (plan.groups, plan.n_stacked) == ([], 0)
-        assert plan.n_steps == sf.n_supernodes
+        assert [g.sids for g in plan.groups] == [(s,) for s in range(sf.n_supernodes)]
+        assert plan.n_steps == sf.n_supernodes + sum(g.run is not None for g in plan.groups)
         assert_factor_sweeps_match_reference(
             factorize_numeric(a, sf, make_policy("P1"))
         )
@@ -140,7 +151,7 @@ class TestEveryKindOfFactor:
     def test_deep_copied_factor(self, lap3d_small, solved_before):
         sf = symbolic_factorize(lap3d_small, ordering="nd")
         nf = factorize_numeric(lap3d_small, sf, make_policy("P1"))
-        assert get_solve_plan(sf).n_stacked > 0
+        assert any(len(g.sids) > 1 for g in get_solve_plan(sf).groups)
         if solved_before:
             solve_factored(nf, np.ones(nf.n))
         assert_factor_sweeps_match_reference(copy.deepcopy(nf))
@@ -169,15 +180,18 @@ class TestScatterOrder:
         )
         assert sf.super_ptr.tolist() == [0, 1, 3, 4, 5, 6, 7, 9, 10]
         plan = get_solve_plan(sf)
-        assert [g.sids for g in plan.groups] == [(0, 2, 3, 5), (1, 6)]
-        assert [step[0] for step in plan.interior] == [4, 7]
-        before, after, tail = plan.runs
-        # row 9 takes leaf products on both sides of supernode {5}, from
-        # both groups each time
-        assert before[0].tolist() == [9, 9, 5, 5]
-        assert after[0].tolist() == [9, 9]
-        assert tail is None
-        assert (plan.n_stacked, plan.n_steps) == (6, 4)
+        assert [g.sids for g in plan.groups] == [(0, 2, 3, 5), (1, 6), (4,), (7,)]
+        runs = [g.run for g in plan.groups]
+        assert runs[:2] == [None, None] and plan.trailing is None
+        # each run is the products bound for its group's own rows: row 5
+        # takes the leaves {3}, {4}; row 9 takes leaf products on both
+        # sides of supernode {5}, from both groups, in supernode order
+        source = product_sources(plan)
+        assert plan.run_rows[runs[2]].tolist() == [5, 5]
+        assert source[plan.run_at[runs[2]]].tolist() == [2, 3]
+        assert plan.run_rows[runs[3]].tolist() == [9] * 5
+        assert source[plan.run_at[runs[3]]].tolist() == [0, 1, 4, 5, 6]
+        assert plan.n_steps == 6
 
     @given(st.integers(0, 10_000))
     def test_ancestor_row_updated_by_two_groups_and_an_interior(self, seed):
@@ -250,22 +264,28 @@ def lmco_s_factor():
 def test_lmco_s_sweep_counts(lmco_s_factor):
     """The counts-gate CI runs by name: what the plan stacks on the
     benchmark matrix, how many Python-level steps a sweep is left with
-    (1 983 before the plan), and how many diagonal blocks of the interior
-    supernodes it applies as inverses (each sweep took 9 837 per-column
-    substitution steps over the same blocks)."""
+    (1 983 before the plan; 607 with the stacked leaves and the other
+    supernodes in two layouts: 363 interior steps and 244 runs), and how
+    many diagonal blocks it applies as inverses (each sweep took 9 837
+    per-column substitution steps over the same blocks).  Every front is
+    a group: 381 of them, 18 of them stacked leaves, and a run before
+    each of the 336 groups whose own rows collect products."""
     nf = lmco_s_factor
     sf, plan = nf.sf, get_solve_plan(nf.sf)
     assert sf.n_supernodes == 1983
-    assert plan.n_stacked == 1620 == sum(len(g) for g in plan.groups)
-    assert plan.n_steps <= 700
-    assert interior_blocks(plan) == 504
+    assert len(plan.groups) == 381
+    stacked = [g for g in plan.groups if len(g.sids) > 1]
+    assert (len(stacked), sum(len(g.sids) for g in stacked)) == (18, 1620)
+    assert plan.n_steps == 381 + 336
+    assert n_blocks(plan) == 504 + 18
     assert len(plan.regions) == 26
+    assert plan.new_inverses().nbytes == 2_075_160
     b = np.random.default_rng(7).normal(size=sf.n)
     solve_factored(nf, b)  # binds the table
     # no per-column loop is left: no line of the module runs more often
-    # than once per interior supernode and block (867 against 9 837)
+    # than once per group and block (903 against 9 837)
     hits = line_hits(lambda: solve_factored(nf, b))
-    assert max(hits.values()) <= len(plan.interior) + interior_blocks(plan)
+    assert max(hits.values()) <= len(plan.groups) + n_blocks(plan)
     assert np.array_equal(solve_factored(nf, b), solve_per_supernode(nf, b))
 
 
@@ -277,10 +297,8 @@ def test_lmco_s_inverses_are_a_tenth_of_the_panels(lmco_s_factor):
     solve_factored(nf, np.ones(nf.n))
     table = nf.sweep
     assert table.inverses.nbytes <= 0.1 * sum(p.nbytes for p in nf.panels)
-    for w, _ in table.blocks:
-        assert w.base is table.inverses
-    for *_, w in table.steps:
-        for region in w if isinstance(w, tuple) else (w,):
+    for l1, _, w in table.steps:
+        for region in (w,) if l1 is None else [wj for *_, wj in w]:
             assert region.base is table.inverses
 
 
