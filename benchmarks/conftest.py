@@ -9,9 +9,10 @@ representative kernel of the experiment through pytest-benchmark.
 Two scales are used (see repro.workload):
 
 * **numeric scale** — the real ~20x-down matrices of
-  ``repro.matrices.testsuite``; timing via :func:`replay_factorize`
-  (identical scheduling to a numeric run), numerics exercised once in
-  the validation bench;
+  ``repro.matrices.testsuite``; timing via the serial pricing pass
+  :func:`~repro.multifrontal.numeric.price_serial` (the very pass a
+  numeric run prices with), numerics exercised once in the validation
+  bench;
 * **paper scale** — synthetic geometric ND workloads calibrated to
   Table II's N and Table V's root supernode sizes; timing via the list
   scheduler.

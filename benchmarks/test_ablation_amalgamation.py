@@ -12,15 +12,15 @@ import numpy as np
 from repro.analysis import format_table
 from repro.gpu import SimulatedNode
 from repro.matrices import grid_laplacian_3d
-from repro.multifrontal.numeric import replay_factorize
+from repro.multifrontal.numeric import price_serial
 from repro.symbolic import AmalgamationParams, symbolic_factorize
 
 
 def stats(suite, sf):
     node = SimulatedNode(model=suite.model, n_cpus=1, n_gpus=1)
-    hybrid = replay_factorize(sf, suite.policy("ideal"), node=node)
+    hybrid = price_serial(sf, suite.policy("ideal"), node)
     node = SimulatedNode(model=suite.model, n_cpus=1, n_gpus=1)
-    host = replay_factorize(sf, suite.policy("P1"), node=node)
+    host = price_serial(sf, suite.policy("P1"), node)
     mk = sf.mk_pairs()
     return {
         "n_super": sf.n_supernodes,

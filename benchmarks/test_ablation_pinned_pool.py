@@ -13,13 +13,13 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.gpu import SimulatedNode
-from repro.multifrontal.numeric import replay_factorize
+from repro.multifrontal.numeric import price_serial
 from repro.policies import make_policy
 
 
 def run(suite, model, pooling: bool):
     node = SimulatedNode(model=model, n_cpus=1, n_gpus=1, pinned_pooling=pooling)
-    r = replay_factorize(suite.workload("kyushu"), make_policy("P3"), node=node)
+    r = price_serial(suite.workload("kyushu"), make_policy("P3"), node)
     gpu = node.gpus[0]
     return r.makespan, gpu.pinned_pool.stats, gpu.device_pool.stats
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.gpu import SimulatedNode
-from repro.multifrontal.device_resident import flops_placement, replay_resident
-from repro.multifrontal.numeric import replay_factorize
+from repro.multifrontal.device_resident import flops_placement, price_resident
+from repro.multifrontal.numeric import price_serial
 from repro.policies import make_policy
 from repro.workload import PAPER_WORKLOADS
 
@@ -26,15 +26,13 @@ def test_extension_device_resident(suite, model, save, benchmark):
     for spec in PAPER_WORKLOADS[:3]:
         sf = suite.workload(spec.name)
         serial = suite.schedule(spec.name, "P1", 1, 0).makespan
-        p4 = replay_factorize(
-            sf, make_policy("P4"),
-            node=SimulatedNode(model=model, n_cpus=1, n_gpus=1),
+        p4 = price_serial(
+            sf, make_policy("P4"), SimulatedNode(model=model, n_cpus=1, n_gpus=1)
         ).makespan
         ideal = suite.schedule(spec.name, "ideal", 1, 1).makespan
-        res_nf, stats = replay_resident(
-            sf,
-            node=SimulatedNode(model=model, n_cpus=1, n_gpus=1),
-            place_on_device=flops_placement(2e6),
+        res_nf, stats = price_resident(
+            sf, SimulatedNode(model=model, n_cpus=1, n_gpus=1),
+            flops_placement(2e6),
         )
         results[spec.name] = (serial, p4, ideal, res_nf.makespan, stats)
         rows.append(
@@ -67,7 +65,7 @@ def test_extension_device_resident(suite, model, save, benchmark):
 
     sf = suite.workload("lmco")
     benchmark(
-        lambda: replay_resident(
-            sf, node=SimulatedNode(model=model, n_cpus=1, n_gpus=1)
+        lambda: price_resident(
+            sf, SimulatedNode(model=model, n_cpus=1, n_gpus=1)
         )[0].makespan
     )

@@ -333,12 +333,11 @@ def _make_replay_scenario(short: str, policy_name: str) -> Scenario:
 
     def run(suite: SuiteCache) -> Measurement:
         from repro.gpu import SimulatedNode
-        from repro.multifrontal.numeric import replay_factorize
+        from repro.multifrontal.numeric import price_serial
 
         node = SimulatedNode(model=suite.model, n_cpus=1, n_gpus=1)
-        rep = replay_factorize(
-            suite.workload(PAPER_WORKLOAD), suite.policy(policy_name),
-            node=node,
+        rep = price_serial(
+            suite.workload(PAPER_WORKLOAD), suite.policy(policy_name), node
         )
         total_flops = float(sum(r.total_flops for r in rep.records))
         det: dict[str, object] = {

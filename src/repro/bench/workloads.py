@@ -96,15 +96,16 @@ class SuiteCache:
 
     # ---- timing paths -----------------------------------------------------
     def replay(self, matrix_name: str, policy_name: str):
-        """Numeric-scale replay (records + makespan, no numerics)."""
+        """Numeric-scale serial pricing pass (records + makespan, no
+        numerics)."""
         key = (matrix_name, policy_name)
         if key not in self._replays:
             from repro.gpu import SimulatedNode
-            from repro.multifrontal.numeric import replay_factorize
+            from repro.multifrontal.numeric import price_serial
 
             node = SimulatedNode(model=self.model, n_cpus=1, n_gpus=1)
-            self._replays[key] = replay_factorize(
-                self.symbolic(matrix_name), self.policy(policy_name), node=node
+            self._replays[key] = price_serial(
+                self.symbolic(matrix_name), self.policy(policy_name), node
             )
         return self._replays[key]
 
@@ -157,16 +158,16 @@ class SuiteCache:
 
     def paper_records(self, policy_name: str, workloads=("audikw_1", "kyushu")):
         """Per-call records of paper-scale workloads (isolated per-call
-        times from the scheduler)."""
+        times from the serial pricing pass)."""
         from repro.gpu import SimulatedNode
-        from repro.multifrontal.numeric import replay_factorize
+        from repro.multifrontal.numeric import price_serial
 
         records = []
         for w in workloads:
             records.extend(
-                replay_factorize(
+                price_serial(
                     self.workload(w), self.policy(policy_name),
-                    node=SimulatedNode(model=self.model, n_cpus=1, n_gpus=1),
+                    SimulatedNode(model=self.model, n_cpus=1, n_gpus=1),
                 ).records
             )
         return records

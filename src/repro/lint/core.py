@@ -260,7 +260,6 @@ class LintConfig:
             "solve_factored",
             "iterative_refinement",
             "factorize_numeric",
-            "replay_factorize",
             "parallel_schedule",
             "postorder_numeric_factor",
         }

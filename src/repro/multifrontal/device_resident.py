@@ -17,7 +17,7 @@ Pipeline (the two-pass shape of every other driver):
    classifier thresholded on P4) assigns each supernode to the device
    or the host *before* the walk, because a child's transfer needs
    depend on its parent's placement;
-2. **pricing walk** (:func:`_price_resident`) — per supernode, in
+2. **pricing walk** (:func:`price_resident`) — per supernode, in
    postorder, with an update matrix reduced to its size and where it
    lives:
 
@@ -65,7 +65,6 @@ from repro.multifrontal.numeric import (
     FURecord,
     NumericFactor,
     PricedPass,
-    ReplayResult,
     postorder_numeric_factor,
 )
 from repro.policies.base import Policy, PolicyP4, Worker
@@ -75,7 +74,7 @@ __all__ = [
     "ResidencyStats",
     "flops_placement",
     "factorize_resident",
-    "replay_resident",
+    "price_resident",
 ]
 
 
@@ -103,22 +102,22 @@ def flops_placement(threshold: float = 2e6) -> Callable[[int, int], bool]:
     return choose
 
 
-def _price_resident(
+def price_resident(
     sf: SymbolicFactor,
     node: SimulatedNode,
-    place_on_device: Callable[[int, int], bool] | None,
-    plan: AssemblyPlan | None,
-) -> tuple[list[FURecord], list[Policy], float, ResidencyStats]:
+    place_on_device: Callable[[int, int], bool] | None = None,
+    plan: AssemblyPlan | None = None,
+) -> tuple[PricedPass, ResidencyStats]:
     """Charge a device-resident factorization to ``node``'s virtual clock.
 
     The placement pass and the postorder pricing walk of the module
     docstring; no floating-point work.  ``plan`` says how many entries
-    of A each front uploads (without one — a replay, where no matrix
-    exists — a front is charged one entry per row).
+    of A each front uploads (without one — a paper-scale workload, where
+    no matrix exists — a front is charged one entry per row).
 
-    Returns the per-call records (``P4r`` / ``P1``), the policy the
-    numerics pass runs each supernode under, the total assembly time and
-    the residency statistics.
+    Returns the pass — per-call records (``P4r`` / ``P1``), the policy the
+    numerics pass runs each supernode under, the total assembly time —
+    and the residency statistics.
     """
     if not node.gpus:
         raise ValueError("device-resident factorization needs a GPU")
@@ -252,7 +251,9 @@ def _price_resident(
 
     if updates:
         raise AssertionError("unconsumed update matrices")
-    return records, bases, assembly_seconds, stats
+    return PricedPass.of(
+        sf, records, bases, worker, sf.spost, node.now, assembly_seconds
+    ), stats
 
 
 def factorize_resident(
@@ -270,32 +271,7 @@ def factorize_resident(
     """
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    records, bases, assembly_seconds, stats = _price_resident(
+    priced, stats = price_resident(
         sf, node, place_on_device, get_assembly_plan(a, sf)
     )
-    priced = PricedPass.of(
-        sf, records, bases, Worker.canonical(node), sf.spost, node.now,
-        assembly_seconds,
-    )
     return postorder_numeric_factor(a, sf, priced, node), stats
-
-
-def replay_resident(
-    sf: SymbolicFactor,
-    *,
-    node: SimulatedNode | None = None,
-    place_on_device: Callable[[int, int], bool] | None = None,
-) -> tuple[ReplayResult, ResidencyStats]:
-    """Timing-only device-resident walk (no matrix, no floating point):
-    the pricing walk of :func:`factorize_resident` on its own, for
-    paper-scale synthetic workloads where no matrix exists."""
-    if node is None:
-        node = SimulatedNode(n_cpus=1, n_gpus=1)
-    records, _, assembly_seconds, stats = _price_resident(
-        sf, node, place_on_device, None
-    )
-    result = ReplayResult(
-        sf=sf, records=records, makespan=node.now, node=node,
-        assembly_seconds=assembly_seconds,
-    )
-    return result, stats

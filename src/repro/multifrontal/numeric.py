@@ -55,14 +55,15 @@ __all__ = [
     "postorder_numeric_factor",
     "price_once_per_pattern",
     "price_serial",
-    "replay_factorize",
-    "ReplayResult",
 ]
 
 
 @dataclass(frozen=True)
 class FURecord:
-    """Instrumentation record of one factor-update call."""
+    """Instrumentation record of one front: ``start`` is its assembly
+    task's and ``end`` its factor-update's last task's, and a pricing
+    pass that times every task (the serial and device-resident walks)
+    fills ``components`` with all of them, ``"assemble"`` included."""
 
     sid: int
     m: int
@@ -82,6 +83,15 @@ class FURecord:
         return float(sum(self.flops))
 
 
+def _device_fronts(sf: SymbolicFactor, bases: Sequence[Policy], order):
+    """``(base, m, k)`` of every front of ``order`` whose base policy
+    runs device kernels, in order."""
+    mk = sf.mk_pairs().tolist()
+    for s in np.asarray(order).tolist():
+        if bases[s].needs_gpu:
+            yield bases[s], *mk[s]
+
+
 def device_kernels(
     sf: SymbolicFactor, bases: Sequence[Policy], order
 ) -> list[KernelCall]:
@@ -91,27 +101,33 @@ def device_kernels(
     these kernels once for all its members, but its slices are
     bit-identical to the members run on their own, so the device is
     charged as if they had been: each member's kernels at its turn."""
-    calls: list[KernelCall] = []
-    for s in np.asarray(order).tolist():
-        base = bases[s]
-        if base.needs_gpu:
-            k = sf.width(s)
-            calls += base.kernel_calls(sf.rows[s].size - k, k)
-    return calls
+    return [
+        c for base, m, k in _device_fronts(sf, bases, order)
+        for c in base.kernel_calls(m, k)
+    ]
 
 
 def _kernel_seconds(
     sf: SymbolicFactor, bases: Sequence[Policy], worker: Worker, order
 ) -> tuple[float, ...]:
     """The simulated seconds of :func:`device_kernels` on ``worker``'s
-    GPU, one per kernel, in order."""
+    GPU, one per kernel, in order.  A front's kernels are a function of
+    its base policy, ``m`` and ``k``, so each such triple is priced once
+    (a paper-scale tree has a few hundred among thousands of fronts)."""
     if worker.gpu is None:
         return ()
     time = worker.gpu.cublas.model.kernel_time
-    return tuple(
-        time("gpu", c.kernel, m=c.m, n=c.n, k=c.k)
-        for c in device_kernels(sf, bases, order)
-    )
+    priced: dict[tuple[Policy, int, int], tuple[float, ...]] = {}
+    seconds: list[float] = []
+    for front in _device_fronts(sf, bases, order):
+        if front not in priced:
+            base, m, k = front
+            priced[front] = tuple(
+                time("gpu", c.kernel, m=c.m, n=c.n, k=c.k)
+                for c in base.kernel_calls(m, k)
+            )
+        seconds += priced[front]
+    return tuple(seconds)
 
 
 @dataclass(frozen=True)
@@ -200,9 +216,6 @@ class NumericFactor:
         issued: every front computed alone is one, every stacked call one."""
         return self.sf.n_supernodes - self.batched_fronts + self.batch_tasks
 
-    def simulated_time(self) -> float:
-        return self.makespan
-
     def l_matrix(self) -> CSCMatrix:
         """Materialize L as a sparse matrix (mainly for tests/validation)."""
         rows_all, cols_all, vals_all = [], [], []
@@ -250,71 +263,6 @@ class NumericFactor:
             denom = np.abs(rhs).max() + 1.0
             worst = max(worst, float(np.abs(lhs - rhs).max() / denom))
         return worst
-
-
-def _price_postorder(
-    sf: SymbolicFactor,
-    policy: Policy,
-    node: SimulatedNode,
-    worker: Worker,
-    spost: "np.ndarray | None",
-    *,
-    assembly_in_record: bool,
-) -> tuple[list[FURecord], list[Policy], float]:
-    """Charge the serial factorization to ``node``'s virtual clock.
-
-    Walks the tree on ``worker``: per front one :class:`TaskGraph` holding
-    its assembly task and the resolved policy's ``plan``, one
-    ``schedule_graph`` call.  No floating-point work, and no knowledge
-    of how the numerics pass will execute the fronts.
-
-    Returns the per-call records (in schedule order), the policy each
-    supernode resolved to (indexed by supernode id; host ``P1`` where
-    ``worker`` has no device the front fits on) and the total assembly
-    time.
-    ``assembly_in_record`` says whether a record's ``start`` and
-    ``components`` cover the front's assembly task or only its F-U call.
-    """
-    model = node.model
-    kids = sf.schildren()
-    final_task: dict[int, object] = {}
-    records: list[FURecord] = []
-    bases: list[Policy] = [policy] * sf.n_supernodes
-    assembly_seconds = 0.0
-
-    for s in np.asarray(sf.spost if spost is None else spost).tolist():
-        size = sf.rows[s].size
-        k = sf.width(s)
-        m = size - k
-        child_ids = kids[s]
-
-        t_asm = model.host_memory_time(
-            assembly_bytes(size, [sf.update_size(c) for c in child_ids])
-        )
-        g = TaskGraph()
-        deps = tuple(final_task[c] for c in child_ids if c in final_task)
-        asm_task = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
-        assembly_seconds += t_asm
-
-        base = policy.resolve(m, k, worker)
-        plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
-        schedule_graph(g, engines=node.engines)
-        final_task[s] = plan.final
-        bases[s] = base
-
-        tasks = g.tasks if assembly_in_record else g.tasks[1:]
-        components: dict[str, float] = {}
-        for t in tasks:
-            components[t.category] = components.get(t.category, 0.0) + t.duration
-        records.append(
-            FURecord(
-                sid=s, m=m, k=k, policy=base.name,
-                start=min(t.start for t in tasks), end=plan.final.end,
-                components=components,
-                flops=factor_update_flops(m, k),
-            )
-        )
-    return records, bases, assembly_seconds
 
 
 #: instance state a policy may carry and still be told apart by its key
@@ -436,20 +384,54 @@ def price_serial(
     node: SimulatedNode,
     spost: "np.ndarray | None" = None,
 ) -> PricedPass:
-    """The serial pricing pass: :func:`_price_postorder` on ``node``'s
-    canonical worker over ``spost`` (default ``sf.spost``), with the
-    device-kernel seconds of its resolved policies, paid once per
+    """The serial pricing pass: charge the factorization to ``node``'s
+    virtual clock, walking ``spost`` (default ``sf.spost``) on the
+    node's canonical worker.  No floating-point work, and no knowledge
+    of how the numerics pass will execute the fronts.
+
+    Per front one :class:`TaskGraph` holding its assembly task and the
+    resolved policy's ``plan``, one ``schedule_graph`` call; its record
+    starts at the assembly task and its ``components`` cover every task
+    of the graph, ``"assemble"`` included.  A front resolves to host
+    ``P1`` where the worker has no device it fits on.  Paid once per
     pattern where the pass is a function of the pattern
     (:func:`price_once_per_pattern`: fresh node, plain-scalar policy —
-    P1 to P4, not a selector).  The key adds the order walked.
+    P1 to P4, not a selector); the key adds the order walked.
     """
     worker = Worker.canonical(node)
     order = np.asarray(sf.spost if spost is None else spost)
 
     def price() -> PricedPass:
-        records, bases, assembly_seconds = _price_postorder(
-            sf, policy, node, worker, order, assembly_in_record=False
-        )
+        model = node.model
+        kids = sf.schildren()
+        final_task: dict[int, object] = {}
+        records: list[FURecord] = []
+        bases: list[Policy] = [policy] * sf.n_supernodes
+        assembly_seconds = 0.0
+        for s in order.tolist():
+            size = sf.rows[s].size
+            k = sf.width(s)
+            m = size - k
+            t_asm = model.host_memory_time(
+                assembly_bytes(size, [sf.update_size(c) for c in kids[s]])
+            )
+            g = TaskGraph()
+            deps = tuple(final_task[c] for c in kids[s] if c in final_task)
+            asm_task = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
+            assembly_seconds += t_asm
+
+            base = bases[s] = policy.resolve(m, k, worker)
+            plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
+            schedule_graph(g, engines=node.engines)
+            final_task[s] = plan.final
+            records.append(
+                FURecord(
+                    sid=s, m=m, k=k, policy=base.name,
+                    start=min(t.start for t in g.tasks), end=plan.final.end,
+                    components=g.total_by_category(),
+                    flops=factor_update_flops(m, k),
+                )
+            )
         return PricedPass.of(
             sf, records, bases, worker, order, node.now, assembly_seconds
         )
@@ -515,7 +497,7 @@ def _numeric_walk(
     (by first member) are in ``inverses``, and the slots (empty without
     ``inverses``).
     """
-    order = np.asarray(order)
+    order = np.asarray(order, dtype=np.int64)
     kids = sf.schildren()
     plan = get_assembly_plan(a, sf)
     turn = dict(zip(order.tolist(), range(order.size)))
@@ -672,52 +654,4 @@ def factorize_numeric(
         node = SimulatedNode(n_cpus=1, n_gpus=1)
     return postorder_numeric_factor(
         a, sf, price_serial(sf, policy, node, spost), node
-    )
-
-
-@dataclass
-class ReplayResult:
-    """Timing-only walk of a factorization (no floating-point work).
-
-    Produced by :func:`replay_factorize`: the pricing pass of
-    :func:`factorize_numeric` on its own — same task graphs, same engine
-    contention — at a small fraction of the cost.  The benchmark
-    harness uses this for policy comparisons; numeric correctness is
-    established separately by the test suite and the validation bench.
-    """
-
-    sf: SymbolicFactor
-    records: list[FURecord]
-    makespan: float
-    node: SimulatedNode
-    assembly_seconds: float = 0.0
-
-    def simulated_time(self) -> float:
-        return self.makespan
-
-
-def replay_factorize(
-    sf: SymbolicFactor,
-    policy: Policy,
-    *,
-    node: SimulatedNode | None = None,
-    spost: "np.ndarray | None" = None,
-) -> ReplayResult:
-    """Walk the supernodal tree charging simulated time under ``policy``
-    without performing numerics.
-
-    This is the very walk :func:`factorize_numeric` prices with (same
-    ``Policy.plan`` calls, same assembly charges, same engine
-    timelines), so the makespan matches a numeric run; a replay record
-    additionally counts its front's assembly task.
-    """
-    if node is None:
-        node = SimulatedNode(n_cpus=1, n_gpus=1)
-    worker = Worker.canonical(node)
-    records, _, assembly_seconds = _price_postorder(
-        sf, policy, node, worker, spost, assembly_in_record=True
-    )
-    return ReplayResult(
-        sf=sf, records=records, makespan=node.now, node=node,
-        assembly_seconds=assembly_seconds,
     )

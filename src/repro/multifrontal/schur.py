@@ -23,12 +23,7 @@ import numpy as np
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.frontal import get_assembly_plan
-from repro.multifrontal.numeric import (
-    FURecord,
-    _kernel_seconds,
-    _numeric_walk,
-    _price_postorder,
-)
+from repro.multifrontal.numeric import FURecord, _numeric_walk, price_serial
 from repro.multifrontal.solve import (
     SolvePlan,
     SweepTable,
@@ -107,7 +102,6 @@ def partial_factorize(
         raise ValueError("n_eliminate out of range")
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    worker = Worker.canonical(node)
 
     # snap the boundary to a supernode edge: supernodes [0, boundary)
     # are eliminated
@@ -129,12 +123,10 @@ def partial_factorize(
 
     # the serial driver's two passes, stopped at the boundary: price the
     # eliminated supernodes, then run the numerics walk over them
-    order = sf.spost[sf.spost < boundary]
-    records, bases, _ = _price_postorder(
-        sf, policy, node, worker, order, assembly_in_record=False
-    )
+    priced = price_serial(sf, policy, node, sf.spost[sf.spost < boundary])
     panels, stacks, leftover, *_ = _numeric_walk(
-        a, sf, bases, worker, order, _kernel_seconds(sf, bases, worker, order)
+        a, sf, priced.bases, Worker.canonical(node), priced.order,
+        priced.kernel_seconds,
     )
 
     # the updates nobody inside consumed reach the kept block: they *are*
@@ -156,10 +148,10 @@ def partial_factorize(
     return PartialFactorization(
         n_eliminated=n_elim_cols,
         schur=schur,
-        panels={s: panels[s] for s in order.tolist()},
+        panels={s: panels[s] for s in priced.order},
         stacks=stacks,
-        records=records,
-        makespan=node.now,
+        records=list(priced.records),
+        makespan=priced.makespan,
         perm=sf.perm,
     )
 

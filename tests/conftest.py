@@ -8,6 +8,8 @@ up in a nightly job, or set it to 5 for a quick local run).
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -45,6 +47,25 @@ def starved_node(memory_bytes: int | None, n_cpus: int = 1):
             node.model, 0, spec=replace(TESLA_T10, memory_bytes=memory_bytes)
         )
     return node
+
+
+def pricing_digest(result, stats=None) -> str:
+    """Leading 16 hex digits of a SHA-256 over everything a pricing pass
+    produces, bit for bit (floats as ``float.hex``): every record, the
+    makespan, the assembly seconds and, for a device-resident pass, every
+    ``ResidencyStats`` field."""
+    def fhex(x) -> str:
+        return float(x).hex()
+
+    parts = [
+        [(r.sid, r.m, r.k, r.policy, fhex(r.start), fhex(r.end),
+          sorted((c, fhex(t)) for c, t in r.components.items()),
+          [fhex(f) for f in r.flops]) for r in result.records],
+        fhex(result.makespan), fhex(result.assembly_seconds),
+    ]
+    if stats is not None:
+        parts.append([fhex(v) for v in dataclasses.astuple(stats)])
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,7 @@ from repro.multifrontal.frontal import (
     assembly_bytes,
     get_assembly_plan,
 )
-from repro.multifrontal.numeric import FURecord, device_kernels, replay_factorize
+from repro.multifrontal.numeric import FURecord, device_kernels, price_serial
 from repro.policies import make_policy
 from repro.gpu.perfmodel import tesla_t10_model
 from repro.policies.base import PolicyP1, PolicyP4, Worker
@@ -57,6 +57,8 @@ from repro.symbolic import amalgamation_preset, symbolic_factorize
 from repro.symbolic.stack import stack_minimizing_postorder
 from repro.symbolic.symbolic import factor_update_flops
 from repro.verify.lattice import factor_fingerprint
+from repro.workload import paper_workload
+from tests.conftest import pricing_digest
 from tests.policy_execution import execute
 from tests.recording_cublas import RecordingCublas, charge_recorded
 
@@ -240,7 +242,8 @@ def reference_factorize(a, sym, policy, node, spost=None):
     from the virtual clock, kept here as the oracle: one front at a
     time, assembly task scheduled, then ``policy_execution.execute`` (plan,
     schedule, apply) on the assembled front, and every device kernel it
-    ran charged to the GPU in the order it ran."""
+    ran charged to the GPU in the order it ran.  A front's record starts
+    at its assembly task and counts it."""
     recorder = RecordingCublas.on(node) if node.gpus else None
     worker = Worker(node.cpus[0].engine, node.gpus[0] if node.gpus else None)
     plan = get_assembly_plan(a, sym)
@@ -277,8 +280,9 @@ def reference_factorize(a, sym, policy, node, spost=None):
             live += updates[s].nbytes
             peak = max(peak, live)
         records.append(FURecord(
-            sid=s, m=size - k, k=k, policy=base.name, start=ex.start,
-            end=ex.end, components=ex.plan.duration_by_category(),
+            sid=s, m=size - k, k=k, policy=base.name, start=asm.start,
+            end=ex.end,
+            components={"assemble": t_asm, **ex.plan.duration_by_category()},
             flops=factor_update_flops(size - k, k),
         ))
     if recorder is not None:
@@ -679,34 +683,62 @@ class TestVirtualClockInvisibility:
             everything = [make_policy("P4")] * sym.n_supernodes
             assert len(fold) < len(device_kernels(sym, everything, sym.spost))
 
-    @pytest.mark.parametrize("policy", ("P1", "P4", "baseline", "model"))
-    @pytest.mark.parametrize("matrix", sorted(MATRICES))
-    def test_replay_is_the_pricing_pass(self, matrix, policy, classifier):
+    #: the serial pricing pass, pinned: :func:`pricing_digest` of every
+    #: record, the makespan and the assembly seconds, recorded at commit
+    #: ``21735c1`` from the timing-only replay of the day, whose records
+    #: already covered each front's assembly task
+    SERIAL_GOLDENS = {
+        "elasticity/P1": "562e6622be1f7c0b",
+        "elasticity/P4": "f7a0a43138495f90",
+        "elasticity/baseline": "562e6622be1f7c0b",
+        "elasticity/model": "562e6622be1f7c0b",
+        "grid2d/P1": "92a74f9634904d69",
+        "grid2d/P4": "9c4ae4987863dd60",
+        "grid2d/baseline": "92a74f9634904d69",
+        "grid2d/model": "92a74f9634904d69",
+    }
+
+    @pytest.mark.parametrize("key", sorted(SERIAL_GOLDENS))
+    def test_serial_pricing_golden(self, key, classifier):
+        matrix, policy = key.split("/")
         a, ordering = self.MATRICES[matrix]()
         sym = symbolic_factorize(a, ordering=ordering)
         solver = SparseCholeskySolver.from_symbolic(
             a, sym, policy=policy, classifier=classifier
         )
-        nf = solver.factorize().factor
+        priced = price_serial(sym, solver.policy, SimulatedNode(n_cpus=1, n_gpus=1))
+        assert pricing_digest(priced) == self.SERIAL_GOLDENS[key]
+        # the factor carries the pass's records as they are
+        assert pricing_digest(solver.factorize().factor) == self.SERIAL_GOLDENS[key]
+
+    @pytest.mark.parametrize("policy", ("P4", "baseline"))
+    def test_kernel_seconds_priced_once_per_shape(self, policy):
+        # a front's kernels are a function of (base policy, m, k): pricing
+        # each triple once gives the bits of pricing every front's kernels
+        sf = paper_workload("lmco")
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-        rp = replay_factorize(sym, solver.policy, node=node)
-        assert rp.makespan == nf.makespan
-        assert rp.assembly_seconds == nf.assembly_seconds
-        assert engine_counters(node.engines) == engine_counters(
-            solver.node.engines
+        priced = price_serial(sf, make_policy(policy), node)
+        gpu_model = node.gpus[0].cublas.model
+        calls = device_kernels(sf, priced.bases, priced.order)
+        assert calls
+        assert priced.kernel_seconds == tuple(
+            gpu_model.kernel_time("gpu", c.kernel, m=c.m, n=c.n, k=c.k)
+            for c in calls
         )
-        # a replay record additionally counts its front's assembly task
-        for r, n in zip(rp.records, nf.records, strict=True):
-            assert (r.sid, r.m, r.k, r.policy, r.end, r.flops) == (
-                n.sid, n.m, n.k, n.policy, n.end, n.flops
+        shapes = {
+            (priced.bases[s], sf.update_size(s), sf.width(s))
+            for s in priced.order if priced.bases[s].needs_gpu
+        }
+        with mock.patch.object(
+            gpu_model, "kernel_time", wraps=gpu_model.kernel_time
+        ) as kernel_time:
+            again = numeric._kernel_seconds(
+                sf, priced.bases, Worker.canonical(node), priced.order
             )
-            assert r.start <= n.start
-            extra = dict(r.components)
-            extra["assemble"] -= n.components.get("assemble", 0.0)
-            assert extra["assemble"] > 0.0
-            assert {c: v for c, v in extra.items() if c != "assemble"} == {
-                c: v for c, v in n.components.items() if c != "assemble"
-            }
+        assert again == priced.kernel_seconds
+        assert kernel_time.call_count == sum(
+            len(base.kernel_calls(m, k)) for base, m, k in shapes
+        ) < len(calls)
 
 
 # ----------------------------------------------------------------------

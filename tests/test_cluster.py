@@ -110,14 +110,13 @@ class TestSimulation:
 
     def test_one_rank_matches_serial_replay(self, sf, model):
         from repro.gpu import SimulatedNode
-        from repro.multifrontal.numeric import replay_factorize
+        from repro.multifrontal.numeric import price_serial
 
         res = cluster_replay(
             sf, make_policy("P1"), ClusterSpec(1, 0, model=model)
         )
-        rp = replay_factorize(
-            sf, make_policy("P1"),
-            node=SimulatedNode(model=model, n_cpus=1, n_gpus=0),
+        rp = price_serial(
+            sf, make_policy("P1"), SimulatedNode(model=model, n_cpus=1, n_gpus=0)
         )
         assert res.makespan == pytest.approx(rp.makespan, rel=1e-9)
         assert res.comm_messages == 0

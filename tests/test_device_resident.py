@@ -1,8 +1,5 @@
 """Device-resident factorization (the §VI-C copy-optimization mechanism)."""
 
-import dataclasses
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -17,11 +14,11 @@ from repro.multifrontal import (
     iterative_refinement,
     solve_factored,
 )
-from repro.multifrontal.device_resident import replay_resident
+from repro.multifrontal.device_resident import price_resident
 from repro.policies import make_policy
 from repro.symbolic import symbolic_factorize
 from repro.workload import paper_workload
-from tests.conftest import starved_node
+from tests.conftest import pricing_digest, starved_node
 
 
 @pytest.fixture(scope="module")
@@ -130,23 +127,6 @@ class TestResidency:
         assert choose(5000, 1000)
 
 
-def pricing_digest(result, stats) -> str:
-    """Leading 16 hex digits of a SHA-256 over everything the pricing
-    walk produces, bit for bit (floats as ``float.hex``): every record,
-    the makespan, the assembly seconds, every ``ResidencyStats`` field."""
-    def fhex(x) -> str:
-        return float(x).hex()
-
-    parts = [
-        [(r.sid, r.m, r.k, r.policy, fhex(r.start), fhex(r.end),
-          sorted((c, fhex(t)) for c, t in r.components.items()),
-          [fhex(f) for f in r.flops]) for r in result.records],
-        fhex(result.makespan), fhex(result.assembly_seconds),
-        [fhex(v) for v in dataclasses.astuple(stats)],
-    ]
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
-
-
 class TestPricingGoldens:
     """The clock of the device-resident driver, pinned.  Recorded at
     commit ``f6cdc78`` — where one private walk priced, assembled and
@@ -188,7 +168,7 @@ class TestPricingGoldens:
         assert pricing_digest(nf, stats) == self.GOLDENS[key]
 
     def test_replay_at_paper_scale(self):
-        result, stats = replay_resident(paper_workload("lmco"))
+        result, stats = price_resident(paper_workload("lmco"), SimulatedNode())
         assert result.makespan == 105.97516584893178
         assert pricing_digest(result, stats) == "bc93de6db014d503"
 

@@ -187,3 +187,28 @@ class TestLowerTriangleContract:
         b = np.random.default_rng(11).normal(size=a.n_rows)
         x = solve_with_schur(pf, sf, b)
         assert np.abs(a.matvec(x) - b).max() <= 1e-10 * np.abs(b).max()
+
+
+class TestSharedPricingSlot:
+    """``partial_factorize`` prices through the serial pass, so its pass
+    takes the symbolic factor's one kept-pass slot (keyed by the order
+    walked): the next warm refactorize prices once more, and computes
+    the same factor."""
+
+    @pytest.mark.parametrize("policy", ["P1", "P4"])
+    def test_partial_between_warm_refactorizes(self, policy):
+        from repro.multifrontal import SparseCholeskySolver
+        from repro.verify.lattice import factor_fingerprint
+
+        a = grid_laplacian_3d(6, 6, 6)
+        solver = SparseCholeskySolver(a, ordering="nd", policy=policy).factorize()
+        sf = solver.symbolic
+        before = solver.refactorize(a.data).factor
+        kept = sf._priced_pass
+        pf = partial_factorize(a, sf, make_policy(policy), sf.n // 2)
+        assert sf._priced_pass is not kept
+        assert len(pf.records) < sf.n_supernodes
+        after = solver.refactorize(a.data).factor
+        assert sf._priced_pass.key == kept.key
+        assert factor_fingerprint(after) == factor_fingerprint(before)
+        assert (after.records, after.makespan) == (before.records, before.makespan)

@@ -14,13 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.multifrontal.solve as solve_module
 from repro.dense.kernels import SUBSTITUTION_BLOCK
 from repro.gpu import SimulatedNode
-from repro.matrices import grid_laplacian_2d, grid_laplacian_3d, load_test_matrix
+from repro.matrices import grid_laplacian_2d, grid_laplacian_3d, load_test_matrix, random_spd
 from repro.matrices.csc import CSCMatrix, csc_from_dense
 from repro.multifrontal import (
     SparseCholeskySolver,
@@ -90,6 +90,11 @@ class TestAccuracy:
 
     @settings(max_examples=15, deadline=None)
     @given(spd_matrix(max_n=60), st.sampled_from(["host", "device"]))
+    # float32 sweeps of 4x4 factors whose eta reads 11-20x substitution's
+    # (3.2e-8, 2.0e-8, 1.8e-8), all within n * u32 = 2.4e-7
+    @example(random_spd(4, avg_degree=2.0, seed=38), "device")
+    @example(random_spd(4, avg_degree=5.0, seed=52), "device")
+    @example(random_spd(4, avg_degree=5.0, seed=101), "device")
     def test_backward_error_within_the_substitutions(self, a, kind):
         if kind == "host":
             nf = factorize_numeric(a, symbolic_factorize(a, ordering="nd"), make_policy("P1"))
@@ -97,7 +102,9 @@ class TestAccuracy:
             nf = device_factor(a)
         n = a.n_rows
         rng = np.random.default_rng(n)
-        unit_roundoff = np.finfo(np.float64).eps / 2
+        # the floor is the roundoff of the panels the sweeps apply: a
+        # float32 panel is swept in float32
+        unit_roundoff = max(np.finfo(p.dtype).eps for p in nf.panels) / 2
         for b in (rng.normal(size=n), rng.normal(size=(n, 4))):
             x, ref = solve_factored(nf, b), solve_by_substitution(nf, b)
             for xj, rj, bj in zip(*(v.reshape(n, -1).T for v in (x, ref, b))):

@@ -15,7 +15,7 @@ from repro.autotune import (
 )
 from repro.gpu import SimulatedNode, tesla_t10_model
 from repro.multifrontal import factorize_numeric, numeric, solve_factored
-from repro.multifrontal.numeric import postorder_numeric_factor, replay_factorize
+from repro.multifrontal.numeric import postorder_numeric_factor, price_serial
 from repro.multifrontal.refine import backward_error_bound
 from repro.parallel import Cluster, Dynamic, WorkerPool, parallel_schedule
 from repro.policies import BaselineHybrid, make_policy
@@ -129,7 +129,7 @@ class TestDeviceMemoryFallback:
     def test_replay_falls_back_identically(self, lap2d_small):
         sf = symbolic_factorize(lap2d_small, ordering="amd")
         node = tiny_memory_node()
-        rp = replay_factorize(sf, make_policy("P3"), node=node)
+        rp = price_serial(sf, make_policy("P3"), node)
         big = [r for r in rp.records if self._needs_fallback(r)]
         assert big and all(r.policy == "P1" for r in big)
 

@@ -88,7 +88,7 @@ class TestChromeTrace:
         assert "traceEvents" in doc
 
     def test_factorization_trace_end_to_end(self, lap2d_small, tmp_path):
-        from repro.multifrontal.numeric import replay_factorize
+        from repro.multifrontal.numeric import price_serial
         from repro.symbolic import symbolic_factorize
         from repro.policies import make_policy
         from repro.gpu import SimulatedNode
@@ -96,7 +96,7 @@ class TestChromeTrace:
         sf = symbolic_factorize(lap2d_small, ordering="amd")
         node = SimulatedNode()
         # collect every scheduled task through a tracking wrapper run
-        rp = replay_factorize(sf, make_policy("P3"), node=node)
+        rp = price_serial(sf, make_policy("P3"), node)
         # reconstruct a small trace from the records (coarse per-call)
         g = TaskGraph()
         for r in rp.records[:20]:
