@@ -9,7 +9,7 @@ variants per call and over the audikw workload.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.parallel import list_schedule, make_worker_pool
+from repro.parallel import Static, make_worker_pool
 from repro.policies import estimate_policy_time, make_policy
 from repro.policies.base import PolicyP3
 
@@ -35,8 +35,8 @@ def test_ablation_overlap(suite, model, save, benchmark):
 
     sf = suite.workload("audikw_1")
     pool = make_worker_pool(1, 1, model=model)
-    t_over = list_schedule(sf, p3, pool, gang_threshold=np.inf).makespan
-    t_basic = list_schedule(sf, p3_basic, pool, gang_threshold=np.inf).makespan
+    t_over = Static(gang_threshold=np.inf).run(sf, p3, pool).makespan
+    t_basic = Static(gang_threshold=np.inf).run(sf, p3_basic, pool).makespan
     text = per_call + (
         f"\n\naudikw_1 end-to-end: overlapped {t_over:.1f}s vs basic "
         f"{t_basic:.1f}s ({100 * (t_basic / t_over - 1):.1f}% slower without "

@@ -14,18 +14,16 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.autotune import collect_timing_dataset, sample_mk_cloud, train_cost_sensitive
-from repro.parallel import list_schedule, make_worker_pool
+from repro.parallel import Static, make_worker_pool
 from repro.policies import IdealHybrid, ModelHybrid, make_policy
 
 
 def end_to_end_speedup(sf, policy, model):
-    serial = list_schedule(
-        sf, make_policy("P1"), make_worker_pool(1, 0, model=model),
-        gang_threshold=np.inf,
+    single = Static(gang_threshold=np.inf)
+    serial = single.run(
+        sf, make_policy("P1"), make_worker_pool(1, 0, model=model)
     ).makespan
-    hybrid = list_schedule(
-        sf, policy, make_worker_pool(1, 1, model=model), gang_threshold=np.inf
-    ).makespan
+    hybrid = single.run(sf, policy, make_worker_pool(1, 1, model=model)).makespan
     return serial / hybrid
 
 

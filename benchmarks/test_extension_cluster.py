@@ -11,7 +11,8 @@ interconnect.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.cluster import ClusterSpec, cluster_replay
+from repro.cluster import ClusterSpec
+from repro.parallel import Cluster
 from repro.policies import make_policy
 
 
@@ -20,12 +21,12 @@ def test_extension_cluster(suite, model, save, benchmark):
     p1 = make_policy("P1")
     hybrid = suite.policy("ideal")
 
-    serial = cluster_replay(sf, p1, ClusterSpec(1, 0, model=model)).makespan
+    serial = Cluster(ClusterSpec(1, 0, model=model)).run(sf, p1).makespan
     rows = []
     results = {}
     for n_ranks in (1, 2, 4, 8):
-        cpu = cluster_replay(sf, p1, ClusterSpec(n_ranks, 0, model=model))
-        gpu = cluster_replay(sf, hybrid, ClusterSpec(n_ranks, 1, model=model))
+        cpu = Cluster(ClusterSpec(n_ranks, 0, model=model)).run(sf, p1)
+        gpu = Cluster(ClusterSpec(n_ranks, 1, model=model)).run(sf, hybrid)
         results[n_ranks] = (cpu, gpu)
         rows.append(
             [n_ranks,
@@ -62,5 +63,5 @@ def test_extension_cluster(suite, model, save, benchmark):
     assert results[8][0].utilization() < 0.9  # Amdahl visibly bites
 
     benchmark(
-        lambda: cluster_replay(sf, p1, ClusterSpec(2, 0, model=model)).makespan
+        lambda: Cluster(ClusterSpec(2, 0, model=model)).run(sf, p1).makespan
     )

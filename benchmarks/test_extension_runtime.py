@@ -18,16 +18,11 @@ from repro.multifrontal.numeric import postorder_numeric_factor
 from repro.parallel import (
     Dynamic,
     Static,
-    list_schedule,
     make_worker_pool,
     parallel_schedule,
 )
 from repro.policies import make_policy
-from repro.runtime import (
-    FaultInjector,
-    dynamic_schedule,
-    schedule_peak_update_bytes,
-)
+from repro.runtime import FaultInjector, schedule_peak_update_bytes
 from repro.symbolic import symbolic_factorize
 
 
@@ -38,16 +33,16 @@ def test_extension_runtime(save, benchmark):
 
     # --- makespan + stealing, 4 CPU workers --------------------------------
     pool = make_worker_pool(4, 0)
-    static = list_schedule(sf, policy, pool, gang_threshold=np.inf)
-    dyn = dynamic_schedule(sf, policy, make_worker_pool(4, 0))
+    static = Static(gang_threshold=np.inf).run(sf, policy, pool)
+    dyn = Dynamic().run(sf, policy, make_worker_pool(4, 0))
     assert dyn.stats.steals >= 1
     assert dyn.makespan <= 1.25 * static.makespan
 
     # --- memory budget the static schedule exceeds -------------------------
     static_peak = schedule_peak_update_bytes(sf, static.schedule)
     budget = int(0.9 * static_peak)
-    capped = dynamic_schedule(
-        sf, policy, make_worker_pool(4, 0), memory_budget=budget
+    capped = Dynamic(memory_budget=budget).run(
+        sf, policy, make_worker_pool(4, 0)
     )
     assert static_peak > budget
     assert capped.stats.peak_admitted_bytes <= budget
@@ -111,4 +106,4 @@ def test_extension_runtime(save, benchmark):
     )
     save("extension_runtime", text)
 
-    benchmark(lambda: dynamic_schedule(sf, policy, make_worker_pool(4, 0)))
+    benchmark(lambda: Dynamic().run(sf, policy, make_worker_pool(4, 0)))

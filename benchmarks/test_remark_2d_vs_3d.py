@@ -9,7 +9,7 @@ count at paper scale (geometric workloads: an L x L x 1 "grid" is the
 """
 
 from repro.analysis import format_table
-from repro.parallel import list_schedule, make_worker_pool
+from repro.parallel import Static, make_worker_pool
 from repro.policies import make_policy
 from repro.workload import geometric_nd_workload
 import numpy as np
@@ -19,10 +19,9 @@ def hybrid_speedup(suite, model, sf):
     pol1 = make_policy("P1")
     pool0 = make_worker_pool(1, 0, model=model)
     pool1 = make_worker_pool(1, 1, model=model)
-    serial = list_schedule(sf, pol1, pool0, gang_threshold=np.inf).makespan
-    hybrid = list_schedule(
-        sf, suite.policy("ideal"), pool1, gang_threshold=np.inf
-    ).makespan
+    single = Static(gang_threshold=np.inf)
+    serial = single.run(sf, pol1, pool0).makespan
+    hybrid = single.run(sf, suite.policy("ideal"), pool1).makespan
     return serial / hybrid, serial
 
 

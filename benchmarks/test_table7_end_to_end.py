@@ -58,15 +58,13 @@ def test_table7_end_to_end(suite, model, save, benchmark):
             sp[pol] = serial / suite.schedule(w, pol, 1, 1).makespan
         sp["4thread"] = serial / suite.schedule(w, "P1", 4, 0).makespan
         # copy-optimized model hybrid, 1 and 2 GPUs
-        from repro.parallel import list_schedule, make_worker_pool
+        from repro.parallel import Static, make_worker_pool
 
-        t1 = list_schedule(
-            suite.workload(w), mh_copyopt, make_worker_pool(1, 1, model=model),
-            gang_threshold=np.inf,
+        t1 = Static(gang_threshold=np.inf).run(
+            suite.workload(w), mh_copyopt, make_worker_pool(1, 1, model=model)
         ).makespan
-        t2 = list_schedule(
-            suite.workload(w), mh_copyopt, make_worker_pool(2, 2, model=model),
-            gang_threshold=5e9,
+        t2 = Static(gang_threshold=5e9).run(
+            suite.workload(w), mh_copyopt, make_worker_pool(2, 2, model=model)
         ).makespan
         sp["copyopt_1gpu"] = serial / t1
         sp["copyopt_2gpu"] = serial / t2

@@ -10,8 +10,9 @@ Run:  python examples/cluster_scaling.py
 """
 
 from repro.analysis import format_table
-from repro.cluster import ClusterSpec, InterconnectParams, cluster_replay
+from repro.cluster import ClusterSpec, InterconnectParams
 from repro.gpu import tesla_t10_model
+from repro.parallel import Cluster
 from repro.policies import IdealHybrid, make_policy
 from repro.workload import paper_workload
 
@@ -26,14 +27,12 @@ def main() -> None:
 
     p1 = make_policy("P1")
     hybrid = IdealHybrid(model)
-    serial = cluster_replay(sf, p1, ClusterSpec(1, 0, model=model)).makespan
+    serial = Cluster(ClusterSpec(1, 0, model=model)).run(sf, p1).makespan
     print(f"serial host: {serial:.1f} simulated seconds\n")
 
     rows = []
     for n_ranks in (1, 2, 4, 8, 16):
-        res = cluster_replay(
-            sf, hybrid, ClusterSpec(n_ranks, 1, model=model)
-        )
+        res = Cluster(ClusterSpec(n_ranks, 1, model=model)).run(sf, hybrid)
         rows.append(
             [n_ranks, res.makespan, serial / res.makespan,
              100 * res.utilization(), res.comm_bytes / 1e9,
@@ -48,11 +47,10 @@ def main() -> None:
     # how much does the network matter?
     print("\nnetwork sensitivity (8 ranks):")
     for label, bw in (("IB-DDR 1.5 GB/s", 1.5e9), ("GigE 0.1 GB/s", 1e8)):
-        res = cluster_replay(
-            sf, hybrid,
-            ClusterSpec(8, 1, model=model,
-                        interconnect=InterconnectParams(bandwidth=bw)),
+        spec = ClusterSpec(
+            8, 1, model=model, interconnect=InterconnectParams(bandwidth=bw)
         )
+        res = Cluster(spec).run(sf, hybrid)
         print(f"  {label}: {serial / res.makespan:.1f}x "
               f"({res.comm_seconds:.1f}s on the wire)")
     print(

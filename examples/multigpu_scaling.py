@@ -16,7 +16,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.autotune import train_default_classifier
 from repro.gpu import tesla_t10_model
-from repro.parallel import list_schedule, make_worker_pool
+from repro.parallel import Static, make_worker_pool
 from repro.policies import ModelHybrid, make_policy
 from repro.workload import paper_workload
 
@@ -44,7 +44,7 @@ def main() -> None:
     for label, n_cpus, n_gpus, pol in configs:
         pool = make_worker_pool(n_cpus, n_gpus, model=model)
         gang = np.inf if n_cpus == 1 else 5e9
-        res = list_schedule(sf, pol, pool, gang_threshold=gang)
+        res = Static(gang_threshold=gang).run(sf, pol, pool)
         if serial is None:
             serial = res.makespan
         rows.append(

@@ -377,8 +377,8 @@ _CLUSTER_POLICY = "P4"
 
 
 def _cluster_replay_run(suite: SuiteCache) -> Measurement:
-    from repro.cluster.runtime import cluster_replay
     from repro.cluster.topology import ClusterSpec
+    from repro.parallel import Cluster
 
     sf = suite.workload(PAPER_WORKLOAD)
     policy = suite.policy(_CLUSTER_POLICY)
@@ -386,7 +386,7 @@ def _cluster_replay_run(suite: SuiteCache) -> Measurement:
     makespans: dict[int, float] = {}
     for n in _CLUSTER_NODE_COUNTS:
         spec = ClusterSpec(n_ranks=n, gpus_per_rank=1, model=suite.model)
-        res = cluster_replay(sf, policy, spec)
+        res = Cluster(spec).run(sf, policy)
         makespans[n] = float(res.makespan)
         det[f"n{n}.makespan_seconds"] = float(res.makespan)
         det[f"n{n}.comm_bytes"] = float(res.comm_bytes)

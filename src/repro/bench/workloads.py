@@ -122,12 +122,11 @@ class SuiteCache:
             gang_threshold = np.inf if n_cpus == 1 else 5e9
         key = (workload_name, policy_name, n_cpus, n_gpus, gang_threshold)
         if key not in self._schedules:
-            from repro.parallel import list_schedule, make_worker_pool
+            from repro.parallel import Static, make_worker_pool
 
             pool = make_worker_pool(n_cpus, n_gpus, model=self.model)
-            self._schedules[key] = list_schedule(
-                self.workload(workload_name), self.policy(policy_name), pool,
-                gang_threshold=gang_threshold,
+            self._schedules[key] = Static(gang_threshold).run(
+                self.workload(workload_name), self.policy(policy_name), pool
             )
         return self._schedules[key]
 

@@ -18,17 +18,17 @@ system on top of the same simulation substrate:
   matrix crosses the network (latency + bytes/bandwidth, serialized on
   the sender's NIC), delivered with a send-order seq tiebreak for
   determinism;
-* **fleet execution** (:mod:`runtime`) — fan-both on the one
-  event-driven executor (:mod:`repro.runtime.engine`) with its tasks
-  pinned to their owners: per-node ready deques driven by one merged
+* **fleet execution** — fan-both on the one event-driven executor
+  (:mod:`repro.runtime.engine`) with its tasks pinned to their owners:
+  per-node ready deques driven by one merged
   :class:`~repro.runtime.events.EventQueue`; ancestors above the
   separator layer receive asynchronous update contributions at message
-  arrival.  :func:`cluster_replay` prices a whole factorization on a
-  :class:`ClusterSpec` and reports makespan, per-node utilization, and
-  communication volume — the quantities a cluster-scaling study needs;
-  the :class:`repro.parallel.Cluster` executor of
-  :func:`repro.parallel.parallel_schedule` prices the same run for the
-  one numerics pass, whose factor is bit-identical to
+  arrival.  The :class:`repro.parallel.Cluster` executor runs it:
+  ``Cluster(spec, owner).run(sf, policy)`` prices a whole factorization
+  on a :class:`ClusterSpec` and reports makespan, per-node utilization,
+  and communication volume — the quantities a cluster-scaling study
+  needs — and :func:`repro.parallel.parallel_schedule` hands the same
+  run to the one numerics pass, whose factor is bit-identical to
   ``backend="serial"`` at any node count;
 * a **sharded serving fleet** (:mod:`fleet`) — pattern-affinity request
   routing across node-local :class:`~repro.service.SolverService`
@@ -42,21 +42,15 @@ from repro.cluster.interconnect import (
     update_message_bytes,
 )
 from repro.cluster.mapping import map_subtrees_to_ranks, subtree_flops
-from repro.cluster.runtime import (
-    ClusterRunResult,
-    cluster_replay,
-)
 from repro.cluster.topology import ClusterSpec, InterconnectParams
 
 __all__ = [
     "ClusterSpec",
     "InterconnectParams",
-    "ClusterRunResult",
     "Interconnect",
     "Message",
     "ShardRouter",
     "ShardedSolverService",
-    "cluster_replay",
     "map_subtrees_to_ranks",
     "subtree_flops",
     "update_message_bytes",

@@ -5,10 +5,9 @@ most one GPU (the paper's one-thread-per-GPU design point), joined by a
 full-crossbar interconnect priced per message as
 ``latency + bytes / bandwidth`` and serialized on the sender's NIC.
 
-:class:`ClusterSpec` is the single description both cluster entry
-points take — :func:`repro.cluster.runtime.cluster_replay` and the
-:class:`repro.parallel.Cluster` executor — which hand its rank workers
-to the event-driven executor.  The ``backend="cluster"`` mode of
+:class:`ClusterSpec` is the description the :class:`repro.parallel.Cluster`
+executor takes: its ``run`` hands the spec's rank workers to the
+event-driven executor.  The ``backend="cluster"`` mode of
 :class:`repro.multifrontal.SparseCholeskySolver` prices on a two-rank
 spec of the solver node's shape, each rank's GPU like the node's first
 (:meth:`ClusterSpec.build_nodes`), and computes the factor on the

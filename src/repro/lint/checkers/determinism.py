@@ -7,9 +7,9 @@ one careless call away from silently breaking, so inside the modules
 listed in :attr:`LintConfig.deterministic_modules` the checker forbids:
 
 * **RPL010** — wall-clock reads (``time.time``, ``perf_counter``,
-  ``monotonic``, ``datetime.now``).  The runtime has a virtual clock
-  (:class:`repro.runtime.events.VirtualClock`); anything else makes a
-  run depend on the machine's load.
+  ``monotonic``, ``datetime.now``).  The runtime keeps simulated time
+  (``now`` of :class:`repro.runtime.events.EventQueue`); anything else
+  makes a run depend on the machine's load.
 * **RPL011** — unseeded randomness: ``np.random.default_rng()`` with no
   seed, the legacy ``np.random.*`` global-state API, and the stdlib
   ``random`` module.  The discipline to mirror is

@@ -255,8 +255,6 @@ class LintConfig:
             "factorize",
             "analyze",
             "symbolic_factorize",
-            "dynamic_schedule",
-            "list_schedule",
             "solve_factored",
             "iterative_refinement",
             "factorize_numeric",

@@ -24,8 +24,12 @@ bit for bit::
     priced = parallel_schedule(sf, policy, pool, Dynamic(memory_budget=b))
     factor = postorder_numeric_factor(a, sf, priced, pool.node)
 
-Every scheduler prices its tasks through the one :class:`TaskPricer`
-(:mod:`repro.parallel.pricing`).
+A timing-only run (a schedule, no numerics) is the executor's own
+``run``: ``Static(gang_threshold=g).run(sf, policy, pool)``,
+``Dynamic(budget, faults).run(sf, policy, pool)`` or
+``Cluster(spec, owner).run(sf, policy)``, each a
+:class:`~repro.runtime.RuntimeResult`.  Every scheduler prices its
+tasks through the one :class:`TaskPricer` (:mod:`repro.parallel.pricing`).
 """
 
 from repro.parallel.pricing import TaskPricer
@@ -35,7 +39,6 @@ from repro.parallel.scheduler import (
     Executor,
     ScheduledTask,
     Static,
-    list_schedule,
     parallel_schedule,
 )
 from repro.parallel.workers import WorkerPool, make_worker_pool
@@ -43,7 +46,6 @@ from repro.parallel.workers import WorkerPool, make_worker_pool
 __all__ = [
     "WorkerPool",
     "make_worker_pool",
-    "list_schedule",
     "ScheduledTask",
     "Static",
     "Dynamic",

@@ -5,8 +5,8 @@ scheduler, inspired by asynchronous task-based sparse Cholesky solvers
 (fan-both / StarPU-style runtimes): tasks are bound to workers at run
 time, not schedule time.
 
-* :mod:`repro.runtime.events` — event heap, virtual clock, and the
-  per-worker priority deques;
+* :mod:`repro.runtime.events` — the event heap (which keeps the
+  simulated time) and the per-worker priority deques;
 * :mod:`repro.runtime.engine` — the discrete-event loop, the only one
   in the code base: tasks migrating with work stealing (steal-half from
   the back, priority = upward rank) or pinned to an owner map with
@@ -20,32 +20,30 @@ Use it through ``parallel_schedule(..., Dynamic(...))`` (the
 :class:`repro.parallel.Dynamic` executor, which also takes the memory
 budget and the faults) followed by the one numerics pass, or through
 :class:`~repro.multifrontal.solver.SparseCholeskySolver`'s
-``backend="dynamic"``; :func:`dynamic_schedule` is the timing-only
-entry point (the analog of :func:`repro.parallel.list_schedule`), and
-:func:`repro.cluster.cluster_replay` the one that pins the tasks to a
-fleet.  Every schedule, static ones included, comes back as one frozen
-:class:`RuntimeResult`.
+``backend="dynamic"``.  A timing-only run is the executor's own ``run``:
+``Dynamic(...).run(sf, policy, pool)`` migrates the tasks over one
+node's workers, ``Cluster(spec, owner).run(sf, policy)`` pins them to a
+fleet (:mod:`repro.cluster`), and ``Static(...).run(sf, policy, pool)``
+is the static list scheduler.  Every schedule, static ones included,
+comes back as one frozen :class:`RuntimeResult`.
 """
 
 from repro.runtime.engine import (
     DynamicRuntime,
     RuntimeResult,
     RuntimeStats,
-    dynamic_schedule,
     schedule_peak_update_bytes,
 )
-from repro.runtime.events import EventQueue, ReadyDeque, VirtualClock
+from repro.runtime.events import EventQueue, ReadyDeque
 from repro.runtime.faults import FaultInjector, FaultStats
 
 __all__ = [
     "DynamicRuntime",
     "RuntimeResult",
     "RuntimeStats",
-    "dynamic_schedule",
     "schedule_peak_update_bytes",
     "EventQueue",
     "ReadyDeque",
-    "VirtualClock",
     "FaultInjector",
     "FaultStats",
 ]

@@ -1,11 +1,12 @@
 """The event-driven executor of the supernodal task DAG.
 
-Where :func:`repro.parallel.list_schedule` binds every task to a worker
-up front, this loop decides *at run time*.  It is the one event loop of
-the code base; what differs between its uses is the task-to-worker
-mapping it is handed, not the loop:
+Where the :class:`repro.parallel.Static` list scheduler binds every
+task to a worker up front, this loop decides *at run time*.  It is the
+one event loop of the code base; what differs between its uses is the
+task-to-worker mapping it is handed, not the loop:
 
-* **migrating tasks** (no ``owner``; :func:`dynamic_schedule`, one node)
+* **migrating tasks** (no ``owner``; :class:`repro.parallel.Dynamic`,
+  one node)
   — per-worker ready deques + work stealing: the frontier is seeded on
   one worker, a parent becomes ready on the worker that finished its
   last child, each worker pops its highest-upward-rank ready task, and
@@ -13,7 +14,7 @@ mapping it is handed, not the loop:
   (low-priority end), so critical-path work stays local and the steal
   amortizes over several tasks;
 * **pinned tasks** (an ``owner`` vector and an interconnect;
-  :func:`repro.cluster.cluster_replay`, a fleet of nodes) — every task
+  :class:`repro.parallel.Cluster`, a fleet of nodes) — every task
   runs on its owner, nothing is stolen, and a tree edge whose child and
   parent have different owners carries the child's update block across
   the interconnect as a message: the sender moves on immediately
@@ -59,7 +60,6 @@ import numpy as np
 from repro.gpu.clock import Span
 from repro.parallel.pricing import TaskPricer
 from repro.parallel.scheduler import ScheduledTask
-from repro.parallel.workers import WorkerPool
 from repro.policies.base import Policy, Worker
 from repro.runtime.events import EventQueue, ReadyDeque
 from repro.runtime.faults import FaultInjector
@@ -70,7 +70,6 @@ __all__ = [
     "RuntimeStats",
     "RuntimeResult",
     "DynamicRuntime",
-    "dynamic_schedule",
     "schedule_peak_update_bytes",
 ]
 
@@ -253,9 +252,8 @@ class DynamicRuntime:
 
     Build it, call :meth:`run`, read the :class:`RuntimeResult`.  The
     class exists (rather than a closure) so tests can poke at the
-    intermediate state; :func:`dynamic_schedule` and
-    :func:`repro.cluster.cluster_replay` are the public one-shot entry
-    points.
+    intermediate state; the ``run`` of the :class:`repro.parallel.Dynamic`
+    and :class:`repro.parallel.Cluster` executors builds and runs it.
     """
 
     def __init__(
@@ -269,7 +267,6 @@ class DynamicRuntime:
         interconnect=None,
         memory_budget: int | None = None,
         faults: FaultInjector | None = None,
-        seed_worker: int = 0,
     ):
         if (owner is None) != (interconnect is None):
             raise ValueError(
@@ -283,7 +280,6 @@ class DynamicRuntime:
         self.interconnect = interconnect
         self.memory_budget = memory_budget
         self.faults = faults
-        self.seed_worker = int(seed_worker) % max(1, len(workers))
         #: the run's :class:`RuntimeStats`, by field name
         self._counts: Counter[str] = Counter()
 
@@ -336,13 +332,13 @@ class DynamicRuntime:
         self._degraded: set[int] = set()
         self._done = 0
 
-        # migrating: all initially-ready tasks are seeded onto one worker
-        # and the others bootstrap by stealing, exactly like a
+        # migrating: all initially-ready tasks are seeded onto the first
+        # worker and the others bootstrap by stealing, exactly like a
         # work-stealing runtime whose root task spawns the frontier;
         # pinned: each starts on its owner
         for s in range(n):
             if self._n_pending[s] == 0:
-                self._push_ready(s, self.seed_worker)
+                self._push_ready(s, 0)
 
         while self._done < n:
             progress = True
@@ -440,7 +436,7 @@ class DynamicRuntime:
         self._start(best_w, best_s)
 
     def _start(self, w: int, s: int) -> None:
-        t0 = self._events.clock.now
+        t0 = self._events.now
         worker = self.workers[w]
         m = self.sf.update_size(s)
         k = self.sf.width(s)
@@ -559,33 +555,3 @@ class DynamicRuntime:
         self, name: str, engine: str, start: float, end: float, category: str
     ) -> None:
         self._spans.append(Span(name, engine, start, end, category))
-
-
-def dynamic_schedule(
-    sf: SymbolicFactor,
-    policy: Policy,
-    pool: WorkerPool,
-    *,
-    memory_budget: int | None = None,
-    faults: FaultInjector | None = None,
-    seed_worker: int = 0,
-) -> RuntimeResult:
-    """Run the event-driven runtime over ``sf``'s task DAG on one node's
-    worker pool (tasks migrate between its workers).
-
-    Parameters
-    ----------
-    sf, policy, pool :
-        Exactly the inputs of :func:`repro.parallel.list_schedule`.
-    memory_budget : int, optional
-        Bytes the projected update-stack plus the device high-water mark
-        may not exceed; ``None`` disables admission control.
-    faults : FaultInjector, optional
-        Injectable GPU kernel failures / transfer stalls.
-    seed_worker : int
-        Worker whose deque receives the initial frontier (others steal).
-    """
-    return DynamicRuntime(
-        sf, policy, pool.workers, pool.node.model,
-        memory_budget=memory_budget, faults=faults, seed_worker=seed_worker,
-    ).run()

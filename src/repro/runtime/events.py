@@ -1,15 +1,16 @@
-"""Event heap, virtual clock, and priority deques for the event-driven
-runtime.
+"""Event heap and priority deques for the event-driven runtime.
 
 The runtime is a discrete-event simulation: the only moments anything
 can change are task completions and (on a fleet) message arrivals, so
 the core loop is "dispatch every idle worker, pop the earliest event,
 repeat".  Two small data structures carry it:
 
-* :class:`EventQueue` — a heap of ``(time, seq, payload)`` events with a
-  monotone virtual clock.  The sequence number makes pops deterministic
-  under time ties (first-scheduled completes first), which is what makes
-  whole runtime runs bit-for-bit reproducible.
+* :class:`EventQueue` — a heap of ``(time, seq, payload)`` events and
+  the simulated time ``now`` of the last one popped, which never runs
+  backwards (an event in the past is refused).  The sequence number
+  makes pops deterministic under time ties (first-scheduled completes
+  first), which is what makes whole runtime runs bit-for-bit
+  reproducible.
 * :class:`ReadyDeque` — one per worker: ready tasks ordered by priority
   (upward rank).  The owner pops its *best* task from the front; thieves
   steal *half* from the back — the classic steal-half discipline, which
@@ -23,26 +24,7 @@ import heapq
 from bisect import insort
 from typing import Any, Iterable, Iterator
 
-__all__ = ["Event", "EventQueue", "ReadyDeque", "VirtualClock"]
-
-
-class VirtualClock:
-    """Monotone simulated time; advancing backwards is a bug, not data."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, t: float) -> float:
-        if t < self._now - 1e-15:
-            raise ValueError(
-                f"virtual clock cannot run backwards ({t} < {self._now})"
-            )
-        self._now = max(self._now, float(t))
-        return self._now
+__all__ = ["Event", "EventQueue", "ReadyDeque"]
 
 
 class Event:
@@ -63,10 +45,15 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic min-heap of events driving a :class:`VirtualClock`."""
+    """Deterministic min-heap of events and the simulated time ``now``.
+
+    ``push`` refuses an event before ``now``, so a pop never moves
+    ``now`` backwards: simulated time is monotone by construction.
+    """
 
     def __init__(self):
-        self.clock = VirtualClock()
+        #: time of the last event popped (0 before the first)
+        self.now = 0.0
         self._heap: list[Event] = []
         self._seq = 0
 
@@ -74,9 +61,9 @@ class EventQueue:
         return len(self._heap)
 
     def push(self, time: float, payload: Any) -> Event:
-        if time < self.clock.now - 1e-15:
+        if time < self.now - 1e-15:
             raise ValueError(
-                f"event at t={time} is in the past (now={self.clock.now})"
+                f"event at t={time} is in the past (now={self.now})"
             )
         ev = Event(time, self._seq, payload)
         self._seq += 1
@@ -84,11 +71,11 @@ class EventQueue:
         return ev
 
     def pop(self) -> Event:
-        """Remove and return the earliest event, advancing the clock."""
+        """Remove and return the earliest event, advancing ``now`` to it."""
         if not self._heap:
             raise IndexError("pop from an empty EventQueue")
         ev = heapq.heappop(self._heap)
-        self.clock.advance_to(ev.time)
+        self.now = max(self.now, ev.time)
         return ev
 
 

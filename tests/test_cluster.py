@@ -10,7 +10,6 @@ from repro.cluster import (
     InterconnectParams,
     ShardedSolverService,
     ShardRouter,
-    cluster_replay,
     map_subtrees_to_ranks,
     subtree_flops,
     update_message_bytes,
@@ -106,15 +105,13 @@ class TestInterconnect:
 
 
 class TestSimulation:
-    """What a cluster-scaling study reads off ``cluster_replay``."""
+    """What a cluster-scaling study reads off a fleet run (``Cluster.run``)."""
 
     def test_one_rank_matches_serial_replay(self, sf, model):
         from repro.gpu import SimulatedNode
         from repro.multifrontal.numeric import price_serial
 
-        res = cluster_replay(
-            sf, make_policy("P1"), ClusterSpec(1, 0, model=model)
-        )
+        res = Cluster(ClusterSpec(1, 0, model=model)).run(sf, make_policy("P1"))
         rp = price_serial(
             sf, make_policy("P1"), SimulatedNode(model=model, n_cpus=1, n_gpus=0)
         )
@@ -122,12 +119,8 @@ class TestSimulation:
         assert res.comm_messages == 0
 
     def test_two_ranks_faster_with_comm_accounted(self, wl, model):
-        serial = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(1, 0, model=model)
-        )
-        dist = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
-        )
+        serial = Cluster(ClusterSpec(1, 0, model=model)).run(wl, make_policy("P1"))
+        dist = Cluster(ClusterSpec(2, 0, model=model)).run(wl, make_policy("P1"))
         assert dist.makespan < serial.makespan
         assert dist.comm_messages > 0
         assert dist.comm_bytes > 0
@@ -137,57 +130,47 @@ class TestSimulation:
         # hybrid ranks (one GPU each); the CPU-only fleet is
         # TestClusterRuntime.test_replay_scaling_monotone
         times = [
-            cluster_replay(
-                wl, BaselineHybrid(), ClusterSpec(r, 1, model=model)
-            ).makespan
+            Cluster(ClusterSpec(r, 1, model=model))
+            .run(wl, BaselineHybrid()).makespan
             for r in (1, 2, 4)
         ]
         assert times[1] < times[0]
         assert times[2] < times[1]
 
     def test_gpus_accelerate_ranks(self, wl, model):
-        cpu_only = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
+        cpu_only = Cluster(ClusterSpec(2, 0, model=model)).run(
+            wl, make_policy("P1")
         )
-        hybrid = cluster_replay(
-            wl, BaselineHybrid(), ClusterSpec(2, 1, model=model)
-        )
+        hybrid = Cluster(ClusterSpec(2, 1, model=model)).run(wl, BaselineHybrid())
         assert hybrid.makespan < cpu_only.makespan
 
     def test_slow_network_hurts(self, wl, model):
-        fast = cluster_replay(
-            wl, make_policy("P1"),
-            ClusterSpec(4, 0, model=model,
-                        interconnect=InterconnectParams(bandwidth=10e9)),
-        )
-        slow = cluster_replay(
-            wl, make_policy("P1"),
-            ClusterSpec(4, 0, model=model,
-                        interconnect=InterconnectParams(bandwidth=5e7)),
-        )
+        def on(bandwidth):
+            spec = ClusterSpec(
+                4, 0, model=model,
+                interconnect=InterconnectParams(bandwidth=bandwidth),
+            )
+            return Cluster(spec).run(wl, make_policy("P1"))
+
+        fast = on(10e9)
+        slow = on(5e7)
         assert slow.makespan > fast.makespan
 
     def test_custom_owner_accepted_and_validated(self, sf, model):
         owner = np.zeros(sf.n_supernodes, dtype=np.int64)
-        res = cluster_replay(
-            sf, make_policy("P1"), ClusterSpec(2, 0, model=model), owner=owner
-        )
+        spec = ClusterSpec(2, 0, model=model)
+        res = Cluster(spec, owner).run(sf, make_policy("P1"))
         assert res.comm_messages == 0
         with pytest.raises(ValueError):
-            cluster_replay(
-                sf, make_policy("P1"), ClusterSpec(2, 0, model=model),
-                owner=np.full(sf.n_supernodes, 5),
-            )
+            Cluster(spec, np.full(sf.n_supernodes, 5)).run(sf, make_policy("P1"))
 
     def test_utilization_bounded(self, wl, model):
-        res = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(4, 0, model=model)
-        )
+        res = Cluster(ClusterSpec(4, 0, model=model)).run(wl, make_policy("P1"))
         assert 0.0 < res.utilization() <= 1.05
 
 
 class TestClusterRuntime:
-    """The event-driven fan-both execution (repro.cluster.runtime)."""
+    """The event-driven fan-both execution (``Cluster.run``)."""
 
     @pytest.fixture(scope="class")
     def serial_fp(self, lap3d_small, sf_lap3d):
@@ -233,24 +216,21 @@ class TestClusterRuntime:
 
     def test_replay_scaling_monotone(self, wl, model):
         times = [
-            cluster_replay(
-                wl, make_policy("P1"), ClusterSpec(n, 0, model=model)
-            ).makespan
+            Cluster(ClusterSpec(n, 0, model=model))
+            .run(wl, make_policy("P1")).makespan
             for n in (1, 2, 4)
         ]
         assert times[1] < times[0]
         assert times[2] < times[1]
 
     def test_schedule_validates(self, wl, model):
-        res = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(4, 0, model=model)
-        )
+        res = Cluster(ClusterSpec(4, 0, model=model)).run(wl, make_policy("P1"))
         assert res.validate(wl) == []
         assert len(res.schedule) == wl.n_supernodes
 
     def test_message_ordering_and_byte_accounting(self, wl, model):
         spec = ClusterSpec(4, 0, model=model)
-        res = cluster_replay(wl, make_policy("P1"), spec)
+        res = Cluster(spec).run(wl, make_policy("P1"))
         # seq numbers are assigned in send order and strictly increase
         seqs = [m.seq for m in res.messages]
         assert seqs == sorted(seqs) == list(range(len(seqs)))
@@ -273,9 +253,7 @@ class TestClusterRuntime:
         assert res.comm_messages == len(res.messages)
 
     def test_single_node_has_no_messages(self, wl, model):
-        res = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(1, 0, model=model)
-        )
+        res = Cluster(ClusterSpec(1, 0, model=model)).run(wl, make_policy("P1"))
         assert res.comm_messages == 0
         assert res.comm_bytes == 0
         assert res.messages == ()
@@ -283,14 +261,11 @@ class TestClusterRuntime:
     def test_owner_validated(self, sf, model):
         spec = ClusterSpec(2, 0, model=model)
         with pytest.raises(ValueError):
-            cluster_replay(
-                sf, make_policy("P1"), spec,
-                owner=np.full(sf.n_supernodes, 7),
-            )
+            Cluster(spec, np.full(sf.n_supernodes, 7)).run(sf, make_policy("P1"))
         with pytest.raises(ValueError):
-            cluster_replay(
-                sf, make_policy("P1"), spec, owner=np.zeros(3, dtype=np.int64)
-            )
+            Cluster(spec, np.zeros(3, dtype=np.int64)).run(sf, make_policy("P1"))
+        with pytest.raises(ValueError, match="pass the pool"):
+            Cluster().run(sf, make_policy("P1"))  # no spec to build a fleet from
 
     def test_idle_fleet_waits_for_the_message_in_flight(self, wl, model):
         # on a slow network the last cross-rank update is still on the
@@ -299,7 +274,7 @@ class TestClusterRuntime:
         spec = ClusterSpec(
             3, 0, model=model, interconnect=InterconnectParams(bandwidth=5e7)
         )
-        res = cluster_replay(wl, make_policy("P1"), spec)
+        res = Cluster(spec).run(wl, make_policy("P1"))
         assert res.validate(wl) == []
         assert len(res.schedule) == wl.n_supernodes
         assert any(
@@ -315,7 +290,7 @@ class TestClusterRuntime:
         from repro.runtime import DynamicRuntime, FaultInjector
 
         spec = ClusterSpec(2, 1, model=model)
-        assert not cluster_replay(sf, make_policy("P3"), spec).degraded
+        assert not Cluster(spec).run(sf, make_policy("P3")).degraded
 
         victim = int(np.flatnonzero(sf.sparent == NO_PARENT)[0])
         workers = [
@@ -346,9 +321,7 @@ class TestClusterRuntime:
             )
 
     def test_chrome_trace_lanes_node_major(self, wl, model):
-        res = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
-        )
+        res = Cluster(ClusterSpec(2, 0, model=model)).run(wl, make_policy("P1"))
         trace = res.chrome_trace()
         names = [
             e["args"]["name"]
@@ -362,9 +335,7 @@ class TestClusterRuntime:
         assert max(n0) < min(n1)
 
     def test_metrics_export(self, wl, model):
-        res = cluster_replay(
-            wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
-        )
+        res = Cluster(ClusterSpec(2, 0, model=model)).run(wl, make_policy("P1"))
         m = res.metrics()
         assert m.counter("tasks") == wl.n_supernodes
         assert m.counter("comm_messages") == res.comm_messages

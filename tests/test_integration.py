@@ -12,7 +12,7 @@ from repro import (
 from repro.analysis import GridBinner, time_fraction_grid
 from repro.autotune import train_default_classifier
 from repro.gpu import SimulatedNode, tesla_t10_model
-from repro.parallel import list_schedule, make_worker_pool
+from repro.parallel import Static, make_worker_pool
 from repro.policies import BaselineHybrid, IdealHybrid, ModelHybrid, make_policy
 from repro.symbolic import symbolic_factorize
 
@@ -125,9 +125,10 @@ class TestInstrumentationConsistency:
 
 class TestParallelIntegration:
     def test_parallel_speedups_ordered(self, problem, sf):
-        serial = list_schedule(sf, make_policy("P1"), make_worker_pool(1, 0)).makespan
-        t4 = list_schedule(sf, make_policy("P1"), make_worker_pool(4, 0)).makespan
-        hybrid1 = list_schedule(sf, BaselineHybrid(), make_worker_pool(1, 1)).makespan
-        hybrid2 = list_schedule(sf, BaselineHybrid(), make_worker_pool(2, 2)).makespan
+        static = Static()
+        serial = static.run(sf, make_policy("P1"), make_worker_pool(1, 0)).makespan
+        t4 = static.run(sf, make_policy("P1"), make_worker_pool(4, 0)).makespan
+        hybrid1 = static.run(sf, BaselineHybrid(), make_worker_pool(1, 1)).makespan
+        hybrid2 = static.run(sf, BaselineHybrid(), make_worker_pool(2, 2)).makespan
         assert t4 < serial
         assert hybrid2 <= hybrid1

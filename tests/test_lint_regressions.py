@@ -475,16 +475,14 @@ class TestRuntimePoolsUnderFaults:
     def test_dynamic_run_with_faults_leaves_pools_consistent(
         self, lap2d_small
     ):
-        from repro.parallel import make_worker_pool
+        from repro.parallel import Dynamic, make_worker_pool
         from repro.policies import make_policy
-        from repro.runtime import FaultInjector, dynamic_schedule
+        from repro.runtime import FaultInjector
         from repro.symbolic import symbolic_factorize
 
         sf = symbolic_factorize(lap2d_small, ordering="amd")
         pool = make_worker_pool(2, 1)
-        res = dynamic_schedule(
-            sf, make_policy("P2"), pool,
-            faults=FaultInjector(kernel_failure_rate=0.2, seed=7),
-        )
+        faults = FaultInjector(kernel_failure_rate=0.2, seed=7)
+        res = Dynamic(faults=faults).run(sf, make_policy("P2"), pool)
         assert res.makespan > 0
         assert check_allocator_state(pool.node) == []

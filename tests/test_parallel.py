@@ -6,7 +6,7 @@ import pytest
 from repro.matrices import grid_laplacian_2d, grid_laplacian_3d
 from repro.multifrontal import solve_factored
 from repro.multifrontal.numeric import postorder_numeric_factor
-from repro.parallel import Static, list_schedule, make_worker_pool, parallel_schedule
+from repro.parallel import Static, make_worker_pool, parallel_schedule
 from repro.policies import BaselineHybrid, make_policy
 from repro.symbolic import symbolic_factorize
 
@@ -40,14 +40,14 @@ class TestListSchedule:
     def test_single_worker_equals_sum(self, problem):
         a, sf = problem
         pool = make_worker_pool(1, 0)
-        res = list_schedule(sf, make_policy("P1"), pool, gang_threshold=np.inf)
+        res = Static(gang_threshold=np.inf).run(sf, make_policy("P1"), pool)
         total = sum(t.elapsed for t in res.schedule)
         assert res.makespan == pytest.approx(total, rel=1e-9)
 
     def test_dependencies_respected(self, problem):
         a, sf = problem
         pool = make_worker_pool(3, 0)
-        res = list_schedule(sf, make_policy("P1"), pool)
+        res = Static().run(sf, make_policy("P1"), pool)
         end = {t.sid: t.end for t in res.schedule}
         start = {t.sid: t.start for t in res.schedule}
         kids = sf.schildren()
@@ -61,7 +61,8 @@ class TestListSchedule:
         for p in (1, 2, 4):
             pool = make_worker_pool(p, 0)
             times.append(
-                list_schedule(sf, make_policy("P1"), pool, gang_threshold=np.inf).makespan
+                Static(gang_threshold=np.inf)
+                .run(sf, make_policy("P1"), pool).makespan
             )
         assert times[1] <= times[0] + 1e-12
         assert times[2] <= times[1] + 1e-12
@@ -71,40 +72,40 @@ class TestListSchedule:
         # scheduling of the root fronts we should land in a similar band
         a = grid_laplacian_3d(8, 8, 8)
         sf = symbolic_factorize(a, ordering="nd")
-        serial = list_schedule(sf, make_policy("P1"), make_worker_pool(1, 0)).makespan
-        par = list_schedule(sf, make_policy("P1"), make_worker_pool(4, 0)).makespan
+        serial = Static().run(sf, make_policy("P1"), make_worker_pool(1, 0)).makespan
+        par = Static().run(sf, make_policy("P1"), make_worker_pool(4, 0)).makespan
         speedup = serial / par
         assert 1.8 < speedup <= 4.0
 
     def test_gang_scheduling_helps_at_the_root(self, problem):
         a, sf = problem
         pool = make_worker_pool(4, 0)
-        with_gang = list_schedule(sf, make_policy("P1"), pool, gang_threshold=1e6)
-        without = list_schedule(sf, make_policy("P1"), pool, gang_threshold=np.inf)
+        with_gang = Static(gang_threshold=1e6).run(sf, make_policy("P1"), pool)
+        without = Static(gang_threshold=np.inf).run(sf, make_policy("P1"), pool)
         assert with_gang.makespan <= without.makespan
 
     def test_every_supernode_scheduled_once(self, problem):
         a, sf = problem
-        res = list_schedule(sf, make_policy("P1"), make_worker_pool(2, 0))
+        res = Static().run(sf, make_policy("P1"), make_worker_pool(2, 0))
         assert sorted(t.sid for t in res.schedule) == list(range(sf.n_supernodes))
 
     def test_worker_busy_accounting(self, problem):
         a, sf = problem
-        res = list_schedule(sf, make_policy("P1"), make_worker_pool(2, 0))
+        res = Static().run(sf, make_policy("P1"), make_worker_pool(2, 0))
         assert len(res.worker_busy) == 2
         assert 0 < res.utilization() <= 1.0
 
     def test_hybrid_policy_resolved_per_call(self, problem):
         a, sf = problem
         pool = make_worker_pool(1, 1)
-        res = list_schedule(sf, BaselineHybrid(), pool)
+        res = Static().run(sf, BaselineHybrid(), pool)
         names = {t.policy for t in res.schedule}
         assert "P1" in names  # the many small calls
 
     def test_cpu_only_pool_forces_p1(self, problem):
         a, sf = problem
         pool = make_worker_pool(2, 0)
-        res = list_schedule(sf, BaselineHybrid(), pool)
+        res = Static().run(sf, BaselineHybrid(), pool)
         assert {t.policy for t in res.schedule} == {"P1"}
 
 
@@ -122,7 +123,7 @@ class TestPricedOnThePlacedWorker:
     def test_no_device_task_on_a_gpu_less_worker(self, wl):
         from repro.verify.invariants import check_schedule_precedence
 
-        mixed = list_schedule(wl, BaselineHybrid(), make_worker_pool(4, 2))
+        mixed = Static().run(wl, BaselineHybrid(), make_worker_pool(4, 2))
         on_cpu_only = [t for t in mixed.schedule if t.worker in (2, 3)]
         assert on_cpu_only
         assert {t.policy for t in on_cpu_only} == {"P1"}
@@ -132,14 +133,14 @@ class TestPricedOnThePlacedWorker:
         assert any(t.gang and t.policy != "P1" for t in mixed.schedule)
         assert check_schedule_precedence(wl, mixed.schedule) == []
         # two of the four workers own no GPU: not the makespan of four GPUs
-        full = list_schedule(wl, BaselineHybrid(), make_worker_pool(4, 4))
+        full = Static().run(wl, BaselineHybrid(), make_worker_pool(4, 4))
         assert mixed.makespan != full.makespan
 
     def test_fixed_device_policy_on_cpu_pool_is_the_p1_schedule(self, wl):
         from repro.verify.invariants import check_schedule_precedence
 
-        p4 = list_schedule(wl, make_policy("P4"), make_worker_pool(2, 0))
-        p1 = list_schedule(wl, make_policy("P1"), make_worker_pool(2, 0))
+        p4 = Static().run(wl, make_policy("P4"), make_worker_pool(2, 0))
+        p1 = Static().run(wl, make_policy("P1"), make_worker_pool(2, 0))
         assert {t.policy for t in p4.schedule} == {"P1"}
         placements = TestScheduleDeterminism._placements
         assert placements(p4) == placements(p1)
@@ -169,18 +170,18 @@ class TestParallelFactorize:
     def test_2gpu_beats_1gpu(self):
         a = grid_laplacian_3d(8, 8, 8)
         sf = symbolic_factorize(a, ordering="nd")
-        t1 = list_schedule(sf, BaselineHybrid(), make_worker_pool(1, 1)).makespan
-        t2 = list_schedule(sf, BaselineHybrid(), make_worker_pool(2, 2)).makespan
+        t1 = Static().run(sf, BaselineHybrid(), make_worker_pool(1, 1)).makespan
+        t2 = Static().run(sf, BaselineHybrid(), make_worker_pool(2, 2)).makespan
         assert t2 < t1
 
     def test_speedup_vs_helper(self, problem):
         a, sf = problem
-        res = list_schedule(sf, make_policy("P1"), make_worker_pool(2, 0))
+        res = Static().run(sf, make_policy("P1"), make_worker_pool(2, 0))
         assert res.speedup_vs(2 * res.makespan) == pytest.approx(2.0)
 
     def test_schedule_sorted_by_start(self, problem):
         a, sf = problem
-        res = list_schedule(sf, make_policy("P1"), make_worker_pool(2, 0))
+        res = Static().run(sf, make_policy("P1"), make_worker_pool(2, 0))
         starts = [t.start for t in res.schedule]
         assert starts == sorted(starts)
 
@@ -198,8 +199,9 @@ class TestScheduleDeterminism:
     def test_identical_across_runs(self, problem):
         _, sf = problem
         runs = [
-            list_schedule(sf, BaselineHybrid(), make_worker_pool(3, 1),
-                          gang_threshold=np.inf)
+            Static(gang_threshold=np.inf).run(
+                sf, BaselineHybrid(), make_worker_pool(3, 1)
+            )
             for _ in range(3)
         ]
         first = self._placements(runs[0])
@@ -212,8 +214,9 @@ class TestScheduleDeterminism:
         _, sf = problem
         # threshold low enough that the big root fronts gang-schedule
         runs = [
-            list_schedule(sf, make_policy("P1"), make_worker_pool(4, 0),
-                          gang_threshold=2e4)
+            Static(gang_threshold=2e4).run(
+                sf, make_policy("P1"), make_worker_pool(4, 0)
+            )
             for _ in range(3)
         ]
         assert any(t.gang for t in runs[0].schedule)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterSpec,
-    cluster_replay,
     map_subtrees_to_ranks,
     update_message_bytes,
 )
 from repro.gpu import tesla_t10_model
 from repro.gpu.clock import TaskGraph, schedule_graph
+from repro.parallel import Cluster
 from repro.policies import Worker, estimate_policy_time, make_policy
 from repro.symbolic.etree import NO_PARENT
 from repro.symbolic.stack import (
@@ -91,9 +91,9 @@ class TestClusterProperties:
     def test_more_ranks_never_slower(self, doubling):
         sf = geometric_nd_workload(10, 10, 10, leaf_cells=8)
         pol = make_policy("P1")
-        t1 = cluster_replay(sf, pol, ClusterSpec(1, 0, model=MODEL)).makespan
-        tn = cluster_replay(
-            sf, pol, ClusterSpec(2**doubling, 0, model=MODEL)
+        t1 = Cluster(ClusterSpec(1, 0, model=MODEL)).run(sf, pol).makespan
+        tn = Cluster(ClusterSpec(2**doubling, 0, model=MODEL)).run(
+            sf, pol
         ).makespan
         # communication can eat gains but never below ~the serial bound
         assert tn <= t1 * 1.05
@@ -101,8 +101,8 @@ class TestClusterProperties:
     @given(grid_dims(3, 8))
     def test_comm_conservation(self, dims):
         sf = geometric_nd_workload(*dims, leaf_cells=8)
-        res = cluster_replay(
-            sf, make_policy("P1"), ClusterSpec(3, 0, model=MODEL)
+        res = Cluster(ClusterSpec(3, 0, model=MODEL)).run(
+            sf, make_policy("P1")
         )
         # bytes and messages agree with the owner map
         owner = res.owner

@@ -12,7 +12,6 @@ from repro.multifrontal.numeric import postorder_numeric_factor
 from repro.parallel import (
     Dynamic,
     Static,
-    list_schedule,
     make_worker_pool,
     parallel_schedule,
 )
@@ -21,7 +20,6 @@ from repro.runtime import (
     EventQueue,
     FaultInjector,
     ReadyDeque,
-    dynamic_schedule,
     schedule_peak_update_bytes,
 )
 from repro.symbolic import symbolic_factorize
@@ -47,14 +45,17 @@ class TestEventPrimitives:
         q.push(1.0, "a")
         q.push(1.0, "b")  # same time: FIFO by insertion
         assert [q.pop().payload for _ in range(3)] == ["a", "b", "late"]
-        assert q.clock.now == 2.0
+        assert q.now == 2.0
 
     def test_clock_never_rewinds(self):
+        # an event in the past is refused, so no pop can move time back
         q = EventQueue()
         q.push(5.0, "x")
         q.pop()
         with pytest.raises(ValueError):
-            q.clock.advance_to(4.0)
+            q.push(4.0, "past")
+        assert q.now == 5.0
+        assert len(q) == 0
 
     def test_deque_pops_highest_priority(self):
         d = ReadyDeque()
@@ -77,7 +78,7 @@ class TestEventPrimitives:
 class TestDynamicSchedule:
     def test_dependencies_respected(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(3, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(3, 0))
         finish = {t.sid: t.end for t in res.schedule}
         start = {t.sid: t.start for t in res.schedule}
         kids = sf.schildren()
@@ -87,13 +88,13 @@ class TestDynamicSchedule:
 
     def test_every_supernode_exactly_once(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(4, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(4, 0))
         sids = sorted(t.sid for t in res.schedule)
         assert sids == list(range(sf.n_supernodes))
 
     def test_single_worker_equals_serial_sum(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(1, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(1, 0))
         assert res.stats.steals == 0
         assert res.makespan == pytest.approx(
             sum(t.elapsed for t in res.schedule)
@@ -102,7 +103,7 @@ class TestDynamicSchedule:
     def test_deterministic_across_runs(self, problem):
         _, sf = problem
         runs = [
-            dynamic_schedule(sf, make_policy("P1"), make_worker_pool(4, 0))
+            Dynamic().run(sf, make_policy("P1"), make_worker_pool(4, 0))
             for _ in range(3)
         ]
         first = [(t.sid, t.worker, t.start, t.end) for t in runs[0].schedule]
@@ -112,7 +113,7 @@ class TestDynamicSchedule:
 
     def test_workers_bootstrap_by_stealing(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(4, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(4, 0))
         assert res.stats.steals >= 1
         assert res.stats.stolen_tasks >= res.stats.steals
         # stealing actually spread the work
@@ -121,14 +122,13 @@ class TestDynamicSchedule:
     def test_makespan_competitive_with_static(self, problem):
         _, sf = problem
         pool = make_worker_pool(4, 0)
-        static = list_schedule(sf, make_policy("P1"), pool,
-                               gang_threshold=np.inf)
-        dyn = dynamic_schedule(sf, make_policy("P1"), pool)
+        static = Static(gang_threshold=np.inf).run(sf, make_policy("P1"), pool)
+        dyn = Dynamic().run(sf, make_policy("P1"), pool)
         assert dyn.makespan <= 1.3 * static.makespan
 
     def test_worker_busy_accounting(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(3, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(3, 0))
         per_worker = [0.0] * 3
         for t in res.schedule:
             per_worker[t.worker] += t.elapsed
@@ -139,15 +139,12 @@ class TestMemoryAdmission:
     def test_budget_honored_where_static_exceeds_it(self, lap2d_32):
         _, sf = lap2d_32
         pool = make_worker_pool(4, 0)
-        static = list_schedule(sf, make_policy("P1"), pool,
-                               gang_threshold=np.inf)
+        static = Static(gang_threshold=np.inf).run(sf, make_policy("P1"), pool)
         static_peak = schedule_peak_update_bytes(sf, static.schedule)
         serial_peak = estimate_peak_update_bytes(sf)
         budget = int(0.9 * static_peak)
         assert serial_peak < budget < static_peak  # scenario is meaningful
-        res = dynamic_schedule(
-            sf, make_policy("P1"), pool, memory_budget=budget
-        )
+        res = Dynamic(memory_budget=budget).run(sf, make_policy("P1"), pool)
         assert res.stats.peak_admitted_bytes <= budget
         assert res.stats.forced_admissions == 0
         assert res.stats.admission_deferrals > 0
@@ -155,21 +152,21 @@ class TestMemoryAdmission:
 
     def test_unconstrained_run_has_no_deferrals(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(4, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(4, 0))
         assert res.stats.admission_deferrals == 0
         assert res.stats.forced_admissions == 0
 
     def test_infeasible_budget_forces_completion(self, lap2d_32):
         _, sf = lap2d_32
-        res = dynamic_schedule(
-            sf, make_policy("P1"), make_worker_pool(4, 0), memory_budget=1
+        res = Dynamic(memory_budget=1).run(
+            sf, make_policy("P1"), make_worker_pool(4, 0)
         )
         assert len(res.schedule) == sf.n_supernodes
         assert res.stats.forced_admissions > 0
 
     def test_serial_budget_peak_matches_liu_accounting(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(1, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(1, 0))
         assert schedule_peak_update_bytes(sf, res.schedule) == \
             res.stats.peak_stack_bytes
 
@@ -183,9 +180,8 @@ class TestMemoryAdmission:
         # budget projects a ready front at the host word
         _, sf = problem
         model = tesla_t10_model().with_precision(precision)
-        res = dynamic_schedule(
-            sf, make_policy("P4"), make_worker_pool(1, 1, model=model)
-        )
+        pool = make_worker_pool(1, 1, model=model)
+        res = Dynamic().run(sf, make_policy("P4"), pool)
         assert {t.policy for t in res.schedule} == {"P4"}
         assert {t.update_word for t in res.schedule} == {model.gpu_word}
         assert ratio * res.stats.peak_stack_bytes == estimate_peak_update_bytes(
@@ -193,14 +189,13 @@ class TestMemoryAdmission:
         )
         assert schedule_peak_update_bytes(sf, res.schedule) == \
             res.stats.peak_stack_bytes
-        static = list_schedule(
+        static = Static().run(
             sf, make_policy("P4"), make_worker_pool(1, 1, model=model)
         )
         assert {t.update_word for t in static.schedule} == {model.gpu_word}
         budget = res.stats.peak_admitted_bytes
-        capped = dynamic_schedule(
-            sf, make_policy("P4"), make_worker_pool(1, 1, model=model),
-            memory_budget=budget,
+        capped = Dynamic(memory_budget=budget).run(
+            sf, make_policy("P4"), make_worker_pool(1, 1, model=model)
         )
         assert capped.stats.peak_admitted_bytes <= budget
 
@@ -215,8 +210,7 @@ class TestFaults:
         _, sf = problem
         fail = self._fail_sids(sf)
         inj = FaultInjector(fail_sids=fail, seed=1)
-        res = dynamic_schedule(sf, make_policy("P3"), make_worker_pool(2, 2),
-                               faults=inj)
+        res = Dynamic(faults=inj).run(sf, make_policy("P3"), make_worker_pool(2, 2))
         assert res.degraded
         assert res.degraded_sids == fail
         assert res.stats.degraded_tasks == len(fail)
@@ -228,10 +222,9 @@ class TestFaults:
 
     def test_transfer_stalls_counted_and_slow(self, problem):
         _, sf = problem
-        clean = dynamic_schedule(sf, make_policy("P3"), make_worker_pool(2, 2))
+        clean = Dynamic().run(sf, make_policy("P3"), make_worker_pool(2, 2))
         inj = FaultInjector(transfer_stall_rate=0.3, seed=7)
-        res = dynamic_schedule(sf, make_policy("P3"), make_worker_pool(2, 2),
-                               faults=inj)
+        res = Dynamic(faults=inj).run(sf, make_policy("P3"), make_worker_pool(2, 2))
         assert res.stats.transfer_stalls > 0
         assert res.stats.transfer_stalls == inj.stats.transfer_stalls
         assert res.makespan > clean.makespan
@@ -239,10 +232,9 @@ class TestFaults:
     def test_fault_outcomes_deterministic(self, problem):
         _, sf = problem
         runs = [
-            dynamic_schedule(
-                sf, make_policy("P3"), make_worker_pool(2, 2),
-                faults=FaultInjector(kernel_failure_rate=0.15, seed=5),
-            )
+            Dynamic(
+                faults=FaultInjector(kernel_failure_rate=0.15, seed=5)
+            ).run(sf, make_policy("P3"), make_worker_pool(2, 2))
             for _ in range(2)
         ]
         assert runs[0].degraded_sids == runs[1].degraded_sids
@@ -251,8 +243,7 @@ class TestFaults:
     def test_cpu_policy_never_faults(self, problem):
         _, sf = problem
         inj = FaultInjector(kernel_failure_rate=1.0, seed=0)
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(2, 2),
-                               faults=inj)
+        res = Dynamic(faults=inj).run(sf, make_policy("P1"), make_worker_pool(2, 2))
         assert not res.degraded  # P1 never touches the device
 
 
@@ -304,7 +295,7 @@ class TestParallelFactorizeDynamic:
 class TestRuntimeObservability:
     def test_metrics_export(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(4, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(4, 0))
         m = res.metrics()
         assert m.counter("tasks") == sf.n_supernodes
         assert m.counter("steals") == res.stats.steals
@@ -314,7 +305,7 @@ class TestRuntimeObservability:
 
     def test_chrome_trace_spans(self, problem):
         _, sf = problem
-        res = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(2, 0))
+        res = Dynamic().run(sf, make_policy("P1"), make_worker_pool(2, 0))
         trace = res.chrome_trace()
         events = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert len(events) == sf.n_supernodes
@@ -392,7 +383,7 @@ def test_lmco_s_warm_p4_refactorize_counts():
 def test_lmco_s_warm_scheduled_pricing_counts(backend):
     """The scheduled-pricing gate CI runs by name: one warm P4
     refactorization of lmco_s/nd on 2 CPUs + 2 GPUs runs no scheduler
-    under any scheduled backend — no ``list_schedule`` call and no
+    under any scheduled backend — no ``Static.run`` call and no
     ``DynamicRuntime.run`` — because every executor's pure pass is kept
     per pattern, keyed by the executor value (the cluster loop ran once
     per refactorize before)."""
@@ -412,8 +403,8 @@ def test_lmco_s_warm_scheduled_pricing_counts(backend):
     ).factorize()
     counts: collections.Counter = collections.Counter()
     with mock.patch.object(
-        scheduler, "list_schedule",
-        _counting(counts, "list_schedule", scheduler.list_schedule),
+        scheduler.Static, "run",
+        _counting(counts, "Static.run", scheduler.Static.run),
     ), mock.patch.object(
         DynamicRuntime, "run", _counting(counts, "run", DynamicRuntime.run)
     ):

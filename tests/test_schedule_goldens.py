@@ -2,21 +2,22 @@
 
 ``GOLDENS`` (``tests/schedule_goldens.json``) was computed at parent
 commit ``37be3af23204f6d39dd1173b0f21a8455fcbaaef`` — before the cluster
-event loop was folded into :mod:`repro.runtime.engine` and before
-``list_schedule`` was priced by the shared ``TaskPricer`` — by running
-``python tests/test_schedule_goldens.py`` there.  Each entry is the
-leading 16 hex digits of a SHA-256 over, bit for bit (floats as
+event loop was folded into :mod:`repro.runtime.engine` and before the
+static list scheduler was priced by the shared ``TaskPricer`` — by
+running ``python tests/test_schedule_goldens.py`` there.  Each entry is
+the leading 16 hex digits of a SHA-256 over, bit for bit (floats as
 ``float.hex``): the makespan, every ``ScheduledTask``, the busy list;
-for the event-driven runs also every span; for ``dynamic_schedule`` the
-``RuntimeStats`` and the degraded set; for ``cluster_replay`` the owner
-map, every ``Message``, the NIC busy list and the comm totals (the
-parent's cluster result carried no ``RuntimeStats``, so none is
-digested for it).
+for the event-driven runs also every span; for a migrating run the
+``RuntimeStats`` and the degraded set; for a fleet run the owner map,
+every ``Message``, the NIC busy list and the comm totals (the parent's
+cluster result carried no ``RuntimeStats``, so none is digested for
+it).  Every schedule is computed through an executor's ``run``.
 
-The axes: pinned (``cluster_replay``, default and custom ``owner=``) vs
-migrating (``dynamic_schedule``) vs static (``list_schedule``); GPU-less,
-mixed and all-GPU worker sets; P1 / P4 / P_BH; fast and slow network;
-admission budget; injected faults; gang scheduling on and off.
+The axes: pinned (``Cluster(spec, owner).run``, default and custom
+owner) vs migrating (``Dynamic(...).run``) vs static
+(``Static(gang_threshold).run``); GPU-less, mixed and all-GPU worker
+sets; P1 / P4 / P_BH; fast and slow network; admission budget; injected
+faults; gang scheduling on and off.
 
 ``REPRICED`` lists the only digests that differ from the parent: static
 schedules on GPU-less or mixed pools under a device-capable policy,
@@ -39,12 +40,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, InterconnectParams, cluster_replay
+from repro.cluster import ClusterSpec, InterconnectParams
 from repro.gpu.perfmodel import tesla_t10_model
 from repro.matrices import grid_laplacian_3d
-from repro.parallel import list_schedule, make_worker_pool
+from repro.parallel import (
+    Cluster,
+    Dynamic,
+    Static,
+    make_worker_pool,
+    parallel_schedule,
+)
 from repro.policies import BaselineHybrid, make_policy
-from repro.runtime import FaultInjector, dynamic_schedule
+from repro.runtime import FaultInjector
 from repro.symbolic import symbolic_factorize
 from repro.workload import geometric_nd_workload
 
@@ -73,7 +80,7 @@ GANG = {"gang": 5e7, "nogang": np.inf}
 
 GOLDENS: dict[str, str] = json.loads(GOLDENS_PATH.read_text())
 
-#: the 14 digests that moved in the PR that made ``list_schedule`` price
+#: the 14 digests that moved in the PR that made the static scheduler price
 #: each task on the worker it is placed on (key -> digest after).  On a
 #: GPU-less pool fixed P4 is now, task for task, the P1 schedule ...
 REPRICED: dict[str, str] = {
@@ -213,30 +220,30 @@ def compute_all() -> dict[str, str]:
             for ranks in (1, 2, 3, 4):
                 for gpus in (0, 1):
                     for nname, net in NETWORKS.items():
-                        spec = ClusterSpec(ranks, gpus, model=model, interconnect=net)
+                        spec = ClusterSpec(
+                            ranks, gpus, model=model, interconnect=net
+                        )
                         out[f"cluster/{wname}/{pname}/r{ranks}g{gpus}/{nname}"] = (
-                            digest_cluster(cluster_replay(sf, make(), spec))
+                            digest_cluster(Cluster(spec).run(sf, make()))
                         )
             for gpus in (0, 1):
                 spec = ClusterSpec(3, gpus, model=model)
                 out[f"cluster/{wname}/{pname}/r3g{gpus}/striped-owner"] = (
-                    digest_cluster(cluster_replay(
-                        sf, make(), spec, owner=_striped_owner(sf, 3)
-                    ))
+                    digest_cluster(
+                        Cluster(spec, _striped_owner(sf, 3)).run(sf, make())
+                    )
                 )
             for cpus, gpus in POOLS:
                 for mname, kwargs in DYNAMIC_MODES.items():
                     out[f"dynamic/{wname}/{pname}/c{cpus}g{gpus}/{mname}"] = (
-                        digest_dynamic(dynamic_schedule(
-                            sf, make(), make_worker_pool(cpus, gpus, model=model),
-                            **kwargs(wname),
+                        digest_dynamic(Dynamic(**kwargs(wname)).run(
+                            sf, make(), make_worker_pool(cpus, gpus, model=model)
                         ))
                     )
                 for gname, threshold in GANG.items():
                     out[f"static/{wname}/{pname}/c{cpus}g{gpus}/{gname}"] = (
-                        digest_static(list_schedule(
-                            sf, make(), make_worker_pool(cpus, gpus, model=model),
-                            gang_threshold=threshold,
+                        digest_static(Static(threshold).run(
+                            sf, make(), make_worker_pool(cpus, gpus, model=model)
                         ))
                     )
     return out
@@ -261,7 +268,7 @@ def test_schedule_digest(computed, key):
 
 def test_repriced_are_static_device_policies_on_gpu_poor_pools():
     """The digests this module lets differ from the parent are exactly
-    the mispriced ones: ``list_schedule``, a device-capable policy, a
+    the mispriced ones: the static scheduler, a device-capable policy, a
     pool with at least one worker that owns no GPU."""
     assert len(REPRICED) == 14
     for key, after in REPRICED.items():
@@ -288,12 +295,28 @@ def test_reworded_are_dynamic_device_runs():
 @pytest.mark.parametrize("key", sorted(UNMOVED_SCHEDULES))
 def test_unbudgeted_schedules_did_not_move(key):
     _, wname, pname, pool, mode = key.split("/")
-    res = dynamic_schedule(
+    res = Dynamic(**DYNAMIC_MODES[mode](wname)).run(
         WORKLOADS[wname](), POLICIES[pname](),
         make_worker_pool(int(pool[1]), int(pool[3]), model=tesla_t10_model()),
-        **DYNAMIC_MODES[mode](wname),
     )
     assert digest_dynamic_schedule(res) == UNMOVED_SCHEDULES[key]
+
+
+@pytest.mark.parametrize(
+    "striped", [False, True], ids=["default-owner", "striped-owner"]
+)
+def test_pool_free_cluster_run_is_the_priced_fleet(striped):
+    """A fleet run needs no pool when it has a spec: ``Cluster(spec,
+    owner).run(sf, policy)`` is, digest for digest, the runtime the
+    scheduled pricing pass keeps for the same executor over a pool."""
+    sf = WORKLOADS["grid3d"]()
+    spec = ClusterSpec(3, 1, model=tesla_t10_model())
+    executor = Cluster(spec, _striped_owner(sf, 3) if striped else None)
+    priced = parallel_schedule(
+        sf, make_policy("P4"), make_worker_pool(2, 2), executor
+    )
+    alone = executor.run(sf, make_policy("P4"))
+    assert digest_cluster(alone) == digest_cluster(priced.runtime)
 
 
 if __name__ == "__main__":

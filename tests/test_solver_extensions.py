@@ -731,7 +731,8 @@ class TestScheduledPricingMemo:
         with mock.patch.object(
             DynamicRuntime, "run", autospec=True, side_effect=DynamicRuntime.run
         ) as loop, mock.patch.object(
-            scheduler, "list_schedule", wraps=scheduler.list_schedule
+            scheduler.Static, "run", autospec=True,
+            side_effect=scheduler.Static.run,
         ) as static:
             out = run()
         return loop.call_count + static.call_count, out

@@ -140,12 +140,11 @@ class TestInvariants:
         assert check_schedule_precedence(sf_lap3d, tasks)
 
     def test_runtime_result_validate(self, lap2d_small):
-        from repro.parallel import make_worker_pool
+        from repro.parallel import Dynamic, make_worker_pool
         from repro.policies import make_policy
-        from repro.runtime import dynamic_schedule
 
         sf = symbolic_factorize(lap2d_small, ordering="amd")
-        dyn = dynamic_schedule(sf, make_policy("P1"), make_worker_pool(2, 0))
+        dyn = Dynamic().run(sf, make_policy("P1"), make_worker_pool(2, 0))
         assert dyn.validate(sf) == []
 
 

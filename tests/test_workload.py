@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel import list_schedule, make_worker_pool
+from repro.parallel import Static, make_worker_pool
 from repro.policies import make_policy
 from repro.symbolic.etree import NO_PARENT
 from repro.workload import PAPER_WORKLOADS, geometric_nd_workload, paper_workload
@@ -124,18 +124,17 @@ class TestScheduling:
     def test_schedulable_end_to_end(self):
         sf = geometric_nd_workload(12, 12, 12, leaf_cells=8)
         pool = make_worker_pool(2, 1)
-        res = list_schedule(sf, make_policy("P1"), pool)
+        res = Static().run(sf, make_policy("P1"), pool)
         assert res.makespan > 0
         assert len(res.schedule) == sf.n_supernodes
 
     def test_gpu_hybrid_beats_host_at_scale(self, model):
         sf = paper_workload("lmco")
-        serial = list_schedule(
-            sf, make_policy("P1"), make_worker_pool(1, 0, model=model),
-            gang_threshold=np.inf,
+        single = Static(gang_threshold=np.inf)
+        serial = single.run(
+            sf, make_policy("P1"), make_worker_pool(1, 0, model=model)
         ).makespan
-        gpu = list_schedule(
-            sf, make_policy("P3"), make_worker_pool(1, 1, model=model),
-            gang_threshold=np.inf,
+        gpu = single.run(
+            sf, make_policy("P3"), make_worker_pool(1, 1, model=model)
         ).makespan
         assert serial / gpu > 3.0
