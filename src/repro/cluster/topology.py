@@ -37,9 +37,12 @@ class InterconnectParams:
         return self.latency + nbytes / self.bandwidth
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterSpec:
-    """A homogeneous cluster of ranks."""
+    """A homogeneous cluster of ranks.  Frozen: a spec is part of the
+    :class:`~repro.parallel.Cluster` executor value that keys a kept
+    pricing pass, so another fleet is another spec
+    (``dataclasses.replace``)."""
 
     n_ranks: int = 2
     gpus_per_rank: int = 1         # 0 or 1 (one host thread per GPU)

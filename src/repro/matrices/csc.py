@@ -82,13 +82,17 @@ class CSCMatrix:
         Numerical values aligned with ``indices``.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_symmetric")
 
     def __init__(self, shape, indptr, indices, data, *, check: bool = True):
         self.n_rows, self.n_cols = int(shape[0]), int(shape[1])
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data)
+        #: ``(indptr, indices, verdict)`` of the last symmetry test, or
+        #: ``None``: :meth:`full_symmetric` trusts the verdict while the
+        #: matrix holds those very index arrays
+        self._symmetric: "tuple | None" = None
         if check:
             self._validate()
 
@@ -280,7 +284,22 @@ class CSCMatrix:
         rows = np.concatenate([self.indices, col_of_entry[lone]])
         cols = np.concatenate([col_of_entry, self.indices[lone]])
         vals = np.concatenate([self.data, self.data[lone]])
-        return CSCMatrix.from_coo(rows, cols, vals, self.shape)
+        full = CSCMatrix.from_coo(rows, cols, vals, self.shape)
+        full._symmetric = (full.indptr, full.indices, True)
+        return full
+
+    def full_symmetric(self) -> "CSCMatrix":
+        """The store of both triangles: ``self`` where its pattern is
+        symmetric, else :meth:`symmetrize_from_lower`.  A verdict this
+        matrix already holds (from :meth:`is_structurally_symmetric`, or
+        as the result of :meth:`symmetrize_from_lower`) is not tested
+        again, so a pipeline that hands one matrix down tests it once."""
+        memo = self._symmetric
+        if memo is not None and memo[0] is self.indptr and memo[1] is self.indices:
+            symmetric = memo[2]
+        else:
+            symmetric = self.is_structurally_symmetric()
+        return self if symmetric else self.symmetrize_from_lower()
 
     def permute_symmetric(self, perm: np.ndarray) -> "CSCMatrix":
         """Return ``P A P^T`` where ``perm[new] = old`` (i.e. row/col ``old``
@@ -308,16 +327,19 @@ class CSCMatrix:
         the sorted mirrored keys ``row * n + col`` — one sort, no
         transpose.  A store whose keys are not strictly ascending
         (unsorted or repeated rows, ``check=False``) is not symmetric:
-        its transpose would come out sorted and summed.
+        its transpose would come out sorted and summed.  The verdict is
+        kept on the matrix for :meth:`full_symmetric`.
         """
         n = self.n_rows
-        if n != self.n_cols:
-            return False
-        col = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        stored = col * n + self.indices
-        if np.any(stored[1:] <= stored[:-1]):
-            return False
-        return bool(np.array_equal(stored, np.sort(self.indices * n + col)))
+        symmetric = n == self.n_cols
+        if symmetric:
+            col = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+            stored = col * n + self.indices
+            symmetric = not np.any(stored[1:] <= stored[:-1]) and bool(
+                np.array_equal(stored, np.sort(self.indices * n + col))
+            )
+        self._symmetric = (self.indptr, self.indices, symmetric)
+        return symmetric
 
     def allclose(self, other: "CSCMatrix", *, rtol=1e-10, atol=1e-12) -> bool:
         if self.shape != other.shape:
@@ -335,7 +357,7 @@ class CSCMatrix:
         """Undirected adjacency (indptr, indices) of the symmetric pattern,
         diagonal removed.  ``self`` may store either the full matrix or
         just its lower triangle."""
-        full = self if self.is_structurally_symmetric() else self.symmetrize_from_lower()
+        full = self.full_symmetric()
         col_of_entry = np.repeat(
             np.arange(full.n_cols, dtype=np.int64), np.diff(full.indptr)
         )

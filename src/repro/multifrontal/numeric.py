@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.dense.kernels import NotPositiveDefiniteError
 from repro.gpu.allocator import AllocationStats
-from repro.gpu.clock import EngineTimeline, TaskGraph, schedule_graph
+from repro.gpu.clock import EngineTimeline, SimTask, TaskGraph, schedule_graph
 from repro.gpu.cublas import KernelCall
 from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import PerfModel
@@ -378,6 +378,30 @@ def price_once_per_pattern(
     return outcome
 
 
+def _host_chain(
+    base: Policy, m: int, k: int, worker: Worker, model: PerfModel
+) -> "tuple[tuple[str, float], ...] | None":
+    """The ordered ``(category, duration)`` steps of ``base``'s plan of
+    an (m, k) call where that plan is one chain on ``worker``'s CPU
+    engine: every task on that engine, each depending on the one before
+    it alone (the first on the call's dependencies), the last the plan's
+    final task.  ``None`` otherwise, and, without planning, for a policy
+    that needs a GPU: a device plan reserves pool memory, so it is
+    planned front by front."""
+    if base.needs_gpu:
+        return None
+    g = TaskGraph()
+    prev = SimTask("deps", worker.cpu_engine, 0.0)
+    plan = base.plan(m, k, worker, model, g, deps=(prev,))
+    for t in g.tasks:
+        if t.engine != worker.cpu_engine or len(t.deps) != 1 or t.deps[0] is not prev:
+            return None
+        prev = t
+    if plan.final is not prev:
+        return None
+    return tuple((t.category, t.duration) for t in g.tasks)
+
+
 def price_serial(
     sf: SymbolicFactor,
     policy: Policy,
@@ -389,11 +413,18 @@ def price_serial(
     node's canonical worker.  No floating-point work, and no knowledge
     of how the numerics pass will execute the fronts.
 
-    Per front one :class:`TaskGraph` holding its assembly task and the
-    resolved policy's ``plan``, one ``schedule_graph`` call; its record
-    starts at the assembly task and its ``components`` cover every task
-    of the graph, ``"assemble"`` included.  A front resolves to host
-    ``P1`` where the worker has no device it fits on.  Paid once per
+    Per front an assembly task on the worker's CPU engine, then the
+    resolved policy's ``plan``; its record starts at the assembly task
+    and its ``components`` cover every task, ``"assemble"`` included.  A
+    front resolves to host ``P1`` where the worker has no device it fits
+    on.  A host plan is one chain of CPU steps, a function of its base
+    policy and (m, k): each such shape is planned once per pass
+    (:func:`_host_chain`) and its fronts are advanced in closed form,
+    with the float adds ``schedule_graph`` makes, in its order — start
+    at the later of the children's ends and the engine's ``free_at``,
+    then ``end += d`` and ``busy += d`` per step — leaving a finished
+    stub as the front's final task.  Every other front is one
+    :class:`TaskGraph` and one ``schedule_graph`` call.  Paid once per
     pattern where the pass is a function of the pattern
     (:func:`price_once_per_pattern`: fresh node, plain-scalar policy —
     P1 to P4, not a selector); the key adds the order walked.
@@ -404,32 +435,61 @@ def price_serial(
     def price() -> PricedPass:
         model = node.model
         kids = sf.schildren()
-        final_task: dict[int, object] = {}
+        mk = sf.mk_pairs().tolist()
+        final_task: dict[int, SimTask] = {}
         records: list[FURecord] = []
         bases: list[Policy] = [policy] * sf.n_supernodes
+        #: per (base, m, k): its host chain's steps (or ``None``) and flops
+        shapes: dict[tuple[Policy, int, int], tuple] = {}
         assembly_seconds = 0.0
         for s in order.tolist():
-            size = sf.rows[s].size
-            k = sf.width(s)
-            m = size - k
+            m, k = mk[s]
             t_asm = model.host_memory_time(
-                assembly_bytes(size, [sf.update_size(c) for c in kids[s]])
+                assembly_bytes(m + k, [mk[c][0] for c in kids[s]])
             )
-            g = TaskGraph()
             deps = tuple(final_task[c] for c in kids[s] if c in final_task)
-            asm_task = g.add(f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble")
             assembly_seconds += t_asm
 
             base = bases[s] = policy.resolve(m, k, worker)
-            plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
-            schedule_graph(g, engines=node.engines)
-            final_task[s] = plan.final
+            shape = (base, m, k)
+            if shape not in shapes:
+                shapes[shape] = (
+                    _host_chain(base, m, k, worker, model),
+                    factor_update_flops(m, k),
+                )
+            steps, flops = shapes[shape]
+            if steps is None:
+                g = TaskGraph()
+                asm_task = g.add(
+                    f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble"
+                )
+                plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
+                schedule_graph(g, engines=node.engines)
+                final_task[s] = plan.final
+                start, end = min(t.start for t in g.tasks), plan.final.end
+                components = g.total_by_category()
+            else:
+                cpu = node.engines.setdefault(
+                    worker.cpu_engine, EngineTimeline(worker.cpu_engine)
+                )
+                ready = 0.0
+                for dep in deps:
+                    ready = max(ready, dep.end)
+                start = end = max(ready, cpu.free_at)
+                components = {}
+                for category, d in (("assemble", float(t_asm)), *steps):
+                    end += d
+                    cpu.busy += d
+                    components[category] = components.get(category, 0.0) + d
+                cpu.free_at = end
+                cpu.n_tasks += 1 + len(steps)
+                final_task[s] = SimTask(
+                    f"fu:{s}", worker.cpu_engine, 0.0, start=end, end=end
+                )
             records.append(
                 FURecord(
-                    sid=s, m=m, k=k, policy=base.name,
-                    start=min(t.start for t in g.tasks), end=plan.final.end,
-                    components=g.total_by_category(),
-                    flops=factor_update_flops(m, k),
+                    sid=s, m=m, k=k, policy=base.name, start=start, end=end,
+                    components=components, flops=flops,
                 )
             )
         return PricedPass.of(

@@ -124,7 +124,7 @@ class SparseCholeskySolver:
             raise ValueError(
                 f"unknown backend {backend!r} ({' | '.join(_EXECUTORS)})"
             )
-        self.a = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+        self.a = a.full_symmetric()
         self.ordering = ordering
         self.node = node if node is not None else SimulatedNode(n_cpus=1, n_gpus=1)
         self.amalgamation = amalgamation
@@ -247,11 +247,7 @@ class SparseCholeskySolver:
         reusing the ordering and symbolic analysis — the standard fast
         path for sequences of systems (time stepping, Newton iterations).
         """
-        new_full = (
-            a_new
-            if a_new.is_structurally_symmetric()
-            else a_new.symmetrize_from_lower()
-        )
+        new_full = a_new.full_symmetric()
         same_pattern = (
             new_full.shape == self.a.shape
             and np.array_equal(new_full.indptr, self.a.indptr)

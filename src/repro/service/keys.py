@@ -33,7 +33,7 @@ __all__ = ["MatrixKey", "canonicalize", "pattern_key", "values_key", "matrix_key
 
 def canonicalize(a: CSCMatrix) -> CSCMatrix:
     """The full symmetric form the solver factors (identity if already so)."""
-    return a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    return a.full_symmetric()
 
 
 def _digest(tag: str, *parts) -> str:

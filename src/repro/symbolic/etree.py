@@ -185,7 +185,7 @@ def elimination_tree(a: CSCMatrix) -> EliminationTree:
     """
     if a.n_rows != a.n_cols:
         raise ValueError("elimination tree requires a square matrix")
-    full = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    full = a.full_symmetric()
     col_of_entry = np.repeat(
         np.arange(full.n_cols, dtype=np.int64), np.diff(full.indptr)
     )

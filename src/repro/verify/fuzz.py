@@ -342,7 +342,7 @@ def _check_case(a: CSCMatrix, pairs) -> tuple[str, list[str], object] | None:
     from repro.symbolic.symbolic import symbolic_factorize
 
     def structural(m: CSCMatrix) -> list[str]:
-        full = m if m.is_structurally_symmetric() else m.symmetrize_from_lower()
+        full = m.full_symmetric()
         sf = symbolic_factorize(full, ordering="amd")
         return (
             check_symbolic_structure(sf)

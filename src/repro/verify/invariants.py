@@ -203,7 +203,7 @@ def check_amalgamated_structure(
     from repro.symbolic.symbolic import symbolic_factorize
 
     violations: list[str] = []
-    full = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    full = a.full_symmetric()
     factors = {
         preset: symbolic_factorize(
             full, ordering=ordering,
@@ -360,7 +360,7 @@ def check_degraded_still_solves(
     from repro.symbolic import symbolic_factorize
 
     violations: list[str] = []
-    a = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    a = a.full_symmetric()
     sf = symbolic_factorize(a, ordering="amd")
     node = SimulatedNode(n_cpus=2, n_gpus=1)
     priced = parallel_schedule(
@@ -564,7 +564,7 @@ def run_invariants(
     from repro.symbolic.symbolic import symbolic_factorize
     from repro.verify.lattice import VerifyConfig
 
-    full = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    full = a.full_symmetric()
     sf = symbolic_factorize(full, ordering="amd")
     reports = [
         _report("symbolic-structure", check_symbolic_structure(sf)),

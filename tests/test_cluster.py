@@ -164,6 +164,28 @@ class TestSimulation:
         with pytest.raises(ValueError):
             Cluster(spec, np.full(sf.n_supernodes, 5)).run(sf, make_policy("P1"))
 
+    def test_spec_is_a_value(self, model):
+        """A spec keys the kept pass through its ``Cluster``: it cannot be
+        changed in place, so a pass kept for one fleet is never handed
+        out for another, and a replaced spec prices afresh."""
+        import dataclasses
+
+        sf = symbolic_factorize(grid_laplacian_3d(6, 6, 6), ordering="nd")
+        spec = ClusterSpec(2, 0, model=model)
+        pool = WorkerPool.over(spec.build_nodes()[0])
+        two = parallel_schedule(sf, make_policy("P1"), pool, Cluster(spec))
+        assert sf._priced_pass.outcome is two
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.n_ranks = 4
+        assert spec.n_ranks == 2
+        four_spec = dataclasses.replace(spec, n_ranks=4)
+        pool = WorkerPool.over(four_spec.build_nodes()[0])
+        four = parallel_schedule(sf, make_policy("P1"), pool, Cluster(four_spec))
+        assert four is not two and sf._priced_pass.outcome is four
+        assert set(four.runtime.owner.tolist()) == {0, 1, 2, 3}
+        assert set(two.runtime.owner.tolist()) == {0, 1}
+        assert four.runtime.owner.tolist() == map_subtrees_to_ranks(sf, 4).tolist()
+
     def test_utilization_bounded(self, wl, model):
         res = Cluster(ClusterSpec(4, 0, model=model)).run(wl, make_policy("P1"))
         assert 0.0 < res.utilization() <= 1.05

@@ -248,3 +248,29 @@ class TestStructuralSymmetry:
         for one_side in (full.lower_triangle(), csc_from_dense(np.triu(dense_ref()))):
             assert not one_side.is_structurally_symmetric()
             assert one_side.symmetrize_from_lower().is_structurally_symmetric()
+
+    def test_full_symmetric_tests_each_matrix_once(self):
+        from unittest import mock
+
+        full = csc_from_dense(dense_ref())
+        lower = full.lower_triangle()
+        with mock.patch.object(
+            CSCMatrix, "is_structurally_symmetric", autospec=True,
+            side_effect=CSCMatrix.is_structurally_symmetric,
+        ) as tested:
+            assert full.full_symmetric() is full
+            completed = lower.full_symmetric()
+            # a verdict held, or a completion's, is not tested again
+            assert full.full_symmetric() is full
+            assert lower.full_symmetric() is not lower
+            assert completed.full_symmetric() is completed
+            assert tested.call_count == 2
+        assert np.array_equal(completed.to_dense(), full.to_dense())
+        # another index array may be another pattern: tested again
+        full.indices = full.indices.copy()
+        with mock.patch.object(
+            CSCMatrix, "is_structurally_symmetric", autospec=True,
+            side_effect=CSCMatrix.is_structurally_symmetric,
+        ) as tested:
+            assert full.full_symmetric() is full
+        assert tested.call_count == 1

@@ -416,14 +416,29 @@ class TestPricingMemo:
 
     @staticmethod
     def _count_pricing(run):
-        """(schedule_graph calls, TaskGraphs built) while ``run()`` runs."""
+        """(pricing passes run, schedule_graph calls, TaskGraphs built)
+        while ``run()`` runs.  A pass ends in one ``PricedPass.of``; it
+        plans each host shape once (one ``TaskGraph``) and prices its
+        fronts in closed form, and schedules each device front as a
+        ``TaskGraph`` of its own."""
         with mock.patch.object(
+            numeric.PricedPass, "of", wraps=numeric.PricedPass.of
+        ) as passes, mock.patch.object(
             numeric, "schedule_graph", wraps=numeric.schedule_graph
         ) as sched, mock.patch.object(
             numeric, "TaskGraph", wraps=numeric.TaskGraph
         ) as graphs:
             run()
-        return sched.call_count, graphs.call_count
+        return passes.call_count, sched.call_count, graphs.call_count
+
+    @staticmethod
+    def _cold_counts(factor):
+        """What :meth:`_count_pricing` reads over one pass that priced
+        ``factor``'s records: its device fronts one graph each, and one
+        graph per distinct host (m, k)."""
+        device = sum(r.policy != "P1" for r in factor.records)
+        host = {(r.m, r.k) for r in factor.records if r.policy == "P1"}
+        return 1, device, device + len(host)
 
     @staticmethod
     def _pool_requests(solver):
@@ -451,25 +466,28 @@ class TestPricingMemo:
         a = lap3d_small
         solver = SparseCholeskySolver(a, ordering="nd", policy="P1").analyze()
         n = solver.symbolic.n_supernodes
-        assert self._count_pricing(solver.factorize) == (n, n)
+        counts = self._count_pricing(solver.factorize)
+        # one pass, no graph scheduled: 22 host shapes among 151 fronts
+        assert counts == self._cold_counts(solver.factor) == (1, 0, 22)
+        assert n == 151
         for scale in (2.0, 3.0):
             counts = self._count_pricing(
                 lambda: solver.refactorize(a.data * scale)
             )
-            assert counts == (0, 0)
+            assert counts == (0, 0, 0)
 
     def test_device_refactorize_prices_nothing(self, lap3d_small):
         a = lap3d_small
         solver = SparseCholeskySolver(a, ordering="nd", policy="P4").analyze()
         n = solver.symbolic.n_supernodes
-        assert self._count_pricing(solver.factorize) == (n, n)
+        assert self._count_pricing(solver.factorize) == (1, n, n)
         requests = self._pool_requests(solver)
         assert sum(requests) > 0
         for scale in (2.0, 3.0):
             counts = self._count_pricing(
                 lambda: solver.refactorize(a.data * scale)
             )
-            assert counts == (0, 0)
+            assert counts == (0, 0, 0)
             # the pools read as after the pass that went through them
             assert self._pool_requests(solver) == requests
 
@@ -479,7 +497,8 @@ class TestPricingMemo:
         policy = BaselineHybrid(thresholds=(1e3, 1e4, 1e5))
         solver = SparseCholeskySolver(a, ordering="nd", policy=policy).analyze()
         first = self._count_pricing(solver.factorize)
-        assert first[0] == solver.symbolic.n_supernodes
+        assert first == self._cold_counts(solver.factor)
+        assert 0 < first[1] < solver.symbolic.n_supernodes
         requests = self._pool_requests(solver)
         selections = dict(solver.policy.selection_counts)
         assert sum(requests) > 0
@@ -585,14 +604,13 @@ class TestPricingMemo:
         a = lap3d_small
         solver = SparseCholeskySolver(a, ordering="nd", policy="P1").factorize()
         slot = self._slot(solver)
-        n = solver.symbolic.n_supernodes
         spied = make_policy("P1")
         with mock.patch.object(spied, "apply", wraps=spied.apply) as apply:
             other = SparseCholeskySolver.from_symbolic(
                 a, solver.symbolic, policy=spied
             )
             # its type is in the slot, but its type is not all there is to it
-            assert self._count_pricing(other.factorize) == (n, n)
+            assert self._count_pricing(other.factorize) == (1, 0, 22)
         # one call per unstacked front and one per stacked leaf group
         assert apply.call_count == other.factor.task_dispatches > 0
         assert other.factor.batch_tasks > 0
@@ -605,7 +623,6 @@ class TestPricingMemo:
         node = SimulatedNode()
         first = factorize_numeric(a, sf, make_policy("P1"), node=node)
         slot = sf._priced_pass
-        n = sf.n_supernodes
         tasks = node.engines["cpu0"].n_tasks
         # no reset: the second pass starts where the first one ended
         second = None
@@ -614,7 +631,7 @@ class TestPricingMemo:
             nonlocal second
             second = factorize_numeric(a, sf, make_policy("P1"), node=node)
 
-        assert self._count_pricing(again) == (n, n)
+        assert self._count_pricing(again) == self._cold_counts(first) == (1, 0, 22)
         assert second.records[0].start >= first.makespan
         assert second.makespan == pytest.approx(2 * first.makespan)
         assert node.engines["cpu0"].n_tasks == 2 * tasks
@@ -636,7 +653,7 @@ class TestPricingMemo:
         ):
             solver.refactorize(-a.data)
         assert self._slot(solver) is slot
-        assert self._count_pricing(lambda: solver.refactorize(a.data * 2.0)) == (0, 0)
+        assert self._count_pricing(lambda: solver.refactorize(a.data * 2.0)) == (0, 0, 0)
         assert solver.factor.records == pinned
         b = np.ones(a.n_rows)
         assert np.abs(2.0 * a.matvec(solver.solve(b)) - b).max() < 1e-10

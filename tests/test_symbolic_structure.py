@@ -298,11 +298,38 @@ def test_lmco_s_cold_analysis_counts(monkeypatch):
     assert calls["searchsorted"] <= 3
 
 
+@pytest.mark.parametrize("store", ("full", "lower"))
+def test_lmco_s_cold_op_tests_symmetry_once(store):
+    """The counts-gate CI runs by name: one cold solver op on lmco_s/nd,
+    matrix to refined ``x``, tests the pattern's symmetry once (twice
+    before: the solver's constructor and nested dissection's adjacency
+    each tested it); the matrix the constructor keeps carries the
+    verdict down."""
+    from unittest import mock
+
+    from repro import SparseCholeskySolver
+    from repro.matrices.csc import CSCMatrix
+
+    a = load_test_matrix("lmco_s")
+    if store == "lower":
+        a = a.lower_triangle()
+    with mock.patch.object(
+        CSCMatrix, "is_structurally_symmetric", autospec=True,
+        side_effect=CSCMatrix.is_structurally_symmetric,
+    ) as tested:
+        solver = SparseCholeskySolver(a, ordering="nd", policy="P1")
+        x = solver.solve(np.ones(a.n_rows))
+    assert tested.call_count == 1
+    assert solver.a.full_symmetric() is solver.a
+    assert structure_digest(solver.symbolic) == TestPinnedStructure.PINNED["lmco_s/nd"]
+    assert np.isfinite(x).all()
+
+
 def assert_matches_column_oracle(a, sf):
     """``sf`` against the column-at-a-time definition it no longer runs:
     the etree of the permuted matrix, ``column_patterns`` and the
     counts-based ``fundamental_supernodes``."""
-    full = a if a.is_structurally_symmetric() else a.symmetrize_from_lower()
+    full = a.full_symmetric()
     n = full.n_rows
     permuted = full.permute_symmetric(sf.perm)
     tree = elimination_tree(permuted)
