@@ -14,9 +14,8 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.gpu import SimulatedNode
-from repro.multifrontal.device_resident import flops_placement, price_resident
 from repro.multifrontal.numeric import price_serial
-from repro.policies import make_policy
+from repro.policies import flops_placement, make_policy
 from repro.workload import PAPER_WORKLOADS
 
 
@@ -30,10 +29,11 @@ def test_extension_device_resident(suite, model, save, benchmark):
             sf, make_policy("P4"), SimulatedNode(model=model, n_cpus=1, n_gpus=1)
         ).makespan
         ideal = suite.schedule(spec.name, "ideal", 1, 1).makespan
-        res_nf, stats = price_resident(
-            sf, SimulatedNode(model=model, n_cpus=1, n_gpus=1),
-            flops_placement(2e6),
+        res_nf = price_serial(
+            sf, flops_placement(2e6),
+            SimulatedNode(model=model, n_cpus=1, n_gpus=1),
         )
+        stats = res_nf.residency
         results[spec.name] = (serial, p4, ideal, res_nf.makespan, stats)
         rows.append(
             [spec.name,
@@ -65,7 +65,7 @@ def test_extension_device_resident(suite, model, save, benchmark):
 
     sf = suite.workload("lmco")
     benchmark(
-        lambda: price_resident(
-            sf, SimulatedNode(model=model, n_cpus=1, n_gpus=1)
-        )[0].makespan
+        lambda: price_serial(
+            sf, flops_placement(), SimulatedNode(model=model, n_cpus=1, n_gpus=1)
+        ).makespan
     )

@@ -16,13 +16,8 @@ import numpy as np
 from repro import grid_laplacian_3d, symbolic_factorize
 from repro.analysis import format_table
 from repro.gpu import SimulatedNode
-from repro.multifrontal import (
-    factorize_numeric,
-    factorize_resident,
-    flops_placement,
-    iterative_refinement,
-)
-from repro.policies import IdealHybrid, make_policy
+from repro.multifrontal import factorize_numeric, iterative_refinement
+from repro.policies import IdealHybrid, flops_placement, make_policy
 
 
 def main() -> None:
@@ -48,9 +43,8 @@ def main() -> None:
                  f"{r.initial_residual:.1e}", r.iterations])
 
     # device-resident: updates stay on the GPU between generations
-    nf_res, stats = factorize_resident(
-        a, sf, place_on_device=flops_placement(1e5)
-    )
+    nf_res = factorize_numeric(a, sf, flops_placement(1e5))
+    stats = nf_res.residency
     r = iterative_refinement(a, nf_res, b)
     rows.append(["device-resident P4", nf_res.makespan * 1e3,
                  f"{r.initial_residual:.1e}", r.iterations])

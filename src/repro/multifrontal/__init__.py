@@ -10,12 +10,7 @@ kernels, Section III-B) complete the solver.
 """
 
 from repro.multifrontal.batched import batch_groups
-from repro.multifrontal.device_resident import (
-    ResidencyStats,
-    factorize_resident,
-    flops_placement,
-)
-from repro.multifrontal.numeric import FURecord, NumericFactor, factorize_numeric
+from repro.multifrontal.numeric import FURecord, NumericFactor, ResidencyStats, factorize_numeric
 from repro.multifrontal.schur import PartialFactorization, partial_factorize
 from repro.multifrontal.solve_sim import SolveEstimate, simulate_solve
 from repro.multifrontal.solve import solve_factored
@@ -24,9 +19,7 @@ from repro.multifrontal.solver import FactorizationStats, SparseCholeskySolver
 
 __all__ = [
     "batch_groups",
-    "factorize_resident",
     "ResidencyStats",
-    "flops_placement",
     "FURecord",
     "NumericFactor",
     "factorize_numeric",

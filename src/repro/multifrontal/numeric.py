@@ -38,7 +38,9 @@ from repro.gpu.device import SimulatedNode
 from repro.gpu.perfmodel import PerfModel
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.batched import breakdown_error, front_groups
-from repro.multifrontal.frontal import assemble_group, assembly_bytes, get_assembly_plan
+from repro.multifrontal.frontal import (
+    AssemblyPlan, assemble_group, assembly_bytes, get_assembly_plan,
+)
 from repro.multifrontal.solve import SweepTable, get_solve_plan
 from repro.policies.base import Policy, Worker
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
@@ -50,6 +52,7 @@ __all__ = [
     "FURecord",
     "NumericFactor",
     "PricedPass",
+    "ResidencyStats",
     "device_kernels",
     "factorize_numeric",
     "postorder_numeric_factor",
@@ -62,8 +65,8 @@ __all__ = [
 class FURecord:
     """Instrumentation record of one front: ``start`` is its assembly
     task's and ``end`` its factor-update's last task's, and a pricing
-    pass that times every task (the serial and device-resident walks)
-    fills ``components`` with all of them, ``"assemble"`` included."""
+    pass that times every task (the serial walk) fills ``components``
+    with all of them, ``"assemble"`` included."""
 
     sid: int
     m: int
@@ -130,6 +133,20 @@ def _kernel_seconds(
     return tuple(seconds)
 
 
+@dataclass
+class ResidencyStats:
+    """Transfer and residency accounting of a serial pass under a
+    resident policy (:attr:`~repro.policies.base.Policy.resident`)."""
+
+    n_device_supernodes: int = 0
+    n_host_supernodes: int = 0
+    resident_reuse_bytes: float = 0.0    # update bytes that never crossed PCIe
+    h2d_bytes: float = 0.0
+    d2h_bytes: float = 0.0
+    n_spills: int = 0
+    peak_resident_bytes: int = 0
+
+
 @dataclass(frozen=True)
 class PricedPass:
     """What a pricing pass hands the numerics pass, and all it hands it:
@@ -138,15 +155,18 @@ class PricedPass:
     of every device kernel those policies run on the canonical worker's
     GPU, in the walk's order (:func:`device_kernels`) — the only time the
     numerics pass keeps — the simulated makespan and assembly seconds,
-    the supernode order the numerics pass walks, and the scheduler's
-    :class:`~repro.runtime.RuntimeResult` (``None`` for a serial walk).
+    the supernode order the numerics pass walks, the scheduler's
+    :class:`~repro.runtime.RuntimeResult` (``None`` for a serial walk),
+    and the :class:`ResidencyStats` of a serial walk under a resident
+    policy (else ``None``).
 
-    Every pricer returns one: the serial walk (:func:`price_serial`),
-    the scheduled executors (:func:`repro.parallel.parallel_schedule`)
-    and the device-resident walk.  Frozen all the way down, so a pass
-    kept per pattern (:func:`price_once_per_pattern`) is handed out as it
-    is: a warm factorization neither rebuilds a record nor resolves a
-    policy nor prices a kernel.
+    Every pricer returns one: the serial walk (:func:`price_serial`) and
+    the scheduled executors (:func:`repro.parallel.parallel_schedule`).
+    Frozen all the way down but for the residency statistics, which no
+    kept pass has, so a pass kept per pattern
+    (:func:`price_once_per_pattern`) is handed out as it is: a warm
+    factorization neither rebuilds a record nor resolves a policy nor
+    prices a kernel.
     """
 
     records: tuple[FURecord, ...]
@@ -156,17 +176,19 @@ class PricedPass:
     assembly_seconds: float
     order: tuple[int, ...]
     runtime: "RuntimeResult | None" = None
+    residency: ResidencyStats | None = None
 
     @classmethod
     def of(
         cls, sf: SymbolicFactor, records, bases, worker: Worker, order,
         makespan: float, assembly_seconds: float = 0.0, runtime=None,
+        residency: ResidencyStats | None = None,
     ) -> "PricedPass":
         order = tuple(np.asarray(order).tolist())
         return cls(
             tuple(records), tuple(bases),
             _kernel_seconds(sf, bases, worker, order),
-            makespan, assembly_seconds, order, runtime,
+            makespan, assembly_seconds, order, runtime, residency,
         )
 
     @property
@@ -201,6 +223,8 @@ class NumericFactor:
     #: it found nothing to group)
     batch_tasks: int = 0
     batched_fronts: int = 0
+    #: the pricing pass's residency statistics (a resident policy's)
+    residency: ResidencyStats | None = None
     #: the solve phase's sweep table (:func:`repro.multifrontal.solve.sweep_table`),
     #: bound by the numerics pass; whoever edits a panel in place resets it
     #: to ``None``, and the next solve binds it again from the panels
@@ -402,11 +426,87 @@ def _host_chain(
     return tuple((t.category, t.duration) for t in g.tasks)
 
 
+class _Residency:
+    """The updates a serial pass keeps on its worker's device (the
+    Section VI-C copy optimization, :class:`~repro.policies.base.PolicyP4r`)
+    and the transfers they cost or spare.  A front uploads the entries of
+    A ``plan`` gives it, or one per row without a plan (a paper-scale
+    workload, where no matrix exists)."""
+
+    def __init__(self, worker: Worker, model: PerfModel, plan: "AssemblyPlan | None"):
+        self.worker, self.model, self.plan = worker, model, plan
+        self.stats = ResidencyStats()
+        #: entries of each update resident on the device, oldest first
+        self.updates: dict[int, int] = {}
+
+    def _copy(self, g: TaskGraph, name: str, engine: str, nbytes, deps) -> SimTask:
+        t = self.model.transfer_time(nbytes, pinned=True)
+        return g.add(name, engine, t, deps, "copy")
+
+    def fetch(self, g: TaskGraph, children, deps) -> tuple[SimTask, ...]:
+        """A host front's downloads of its children's resident updates."""
+        word, tasks = self.model.gpu_word, []
+        for c in children:
+            if c in self.updates:
+                nbytes = self.updates.pop(c) * word
+                tasks.append(self._copy(g, "d2h:child", self.worker.gpu.d2h_engine, nbytes, deps))
+                self.stats.d2h_bytes += nbytes
+        return tuple(tasks)
+
+    def device_front(
+        self, g: TaskGraph, s: int, m: int, k: int, base: Policy, children, mk, deps
+    ) -> tuple[float, SimTask]:
+        """Front ``s`` on the device: uploads of A's entries and of the
+        children's updates not resident, a device extend-add, ``base``'s
+        kernels, the panel's download; its update stays, the largest
+        resident ones spilled while the device is full.  Returns the
+        extend-add's seconds and the front's final task."""
+        gpu, model, stats = self.worker.gpu, self.model, self.stats
+        word, size = model.gpu_word, m + k
+        stats.n_device_supernodes += 1
+        n_entries = self.plan.src[s].size if self.plan is not None else size
+        a_bytes = 2.0 * n_entries * word  # values + indices
+        last = self._copy(g, "h2d:A", gpu.h2d_engine, a_bytes, deps)
+        stats.h2d_bytes += a_bytes
+        asm_bytes = 2.0 * size * size * word
+        for c in children:
+            n = mk[c][0] ** 2
+            if self.updates.pop(c, None) is None:
+                last = self._copy(g, "h2d:child", gpu.h2d_engine, n * word, (last,))
+                stats.h2d_bytes += n * word
+            else:
+                stats.resident_reuse_bytes += n * word
+            asm_bytes += 2.0 * n * word
+        # the extend-add runs at device memory bandwidth
+        t_asm = asm_bytes / (gpu.spec.device_bandwidth_gbs * 1e9)
+        prev = g.add("dev-assemble", gpu.compute_engine, t_asm, (last,), "assemble")
+        for c in base.kernel_calls(m, k):
+            t = model.kernel_time("gpu", c.kernel, m=c.m, n=c.n, k=c.k)
+            prev = g.add(f"gpu:{c.kernel}", gpu.compute_engine, t, (prev,), c.kernel)
+        panel_bytes = (k * k + m * k) * word
+        prev = self._copy(g, "d2h:L", gpu.d2h_engine, panel_bytes, (prev,))
+        stats.d2h_bytes += panel_bytes
+        final = g.add("done", self.worker.cpu_engine, 0.0, (prev,), "other")
+        if m > 0:
+            resident = self.updates
+            while resident and (sum(resident.values()) + m * m) * word > gpu.spec.memory_bytes:
+                nbytes = resident.pop(max(resident, key=resident.__getitem__)) * word
+                final = self._copy(g, "d2h:spill", gpu.d2h_engine, nbytes, (final,))
+                stats.d2h_bytes += nbytes
+                stats.n_spills += 1
+            resident[s] = m * m
+            stats.peak_resident_bytes = max(
+                stats.peak_resident_bytes, sum(resident.values()) * word
+            )
+        return t_asm, final
+
+
 def price_serial(
     sf: SymbolicFactor,
     policy: Policy,
     node: SimulatedNode,
     spost: "np.ndarray | None" = None,
+    plan: "AssemblyPlan | None" = None,
 ) -> PricedPass:
     """The serial pricing pass: charge the factorization to ``node``'s
     virtual clock, walking ``spost`` (default ``sf.spost``) on the
@@ -428,6 +528,12 @@ def price_serial(
     pattern where the pass is a function of the pattern
     (:func:`price_once_per_pattern`: fresh node, plain-scalar policy —
     P1 to P4, not a selector); the key adds the order walked.
+
+    Under a resident policy (:attr:`~repro.policies.base.Policy.resident`)
+    a ``P4r`` front keeps its update on the device, a host front first
+    downloads its children's resident updates (:class:`_Residency`, which
+    reads ``plan``), and the pass carries :class:`ResidencyStats`; such a
+    pass is never kept.
     """
     worker = Worker.canonical(node)
     order = np.asarray(sf.spost if spost is None else spost)
@@ -441,6 +547,7 @@ def price_serial(
         bases: list[Policy] = [policy] * sf.n_supernodes
         #: per (base, m, k): its host chain's steps (or ``None``) and flops
         shapes: dict[tuple[Policy, int, int], tuple] = {}
+        residency = _Residency(worker, model, plan) if policy.resident else None
         assembly_seconds = 0.0
         for s in order.tolist():
             m, k = mk[s]
@@ -448,7 +555,6 @@ def price_serial(
                 assembly_bytes(m + k, [mk[c][0] for c in kids[s]])
             )
             deps = tuple(final_task[c] for c in kids[s] if c in final_task)
-            assembly_seconds += t_asm
 
             base = bases[s] = policy.resolve(m, k, worker)
             shape = (base, m, k)
@@ -458,15 +564,23 @@ def price_serial(
                     factor_update_flops(m, k),
                 )
             steps, flops = shapes[shape]
-            if steps is None:
+            held = residency is not None and any(c in residency.updates for c in kids[s])
+            if steps is None or held:
                 g = TaskGraph()
-                asm_task = g.add(
-                    f"assemble:{s}", worker.cpu_engine, t_asm, deps, "assemble"
-                )
-                plan = base.plan(m, k, worker, model, g, deps=(asm_task,))
+                if residency is not None and base.resident:
+                    t_asm, final = residency.device_front(
+                        g, s, m, k, base, kids[s], mk, deps
+                    )
+                else:
+                    fetched = residency.fetch(g, kids[s], deps) if held else ()
+                    asm_task = g.add(
+                        f"assemble:{s}", worker.cpu_engine, t_asm,
+                        deps + fetched, "assemble",
+                    )
+                    final = base.plan(m, k, worker, model, g, deps=(asm_task,)).final
                 schedule_graph(g, engines=node.engines)
-                final_task[s] = plan.final
-                start, end = min(t.start for t in g.tasks), plan.final.end
+                final_task[s] = final
+                start, end = min(t.start for t in g.tasks), final.end
                 components = g.total_by_category()
             else:
                 cpu = node.engines.setdefault(
@@ -486,19 +600,24 @@ def price_serial(
                 final_task[s] = SimTask(
                     f"fu:{s}", worker.cpu_engine, 0.0, start=end, end=end
                 )
+            assembly_seconds += t_asm
             records.append(
                 FURecord(
                     sid=s, m=m, k=k, policy=base.name, start=start, end=end,
                     components=components, flops=flops,
                 )
             )
+        stats = None
+        if residency is not None:
+            stats = residency.stats
+            stats.n_host_supernodes = len(records) - stats.n_device_supernodes
         return PricedPass.of(
-            sf, records, bases, worker, order, node.now, assembly_seconds
+            sf, records, bases, worker, order, node.now, assembly_seconds,
+            residency=stats,
         )
 
-    return price_once_per_pattern(
-        sf, policy, node, [worker], ("serial", order.tobytes()), price
-    )
+    how = None if policy.resident else ("serial", order.tobytes())
+    return price_once_per_pattern(sf, policy, node, [worker], how, price)
 
 
 def _numeric_walk(
@@ -646,8 +765,8 @@ def postorder_numeric_factor(
     (``priced.kernel_seconds``) added to that worker's GPU after the
     walk.
 
-    This is what makes every backend — serial, static, dynamic, the
-    cluster loop and the device-resident walk — bit-identical: whatever
+    This is what makes every backend — serial (a resident placement
+    too), static, dynamic and the cluster loop — bit-identical: whatever
     pass priced ``priced``, the floating-point work runs here
     (:func:`_numeric_walk`), one way.  It ends by binding the factor's
     sweep table (:meth:`repro.multifrontal.solve.SolvePlan.bind`) from
@@ -674,6 +793,7 @@ def postorder_numeric_factor(
         assembly_seconds=priced.assembly_seconds,
         batch_tasks=batch_tasks,
         batched_fronts=batched_fronts,
+        residency=priced.residency,
         sweep=solve_plan.bind(stacks, inverses, inverted, slots),
     )
 
@@ -688,7 +808,8 @@ def factorize_numeric(
 ) -> NumericFactor:
     """Factor ``P A P^T = L L^T`` under ``policy`` on a (possibly fresh)
     simulated node, serially on worker 0: one pricing pass over the
-    virtual clock (:func:`price_serial`), then the numerics pass.
+    virtual clock (:func:`price_serial`, handed the assembly plan the
+    numerics pass uses), then the numerics pass.
 
     Parameters
     ----------
@@ -701,7 +822,9 @@ def factorize_numeric(
     sf : SymbolicFactor
         Result of :func:`repro.symbolic.symbolic_factorize` on ``a``.
     policy : Policy
-        A base policy or hybrid selector.
+        A base policy or hybrid selector;
+        :func:`repro.policies.flops_placement` keeps device updates
+        resident (the result's ``residency`` counts the transfers).
     node : SimulatedNode, optional
         Simulated hardware; defaults to one CPU + one GPU with the
         Tesla-T10 calibration.
@@ -712,6 +835,5 @@ def factorize_numeric(
     """
     if node is None:
         node = SimulatedNode(n_cpus=1, n_gpus=1)
-    return postorder_numeric_factor(
-        a, sf, price_serial(sf, policy, node, spost), node
-    )
+    priced = price_serial(sf, policy, node, spost, get_assembly_plan(a, sf))
+    return postorder_numeric_factor(a, sf, priced, node)

@@ -123,7 +123,7 @@ def partial_factorize(
 
     # the serial driver's two passes, stopped at the boundary: price the
     # eliminated supernodes, then run the numerics walk over them
-    priced = price_serial(sf, policy, node, sf.spost[sf.spost < boundary])
+    priced = price_serial(sf, policy, node, sf.spost[sf.spost < boundary], plan)
     panels, stacks, leftover, *_ = _numeric_walk(
         a, sf, priced.bases, Worker.canonical(node), priced.order,
         priced.kernel_seconds,

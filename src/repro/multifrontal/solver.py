@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
+from repro.multifrontal.frontal import get_assembly_plan
 from repro.multifrontal.numeric import (
     NumericFactor,
     PricedPass,
@@ -205,7 +206,10 @@ class SparseCholeskySolver:
             self._policy.selection_counts.clear()
         executor = _EXECUTORS[self.backend]
         priced = (
-            price_serial(self.symbolic, self._policy, self.node)
+            price_serial(
+                self.symbolic, self._policy, self.node,
+                plan=get_assembly_plan(self.a, self.symbolic),
+            )
             if executor is None else parallel_schedule(
                 self.symbolic, self._policy, WorkerPool.over(self.node), executor
             )

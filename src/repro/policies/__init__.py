@@ -25,7 +25,10 @@ Hybrids select one of the four per F-U call:
 * :class:`IdealHybrid` — the oracle P_IH, argmin of the measured times,
 * :class:`ModelHybrid` — the paper's contribution P_MH, a trained
   cost-sensitive multinomial-logistic classifier (see
-  :mod:`repro.autotune`).
+  :mod:`repro.autotune`),
+* :func:`flops_placement` — the Section VI-C copy optimization: P4 with
+  its update kept on the device (:class:`PolicyP4r`) from a flops
+  threshold up, ``P1`` below.
 """
 
 from repro.policies.base import (
@@ -35,6 +38,7 @@ from repro.policies.base import (
     PolicyP2,
     PolicyP3,
     PolicyP4,
+    PolicyP4r,
     Policy,
     Worker,
     estimate_policy_time,
@@ -45,6 +49,7 @@ from repro.policies.hybrid import (
     HybridPolicy,
     IdealHybrid,
     ModelHybrid,
+    flops_placement,
 )
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
     "PolicyP2",
     "PolicyP3",
     "PolicyP4",
+    "PolicyP4r",
     "ALL_BASE_POLICIES",
     "FUPlan",
     "Worker",
@@ -62,4 +68,5 @@ __all__ = [
     "BaselineHybrid",
     "IdealHybrid",
     "ModelHybrid",
+    "flops_placement",
 ]

@@ -56,6 +56,7 @@ __all__ = [
     "PolicyP2",
     "PolicyP3",
     "PolicyP4",
+    "PolicyP4r",
     "ALL_BASE_POLICIES",
     "make_policy",
     "estimate_policy_time",
@@ -113,6 +114,11 @@ class Policy:
     #: factor keeps that panel, and the update stays in the device word
     #: until the parent's extend-add widens it
     device_front: bool = False
+    #: whether a front this policy places on the device keeps its update
+    #: there for the parent (``PolicyP4r``; a selector whose table holds
+    #: such a base): its serial passes carry
+    #: :class:`~repro.multifrontal.numeric.ResidencyStats`
+    resident: bool = False
     #: the host policy :meth:`resolve` falls back to (``PolicyP1``, set
     #: below its definition; a selector's own table may supply another)
     fallback: "Policy"
@@ -572,6 +578,33 @@ class PolicyP4(Policy):
         np.copyto(f_dev, front)                       # H2D of the whole front
         blocked_cholesky_panels(f_dev, k, self._width(k), ctx, inverses)
         return f_dev[..., :k].copy(), f_dev[..., k:, k:].copy()  # D2H
+
+
+class PolicyP4r(PolicyP4):
+    """P4 whose update stays on the device for its parent: the Section
+    VI-C copy optimization.  Its numerics are P4's; its transfers only
+    the serial pricing pass prices
+    (:func:`repro.multifrontal.numeric.price_serial`): an upload of A's
+    entries and of host-resident child updates, a device extend-add, the
+    Figure-9 kernels, a download of the panel, and the update left
+    resident.  That pass's spill rule, not the device pool, bounds the
+    resident updates, so ``device_words`` is 0; and it has no ``plan``,
+    so no other pricer can price it as plain P4."""
+
+    name = "P4r"
+    resident = True
+
+    def __init__(self):
+        super().__init__()
+
+    def device_words(self, m, k):
+        return 0
+
+    def plan(self, m, k, worker, model, graph, deps=()):
+        raise TypeError(
+            "P4r keeps its update on the device: only the serial pricing "
+            "pass (price_serial) prices it"
+        )
 
 
 ALL_BASE_POLICIES = ("P1", "P2", "P3", "P4")

@@ -25,10 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gpu.perfmodel import PerfModel
-from repro.policies.base import Policy, Worker, estimate_policy_time, make_policy
+from repro.policies.base import (
+    Policy, PolicyP1, PolicyP4r, Worker, estimate_policy_time, make_policy,
+)
 from repro.symbolic.symbolic import factor_update_flops
 
-__all__ = ["HybridPolicy", "BaselineHybrid", "IdealHybrid", "ModelHybrid"]
+__all__ = ["HybridPolicy", "BaselineHybrid", "IdealHybrid", "ModelHybrid", "flops_placement"]
 
 
 class HybridPolicy(Policy):
@@ -42,6 +44,7 @@ class HybridPolicy(Policy):
         }
         # a custom table supplies its own host fallback
         self.fallback = self.policies.get("P1", self.fallback)
+        self.resident = any(p.resident for p in self.policies.values())
         self.selection_counts: dict[str, int] = {}
 
     def choose(self, m: int, k: int) -> str:
@@ -93,6 +96,15 @@ class BaselineHybrid(HybridPolicy):
         if total < t3:
             return "P3"
         return "P4"
+
+
+def flops_placement(threshold: float = 2e6) -> BaselineHybrid:
+    """The device-resident placement (Section VI-C): ``P4r`` where an
+    (m, k) call's total flops reach ``threshold``, host ``P1`` below it
+    (the paper's observation that copy-optimized P4 wins "for even
+    moderately sized frontal matrices").  ``0.0`` places every front on
+    the device, ``math.inf`` none."""
+    return BaselineHybrid((threshold,) * 3, {"P1": PolicyP1(), "P4": PolicyP4r()})
 
 
 class IdealHybrid(HybridPolicy):

@@ -1,4 +1,7 @@
-"""Device-resident factorization (the §VI-C copy-optimization mechanism)."""
+"""Device-resident factorization (the §VI-C copy-optimization mechanism):
+the serial driver under a resident placement (``flops_placement``)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +11,13 @@ from repro.gpu import SimulatedNode
 from repro.matrices import elasticity_3d, grid_laplacian_2d, grid_laplacian_3d
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal import (
+    SparseCholeskySolver,
     factorize_numeric,
-    factorize_resident,
-    flops_placement,
     iterative_refinement,
     solve_factored,
 )
-from repro.multifrontal.device_resident import price_resident
-from repro.policies import make_policy
+from repro.multifrontal.numeric import price_serial
+from repro.policies import flops_placement, make_policy
 from repro.symbolic import symbolic_factorize
 from repro.workload import paper_workload
 from tests.conftest import pricing_digest, starved_node
@@ -27,7 +29,12 @@ def problem():
     return a, symbolic_factorize(a, ordering="nd")
 
 
-AGGRESSIVE = flops_placement(1e4)   # small problem: offload almost everything
+AGGRESSIVE = 1e4   # small problem: offload almost everything
+
+
+def resident_factor(a, sf, threshold=AGGRESSIVE, node=None):
+    """The serial driver under the resident placement at ``threshold``."""
+    return factorize_numeric(a, sf, flops_placement(threshold), node=node)
 
 
 def tiny_device_node():
@@ -38,7 +45,8 @@ def tiny_device_node():
 class TestNumerics:
     def test_solution_correct_with_refinement(self, problem):
         a, sf = problem
-        nf, stats = factorize_resident(a, sf, place_on_device=AGGRESSIVE)
+        nf = resident_factor(a, sf)
+        stats = nf.residency
         assert stats.n_device_supernodes > 0
         rng = np.random.default_rng(0)
         x_true = rng.normal(size=a.n_rows)
@@ -48,21 +56,19 @@ class TestNumerics:
 
     def test_fp32_error_compounds_across_resident_generations(self, problem):
         a, sf = problem
-        nf, _ = factorize_resident(a, sf, place_on_device=AGGRESSIVE)
+        nf = resident_factor(a, sf)
         resid = nf.residual_norm(a)
         assert 1e-12 < resid < 1e-3   # fp32-limited, not garbage
 
     def test_all_host_placement_is_exact(self, problem):
         a, sf = problem
-        nf, stats = factorize_resident(
-            a, sf, place_on_device=lambda m, k: False
-        )
-        assert stats.n_device_supernodes == 0
+        nf = resident_factor(a, sf, math.inf)
+        assert nf.residency.n_device_supernodes == 0
         assert nf.residual_norm(a) < 1e-12
 
     def test_matches_p1_solution(self, problem):
         a, sf = problem
-        nf_res, _ = factorize_resident(a, sf, place_on_device=AGGRESSIVE)
+        nf_res = resident_factor(a, sf)
         nf_p1 = factorize_numeric(a, sf, make_policy("P1"))
         b = np.ones(a.n_rows)
         x1 = solve_factored(nf_p1, b)
@@ -73,14 +79,16 @@ class TestNumerics:
 class TestResidency:
     def test_resident_reuse_happens(self, problem):
         a, sf = problem
-        nf, stats = factorize_resident(a, sf, place_on_device=AGGRESSIVE)
+        nf = resident_factor(a, sf)
+        stats = nf.residency
         # chains of device supernodes pass updates without PCIe traffic
         assert stats.resident_reuse_bytes > 0
         assert stats.peak_resident_bytes > 0
 
     def test_resident_transfers_less_than_plain_p4(self, problem):
         a, sf = problem
-        nf_res, stats = factorize_resident(a, sf, place_on_device=AGGRESSIVE)
+        nf_res = resident_factor(a, sf)
+        stats = nf_res.residency
         # plain P4 round-trips the full front both ways every call
         word = 4
         p4_traffic = sum(
@@ -90,7 +98,7 @@ class TestResidency:
 
     def test_faster_than_plain_p4_everywhere(self, problem):
         a, sf = problem
-        nf_res, _ = factorize_resident(a, sf, place_on_device=AGGRESSIVE)
+        nf_res = resident_factor(a, sf)
         nf_p4 = factorize_numeric(
             a, sf, make_policy("P4"), node=SimulatedNode()
         )
@@ -98,9 +106,8 @@ class TestResidency:
 
     def test_spilling_under_tiny_device_memory(self, problem):
         a, sf = problem
-        nf, stats = factorize_resident(
-            a, sf, node=tiny_device_node(), place_on_device=AGGRESSIVE
-        )
+        nf = resident_factor(a, sf, node=tiny_device_node())
+        stats = nf.residency
         assert stats.n_spills > 0
         assert stats.peak_resident_bytes <= 8 * 1024 * 4  # bounded-ish
         # numerics survive spilling
@@ -108,30 +115,47 @@ class TestResidency:
         assert res.final_residual < 1e-10
 
     def test_requires_gpu(self, problem):
+        """Without a GPU every front resolves to the host fallback, the
+        one every selector has (the resident walk raised ``ValueError``
+        before it was the serial pass)."""
         a, sf = problem
-        with pytest.raises(ValueError):
-            factorize_resident(
-                a, sf, node=SimulatedNode(n_cpus=1, n_gpus=0)
-            )
+        nf = resident_factor(a, sf, node=SimulatedNode(n_cpus=1, n_gpus=0))
+        assert {r.policy for r in nf.records} == {"P1"}
+        assert nf.residency.n_device_supernodes == 0
+        assert nf.residency.n_host_supernodes == sf.n_supernodes
+        assert nf.residual_norm(a) < 1e-12
 
     def test_records_tag_policies(self, problem):
         a, sf = problem
-        nf, stats = factorize_resident(a, sf, place_on_device=AGGRESSIVE)
+        nf = resident_factor(a, sf)
         tags = {r.policy for r in nf.records}
         assert tags <= {"P4r", "P1"}
         assert "P4r" in tags
 
+    def test_solver_prices_the_uploads_of_its_matrix(self, problem):
+        """The solver's serial backend hands the pass its assembly plan,
+        as ``factorize_numeric`` does: a front uploads A's entries, not
+        one per row."""
+        a, sf = problem
+        solver = SparseCholeskySolver.from_symbolic(a, sf, policy=flops_placement(AGGRESSIVE))
+        nf = solver.factorize().factor
+        want = resident_factor(a, sf)
+        assert pricing_digest(nf, nf.residency) == pricing_digest(want, want.residency)
+        rows = price_serial(sf, flops_placement(AGGRESSIVE), SimulatedNode())
+        assert rows.residency.h2d_bytes != nf.residency.h2d_bytes
+
     def test_default_placement_threshold(self):
         choose = flops_placement(2e6)
-        assert not choose(10, 10)
-        assert choose(5000, 1000)
+        assert choose.select(10, 10).name == "P1"
+        assert choose.select(5000, 1000).name == "P4r"
 
 
 class TestPricingGoldens:
     """The clock of the device-resident driver, pinned.  Recorded at
     commit ``f6cdc78`` — where one private walk priced, assembled and
     factored — with this very digest, before the walk became a pricing
-    function in front of the shared numerics pass."""
+    function in front of the shared numerics pass, and again before that
+    function became the serial pass under a resident placement."""
 
     MATRICES = {
         "g3d": lambda: (grid_laplacian_3d(8, 8, 8), "nd"),
@@ -156,21 +180,22 @@ class TestPricingGoldens:
     }
 
     @pytest.mark.parametrize("key", sorted(GOLDENS))
-    def test_factorize_resident_clock(self, key):
+    def test_resident_placement_clock(self, key):
         name, placement = key.split("/")
         a, ordering = self.MATRICES[name]()
         threshold, make_node = self.PLACEMENTS[placement]
-        nf, stats = factorize_resident(
-            a, symbolic_factorize(a, ordering=ordering),
-            node=make_node(), place_on_device=flops_placement(threshold),
+        nf = resident_factor(
+            a, symbolic_factorize(a, ordering=ordering), threshold, make_node()
         )
-        assert (stats.n_spills > 0) == (placement == "spill")
-        assert pricing_digest(nf, stats) == self.GOLDENS[key]
+        assert (nf.residency.n_spills > 0) == (placement == "spill")
+        assert pricing_digest(nf, nf.residency) == self.GOLDENS[key]
 
     def test_replay_at_paper_scale(self):
-        result, stats = price_resident(paper_workload("lmco"), SimulatedNode())
+        result = price_serial(
+            paper_workload("lmco"), flops_placement(), SimulatedNode()
+        )
         assert result.makespan == 105.97516584893178
-        assert pricing_digest(result, stats) == "bc93de6db014d503"
+        assert pricing_digest(result, result.residency) == "bc93de6db014d503"
 
 
 class TestSharedNumerics:
@@ -182,10 +207,8 @@ class TestSharedNumerics:
     )
     def test_uniform_placement_is_the_serial_driver(self, problem, on_device, policy):
         a, sf = problem
-        nf, stats = factorize_resident(
-            a, sf, place_on_device=lambda m, k: on_device
-        )
-        assert (stats.n_host_supernodes == 0) == on_device
+        nf = resident_factor(a, sf, 0.0 if on_device else math.inf)
+        assert (nf.residency.n_host_supernodes == 0) == on_device
         serial = factorize_numeric(a, sf, make_policy(policy))
         for got, want in zip(nf.panels, serial.panels, strict=True):
             assert np.array_equal(got, want)
@@ -205,4 +228,4 @@ class TestSharedNumerics:
             NotPositiveDefiniteError,
             match=r"Cholesky broke down in supernode 17 \(permuted columns 35\.\.55, ",
         ):
-            factorize_resident(bad, sf, place_on_device=lambda m, k: on_device)
+            resident_factor(bad, sf, 0.0 if on_device else math.inf)

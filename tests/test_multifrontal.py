@@ -1,6 +1,7 @@
 """Multifrontal numeric phase: assembly, factorization, solve, refinement."""
 
 import dataclasses
+import math
 import sys
 import warnings
 from collections import Counter
@@ -170,8 +171,9 @@ class TestTriangleStorage:
     @pytest.mark.parametrize("storage", ["lower", "upper", "mixed"])
     @pytest.mark.parametrize("ordering", ["nd", "amd", "natural"])
     def test_every_driver_reads_both_sides(self, storage, ordering):
-        from repro.multifrontal import factorize_resident, partial_factorize
+        from repro.multifrontal import partial_factorize
         from repro.multifrontal.schur import solve_with_schur
+        from repro.policies import flops_placement
 
         a = grid_laplacian_2d(9, 8)
         cols = np.repeat(np.arange(a.n_cols), np.diff(a.indptr))
@@ -185,9 +187,7 @@ class TestTriangleStorage:
         b = np.random.default_rng(5).normal(size=a.n_rows)
 
         numeric = factorize_numeric(stored, sf, make_policy("P1"))
-        resident, _ = factorize_resident(
-            stored, sf, place_on_device=lambda m, k: False
-        )
+        resident = factorize_numeric(stored, sf, flops_placement(math.inf))
         for nf in (numeric, resident):
             for got, ref in zip(nf.panels, want.panels, strict=True):
                 assert np.array_equal(got, ref)
