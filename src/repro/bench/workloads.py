@@ -34,7 +34,6 @@ class SuiteCache:
     _schedules: dict = field(default_factory=dict)
     _factors: dict = field(default_factory=dict)
     _classifier: object = None
-    _ideal: object = None
 
     def __post_init__(self):
         if self.model is None:
@@ -86,13 +85,8 @@ class SuiteCache:
     def policy(self, policy_name: str):
         from repro.policies import make_policy
 
-        if policy_name == "ideal":
-            # one shared IdealHybrid so its (m, k) cache persists
-            if self._ideal is None:
-                self._ideal = make_policy("ideal", model=self.model)
-            return self._ideal
         classifier = self.classifier() if policy_name == "model" else None
-        return make_policy(policy_name, classifier=classifier)
+        return make_policy(policy_name, model=self.model, classifier=classifier)
 
     # ---- timing paths -----------------------------------------------------
     def replay(self, matrix_name: str, policy_name: str):

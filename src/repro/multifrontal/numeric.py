@@ -165,8 +165,9 @@ class PricedPass:
     Frozen all the way down but for the residency statistics, which no
     kept pass has, so a pass kept per pattern
     (:func:`price_once_per_pattern`) is handed out as it is: a warm
-    factorization neither rebuilds a record nor resolves a policy nor
-    prices a kernel.
+    factorization neither rebuilds a record nor resolves a policy (a
+    selector's choice included) nor prices a kernel.  Which policies the
+    pass chose is read off ``bases`` and ``records``.
     """
 
     records: tuple[FURecord, ...]
@@ -289,10 +290,6 @@ class NumericFactor:
         return worst
 
 
-#: instance state a policy may carry and still be told apart by its key
-_SCALARS = (bool, int, float, str, type(None))
-
-
 @dataclass(frozen=True)
 class _KeptPass:
     """What one *pure* pricing pass left behind, kept in one slot on the
@@ -306,7 +303,7 @@ class _KeptPass:
     replaces the slot (last writer wins between threads sharing the
     symbolic factor)."""
 
-    key: tuple                      # :func:`_pass_key`
+    key: tuple                      # :func:`_pass_key`, a copy
     models: tuple[PerfModel, ...]   # the node's and its GPUs', copies
     outcome: PricedPass             # what the pass returned
     #: every engine timeline's fields, in the node's order
@@ -330,17 +327,16 @@ def _pass_key(
     ``None`` for faults or a memory budget), the node is fresh (no engine
     timeline — records carry absolute times — and every GPU pool empty,
     with zero statistics: resolution and admission read the pools), and
-    the policy's instance state is plain scalars (a selector counts what
-    it selects, a wrapped method is not a value).  The key then holds
-    ``how``, the policy's type and state, each worker's CPU engine and
-    GPU, and each GPU's id and pool kinds and limits; the perf models go
-    beside it, compared by value.
+    the policy is a value (:meth:`~repro.policies.base.Policy.key`, a
+    selector's included).  The key then holds ``how``, the policy's key,
+    each worker's CPU engine and GPU, and each GPU's id and pool kinds
+    and limits; the perf models go beside it, compared by value.
     """
-    state = vars(policy)
+    policy_key = policy.key()
     if (
         how is None
+        or policy_key is None
         or node.engines
-        or not all(isinstance(v, _SCALARS) for v in state.values())
         or any(
             p.in_use or getattr(p, "capacity", 0) or p.stats != AllocationStats()
             for p in _gpu_pools(node)
@@ -351,7 +347,7 @@ def _pass_key(
     if any(w.gpu is not None and id(w.gpu) not in index for w in workers):
         return None
     return (
-        how, type(policy), tuple(sorted(state.items())),
+        how, policy_key,
         tuple((w.cpu_engine, None if w.gpu is None else index[id(w.gpu)])
               for w in workers),
         tuple((g.gpu_id, type(p), p.capacity_limit)
@@ -375,8 +371,10 @@ def price_once_per_pattern(
     timelines and every GPU pool's capacity, ``in_use`` and statistics
     the pass left, and returns the kept pass (frozen, so it is handed
     out as it is): the node and the pass read exactly as after a real
-    pass.  A pure miss keeps the pass and the node's end state.
-    Everything else prices as if this function did not exist.
+    pass.  A pure miss keeps the pass, the node's end state and copies
+    of the key and the perf models, so that a policy or model edited in
+    place after the pass does not match it.  Everything else prices as
+    if this function did not exist.
     """
     key = _pass_key(policy, node, workers, how)
     models = (node.model, *(g.model for g in node.gpus))
@@ -392,7 +390,7 @@ def price_once_per_pattern(
     outcome = price()
     if key is not None:
         sf._priced_pass = _KeptPass(  # type: ignore[attr-defined]
-            key, copy.deepcopy(models), outcome,
+            copy.deepcopy(key), copy.deepcopy(models), outcome,
             tuple(astuple(t) for t in node.engines.values()),
             tuple(
                 (getattr(p, "capacity", None), p.in_use, astuple(p.stats))
@@ -444,7 +442,9 @@ class _Residency:
         return g.add(name, engine, t, deps, "copy")
 
     def fetch(self, g: TaskGraph, children, deps) -> tuple[SimTask, ...]:
-        """A host front's downloads of its children's resident updates."""
+        """A host front's downloads of its children's resident updates
+        (or, at the end of a prefix order, of the updates it leaves to
+        the host Schur complement)."""
         word, tasks = self.model.gpu_word, []
         for c in children:
             if c in self.updates:
@@ -517,23 +517,28 @@ def price_serial(
     resolved policy's ``plan``; its record starts at the assembly task
     and its ``components`` cover every task, ``"assemble"`` included.  A
     front resolves to host ``P1`` where the worker has no device it fits
-    on.  A host plan is one chain of CPU steps, a function of its base
-    policy and (m, k): each such shape is planned once per pass
-    (:func:`_host_chain`) and its fronts are advanced in closed form,
+    on.  Each distinct (m, k) is resolved once per pass: the policy is a
+    value, so its choice is a function of the shape.  A host plan is one
+    chain of CPU steps, a function of its base policy and (m, k): each
+    such shape is planned once per pass (:func:`_host_chain`) and its
+    fronts are advanced in closed form,
     with the float adds ``schedule_graph`` makes, in its order — start
     at the later of the children's ends and the engine's ``free_at``,
     then ``end += d`` and ``busy += d`` per step — leaving a finished
     stub as the front's final task.  Every other front is one
     :class:`TaskGraph` and one ``schedule_graph`` call.  Paid once per
     pattern where the pass is a function of the pattern
-    (:func:`price_once_per_pattern`: fresh node, plain-scalar policy —
-    P1 to P4, not a selector); the key adds the order walked.
+    (:func:`price_once_per_pattern`: fresh node, a policy that is a
+    value — P1 to P4 and the paper's selectors alike); the key adds the
+    order walked.
 
     Under a resident policy (:attr:`~repro.policies.base.Policy.resident`)
     a ``P4r`` front keeps its update on the device, a host front first
     downloads its children's resident updates (:class:`_Residency`, which
     reads ``plan``), and the pass carries :class:`ResidencyStats`; such a
-    pass is never kept.
+    pass is never kept.  A prefix order (a Schur complement's,
+    :func:`repro.multifrontal.schur.partial_factorize`) ends with one
+    download per update still resident, which the host folds.
     """
     worker = Worker.canonical(node)
     order = np.asarray(sf.spost if spost is None else spost)
@@ -545,8 +550,8 @@ def price_serial(
         final_task: dict[int, SimTask] = {}
         records: list[FURecord] = []
         bases: list[Policy] = [policy] * sf.n_supernodes
-        #: per (base, m, k): its host chain's steps (or ``None``) and flops
-        shapes: dict[tuple[Policy, int, int], tuple] = {}
+        #: per (m, k): its base policy, host chain's steps (or ``None``) and flops
+        shapes: dict[tuple[int, int], tuple] = {}
         residency = _Residency(worker, model, plan) if policy.resident else None
         assembly_seconds = 0.0
         for s in order.tolist():
@@ -556,14 +561,14 @@ def price_serial(
             )
             deps = tuple(final_task[c] for c in kids[s] if c in final_task)
 
-            base = bases[s] = policy.resolve(m, k, worker)
-            shape = (base, m, k)
-            if shape not in shapes:
-                shapes[shape] = (
-                    _host_chain(base, m, k, worker, model),
+            if (m, k) not in shapes:
+                base = policy.resolve(m, k, worker)
+                shapes[m, k] = (
+                    base, _host_chain(base, m, k, worker, model),
                     factor_update_flops(m, k),
                 )
-            steps, flops = shapes[shape]
+            base, steps, flops = shapes[m, k]
+            bases[s] = base
             held = residency is not None and any(c in residency.updates for c in kids[s])
             if steps is None or held:
                 g = TaskGraph()
@@ -609,6 +614,11 @@ def price_serial(
             )
         stats = None
         if residency is not None:
+            # a prefix order leaves updates to the host Schur complement
+            g = TaskGraph()
+            for c in list(residency.updates):
+                residency.fetch(g, (c,), (final_task[c],))
+            schedule_graph(g, engines=node.engines)
             stats = residency.stats
             stats.n_host_supernodes = len(records) - stats.n_device_supernodes
         return PricedPass.of(

@@ -23,7 +23,7 @@ import numpy as np
 from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
 from repro.multifrontal.frontal import get_assembly_plan
-from repro.multifrontal.numeric import FURecord, _numeric_walk, price_serial
+from repro.multifrontal.numeric import FURecord, ResidencyStats, _numeric_walk, price_serial
 from repro.multifrontal.solve import (
     SolvePlan,
     SweepTable,
@@ -63,6 +63,10 @@ class PartialFactorization:
         Simulated seconds of the partial factorization.
     perm : ndarray
         The overall permutation (from the symbolic factorization).
+    residency : ResidencyStats or None
+        The pricing pass's transfer accounting under a resident policy
+        (the downloads of the updates that cross into the Schur
+        complement included), else ``None``.
     """
 
     n_eliminated: int
@@ -72,6 +76,7 @@ class PartialFactorization:
     records: list[FURecord]
     makespan: float
     perm: np.ndarray
+    residency: ResidencyStats | None = None
     #: the solve phase's sweep table over the eliminated supernodes,
     #: built by the first :func:`solve_with_schur`
     sweep: SweepTable | None = field(default=None, repr=False, compare=False)
@@ -153,6 +158,7 @@ def partial_factorize(
         records=list(priced.records),
         makespan=priced.makespan,
         perm=sf.perm,
+        residency=priced.residency,
     )
 
 

@@ -202,8 +202,6 @@ class SparseCholeskySolver:
         if self.symbolic is None:
             self.analyze()
         self.node.reset()
-        if hasattr(self._policy, "selection_counts"):
-            self._policy.selection_counts.clear()
         executor = _EXECUTORS[self.backend]
         priced = (
             price_serial(

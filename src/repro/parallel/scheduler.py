@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -267,8 +268,9 @@ def parallel_schedule(
     ``policy.resolve(m, k, Worker.canonical(pool.node))`` whatever
     worker the schedule placed it on — the serial walk's rule — and
     tasks in the runtime's ``degraded_sids`` run the host fallback,
-    exactly as their simulated execution did.  Records carry the
-    schedule's times and policy names (those of the placed worker).
+    exactly as their simulated execution did; each distinct (m, k) is
+    resolved once.  Records carry the schedule's times and policy names
+    (those of the placed worker).
 
     The pass is a function of the pattern on a fresh node without
     faults or a memory budget, so it is paid once per pattern
@@ -285,13 +287,11 @@ def parallel_schedule(
         by_sid = {t.sid: t for t in runtime.schedule}
         bases: list[Policy] = [policy] * sf.n_supernodes
         records: list[FURecord] = []
+        resolve = cache(partial(policy.resolve, worker=worker))
         for s in sf.spost.tolist():
             k = sf.width(s)
             m = sf.update_size(s)
-            bases[s] = (
-                policy.fallback if s in runtime.degraded_sids
-                else policy.resolve(m, k, worker)
-            )
+            bases[s] = policy.fallback if s in runtime.degraded_sids else resolve(m, k)
             t = by_sid[s]
             records.append(
                 FURecord(

@@ -99,6 +99,10 @@ class FUPlan:
         return self.graph.total_by_category()
 
 
+#: instance state a base policy may carry and still be a value
+_SCALARS = (bool, int, float, str, type(None))
+
+
 class Policy:
     """Base class; concrete policies implement ``kernel_calls``, ``plan``
     and ``apply``, and a device policy declares its working set
@@ -124,6 +128,19 @@ class Policy:
     fallback: "Policy"
 
     # -- resolution -------------------------------------------------------
+    def key(self) -> "tuple | None":
+        """What a pricing pass of this policy is kept under
+        (:func:`repro.multifrontal.numeric.price_once_per_pattern`): a
+        value, compared with ``==``, that two policies share only where
+        they resolve and price alike, or ``None`` where the policy is
+        not a value.  A base policy is its type and its instance state,
+        where that state is plain scalars (a wrapped method is not a
+        value)."""
+        state = vars(self)
+        if not all(isinstance(v, _SCALARS) for v in state.values()):
+            return None
+        return type(self), tuple(sorted(state.items()))
+
     def select(self, m: int, k: int) -> "Policy":
         """The base policy this policy wants for an (m, k) call: itself,
         or a selector's choice."""

@@ -6,6 +6,13 @@ A hybrid is a *selector*: ``select(m, k)`` is the base policy its
 resolves before pricing or executing, so instrumentation records the
 base policy actually used for every call.
 
+A hybrid is also a value: ``choose`` is a function of (m, k) and of the
+hybrid's parameters alone, and resolving keeps no state.  Every pricer
+resolves each distinct (m, k) of a pass once, and a pass is kept per
+pattern under :meth:`HybridPolicy.key` (its type, its parameters and
+its table's keys) as a base policy's is: P_MH decides once per distinct
+front shape (Eq. 5), and a warm refactorization decides nothing.
+
 * :class:`BaselineHybrid` (P_BH) — thresholds on the total operation
   count, using the transition points read off Figures 10/11: P1 below
   2e6 ops, P2 to 1.5e7, P3 to 9e10, P4 above.
@@ -20,13 +27,9 @@ base policy actually used for every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from repro.gpu.perfmodel import PerfModel
 from repro.policies.base import (
-    Policy, PolicyP1, PolicyP4r, Worker, estimate_policy_time, make_policy,
+    Policy, PolicyP1, PolicyP4r, estimate_policy_time, make_policy,
 )
 from repro.symbolic.symbolic import factor_update_flops
 
@@ -45,19 +48,26 @@ class HybridPolicy(Policy):
         # a custom table supplies its own host fallback
         self.fallback = self.policies.get("P1", self.fallback)
         self.resident = any(p.resident for p in self.policies.values())
-        self.selection_counts: dict[str, int] = {}
 
     def choose(self, m: int, k: int) -> str:
         raise NotImplementedError
 
+    def _params(self):
+        """What ``choose`` reads besides (m, k), as a value compared with
+        ``==``; ``None`` (a selector that does not say) is not a value."""
+        return None
+
+    def key(self) -> "tuple | None":
+        """:meth:`Policy.key`: the type, the table's names,
+        :meth:`_params` and the key of the fallback and of every base in
+        the table, or ``None`` where any of them is."""
+        keys = (self._params(), self.fallback.key(), *(p.key() for p in self.policies.values()))
+        if any(k is None for k in keys):
+            return None
+        return type(self), tuple(self.policies), *keys
+
     def select(self, m: int, k: int) -> Policy:
         return self.policies[self.choose(m, k)]
-
-    def resolve(self, m: int, k: int, worker: Worker) -> Policy:
-        """:meth:`Policy.resolve`, counting the name it resolved to."""
-        pol = super().resolve(m, k, worker)
-        self.selection_counts[pol.name] = self.selection_counts.get(pol.name, 0) + 1
-        return pol
 
     # hybrids are never planned/applied directly
     def plan(self, m, k, worker, model, graph, deps=()):
@@ -86,6 +96,9 @@ class BaselineHybrid(HybridPolicy):
             raise ValueError("thresholds must be non-decreasing")
         self.thresholds = thresholds
 
+    def _params(self):
+        return self.thresholds
+
     def choose(self, m: int, k: int) -> str:
         total = sum(factor_update_flops(m, k))
         t1, t2, t3 = self.thresholds
@@ -109,27 +122,20 @@ def flops_placement(threshold: float = 2e6) -> BaselineHybrid:
 
 class IdealHybrid(HybridPolicy):
     """P_IH — the oracle: pick the argmin of the per-policy simulated
-    times (memoized per (m, k))."""
+    times (the first such policy of the table)."""
 
     name = "PIH"
 
     def __init__(self, model: PerfModel, policies: dict[str, Policy] | None = None):
         super().__init__(policies)
         self.model = model
-        self._cache: dict[tuple[int, int], str] = {}
+
+    def _params(self):
+        return self.model
 
     def choose(self, m: int, k: int) -> str:
-        key = (m, k)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        best_name, best_t = "P1", float("inf")
-        for name, pol in self.policies.items():
-            t = estimate_policy_time(pol, m, k, self.model)
-            if t < best_t:
-                best_name, best_t = name, t
-        self._cache[key] = best_name
-        return best_name
+        times = self.policy_times(m, k)
+        return min(times, key=times.__getitem__)
 
     def policy_times(self, m: int, k: int) -> dict[str, float]:
         return {
@@ -153,6 +159,9 @@ class ModelHybrid(HybridPolicy):
         unknown = set(classifier.class_names) - set(self.policies)
         if unknown:
             raise ValueError(f"classifier predicts unknown policies: {unknown}")
+
+    def _params(self):
+        return self.classifier.to_dict()
 
     def choose(self, m: int, k: int) -> str:
         return str(self.classifier.predict_one(m, k))

@@ -1,5 +1,7 @@
 """Base policies P1-P4 and the hybrid selectors."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -197,12 +199,24 @@ class TestHybrids:
         pol = bh.resolve(60000, 20000, cpu_only)
         assert pol.name == "P1"
 
-    def test_resolve_counts_selections(self, worker):
-        bh = BaselineHybrid()
-        bh.resolve(10, 5, worker)
-        bh.resolve(10, 5, worker)
-        bh.resolve(2000, 300, worker)
-        assert bh.selection_counts == {"P1": 2, "P3": 1}
+    def test_resolve_is_a_function_of_the_shape(self, worker, model):
+        """``resolve`` keeps no state: repeated, interleaved and on
+        another worker, each (m, k, worker) gets the same base, and the
+        policy's state pickles to the same bytes before and after."""
+        cpu_only = Worker("cpu0", None)
+        calls = [
+            (m, k, w) for w in (worker, cpu_only)
+            for m, k in ((10, 5), (2000, 300), (0, 4000), (10, 5))
+        ]
+        for pol in (BaselineHybrid(), IdealHybrid(model)):
+            state = pickle.dumps(vars(pol))
+            first = {(m, k, id(w)): pol.resolve(m, k, w) for m, k, w in calls}
+            for m, k, w in calls[::-1] + calls[1::2] + calls[::2]:
+                assert pol.resolve(m, k, w) is first[m, k, id(w)]
+            assert pickle.dumps(vars(pol)) == state
+            # the worker is part of the question: no GPU, no device base
+            assert first[2000, 300, id(worker)].needs_gpu
+            assert first[2000, 300, id(cpu_only)].name == "P1"
 
     def test_ideal_matches_bruteforce(self, model):
         ih = IdealHybrid(model)
@@ -210,10 +224,23 @@ class TestHybrids:
             times = ih.policy_times(m, k)
             assert ih.choose(m, k) == min(times, key=times.get)
 
-    def test_ideal_caches(self, model):
-        ih = IdealHybrid(model)
-        ih.choose(10, 5)
-        assert (10, 5) in ih._cache
+    def test_hybrid_key_is_a_value(self, model):
+        """``key`` is the type, the parameters and the table's keys:
+        equal for two hybrids built alike, unequal where any of them
+        differs, and ``None`` where a base in the table is not a value."""
+        assert BaselineHybrid().key() == BaselineHybrid().key()
+        assert BaselineHybrid().key() != BaselineHybrid((1e3, 1e4, 1e5)).key()
+        assert IdealHybrid(model).key() == IdealHybrid(tesla_t10_model()).key()
+        assert IdealHybrid(model).key() != IdealHybrid(model.with_precision("dp")).key()
+        assert IdealHybrid(model).key() != BaselineHybrid().key()
+        basic = {"P1": PolicyP1(), "P3": make_policy("basic")}
+        assert BaselineHybrid(policies=basic).key() != BaselineHybrid(
+            policies={"P1": PolicyP1(), "P3": make_policy("P3")}
+        ).key()
+        spied = PolicyP4()
+        spied.apply = lambda *args: None
+        assert spied.key() is None
+        assert BaselineHybrid(policies={"P1": PolicyP1(), "P4": spied}).key() is None
 
     def test_model_hybrid_delegates_to_classifier(self):
         class FakeClf:

@@ -137,8 +137,9 @@ def test_price_serial_matches_the_per_front_walk(
     slot = _assert_same_pass(
         sf, lambda: _policy(a, sf, policy, classifier), NODES[node]
     )
-    # only a plain-scalar policy on a fresh node is kept
-    assert (slot is not None) == (policy in ("P1", "P4"))
+    # every policy here is a value, the selectors too: on a fresh node
+    # its pass is kept
+    assert slot is not None
 
 
 @pytest.mark.parametrize("policy", ("P1", "P4", "baseline"))
@@ -188,6 +189,35 @@ def test_lmco_s_cold_pricing_counts():
     assert sf.n_supernodes == len(priced.records) == 1983
     assert sched.call_count == 0
     assert graphs.call_count == len(shapes) == 186
+
+
+@pytest.mark.parametrize("policy", ("baseline", "model"))
+def test_lmco_s_resolution_counts(policy, classifier):
+    """A selector decides once per distinct (m, k): a cold ``lmco_s``/nd
+    pass calls ``choose`` 186 times for 1 983 fronts, and a warm
+    refactorize decides and prices nothing."""
+    a = load_test_matrix("lmco_s")
+    solver = SparseCholeskySolver(
+        a, ordering="nd", policy=policy, classifier=classifier
+    ).analyze()
+    cls = type(solver.policy)
+    choose = cls.choose
+    calls: list[tuple[int, int]] = []
+
+    def counted(self, m, k):
+        calls.append((m, k))
+        return choose(self, m, k)
+
+    with mock.patch.object(cls, "choose", counted), mock.patch.object(
+        numeric.PricedPass, "of", wraps=numeric.PricedPass.of
+    ) as passes:
+        solver.factorize()
+        assert passes.call_count == 1
+        shapes = {tuple(mk) for mk in solver.symbolic.mk_pairs().tolist()}
+        assert solver.symbolic.n_supernodes == 1983
+        assert sorted(calls) == sorted(shapes) and len(calls) == 186
+        solver.refactorize(a.data * 2.0)
+    assert len(calls) == 186 and passes.call_count == 1
 
 
 #: the resident placements of ``tests/test_device_resident.py``'s
@@ -260,6 +290,32 @@ def test_resident_placement_at_paper_scale():
         SimulatedNode, None,
     )
     assert got.makespan == 105.97516584893178
+
+
+def test_resident_schur_prefix_downloads_its_crossing_updates():
+    """A resident pass over a prefix order (``partial_factorize``) ends
+    with one download per update still on the device, where the host
+    Schur complement folds it: ``d2h_bytes`` is every panel's download
+    plus exactly those updates' bytes, and the D2H engine ran one task
+    for each."""
+    a = grid_laplacian_3d(8, 8, 8)
+    sf = symbolic_factorize(a, ordering="nd")
+    node = SimulatedNode()
+    pf = partial_factorize(a, sf, flops_placement(0.0), sf.n // 2, node=node)
+    word = node.model.gpu_word
+    prefix = [r.sid for r in pf.records]
+    assert {r.policy for r in pf.records} == {"P4r"}
+    crossing = [s for s in prefix if sf.sparent[s] not in prefix]
+    panels = sum((r.k * r.k + r.m * r.k) * word for r in pf.records)
+    updates = sum(sf.update_size(s) ** 2 * word for s in crossing)
+    stats = pf.residency
+    assert (stats.n_spills, stats.n_device_supernodes) == (0, len(prefix))
+    assert stats.d2h_bytes == panels + updates and updates == 23_936
+    d2h = node.engines[node.gpus[0].d2h_engine]
+    assert d2h.n_tasks == len(prefix) + len(crossing)
+    # the factored block and its Schur complement are P4's
+    p4 = partial_factorize(a, sf, make_policy("P4"), sf.n // 2)
+    assert np.array_equal(pf.schur, p4.schur)
 
 
 def test_a_pass_that_read_the_plan_is_not_handed_out(resident_analysed):

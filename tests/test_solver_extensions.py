@@ -1,6 +1,7 @@
 """Extended solver capabilities: multi-RHS, value updates, logdet,
 device-memory fallback, classifier persistence."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -406,8 +407,9 @@ class TestEveryBackendEveryNodeOneFactor:
 
 class TestPricingMemo:
     """``factorize_numeric`` prices a pure pass once per pattern (one slot
-    on the symbolic factor) — under P1 to P4, not under a selector; every
-    other pass prices as it always did, and a hit cannot be told from a
+    on the symbolic factor) — under every policy that is a value (P1 to
+    P4 and the paper's selectors, keyed by ``Policy.key``); every other
+    pass prices as it always did, and a hit cannot be told from a
     miss."""
 
     @staticmethod
@@ -491,7 +493,7 @@ class TestPricingMemo:
             # the pools read as after the pass that went through them
             assert self._pool_requests(solver) == requests
 
-    def test_hybrid_policy_prices_every_call(self, lap3d_small):
+    def test_hybrid_refactorize_prices_nothing(self, lap3d_small):
         a = lap3d_small
         # thresholds low enough to send these small fronts to the device
         policy = BaselineHybrid(thresholds=(1e3, 1e4, 1e5))
@@ -500,17 +502,18 @@ class TestPricingMemo:
         assert first == self._cold_counts(solver.factor)
         assert 0 < first[1] < solver.symbolic.n_supernodes
         requests = self._pool_requests(solver)
-        selections = dict(solver.policy.selection_counts)
-        assert sum(requests) > 0
+        chosen = solver.stats.policy_counts
+        assert sum(requests) > 0 and len(chosen) > 1
         for scale in (2.0, 3.0):
             counts = self._count_pricing(
                 lambda: solver.refactorize(a.data * scale)
             )
-            assert counts == first
-            # each call went through the allocators and the selector again
+            assert counts == (0, 0, 0)
+            # the pools read as after the cold pass, and what the selector
+            # chose is read off the kept records
             assert self._pool_requests(solver) == requests
-            assert dict(solver.policy.selection_counts) == selections
-        assert self._slot(solver) is None
+            assert solver.stats.policy_counts == chosen
+        assert self._slot(solver) is not None
 
     def test_only_pure_passes_are_kept(self, lap3d_small):
         from repro.policies import BaselineHybrid, IdealHybrid
@@ -520,9 +523,8 @@ class TestPricingMemo:
         filled = {}
         for name, policy in {
             "P1": "P1", "P3": "P3", "P4": "P4",
-            # with its default thresholds P_BH resolves every front of
-            # this matrix to P1 and never reaches an allocator: it is
-            # still a selector, and is not kept
+            # a selector is a value (its thresholds, or its perf model,
+            # and its table), and is kept like a base policy
             "PBH": BaselineHybrid(), "PIH": IdealHybrid(model),
         }.items():
             solver = SparseCholeskySolver(
@@ -533,8 +535,73 @@ class TestPricingMemo:
                 solver.refactorize(a.data * scale)
             filled[name] = self._slot(solver) is not None
         assert filled == {
-            "P1": True, "P3": True, "P4": True, "PBH": False, "PIH": False,
+            "P1": True, "P3": True, "P4": True, "PBH": True, "PIH": True,
         }
+
+    def test_equal_hybrids_share_the_kept_pass(self, lap3d_small):
+        """Two selectors built apart but equal as values share one kept
+        pass on one symbolic factor; other thresholds miss it."""
+        a = lap3d_small
+        sf = symbolic_factorize(a, ordering="nd")
+        b = np.ones(a.n_rows)
+
+        def solver(thresholds, sf=sf):
+            return SparseCholeskySolver.from_symbolic(
+                a, sf, policy=BaselineHybrid(thresholds)
+            )
+
+        device = (1e3, 1e4, 1e5)
+        first = solver(device)
+        assert self._count_pricing(first.factorize)[0] == 1
+        second = solver(device)
+        assert second.policy is not first.policy
+        assert self._count_pricing(second.factorize) == (0, 0, 0)
+        fresh = solver(device, symbolic_factorize(a, ordering="nd")).factorize()
+        assert second.factor.records == fresh.factor.records
+        assert all(
+            np.array_equal(p, q)
+            for p, q in zip(second.factor.panels, fresh.factor.panels)
+        )
+        assert np.array_equal(second.solve(b), fresh.solve(b))
+        other = solver((1e3, 1e4, 1e6))
+        assert self._count_pricing(other.factorize)[0] == 1
+
+    def test_edited_selector_prices_again(self, lap3d_small):
+        """A selector edited in place after its pass is another value:
+        the kept pass holds a copy of the old key, and misses."""
+        from repro.autotune import train_default_classifier
+        from repro.policies import IdealHybrid, ModelHybrid
+
+        a = lap3d_small
+        clf = train_default_classifier(tesla_t10_model())
+        for policy, edit in (
+            (ModelHybrid(clf), lambda p: p.classifier.theta.__setitem__(
+                (0, 0), p.classifier.theta[0, 0] + 1.0)),
+            (IdealHybrid(tesla_t10_model()), lambda p: setattr(
+                p.model, "cpu_mem_bw", 2 * p.model.cpu_mem_bw)),
+        ):
+            solver = SparseCholeskySolver(a, ordering="nd", policy=policy)
+            assert self._count_pricing(solver.factorize)[0] == 1
+            assert self._count_pricing(lambda: solver.refactorize(a.data))[0] == 0
+            edit(policy)
+            assert self._count_pricing(lambda: solver.refactorize(a.data))[0] == 1
+            fresh = SparseCholeskySolver(
+                a, ordering="nd", policy=copy.deepcopy(policy)
+            ).factorize()
+            assert solver.factor.records == fresh.factor.records
+
+    def test_hybrid_over_a_spied_base_is_never_kept(self, lap3d_small):
+        a = lap3d_small
+        spied = make_policy("P4")
+        with mock.patch.object(spied, "apply", wraps=spied.apply):
+            policy = BaselineHybrid(
+                (1e3, 1e3, 1e3), {"P1": make_policy("P1"), "P4": spied}
+            )
+            solver = SparseCholeskySolver(a, ordering="nd", policy=policy)
+            for run in (solver.factorize, lambda: solver.refactorize(a.data)):
+                assert self._count_pricing(run)[0] == 1
+            assert spied.apply.call_count > 0
+        assert self._slot(solver) is None
 
     def test_hit_reads_like_a_real_pass(self, lap3d_small):
         for policy in ("P1", "P4"):
