@@ -294,12 +294,18 @@ class CSCMatrix:
         matrix already holds (from :meth:`is_structurally_symmetric`, or
         as the result of :meth:`symmetrize_from_lower`) is not tested
         again, so a pipeline that hands one matrix down tests it once."""
-        memo = self._symmetric
-        if memo is not None and memo[0] is self.indptr and memo[1] is self.indices:
-            symmetric = memo[2]
-        else:
+        symmetric = self.symmetry_verdict()
+        if symmetric is None:
             symmetric = self.is_structurally_symmetric()
         return self if symmetric else self.symmetrize_from_lower()
+
+    def symmetry_verdict(self) -> "bool | None":
+        """The verdict on the pattern's symmetry this matrix already holds
+        for its own index arrays, or ``None``: never tests."""
+        memo = self._symmetric
+        if memo is not None and memo[0] is self.indptr and memo[1] is self.indices:
+            return memo[2]
+        return None
 
     def permute_symmetric(self, perm: np.ndarray) -> "CSCMatrix":
         """Return ``P A P^T`` where ``perm[new] = old`` (i.e. row/col ``old``

@@ -171,14 +171,16 @@ def _amalgamation_sweep(
     supernode's front, so later sweeps budget against the true merged
     size rather than the first column's count.  Returns the new
     ``super_ptr``, the carried-forward row counts, and whether any merge
-    happened.
+    happened.  The sweep reads and writes one supernode at a time, so
+    its state is Python lists: list indexing is several times cheaper
+    than numpy scalar indexing.
     """
     n = parent.size
     n_super = super_ptr.size - 1
-    sparent = supernode_parents(super_ptr, parent)
+    sparent = supernode_parents(super_ptr, parent).tolist()
 
     # union-find over supernodes that were merged into their successor
-    merged_into = np.arange(n_super, dtype=np.int64)
+    merged_into = list(range(n_super))
 
     def find(s: int) -> int:
         while merged_into[s] != s:
@@ -187,61 +189,56 @@ def _amalgamation_sweep(
         return s
 
     # current (start, width, front row count) per representative
-    start = super_ptr[:-1].astype(np.int64).copy()
-    width = np.diff(super_ptr).astype(np.int64)
-    first_count = front_rows.astype(np.int64).copy()
+    start = super_ptr[:-1].tolist()
+    width = np.diff(super_ptr).tolist()
+    first_count = front_rows.tolist()
+    small_child, max_width = params.small_child, params.max_width
+    fraction, max_zeros = params.max_zeros_fraction, params.max_zeros
     merged_any = False
 
     for s in range(n_super - 1):
-        rep = find(s)
         p = sparent[s]
         if p == NO_PARENT:
             continue
-        prep = find(int(p))
+        rep = find(s)
+        prep = find(p)
         if prep == rep:
             continue
         # contiguity: parent must start right after this supernode ends
-        if start[prep] != start[rep] + width[rep]:
+        w_child, w_parent = width[rep], width[prep]
+        if start[prep] != start[rep] + w_child:
             continue
-        w_child, w_parent = int(width[rep]), int(width[prep])
         w_new = w_child + w_parent
-        if w_new > params.max_width and w_child > params.small_child:
+        if w_new > max_width and w_child > small_child:
             continue
         # zero cost: merged front keeps the child's row span; the parent's
-        # columns gain rows the child had but they lack.
-        rows_child = int(first_count[rep])          # rows in child front
-        rows_parent = int(first_count[prep])
-        # stored triangle sizes (column j of a supernode of R rows and W
-        # cols stores R - j entries): total = sum_{j<W} (R - j)
-        def tri(rows: int, w: int) -> int:
-            return rows * w - w * (w - 1) // 2
-
+        # columns gain rows the child had but they lack.  A supernode of
+        # R rows and W columns stores sum_{j<W} (R - j) entries.
+        rows_child, rows_parent = first_count[rep], first_count[prep]
         merged_rows = max(rows_child, rows_parent + w_child)
-        stored = tri(merged_rows, w_new)
-        useful = tri(rows_child, w_child) + tri(rows_parent, w_parent)
+        stored = merged_rows * w_new - w_new * (w_new - 1) // 2
+        useful = (rows_child * w_child - w_child * (w_child - 1) // 2
+                  + rows_parent * w_parent - w_parent * (w_parent - 1) // 2)
         zeros = stored - useful
-        if w_child > params.small_child and zeros > params.max_zeros_fraction * stored:
+        if w_child > small_child and zeros > fraction * stored:
             continue
-        if zeros > 4 * params.max_zeros_fraction * stored:
+        if zeros > 4 * fraction * stored:
             # even tiny children shouldn't blow the budget completely
             continue
-        if params.max_zeros is not None and zeros > params.max_zeros:
+        if max_zeros is not None and zeros > max_zeros:
             continue
         # merge child rep into parent rep
         merged_into[rep] = prep
         start[prep] = start[rep]
         width[prep] = w_new
         first_count[prep] = merged_rows
-        sparent[s] = NO_PARENT  # consumed
         merged_any = True
 
-    reps = sorted({find(s) for s in range(n_super)}, key=lambda s: int(start[s]))
-    new_ptr = np.empty(len(reps) + 1, dtype=np.int64)
-    new_rows = np.empty(len(reps), dtype=np.int64)
-    for i, s in enumerate(reps):
-        new_ptr[i] = start[s]
-        new_rows[i] = first_count[s]
-    new_ptr[-1] = n
+    # a representative is a supernode nothing merged away
+    reps = sorted((s for s in range(n_super) if merged_into[s] == s),
+                  key=start.__getitem__)
+    new_ptr = np.array([start[s] for s in reps] + [n], dtype=np.int64)
+    new_rows = np.array([first_count[s] for s in reps], dtype=np.int64)
     if not np.all(np.diff(new_ptr) > 0):
         raise AssertionError("amalgamation produced a non-contiguous partition")
     return new_ptr, new_rows, merged_any

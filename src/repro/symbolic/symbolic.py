@@ -167,15 +167,31 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _lower_entries(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort and de-duplicate ``row * n + col`` keys; return ``(rows, cols)``
-    ordered by row, then column."""
-    return np.divmod(_sorted_unique(keys), n)
+def lower_pattern(r: np.ndarray, c: np.ndarray, n: int,
+                  symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The strictly-lower pattern of the symmetric matrix whose stored
+    entries are ``(r, c)``, as ``(rows, cols)`` ordered by row, then
+    column.
+
+    Taking ``(max, min)`` of every off-diagonal entry makes it symmetric
+    whatever triangle(s) the store holds, at the price of one key per
+    stored entry and a de-duplication.  A store known to be
+    ``symmetric`` holds every pair from both sides, so its entries with
+    ``r > c`` are each pair once: half the keys, and nothing to
+    de-duplicate.
+    """
+    if symmetric:
+        below = r > c
+        keys = np.sort(r[below] * n + c[below])
+    else:
+        off = r != c
+        keys = _sorted_unique(np.maximum(r, c)[off] * n + np.minimum(r, c)[off])
+    return np.divmod(keys, n)
 
 
 def _supernode_patterns(
     super_ptr: np.ndarray, sparent: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Below-the-block row pattern of every fundamental supernode.
 
     All columns of a fundamental supernode ``f..l-1`` share one pattern
@@ -189,10 +205,11 @@ def _supernode_patterns(
     level is one more than its highest child's), so every child pattern
     exists before it is needed.  The supernodes of one level are
     independent: their unions are one sort of ``s * n + row`` keys, and
-    what each passes up is a suffix of its pattern.  A level of one
-    supernode — every level of a path-like tree — is its own union.
-    ``rows, cols`` are the strictly-lower entries of the postordered
-    matrix.
+    what each passes up — the suffix of its pattern past its parent's
+    last column — is one mask over those keys, rekeyed to the parent and
+    queued for the parent's level.  ``rows, cols`` are the strictly-lower
+    entries of the postordered matrix.  Returns ``(flat, lo, hi)``:
+    pattern(s) is ``flat[lo[s]:hi[s]]``, ascending.
     """
     n_super = super_ptr.size - 1
     n = int(super_ptr[-1])
@@ -201,56 +218,73 @@ def _supernode_patterns(
     entry_super = super_of[cols]
     below = rows >= ends[entry_super]
     entry_super = entry_super[below]
-    # grouped by supernode in any order within: every union sorts
-    a_rows = rows[below][np.argsort(entry_super)]
-    a_ptr = np.zeros(n_super + 1, dtype=np.int64)
-    np.cumsum(np.bincount(entry_super, minlength=n_super), out=a_ptr[1:])
 
-    bounds = a_ptr.tolist()
-    pieces = [[a_rows[bounds[s]:bounds[s + 1]]] for s in range(n_super)]
-    parents = sparent.tolist()
     # children carry smaller ids than parents: one ascending pass levels
     # the tree
     height = [0] * n_super
-    levels: list[list[int]] = [[]]
-    for s, p in enumerate(parents):
-        h = height[s]
-        if h == len(levels):
-            levels.append([])
-        levels[h].append(s)
-        if p != NO_PARENT and height[p] <= h:
-            height[p] = h + 1
+    for s, p in enumerate(sparent.tolist()):
+        if p != NO_PARENT and height[p] <= height[s]:
+            height[p] = height[s] + 1
+    height = np.array(height, dtype=np.int64)
+    n_levels = int(height.max()) + 1 if n_super else 0
+    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(height, minlength=n_levels), out=level_ptr[1:])
+    # each level's supernodes, ascending, and A's keys, grouped by level
+    # in any order within: every union sorts
+    by_level = np.argsort(height, kind="stable")
+    entry_level = height[entry_super]
+    a_keys = (entry_super * n + rows[below])[np.argsort(entry_level, kind="stable")]
+    a_ptr = np.zeros(n_levels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_level, minlength=n_levels), out=a_ptr[1:])
+    # a pattern passes up its rows past its parent's last column
+    up_from = np.where(sparent == NO_PARENT, n, ends[sparent])
+    level_ptr, a_ptr = level_ptr.tolist(), a_ptr.tolist()
+    parents, height_list = sparent.tolist(), height.tolist()
 
-    ends_list = ends.tolist()
-    patterns: list[np.ndarray] = [None] * n_super  # type: ignore[list-item]
-    for level in levels:
-        if len(level) == 1:
-            s = level[0]
-            pat = _sorted_unique(np.concatenate(pieces[s]))
-            pieces[s] = []  # release
-            patterns[s] = pat
-            p = parents[s]
-            if p != NO_PARENT:
-                pieces[p].append(pat[np.searchsorted(pat, ends_list[p]):])
-            continue
-        own = np.array(level, dtype=np.int64)
-        owner = np.repeat(own, [sum(x.size for x in pieces[s]) for s in level])
+    # queued[h]: key arrays passed up to level h's supernodes
+    queued: list[list[np.ndarray]] = [[] for _ in range(n_levels)]
+    flat: list[np.ndarray] = []
+    lo = np.empty(n_super, dtype=np.int64)
+    hi = np.empty(n_super, dtype=np.int64)
+    offset = 0
+    for h in range(n_levels):
         keys = _sorted_unique(
-            owner * n + np.concatenate([x for s in level for x in pieces[s]])
+            np.concatenate([a_keys[a_ptr[h]:a_ptr[h + 1]], *queued[h]])
         )
-        key_owner = keys // n
-        pat_rows = keys - key_owner * n
-        lo = np.searchsorted(key_owner, own).tolist()
-        hi = lo[1:] + [keys.size]
-        # each pattern passes up its rows past its parent's last column
-        up = own * n + np.where(sparent[own] == NO_PARENT, n, ends[sparent[own]])
-        for s, a, b, u in zip(level, lo, hi, np.searchsorted(keys, up).tolist()):
-            pieces[s] = []
-            patterns[s] = pat_rows[a:b]
+        queued[h] = []  # release
+        first, last = level_ptr[h], level_ptr[h + 1]
+        if last - first == 1:
+            # a level of one supernode — every level of a path-like tree
+            s = int(by_level[first])
+            pat = keys - s * n
+            lo[s], hi[s] = offset, offset + pat.size
             p = parents[s]
             if p != NO_PARENT:
-                pieces[p].append(pat_rows[u:b])
-    return patterns
+                up = pat[np.searchsorted(pat, ends[p]):]
+                queued[height_list[p]].append(up + p * n)
+        else:
+            own = by_level[first:last]
+            owner = keys // n
+            pat = keys - owner * n
+            start = np.searchsorted(owner, own)
+            lo[own] = offset + start
+            hi[own] = offset + np.append(start[1:], keys.size)
+            up = pat >= up_from[owner]
+            parent = sparent[owner[up]]
+            up_keys = parent * n + pat[up]
+            # one queue per parent level
+            to = height[parent]
+            order = np.argsort(to, kind="stable")
+            to, up_keys = to[order], up_keys[order]
+            cuts = np.flatnonzero(np.diff(to)) + 1
+            if to.size:
+                for level, chunk in zip(to[np.append(0, cuts)].tolist(),
+                                        np.split(up_keys, cuts)):
+                    queued[level].append(chunk)
+        flat.append(pat)
+        offset += pat.size
+    flat_rows = np.concatenate(flat) if flat else np.empty(0, dtype=np.int64)
+    return flat_rows, lo, hi
 
 
 def symbolic_factorize(
@@ -293,16 +327,10 @@ def symbolic_factorize(
         ):
             raise ValueError("perm is not a permutation of 0..n-1")
 
-    # strictly-lower pattern of P (A + A^T) P^T, one key per entry; taking
-    # (max, min) of every off-diagonal entry makes it symmetric whatever
-    # triangle(s) ``a`` stores
     position = invert_permutation(base_perm)
     r = position[a.indices]
     c = position[np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))]
-    off = r != c
-    rows, cols = _lower_entries(
-        np.maximum(r, c)[off] * n + np.minimum(r, c)[off], n
-    )
+    rows, cols = lower_pattern(r, c, n, a.symmetry_verdict() is True)
 
     # row i of the strict lower triangle is column i of the strict upper
     # one: exactly the entries Liu's algorithm reads
@@ -320,11 +348,11 @@ def symbolic_factorize(
     rows, cols = np.divmod(np.sort(new_label[rows] * n + new_label[cols]), n)
 
     fund_ptr = skeleton_supernodes(tree.parent, rows, cols)
-    patterns = _supernode_patterns(
+    flat, lo, hi = _supernode_patterns(
         fund_ptr, supernode_parents(fund_ptr, tree.parent), rows, cols
     )
     # column j of fundamental supernode f..l-1 holds j..l-1 and the pattern
-    pattern_sizes = np.array([p.size for p in patterns], dtype=np.int64)
+    pattern_sizes = hi - lo
     counts = np.repeat(
         pattern_sizes + fund_ptr[1:], np.diff(fund_ptr)
     ) - np.arange(n, dtype=np.int64)
@@ -335,16 +363,22 @@ def symbolic_factorize(
     # last column, which contains what every earlier column of the
     # (possibly amalgamated) supernode has past its end
     last_fund = np.searchsorted(fund_ptr, super_ptr[1:]) - 1
-    rows_of = [
-        np.concatenate([np.arange(f, l, dtype=np.int64), patterns[t]])
-        for f, l, t in zip(
-            super_ptr[:-1].tolist(), super_ptr[1:].tolist(), last_fund.tolist()
-        )
-    ]
     widths = np.diff(super_ptr)
-    nnz_factor = int(np.sum(
-        (widths + pattern_sizes[last_fund]) * widths - widths * (widths - 1) // 2
-    ))
+    sizes = widths + pattern_sizes[last_fund]
+    nnz_factor = int(np.sum(sizes * widths - widths * (widths - 1) // 2))
+    # every front's rows in one buffer, each front a slice of it: entry
+    # i of front s is column super_ptr[s] + i while i < width, then its
+    # pattern's entry i - width, both gathered from [0..n-1, flat]
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    front = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    i = np.arange(bounds[-1], dtype=np.int64) - bounds[front]
+    buffer = np.concatenate((np.arange(n, dtype=np.int64), flat))[np.where(
+        i < widths[front], super_ptr[front] + i,
+        (n + lo[last_fund] - widths)[front] + i,
+    )]
+    bounds = bounds.tolist()
+    rows_of = [buffer[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     sparent = supernode_parents(super_ptr, tree.parent)
     # supernode ids increase with column number, so ascending id order is

@@ -24,6 +24,13 @@ parents and column counts: column ``j`` extends the supernode of ``j-1``
 iff ``parent(j-1) == j``, ``cnt(j-1) == cnt(j) + 1`` and ``j`` has no
 other child.
 
+``reference_amalgamate`` is relaxed amalgamation as it read and wrote
+numpy scalars one supernode at a time (``_amalgamation_sweep``, kept
+verbatim), before :func:`repro.symbolic.amalgamate` moved its sweep to
+Python lists; ``reference_lower_pattern`` is the ``(max, min)`` fold
+that builds the strictly-lower pattern from any store, the definition
+the symmetric store's ``r > c`` shortcut is held against.
+
 ``reference_postorder`` is the forest postorder as it read the parent
 array one numpy scalar at a time, before
 :func:`repro.symbolic.etree.postorder` moved to Python lists; the
@@ -37,6 +44,7 @@ import numpy as np
 
 from repro.matrices.csc import CSCMatrix
 from repro.symbolic.etree import NO_PARENT
+from repro.symbolic.supernodes import AmalgamationParams, supernode_parents
 
 
 def column_patterns(a: CSCMatrix, parent: np.ndarray) -> list[np.ndarray]:
@@ -160,3 +168,123 @@ def reference_postorder(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     if t != n:
         raise ValueError("parent array does not describe a forest")
     return post, first_child, next_sibling
+
+
+def reference_lower_pattern(r: np.ndarray, c: np.ndarray, n: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the strictly-lower pattern of the symmetric
+    matrix with stored entries ``(r, c)``, whatever triangles are
+    stored: every off-diagonal entry folded to ``(max, min)``, then
+    de-duplicated."""
+    off = r != c
+    keys = np.unique(np.maximum(r, c)[off] * n + np.minimum(r, c)[off])
+    return np.divmod(keys, n)
+
+
+def _amalgamation_sweep(
+    super_ptr: np.ndarray,
+    parent: np.ndarray,
+    front_rows: np.ndarray,
+    params: AmalgamationParams,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One greedy bottom-up merging sweep over a contiguous partition.
+
+    ``front_rows`` carries the (possibly amalgamated) row count of each
+    supernode's front, so later sweeps budget against the true merged
+    size rather than the first column's count.  Returns the new
+    ``super_ptr``, the carried-forward row counts, and whether any merge
+    happened.
+    """
+    n = parent.size
+    n_super = super_ptr.size - 1
+    sparent = supernode_parents(super_ptr, parent)
+
+    # union-find over supernodes that were merged into their successor
+    merged_into = np.arange(n_super, dtype=np.int64)
+
+    def find(s: int) -> int:
+        while merged_into[s] != s:
+            merged_into[s] = merged_into[merged_into[s]]
+            s = merged_into[s]
+        return s
+
+    # current (start, width, front row count) per representative
+    start = super_ptr[:-1].astype(np.int64).copy()
+    width = np.diff(super_ptr).astype(np.int64)
+    first_count = front_rows.astype(np.int64).copy()
+    merged_any = False
+
+    for s in range(n_super - 1):
+        rep = find(s)
+        p = sparent[s]
+        if p == NO_PARENT:
+            continue
+        prep = find(int(p))
+        if prep == rep:
+            continue
+        # contiguity: parent must start right after this supernode ends
+        if start[prep] != start[rep] + width[rep]:
+            continue
+        w_child, w_parent = int(width[rep]), int(width[prep])
+        w_new = w_child + w_parent
+        if w_new > params.max_width and w_child > params.small_child:
+            continue
+        # zero cost: merged front keeps the child's row span; the parent's
+        # columns gain rows the child had but they lack.
+        rows_child = int(first_count[rep])          # rows in child front
+        rows_parent = int(first_count[prep])
+        # stored triangle sizes (column j of a supernode of R rows and W
+        # cols stores R - j entries): total = sum_{j<W} (R - j)
+        def tri(rows: int, w: int) -> int:
+            return rows * w - w * (w - 1) // 2
+
+        merged_rows = max(rows_child, rows_parent + w_child)
+        stored = tri(merged_rows, w_new)
+        useful = tri(rows_child, w_child) + tri(rows_parent, w_parent)
+        zeros = stored - useful
+        if w_child > params.small_child and zeros > params.max_zeros_fraction * stored:
+            continue
+        if zeros > 4 * params.max_zeros_fraction * stored:
+            # even tiny children shouldn't blow the budget completely
+            continue
+        if params.max_zeros is not None and zeros > params.max_zeros:
+            continue
+        # merge child rep into parent rep
+        merged_into[rep] = prep
+        start[prep] = start[rep]
+        width[prep] = w_new
+        first_count[prep] = merged_rows
+        sparent[s] = NO_PARENT  # consumed
+        merged_any = True
+
+    reps = sorted({find(s) for s in range(n_super)}, key=lambda s: int(start[s]))
+    new_ptr = np.empty(len(reps) + 1, dtype=np.int64)
+    new_rows = np.empty(len(reps), dtype=np.int64)
+    for i, s in enumerate(reps):
+        new_ptr[i] = start[s]
+        new_rows[i] = first_count[s]
+    new_ptr[-1] = n
+    if not np.all(np.diff(new_ptr) > 0):
+        raise AssertionError("amalgamation produced a non-contiguous partition")
+    return new_ptr, new_rows, merged_any
+
+
+def reference_amalgamate(
+    super_ptr: np.ndarray,
+    parent: np.ndarray,
+    counts: np.ndarray,
+    params: AmalgamationParams,
+) -> np.ndarray:
+    """``params.passes`` sweeps of ``_amalgamation_sweep``, stopping once
+    one merges nothing."""
+    if params.max_width <= 0:
+        return super_ptr
+    front_rows = counts[super_ptr[:-1]]
+    ptr = super_ptr
+    for _ in range(params.passes):
+        ptr, front_rows, merged_any = _amalgamation_sweep(
+            ptr, parent, front_rows, params
+        )
+        if not merged_any:
+            break
+    return ptr

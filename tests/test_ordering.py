@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.ordering import (
     reverse_cuthill_mckee,
 )
 from repro.ordering.amd import minimum_degree_graph
+from repro.ordering.rcm import DEAD
 from repro.verify import load_corpus
 from repro.verify.harness import DEFAULT_CORPUS
 from tests.reference_ordering import (
@@ -363,6 +365,56 @@ class TestNestedDissection:
         assert np.array_equal(nested_dissection(a, leaf_size=k),
                               recursive_nested_dissection(a, k))
 
+    @pytest.mark.parametrize("leaf_size", [1, 8, 64])
+    def test_levels_share_no_edge(self, leaf_size):
+        for a in (self._two_grids_and_isolated_vertices(),
+                  grid_laplacian_3d(9, 8, 7)):
+            assert_levels_share_no_edge(a, leaf_size)
+
+    @given(patterns(max_n=60), st.sampled_from([1, 2, 8, 64, None]))
+    @example((7, [(0, 3), (3, 5), (1, 2), (2, 6), (1, 6)]), 2)
+    def test_drawn_patterns_levels_share_no_edge(self, pattern, leaf_size):
+        n, edges = pattern
+        assert_levels_share_no_edge(pattern_matrix(n, edges),
+                                    n if leaf_size is None else leaf_size)
+
+
+def dissection_levels(a, leaf_size):
+    """``nested_dissection(a)`` and the vertex arrays of every part of
+    every dissection level, asserting that the sweeps' level array holds
+    ``DEAD`` on every vertex before and after each level: a separator,
+    a leaf and every vertex a sweep reached is dead once its level is
+    done."""
+    nd = importlib.import_module("repro.ordering.nested_dissection")
+    dissect, levels = nd._dissect_level, []
+
+    def spy(indptr, indices, parts, tasks, mark, *rest):
+        assert np.all(mark == DEAD)
+        levels.append([nodes for _, nodes, _ in parts])
+        out = dissect(indptr, indices, parts, tasks, mark, *rest)
+        assert np.all(mark == DEAD)
+        return out
+
+    with mock.patch.object(nd, "_dissect_level", spy):
+        perm = nested_dissection(a, leaf_size=leaf_size)
+    return perm, levels
+
+
+def assert_levels_share_no_edge(a, leaf_size):
+    """The invariant that lets every sweep run on ``a``'s own adjacency:
+    at every dissection level, no edge joins two of its live parts."""
+    perm, levels = dissection_levels(a, leaf_size)
+    indptr, indices = a.adjacency()
+    n = a.n_rows
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    for parts in levels:
+        owner = np.full(n, -1)
+        for i, nodes in enumerate(parts):
+            owner[nodes] = i
+        live = (owner[tail] >= 0) & (owner[indices] >= 0)
+        assert np.array_equal(owner[tail][live], owner[indices][live])
+    assert np.array_equal(perm, recursive_nested_dissection(a, leaf_size))
+
 
 def test_leaf_memo_lives_for_one_call(monkeypatch):
     """Congruent leaves share one minimum-degree run inside a call, and
@@ -406,3 +458,33 @@ def test_lmco_s_nd_bfs_counts(monkeypatch):
         "aa6baeafb7553c574bb661dcd0e360e0d50e244eb27a4ef764148484317606de"
     )
     assert len(calls) == 67 <= 521 // 5
+
+
+def test_lmco_s_nd_local_graph_counts(monkeypatch):
+    """The counts-gate CI runs by name: nested dissection of lmco_s
+    sweeps the matrix's own adjacency and copies adjacency entries only
+    to build the local graphs minimum degree orders, one gather per
+    level with leaves: 160 425 entries read, 63 234 kept, each vertex's
+    list at most once (the 279 174 entries of the whole adjacency; the
+    per-level induced unions copied 2 093 892 before)."""
+    nd = importlib.import_module("repro.ordering.nested_dissection")
+    leaf_graphs, read, kept, seen = nd._leaf_graphs, [], [], []
+
+    def counted(indptr, indices, nodes, *rest):
+        read.append(int(np.diff(indptr)[nodes].sum()))
+        seen.append(nodes)
+        g_indptr, g_indices = leaf_graphs(indptr, indices, nodes, *rest)
+        kept.append(g_indices.size)
+        return g_indptr, g_indices
+
+    monkeypatch.setattr(nd, "_leaf_graphs", counted)
+    a = load_test_matrix("lmco_s")
+    perm = nested_dissection(a)
+    assert digest(perm) == (
+        "aa6baeafb7553c574bb661dcd0e360e0d50e244eb27a4ef764148484317606de"
+    )
+    assert len(read) == 16
+    assert (sum(read), sum(kept)) == (160_425, 63_234)
+    leaves = np.concatenate(seen)
+    assert np.unique(leaves).size == leaves.size
+    assert sum(read) <= a.nnz - a.n_rows == 279_174

@@ -360,7 +360,7 @@ def test_lmco_s_warm_p4_refactorize_counts():
             _counting(counts, "kernel_time", PerfModel.kernel_time),
         ),
         mock.patch.object(
-            FURecord, "__init__", _counting(counts, "FURecord", FURecord.__init__)
+            FURecord, "__new__", _counting(counts, "FURecord", FURecord.__new__)
         ),
         mock.patch.object(dataclasses, "replace", replace),
     ] + [

@@ -877,10 +877,14 @@ class TestScheduledPricingMemo:
         rt = par.runtime
         for obj, name in [
             (par, "makespan"), (rt, "schedule"), (rt.stats, "steals"),
-            (rt.schedule[0], "end"), (par.records[0], "end"),
+            (rt.schedule[0], "end"),
         ] + [(span, "end") for span in rt.spans[:1]]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, -1.0)
+        # a record is a named tuple: no field can be set
+        assert isinstance(par.records[0], tuple)
+        with pytest.raises(AttributeError):
+            par.records[0].end = -1.0
         for seq in (
             par.records, par.bases, par.kernel_seconds, par.order,
             rt.schedule, rt.worker_busy, rt.spans, rt.messages, rt.nic_busy,

@@ -18,7 +18,7 @@ from repro.matrices import (
     shell_elasticity,
 )
 from repro.matrices.csc import CSCMatrix, csc_from_dense
-from repro.ordering import ORDERING_METHODS
+from repro.ordering import ORDERING_METHODS, invert_permutation
 from repro.symbolic import (
     AMALGAMATION_PRESETS,
     AmalgamationParams,
@@ -27,11 +27,13 @@ from repro.symbolic import (
     elimination_tree,
     symbolic_factorize,
 )
-from repro.symbolic.symbolic import factor_update_flops
+from repro.symbolic.symbolic import factor_update_flops, lower_pattern
 from tests.reference_symbolic import (
     column_counts,
     column_patterns,
     fundamental_supernodes,
+    reference_amalgamate,
+    reference_lower_pattern,
 )
 
 
@@ -431,3 +433,123 @@ class TestSupernodalAgainstColumnOracle:
         a = pattern_matrix(n, edges)
         perm = np.random.default_rng(seed).permutation(n)
         assert_matches_column_oracle(a, symbolic_factorize(a, perm=perm))
+
+
+def stored_pattern(n, edges, sides):
+    """Matrix with a full diagonal whose off-diagonal pair ``edges[e]`` is
+    stored below the diagonal, above it or on both sides as ``sides[e]``
+    is 0, 1 or 2 (a mixed store; all 2 is a full store)."""
+    rows, cols = list(range(n)), list(range(n))
+    for (i, j), side in zip(edges, sides):
+        lo, hi = min(i, j), max(i, j)
+        if side != 1:
+            rows.append(hi), cols.append(lo)
+        if side != 0:
+            rows.append(lo), cols.append(hi)
+    return CSCMatrix.from_coo(rows, cols, np.ones(len(rows)), (n, n))
+
+
+@st.composite
+def stored_patterns(draw, max_n=20):
+    n, edges = draw(patterns(max_n=max_n))
+    sides = draw(st.lists(st.integers(0, 2), min_size=len(edges),
+                          max_size=len(edges)))
+    return n, edges, sides
+
+
+class TestArrayPassesAgainstScalarOracles:
+    """The analysis' array passes against the scalar code they replaced,
+    kept in ``tests/reference_symbolic.py``: relaxed amalgamation over
+    Python lists against the sweep that read numpy scalars, and the
+    lower pattern of a store known to be symmetric (its ``r > c``
+    entries) against the ``(max, min)`` fold every store can take."""
+
+    PARAMS = {
+        "default": AmalgamationParams(),
+        "aggressive": AmalgamationParams.aggressive(),
+        # every budget binding on small trees too
+        "capped": AmalgamationParams(max_zeros=6, max_width=6, small_child=2,
+                                     passes=2),
+    }
+
+    @staticmethod
+    def assert_amalgamation_matches(a, ordering, params):
+        # the fundamental partition and its column counts, from the
+        # symbolic factor the column oracle holds exact
+        sf = symbolic_factorize(a, ordering=ordering,
+                                amalgamation=AmalgamationParams.off())
+        widths = np.diff(sf.super_ptr)
+        sizes = np.array([r.size for r in sf.rows], dtype=np.int64)
+        counts = np.repeat(sizes + sf.super_ptr[:-1], widths) - np.arange(sf.n)
+        parent = sf.etree.parent
+        got = amalgamate(sf.super_ptr, parent, counts, params)
+        want = reference_amalgamate(sf.super_ptr, parent, counts, params)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("params", sorted(PARAMS))
+    def test_lmco_s_amalgamation_matches(self, params):
+        self.assert_amalgamation_matches(load_test_matrix("lmco_s"), "nd",
+                                         self.PARAMS[params])
+
+    @given(patterns(max_n=40), st.sampled_from(ORDERING_METHODS),
+           st.sampled_from(sorted(PARAMS)))
+    @example((5, []), "nd", "default")
+    @example((7, [(0, 3), (3, 5), (1, 2), (2, 6), (1, 6)]), "nd", "aggressive")
+    def test_drawn_amalgamation_matches(self, pattern, ordering, params):
+        n, edges = pattern
+        self.assert_amalgamation_matches(pattern_matrix(n, edges), ordering,
+                                         self.PARAMS[params])
+
+    @staticmethod
+    def assert_lower_pattern_matches(a, perm):
+        """The lower pattern ``symbolic_factorize`` takes of ``a`` under
+        ``perm``, with the verdict ``a`` holds, equals the fold."""
+        n = a.n_rows
+        position = invert_permutation(perm)
+        r = position[a.indices]
+        c = position[np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))]
+        symmetric = a.is_structurally_symmetric()
+        assert a.symmetry_verdict() is symmetric
+        rows, cols = lower_pattern(r, c, n, symmetric)
+        want_rows, want_cols = reference_lower_pattern(r, c, n)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        return symmetric
+
+    def test_lmco_s_lower_pattern_matches(self):
+        a = load_test_matrix("lmco_s")
+        perm = np.random.default_rng(3).permutation(a.n_rows)
+        assert self.assert_lower_pattern_matches(a, perm)
+        assert not self.assert_lower_pattern_matches(a.lower_triangle(), perm)
+
+    @given(stored_patterns(), st.integers(0, 2**32 - 1))
+    # a full, a lower-only and a mixed store of one pattern
+    @example((5, [(0, 3), (1, 4), (2, 3)], [2, 2, 2]), 0)
+    @example((5, [(0, 3), (1, 4), (2, 3)], [0, 0, 0]), 0)
+    @example((5, [(0, 3), (1, 4), (2, 3)], [0, 1, 2]), 0)
+    def test_drawn_stores_lower_pattern_matches(self, pattern, seed):
+        n, edges, sides = pattern
+        a = stored_pattern(n, edges, sides)
+        perm = np.random.default_rng(seed).permutation(n)
+        symmetric = self.assert_lower_pattern_matches(a, perm)
+        stored = a.to_dense() != 0
+        assert symmetric == np.array_equal(stored, stored.T)
+        # a full store takes the shortcut
+        assert symmetric or not all(side == 2 for side in sides)
+
+    def test_symbolic_factorize_reads_the_held_verdict(self):
+        """A store that holds no verdict takes the fold, and the
+        analysis never tests symmetry for the lower pattern."""
+        from unittest import mock
+
+        a = grid_laplacian_2d(9, 7)
+        perm = np.random.default_rng(1).permutation(a.n_rows)
+        with mock.patch.object(
+            CSCMatrix, "is_structurally_symmetric", autospec=True,
+            side_effect=CSCMatrix.is_structurally_symmetric,
+        ) as tested:
+            cold = symbolic_factorize(a, perm=perm)
+        assert tested.call_count == 0 and a.symmetry_verdict() is None
+        assert a.is_structurally_symmetric()
+        assert structure_digest(symbolic_factorize(a, perm=perm)) == (
+            structure_digest(cold)
+        )
